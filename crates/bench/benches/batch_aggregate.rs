@@ -1,17 +1,13 @@
-//! Streaming vs vectorized executor on the plan shape that dominates the
-//! heavy E2 processes (P09/P11/P13/P14): filter → hash-join → grouped
-//! SUM/COUNT/AVG aggregation, plus the join-free variant that decides the
-//! `Auto` crossover threshold. One row count per order of magnitude —
-//! 1k fits in a single chunk, 32k and 256k exercise the multi-chunk
-//! path, pre-sized hash tables and the chunked probe loop. Two ablation
-//! series isolate where the batch path's time goes: `boxed_cols_*` forces
-//! untyped `Vec<Value>` column storage and `row_keys_*` forces per-row
-//! key materialization instead of vectorized per-column hashing. CI
-//! uploads the output as an artifact next to `BENCH_7.json`.
+//! The executor against the reference interpreter on the plan shape that
+//! dominates the heavy E2 processes (P09/P11/P13/P14): filter →
+//! hash-join → grouped SUM/COUNT/AVG aggregation, plus its join-free and
+//! index-join-only variants. One row count per order of magnitude — 1k
+//! fits in a single chunk, 32k and 256k exercise the multi-chunk path,
+//! pre-sized hash tables and the chunked probe loop. CI uploads the
+//! output as an artifact next to `BENCH_7.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dip_relstore::prelude::*;
-use dip_relstore::query::{ablate_boxed_columns, ablate_boxed_probe, ablate_row_keys};
 use std::hint::black_box;
 
 /// An orderline-shaped fact table joined to a small dimension: `n` facts
@@ -72,8 +68,8 @@ fn mart_refresh_plan() -> Plan {
         )
 }
 
-/// The join-free refresh-aggregate shape: the plan class the cardinality
-/// crossover in `planner::batching_pays` routes.
+/// The join-free refresh-aggregate shape, where per-chunk setup is not
+/// amortized by a join.
 fn join_free_plan() -> Plan {
     Plan::scan("lineitem")
         .filter(Expr::col(2).gt(Expr::lit(5i64)))
@@ -90,54 +86,32 @@ fn join_free_plan() -> Plan {
 /// The index-join probe shape: no hash/aggregate consumer, so the probe
 /// chunks are only ever read row-wise by the join's lookup loop. The
 /// planner folds the dimension scan into an `IndexJoin` over its pk.
-fn index_join_plan(db: &Database) -> Plan {
-    let plan = Plan::scan("lineitem")
+fn index_join_plan() -> Plan {
+    Plan::scan("lineitem")
         .filter(Expr::col(2).gt(Expr::lit(5i64)))
         .hash_join(Plan::scan("part"), vec![1], vec![0], JoinKind::Inner)
-        .limit(usize::MAX);
-    dip_relstore::query::planner::optimize(plan, db).expect("plannable bench query")
+        .limit(usize::MAX)
 }
+
+type Runner = fn(&Plan, &Database) -> StoreResult<Relation>;
+const RUNNERS: [(&str, Runner); 2] = [("executor", execute), ("oracle", execute_oracle)];
 
 fn bench_batch_aggregate(c: &mut Criterion) {
     let mut g = c.benchmark_group("batch_aggregate");
     g.sample_size(15);
     for &rows in &[1_000i64, 32_000, 256_000] {
         let db = facts(rows);
-        let plan = mart_refresh_plan();
-        for mode in [ExecMode::Streaming, ExecMode::Vectorized] {
-            g.bench_function(format!("{}_{}k", mode.label(), rows / 1000), |b| {
-                b.iter(|| black_box(execute(&plan, &db, mode).unwrap().len()))
-            });
+        for (shape, plan) in [
+            ("", mart_refresh_plan()),
+            ("joinfree_", join_free_plan()),
+            ("index_join_", index_join_plan()),
+        ] {
+            for (name, run) in RUNNERS {
+                g.bench_function(format!("{shape}{name}_{}k", rows / 1000), |b| {
+                    b.iter(|| black_box(run(&plan, &db).unwrap().len()))
+                });
+            }
         }
-        // ablations: same vectorized plan minus one optimization each
-        g.bench_function(format!("boxed_cols_{}k", rows / 1000), |b| {
-            ablate_boxed_columns(true);
-            b.iter(|| black_box(execute(&plan, &db, ExecMode::Vectorized).unwrap().len()));
-            ablate_boxed_columns(false);
-        });
-        g.bench_function(format!("row_keys_{}k", rows / 1000), |b| {
-            ablate_row_keys(true);
-            b.iter(|| black_box(execute(&plan, &db, ExecMode::Vectorized).unwrap().len()));
-            ablate_row_keys(false);
-        });
-        // the join-free shape that motivates the ~32k Auto crossover
-        let jf = join_free_plan();
-        for mode in [ExecMode::Streaming, ExecMode::Vectorized] {
-            g.bench_function(format!("joinfree_{}_{}k", mode.label(), rows / 1000), |b| {
-                b.iter(|| black_box(execute(&jf, &db, mode).unwrap().len()))
-            });
-        }
-        // index-join-only probe shape: typed assembly vs the boxed-probe
-        // ablation (measured: typed wins — see ROADMAP's index-join item)
-        let ij = index_join_plan(&db);
-        g.bench_function(format!("index_join_typed_{}k", rows / 1000), |b| {
-            b.iter(|| black_box(execute(&ij, &db, ExecMode::Vectorized).unwrap().len()))
-        });
-        g.bench_function(format!("index_join_boxed_probe_{}k", rows / 1000), |b| {
-            ablate_boxed_probe(true);
-            b.iter(|| black_box(execute(&ij, &db, ExecMode::Vectorized).unwrap().len()));
-            ablate_boxed_probe(false);
-        });
     }
     g.finish();
 }

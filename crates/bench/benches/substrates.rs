@@ -184,10 +184,10 @@ fn bench_optimizer(c: &mut Criterion) {
         .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
         .filter(Expr::col(0).eq(Expr::lit(42)));
     g.bench_function("pushdown_on", |b| {
-        b.iter(|| black_box(execute(&plan, &db, ExecMode::Streaming).unwrap().len()))
+        b.iter(|| black_box(execute(&plan, &db).unwrap().len()))
     });
     g.bench_function("pushdown_off", |b| {
-        b.iter(|| black_box(execute(&plan, &db, ExecMode::Oracle).unwrap().len()))
+        b.iter(|| black_box(execute_oracle(&plan, &db).unwrap().len()))
     });
     g.finish();
 }

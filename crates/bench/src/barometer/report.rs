@@ -1,6 +1,6 @@
 //! The benchmark cell model and the `dipbench report` renderer.
 //!
-//! A *cell* is one addressable `(process-group, engine, exec-mode, d, t, f)`
+//! A *cell* is one addressable `(process-group, engine, exec_mode, d, t, f)`
 //! measurement. This module normalizes the committed measurement history —
 //! `results/records/*.json` run records (schema v1 and v2) and
 //! `BENCH_*.json` wall-clock summaries — into cells, renders cross-engine

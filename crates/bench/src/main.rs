@@ -8,7 +8,6 @@
 //! dipbench fig10 [--periods 3] [--engine TAG] [--trace f.json]
 //! dipbench fig11 [--periods 3] [--engine ...] [--trace f.json]
 //! dipbench run --d 0.05 --t 1.0 --f uniform [--periods 3] [--engine ...] [--workers N]
-//!              [--exec-mode auto|streaming|vectorized|oracle]
 //! dipbench compare [--periods 2]          # fed vs mtm, same configuration
 //! dipbench sweep d|t|f [--periods 1]      # scale-factor sweeps
 //! dipbench quality [--periods 1]          # data-quality profile per layer
@@ -28,7 +27,6 @@
 
 use dip_bench::barometer::{self, EngineRegistry, ReportFormat};
 use dip_bench::{build_system, run_experiment, shape_findings, EngineKind};
-use dip_relstore::query::{default_mode, set_default_mode, ExecMode};
 use dip_trace::{DiffOptions, Json, ProcessStats, RunRecord, SCHEMA_VERSION};
 use dipbench::prelude::*;
 use dipbench::report;
@@ -37,7 +35,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     reject_unknown_flags(cmd, &args);
-    apply_exec_mode(&args);
     match cmd {
         "table1" => print!("{}", report::table1()),
         "table2" => {
@@ -110,7 +107,6 @@ fn main() {
                  {}\
                  \n\
                  options: --periods N  --engine TAG  --d X  --t X  --workers N\n\
-                          --exec-mode auto|streaming|vectorized|oracle  (query executor)\n\
                           --f uniform|zipf5|zipf10|normal  --trace FILE  --out FILE|DIR\n\
                           --scaling  (bench only: 1/2/4/8-worker curve into BENCH_5.json)\n\
                           --threshold X  --min-delta X  (diff only)\n\
@@ -132,23 +128,14 @@ fn fail_usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// `--exec-mode auto|streaming|vectorized|oracle` (default auto): pins the
-/// process-global relational executor for every query the run issues. An
-/// unknown value is a hard usage error — silently falling back to `auto`
-/// would benchmark a different executor than the one asked for.
-fn apply_exec_mode(args: &[String]) {
-    let Some(s) = flag_str(args, "--exec-mode") else {
-        return;
-    };
-    match ExecMode::parse(&s) {
-        Some(mode) => set_default_mode(mode),
-        None => {
-            let valid: Vec<&str> = ExecMode::ALL.iter().map(|m| m.label()).collect();
-            fail_usage(&format!(
-                "unknown exec mode {s:?} (valid: {})",
-                valid.join("|")
-            ));
-        }
+/// The `exec_mode` field of a new record. There is one executor, so the
+/// value is fixed per engine: it keeps the committed `*+vectorized`
+/// barometer cells going, and `fed-unopt` runs its local queries through
+/// the reference interpreter.
+fn executor_label(kind: EngineKind) -> &'static str {
+    match kind {
+        EngineKind::FederatedUnoptimized => "oracle",
+        _ => "vectorized",
     }
 }
 
@@ -160,14 +147,7 @@ fn reject_unknown_flags(cmd: &str, args: &[String]) {
     let allowed: &[&str] = match cmd {
         "table1" | "fig8" | "explain" => &[],
         "table2" => &["--d"],
-        "fig10" | "fig11" => &[
-            "--periods",
-            "--engine",
-            "--trace",
-            "--out",
-            "--workers",
-            "--exec-mode",
-        ],
+        "fig10" | "fig11" => &["--periods", "--engine", "--trace", "--out", "--workers"],
         "run" => &[
             "--d",
             "--t",
@@ -177,20 +157,11 @@ fn reject_unknown_flags(cmd: &str, args: &[String]) {
             "--trace",
             "--out",
             "--workers",
-            "--exec-mode",
         ],
         "compare" => &["--periods"],
         "sweep" => &["--periods", "--engine"],
         "quality" => &["--periods", "--engine", "--d"],
-        "record" => &[
-            "--d",
-            "--t",
-            "--f",
-            "--periods",
-            "--engine",
-            "--out",
-            "--exec-mode",
-        ],
+        "record" => &["--d", "--t", "--f", "--periods", "--engine", "--out"],
         "bench" => &[
             "--d",
             "--t",
@@ -204,7 +175,6 @@ fn reject_unknown_flags(cmd: &str, args: &[String]) {
             "--threshold",
             "--out",
             "--workers",
-            "--exec-mode",
         ],
         "report" => &[
             "--records",
@@ -225,7 +195,6 @@ fn reject_unknown_flags(cmd: &str, args: &[String]) {
             "--attempts",
             "--sweep",
             "--workers",
-            "--exec-mode",
         ],
         "crash" => &[
             "--engine",
@@ -240,7 +209,6 @@ fn reject_unknown_flags(cmd: &str, args: &[String]) {
             "--no-rollback",
             "--drop",
             "--workers",
-            "--exec-mode",
         ],
         "overload" => &[
             "--engine",
@@ -254,7 +222,6 @@ fn reject_unknown_flags(cmd: &str, args: &[String]) {
             "--check",
             "--sweep",
             "--out",
-            "--exec-mode",
         ],
         _ => return, // unknown command — the help text handles it
     };
@@ -598,7 +565,7 @@ fn record(args: &[String]) {
         created_unix,
         commit: current_commit(),
         engine: kind.tag().to_string(),
-        exec_mode: default_mode().label().to_string(),
+        exec_mode: executor_label(kind).to_string(),
         datasize: scale.datasize,
         time: scale.time,
         distribution: scale.distribution.label().to_string(),
@@ -628,7 +595,7 @@ fn record(args: &[String]) {
     let path = match flag_str(args, "--out") {
         Some(p) => std::path::PathBuf::from(p),
         None => std::path::PathBuf::from(format!(
-            "results/records/{}-d{}-t{}-{}{}.json",
+            "results/records/{}-d{}-t{}-{}-{}.json",
             kind.tag(),
             scale.datasize,
             scale.time,
@@ -638,12 +605,9 @@ fn record(args: &[String]) {
                 Distribution::Zipf10 => "zipf10",
                 Distribution::Normal => "normal",
             },
-            // an explicitly pinned executor gets its own record file so
-            // streaming-vs-vectorized runs do not clobber each other
-            match default_mode() {
-                ExecMode::Auto => String::new(),
-                m => format!("-{}", m.label()),
-            }
+            // suffixed like the committed `*-vectorized.json` records, so
+            // the bare-named pre-PR-12 history is never clobbered
+            executor_label(kind)
         )),
     };
     if let Some(dir) = path.parent() {
@@ -855,7 +819,7 @@ fn bench(args: &[String]) {
         ("kind", Json::str("bench")),
         ("commit", Json::str(current_commit())),
         ("engine", Json::str(kind.tag())),
-        ("exec_mode", Json::str(default_mode().label())),
+        ("exec_mode", Json::str(executor_label(kind))),
         ("datasize", Json::num(scale.datasize)),
         ("time", Json::num(scale.time)),
         ("distribution", Json::str(scale.distribution.label())),
@@ -1153,7 +1117,7 @@ fn bench_scaling(
         ("kind", Json::str("bench-scaling")),
         ("commit", Json::str(current_commit())),
         ("engine", Json::str(kind.tag())),
-        ("exec_mode", Json::str(default_mode().label())),
+        ("exec_mode", Json::str(executor_label(kind))),
         ("datasize", Json::num(scale.datasize)),
         ("time", Json::num(scale.time)),
         ("distribution", Json::str(scale.distribution.label())),

@@ -157,7 +157,7 @@ fn verify_with(
     // 5. OrdersMV is consistent with the fact table — recomputed through
     // the oracle executor so the check is independent of the mode the
     // engines ran with.
-    let recomputed = execute(&dwh::orders_mv_definition(), &dwh_db, ExecMode::Oracle)?;
+    let recomputed = dwh::orders_mv_definition().run_oracle(&dwh_db)?;
     let mut materialized = dwh_db.table("orders_mv")?.scan();
     let mut recomputed = recomputed;
     recomputed.sort_by_columns(&[0]);
@@ -260,7 +260,7 @@ fn verify_with(
     let mut mv_marts_ok = true;
     for mart in dm::Mart::ALL {
         let mdb = env.db(mart.db_name());
-        let mut recomputed = execute(&dm::sales_mv_definition(), &mdb, ExecMode::Oracle)?;
+        let mut recomputed = dm::sales_mv_definition().run_oracle(&mdb)?;
         let mut materialized = mdb.table("sales_mv")?.scan();
         recomputed.sort_by_columns(&[0]);
         materialized.sort_by_columns(&[0]);

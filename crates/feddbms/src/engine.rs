@@ -134,17 +134,6 @@ pub struct FedCtx {
 }
 
 impl FedCtx {
-    /// The [`ExecMode`] local queries run with: the `optimize_relational:
-    /// false` ablation pins the naive oracle executor; otherwise the
-    /// process-global default mode applies (set by `dipbench --exec-mode`).
-    pub fn exec_mode(&self) -> ExecMode {
-        if self.opts.optimize_relational {
-            default_mode()
-        } else {
-            ExecMode::Oracle
-        }
-    }
-
     /// Time a block of local processing work (Cp).
     pub fn processing<T>(&self, f: impl FnOnce() -> FedResult<T>) -> FedResult<T> {
         let t = Instant::now();
@@ -247,9 +236,17 @@ impl FedCtx {
         Ok(name)
     }
 
-    /// Execute a plan over the local (temp) tables, charging Cp.
+    /// Execute a plan over the local (temp) tables, charging Cp. The
+    /// `optimize_relational: false` ablation runs the plan as written
+    /// through the reference interpreter.
     pub fn local_query(&self, plan: &Plan) -> FedResult<Relation> {
-        self.processing(|| Ok(execute(plan, &self.local, self.exec_mode())?))
+        self.processing(|| {
+            Ok(if self.opts.optimize_relational {
+                execute(plan, &self.local)?
+            } else {
+                execute_oracle(plan, &self.local)?
+            })
+        })
     }
 
     /// Drop this instance's temp tables.

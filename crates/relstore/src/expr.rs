@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 /// Positional access to a row's values.
 ///
-/// The streaming executor evaluates expressions over rows that are not
-/// contiguous `Vec<Value>`s — e.g. the two halves of a join emission — so
+/// The batch executor evaluates expressions over rows that are not
+/// contiguous `Vec<Value>`s — one row index across a chunk's columns — so
 /// evaluation is generic over this accessor instead of taking `&Row`.
 pub trait RowAccess {
     fn value_at(&self, i: usize) -> Option<&Value>;

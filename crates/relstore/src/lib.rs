@@ -10,9 +10,10 @@
 //! * typed [`value::Value`]s with SQL three-valued comparison semantics;
 //! * slotted heap [`table::Table`]s with primary keys, hash/B-tree
 //!   secondary indexes and statement-atomic batch inserts;
-//! * a programmatic [`query::Plan`] language with a materializing executor
-//!   (filter/project/hash-join/union-distinct/aggregate/sort/limit) and a
-//!   rule-based optimizer (predicate + projection pushdown);
+//! * a programmatic [`query::Plan`] language
+//!   (filter/project/hash-join/union-distinct/aggregate/sort/limit) with a
+//!   rule-based optimizer (predicate + projection pushdown), one columnar
+//!   batch executor and a naive reference interpreter;
 //! * AFTER-INSERT triggers and stored procedures — the two building blocks
 //!   of the paper's federated-DBMS reference implementation (Fig. 9);
 //! * materialized views with full and incremental refresh (`OrdersMV`,
@@ -50,10 +51,7 @@ pub mod prelude {
     pub use crate::expr::{CmpOp, Expr, ScalarFunc};
     pub use crate::index::IndexKind;
     pub use crate::mview::{MatView, RefreshMode};
-    pub use crate::query::{
-        default_mode, execute, set_default_mode, AggExpr, AggFunc, ExecMode, JoinKind, Plan,
-        ProjExpr,
-    };
+    pub use crate::query::{execute, execute_oracle, AggExpr, AggFunc, JoinKind, Plan, ProjExpr};
     pub use crate::row::{Relation, Row};
     pub use crate::schema::{Column, RelSchema, SchemaRef};
     pub use crate::table::{Change, Table};

@@ -1,4 +1,4 @@
-//! Columnar batch executor ([`ExecMode::Vectorized`]).
+//! Columnar batch executor — the one optimized execution path.
 //!
 //! Plans run batch-at-a-time over [`Chunk`]s of ~[`CHUNK_ROWS`] rows. A
 //! chunk is a vector of [`Col`]umns plus an optional *selection vector* of
@@ -37,9 +37,9 @@
 //! rows / group keys — a key tuple is only materialized when it is first
 //! inserted, never per probe row.
 //!
-//! The executor is a drop-in replacement for the streaming path over the
-//! same optimized plans and must emit **byte-identical rows in the same
-//! order** (the cross-mode digest gate depends on it):
+//! Emission order is part of the contract — first-seen dedup, `LIMIT` and
+//! top-K ties turn it into content, and the committed parent digests
+//! (`tests/fixtures/digests_pr11.json`) pin it:
 //!
 //! * hash joins emit probe order × build insertion order (build ids are
 //!   inserted into the [`KeyIndex`] in descending order so chains walk
@@ -73,156 +73,17 @@ use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};
 use crate::query::exec::{index_join_equivalent, plan_op, rows_counter, AggState, TopKEntry};
 use crate::query::hashkey::{
-    combine, hash_num, hash_str, hash_value, hash_values, KeyIndex, KEY_SEED, NULL_HASH,
+    combine, hash_num, hash_str, hash_value, KeyIndex, KEY_SEED, NULL_HASH,
 };
 use crate::query::plan::{AggFunc, JoinKind, Plan};
 use crate::row::{sort_rows_by_columns, Relation, Row};
 use crate::value::{SqlType, Value};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-
-#[allow(unused_imports)] // doc links
-use crate::query::exec::ExecMode;
 
 /// Target rows per [`Chunk`]. Large enough to amortize per-chunk operator
 /// overhead, small enough that a chunk's columns stay cache-resident.
 pub(crate) const CHUNK_ROWS: usize = 1024;
-
-/// Bench-only ablation: when set, scans and values emit boxed
-/// `Vec<Value>` columns even for typed schemas — isolates the
-/// typed-storage win in the `batch_aggregate` microbench.
-static ABLATE_BOXED_COLUMNS: AtomicBool = AtomicBool::new(false);
-
-/// Bench-only ablation: when set, key hashing materializes a fresh
-/// `Vec<Value>` key per row (the pre-vectorization behavior) instead of
-/// hashing whole key columns per chunk. Results are identical; only the
-/// allocation profile differs.
-static ABLATE_ROW_KEYS: AtomicBool = AtomicBool::new(false);
-
-/// Toggle the boxed-columns ablation (bench instrumentation, process-wide).
-pub fn ablate_boxed_columns(on: bool) {
-    ABLATE_BOXED_COLUMNS.store(on, Ordering::Relaxed);
-}
-
-/// Toggle the per-row key materialization ablation (bench instrumentation,
-/// process-wide).
-pub fn ablate_row_keys(on: bool) {
-    ABLATE_ROW_KEYS.store(on, Ordering::Relaxed);
-}
-
-/// Bench-only ablation: when set, plans that [`prefers_boxed_probe`]
-/// classifies as index-join-only skip typed column assembly and build
-/// boxed `Value` columns directly. Measured at d=0.05 this is a ~15%
-/// `index_join` span *pessimization* on the mtm engine (typed `Vec<i64>`
-/// pushes beat `Value` clone traffic even when the sole consumer re-boxes
-/// row-wise), which is why it is an ablation and not the default — see
-/// ROADMAP "Close the index-join typed-column gap".
-static ABLATE_BOXED_PROBE: AtomicBool = AtomicBool::new(false);
-
-/// Toggle the boxed-probe layout ablation (bench instrumentation,
-/// process-wide).
-pub fn ablate_boxed_probe(on: bool) {
-    ABLATE_BOXED_PROBE.store(on, Ordering::Relaxed);
-}
-
-fn boxed_probe_ablated() -> bool {
-    ABLATE_BOXED_PROBE.load(Ordering::Relaxed)
-}
-
-fn boxed_ablated() -> bool {
-    ABLATE_BOXED_COLUMNS.load(Ordering::Relaxed)
-}
-
-thread_local! {
-    /// Query-scoped layout hint: when set, [`ColBuilder::for_type`] emits
-    /// boxed `Value` columns regardless of the schema type. Entered by
-    /// [`materialize_chunked`] under the [`ablate_boxed_probe`] toggle for
-    /// plans whose every chunk consumer reads rows point-wise (see
-    /// [`prefers_boxed_probe`]). Output bytes are identical either way —
-    /// the builder's demotion invariant guarantees it.
-    static BOXED_PROBE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn boxed_probe_scope() -> bool {
-    BOXED_PROBE.with(|c| c.get())
-}
-
-/// RAII entry into the boxed-probe layout scope; restores the previous
-/// state on drop (including the error path out of `drive`).
-struct BoxedProbeScope {
-    prev: bool,
-}
-
-impl BoxedProbeScope {
-    fn enter() -> BoxedProbeScope {
-        BoxedProbeScope {
-            prev: BOXED_PROBE.with(|c| c.replace(true)),
-        }
-    }
-}
-
-impl Drop for BoxedProbeScope {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        BOXED_PROBE.with(|c| c.set(prev));
-    }
-}
-
-/// Visit every node of a plan tree, parents before children.
-fn walk_plan(plan: &Plan, f: &mut dyn FnMut(&Plan)) {
-    f(plan);
-    match plan {
-        Plan::Scan { .. } | Plan::Values(_) => {}
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => walk_plan(input, f),
-        Plan::HashJoin { left, right, .. } => {
-            walk_plan(left, f);
-            walk_plan(right, f);
-        }
-        Plan::IndexJoin { probe, .. } => walk_plan(probe, f),
-        Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
-            for p in inputs {
-                walk_plan(p, f);
-            }
-        }
-    }
-}
-
-/// True when typed column assembly collects no *vectorized* dividend: the
-/// plan contains an [`Plan::IndexJoin`] (which reads its probe chunks one
-/// row at a time via `gather_key`/`col_value` and never hashes probe
-/// columns vectorized) and no operator that exploits typed storage — no
-/// [`Plan::HashJoin`] or [`Plan::UnionDistinct`] (chunk-at-a-time key
-/// hashing) and no [`Plan::Aggregate`] (typed accumulation fast paths).
-///
-/// This was the "skip typed assembly" candidate from the ROADMAP's
-/// index-join item. Measurement refuted it: even for these plans typed
-/// assembly is *cheaper* than boxing (a `Vec<i64>` push moves 8 bytes with
-/// no refcount traffic; a boxed push clones a 24-byte `Value`), and the
-/// probe loop's per-row re-box costs the same from either layout. The
-/// predicate therefore only gates the [`ablate_boxed_probe`] measurement
-/// toggle rather than a default behavior.
-fn prefers_boxed_probe(plan: &Plan) -> bool {
-    let mut index_join = false;
-    let mut typed_consumer = false;
-    walk_plan(plan, &mut |p| match p {
-        Plan::IndexJoin { .. } => index_join = true,
-        Plan::HashJoin { .. } | Plan::UnionDistinct { .. } | Plan::Aggregate { .. } => {
-            typed_consumer = true;
-        }
-        _ => {}
-    });
-    index_join && !typed_consumer
-}
-
-fn row_keys_ablated() -> bool {
-    ABLATE_ROW_KEYS.load(Ordering::Relaxed)
-}
 
 fn oob(c: usize) -> StoreError {
     StoreError::Eval(format!("column index {c} out of range"))
@@ -531,9 +392,6 @@ enum ColBuilder {
 
 impl ColBuilder {
     fn for_type(ty: Option<SqlType>, cap: usize) -> ColBuilder {
-        if boxed_ablated() || boxed_probe_scope() {
-            return ColBuilder::Boxed(Vec::with_capacity(cap));
-        }
         match ty {
             Some(SqlType::Int) => ColBuilder::I64(Vec::with_capacity(cap), None),
             Some(SqlType::Float) => ColBuilder::F64(Vec::with_capacity(cap), None),
@@ -740,8 +598,7 @@ impl Chunk {
 
     /// Append every selected row, in order, onto `out` — the chunk is
     /// spent. Fully dense owned chunks transpose by moving the values;
-    /// shared or gathered columns clone each value exactly once (the same
-    /// copy a streaming sink pays when materializing a borrowed view).
+    /// shared or gathered columns clone each value exactly once.
     fn into_rows(mut self, out: &mut Vec<Row>) {
         out.reserve(self.live());
         let all_dense = self.cols.iter().all(|c| matches!(c, Col::Dense(_)));
@@ -1056,15 +913,9 @@ fn join_chunk(probe: Chunk, probe_idx: Vec<u32>, inner: Vec<Col>, probe_first: b
 }
 
 /// Run a plan through the chunked executor, collecting into a relation —
-/// the [`ExecMode::Vectorized`] entry point.
+/// what [`execute`](crate::query::execute) runs after optimizing.
 pub(crate) fn materialize_chunked(plan: &Plan, db: &Database) -> StoreResult<Relation> {
     let schema = plan.schema(db)?;
-    let _probe_scope = if boxed_probe_ablated() && prefers_boxed_probe(plan) {
-        dip_trace::count("relstore.batch.boxed_probe", 1);
-        Some(BoxedProbeScope::enter())
-    } else {
-        None
-    };
     let mut rows: Vec<Row> = Vec::new();
     drive(plan, db, &mut |c: Chunk| {
         c.into_rows(&mut rows);
@@ -1125,9 +976,8 @@ fn drive(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> 
         rows += c.live() as u64;
         sink(c)
     });
-    // rows_out stays populated in vectorized mode so records are
-    // comparable across exec modes; chunks/rows add the batching view
-    // (skipped for empty streams so tiny point queries stay cheap).
+    // chunks/rows add the batching view next to rows_out (skipped for
+    // empty streams so tiny point queries stay cheap).
     dip_trace::count(rows_counter(plan), rows);
     if chunks > 0 {
         dip_trace::count(chunks_counter(plan), chunks);
@@ -1152,9 +1002,7 @@ fn gather_key(chunk: &Chunk, row: usize, cols: &[usize], buf: &mut Vec<Value>) -
 /// per key column — the vectorized replacement for materializing and
 /// hashing a `Vec<Value>` key per row. On return `hashes[k]` is the key
 /// hash of the `k`-th selected row; when `nulls` is given, `nulls[k]` is
-/// set iff any key column is NULL there (joins skip those rows). With the
-/// row-keys ablation on, keys are materialized per row instead — same
-/// hashes, bench-only.
+/// set iff any key column is NULL there (joins skip those rows).
 fn chunk_key_hashes(
     c: &Chunk,
     cols: &[usize],
@@ -1167,24 +1015,6 @@ fn chunk_key_hashes(
     if let Some(n) = nulls.as_deref_mut() {
         n.clear();
         n.resize(live, false);
-    }
-    if row_keys_ablated() {
-        for k in 0..live {
-            let i = c.idx(k);
-            let mut key: Vec<Value> = Vec::with_capacity(cols.len());
-            for &cx in cols {
-                key.push(c.col_value(cx, i).ok_or_else(|| oob(cx))?);
-            }
-            if let Some(slot) = hashes.get_mut(k) {
-                *slot = hash_values(&key);
-            }
-            if let Some(n) = nulls.as_deref_mut() {
-                if let Some(flag) = n.get_mut(k) {
-                    *flag = key.iter().any(|v| v.is_null());
-                }
-            }
-        }
-        return Ok(());
     }
     for &cx in cols {
         let col = c.cols.get(cx).ok_or_else(|| oob(cx))?;
@@ -1540,8 +1370,8 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             if left_keys.len() != right_keys.len() {
                 return Err(StoreError::Invalid("join key arity mismatch".into()));
             }
-            // Same build-side choice as the streaming executor: build on the
-            // estimated-smaller side; LEFT joins build on the right.
+            // Build on the estimated-smaller side; LEFT joins must build on
+            // the right so unmatched left rows can be emitted while probing.
             let build_right =
                 *kind == JoinKind::Left || right.estimate_rows(db) <= left.estimate_rows(db);
             let (build_plan, probe_plan, build_keys, probe_keys, probe_is_left) = if build_right {
@@ -1558,9 +1388,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             })?;
             let build_len = build_rows.len();
             // Hash every build key once, then fill the hash-first index in
-            // *descending* id order: chains walk ascending, reproducing the
-            // streaming executor's probe × insertion-order output. NULL
-            // keys never join, so they are never inserted.
+            // *descending* id order: chains walk ascending, so output is
+            // probe order × build insertion order. NULL keys never join,
+            // so they are never inserted.
             let mut bh: Vec<u64> = Vec::with_capacity(build_len);
             let mut bnull: Vec<bool> = Vec::with_capacity(build_len);
             for r in &build_rows {
@@ -1678,7 +1508,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let Some(session) = t.probe_on(inner_keys) else {
                 // index dropped since planning: degrade to the equivalent
                 // hash join rather than failing the query
-                return exec_chunks(&index_join_equivalent(plan), db, sink);
+                return exec_chunks(&index_join_equivalent(plan)?, db, sink);
             };
             let inner_width = match projection {
                 Some(p) => p.len(),
@@ -2044,8 +1874,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             if n == 0 {
                 return Ok(true);
             }
-            // Same bounded heap as the streaming path: ordered by (sort
-            // key, input sequence) so ties reproduce the stable sort.
+            // Max-heap over (sort key, input sequence): the root is the
+            // worst of the current best-n, so the survivors are exactly
+            // the first n rows of the stable sorted order.
             let mut heap: BinaryHeap<TopKEntry> = BinaryHeap::with_capacity(n + 1);
             let mut seq = 0usize;
             let mut kbuf: Vec<Value> = Vec::with_capacity(keys.len());
@@ -2170,53 +2001,6 @@ mod tests {
         assert!(!isnull);
         assert_eq!(h, hash_value(&Value::Float(3.0)));
         assert_eq!(h, hash_value(&Value::Int(3)));
-    }
-
-    #[test]
-    fn boxed_probe_scope_gates_builder_layout_and_restores() {
-        assert!(!boxed_probe_scope());
-        {
-            let _guard = BoxedProbeScope::enter();
-            assert!(boxed_probe_scope());
-            let b = ColBuilder::for_type(Some(SqlType::Int), 0);
-            assert!(matches!(b, ColBuilder::Boxed(_)));
-            // nested entry restores to the *outer* scope, not to "off"
-            {
-                let _inner = BoxedProbeScope::enter();
-                assert!(boxed_probe_scope());
-            }
-            assert!(boxed_probe_scope());
-        }
-        assert!(!boxed_probe_scope());
-        let b = ColBuilder::for_type(Some(SqlType::Int), 0);
-        assert!(matches!(b, ColBuilder::I64(..)));
-    }
-
-    #[test]
-    fn prefers_boxed_probe_requires_index_join_and_no_typed_consumer() {
-        let ij = |probe: Plan| Plan::IndexJoin {
-            probe: Box::new(probe),
-            table: "t".into(),
-            probe_keys: vec![0],
-            inner_keys: vec![0],
-            predicate: None,
-            projection: None,
-            kind: JoinKind::Inner,
-            probe_is_left: true,
-        };
-        // bare index join, even under point-wise operators → boxed probe
-        let plan = ij(Plan::scan("probe")).sort(vec![0]).limit(5);
-        assert!(prefers_boxed_probe(&plan));
-        // an aggregate above (or anywhere) re-reads columns typed → keep typed
-        let plan = ij(Plan::scan("probe"))
-            .aggregate(vec![0], vec![crate::query::AggExpr::count_star("n")]);
-        assert!(!prefers_boxed_probe(&plan));
-        // a hash join below the probe side hashes chunk columns → keep typed
-        let plan =
-            ij(Plan::scan("a").hash_join(Plan::scan("b"), vec![0], vec![0], JoinKind::Inner));
-        assert!(!prefers_boxed_probe(&plan));
-        // no index join at all → nothing to recover
-        assert!(!prefers_boxed_probe(&Plan::scan("probe")));
     }
 
     #[test]

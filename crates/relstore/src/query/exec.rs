@@ -1,252 +1,38 @@
-//! Plan execution.
+//! Plan execution: the one entry point, the reference interpreter, and
+//! the semantics both share.
 //!
-//! Three executors share this module (selected by [`ExecMode`]):
+//! * [`execute`] optimizes a plan and runs it through the columnar batch
+//!   executor (`query::batch`) — the only optimized path, batch-at-a-time
+//!   over ~1024-row chunks.
+//! * [`execute_oracle`] is the naive interpreter: every node materializes
+//!   a full [`Relation`] from the *unoptimized* plan. It is the semantics
+//!   reference — `core::verify`'s recomputation, the FedDBMS
+//!   `optimize_relational: false` ablation, and the oracle of the
+//!   executor differential tests.
 //!
-//! * **Streaming**: plans run as a single push-based pipeline. Each node
-//!   pushes [`RowView`]s into its consumer's sink, so
-//!   `Scan→Filter→Project` chains fuse into one pass over the base table,
-//!   joins emit their two halves without concatenating them, and a consumer
-//!   returning `false` terminates the producers early (`LIMIT` stops the
-//!   scan underneath it). Only pipeline breakers (sort, aggregate, the
-//!   build side of a hash join) materialize rows.
-//! * **Vectorized** (`query::batch`): the same optimized plans run
-//!   batch-at-a-time over columnar [`super::batch::Chunk`]s of ~1024 rows —
-//!   the set-oriented path the heavy E2 refreshes compile to.
-//! * **Oracle** ([`run`]): every node materializes a full [`Relation`]
-//!   from the *unoptimized* plan. It is the semantics reference — the
-//!   ablation switch for the FedDBMS experiments and the oracle for the
-//!   executor property tests.
-//!
-//! All three paths share [`AggState`], so aggregate semantics (exact-`i64`
-//! SUM with overflow fallback, compensated float summation, NULL handling,
-//! first-seen group order) are identical by construction.
+//! Both share [`AggState`], so aggregate semantics (exact-`i64` SUM with
+//! overflow fallback, compensated float summation, NULL handling,
+//! first-seen group order) are identical by construction, and both share
+//! [`index_join_equivalent`] for an index join whose index is gone.
 //!
 //! Per-node output row counts are published to `dip-trace` as
-//! `relstore.rows_out.<op>` counters; the vectorized path additionally
+//! `relstore.rows_out.<op>` counters; the batch executor additionally
 //! publishes `relstore.batch.chunks.<op>` / `relstore.batch.rows.<op>`
 //! (no-ops when tracing is disabled).
 
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
-use crate::expr::RowAccess;
 use crate::index::key_of;
-use crate::query::hashkey::{combine, hash_value, KeyIndex, KEY_SEED};
 use crate::query::plan::{AggFunc, JoinKind, Plan};
-use crate::row::{sort_rows_by_columns, Relation, Row};
+use crate::row::{Relation, Row};
 use crate::value::Value;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::collections::{HashMap, HashSet};
 
-/// Which executor runs a plan.
-///
-/// Non-exhaustive: callers must treat unknown future modes conservatively
-/// (match with a `_` arm) so adding a strategy is not a breaking change.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The naive materializing interpreter over the unoptimized plan —
-    /// the semantics oracle (the old `optimize: false` ablation path).
-    Oracle,
-    /// Optimized plan through the push-based streaming executor.
-    Streaming,
-    /// Optimized plan through the columnar batch executor
-    /// ([`super::batch`]); plan shapes it cannot run fall back to
-    /// streaming.
-    Vectorized,
-    /// Let the planner pick: vectorized for plans containing a join —
-    /// the batch path's late-materializing gather columns forward the
-    /// probe side of a join chain as shared `u32` index vectors, which
-    /// beats even the streaming executor's borrowed row views on the
-    /// deep E2 denormalization chains. Join-free plans (point scans,
-    /// small refresh aggregates, distinct unions) stay streaming, where
-    /// per-chunk setup cost is not amortized.
-    #[default]
-    Auto,
-}
-
-impl ExecMode {
-    /// Every selectable mode, in CLI/usage order.
-    pub const ALL: [ExecMode; 4] = [
-        ExecMode::Auto,
-        ExecMode::Streaming,
-        ExecMode::Vectorized,
-        ExecMode::Oracle,
-    ];
-
-    /// Parse a CLI token (`auto|streaming|vectorized|oracle`).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "auto" => Some(ExecMode::Auto),
-            "streaming" => Some(ExecMode::Streaming),
-            "vectorized" => Some(ExecMode::Vectorized),
-            "oracle" => Some(ExecMode::Oracle),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label (inverse of [`ExecMode::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::Oracle => "oracle",
-            ExecMode::Streaming => "streaming",
-            ExecMode::Vectorized => "vectorized",
-            _ => "auto",
-        }
-    }
-}
-
-/// Process-global default mode used by [`Plan::run`] and engine call sites
-/// that don't thread an explicit mode (set once by `dipbench --exec-mode`).
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(MODE_AUTO);
-
-const MODE_ORACLE: u8 = 0;
-const MODE_STREAMING: u8 = 1;
-const MODE_VECTORIZED: u8 = 2;
-const MODE_AUTO: u8 = 3;
-
-/// Set the process-global default [`ExecMode`].
-pub fn set_default_mode(mode: ExecMode) {
-    let v = match mode {
-        ExecMode::Oracle => MODE_ORACLE,
-        ExecMode::Streaming => MODE_STREAMING,
-        ExecMode::Vectorized => MODE_VECTORIZED,
-        _ => MODE_AUTO,
-    };
-    DEFAULT_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The process-global default [`ExecMode`] (`Auto` unless overridden).
-pub fn default_mode() -> ExecMode {
-    match DEFAULT_MODE.load(Ordering::Relaxed) {
-        MODE_ORACLE => ExecMode::Oracle,
-        MODE_STREAMING => ExecMode::Streaming,
-        MODE_VECTORIZED => ExecMode::Vectorized,
-        _ => ExecMode::Auto,
-    }
-}
-
-/// Execute `plan` against `db` with the given [`ExecMode`] — the single
-/// query entry point ([`Plan::run`] is the convenience form using the
-/// process-global default mode).
-pub fn execute(plan: &Plan, db: &Database, mode: ExecMode) -> StoreResult<Relation> {
-    match mode {
-        ExecMode::Oracle => run(plan, db),
-        ExecMode::Streaming => {
-            let optimized = crate::query::planner::optimize(plan.clone(), db)?;
-            materialize(&optimized, db)
-        }
-        ExecMode::Vectorized => {
-            let optimized = crate::query::planner::optimize(plan.clone(), db)?;
-            super::batch::materialize_chunked(&optimized, db)
-        }
-        _ => {
-            let optimized = crate::query::planner::optimize(plan.clone(), db)?;
-            run_auto(&optimized, db)
-        }
-    }
-}
-
-/// `ExecMode::Auto`: route by [`planner::batching_pays`] — joins and
-/// estimated-large join-free aggregates/distinct unions go to the batch
-/// executor, everything else streams.
-///
-/// A *root-level* union additionally routes per input: its inputs are
-/// independent pipelines, so a join-bearing (or estimated-large) input
-/// batches while a tiny join-free sibling streams, instead of the whole
-/// union paying chunk setup because one branch qualifies. Unions nested
-/// under other operators still run whole inside one executor — splitting
-/// there would force a materialization barrier mid-pipeline.
-fn run_auto(plan: &Plan, db: &Database) -> StoreResult<Relation> {
-    use crate::query::planner::batching_pays;
-    let route = |p: &Plan| -> StoreResult<Relation> {
-        if batching_pays(p, db) {
-            super::batch::materialize_chunked(p, db)
-        } else {
-            materialize(p, db)
-        }
-    };
-    match plan {
-        Plan::UnionAll(inputs) => {
-            let schema = plan.schema(db)?;
-            for i in inputs {
-                let w = i.schema(db)?.len();
-                if w != schema.len() {
-                    return Err(StoreError::Invalid(format!(
-                        "union arity mismatch: {w} vs {}",
-                        schema.len()
-                    )));
-                }
-            }
-            let _span = dip_trace::span_cat(
-                dip_trace::Layer::Relstore,
-                plan_op(plan),
-                dip_trace::Category::Processing,
-            );
-            let mut rows: Vec<Row> = Vec::new();
-            for i in inputs {
-                rows.extend(route(i)?.rows);
-            }
-            dip_trace::count(rows_counter(plan), rows.len() as u64);
-            Ok(Relation::new(schema, rows))
-        }
-        Plan::UnionDistinct { inputs, key } => {
-            let schema = plan.schema(db)?;
-            let width = schema.len();
-            for i in inputs {
-                if i.schema(db)?.len() != width {
-                    return Err(StoreError::Invalid("union arity mismatch".into()));
-                }
-            }
-            let _span = dip_trace::span_cat(
-                dip_trace::Layer::Relstore,
-                plan_op(plan),
-                dip_trace::Category::Processing,
-            );
-            // Central first-seen dedup over the per-input results — the
-            // same key semantics as both executors' union-distinct arms.
-            let all_cols: Vec<usize>;
-            let kcols: &[usize] = match key {
-                Some(cols) => cols,
-                None => {
-                    all_cols = (0..width).collect();
-                    &all_cols
-                }
-            };
-            let mut ix = KeyIndex::with_capacity(plan.estimate_rows(db));
-            let mut seen: Vec<Row> = Vec::new();
-            let mut rows: Vec<Row> = Vec::new();
-            for i in inputs {
-                for row in route(i)?.rows {
-                    let mut h = KEY_SEED;
-                    for &c in kcols {
-                        h = combine(h, hash_value(row.get(c).unwrap_or(&Value::Null)));
-                    }
-                    let dup = ix.candidates(h).any(|cand| {
-                        seen.get(cand as usize).is_some_and(|stored| {
-                            kcols
-                                .iter()
-                                .zip(stored)
-                                .all(|(&c, v)| row.get(c) == Some(v))
-                        })
-                    });
-                    if dup {
-                        continue;
-                    }
-                    ix.push(h);
-                    seen.push(
-                        kcols
-                            .iter()
-                            .map(|&c| row.get(c).cloned().unwrap_or(Value::Null))
-                            .collect(),
-                    );
-                    rows.push(row);
-                }
-            }
-            dip_trace::count(rows_counter(plan), rows.len() as u64);
-            Ok(Relation::new(schema, rows))
-        }
-        _ => route(plan),
-    }
+/// Execute `plan` against `db`: optimize, then run the batch executor —
+/// the single query entry point ([`Plan::run`] is the method form).
+pub fn execute(plan: &Plan, db: &Database) -> StoreResult<Relation> {
+    let optimized = crate::query::planner::optimize(plan.clone(), db)?;
+    super::batch::materialize_chunked(&optimized, db)
 }
 
 /// Trace label of a plan node (one span per executed node).
@@ -285,601 +71,6 @@ pub(crate) fn rows_counter(plan: &Plan) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------
-// Streaming executor
-// ---------------------------------------------------------------------
-
-/// A row flowing through the streaming pipeline.
-///
-/// `Pair` carries the two halves of a join emission separately — consumers
-/// that only inspect columns (filters, projections, key extraction) never
-/// pay for concatenating them; only a materializing consumer does, via
-/// [`RowView::into_row`].
-pub enum RowView<'a> {
-    /// A borrowed contiguous row (base-table slot, literal relation, …).
-    Slice(&'a [Value]),
-    /// A join emission: left half ++ right half.
-    Pair(&'a [Value], &'a [Value]),
-    /// A deeper join emission: the concatenation of all parts, in order.
-    /// Lets an N-way join chain thread a row through every level without
-    /// materializing the accumulated prefix at each step.
-    Parts(&'a [&'a [Value]]),
-    /// A freshly computed row (projection, aggregate output, …).
-    Owned(Row),
-}
-
-impl RowView<'_> {
-    /// Materialize into an owned row (clones borrowed views).
-    pub fn into_row(self) -> Row {
-        match self {
-            RowView::Slice(s) => s.to_vec(),
-            RowView::Pair(a, b) => a.iter().chain(b.iter()).cloned().collect(),
-            RowView::Parts(parts) => {
-                let mut row = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-                for p in parts {
-                    row.extend_from_slice(p);
-                }
-                row
-            }
-            RowView::Owned(r) => r,
-        }
-    }
-}
-
-impl RowAccess for RowView<'_> {
-    fn value_at(&self, i: usize) -> Option<&Value> {
-        match self {
-            RowView::Slice(s) => s.get(i),
-            RowView::Pair(a, b) => {
-                if i < a.len() {
-                    a.get(i)
-                } else {
-                    b.get(i - a.len())
-                }
-            }
-            RowView::Parts(parts) => {
-                let mut i = i;
-                for p in *parts {
-                    if i < p.len() {
-                        return p.get(i);
-                    }
-                    i -= p.len();
-                }
-                None
-            }
-            RowView::Owned(r) => r.get(i),
-        }
-    }
-}
-
-/// Upper bound on the slices a join chain threads through [`RowView::Parts`]
-/// before falling back to materialization (a 15-way join chain).
-const MAX_JOIN_PARTS: usize = 16;
-
-/// Decompose a probe-row view into contiguous slices in `buf`, returning
-/// how many were written; `None` means the view has too many parts and the
-/// caller must materialize instead.
-fn view_parts<'a>(view: &'a RowView<'a>, buf: &mut [&'a [Value]; MAX_JOIN_PARTS]) -> Option<usize> {
-    match view {
-        RowView::Slice(s) => {
-            buf[0] = s;
-            Some(1)
-        }
-        RowView::Owned(r) => {
-            buf[0] = r.as_slice();
-            Some(1)
-        }
-        RowView::Pair(a, b) => {
-            buf[0] = a;
-            buf[1] = b;
-            Some(2)
-        }
-        RowView::Parts(p) => {
-            // leave one slot for the join side the caller appends
-            if p.len() >= MAX_JOIN_PARTS {
-                return None;
-            }
-            buf[..p.len()].copy_from_slice(p);
-            Some(p.len())
-        }
-    }
-}
-
-/// Clone a view into an owned row without consuming it (the rare fallback
-/// when a join chain outgrows [`MAX_JOIN_PARTS`]).
-fn clone_row(view: &RowView<'_>) -> Row {
-    match view {
-        RowView::Slice(s) => s.to_vec(),
-        RowView::Pair(a, b) => a.iter().chain(b.iter()).cloned().collect(),
-        RowView::Parts(parts) => {
-            let mut row = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-            for p in *parts {
-                row.extend_from_slice(p);
-            }
-            row
-        }
-        RowView::Owned(r) => r.clone(),
-    }
-}
-
-/// The value at logical column `i` of a row split across `parts`.
-fn part_value<'a>(parts: &[&'a [Value]], mut i: usize) -> &'a Value {
-    for p in parts {
-        if i < p.len() {
-            return &p[i];
-        }
-        i -= p.len();
-    }
-    panic!("join key column {i} past end of probe row");
-}
-
-/// The consumer side of a streaming operator: return `false` to stop the
-/// producer (early termination), `true` to keep receiving rows.
-type Sink<'s> = dyn FnMut(RowView<'_>) -> StoreResult<bool> + 's;
-
-/// Run a plan through the streaming executor, collecting into a relation.
-fn materialize(plan: &Plan, db: &Database) -> StoreResult<Relation> {
-    let schema = plan.schema(db)?;
-    let mut rows = Vec::new();
-    stream(plan, db, &mut |r| {
-        rows.push(r.into_row());
-        Ok(true)
-    })?;
-    Ok(Relation::new(schema, rows))
-}
-
-/// Stream a node's output into `sink`. Returns `Ok(false)` iff `sink`
-/// requested termination (a node exhausting its own budget — e.g. `Limit`
-/// cutting off its input — still returns `Ok(true)` to its caller).
-fn stream(plan: &Plan, db: &Database, sink: &mut Sink) -> StoreResult<bool> {
-    let _span = dip_trace::span_cat(
-        dip_trace::Layer::Relstore,
-        plan_op(plan),
-        dip_trace::Category::Processing,
-    );
-    let mut emitted: u64 = 0;
-    let result = stream_node(plan, db, &mut |r| {
-        emitted += 1;
-        sink(r)
-    });
-    dip_trace::count(rows_counter(plan), emitted);
-    result
-}
-
-fn stream_node(plan: &Plan, db: &Database, sink: &mut Sink) -> StoreResult<bool> {
-    match plan {
-        Plan::Scan {
-            table,
-            predicate,
-            projection,
-        } => {
-            let t = db.table(table)?;
-            match projection {
-                None => t.stream_rows(predicate.as_ref(), &mut |row| sink(RowView::Slice(row))),
-                Some(p) => t.stream_rows(predicate.as_ref(), &mut |row| {
-                    let r: Row = p.iter().map(|&i| row[i].clone()).collect();
-                    sink(RowView::Owned(r))
-                }),
-            }
-        }
-        Plan::Values(rel) => {
-            for r in &rel.rows {
-                if !sink(RowView::Slice(r))? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Plan::Filter { input, predicate } => stream(input, db, &mut |r| {
-            if predicate.matches_on(&r)? {
-                sink(r)
-            } else {
-                Ok(true)
-            }
-        }),
-        Plan::Project { input, exprs } => stream(input, db, &mut |r| {
-            let row: StoreResult<Row> = exprs.iter().map(|p| p.expr.eval_on(&r)).collect();
-            sink(RowView::Owned(row?))
-        }),
-        Plan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-        } => {
-            if left_keys.len() != right_keys.len() {
-                return Err(StoreError::Invalid("join key arity mismatch".into()));
-            }
-            // Build on the estimated-smaller side; LEFT joins must build on
-            // the right so unmatched left rows can be emitted while probing.
-            let build_right =
-                *kind == JoinKind::Left || right.estimate_rows(db) <= left.estimate_rows(db);
-            let (build_plan, probe_plan, build_keys, probe_keys, probe_is_left) = if build_right {
-                (&**right, &**left, right_keys, left_keys, true)
-            } else {
-                (&**left, &**right, left_keys, right_keys, false)
-            };
-            let build = materialize(build_plan, db)?;
-            // Hash-first build table: keys are never materialized. Hashes
-            // fold per key column; ids insert in descending order so each
-            // chain yields candidates ascending — probe output reproduces
-            // the HashMap-of-vectors probe × insertion order exactly.
-            let mut table = KeyIndex::with_capacity(build.len());
-            for i in (0..build.rows.len()).rev() {
-                let Some(r) = build.rows.get(i) else { continue };
-                let mut h = KEY_SEED;
-                let mut isnull = false;
-                for &c in build_keys {
-                    let v = r.get(c).unwrap_or(&Value::Null);
-                    h = combine(h, hash_value(v));
-                    isnull |= v.is_null();
-                }
-                if isnull {
-                    continue; // NULL keys never join
-                }
-                table.insert_at(h, i as u32);
-            }
-            let pad: Row = vec![Value::Null; build.schema.len()];
-            let left_pad = *kind == JoinKind::Left && probe_is_left;
-            stream(probe_plan, db, &mut |pr| {
-                let scratch: Row;
-                let mut parts: [&[Value]; MAX_JOIN_PARTS] = [&[]; MAX_JOIN_PARTS];
-                let n = match view_parts(&pr, &mut parts) {
-                    Some(n) => n,
-                    None => {
-                        scratch = clone_row(&pr);
-                        parts[0] = scratch.as_slice();
-                        1
-                    }
-                };
-                // probe keys hash in place off the row view — no clone,
-                // no per-row buffer
-                let mut h = KEY_SEED;
-                let mut isnull = false;
-                for &c in probe_keys {
-                    let v = part_value(&parts[..n], c);
-                    h = combine(h, hash_value(v));
-                    isnull |= v.is_null();
-                }
-                // the build side fills the hole; the probe prefix is set once
-                // and stays valid across every match of this probe row
-                let mut out: [&[Value]; MAX_JOIN_PARTS] = [&[]; MAX_JOIN_PARTS];
-                let hole = if probe_is_left {
-                    out[..n].copy_from_slice(&parts[..n]);
-                    n
-                } else {
-                    out[1..=n].copy_from_slice(&parts[..n]);
-                    0
-                };
-                let mut matched = false;
-                if !isnull {
-                    for cand in table.candidates(h) {
-                        let Some(br) = build.rows.get(cand as usize) else {
-                            continue;
-                        };
-                        let eq = probe_keys.iter().zip(build_keys).all(|(&pc, &bc)| {
-                            br.get(bc)
-                                .is_some_and(|bv| part_value(&parts[..n], pc) == bv)
-                        });
-                        if !eq {
-                            continue;
-                        }
-                        matched = true;
-                        out[hole] = br.as_slice();
-                        if !sink(RowView::Parts(&out[..n + 1]))? {
-                            return Ok(false);
-                        }
-                    }
-                }
-                if !matched && left_pad {
-                    out[hole] = pad.as_slice();
-                    return sink(RowView::Parts(&out[..n + 1]));
-                }
-                Ok(true)
-            })
-        }
-        Plan::IndexJoin {
-            probe,
-            table,
-            probe_keys,
-            inner_keys,
-            predicate,
-            projection,
-            kind,
-            probe_is_left,
-        } => {
-            let t = db.table(table)?;
-            let Some(session) = t.probe_on(inner_keys) else {
-                // index dropped since planning: degrade to the equivalent
-                // hash join rather than failing the query
-                return stream_node(&index_join_equivalent(plan), db, sink);
-            };
-            let inner_width = match projection {
-                Some(p) => p.len(),
-                None => t.schema.len(),
-            };
-            let pad: Row = vec![Value::Null; inner_width];
-            // the planner only selects LEFT index joins with probe = left
-            let left_pad = *kind == JoinKind::Left && *probe_is_left;
-            // one key buffer reused across all probe rows
-            let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
-            stream(probe, db, &mut |pr| {
-                let scratch: Row;
-                let mut parts: [&[Value]; MAX_JOIN_PARTS] = [&[]; MAX_JOIN_PARTS];
-                let n = match view_parts(&pr, &mut parts) {
-                    Some(n) => n,
-                    None => {
-                        scratch = clone_row(&pr);
-                        parts[0] = scratch.as_slice();
-                        1
-                    }
-                };
-                key.clear();
-                key.extend(
-                    probe_keys
-                        .iter()
-                        .map(|&c| part_value(&parts[..n], c).clone()),
-                );
-                // the inner side fills the hole; the probe prefix is set once
-                // and stays valid across every match of this probe row
-                let mut out: [&[Value]; MAX_JOIN_PARTS] = [&[]; MAX_JOIN_PARTS];
-                let hole = if *probe_is_left {
-                    out[..n].copy_from_slice(&parts[..n]);
-                    n
-                } else {
-                    out[1..=n].copy_from_slice(&parts[..n]);
-                    0
-                };
-                if key.iter().any(|v| v.is_null()) {
-                    // NULL keys never join; LEFT probes still emit padded
-                    return if left_pad {
-                        out[hole] = pad.as_slice();
-                        sink(RowView::Parts(&out[..n + 1]))
-                    } else {
-                        Ok(true)
-                    };
-                }
-                let mut matched = false;
-                let mut stopped = false;
-                session.lookup_each(&key, &mut |ir| {
-                    let keep = match predicate {
-                        Some(p) => p.matches_on(ir)?,
-                        None => true,
-                    };
-                    if !keep {
-                        return Ok(true);
-                    }
-                    matched = true;
-                    let projected: Row;
-                    let is: &[Value] = match projection {
-                        Some(p) => {
-                            projected = p.iter().map(|&i| ir[i].clone()).collect();
-                            projected.as_slice()
-                        }
-                        None => ir,
-                    };
-                    // per-emission copy of the prefix: `is` only lives for
-                    // this match, so it can't go into the shared `out`
-                    let mut emit: [&[Value]; MAX_JOIN_PARTS] = out;
-                    emit[hole] = is;
-                    if !sink(RowView::Parts(&emit[..n + 1]))? {
-                        stopped = true;
-                        return Ok(false);
-                    }
-                    Ok(true)
-                })?;
-                if stopped {
-                    return Ok(false);
-                }
-                if !matched && left_pad {
-                    out[hole] = pad.as_slice();
-                    return sink(RowView::Parts(&out[..n + 1]));
-                }
-                Ok(true)
-            })
-        }
-        Plan::UnionAll(inputs) => {
-            let width = plan.schema(db)?.len();
-            for i in inputs {
-                let w = i.schema(db)?.len();
-                if w != width {
-                    return Err(StoreError::Invalid(format!(
-                        "union arity mismatch: {w} vs {width}"
-                    )));
-                }
-            }
-            for i in inputs {
-                if !stream(i, db, sink)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Plan::UnionDistinct { inputs, key } => {
-            let width = plan.schema(db)?.len();
-            for i in inputs {
-                if i.schema(db)?.len() != width {
-                    return Err(StoreError::Invalid("union arity mismatch".into()));
-                }
-            }
-            // Hash-first dedup: the key hash folds straight off the row
-            // view, candidates compare against the stored first occurrence,
-            // and a key tuple is only cloned when it is genuinely new.
-            let all_cols: Vec<usize>;
-            let kcols: &[usize] = match key {
-                Some(cols) => cols,
-                None => {
-                    all_cols = (0..width).collect();
-                    &all_cols
-                }
-            };
-            let mut ix = KeyIndex::with_capacity(0);
-            let mut seen: Vec<Row> = Vec::new();
-            for i in inputs {
-                let keep_going = stream(i, db, &mut |r| {
-                    let mut h = KEY_SEED;
-                    for &c in kcols {
-                        h = combine(h, hash_value(r.value_at(c).unwrap_or(&Value::Null)));
-                    }
-                    let dup = ix.candidates(h).any(|cand| {
-                        seen.get(cand as usize).is_some_and(|stored| {
-                            kcols
-                                .iter()
-                                .zip(stored)
-                                .all(|(&c, v)| r.value_at(c) == Some(v))
-                        })
-                    });
-                    if dup {
-                        return Ok(true);
-                    }
-                    ix.push(h);
-                    seen.push(
-                        kcols
-                            .iter()
-                            .map(|&c| r.value_at(c).cloned().unwrap_or(Value::Null))
-                            .collect(),
-                    );
-                    sink(r)
-                })?;
-                if !keep_going {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            // Group lookup is hash-first: the group-key hash folds off the
-            // row view, candidates compare against the stored first-seen
-            // key, and a key tuple is only cloned when it opens a group.
-            let mut ix = KeyIndex::with_capacity(0);
-            let mut order: Vec<Row> = Vec::new();
-            let mut states: Vec<Vec<AggState>> = Vec::new();
-            stream(input, db, &mut |r| {
-                let mut h = KEY_SEED;
-                for &c in group_by {
-                    h = combine(h, hash_value(r.value_at(c).unwrap_or(&Value::Null)));
-                }
-                let gid = ix.candidates(h).find(|&cand| {
-                    order.get(cand as usize).is_some_and(|stored| {
-                        group_by
-                            .iter()
-                            .zip(stored)
-                            .all(|(&c, v)| r.value_at(c) == Some(v))
-                    })
-                });
-                let g = match gid {
-                    Some(g) => g as usize,
-                    None => {
-                        let g = ix.push(h) as usize;
-                        order.push(
-                            group_by
-                                .iter()
-                                .map(|&c| r.value_at(c).cloned().unwrap_or(Value::Null))
-                                .collect(),
-                        );
-                        states.push(aggs.iter().map(|a| AggState::new(a.func)).collect());
-                        g
-                    }
-                };
-                let Some(sts) = states.get_mut(g) else {
-                    return Ok(true);
-                };
-                for (st, a) in sts.iter_mut().zip(aggs) {
-                    let v = match &a.input {
-                        Some(e) => Some(e.eval_on(&r)?),
-                        None => None,
-                    };
-                    st.update(v);
-                }
-                Ok(true)
-            })?;
-            // Global aggregate over zero rows still yields one row.
-            if states.is_empty() && group_by.is_empty() {
-                order.push(vec![]);
-                states.push(aggs.iter().map(|a| AggState::new(a.func)).collect());
-            }
-            for (key, sts) in order.into_iter().zip(states) {
-                let mut row = key;
-                for st in sts {
-                    row.push(st.finish());
-                }
-                if !sink(RowView::Owned(row))? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Plan::Sort { input, keys } => {
-            let mut rows: Vec<Row> = Vec::new();
-            stream(input, db, &mut |r| {
-                rows.push(r.into_row());
-                Ok(true)
-            })?;
-            sort_rows_by_columns(&mut rows, keys);
-            for row in rows {
-                if !sink(RowView::Owned(row))? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Plan::Limit { input, n } => {
-            let mut remaining = *n;
-            if remaining == 0 {
-                return Ok(true);
-            }
-            let mut downstream_stop = false;
-            stream(input, db, &mut |r| {
-                if !sink(r)? {
-                    downstream_stop = true;
-                    return Ok(false);
-                }
-                remaining -= 1;
-                Ok(remaining > 0)
-            })?;
-            Ok(!downstream_stop)
-        }
-        Plan::TopK { input, keys, n } => {
-            let n = *n;
-            if n == 0 {
-                return Ok(true);
-            }
-            // Max-heap over (sort key, input sequence): the heap root is the
-            // worst of the current best-n, so the survivors are exactly the
-            // first n rows of the stable sorted order.
-            let mut heap: BinaryHeap<TopKEntry> = BinaryHeap::with_capacity(n + 1);
-            let mut seq = 0usize;
-            stream(input, db, &mut |r| {
-                let row = r.into_row();
-                let entry = TopKEntry {
-                    key: key_of(&row, keys),
-                    seq,
-                    row,
-                };
-                seq += 1;
-                if heap.len() < n {
-                    heap.push(entry);
-                } else if entry < *heap.peek().expect("heap non-empty") {
-                    heap.pop();
-                    heap.push(entry);
-                }
-                Ok(true)
-            })?;
-            for e in heap.into_sorted_vec() {
-                if !sink(RowView::Owned(e.row))? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
 /// One candidate of a bounded top-K: ordered by sort key, then by input
 /// position so ties reproduce the stable sort exactly.
 #[derive(PartialEq, Eq)]
@@ -903,8 +94,10 @@ impl PartialOrd for TopKEntry {
 
 /// Rewrite an [`Plan::IndexJoin`] back into the hash join it was derived
 /// from — the executor's fallback when the covering index has vanished
-/// between planning and execution, and the naive executor's semantics.
-pub(crate) fn index_join_equivalent(plan: &Plan) -> Plan {
+/// between planning and execution, and the oracle's semantics. A plan
+/// whose `projection` drops an `inner_keys` column has no such hash join
+/// and is rejected as [`StoreError::Invalid`].
+pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
     let Plan::IndexJoin {
         probe,
         table,
@@ -916,7 +109,9 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> Plan {
         probe_is_left,
     } = plan
     else {
-        unreachable!("index_join_equivalent on non-IndexJoin");
+        return Err(StoreError::Invalid(
+            "index_join_equivalent on a non-IndexJoin plan".into(),
+        ));
     };
     let scan = Plan::Scan {
         table: table.clone(),
@@ -928,11 +123,17 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> Plan {
     let scan_keys: Vec<usize> = match projection {
         Some(p) => inner_keys
             .iter()
-            .map(|k| p.iter().position(|c| c == k).expect("projected join key"))
-            .collect(),
+            .map(|k| {
+                p.iter().position(|c| c == k).ok_or_else(|| {
+                    StoreError::Invalid(format!(
+                        "index join on `{table}`: key column {k} is not in the projection"
+                    ))
+                })
+            })
+            .collect::<StoreResult<_>>()?,
         None => inner_keys.clone(),
     };
-    if *probe_is_left {
+    Ok(if *probe_is_left {
         Plan::HashJoin {
             left: probe.clone(),
             right: Box::new(scan),
@@ -948,14 +149,12 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> Plan {
             right_keys: probe_keys.clone(),
             kind: *kind,
         }
-    }
+    })
 }
 
-// ---------------------------------------------------------------------
-// Naive materializing executor (ablation reference)
-// ---------------------------------------------------------------------
-
-fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
+/// Execute `plan` as written through the naive materializing interpreter —
+/// the semantics reference ([`Plan::run_oracle`] is the method form).
+pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
     let _span = dip_trace::span_cat(
         dip_trace::Layer::Relstore,
         plan_op(plan),
@@ -985,7 +184,7 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
         }
         Plan::Values(rel) => Ok(rel.clone()),
         Plan::Filter { input, predicate } => {
-            let rel = run(input, db)?;
+            let rel = execute_oracle(input, db)?;
             let mut rows = Vec::new();
             for r in rel.rows {
                 if predicate.matches(&r)? {
@@ -995,7 +194,7 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             Ok(Relation::new(rel.schema, rows))
         }
         Plan::Project { input, exprs } => {
-            let rel = run(input, db)?;
+            let rel = execute_oracle(input, db)?;
             let schema = plan.schema(db)?;
             let mut rows = Vec::with_capacity(rel.rows.len());
             for r in &rel.rows {
@@ -1011,16 +210,16 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             right_keys,
             kind,
         } => {
-            let l = run(left, db)?;
-            let r = run(right, db)?;
+            let l = execute_oracle(left, db)?;
+            let r = execute_oracle(right, db)?;
             hash_join(db, plan, l, r, left_keys, right_keys, *kind)
         }
-        Plan::IndexJoin { .. } => run(&index_join_equivalent(plan), db),
+        Plan::IndexJoin { .. } => execute_oracle(&index_join_equivalent(plan)?, db),
         Plan::UnionAll(inputs) => {
             let schema = plan.schema(db)?;
             let mut rows = Vec::new();
             for i in inputs {
-                let rel = run(i, db)?;
+                let rel = execute_oracle(i, db)?;
                 if rel.schema.len() != schema.len() {
                     return Err(StoreError::Invalid(format!(
                         "union arity mismatch: {} vs {}",
@@ -1039,7 +238,7 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 Some(cols) => {
                     let mut seen: HashSet<Vec<Value>> = HashSet::new();
                     for i in inputs {
-                        let rel = run(i, db)?;
+                        let rel = execute_oracle(i, db)?;
                         if rel.schema.len() != schema.len() {
                             return Err(StoreError::Invalid("union arity mismatch".into()));
                         }
@@ -1053,7 +252,7 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 None => {
                     let mut seen: HashSet<Row> = HashSet::new();
                     for i in inputs {
-                        let rel = run(i, db)?;
+                        let rel = execute_oracle(i, db)?;
                         if rel.schema.len() != schema.len() {
                             return Err(StoreError::Invalid("union arity mismatch".into()));
                         }
@@ -1072,7 +271,7 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             group_by,
             aggs,
         } => {
-            let rel = run(input, db)?;
+            let rel = execute_oracle(input, db)?;
             let schema = plan.schema(db)?;
             let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
             let mut order: Vec<Vec<Value>> = Vec::new();
@@ -1102,7 +301,9 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             }
             let mut rows = Vec::with_capacity(order.len());
             for key in order {
-                let states = groups.remove(&key).expect("group exists");
+                let Some(states) = groups.remove(&key) else {
+                    continue;
+                };
                 let mut row = key;
                 for st in states {
                     row.push(st.finish());
@@ -1112,17 +313,17 @@ fn run(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             Ok(Relation::new(schema, rows))
         }
         Plan::Sort { input, keys } => {
-            let mut rel = run(input, db)?;
+            let mut rel = execute_oracle(input, db)?;
             rel.sort_by_columns(keys);
             Ok(rel)
         }
         Plan::Limit { input, n } => {
-            let mut rel = run(input, db)?;
+            let mut rel = execute_oracle(input, db)?;
             rel.rows.truncate(*n);
             Ok(rel)
         }
         Plan::TopK { input, keys, n } => {
-            let mut rel = run(input, db)?;
+            let mut rel = execute_oracle(input, db)?;
             rel.sort_by_columns(keys);
             rel.rows.truncate(*n);
             Ok(rel)
@@ -1192,11 +393,11 @@ fn hash_join(
 }
 
 /// Compensated (Kahan–Babuška/Neumaier) float accumulator. Every float
-/// `SUM`/`AVG` in every executor routes through this one type, so the
-/// summation error — and therefore the emitted bytes — no longer depend on
-/// which operator ordering fed the aggregate. For inputs whose exact sum is
-/// representable the result is also order-independent, which is what the
-/// cross-mode/cross-worker byte-identity gates rely on.
+/// `SUM`/`AVG` in the executor and the oracle routes through this one type,
+/// so the summation error — and therefore the emitted bytes — do not depend
+/// on which operator ordering fed the aggregate. For inputs whose exact sum
+/// is representable the result is also order-independent, which is what the
+/// oracle/cross-worker byte-identity gates rely on.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Kahan {
     sum: f64,
@@ -1241,8 +442,8 @@ impl NumAcc {
     }
 }
 
-/// Aggregate state shared by the oracle, streaming and vectorized
-/// executors — one implementation so the three paths cannot drift.
+/// Aggregate state shared by the oracle and the batch executor — one
+/// implementation so the two cannot drift.
 #[derive(Debug)]
 pub(crate) struct AggState {
     func: AggFunc,

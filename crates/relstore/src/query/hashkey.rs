@@ -1,13 +1,12 @@
 //! Vectorized key hashing and hash-first key tables.
 //!
-//! Both pipelined executors key their hash joins, hash aggregates and
-//! distinct unions through this module instead of allocating a
-//! `Vec<Value>` per row:
+//! The batch executor keys its hash joins, hash aggregates and distinct
+//! unions through this module instead of allocating a `Vec<Value>` per
+//! row:
 //!
 //! * [`hash_value`] / [`combine`] produce one splitmix-mixed `u64` per
-//!   key, built column-by-column (the batch executor hashes a whole key
-//!   column per chunk in one pass; the streaming executor folds the key
-//!   columns of each row view in place);
+//!   key, built column-by-column (a whole key column is hashed per chunk
+//!   in one pass);
 //! * [`KeyIndex`] is a chained hash table mapping those `u64`s to dense
 //!   row/group ids. Probes compare candidate entries against the *stored*
 //!   rows (hash-first comparison), so a key is only ever materialized
@@ -79,15 +78,6 @@ pub(crate) fn hash_value(v: &Value) -> u64 {
 #[inline]
 pub(crate) fn combine(acc: u64, h: u64) -> u64 {
     splitmix64(acc.rotate_left(29) ^ h)
-}
-
-/// Hash an already-materialized key (build rows, oracle-side helpers).
-pub(crate) fn hash_values(key: &[Value]) -> u64 {
-    let mut h = KEY_SEED;
-    for v in key {
-        h = combine(h, hash_value(v));
-    }
-    h
 }
 
 /// Identity hasher for keys that are already splitmix-mixed `u64`s —

@@ -1,5 +1,6 @@
-//! Query processing: logical plans, a rule-based planner and three
-//! executors (oracle / streaming / vectorized) behind [`ExecMode`].
+//! Query processing: logical plans, a rule-based planner, one columnar
+//! batch executor ([`execute`]) and the naive reference interpreter it is
+//! tested against ([`execute_oracle`]).
 
 mod batch;
 pub mod exec;
@@ -7,8 +8,7 @@ mod hashkey;
 pub mod plan;
 pub mod planner;
 
-pub use batch::{ablate_boxed_columns, ablate_boxed_probe, ablate_row_keys};
-pub use exec::{default_mode, execute, set_default_mode, ExecMode};
+pub use exec::{execute, execute_oracle};
 pub use plan::{AggExpr, AggFunc, JoinKind, Plan, ProjExpr};
 
 #[cfg(test)]
@@ -53,24 +53,21 @@ mod tests {
         db
     }
 
-    /// Run a plan through every executor: streaming and vectorized must
-    /// match **row-for-row** (same optimized plan, same emission order),
-    /// the oracle must agree as a multiset (the unoptimized plan may emit
-    /// another order), and `Auto` must equal whichever path it picked.
-    /// Returns the streaming result.
-    fn run_all_modes(plan: &Plan, db: &Database) -> Relation {
-        let s = execute(plan, db, ExecMode::Streaming).unwrap();
-        let v = execute(plan, db, ExecMode::Vectorized).unwrap();
-        assert_eq!(s.rows, v.rows, "streaming vs vectorized row-for-row");
-        let a = execute(plan, db, ExecMode::Auto).unwrap();
-        assert_eq!(s.rows, a.rows, "auto must match its chosen path");
-        let o = execute(plan, db, ExecMode::Oracle).unwrap();
-        let mut os = o.rows;
-        let mut ss = s.rows.clone();
-        os.sort();
-        ss.sort();
-        assert_eq!(os, ss, "oracle vs streaming multiset");
-        s
+    /// Run a plan through the executor and the oracle: they must agree as
+    /// a multiset (the oracle runs the unoptimized plan, which may emit
+    /// another order). Returns the executor's result.
+    fn run_vs_oracle(plan: &Plan, db: &Database) -> Relation {
+        let out = execute(plan, db).unwrap();
+        let mut oracle = execute_oracle(plan, db).unwrap().rows;
+        let mut sorted = out.rows.clone();
+        oracle.sort();
+        sorted.sort();
+        assert_eq!(oracle, sorted, "oracle vs executor multiset");
+        out
+    }
+
+    fn int(i: i64) -> Value {
+        Value::Int(i)
     }
 
     #[test]
@@ -82,7 +79,7 @@ mod tests {
             .project(vec![
                 ProjExpr::passthrough(&schema, "name", Some("n")).unwrap()
             ]);
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.schema.names(), vec!["n"]);
         let mut names: Vec<String> = rel.rows.iter().map(|r| r[0].render()).collect();
         names.sort();
@@ -94,9 +91,35 @@ mod tests {
         let db = db();
         let plan =
             Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner);
-        let rel = run_all_modes(&plan, &db);
-        assert_eq!(rel.len(), 3); // delta's citykey 99 has no match
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.schema.len(), 5);
+        // probe order; delta's citykey 99 has no match
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![
+                    int(1),
+                    Value::str("alpha"),
+                    int(10),
+                    int(10),
+                    Value::str("Berlin")
+                ],
+                vec![
+                    int(2),
+                    Value::str("beta"),
+                    int(20),
+                    int(20),
+                    Value::str("Paris")
+                ],
+                vec![
+                    int(3),
+                    Value::str("gamma"),
+                    int(10),
+                    int(10),
+                    Value::str("Berlin")
+                ],
+            ]
+        );
     }
 
     #[test]
@@ -104,10 +127,40 @@ mod tests {
         let db = db();
         let plan =
             Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Left);
-        let mut rel = run_all_modes(&plan, &db);
-        assert_eq!(rel.len(), 4);
-        rel.sort_by_columns(&[0]);
-        assert!(rel.rows[3][4].is_null()); // delta row padded
+        let rel = run_vs_oracle(&plan, &db);
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![
+                    int(1),
+                    Value::str("alpha"),
+                    int(10),
+                    int(10),
+                    Value::str("Berlin")
+                ],
+                vec![
+                    int(2),
+                    Value::str("beta"),
+                    int(20),
+                    int(20),
+                    Value::str("Paris")
+                ],
+                vec![
+                    int(3),
+                    Value::str("gamma"),
+                    int(10),
+                    int(10),
+                    Value::str("Berlin")
+                ],
+                vec![
+                    int(4),
+                    Value::str("delta"),
+                    int(99),
+                    Value::Null,
+                    Value::Null
+                ],
+            ]
+        );
     }
 
     #[test]
@@ -117,8 +170,23 @@ mod tests {
             inputs: vec![Plan::scan("customer"), Plan::scan("customer")],
             key: Some(vec![0]),
         };
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 4);
+        // first-seen dedup turns emission order into content: on citykey,
+        // gamma (a second 10) loses to alpha
+        let plan = Plan::UnionDistinct {
+            inputs: vec![Plan::scan("customer"), Plan::scan("customer")],
+            key: Some(vec![2]),
+        };
+        let rel = run_vs_oracle(&plan, &db);
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![int(1), Value::str("alpha"), int(10)],
+                vec![int(2), Value::str("beta"), int(20)],
+                vec![int(4), Value::str("delta"), int(99)],
+            ]
+        );
     }
 
     #[test]
@@ -128,7 +196,7 @@ mod tests {
             inputs: vec![Plan::scan("city"), Plan::scan("city")],
             key: None,
         };
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 2);
     }
 
@@ -142,11 +210,16 @@ mod tests {
                 AggExpr::new(AggFunc::Max, Expr::col(0), "maxk"),
             ],
         );
-        let mut rel = run_all_modes(&plan, &db);
-        rel.sort_by_columns(&[0]);
-        assert_eq!(rel.len(), 3);
-        assert_eq!(rel.get(0, "n"), &Value::Int(2)); // citykey 10 twice
-        assert_eq!(rel.get(0, "maxk"), &Value::Float(3.0));
+        let rel = run_vs_oracle(&plan, &db);
+        // groups in first-seen order; citykey 10 twice
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![int(10), int(2), int(3)],
+                vec![int(20), int(1), int(2)],
+                vec![int(99), int(1), int(4)],
+            ]
+        );
     }
 
     #[test]
@@ -155,7 +228,7 @@ mod tests {
         let plan = Plan::scan("customer")
             .filter(Expr::col(0).gt(Expr::lit(1000)))
             .aggregate(vec![], vec![AggExpr::count_star("n")]);
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.rows[0][0], Value::Int(0));
     }
@@ -164,7 +237,7 @@ mod tests {
     fn sort_and_limit() {
         let db = db();
         let plan = Plan::scan("customer").sort(vec![0]).limit(2);
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.rows[0][0], Value::Int(1));
     }
@@ -181,7 +254,7 @@ mod tests {
                     .and(Expr::col(4).eq(Expr::lit("Berlin"))),
             )
             .project(vec![ProjExpr::passthrough(&schema, "name", None).unwrap()]);
-        run_all_modes(&plan, &db);
+        run_vs_oracle(&plan, &db);
     }
 
     #[test]
@@ -197,10 +270,8 @@ mod tests {
         );
         let plan = Plan::Values(rel)
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")]);
-        for mode in ExecMode::ALL {
-            let out = execute(&plan, &db, mode).unwrap();
-            assert_eq!(out.rows[0][0], Value::Int(big), "mode={}", mode.label());
-        }
+        let out = run_vs_oracle(&plan, &db);
+        assert_eq!(out.rows[0][0], Value::Int(big));
         // the output schema advertises Int as well
         assert_eq!(plan.schema(&db).unwrap().column(0).ty, SqlType::Int);
 
@@ -211,7 +282,7 @@ mod tests {
         );
         let plan = Plan::Values(rel)
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")]);
-        let out = run_all_modes(&plan, &db);
+        let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(i64::MAX as f64 * 2.0));
 
         // mixed int/float input widens to Float; AVG is always Float
@@ -224,7 +295,7 @@ mod tests {
                 AggExpr::new(AggFunc::Avg, Expr::col(0), "a"),
             ],
         );
-        let out = run_all_modes(&plan, &db);
+        let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(3.5));
         assert_eq!(out.rows[0][1], Value::Float(1.75));
     }
@@ -234,8 +305,8 @@ mod tests {
         // The shared compensated (Kahan–Babuška/Neumaier) accumulator makes
         // float SUM independent of input order: [1e16, 1.0, -1e16] sums to
         // exactly 1.0 under every permutation, where naive f64 summation
-        // loses the 1.0 for some orders. All three executors must produce
-        // the identical byte pattern for every permutation.
+        // loses the 1.0 for some orders. The executor and the oracle must
+        // produce the identical byte pattern for every permutation.
         let db = db();
         let schema = RelSchema::of(&[("x", SqlType::Float)]).shared();
         let vals = [1e16f64, 1.0, -1e16];
@@ -256,27 +327,24 @@ mod tests {
                     AggExpr::new(AggFunc::Avg, Expr::col(0), "a"),
                 ],
             );
-            for mode in ExecMode::ALL {
-                let out = execute(&plan, &db, mode).unwrap();
+            for out in [
+                execute(&plan, &db).unwrap(),
+                execute_oracle(&plan, &db).unwrap(),
+            ] {
                 let Value::Float(s) = out.rows[0][0] else {
                     panic!("SUM not a float for {p:?}");
                 };
                 let Value::Float(a) = out.rows[0][1] else {
                     panic!("AVG not a float for {p:?}");
                 };
-                assert_eq!(
-                    s.to_bits(),
-                    1.0f64.to_bits(),
-                    "permutation {p:?} mode={}",
-                    mode.label()
-                );
+                assert_eq!(s.to_bits(), 1.0f64.to_bits(), "permutation {p:?}");
                 assert_eq!(a.to_bits(), (1.0f64 / 3.0).to_bits(), "permutation {p:?}");
             }
         }
     }
 
     #[test]
-    fn vectorized_handles_multi_chunk_inputs() {
+    fn multi_chunk_inputs() {
         // More rows than one 1024-row chunk, exercising chunk boundaries
         // through filter → join → aggregate and LIMIT mid-chunk.
         let db = Database::new("big");
@@ -299,7 +367,7 @@ mod tests {
                     AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
                 ],
             );
-        let rel = run_all_modes(&agg, &db);
+        let rel = run_vs_oracle(&agg, &db);
         assert_eq!(rel.len(), 7);
         let total: i64 = rel
             .rows
@@ -317,11 +385,11 @@ mod tests {
             vec![0],
             JoinKind::Inner,
         );
-        let rel = run_all_modes(&join, &db);
+        let rel = run_vs_oracle(&join, &db);
         assert_eq!(rel.len(), 3000 / 7 + 1); // k ≡ 3 (mod 7): 3, 10, …, 2999
 
         let limited = Plan::scan("wide").limit(1500);
-        let rel = run_all_modes(&limited, &db);
+        let rel = run_vs_oracle(&limited, &db);
         assert_eq!(rel.len(), 1500);
     }
 
@@ -336,11 +404,15 @@ mod tests {
         );
         // bounded top-K reproduces sort-then-truncate exactly, including the
         // stable order of tied keys (citykey 10 appears twice)
-        let a = run_all_modes(&plan, &db);
-        let b = execute(&plan, &db, ExecMode::Oracle).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.rows[0][2], Value::Int(10));
+        let a = run_vs_oracle(&plan, &db);
+        assert_eq!(a.rows, execute_oracle(&plan, &db).unwrap().rows);
+        assert_eq!(
+            a.rows,
+            vec![
+                vec![int(1), Value::str("alpha"), int(10)],
+                vec![int(3), Value::str("gamma"), int(10)],
+            ]
+        );
     }
 
     #[test]
@@ -360,7 +432,7 @@ mod tests {
             ),
             "expected IndexJoin, got {opt:?}"
         );
-        run_all_modes(&plan, &db);
+        run_vs_oracle(&plan, &db);
     }
 
     #[test]
@@ -370,7 +442,7 @@ mod tests {
             Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Left);
         let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
         assert!(matches!(opt, Plan::IndexJoin { .. }), "got {opt:?}");
-        let mut rel = run_all_modes(&plan, &db);
+        let mut rel = run_vs_oracle(&plan, &db);
         rel.sort_by_columns(&[0]);
         assert_eq!(rel.len(), 4);
         assert!(rel.rows[3][4].is_null()); // delta's citykey 99 padded
@@ -388,17 +460,17 @@ mod tests {
         );
         let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
         assert!(matches!(opt, Plan::HashJoin { .. }), "got {opt:?}");
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 4);
     }
 
     #[test]
     fn limit_terminates_union_early() {
         let db = db();
-        // LIMIT stops upstream producers in both pipelined executors; a
-        // union must still yield rows from its first inputs only
+        // LIMIT stops upstream producers; a union must still yield rows
+        // from its first inputs only
         let plan = Plan::UnionAll(vec![Plan::scan("customer"), Plan::scan("customer")]).limit(5);
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 5);
     }
 
@@ -412,7 +484,7 @@ mod tests {
             "y",
             SqlType::Int,
         )]);
-        let out = run_all_modes(&plan, &db);
+        let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Int(10));
     }
 
@@ -447,7 +519,7 @@ mod tests {
         // survivors are rows 0 and 2 of the join output — a
         // non-contiguous selection, so a mis-attached physical selection
         // cannot pass by coincidence on a prefix
-        let mut rel = run_all_modes(&plan, &db);
+        let mut rel = run_vs_oracle(&plan, &db);
         rel.sort_by_columns(&[1]);
         assert_eq!(rel.len(), 2); // alpha (1+10) and gamma (3+10); beta is 2+20
         assert_eq!(rel.rows[0][0], Value::str("alpha"));
@@ -456,16 +528,7 @@ mod tests {
         assert_eq!(rel.rows[1][1], Value::Int(30));
     }
 
-    #[test]
-    fn exec_mode_parse_and_label_round_trip() {
-        for mode in ExecMode::ALL {
-            assert_eq!(ExecMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(ExecMode::parse("turbo"), None);
-        assert_eq!(ExecMode::parse(""), None);
-    }
-
-    /// A table big enough to clear the batch crossover estimate.
+    /// A table spanning many chunks.
     fn big_db(rows: usize) -> Database {
         let db = Database::new("big");
         let schema = RelSchema::of(&[
@@ -492,39 +555,8 @@ mod tests {
     }
 
     #[test]
-    fn batching_pays_routes_by_cardinality() {
-        use crate::query::planner::{batching_pays, BATCH_CROSSOVER_ROWS};
-        let small = db();
-        let big = big_db(BATCH_CROSSOVER_ROWS + 100);
-        // joins always batch, whatever the size
-        let join =
-            Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner);
-        assert!(batching_pays(&join, &small));
-        // small join-free aggregates keep streaming…
-        let small_agg = Plan::scan("customer").aggregate(vec![2], vec![AggExpr::count_star("n")]);
-        assert!(!batching_pays(&small_agg, &small));
-        // …but an aggregate over a crossover-sized input batches
-        let big_agg = Plan::scan("wide").aggregate(vec![1], vec![AggExpr::count_star("n")]);
-        assert!(batching_pays(&big_agg, &big));
-        // distinct unions batch on the *combined* input estimate
-        let big_distinct = Plan::UnionDistinct {
-            inputs: vec![Plan::scan("wide"), Plan::scan("wide")],
-            key: Some(vec![1]),
-        };
-        assert!(batching_pays(&big_distinct, &big));
-        let small_distinct = Plan::UnionDistinct {
-            inputs: vec![Plan::scan("customer"), Plan::scan("customer")],
-            key: Some(vec![0]),
-        };
-        assert!(!batching_pays(&small_distinct, &small));
-        // a plain scan never batches, however large
-        assert!(!batching_pays(&Plan::scan("wide"), &big));
-    }
-
-    #[test]
-    fn large_join_free_aggregate_agrees_across_modes() {
-        use crate::query::planner::BATCH_CROSSOVER_ROWS;
-        let db = big_db(BATCH_CROSSOVER_ROWS + 17);
+    fn large_join_free_aggregate_agrees_with_oracle() {
+        let db = big_db(32 * 1024 + 17);
         let plan = Plan::scan("wide")
             .aggregate(
                 vec![1],
@@ -537,7 +569,7 @@ mod tests {
                 ],
             )
             .sort(vec![0]);
-        let rel = run_all_modes(&plan, &db);
+        let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 97);
         // exact integer sums: group g holds keys g, g+97, g+194, …
         let n0 = rel.rows[0][1].to_int().unwrap();
@@ -547,10 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn union_mixing_join_and_scan_inputs_routes_per_input() {
-        // one join-bearing input (batches) + one tiny scan input (streams):
-        // Auto routes each root-level union input independently and must
-        // still produce both executors' shared emission order
+    fn union_mixing_join_and_scan_inputs() {
+        // one join-bearing input + one bare scan input: the union keeps
+        // input order, so first-seen dedup prefers the join side
         let db = db();
         let join_side = Plan::scan("customer")
             .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
@@ -563,51 +594,38 @@ mod tests {
             ProjExpr::new(Expr::col(1), "name", SqlType::Str),
         ]);
         let union_all = Plan::UnionAll(vec![join_side.clone(), scan_side.clone()]);
-        let rel = run_all_modes(&union_all, &db);
+        let rel = run_vs_oracle(&union_all, &db);
         assert_eq!(rel.len(), 3 + 4);
         let distinct = Plan::UnionDistinct {
             inputs: vec![join_side, scan_side],
             key: Some(vec![0]),
         };
-        let rel = run_all_modes(&distinct, &db);
+        let rel = run_vs_oracle(&distinct, &db);
         assert_eq!(rel.len(), 4); // keys 1-4, first-seen from the join side
         assert_eq!(rel.rows[0][0], Value::Int(1));
     }
 
     #[test]
-    fn ablation_toggles_preserve_results() {
-        // the bench-only ablations must not change semantics, only layout
+    fn index_join_without_projected_key_is_invalid_not_a_panic() {
         let db = db();
-        let plan = Plan::scan("customer")
-            .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
-            .aggregate(vec![4], vec![AggExpr::count_star("n")]);
-        let base = execute(&plan, &db, ExecMode::Vectorized).unwrap();
-        ablate_boxed_columns(true);
-        ablate_row_keys(true);
-        let ablated = execute(&plan, &db, ExecMode::Vectorized).unwrap();
-        ablate_boxed_columns(false);
-        ablate_row_keys(false);
-        assert_eq!(base.rows, ablated.rows);
-
-        // the boxed-probe layout ablation only fires on index-join-only
-        // plans; the planner turns this join into an IndexJoin (city pk)
-        let plan = Plan::scan("customer")
-            .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
-            .sort(vec![0]);
-        let opt = crate::query::planner::optimize(plan, &db).unwrap();
-        let base = execute(&opt, &db, ExecMode::Vectorized).unwrap();
-        ablate_boxed_probe(true);
-        let ablated = execute(&opt, &db, ExecMode::Vectorized).unwrap();
-        ablate_boxed_probe(false);
-        assert_eq!(base.rows, ablated.rows);
-    }
-
-    #[test]
-    fn default_mode_is_process_global() {
-        assert_eq!(default_mode(), ExecMode::Auto);
-        set_default_mode(ExecMode::Vectorized);
-        assert_eq!(default_mode(), ExecMode::Vectorized);
-        set_default_mode(ExecMode::Auto);
-        assert_eq!(default_mode(), ExecMode::Auto);
+        // hand-built: no index covers customer.citykey, so the executor and
+        // the oracle both fall back to the equivalent hash join — which
+        // cannot be keyed when the projection drops the join column
+        let plan = Plan::IndexJoin {
+            probe: Box::new(Plan::scan("city")),
+            table: "customer".into(),
+            probe_keys: vec![0],
+            inner_keys: vec![2],
+            predicate: None,
+            projection: Some(vec![0, 1]),
+            kind: JoinKind::Inner,
+            probe_is_left: true,
+        };
+        for result in [execute(&plan, &db), execute_oracle(&plan, &db)] {
+            assert!(
+                matches!(result, Err(crate::error::StoreError::Invalid(_))),
+                "got {result:?}"
+            );
+        }
     }
 }

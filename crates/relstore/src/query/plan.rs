@@ -251,11 +251,16 @@ impl Plan {
         }
     }
 
-    /// Execute this plan against `db` with the process-global default
-    /// [`ExecMode`](crate::query::ExecMode) — the convenience form of
+    /// Execute this plan against `db` — the method form of
     /// [`execute`](crate::query::execute).
     pub fn run(&self, db: &Database) -> StoreResult<crate::row::Relation> {
-        crate::query::execute(self, db, crate::query::default_mode())
+        crate::query::execute(self, db)
+    }
+
+    /// Execute this plan as written through the reference interpreter —
+    /// the method form of [`execute_oracle`](crate::query::execute_oracle).
+    pub fn run_oracle(&self, db: &Database) -> StoreResult<crate::row::Relation> {
+        crate::query::execute_oracle(self, db)
     }
 
     /// Compute the output schema against `db`.

@@ -490,43 +490,6 @@ fn conjoin(mut parts: Vec<Expr>) -> Option<Expr> {
     Some(parts.into_iter().fold(first, |acc, p| acc.and(p)))
 }
 
-/// Estimated input size above which the batch executor's per-chunk setup
-/// amortizes on *join-free* plans. Measured by the criterion
-/// `batch_aggregate` microbench: batch aggregation crosses over the
-/// streaming row loop at roughly 32k input rows (see PERFORMANCE.md).
-pub(crate) const BATCH_CROSSOVER_ROWS: usize = 32_768;
-
-/// Whether `ExecMode::Auto` should route this (already optimized) plan to
-/// the vectorized batch executor.
-///
-/// Join-bearing plans always batch: gather columns forward the probe side
-/// of every join level as one shared `u32` index vector (~40% on the
-/// nine-way P14 chain). Join-free plans batch only when the planner's
-/// cardinality estimate says the input is large enough to amortize chunk
-/// setup: aggregates whose input clears [`BATCH_CROSSOVER_ROWS`], and
-/// distinct unions whose combined input does. Small join-free plans — the
-/// few-hundred-row point scans and refresh aggregates the E1/E2 processes
-/// issue at d=0.05 — keep streaming, where the zero-setup row loop wins.
-pub(crate) fn batching_pays(plan: &Plan, db: &Database) -> bool {
-    match plan {
-        Plan::HashJoin { .. } | Plan::IndexJoin { .. } => true,
-        Plan::Scan { .. } | Plan::Values(_) => false,
-        Plan::Aggregate { input, .. } => {
-            batching_pays(input, db) || input.estimate_rows(db) >= BATCH_CROSSOVER_ROWS
-        }
-        Plan::UnionDistinct { inputs, .. } => {
-            inputs.iter().any(|i| batching_pays(i, db))
-                || inputs.iter().map(|i| i.estimate_rows(db)).sum::<usize>() >= BATCH_CROSSOVER_ROWS
-        }
-        Plan::UnionAll(inputs) => inputs.iter().any(|i| batching_pays(i, db)),
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => batching_pays(input, db),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -106,12 +106,8 @@ proptest! {
                 ProjExpr::new(Expr::col(0), "k", SqlType::Int),
                 ProjExpr::new(Expr::col(5).mul(Expr::lit(2.0)), "v2", SqlType::Float),
             ]);
-        let s = execute(&plan, &db, ExecMode::Streaming).unwrap();
-        let v = execute(&plan, &db, ExecMode::Vectorized).unwrap();
-        // same optimized plan, same emission order: row-for-row identical
-        prop_assert_eq!(&s.rows, &v.rows);
-        let mut a = s;
-        let mut b = execute(&plan, &db, ExecMode::Oracle).unwrap();
+        let mut a = execute(&plan, &db).unwrap();
+        let mut b = execute_oracle(&plan, &db).unwrap();
         a.sort_by_columns(&[0, 1]);
         b.sort_by_columns(&[0, 1]);
         prop_assert_eq!(a.rows, b.rows);
@@ -170,13 +166,12 @@ proptest! {
         prop_assert!((s - expected).abs() < 1e-6 * (1.0 + expected.abs()));
     }
 
-    /// The streaming and vectorized executors' fused scan→filter→project,
-    /// index-nested-loop join and bounded top-K paths return exactly the
-    /// rows of the naive materializing oracle across randomized data, join
-    /// kinds and limits — `Oracle == Streaming == Vectorized` row-for-row
+    /// The executor's fused scan→filter→project, index-nested-loop join
+    /// and bounded top-K paths return exactly the rows of the naive
+    /// materializing oracle across randomized data, join kinds and limits
     /// (the trailing sort over every column pins one total order).
     #[test]
-    fn all_exec_modes_agree_row_for_row(
+    fn executor_agrees_with_oracle_row_for_row(
         rows in arb_rows(60),
         dim in prop::collection::vec((0i64..12, "[a-z]{0,4}"), 0..20)
             .prop_map(|mut v| { v.sort_by_key(|(k, _)| *k); v.dedup_by_key(|(k, _)| *k); v }),
@@ -204,11 +199,8 @@ proptest! {
             .filter(Expr::col(2).gt(Expr::lit(threshold)))
             .sort(vec![0, 1, 2, 3, 4])
             .limit(n);
-        let oracle = execute(&plan, &db, ExecMode::Oracle).unwrap();
-        for mode in [ExecMode::Streaming, ExecMode::Vectorized, ExecMode::Auto] {
-            let out = execute(&plan, &db, mode).unwrap();
-            prop_assert_eq!(&out.rows, &oracle.rows, "mode={}", mode.label());
-        }
+        let oracle = execute_oracle(&plan, &db).unwrap();
+        prop_assert_eq!(execute(&plan, &db).unwrap().rows, oracle.rows);
     }
 
     /// delete_where + the inverse predicate partition the table.
@@ -481,17 +473,14 @@ proptest! {
                 .sort(vec![0, 1, 2, 3, 4, 5, 6, 7]),
         ];
         for plan in &plans {
-            let oracle = execute(plan, &db, ExecMode::Oracle).unwrap();
-            for mode in [ExecMode::Streaming, ExecMode::Vectorized, ExecMode::Auto] {
-                let out = execute(plan, &db, mode).unwrap();
-                prop_assert_eq!(&out.rows, &oracle.rows, "mode={}", mode.label());
-            }
+            let oracle = execute_oracle(plan, &db).unwrap();
+            prop_assert_eq!(execute(plan, &db).unwrap().rows, oracle.rows);
         }
     }
 
     /// Exact integer SUM survives the typed fast path: a sum that stays in
     /// range is bit-exact Int, and one pushed past i64::MAX widens to the
-    /// same compensated float in every executor.
+    /// same compensated float in the executor and the oracle.
     #[test]
     fn typed_int_sum_is_exact_and_overflow_consistent(
         base in prop::collection::vec(1i64..1_000_000, 1..40),
@@ -513,14 +502,11 @@ proptest! {
         db.create_table(t);
         let plan = Plan::scan("t")
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")]);
-        let oracle = execute(&plan, &db, ExecMode::Oracle).unwrap();
+        let oracle = execute_oracle(&plan, &db).unwrap();
         if !overflow {
             let expect: i64 = base.iter().sum();
             prop_assert_eq!(&oracle.rows[0][0], &Value::Int(expect));
         }
-        for mode in [ExecMode::Streaming, ExecMode::Vectorized, ExecMode::Auto] {
-            let out = execute(&plan, &db, mode).unwrap();
-            prop_assert_eq!(&out.rows, &oracle.rows, "mode={}", mode.label());
-        }
+        prop_assert_eq!(execute(&plan, &db).unwrap().rows, oracle.rows);
     }
 }

@@ -214,27 +214,10 @@ impl ExternalWorld {
     }
 
     /// Run a query plan on a remote database; the request costs a small
-    /// fixed payload, the response is charged by result size. Executes
-    /// with the process-global default [`ExecMode`].
+    /// fixed payload, the response is charged by result size.
     pub fn remote_query(&self, db_name: &str, plan: &Plan) -> StoreResult<Remote<Relation>> {
-        self.remote_query_with(db_name, plan, default_mode())
-    }
-
-    /// Like [`Self::remote_query`], with an explicit executor mode (lets a
-    /// caller model an unoptimized remote execution path).
-    pub fn remote_query_with(
-        &self,
-        db_name: &str,
-        plan: &Plan,
-        mode: ExecMode,
-    ) -> StoreResult<Remote<Relation>> {
         let (endpoint, db) = self.db_entry(db_name)?;
-        self.round_trip(
-            &endpoint,
-            256,
-            || execute(plan, &db, mode),
-            Self::relation_bytes,
-        )
+        self.round_trip(&endpoint, 256, || execute(plan, &db), Self::relation_bytes)
     }
 
     /// Drain a remote table's change-capture log — the change-data-capture

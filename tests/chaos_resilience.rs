@@ -185,7 +185,7 @@ fn pinned_record(out: &RunOutcome, config: BenchConfig) -> dip_trace::RunRecord 
         created_unix: 0,
         commit: "pinned".to_string(),
         engine: "fed".to_string(),
-        exec_mode: dip_relstore::query::default_mode().label().to_string(),
+        exec_mode: "vectorized".to_string(),
         datasize: config.scale.datasize,
         time: config.scale.time,
         distribution: config.scale.distribution.label().to_string(),

@@ -9,11 +9,14 @@
 //! must pass E1 conservation and end byte-identical to an uncrashed
 //! same-seed reference — including a deterministic mid-write dead-letter
 //! (P04 aborts at its third step) whose partial writes only rollback
-//! keeps out of the durable state.
+//! keeps out of the durable state. Last, executor-vs-oracle across a
+//! crash-restart: `fed` killed inside P13 must recover to the bytes of
+//! an uncrashed `fed-unopt` (reference interpreter) run.
 //!
 //! Everything lives in ONE test function: the crash and abort plans are
 //! process-global, so concurrent test threads would corrupt each other.
 
+use dip_feddbms::{FedDbms, FedOptions};
 use dipbench::prelude::*;
 use dipbench::recovery::{self, CrashTarget};
 use dipbench::verify;
@@ -21,6 +24,13 @@ use std::sync::Arc;
 
 fn mtm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
     Arc::new(MtmSystem::new(env.world.clone()))
+}
+
+fn fed(env: &BenchEnvironment, optimize_relational: bool) -> Arc<dyn IntegrationSystem> {
+    let opts = FedOptions {
+        optimize_relational,
+    };
+    Arc::new(FedDbms::new(env.world.clone(), opts))
 }
 
 #[test]
@@ -106,4 +116,33 @@ fn crash_at_every_step_recovers_and_conserves() {
         "rollback disabled yet the final state matched — the gate has no teeth"
     );
     recovery::disarm_abort();
+
+    // Executor vs oracle: kill `fed` at the first materialization step
+    // of P13 (stream D — a join + grouped aggregate through the batch
+    // executor), recover, and require the bytes of an uncrashed
+    // `fed-unopt` run, whose local queries go through the oracle.
+    let oracle_digests = {
+        let env = BenchEnvironment::new(config).unwrap();
+        let outcome = Client::new(&env, fed(&env, false)).unwrap().run().unwrap();
+        assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
+        recovery::digest_tables(&env.world).unwrap()
+    };
+    let target = CrashTarget {
+        process: "P13".to_string(),
+        period: 0,
+        seq: 0,
+        step: 0,
+    };
+    let run = recovery::run_with_crash(config, &|e| fed(e, true), &target, false)
+        .expect("fed recovery run");
+    assert!(run.tripped, "the armed P13 crash never fired");
+    assert!(
+        run.verification.passed(),
+        "conservation failed after fed recovery:\n{}",
+        run.verification
+    );
+    assert_eq!(
+        run.digests, oracle_digests,
+        "recovered fed state diverged from the uncrashed fed-unopt run"
+    );
 }

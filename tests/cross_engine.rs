@@ -188,8 +188,8 @@ fn fed_without_optimizer_still_correct() {
 
 #[test]
 fn optimizer_does_not_change_integrated_data() {
-    // the streaming executor (fused scans, index joins, top-K) and the
-    // naive materializing executor must integrate byte-identical data
+    // the batch executor over optimized plans (fused scans, index joins,
+    // top-K) and the naive oracle must integrate byte-identical data
     let (on_env, _) = run_fed(FedOptions::default());
     let (off_env, _) = run_fed(FedOptions {
         optimize_relational: false,

@@ -1,22 +1,24 @@
-//! Executor-mode independence at the engine level: whatever relational
-//! executor the process pins (`dipbench --exec-mode`), every engine must
-//! integrate byte-identical data. This is the `ExecMode` analog of the
-//! cross-engine equivalence claim — the vectorized batch path, the
-//! streaming path and the naive oracle are three implementations of one
-//! semantics, and the full benchmark digests are the observable proof.
-//!
-//! Everything lives in ONE test function: the default exec mode is
-//! process-global, so concurrent test threads switching modes would
-//! corrupt each other's runs (same reason the crash sweep is one test).
+//! Executor-vs-oracle at the engine level: `fed` runs its local queries
+//! through the one batch executor, `fed-unopt` through the naive reference
+//! interpreter, and both must integrate byte-identical data — at any
+//! worker count and under drop faults (the crash-restart twin lives in
+//! `crash_recovery.rs`, because the crash plan is process-global). The
+//! digests committed at PR 11 (when three executors and `Auto` routing
+//! still existed) pin the same bytes across commits.
 
 use dip_bench::{build_system, EngineKind};
-use dip_relstore::query::{set_default_mode, ExecMode};
+use dip_trace::Json;
 use dipbench::prelude::*;
-use dipbench::recovery::{self, CrashTarget};
 use std::collections::BTreeMap;
 
 fn config() -> BenchConfig {
     BenchConfig::new(ScaleFactors::new(0.01, 1.0, Distribution::Uniform)).with_periods(1)
+}
+
+fn with_drops() -> BenchConfig {
+    config()
+        .with_faults(FaultPlan::drops(0.05))
+        .with_resilience(ResiliencePolicy::DEFAULT)
 }
 
 /// Run the full benchmark and digest every table of every database.
@@ -29,98 +31,52 @@ fn digests(kind: EngineKind, config: BenchConfig) -> BTreeMap<String, u64> {
 }
 
 #[test]
-fn exec_modes_agree_across_engines_workers_faults_and_crashes() {
-    const ENGINES: [EngineKind; 3] = [EngineKind::Federated, EngineKind::Mtm, EngineKind::Ivm];
-
-    // streaming at 1 worker is the reference state per engine
-    set_default_mode(ExecMode::Streaming);
-    let refs: Vec<BTreeMap<String, u64>> = ENGINES.iter().map(|&k| digests(k, config())).collect();
-
-    // every other executor must land every engine on the same bytes
-    for mode in [ExecMode::Oracle, ExecMode::Vectorized, ExecMode::Auto] {
-        set_default_mode(mode);
-        for (&kind, expect) in ENGINES.iter().zip(&refs) {
-            assert_eq!(
-                &digests(kind, config()),
-                expect,
-                "{} under exec mode {} diverged from streaming",
-                kind.tag(),
-                mode.label()
-            );
-        }
+fn executor_matches_oracle_at_1_and_4_workers() {
+    let oracle = digests(EngineKind::FederatedUnoptimized, config());
+    for workers in [1, 4] {
+        assert_eq!(
+            digests(EngineKind::Federated, config().with_workers(workers)),
+            oracle,
+            "fed at {workers} workers diverged from fed-unopt"
+        );
     }
+}
 
-    // ... at any worker count: vectorized and cardinality-routed Auto
-    // with 1 and 4 schedule workers must match the 1-worker streaming
-    // reference (Auto additionally exercises per-input union routing)
-    for mode in [ExecMode::Vectorized, ExecMode::Auto] {
-        set_default_mode(mode);
-        for workers in [1, 4] {
-            assert_eq!(
-                &digests(EngineKind::Federated, config().with_workers(workers)),
-                &refs[0],
-                "fed {} at {workers} workers diverged",
-                mode.label()
-            );
-        }
-    }
-    set_default_mode(ExecMode::Auto);
+#[test]
+fn executor_matches_oracle_under_drop_faults() {
     assert_eq!(
-        &digests(EngineKind::Ivm, config().with_workers(4)),
-        &refs[2],
-        "ivm auto at 4 workers diverged"
+        digests(EngineKind::Federated, with_drops()),
+        digests(EngineKind::FederatedUnoptimized, with_drops()),
+        "fed diverged from fed-unopt under drop faults"
     );
+}
 
-    // ... under drop faults with the default retry budget
-    let faulty = config()
-        .with_faults(FaultPlan::drops(0.05))
-        .with_resilience(ResiliencePolicy::DEFAULT);
-    set_default_mode(ExecMode::Streaming);
-    let fault_ref = digests(EngineKind::Federated, faulty);
-    for mode in [ExecMode::Vectorized, ExecMode::Auto] {
-        set_default_mode(mode);
-        assert_eq!(
-            digests(EngineKind::Federated, faulty),
-            fault_ref,
-            "fed {} diverged under drop faults",
-            mode.label()
-        );
+/// `digest_tables` is FNV over sorted row renderings, so it is stable
+/// across processes and commits: the fixture was written by the parent
+/// commit (default `Auto` routing over the streaming and vectorized
+/// executors) and the one executor must land on the same bytes.
+#[test]
+fn one_executor_reproduces_the_pr11_digests() {
+    let fixture = Json::parse(include_str!("fixtures/digests_pr11.json")).unwrap();
+    let cells = [
+        ("fed_w1", EngineKind::Federated, config()),
+        ("fed_w4", EngineKind::Federated, config().with_workers(4)),
+        ("fed_drops", EngineKind::Federated, with_drops()),
+        ("mtm_w1", EngineKind::Mtm, config()),
+        ("ivm_w1", EngineKind::Ivm, config()),
+        ("fed-unopt_w1", EngineKind::FederatedUnoptimized, config()),
+    ];
+    for (name, kind, cfg) in cells {
+        let Some(Json::Obj(fields)) = fixture.get(name) else {
+            panic!("fixture has no cell {name}");
+        };
+        let expect: BTreeMap<String, u64> = fields
+            .iter()
+            .map(|(table, hex)| {
+                let hex = hex.as_str().expect("hex digest string");
+                (table.clone(), u64::from_str_radix(hex, 16).unwrap())
+            })
+            .collect();
+        assert_eq!(digests(kind, cfg), expect, "{name} diverged from PR 11");
     }
-
-    // ... and across a crash-restart recovery: kill a heavy mart-refresh
-    // process (P13, stream D — a vectorized plan shape) at its first
-    // materialization step, recover, and require the uncrashed bytes.
-    // Run it under both the always-batch mode and cardinality-routed
-    // Auto, whose routing decisions must replay identically on recovery.
-    let target = CrashTarget {
-        process: "P13".to_string(),
-        period: 0,
-        seq: 0,
-        step: 0,
-    };
-    for mode in [ExecMode::Vectorized, ExecMode::Auto] {
-        set_default_mode(mode);
-        let run = recovery::run_with_crash(
-            config(),
-            &|env| build_system(EngineKind::Mtm, env),
-            &target,
-            false,
-        )
-        .unwrap();
-        assert!(run.tripped, "the armed P13 crash never fired");
-        assert!(
-            run.verification.passed(),
-            "conservation failed after recovery under {}:\n{}",
-            mode.label(),
-            run.verification
-        );
-        assert_eq!(
-            run.digests,
-            refs[1],
-            "recovered {} state diverged from the uncrashed streaming run",
-            mode.label()
-        );
-    }
-
-    set_default_mode(ExecMode::Auto);
 }
