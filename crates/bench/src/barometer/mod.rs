@@ -6,17 +6,16 @@
 //!
 //! * [`registry`] — the declarative [`EngineRegistry`](registry::EngineRegistry):
 //!   every engine registers its constructor, CLI tag/aliases, display
-//!   label and supported process set once, and the whole CLI
-//!   (`run`/`record`/`bench`/`faults`/`crash`/usage text) resolves engines
+//!   label and crash capability once, and the whole CLI
+//!   (`run`/`record`/`faults`/`crash`/`gate`/help text) resolves engines
 //!   through it instead of scattering `match` arms.
 //! * [`report`] — the benchmark *cell* model (one addressable
 //!   `(process-group, engine, d, t, f)` measurement) and the
 //!   `dipbench report` renderer: cross-engine NAVG+ tables and
-//!   cross-commit regression flags built from committed run records and
-//!   `BENCH_*.json` wall-clock history.
+//!   cross-commit regression flags built from committed run records.
 
 pub mod registry;
 pub mod report;
 
-pub use registry::{EngineRegistry, EngineSpec, ALL_PROCESSES};
-pub use report::{BenchSummary, Regression, Report, ReportFormat};
+pub use registry::{EngineRegistry, EngineSpec};
+pub use report::{Regression, Report, ReportFormat};

@@ -12,12 +12,6 @@ use dipbench::prelude::*;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-/// The benchmark's full process set, P01–P15.
-pub const ALL_PROCESSES: [&str; 15] = [
-    "P01", "P02", "P03", "P04", "P05", "P06", "P07", "P08", "P09", "P10", "P11", "P12", "P13",
-    "P14", "P15",
-];
-
 /// Everything the harness needs to know about one system under test.
 pub struct EngineSpec {
     pub kind: EngineKind,
@@ -34,13 +28,6 @@ pub struct EngineSpec {
     /// ack-before-effect delivery (the EAI broker) cannot give the
     /// byte-identity guarantee the gate checks.
     pub crash_capable: bool,
-    /// The process set the engine realizes (all engines cover P01–P15;
-    /// partial engines would list fewer and the client would refuse
-    /// mismatched deployments).
-    pub supported: &'static [&'static str],
-    /// Processes this engine maintains *incrementally* from change data
-    /// rather than by full refresh (empty for snapshot engines).
-    pub incremental: &'static [&'static str],
     /// Constructor over an environment's external world.
     pub build: fn(&BenchEnvironment) -> Arc<dyn IntegrationSystem>,
 }
@@ -97,8 +84,6 @@ impl EngineRegistry {
                     label: "federated-dbms",
                     description: "federated-DBMS reference implementation (default)",
                     crash_capable: true,
-                    supported: &ALL_PROCESSES,
-                    incremental: &[],
                     build: build_fed,
                 },
                 EngineSpec {
@@ -108,8 +93,6 @@ impl EngineRegistry {
                     label: "mtm-engine",
                     description: "native message-transformation-model engine",
                     crash_capable: true,
-                    supported: &ALL_PROCESSES,
-                    incremental: &[],
                     build: build_mtm,
                 },
                 EngineSpec {
@@ -119,8 +102,6 @@ impl EngineRegistry {
                     label: "federated-dbms (no optimizer)",
                     description: "federated engine with the relational optimizer disabled",
                     crash_capable: true,
-                    supported: &ALL_PROCESSES,
-                    incremental: &[],
                     build: build_fed_unopt,
                 },
                 EngineSpec {
@@ -130,8 +111,6 @@ impl EngineRegistry {
                     label: "eai-server",
                     description: "asynchronous EAI-broker-style engine",
                     crash_capable: false,
-                    supported: &ALL_PROCESSES,
-                    incremental: &[],
                     build: build_eai,
                 },
                 EngineSpec {
@@ -141,8 +120,6 @@ impl EngineRegistry {
                     label: "ivm-engine",
                     description: "incremental view maintenance over change-capture logs",
                     crash_capable: true,
-                    supported: &ALL_PROCESSES,
-                    incremental: &["P09", "P11", "P13", "P14"],
                     build: build_ivm,
                 },
             ],
@@ -191,18 +168,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resolves_tags_and_aliases() {
-        let reg = EngineRegistry::builtin();
-        assert_eq!(reg.resolve("fed").unwrap().kind, EngineKind::Federated);
-        assert_eq!(
-            reg.resolve("federated").unwrap().kind,
-            EngineKind::Federated
-        );
-        assert_eq!(reg.resolve("ivm").unwrap().kind, EngineKind::Ivm);
-        assert!(reg.resolve("nope").is_none());
-    }
-
-    #[test]
     fn every_kind_has_a_spec_and_tags_are_unique() {
         let reg = EngineRegistry::builtin();
         let mut tags: Vec<&str> = reg.specs().iter().map(|s| s.tag).collect();
@@ -211,7 +176,6 @@ mod tests {
         assert_eq!(tags.len(), reg.specs().len(), "duplicate engine tags");
         for spec in reg.specs() {
             assert_eq!(reg.spec_of(spec.kind).tag, spec.tag);
-            assert_eq!(spec.supported.len(), 15, "{} process set", spec.tag);
         }
     }
 
@@ -221,17 +185,5 @@ mod tests {
         assert_eq!(reg.usage_tags(), "fed|mtm|fed-unopt|eai|ivm");
         // eai acks before effect: excluded from the crash gate
         assert_eq!(reg.crash_usage_tags(), "fed|mtm|fed-unopt|ivm");
-    }
-
-    #[test]
-    fn ivm_is_the_only_incremental_engine() {
-        let reg = EngineRegistry::builtin();
-        for spec in reg.specs() {
-            if spec.tag == "ivm" {
-                assert_eq!(spec.incremental, &["P09", "P11", "P13", "P14"]);
-            } else {
-                assert!(spec.incremental.is_empty(), "{}", spec.tag);
-            }
-        }
     }
 }

@@ -1,12 +1,14 @@
-//! Harness helpers shared by the `dipbench` CLI and the criterion benches:
-//! engine construction, experiment execution, and the per-figure
-//! configurations of EXPERIMENTS.md.
+//! Harness helpers shared by the `dipbench` CLI, the criterion benches and
+//! the integration tests: engine construction, experiment execution, run
+//! records, the declared command table ([`cli`]) and gate table ([`gate`]).
 
 use dipbench::prelude::*;
 use dipbench::verify::{self, VerificationReport};
 use std::sync::Arc;
 
 pub mod barometer;
+pub mod cli;
+pub mod gate;
 
 use barometer::EngineRegistry;
 
@@ -72,49 +74,60 @@ pub fn run_experiment(kind: EngineKind, config: BenchConfig) -> ExperimentResult
     }
 }
 
-/// One overload cell: the harness run plus everything a determinism gate
-/// compares — verification, final table digests, and the drained
-/// deterministic counter set.
-pub struct OverloadExperiment {
-    pub run: dipbench::overload::OverloadRun,
-    pub verification: VerificationReport,
-    pub digests: std::collections::BTreeMap<String, u64>,
-    pub counters: Vec<(String, u64)>,
-}
-
-/// Run one overload cell (virtual-time admission simulation + real
-/// dispatch, see [`dipbench::overload`]) with counter tracing on.
-pub fn run_overload_experiment(
-    kind: EngineKind,
-    config: BenchConfig,
-    opts: &dipbench::overload::OverloadOptions,
-) -> OverloadExperiment {
-    dip_trace::enable();
-    let env = BenchEnvironment::new(config).expect("environment construction");
-    let system = build_system(kind, &env);
-    let run = dipbench::overload::run_overload(&env, system, opts).expect("overload run");
-    let verification = verify::verify_outcome(&env, &run.outcome).expect("verification phase");
-    let digests = digest_tables(&env.world).expect("table digests");
-    let _ = dip_trace::drain();
-    let mut counters = dip_trace::drain_counters();
-    dip_trace::disable();
-    counters.sort();
-    OverloadExperiment {
-        run,
-        verification,
-        digests,
-        counters,
+/// The versioned run record of an outcome: identity, per-process stats and
+/// the wall clock. Timestamp, commit, span rollups, counters and cells are
+/// the caller's to fill (`dipbench record` does).
+pub fn run_record(kind: EngineKind, out: &RunOutcome) -> dip_trace::RunRecord {
+    let scale = out.config.scale;
+    dip_trace::RunRecord {
+        schema_version: dip_trace::SCHEMA_VERSION,
+        created_unix: 0,
+        commit: String::new(),
+        engine: kind.tag().to_string(),
+        // One executor, so the label is fixed per engine: it keeps the
+        // committed `*+vectorized` barometer cells going, and `fed-unopt`
+        // runs its local queries through the reference interpreter.
+        exec_mode: match kind {
+            EngineKind::FederatedUnoptimized => "oracle",
+            _ => "vectorized",
+        }
+        .to_string(),
+        datasize: scale.datasize,
+        time: scale.time,
+        distribution: scale.distribution.label().to_string(),
+        periods: out.config.periods as u64,
+        wall_ms: out.wall_time.as_secs_f64() * 1000.0,
+        processes: (out.metrics.iter())
+            .map(|m| dip_trace::ProcessStats {
+                process: m.process.clone(),
+                instances: m.instances as u64,
+                failures: m.failures as u64,
+                navg_tu: m.navg_tu,
+                stddev_tu: m.stddev_tu,
+                navg_plus_tu: m.navg_plus_tu,
+                comm_tu: m.comm_tu,
+                mgmt_tu: m.mgmt_tu,
+                proc_tu: m.proc_tu,
+            })
+            .collect(),
+        rollups: Vec::new(),
+        counters: Vec::new(),
+        cells: Vec::new(),
     }
 }
 
-/// The paper's Fig. 10 configuration (d = 0.05, t = 1.0, uniform).
-pub fn fig10_config(periods: u32) -> BenchConfig {
-    BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(periods)
-}
-
-/// The paper's Fig. 11 configuration (d = 0.1, t = 1.0, uniform).
-pub fn fig11_config(periods: u32) -> BenchConfig {
-    BenchConfig::new(ScaleFactors::paper_fig11()).with_periods(periods)
+/// [`run_record`] with every wall-clock field pinned to zero — those are
+/// real durations, compared by `dipbench diff` with a tolerance, never
+/// bytewise. What remains is the schedule-determined payload: which
+/// process types ran, how many instances each dispatched, how many failed.
+pub fn pinned_record(kind: EngineKind, out: &RunOutcome) -> dip_trace::RunRecord {
+    let mut rec = run_record(kind, out);
+    rec.wall_ms = 0.0;
+    for p in &mut rec.processes {
+        (p.navg_tu, p.stddev_tu, p.navg_plus_tu) = (0.0, 0.0, 0.0);
+        (p.comm_tu, p.mgmt_tu, p.proc_tu) = (0.0, 0.0, 0.0);
+    }
+    rec
 }
 
 /// Qualitative shape checks on a Fig. 10/11-style outcome — the

@@ -1,341 +1,102 @@
 //! The `dipbench` CLI harness — regenerates every table and figure of the
-//! paper (see EXPERIMENTS.md for the index).
+//! paper (see EXPERIMENTS.md for the index), keeps the barometer, and walks
+//! the robustness gates.
 //!
-//! ```text
-//! dipbench table1                         # paper Table I
-//! dipbench table2 [--d 0.05]              # paper Table II
-//! dipbench fig8                           # paper Fig. 8 data series
-//! dipbench fig10 [--periods 3] [--engine TAG] [--trace f.json]
-//! dipbench fig11 [--periods 3] [--engine ...] [--trace f.json]
-//! dipbench run --d 0.05 --t 1.0 --f uniform [--periods 3] [--engine ...] [--workers N]
-//! dipbench compare [--periods 2]          # fed vs mtm, same configuration
-//! dipbench sweep d|t|f [--periods 1]      # scale-factor sweeps
-//! dipbench quality [--periods 1]          # data-quality profile per layer
-//! dipbench explain [P01..P15]             # narrate process definitions
-//! dipbench record [--d X --t X --f F --periods N --engine E] [--out f.json]
-//! dipbench bench [--iterations N | --quick] [--check BENCH_7.json [--threshold 0.2]]
-//! dipbench bench --scaling [--iterations N | --quick]   # 1/2/4/8-worker curve → BENCH_5.json
-//! dipbench report [--records DIR] [--format md|text] [--out FILE] [--check]
-//! dipbench diff <baseline.json> <candidate.json> [--threshold 0.15]
-//! dipbench faults [--seed 7 --drop 0.05 --attempts 4 | --sweep] [--engine ...] [--workers N]
-//! dipbench crash [--seed 7] [--at STEP --process P09 | --sweep] [--no-rollback] [--workers N]
-//! dipbench overload [--rate 2.0] [--f zipf10] [--policy shed] [--capacity 8] [--check | --sweep [--out f.json]]
-//! ```
-//!
-//! Engine tags (`--engine`) resolve through the barometer's
-//! [`EngineRegistry`] — `dipbench help` lists what is registered.
+//! The commands, their flags, defaults and ranges are declared once, in
+//! [`dip_bench::cli::COMMANDS`]; parsing, rejection of unknown flags and
+//! out-of-range values (exit 2) and every help text derive from that
+//! table. `dipbench help` prints it; `dipbench help <command>` explains
+//! one command's flags. Engine tags resolve through the barometer's
+//! [`EngineRegistry`], gate names through [`dip_bench::gate::GATES`].
 
 use dip_bench::barometer::{self, EngineRegistry, ReportFormat};
-use dip_bench::{build_system, run_experiment, shape_findings, EngineKind};
-use dip_trace::{DiffOptions, Json, ProcessStats, RunRecord, SCHEMA_VERSION};
+use dip_bench::cli::{self, Parsed, *};
+use dip_bench::gate::{self, CellRun, Check, Detail, Load};
+use dip_bench::{run_experiment, run_record, shape_findings, EngineKind};
+use dip_trace::{DiffOptions, Json, RunRecord};
 use dipbench::prelude::*;
 use dipbench::report;
+use std::path::{Path, PathBuf};
+use Distribution::{Normal, Uniform, Zipf10, Zipf5};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    reject_unknown_flags(cmd, &args);
-    match cmd {
+    let p = &cli::parse(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    match p.command.name {
         "table1" => print!("{}", report::table1()),
-        "table2" => {
-            let d = flag_f64(&args, "--d").unwrap_or(0.05);
-            print!("{}", report::table2(d));
-        }
+        "table2" => print!("{}", report::table2(p.get(D))),
         "fig8" => {
-            print!(
-                "{}",
-                report::fig8_dat(&[0.05, 0.1, 0.5, 1.0], &[0.5, 1.0, 2.0], 100, 20)
-            );
+            let series = report::fig8_dat(&[0.05, 0.1, 0.5, 1.0], &[0.5, 1.0, 2.0], 100, 20);
+            print!("{series}");
         }
-        "fig10" => figure(&args, ScaleFactors::paper_fig10()),
-        "fig11" => figure(&args, ScaleFactors::paper_fig11()),
-        "run" => figure(&args, scale_from_flags(&args)),
-        "compare" => compare(&args),
-        "sweep" => sweep(&args),
-        "quality" => quality(&args),
-        "record" => record(&args),
-        "bench" => bench(&args),
-        "report" => report_cmd(&args),
-        "diff" => diff_records(&args),
-        "faults" => faults(&args),
-        "crash" => crash(&args),
-        "overload" => overload(&args),
-        "explain" => {
-            let target = args.get(1).map(String::as_str).unwrap_or("");
-            let defs = dipbench::processes::all_processes();
-            let mut shown = false;
-            for def in &defs {
-                if target.is_empty() || def.id.eq_ignore_ascii_case(target) {
-                    print!("{}", def.explain());
-                    println!();
-                    shown = true;
-                }
+        "fig10" => figure(p, ScaleFactors::paper_fig10()),
+        "fig11" => figure(p, ScaleFactors::paper_fig11()),
+        "run" => figure(p, p.scale()),
+        "compare" => compare(p),
+        "sweep" => sweep(p),
+        "quality" => quality(p),
+        "record" => record(p),
+        "report" => report_cmd(p),
+        "diff" => diff_records(p),
+        "faults" => faults(p),
+        "crash" => crash(p),
+        "overload" => overload(p),
+        "gate" => gate_cmd(p),
+        "explain" => explain(p),
+        "help" => match p.positionals.first().map(|name| (name, cli::command(name))) {
+            None => print!("{}", cli::usage()),
+            Some((_, Some(cmd))) => print!("{}", cli::help(cmd)),
+            Some((name, None)) => {
+                fail_usage(&format!("unknown command {name:?}\n\n{}", cli::usage()))
             }
-            if !shown {
-                eprintln!("unknown process {target:?} (use P01..P15 or no argument for all)");
-                std::process::exit(2);
-            }
-        }
-        _ => {
-            let registry = EngineRegistry::builtin();
-            let mut engines = String::new();
-            for spec in registry.specs() {
-                engines.push_str(&format!(
-                    "                   {:<10} {}\n",
-                    spec.tag, spec.description
-                ));
-            }
-            eprintln!(
-                "usage: dipbench <table1|table2|fig8|fig10|fig11|run|compare|sweep|quality|record|bench|report|diff|faults|crash|overload|explain> [options]\n\
-                 \n\
-                 commands:\n\
-                   table1 table2 fig8 fig10 fig11   regenerate paper tables/figures\n\
-                   run                              one experiment at explicit scale factors\n\
-                   compare                          fed vs mtm at the Fig. 10 configuration\n\
-                   sweep d|t|f                      scale-factor sweeps\n\
-                   quality                          data-quality profile per pipeline layer\n\
-                   record                           run and write a versioned run record JSON\n\
-                   bench                            wall-clock gate: N runs over one cached environment, writes BENCH_7.json\n\
-                   report                           cross-engine/cross-commit tables from committed records (exit 1 with --check on regression)\n\
-                   diff <baseline> <candidate>      compare two run records (exit 1 on regression)\n\
-                   faults                           seeded chaos runs (exit 1 on verify/determinism failure)\n\
-                   crash                            crash-restart recovery gate (exit 1 if recovery diverges)\n\
-                   overload                         open-loop overload harness: rate x skew cells, admission policies (exit 1 on violation)\n\
-                   explain [P01..P15]               narrate process definitions\n\
-                 \n\
-                 engines (--engine {}):\n\
-                 {}\
-                 \n\
-                 options: --periods N  --engine TAG  --d X  --t X  --workers N\n\
-                          --f uniform|zipf5|zipf10|normal  --trace FILE  --out FILE|DIR\n\
-                          --scaling  (bench only: 1/2/4/8-worker curve into BENCH_5.json)\n\
-                          --threshold X  --min-delta X  (diff only)\n\
-                          --records DIR  --bench-dir DIR  --format md|text  --check  (report only)\n\
-                          --seed N  --drop X  --timeout X  --attempts N  --sweep  (faults only)\n\
-                          --at STEP  --process Pxx  --seq N  --no-rollback  (crash only)\n\
-                          --rate X  --policy block|shed|degrade  --capacity N  (overload only)",
-                registry.usage_tags(),
-                engines
-            );
-            std::process::exit(2);
-        }
+        },
+        declared => unreachable!("`{declared}` is in COMMANDS but has no body"),
     }
 }
 
-/// Print a usage error and exit with the conventional CLI-misuse code.
+/// Report misuse the flag table cannot express and exit 2.
 fn fail_usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-/// The `exec_mode` field of a new record. There is one executor, so the
-/// value is fixed per engine: it keeps the committed `*+vectorized`
-/// barometer cells going, and `fed-unopt` runs its local queries through
-/// the reference interpreter.
-fn executor_label(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::FederatedUnoptimized => "oracle",
-        _ => "vectorized",
+/// Report a failed run or an I/O failure and exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
+fn write_file(path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(&format!("cannot write {}: {e}", path.display()));
     }
 }
 
-/// The flags each subcommand accepts. Any other `--flag` is a hard usage
-/// error (exit 2): a mistyped or unsupported flag would otherwise be
-/// silently ignored and the run would measure something other than what
-/// was asked for.
-fn reject_unknown_flags(cmd: &str, args: &[String]) {
-    let allowed: &[&str] = match cmd {
-        "table1" | "fig8" | "explain" => &[],
-        "table2" => &["--d"],
-        "fig10" | "fig11" => &["--periods", "--engine", "--trace", "--out", "--workers"],
-        "run" => &[
-            "--d",
-            "--t",
-            "--f",
-            "--periods",
-            "--engine",
-            "--trace",
-            "--out",
-            "--workers",
-        ],
-        "compare" => &["--periods"],
-        "sweep" => &["--periods", "--engine"],
-        "quality" => &["--periods", "--engine", "--d"],
-        "record" => &["--d", "--t", "--f", "--periods", "--engine", "--out"],
-        "bench" => &[
-            "--d",
-            "--t",
-            "--f",
-            "--periods",
-            "--engine",
-            "--iterations",
-            "--quick",
-            "--scaling",
-            "--check",
-            "--threshold",
-            "--out",
-            "--workers",
-        ],
-        "report" => &[
-            "--records",
-            "--bench-dir",
-            "--threshold",
-            "--format",
-            "--out",
-            "--check",
-        ],
-        "diff" => &["--threshold", "--min-delta"],
-        "faults" => &[
-            "--engine",
-            "--periods",
-            "--d",
-            "--seed",
-            "--drop",
-            "--timeout",
-            "--attempts",
-            "--sweep",
-            "--workers",
-        ],
-        "crash" => &[
-            "--engine",
-            "--d",
-            "--periods",
-            "--seed",
-            "--period",
-            "--seq",
-            "--at",
-            "--process",
-            "--sweep",
-            "--no-rollback",
-            "--drop",
-            "--workers",
-        ],
-        "overload" => &[
-            "--engine",
-            "--d",
-            "--periods",
-            "--seed",
-            "--rate",
-            "--f",
-            "--policy",
-            "--capacity",
-            "--check",
-            "--sweep",
-            "--out",
-        ],
-        _ => return, // unknown command — the help text handles it
-    };
-    for a in args.iter().skip(1).filter(|a| a.starts_with("--")) {
-        if !allowed.contains(&a.as_str()) {
-            if allowed.is_empty() {
-                fail_usage(&format!(
-                    "unknown flag {a} — `dipbench {cmd}` takes no flags"
-                ));
-            }
-            fail_usage(&format!(
-                "unknown flag {a} for `dipbench {cmd}` (valid: {})",
-                allowed.join(" ")
-            ));
-        }
+fn pass_fail(passed: bool) -> &'static str {
+    if passed {
+        "PASS"
+    } else {
+        "FAIL"
     }
 }
 
-/// `--workers N` (default 1): size of the schedule-execution worker pool.
-fn workers(args: &[String]) -> usize {
-    match flag_u32(args, "--workers") {
-        Some(0) => fail_usage("--workers must be at least 1"),
-        Some(n) => n as usize,
-        None => 1,
-    }
-}
-
-/// Look up a `--flag value` pair. A flag present without a value (end of
-/// argv or followed by another `--flag`) is a usage error.
-fn flag_str(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => fail_usage(&format!("flag {name} requires a value")),
-    }
-}
-
-fn flag_f64(args: &[String], name: &str) -> Option<f64> {
-    flag_str(args, name).map(|s| match s.parse::<f64>() {
-        Ok(v) if v.is_finite() => v,
-        _ => fail_usage(&format!("flag {name} expects a number, got {s:?}")),
-    })
-}
-
-fn flag_u32(args: &[String], name: &str) -> Option<u32> {
-    flag_str(args, name).map(|s| match s.parse::<u32>() {
-        Ok(v) => v,
-        Err(_) => fail_usage(&format!(
-            "flag {name} expects a non-negative integer, got {s:?}"
-        )),
-    })
-}
-
-fn flag_u64(args: &[String], name: &str) -> Option<u64> {
-    flag_str(args, name).map(|s| match s.parse::<u64>() {
-        Ok(v) => v,
-        Err(_) => fail_usage(&format!(
-            "flag {name} expects a non-negative integer, got {s:?}"
-        )),
-    })
-}
-
-fn parse_distribution(s: &str) -> Option<Distribution> {
-    match s {
-        "uniform" => Some(Distribution::Uniform),
-        "zipf5" => Some(Distribution::Zipf5),
-        "zipf10" => Some(Distribution::Zipf10),
-        "normal" => Some(Distribution::Normal),
-        _ => None,
-    }
-}
-
-fn scale_from_flags(args: &[String]) -> ScaleFactors {
-    let d = flag_f64(args, "--d").unwrap_or(0.05);
-    let t = flag_f64(args, "--t").unwrap_or(1.0);
-    let f = match flag_str(args, "--f") {
-        Some(s) => parse_distribution(&s).unwrap_or_else(|| {
-            fail_usage(&format!(
-                "unknown distribution {s:?} (use uniform|zipf5|zipf10|normal)"
-            ))
-        }),
-        None => Distribution::Uniform,
-    };
-    ScaleFactors::new(d, t, f)
-}
-
-fn engine(args: &[String]) -> EngineKind {
-    match flag_str(args, "--engine") {
-        Some(s) => EngineKind::parse(&s).unwrap_or_else(|| {
-            fail_usage(&format!(
-                "unknown engine {s:?} (use {})",
-                EngineRegistry::builtin().usage_tags()
-            ))
-        }),
-        None => EngineKind::Federated,
-    }
-}
-
-fn figure(args: &[String], scale: ScaleFactors) {
-    let periods = flag_u32(args, "--periods").unwrap_or(3);
-    let kind = engine(args);
-    let trace_out = flag_str(args, "--trace");
-    let w = workers(args);
+fn figure(p: &Parsed, scale: ScaleFactors) {
+    let (periods, workers): (u32, usize) = (p.get(PERIODS), p.get(WORKERS));
+    let kind = p.engine();
     let config = BenchConfig::new(scale)
         .with_periods(periods)
-        .with_workers(w);
+        .with_workers(workers);
     eprintln!(
-        "running DIPBench on {} (d={}, t={}, f={}, {} periods, {w} worker(s))…",
+        "running DIPBench on {} (d={}, t={}, f={}, {periods} periods, {workers} worker(s))…",
         kind.label(),
         scale.datasize,
         scale.time,
         scale.distribution.label(),
-        periods
     );
+    let trace_out: Option<PathBuf> = p.opt(TRACE);
     if trace_out.is_some() {
         dip_trace::enable();
     }
@@ -343,9 +104,8 @@ fn figure(args: &[String], scale: ScaleFactors) {
     if let Some(path) = &trace_out {
         let spans = dip_trace::drain();
         dip_trace::disable();
-        std::fs::write(path, dip_trace::to_chrome_trace(&spans))
-            .unwrap_or_else(|e| fail_usage(&format!("cannot write trace {path:?}: {e}")));
-        eprintln!("wrote {} spans to {path}", spans.len());
+        write_file(path, &dip_trace::to_chrome_trace(&spans));
+        eprintln!("wrote {} spans to {}", spans.len(), path.display());
     }
     print!("{}", report::metrics_table(&result.outcome));
     println!();
@@ -354,14 +114,7 @@ fn figure(args: &[String], scale: ScaleFactors) {
     println!("# gnuplot data");
     print!("{}", report::gnuplot_dat(&result.outcome.metrics));
     println!();
-    println!(
-        "verification: {}",
-        if result.verification.passed() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
+    println!("verification: {}", pass_fail(result.verification.passed()));
     for check in &result.verification.checks {
         println!(
             "  [{}] {:<40} {}",
@@ -377,12 +130,15 @@ fn figure(args: &[String], scale: ScaleFactors) {
             Err(m) => println!("  [??] {m}"),
         }
     }
-    if let Some(out) = flag_str(args, "--out") {
-        let dir = std::path::PathBuf::from(out);
-        let written = report::save_experiment(&dir, &result.outcome, &result.verification)
-            .expect("write report files");
-        for p in written {
-            eprintln!("wrote {}", p.display());
+    if let Some(dir) = p.opt::<PathBuf>(OUT_DIR) {
+        match report::save_experiment(&dir, &result.outcome, &result.verification) {
+            Ok(written) => written
+                .iter()
+                .for_each(|f| eprintln!("wrote {}", f.display())),
+            Err(e) => fail(&format!(
+                "cannot write report files to {}: {e}",
+                dir.display()
+            )),
         }
     }
     if !result.verification.passed() {
@@ -390,9 +146,8 @@ fn figure(args: &[String], scale: ScaleFactors) {
     }
 }
 
-fn compare(args: &[String]) {
-    let periods = flag_u32(args, "--periods").unwrap_or(2);
-    let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(periods);
+fn compare(p: &Parsed) {
+    let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(p.get(PERIODS));
     let fed = run_experiment(EngineKind::Federated, config);
     let mtm = run_experiment(EngineKind::Mtm, config);
     println!(
@@ -412,55 +167,29 @@ fn compare(args: &[String]) {
     }
     println!(
         "\nverification: fed={} mtm={}",
-        if fed.verification.passed() {
-            "PASS"
-        } else {
-            "FAIL"
-        },
-        if mtm.verification.passed() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        pass_fail(fed.verification.passed()),
+        pass_fail(mtm.verification.passed())
     );
 }
 
-fn sweep(args: &[String]) {
-    let periods = flag_u32(args, "--periods").unwrap_or(1);
-    let kind = engine(args);
-    let param = args.get(1).map(String::as_str).unwrap_or("d");
+fn sweep(p: &Parsed) {
+    let periods: u32 = p.get(PERIODS);
+    let kind = p.engine();
+    let param = p.positionals.first().map_or("d", String::as_str);
+    let uniform = |d, t| ScaleFactors::new(d, t, Uniform);
     let configs: Vec<(String, ScaleFactors)> = match param {
         "d" => [0.02, 0.05, 0.1, 0.2]
-            .iter()
-            .map(|&d| {
-                (
-                    format!("d={d}"),
-                    ScaleFactors::new(d, 1.0, Distribution::Uniform),
-                )
-            })
-            .collect(),
+            .map(|d| (format!("d={d}"), uniform(d, 1.0)))
+            .to_vec(),
         "t" => [0.5, 1.0, 2.0, 4.0]
-            .iter()
-            .map(|&t| {
-                (
-                    format!("t={t}"),
-                    ScaleFactors::new(0.05, t, Distribution::Uniform),
-                )
-            })
-            .collect(),
-        "f" => [
-            Distribution::Uniform,
-            Distribution::Zipf5,
-            Distribution::Zipf10,
-            Distribution::Normal,
-        ]
-        .iter()
-        .map(|&f| (format!("f={}", f.label()), ScaleFactors::new(0.05, 1.0, f)))
-        .collect(),
-        other => {
-            eprintln!("unknown sweep parameter {other:?} (use d, t or f)");
-            std::process::exit(2);
-        }
+            .map(|t| (format!("t={t}"), uniform(0.05, t)))
+            .to_vec(),
+        "f" => [Uniform, Zipf5, Zipf10, Normal]
+            .map(|f| (format!("f={}", f.label()), ScaleFactors::new(0.05, 1.0, f)))
+            .to_vec(),
+        other => fail_usage(&format!(
+            "unknown sweep parameter {other:?} (use d, t or f)"
+        )),
     };
     println!(
         "# sweep over {param} on {} ({periods} period(s) each)",
@@ -486,26 +215,19 @@ fn sweep(args: &[String]) {
             avg(&["P01", "P02", "P04", "P08", "P10"]),
             avg(&["P03", "P09", "P11", "P12", "P13", "P14", "P15"]),
             result.outcome.wall_time.as_millis(),
-            if result.verification.passed() {
-                "PASS"
-            } else {
-                "FAIL"
-            }
+            pass_fail(result.verification.passed())
         );
     }
 }
 
 /// The data-quality extension (paper §VII future work): run a benchmark
 /// and profile completeness/consistency/retention per pipeline layer.
-fn quality(args: &[String]) {
-    let periods = flag_u32(args, "--periods").unwrap_or(1);
-    let kind = engine(args);
-    let d = flag_f64(args, "--d").unwrap_or(0.05);
-    let config =
-        BenchConfig::new(ScaleFactors::new(d, 1.0, Distribution::Uniform)).with_periods(periods);
-    let env = dipbench::env::BenchEnvironment::new(config).expect("environment");
-    let system = dip_bench::build_system(kind, &env);
-    let client = dipbench::client::Client::new(&env, system).expect("deploy");
+fn quality(p: &Parsed) {
+    let scale = ScaleFactors::new(p.get(D), 1.0, Uniform);
+    let config = BenchConfig::new(scale).with_periods(p.get(PERIODS));
+    let env = BenchEnvironment::new(config).expect("environment");
+    let system = dip_bench::build_system(p.engine(), &env);
+    let client = Client::new(&env, system).expect("deploy");
     client.run().expect("work phase");
     let q = dipbench::quality::measure(&env).expect("quality measurement");
     print!("{q}");
@@ -518,104 +240,73 @@ fn quality(args: &[String]) {
 /// The git commit this binary runs against ("unknown" outside a checkout).
 fn current_commit() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+        .args(["rev-parse", "HEAD"])
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .map(|o| {
+            String::from_utf8_lossy(&o.stdout)
+                .trim()
+                .chars()
+                .take(12)
+                .collect()
+        })
         .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Run one experiment with tracing on and write a versioned run record.
-fn record(args: &[String]) {
-    let scale = scale_from_flags(args);
-    let periods = flag_u32(args, "--periods").unwrap_or(1);
-    let kind = engine(args);
-    let config = BenchConfig::new(scale).with_periods(periods);
+fn record(p: &Parsed) {
+    let scale = p.scale();
+    let periods: u32 = p.get(PERIODS);
+    let kind = p.engine();
     eprintln!(
-        "recording {} (d={}, t={}, f={}, {} periods)…",
+        "recording {} (d={}, t={}, f={}, {periods} periods)…",
         kind.label(),
         scale.datasize,
         scale.time,
         scale.distribution.label(),
-        periods
     );
     let _ = dip_relstore::alloc::drain(); // totals should cover this run only
     dip_trace::enable();
-    let result = run_experiment(kind, config);
+    let result = run_experiment(kind, BenchConfig::new(scale).with_periods(periods));
     let spans = dip_trace::drain();
     for (name, n) in dip_relstore::alloc::drain() {
         dip_trace::count(name, n);
     }
     let counters = dip_trace::drain_counters();
     dip_trace::disable();
-    let created_unix = std::time::SystemTime::now()
+    let mut rec = run_record(kind, &result.outcome);
+    rec.created_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let wall_ms = result.outcome.wall_time.as_secs_f64() * 1000.0;
+    rec.commit = current_commit();
     let rows_inserted = counters
         .iter()
         .find(|(k, _)| k == "relstore.alloc.rows_inserted")
-        .map(|(_, n)| *n)
-        .unwrap_or(0);
-    let rows_per_sec = rows_inserted as f64 / (wall_ms / 1000.0).max(1e-9);
-    let mut rec = RunRecord {
-        schema_version: SCHEMA_VERSION,
-        created_unix,
-        commit: current_commit(),
-        engine: kind.tag().to_string(),
-        exec_mode: executor_label(kind).to_string(),
-        datasize: scale.datasize,
-        time: scale.time,
-        distribution: scale.distribution.label().to_string(),
-        periods: periods as u64,
-        wall_ms,
-        processes: result
-            .outcome
-            .metrics
-            .iter()
-            .map(|m| ProcessStats {
-                process: m.process.clone(),
-                instances: m.instances as u64,
-                failures: m.failures as u64,
-                navg_tu: m.navg_tu,
-                stddev_tu: m.stddev_tu,
-                navg_plus_tu: m.navg_plus_tu,
-                comm_tu: m.comm_tu,
-                mgmt_tu: m.mgmt_tu,
-                proc_tu: m.proc_tu,
-            })
-            .collect(),
-        rollups: RunRecord::rollup_spans(&spans),
-        counters,
-        cells: Vec::new(),
-    };
+        .map_or(0, |(_, n)| *n);
+    let rows_per_sec = rows_inserted as f64 / (rec.wall_ms / 1000.0).max(1e-9);
+    rec.rollups = RunRecord::rollup_spans(&spans);
+    rec.counters = counters;
     rec.cells = rec.derive_cells(rows_per_sec);
-    let path = match flag_str(args, "--out") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::PathBuf::from(format!(
+    let path = p.opt(OUT).unwrap_or_else(|| {
+        // suffixed like the committed `*-vectorized.json` records, so the
+        // bare-named pre-PR-12 history is never clobbered
+        PathBuf::from(format!(
             "results/records/{}-d{}-t{}-{}-{}.json",
             kind.tag(),
             scale.datasize,
             scale.time,
-            match scale.distribution {
-                Distribution::Uniform => "uniform",
-                Distribution::Zipf5 => "zipf5",
-                Distribution::Zipf10 => "zipf10",
-                Distribution::Normal => "normal",
-            },
-            // suffixed like the committed `*-vectorized.json` records, so
-            // the bare-named pre-PR-12 history is never clobbered
-            executor_label(kind)
-        )),
-    };
+            cli::distribution_word(scale.distribution),
+            rec.exec_mode
+        ))
+    });
     if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail_usage(&format!("cannot create {}: {e}", dir.display())));
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            fail(&format!("cannot create {}: {e}", dir.display()));
+        }
     }
-    std::fs::write(&path, rec.render())
-        .unwrap_or_else(|e| fail_usage(&format!("cannot write {}: {e}", path.display())));
+    write_file(&path, &rec.render());
     eprintln!(
         "wrote {} ({} process types, {} span rollups, {} raw spans)",
         path.display(),
@@ -624,568 +315,37 @@ fn record(args: &[String]) {
         spans.len()
     );
     if !result.verification.passed() {
-        eprintln!("warning: verification FAILED for the recorded run");
-        std::process::exit(1);
+        fail("verification FAILED for the recorded run");
     }
-}
-
-/// Wall times [ms] of `dipbench record --d 0.05 --t 1.0 --f uniform
-/// --engine fed --periods 3` on the pre-optimization `main` (commit
-/// 4f0b975), measured on the development container. Only the *last-resort*
-/// baseline: `bench` prefers the newest committed `BENCH_*.json` (see
-/// [`resolve_baseline`]), so the reported improvement tracks the actual
-/// commit history instead of one frozen machine measurement.
-const PRE_PR_WALL_MS: [f64; 3] = [251.3, 226.5, 194.9];
-
-/// The reference the bench gate reports improvements against:
-/// `(wall_ms history, mean, min, source description)`.
-///
-/// Resolution order: the newest committed `BENCH_*.json` in the working
-/// directory (highest numeric suffix) whose `wall_ms`/`stats` parse —
-/// matched to the same engine and datasize when possible — then the
-/// embedded [`PRE_PR_WALL_MS`] literal as last resort.
-fn resolve_baseline(engine_tag: &str, datasize: f64) -> (Vec<f64>, f64, f64, String) {
-    let mut candidates: Vec<(u64, String)> = Vec::new();
-    if let Ok(rd) = std::fs::read_dir(".") {
-        for entry in rd.filter_map(|e| e.ok()) {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(suffix) = name
-                .strip_prefix("BENCH_")
-                .and_then(|s| s.strip_suffix(".json"))
-            {
-                if let Ok(order) = suffix.parse::<u64>() {
-                    candidates.push((order, name));
-                }
-            }
-        }
-    }
-    // newest first; prefer a matching (engine, datasize) cell, else any
-    candidates.sort_by(|a, b| b.cmp(a));
-    for require_match in [true, false] {
-        for (_, name) in &candidates {
-            let Ok(text) = std::fs::read_to_string(name) else {
-                continue;
-            };
-            let Ok(v) = Json::parse(&text) else { continue };
-            if require_match {
-                let same_engine = v.get("engine").and_then(Json::as_str) == Some(engine_tag);
-                let same_d = v
-                    .get("datasize")
-                    .and_then(Json::as_f64)
-                    .is_some_and(|d| (d - datasize).abs() < 1e-12);
-                if !(same_engine && same_d) {
-                    continue;
-                }
-            }
-            let stats = v.get("stats");
-            let (Some(warm_mean), Some(min)) = (
-                stats
-                    .and_then(|s| s.get("warm_mean"))
-                    .and_then(Json::as_f64),
-                stats.and_then(|s| s.get("min")).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            let walls: Vec<f64> = v
-                .get("wall_ms")
-                .and_then(Json::as_arr)
-                .map(|arr| arr.iter().filter_map(Json::as_f64).collect())
-                .unwrap_or_default();
-            let commit = v
-                .get("commit")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string();
-            return (
-                walls,
-                warm_mean,
-                min,
-                format!("committed {name} (commit {commit}, warm_mean/min stats)"),
-            );
-        }
-    }
-    let mean = PRE_PR_WALL_MS.iter().sum::<f64>() / PRE_PR_WALL_MS.len() as f64;
-    let min = PRE_PR_WALL_MS.iter().copied().fold(f64::INFINITY, f64::min);
-    (
-        PRE_PR_WALL_MS.to_vec(),
-        mean,
-        min,
-        "dipbench record --d 0.05 --t 1.0 --f uniform --engine fed --periods 3 \
-         on pre-optimization main (4f0b975); no committed BENCH_*.json found"
-            .to_string(),
-    )
-}
-
-/// `dipbench bench`: the wall-clock benchmark gate.
-///
-/// Builds ONE environment, then executes the full work phase
-/// `--iterations` times over it. The first iteration generates every
-/// period's source snapshot (cache misses); all later iterations replay
-/// the cached snapshots, so the warm iterations measure the steady-state
-/// row path without data-generation noise. Writes `BENCH_7.json` with
-/// per-iteration wall times, throughput, per-group NAVG+ and the
-/// allocation counters, next to the embedded pre-optimization baseline.
-///
-/// `--check <committed.json>` turns the run into a regression gate: it
-/// fails (exit 1) when the current warm mean exceeds the committed
-/// record's warm mean by more than `--threshold` (default 20%).
-fn bench(args: &[String]) {
-    let scale = scale_from_flags(args);
-    let periods = flag_u32(args, "--periods").unwrap_or(3);
-    let kind = engine(args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let iterations = flag_u32(args, "--iterations")
-        .unwrap_or(if quick { 3 } else { 8 })
-        .max(2) as usize;
-    if args.iter().any(|a| a == "--scaling") {
-        return bench_scaling(args, kind, scale, periods, iterations);
-    }
-    let w = workers(args);
-    let config = BenchConfig::new(scale)
-        .with_periods(periods)
-        .with_workers(w);
-    eprintln!(
-        "benchmarking {} (d={}, t={}, f={}, {} periods, {} iterations, {w} worker(s))…",
-        kind.label(),
-        scale.datasize,
-        scale.time,
-        scale.distribution.label(),
-        periods,
-        iterations
-    );
-
-    let _ = dip_relstore::alloc::drain();
-    dip_trace::enable();
-    let env = BenchEnvironment::new(config).expect("environment construction");
-    let mut walls_ms: Vec<f64> = Vec::with_capacity(iterations);
-    let mut last = None;
-    for i in 0..iterations {
-        let system = build_system(kind, &env);
-        let client = Client::new(&env, system).expect("deployment");
-        let outcome = client.run().expect("work phase");
-        let wall = outcome.wall_time.as_secs_f64() * 1000.0;
-        eprintln!("  iteration {}: {wall:.1} ms", i + 1);
-        walls_ms.push(wall);
-        last = Some(outcome);
-    }
-    let _ = dip_trace::drain(); // spans are not part of the bench record
-    for (name, n) in dip_relstore::alloc::drain() {
-        dip_trace::count(name, n);
-    }
-    let counters = dip_trace::drain_counters();
-    dip_trace::disable();
-    let outcome = last.expect("at least one iteration");
-
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let median = |xs: &[f64]| {
-        let mut s = xs.to_vec();
-        s.sort_by(|a, b| a.total_cmp(b));
-        if s.len() % 2 == 1 {
-            s[s.len() / 2]
-        } else {
-            (s[s.len() / 2 - 1] + s[s.len() / 2]) / 2.0
-        }
-    };
-    // iteration 1 pays snapshot generation; the warm tail is the gate
-    let warm = &walls_ms[1..];
-    let warm_mean = mean(warm);
-    let (base_walls, base_mean, base_min, base_source) =
-        resolve_baseline(kind.tag(), scale.datasize);
-    let improvement_mean = (base_mean - warm_mean) / base_mean;
-    let improvement_min = (base_min - min(&walls_ms)) / base_min;
-
-    let rows_inserted = counters
-        .iter()
-        .find(|(k, _)| k == "relstore.alloc.rows_inserted")
-        .map(|(_, n)| *n)
-        .unwrap_or(0);
-    let total_secs = walls_ms.iter().sum::<f64>() / 1000.0;
-    let rows_per_sec = rows_inserted as f64 / total_secs.max(1e-9);
-
-    const E1: [&str; 5] = ["P01", "P02", "P04", "P08", "P10"];
-    let group_avg = |want_e1: bool| {
-        let vals: Vec<f64> = outcome
-            .metrics
-            .iter()
-            .filter(|m| E1.contains(&m.process.as_str()) == want_e1)
-            .map(|m| m.navg_plus_tu)
-            .collect();
-        mean(&vals)
-    };
-
-    let record = Json::obj(vec![
-        ("schema_version", Json::num(SCHEMA_VERSION as f64)),
-        ("kind", Json::str("bench")),
-        ("commit", Json::str(current_commit())),
-        ("engine", Json::str(kind.tag())),
-        ("exec_mode", Json::str(executor_label(kind))),
-        ("datasize", Json::num(scale.datasize)),
-        ("time", Json::num(scale.time)),
-        ("distribution", Json::str(scale.distribution.label())),
-        ("periods", Json::num(periods as f64)),
-        ("iterations", Json::num(iterations as f64)),
-        (
-            "wall_ms",
-            Json::Arr(walls_ms.iter().map(|&w| Json::num(w)).collect()),
-        ),
-        (
-            "stats",
-            Json::obj(vec![
-                ("min", Json::num(min(&walls_ms))),
-                ("mean", Json::num(mean(&walls_ms))),
-                ("median", Json::num(median(&walls_ms))),
-                ("first", Json::num(walls_ms[0])),
-                ("warm_mean", Json::num(warm_mean)),
-                ("warm_median", Json::num(median(warm))),
-            ]),
-        ),
-        (
-            "baseline",
-            Json::obj(vec![
-                (
-                    "wall_ms",
-                    Json::Arr(base_walls.iter().map(|&w| Json::num(w)).collect()),
-                ),
-                ("mean", Json::num(base_mean)),
-                ("min", Json::num(base_min)),
-                ("source", Json::str(base_source.clone())),
-            ]),
-        ),
-        (
-            "improvement",
-            Json::obj(vec![
-                ("warm_mean_vs_baseline_mean", Json::num(improvement_mean)),
-                ("min_vs_baseline_min", Json::num(improvement_min)),
-            ]),
-        ),
-        ("rows_inserted", Json::num(rows_inserted as f64)),
-        ("rows_per_sec", Json::num(rows_per_sec)),
-        (
-            "navg_plus_tu",
-            Json::obj(vec![
-                ("e1_messages", Json::num(group_avg(true))),
-                ("e2_data_intensive", Json::num(group_avg(false))),
-                (
-                    "processes",
-                    Json::Obj(
-                        outcome
-                            .metrics
-                            .iter()
-                            .map(|m| (m.process.clone(), Json::num(m.navg_plus_tu)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "counters",
-            Json::Obj(
-                counters
-                    .iter()
-                    .map(|(k, n)| (k.clone(), Json::num(*n as f64)))
-                    .collect(),
-            ),
-        ),
-    ]);
-
-    let out = flag_str(args, "--out").unwrap_or_else(|| "BENCH_7.json".to_string());
-    let check_path = flag_str(args, "--check");
-    // in gate mode, do not clobber the committed record we compare against
-    let write_out = check_path.as_deref() != Some(out.as_str());
-    if write_out {
-        std::fs::write(&out, record.render_pretty())
-            .unwrap_or_else(|e| fail_usage(&format!("cannot write {out}: {e}")));
-        eprintln!("wrote {out}");
-    }
-    println!(
-        "wall [ms]: min {:.1}  mean {:.1}  warm mean {:.1}  (baseline mean {:.1}, min {:.1})",
-        min(&walls_ms),
-        mean(&walls_ms),
-        warm_mean,
-        base_mean,
-        base_min
-    );
-    println!("baseline: {base_source}");
-    println!(
-        "improvement: {:.1}% warm-mean vs baseline-mean, {:.1}% min vs baseline-min",
-        improvement_mean * 100.0,
-        improvement_min * 100.0
-    );
-    println!("throughput: {rows_per_sec:.0} rows/s inserted ({rows_inserted} rows total)");
-
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail_usage(&format!("cannot read committed record {path}: {e}")));
-        let committed = Json::parse(&text)
-            .unwrap_or_else(|e| fail_usage(&format!("cannot parse committed record {path}: {e}")));
-        let committed_warm = committed
-            .get("stats")
-            .and_then(|s| s.get("warm_mean"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| fail_usage(&format!("{path} has no stats.warm_mean")));
-        let threshold = flag_f64(args, "--threshold").unwrap_or(0.20);
-        let limit = committed_warm * (1.0 + threshold);
-        if warm_mean > limit {
-            eprintln!(
-                "REGRESSION: warm mean {warm_mean:.1} ms exceeds committed {committed_warm:.1} ms \
-                 by more than {:.0}% (limit {limit:.1} ms)",
-                threshold * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "gate: warm mean {warm_mean:.1} ms within {:.0}% of committed {committed_warm:.1} ms",
-            threshold * 100.0
-        );
-    }
-}
-
-/// `dipbench bench --scaling`: the worker-scaling variant of the gate.
-///
-/// Runs the identical workload at 1, 2, 4 and 8 schedule workers
-/// (`--iterations` runs per count, each count over a fresh environment so
-/// every count pays the same cache-miss first iteration and the warm tail
-/// is comparable), then:
-///
-/// - requires the final table digests of every worker count to be
-///   byte-identical to the 1-worker state (exit 1 on divergence — this is
-///   the CLI-level face of the determinism guarantee), and
-/// - writes the scaling curve to `BENCH_5.json` (override with `--out`)
-///   with one v2-style cell per worker count, next to 1-worker `stats`
-///   that stay comparable with the `BENCH_*.json` wall-clock history.
-///
-/// Speedups are reported against the measured 1-worker warm mean together
-/// with the machine's core count: on a single-core box the honest curve
-/// is flat, and the record says so rather than pretending otherwise.
-fn bench_scaling(
-    args: &[String],
-    kind: EngineKind,
-    scale: ScaleFactors,
-    periods: u32,
-    iterations: usize,
-) {
-    const COUNTS: [usize; 4] = [1, 2, 4, 8];
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!(
-        "worker-scaling benchmark on {} (d={}, t={}, f={}, {} periods, {} iterations per count, {cores} core(s))…",
-        kind.label(),
-        scale.datasize,
-        scale.time,
-        scale.distribution.label(),
-        periods,
-        iterations
-    );
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-
-    struct CountRun {
-        workers: usize,
-        warm_mean: f64,
-        rows_per_run: f64,
-        walls_ms: Vec<f64>,
-        navg_plus: f64,
-        instances: u64,
-    }
-    let mut runs: Vec<CountRun> = Vec::with_capacity(COUNTS.len());
-    let mut ref_digests: Option<std::collections::BTreeMap<String, u64>> = None;
-    for &w in &COUNTS {
-        let config = BenchConfig::new(scale)
-            .with_periods(periods)
-            .with_workers(w);
-        let _ = dip_relstore::alloc::drain();
-        let env = BenchEnvironment::new(config).expect("environment construction");
-        let mut walls_ms: Vec<f64> = Vec::with_capacity(iterations);
-        let mut last = None;
-        for i in 0..iterations {
-            let system = build_system(kind, &env);
-            let client = Client::new(&env, system).expect("deployment");
-            let outcome = client.run().expect("work phase");
-            let wall = outcome.wall_time.as_secs_f64() * 1000.0;
-            eprintln!("  workers {w}, iteration {}: {wall:.1} ms", i + 1);
-            walls_ms.push(wall);
-            last = Some(outcome);
-        }
-        let rows_inserted = dip_relstore::alloc::drain()
-            .iter()
-            .find(|(k, _)| *k == "relstore.alloc.rows_inserted")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        let digests = dipbench::recovery::digest_tables(&env.world).expect("digest");
-        match &ref_digests {
-            None => ref_digests = Some(digests),
-            Some(reference) => {
-                if *reference != digests {
-                    let diff: Vec<&String> = reference
-                        .iter()
-                        .filter(|(t, d)| digests.get(*t) != Some(d))
-                        .map(|(t, _)| t)
-                        .collect();
-                    eprintln!(
-                        "DIVERGENCE: workers={w} final state differs from the 1-worker run \
-                         (tables {diff:?}) — the determinism guarantee is broken"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        let outcome = last.expect("at least one iteration");
-        let navgs: Vec<f64> = outcome.metrics.iter().map(|m| m.navg_plus_tu).collect();
-        runs.push(CountRun {
-            workers: w,
-            warm_mean: mean(&walls_ms[1..]),
-            rows_per_run: rows_inserted as f64 / iterations as f64,
-            walls_ms,
-            navg_plus: mean(&navgs),
-            instances: outcome.metrics.iter().map(|m| m.instances as u64).sum(),
-        });
-    }
-
-    let base = runs.first().expect("at least one worker count");
-    let base_warm = base.warm_mean;
-    let rows_per_sec = |c: &CountRun| c.rows_per_run / (c.warm_mean / 1000.0).max(1e-9);
-    println!(
-        "# worker scaling on {} ({} core(s) available)",
-        kind.label(),
-        cores
-    );
-    println!(
-        "{:>7} {:>12} {:>9} {:>12} {:>10}",
-        "workers", "warm[ms]", "speedup", "rows/s", "navg+[tu]"
-    );
-    for c in &runs {
-        println!(
-            "{:>7} {:>12.1} {:>8.2}x {:>12.0} {:>10.2}",
-            c.workers,
-            c.warm_mean,
-            base_warm / c.warm_mean.max(1e-9),
-            rows_per_sec(c),
-            c.navg_plus
-        );
-    }
-    println!("all worker counts landed on byte-identical table digests");
-    if cores < *COUNTS.last().expect("non-empty") {
-        println!(
-            "note: only {cores} core(s) available — speedup is bounded by the hardware, \
-             not the scheduler; the curve demonstrates determinism, not parallel gain"
-        );
-    }
-
-    let scaling = Json::Arr(
-        runs.iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("workers", Json::num(c.workers as f64)),
-                    (
-                        "wall_ms",
-                        Json::Arr(c.walls_ms.iter().map(|&x| Json::num(x)).collect()),
-                    ),
-                    ("warm_mean", Json::num(c.warm_mean)),
-                    (
-                        "speedup_vs_1_worker",
-                        Json::num(base_warm / c.warm_mean.max(1e-9)),
-                    ),
-                    ("rows_per_sec", Json::num(rows_per_sec(c))),
-                ])
-            })
-            .collect(),
-    );
-    // v2-style record cells, one per worker count: a scaling cell spans
-    // every process (`ALL@wN`) because the run-level throughput is the
-    // quantity the worker pool can move.
-    let cells = Json::Arr(
-        runs.iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("group", Json::str("*")),
-                    ("process", Json::str(format!("ALL@w{}", c.workers))),
-                    ("engine", Json::str(kind.tag())),
-                    ("d", Json::num(scale.datasize)),
-                    ("t", Json::num(scale.time)),
-                    ("f", Json::str(scale.distribution.label())),
-                    ("instances", Json::num(c.instances as f64)),
-                    ("navg_plus_tu", Json::num(c.navg_plus)),
-                    ("rows_per_sec", Json::num(rows_per_sec(c))),
-                ])
-            })
-            .collect(),
-    );
-    let min1 = base.walls_ms.iter().copied().fold(f64::INFINITY, f64::min);
-    let record = Json::obj(vec![
-        ("schema_version", Json::num(SCHEMA_VERSION as f64)),
-        ("kind", Json::str("bench-scaling")),
-        ("commit", Json::str(current_commit())),
-        ("engine", Json::str(kind.tag())),
-        ("exec_mode", Json::str(executor_label(kind))),
-        ("datasize", Json::num(scale.datasize)),
-        ("time", Json::num(scale.time)),
-        ("distribution", Json::str(scale.distribution.label())),
-        ("periods", Json::num(periods as f64)),
-        ("iterations", Json::num(iterations as f64)),
-        ("cores", Json::num(cores as f64)),
-        // 1-worker numbers, shaped like every other BENCH_*.json so the
-        // barometer's wall-clock history reads this file too
-        (
-            "stats",
-            Json::obj(vec![
-                ("min", Json::num(min1)),
-                ("mean", Json::num(mean(&base.walls_ms))),
-                ("first", Json::num(base.walls_ms[0])),
-                ("warm_mean", Json::num(base_warm)),
-            ]),
-        ),
-        ("rows_per_sec", Json::num(rows_per_sec(base))),
-        ("digests_identical_across_worker_counts", Json::Bool(true)),
-        ("scaling", scaling),
-        ("cells", cells),
-    ]);
-    let out = flag_str(args, "--out").unwrap_or_else(|| "BENCH_5.json".to_string());
-    std::fs::write(&out, record.render_pretty())
-        .unwrap_or_else(|e| fail_usage(&format!("cannot write {out}: {e}")));
-    eprintln!("wrote {out}");
 }
 
 /// `dipbench report`: render the barometer — cross-engine NAVG+ tables and
-/// cross-commit regression flags — from the committed measurement history
-/// (`results/records/*.json` run records of any supported schema vintage
-/// plus `BENCH_*.json` wall-clock summaries). `--check` turns it into a
-/// gate: exit 1 when any cell regressed beyond `--threshold` (default 20%)
-/// against the best prior commit.
-fn report_cmd(args: &[String]) {
-    let records_dir = flag_str(args, "--records").unwrap_or_else(|| "results/records".to_string());
-    let bench_dir = flag_str(args, "--bench-dir").unwrap_or_else(|| ".".to_string());
-    let threshold = flag_f64(args, "--threshold").unwrap_or(0.20);
-    if threshold < 0.0 {
-        fail_usage("--threshold must be non-negative");
-    }
-    let format = match flag_str(args, "--format").as_deref() {
-        None | Some("md") | Some("markdown") => ReportFormat::Markdown,
-        Some("text") | Some("txt") => ReportFormat::Text,
-        Some(other) => fail_usage(&format!("unknown format {other:?} (use md|text)")),
+/// cross-commit regression flags — from the committed run records of any
+/// supported schema vintage. `--check` turns it into a gate: exit 1 when
+/// any cell regressed beyond the threshold against the best prior commit.
+fn report_cmd(p: &Parsed) {
+    let records_dir: PathBuf = p.get(RECORDS);
+    let threshold: f64 = p.get(THRESHOLD);
+    let format = match p.get::<String>(FORMAT).as_str() {
+        "md" => ReportFormat::Markdown,
+        _ => ReportFormat::Text,
     };
-    let check = args.iter().any(|a| a == "--check");
-    let (records, record_warnings) =
-        barometer::report::load_records_dir(std::path::Path::new(&records_dir));
-    let (benches, bench_warnings) =
-        barometer::report::load_bench_files(std::path::Path::new(&bench_dir));
-    if records.is_empty() && benches.is_empty() {
+    let (records, warnings) = barometer::report::load_records_dir(&records_dir);
+    if records.is_empty() {
         fail_usage(&format!(
-            "no run records in {records_dir:?} and no BENCH_*.json in {bench_dir:?} — nothing to report"
+            "no run records in {} — nothing to report",
+            records_dir.display()
         ));
     }
-    let mut rep = barometer::Report::build(&records, &benches, threshold);
-    for w in record_warnings.into_iter().chain(bench_warnings) {
-        rep.add_warning(w);
-    }
+    let mut rep = barometer::Report::build(&records, threshold);
+    warnings.into_iter().for_each(|w| rep.add_warning(w));
     let rendered = rep.render(format);
-    if let Some(out) = flag_str(args, "--out") {
-        std::fs::write(&out, &rendered)
-            .unwrap_or_else(|e| fail_usage(&format!("cannot write {out}: {e}")));
-        eprintln!("wrote {out}");
+    if let Some(out) = p.opt::<PathBuf>(OUT) {
+        write_file(&out, &rendered);
+        eprintln!("wrote {}", out.display());
     }
     print!("{rendered}");
-    if check && !rep.regressions().is_empty() {
+    if p.has(CHECK) && !rep.regressions().is_empty() {
         eprintln!(
             "REGRESSION: {} cell(s) beyond {:.0}% of the best prior commit",
             rep.regressions().len(),
@@ -1195,31 +355,65 @@ fn report_cmd(args: &[String]) {
     }
 }
 
-/// One fault-injected benchmark run with the resilience counters captured.
-struct ChaosRun {
-    result: dip_bench::ExperimentResult,
-    retries: u64,
-    breaker_opens: u64,
+fn load_record(path: &str) -> RunRecord {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail_usage(&format!("cannot read record {path:?}: {e}")));
+    RunRecord::parse(&text)
+        .unwrap_or_else(|e| fail_usage(&format!("cannot parse record {path:?}: {e}")))
 }
 
-fn chaos_run(kind: EngineKind, config: BenchConfig) -> ChaosRun {
-    dip_trace::enable();
-    let result = run_experiment(kind, config);
-    let _ = dip_trace::drain();
-    let counters = dip_trace::drain_counters();
-    dip_trace::disable();
-    let get = |name: &str| {
-        counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
+/// Compare two run records; exit 1 iff the candidate regressed.
+fn diff_records(p: &Parsed) {
+    let options = DiffOptions {
+        threshold: p.get(THRESHOLD),
+        min_delta_tu: p.get(MIN_DELTA),
     };
-    ChaosRun {
-        result,
-        retries: get("resilience.retries"),
-        breaker_opens: get("resilience.breaker_open"),
+    let baseline = load_record(&p.positionals[0]);
+    let candidate = load_record(&p.positionals[1]);
+    let report = dip_trace::diff(&baseline, &candidate, options);
+    print!("{}", report.render());
+    if report.has_regressions() {
+        std::process::exit(1);
     }
+}
+
+fn explain(p: &Parsed) {
+    let target = p.positionals.first().map_or("", String::as_str);
+    let mut shown = false;
+    for def in dipbench::processes::all_processes() {
+        if target.is_empty() || def.id.eq_ignore_ascii_case(target) {
+            println!("{}", def.explain());
+            shown = true;
+        }
+    }
+    if !shown {
+        fail_usage(&format!(
+            "unknown process {target:?} (use P01..P15 or no argument for all)"
+        ));
+    }
+}
+
+/// The same cell twice, judged `same-seed-twice`; divergences go to stderr.
+/// A cell that errors ends the exploratory command.
+fn twice(kind: EngineKind, config: BenchConfig, load: &Load) -> (CellRun, gate::Verdict) {
+    let cell = || gate::run_cell(kind, config, load).unwrap_or_else(|e| fail(&e.to_string()));
+    let (one, two) = (cell(), cell());
+    let verdict = gate::judge(
+        Check::SameSeedTwice,
+        &[one.fingerprint.clone(), two.fingerprint],
+    );
+    for note in &verdict.notes {
+        eprintln!("  [!!] same-seed runs diverged on {}: {note}", kind.tag());
+    }
+    for check in one.verification.failed_checks() {
+        eprintln!("  [!!] {:<40} {}", check.name, check.detail);
+    }
+    (one, verdict)
+}
+
+fn counter(run: &CellRun, name: &str) -> u64 {
+    let found = run.fingerprint.counters.iter().find(|(k, _)| k == name);
+    found.map_or(0, |(_, n)| *n)
 }
 
 /// Delivered (ok) E1 message instances across the whole run.
@@ -1238,104 +432,71 @@ fn mean_navg_plus(outcome: &RunOutcome) -> f64 {
     outcome.metrics.iter().map(|m| m.navg_plus_tu).sum::<f64>() / n
 }
 
-/// Seeded chaos runs: a clean reference run, then fault-injected runs —
-/// each executed twice to check the fault schedule is deterministic —
-/// reporting delivery outcomes and NAVG+ inflation. Exits 1 if any run
-/// fails verification or the two same-seed runs diverge.
-fn faults(args: &[String]) {
-    let kind = engine(args);
-    let periods = flag_u32(args, "--periods").unwrap_or(1);
-    let d = flag_f64(args, "--d").unwrap_or(0.05);
-    let seed = flag_u64(args, "--seed").unwrap_or(0xD1B);
-    let drop = flag_f64(args, "--drop").unwrap_or(0.05);
-    let timeout = flag_f64(args, "--timeout").unwrap_or(0.0);
-    let sweep = args.iter().any(|a| a == "--sweep");
-    if !(0.0..1.0).contains(&drop) || !(0.0..1.0).contains(&timeout) {
-        fail_usage("--drop and --timeout expect rates in [0, 1)");
-    }
-
-    let w = workers(args);
-    let base = BenchConfig::new(ScaleFactors::new(d, 1.0, Distribution::Uniform))
+/// Exploratory chaos runs: a clean reference run, then one fault-injected
+/// cell (or the drop × attempts sweep), each executed twice and compared
+/// through the gate fingerprint, reporting delivery outcomes and NAVG+
+/// inflation. Exits 1 if same-seed runs diverge or the single cell fails
+/// verification; the blocking CI cells are the `chaos-*` rows of `GATES`.
+fn faults(p: &Parsed) {
+    let kind = p.engine();
+    let (d, seed, periods): (f64, u64, u32) = (p.get(D), p.get(SEED), p.get(PERIODS));
+    let workers: usize = p.get(WORKERS);
+    let sweep = p.has(SWEEP);
+    let base = BenchConfig::new(ScaleFactors::new(d, 1.0, Uniform))
         .with_periods(periods)
         .with_seed(seed)
-        .with_workers(w);
+        .with_workers(workers);
     eprintln!(
-        "clean reference run on {} (d={d}, seed={seed}, {periods} period(s), {w} worker(s))…",
+        "clean reference run on {} (d={d}, seed={seed}, {periods} period(s), {workers} worker(s))…",
         kind.label()
     );
     let clean = run_experiment(kind, base);
     let clean_navg = mean_navg_plus(&clean.outcome);
-    let clean_delivered = delivered_messages(&clean.outcome);
     let mut all_ok = clean.verification.passed();
     if !all_ok {
         eprintln!("clean run FAILED verification:\n{}", clean.verification);
     }
-
     let cells: Vec<(f64, u32)> = if sweep {
         [0.01, 0.02, 0.05, 0.1]
             .iter()
             .flat_map(|&r| [1u32, 2, 4, 8].iter().map(move |&a| (r, a)))
             .collect()
     } else {
-        vec![(
-            drop,
-            flag_u32(args, "--attempts").unwrap_or(ResiliencePolicy::DEFAULT.max_attempts),
-        )]
+        vec![(p.get(DROP), p.get(ATTEMPTS))]
     };
-
-    println!("# chaos runs on {} (clean NAVG+ mean {clean_navg:.2} tu, {clean_delivered} messages delivered)", kind.label());
     println!(
-        "{:<7} {:>8} {:>10} {:>6} {:>8} {:>8} {:>10} {:>10} {:>7} {:>13}",
-        "drop",
-        "attempts",
-        "delivered",
-        "dead",
-        "retries",
-        "breaker",
-        "navg+[tu]",
-        "inflation",
-        "verify",
-        "deterministic"
+        "# chaos runs on {} (clean NAVG+ mean {clean_navg:.2} tu, {} messages delivered)",
+        kind.label(),
+        delivered_messages(&clean.outcome)
     );
+    println!("drop    attempts  delivered   dead  retries  breaker  navg+[tu]  inflation  verify deterministic");
     for (rate, attempts) in cells {
         let model = FaultModel {
             drop_rate: rate,
-            timeout_rate: timeout,
+            timeout_rate: p.get(TIMEOUT),
             ..FaultModel::NONE
         };
         let config = base
             .with_faults(FaultPlan { model })
             .with_resilience(ResiliencePolicy::DEFAULT.with_attempts(attempts));
-        let one = chaos_run(kind, config);
-        let two = chaos_run(kind, config);
-        let deterministic = one.result.outcome.dead_letters == two.result.outcome.dead_letters
-            && one.retries == two.retries;
-        let verified = one.result.verification.passed() && two.result.verification.passed();
-        let navg = mean_navg_plus(&one.result.outcome);
+        let (run, verdict) = twice(kind, config, &Load::Closed);
+        let verified = verdict.verified == verdict.cells;
+        let navg = mean_navg_plus(&run.outcome);
         println!(
             "{:<7} {:>8} {:>10} {:>6} {:>8} {:>8} {:>10.2} {:>9.2}x {:>7} {:>13}",
             rate,
             attempts,
-            delivered_messages(&one.result.outcome),
-            one.result.outcome.dead_letters.len(),
-            one.retries,
-            one.breaker_opens,
+            delivered_messages(&run.outcome),
+            run.outcome.dead_letters.len(),
+            counter(&run, "resilience.retries"),
+            counter(&run, "resilience.breaker_open"),
             navg,
             navg / clean_navg.max(1e-9),
-            if verified { "PASS" } else { "FAIL" },
-            if deterministic { "yes" } else { "NO" }
+            pass_fail(verified),
+            if verdict.diverged == 0 { "yes" } else { "NO" }
         );
         if !verified {
-            for check in one
-                .result
-                .verification
-                .failed_checks()
-                .iter()
-                .chain(two.result.verification.failed_checks().iter())
-            {
-                eprintln!("  [!!] {:<40} {}", check.name, check.detail);
-            }
-            for f in one.result.outcome.failures.iter().take(3) {
+            for f in run.outcome.failures.iter().take(3) {
                 eprintln!(
                     "  [!!] {} period {} seq {}: {}",
                     f.process, f.period, f.seq, f.error
@@ -1343,364 +504,136 @@ fn faults(args: &[String]) {
             }
         }
         // The sweep is exploratory: weak policies (attempts=1) are *meant*
-        // to lose messages and fail verification. Only the single-cell mode
-        // (the CI gate) fails on a verification miss; a non-deterministic
-        // fault schedule is fatal everywhere.
-        all_ok &= deterministic && (sweep || verified);
+        // to lose messages and fail verification. Only the single cell
+        // fails on a verification miss; a non-deterministic fault schedule
+        // is fatal everywhere.
+        all_ok &= verdict.diverged == 0 && (sweep || verified);
     }
     if !all_ok {
         std::process::exit(1);
     }
 }
 
-/// Crash-restart recovery gate. Arms a deterministic crash at
-/// materialization step `k` of a target instance, runs until the system
-/// dies, recovers from the durable checkpoint + stream journal on a fresh
-/// environment, and requires the recovered run to be byte-identical to an
-/// uncrashed same-seed reference (table digests + dead-letter queue) with
-/// E1 conservation passing. `--sweep` walks k = 0, 1, 2, … for every
-/// target process until the ordinal falls off the instance's last round
-/// trip, so every materialization boundary is exercised.
-///
-/// `--no-rollback` is the gate's self-test: it disables instance rollback
-/// *before* the crash, so the killed instance leaks partial writes into
-/// the checkpoint and replay duplicates them. In that mode the command
-/// exits 0 iff at least one swept step demonstrably diverges — proving
-/// the recovery guarantee actually rests on the atomicity layer.
-fn crash(args: &[String]) {
+/// Exploratory crash-restart recovery: arm a deterministic crash at one
+/// materialization step of a target instance (or sweep every step of
+/// every target), recover from the checkpoint + stream journal, and
+/// compare each recovered run with an uncrashed same-seed reference
+/// through the gate fingerprint. The blocking CI sweeps — and the
+/// rollback-off teeth check — are the `crash-*` rows of `GATES`.
+fn crash(p: &Parsed) {
+    let kind = p.engine();
     let registry = EngineRegistry::builtin();
-    let kind = match flag_str(args, "--engine") {
-        Some(s) => {
-            let spec = registry.resolve(&s).unwrap_or_else(|| {
-                fail_usage(&format!(
-                    "unknown engine {s:?} (use {})",
-                    registry.crash_usage_tags()
-                ))
-            });
-            if !spec.crash_capable {
-                fail_usage(&format!(
-                    "engine {:?} acks before effect and cannot give the byte-identity \
-                     guarantee the crash gate checks (use {})",
-                    spec.tag,
-                    registry.crash_usage_tags()
-                ));
-            }
-            spec.kind
-        }
-        None => EngineKind::Mtm,
-    };
-    let d = flag_f64(args, "--d").unwrap_or(0.02);
-    let periods = flag_u32(args, "--periods").unwrap_or(1);
-    let seed = flag_u64(args, "--seed").unwrap_or(0xD1B);
-    let period = flag_u32(args, "--period").unwrap_or(0);
-    let seq = flag_u32(args, "--seq").unwrap_or(0);
-    let at = flag_u32(args, "--at");
-    let sweep = args.iter().any(|a| a == "--sweep");
-    let no_rollback = args.iter().any(|a| a == "--no-rollback");
-    let drop = flag_f64(args, "--drop").unwrap_or(0.0);
-    if at.is_none() && !sweep {
-        fail_usage("crash requires --at STEP or --sweep");
+    if !registry.spec_of(kind).crash_capable {
+        fail_usage(&format!(
+            "engine {:?} acks before effect and cannot give the byte-identity \
+             guarantee the crash gate checks (use {})",
+            kind.tag(),
+            registry.crash_usage_tags()
+        ));
     }
-    if !(0.0..1.0).contains(&drop) {
-        fail_usage("--drop expects a rate in [0, 1)");
+    let at: Option<u32> = p.opt(AT);
+    if at.is_none() && !p.has(SWEEP) {
+        fail_usage(&format!(
+            "crash requires {} STEP or {}",
+            AT.name, SWEEP.name
+        ));
     }
-    let targets: Vec<String> = match flag_str(args, "--process") {
-        Some(p) => vec![p.to_uppercase()],
-        None => ["P02", "P05", "P09", "P13"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    };
-
-    let mut config = BenchConfig::new(ScaleFactors::new(d, 1.0, Distribution::Uniform))
-        .with_periods(periods)
+    let process = p.opt::<String>(PROCESS).map(|s| s.to_uppercase());
+    let targets = process
+        .as_deref()
+        .map_or(gate::CRASH_TARGETS.to_vec(), |one| vec![one]);
+    let (d, seed, drop): (f64, u64, f64) = (p.get(D), p.get(SEED), p.get(DROP));
+    let mut config = BenchConfig::new(ScaleFactors::new(d, 1.0, Uniform))
+        .with_periods(p.get(PERIODS))
         .with_seed(seed)
-        .with_workers(workers(args));
+        .with_workers(p.get(WORKERS));
     if drop > 0.0 {
         // extra chaos cell: transport drops on top of the crash. The
         // breaker stays disabled — its consecutive-failure count would
         // not survive the restart, and the gate demands bit-exact replay.
         config = config
-            .with_faults(FaultPlan {
-                model: FaultModel {
-                    drop_rate: drop,
-                    ..FaultModel::NONE
-                },
-            })
+            .with_faults(FaultPlan::drops(drop))
             .with_resilience(ResiliencePolicy {
                 breaker_threshold: 0,
                 ..ResiliencePolicy::DEFAULT
             });
     }
-
-    // Deterministic mid-write dead-letter: P04 seq 0 aborts at its third
-    // materialization step, in the reference run and every recovery run
-    // alike. The benchmark's data flows are replay-idempotent, so a
-    // *crashed* (replayed) instance can never expose missing rollback —
-    // but a dead-lettered instance is never replayed, and its partial
-    // writes stay out of the durable state only because the transaction
-    // layer rolled them back. With `--no-rollback` those writes leak into
-    // the checkpoint and the final digests demonstrably diverge.
-    dipbench::recovery::arm_abort("P04", period, 0, 2);
-
-    eprintln!(
-        "reference run on {} (d={d}, seed={seed}, {periods} period(s), drop={drop})…",
+    println!(
+        "# crash-restart recovery on {} (d={d}, seed={seed}, drop={drop})",
         kind.label()
     );
-    let (ref_outcome, ref_digests) = {
-        let env = BenchEnvironment::new(config).expect("environment construction");
-        let system = build_system(kind, &env);
-        let client = Client::new(&env, system).expect("deployment");
-        let outcome = client.run().expect("reference run");
-        let verification =
-            dipbench::verify::verify_outcome(&env, &outcome).expect("verification phase");
-        if !verification.passed() {
-            eprintln!("reference run FAILED verification:\n{verification}");
-            std::process::exit(1);
-        }
-        let digests = dipbench::recovery::digest_tables(&env.world).expect("digest");
-        (outcome, digests)
-    };
-
-    println!(
-        "# crash-restart recovery on {}{}",
-        kind.label(),
-        if no_rollback {
-            " (ROLLBACK DISABLED until the crash — divergence expected)"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "{:<8} {:>4} {:>8} {:>10} {:>8} {:>7} {:>7} {:>5}",
-        "process", "step", "tripped", "replayed", "ckpt[r]", "verify", "digest", "dlq"
-    );
-    let mut all_identical = true;
-    let mut divergence = false;
-    let mut any_tripped = false;
-    for process in &targets {
-        let steps: Box<dyn Iterator<Item = u32>> = match at {
-            Some(k) => Box::new(std::iter::once(k)),
-            None => Box::new(0u32..),
-        };
-        for step in steps {
-            let target = dipbench::recovery::CrashTarget {
-                process: process.clone(),
-                period,
-                seq,
-                step,
-            };
-            let run = match dipbench::recovery::run_with_crash(
-                config,
-                &|e| build_system(kind, e),
-                &target,
-                no_rollback,
-            ) {
-                Ok(run) => run,
-                Err(e) => {
-                    // leaked partial writes can make the replay itself
-                    // blow up (duplicate keys): with rollback off that IS
-                    // the expected divergence, otherwise it is a failure
-                    println!(
-                        "{:<8} {:>4} {:>8} {:>10} {:>8} {:>7} {:>7} {:>5}   recovery error: {e}",
-                        process, step, "yes", "-", "-", "ERROR", "-", "-"
-                    );
-                    divergence = true;
-                    all_identical = false;
-                    if at.is_some() {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            if !run.tripped {
+    println!("process  step  tripped   replayed  ckpt[r]  verify  vs uncrashed reference");
+    let instance = (p.get(PERIOD), p.get(SEQ));
+    let mut row = |target: &CrashTarget, reference: &gate::Fingerprint, cell: &_| {
+        print!("{:<8} {:>4} ", target.process, target.step);
+        match cell {
+            Err(e) => println!("{:>8}   recovery error: {e}", "yes"),
+            Ok(CellRun {
+                detail: Detail::Crash { tripped, .. },
+                ..
+            }) if !tripped => println!("{:>8}   (the instance has no such step)", "no"),
+            Ok(run) => {
+                let differs = run.fingerprint.diff(reference, false);
+                let versus = match differs.is_empty() {
+                    true => "same".to_string(),
+                    false => format!("DIFF: {}", differs.join(", ")),
+                };
+                let verify = pass_fail(run.fingerprint.verified);
+                let replayed = counter(run, "recovery.replayed_events");
+                let rows = counter(run, "recovery.checkpoint.rows");
                 println!(
-                    "{process:<8} {step:>4} {:>8}   (instance has {} materialization steps)",
-                    "no", run.steps_seen
+                    "{:>8} {replayed:>10} {rows:>8} {verify:>7}  {versus}",
+                    "yes"
                 );
-                break;
-            }
-            any_tripped = true;
-            let verified = run.verification.passed();
-            let digest_ok = run.digests == ref_digests;
-            let dlq_ok = run.outcome.dead_letters == ref_outcome.dead_letters;
-            println!(
-                "{:<8} {:>4} {:>8} {:>10} {:>8} {:>7} {:>7} {:>5}",
-                process,
-                step,
-                "yes",
-                run.replayed_events,
-                run.checkpoint_rows,
-                if verified { "PASS" } else { "FAIL" },
-                if digest_ok { "same" } else { "DIFF" },
-                if dlq_ok { "same" } else { "DIFF" }
-            );
-            if !verified && !no_rollback {
-                for check in run.verification.failed_checks() {
-                    eprintln!("  [!!] {:<40} {}", check.name, check.detail);
-                }
-            }
-            let identical = verified && digest_ok && dlq_ok;
-            all_identical &= identical;
-            divergence |= !identical;
-            if at.is_some() {
-                break;
             }
         }
+    };
+    let fps = gate::crash_sweep(kind, config, &targets, instance, at, true, &mut row)
+        .unwrap_or_else(|e| fail(&e));
+    if !gate::judge(Check::EqualsReference, &fps).pass {
+        fail("crash recovery FAILED: a recovered run diverged from the uncrashed reference");
     }
-    if !any_tripped && !divergence {
-        eprintln!("error: no crash step ever fired — nothing was tested");
-        std::process::exit(1);
-    }
-    if no_rollback {
-        if divergence {
-            println!(
-                "rollback disabled: recovery diverged as expected — the atomicity layer has teeth"
-            );
-        } else {
-            eprintln!("error: rollback was disabled yet every recovery was byte-identical — the gate is not testing anything");
-            std::process::exit(1);
-        }
-    } else if !all_identical {
-        eprintln!("crash recovery FAILED: a recovered run diverged from the uncrashed reference");
-        std::process::exit(1);
-    } else {
-        println!("all crash points recovered byte-identically; conservation held");
-    }
+    println!("all crash points recovered byte-identically; conservation held");
 }
 
-/// One overload cell executed twice; passes iff verification holds on both
-/// runs, the virtual queue stayed within its bound, and the two same-seed
-/// runs are byte-identical (table digests, dead letters, drained counters,
-/// queueing stats).
-struct OverloadCell {
-    exp: dip_bench::OverloadExperiment,
-    deterministic: bool,
-    verified: bool,
-    bounded: bool,
-}
-
-fn overload_cell(
-    kind: EngineKind,
-    config: BenchConfig,
-    opts: &dipbench::overload::OverloadOptions,
-) -> OverloadCell {
-    let one = dip_bench::run_overload_experiment(kind, config, opts);
-    let two = dip_bench::run_overload_experiment(kind, config, opts);
-    let mut diverged = Vec::new();
-    if one.digests != two.digests {
-        diverged.push("table digests");
-    }
-    if one.run.outcome.dead_letters != two.run.outcome.dead_letters {
-        diverged.push("dead letters");
-    }
-    if one.counters != two.counters {
-        diverged.push("counters");
-        for (a, b) in one.counters.iter().zip(two.counters.iter()) {
-            if a != b {
-                eprintln!("  [!!] counter diverged: {a:?} vs {b:?}");
-            }
-        }
-    }
-    if one.run.stats != two.run.stats {
-        diverged.push("queueing stats");
-    }
-    let deterministic = diverged.is_empty();
-    if !deterministic {
-        eprintln!(
-            "  [!!] same-seed runs diverged on {}: {}",
-            kind.tag(),
-            diverged.join(", ")
-        );
-    }
-    let verified = one.verification.passed() && two.verification.passed();
-    let bounded = one.run.stats.max_depth <= opts.admission.capacity as u64;
-    OverloadCell {
-        exp: one,
-        deterministic,
-        verified,
-        bounded,
-    }
-}
-
-/// Open-loop overload harness: skewed arrivals fired on schedule at a rate
-/// multiplier against a bounded virtual broker queue. Single-cell mode and
-/// `--check` (all three message engines) are CI gates — exit 1 unless
-/// queues stay bounded, shed-extended E1 conservation passes, and same-seed
-/// double runs are byte-identical. `--sweep` walks rate x skew cells on one
-/// engine and requires shed counts to degrade monotonically with rate.
-fn overload(args: &[String]) {
-    let d = flag_f64(args, "--d").unwrap_or(0.02);
-    let periods = flag_u32(args, "--periods").unwrap_or(1);
-    let seed = flag_u64(args, "--seed").unwrap_or(0xD1B);
-    let rate = flag_f64(args, "--rate").unwrap_or(1.0);
-    if rate <= 0.0 {
-        fail_usage("--rate must be a positive multiplier");
-    }
-    let f = match flag_str(args, "--f") {
-        Some(s) => parse_distribution(&s).unwrap_or_else(|| {
-            fail_usage(&format!(
-                "unknown distribution {s:?} (use uniform|zipf5|zipf10|normal)"
-            ))
-        }),
-        None => Distribution::Zipf10,
-    };
-    let policy = match flag_str(args, "--policy").as_deref() {
-        None | Some("shed") => AdmissionPolicy::Shed,
-        Some("block") => AdmissionPolicy::Block,
-        Some("degrade") => AdmissionPolicy::Degrade,
-        Some(p) => fail_usage(&format!("unknown policy {p:?} (use block|shed|degrade)")),
-    };
-    let capacity = match flag_u32(args, "--capacity") {
-        Some(0) => fail_usage("--capacity must be at least 1"),
-        Some(n) => n as usize,
-        None => 8,
-    };
-    let check = args.iter().any(|a| a == "--check");
-    let sweep = args.iter().any(|a| a == "--sweep");
-    if check && sweep {
-        fail_usage("--check and --sweep are mutually exclusive");
-    }
-    let opts = dipbench::overload::OverloadOptions {
-        rate,
-        admission: AdmissionControl::bounded(capacity, policy),
-    };
-    let config_for = |f: Distribution| {
-        BenchConfig::new(ScaleFactors::new(d, 1.0, f))
-            .with_periods(periods)
-            .with_seed(seed)
-    };
-
-    let header = || {
+/// Exploratory open-loop overload: skewed arrivals fired on schedule at a
+/// rate multiplier against a bounded virtual broker queue. Every cell runs
+/// twice; exit 1 unless queues stay bounded, shed-extended E1 conservation
+/// passes and the double runs are byte-identical. `--sweep` walks rate ×
+/// skew cells and requires shed counts to degrade monotonically with
+/// rate. The blocking CI cells are the `overload-*` rows of `GATES`.
+fn overload(p: &Parsed) {
+    let kind = p.engine();
+    let (d, seed, periods): (f64, u64, u32) = (p.get(D), p.get(SEED), p.get(PERIODS));
+    let capacity: usize = p.get(CAPACITY);
+    let word: String = p.get(POLICY);
+    use AdmissionPolicy::{Block, Degrade, Shed};
+    let policy = [Block, Shed, Degrade]
+        .into_iter()
+        .find(|policy| policy.label() == word);
+    let admission = AdmissionControl::bounded(capacity, policy.expect("a declared choice"));
+    let base = BenchConfig::new(ScaleFactors::new(d, 1.0, Uniform))
+        .with_periods(periods)
+        .with_seed(seed);
+    println!(
+        "# overload on {} (d={d}, seed={seed}, {periods} period(s), capacity {capacity}, policy {word})",
+        kind.label()
+    );
+    println!(" rate         f  sched  admit  shed depth  wait[tu]  navg+[tu]  +wait[tu]  verify deterministic");
+    // One cell, twice: prints its row, returns (first run, JSON cell, ok).
+    let run = |f: Distribution, rate: f64| {
+        let (config, load) = gate::overload_cell(base, f, rate, admission);
+        let (run, verdict) = twice(kind, config, &load);
+        let Detail::Open(s) = run.detail else {
+            unreachable!("an open load reports queueing stats")
+        };
+        let verified = verdict.verified == verdict.cells;
+        let deterministic = verdict.diverged == 0;
+        let navg = mean_navg_plus(&run.outcome);
         println!(
-            "{:<10} {:>5} {:>9} {:>8} {:>6} {:>6} {:>5} {:>5} {:>9} {:>10} {:>10} {:>7} {:>13}",
-            "engine",
-            "rate",
-            "f",
-            "policy",
-            "sched",
-            "admit",
-            "shed",
-            "depth",
-            "wait[tu]",
-            "navg+[tu]",
-            "+wait[tu]",
-            "verify",
-            "deterministic"
-        );
-    };
-    let row = |kind: EngineKind,
-               f: Distribution,
-               opts: &dipbench::overload::OverloadOptions,
-               cell: &OverloadCell| {
-        let s = &cell.exp.run.stats;
-        let navg = mean_navg_plus(&cell.exp.run.outcome);
-        println!(
-            "{:<10} {:>5} {:>9} {:>8} {:>6} {:>6} {:>5} {:>5} {:>9.2} {:>10.2} {:>10.2} {:>7} {:>13}",
-            kind.tag(),
-            opts.rate,
+            "{:>5} {:>9} {:>6} {:>6} {:>5} {:>5} {:>9.2} {:>10.2} {:>10.2} {:>7} {:>13}",
+            rate,
             f.label(),
-            opts.admission.policy.label(),
             s.scheduled_messages,
             s.admitted,
             s.shed,
@@ -1708,184 +641,115 @@ fn overload(args: &[String]) {
             s.mean_wait_tu,
             navg,
             navg + s.mean_wait_tu,
-            if cell.verified { "PASS" } else { "FAIL" },
-            if cell.deterministic { "yes" } else { "NO" }
+            pass_fail(verified),
+            if deterministic { "yes" } else { "NO" }
         );
-        if !cell.verified {
-            for check in cell.exp.verification.failed_checks() {
-                eprintln!("  [!!] {:<40} {}", check.name, check.detail);
-            }
-        }
-        if !cell.bounded {
+        let bounded = s.max_depth <= capacity as u64;
+        if !bounded {
             eprintln!(
-                "  [!!] queue bound violated: depth {} > capacity {}",
-                s.max_depth, opts.admission.capacity
+                "  [!!] queue bound violated: depth {} > capacity {capacity}",
+                s.max_depth
             );
         }
+        let json = Json::obj(vec![
+            ("rate", Json::num(rate)),
+            ("f", Json::str(f.label())),
+            ("scheduled", Json::num(s.scheduled_messages as f64)),
+            ("admitted", Json::num(s.admitted as f64)),
+            ("shed", Json::num(s.shed as f64)),
+            ("degraded_evictions", Json::num(s.degraded_evictions as f64)),
+            ("max_depth", Json::num(s.max_depth as f64)),
+            ("delayed", Json::num(s.delayed as f64)),
+            ("mean_wait_tu", Json::num(s.mean_wait_tu)),
+            ("max_wait_tu", Json::num(s.max_wait_tu)),
+            ("blocked_tu", Json::num(s.blocked_tu)),
+            ("navg_plus_tu", Json::num(navg)),
+            ("navg_plus_open_loop_tu", Json::num(navg + s.mean_wait_tu)),
+            ("verify", Json::Bool(verified)),
+            ("deterministic", Json::Bool(deterministic)),
+        ]);
+        (run.fingerprint, json, verified && deterministic && bounded)
     };
-
-    if sweep {
-        let kind = engine(args);
-        let rates = [1.0, 1.5, 2.0, 3.0, 4.0];
-        let dists = [
-            Distribution::Uniform,
-            Distribution::Zipf5,
-            Distribution::Zipf10,
-        ];
-        println!(
-            "# overload sweep on {} (d={d}, seed={seed}, {periods} period(s), capacity {capacity}, policy {})",
-            kind.label(),
-            policy.label()
-        );
-        header();
-        let mut all_ok = true;
-        let mut json_cells = Vec::new();
-        for dist in dists {
-            let mut prev_shed = 0u64;
-            for r in rates {
-                let cell_opts = dipbench::overload::OverloadOptions {
-                    rate: r,
-                    admission: opts.admission,
-                };
-                let cell = overload_cell(kind, config_for(dist), &cell_opts);
-                row(kind, dist, &cell_opts, &cell);
-                let s = cell.exp.run.stats;
-                // Graceful degradation: pushing the same arrival pattern
-                // harder must never *reduce* loss.
-                if s.shed < prev_shed {
-                    eprintln!(
-                        "  [!!] shed count fell from {prev_shed} to {} as rate rose to {r} ({})",
-                        s.shed,
-                        dist.label()
-                    );
-                    all_ok = false;
-                }
-                prev_shed = s.shed;
-                all_ok &= cell.deterministic && cell.verified && cell.bounded;
-                let navg = mean_navg_plus(&cell.exp.run.outcome);
-                json_cells.push(format!(
-                    concat!(
-                        "{{\"rate\":{},\"f\":\"{}\",\"scheduled\":{},\"admitted\":{},",
-                        "\"shed\":{},\"degraded_evictions\":{},\"max_depth\":{},",
-                        "\"delayed\":{},\"mean_wait_tu\":{:.4},\"max_wait_tu\":{:.4},",
-                        "\"blocked_tu\":{:.4},\"navg_plus_tu\":{:.4},",
-                        "\"navg_plus_open_loop_tu\":{:.4},\"verify\":{},\"deterministic\":{}}}"
-                    ),
-                    r,
-                    dist.label(),
-                    s.scheduled_messages,
-                    s.admitted,
-                    s.shed,
-                    s.degraded_evictions,
-                    s.max_depth,
-                    s.delayed,
-                    s.mean_wait_tu,
-                    s.max_wait_tu,
-                    s.blocked_tu,
-                    navg,
-                    navg + s.mean_wait_tu,
-                    cell.verified,
-                    cell.deterministic
-                ));
-            }
-        }
-        if let Some(path) = flag_str(args, "--out") {
-            let json = format!(
-                concat!(
-                    "{{\"schema\":\"dipbench-overload-sweep/1\",\"engine\":\"{}\",",
-                    "\"d\":{},\"periods\":{},\"seed\":{},\"capacity\":{},",
-                    "\"policy\":\"{}\",\"cells\":[{}]}}\n"
-                ),
-                kind.tag(),
-                d,
-                periods,
-                seed,
-                capacity,
-                policy.label(),
-                json_cells.join(",")
-            );
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("sweep artifact written to {path}");
-        }
-        if !all_ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let kinds: Vec<EngineKind> = if check {
-        vec![EngineKind::Federated, EngineKind::Mtm, EngineKind::Eai]
-    } else {
-        vec![engine(args)]
-    };
-    println!(
-        "# overload gate (d={d}, seed={seed}, {periods} period(s), rate {rate}, f {}, capacity {capacity}, policy {})",
-        f.label(),
-        policy.label()
-    );
-    header();
     let mut all_ok = true;
-    for kind in kinds {
-        let cell = overload_cell(kind, config_for(f), &opts);
-        row(kind, f, &opts, &cell);
-        all_ok &= cell.deterministic && cell.verified && cell.bounded;
+    if p.has(SWEEP) {
+        let mut json_cells = Vec::new();
+        for f in [Uniform, Zipf5, Zipf10] {
+            let mut by_rate = Vec::new();
+            for rate in [1.0, 1.5, 2.0, 3.0, 4.0] {
+                let (fingerprint, json, ok) = run(f, rate);
+                by_rate.push(fingerprint);
+                json_cells.push(json);
+                all_ok &= ok;
+            }
+            // Graceful degradation: pushing the same arrival pattern
+            // harder must never *reduce* loss.
+            for note in gate::judge(Check::MonotoneShed, &by_rate).notes {
+                eprintln!("  [!!] {}: {note}", f.label());
+                all_ok = false;
+            }
+        }
+        if let Some(path) = p.opt::<PathBuf>(OUT) {
+            let artifact = Json::obj(vec![
+                ("schema", Json::str("dipbench-overload-sweep/1")),
+                ("engine", Json::str(kind.tag())),
+                ("d", Json::num(d)),
+                ("periods", Json::num(periods)),
+                ("seed", Json::num(seed as f64)),
+                ("capacity", Json::num(capacity as f64)),
+                ("policy", Json::str(word)),
+                ("cells", Json::Arr(json_cells)),
+            ]);
+            write_file(&path, &(artifact.render() + "\n"));
+            eprintln!("sweep artifact written to {}", path.display());
+        }
+    } else {
+        all_ok = run(p.distribution(), p.get(RATE)).2;
     }
     if !all_ok {
         std::process::exit(1);
     }
 }
 
-/// Positional (non-flag) arguments after the command word. All flags in
-/// this CLI take a value, so a `--flag` consumes the next argument too.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].clone());
-            i += 1;
+/// `dipbench gate [NAME…]`: walk the declared gate matrix (or the named
+/// rows) and print one line per row; exit 1 if any row fails.
+fn gate_cmd(p: &Parsed) {
+    let names: Vec<&str> = gate::GATES.iter().map(|g| g.name).collect();
+    if let Some(unknown) = p.positionals.iter().find(|n| !names.contains(&n.as_str())) {
+        fail_usage(&format!(
+            "unknown gate {unknown:?} (declared: {})",
+            names.join(" ")
+        ));
+    }
+    println!("gate               engine  workers     d  seed  check             cells verified identical diverged  result");
+    let mut failed = 0;
+    for row in gate::GATES {
+        if !p.positionals.is_empty() && !p.positionals.iter().any(|n| n == row.name) {
+            continue;
+        }
+        let verdict = gate::run_gate(row).unwrap_or_else(|error| gate::Verdict {
+            notes: vec![error],
+            ..gate::Verdict::default()
+        });
+        println!(
+            "{:<18} {:<7} {:>7} {:>5} {:>5}  {:<17} {:>5} {:>8} {:>9} {:>8}  {}",
+            row.name,
+            row.engine.tag(),
+            row.workers,
+            row.d,
+            row.seed,
+            row.check.label(),
+            verdict.cells,
+            verdict.verified,
+            verdict.identical,
+            verdict.diverged,
+            pass_fail(verdict.pass)
+        );
+        if !verdict.pass {
+            failed += 1;
+            verdict.notes.iter().for_each(|n| eprintln!("  [!!] {n}"));
         }
     }
-    out
-}
-
-fn load_record(path: &str) -> RunRecord {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail_usage(&format!("cannot read record {path:?}: {e}")));
-    RunRecord::parse(&text)
-        .unwrap_or_else(|e| fail_usage(&format!("cannot parse record {path:?}: {e}")))
-}
-
-/// Compare two run records; exit 1 iff the candidate regressed.
-fn diff_records(args: &[String]) {
-    let pos = positionals(args);
-    let (base_path, cand_path) = match pos.as_slice() {
-        [b, c] => (b.as_str(), c.as_str()),
-        _ => fail_usage("diff requires exactly two record paths: dipbench diff <baseline.json> <candidate.json>"),
-    };
-    let mut options = DiffOptions::default();
-    if let Some(t) = flag_f64(args, "--threshold") {
-        if t < 0.0 {
-            fail_usage("--threshold must be non-negative");
-        }
-        options.threshold = t;
-    }
-    if let Some(m) = flag_f64(args, "--min-delta") {
-        if m < 0.0 {
-            fail_usage("--min-delta must be non-negative");
-        }
-        options.min_delta_tu = m;
-    }
-    let baseline = load_record(base_path);
-    let candidate = load_record(cand_path);
-    let report = dip_trace::diff(&baseline, &candidate, options);
-    print!("{}", report.render());
-    if report.has_regressions() {
-        std::process::exit(1);
+    if failed > 0 {
+        fail(&format!("{failed} gate row(s) failed"));
     }
 }

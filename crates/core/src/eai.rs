@@ -35,6 +35,11 @@
 //! conservation check accounts for them via the dead-letter queue
 //! (`scheduled = integrated + dead-lettered + failed + shed`).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::config::{AdmissionControl, AdmissionPolicy};
 use crate::system::{settle, DeadLetter, DeadLetterQueue, Delivery, Event, IntegrationSystem};
 use dip_mtm::cost::CostRecorder;

@@ -45,6 +45,11 @@
 //! *measurement*. Harness runs leave the real broker unbounded so the
 //! virtual simulation is the sole shedder and fates stay deterministic.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::client::{Client, DispatchFailure, RunOutcome};
 use crate::config::{AdmissionControl, AdmissionPolicy};
 use crate::datagen::dist;

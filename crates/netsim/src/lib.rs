@@ -8,6 +8,11 @@
 //! slept) per message. See `DESIGN.md` §2 for why this substitution
 //! preserves the benchmark's behaviour.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod clock;
 pub mod fault;
 pub mod latency;

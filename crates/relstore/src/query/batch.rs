@@ -68,6 +68,11 @@
 //! chunk boundaries, so a high-fan-out join can emit chunks taller than
 //! [`CHUNK_ROWS`]; consumers size off [`Chunk::live`], never the constant.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};

@@ -20,6 +20,11 @@
 //! publishes `relstore.batch.chunks.<op>` / `relstore.batch.rows.<op>`
 //! (no-ops when tracing is disabled).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::index::key_of;

@@ -18,6 +18,11 @@
 //! encodes. Collisions are resolved by full value comparison, so hash
 //! quality only affects speed, never results.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::value::Value;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

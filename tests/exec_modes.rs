@@ -6,9 +6,9 @@
 //! digests committed at PR 11 (when three executors and `Auto` routing
 //! still existed) pin the same bytes across commits.
 
-use dip_bench::{build_system, EngineKind};
 use dip_trace::Json;
 use dipbench::prelude::*;
+use dipbench_suite::{run_benchmark, EngineKind};
 use std::collections::BTreeMap;
 
 fn config() -> BenchConfig {
@@ -23,9 +23,7 @@ fn with_drops() -> BenchConfig {
 
 /// Run the full benchmark and digest every table of every database.
 fn digests(kind: EngineKind, config: BenchConfig) -> BTreeMap<String, u64> {
-    let env = BenchEnvironment::new(config).unwrap();
-    let system = build_system(kind, &env);
-    let outcome = Client::new(&env, system).unwrap().run().unwrap();
+    let (env, outcome) = run_benchmark(kind, config);
     assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
     digest_tables(&env.world).unwrap()
 }

@@ -4,13 +4,16 @@
 
 use dip_relstore::mview::RefreshMode;
 use dipbench::{quality, verify};
-use dipbench_suite::{run_benchmark, test_config, Engine};
+use dipbench_suite::{run_benchmark, test_config, EngineKind};
 
 #[test]
 fn incremental_mv_matches_full_over_whole_benchmark() {
-    let (env_full, _) = run_benchmark(Engine::Mtm, test_config().with_mv_mode(RefreshMode::Full));
+    let (env_full, _) = run_benchmark(
+        EngineKind::Mtm,
+        test_config().with_mv_mode(RefreshMode::Full),
+    );
     let (env_inc, _) = run_benchmark(
-        Engine::Mtm,
+        EngineKind::Mtm,
         test_config().with_mv_mode(RefreshMode::Incremental),
     );
     let mut a = env_full.db("dwh").table("orders_mv").unwrap().scan();
@@ -32,7 +35,7 @@ fn incremental_mv_matches_full_over_whole_benchmark() {
 
 #[test]
 fn quality_extension_holds_on_both_engines() {
-    for engine in [Engine::Mtm, Engine::Federated] {
+    for engine in [EngineKind::Mtm, EngineKind::Federated] {
         let (env, _) = run_benchmark(engine, test_config());
         let q = quality::measure(&env).unwrap();
         assert!(q.quality_increases(), "{engine:?}:\n{q}");

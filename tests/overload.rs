@@ -1,95 +1,66 @@
 //! Integration tests for the open-loop overload harness: admission
 //! decisions are made in virtual time (a pure function of seed, scale and
-//! rate), so same-seed runs must be byte-identical — final table digests,
-//! dead letters, queueing stats and every drained counter — and the E1
-//! conservation check must close even when admission control sheds
-//! messages (`scheduled = integrated + dead-lettered + failed + shed`).
-//!
-//! `run_overload_experiment` toggles the process-global `dip_trace`
-//! collector, so every test here serializes on `TRACE_LOCK`.
+//! rate), so same-seed runs must be byte-identical — the whole gate
+//! fingerprint, every drained counter included, and the queueing stats —
+//! and the E1 conservation check must close even when admission control
+//! sheds messages (`scheduled = integrated + dead-lettered + failed + shed`).
 
-use dip_bench::{run_overload_experiment, EngineKind, OverloadExperiment};
-use dipbench::overload::OverloadOptions;
+use dip_bench::gate::{overload_cell, run_cell, CellRun, Detail};
+use dip_bench::EngineKind;
+use dipbench::overload::OverloadStats;
 use dipbench::prelude::*;
-use std::sync::Mutex;
-
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 const ENGINES: [EngineKind; 3] = [EngineKind::Federated, EngineKind::Mtm, EngineKind::Eai];
 
-fn config(f: Distribution) -> BenchConfig {
-    BenchConfig::new(ScaleFactors::new(0.02, 1.0, f))
+/// One zipf(1.0) open-loop cell at seed 7.
+fn run(kind: EngineKind, rate: f64, capacity: usize, policy: AdmissionPolicy) -> CellRun {
+    let base = BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform))
         .with_periods(1)
-        .with_seed(7)
+        .with_seed(7);
+    let admission = AdmissionControl::bounded(capacity, policy);
+    let (config, load) = overload_cell(base, Distribution::Zipf10, rate, admission);
+    run_cell(kind, config, &load).unwrap()
 }
 
-fn opts(rate: f64, capacity: usize, policy: AdmissionPolicy) -> OverloadOptions {
-    OverloadOptions {
-        rate,
-        admission: AdmissionControl::bounded(capacity, policy),
+fn stats(run: &CellRun) -> OverloadStats {
+    match run.detail {
+        Detail::Open(stats) => stats,
+        other => panic!("an open load reports queueing stats, got {other:?}"),
     }
-}
-
-fn shed_letters(exp: &OverloadExperiment) -> usize {
-    exp.run
-        .outcome
-        .dead_letters
-        .iter()
-        .filter(|l| l.shed)
-        .count()
 }
 
 #[test]
 fn same_seed_double_runs_are_byte_identical_for_every_engine() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    let o = opts(2.0, 4, AdmissionPolicy::Shed);
     for kind in ENGINES {
-        let one = run_overload_experiment(kind, config(Distribution::Zipf10), &o);
-        let two = run_overload_experiment(kind, config(Distribution::Zipf10), &o);
-        assert_eq!(one.digests, two.digests, "{:?} digests", kind);
-        assert_eq!(
-            one.run.outcome.dead_letters, two.run.outcome.dead_letters,
-            "{:?} dead letters",
-            kind
-        );
-        assert_eq!(one.counters, two.counters, "{:?} counters", kind);
-        assert_eq!(one.run.stats, two.run.stats, "{:?} stats", kind);
+        let one = run(kind, 2.0, 4, AdmissionPolicy::Shed);
+        let two = run(kind, 2.0, 4, AdmissionPolicy::Shed);
+        let differs = one.fingerprint.diff(&two.fingerprint, true);
+        assert!(differs.is_empty(), "{kind:?} diverged on {differs:?}");
+        assert_eq!(stats(&one), stats(&two), "{kind:?} stats");
     }
 }
 
 #[test]
 fn shed_extended_conservation_closes_at_double_rate_for_every_engine() {
-    let _guard = TRACE_LOCK.lock().unwrap();
     // capacity 2 at rate 2x forces real shedding on the zipf(1.0) bursts
-    let o = opts(2.0, 2, AdmissionPolicy::Shed);
     for kind in ENGINES {
-        let exp = run_overload_experiment(kind, config(Distribution::Zipf10), &o);
-        let s = &exp.run.stats;
-        assert!(s.shed > 0, "{:?}: expected shedding at 2x capacity 2", kind);
-        assert_eq!(s.admitted + s.shed, s.scheduled_messages, "{:?}", kind);
-        assert_eq!(shed_letters(&exp) as u64, s.shed, "{:?} DLQ", kind);
-        assert!(
-            exp.verification.passed(),
-            "{:?} verification:\n{}",
-            kind,
-            exp.verification
-        );
+        let exp = run(kind, 2.0, 2, AdmissionPolicy::Shed);
+        let s = stats(&exp);
+        assert!(s.shed > 0, "{kind:?}: expected shedding at 2x capacity 2");
+        assert_eq!(s.admitted + s.shed, s.scheduled_messages, "{kind:?}");
+        assert_eq!(exp.fingerprint.shed() as u64, s.shed, "{kind:?} DLQ");
+        assert!(exp.fingerprint.verified, "{kind:?}:\n{}", exp.verification);
     }
 }
 
 #[test]
 fn queue_depth_stays_within_capacity_as_rate_grows() {
-    let _guard = TRACE_LOCK.lock().unwrap();
     for rate in [1.0, 2.0, 4.0] {
-        let o = opts(rate, 3, AdmissionPolicy::Shed);
-        let exp = run_overload_experiment(EngineKind::Federated, config(Distribution::Zipf10), &o);
+        let exp = run(EngineKind::Federated, rate, 3, AdmissionPolicy::Shed);
+        let depth = stats(&exp).max_depth;
+        assert!(depth <= 3, "rate {rate}: depth {depth} breached capacity 3");
         assert!(
-            exp.run.stats.max_depth <= 3,
-            "rate {rate}: depth {} breached capacity 3",
-            exp.run.stats.max_depth
-        );
-        assert!(
-            exp.verification.passed(),
+            exp.fingerprint.verified,
             "rate {rate}:\n{}",
             exp.verification
         );
@@ -98,12 +69,9 @@ fn queue_depth_stays_within_capacity_as_rate_grows() {
 
 #[test]
 fn shed_count_degrades_monotonically_with_rate() {
-    let _guard = TRACE_LOCK.lock().unwrap();
     let mut prev = 0u64;
     for rate in [1.0, 2.0, 4.0] {
-        let o = opts(rate, 4, AdmissionPolicy::Shed);
-        let exp = run_overload_experiment(EngineKind::Federated, config(Distribution::Zipf10), &o);
-        let shed = exp.run.stats.shed;
+        let shed = stats(&run(EngineKind::Federated, rate, 4, AdmissionPolicy::Shed)).shed;
         assert!(
             shed >= prev,
             "shed fell from {prev} to {shed} as rate rose to {rate}"
@@ -115,32 +83,26 @@ fn shed_count_degrades_monotonically_with_rate() {
 
 #[test]
 fn block_policy_trades_stall_for_losslessness() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    let o = opts(4.0, 2, AdmissionPolicy::Block);
-    let exp = run_overload_experiment(EngineKind::Federated, config(Distribution::Zipf10), &o);
-    let s = &exp.run.stats;
+    let exp = run(EngineKind::Federated, 4.0, 2, AdmissionPolicy::Block);
+    let s = stats(&exp);
     assert_eq!(s.shed, 0, "Block must never shed");
     assert_eq!(s.admitted, s.scheduled_messages);
-    assert_eq!(shed_letters(&exp), 0);
+    assert_eq!(exp.fingerprint.shed(), 0);
     assert!(s.blocked_tu > 0.0, "4x overload must stall the producer");
     assert!(s.max_depth <= 2);
-    assert!(exp.verification.passed(), "{}", exp.verification);
+    assert!(exp.fingerprint.verified, "{}", exp.verification);
 }
 
 #[test]
 fn degrade_policy_evicts_oldest_and_conserves() {
-    let _guard = TRACE_LOCK.lock().unwrap();
-    let o = opts(3.0, 2, AdmissionPolicy::Degrade);
-    let exp = run_overload_experiment(EngineKind::Federated, config(Distribution::Zipf10), &o);
-    let s = &exp.run.stats;
+    let exp = run(EngineKind::Federated, 3.0, 2, AdmissionPolicy::Degrade);
+    let s = stats(&exp);
     assert!(s.shed > 0 && s.degraded_evictions == s.shed);
     assert_eq!(s.admitted + s.shed, s.scheduled_messages);
-    assert!(exp
-        .run
-        .outcome
-        .dead_letters
+    let letters = &exp.fingerprint.dead_letters;
+    assert!(letters
         .iter()
         .filter(|l| l.shed)
         .all(|l| l.reason.contains("degrade")));
-    assert!(exp.verification.passed(), "{}", exp.verification);
+    assert!(exp.fingerprint.verified, "{}", exp.verification);
 }

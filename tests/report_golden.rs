@@ -32,7 +32,7 @@ fn fixture_vintages_parse_as_expected() {
 #[test]
 fn report_renders_the_markdown_golden() {
     let records = fixture_records();
-    let report = Report::build(&records, &[], 0.20);
+    let report = Report::build(&records, 0.20);
     assert!(report.regressions().is_empty());
     assert_eq!(report.render(ReportFormat::Markdown), GOLDEN_MD);
 }
@@ -40,7 +40,7 @@ fn report_renders_the_markdown_golden() {
 #[test]
 fn report_renders_the_text_golden() {
     let records = fixture_records();
-    let report = Report::build(&records, &[], 0.20);
+    let report = Report::build(&records, 0.20);
     assert_eq!(report.render(ReportFormat::Text), GOLDEN_TXT);
 }
 
@@ -50,6 +50,6 @@ fn rendering_is_order_insensitive() {
     // and sorts everything, so the bytes must not change
     let mut records = fixture_records();
     records.reverse();
-    let report = Report::build(&records, &[], 0.20);
+    let report = Report::build(&records, 0.20);
     assert_eq!(report.render(ReportFormat::Markdown), GOLDEN_MD);
 }

@@ -5,14 +5,14 @@
 //! Tracing state is process-global, so the disabled and enabled phases
 //! run in one ordered test rather than racing in parallel tests.
 
-use dipbench_suite::{run_benchmark, test_config, Engine};
+use dipbench_suite::{run_benchmark, test_config, EngineKind};
 
 #[test]
 fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     // Phase 1: tracing disabled (the default). A full benchmark run must
     // leave the collector completely empty — no spans, no counters.
     assert!(!dip_trace::is_enabled());
-    let (_env, outcome) = run_benchmark(Engine::Mtm, test_config());
+    let (_env, outcome) = run_benchmark(EngineKind::Mtm, test_config());
     assert!(!outcome.metrics.is_empty());
     assert_eq!(dip_trace::span_count(), 0, "disabled sink collected spans");
     assert!(dip_trace::drain().is_empty());
@@ -21,7 +21,7 @@ fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     // Phase 2: tracing enabled. The same run must produce spans from every
     // instrumented layer the MTM engine exercises.
     dip_trace::enable();
-    let (_env, _outcome) = run_benchmark(Engine::Mtm, test_config());
+    let (_env, _outcome) = run_benchmark(EngineKind::Mtm, test_config());
     let spans = dip_trace::drain();
     let counters = dip_trace::drain_counters();
     dip_trace::disable();
@@ -57,6 +57,6 @@ fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     assert_eq!(complete, spans.len());
 
     // Phase 3: disabled again — instrumented code must go back to no-op.
-    let (_env, _outcome) = run_benchmark(Engine::Federated, test_config());
+    let (_env, _outcome) = run_benchmark(EngineKind::Federated, test_config());
     assert_eq!(dip_trace::span_count(), 0);
 }
