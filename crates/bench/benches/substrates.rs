@@ -1,11 +1,17 @@
 //! Microbenchmarks of the substrate crates: relational operators, index
 //! probes and materialized-view refresh in `dip-relstore`. These back the
 //! "well-optimized relational operators" half of the paper's System A
-//! observation.
+//! observation. `mtm_dataflow` adds the MTM interpreter's hand-offs: what
+//! moving a table-shaped message between operators costs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step};
+use dip_mtm::{MtmEngine, MtmMessage};
+use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
 use dip_relstore::prelude::*;
+use dip_services::registry::ExternalWorld;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn customers(n: i64) -> Database {
     let db = Database::new("bench");
@@ -192,5 +198,200 @@ fn bench_optimizer(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_relstore, bench_mview, bench_optimizer);
+const REGIONS: [&str; 3] = ["europe", "asia", "america"];
+const SALES_COLUMNS: usize = 25;
+
+/// A line-grain sales relation shaped like P14_S1's output: a few key
+/// columns (order, line, customer, product, region) and 20 attribute
+/// columns of mixed types.
+fn sales(rows: i64) -> Relation {
+    let mut cols = vec![
+        ("orderkey", SqlType::Int),
+        ("lineno", SqlType::Int),
+        ("custkey", SqlType::Int),
+        ("prodkey", SqlType::Int),
+        ("region", SqlType::Str),
+    ];
+    let keys = cols.len();
+    let attrs: Vec<String> = (keys..SALES_COLUMNS).map(|a| format!("a{a}")).collect();
+    for (a, name) in (keys..).zip(&attrs) {
+        cols.push((name, [SqlType::Int, SqlType::Float, SqlType::Str][a % 3]));
+    }
+    let names: Vec<Value> = (0..97).map(|i| Value::str(format!("name-{i}"))).collect();
+    let data = (0..rows)
+        .map(|i| {
+            let order = i / 3;
+            let mut row = vec![
+                Value::Int(order),
+                Value::Int(i % 3),
+                Value::Int(order % 400),
+                Value::Int(i % 100),
+                Value::str(REGIONS[(order % 3) as usize]),
+            ];
+            for a in keys..SALES_COLUMNS {
+                row.push(match a % 3 {
+                    0 => Value::Int(i + a as i64),
+                    1 => Value::Float((i % 997) as f64 / 7.0),
+                    _ => names[(i as usize + a) % names.len()].clone(),
+                });
+            }
+            row
+        })
+        .collect();
+    Relation::new(RelSchema::of(&cols).shared(), data)
+}
+
+/// The four loads of one mart, P14-loader style: `(table, columns, pk)`,
+/// the first `pk` columns being the table's key. A single-column key is
+/// coarser than the line grain, so that load dedups on it first.
+const MART_LOADS: [(&str, &[usize], usize); 4] = [
+    ("orders", &[0, 2, 5, 6, 7, 8], 1),
+    ("orderline", &[0, 1, 3, 9, 10, 11], 2),
+    ("customer", &[2, 12, 13, 14, 15, 16, 17], 1),
+    ("product", &[3, 18, 19, 20, 21], 1),
+];
+
+fn mart_table(region: &str, table: &str) -> String {
+    format!("{region}_{table}")
+}
+
+fn loader(region: &str, schema: &RelSchema) -> ProcessDef {
+    let mut steps = Vec::new();
+    for (table, cols, pk) in MART_LOADS {
+        let raw = format!("{table}_raw");
+        steps.push(Step::Projection {
+            input: "input".into(),
+            exprs: cols
+                .iter()
+                .map(|&c| {
+                    let col = &schema.columns()[c];
+                    ProjExpr::new(Expr::col(c), col.name.clone(), col.ty)
+                })
+                .collect(),
+            output: raw.clone(),
+        });
+        let loaded = if pk == 1 {
+            steps.push(Step::UnionDistinct {
+                inputs: vec![raw],
+                key: Some(vec![0]),
+                output: table.into(),
+            });
+            table.to_string()
+        } else {
+            raw
+        };
+        steps.push(Step::DbInsert {
+            db: "marts".into(),
+            table: mart_table(region, table),
+            input: loaded,
+            mode: LoadMode::InsertIgnore,
+        });
+    }
+    ProcessDef::new(
+        format!("FLOW_{region}"),
+        "load one mart",
+        'D',
+        EventType::Timed,
+        steps,
+    )
+}
+
+/// P14's data flow without its DWH query: the sales relation is bound,
+/// then FORK x3 -> SELECTION by region -> SUBPROCESS loader -> 4 x
+/// PROJECTION (+ UNION DISTINCT) -> insert into scratch tables.
+fn dataflow(sales: Relation) -> ProcessDef {
+    let schema = sales.schema.clone();
+    let branches = REGIONS
+        .iter()
+        .map(|&region| {
+            let selected = format!("sales_{region}");
+            vec![
+                Step::Selection {
+                    input: "sales".into(),
+                    predicate: Expr::col(4).eq(Expr::lit(region)),
+                    output: selected.clone(),
+                },
+                Step::Subprocess {
+                    process: Arc::new(loader(region, &schema)),
+                    input: Some(selected),
+                    output: None,
+                },
+            ]
+        })
+        .collect();
+    ProcessDef::new(
+        "FLOW",
+        "P14-shaped data flow",
+        'D',
+        EventType::Timed,
+        vec![
+            Step::Assign {
+                var: "sales".into(),
+                value: AssignValue::Const(MtmMessage::from(sales)),
+            },
+            Step::Fork { branches },
+        ],
+    )
+}
+
+fn bench_mtm_dataflow(c: &mut Criterion) {
+    let mut g = c.benchmark_group("mtm_dataflow");
+    g.sample_size(20);
+
+    let sales = sales(6_000);
+    let marts = Arc::new(Database::new("marts"));
+    for region in REGIONS {
+        for (table, cols, pk) in MART_LOADS {
+            let columns: Vec<Column> = cols
+                .iter()
+                .map(|&c| sales.schema.columns()[c].clone())
+                .collect();
+            let key: Vec<&str> = columns[..pk].iter().map(|c| c.name.as_str()).collect();
+            let table = Table::new(
+                mart_table(region, table),
+                RelSchema::new(columns.clone()).shared(),
+            )
+            .with_primary_key(&key)
+            .unwrap();
+            marts.create_table(table);
+        }
+    }
+    let net = Arc::new(Network::new(
+        LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 10_000_000),
+        TransferMode::Accounted,
+        1,
+    ));
+    let mut world = ExternalWorld::new(net, "is");
+    world.add_database("marts", "es.marts", marts.clone());
+    let engine = MtmEngine::new(Arc::new(world));
+    engine.deploy(dataflow(sales)).unwrap();
+
+    g.bench_function("p14_shape_6000x25", |b| {
+        b.iter_batched(
+            || {
+                for name in marts.table_names() {
+                    marts.table(&name).unwrap().truncate();
+                }
+            },
+            |()| engine.execute("FLOW", 0, None).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+    let loaded: usize = marts
+        .table_names()
+        .iter()
+        .map(|t| marts.table(t).unwrap().row_count())
+        .sum();
+    // lines + orders + every customer and product once per mart
+    assert_eq!(loaded, 6_000 + 2_000 + 3 * 400 + 3 * 100);
+}
+
+criterion_group!(
+    benches,
+    bench_relstore,
+    bench_mview,
+    bench_optimizer,
+    bench_mtm_dataflow
+);
 criterion_main!(benches);

@@ -523,6 +523,8 @@ pub fn p14_load_marts(ctx: &FedCtx, sales_temp: String) -> FedResult<()> {
         // three concurrent mart loaders; each joins the instance's
         // transaction so a failing sibling rolls all mart writes back
         let tx_handle = dip_relstore::tx::handle();
+        // and the instance's trace identity, which is a thread-local too
+        let trace_ctx = dip_trace::snapshot();
         let results: Vec<FedResult<()>> = std::thread::scope(|scope| {
             dm::Mart::ALL
                 .iter()
@@ -530,7 +532,9 @@ pub fn p14_load_marts(ctx: &FedCtx, sales_temp: String) -> FedResult<()> {
                     let ctx = ctx.clone();
                     let sales_temp = sales_temp.clone();
                     let tx_handle = tx_handle.clone();
+                    let trace_ctx = trace_ctx.as_ref();
                     scope.spawn(move || -> FedResult<()> {
+                        let _trace = trace_ctx.map(dip_trace::adopt);
                         let _tx = tx_handle.as_ref().map(dip_relstore::tx::adopt);
                         let db = mart.db_name();
                         let base = Plan::scan(sales_temp.clone())
@@ -633,13 +637,16 @@ pub fn p14_load_marts(ctx: &FedCtx, sales_temp: String) -> FedResult<()> {
 fn p15_body() -> E2Body {
     Arc::new(|ctx| {
         let tx_handle = dip_relstore::tx::handle();
+        let trace_ctx = dip_trace::snapshot();
         let results: Vec<FedResult<()>> = std::thread::scope(|scope| {
             dm::Mart::ALL
                 .iter()
                 .map(|&mart| {
                     let ctx = ctx.clone();
                     let tx_handle = tx_handle.clone();
+                    let trace_ctx = trace_ctx.as_ref();
                     scope.spawn(move || -> FedResult<()> {
+                        let _trace = trace_ctx.map(dip_trace::adopt);
                         let _tx = tx_handle.as_ref().map(dip_relstore::tx::adopt);
                         ctx.remote_call(mart.db_name(), "sp_refreshDataMartViews")?;
                         Ok(())

@@ -113,7 +113,7 @@ impl<'a> Interpreter<'a> {
                         def.id
                     ))
                 })?;
-                vars.set(var.clone(), MtmMessage::Xml(doc));
+                vars.set(var.clone(), doc);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::Assign { var, value } => {
@@ -129,7 +129,7 @@ impl<'a> Interpreter<'a> {
                 let t = Instant::now();
                 let doc = Self::get(vars, input)?.as_xml()?;
                 let out = stx.transform(doc)?;
-                vars.set(output.clone(), MtmMessage::Xml(out));
+                vars.set(output.clone(), out);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::Validate {
@@ -186,7 +186,7 @@ impl<'a> Interpreter<'a> {
             } => {
                 let t = Instant::now();
                 let remote = self.world.ws_query(service, operation)?;
-                vars.set(output.clone(), MtmMessage::Xml(remote.value));
+                vars.set(output.clone(), remote.value);
                 self.costs
                     .add(CostCategory::Communication, t.elapsed() + remote.comm);
             }
@@ -196,15 +196,15 @@ impl<'a> Interpreter<'a> {
                 input,
             } => {
                 let t = Instant::now();
-                let doc = Self::get(vars, input)?.as_xml()?.clone();
-                let remote = self.world.ws_update(service, operation, &doc)?;
+                let doc = Self::get(vars, input)?.as_xml()?;
+                let remote = self.world.ws_update(service, operation, doc)?;
                 self.costs
                     .add(CostCategory::Communication, t.elapsed() + remote.comm);
             }
             Step::DbQuery { db, plan, output } => {
                 let t = Instant::now();
                 let remote = self.world.remote_query(db, plan)?;
-                vars.set(output.clone(), MtmMessage::Rel(remote.value));
+                vars.set(output.clone(), remote.value);
                 self.costs
                     .add(CostCategory::Communication, t.elapsed() + remote.comm);
             }
@@ -221,7 +221,7 @@ impl<'a> Interpreter<'a> {
                 self.costs.add(CostCategory::Processing, t.elapsed());
                 let t = Instant::now();
                 let remote = self.world.remote_query(db, &built)?;
-                vars.set(output.clone(), MtmMessage::Rel(remote.value));
+                vars.set(output.clone(), remote.value);
                 self.costs
                     .add(CostCategory::Communication, t.elapsed() + remote.comm);
             }
@@ -232,8 +232,9 @@ impl<'a> Interpreter<'a> {
                 mode,
             } => {
                 let t = Instant::now();
-                let rel = Self::get(vars, input)?.as_rel()?.clone();
-                let remote = self.world.remote_load(db, table, rel.rows, *mode)?;
+                // the one copy the target table must own
+                let rows = Self::get(vars, input)?.as_rel()?.rows.clone();
+                let remote = self.world.remote_load(db, table, rows, *mode)?;
                 self.costs
                     .add(CostCategory::Communication, t.elapsed() + remote.comm);
             }
@@ -268,7 +269,7 @@ impl<'a> Interpreter<'a> {
                 let t = Instant::now();
                 let remote = self.world.remote_call(db, proc, args)?;
                 if let (Some(out), Some(rel)) = (output, remote.value) {
-                    vars.set(out.clone(), MtmMessage::Rel(rel));
+                    vars.set(out.clone(), rel);
                 }
                 self.costs
                     .add(CostCategory::Communication, t.elapsed() + remote.comm);
@@ -289,15 +290,8 @@ impl<'a> Interpreter<'a> {
                 output,
             } => {
                 let t = Instant::now();
-                let rel = Self::get(vars, input)?.as_rel()?;
-                let mut rows = Vec::with_capacity(rel.rows.len());
-                for r in &rel.rows {
-                    if predicate.matches(r)? {
-                        rows.push(r.clone());
-                    }
-                }
-                let out = Relation::new(rel.schema.clone(), rows);
-                vars.set(output.clone(), MtmMessage::Rel(out));
+                let out = selection(Self::get(vars, input)?.as_rel()?, predicate)?;
+                vars.set(output.clone(), out);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::Projection {
@@ -306,15 +300,8 @@ impl<'a> Interpreter<'a> {
                 output,
             } => {
                 let t = Instant::now();
-                let rel = Self::get(vars, input)?.as_rel()?;
-                let schema =
-                    RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared();
-                let mut rows = Vec::with_capacity(rel.rows.len());
-                for r in &rel.rows {
-                    let row: StoreResult<Row> = exprs.iter().map(|p| p.expr.eval(r)).collect();
-                    rows.push(row?);
-                }
-                vars.set(output.clone(), MtmMessage::Rel(Relation::new(schema, rows)));
+                let out = projection(Self::get(vars, input)?.as_rel()?, exprs)?;
+                vars.set(output.clone(), out);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::UnionDistinct {
@@ -323,28 +310,12 @@ impl<'a> Interpreter<'a> {
                 output,
             } => {
                 let t = Instant::now();
-                let mut schema: Option<SchemaRef> = None;
-                let mut seen = std::collections::HashSet::new();
-                let mut rows: Vec<Row> = Vec::new();
-                for name in inputs {
-                    let rel = Self::get(vars, name)?.as_rel()?;
-                    if schema.is_none() {
-                        schema = Some(rel.schema.clone());
-                    }
-                    for r in &rel.rows {
-                        let k = match key {
-                            Some(cols) => cols.iter().map(|&c| r[c].clone()).collect::<Vec<_>>(),
-                            None => r.clone(),
-                        };
-                        if seen.insert(k) {
-                            rows.push(r.clone());
-                        }
-                    }
-                }
-                let schema = schema.ok_or_else(|| {
-                    MtmError::InvalidProcess("UNION DISTINCT with no inputs".into())
-                })?;
-                vars.set(output.clone(), MtmMessage::Rel(Relation::new(schema, rows)));
+                let rels = inputs
+                    .iter()
+                    .map(|name| Ok(Self::get(vars, name)?.as_rel()?))
+                    .collect::<MtmResult<Vec<&Relation>>>()?;
+                let out = union_distinct(&rels, key.as_deref())?;
+                vars.set(output.clone(), out);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::Join {
@@ -367,7 +338,7 @@ impl<'a> Interpreter<'a> {
                 // Values-only plans never touch a database; any one works.
                 let scratch = Database::new("scratch");
                 let out = plan.run(&scratch)?;
-                vars.set(output.clone(), MtmMessage::Rel(out));
+                vars.set(output.clone(), out);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::XmlToRel {
@@ -378,7 +349,7 @@ impl<'a> Interpreter<'a> {
                 let t = Instant::now();
                 let doc = Self::get(vars, input)?.as_xml()?;
                 let rel = resultset::decode(doc, schema)?;
-                vars.set(output.clone(), MtmMessage::Rel(rel));
+                vars.set(output.clone(), rel);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::RelToXml {
@@ -390,30 +361,36 @@ impl<'a> Interpreter<'a> {
                 let t = Instant::now();
                 let rel = Self::get(vars, input)?.as_rel()?;
                 let doc = resultset::encode(source, table, rel);
-                vars.set(output.clone(), MtmMessage::Xml(doc));
+                vars.set(output.clone(), doc);
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::Fork { branches } => {
                 let t = Instant::now();
-                // Each branch runs on its own thread over a clone of the
-                // variable store; results are merged in branch order. The
-                // instance's fault scope is a thread-local, so each branch
-                // re-adopts a snapshot of it, derived by branch index —
-                // parallel branches own disjoint, deterministic regions of
-                // the fault schedule regardless of thread interleaving.
+                // Each branch runs on its own thread over a fork of the
+                // variable store (payloads shared); what a branch bound is
+                // merged back in branch order. The instance's fault scope
+                // is a thread-local, so each branch re-adopts a snapshot of
+                // it, derived by branch index — parallel branches own
+                // disjoint, deterministic regions of the fault schedule
+                // regardless of thread interleaving.
                 let fault_snap = dip_netsim::fault::snapshot();
                 // Likewise for the instance's transaction scope: branch
                 // threads journal their writes into the same undo log so a
                 // failing sibling rolls the whole instance back.
                 let tx_handle = dip_relstore::tx::handle();
+                // And for the trace identity, so branch spans carry the
+                // instance's (process, period, instance).
+                let trace_ctx = dip_trace::snapshot();
                 let results: Vec<MtmResult<(VarStore, u32)>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = branches
                         .iter()
                         .enumerate()
                         .map(|(branch_idx, branch)| {
-                            let mut branch_vars = vars.clone();
+                            let mut branch_vars = vars.fork();
                             let tx_handle = tx_handle.clone();
+                            let trace_ctx = trace_ctx.as_ref();
                             scope.spawn(move || {
+                                let _trace = trace_ctx.map(dip_trace::adopt);
                                 let _scope = fault_snap
                                     .map(|s| dip_netsim::fault::adopt(s, branch_idx as u32));
                                 let _tx = tx_handle.as_ref().map(dip_relstore::tx::adopt);
@@ -492,4 +469,61 @@ impl<'a> Interpreter<'a> {
             )),
         }
     }
+}
+
+// The relational operators over variables. Inputs are shared and never
+// modified; each allocates once per output row (the row itself).
+
+fn selection(rel: &Relation, predicate: &Expr) -> StoreResult<Relation> {
+    let mut rows = Vec::with_capacity(rel.rows.len());
+    for r in &rel.rows {
+        if predicate.matches(r)? {
+            rows.push(r.clone());
+        }
+    }
+    Ok(Relation::new(rel.schema.clone(), rows))
+}
+
+fn projection(rel: &Relation, exprs: &[ProjExpr]) -> StoreResult<Relation> {
+    let schema = RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared();
+    let mut rows = Vec::with_capacity(rel.rows.len());
+    for r in &rel.rows {
+        let mut row = Vec::with_capacity(exprs.len());
+        for p in exprs {
+            row.push(p.expr.eval(r)?);
+        }
+        rows.push(row);
+    }
+    Ok(Relation::new(schema, rows))
+}
+
+/// First-seen rows of `inputs` in order, distinct on the `key` columns (the
+/// whole row without a key). Keys are compared by contents and borrowed
+/// from the inputs.
+fn union_distinct(inputs: &[&Relation], key: Option<&[usize]>) -> MtmResult<Relation> {
+    let first = inputs
+        .first()
+        .ok_or_else(|| MtmError::InvalidProcess("UNION DISTINCT with no inputs".into()))?;
+    let rows = match key {
+        None => distinct_by(inputs, |r| r.as_slice()),
+        Some(&[c]) => distinct_by(inputs, |r| &r[c]),
+        Some(cols) => distinct_by(inputs, |r| cols.iter().map(|&c| &r[c]).collect::<Vec<_>>()),
+    };
+    Ok(Relation::new(first.schema.clone(), rows))
+}
+
+fn distinct_by<'a, K: std::hash::Hash + Eq>(
+    inputs: &[&'a Relation],
+    key: impl Fn(&'a Row) -> K,
+) -> Vec<Row> {
+    let mut seen = std::collections::HashSet::new();
+    let mut rows = Vec::new();
+    for rel in inputs {
+        for r in &rel.rows {
+            if seen.insert(key(r)) {
+                rows.push(r.clone());
+            }
+        }
+    }
+    rows
 }

@@ -3,15 +3,21 @@
 //! Process variables (`msg1`, `msg2`, … in the paper's figures) hold either
 //! an XML document, a relational dataset, or a scalar — the three data
 //! shapes the DIPBench processes exchange.
+//!
+//! A variable is a *value*: operators read it and bind new variables, they
+//! never mutate one. Documents and relations are therefore held behind an
+//! `Arc`, and every hand-off — ASSIGN, FORK, SUBPROCESS input — shares the
+//! payload instead of copying it.
 
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::Document;
+use std::sync::Arc;
 
-/// A value bound to a process variable.
+/// A value bound to a process variable. Cloning shares the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MtmMessage {
-    Xml(Document),
-    Rel(Relation),
+    Xml(Arc<Document>),
+    Rel(Arc<Relation>),
     Scalar(Value),
 }
 
@@ -57,13 +63,13 @@ impl MtmMessage {
 
 impl From<Document> for MtmMessage {
     fn from(d: Document) -> Self {
-        MtmMessage::Xml(d)
+        MtmMessage::Xml(Arc::new(d))
     }
 }
 
 impl From<Relation> for MtmMessage {
     fn from(r: Relation) -> Self {
-        MtmMessage::Rel(r)
+        MtmMessage::Rel(Arc::new(r))
     }
 }
 
@@ -104,7 +110,7 @@ mod tests {
 
     #[test]
     fn accessors_enforce_kind() {
-        let m = MtmMessage::Xml(Document::new(Element::new("x")));
+        let m = MtmMessage::from(Document::new(Element::new("x")));
         assert!(m.as_xml().is_ok());
         assert!(m.as_rel().is_err());
         let e = m.as_scalar().unwrap_err();
@@ -116,7 +122,7 @@ mod tests {
     fn sizes_scale() {
         let small = MtmMessage::Scalar(Value::Int(1));
         let schema = RelSchema::of(&[("a", SqlType::Int)]).shared();
-        let big = MtmMessage::Rel(Relation::new(
+        let big = MtmMessage::from(Relation::new(
             schema,
             (0..100).map(|i| vec![Value::Int(i)]).collect(),
         ));

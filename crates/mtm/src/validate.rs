@@ -4,7 +4,8 @@
 //! are bound, RECEIVE steps in the wrong place, empty structured operators.
 //! Branch semantics: SWITCH/VALIDATE execute *one* branch, so only
 //! variables bound in **every** branch are guaranteed afterwards; FORK
-//! executes **all** branches, so their bindings union.
+//! executes **all** branches concurrently, so their bindings union — and
+//! no two of them may bind the same name, or the join would have to pick.
 
 use crate::error::{MtmError, MtmResult};
 use crate::process::{AssignValue, EventType, ProcessDef, Step};
@@ -12,29 +13,63 @@ use std::collections::HashSet;
 
 /// Validate a process definition.
 pub fn validate(def: &ProcessDef) -> MtmResult<()> {
-    let mut defined: HashSet<String> = HashSet::new();
-    walk(def, &def.steps, &mut defined, true)?;
-    Ok(())
+    walk(def, &def.steps, &mut Scope::default(), true)
+}
+
+/// What is known at one point of a step list.
+#[derive(Default)]
+struct Scope {
+    /// Variables guaranteed to be bound here.
+    defined: HashSet<String>,
+    /// Variables this step list may have bound (or rebound) so far.
+    bound: HashSet<String>,
+}
+
+impl Scope {
+    fn bind(&mut self, var: &str) {
+        self.defined.insert(var.to_string());
+        self.bound.insert(var.to_string());
+    }
+
+    /// The scope a nested step list starts from.
+    fn branch(&self) -> Scope {
+        Scope {
+            defined: self.defined.clone(),
+            bound: HashSet::new(),
+        }
+    }
+
+    /// Continue after a SWITCH/VALIDATE of which exactly one alternative
+    /// ran: only what all of them define is defined, anything one of them
+    /// binds may be bound.
+    fn join_alternatives(&mut self, alternatives: Vec<Scope>) {
+        let mut alternatives = alternatives.into_iter();
+        let Some(first) = alternatives.next() else {
+            return;
+        };
+        let mut common = first.defined;
+        self.bound.extend(first.bound);
+        for alt in alternatives {
+            common.retain(|v| alt.defined.contains(v));
+            self.bound.extend(alt.bound);
+        }
+        self.defined.extend(common);
+    }
 }
 
 fn err(def: &ProcessDef, msg: String) -> MtmError {
     MtmError::InvalidProcess(format!("{}: {msg}", def.id))
 }
 
-fn require(def: &ProcessDef, defined: &HashSet<String>, var: &str, op: &str) -> MtmResult<()> {
-    if defined.contains(var) {
+fn require(def: &ProcessDef, scope: &Scope, var: &str, op: &str) -> MtmResult<()> {
+    if scope.defined.contains(var) {
         Ok(())
     } else {
         Err(err(def, format!("{op} reads {var} before it is bound")))
     }
 }
 
-fn walk(
-    def: &ProcessDef,
-    steps: &[Step],
-    defined: &mut HashSet<String>,
-    top_level: bool,
-) -> MtmResult<()> {
+fn walk(def: &ProcessDef, steps: &[Step], scope: &mut Scope, top_level: bool) -> MtmResult<()> {
     for (i, step) in steps.iter().enumerate() {
         match step {
             Step::Receive { var } => {
@@ -44,17 +79,17 @@ fn walk(
                 if !(top_level && i == 0) {
                     return Err(err(def, "RECEIVE must be the first step".into()));
                 }
-                defined.insert(var.clone());
+                scope.bind(var);
             }
             Step::Assign { var, value } => {
                 if let AssignValue::CopyVar(src) = value {
-                    require(def, defined, src, "ASSIGN")?;
+                    require(def, scope, src, "ASSIGN")?;
                 }
-                defined.insert(var.clone());
+                scope.bind(var);
             }
             Step::Translate { input, output, .. } => {
-                require(def, defined, input, "TRANSLATE")?;
-                defined.insert(output.clone());
+                require(def, scope, input, "TRANSLATE")?;
+                scope.bind(output);
             }
             Step::Validate {
                 input,
@@ -62,12 +97,12 @@ fn walk(
                 on_invalid,
                 ..
             } => {
-                require(def, defined, input, "VALIDATE")?;
-                let mut a = defined.clone();
+                require(def, scope, input, "VALIDATE")?;
+                let mut a = scope.branch();
                 walk(def, on_valid, &mut a, false)?;
-                let mut b = defined.clone();
+                let mut b = scope.branch();
                 walk(def, on_invalid, &mut b, false)?;
-                defined.extend(a.intersection(&b).cloned().collect::<Vec<_>>());
+                scope.join_alternatives(vec![a, b]);
             }
             Step::Switch {
                 input,
@@ -75,68 +110,61 @@ fn walk(
                 default,
                 ..
             } => {
-                require(def, defined, input, "SWITCH")?;
+                require(def, scope, input, "SWITCH")?;
                 if cases.is_empty() {
                     return Err(err(def, "SWITCH with no cases".into()));
                 }
-                let mut branch_sets: Vec<HashSet<String>> = Vec::new();
+                let mut alternatives: Vec<Scope> = Vec::new();
                 for c in cases {
-                    let mut s = defined.clone();
+                    let mut s = scope.branch();
                     walk(def, &c.steps, &mut s, false)?;
-                    branch_sets.push(s);
+                    alternatives.push(s);
                 }
                 if !default.is_empty() {
-                    let mut s = defined.clone();
+                    let mut s = scope.branch();
                     walk(def, default, &mut s, false)?;
-                    branch_sets.push(s);
+                    alternatives.push(s);
                 }
-                // intersection of all branches
-                if let Some(first) = branch_sets.first().cloned() {
-                    let common = branch_sets
-                        .iter()
-                        .skip(1)
-                        .fold(first, |acc, s| acc.intersection(s).cloned().collect());
-                    defined.extend(common);
-                }
+                scope.join_alternatives(alternatives);
             }
             Step::WsQuery { output, .. } => {
-                defined.insert(output.clone());
+                scope.bind(output);
             }
-            Step::WsUpdate { input, .. } => require(def, defined, input, "INVOKE(update)")?,
+            Step::WsUpdate { input, .. } => require(def, scope, input, "INVOKE(update)")?,
             Step::DbQuery { output, .. } | Step::DbQueryDyn { output, .. } => {
-                defined.insert(output.clone());
+                scope.bind(output);
             }
-            Step::DbInsert { input, .. } => require(def, defined, input, "INVOKE(insert)")?,
-            Step::DbLoadXml { input, .. } => require(def, defined, input, "INVOKE(load)")?,
+            Step::DbInsert { input, .. } => require(def, scope, input, "INVOKE(insert)")?,
+            Step::DbLoadXml { input, .. } => require(def, scope, input, "INVOKE(load)")?,
             Step::DbCall { output, .. } => {
                 if let Some(o) = output {
-                    defined.insert(o.clone());
+                    scope.bind(o);
                 }
             }
             Step::DbDelete { .. } => {}
             Step::Selection { input, output, .. } => {
-                require(def, defined, input, "SELECTION")?;
-                defined.insert(output.clone());
+                require(def, scope, input, "SELECTION")?;
+                scope.bind(output);
             }
             Step::Projection {
                 input,
                 output,
                 exprs,
             } => {
-                require(def, defined, input, "PROJECTION")?;
+                require(def, scope, input, "PROJECTION")?;
                 if exprs.is_empty() {
                     return Err(err(def, "PROJECTION with no output columns".into()));
                 }
-                defined.insert(output.clone());
+                scope.bind(output);
             }
             Step::UnionDistinct { inputs, output, .. } => {
                 if inputs.is_empty() {
                     return Err(err(def, "UNION DISTINCT with no inputs".into()));
                 }
                 for v in inputs {
-                    require(def, defined, v, "UNION DISTINCT")?;
+                    require(def, scope, v, "UNION DISTINCT")?;
                 }
-                defined.insert(output.clone());
+                scope.bind(output);
             }
             Step::Join {
                 left,
@@ -146,27 +174,35 @@ fn walk(
                 output,
                 ..
             } => {
-                require(def, defined, left, "JOIN")?;
-                require(def, defined, right, "JOIN")?;
+                require(def, scope, left, "JOIN")?;
+                require(def, scope, right, "JOIN")?;
                 if left_keys.len() != right_keys.len() {
                     return Err(err(def, "JOIN key arity mismatch".into()));
                 }
-                defined.insert(output.clone());
+                scope.bind(output);
             }
             Step::XmlToRel { input, output, .. } | Step::RelToXml { input, output, .. } => {
-                require(def, defined, input, "codec")?;
-                defined.insert(output.clone());
+                require(def, scope, input, "codec")?;
+                scope.bind(output);
             }
             Step::Fork { branches } => {
                 if branches.len() < 2 {
                     return Err(err(def, "FORK needs at least two branches".into()));
                 }
+                // all branches run, each over the bindings from before the
+                // FORK: union what they bind, which must not overlap
+                let mut joined = Scope::default();
                 for b in branches {
-                    let mut s = defined.clone();
+                    let mut s = scope.branch();
                     walk(def, b, &mut s, false)?;
-                    // all branches run: union their bindings
-                    defined.extend(s);
+                    if let Some(var) = s.bound.intersection(&joined.bound).min() {
+                        return Err(err(def, format!("two FORK branches bind {var}")));
+                    }
+                    joined.defined.extend(s.defined);
+                    joined.bound.extend(s.bound);
                 }
+                scope.defined.extend(joined.defined);
+                scope.bound.extend(joined.bound);
             }
             Step::Subprocess {
                 process,
@@ -174,30 +210,32 @@ fn walk(
                 output,
             } => {
                 if let Some(v) = input {
-                    require(def, defined, v, "SUBPROCESS")?;
+                    require(def, scope, v, "SUBPROCESS")?;
                 }
                 // the subprocess runs in a fresh scope; by convention it
                 // sees `input` (when passed) and must bind `output` (when
                 // the parent expects one)
-                let mut sub_defined: HashSet<String> = HashSet::new();
+                let mut sub = Scope::default();
                 if input.is_some() {
-                    sub_defined.insert("input".to_string());
+                    sub.bind("input");
                 }
-                walk(process, &process.steps, &mut sub_defined, false)?;
-                if output.is_some() && !sub_defined.contains("output") {
+                walk(process, &process.steps, &mut sub, false)?;
+                if output.is_some() && !sub.defined.contains("output") {
                     return Err(err(
                         def,
                         format!("subprocess {} never binds 'output'", process.id),
                     ));
                 }
                 if let Some(o) = output {
-                    defined.insert(o.clone());
+                    scope.bind(o);
                 }
             }
             Step::Custom { binds, .. } => {
                 // opaque body: reads cannot be checked, but declared
                 // bindings become visible
-                defined.extend(binds.iter().cloned());
+                for var in binds {
+                    scope.bind(var);
+                }
             }
         }
     }
@@ -319,6 +357,39 @@ mod tests {
             ],
         );
         assert!(validate(&def).is_ok());
+    }
+
+    #[test]
+    fn fork_branches_must_bind_disjoint_names() {
+        let fork = |branches| {
+            ProcessDef::new(
+                "P5b",
+                "x",
+                'D',
+                EventType::Timed,
+                vec![assign("x"), Step::Fork { branches }],
+            )
+        };
+        // one branch may rebind what it inherited ...
+        assert!(validate(&fork(vec![vec![assign("x")], vec![assign("y")]])).is_ok());
+        // ... two may not bind the same name, new or inherited
+        for clash in ["x", "z"] {
+            let e = validate(&fork(vec![vec![assign(clash)], vec![assign(clash)]])).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("two FORK branches bind {clash}")),
+                "{e}"
+            );
+        }
+        // branches run concurrently: one cannot read what a sibling binds
+        let reads_sibling = fork(vec![
+            vec![assign("a")],
+            vec![Step::Assign {
+                var: "b".into(),
+                value: AssignValue::CopyVar("a".into()),
+            }],
+        ]);
+        assert!(validate(&reads_sibling).is_err());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Operator-level tests of the MTM interpreter: every step kind exercised
 //! against a small world, including the branches unit tests don't reach.
 
+use dip_mtm::context::VarStore;
+use dip_mtm::interpreter::Interpreter;
 use dip_mtm::message::MtmMessage;
 use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase};
-use dip_mtm::{MtmEngine, MtmError};
+use dip_mtm::{InstanceCosts, MtmEngine, MtmError};
 use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
@@ -12,7 +14,9 @@ use dip_xmlkit::node::{Document, Element};
 use dip_xmlkit::stx::{Rule, Stylesheet};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::xsd::{XsdElement, XsdSchema};
-use std::sync::Arc;
+use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::{Arc, Barrier, Mutex};
 
 fn world() -> Arc<ExternalWorld> {
     let net = Arc::new(Network::new(
@@ -412,4 +416,422 @@ fn join_step_enriches() {
         sink.get_by_pk(&[Value::Int(1)]).unwrap()[1],
         Value::str("one+one")
     );
+}
+
+// ---- data flow by reference: operators against their relstore twins,
+// ---- and what FORK / SUBPROCESS share
+
+/// Run `steps` in a bare interpreter and hand back the final variables.
+fn run_vars(steps: Vec<Step>) -> VarStore {
+    let costs = InstanceCosts::new();
+    let def = ProcessDef::new("T", "test", 'B', EventType::Timed, steps);
+    Interpreter::new(&world(), &costs).run(&def, None).unwrap()
+}
+
+fn bind(var: &str, value: impl Into<MtmMessage>) -> Step {
+    Step::Assign {
+        var: var.into(),
+        value: AssignValue::Const(value.into()),
+    }
+}
+
+/// The oracle's answer to a `Values`-only plan.
+fn oracle(plan: Plan) -> Relation {
+    execute_oracle(&plan, &Database::new("scratch")).unwrap()
+}
+
+fn nis_schema() -> SchemaRef {
+    RelSchema::of(&[
+        ("n", SqlType::Float),
+        ("i", SqlType::Int),
+        ("s", SqlType::Str),
+    ])
+    .shared()
+}
+
+/// Nullable (numeric, int, str) relations over a domain small enough that
+/// duplicates are the rule; `n` mixes `Int(k)` and `Float(k.0)`, which are
+/// equal as keys.
+fn arb_relation() -> impl Strategy<Value = Relation> {
+    let n = prop_oneof![
+        Just(Value::Null),
+        (0i64..4).prop_map(Value::Int),
+        (0i64..4).prop_map(|k| Value::Float(k as f64)),
+    ];
+    let i = prop_oneof![1 => Just(Value::Null), 4 => (0i64..4).prop_map(Value::Int)];
+    let s = prop_oneof![1 => Just(Value::Null), 4 => "[ab]{0,1}".prop_map(Value::str)];
+    prop::collection::vec((n, i, s), 0..24).prop_map(|rows| {
+        Relation::new(
+            nis_schema(),
+            rows.into_iter().map(|(n, i, s)| vec![n, i, s]).collect(),
+        )
+    })
+}
+
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+fn cmp(op: CmpOp, a: Expr, b: Expr) -> Expr {
+    Expr::Cmp(op, Box::new(a), Box::new(b))
+}
+
+/// A predicate over `nis_schema` rows: column/literal, column/column and
+/// computed comparison operands, alone and under AND / OR / IS NULL.
+fn predicate(shape: usize, op: CmpOp, k: i64) -> Expr {
+    let col_lit = cmp(op, Expr::col(1), Expr::lit(k));
+    let col_col = cmp(op, Expr::col(0), Expr::col(1));
+    let computed = cmp(op, Expr::col(1).add(Expr::lit(1)), Expr::col(0));
+    match shape {
+        0 => col_lit,
+        1 => col_col,
+        2 => computed,
+        3 => col_lit.and(Expr::col(2).eq(Expr::lit("a"))),
+        4 => col_col.or(Expr::col(2).is_null()),
+        _ => cmp(op, Expr::lit(k), Expr::col(0)).not(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn selection_matches_plan_filter(
+        rel in arb_relation(),
+        shape in 0usize..6,
+        op in 0usize..6,
+        k in 0i64..4,
+    ) {
+        let pred = predicate(shape, CMP_OPS[op], k);
+        let vars = run_vars(vec![
+            bind("in", rel.clone()),
+            Step::Selection { input: "in".into(), predicate: pred.clone(), output: "out".into() },
+        ]);
+        let expected = oracle(Plan::Values(rel).filter(pred));
+        prop_assert_eq!(vars.get("out").unwrap().as_rel().unwrap(), &expected);
+    }
+
+    #[test]
+    fn projection_matches_plan_project(rel in arb_relation(), op in 0usize..6) {
+        let exprs = vec![
+            ProjExpr::new(Expr::col(2), "s", SqlType::Str),
+            ProjExpr::new(Expr::col(0).add(Expr::lit(1)), "n1", SqlType::Float),
+            ProjExpr::new(
+                Expr::Concat(vec![Expr::col(2), Expr::lit("-"), Expr::col(1)]),
+                "tag",
+                SqlType::Str,
+            ),
+            ProjExpr::new(cmp(CMP_OPS[op], Expr::col(0), Expr::col(1)), "c", SqlType::Bool),
+        ];
+        let vars = run_vars(vec![
+            bind("in", rel.clone()),
+            Step::Projection { input: "in".into(), exprs: exprs.clone(), output: "out".into() },
+        ]);
+        let expected = oracle(Plan::Values(rel).project(exprs));
+        prop_assert_eq!(vars.get("out").unwrap().as_rel().unwrap(), &expected);
+    }
+
+    #[test]
+    fn union_distinct_matches_plan_union_distinct(
+        a in arb_relation(),
+        b in arb_relation(),
+        key in prop_oneof![Just(None), Just(Some(vec![0])), Just(Some(vec![0, 2]))],
+    ) {
+        let vars = run_vars(vec![
+            bind("a", a.clone()),
+            bind("b", b.clone()),
+            Step::UnionDistinct {
+                inputs: vec!["a".into(), "b".into(), "a".into()],
+                key: key.clone(),
+                output: "out".into(),
+            },
+        ]);
+        let expected = oracle(Plan::UnionDistinct {
+            inputs: vec![Plan::Values(a.clone()), Plan::Values(b), Plan::Values(a)],
+            key,
+        });
+        prop_assert_eq!(vars.get("out").unwrap().as_rel().unwrap(), &expected);
+    }
+}
+
+#[test]
+fn union_distinct_keys_compare_by_contents() {
+    let rel = Relation::new(
+        nis_schema(),
+        vec![
+            vec![Value::Int(3), Value::Int(1), Value::str("x")],
+            vec![Value::Float(3.0), Value::Int(2), Value::str("x")],
+            vec![Value::Null, Value::Int(3), Value::str("y")],
+            vec![Value::Null, Value::Int(4), Value::str("y")],
+            vec![Value::Int(3), Value::Int(1), Value::str("x")],
+        ],
+    );
+    let firsts = |key: Option<Vec<usize>>| -> Vec<Value> {
+        let vars = run_vars(vec![
+            bind("in", rel.clone()),
+            Step::UnionDistinct {
+                inputs: vec!["in".into()],
+                key,
+                output: "out".into(),
+            },
+        ]);
+        let out = vars.get("out").unwrap().as_rel().unwrap();
+        out.rows.iter().map(|r| r[1].clone()).collect()
+    };
+    // Int(3) and Float(3.0) are one key; so are two NULLs; first seen wins
+    assert_eq!(firsts(Some(vec![0])), vec![Value::Int(1), Value::Int(3)]);
+    assert_eq!(firsts(Some(vec![0, 2])), vec![Value::Int(1), Value::Int(3)]);
+    // whole-row: only the exact repeat of row 0 goes
+    assert_eq!(
+        firsts(None),
+        vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)]
+    );
+}
+
+/// A `Custom` step that files the current binding of `var` under `label`
+/// (sharing its payload, so `Arc` identity can be compared afterwards).
+fn probe(seen: &Arc<Mutex<HashMap<String, MtmMessage>>>, label: &str, var: &str) -> Step {
+    let (seen, label, var) = (seen.clone(), label.to_string(), var.to_string());
+    Step::Custom {
+        name: format!("probe {label}"),
+        binds: vec![],
+        f: Arc::new(move |vars| {
+            let m = vars.get(&var).ok_or(format!("{var} unbound"))?.clone();
+            seen.lock().unwrap().insert(label.clone(), m);
+            Ok(())
+        }),
+    }
+}
+
+fn wait(barrier: &Arc<Barrier>) -> Step {
+    let barrier = barrier.clone();
+    Step::Custom {
+        name: "wait".into(),
+        binds: vec![],
+        f: Arc::new(move |_| {
+            barrier.wait();
+            Ok(())
+        }),
+    }
+}
+
+/// Both are relations and share one payload.
+fn same_payload(a: &MtmMessage, b: &MtmMessage) -> bool {
+    matches!((a, b), (MtmMessage::Rel(a), MtmMessage::Rel(b)) if Arc::ptr_eq(a, b))
+}
+
+fn ints(values: &[i64]) -> Relation {
+    Relation::new(
+        RelSchema::of(&[("k", SqlType::Int)]).shared(),
+        values.iter().map(|&k| vec![Value::Int(k)]).collect(),
+    )
+}
+
+#[test]
+fn fork_and_subprocess_share_the_parents_relation_and_keep_rebindings_apart() {
+    let seen = Arc::new(Mutex::new(HashMap::new()));
+    let rebound = Arc::new(Barrier::new(2));
+    let keep_low = Step::Selection {
+        input: "big".into(),
+        predicate: Expr::col(0).lt(Expr::lit(2)),
+        output: "big".into(),
+    };
+    let sub = Arc::new(ProcessDef::new(
+        "SUB",
+        "sub",
+        'D',
+        EventType::Timed,
+        vec![
+            probe(&seen, "sub.input", "input"),
+            // rebinding the subprocess's own `input` ...
+            Step::Selection {
+                input: "input".into(),
+                predicate: Expr::col(0).ge(Expr::lit(2)),
+                output: "input".into(),
+            },
+            Step::Assign {
+                var: "output".into(),
+                value: AssignValue::CopyVar("input".into()),
+            },
+        ],
+    ));
+    let vars = run_vars(vec![
+        bind("big", ints(&[0, 1, 2, 3])),
+        bind("other", ints(&[7])),
+        probe(&seen, "parent.big", "big"),
+        probe(&seen, "parent.other", "other"),
+        Step::Fork {
+            branches: vec![
+                // branch 0 rebinds the inherited `big` ...
+                vec![keep_low, wait(&rebound)],
+                // ... and branch 1, which looks only afterwards, still sees
+                // the parent's
+                vec![
+                    wait(&rebound),
+                    probe(&seen, "b1.big", "big"),
+                    Step::Subprocess {
+                        process: sub,
+                        input: Some("big".into()),
+                        output: Some("from_sub".into()),
+                    },
+                    // ... is invisible to the caller's variable
+                    probe(&seen, "b1.big.after_sub", "big"),
+                ],
+            ],
+        },
+    ]);
+    let seen = seen.lock().unwrap();
+    let original = &seen["parent.big"];
+    assert!(
+        same_payload(&seen["b1.big"], original),
+        "branch sees the parent's relation"
+    );
+    assert!(
+        same_payload(&seen["sub.input"], original),
+        "subprocess input is not a copy"
+    );
+    assert!(same_payload(&seen["b1.big.after_sub"], original));
+    assert_eq!(
+        original.as_rel().unwrap(),
+        &ints(&[0, 1, 2, 3]),
+        "never modified"
+    );
+    // the join takes over what each branch bound, and nothing it inherited:
+    // branch 0's rebinding survives branch 1's stale `big`
+    assert_eq!(vars.get("big").unwrap().as_rel().unwrap(), &ints(&[0, 1]));
+    assert_eq!(
+        vars.get("from_sub").unwrap().as_rel().unwrap(),
+        &ints(&[2, 3])
+    );
+    assert!(same_payload(
+        vars.get("other").unwrap(),
+        &seen["parent.other"]
+    ));
+}
+
+#[test]
+fn fork_merge_keeps_a_branch_rebinding() {
+    let scalar = |v: i64| MtmMessage::Scalar(Value::Int(v));
+    let vars = run_vars(vec![
+        bind("x", scalar(1)),
+        Step::Fork {
+            branches: vec![
+                vec![bind("x", scalar(2))],
+                // never touches x: its inherited x = 1 must not come back
+                vec![bind("y", scalar(3))],
+            ],
+        },
+    ]);
+    assert_eq!(vars.get("x"), Some(&scalar(2)));
+    assert_eq!(vars.get("y"), Some(&scalar(3)));
+}
+
+#[test]
+fn spans_on_fork_threads_carry_the_instance() {
+    let e = engine();
+    e.deploy(ProcessDef::new(
+        "TRC",
+        "traced fork",
+        'D',
+        EventType::Timed,
+        vec![Step::Fork {
+            branches: vec![
+                vec![bind("a", MtmMessage::Scalar(Value::Int(1)))],
+                vec![bind("b", MtmMessage::Scalar(Value::Int(2)))],
+            ],
+        }],
+    ))
+    .unwrap();
+    dip_trace::enable();
+    e.execute("TRC", 3, None).unwrap();
+    dip_trace::disable();
+    // other tests of this binary may have recorded spans meanwhile; this
+    // instance's are the ones carrying its process id
+    let spans: Vec<_> = dip_trace::drain()
+        .into_iter()
+        .filter(|s| s.process.as_deref() == Some("TRC"))
+        .collect();
+    let fork = spans.iter().find(|s| s.op == "fork").expect("fork span");
+    let assigns: Vec<_> = spans.iter().filter(|s| s.op == "assign").collect();
+    assert_eq!(
+        assigns.len(),
+        2,
+        "both branch spans are attributed: {spans:?}"
+    );
+    for a in assigns {
+        assert_ne!(a.thread, fork.thread, "recorded on a branch thread");
+        assert_eq!((a.period, a.instance), (fork.period, fork.instance));
+        assert_eq!(a.period, Some(3));
+    }
+}
+
+/// `Expr::Cmp` reads column and literal operands in place and computes the
+/// rest; whichever way an operand arrives, the result is the three-valued
+/// comparison of the two values.
+#[test]
+fn cmp_is_the_same_over_borrowed_and_computed_operands() {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let values = [
+        Value::Null,
+        Value::Int(3),
+        Value::Float(3.0),
+        Value::Float(2.5),
+        Value::Int(-1),
+        Value::str("a"),
+        Value::str("b"),
+        Value::Bool(true),
+    ];
+    let expected = |op: CmpOp, a: &Value, b: &Value| {
+        if a.is_null() || b.is_null() {
+            return Value::Null;
+        }
+        let ord = a.total_cmp(b);
+        Value::Bool(match op {
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
+        })
+    };
+    // the same value as a column, as a literal, and computed
+    let forms = |col: usize, v: &Value| {
+        [
+            Expr::col(col),
+            Expr::Lit(v.clone()),
+            Expr::Coalesce(vec![Expr::col(col)]),
+        ]
+    };
+    for a in &values {
+        for b in &values {
+            let row = vec![a.clone(), b.clone()];
+            for op in CMP_OPS {
+                let want = expected(op, a, b);
+                for l in forms(0, a) {
+                    for r in forms(1, b) {
+                        let e = cmp(op, l.clone(), r);
+                        assert_eq!(e.eval(&row).unwrap(), want, "{e:?} over {row:?}");
+                    }
+                }
+            }
+        }
+    }
+    // an operand out of range is an error on either side, the left one first
+    let row = vec![Value::Int(1)];
+    for op in CMP_OPS {
+        for e in [
+            cmp(op, Expr::col(9), Expr::lit(1)),
+            cmp(op, Expr::lit(1), Expr::col(9)),
+            cmp(op, Expr::col(9), Expr::col(8)),
+        ] {
+            let err = e.eval(&row).unwrap_err().to_string();
+            assert!(err.contains("column index 9 out of range"), "{err}");
+        }
+    }
 }

@@ -7,6 +7,7 @@
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
 use crate::value::{date_parts, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,6 +30,11 @@ impl RowAccess for Row {
     fn value_at(&self, i: usize) -> Option<&Value> {
         self.get(i)
     }
+}
+
+fn column<R: RowAccess + ?Sized>(row: &R, i: usize) -> StoreResult<&Value> {
+    row.value_at(i)
+        .ok_or_else(|| StoreError::Eval(format!("column index {i} out of range")))
 }
 
 /// Binary comparison operators (SQL three-valued semantics).
@@ -203,13 +209,10 @@ impl Expr {
     /// halves, borrowed slices, …) without materializing it first.
     pub fn eval_on<R: RowAccess + ?Sized>(&self, row: &R) -> StoreResult<Value> {
         match self {
-            Expr::Col(i) => row
-                .value_at(*i)
-                .cloned()
-                .ok_or_else(|| StoreError::Eval(format!("column index {i} out of range"))),
+            Expr::Col(i) => column(row, *i).cloned(),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Cmp(op, a, b) => {
-                let (a, b) = (a.eval_on(row)?, b.eval_on(row)?);
+                let (a, b) = (a.operand(row)?, b.operand(row)?);
                 if a.is_null() || b.is_null() {
                     return Ok(Value::Null);
                 }
@@ -341,6 +344,17 @@ impl Expr {
                 let vals: StoreResult<Vec<Value>> = args.iter().map(|a| a.eval_on(row)).collect();
                 f(&vals?)
             }
+        }
+    }
+
+    /// The value of a comparison operand: columns and literals are read in
+    /// place (no `Arc<str>` refcount traffic on rows several threads
+    /// share), anything else is computed.
+    fn operand<'a, R: RowAccess + ?Sized>(&'a self, row: &'a R) -> StoreResult<Cow<'a, Value>> {
+        match self {
+            Expr::Col(i) => column(row, *i).map(Cow::Borrowed),
+            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+            computed => computed.eval_on(row).map(Cow::Owned),
         }
     }
 

@@ -34,6 +34,7 @@ pub use record::{
     group_of, CellStats, ProcessStats, RunRecord, SpanRollup, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 pub use span::{
-    count, disable, drain, drain_counters, enable, instance_scope, is_enabled, record_modeled,
-    span, span_cat, span_count, Category, CtxGuard, Layer, Span, SpanRecord,
+    adopt, count, disable, drain, drain_counters, enable, instance_scope, is_enabled,
+    record_modeled, snapshot, span, span_cat, span_count, Category, CtxGuard, CtxSnapshot, Layer,
+    Span, SpanRecord,
 };

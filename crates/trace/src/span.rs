@@ -222,7 +222,28 @@ pub fn instance_scope(process: &str, period: u32, instance: u64) -> CtxGuard {
     CtxGuard { pushed: true }
 }
 
-/// Guard returned by [`instance_scope`]; pops the context on drop.
+/// The instance context of this thread, for a thread it is about to spawn
+/// (FORK branches, mart loaders): thread-locals are not inherited. `None`
+/// outside any scope, and while tracing is off.
+pub fn snapshot() -> Option<CtxSnapshot> {
+    if !is_enabled() {
+        return None;
+    }
+    CTX.with(|c| c.borrow().last().cloned().map(CtxSnapshot))
+}
+
+/// Re-establish a snapshotted instance context on this thread; spans
+/// recorded until the guard drops carry the parent's identity.
+pub fn adopt(snapshot: &CtxSnapshot) -> CtxGuard {
+    CTX.with(|c| c.borrow_mut().push(snapshot.0.clone()));
+    CtxGuard { pushed: true }
+}
+
+/// An instance context taken by [`snapshot`] for [`adopt`] on another thread.
+pub struct CtxSnapshot(InstanceCtx);
+
+/// Guard returned by [`instance_scope`] and [`adopt`]; pops the context on
+/// drop.
 pub struct CtxGuard {
     pushed: bool,
 }
@@ -375,6 +396,32 @@ mod tests {
         assert_eq!(net.dur_ns, 1_500_000);
         assert_eq!(net.process, None, "modeled span outside any scope");
         assert_eq!(drain_counters(), vec![("net.bytes".to_string(), 50)]);
+
+        // a spawned thread does not inherit the scope; adopting a snapshot
+        // gives its spans the parent's identity
+        assert!(snapshot().is_none(), "disabled: nothing to hand over");
+        enable();
+        assert!(snapshot().is_none(), "outside any scope");
+        {
+            let _g = instance_scope("P14", 1, 9);
+            let snap = snapshot();
+            std::thread::scope(|s| {
+                s.spawn(|| drop(span(Layer::Mtm, "orphan")));
+                s.spawn(|| {
+                    let _ctx = snap.as_ref().map(adopt);
+                    drop(span(Layer::Mtm, "adopted"));
+                });
+            });
+        }
+        disable();
+        let spans = drain();
+        let by_op = |op: &str| spans.iter().find(|s| s.op == op).unwrap();
+        assert_eq!(by_op("orphan").process, None);
+        let adopted = by_op("adopted");
+        assert_eq!(
+            (adopted.process.as_deref(), adopted.period, adopted.instance),
+            (Some("P14"), Some(1), Some(9))
+        );
 
         // disabled again: back to no-op
         let _s = span(Layer::Core, "period");
