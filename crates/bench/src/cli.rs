@@ -4,8 +4,7 @@
 //! values off the [`Parsed`] result through the flag constants below, so
 //! each `(command, flag)` pair is declared exactly once.
 
-use crate::barometer::EngineRegistry;
-use crate::EngineKind;
+use crate::{EngineKind, EngineRegistry};
 use dipbench::prelude::{Distribution, ScaleFactors};
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -18,8 +17,6 @@ pub enum Ty {
     Switch,
     /// A finite number > 0.
     Positive,
-    /// A finite number ≥ 0.
-    NonNegative,
     /// A rate in [0, 1).
     Rate,
     /// An integer ≥ 1 (`u32`).
@@ -37,13 +34,12 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// The value placeholder of the synopsis (e.g. `X`, `md|text`) and the
-    /// constraint in words, for help text and error messages.
+    /// The value placeholder of the synopsis (e.g. `X`, `block|shed|degrade`)
+    /// and the constraint in words, for help text and error messages.
     fn describe(self) -> (String, String) {
         let (metavar, expects) = match self {
             Ty::Switch => ("", "no value"),
             Ty::Positive => ("X", "a number > 0"),
-            Ty::NonNegative => ("X", "a number >= 0"),
             Ty::Rate => ("X", "a rate in [0, 1)"),
             Ty::Count => ("N", "an integer >= 1"),
             Ty::Index | Ty::Seed => ("N", "a non-negative integer"),
@@ -62,7 +58,6 @@ impl Ty {
         match self {
             Ty::Switch => false,
             Ty::Positive => number(|x| x > 0.0),
-            Ty::NonNegative => number(|x| x >= 0.0),
             Ty::Rate => number(|x| (0.0..1.0).contains(&x)),
             Ty::Count => v.parse().is_ok_and(|n: u32| n >= 1),
             Ty::Index => v.parse::<u32>().is_ok(),
@@ -124,11 +119,6 @@ mod flags {
     pub const TRACE: Flag = Flag::new("--trace", Ty::Text("FILE"), "write the run's Chrome trace here");
     pub const OUT: Flag = Flag::new("--out", Ty::Text("FILE"), "write the command's artifact here");
     pub const OUT_DIR: Flag = Flag::new("--out", Ty::Text("DIR"), "write the report files into this directory");
-    pub const RECORDS: Flag = Flag::new("--records", Ty::Text("DIR"), "directory of committed run records").or("results/records");
-    pub const THRESHOLD: Flag = Flag::new("--threshold", Ty::NonNegative, "relative change that counts as a regression");
-    pub const MIN_DELTA: Flag = Flag::new("--min-delta", Ty::NonNegative, "absolute NAVG+ change [tu] below which a difference is noise").or("0.05");
-    pub const FORMAT: Flag = Flag::new("--format", Ty::Choice(&["md", "text"]), "output format").or("md");
-    pub const CHECK: Flag = Flag::new("--check", Ty::Switch, "exit 1 when any cell regressed beyond the threshold");
     pub const SEED: Flag = Flag::new("--seed", Ty::Seed, "seed of the data generator and the fault schedule").or("3355");
     pub const DROP: Flag = Flag::new("--drop", Ty::Rate, "transport drop rate").or("0.05");
     pub const TIMEOUT: Flag = Flag::new("--timeout", Ty::Rate, "transport timeout rate").or("0");
@@ -168,14 +158,10 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "fig11", args: "", arity: (0, 0), flags: FIGURE, summary: "paper Fig. 11 (d = 0.1, t = 1, uniform)" },
     Command { name: "run", args: "", arity: (0, 0), summary: "one experiment at explicit scale factors",
               flags: &[D, T, F, PERIODS.or("3"), ENGINE, TRACE, OUT_DIR, WORKERS] },
-    Command { name: "compare", args: "", arity: (0, 0), flags: &[PERIODS.or("2")], summary: "fed vs mtm at the Fig. 10 configuration" },
-    Command { name: "sweep", args: "[d|t|f]", arity: (0, 1), flags: &[PERIODS, ENGINE], summary: "scale-factor sweep (default d)" },
+    Command { name: "compare", args: "", arity: (0, 0), summary: "every registered engine side by side at the Fig. 10 configuration (exit 1 on a failed verification)",
+              flags: &[PERIODS.or("2")] },
+    Command { name: "sweep", args: "[d|t|f]", arity: (0, 1), flags: &[PERIODS, ENGINE], summary: "scale-factor sweep (default d; exit 1 on a failed verification)" },
     Command { name: "quality", args: "", arity: (0, 0), flags: &[PERIODS, ENGINE, D], summary: "data-quality profile per pipeline layer" },
-    Command { name: "record", args: "", arity: (0, 0), flags: &[D, T, F, PERIODS, ENGINE, OUT], summary: "run traced and write a versioned run record" },
-    Command { name: "report", args: "", arity: (0, 0), summary: "barometer tables from the committed run records",
-              flags: &[RECORDS, THRESHOLD.or("0.2"), FORMAT, OUT, CHECK] },
-    Command { name: "diff", args: "<baseline.json> <candidate.json>", arity: (2, 2), summary: "compare two run records (exit 1 on regression)",
-              flags: &[THRESHOLD.or("0.15"), MIN_DELTA] },
     Command { name: "faults", args: "", arity: (0, 0), summary: "seeded chaos cells, each run twice (exit 1 on divergence or a failed single cell)",
               flags: &[ENGINE, PERIODS, D, SEED, DROP, TIMEOUT, ATTEMPTS, SWEEP, WORKERS] },
     Command { name: "crash", args: "", arity: (0, 0), summary: "crash-restart recovery at one step (--at) or every step (--sweep) (exit 1 on divergence)",
@@ -241,12 +227,6 @@ impl Parsed {
     pub fn scale(&self) -> ScaleFactors {
         ScaleFactors::new(self.get(D), self.get(T), self.distribution())
     }
-}
-
-/// The `--f` word of a distribution (the inverse of [`Parsed::distribution`]).
-pub fn distribution_word(f: Distribution) -> &'static str {
-    let at = F_VALUES.iter().position(|d| *d == f);
-    F_WORDS[at.expect("every distribution has a word")]
 }
 
 /// Parse `argv[1..]`. `Err` is the complete message for stderr; the caller
@@ -337,7 +317,6 @@ pub fn help(cmd: &Command) -> String {
         let _ = write!(out, "\n    {head:<24} {}", flag.help);
         match (flag.ty, flag.default) {
             (Ty::Switch, _) | (Ty::Text(_), None) => {}
-            (Ty::Text(_), Some(default)) => drop(write!(out, " (default {default})")),
             (ty, None) => drop(write!(out, " ({})", ty.describe().1)),
             (ty, Some(default)) => drop(write!(out, " ({}; default {default})", ty.describe().1)),
         }

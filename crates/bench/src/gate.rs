@@ -22,6 +22,8 @@ pub struct Fingerprint {
     pub dead_letters: Vec<DeadLetter>,
     /// The dispatch failures, rendered.
     pub failures: String,
+    /// Per process type, the instances that ran: `(process, ok, failed)`.
+    pub instances: Vec<(String, usize, usize)>,
     /// Every counter the run drained, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Whether the verification phase passed.
@@ -29,6 +31,26 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
+    /// What a finished run produced: its outcome, its verification and the
+    /// table `digests` of its world. The counters are [`run_cell`]'s to
+    /// fill in.
+    pub fn of(
+        outcome: &RunOutcome,
+        verification: &VerificationReport,
+        digests: BTreeMap<String, u64>,
+    ) -> Fingerprint {
+        Fingerprint {
+            digests,
+            dead_letters: outcome.dead_letters.clone(),
+            failures: format!("{:?}", outcome.failures),
+            instances: (outcome.metrics.iter())
+                .map(|m| (m.process.clone(), m.instances, m.failures))
+                .collect(),
+            counters: Vec::new(),
+            verified: verification.passed(),
+        }
+    }
+
     /// The stand-in for a cell that errored instead of finishing: equal to
     /// no real run, never verified.
     pub fn failed(error: String) -> Fingerprint {
@@ -55,6 +77,9 @@ impl Fingerprint {
         }
         if self.failures != other.failures {
             out.push("dispatch failures".into());
+        }
+        if self.instances != other.instances {
+            out.push("instances".into());
         }
         if self.verified != other.verified {
             out.push("verification".into());
@@ -113,13 +138,7 @@ pub struct CellRun {
 /// Drive the load; the counters are [`run_cell`]'s to fill in.
 fn execute(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<CellRun> {
     let cell = |outcome: RunOutcome, verification: VerificationReport, digests, detail| CellRun {
-        fingerprint: Fingerprint {
-            digests,
-            dead_letters: outcome.dead_letters.clone(),
-            failures: format!("{:?}", outcome.failures),
-            counters: Vec::new(),
-            verified: verification.passed(),
-        },
+        fingerprint: Fingerprint::of(&outcome, &verification, digests),
         outcome,
         verification,
         detail,

@@ -1,19 +1,20 @@
 //! Harness helpers shared by the `dipbench` CLI, the criterion benches and
-//! the integration tests: engine construction, experiment execution, run
-//! records, the declared command table ([`cli`]) and gate table ([`gate`]).
+//! the integration tests: the engine registry ([`registry`]), experiment
+//! execution, the declared command table ([`cli`]) and gate table ([`gate`]).
 
 use dipbench::prelude::*;
 use dipbench::verify::{self, VerificationReport};
+use std::io::{self, Write};
 use std::sync::Arc;
 
-pub mod barometer;
 pub mod cli;
 pub mod gate;
+pub mod registry;
 
-use barometer::EngineRegistry;
+pub use registry::{EngineRegistry, EngineSpec};
 
 /// Which integration system to benchmark. The registry
-/// ([`barometer::EngineRegistry`]) is the source of truth for tags,
+/// ([`EngineRegistry`]) is the source of truth for tags,
 /// labels, constructors and capabilities; this enum is the cheap copyable
 /// handle the harness passes around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +45,7 @@ impl EngineKind {
         EngineRegistry::builtin().spec_of(*self).label
     }
 
-    /// Canonical short tag, e.g. `fed` — used in record files and CLI.
+    /// Canonical short tag, e.g. `fed` — the `--engine` value.
     pub fn tag(&self) -> &'static str {
         EngineRegistry::builtin().spec_of(*self).tag
     }
@@ -63,8 +64,14 @@ pub struct ExperimentResult {
 
 /// Run a complete experiment.
 pub fn run_experiment(kind: EngineKind, config: BenchConfig) -> ExperimentResult {
+    run_spec(EngineRegistry::builtin().spec_of(kind), config)
+}
+
+/// [`run_experiment`] on a registry entry (the built-in one of a kind, or
+/// a test double).
+pub fn run_spec(spec: &EngineSpec, config: BenchConfig) -> ExperimentResult {
     let env = BenchEnvironment::new(config).expect("environment construction");
-    let system = build_system(kind, &env);
+    let system = (spec.build)(&env);
     let client = Client::new(&env, system).expect("deployment");
     let outcome = client.run().expect("work phase");
     let verification = verify::verify_outcome(&env, &outcome).expect("verification phase");
@@ -74,60 +81,91 @@ pub fn run_experiment(kind: EngineKind, config: BenchConfig) -> ExperimentResult
     }
 }
 
-/// The versioned run record of an outcome: identity, per-process stats and
-/// the wall clock. Timestamp, commit, span rollups, counters and cells are
-/// the caller's to fill (`dipbench record` does).
-pub fn run_record(kind: EngineKind, out: &RunOutcome) -> dip_trace::RunRecord {
-    let scale = out.config.scale;
-    dip_trace::RunRecord {
-        schema_version: dip_trace::SCHEMA_VERSION,
-        created_unix: 0,
-        commit: String::new(),
-        engine: kind.tag().to_string(),
-        // One executor, so the label is fixed per engine: it keeps the
-        // committed `*+vectorized` barometer cells going, and `fed-unopt`
-        // runs its local queries through the reference interpreter.
-        exec_mode: match kind {
-            EngineKind::FederatedUnoptimized => "oracle",
-            _ => "vectorized",
-        }
-        .to_string(),
-        datasize: scale.datasize,
-        time: scale.time,
-        distribution: scale.distribution.label().to_string(),
-        periods: out.config.periods as u64,
-        wall_ms: out.wall_time.as_secs_f64() * 1000.0,
-        processes: (out.metrics.iter())
-            .map(|m| dip_trace::ProcessStats {
-                process: m.process.clone(),
-                instances: m.instances as u64,
-                failures: m.failures as u64,
-                navg_tu: m.navg_tu,
-                stddev_tu: m.stddev_tu,
-                navg_plus_tu: m.navg_plus_tu,
-                comm_tu: m.comm_tu,
-                mgmt_tu: m.mgmt_tu,
-                proc_tu: m.proc_tu,
-            })
-            .collect(),
-        rollups: Vec::new(),
-        counters: Vec::new(),
-        cells: Vec::new(),
+/// The word a table prints for a verification or gate result.
+pub fn pass_fail(passed: bool) -> &'static str {
+    if passed {
+        "PASS"
+    } else {
+        "FAIL"
     }
 }
 
-/// [`run_record`] with every wall-clock field pinned to zero — those are
-/// real durations, compared by `dipbench diff` with a tolerance, never
-/// bytewise. What remains is the schedule-determined payload: which
-/// process types ran, how many instances each dispatched, how many failed.
-pub fn pinned_record(kind: EngineKind, out: &RunOutcome) -> dip_trace::RunRecord {
-    let mut rec = run_record(kind, out);
-    rec.wall_ms = 0.0;
-    for p in &mut rec.processes {
-        (p.navg_tu, p.stddev_tu, p.navg_plus_tu) = (0.0, 0.0, 0.0);
-        (p.comm_tu, p.mgmt_tu, p.proc_tu) = (0.0, 0.0, 0.0);
+/// `dipbench compare`: the same cell on every engine of `registry`, one
+/// after the other in this process — one NAVG+ column per engine, then
+/// each engine's verification. Returns whether every engine verified.
+pub fn compare(
+    registry: &EngineRegistry,
+    config: BenchConfig,
+    out: &mut dyn Write,
+) -> io::Result<bool> {
+    let runs: Vec<(&EngineSpec, ExperimentResult)> = (registry.specs().iter())
+        .map(|spec| (spec, run_spec(spec, config)))
+        .collect();
+    write!(out, "{:<5}", "proc")?;
+    for (spec, _) in &runs {
+        write!(out, " {:>19}", format!("{} NAVG+[tu]", spec.tag))?;
     }
-    rec
+    writeln!(out)?;
+    let processes = runs.first().map_or(&[][..], |(_, r)| &r.outcome.metrics);
+    for metric in processes {
+        write!(out, "{:<5}", metric.process)?;
+        for (_, run) in &runs {
+            match run.outcome.metric_for(&metric.process) {
+                Some(m) => write!(out, " {:>19.2}", m.navg_plus_tu)?,
+                None => write!(out, " {:>19}", "-")?,
+            }
+        }
+        writeln!(out)?;
+    }
+    write!(out, "\nverification:")?;
+    for (spec, run) in &runs {
+        write!(
+            out,
+            " {}={}",
+            spec.tag,
+            pass_fail(run.verification.passed())
+        )?;
+    }
+    writeln!(out)?;
+    Ok(runs.iter().all(|(_, run)| run.verification.passed()))
+}
+
+/// `dipbench sweep`: one engine over labelled scale-factor cells, one row
+/// per cell as it finishes. Returns whether every cell verified.
+pub fn sweep(
+    spec: &EngineSpec,
+    cells: &[(String, ScaleFactors)],
+    periods: u32,
+    out: &mut dyn Write,
+) -> io::Result<bool> {
+    writeln!(
+        out,
+        "{:<14} {:>12} {:>12} {:>12} {:>8}",
+        "config", "E1 NAVG+", "E2 NAVG+", "total[ms]", "verify"
+    )?;
+    let mut verified = true;
+    for (label, scale) in cells {
+        let result = run_spec(spec, BenchConfig::new(*scale).with_periods(periods));
+        let avg = |ids: &[&str]| {
+            let vals: Vec<f64> = ids
+                .iter()
+                .filter_map(|p| result.outcome.metric_for(p))
+                .map(|m| m.navg_plus_tu)
+                .collect();
+            vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        };
+        writeln!(
+            out,
+            "{:<14} {:>12.2} {:>12.2} {:>12} {:>8}",
+            label,
+            avg(&["P01", "P02", "P04", "P08", "P10"]),
+            avg(&["P03", "P09", "P11", "P12", "P13", "P14", "P15"]),
+            result.outcome.wall_time.as_millis(),
+            pass_fail(result.verification.passed())
+        )?;
+        verified &= result.verification.passed();
+    }
+    Ok(verified)
 }
 
 /// Qualitative shape checks on a Fig. 10/11-style outcome — the

@@ -1,19 +1,18 @@
 //! The `dipbench` CLI harness — regenerates every table and figure of the
-//! paper (see EXPERIMENTS.md for the index), keeps the barometer, and walks
-//! the robustness gates.
+//! paper (see EXPERIMENTS.md for the index), compares the registered engines
+//! side by side, and walks the robustness gates.
 //!
 //! The commands, their flags, defaults and ranges are declared once, in
 //! [`dip_bench::cli::COMMANDS`]; parsing, rejection of unknown flags and
 //! out-of-range values (exit 2) and every help text derive from that
 //! table. `dipbench help` prints it; `dipbench help <command>` explains
-//! one command's flags. Engine tags resolve through the barometer's
+//! one command's flags. Engine tags resolve through the
 //! [`EngineRegistry`], gate names through [`dip_bench::gate::GATES`].
 
-use dip_bench::barometer::{self, EngineRegistry, ReportFormat};
 use dip_bench::cli::{self, Parsed, *};
 use dip_bench::gate::{self, CellRun, Check, Detail, Load};
-use dip_bench::{run_experiment, run_record, shape_findings, EngineKind};
-use dip_trace::{DiffOptions, Json, RunRecord};
+use dip_bench::{pass_fail, run_experiment, shape_findings, EngineKind, EngineRegistry};
+use dip_trace::Json;
 use dipbench::prelude::*;
 use dipbench::report;
 use std::path::{Path, PathBuf};
@@ -38,9 +37,6 @@ fn main() {
         "compare" => compare(p),
         "sweep" => sweep(p),
         "quality" => quality(p),
-        "record" => record(p),
-        "report" => report_cmd(p),
-        "diff" => diff_records(p),
         "faults" => faults(p),
         "crash" => crash(p),
         "overload" => overload(p),
@@ -72,14 +68,6 @@ fn fail(msg: &str) -> ! {
 fn write_file(path: &Path, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
         fail(&format!("cannot write {}: {e}", path.display()));
-    }
-}
-
-fn pass_fail(passed: bool) -> &'static str {
-    if passed {
-        "PASS"
-    } else {
-        "FAIL"
     }
 }
 
@@ -146,38 +134,28 @@ fn figure(p: &Parsed, scale: ScaleFactors) {
     }
 }
 
+/// End a command that printed a table of runs: exit 1 if any run failed
+/// verification (after the whole table is out).
+fn finish(verified: std::io::Result<bool>) {
+    match verified {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(1),
+        Err(e) => fail(&format!("cannot write to stdout: {e}")),
+    }
+}
+
 fn compare(p: &Parsed) {
     let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(p.get(PERIODS));
-    let fed = run_experiment(EngineKind::Federated, config);
-    let mtm = run_experiment(EngineKind::Mtm, config);
-    println!(
-        "{:<5} {:>14} {:>14} {:>8}",
-        "proc", "fed NAVG+[tu]", "mtm NAVG+[tu]", "ratio"
-    );
-    for fm in &fed.outcome.metrics {
-        if let Some(mm) = mtm.outcome.metric_for(&fm.process) {
-            println!(
-                "{:<5} {:>14.2} {:>14.2} {:>8.2}",
-                fm.process,
-                fm.navg_plus_tu,
-                mm.navg_plus_tu,
-                fm.navg_plus_tu / mm.navg_plus_tu.max(1e-9)
-            );
-        }
-    }
-    println!(
-        "\nverification: fed={} mtm={}",
-        pass_fail(fed.verification.passed()),
-        pass_fail(mtm.verification.passed())
-    );
+    let registry = EngineRegistry::builtin();
+    finish(dip_bench::compare(registry, config, &mut std::io::stdout()));
 }
 
 fn sweep(p: &Parsed) {
     let periods: u32 = p.get(PERIODS);
-    let kind = p.engine();
+    let spec = EngineRegistry::builtin().spec_of(p.engine());
     let param = p.positionals.first().map_or("d", String::as_str);
     let uniform = |d, t| ScaleFactors::new(d, t, Uniform);
-    let configs: Vec<(String, ScaleFactors)> = match param {
+    let cells: Vec<(String, ScaleFactors)> = match param {
         "d" => [0.02, 0.05, 0.1, 0.2]
             .map(|d| (format!("d={d}"), uniform(d, 1.0)))
             .to_vec(),
@@ -193,31 +171,14 @@ fn sweep(p: &Parsed) {
     };
     println!(
         "# sweep over {param} on {} ({periods} period(s) each)",
-        kind.label()
+        spec.label
     );
-    println!(
-        "{:<14} {:>12} {:>12} {:>12} {:>8}",
-        "config", "E1 NAVG+", "E2 NAVG+", "total[ms]", "verify"
-    );
-    for (label, scale) in configs {
-        let result = run_experiment(kind, BenchConfig::new(scale).with_periods(periods));
-        let avg = |ids: &[&str]| {
-            let vals: Vec<f64> = ids
-                .iter()
-                .filter_map(|p| result.outcome.metric_for(p))
-                .map(|m| m.navg_plus_tu)
-                .collect();
-            vals.iter().sum::<f64>() / vals.len().max(1) as f64
-        };
-        println!(
-            "{:<14} {:>12.2} {:>12.2} {:>12} {:>8}",
-            label,
-            avg(&["P01", "P02", "P04", "P08", "P10"]),
-            avg(&["P03", "P09", "P11", "P12", "P13", "P14", "P15"]),
-            result.outcome.wall_time.as_millis(),
-            pass_fail(result.verification.passed())
-        );
-    }
+    finish(dip_bench::sweep(
+        spec,
+        &cells,
+        periods,
+        &mut std::io::stdout(),
+    ));
 }
 
 /// The data-quality extension (paper §VII future work): run a benchmark
@@ -235,146 +196,6 @@ fn quality(p: &Parsed) {
         "quality increases along the pipeline: {}",
         if q.quality_increases() { "yes" } else { "NO" }
     );
-}
-
-/// The git commit this binary runs against ("unknown" outside a checkout).
-fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| {
-            String::from_utf8_lossy(&o.stdout)
-                .trim()
-                .chars()
-                .take(12)
-                .collect()
-        })
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Run one experiment with tracing on and write a versioned run record.
-fn record(p: &Parsed) {
-    let scale = p.scale();
-    let periods: u32 = p.get(PERIODS);
-    let kind = p.engine();
-    eprintln!(
-        "recording {} (d={}, t={}, f={}, {periods} periods)…",
-        kind.label(),
-        scale.datasize,
-        scale.time,
-        scale.distribution.label(),
-    );
-    let _ = dip_relstore::alloc::drain(); // totals should cover this run only
-    dip_trace::enable();
-    let result = run_experiment(kind, BenchConfig::new(scale).with_periods(periods));
-    let spans = dip_trace::drain();
-    for (name, n) in dip_relstore::alloc::drain() {
-        dip_trace::count(name, n);
-    }
-    let counters = dip_trace::drain_counters();
-    dip_trace::disable();
-    let mut rec = run_record(kind, &result.outcome);
-    rec.created_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    rec.commit = current_commit();
-    let rows_inserted = counters
-        .iter()
-        .find(|(k, _)| k == "relstore.alloc.rows_inserted")
-        .map_or(0, |(_, n)| *n);
-    let rows_per_sec = rows_inserted as f64 / (rec.wall_ms / 1000.0).max(1e-9);
-    rec.rollups = RunRecord::rollup_spans(&spans);
-    rec.counters = counters;
-    rec.cells = rec.derive_cells(rows_per_sec);
-    let path = p.opt(OUT).unwrap_or_else(|| {
-        // suffixed like the committed `*-vectorized.json` records, so the
-        // bare-named pre-PR-12 history is never clobbered
-        PathBuf::from(format!(
-            "results/records/{}-d{}-t{}-{}-{}.json",
-            kind.tag(),
-            scale.datasize,
-            scale.time,
-            cli::distribution_word(scale.distribution),
-            rec.exec_mode
-        ))
-    });
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create {}: {e}", dir.display()));
-        }
-    }
-    write_file(&path, &rec.render());
-    eprintln!(
-        "wrote {} ({} process types, {} span rollups, {} raw spans)",
-        path.display(),
-        rec.processes.len(),
-        rec.rollups.len(),
-        spans.len()
-    );
-    if !result.verification.passed() {
-        fail("verification FAILED for the recorded run");
-    }
-}
-
-/// `dipbench report`: render the barometer — cross-engine NAVG+ tables and
-/// cross-commit regression flags — from the committed run records of any
-/// supported schema vintage. `--check` turns it into a gate: exit 1 when
-/// any cell regressed beyond the threshold against the best prior commit.
-fn report_cmd(p: &Parsed) {
-    let records_dir: PathBuf = p.get(RECORDS);
-    let threshold: f64 = p.get(THRESHOLD);
-    let format = match p.get::<String>(FORMAT).as_str() {
-        "md" => ReportFormat::Markdown,
-        _ => ReportFormat::Text,
-    };
-    let (records, warnings) = barometer::report::load_records_dir(&records_dir);
-    if records.is_empty() {
-        fail_usage(&format!(
-            "no run records in {} — nothing to report",
-            records_dir.display()
-        ));
-    }
-    let mut rep = barometer::Report::build(&records, threshold);
-    warnings.into_iter().for_each(|w| rep.add_warning(w));
-    let rendered = rep.render(format);
-    if let Some(out) = p.opt::<PathBuf>(OUT) {
-        write_file(&out, &rendered);
-        eprintln!("wrote {}", out.display());
-    }
-    print!("{rendered}");
-    if p.has(CHECK) && !rep.regressions().is_empty() {
-        eprintln!(
-            "REGRESSION: {} cell(s) beyond {:.0}% of the best prior commit",
-            rep.regressions().len(),
-            threshold * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-fn load_record(path: &str) -> RunRecord {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail_usage(&format!("cannot read record {path:?}: {e}")));
-    RunRecord::parse(&text)
-        .unwrap_or_else(|e| fail_usage(&format!("cannot parse record {path:?}: {e}")))
-}
-
-/// Compare two run records; exit 1 iff the candidate regressed.
-fn diff_records(p: &Parsed) {
-    let options = DiffOptions {
-        threshold: p.get(THRESHOLD),
-        min_delta_tu: p.get(MIN_DELTA),
-    };
-    let baseline = load_record(&p.positionals[0]);
-    let candidate = load_record(&p.positionals[1]);
-    let report = dip_trace::diff(&baseline, &candidate, options);
-    print!("{}", report.render());
-    if report.has_regressions() {
-        std::process::exit(1);
-    }
 }
 
 fn explain(p: &Parsed) {

@@ -1,9 +1,10 @@
 //! The declarative engine registry.
 //!
 //! One [`EngineSpec`] per system under test. The CLI resolves `--engine`
-//! values, usage strings, record tags and display labels here, so adding
-//! an engine is one table entry plus a crate dependency — no new `match`
-//! arms in `main.rs`.
+//! values, usage strings and display labels here and `dipbench compare`
+//! walks it, so adding an engine is one table entry plus a crate
+//! dependency — no new `match` arms in `main.rs` (DESIGN.md, "How to add
+//! an engine").
 
 use crate::EngineKind;
 use dip_feddbms::{FedDbms, FedOptions};
@@ -15,8 +16,7 @@ use std::sync::OnceLock;
 /// Everything the harness needs to know about one system under test.
 pub struct EngineSpec {
     pub kind: EngineKind,
-    /// Canonical short tag: the `--engine` value, the record/bench-file
-    /// `engine` field, and the default record filename stem.
+    /// Canonical short tag: the `--engine` value and the `compare` column.
     pub tag: &'static str,
     /// Accepted `--engine` spellings besides the tag.
     pub aliases: &'static [&'static str],
@@ -33,7 +33,7 @@ pub struct EngineSpec {
 }
 
 /// The registry: an ordered list of [`EngineSpec`]s (order is the order
-/// engines appear in usage text and report columns).
+/// engines appear in usage text and `compare` columns).
 pub struct EngineRegistry {
     specs: Vec<EngineSpec>,
 }
@@ -60,11 +60,7 @@ fn build_eai(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
     // 1 yields a global-FIFO broker whose execution order — and therefore
     // every interleaving-sensitive counter (netsim.bytes, …) — is
     // deterministic, which the overload determinism gate relies on.
-    Arc::new(EaiSystem::with_admission(
-        env.world.clone(),
-        env.config.workers,
-        env.config.admission,
-    ))
+    Arc::new(EaiSystem::new(env.world.clone(), env.config.workers))
 }
 
 fn build_ivm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
@@ -72,6 +68,11 @@ fn build_ivm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
 }
 
 impl EngineRegistry {
+    /// A registry of exactly these engines, in presentation order.
+    pub fn new(specs: Vec<EngineSpec>) -> EngineRegistry {
+        EngineRegistry { specs }
+    }
+
     /// The built-in engines, in presentation order.
     pub fn builtin() -> &'static EngineRegistry {
         static REGISTRY: OnceLock<EngineRegistry> = OnceLock::new();

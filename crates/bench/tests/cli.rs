@@ -3,17 +3,21 @@
 //! naming the flags the command does accept, out-of-range values are
 //! rejected before any work starts, and the help text — and the README
 //! block generated from it — lists each flag under exactly the commands
-//! that take it.
+//! that take it. `compare` walks the engine registry, and a table command
+//! (`compare`, `sweep`) reports a failed verification to its caller.
 
 use dip_bench::cli::{self, Command, Flag, Ty, COMMANDS};
+use dip_bench::{EngineKind, EngineRegistry, EngineSpec};
+use dipbench::prelude::*;
 use std::collections::BTreeSet;
 use std::process::Command as Process;
+use std::sync::Arc;
 
 /// A value the flag's type accepts.
 fn sample(flag: &Flag) -> Option<&'static str> {
     Some(match flag.ty {
         Ty::Switch => return None,
-        Ty::Positive | Ty::NonNegative | Ty::Rate => "0.5",
+        Ty::Positive | Ty::Rate => "0.5",
         Ty::Count | Ty::Index | Ty::Seed => "2",
         Ty::Choice(words) => words[0],
         Ty::Engine => "mtm",
@@ -28,6 +32,7 @@ fn parse(cmd: &Command, flags: &[&str]) -> Result<cli::Parsed, String> {
     cli::parse(&args)
 }
 
+/// Exit code and stderr of one invocation.
 fn dipbench(args: &[&str]) -> (Option<i32>, String) {
     let out = Process::new(env!("CARGO_BIN_EXE_dipbench"))
         .args(args)
@@ -113,7 +118,7 @@ fn help_lists_each_flag_under_exactly_the_commands_that_accept_it() {
 
 #[test]
 fn misuse_exits_2_before_any_work_starts() {
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 17] = [
         (
             &["run", "--exec-mode", "vectorized"],
             "unknown flag --exec-mode",
@@ -152,6 +157,10 @@ fn misuse_exits_2_before_any_work_starts() {
             "unknown flag --seed for `dipbench gate` (valid: none)",
         ),
         (&["bench"], "usage: dipbench <command>"),
+        // retired with the run records: benchmark/ is the one instrument
+        (&["record"], "usage: dipbench <command>"),
+        (&["diff", "a.json", "b.json"], "usage: dipbench <command>"),
+        (&["report", "--check"], "usage: dipbench <command>"),
     ];
     for (args, expect) in cases {
         let (code, stderr) = dipbench(args);
@@ -168,10 +177,90 @@ fn misuse_exits_2_before_any_work_starts() {
 
 #[test]
 fn io_failures_exit_1_with_a_message_not_a_backtrace() {
-    let records = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/records");
-    let out = "/nonexistent-dir/barometer.md";
-    let (code, stderr) = dipbench(&["report", "--records", records, "--out", out]);
+    let out = "/nonexistent-dir/trace.json";
+    let (code, stderr) = dipbench(&["run", "--d", "0.01", "--periods", "1", "--trace", out]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error: cannot write"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn compare_prints_one_column_per_registered_engine_and_exits_0() {
+    let out = Process::new(env!("CARGO_BIN_EXE_dipbench"))
+        .args(["compare", "--periods", "1"])
+        .output()
+        .expect("spawn dipbench");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let tags: Vec<&str> = (EngineRegistry::builtin().specs().iter())
+        .map(|s| s.tag)
+        .collect();
+    let header: Vec<&str> = stdout.lines().next().unwrap().split_whitespace().collect();
+    let columns: Vec<&str> = tags.iter().flat_map(|tag| [*tag, "NAVG+[tu]"]).collect();
+    assert_eq!(header[0], "proc");
+    assert_eq!(header[1..], columns[..], "{stdout}");
+    let rows = stdout.lines().filter(|l| l.starts_with('P'));
+    assert_eq!(rows.count(), 15, "{stdout}");
+    let verdicts: Vec<String> = tags.iter().map(|tag| format!("{tag}=PASS")).collect();
+    let last = stdout.lines().last().unwrap();
+    assert_eq!(last, format!("verification: {}", verdicts.join(" ")));
+}
+
+/// An engine that loses one message: everything runs, verification fails.
+struct Lossy(MtmSystem);
+
+impl IntegrationSystem for Lossy {
+    fn name(&self) -> &str {
+        "lossy"
+    }
+    fn deploy(&self, defs: Vec<dip_mtm::process::ProcessDef>) -> dip_mtm::error::MtmResult<()> {
+        self.0.deploy(defs)
+    }
+    fn deliver(&self, event: Event) -> Delivery {
+        match (event.process(), event.seq()) {
+            ("P04", 0) => Delivery::Completed,
+            _ => self.0.deliver(event),
+        }
+    }
+    fn recorder(&self) -> Arc<dip_mtm::cost::CostRecorder> {
+        self.0.recorder()
+    }
+}
+
+fn lossy() -> EngineSpec {
+    EngineSpec {
+        kind: EngineKind::Mtm,
+        tag: "lossy",
+        aliases: &[],
+        label: "lossy-engine",
+        description: "test double: drops the first P04 message of each period",
+        crash_capable: false,
+        build: |env| Arc::new(Lossy(MtmSystem::new(env.world.clone()))),
+    }
+}
+
+/// `compare` and `sweep` print the whole table and then report a failed
+/// verification: `Ok(false)`, which `main` turns into exit 1.
+#[test]
+fn table_commands_report_a_failed_verification_after_the_full_table() {
+    let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
+    let config = BenchConfig::new(scale).with_periods(1);
+    let mut table = Vec::new();
+    let broken = EngineRegistry::new(vec![lossy()]);
+    assert!(!dip_bench::compare(&broken, config, &mut table).unwrap());
+    let table = String::from_utf8(table).unwrap();
+    assert!(table.ends_with("verification: lossy=FAIL\n"), "{table}");
+
+    let mut table = Vec::new();
+    let cells = [0.02, 0.03].map(|d| {
+        let scale = ScaleFactors::new(d, 1.0, Distribution::Uniform);
+        (format!("d={d}"), scale)
+    });
+    assert!(!dip_bench::sweep(&lossy(), &cells, 1, &mut table).unwrap());
+    let table = String::from_utf8(table).unwrap();
+    let failed = table.lines().filter(|l| l.ends_with("FAIL"));
+    assert_eq!(failed.count(), 2, "every cell is printed:\n{table}");
+    // the same cells on a sound engine
+    let mtm = EngineRegistry::builtin().spec_of(EngineKind::Mtm);
+    assert!(dip_bench::sweep(mtm, &cells, 1, &mut Vec::new()).unwrap());
 }

@@ -20,6 +20,7 @@ fn fingerprint(orders_digest: u64, shed: usize) -> Fingerprint {
         digests: [("dwh.orders".to_string(), orders_digest)].into(),
         dead_letters: (0..shed as u32).map(letter).collect(),
         failures: "[]".into(),
+        instances: vec![("P04".into(), 40, 0)],
         counters: vec![("tx.begin".into(), 10)],
         verified: true,
     }
@@ -69,18 +70,34 @@ fn equals_reference_fails_on_any_perturbed_component() {
         )
         .pass
     );
-    let perturbations: [fn(&mut Fingerprint); 4] = [
-        |f| *f.digests.get_mut("dwh.orders").unwrap() ^= 1,
-        |f| f.dead_letters = fingerprint(1, 1).dead_letters,
-        |f| f.failures = "[DispatchFailure]".into(),
-        |f| f.verified = false,
+    type Perturb = fn(&mut Fingerprint);
+    let perturbations: [(Perturb, &str); 5] = [
+        (
+            |f| *f.digests.get_mut("dwh.orders").unwrap() ^= 1,
+            "table dwh.orders",
+        ),
+        (
+            |f| f.dead_letters = fingerprint(1, 1).dead_letters,
+            "dead letters",
+        ),
+        (
+            |f| f.failures = "[DispatchFailure]".into(),
+            "dispatch failures",
+        ),
+        // one P04 instance failed instead of succeeding
+        (|f| f.instances[0] = ("P04".into(), 39, 1), "instances"),
+        (|f| f.verified = false, "verification"),
     ];
-    for perturb in perturbations {
+    for (perturb, component) in perturbations {
         let mut cell = reference.clone();
         perturb(&mut cell);
         let verdict = judge(Check::EqualsReference, &[reference.clone(), cell]);
         assert!(!verdict.pass && verdict.diverged == 1, "{verdict:?}");
-        assert_eq!(verdict.notes.len(), 1, "a divergence names its component");
+        assert_eq!(
+            verdict.notes,
+            [format!("comparison 1: {component}")],
+            "a divergence names its component"
+        );
     }
     // another worker count counts different work on the way to the same
     // data: only a double run of the same cell compares counters

@@ -17,7 +17,7 @@ pub enum PacingMode {
     RealTime,
 }
 
-/// What the broker does when a process type's queue is full.
+/// What a bounded queue does when a process type's queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Backpressure: the producer blocks until a slot frees up. No message
@@ -44,38 +44,21 @@ impl AdmissionPolicy {
     }
 }
 
-/// Per-process-type queue bound + full-queue policy for the EAI broker.
+/// Per-process-type queue bound + full-queue policy of an open-loop cell
+/// ([`crate::overload::OverloadOptions`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionControl {
     /// Maximum queued (not yet executing) messages per process type.
-    /// `usize::MAX` means unbounded — the pre-admission-control behavior.
     pub capacity: usize,
     pub policy: AdmissionPolicy,
 }
 
 impl AdmissionControl {
-    /// Unbounded queues, block-on-full (vacuously): the default, matching
-    /// the broker's historical behavior exactly.
-    pub const UNBOUNDED: AdmissionControl = AdmissionControl {
-        capacity: usize::MAX,
-        policy: AdmissionPolicy::Block,
-    };
-
     pub fn bounded(capacity: usize, policy: AdmissionPolicy) -> AdmissionControl {
         AdmissionControl {
             capacity: capacity.max(1),
             policy,
         }
-    }
-
-    pub fn is_bounded(&self) -> bool {
-        self.capacity != usize::MAX
-    }
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        AdmissionControl::UNBOUNDED
     }
 }
 
@@ -103,9 +86,6 @@ pub struct BenchConfig {
     /// process instances through the [`crate::sched`] worker pool. Same-
     /// seed runs are byte-identical at every worker count.
     pub workers: usize,
-    /// Queue bound + full-queue policy for the EAI broker (other engines
-    /// are synchronous and ignore it). Default: unbounded.
-    pub admission: AdmissionControl,
 }
 
 impl BenchConfig {
@@ -120,7 +100,6 @@ impl BenchConfig {
             faults: FaultPlan::NONE,
             resilience: ResiliencePolicy::DEFAULT,
             workers: 1,
-            admission: AdmissionControl::UNBOUNDED,
         }
     }
 
@@ -156,11 +135,6 @@ impl BenchConfig {
 
     pub fn with_workers(mut self, workers: usize) -> BenchConfig {
         self.workers = workers.max(1);
-        self
-    }
-
-    pub fn with_admission(mut self, admission: AdmissionControl) -> BenchConfig {
-        self.admission = admission;
         self
     }
 }

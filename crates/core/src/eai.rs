@@ -18,38 +18,26 @@
 //! worker pool would integrate different final values than the
 //! serialized engines.
 //!
-//! # Admission control
-//!
-//! Queues may be bounded per process type ([`AdmissionControl`]); when a
-//! type's queue is at capacity the broker applies the configured
-//! [`AdmissionPolicy`]:
-//!
-//! - `Block` — the producer waits for a slot (backpressure; no loss).
-//! - `Shed` — the arriving message is rejected (drop-tail) and preserved
-//!   in the dead-letter queue with `shed = true`.
-//! - `Degrade` — the *oldest* waiting message of the same type is evicted
-//!   (drop-head, bounding staleness) and dead-lettered as shed; the new
-//!   message is admitted.
-//!
-//! Shed messages never execute, so they have no cost record; the E1
-//! conservation check accounts for them via the dead-letter queue
-//! (`scheduled = integrated + dead-lettered + failed + shed`).
+//! Queues are unbounded: the broker accepts whatever the client paces.
+//! What a *bounded* queue does under overload (`Block | Shed | Degrade`)
+//! is decided in virtual time by [`crate::overload`], the one admission
+//! model, before any message reaches the broker.
 
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::config::{AdmissionControl, AdmissionPolicy};
-use crate::system::{settle, DeadLetter, DeadLetterQueue, Delivery, Event, IntegrationSystem};
+use crate::system::{settle, DeadLetterQueue, Delivery, Event, IntegrationSystem};
 use dip_mtm::cost::CostRecorder;
 use dip_mtm::engine::MtmEngine;
-use dip_mtm::error::MtmResult;
+use dip_mtm::error::{MtmError, MtmResult};
 use dip_mtm::process::ProcessDef;
 use dip_services::registry::ExternalWorld;
 use dip_xmlkit::write_compact;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -86,9 +74,6 @@ impl Pending {
 #[derive(Default)]
 struct ShardState {
     queue: VecDeque<Job>,
-    /// Waiting (not yet executing) messages per process type — the
-    /// quantity the admission capacity bounds.
-    queued: HashMap<String, usize>,
     closed: bool,
 }
 
@@ -97,8 +82,6 @@ struct Shard {
     state: Mutex<ShardState>,
     /// Signaled when a job is enqueued (worker wakes).
     nonempty: Condvar,
-    /// Signaled when a job leaves the queue (Block producers wake).
-    room: Condvar,
     /// False when the worker thread failed to spawn; the shard then
     /// executes inline at deliver time instead of asynchronously.
     has_worker: AtomicBool,
@@ -113,33 +96,22 @@ pub struct EaiSystem {
     workers: Vec<JoinHandle<()>>,
     pending: Arc<Pending>,
     dlq: Arc<DeadLetterQueue>,
-    admission: AdmissionControl,
     /// High-water mark over every shard's queue length.
     max_depth: Arc<AtomicU64>,
 }
 
 /// Raise the queue-depth high-water mark. Kept out of the dip-trace
 /// counters on purpose: real queue depth depends on thread timing, and
-/// putting it in the drained counter set would make same-seed run records
-/// differ. The deterministic virtual depth ([`crate::overload`]) is the
-/// one that flows into records; this one is an inspection accessor.
+/// putting it in the drained counter set would make same-seed gate
+/// fingerprints differ. The deterministic virtual depth
+/// ([`crate::overload`]) is the counted one; this is an inspection accessor.
 fn raise_max_depth(max_depth: &AtomicU64, depth: u64) {
     max_depth.fetch_max(depth, Ordering::Relaxed);
 }
 
 impl EaiSystem {
-    /// Build the broker with `workers` message-processing threads and
-    /// unbounded queues (the historical behavior).
+    /// Build the broker with `workers` message-processing threads.
     pub fn new(world: Arc<ExternalWorld>, workers: usize) -> EaiSystem {
-        EaiSystem::with_admission(world, workers, AdmissionControl::UNBOUNDED)
-    }
-
-    /// Build the broker with bounded per-process-type queues.
-    pub fn with_admission(
-        world: Arc<ExternalWorld>,
-        workers: usize,
-        admission: AdmissionControl,
-    ) -> EaiSystem {
         let engine = Arc::new(MtmEngine::new(world));
         let pending = Arc::new(Pending::default());
         let dlq = Arc::new(DeadLetterQueue::new());
@@ -161,10 +133,6 @@ impl EaiSystem {
                             let mut st = shard.state.lock();
                             loop {
                                 if let Some(job) = st.queue.pop_front() {
-                                    if let Some(n) = st.queued.get_mut(&job.process) {
-                                        *n = n.saturating_sub(1);
-                                    }
-                                    shard.room.notify_all();
                                     break job;
                                 }
                                 if st.closed {
@@ -175,10 +143,19 @@ impl EaiSystem {
                         };
                         // instance failures are captured in the cost
                         // records (ok = false) and, when transient, in
-                        // the dead-letter queue; the broker keeps going
-                        let result =
-                            engine.execute_event(&job.process, job.period, job.seq, Some(job.msg));
-                        settle(&dlq, &job.process, job.period, job.seq, job.payload, result);
+                        // the dead-letter queue; the broker keeps going.
+                        // A panicking instance (a `Custom` step) is one
+                        // more failure: were the unwind to kill this
+                        // thread, `pending` would never reach zero and
+                        // the next timed event's drain would hang.
+                        let (process, msg) = (&job.process, job.msg);
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            engine.execute_event(process, job.period, job.seq, Some(msg))
+                        }))
+                        .unwrap_or_else(|_| {
+                            Err(MtmError::Custom(format!("{process} instance panicked")))
+                        });
+                        settle(&dlq, process, job.period, job.seq, job.payload, result);
                         pending.dec();
                     }
                 });
@@ -198,7 +175,6 @@ impl EaiSystem {
             workers: handles,
             pending,
             dlq,
-            admission,
             max_depth: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -230,29 +206,6 @@ impl EaiSystem {
     /// High-water mark of any shard's queue length over the system's life.
     pub fn max_queue_depth(&self) -> u64 {
         self.max_depth.load(Ordering::Relaxed)
-    }
-
-    /// The configured admission control.
-    pub fn admission(&self) -> AdmissionControl {
-        self.admission
-    }
-
-    fn shed_letter(
-        &self,
-        process: &str,
-        period: u32,
-        seq: u32,
-        payload: Option<String>,
-        how: &str,
-    ) {
-        self.dlq.push(DeadLetter {
-            process: process.to_string(),
-            period,
-            seq,
-            reason: format!("admission: queue full ({how})"),
-            payload,
-            shed: true,
-        });
     }
 }
 
@@ -302,59 +255,14 @@ impl IntegrationSystem for EaiSystem {
                     return settle(&self.dlq, &process, period, seq, payload, result);
                 }
                 let mut st = shard.state.lock();
-                if self.admission.is_bounded() {
-                    let depth = st.queued.get(&process).copied().unwrap_or(0);
-                    if depth >= self.admission.capacity {
-                        match self.admission.policy {
-                            AdmissionPolicy::Block => {
-                                while st.queued.get(&process).copied().unwrap_or(0)
-                                    >= self.admission.capacity
-                                {
-                                    shard.room.wait(&mut st);
-                                }
-                            }
-                            AdmissionPolicy::Shed => {
-                                drop(st);
-                                self.shed_letter(&process, period, seq, payload, "shed");
-                                return Delivery::Shed {
-                                    reason: "admission: queue full (shed)".to_string(),
-                                };
-                            }
-                            AdmissionPolicy::Degrade => {
-                                // evict the oldest waiting message of this
-                                // type; the evicted job never executes, so
-                                // settle its pending slot here
-                                if let Some(pos) =
-                                    st.queue.iter().position(|j| j.process == process)
-                                {
-                                    if let Some(old) = st.queue.remove(pos) {
-                                        if let Some(n) = st.queued.get_mut(&old.process) {
-                                            *n = n.saturating_sub(1);
-                                        }
-                                        dip_trace::count("eai.degrade_evict", 1);
-                                        self.shed_letter(
-                                            &old.process,
-                                            old.period,
-                                            old.seq,
-                                            old.payload,
-                                            "degrade",
-                                        );
-                                        self.pending.dec();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
                 self.pending.inc();
                 st.queue.push_back(Job {
-                    process: process.clone(),
+                    process,
                     period,
                     seq,
                     msg,
                     payload,
                 });
-                *st.queued.entry(process).or_insert(0) += 1;
                 raise_max_depth(&self.max_depth, st.queue.len() as u64);
                 shard.nonempty.notify_one();
                 Delivery::Completed
@@ -471,70 +379,55 @@ mod tests {
         assert_eq!(staged.len() as u32, n);
     }
 
-    /// Flood one shard past capacity while its worker is parked on the
-    /// test lock, then check each policy's accounting closes.
-    fn flood(policy: AdmissionPolicy) -> (u32, Vec<DeadLetter>, u64) {
+    /// A process instance that panics on a worker thread is one failed
+    /// instance, not the end of the shard: `pending` is settled, the
+    /// worker lives on, and the next timed event's drain returns. The
+    /// deliveries run on a thread of their own so that a regression fails
+    /// the test instead of hanging it.
+    #[test]
+    fn a_panicking_instance_does_not_hang_the_broker() {
+        use dip_mtm::process::{EventType, Step};
+        let _serial = crate::testlock::hold();
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
         let env = BenchEnvironment::new(config).unwrap();
-        let system = Arc::new(EaiSystem::with_admission(
-            env.world.clone(),
-            1,
-            AdmissionControl::bounded(4, policy),
-        ));
-        system.deploy(crate::processes::all_processes()).unwrap();
-        env.initialize_sources(0).unwrap();
-        let n = crate::schedule::p04_count(0.02).max(12);
-        let mut admitted = 0;
-        for m in 0..n {
-            let d = system.deliver(Event::message(
-                "P04",
-                0,
-                m % crate::schedule::p04_count(0.02),
-                env.generator
-                    .vienna_message(0, m % crate::schedule::p04_count(0.02)),
-            ));
-            if d.is_ok() {
-                admitted += 1;
-            } else {
-                assert!(matches!(d, Delivery::Shed { .. }), "{d:?}");
-            }
-        }
-        system.drain();
-        let depth = system.max_queue_depth();
-        (admitted, system.dead_letters().snapshot(), depth)
-    }
-
-    #[test]
-    fn shed_policy_bounds_queue_and_accounts_rejections() {
-        let _serial = crate::testlock::hold();
-        let n = crate::schedule::p04_count(0.02).max(12);
-        let (admitted, letters, depth) = flood(AdmissionPolicy::Shed);
-        let shed = letters.iter().filter(|l| l.shed).count() as u32;
-        assert_eq!(admitted + shed, n, "conservation: admitted + shed = sent");
-        assert!(depth <= 4 + 1, "queue depth {depth} exceeds capacity");
-    }
-
-    #[test]
-    fn degrade_policy_admits_newest_and_sheds_oldest() {
-        let _serial = crate::testlock::hold();
-        let n = crate::schedule::p04_count(0.02).max(12);
-        let (admitted, letters, depth) = flood(AdmissionPolicy::Degrade);
-        // every send is admitted; evictions surface as shed letters
-        assert_eq!(admitted, n);
-        let shed: Vec<_> = letters.iter().filter(|l| l.shed).collect();
-        for l in &shed {
-            assert!(l.reason.contains("degrade"), "{}", l.reason);
-        }
-        assert!(depth <= 4 + 1, "queue depth {depth} exceeds capacity");
-    }
-
-    #[test]
-    fn block_policy_sheds_nothing() {
-        let _serial = crate::testlock::hold();
-        let n = crate::schedule::p04_count(0.02).max(12);
-        let (admitted, letters, _depth) = flood(AdmissionPolicy::Block);
-        assert_eq!(admitted, n);
-        assert!(letters.iter().all(|l| !l.shed));
+        let system = Arc::new(EaiSystem::new(env.world.clone(), 1));
+        let custom = |name: &str, f: fn() -> Result<(), String>| Step::Custom {
+            name: name.into(),
+            binds: Vec::new(),
+            f: Arc::new(move |_| f()),
+        };
+        let receive = Step::Receive { var: "m".into() };
+        let boom = custom("boom", || panic!("boom"));
+        let noop = custom("noop", || Ok(()));
+        system
+            .deploy(vec![
+                ProcessDef::new(
+                    "P90",
+                    "panics",
+                    'A',
+                    EventType::Message,
+                    vec![receive, boom],
+                ),
+                ProcessDef::new("P91", "barrier", 'A', EventType::Timed, vec![noop]),
+            ])
+            .unwrap();
+        let msg = env.generator.vienna_message(0, 0);
+        let (done, finished) = std::sync::mpsc::channel();
+        let broker = system.clone();
+        std::thread::spawn(move || {
+            // accepted: the failure surfaces asynchronously
+            assert!(broker
+                .deliver(Event::message("P90", 0, 0, msg.clone()))
+                .is_ok());
+            assert!(broker.deliver(Event::timed("P91", 0, 0)).is_ok());
+            // the worker survived: a second message is still served
+            assert!(broker.deliver(Event::message("P90", 0, 1, msg)).is_ok());
+            broker.drain();
+            let _ = done.send(());
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(waited.is_ok(), "the broker hung behind a panicked instance");
+        assert_eq!(system.in_flight(), 0);
     }
 }

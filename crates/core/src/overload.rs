@@ -38,12 +38,11 @@
 //!
 //! Because every admission decision is made in virtual time, wall-clock
 //! jitter cannot change integrated data, records, dead letters, or
-//! counters — the property the `dipbench overload --check` CI gate pins.
+//! counters — the property the `overload-*` rows of `dipbench gate` pin.
 //!
-//! The broker's own admission control ([`crate::eai::EaiSystem`]) is the
-//! *mechanism* under real concurrent load; this harness is the
-//! *measurement*. Harness runs leave the real broker unbounded so the
-//! virtual simulation is the sole shedder and fates stay deterministic.
+//! This is the one admission model: the real broker
+//! ([`crate::eai::EaiSystem`]) keeps unbounded queues, so the virtual
+//! simulation is the sole shedder and fates stay deterministic.
 
 #![cfg_attr(
     not(test),
@@ -200,7 +199,7 @@ fn simulate_series(
             &mut waiting,
             &mut waits,
         );
-        if admission.is_bounded() && waiting.len() >= admission.capacity {
+        if waiting.len() >= admission.capacity {
             match admission.policy {
                 AdmissionPolicy::Block => {
                     let before = now;
@@ -417,7 +416,7 @@ pub fn run_overload(
     if stats.admitted > 0 {
         stats.mean_wait_tu /= stats.admitted as f64;
     }
-    // deterministic virtual-time counters for dip-trace / v2 run records
+    // deterministic virtual-time counters for the gate fingerprint
     dip_trace::count("overload.queue_depth_max", stats.max_depth);
     dip_trace::count("overload.delayed", stats.delayed);
     let records = system.recorder().drain();

@@ -25,9 +25,10 @@
 //! - [`Delivery::Failed`] — a non-transient processing failure (bad data,
 //!   missing table, …) or a transient failure of a *timed* event, which
 //!   has no message to dead-letter.
-//! - [`Delivery::Shed`] — rejected by broker admission control before any
-//!   processing (bounded queue, `Shed`/`Degrade` policy); the message is
-//!   preserved in the dead-letter queue with `shed = true`.
+//!
+//! A message the open-loop overload harness sheds ([`crate::overload`])
+//! is never delivered at all: it goes straight to the dead-letter queue
+//! with `shed = true`.
 //!
 //! Events carry their schedule sequence number (`seq`): together with
 //! `(process, period)` it anchors the instance's position in the
@@ -114,11 +115,6 @@ pub enum Delivery {
     /// Hard failure: non-transient error, or a transient failure of a
     /// timed event (which has no message to dead-letter).
     Failed { error: MtmError },
-    /// Rejected by the broker's admission control before processing: the
-    /// queue for the process type was full under a `Shed`/`Degrade`
-    /// policy. The message went to the dead-letter queue with
-    /// `shed = true`; no instance record exists.
-    Shed { reason: String },
 }
 
 impl Delivery {

@@ -31,7 +31,6 @@
 //! assert_eq!(rel.len(), 1);
 //! ```
 
-pub mod alloc;
 pub mod catalog;
 pub mod error;
 pub mod expr;

@@ -369,7 +369,6 @@ impl Table {
             inner.live += 1;
         }
         inner.generation += 1;
-        crate::alloc::count_rows_inserted(n as u64);
         Ok(n)
     }
 
@@ -396,7 +395,6 @@ impl Table {
             );
             inner.generation += 1;
         }
-        crate::alloc::count_rows_inserted(appended as u64);
         result
     }
 
@@ -658,7 +656,6 @@ impl Table {
     pub fn scan(&self) -> Relation {
         let inner = self.inner.read();
         let rows: Vec<Row> = inner.slots.iter().filter_map(|s| s.clone()).collect();
-        crate::alloc::count_rows_materialized(rows.len() as u64);
         Relation::new(self.schema.clone(), rows)
     }
 

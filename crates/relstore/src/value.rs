@@ -62,7 +62,6 @@ impl Value {
     /// place string bytes are copied into a shared allocation; every later
     /// clone of the value is a reference-count bump.
     pub fn str(s: impl Into<Arc<str>>) -> Value {
-        crate::alloc::count_str_new();
         Value::Str(s.into())
     }
 

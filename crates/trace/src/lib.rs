@@ -1,4 +1,4 @@
-//! # dip-trace — cross-layer span tracing and regression tracking
+//! # dip-trace — cross-layer span tracing
 //!
 //! The observability subsystem of the DIPBench reproduction (see
 //! `docs/OBSERVABILITY.md`):
@@ -14,25 +14,15 @@
 //!   figure runs are unaffected.
 //! * [`chrome`] — Chrome trace-event JSON export for single-run flame
 //!   views in Perfetto / `chrome://tracing`.
-//! * [`record`] — versioned machine-readable run records
-//!   (`results/records/*.json`): commit, scale factors, engine, per-process
-//!   NAVG/NAVG+ results, cost-category breakdown and span rollups.
-//! * [`diff`] — comparison of two run records with a configurable noise
-//!   threshold; the primitive behind `dipbench diff` and the CI
-//!   regression gate.
+//! * [`json`] — the dependency-free JSON value the exporters and the
+//!   harness artifacts are built from.
 
 pub mod chrome;
-pub mod diff;
 pub mod json;
-pub mod record;
 pub mod span;
 
 pub use chrome::to_chrome_trace;
-pub use diff::{diff, DiffOptions, DiffReport, Verdict};
 pub use json::{Json, JsonError};
-pub use record::{
-    group_of, CellStats, ProcessStats, RunRecord, SpanRollup, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
-};
 pub use span::{
     adopt, count, disable, drain, drain_counters, enable, instance_scope, is_enabled,
     record_modeled, snapshot, span, span_cat, span_count, Category, CtxGuard, CtxSnapshot, Layer,

@@ -2,15 +2,16 @@
 //! pool exists to keep: a same-seed run is byte-identical at every worker
 //! count. For workers ∈ {1, 2, 4, 8} and each engine the gate fingerprint
 //! (every table of every database, digested; the dead-letter queue; the
-//! dispatch-failure list; verification) and the pinned run record must
-//! match the 1-worker run exactly — on clean runs, under a retried fault plan,
-//! and under a no-retry plan aggressive enough to dead-letter messages.
+//! dispatch-failure list; the instances each process type ran and failed;
+//! verification) must match the 1-worker run exactly — on clean runs,
+//! under a retried fault plan, and under a no-retry plan aggressive enough
+//! to dead-letter messages.
 //!
 //! Crash-plan determinism lives in `worker_crash_determinism.rs`: crash
 //! plans are process-global, so they need a test binary of their own.
 
 use dip_bench::gate::{run_cell, CellRun, Load};
-use dip_bench::{pinned_record, EngineKind};
+use dip_bench::EngineKind;
 use dipbench::prelude::*;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -20,31 +21,24 @@ fn scale() -> ScaleFactors {
     ScaleFactors::new(0.02, 1.0, Distribution::Uniform)
 }
 
-/// One run — its gate fingerprint is the byte-comparable part — plus its
-/// pinned run record (wall-clock metrics are excluded from both on
-/// purpose: they are real durations).
-fn fingerprint(config: BenchConfig, engine: EngineKind) -> (CellRun, String) {
-    let run = run_cell(engine, config, &Load::Closed).unwrap();
-    let record = pinned_record(engine, &run.outcome).render();
-    (run, record)
+/// One run — its gate fingerprint is the byte-comparable part (wall-clock
+/// metrics are excluded on purpose: they are real durations).
+fn fingerprint(config: BenchConfig, engine: EngineKind) -> CellRun {
+    run_cell(engine, config, &Load::Closed).unwrap()
 }
 
 /// A divergence names the artifact (and for digests, the tables) that
 /// differ. The counters stay out: worker counts differ between the runs.
-fn assert_same(run: &(CellRun, String), reference: &(CellRun, String), label: &str) {
-    let differs = run.0.fingerprint.diff(&reference.0.fingerprint, false);
+fn assert_same(run: &CellRun, reference: &CellRun, label: &str) {
+    let differs = run.fingerprint.diff(&reference.fingerprint, false);
     assert!(
         differs.is_empty(),
         "{label}: diverged from the 1-worker run on {differs:?}"
     );
-    assert_eq!(
-        run.1, reference.1,
-        "{label}: pinned run record diverged from the 1-worker run"
-    );
 }
 
-fn conserves(run: &(CellRun, String)) -> bool {
-    let checks = &run.0.verification.checks;
+fn conserves(run: &CellRun) -> bool {
+    let checks = &run.verification.checks;
     checks
         .iter()
         .any(|c| c.name == "e1_message_conservation" && c.passed)
@@ -59,7 +53,7 @@ fn clean_runs_are_byte_identical_across_worker_counts() {
     for engine in ENGINES {
         let reference = fingerprint(base, engine);
         assert!(
-            reference.0.fingerprint.verified,
+            reference.fingerprint.verified,
             "{engine:?} workers=1 failed"
         );
         for workers in WORKER_COUNTS {
@@ -85,11 +79,11 @@ fn retried_fault_runs_are_byte_identical_across_worker_counts() {
     for engine in ENGINES {
         let reference = fingerprint(base, engine);
         assert!(
-            reference.0.fingerprint.verified,
+            reference.fingerprint.verified,
             "{engine:?} workers=1 failed"
         );
         assert!(
-            reference.0.fingerprint.dead_letters.is_empty(),
+            reference.fingerprint.dead_letters.is_empty(),
             "{engine:?}: retries should have absorbed all faults"
         );
         for workers in WORKER_COUNTS {
@@ -112,7 +106,7 @@ fn dead_letter_queues_are_byte_identical_across_worker_counts() {
         .with_resilience(ResiliencePolicy::NO_RETRY);
     let reference = fingerprint(base, EngineKind::Federated);
     assert!(
-        !reference.0.fingerprint.dead_letters.is_empty(),
+        !reference.fingerprint.dead_letters.is_empty(),
         "a 20% no-retry drop rate must dead-letter some messages"
     );
     assert!(conserves(&reference), "conservation failed at workers=1");
