@@ -10,6 +10,10 @@
 //! Triggers are *stored* here but *fired* by [`crate::catalog::Database`],
 //! because a trigger body usually writes other tables and therefore needs
 //! the whole database handle.
+//!
+//! Every mutator records an uncategorized `relstore/<op>` span (`insert`,
+//! `upsert`, `delete`, `update`, `truncate`): the caller's enclosing span
+//! knows the cost category, this one books the self time to the store.
 
 use crate::error::{StoreError, StoreResult};
 use crate::expr::Expr;
@@ -298,6 +302,7 @@ impl Table {
         if rows.is_empty() {
             return Ok(0);
         }
+        let _span = dip_trace::span(dip_trace::Layer::Relstore, "insert");
         for r in &rows {
             self.schema.check_row(r)?;
         }
@@ -375,6 +380,7 @@ impl Table {
     /// Insert rows, silently skipping those whose primary key already
     /// exists — the "merge" flavour used by replication-style processes.
     pub fn insert_ignore_duplicates(&self, rows: Vec<Row>) -> StoreResult<usize> {
+        let _span = dip_trace::span(dip_trace::Layer::Relstore, "insert");
         let mut inner = self.inner.write();
         // This path validates per row *inside* the loop, so it can error
         // after appending a prefix of the batch — journal whatever actually
@@ -439,6 +445,7 @@ impl Table {
 
     /// Insert-or-replace by primary key (upsert). Requires a primary key.
     pub fn upsert(&self, rows: Vec<Row>) -> StoreResult<usize> {
+        let _span = dip_trace::span(dip_trace::Layer::Relstore, "upsert");
         let mut inner = self.inner.write();
         if inner.primary.is_none() {
             return Err(StoreError::Invalid(format!(
@@ -508,6 +515,7 @@ impl Table {
 
     /// Delete all rows matching `pred`; returns the number deleted.
     pub fn delete_where(&self, pred: &Expr) -> StoreResult<usize> {
+        let _span = dip_trace::span(dip_trace::Layer::Relstore, "delete");
         let mut inner = self.inner.write();
         let mut victims = Vec::new();
         for (slot, r) in inner.slots.iter().enumerate() {
@@ -583,6 +591,7 @@ impl Table {
     /// Update matching rows: each assignment is `(column position, expr
     /// evaluated over the old row)`. Returns the number updated.
     pub fn update_where(&self, pred: &Expr, assignments: &[(usize, Expr)]) -> StoreResult<usize> {
+        let _span = dip_trace::span(dip_trace::Layer::Relstore, "update");
         let mut inner = self.inner.write();
         let mut updates: Vec<(usize, Row)> = Vec::new();
         for (slot, r) in inner.slots.iter().enumerate() {
@@ -627,6 +636,7 @@ impl Table {
 
     /// Remove all rows (and reset indexes and the change log).
     pub fn truncate(&self) {
+        let _span = dip_trace::span(dip_trace::Layer::Relstore, "truncate");
         let mut inner = self.inner.write();
         let slots = std::mem::take(&mut inner.slots);
         let changes = std::mem::take(&mut inner.changes);
