@@ -2,7 +2,9 @@
 //! probes and materialized-view refresh in `dip-relstore`. These back the
 //! "well-optimized relational operators" half of the paper's System A
 //! observation. `mtm_dataflow` adds the MTM interpreter's hand-offs: what
-//! moving a table-shaped message between operators costs.
+//! moving a table-shaped message between operators costs. `write_path`
+//! runs the store's write flavours (bulk insert, merge, upsert, flag flip,
+//! truncate, rollback) over a wide indexed table.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step};
@@ -387,11 +389,116 @@ fn bench_mtm_dataflow(c: &mut Criterion) {
     assert_eq!(loaded, 6_000 + 2_000 + 3 * 400 + 3 * 100);
 }
 
+const WRITE_ROWS: i64 = 20_000;
+
+/// `n` rows of the write-path table from key `from`: an `Int` primary
+/// key, a boolean flag under a secondary index (every row under one of
+/// its two keys, like the CDB staging tables' `integrated`), and 23 mixed
+/// attribute columns — 25 in all, the width of a P14 sales row.
+fn flagged_rows(from: i64, n: i64) -> Vec<Row> {
+    let names: Vec<Value> = (0..97).map(|i| Value::str(format!("name-{i}"))).collect();
+    (from..from + n)
+        .map(|i| {
+            let mut row = vec![Value::Int(i), Value::Bool(false)];
+            for a in 2..SALES_COLUMNS {
+                row.push(match a % 3 {
+                    0 => Value::Int(i + a as i64),
+                    1 => Value::Float((i % 997) as f64 / 7.0),
+                    _ => names[(i as usize + a) % names.len()].clone(),
+                });
+            }
+            row
+        })
+        .collect()
+}
+
+fn flagged_table() -> Arc<Table> {
+    let mut cols = vec![("k", SqlType::Int), ("flag", SqlType::Bool)];
+    let attrs: Vec<String> = (2..SALES_COLUMNS).map(|a| format!("a{a}")).collect();
+    for (a, name) in (2..).zip(&attrs) {
+        cols.push((name, [SqlType::Int, SqlType::Float, SqlType::Str][a % 3]));
+    }
+    Table::new("flagged", RelSchema::of(&cols).shared())
+        .with_primary_key(&["k"])
+        .unwrap()
+        .with_index("by_flag", &["flag"])
+        .unwrap()
+        .into_shared()
+}
+
+/// The store's write flavours over 20 000 x 25 rows: what a period's
+/// initialize / bulk-load / uninitialize cycle pays per table.
+fn bench_write_path(c: &mut Criterion) {
+    let mut g = c.benchmark_group("write_path");
+    g.sample_size(10);
+    let rows = flagged_rows(0, WRITE_ROWS);
+    let t = flagged_table();
+    let emptied = || {
+        t.truncate();
+        rows.clone()
+    };
+    let loaded = || {
+        t.truncate();
+        t.insert(rows.clone()).unwrap();
+        rows.clone()
+    };
+    let per = BatchSize::PerIteration;
+
+    g.bench_function("insert_20k", |b| {
+        b.iter_batched(emptied, |rows| t.insert(rows).unwrap(), per)
+    });
+    g.bench_function("insert_ignore_fresh_20k", |b| {
+        b.iter_batched(
+            emptied,
+            |rows| t.insert_ignore_duplicates(rows).unwrap(),
+            per,
+        )
+    });
+    g.bench_function("insert_ignore_all_duplicate_20k", |b| {
+        b.iter_batched(
+            loaded,
+            |rows| t.insert_ignore_duplicates(rows).unwrap(),
+            per,
+        )
+    });
+    g.bench_function("upsert_all_hit_20k", |b| {
+        b.iter_batched(loaded, |rows| t.upsert(rows).unwrap(), per)
+    });
+    g.bench_function("flag_flip_20k", |b| {
+        loaded();
+        let mut flag = false;
+        b.iter(|| {
+            let flipped = t
+                .update_where(&Expr::col(1).eq(Expr::lit(flag)), &[(1, Expr::lit(!flag))])
+                .unwrap();
+            flag = !flag;
+            flipped
+        })
+    });
+    g.bench_function("truncate_20k", |b| {
+        b.iter_batched(|| drop(loaded()), |()| t.truncate(), per)
+    });
+    g.bench_function("rollback_1k_on_20k", |b| {
+        loaded();
+        b.iter_batched(
+            || {
+                let scope = tx::begin();
+                t.insert(flagged_rows(WRITE_ROWS, 1000)).unwrap();
+                scope
+            },
+            |scope| scope.rollback(),
+            per,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_relstore,
     bench_mview,
     bench_optimizer,
-    bench_mtm_dataflow
+    bench_mtm_dataflow,
+    bench_write_path
 );
 criterion_main!(benches);

@@ -108,7 +108,7 @@ pub fn create_dimension_tables(db: &Database) -> StoreResult<()> {
     db.create_table(
         Table::new("city", city_schema())
             .with_primary_key(&["citykey"])?
-            .with_index("city_by_name", &["name"], false, IndexKind::Hash)?,
+            .with_index("city_by_name", &["name"])?,
     );
     db.create_table(
         Table::new("productline", productline_schema()).with_primary_key(&["linekey"])?,
@@ -116,7 +116,7 @@ pub fn create_dimension_tables(db: &Database) -> StoreResult<()> {
     db.create_table(
         Table::new("productgroup", productgroup_schema())
             .with_primary_key(&["groupkey"])?
-            .with_index("pg_by_name", &["name"], false, IndexKind::Hash)?,
+            .with_index("pg_by_name", &["name"])?,
     );
     Ok(())
 }

@@ -101,12 +101,12 @@ pub fn create_cdb() -> StoreResult<Arc<Database>> {
     db.create_table(
         Table::new("customer_staging", customer_staging_schema())
             .with_primary_key(&["custkey"])?
-            .with_index("cs_integrated", &["integrated"], false, IndexKind::Hash)?,
+            .with_index("cs_integrated", &["integrated"])?,
     );
     db.create_table(
         Table::new("product_staging", product_staging_schema())
             .with_primary_key(&["prodkey"])?
-            .with_index("ps_integrated", &["integrated"], false, IndexKind::Hash)?,
+            .with_index("ps_integrated", &["integrated"])?,
     );
     db.create_table(
         Table::new("orders_staging", orders_staging_schema()).with_primary_key(&["orderkey"])?,

@@ -92,7 +92,7 @@ fn create(name: &str, with_loc: bool) -> StoreResult<Arc<Database>> {
     let db = Arc::new(Database::new(name));
     let cust = Table::new("cust", cust_schema(with_loc)).with_primary_key(&["c_id"])?;
     let cust = if with_loc {
-        cust.with_index("cust_by_loc", &["c_loc"], false, IndexKind::Hash)?
+        cust.with_index("cust_by_loc", &["c_loc"])?
     } else {
         cust
     };
@@ -100,7 +100,7 @@ fn create(name: &str, with_loc: bool) -> StoreResult<Arc<Database>> {
     db.create_table(Table::new("prod", prod_schema()).with_primary_key(&["pr_id"])?);
     let ord = Table::new("ord", ord_schema(with_loc)).with_primary_key(&["o_id"])?;
     let ord = if with_loc {
-        ord.with_index("ord_by_loc", &["o_loc"], false, IndexKind::Hash)?
+        ord.with_index("ord_by_loc", &["o_loc"])?
     } else {
         ord
     };

@@ -1,16 +1,20 @@
-//! Vectorized key hashing and hash-first key tables.
+//! Key hashing and hash-first key tables, shared by the batch executor
+//! and the table indexes.
 //!
 //! The batch executor keys its hash joins, hash aggregates and distinct
 //! unions through this module instead of allocating a `Vec<Value>` per
-//! row:
+//! row, and [`crate::index::Index`] chains table slots under the same
+//! hash:
 //!
 //! * [`hash_value`] / [`combine`] produce one splitmix-mixed `u64` per
-//!   key, built column-by-column (a whole key column is hashed per chunk
-//!   in one pass);
-//! * [`KeyIndex`] is a chained hash table mapping those `u64`s to dense
-//!   row/group ids. Probes compare candidate entries against the *stored*
-//!   rows (hash-first comparison), so a key is only ever materialized
-//!   when it is inserted — never on a lookup hit.
+//!   key, built column-by-column from [`KEY_SEED`] (the executor hashes a
+//!   whole key column per chunk in one pass);
+//! * [`KeyIndex`] is the executor's append-only chained hash table
+//!   mapping those `u64`s to dense row/group ids. Probes compare candidate
+//!   entries against the *stored* rows (hash-first comparison), so a key
+//!   is only ever materialized when it is inserted — never on a lookup
+//!   hit. A table index needs unlinking and insertion-order chains, so it
+//!   shares the hash functions and [`PreMixed`], not this type.
 //!
 //! The hash must be consistent with [`Value`]'s equality (`total_cmp`):
 //! `Int(3)` and `Float(3.0)` compare equal, so both numeric variants hash

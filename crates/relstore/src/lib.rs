@@ -8,8 +8,9 @@
 //! Features, all built from scratch:
 //!
 //! * typed [`value::Value`]s with SQL three-valued comparison semantics;
-//! * slotted heap [`table::Table`]s with primary keys, hash/B-tree
-//!   secondary indexes and statement-atomic batch inserts;
+//! * slotted heap [`table::Table`]s with primary keys, hash-first
+//!   secondary indexes ([`index::Index`]) and statement-atomic batch
+//!   inserts;
 //! * a programmatic [`query::Plan`] language
 //!   (filter/project/hash-join/union-distinct/aggregate/sort/limit) with a
 //!   rule-based optimizer (predicate + projection pushdown), one columnar
@@ -34,6 +35,7 @@
 pub mod catalog;
 pub mod error;
 pub mod expr;
+mod hashkey;
 pub mod index;
 pub mod mview;
 pub mod query;
@@ -48,7 +50,6 @@ pub mod prelude {
     pub use crate::catalog::{Database, ProcFn, TriggerFn};
     pub use crate::error::{StoreError, StoreResult, TransportFault, TransportKind};
     pub use crate::expr::{CmpOp, Expr, ScalarFunc};
-    pub use crate::index::IndexKind;
     pub use crate::mview::{MatView, RefreshMode};
     pub use crate::query::{execute, execute_oracle, AggExpr, AggFunc, JoinKind, Plan, ProjExpr};
     pub use crate::row::{Relation, Row};

@@ -31,7 +31,7 @@
 //! they narrow the selection vector and pass the columns through.
 //!
 //! Hash joins, hash aggregates and distinct unions key through
-//! `query::hashkey`: whole key columns are hashed per chunk into a
+//! `crate::hashkey`: whole key columns are hashed per chunk into a
 //! `Vec<u64>` (one pass per key column, splitmix-mixed), and probes walk a
 //! chained [`KeyIndex`] comparing candidates against the *stored* build
 //! rows / group keys — a key tuple is only materialized when it is first
@@ -76,10 +76,8 @@
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};
+use crate::hashkey::{combine, hash_num, hash_str, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
 use crate::query::exec::{index_join_equivalent, plan_op, rows_counter, AggState, TopKEntry};
-use crate::query::hashkey::{
-    combine, hash_num, hash_str, hash_value, KeyIndex, KEY_SEED, NULL_HASH,
-};
 use crate::query::plan::{AggFunc, JoinKind, Plan};
 use crate::row::{sort_rows_by_columns, Relation, Row};
 use crate::value::{SqlType, Value};

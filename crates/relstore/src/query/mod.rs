@@ -4,7 +4,6 @@
 
 mod batch;
 pub mod exec;
-mod hashkey;
 pub mod plan;
 pub mod planner;
 

@@ -7,6 +7,12 @@
 //! `RwLock`, so a shared `Arc<Table>` can be used from concurrent benchmark
 //! streams.
 //!
+//! The indexes ([`crate::index`]) hold slot numbers only, chained per key
+//! hash, and compare probes against the rows stored here — which is why
+//! every index call below is handed the slot vector. Each write flavour
+//! hashes a row's primary key once and shares the hash between the
+//! uniqueness probe and the registration.
+//!
 //! Triggers are *stored* here but *fired* by [`crate::catalog::Database`],
 //! because a trigger body usually writes other tables and therefore needs
 //! the whole database handle.
@@ -15,13 +21,20 @@
 //! `upsert`, `delete`, `update`, `truncate`): the caller's enclosing span
 //! knows the cost category, this one books the self time to the store.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::error::{StoreError, StoreResult};
-use crate::expr::Expr;
-use crate::index::{key_of, Index, IndexKind};
+use crate::expr::{CmpOp, Expr};
+use crate::hashkey::KeyIndex;
+use crate::index::{key_of, slot_id, Index};
 use crate::row::{Relation, Row};
 use crate::schema::SchemaRef;
 use crate::tx::TxShared;
 use crate::value::Value;
+use dip_trace::Layer;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
@@ -66,14 +79,131 @@ struct UndoRecord {
 struct TableInner {
     slots: Vec<Option<Row>>,
     live: usize,
+    /// The one unique index: writers probe it before they register.
     primary: Option<Index>,
     secondary: Vec<Index>,
     capture: bool,
     changes: Vec<Change>,
-    /// Monotonic counter bumped on every mutation batch.
-    generation: u64,
     /// Per-transaction undo journals, keyed by transaction id.
     undo: HashMap<u64, Vec<UndoRecord>>,
+}
+
+impl TableInner {
+    /// The primary index first, then the secondary ones in declaration
+    /// order — the order probes prefer them in.
+    fn indexes(&self) -> impl Iterator<Item = &Index> {
+        self.primary.iter().chain(&self.secondary)
+    }
+
+    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut Index> {
+        self.primary.iter_mut().chain(&mut self.secondary)
+    }
+
+    fn index_row(&mut self, row: &[Value], slot: usize) -> StoreResult<()> {
+        self.indexes_mut().try_for_each(|ix| ix.insert(row, slot))
+    }
+
+    fn unindex_row(&mut self, row: &[Value], slot: usize) {
+        self.indexes_mut().for_each(|ix| ix.remove(row, slot));
+    }
+
+    /// Tombstone `slot` and hand back its row; `Invalid` if it holds none.
+    fn take_row(&mut self, slot: usize) -> StoreResult<Row> {
+        self.slots
+            .get_mut(slot)
+            .and_then(Option::take)
+            .ok_or_else(|| StoreError::Invalid(format!("slot {slot} holds no live row")))
+    }
+
+    /// `row`'s primary-key hash (`None` without a primary key or with a
+    /// NULL key part) and the slot of the stored row that has its key.
+    fn pk_probe(&self, row: &[Value]) -> (Option<u64>, Option<usize>) {
+        let Some(pk) = &self.primary else {
+            return (None, None);
+        };
+        let h = pk.hash_row(row);
+        let hit = h.and_then(|h| pk.matches(&self.slots, h, pk.key_in(row)).next());
+        (h, hit.map(|(slot, _)| slot))
+    }
+
+    /// Append a checked row whose primary-key hash the caller already has.
+    fn append(&mut self, row: Row, pk_hash: Option<u64>) -> StoreResult<()> {
+        let slot = self.slots.len();
+        if let (Some(pk), Some(h)) = (&mut self.primary, pk_hash) {
+            pk.link(h, slot)?;
+        }
+        for ix in &mut self.secondary {
+            ix.insert(&row, slot)?;
+        }
+        if self.capture {
+            self.changes.push(Change::Insert(row.clone()));
+        }
+        self.slots.push(Some(row));
+        self.live += 1;
+        Ok(())
+    }
+
+    /// Replace the live row at `slot` and hand back the old one. The row
+    /// re-registers in every secondary index (moving to its chain's tail),
+    /// and in the primary one only when `rekey` says its key may differ.
+    fn replace(&mut self, slot: usize, new: Row, rekey: bool) -> StoreResult<Row> {
+        let old = self.take_row(slot)?;
+        let keyed = self.primary.iter_mut().filter(|_| rekey);
+        for ix in keyed.chain(&mut self.secondary) {
+            ix.remove(&old, slot);
+            ix.insert(&new, slot)?;
+        }
+        if self.capture {
+            self.changes.push(Change::Delete(old.clone()));
+            self.changes.push(Change::Insert(new.clone()));
+        }
+        if let Some(s) = self.slots.get_mut(slot) {
+            *s = Some(new);
+        }
+        Ok(old)
+    }
+}
+
+/// The uniqueness check of one statement: each new primary key is probed
+/// against the stored rows and against the keys the statement claimed
+/// before it, so a batch is refused as a whole before any of it applies.
+struct Claims<'a> {
+    pk: &'a Index,
+    slots: &'a [Option<Row>],
+    /// Positions in `claimed`, chained by key hash.
+    seen: KeyIndex,
+    claimed: Vec<&'a [Value]>,
+}
+
+impl<'a> Claims<'a> {
+    fn new(pk: &'a Index, slots: &'a [Option<Row>], rows: usize) -> Claims<'a> {
+        Claims {
+            pk,
+            slots,
+            seen: KeyIndex::with_capacity(rows),
+            claimed: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Claim `row`'s key (hash `h`). `false` if a stored row holds it —
+    /// other than at a slot the statement is `leaving` — or an earlier
+    /// claim does.
+    fn claim(&mut self, h: u64, row: &'a [Value], leaving: impl Fn(usize) -> bool) -> bool {
+        let pk = self.pk;
+        let stored = pk
+            .matches(self.slots, h, pk.key_in(row))
+            .any(|(slot, _)| !leaving(slot));
+        let claimed = self.seen.candidates(h).any(|p| {
+            let earlier = self.claimed.get(p as usize);
+            earlier.is_some_and(|e| pk.columns.iter().all(|&c| e.get(c) == row.get(c)))
+        });
+        if stored || claimed {
+            return false;
+        }
+        self.seen.push(h);
+        self.claimed.push(row);
+        true
+    }
 }
 
 /// An in-memory heap table.
@@ -167,9 +297,7 @@ impl Table {
     }
 
     /// Apply a transaction's undo journal in reverse, restoring the
-    /// pre-transaction state; returns the number of records applied. The
-    /// generation still advances — rolled-back state must never satisfy a
-    /// generation-keyed cache.
+    /// pre-transaction state; returns the number of records applied.
     pub(crate) fn tx_rollback(&self, txid: u64) -> u64 {
         let mut inner = self.inner.write();
         let Some(records) = inner.undo.remove(&txid) else {
@@ -179,7 +307,6 @@ impl Table {
         for rec in records.into_iter().rev() {
             apply_undo(&mut inner, rec);
         }
-        inner.generation += 1;
         n
     }
 
@@ -201,9 +328,8 @@ impl Table {
     }
 
     /// Render the table's full physical state — slots (tombstones
-    /// included), live count, every index's postings, and the change log —
-    /// for byte-identity assertions in rollback tests. The generation
-    /// counter is deliberately excluded: it advances on rollback.
+    /// included), live count, every index's slots per key, and the change
+    /// log — for byte-identity assertions in rollback tests.
     pub fn state_dump(&self) -> String {
         use std::fmt::Write;
         let inner = self.inner.read();
@@ -212,9 +338,9 @@ impl Table {
         for (slot, row) in inner.slots.iter().enumerate() {
             let _ = writeln!(out, "  slot {slot}: {row:?}");
         }
-        for ix in inner.primary.iter().chain(inner.secondary.iter()) {
+        for ix in inner.indexes() {
             let _ = writeln!(out, "  index {}:", ix.name);
-            for (key, slots) in ix.entries() {
+            for (key, slots) in ix.entries(&inner.slots) {
                 let _ = writeln!(out, "    {key:?} -> {slots:?}");
             }
         }
@@ -222,35 +348,33 @@ impl Table {
         out
     }
 
-    /// Declare the primary key over the named columns (hash-unique).
+    /// Declare the primary key over the named columns: the table's one
+    /// unique index.
     pub fn with_primary_key(self, cols: &[&str]) -> StoreResult<Table> {
         let idxs = self.schema.indices_of(cols)?;
-        {
-            let mut inner = self.inner.write();
-            inner.primary = Some(Index::new(
-                format!("{}_pk", self.name),
-                idxs,
-                true,
-                IndexKind::Hash,
-            ));
-        }
+        self.inner.write().primary = Some(Index::new(format!("{}_pk", self.name), idxs));
         Ok(self)
     }
 
-    /// Add a secondary index.
-    pub fn with_index(
-        self,
-        name: &str,
-        cols: &[&str],
-        unique: bool,
-        kind: IndexKind,
-    ) -> StoreResult<Table> {
+    /// Add a (non-unique) secondary index.
+    pub fn with_index(self, name: &str, cols: &[&str]) -> StoreResult<Table> {
         let idxs = self.schema.indices_of(cols)?;
+        self.inner.write().secondary.push(Index::new(name, idxs));
+        Ok(self)
+    }
+
+    /// Fold every index's hashes into four chains (collision tests).
+    #[cfg(test)]
+    fn with_degenerate_hash(self) -> Table {
         {
             let mut inner = self.inner.write();
-            inner.secondary.push(Index::new(name, idxs, unique, kind));
+            inner.primary = inner.primary.take().map(Index::degenerate);
+            inner.secondary = std::mem::take(&mut inner.secondary)
+                .into_iter()
+                .map(Index::degenerate)
+                .collect();
         }
-        Ok(self)
+        self
     }
 
     /// Enable change capture (for incremental MV refresh).
@@ -272,18 +396,10 @@ impl Table {
         self.inner.read().live
     }
 
-    pub fn generation(&self) -> u64 {
-        self.inner.read().generation
-    }
-
     /// Number of distinct keys of the primary index, if any — a planner
     /// statistic.
     pub fn pk_cardinality(&self) -> Option<usize> {
-        self.inner
-            .read()
-            .primary
-            .as_ref()
-            .map(|p| p.distinct_keys())
+        self.inner.read().primary.as_ref().map(Index::len)
     }
 
     /// Column positions of the primary key, if declared.
@@ -295,62 +411,50 @@ impl Table {
             .map(|p| p.columns.clone())
     }
 
+    fn duplicate_key(&self, pk: &Index, row: &[Value]) -> StoreError {
+        StoreError::DuplicateKey {
+            table: self.name.clone(),
+            key: format!("{:?}", key_of(row, &pk.columns)),
+        }
+    }
+
     /// Insert a batch of rows. All rows are validated and checked against
-    /// unique indexes *before* any row is applied, so a failed batch leaves
-    /// the table unchanged (statement-level atomicity).
+    /// the primary key *before* any row is applied, so a failed batch
+    /// leaves the table unchanged (statement-level atomicity).
     pub fn insert(&self, rows: Vec<Row>) -> StoreResult<usize> {
         if rows.is_empty() {
             return Ok(0);
         }
-        let _span = dip_trace::span(dip_trace::Layer::Relstore, "insert");
+        let _span = dip_trace::span(Layer::Relstore, "insert");
         for r in &rows {
             self.schema.check_row(r)?;
         }
         let mut inner = self.inner.write();
+        let n = rows.len();
+        let first_slot = inner.slots.len();
+        // the last slot must fit an index chain link: refuse here, not
+        // halfway through the batch
+        slot_id(first_slot + n - 1)?;
         // Uniqueness pre-check, including duplicates inside the batch
-        // itself. Each key tuple is computed once: the existing index and
-        // the in-batch set are both probed by reference, and the key moves
-        // into the set only after both probes clear.
+        // itself; the hashes it computes register the rows below.
+        let mut pk_hashes = Vec::new();
         if let Some(pk) = &inner.primary {
-            let mut batch_keys = std::collections::HashSet::new();
+            pk_hashes.reserve(n);
+            let mut claims = Claims::new(pk, &inner.slots, n);
             for r in &rows {
-                let key = key_of(r, &pk.columns);
-                if crate::index::key_has_null(&key) {
+                let Some(h) = pk.hash_row(r) else {
                     return Err(StoreError::Constraint(format!(
                         "NULL in primary key of {}",
                         self.name
                     )));
+                };
+                if !claims.claim(h, r, |_| false) {
+                    return Err(self.duplicate_key(pk, r));
                 }
-                if pk.contains_key(&key) || batch_keys.contains(&key) {
-                    return Err(StoreError::DuplicateKey {
-                        table: self.name.clone(),
-                        key: format!("{key:?}"),
-                    });
-                }
-                batch_keys.insert(key);
+                pk_hashes.push(h);
             }
         }
-        for ix in &inner.secondary {
-            if ix.unique {
-                let mut batch_keys = std::collections::HashSet::new();
-                for r in &rows {
-                    let key = key_of(r, &ix.columns);
-                    if crate::index::key_has_null(&key) {
-                        continue;
-                    }
-                    if ix.contains_key(&key) || batch_keys.contains(&key) {
-                        return Err(StoreError::DuplicateKey {
-                            table: self.name.clone(),
-                            key: ix.name.clone(),
-                        });
-                    }
-                    batch_keys.insert(key);
-                }
-            }
-        }
-        let n = rows.len();
         let changes_len = inner.capture.then(|| inner.changes.len());
-        let first_slot = inner.slots.len();
         self.journal(
             &mut inner,
             changes_len,
@@ -359,28 +463,17 @@ impl Table {
                 count: n,
             },
         );
+        let mut pk_hashes = pk_hashes.into_iter();
         for r in rows {
-            let slot = inner.slots.len();
-            if let Some(pk) = &mut inner.primary {
-                pk.insert(&r, slot);
-            }
-            for ix in &mut inner.secondary {
-                ix.insert(&r, slot);
-            }
-            if inner.capture {
-                inner.changes.push(Change::Insert(r.clone()));
-            }
-            inner.slots.push(Some(r));
-            inner.live += 1;
+            inner.append(r, pk_hashes.next())?;
         }
-        inner.generation += 1;
         Ok(n)
     }
 
     /// Insert rows, silently skipping those whose primary key already
     /// exists — the "merge" flavour used by replication-style processes.
     pub fn insert_ignore_duplicates(&self, rows: Vec<Row>) -> StoreResult<usize> {
-        let _span = dip_trace::span(dip_trace::Layer::Relstore, "insert");
+        let _span = dip_trace::span(Layer::Relstore, "insert");
         let mut inner = self.inner.write();
         // This path validates per row *inside* the loop, so it can error
         // after appending a prefix of the batch — journal whatever actually
@@ -399,7 +492,6 @@ impl Table {
                     count: appended,
                 },
             );
-            inner.generation += 1;
         }
         result
     }
@@ -412,40 +504,18 @@ impl Table {
         let mut inserted = 0;
         for r in rows {
             schema.check_row(&r)?;
-            // Extract the primary key once; the uniqueness probe and the
-            // index registration below share the tuple.
-            let pk_key = inner
-                .primary
-                .as_ref()
-                .map(|pk| key_of(&r, &pk.columns))
-                .filter(|k| !crate::index::key_has_null(k));
-            if let (Some(pk), Some(key)) = (&inner.primary, &pk_key) {
-                if pk.unique && pk.contains_key(key) {
-                    continue;
-                }
+            let (pk_hash, hit) = inner.pk_probe(&r);
+            if hit.is_none() {
+                inner.append(r, pk_hash)?;
+                inserted += 1;
             }
-            let slot = inner.slots.len();
-            if let Some(pk) = &mut inner.primary {
-                if let Some(key) = pk_key {
-                    pk.insert_key(key, slot);
-                }
-            }
-            for ix in &mut inner.secondary {
-                ix.insert(&r, slot);
-            }
-            if inner.capture {
-                inner.changes.push(Change::Insert(r.clone()));
-            }
-            inner.slots.push(Some(r));
-            inner.live += 1;
-            inserted += 1;
         }
         Ok(inserted)
     }
 
     /// Insert-or-replace by primary key (upsert). Requires a primary key.
     pub fn upsert(&self, rows: Vec<Row>) -> StoreResult<usize> {
-        let _span = dip_trace::span(dip_trace::Layer::Relstore, "upsert");
+        let _span = dip_trace::span(Layer::Relstore, "upsert");
         let mut inner = self.inner.write();
         if inner.primary.is_none() {
             return Err(StoreError::Invalid(format!(
@@ -457,65 +527,62 @@ impl Table {
         let mut n = 0;
         for r in rows {
             self.schema.check_row(&r)?;
-            let pk_cols = inner.primary.as_ref().unwrap().columns.clone();
-            let key = key_of(&r, &pk_cols);
-            let existing = inner.primary.as_ref().unwrap().lookup(&key);
             let changes_len = inner.capture.then(|| inner.changes.len());
-            if let Some(&slot) = existing.first() {
-                let old = inner.slots[slot].take().expect("live slot");
-                if let Some(pk) = &mut inner.primary {
-                    pk.remove(&old, slot);
+            let (pk_hash, hit) = inner.pk_probe(&r);
+            let op = match hit {
+                // the key is the stored row's: the primary chain stands
+                Some(slot) => UndoOp::Replaced {
+                    slot,
+                    old: inner.replace(slot, r, false)?,
+                },
+                None => {
+                    let first_slot = inner.slots.len();
+                    inner.append(r, pk_hash)?;
+                    UndoOp::Appended {
+                        first_slot,
+                        count: 1,
+                    }
                 }
-                for ix in &mut inner.secondary {
-                    ix.remove(&old, slot);
-                }
-                if let Some(pk) = &mut inner.primary {
-                    pk.insert(&r, slot);
-                }
-                for ix in &mut inner.secondary {
-                    ix.insert(&r, slot);
-                }
-                if inner.capture {
-                    inner.changes.push(Change::Delete(old.clone()));
-                    inner.changes.push(Change::Insert(r.clone()));
-                }
-                inner.slots[slot] = Some(r);
-                if journaling {
-                    self.journal(&mut inner, changes_len, UndoOp::Replaced { slot, old });
-                }
-            } else {
-                let slot = inner.slots.len();
-                if let Some(pk) = &mut inner.primary {
-                    pk.insert(&r, slot);
-                }
-                for ix in &mut inner.secondary {
-                    ix.insert(&r, slot);
-                }
-                if inner.capture {
-                    inner.changes.push(Change::Insert(r.clone()));
-                }
-                inner.slots.push(Some(r));
-                inner.live += 1;
-                if journaling {
-                    self.journal(
-                        &mut inner,
-                        changes_len,
-                        UndoOp::Appended {
-                            first_slot: slot,
-                            count: 1,
-                        },
-                    );
-                }
+            };
+            if journaling {
+                self.journal(&mut inner, changes_len, op);
             }
             n += 1;
         }
-        inner.generation += 1;
         Ok(n)
+    }
+
+    /// Drop every row and index entry. Under a transaction the slots move
+    /// into the undo record; otherwise they are cleared in place, so the
+    /// slot vector and the index tables keep their capacity for the reload
+    /// that follows a wipe.
+    fn wipe(
+        &self,
+        inner: &mut TableInner,
+        changes_len: Option<usize>,
+        restore_changes: Option<Vec<Change>>,
+    ) {
+        let live = std::mem::take(&mut inner.live);
+        inner.indexes_mut().for_each(Index::clear);
+        if self.journaling() {
+            let slots = std::mem::take(&mut inner.slots);
+            self.journal(
+                inner,
+                changes_len,
+                UndoOp::Wiped {
+                    slots,
+                    live,
+                    restore_changes,
+                },
+            );
+        } else {
+            inner.slots.clear();
+        }
     }
 
     /// Delete all rows matching `pred`; returns the number deleted.
     pub fn delete_where(&self, pred: &Expr) -> StoreResult<usize> {
-        let _span = dip_trace::span(dip_trace::Layer::Relstore, "delete");
+        let _span = dip_trace::span(Layer::Relstore, "delete");
         let mut inner = self.inner.write();
         let mut victims = Vec::new();
         for (slot, r) in inner.slots.iter().enumerate() {
@@ -529,69 +596,41 @@ impl Table {
         if n == 0 {
             return Ok(0);
         }
-        let journaling = self.journaling();
         if n == inner.live {
             // Full wipe (e.g. staging flush with a `true` predicate): clear
             // indexes wholesale instead of removing every key one by one.
             // All slots are gone afterwards, so no index entry can dangle.
             let changes_len = inner.capture.then(|| inner.changes.len());
-            let slots = std::mem::take(&mut inner.slots);
             if inner.capture {
-                for row in slots.iter().flatten() {
-                    inner.changes.push(Change::Delete(row.clone()));
-                }
+                let TableInner { slots, changes, .. } = &mut *inner;
+                changes.extend(slots.iter().flatten().cloned().map(Change::Delete));
             }
-            if let Some(pk) = &mut inner.primary {
-                pk.clear();
-            }
-            for ix in &mut inner.secondary {
-                ix.clear();
-            }
-            let live = inner.live;
-            inner.live = 0;
-            inner.generation += 1;
-            if journaling {
-                self.journal(
-                    &mut inner,
-                    changes_len,
-                    UndoOp::Wiped {
-                        slots,
-                        live,
-                        restore_changes: None,
-                    },
-                );
-            }
+            self.wipe(&mut inner, changes_len, None);
             return Ok(n);
         }
-        for slot in &victims {
+        let journaling = self.journaling();
+        for slot in victims {
             let changes_len = inner.capture.then(|| inner.changes.len());
-            let old = inner.slots[*slot].take().expect("live slot");
-            if let Some(pk) = &mut inner.primary {
-                pk.remove(&old, *slot);
-            }
-            for ix in &mut inner.secondary {
-                ix.remove(&old, *slot);
-            }
+            let old = inner.take_row(slot)?;
+            inner.unindex_row(&old, slot);
             if inner.capture {
                 inner.changes.push(Change::Delete(old.clone()));
             }
             inner.live -= 1;
             if journaling {
-                self.journal(
-                    &mut inner,
-                    changes_len,
-                    UndoOp::Deleted { slot: *slot, old },
-                );
+                self.journal(&mut inner, changes_len, UndoOp::Deleted { slot, old });
             }
         }
-        inner.generation += 1;
         Ok(n)
     }
 
     /// Update matching rows: each assignment is `(column position, expr
-    /// evaluated over the old row)`. Returns the number updated.
+    /// evaluated over the old row)`. Returns the number updated. A
+    /// statement that assigns a primary-key column is checked like an
+    /// insert batch — the new keys against the rows that stay as they are
+    /// and against each other — and refused with the table unchanged.
     pub fn update_where(&self, pred: &Expr, assignments: &[(usize, Expr)]) -> StoreResult<usize> {
-        let _span = dip_trace::span(dip_trace::Layer::Relstore, "update");
+        let _span = dip_trace::span(Layer::Relstore, "update");
         let mut inner = self.inner.write();
         let mut updates: Vec<(usize, Row)> = Vec::new();
         for (slot, r) in inner.slots.iter().enumerate() {
@@ -606,60 +645,39 @@ impl Table {
                 }
             }
         }
+        let rekey = match &inner.primary {
+            Some(pk) if assignments.iter().any(|(c, _)| pk.columns.contains(c)) => {
+                let mut claims = Claims::new(pk, &inner.slots, updates.len());
+                for (_, new) in &updates {
+                    // a NULL key part (nullable key column) is not indexed
+                    let Some(h) = pk.hash_row(new) else { continue };
+                    let leaving = |slot| updates.binary_search_by_key(&slot, |u| u.0).is_ok();
+                    if !claims.claim(h, new, leaving) {
+                        return Err(self.duplicate_key(pk, new));
+                    }
+                }
+                true
+            }
+            _ => false,
+        };
         let n = updates.len();
         let journaling = self.journaling();
         for (slot, new) in updates {
             let changes_len = inner.capture.then(|| inner.changes.len());
-            let old = inner.slots[slot].take().expect("live slot");
-            if let Some(pk) = &mut inner.primary {
-                pk.remove(&old, slot);
-                pk.insert(&new, slot);
-            }
-            for ix in &mut inner.secondary {
-                ix.remove(&old, slot);
-                ix.insert(&new, slot);
-            }
-            if inner.capture {
-                inner.changes.push(Change::Delete(old.clone()));
-                inner.changes.push(Change::Insert(new.clone()));
-            }
-            inner.slots[slot] = Some(new);
+            let old = inner.replace(slot, new, rekey)?;
             if journaling {
                 self.journal(&mut inner, changes_len, UndoOp::Replaced { slot, old });
             }
-        }
-        if n > 0 {
-            inner.generation += 1;
         }
         Ok(n)
     }
 
     /// Remove all rows (and reset indexes and the change log).
     pub fn truncate(&self) {
-        let _span = dip_trace::span(dip_trace::Layer::Relstore, "truncate");
+        let _span = dip_trace::span(Layer::Relstore, "truncate");
         let mut inner = self.inner.write();
-        let slots = std::mem::take(&mut inner.slots);
         let changes = std::mem::take(&mut inner.changes);
-        let live = inner.live;
-        inner.live = 0;
-        if let Some(pk) = &mut inner.primary {
-            pk.clear();
-        }
-        for ix in &mut inner.secondary {
-            ix.clear();
-        }
-        inner.generation += 1;
-        if self.journaling() {
-            self.journal(
-                &mut inner,
-                None,
-                UndoOp::Wiped {
-                    slots,
-                    live,
-                    restore_changes: Some(changes),
-                },
-            );
-        }
+        self.wipe(&mut inner, None, Some(changes));
     }
 
     /// Materialize the whole table.
@@ -698,28 +716,28 @@ impl Table {
         f: &mut dyn FnMut(&[Value]) -> StoreResult<bool>,
     ) -> StoreResult<bool> {
         let inner = self.inner.read();
-        let candidate_slots: Option<Vec<usize>> = pred.and_then(|p| index_probe(&inner, p));
-        match candidate_slots {
-            Some(slots) => {
-                let p = pred.expect("probe implies predicate");
-                for s in slots {
-                    if let Some(Some(row)) = inner.slots.get(s) {
-                        if p.matches(row)? && !f(row)? {
-                            return Ok(false);
-                        }
-                    }
-                }
-            }
-            None => {
-                for row in inner.slots.iter().flatten() {
-                    let keep = match pred {
-                        Some(p) => p.matches(row)?,
-                        None => true,
-                    };
-                    if keep && !f(row)? {
+        if let Some(p) = pred {
+            if let Some((ix, key)) = index_probe(&inner, p) {
+                let at = |i: usize| key.get(i).copied();
+                // a NULL literal equals nothing
+                let Some(h) = ix.hash_with(at) else {
+                    return Ok(true);
+                };
+                for (_, row) in ix.matches(&inner.slots, h, at) {
+                    if p.matches(row)? && !f(row)? {
                         return Ok(false);
                     }
                 }
+                return Ok(true);
+            }
+        }
+        for row in inner.slots.iter().flatten() {
+            let keep = match pred {
+                Some(p) => p.matches(row)?,
+                None => true,
+            };
+            if keep && !f(row)? {
+                return Ok(false);
             }
         }
         Ok(true)
@@ -729,11 +747,9 @@ impl Table {
     /// given column set (in any order) — the planner's test for eligibility
     /// of an index-nested-loop join.
     pub fn covering_index(&self, cols: &[usize]) -> bool {
-        let inner = self.inner.read();
-        inner
-            .primary
-            .iter()
-            .chain(inner.secondary.iter())
+        self.inner
+            .read()
+            .indexes()
             .any(|ix| covers(&ix.columns, cols))
     }
 
@@ -742,49 +758,31 @@ impl Table {
     /// probe-side row of an index join) pay no per-lookup locking.
     pub fn probe_on(&self, cols: &[usize]) -> Option<TableProbe<'_>> {
         let inner = self.inner.read();
-        let find = |ix: &Index| -> Option<Vec<usize>> {
+        let (which, perm) = inner.indexes().enumerate().find_map(|(n, ix)| {
             if !covers(&ix.columns, cols) {
                 return None;
             }
             // perm[i] = where index column i sits in the caller's key tuple
-            ix.columns
+            let perm: Option<Vec<usize>> = ix
+                .columns
                 .iter()
                 .map(|c| cols.iter().position(|k| k == c))
-                .collect()
-        };
-        let (which, perm) = {
-            let mut found = None;
-            if let Some(pk) = &inner.primary {
-                if let Some(perm) = find(pk) {
-                    found = Some((ProbeIndex::Primary, perm));
-                }
-            }
-            if found.is_none() {
-                for (i, ix) in inner.secondary.iter().enumerate() {
-                    if let Some(perm) = find(ix) {
-                        found = Some((ProbeIndex::Secondary(i), perm));
-                        break;
-                    }
-                }
-            }
-            found?
-        };
-        // identity permutation → probe with the caller's key untouched
-        let perm = (!perm.iter().enumerate().all(|(i, &p)| i == p)).then_some(perm);
-        Some(TableProbe {
-            inner,
-            which,
-            perm,
-            scratch: std::cell::RefCell::new(Vec::new()),
-        })
+                .collect();
+            Some((n, perm?))
+        })?;
+        Some(TableProbe { inner, which, perm })
     }
 
     /// Point lookup by primary key.
     pub fn get_by_pk(&self, key: &[Value]) -> Option<Row> {
         let inner = self.inner.read();
         let pk = inner.primary.as_ref()?;
-        let slot = *pk.lookup_ref(key).first()?;
-        inner.slots.get(slot)?.clone()
+        if key.len() != pk.columns.len() {
+            return None;
+        }
+        let at = |i: usize| key.get(i);
+        let mut hits = pk.matches(&inner.slots, pk.hash_with(at)?, at);
+        hits.next().map(|(_, row)| row.clone())
     }
 
     /// Visit every live row without materializing the table.
@@ -820,16 +818,19 @@ impl Table {
 
 /// Undo one journal record (see [`UndoOp`] for the forward ops).
 fn apply_undo(inner: &mut TableInner, rec: UndoRecord) {
+    // Re-registering cannot fail here: every slot restored below was
+    // registered before, so it fits a chain link.
+    let restore = |inner: &mut TableInner, slot: usize, old: Row| {
+        let _ = inner.index_row(&old, slot);
+        if let Some(s) = inner.slots.get_mut(slot) {
+            *s = Some(old);
+        }
+    };
     match rec.op {
         UndoOp::Appended { first_slot, count } => {
             for slot in first_slot..first_slot + count {
-                if let Some(row) = inner.slots[slot].take() {
-                    if let Some(pk) = &mut inner.primary {
-                        pk.remove(&row, slot);
-                    }
-                    for ix in &mut inner.secondary {
-                        ix.remove(&row, slot);
-                    }
+                if let Ok(row) = inner.take_row(slot) {
+                    inner.unindex_row(&row, slot);
                     inner.live -= 1;
                 }
             }
@@ -840,30 +841,13 @@ fn apply_undo(inner: &mut TableInner, rec: UndoRecord) {
             }
         }
         UndoOp::Replaced { slot, old } => {
-            if let Some(new) = inner.slots[slot].take() {
-                if let Some(pk) = &mut inner.primary {
-                    pk.remove(&new, slot);
-                }
-                for ix in &mut inner.secondary {
-                    ix.remove(&new, slot);
-                }
+            if let Ok(new) = inner.take_row(slot) {
+                inner.unindex_row(&new, slot);
             }
-            if let Some(pk) = &mut inner.primary {
-                pk.insert(&old, slot);
-            }
-            for ix in &mut inner.secondary {
-                ix.insert(&old, slot);
-            }
-            inner.slots[slot] = Some(old);
+            restore(inner, slot, old);
         }
         UndoOp::Deleted { slot, old } => {
-            if let Some(pk) = &mut inner.primary {
-                pk.insert(&old, slot);
-            }
-            for ix in &mut inner.secondary {
-                ix.insert(&old, slot);
-            }
-            inner.slots[slot] = Some(old);
+            restore(inner, slot, old);
             inner.live += 1;
         }
         UndoOp::Wiped {
@@ -874,24 +858,16 @@ fn apply_undo(inner: &mut TableInner, rec: UndoRecord) {
             inner.slots = slots;
             inner.live = live;
             let TableInner {
-                ref slots,
-                ref mut primary,
-                ref mut secondary,
+                slots,
+                primary,
+                secondary,
                 ..
-            } = *inner;
-            if let Some(pk) = primary.as_mut() {
-                pk.clear();
-            }
-            for ix in secondary.iter_mut() {
+            } = &mut *inner;
+            for ix in primary.iter_mut().chain(secondary) {
                 ix.clear();
-            }
-            for (slot, row) in slots.iter().enumerate() {
-                if let Some(row) = row {
-                    if let Some(pk) = primary.as_mut() {
-                        pk.insert(row, slot);
-                    }
-                    for ix in secondary.iter_mut() {
-                        ix.insert(row, slot);
+                for (slot, row) in slots.iter().enumerate() {
+                    if let Some(row) = row {
+                        let _ = ix.insert(row, slot);
                     }
                 }
             }
@@ -913,25 +889,16 @@ fn covers(index_cols: &[usize], cols: &[usize]) -> bool {
     index_cols.len() == cols.len() && index_cols.iter().all(|c| cols.contains(c))
 }
 
-/// Which index a [`TableProbe`] session resolved to.
-enum ProbeIndex {
-    Primary,
-    Secondary(usize),
-}
-
 /// An open index-probe session (see [`Table::probe_on`]). Holds the table
 /// read lock for its lifetime; do not probe a table that an enclosing
 /// operation is writing.
 pub struct TableProbe<'a> {
     inner: parking_lot::RwLockReadGuard<'a, TableInner>,
-    which: ProbeIndex,
-    /// Reorders the caller's key tuple into index column order; `None`
-    /// when the orders already agree (the common case), so probes borrow
-    /// the caller's key directly.
-    perm: Option<Vec<usize>>,
-    /// Reused key buffer for permuted probes — one allocation per probe
-    /// session instead of one per probe-side row.
-    scratch: std::cell::RefCell<Vec<Value>>,
+    /// Position of the resolved index in [`TableInner::indexes`].
+    which: usize,
+    /// `perm[i]` = where index column `i` sits in the caller's key tuple,
+    /// so a probe reads the caller's key in place, whatever its order.
+    perm: Vec<usize>,
 }
 
 impl TableProbe<'_> {
@@ -943,138 +910,56 @@ impl TableProbe<'_> {
         key: &[Value],
         f: &mut dyn FnMut(&[Value]) -> StoreResult<bool>,
     ) -> StoreResult<bool> {
-        let ix = match self.which {
-            ProbeIndex::Primary => self.inner.primary.as_ref().expect("probe index"),
-            ProbeIndex::Secondary(i) => &self.inner.secondary[i],
+        let Some(ix) = self.inner.indexes().nth(self.which) else {
+            return Err(StoreError::Invalid("probe session lost its index".into()));
         };
-        let mut scratch;
-        let ordered: &[Value] = match &self.perm {
-            None => key,
-            Some(perm) => {
-                scratch = self.scratch.borrow_mut();
-                scratch.clear();
-                scratch.extend(perm.iter().map(|&i| key[i].clone()));
-                scratch.as_slice()
-            }
+        if key.len() != self.perm.len() {
+            return Ok(true);
+        }
+        let at = |i: usize| key.get(*self.perm.get(i)?);
+        // a key with a NULL part equals nothing
+        let Some(h) = ix.hash_with(at) else {
+            return Ok(true);
         };
-        for &slot in ix.lookup_ref(ordered) {
-            if let Some(Some(row)) = self.inner.slots.get(slot) {
-                if !f(row)? {
-                    return Ok(false);
-                }
+        for (_, row) in ix.matches(&self.inner.slots, h, at) {
+            if !f(row)? {
+                return Ok(false);
             }
         }
         Ok(true)
     }
 }
 
-/// If `pred` contains a conjunct `col = literal` covering an index prefix,
-/// return the candidate slots from that index; failing that, use a
-/// single-column B-tree index for a `col >=/<=/>/< literal` range conjunct.
-fn index_probe(inner: &TableInner, pred: &Expr) -> Option<Vec<usize>> {
-    let mut eqs: Vec<(usize, Value)> = Vec::new();
-    let mut ranges: Vec<(usize, Bound)> = Vec::new();
-    collect_conjuncts(pred, &mut eqs, &mut ranges);
-    let try_index = |ix: &Index| -> Option<Vec<usize>> {
-        let key: Option<Vec<Value>> = ix
+/// If `pred`'s `col = literal` conjuncts cover every column of an index,
+/// that index (the primary key first) and the literals in its column order.
+fn index_probe<'a>(inner: &'a TableInner, pred: &'a Expr) -> Option<(&'a Index, Vec<&'a Value>)> {
+    let mut eqs: Vec<(usize, &Value)> = Vec::new();
+    collect_eqs(pred, &mut eqs);
+    if eqs.is_empty() {
+        return None;
+    }
+    inner.indexes().find_map(|ix| {
+        let key: Option<Vec<&Value>> = ix
             .columns
             .iter()
-            .map(|c| eqs.iter().find(|(col, _)| col == c).map(|(_, v)| v.clone()))
+            .map(|c| eqs.iter().find(|(col, _)| col == c).map(|(_, v)| *v))
             .collect();
-        key.map(|k| ix.lookup(&k))
-    };
-    if !eqs.is_empty() {
-        if let Some(pk) = &inner.primary {
-            if let Some(slots) = try_index(pk) {
-                return Some(slots);
-            }
-        }
-        for ix in &inner.secondary {
-            if let Some(slots) = try_index(ix) {
-                return Some(slots);
-            }
-        }
-    }
-    // range probe: only B-tree indexes give ordered access
-    for ix in &inner.secondary {
-        if ix.kind() != IndexKind::BTree || ix.columns.len() != 1 {
-            continue;
-        }
-        let col = ix.columns[0];
-        let mut lo: Option<Value> = None;
-        let mut hi: Option<Value> = None;
-        for (c, b) in &ranges {
-            if *c != col {
-                continue;
-            }
-            match b {
-                Bound::Lower(v) => {
-                    if lo.as_ref().is_none_or(|cur| v > cur) {
-                        lo = Some(v.clone());
-                    }
-                }
-                Bound::Upper(v) => {
-                    if hi.as_ref().is_none_or(|cur| v < cur) {
-                        hi = Some(v.clone());
-                    }
-                }
-            }
-        }
-        if lo.is_some() || hi.is_some() {
-            let lo = lo.unwrap_or(Value::Null); // Null sorts first: open lower bound
-            let hi = hi.unwrap_or_else(max_sentinel);
-            // the residual predicate re-checks strictness; the index only
-            // needs to be a superset
-            return Some(ix.range(&[lo], &[hi]));
-        }
-    }
-    None
+        Some((ix, key?))
+    })
 }
 
-/// A one-sided range bound (inclusive superset — strict comparisons are
-/// re-checked by the residual predicate).
-enum Bound {
-    Lower(Value),
-    Upper(Value),
-}
-
-/// A value above every ordinary value in the total order (dates rank last).
-fn max_sentinel() -> Value {
-    Value::Date(i32::MAX)
-}
-
-/// Collect `col = literal` and `col </<=/>/>= literal` conjuncts from an
-/// AND tree.
-fn collect_conjuncts(e: &Expr, eqs: &mut Vec<(usize, Value)>, ranges: &mut Vec<(usize, Bound)>) {
-    use crate::expr::CmpOp;
+/// Collect the `col = literal` conjuncts (either operand order) of an AND
+/// tree.
+fn collect_eqs<'a>(e: &'a Expr, eqs: &mut Vec<(usize, &'a Value)>) {
     match e {
         Expr::And(a, b) => {
-            collect_conjuncts(a, eqs, ranges);
-            collect_conjuncts(b, eqs, ranges);
+            collect_eqs(a, eqs);
+            collect_eqs(b, eqs);
         }
-        Expr::Cmp(op, a, b) => {
-            let (col, v, op) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(c), Expr::Lit(v)) => (*c, v.clone(), *op),
-                // literal on the left: mirror the comparison
-                (Expr::Lit(v), Expr::Col(c)) => {
-                    let mirrored = match op {
-                        CmpOp::Lt => CmpOp::Gt,
-                        CmpOp::Le => CmpOp::Ge,
-                        CmpOp::Gt => CmpOp::Lt,
-                        CmpOp::Ge => CmpOp::Le,
-                        other => *other,
-                    };
-                    (*c, v.clone(), mirrored)
-                }
-                _ => return,
-            };
-            match op {
-                CmpOp::Eq => eqs.push((col, v)),
-                CmpOp::Ge | CmpOp::Gt => ranges.push((col, Bound::Lower(v))),
-                CmpOp::Le | CmpOp::Lt => ranges.push((col, Bound::Upper(v))),
-                CmpOp::Ne => {}
-            }
-        }
+        Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
+            (Expr::Col(c), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(c)) => eqs.push((*c, v)),
+            _ => {}
+        },
         _ => {}
     }
 }
@@ -1095,7 +980,7 @@ mod tests {
         Table::new("customer", schema)
             .with_primary_key(&["custkey"])
             .unwrap()
-            .with_index("by_city", &["city"], false, IndexKind::Hash)
+            .with_index("by_city", &["city"])
             .unwrap()
     }
 
@@ -1197,48 +1082,11 @@ mod tests {
             .unwrap();
         assert_eq!(rel.len(), 50);
         assert_eq!(rel.schema.names(), vec!["custkey"]);
-        // pk probe
+        // pk probe, literal on either side
         let rel = t.scan_where(&Expr::col(0).eq(Expr::lit(42)), None).unwrap();
         assert_eq!(rel.len(), 1);
-    }
-
-    #[test]
-    fn btree_range_probe_matches_full_scan() {
-        let schema = RelSchema::new(vec![
-            Column::not_null("custkey", SqlType::Int),
-            Column::new("bal", SqlType::Float),
-        ])
-        .shared();
-        let t = Table::new("c", schema)
-            .with_primary_key(&["custkey"])
-            .unwrap()
-            .with_index("by_bal", &["bal"], false, IndexKind::BTree)
-            .unwrap();
-        t.insert(
-            (0..200)
-                .map(|i| vec![Value::Int(i), Value::Float((i % 37) as f64)])
-                .collect(),
-        )
-        .unwrap();
-        for pred in [
-            Expr::col(1)
-                .ge(Expr::lit(10.0))
-                .and(Expr::col(1).lt(Expr::lit(20.0))),
-            Expr::col(1).gt(Expr::lit(30.0)),
-            Expr::lit(5.0).gt(Expr::col(1)), // literal on the left
-        ] {
-            let probed = t.scan_where(&pred, None).unwrap();
-            // reference: evaluate the predicate over a full scan
-            let mut expected = 0;
-            t.for_each(|r| {
-                if pred.matches(r).unwrap() {
-                    expected += 1;
-                }
-                Ok::<(), StoreError>(())
-            })
-            .unwrap();
-            assert_eq!(probed.len(), expected, "{pred:?}");
-        }
+        let rel = t.scan_where(&Expr::lit(42).eq(Expr::col(0)), None).unwrap();
+        assert_eq!(rel.rows, vec![row(42, "n", "Berlin")]);
     }
 
     #[test]
@@ -1259,7 +1107,256 @@ mod tests {
         t.insert(vec![row(1, "a", "x")]).unwrap();
         t.truncate();
         assert_eq!(t.row_count(), 0);
+        assert_eq!(t.pk_cardinality(), Some(0));
         // pk is cleared too: same key insert succeeds
         t.insert(vec![row(1, "a", "x")]).unwrap();
+    }
+
+    /// Regression: `update_where` used to re-register the new key without
+    /// probing, leaving two live rows under one primary key.
+    #[test]
+    fn update_where_refuses_a_duplicate_primary_key() {
+        let t = customers().into_shared();
+        t.insert(vec![row(1, "a", "x"), row(2, "b", "x"), row(3, "c", "y")])
+            .unwrap();
+        let before = t.state_dump();
+        // onto a row that stays as it is
+        let err = t
+            .update_where(&Expr::col(0).eq(Expr::lit(2)), &[(0, Expr::lit(1))])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateKey { .. }), "{err:?}");
+        // two updated rows onto one new key
+        let err = t
+            .update_where(&Expr::col(2).eq(Expr::lit("x")), &[(0, Expr::lit(9))])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateKey { .. }), "{err:?}");
+        // NULL stays the schema's constraint violation
+        let err = t
+            .update_where(
+                &Expr::col(0).eq(Expr::lit(2)),
+                &[(0, Expr::lit(Value::Null))],
+            )
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Constraint(_)), "{err:?}");
+        assert_eq!(t.state_dump(), before, "a refused update changes nothing");
+        assert_eq!(t.pk_cardinality(), Some(3));
+
+        // keys may move onto keys the same statement vacates: 1,2,3 -> 2,3,4
+        let n = t
+            .update_where(&Expr::lit(true), &[(0, Expr::col(0).add(Expr::lit(1)))])
+            .unwrap();
+        assert_eq!(n, 3);
+        assert!(t.get_by_pk(&[Value::Int(1)]).is_none());
+        for (k, name) in [(2, "a"), (3, "b"), (4, "c")] {
+            assert_eq!(t.get_by_pk(&[Value::Int(k)]).unwrap()[1], Value::str(name));
+        }
+        assert_eq!(t.pk_cardinality(), Some(3));
+        // and the move rolls back byte-identically
+        let before = t.state_dump();
+        let tx = crate::tx::begin();
+        t.update_where(&Expr::lit(true), &[(0, Expr::col(0).add(Expr::lit(10)))])
+            .unwrap();
+        assert!(t.get_by_pk(&[Value::Int(12)]).is_some());
+        drop(tx);
+        assert_eq!(t.state_dump(), before);
+    }
+
+    #[test]
+    fn int_and_float_are_one_primary_key() {
+        let schema = RelSchema::new(vec![
+            Column::not_null("k", SqlType::Float),
+            Column::new("v", SqlType::Str),
+        ])
+        .shared();
+        let t = Table::new("f", schema).with_primary_key(&["k"]).unwrap();
+        t.insert(vec![vec![Value::Int(3), Value::str("int")]])
+            .unwrap();
+        let float = || vec![Value::Float(3.0), Value::str("float")];
+        let err = t.insert(vec![float()]).unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateKey { .. }));
+        let err = t
+            .insert(vec![
+                vec![Value::Int(4), Value::Null],
+                vec![Value::Float(4.0), Value::Null],
+            ])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateKey { .. }));
+        assert_eq!(t.insert_ignore_duplicates(vec![float()]).unwrap(), 0);
+        for probe in [Value::Int(3), Value::Float(3.0)] {
+            assert_eq!(
+                t.get_by_pk(std::slice::from_ref(&probe)).unwrap()[1],
+                Value::str("int")
+            );
+            let rel = t.scan_where(&Expr::col(0).eq(Expr::lit(probe)), None);
+            assert_eq!(rel.unwrap().len(), 1);
+        }
+        t.upsert(vec![float()]).unwrap();
+        assert_eq!(t.row_count(), 1);
+        assert_eq!(
+            t.get_by_pk(&[Value::Int(3)]).unwrap()[1],
+            Value::str("float")
+        );
+    }
+
+    #[test]
+    fn null_key_parts_are_not_indexed_and_never_conflict() {
+        // a nullable key column: `insert` refuses NULL, the merge flavours
+        // store the row unindexed, as many times as it comes
+        let schema = RelSchema::of(&[("k", SqlType::Int), ("city", SqlType::Str)]).shared();
+        let t = Table::new("n", schema)
+            .with_primary_key(&["k"])
+            .unwrap()
+            .with_index("by_city", &["city"])
+            .unwrap();
+        let err = t
+            .insert(vec![vec![Value::Null, Value::str("x")]])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Constraint(_)));
+        for _ in 0..2 {
+            let n = t.insert_ignore_duplicates(vec![vec![Value::Null, Value::Null]]);
+            assert_eq!(n.unwrap(), 1);
+            t.upsert(vec![vec![Value::Null, Value::str("x")]]).unwrap();
+        }
+        t.insert(vec![vec![Value::Int(1), Value::Null]]).unwrap();
+        assert_eq!(t.row_count(), 5);
+        assert_eq!(t.pk_cardinality(), Some(1));
+        assert!(t.get_by_pk(&[Value::Null]).is_none());
+        let dump = t.state_dump();
+        assert!(dump.contains("[Str(\"x\")] -> [1, 3]"), "{dump}");
+        assert!(!dump.contains("[Null]"), "{dump}");
+        // `city = NULL` is not true of any row, indexed or not
+        let rel = t.scan_where(&Expr::col(1).eq(Expr::lit(Value::Null)), None);
+        assert_eq!(rel.unwrap().len(), 0);
+        // the unindexed rows delete and wipe like any other
+        let n = t.delete_where(&Expr::col(1).eq(Expr::lit("x"))).unwrap();
+        assert_eq!(n, 2);
+        assert_eq!(t.delete_where(&Expr::lit(true)).unwrap(), 3);
+        assert_eq!(t.pk_cardinality(), Some(0));
+    }
+
+    #[test]
+    fn probe_session_takes_the_key_in_the_callers_column_order() {
+        let schema = RelSchema::of(&[
+            ("a", SqlType::Int),
+            ("b", SqlType::Str),
+            ("v", SqlType::Int),
+        ])
+        .shared();
+        let t = Table::new("c", schema)
+            .with_index("by_ab", &["a", "b"])
+            .unwrap();
+        t.insert(
+            (0..12)
+                .map(|i| {
+                    vec![
+                        Value::Int(i % 3),
+                        Value::str(["x", "y"][i as usize % 2]),
+                        Value::Int(i),
+                    ]
+                })
+                .collect(),
+        )
+        .unwrap();
+        let collect = |cols: &[usize], key: &[Value]| -> Vec<i64> {
+            let mut out = Vec::new();
+            let session = t.probe_on(cols).unwrap();
+            session
+                .lookup_each(key, &mut |r| {
+                    out.push(r[2].to_int().unwrap());
+                    Ok(true)
+                })
+                .unwrap();
+            out
+        };
+        // (a, b) = (1, "y"): rows 1 and 7, in insertion order
+        assert_eq!(
+            collect(&[0, 1], &[Value::Int(1), Value::str("y")]),
+            vec![1, 7]
+        );
+        assert_eq!(
+            collect(&[1, 0], &[Value::str("y"), Value::Int(1)]),
+            vec![1, 7]
+        );
+        // the un-permuted key under the permuted session matches nothing
+        assert!(collect(&[1, 0], &[Value::Int(1), Value::str("y")]).is_empty());
+        assert!(collect(&[1, 0], &[Value::str("y"), Value::Null]).is_empty());
+        assert!(collect(&[1, 0], &[Value::str("y")]).is_empty());
+        assert!(t.probe_on(&[0]).is_none());
+        // early stop is reported
+        let session = t.probe_on(&[0, 1]).unwrap();
+        let stopped = session.lookup_each(&[Value::Int(1), Value::str("y")], &mut |_| Ok(false));
+        assert!(!stopped.unwrap());
+    }
+
+    /// Every write flavour, under transactions that commit or roll back, on
+    /// a table whose hashes fold into four chains (every chain mixes keys)
+    /// must leave exactly the state, and answer probes in exactly the row
+    /// order, of the same table under the real hash.
+    #[test]
+    fn colliding_hashes_change_nothing_observable() {
+        let plain = customers().with_change_capture().into_shared();
+        let folded = customers()
+            .with_change_capture()
+            .with_degenerate_hash()
+            .into_shared();
+        let cities = ["Berlin", "Paris", "Rome"];
+        let mut state = 0x5EEDu64;
+        let mut draw = |n: u64| {
+            state = crate::hashkey::splitmix64(state);
+            (state % n) as i64
+        };
+        for step in 0..600 {
+            let batch: Vec<Row> = (0..1 + draw(6))
+                .map(|_| row(draw(60), "n", cities[draw(3) as usize]))
+                .collect();
+            let key = draw(60);
+            let city = cities[draw(3) as usize];
+            let (op, in_tx, commit) = (draw(20), draw(3) == 0, draw(2) == 0);
+            let apply = |t: &Arc<Table>| -> String {
+                let tx = in_tx.then(crate::tx::begin);
+                let by_key = Expr::col(0).eq(Expr::lit(key));
+                let by_city = Expr::col(2).eq(Expr::lit(city));
+                let outcome = match op {
+                    0..=3 => t.insert(batch.clone()),
+                    4..=7 => t.insert_ignore_duplicates(batch.clone()),
+                    8..=10 => t.upsert(batch.clone()),
+                    11..=12 => t.delete_where(&by_key),
+                    13 => t.delete_where(&by_city),
+                    14..=15 => {
+                        t.update_where(&Expr::col(0).lt(Expr::lit(key)), &[(2, Expr::lit(city))])
+                    }
+                    // moves primary keys; refused when they would collide
+                    16..=17 => t.update_where(&by_city, &[(0, Expr::col(0).add(Expr::lit(key)))]),
+                    18 => t.delete_where(&Expr::lit(true)),
+                    _ => {
+                        t.truncate();
+                        Ok(0)
+                    }
+                };
+                match tx {
+                    Some(tx) if commit => tx.commit(),
+                    Some(tx) => tx.rollback(),
+                    None => {}
+                }
+                format!("{outcome:?}")
+            };
+            assert_eq!(apply(&plain), apply(&folded), "step {step} op {op}");
+            assert_eq!(
+                plain.state_dump(),
+                folded.state_dump(),
+                "step {step} op {op}"
+            );
+            assert_eq!(plain.pk_cardinality(), Some(plain.row_count()));
+            for c in cities {
+                let p = Expr::col(2).eq(Expr::lit(c));
+                assert_eq!(
+                    plain.scan_where(&p, None).unwrap().rows,
+                    folded.scan_where(&p, None).unwrap().rows,
+                    "step {step} op {op} city {c}"
+                );
+            }
+            let k = [Value::Int(key)];
+            assert_eq!(plain.get_by_pk(&k), folded.get_by_pk(&k));
+        }
     }
 }

@@ -9,9 +9,7 @@
 //! journal. `commit()` discards (or, for a nested scope, merges) the
 //! records; dropping the scope without committing rolls every touched
 //! table back to its pre-transaction state. Rows, slots, indexes, the live
-//! count and the change-capture log are all restored byte-identically —
-//! only the `generation` counter moves forward, so generation-keyed
-//! snapshot caches can never serve rolled-back state.
+//! count and the change-capture log are all restored byte-identically.
 //!
 //! Scopes are thread-local and nest: an inner scope (e.g. a materialized
 //! view refresh guarding its own drain-and-apply) merges its undo records
@@ -217,7 +215,6 @@ pub fn rollback_disabled() -> bool {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::index::IndexKind;
     use crate::schema::RelSchema;
     use crate::value::{SqlType, Value};
 
@@ -226,7 +223,7 @@ mod tests {
         Table::new("t", schema)
             .with_primary_key(&["id"])
             .unwrap()
-            .with_index("by_city", &["city"], false, IndexKind::Hash)
+            .with_index("by_city", &["city"])
             .unwrap()
             .into_shared()
     }

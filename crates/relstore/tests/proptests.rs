@@ -273,7 +273,7 @@ fn make_tx_db(rows: &[(i64, i64, f64)]) -> Database {
     let t = Table::new("t", schema)
         .with_primary_key(&["k"])
         .unwrap()
-        .with_index("by_g", &["g"], false, IndexKind::Hash)
+        .with_index("by_g", &["g"])
         .unwrap()
         .with_change_capture();
     t.insert(
@@ -363,6 +363,340 @@ proptest! {
         // and the view still refreshes
         t.insert(vec![vec![Value::Int(5000), Value::Int(0), Value::Float(1.0)]]).unwrap();
         db.refresh_view("t_by_g").unwrap();
+    }
+}
+
+/// A row of the write-path model test: `(k, flag, v)` — an `Int` primary
+/// key, a nullable boolean under a secondary index (the `cs_integrated`
+/// shape: every row sits under one of two keys), a payload.
+type FlagRow = (i64, Option<bool>, i64);
+
+fn flag_row((k, flag, v): &FlagRow) -> Row {
+    vec![
+        Value::Int(*k),
+        flag.map_or(Value::Null, Value::Bool),
+        Value::Int(*v),
+    ]
+}
+
+/// One step of the write-path model test.
+#[derive(Debug, Clone)]
+enum WriteOp {
+    Insert(Vec<FlagRow>),
+    InsertIgnore(Vec<FlagRow>),
+    Upsert(Vec<FlagRow>),
+    DeleteKey(i64),
+    DeleteFlag(bool),
+    /// The staging tables' flag flip: every row under one key moves.
+    FlipFlag(bool),
+    /// `v = v'` for `k < bound`: keys unchanged, rows re-register.
+    Touch(i64, i64),
+    /// `k = k * mul + add` on one flag's rows — a primary-key move, refused
+    /// when the new keys collide with the rows that stay or each other.
+    Rekey {
+        flag: bool,
+        mul: i64,
+        add: i64,
+    },
+    DeleteAll,
+    Truncate,
+    Begin,
+    Commit,
+    Rollback,
+}
+
+fn arb_write_op() -> impl Strategy<Value = WriteOp> {
+    let flag = || {
+        prop_oneof![
+            5 => Just(Some(false)),
+            4 => Just(Some(true)),
+            1 => Just(None),
+        ]
+    };
+    // duplicates inside a batch are wanted: no dedup here
+    let batch = move || prop::collection::vec((0i64..48, flag(), 0i64..1000), 1..7);
+    prop_oneof![
+        4 => batch().prop_map(WriteOp::Insert),
+        4 => batch().prop_map(WriteOp::InsertIgnore),
+        4 => batch().prop_map(WriteOp::Upsert),
+        2 => (0i64..48).prop_map(WriteOp::DeleteKey),
+        1 => any::<bool>().prop_map(WriteOp::DeleteFlag),
+        2 => any::<bool>().prop_map(WriteOp::FlipFlag),
+        2 => (0i64..48, 0i64..1000).prop_map(|(b, v)| WriteOp::Touch(b, v)),
+        2 => (any::<bool>(), 0i64..2, 0i64..6)
+            .prop_map(|(flag, mul, add)| WriteOp::Rekey { flag, mul, add }),
+        1 => Just(WriteOp::DeleteAll),
+        1 => Just(WriteOp::Truncate),
+        3 => Just(WriteOp::Begin),
+        2 => Just(WriteOp::Commit),
+        2 => Just(WriteOp::Rollback),
+    ]
+}
+
+/// The naive model: live rows with their slot numbers, in index
+/// registration order (append on insert, re-append on replace), plus the
+/// length of the slot vector.
+#[derive(Debug, Clone, Default)]
+struct Model {
+    rows: Vec<(usize, Row)>,
+    slots: usize,
+}
+
+impl Model {
+    fn position(&self, k: &Value) -> Option<usize> {
+        self.rows.iter().position(|(_, r)| &r[0] == k)
+    }
+
+    fn append(&mut self, row: Row) {
+        self.rows.push((self.slots, row));
+        self.slots += 1;
+    }
+
+    fn replace(&mut self, at: usize, row: Row) {
+        let (slot, _) = self.rows.remove(at);
+        self.rows.push((slot, row));
+    }
+
+    fn wipe(&mut self) {
+        self.rows.clear();
+        self.slots = 0;
+    }
+
+    /// `update_where`: the matching rows, in slot order, each replaced by
+    /// `f(row)`.
+    fn update(&mut self, matches: impl Fn(&Row) -> bool, f: impl Fn(&Row) -> Row) {
+        let mut hit: Vec<(usize, Row)> = (self.rows.iter())
+            .filter(|(_, r)| matches(r))
+            .map(|(slot, r)| (*slot, f(r)))
+            .collect();
+        hit.sort_by_key(|(slot, _)| *slot);
+        self.rows.retain(|(_, r)| !matches(r));
+        self.rows.extend(hit);
+    }
+
+    fn under(&self, flag: bool) -> Vec<Row> {
+        (self.rows.iter())
+            .filter(|(_, r)| r[1] == Value::Bool(flag))
+            .map(|(_, r)| r.clone())
+            .collect()
+    }
+
+    fn in_slot_order(&self) -> Vec<Row> {
+        let mut rows = self.rows.clone();
+        rows.sort_by_key(|(slot, _)| *slot);
+        rows.into_iter().map(|(_, r)| r).collect()
+    }
+}
+
+fn by_flag(flag: bool) -> Expr {
+    Expr::col(1).eq(Expr::lit(flag))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(72))]
+
+    /// Every write flavour, in and out of (nested) transactions that commit
+    /// or roll back, against a naive model — on a table with a primary key
+    /// and a two-valued secondary index, seeded with up to thousands of
+    /// slots under one key. After every step: point lookups, the row
+    /// *order* of `scan_where(flag = b)` (registration order; a replaced
+    /// row moves to the tail) and of `scan()` (slot order), `row_count`,
+    /// `pk_cardinality`; a refused statement leaves `state_dump()`
+    /// byte-identical, and so does a rollback. A rollback restores content
+    /// and registrations, not the order within a chain (a restored row
+    /// re-registers at the tail), so the model re-reads that order after
+    /// checking the rows are the same.
+    #[test]
+    fn write_path_agrees_with_a_naive_model(
+        seed_rows in prop_oneof![Just(0i64), Just(40), Just(2500)],
+        ops in prop::collection::vec(arb_write_op(), 1..40),
+    ) {
+        let schema = RelSchema::of(&[
+            ("k", SqlType::Int),
+            ("flag", SqlType::Bool),
+            ("v", SqlType::Int),
+        ])
+        .shared();
+        let t = Table::new("m", schema)
+            .with_primary_key(&["k"])
+            .unwrap()
+            .with_index("by_flag", &["flag"])
+            .unwrap()
+            .into_shared();
+        let mut model = Model::default();
+        let seed: Vec<Row> = (0..seed_rows).map(|i| flag_row(&(1000 + i, Some(false), i))).collect();
+        t.insert(seed.clone()).unwrap();
+        seed.into_iter().for_each(|r| model.append(r));
+
+        let mut open: Vec<(TxScope, Model, String)> = Vec::new();
+        // close the transactions still open at the end, rolling back
+        let closing = std::iter::repeat(&WriteOp::Rollback);
+        for (step, op) in ops.iter().chain(closing).enumerate() {
+            if step >= ops.len() && open.is_empty() {
+                break;
+            }
+            let refusable = matches!(op, WriteOp::Insert(_) | WriteOp::Rekey { .. });
+            let before = refusable.then(|| t.state_dump());
+            let mut touched: Vec<Value> = vec![Value::Int(0), Value::Int(1000), Value::Int(3499)];
+            let refused = match op {
+                WriteOp::Insert(batch) => {
+                    let rows: Vec<Row> = batch.iter().map(flag_row).collect();
+                    touched.extend(rows.iter().map(|r| r[0].clone()));
+                    let clash = rows.iter().enumerate().any(|(i, r)| {
+                        model.position(&r[0]).is_some() || rows[..i].iter().any(|e| e[0] == r[0])
+                    });
+                    let result = t.insert(rows.clone());
+                    if clash {
+                        prop_assert!(matches!(result, Err(StoreError::DuplicateKey { .. })), "{result:?}");
+                    } else {
+                        prop_assert_eq!(result.unwrap(), rows.len());
+                        rows.into_iter().for_each(|r| model.append(r));
+                    }
+                    clash
+                }
+                WriteOp::InsertIgnore(batch) => {
+                    let rows: Vec<Row> = batch.iter().map(flag_row).collect();
+                    touched.extend(rows.iter().map(|r| r[0].clone()));
+                    let mut fresh = 0;
+                    for r in &rows {
+                        if model.position(&r[0]).is_none() {
+                            model.append(r.clone());
+                            fresh += 1;
+                        }
+                    }
+                    prop_assert_eq!(t.insert_ignore_duplicates(rows).unwrap(), fresh);
+                    false
+                }
+                WriteOp::Upsert(batch) => {
+                    let rows: Vec<Row> = batch.iter().map(flag_row).collect();
+                    touched.extend(rows.iter().map(|r| r[0].clone()));
+                    for r in &rows {
+                        match model.position(&r[0]) {
+                            Some(at) => model.replace(at, r.clone()),
+                            None => model.append(r.clone()),
+                        }
+                    }
+                    prop_assert_eq!(t.upsert(rows.clone()).unwrap(), rows.len());
+                    false
+                }
+                WriteOp::DeleteKey(k) => {
+                    touched.push(Value::Int(*k));
+                    let n = t.delete_where(&Expr::col(0).eq(Expr::lit(*k))).unwrap();
+                    prop_assert_eq!(n, usize::from(model.position(&Value::Int(*k)).is_some()));
+                    model.rows.retain(|(_, r)| r[0] != Value::Int(*k));
+                    false
+                }
+                WriteOp::DeleteFlag(flag) => {
+                    let n = t.delete_where(&by_flag(*flag)).unwrap();
+                    prop_assert_eq!(n, model.under(*flag).len());
+                    if n == model.rows.len() && n > 0 {
+                        model.wipe(); // the full-wipe path resets the slots
+                    } else {
+                        model.rows.retain(|(_, r)| r[1] != Value::Bool(*flag));
+                    }
+                    false
+                }
+                WriteOp::FlipFlag(flag) => {
+                    let n = t.update_where(&by_flag(*flag), &[(1, Expr::lit(!*flag))]).unwrap();
+                    prop_assert_eq!(n, model.under(*flag).len());
+                    model.update(
+                        |r| r[1] == Value::Bool(*flag),
+                        |r| vec![r[0].clone(), Value::Bool(!*flag), r[2].clone()],
+                    );
+                    false
+                }
+                WriteOp::Touch(bound, v) => {
+                    t.update_where(&Expr::col(0).lt(Expr::lit(*bound)), &[(2, Expr::lit(*v))])
+                        .unwrap();
+                    model.update(
+                        |r| r[0] < Value::Int(*bound),
+                        |r| vec![r[0].clone(), r[1].clone(), Value::Int(*v)],
+                    );
+                    false
+                }
+                WriteOp::Rekey { flag, mul, add } => {
+                    let moved = |r: &Row| {
+                        let k = r[0].to_int().unwrap() * mul + add;
+                        vec![Value::Int(k), r[1].clone(), r[2].clone()]
+                    };
+                    let (moving, staying): (Vec<&Row>, Vec<&Row>) = (model.rows.iter())
+                        .map(|(_, r)| r)
+                        .partition(|r| r[1] == Value::Bool(*flag));
+                    let new: Vec<Row> = moving.iter().map(|r| moved(r)).collect();
+                    touched.extend(new.iter().take(8).map(|r| r[0].clone()));
+                    let clash = new.iter().enumerate().any(|(i, r)| {
+                        staying.iter().any(|s| s[0] == r[0]) || new[..i].iter().any(|e| e[0] == r[0])
+                    });
+                    let key = Expr::col(0).mul(Expr::lit(*mul)).add(Expr::lit(*add));
+                    let result = t.update_where(&by_flag(*flag), &[(0, key)]);
+                    if clash {
+                        prop_assert!(matches!(result, Err(StoreError::DuplicateKey { .. })), "{result:?}");
+                    } else {
+                        prop_assert_eq!(result.unwrap(), new.len());
+                        model.update(|r| r[1] == Value::Bool(*flag), moved);
+                    }
+                    clash
+                }
+                WriteOp::DeleteAll => {
+                    let n = t.delete_where(&Expr::lit(true)).unwrap();
+                    prop_assert_eq!(n, model.rows.len());
+                    if n > 0 {
+                        model.wipe();
+                    }
+                    false
+                }
+                WriteOp::Truncate => {
+                    t.truncate();
+                    model.wipe();
+                    false
+                }
+                WriteOp::Begin => {
+                    if open.len() < 3 {
+                        open.push((dip_relstore::tx::begin(), model.clone(), t.state_dump()));
+                    }
+                    false
+                }
+                WriteOp::Commit => {
+                    if let Some((tx, ..)) = open.pop() {
+                        tx.commit();
+                    }
+                    false
+                }
+                WriteOp::Rollback => {
+                    if let Some((tx, saved, dump)) = open.pop() {
+                        tx.rollback();
+                        prop_assert_eq!(t.state_dump(), dump, "step {}: rollback", step);
+                        let slot_of = |r: &Row| saved.rows[saved.position(&r[0]).unwrap()].0;
+                        let mut rows: Vec<(usize, Row)> = Vec::new();
+                        for flag in [false, true] {
+                            let chain = t.scan_where(&by_flag(flag), None).unwrap().rows;
+                            let (mut got, mut want) = (chain.clone(), saved.under(flag));
+                            got.sort();
+                            want.sort();
+                            prop_assert_eq!(got, want, "step {}: rows under {}", step, flag);
+                            rows.extend(chain.into_iter().map(|r| (slot_of(&r), r)));
+                        }
+                        rows.extend(saved.rows.iter().filter(|(_, r)| r[1].is_null()).cloned());
+                        model = Model { rows, slots: saved.slots };
+                    }
+                    false
+                }
+            };
+            if refused {
+                prop_assert_eq!(Some(t.state_dump()), before, "step {}: refused {:?}", step, op);
+            }
+            prop_assert_eq!(t.row_count(), model.rows.len(), "step {} {:?}", step, op);
+            prop_assert_eq!(t.pk_cardinality(), Some(model.rows.len()), "step {} {:?}", step, op);
+            prop_assert_eq!(t.scan().rows, model.in_slot_order(), "step {} {:?}", step, op);
+            for flag in [false, true] {
+                let got = t.scan_where(&by_flag(flag), None).unwrap().rows;
+                prop_assert_eq!(got, model.under(flag), "step {} {:?}: order under {}", step, op, flag);
+            }
+            for k in touched {
+                let want = model.position(&k).map(|at| model.rows[at].1.clone());
+                prop_assert_eq!(t.get_by_pk(std::slice::from_ref(&k)), want, "step {} {:?}: key {:?}", step, op, k);
+            }
+        }
     }
 }
 
