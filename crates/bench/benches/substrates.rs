@@ -203,44 +203,62 @@ fn bench_optimizer(c: &mut Criterion) {
 const REGIONS: [&str; 3] = ["europe", "asia", "america"];
 const SALES_COLUMNS: usize = 25;
 
+/// `keys` widened to [`SALES_COLUMNS`] columns with attribute columns of
+/// mixed types.
+fn wide_schema(keys: &[(&str, SqlType)]) -> SchemaRef {
+    let attrs: Vec<String> = (keys.len()..SALES_COLUMNS)
+        .map(|a| format!("a{a}"))
+        .collect();
+    let mut cols = keys.to_vec();
+    for (a, name) in (keys.len()..).zip(&attrs) {
+        cols.push((name, [SqlType::Int, SqlType::Float, SqlType::Str][a % 3]));
+    }
+    RelSchema::of(&cols).shared()
+}
+
+/// The string pool the attribute columns draw from.
+fn attr_names() -> Vec<Value> {
+    (0..97).map(|i| Value::str(format!("name-{i}"))).collect()
+}
+
+/// Row `i`'s key values widened with its attribute values.
+fn widen(mut row: Row, i: i64, names: &[Value]) -> Row {
+    for a in row.len()..SALES_COLUMNS {
+        row.push(match a % 3 {
+            0 => Value::Int(i + a as i64),
+            1 => Value::Float((i % 997) as f64 / 7.0),
+            _ => names[(i as usize + a) % names.len()].clone(),
+        });
+    }
+    row
+}
+
 /// A line-grain sales relation shaped like P14_S1's output: a few key
 /// columns (order, line, customer, product, region) and 20 attribute
 /// columns of mixed types.
 fn sales(rows: i64) -> Relation {
-    let mut cols = vec![
+    let schema = wide_schema(&[
         ("orderkey", SqlType::Int),
         ("lineno", SqlType::Int),
         ("custkey", SqlType::Int),
         ("prodkey", SqlType::Int),
         ("region", SqlType::Str),
-    ];
-    let keys = cols.len();
-    let attrs: Vec<String> = (keys..SALES_COLUMNS).map(|a| format!("a{a}")).collect();
-    for (a, name) in (keys..).zip(&attrs) {
-        cols.push((name, [SqlType::Int, SqlType::Float, SqlType::Str][a % 3]));
-    }
-    let names: Vec<Value> = (0..97).map(|i| Value::str(format!("name-{i}"))).collect();
+    ]);
+    let names = attr_names();
     let data = (0..rows)
         .map(|i| {
             let order = i / 3;
-            let mut row = vec![
+            let keys = vec![
                 Value::Int(order),
                 Value::Int(i % 3),
                 Value::Int(order % 400),
                 Value::Int(i % 100),
                 Value::str(REGIONS[(order % 3) as usize]),
             ];
-            for a in keys..SALES_COLUMNS {
-                row.push(match a % 3 {
-                    0 => Value::Int(i + a as i64),
-                    1 => Value::Float((i % 997) as f64 / 7.0),
-                    _ => names[(i as usize + a) % names.len()].clone(),
-                });
-            }
-            row
+            widen(keys, i, &names)
         })
         .collect();
-    Relation::new(RelSchema::of(&cols).shared(), data)
+    Relation::new(schema, data)
 }
 
 /// The four loads of one mart, P14-loader style: `(table, columns, pk)`,
@@ -396,29 +414,15 @@ const WRITE_ROWS: i64 = 20_000;
 /// its two keys, like the CDB staging tables' `integrated`), and 23 mixed
 /// attribute columns — 25 in all, the width of a P14 sales row.
 fn flagged_rows(from: i64, n: i64) -> Vec<Row> {
-    let names: Vec<Value> = (0..97).map(|i| Value::str(format!("name-{i}"))).collect();
+    let names = attr_names();
     (from..from + n)
-        .map(|i| {
-            let mut row = vec![Value::Int(i), Value::Bool(false)];
-            for a in 2..SALES_COLUMNS {
-                row.push(match a % 3 {
-                    0 => Value::Int(i + a as i64),
-                    1 => Value::Float((i % 997) as f64 / 7.0),
-                    _ => names[(i as usize + a) % names.len()].clone(),
-                });
-            }
-            row
-        })
+        .map(|i| widen(vec![Value::Int(i), Value::Bool(false)], i, &names))
         .collect()
 }
 
 fn flagged_table() -> Arc<Table> {
-    let mut cols = vec![("k", SqlType::Int), ("flag", SqlType::Bool)];
-    let attrs: Vec<String> = (2..SALES_COLUMNS).map(|a| format!("a{a}")).collect();
-    for (a, name) in (2..).zip(&attrs) {
-        cols.push((name, [SqlType::Int, SqlType::Float, SqlType::Str][a % 3]));
-    }
-    Table::new("flagged", RelSchema::of(&cols).shared())
+    let schema = wide_schema(&[("k", SqlType::Int), ("flag", SqlType::Bool)]);
+    Table::new("flagged", schema)
         .with_primary_key(&["k"])
         .unwrap()
         .with_index("by_flag", &["flag"])

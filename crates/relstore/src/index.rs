@@ -366,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn primary_key_probe_and_remove() {
+    fn unique_hash_index() {
         let mut f = Fixture::new(Index::new("pk", vec![0]));
         f.push(row(1, "a"));
         f.push(row(2, "b"));
@@ -379,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn null_keys_are_never_indexed_and_never_found() {
+    fn null_keys_never_conflict() {
         let mut f = Fixture::new(Index::new("u", vec![1]));
         f.push(vec![Value::Int(1), Value::Null]);
         assert_eq!(f.ix.hash_row(&[Value::Int(2), Value::Null]), None);
@@ -401,8 +401,10 @@ mod tests {
         assert_eq!(f.find_row(&[Value::Float(3.0), Value::Null]), vec![0, 1]);
     }
 
+    /// Slots under one key come back in registration order, and a
+    /// replaced row moves to the tail.
     #[test]
-    fn chains_keep_registration_order_and_replace_re_appends() {
+    fn non_unique_postings() {
         let mut f = Fixture::new(Index::new("n", vec![1]));
         for i in 0..5 {
             f.push(row(i, "a"));
