@@ -5,91 +5,29 @@
 //! four streams run — A and B concurrently, C and D serialized after them.
 //! Within a stream, events are a serialized sequence (the paper's
 //! definition of a stream); the client generates E1 input messages on the
-//! fly and fires E2 scheduling events.
+//! fly and fires E2 scheduling events. Every phase is a DAG drained by the
+//! one dispatcher, [`crate::sched::run_pool`] (`docs/SCHEDULER.md`).
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::config::{BenchConfig, PacingMode};
 use crate::env::BenchEnvironment;
 use crate::metric::{process_metrics, ProcessMetric};
 use crate::monitor::{normalize, NormalizedRecord};
 use crate::processes;
-use crate::sched::{self, TypeProfile};
-use crate::schedule::{self, ScheduledEvent, StreamId};
+use crate::sched::{self, PeriodPlan, TaskOutcome, TypeProfile};
+use crate::schedule;
 use crate::system::{DeadLetter, Delivery, Event, IntegrationSystem};
 use dip_mtm::cost::InstanceRecord;
 use dip_relstore::prelude::{StoreError, StoreResult, TransportKind};
 use dip_xmlkit::node::Document;
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cross-stream dispatch gate for [`PacingMode::Eager`].
-///
-/// Streams A and B each dispatch their events in deadline order; this
-/// gate extends that order across the pair for *timed* events: a timed
-/// event (extract, consolidation, …) may not dispatch until the other
-/// stream has dispatched everything with an earlier deadline (ties go to
-/// stream A). Message events flow without waiting — each message series
-/// feeds a distinct external system, so cross-stream messages are
-/// conflict-free and keeping them unsynchronized preserves the A ∥ B
-/// concurrency the benchmark prescribes. Under `RealTime` pacing the
-/// wall clock provides the same ordering, so the gate is bypassed.
-/// Without it, whether e.g. the timed P05 extract observes the P02
-/// master-data updates (deadlines far earlier in the schedule) would
-/// depend on thread scheduling, and the integrated data would be
-/// nondeterministic.
-struct DispatchGate {
-    /// Next pending deadline per stream slot (A = 0, B = 1);
-    /// `f64::INFINITY` once a stream is exhausted.
-    next: Mutex<[f64; 2]>,
-    ready: Condvar,
-}
-
-impl DispatchGate {
-    fn new(first_a: f64, first_b: f64) -> DispatchGate {
-        DispatchGate {
-            next: Mutex::new([first_a, first_b]),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Block until `deadline` is the globally smallest pending deadline.
-    fn acquire(&self, slot: usize, deadline: f64) {
-        let mut next = self.next.lock();
-        next[slot] = deadline;
-        loop {
-            let other = next[1 - slot];
-            if deadline < other || (deadline == other && slot == 0) {
-                return;
-            }
-            self.ready.wait(&mut next);
-        }
-    }
-
-    /// Publish the stream's next pending deadline after dispatching.
-    fn advance(&self, slot: usize, next_deadline: f64) {
-        self.next.lock()[slot] = next_deadline;
-        self.ready.notify_all();
-    }
-}
-
-/// Unwind protection for a gated stream: if the stream panics between
-/// `acquire` and `advance` (inside a process dispatch, say), its slot
-/// would keep its stale deadline and the sibling stream would wait on it
-/// forever. Dropped during a panic, this marks the slot exhausted so the
-/// sibling can finish; the panic itself is surfaced by `run_period`.
-struct GateRelease<'g> {
-    gate: &'g DispatchGate,
-    slot: usize,
-}
-
-impl Drop for GateRelease<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.gate.advance(self.slot, f64::INFINITY);
-        }
-    }
-}
 
 /// One dispatch failure (the run continues; the engine has already
 /// recorded the failed instance).
@@ -101,19 +39,36 @@ pub struct DispatchFailure {
     pub error: String,
 }
 
+impl DispatchFailure {
+    /// The dispatch failure an event's outcome stands for, if any.
+    /// Dead-lettered messages are not dispatch failures: the system
+    /// handled them (DLQ + failed instance record) and the run goes on —
+    /// they surface in [`RunOutcome::dead_letters`] instead.
+    pub(crate) fn of(
+        process: &str,
+        period: u32,
+        seq: u32,
+        outcome: TaskOutcome,
+    ) -> Option<DispatchFailure> {
+        match outcome {
+            TaskOutcome::Failed(error) => Some(DispatchFailure {
+                process: process.to_string(),
+                period,
+                seq,
+                error,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// Exactly which events of a period are settled — the replay-skip set a
-/// recovering run hands back to [`Client::run_period_from`]. The classic
-/// serial path only ever settles a per-stream *prefix*; the worker-pool
-/// path ([`BenchConfig::workers`] > 1) settles a DAG-downward-closed set
-/// that need not be contiguous, hence the watermark + tail form.
+/// recovering run hands back to [`Client::run_period_from`]: per stream
+/// (A, B, C, D) the settled event indices, ascending. A crash leaves a
+/// DAG-downward-closed set that need not be a per-stream prefix.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplaySkip {
-    /// Per-stream prefix watermark (A, B, C, D): every event before it
-    /// is settled.
-    pub watermark: [usize; 4],
-    /// Settled indices at or beyond the watermark (sorted ascending) —
-    /// only parallel execution produces these.
-    pub beyond: [Vec<usize>; 4],
+    settled: [Vec<usize>; 4],
 }
 
 impl ReplaySkip {
@@ -124,26 +79,12 @@ impl ReplaySkip {
 
     /// Whether the event at `index` of stream slot `slot` is settled.
     pub fn skips(&self, slot: usize, index: usize) -> bool {
-        index < self.watermark[slot] || self.beyond[slot].binary_search(&index).is_ok()
+        self.settled[slot].binary_search(&index).is_ok()
     }
 
     /// Number of settled events in stream slot `slot`.
     pub fn settled_in(&self, slot: usize) -> usize {
-        self.watermark[slot] + self.beyond[slot].len()
-    }
-
-    /// Canonicalize per-slot settled index sets into watermark + tail.
-    fn from_sets(sets: [BTreeSet<usize>; 4]) -> ReplaySkip {
-        let mut out = ReplaySkip::default();
-        for (slot, set) in sets.into_iter().enumerate() {
-            let mut w = 0usize;
-            while set.contains(&w) {
-                w += 1;
-            }
-            out.watermark[slot] = w;
-            out.beyond[slot] = set.into_iter().filter(|&i| i > w).collect();
-        }
-        out
+        self.settled[slot].len()
     }
 }
 
@@ -185,15 +126,34 @@ impl RunOutcome {
     }
 }
 
+/// Generate the E1 input message of an event (`None` for a timed event).
+pub(crate) fn message_for(
+    env: &BenchEnvironment,
+    process: &str,
+    period: u32,
+    seq: u32,
+) -> Option<Document> {
+    let g = &env.generator;
+    match process {
+        "P01" => Some(g.beijing_master_message(period, seq)),
+        "P02" => Some(g.mdm_message(period, seq)),
+        "P04" => Some(g.vienna_message(period, seq)),
+        "P08" => Some(g.hongkong_message(period, seq)),
+        "P10" => Some(g.san_diego_message(period, seq).0),
+        _ => None,
+    }
+}
+
 /// The benchmark client.
 pub struct Client<'a> {
     env: &'a BenchEnvironment,
     system: Arc<dyn IntegrationSystem>,
     /// Statically derived per-type resource footprints, used by the
-    /// worker-pool scheduler's conflict DAG.
+    /// conflict DAG of [`PeriodPlan::concurrent_phase`].
     profiles: BTreeMap<String, TypeProfile>,
-    /// Events dispatched past their deadline (RealTime pacing only).
-    late: std::sync::atomic::AtomicU64,
+    /// Events dispatched past their deadline (RealTime pacing only)
+    /// since the last [`Client::build_outcome`].
+    late: AtomicU64,
 }
 
 impl<'a> Client<'a> {
@@ -209,147 +169,95 @@ impl<'a> Client<'a> {
             env,
             system,
             profiles,
-            late: std::sync::atomic::AtomicU64::new(0),
+            late: AtomicU64::new(0),
         })
     }
 
-    /// Generate the E1 input message for an event.
-    pub(crate) fn message_for(&self, process: &str, period: u32, seq: u32) -> Option<Document> {
-        let g = &self.env.generator;
-        match process {
-            "P01" => Some(g.beijing_master_message(period, seq)),
-            "P02" => Some(g.mdm_message(period, seq)),
-            "P04" => Some(g.vienna_message(period, seq)),
-            "P08" => Some(g.hongkong_message(period, seq)),
-            "P10" => Some(g.san_diego_message(period, seq).0),
-            _ => None,
-        }
-    }
-
-    /// Deliver one scheduled event: generate its E1 message (if any) and
-    /// hand it to the system under test. Shared by the serial stream path
-    /// and the worker-pool dispatch — the engines open their own fault
-    /// scope and transaction per delivery, so this is self-contained on
-    /// whichever thread runs it.
-    fn deliver_event(&self, process: &'static str, period: u32, seq: u32) -> Delivery {
-        match self.message_for(process, period, seq) {
-            Some(msg) => self
-                .system
-                .deliver(Event::message(process, period, seq, msg)),
-            None => self.system.deliver(Event::timed(process, period, seq)),
-        }
-    }
-
-    /// Dispatch one stream's events in order, skipping the already-
-    /// settled set of a recovering run (`slot` is the stream's index in
-    /// the [`ReplaySkip`]).
+    /// Deliver one scheduled event — generate its E1 message (if any),
+    /// hand it to the system under test — and classify what came back.
+    /// The engines open their own fault scope and transaction per
+    /// delivery, so this is self-contained on whichever thread runs it.
     ///
-    /// Returns the stream's settled watermark: the index of the first
-    /// event whose outcome the system never durably produced — the full
-    /// length unless an injected crash killed the system mid-stream. The
-    /// crashing event itself rolls back inside the engine and its
-    /// delivery is *not* counted (nor reported as a dispatch failure):
-    /// recovery replays it, and counting it here too would double it in
-    /// the conservation totals.
-    #[allow(clippy::too_many_arguments)] // the replay slot and gate pair are positional context
-    fn run_stream(
-        &self,
-        id: StreamId,
-        period: u32,
-        events: &[ScheduledEvent],
-        skip: &ReplaySkip,
-        slot: usize,
-        failures: &mut Vec<DispatchFailure>,
-        gate: Option<(&DispatchGate, usize)>,
-    ) -> usize {
-        let op = match id {
-            StreamId::A => "stream_A",
-            StreamId::B => "stream_B",
-            StreamId::C => "stream_C",
-            StreamId::D => "stream_D",
+    /// [`TaskOutcome::Crashed`] is the event whose instance the injected
+    /// crash killed: its partial writes were rolled back and no record
+    /// was kept, so it is neither settled nor reported as a dispatch
+    /// failure — recovery replays it, and counting it here too would
+    /// double it in the conservation totals.
+    pub(crate) fn dispatch(&self, process: &'static str, period: u32, seq: u32) -> TaskOutcome {
+        let event = match message_for(self.env, process, period, seq) {
+            Some(msg) => Event::message(process, period, seq, msg),
+            None => Event::timed(process, period, seq),
         };
-        let _span =
-            dip_trace::span_cat(dip_trace::Layer::Core, op, dip_trace::Category::Management);
-        let _release = gate.map(|(g, slot)| GateRelease { gate: g, slot });
-        let pacing = self.env.config.pacing;
-        let tu = self.env.config.scale.tu();
-        let stream_start = Instant::now();
-        // the next deadline a stream publishes must be of an event it will
-        // actually dispatch — a skipped event's (earlier) deadline would
-        // leave the sibling waiting on an acquire that never comes
-        let next_pending = |after: usize| {
-            events
-                .iter()
-                .enumerate()
-                .skip(after)
-                .find(|(i, _)| !skip.skips(slot, *i))
-                .map_or(f64::INFINITY, |(_, e)| e.deadline_tu)
-        };
-        for (i, event) in events.iter().enumerate() {
-            if skip.skips(slot, i) {
-                continue;
+        match self.system.deliver(event) {
+            Delivery::Failed { error }
+                if error
+                    .transport()
+                    .is_some_and(|t| t.kind == TransportKind::Crash) =>
+            {
+                TaskOutcome::Crashed
             }
-            // a dead system dispatches nothing: leave the rest of the
-            // stream unsettled for recovery to replay
-            if dip_netsim::fault::crash_tripped() {
-                if let Some((gate, gslot)) = gate {
-                    gate.advance(gslot, f64::INFINITY);
-                }
-                return i;
-            }
-            if pacing == PacingMode::RealTime {
-                let deadline = tu.mul_f64(event.deadline_tu);
-                let elapsed = stream_start.elapsed();
-                if deadline > elapsed {
-                    std::thread::sleep(deadline - elapsed);
-                } else if deadline < elapsed {
-                    // behind schedule: dispatch immediately, but record
-                    // the slip — the closed loop used to stretch the
-                    // clock with no trace of the lag
-                    dip_trace::count("client.late_dispatch", 1);
-                    self.late.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
-            let msg = self.message_for(event.process, period, event.seq);
-            if let Some((gate, gslot)) = gate {
-                if msg.is_none() {
-                    gate.acquire(gslot, event.deadline_tu);
-                }
-            }
-            let delivery = self.system.deliver(match msg {
-                Some(msg) => Event::message(event.process, period, event.seq, msg),
-                None => Event::timed(event.process, period, event.seq),
-            });
-            // the event whose instance the injected crash killed: its
-            // partial writes were rolled back and no record was kept, so
-            // it stays unsettled (replayed after restart)
-            let crashed_delivery = matches!(
-                &delivery,
-                Delivery::Failed { error }
-                    if error.transport().is_some_and(|t| t.kind == TransportKind::Crash)
-            );
-            if crashed_delivery {
-                if let Some((gate, gslot)) = gate {
-                    gate.advance(gslot, f64::INFINITY);
-                }
-                return i;
-            }
-            if let Some((gate, gslot)) = gate {
-                gate.advance(gslot, next_pending(i + 1));
-            }
-            // dead-lettered messages are not dispatch failures: the system
-            // handled them (DLQ + failed instance record) and the run goes
-            // on — they surface in RunOutcome::dead_letters instead
-            if let Delivery::Failed { error } = delivery {
-                failures.push(DispatchFailure {
-                    process: event.process.to_string(),
-                    period,
-                    seq: event.seq,
-                    error: error.to_string(),
-                });
-            }
+            Delivery::Failed { error } => TaskOutcome::Failed(error.to_string()),
+            _ => TaskOutcome::Settled,
         }
-        events.len()
+    }
+
+    /// Under `RealTime` pacing, sleep until `deadline_tu` past `start`;
+    /// Eager pacing dispatches in deadline order without sleeping.
+    fn pace(&self, start: Instant, deadline_tu: f64) {
+        if self.env.config.pacing != PacingMode::RealTime {
+            return;
+        }
+        let deadline = self.env.config.scale.tu().mul_f64(deadline_tu);
+        let elapsed = start.elapsed();
+        if deadline > elapsed {
+            std::thread::sleep(deadline - elapsed);
+        } else if deadline < elapsed {
+            // behind schedule: dispatch immediately, but record the slip —
+            // the closed loop used to stretch the clock with no trace of
+            // the lag
+            dip_trace::count("client.late_dispatch", 1);
+            self.late.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drain one phase of period `k` through [`sched::run_pool`] — the
+    /// one dispatch path of every run, gate and recovery replay — and
+    /// add what it durably produced to `run`. Deadlines are relative to
+    /// the phase's start. A dead system dispatches nothing: only the
+    /// replay-skipped events of the phase come back settled.
+    fn run_phase(
+        &self,
+        k: u32,
+        plan: &PeriodPlan,
+        threads: usize,
+        skip: &ReplaySkip,
+        run: &mut PeriodRun,
+    ) {
+        let _span = dip_trace::span_cat(
+            dip_trace::Layer::Core,
+            "worker_pool",
+            dip_trace::Category::Management,
+        );
+        let start = Instant::now();
+        let pool = sched::run_pool(
+            plan,
+            threads,
+            &|slot, index| skip.skips(slot, index),
+            &|task| {
+                self.pace(start, task.deadline_tu);
+                self.dispatch(task.process, k, task.seq)
+            },
+        );
+        run.crashed |= pool.crashed;
+        // tasks are in virtual-time order, which keeps each stream's
+        // indices ascending and the failures deterministic
+        for (task, outcome) in plan.tasks().iter().zip(pool.outcomes) {
+            if outcome.settled() {
+                run.settled.settled[task.slot].push(task.index);
+            }
+            run.failures
+                .extend(DispatchFailure::of(task.process, k, task.seq, outcome));
+        }
     }
 
     /// Execute one benchmark period: uninitialize, initialize, streams
@@ -393,150 +301,29 @@ impl<'a> Client<'a> {
                 self.env.initialize_sources(k)?;
             }
         }
-        let d = self.env.config.scale.datasize;
-        let streams = schedule::period_streams(k, d);
-        // seed each stream's settled set with the replay-skip set; the
-        // dispatch phases below add what they durably produced
-        let mut sets: [BTreeSet<usize>; 4] = Default::default();
-        for (slot, (_, events)) in streams.iter().enumerate() {
-            sets[slot].extend((0..events.len()).filter(|&i| skip.skips(slot, i)));
-        }
-        let mut failures: Vec<DispatchFailure> = Vec::new();
-        if self.env.config.workers > 1 {
-            self.run_concurrent_pooled(k, &streams, skip, &mut sets, &mut failures);
-        } else {
-            self.run_concurrent_gated(k, &streams, skip, &mut sets, &mut failures);
-        }
-        // streams C and D keep their declared serialization on this thread
-        // (a dead system falls through: run_stream dispatches nothing)
-        for (slot, (id, events)) in streams[2..].iter().enumerate() {
-            debug_assert!(matches!(id, StreamId::C | StreamId::D));
-            let w = self.run_stream(*id, k, events, skip, 2 + slot, &mut failures, None);
-            sets[2 + slot].extend(0..w);
-        }
-        let crashed = dip_netsim::fault::crash_tripped();
-        Ok(PeriodRun {
-            failures,
-            settled: ReplaySkip::from_sets(sets),
-            crashed,
-        })
-    }
-
-    /// The classic A ∥ B phase: one thread per stream, cross-ordered by
-    /// the [`DispatchGate`] under Eager pacing. The byte-identity
-    /// reference the worker pool is held to.
-    fn run_concurrent_gated(
-        &self,
-        k: u32,
-        streams: &[(StreamId, Vec<ScheduledEvent>)],
-        skip: &ReplaySkip,
-        sets: &mut [BTreeSet<usize>; 4],
-        failures: &mut Vec<DispatchFailure>,
-    ) {
-        // under Eager pacing the gate replays the schedule's logical time
-        // across the concurrent pair (RealTime gets it from the wall clock)
-        let first = |events: &[ScheduledEvent], slot: usize| {
-            events
-                .iter()
-                .enumerate()
-                .find(|(i, _)| !skip.skips(slot, *i))
-                .map_or(f64::INFINITY, |(_, e)| e.deadline_tu)
+        let streams = schedule::period_streams(k, self.env.config.scale.datasize);
+        let mut run = PeriodRun {
+            failures: Vec::new(),
+            settled: ReplaySkip::none(),
+            crashed: false,
         };
-        let gate = (self.env.config.pacing == PacingMode::Eager)
-            .then(|| DispatchGate::new(first(&streams[0].1, 0), first(&streams[1].1, 1)));
-        let gate = gate.as_ref();
-        let (ra, rb) = std::thread::scope(|scope| {
-            let a = &streams[0].1;
-            let b = &streams[1].1;
-            let ha = scope.spawn(move || {
-                let mut f = Vec::new();
-                let n = self.run_stream(StreamId::A, k, a, skip, 0, &mut f, gate.map(|g| (g, 0)));
-                (f, n)
-            });
-            let hb = scope.spawn(move || {
-                let mut f = Vec::new();
-                let n = self.run_stream(StreamId::B, k, b, skip, 1, &mut f, gate.map(|g| (g, 1)));
-                (f, n)
-            });
-            // join both before propagating so the sibling finishes (its
-            // GateRelease unblocked it) rather than being torn down mid-run
-            (ha.join(), hb.join())
-        });
-        for (slot, r) in [ra, rb].into_iter().enumerate() {
-            match r {
-                Ok((f, n)) => {
-                    failures.extend(f);
-                    sets[slot].extend(0..n);
-                }
-                // a panicked stream must fail the run loudly — swallowing it
-                // here would report a clean period with zero failures
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+        // A ∥ B: the paper's two serial streams on a thread each, or
+        // (`workers > 1`) independent instances across the workers
+        let workers = self.env.config.workers;
+        let (concurrent, threads) = match workers {
+            0 | 1 => (PeriodPlan::by_stream(&streams, 0..2), 2),
+            _ => (
+                PeriodPlan::concurrent_phase(&streams, &self.profiles),
+                workers,
+            ),
+        };
+        self.run_phase(k, &concurrent, threads, skip, &mut run);
+        // streams C and D keep their declared serialization
+        for slot in 2..4 {
+            let chain = PeriodPlan::by_stream(&streams, slot..slot + 1);
+            self.run_phase(k, &chain, 1, skip, &mut run);
         }
-    }
-
-    /// The worker-pool A ∥ B phase ([`BenchConfig::workers`] > 1):
-    /// independent process instances dispatch across N workers under the
-    /// deterministic virtual-time DAG of [`crate::sched`]. Failures are
-    /// collected in virtual-time order, and the settled set is exactly
-    /// the tasks whose outcome the system durably produced — under a
-    /// crash that set is DAG-downward-closed but not stream-contiguous.
-    fn run_concurrent_pooled(
-        &self,
-        k: u32,
-        streams: &[(StreamId, Vec<ScheduledEvent>)],
-        skip: &ReplaySkip,
-        sets: &mut [BTreeSet<usize>; 4],
-        failures: &mut Vec<DispatchFailure>,
-    ) {
-        let _span = dip_trace::span_cat(
-            dip_trace::Layer::Core,
-            "worker_pool",
-            dip_trace::Category::Management,
-        );
-        let plan = sched::PeriodPlan::concurrent_phase(streams, &self.profiles);
-        let pacer = (self.env.config.pacing == PacingMode::RealTime).then(|| sched::Pacer {
-            start: Instant::now(),
-            tu: self.env.config.scale.tu(),
-        });
-        let run = sched::run_pool(
-            &plan,
-            self.env.config.workers,
-            &|slot, index| skip.skips(slot, index),
-            pacer,
-            &|task: &sched::Task| match self.deliver_event(task.process, k, task.seq) {
-                Delivery::Failed { error }
-                    if error
-                        .transport()
-                        .is_some_and(|t| t.kind == TransportKind::Crash) =>
-                {
-                    sched::TaskOutcome::Crashed
-                }
-                Delivery::Failed { error } => sched::TaskOutcome::Failed(error.to_string()),
-                _ => sched::TaskOutcome::Settled,
-            },
-        );
-        self.late
-            .fetch_add(run.late, std::sync::atomic::Ordering::Relaxed);
-        for (task, outcome) in plan.tasks().iter().zip(&run.outcomes) {
-            match outcome {
-                sched::TaskOutcome::Failed(error) => {
-                    if !skip.skips(task.slot, task.index) {
-                        failures.push(DispatchFailure {
-                            process: task.process.to_string(),
-                            period: k,
-                            seq: task.seq,
-                            error: error.clone(),
-                        });
-                    }
-                    sets[task.slot].insert(task.index);
-                }
-                sched::TaskOutcome::Settled => {
-                    sets[task.slot].insert(task.index);
-                }
-                sched::TaskOutcome::Crashed | sched::TaskOutcome::Pending => {}
-            }
-        }
+        Ok(run)
     }
 
     /// Execute the whole work phase and aggregate the metric.
@@ -584,8 +371,36 @@ impl<'a> Client<'a> {
             metrics,
             failures,
             dead_letters,
-            late_dispatch: self.late.load(std::sync::atomic::Ordering::Relaxed),
+            // taken, not read: a client reused for a second run reports that
+            // run's lag only
+            late_dispatch: self.late.swap(0, Ordering::Relaxed),
             wall_time,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scale::{Distribution, ScaleFactors};
+    use dip_mtm::process::EventType;
+
+    /// The schedule's message/timed split (which decides the cross-stream
+    /// edges of `PeriodPlan::by_stream`), the message generator and the
+    /// process definitions must name the same five E1 types.
+    #[test]
+    fn message_processes_are_the_ones_with_a_generated_message() {
+        let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
+        let env = BenchEnvironment::new(BenchConfig::new(scale)).unwrap();
+        for def in processes::all_processes() {
+            let is_message = schedule::is_message_process(&def.id);
+            assert_eq!(is_message, def.event == EventType::Message, "{}", def.id);
+            assert_eq!(
+                is_message,
+                message_for(&env, &def.id, 0, 0).is_some(),
+                "{}",
+                def.id
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Benchmark run configuration.
 
 use crate::scale::ScaleFactors;
-use dip_netsim::{FaultPlan, TransferMode};
+use dip_netsim::FaultPlan;
 use dip_relstore::mview::RefreshMode;
 use dip_services::ResiliencePolicy;
 
@@ -73,8 +73,6 @@ pub struct BenchConfig {
     /// Seed for the data generator and the network jitter.
     pub seed: u64,
     pub pacing: PacingMode,
-    /// Whether netsim transfers actually sleep.
-    pub transfer_mode: TransferMode,
     /// Refresh strategy for the DWH `OrdersMV` (ablation knob).
     pub mv_mode: RefreshMode,
     /// Seeded transport-fault plan (default: no faults — zero overhead).
@@ -82,9 +80,11 @@ pub struct BenchConfig {
     /// Retry/timeout/breaker policy, engaged only when `faults` is active.
     pub resilience: ResiliencePolicy,
     /// Worker threads for schedule execution. `1` (the default) runs the
-    /// classic two-stream-thread path; `> 1` dispatches independent
-    /// process instances through the [`crate::sched`] worker pool. Same-
-    /// seed runs are byte-identical at every worker count.
+    /// paper's order — streams A and B as two serial chains on a thread
+    /// each; `> 1` runs independent process instances of A ∥ B on that
+    /// many threads under a conflict DAG. Both are plans for the one
+    /// dispatcher, [`crate::sched::run_pool`], and same-seed runs are
+    /// byte-identical at every worker count.
     pub workers: usize,
 }
 
@@ -95,7 +95,6 @@ impl BenchConfig {
             periods: 3,
             seed: 0xD1B,
             pacing: PacingMode::Eager,
-            transfer_mode: TransferMode::Accounted,
             mv_mode: RefreshMode::Full,
             faults: FaultPlan::NONE,
             resilience: ResiliencePolicy::DEFAULT,

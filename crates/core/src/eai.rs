@@ -30,11 +30,10 @@
 
 use crate::system::{settle, DeadLetterQueue, Delivery, Event, IntegrationSystem};
 use dip_mtm::cost::CostRecorder;
-use dip_mtm::engine::MtmEngine;
+use dip_mtm::engine::{dead_letter_payload, MtmEngine};
 use dip_mtm::error::{MtmError, MtmResult};
 use dip_mtm::process::ProcessDef;
 use dip_services::registry::ExternalWorld;
-use dip_xmlkit::write_compact;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -244,9 +243,7 @@ impl IntegrationSystem for EaiSystem {
                 // asynchronous acceptance: `Completed` means "queued" —
                 // processing failures surface later in the cost records
                 // and the dead-letter queue
-                let payload = (self.engine.world.resilience().is_some()
-                    || dip_netsim::fault::abort_armed())
-                .then(|| write_compact(&msg));
+                let payload = dead_letter_payload(&self.engine.world, &msg);
                 let shard = &self.shards[self.shard(&process)];
                 if !shard.has_worker.load(Ordering::Acquire) {
                     // workerless shard: execute inline, like the

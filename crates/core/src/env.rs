@@ -59,19 +59,17 @@ pub const SOURCE_DATABASES: [&str; 8] = [
 impl BenchEnvironment {
     /// Build every external system.
     pub fn new(config: BenchConfig) -> StoreResult<BenchEnvironment> {
-        let mut network = topology::dipbench_network(config.transfer_mode, config.seed);
+        // transfers are accounted, never slept: delay is a model quantity
+        let mut network =
+            topology::dipbench_network(dip_netsim::TransferMode::Accounted, config.seed);
         topology::apply_fault_plan(&mut network, config.faults);
         let mut world = ExternalWorld::new(Arc::new(network), topology::IS);
         if config.faults.is_active() {
-            // retry/breaker timing runs on a virtual clock unless transfers
-            // really sleep — eager runs never block on backoff
-            let clock = match config.transfer_mode {
-                dip_netsim::TransferMode::RealSleep => dip_netsim::wall_clock(),
-                dip_netsim::TransferMode::Accounted => dip_netsim::virtual_clock().0,
-            };
+            // retry/breaker timing runs on a virtual clock, like the
+            // transfers: a run never blocks on backoff
             world.arm_resilience(Arc::new(dip_services::Resilience::new(
                 config.resilience,
-                clock,
+                dip_netsim::virtual_clock().0,
             )));
         }
 

@@ -30,8 +30,11 @@
 //!    in the multiplier by construction.
 //! 2. **Deterministic dispatch.** Admitted events are delivered to the
 //!    real [`IntegrationSystem`] in canonical schedule order (streams A+B
-//!    merged by deadline — the [`crate::client`] gate's logical order —
-//!    then C, then D). Shed events are never delivered; they land in the
+//!    merged by virtual time — a serial walk of the order
+//!    [`crate::sched::PeriodPlan::by_stream`] allows, `docs/SCHEDULER.md` —
+//!    then C, then D) through the client's one dispatch function. It
+//!    stays on one thread: two would reorder the EAI broker's single
+//!    FIFO. Shed events are never delivered; they land in the
 //!    system's [`DeadLetterQueue`](crate::system::DeadLetterQueue) with
 //!    `shed = true`, so the E1 conservation check still closes:
 //!    `scheduled = integrated + dead-lettered + failed + shed`.
@@ -49,14 +52,14 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::client::{Client, DispatchFailure, RunOutcome};
+use crate::client::{message_for, Client, DispatchFailure, RunOutcome};
 use crate::config::{AdmissionControl, AdmissionPolicy};
 use crate::datagen::dist;
 use crate::env::BenchEnvironment;
-use crate::schedule::{self, ScheduledEvent};
-use crate::system::{DeadLetter, Delivery, Event, IntegrationSystem};
+use crate::sched::PeriodPlan;
+use crate::schedule::{self, is_message_process, ScheduledEvent};
+use crate::system::{DeadLetter, IntegrationSystem};
 use dip_relstore::prelude::StoreResult;
-use dip_xmlkit::node::Document;
 use dip_xmlkit::write_compact;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -133,27 +136,6 @@ struct SeriesEvent {
     index: usize,
     arrival_tu: f64,
     service_tu: f64,
-}
-
-fn is_message_process(process: &str) -> bool {
-    matches!(process, "P01" | "P02" | "P04" | "P08" | "P10")
-}
-
-fn generate_message(
-    env: &BenchEnvironment,
-    process: &str,
-    period: u32,
-    seq: u32,
-) -> Option<Document> {
-    let g = &env.generator;
-    match process {
-        "P01" => Some(g.beijing_master_message(period, seq)),
-        "P02" => Some(g.mdm_message(period, seq)),
-        "P04" => Some(g.vienna_message(period, seq)),
-        "P08" => Some(g.hongkong_message(period, seq)),
-        "P10" => Some(g.san_diego_message(period, seq).0),
-        _ => None,
-    }
 }
 
 /// Simulate one process type's single-server FIFO queue over its arrival
@@ -316,7 +298,7 @@ fn plan_period(
                     clock_tu += dist::sample_gap_tu(f, &mut rng, mean);
                 }
                 prev_deadline = e.deadline_tu;
-                let service_tu = match generate_message(env, process, period, e.seq) {
+                let service_tu = match message_for(env, process, period, e.seq) {
                     Some(msg) => {
                         SERVICE_BASE_TU + write_compact(&msg).len() as f64 / SERVICE_BYTES_PER_TU
                     }
@@ -361,53 +343,32 @@ pub fn run_overload(
         env.initialize_sources(k)?;
         let streams = schedule::period_streams(k, env.config.scale.datasize);
         let fates = plan_period(env, &streams, k, opts, &mut stats);
-        // canonical dispatch order: A+B merged by (deadline, slot, index)
-        // — the logical order the client's dispatch gate enforces — then
-        // C, then D serialized
-        let mut merged: Vec<(usize, usize)> = Vec::new();
-        for (slot, stream) in streams.iter().enumerate().take(2) {
-            merged.extend((0..stream.1.len()).map(|i| (slot, i)));
-        }
-        merged.sort_by(|&(sa, ia), &(sb, ib)| {
-            let da = streams[sa].1[ia].deadline_tu;
-            let db = streams[sb].1[ib].deadline_tu;
-            da.total_cmp(&db).then(sa.cmp(&sb)).then(ia.cmp(&ib))
-        });
-        merged.extend((0..streams[2].1.len()).map(|i| (2, i)));
-        merged.extend((0..streams[3].1.len()).map(|i| (3, i)));
-        for (slot, i) in merged {
-            let event = &streams[slot].1[i];
-            match fates[slot][i] {
-                Some(Fate::Shed { degraded }) => {
-                    let payload = generate_message(env, event.process, k, event.seq)
-                        .map(|m| write_compact(&m));
-                    system.dead_letters().push(DeadLetter {
-                        process: event.process.to_string(),
-                        period: k,
-                        seq: event.seq,
-                        reason: format!(
-                            "overload admission: queue full ({})",
-                            if degraded { "degrade" } else { "shed" }
-                        ),
-                        payload,
-                        shed: true,
-                    });
-                }
-                _ => {
-                    let delivery = match client.message_for(event.process, k, event.seq) {
-                        Some(msg) => {
-                            system.deliver(Event::message(event.process, k, event.seq, msg))
-                        }
-                        None => system.deliver(Event::timed(event.process, k, event.seq)),
-                    };
-                    if let Delivery::Failed { error } = delivery {
-                        failures.push(DispatchFailure {
-                            process: event.process.to_string(),
+        // canonical dispatch order: the client's phases (A ∥ B, then C,
+        // then D), each walked serially in its plan's virtual-time order
+        for slots in [0..2, 2..3, 3..4] {
+            for task in PeriodPlan::by_stream(&streams, slots).tasks() {
+                match fates[task.slot][task.index] {
+                    Some(Fate::Shed { degraded }) => {
+                        let payload =
+                            message_for(env, task.process, k, task.seq).map(|m| write_compact(&m));
+                        system.dead_letters().push(DeadLetter {
+                            process: task.process.to_string(),
                             period: k,
-                            seq: event.seq,
-                            error: error.to_string(),
+                            seq: task.seq,
+                            reason: format!(
+                                "overload admission: queue full ({})",
+                                if degraded { "degrade" } else { "shed" }
+                            ),
+                            payload,
+                            shed: true,
                         });
                     }
+                    _ => failures.extend(DispatchFailure::of(
+                        task.process,
+                        k,
+                        task.seq,
+                        client.dispatch(task.process, k, task.seq),
+                    )),
                 }
             }
         }

@@ -1,52 +1,66 @@
-//! Deterministic worker-pool schedule execution.
+//! The dispatcher: one executor for every phase of a period.
 //!
-//! The DIPBench schedule *declares* concurrency — streams A and B overlap,
-//! and the NAVG+ metric exists to normalize costs independent of how many
-//! instances run at once — but the classic client only overlaps the two
-//! stream threads. This module dispatches *independent process instances*
-//! across `N` workers while keeping same-seed runs byte-identical at every
-//! worker count (see `docs/SCHEDULER.md` for the full argument):
+//! A phase of the schedule is a DAG of process instances ([`PeriodPlan`])
+//! and [`run_pool`] drains it on `N` threads. The two orders the client
+//! offers are two DAG builders, not two executors (`docs/SCHEDULER.md` is
+//! the canonical description):
+//!
+//! * [`PeriodPlan::by_stream`] — the paper's order. Each stream is a
+//!   serial chain; a *timed* event additionally waits for every
+//!   virtually-earlier event of the other streams of the phase, message
+//!   events flow without a cross-stream edge. A ∥ B at the default
+//!   `workers = 1` (two threads, one per stream), and C and D as
+//!   one-chain plans.
+//! * [`PeriodPlan::concurrent_phase`] — `workers > 1`: independent
+//!   process *instances* of A ∥ B run concurrently under a conflict DAG
+//!   derived from each type's resource footprint.
+//!
+//! Same-seed runs are byte-identical under either builder at any thread
+//! count, and it is the **DAG** that carries that, not the claim order:
 //!
 //! * **Virtual time.** Every event carries the logical timestamp
-//!   `(deadline_tu, stream, index)` — a linear extension of the order the
-//!   classic `DispatchGate` enforces. Dependencies are defined against
-//!   virtual time, never against wall-clock completion order, so the DAG
-//!   is a pure function of the schedule.
-//! * **Conflict DAG.** Each process *type* gets a statically derived
-//!   [`TypeProfile`]: the external tables, databases and web services its
-//!   step graph touches, each with an [`AccessKind`]. Two instances may
-//!   run concurrently iff their types' profiles are compatible; instances
-//!   of the same type always serialize (a message series is a serial
-//!   sequence by the paper's stream definition).
-//! * **`Append` commutes.** `LoadMode::InsertIgnore` loads into the CDB
-//!   staging tables are classified `Append`, and `Append`-`Append` does
-//!   not conflict: the generator's key spaces are disjoint across source
-//!   systems (`crate::datagen::keys`, enforced by its tests), so
-//!   concurrent staging loads from different *catalogs* never collide
-//!   on a primary key and their row *content* commutes. Types staging
-//!   from the **same** catalog do collide — the European product catalog
-//!   is replicated across Berlin, Paris and Trondheim, so P05/P06/P07
-//!   stage duplicate product keys whose first-wins resolution depends on
-//!   load order — and therefore conflict. Among commuting appends only
-//!   the physical row order varies; because physical order would
-//!   otherwise leak into bytes through scan-order-sensitive float
-//!   aggregates (the `OrdersMV` revenue sum), the CDB cleansing
-//!   procedures — the sole consumers of the staging tables — emit their
-//!   clean output in key order, canonicalizing the interleaving away at
-//!   the staging boundary. This is what lets the E1 message loaders and
-//!   the cross-region extracts run in parallel.
+//!   `(deadline_tu, stream, index)`. Edges are defined against virtual
+//!   time, never against wall-clock completion order, so the DAG is a
+//!   pure function of the schedule.
+//! * **Every conflicting pair is ordered.** Two tasks are unordered only
+//!   if swapping them cannot change a byte (message series feeding
+//!   distinct external systems under `by_stream`; compatible
+//!   [`TypeProfile`]s under `concurrent_phase`). Which thread runs a
+//!   task, and which of two ready tasks is claimed first, therefore
+//!   never changes integrated data, fault verdicts (a pure hash of the
+//!   instance's identity), dead letters or undo journals — the claim
+//!   rule below is chosen for speed only.
+//! * **Conflict DAG** (`concurrent_phase`). Each process *type* gets a
+//!   statically derived [`TypeProfile`]: the external tables, databases
+//!   and web services its step graph touches, each with an
+//!   [`AccessKind`]. Two instances may run concurrently iff their types'
+//!   profiles are compatible; instances of the same type always serialize
+//!   (a message series is a serial sequence by the paper's stream
+//!   definition). `InsertIgnore` staging loads from different catalogs
+//!   (`Append`) commute — key-disjoint content, physical row order
+//!   canonicalized by the CDB cleansing procedures — which is what lets
+//!   the E1 message loaders and the cross-region extracts run in
+//!   parallel; `docs/SCHEDULER.md` has the argument.
 //!
-//! Workers claim the first *ready* unclaimed task in virtual-time order
-//! under one mutex; readiness is a set of per-type done-counters, so the
-//! claim order — and with it every fault verdict, dead letter and undo
-//! journal — replays identically regardless of physical interleaving.
+//! Readiness is a set of per-ordinal done-counters (ordinal = process
+//! type, or stream under `by_stream`). Tasks of one ordinal always
+//! serialize, so only the earliest unclaimed task of each ordinal — its
+//! *head* — can be ready: a claim looks at one head per ordinal, not at
+//! every task. A thread first tries to continue the ordinal it just
+//! completed and otherwise takes the virtually-earliest ready head.
 
-use crate::schedule::{ScheduledEvent, StreamId};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use crate::schedule::{is_message_process, ScheduledEvent, StreamId};
 use dip_mtm::process::{LoadMode, ProcessDef, Step};
 use dip_relstore::prelude::Plan;
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 
 /// How a process type touches a shared resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -325,22 +339,22 @@ pub fn derive_profiles(defs: &[ProcessDef]) -> BTreeMap<String, TypeProfile> {
         .collect()
 }
 
-/// One schedulable instance of the concurrent phase.
+/// One schedulable instance of a phase.
 #[derive(Debug)]
 pub struct Task {
-    /// Stream slot (A = 0, B = 1).
+    /// Stream slot (A = 0 … D = 3).
     pub slot: usize,
     /// Index within the stream's event list.
     pub index: usize,
     pub process: &'static str,
     pub seq: u32,
     pub deadline_tu: f64,
-    /// Ordinal of this task's process type in [`PeriodPlan::type_ids`].
+    /// This task's ordinal in [`PeriodPlan::type_ids`].
     type_ord: usize,
-    /// Readiness prerequisites: `(type ordinal, completed instances
+    /// Readiness prerequisites: `(ordinal, completed instances
     /// required)` — the number of virtually-earlier instances of each
-    /// conflicting type (the own type included, which serializes the
-    /// series).
+    /// ordinal this task is ordered after (its own included, which
+    /// serializes the series).
     prereqs: Vec<(usize, usize)>,
 }
 
@@ -366,25 +380,30 @@ impl TaskOutcome {
     }
 }
 
-/// The concurrent phase of one period, planned against virtual time.
+/// One phase of a period, planned against virtual time.
 pub struct PeriodPlan {
     /// Tasks in virtual-time order `(deadline_tu, slot, index)`.
     tasks: Vec<Task>,
-    /// Process-type ids, indexed by `Task::type_ord`.
+    /// Ordinal names, indexed by `Task::type_ord`: process-type ids
+    /// ([`PeriodPlan::concurrent_phase`]) or streams
+    /// ([`PeriodPlan::by_stream`]).
     type_ids: Vec<String>,
+    /// Per ordinal, its tasks' positions in `tasks` (ascending, so in
+    /// virtual-time order).
+    chains: Vec<Vec<usize>>,
 }
 
 impl PeriodPlan {
-    /// Plan the A ∥ B phase of a period. Streams C and D keep their
-    /// declared serialization and are executed sequentially by the
-    /// caller after the pool drains.
-    pub fn concurrent_phase(
-        streams: &[(StreamId, Vec<ScheduledEvent>)],
-        profiles: &BTreeMap<String, TypeProfile>,
-    ) -> PeriodPlan {
+    /// The events of the streams in `slots`, as tasks in virtual-time
+    /// order (deadline, then stream A before B, then schedule position).
+    fn tasks_of(streams: &[(StreamId, Vec<ScheduledEvent>)], slots: Range<usize>) -> Vec<Task> {
         let mut tasks: Vec<Task> = Vec::new();
-        for (slot, (_, events)) in streams.iter().take(2).enumerate() {
-            for (index, event) in events.iter().enumerate() {
+        for slot in slots {
+            // index order must be deadline order: a stream is a chain
+            debug_assert!(streams[slot]
+                .1
+                .is_sorted_by(|a, b| a.deadline_tu <= b.deadline_tu));
+            for (index, event) in streams[slot].1.iter().enumerate() {
                 tasks.push(Task {
                     slot,
                     index,
@@ -396,15 +415,67 @@ impl PeriodPlan {
                 });
             }
         }
-        // virtual time: a linear extension of the DispatchGate order
-        // (deadline, then stream A before B, then schedule position)
         tasks.sort_by(|a, b| {
             a.deadline_tu
                 .total_cmp(&b.deadline_tu)
                 .then(a.slot.cmp(&b.slot))
                 .then(a.index.cmp(&b.index))
         });
+        tasks
+    }
 
+    fn new(tasks: Vec<Task>, type_ids: Vec<String>) -> PeriodPlan {
+        let mut chains = vec![Vec::new(); type_ids.len()];
+        for (i, task) in tasks.iter().enumerate() {
+            chains[task.type_ord].push(i);
+        }
+        PeriodPlan {
+            tasks,
+            type_ids,
+            chains,
+        }
+    }
+
+    /// The paper's order over the streams in `slots` (A ∥ B as `0..2`, a
+    /// serialized stream as a one-slot range). Each stream is a chain —
+    /// its events dispatch in schedule order — and a *timed* event
+    /// (extract, consolidation, …) additionally waits until the other
+    /// streams have completed everything virtually earlier (ties go to
+    /// stream A). Message events get no cross-stream edge: each message
+    /// series feeds a distinct external system, so cross-stream messages
+    /// are conflict-free and leaving them unordered preserves the A ∥ B
+    /// concurrency the benchmark prescribes. Without the timed edges,
+    /// whether e.g. the P05 extract observes the P02 master-data updates
+    /// (deadlines far earlier in the schedule) would depend on thread
+    /// scheduling, and the integrated data would be nondeterministic.
+    pub fn by_stream(
+        streams: &[(StreamId, Vec<ScheduledEvent>)],
+        slots: Range<usize>,
+    ) -> PeriodPlan {
+        let mut tasks = PeriodPlan::tasks_of(streams, slots.clone());
+        // virtually-earlier events per stream, as the walk passes them
+        let mut earlier = vec![0usize; slots.len()];
+        for task in &mut tasks {
+            let own = task.slot - slots.start;
+            let timed = !is_message_process(task.process);
+            task.type_ord = own;
+            task.prereqs = (0..earlier.len())
+                .filter(|&u| earlier[u] > 0 && (u == own || timed))
+                .map(|u| (u, earlier[u]))
+                .collect();
+            earlier[own] += 1;
+        }
+        let names = streams[slots].iter().map(|(id, _)| format!("{id:?}"));
+        PeriodPlan::new(tasks, names.collect())
+    }
+
+    /// The A ∥ B phase of a period as a conflict DAG over process
+    /// instances (`workers > 1`).
+    pub fn concurrent_phase(
+        streams: &[(StreamId, Vec<ScheduledEvent>)],
+        profiles: &BTreeMap<String, TypeProfile>,
+    ) -> PeriodPlan {
+        let mut tasks = PeriodPlan::tasks_of(streams, 0..2);
         let mut type_ids: Vec<String> = Vec::new();
         for task in &mut tasks {
             let ord = match type_ids.iter().position(|t| t == task.process) {
@@ -440,7 +511,7 @@ impl PeriodPlan {
                 .collect();
             earlier[ty] += 1;
         }
-        PeriodPlan { tasks, type_ids }
+        PeriodPlan::new(tasks, type_ids)
     }
 
     pub fn tasks(&self) -> &[Task] {
@@ -452,154 +523,146 @@ impl PeriodPlan {
     }
 }
 
-/// Result of draining one period plan through the pool.
+/// Result of draining one plan through the pool.
 pub struct PoolRun {
     /// Per-task outcomes, parallel to [`PeriodPlan::tasks`].
     pub outcomes: Vec<TaskOutcome>,
     /// Whether an injected crash tripped during the phase.
     pub crashed: bool,
-    /// Events whose wall-clock dispatch was already past their schedule
-    /// deadline (RealTime pacing only — Eager never sleeps, never late).
-    pub late: u64,
 }
 
 struct PoolState {
-    claimed: Vec<bool>,
+    /// Per ordinal: position in its chain of the earliest unclaimed task.
+    head: Vec<usize>,
     outcomes: Vec<TaskOutcome>,
-    /// Completed (settled) instances per type ordinal.
+    /// Completed (settled) instances per ordinal.
     done: Vec<usize>,
     completed: usize,
     crashed: bool,
 }
 
 impl PoolState {
-    fn ready(&self, task: &Task) -> bool {
-        task.prereqs.iter().all(|&(u, c)| self.done[u] >= c)
+    /// Move `ord`'s head past the tasks a previous run already settled.
+    fn pass_settled(&mut self, plan: &PeriodPlan, ord: usize) {
+        while let Some(&i) = plan.chains[ord].get(self.head[ord]) {
+            if self.outcomes[i] == TaskOutcome::Pending {
+                break;
+            }
+            self.head[ord] += 1;
+        }
+    }
+
+    /// The head of `ord`, if its prerequisites are met.
+    fn ready_head(&self, plan: &PeriodPlan, ord: usize) -> Option<usize> {
+        let i = *plan.chains[ord].get(self.head[ord])?;
+        let ready = |&(u, c): &(usize, usize)| self.done[u] >= c;
+        plan.tasks[i].prereqs.iter().all(ready).then_some(i)
+    }
+
+    /// The task a thread that last completed ordinal `last` runs next:
+    /// that ordinal's head if it is ready — so a thread stays on its
+    /// stream (or message series) instead of handing it to a sleeper that
+    /// first has to wake while the series stalls — otherwise the
+    /// virtually-earliest ready head.
+    fn next_ready(&self, plan: &PeriodPlan, last: Option<usize>) -> Option<usize> {
+        last.and_then(|ord| self.ready_head(plan, ord)).or_else(|| {
+            (0..self.head.len())
+                .filter_map(|ord| self.ready_head(plan, ord))
+                .min()
+        })
     }
 }
 
-/// Wall-clock pacing for [`run_pool`] under `RealTime` mode: workers
-/// sleep until `start + tu × deadline` before dispatching a claimed task.
-#[derive(Clone, Copy)]
-pub struct Pacer {
-    pub start: Instant,
-    pub tu: Duration,
-}
-
-/// Drain a period plan with `workers` threads. `skip(slot, index)` marks
-/// events a previous (crashed) run already settled: they complete
-/// instantly and count toward the done-counters, so the DAG's readiness
-/// replays exactly. Dispatching is the caller's closure; it must be
-/// self-contained per calling thread (the engines open their own fault
-/// scope and transaction per delivery).
+/// Drain a plan with `workers` threads (the caller's included).
+/// `skip(slot, index)` marks events a previous (crashed) run already
+/// settled: they complete instantly and count toward the done-counters,
+/// so the DAG's readiness replays exactly. Dispatching is the caller's
+/// closure; it must be self-contained per calling thread (the engines
+/// open their own fault scope and transaction per delivery).
+///
+/// An injected crash ([`TaskOutcome::Crashed`], or the process-global
+/// crash flag) stops every thread after its current task and leaves the
+/// rest `Pending`. A panic in `dispatch` does the same and is re-raised
+/// on the caller once the threads have stopped.
 pub fn run_pool(
     plan: &PeriodPlan,
     workers: usize,
     skip: &(dyn Fn(usize, usize) -> bool + Sync),
-    pacer: Option<Pacer>,
     dispatch: &(dyn Fn(&Task) -> TaskOutcome + Sync),
 ) -> PoolRun {
     let n = plan.tasks.len();
+    let ords = plan.type_ids.len();
     let mut state = PoolState {
-        claimed: vec![false; n],
+        head: vec![0; ords],
         outcomes: vec![TaskOutcome::Pending; n],
-        done: vec![0; plan.type_ids.len()],
+        done: vec![0; ords],
         completed: 0,
         crashed: dip_netsim::fault::crash_tripped(),
     };
     for (i, task) in plan.tasks.iter().enumerate() {
         if skip(task.slot, task.index) {
-            state.claimed[i] = true;
             state.outcomes[i] = TaskOutcome::Settled;
             state.done[task.type_ord] += 1;
             state.completed += 1;
         }
     }
+    for ord in 0..ords {
+        state.pass_settled(plan, ord);
+    }
     let state = Mutex::new(state);
     let ready = Condvar::new();
-    // first worker panic, resurfaced after the pool drains — a panicked
-    // worker's claimed task never completes, so siblings are released via
+    // first panic of a dispatch, re-raised after the pool stops — the
+    // panicked task never completes, so the other threads are released via
     // the crashed flag rather than left waiting on it
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let late = std::sync::atomic::AtomicU64::new(0);
-    let late = &late;
 
     let worker = || {
         let mut guard = state.lock();
+        let mut last = None;
         loop {
             // a dead system dispatches nothing: leave the remaining tasks
             // unsettled for recovery to replay
-            if guard.crashed {
+            if guard.crashed || guard.completed == n {
                 ready.notify_all();
                 return;
             }
-            if guard.completed == n {
-                ready.notify_all();
-                return;
-            }
-            // the first ready unclaimed task in virtual-time order — the
-            // deterministic claim rule
-            let next = plan
-                .tasks
-                .iter()
-                .enumerate()
-                .find(|(i, t)| !guard.claimed[*i] && guard.ready(t));
-            let Some((i, task)) = next else {
+            let Some(i) = guard.next_ready(plan, last) else {
                 // everything unclaimed is blocked on tasks in flight
                 ready.wait(&mut guard);
                 continue;
             };
-            guard.claimed[i] = true;
+            let task = &plan.tasks[i];
+            guard.head[task.type_ord] += 1;
+            guard.pass_settled(plan, task.type_ord);
+            // a sleeper is woken only for a task this thread leaves behind
+            if guard.next_ready(plan, None).is_some() {
+                ready.notify_one();
+            }
             drop(guard);
-            if let Some(p) = pacer {
-                let deadline = p.tu.mul_f64(task.deadline_tu);
-                let elapsed = p.start.elapsed();
-                if deadline > elapsed {
-                    std::thread::sleep(deadline - elapsed);
-                } else if deadline < elapsed {
-                    // the system is behind schedule: dispatch immediately
-                    // but record the slip instead of silently stretching
-                    // the clock
-                    dip_trace::count("client.late_dispatch", 1);
-                    late.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
-            let outcome =
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(task))) {
-                    Ok(outcome) => outcome,
-                    Err(payload) => {
-                        let mut guard = state.lock();
-                        guard.crashed = true;
-                        let mut slot = panicked.lock();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        drop(slot);
-                        ready.notify_all();
-                        return;
-                    }
-                };
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(task)));
             guard = state.lock();
-            match &outcome {
-                TaskOutcome::Settled | TaskOutcome::Failed(_) => {
-                    guard.done[task.type_ord] += 1;
+            match outcome {
+                Ok(outcome) => {
+                    if outcome.settled() {
+                        guard.done[task.type_ord] += 1;
+                    }
+                    guard.crashed |= outcome == TaskOutcome::Crashed;
+                    guard.outcomes[i] = outcome;
+                    guard.completed += 1;
+                    last = Some(task.type_ord);
                 }
-                TaskOutcome::Crashed => guard.crashed = true,
-                TaskOutcome::Pending => {}
+                Err(payload) => {
+                    guard.crashed = true;
+                    panicked.lock().get_or_insert(payload);
+                }
             }
-            guard.outcomes[i] = outcome;
-            guard.completed += 1;
-            ready.notify_all();
         }
     };
-
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.max(1)).map(|_| scope.spawn(worker)).collect();
-        for h in handles {
-            // worker panics are caught inside the loop; join only fails
-            // if the catch itself was bypassed, which resume covers below
-            let _ = h.join();
+        for _ in 1..workers {
+            scope.spawn(worker);
         }
+        worker();
     });
     if let Some(payload) = panicked.into_inner() {
         std::panic::resume_unwind(payload);
@@ -611,7 +674,6 @@ pub fn run_pool(
         // (even between claims) means everything not yet settled replays
         crashed: state.crashed || dip_netsim::fault::crash_tripped(),
         outcomes: state.outcomes,
-        late: late.load(std::sync::atomic::Ordering::Relaxed),
     }
 }
 
@@ -730,7 +792,7 @@ mod tests {
         let plan = plan_for(0, 0.02);
         for workers in [1, 2, 4, 8] {
             let log: Mutex<Vec<(&'static str, u32)>> = Mutex::new(Vec::new());
-            let run = run_pool(&plan, workers, &|_, _| false, None, &|task| {
+            let run = run_pool(&plan, workers, &|_, _| false, &|task| {
                 log.lock().push((task.process, task.seq));
                 TaskOutcome::Settled
             });
@@ -766,7 +828,6 @@ mod tests {
             &plan,
             4,
             &|slot, index| skipped.contains(&(slot, index)),
-            None,
             &|_| {
                 dispatched.fetch_add(1, Ordering::SeqCst);
                 TaskOutcome::Settled
@@ -783,7 +844,7 @@ mod tests {
     fn crash_leaves_downstream_pending() {
         let plan = plan_for(0, 0.02);
         let crash_at = plan.tasks().len() / 3;
-        let run = run_pool(&plan, 2, &|_, _| false, None, &|task| {
+        let run = run_pool(&plan, 2, &|_, _| false, &|task| {
             let pos = plan
                 .tasks()
                 .iter()
@@ -807,7 +868,7 @@ mod tests {
     #[test]
     fn failures_do_not_block_the_dag() {
         let plan = plan_for(0, 0.02);
-        let run = run_pool(&plan, 4, &|_, _| false, None, &|task| {
+        let run = run_pool(&plan, 4, &|_, _| false, &|task| {
             if task.process == "P04" {
                 TaskOutcome::Failed("injected".into())
             } else {
@@ -822,13 +883,140 @@ mod tests {
             .any(|o| matches!(o, TaskOutcome::Failed(_))));
     }
 
+    /// `by_stream` must state exactly the rule the classic two-thread
+    /// client enforced with a condvar gate, written out here independently
+    /// of the builder: an event waits for its own stream's earlier events;
+    /// a timed event also waits for every sibling event with a smaller
+    /// `(deadline, slot, index)`; a message event waits for nothing else.
+    #[test]
+    fn by_stream_prerequisites_are_the_gate_rule() {
+        for k in [0, 50, 99] {
+            for d in [0.02, 0.05, 0.2, 0.5] {
+                let streams = schedule::period_streams(k, d);
+                let plan = PeriodPlan::by_stream(&streams, 0..2);
+                assert_eq!(plan.type_ids(), ["A", "B"]);
+                assert_eq!(
+                    plan.tasks().len(),
+                    streams[0].1.len() + streams[1].1.len(),
+                    "k={k} d={d}"
+                );
+                for task in plan.tasks() {
+                    let sibling = 1 - task.slot;
+                    let mut expected = Vec::new();
+                    if task.index > 0 {
+                        expected.push((task.slot, task.index));
+                    }
+                    if !is_message_process(task.process) {
+                        let earlier = streams[sibling]
+                            .1
+                            .iter()
+                            .filter(|e| {
+                                e.deadline_tu < task.deadline_tu
+                                    || (e.deadline_tu == task.deadline_tu && sibling < task.slot)
+                            })
+                            .count();
+                        if earlier > 0 {
+                            expected.push((sibling, earlier));
+                        }
+                    }
+                    expected.sort_unstable();
+                    let mut got = task.prereqs.clone();
+                    got.sort_unstable();
+                    assert_eq!(
+                        got, expected,
+                        "k={k} d={d}: {} #{} of stream {}",
+                        task.process, task.index, task.slot
+                    );
+                }
+                // a serialized stream is the chain alone
+                let c = PeriodPlan::by_stream(&streams, 2..3);
+                for task in c.tasks() {
+                    assert_eq!(task.slot, 2);
+                    let chain: Vec<_> = (task.index > 0)
+                        .then_some((0, task.index))
+                        .into_iter()
+                        .collect();
+                    assert_eq!(task.prereqs, chain);
+                }
+            }
+        }
+    }
+
+    /// Drained by 1, 2 or 4 threads, a `by_stream` plan dispatches each
+    /// stream in index order, and a timed event never starts before the
+    /// sibling's virtually-earlier events completed.
+    #[test]
+    fn by_stream_plan_dispatches_each_stream_in_order() {
+        let streams = schedule::period_streams(0, 0.05);
+        let plan = PeriodPlan::by_stream(&streams, 0..2);
+        for workers in [1, 2, 4] {
+            let started: Mutex<[Vec<usize>; 2]> = Mutex::new(Default::default());
+            let finished = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let run = run_pool(&plan, workers, &|_, _| false, &|task| {
+                started.lock()[task.slot].push(task.index);
+                for &(ord, count) in &task.prereqs {
+                    assert!(
+                        finished[ord].load(Ordering::SeqCst) >= count,
+                        "{} #{} started before its prerequisites finished",
+                        task.process,
+                        task.index
+                    );
+                }
+                std::thread::yield_now();
+                finished[task.slot].fetch_add(1, Ordering::SeqCst);
+                TaskOutcome::Settled
+            });
+            assert!(run.outcomes.iter().all(|o| *o == TaskOutcome::Settled));
+            for (slot, order) in started.into_inner().iter().enumerate() {
+                let in_order: Vec<usize> = (0..streams[slot].1.len()).collect();
+                assert_eq!(order, &in_order, "stream {slot} at {workers} threads");
+            }
+        }
+    }
+
+    /// The claim rule: a thread continues the ordinal it just completed
+    /// when that head is ready, and otherwise takes the virtually-earliest
+    /// ready head. (Without the preference the thread that ran stream B
+    /// takes the newly ready P03 and B's chain stalls on a wake-up —
+    /// docs/SCHEDULER.md, "The claim rule".)
+    #[test]
+    fn claim_prefers_the_ordinal_just_completed() {
+        let streams = schedule::period_streams(0, 0.05);
+        let plan = PeriodPlan::by_stream(&streams, 0..2);
+        let state = PoolState {
+            head: vec![0, 0],
+            outcomes: vec![TaskOutcome::Pending; plan.tasks().len()],
+            done: vec![0, 0],
+            completed: 0,
+            crashed: false,
+        };
+        // both streams open with a message at deadline 0: A's is earlier
+        let first = |slot| {
+            plan.tasks()
+                .iter()
+                .position(|t| t.slot == slot && t.index == 0)
+        };
+        assert_eq!(state.next_ready(&plan, None), first(0));
+        assert_eq!(state.next_ready(&plan, Some(0)), first(0));
+        assert_eq!(state.next_ready(&plan, Some(1)), first(1));
+        // a preferred head that is not ready falls back to virtual time:
+        // with stream A down to P03 (timed, waits for B), B's head is next
+        let p03 = streams[0].1.len() - 1;
+        let blocked = PoolState {
+            head: vec![p03, 0],
+            done: vec![p03, 0],
+            ..state
+        };
+        assert_eq!(blocked.next_ready(&plan, Some(0)), first(1));
+    }
+
     /// A worker panic mid-dispatch must not deadlock the pool and must
     /// resurface on the caller.
     #[test]
     fn worker_panic_propagates() {
         let plan = plan_for(0, 0.02);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_pool(&plan, 4, &|_, _| false, None, &|task| {
+            run_pool(&plan, 4, &|_, _| false, &|task| {
                 if task.seq == 1 && task.process == "P02" {
                     panic!("boom");
                 }

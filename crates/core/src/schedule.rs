@@ -34,6 +34,12 @@ pub struct ScheduledEvent {
     pub seq: u32,
 }
 
+/// Whether `process` is initiated by E1 messages (the client generates
+/// one per instance) rather than by an E2 timed event.
+pub fn is_message_process(process: &str) -> bool {
+    matches!(process, "P01" | "P02" | "P04" | "P08" | "P10")
+}
+
 fn ev(process: &'static str, stream: StreamId, deadline_tu: f64, seq: u32) -> ScheduledEvent {
     ScheduledEvent {
         process,

@@ -36,12 +36,11 @@
 //! produce identical retry counts and identical DLQ contents.
 
 use dip_mtm::cost::CostRecorder;
-use dip_mtm::engine::MtmEngine;
+use dip_mtm::engine::{dead_letter_payload, MtmEngine};
 use dip_mtm::error::{MtmError, MtmResult};
 use dip_mtm::process::ProcessDef;
 use dip_services::registry::ExternalWorld;
 use dip_xmlkit::node::Document;
-use dip_xmlkit::write_compact;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -256,15 +255,6 @@ impl MtmSystem {
             dlq: Arc::new(DeadLetterQueue::new()),
         }
     }
-
-    /// Capture a message payload for potential dead-lettering — only when
-    /// the resilience layer or a deterministic instance-abort plan is
-    /// armed (otherwise the run cannot produce transport faults, so
-    /// serializing every message would be pure waste).
-    fn capture(&self, msg: &Document) -> Option<String> {
-        (self.engine.world.resilience().is_some() || dip_netsim::fault::abort_armed())
-            .then(|| write_compact(msg))
-    }
 }
 
 impl IntegrationSystem for MtmSystem {
@@ -287,7 +277,7 @@ impl IntegrationSystem for MtmSystem {
                 seq,
                 msg,
             } => {
-                let payload = self.capture(&msg);
+                let payload = dead_letter_payload(&self.engine.world, &msg);
                 let result = self.engine.execute_event(&process, period, seq, Some(msg));
                 settle(&self.dlq, &process, period, seq, payload, result)
             }

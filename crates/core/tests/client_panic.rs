@@ -1,27 +1,26 @@
-//! Regression tests for stream-thread panic handling in `Client::run_period`.
+//! Regression tests for panic handling in the client's dispatcher.
 //!
 //! A panicking process dispatch used to be swallowed by
 //! `join().unwrap_or_default()` — the period reported zero failures and the
-//! run looked clean. Worse, a panic between the dispatch gate's `acquire`
-//! and `advance` left the sibling stream waiting forever on a deadline that
-//! would never be dispatched. The client must surface the panic and the
-//! sibling stream must still run to completion.
+//! run looked clean. Worse, the sibling stream waited forever on an event
+//! that would never complete. On the one dispatch path
+//! (`sched::run_pool`, at every worker count) a panic stops the period —
+//! the other threads finish their current task and dispatch nothing more —
+//! and is re-raised on the caller.
 
 use dip_mtm::cost::CostRecorder;
 use dip_mtm::error::MtmResult;
 use dip_mtm::process::ProcessDef;
 use dipbench::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A system whose P03 dispatch (a *timed* event on stream A, so it runs
-/// while holding the dispatch gate) panics; everything else succeeds.
+/// A system whose P03 dispatch (a *timed* event on stream A, so stream B's
+/// extracts are ordered after it) panics; everything else succeeds.
 #[derive(Default)]
 struct PanicOnP03 {
     recorder: Arc<CostRecorder>,
-    timed_b: Arc<AtomicU32>,
 }
 
 impl IntegrationSystem for PanicOnP03 {
@@ -38,9 +37,6 @@ impl IntegrationSystem for PanicOnP03 {
             if process == "P03" {
                 panic!("injected P03 panic");
             }
-            // stream B's extracts are timed events that must get past the
-            // gate even though stream A died holding it
-            self.timed_b.fetch_add(1, Ordering::SeqCst);
         }
         Delivery::Completed
     }
@@ -51,44 +47,37 @@ impl IntegrationSystem for PanicOnP03 {
 }
 
 #[test]
-fn stream_panic_propagates_and_does_not_deadlock() {
-    let timed_b = Arc::new(AtomicU32::new(0));
-    let seen = timed_b.clone();
-    // run the period on a watchdog-guarded thread: the pre-fix failure mode
-    // is stream B deadlocking on the gate, which would hang the test forever
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let config =
-            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        assert_eq!(config.pacing, PacingMode::Eager, "gate must be active");
-        let env = BenchEnvironment::new(config).unwrap();
-        let system = Arc::new(PanicOnP03 {
-            recorder: Arc::new(CostRecorder::default()),
-            timed_b,
+fn dispatch_panic_propagates_and_does_not_deadlock() {
+    for workers in [1, 4] {
+        // run the period on a watchdog-guarded thread: the pre-fix failure
+        // mode is the other threads waiting forever on the panicked task,
+        // which would hang the test
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let config = BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform))
+                .with_periods(1)
+                .with_workers(workers);
+            assert_eq!(config.pacing, PacingMode::Eager);
+            let env = BenchEnvironment::new(config).unwrap();
+            let client = Client::new(&env, Arc::new(PanicOnP03::default())).unwrap();
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.run_period(0)));
+            tx.send(outcome).ok();
         });
-        let client = Client::new(&env, system).unwrap();
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.run_period(0)));
-        tx.send(outcome).ok();
-    });
-    let outcome = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("run_period deadlocked: sibling stream never released from the gate");
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("run_period deadlocked at {workers} workers"));
 
-    // the panic must reach the caller, not be reported as a clean period
-    let payload = outcome.expect_err("a panicking stream must not report success");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .unwrap_or_default()
-        .to_string();
-    assert!(
-        msg.contains("injected P03 panic"),
-        "expected the stream's panic payload, got: {msg:?}"
-    );
-    // stream B ran to completion despite stream A dying inside the gate
-    assert!(
-        seen.load(Ordering::SeqCst) > 0,
-        "stream B's timed events never dispatched — gate was not released"
-    );
+        // the panic must reach the caller, not be reported as a clean period
+        let payload = outcome.expect_err("a panicking dispatch must not report success");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or_default()
+            .to_string();
+        assert!(
+            msg.contains("injected P03 panic"),
+            "expected the dispatch's panic payload at {workers} workers, got: {msg:?}"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! The federated-DBMS engine: queue tables + INSERT triggers for E1,
 //! stored procedures with temp-table materialization points for E2.
 
-use dip_mtm::cost::{CostCategory, CostRecorder, InstanceCosts, InstanceRecord};
+use dip_mtm::cost::{CostCategory, CostRecorder, InstanceCosts};
 use dip_mtm::error::{MtmError, MtmResult};
 use dip_mtm::process::ProcessDef;
 use dip_relstore::prelude::*;
@@ -277,7 +277,6 @@ pub struct FedDbms {
     recorder: Arc<CostRecorder>,
     realizations: RwLock<HashMap<String, Realization>>,
     next_tid: AtomicU64,
-    epoch: Instant,
     dlq: Arc<dipbench::system::DeadLetterQueue>,
 }
 
@@ -298,7 +297,6 @@ impl FedDbms {
             recorder: Arc::new(CostRecorder::new()),
             realizations: RwLock::new(HashMap::new()),
             next_tid: AtomicU64::new(1),
-            epoch: Instant::now(),
             dlq: Arc::new(dipbench::system::DeadLetterQueue::new()),
         }
     }
@@ -388,51 +386,22 @@ impl FedDbms {
         input: Option<Document>,
     ) -> FedResult<u32> {
         let mgmt_start = Instant::now();
-        let costs = InstanceCosts::new();
-        let instance = self.recorder.next_instance_id();
         let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
-        // plan/SQL preparation is management cost
-        costs.add(CostCategory::Management, mgmt_start.elapsed());
-        let _ctx = dip_trace::instance_scope(process, period, instance.0);
-        let _fault_scope = dip_netsim::fault::instance_scope(process, period, seq);
-        let start = self.epoch.elapsed();
-        let tx = dip_relstore::tx::begin();
-        let result = {
-            let _span = dip_trace::span_cat(
-                dip_trace::Layer::Feddbms,
-                "instance",
-                dip_trace::Category::Management,
-            );
-            self.dispatch(process, input, &costs, tid)
-        };
-        match &result {
-            Ok(()) => tx.commit(),
-            Err(_) => tx.rollback(),
-        }
-        let end = self.epoch.elapsed();
-        let retries = dip_netsim::fault::scope_retries();
-        // A crash fault means the system died mid-instance: it never wrote
-        // its cost record, and recovery replays the instance after restart.
-        // Recording it here would double-count the replay.
-        let crashed = matches!(
-            &result,
-            Err(e) if e.transport().is_some_and(|t| t.kind == TransportKind::Crash)
-        );
-        if !crashed {
-            let (comm, mgmt, proc) = costs.snapshot();
-            self.recorder.record(InstanceRecord {
-                instance,
-                process: process.to_string(),
-                period,
-                start,
-                end,
-                comm,
-                mgmt,
-                proc,
-                ok: result.is_ok(),
-            });
-        }
-        result.map(|()| retries)
+        self.recorder.run_instance(
+            mgmt_start,
+            process,
+            period,
+            seq,
+            FedError::transport,
+            |costs| {
+                let _span = dip_trace::span_cat(
+                    dip_trace::Layer::Feddbms,
+                    "instance",
+                    dip_trace::Category::Management,
+                );
+                self.dispatch(process, input, costs, tid)
+            },
+        )
     }
 
     fn dispatch(
@@ -536,9 +505,7 @@ impl dipbench::system::IntegrationSystem for FedDbms {
                 seq,
                 msg,
             } => {
-                let payload = (self.world.resilience().is_some()
-                    || dip_netsim::fault::abort_armed())
-                .then(|| dip_xmlkit::write_compact(&msg));
+                let payload = dip_mtm::engine::dead_letter_payload(&self.world, &msg);
                 let result = self
                     .execute_event(&process, period, seq, Some(msg))
                     .map_err(to_mtm_error);

@@ -14,10 +14,11 @@
 //! The benchmark monitor later normalizes these by concurrency and
 //! aggregates them into the `NAVG+` metric.
 
+use dip_relstore::error::{TransportFault, TransportKind};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The three cost categories of the benchmark metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,6 +113,8 @@ impl Default for InstanceCosts {
 pub struct CostRecorder {
     next_instance: AtomicU64,
     records: Mutex<Vec<InstanceRecord>>,
+    /// The monitor's clock: instance intervals are offsets from it.
+    epoch: Instant,
 }
 
 impl std::fmt::Debug for CostRecorder {
@@ -127,7 +130,63 @@ impl CostRecorder {
         CostRecorder {
             next_instance: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
+            epoch: Instant::now(),
         }
+    }
+
+    /// Run one process instance inside the envelope every engine puts
+    /// around it: the preparation since `mgmt_start` (definition lookup,
+    /// plan/SQL preparation) booked as management cost, the trace and
+    /// fault-schedule scopes (`seq` anchors the instance's deterministic
+    /// fault identity), one transaction — committed on `Ok`, rolled back
+    /// on `Err` — and the [`InstanceRecord`] either way. `transport` is
+    /// the error type's transport-fault accessor. Returns the number of
+    /// transport retries the resilience layer spent on the instance.
+    pub fn run_instance<T, E>(
+        &self,
+        mgmt_start: Instant,
+        process: &str,
+        period: u32,
+        seq: u32,
+        transport: impl Fn(&E) -> Option<&TransportFault>,
+        body: impl FnOnce(&InstanceCosts) -> Result<T, E>,
+    ) -> Result<u32, E> {
+        let costs = InstanceCosts::new();
+        let instance = self.next_instance_id();
+        costs.add(CostCategory::Management, mgmt_start.elapsed());
+        let _ctx = dip_trace::instance_scope(process, period, instance.0);
+        let _fault_scope = dip_netsim::fault::instance_scope(process, period, seq);
+        let start = self.epoch.elapsed();
+        let tx = dip_relstore::tx::begin();
+        let result = body(&costs);
+        match &result {
+            Ok(_) => tx.commit(),
+            Err(_) => tx.rollback(),
+        }
+        let end = self.epoch.elapsed();
+        let retries = dip_netsim::fault::scope_retries();
+        // A crash fault means the system died mid-instance: it never got to
+        // write its cost record, and recovery will replay the instance after
+        // restart. Recording it here would double-count the replay.
+        let crashed = matches!(
+            &result,
+            Err(e) if transport(e).is_some_and(|t| t.kind == TransportKind::Crash)
+        );
+        if !crashed {
+            let (comm, mgmt, proc) = costs.snapshot();
+            self.record(InstanceRecord {
+                instance,
+                process: process.to_string(),
+                period,
+                start,
+                end,
+                comm,
+                mgmt,
+                proc,
+                ok: result.is_ok(),
+            });
+        }
+        result.map(|_| retries)
     }
 
     pub fn next_instance_id(&self) -> InstanceId {

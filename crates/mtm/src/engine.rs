@@ -6,7 +6,7 @@
 //! implementation in `dip-feddbms`, which realizes the same processes as
 //! queue-table triggers and stored procedures.)
 
-use crate::cost::{CostRecorder, InstanceCosts, InstanceRecord};
+use crate::cost::CostRecorder;
 use crate::error::{MtmError, MtmResult};
 use crate::interpreter::Interpreter;
 use crate::process::ProcessDef;
@@ -18,12 +18,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Capture a message's payload for potential dead-lettering — only when
+/// the resilience layer or a deterministic instance-abort plan is armed
+/// (otherwise the run cannot produce transport faults, so serializing
+/// every message would be pure waste).
+pub fn dead_letter_payload(world: &ExternalWorld, msg: &Document) -> Option<String> {
+    (world.resilience().is_some() || dip_netsim::fault::abort_armed())
+        .then(|| dip_xmlkit::write_compact(msg))
+}
+
 /// The MTM process engine.
 pub struct MtmEngine {
     pub world: Arc<ExternalWorld>,
     processes: RwLock<HashMap<String, Arc<ProcessDef>>>,
     recorder: Arc<CostRecorder>,
-    epoch: Instant,
 }
 
 impl std::fmt::Debug for MtmEngine {
@@ -40,7 +48,6 @@ impl MtmEngine {
             world,
             processes: RwLock::new(HashMap::new()),
             recorder: Arc::new(CostRecorder::new()),
-            epoch: Instant::now(),
         }
     }
 
@@ -88,50 +95,21 @@ impl MtmEngine {
     ) -> MtmResult<u32> {
         let mgmt_start = Instant::now();
         let def = self.process(id)?;
-        let costs = InstanceCosts::new();
-        costs.add(crate::cost::CostCategory::Management, mgmt_start.elapsed());
-        let instance = self.recorder.next_instance_id();
-        let _ctx = dip_trace::instance_scope(&def.id, period, instance.0);
-        let _fault_scope = dip_netsim::fault::instance_scope(&def.id, period, seq);
-        let start = self.epoch.elapsed();
-        let tx = dip_relstore::tx::begin();
-        let result = {
-            let _span = dip_trace::span_cat(
-                dip_trace::Layer::Mtm,
-                "instance",
-                dip_trace::Category::Management,
-            );
-            let interp = Interpreter::new(&self.world, &costs);
-            interp.run(&def, input)
-        };
-        match &result {
-            Ok(_) => tx.commit(),
-            Err(_) => tx.rollback(),
-        }
-        let end = self.epoch.elapsed();
-        let retries = dip_netsim::fault::scope_retries();
-        // A crash fault means the system died mid-instance: it never got to
-        // write its cost record, and recovery will replay the instance after
-        // restart. Recording it here would double-count the replay.
-        let crashed = matches!(
-            &result,
-            Err(e) if e.transport().is_some_and(|t| t.kind == dip_relstore::error::TransportKind::Crash)
-        );
-        if !crashed {
-            let (comm, mgmt, proc) = costs.snapshot();
-            self.recorder.record(InstanceRecord {
-                instance,
-                process: def.id.clone(),
-                period,
-                start,
-                end,
-                comm,
-                mgmt,
-                proc,
-                ok: result.is_ok(),
-            });
-        }
-        result.map(|_| retries)
+        self.recorder.run_instance(
+            mgmt_start,
+            &def.id,
+            period,
+            seq,
+            MtmError::transport,
+            |costs| {
+                let _span = dip_trace::span_cat(
+                    dip_trace::Layer::Mtm,
+                    "instance",
+                    dip_trace::Category::Management,
+                );
+                Interpreter::new(&self.world, costs).run(&def, input)
+            },
+        )
     }
 }
 

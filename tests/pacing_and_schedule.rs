@@ -128,3 +128,32 @@ fn streams_a_and_b_actually_overlap() {
         "no concurrency was observed by the monitor"
     );
 }
+
+#[test]
+fn late_dispatch_counts_one_run_not_the_clients_lifetime() {
+    // t = 1e6 → 1 tu = 1 ns: the whole schedule is due within microseconds,
+    // so practically every dispatch is behind its deadline. A client reused
+    // for a second run (as benchmark/ reuses one across iterations) must
+    // report that run's lag, not the sum of both.
+    let scale = ScaleFactors::new(0.02, 1e6, Distribution::Uniform);
+    let config = BenchConfig::new(scale)
+        .with_periods(1)
+        .with_pacing(PacingMode::RealTime);
+    let env = BenchEnvironment::new(config).unwrap();
+    let system = Arc::new(MtmSystem::new(env.world.clone()));
+    let client = Client::new(&env, system).unwrap();
+    let events = schedule::period_event_count(0, scale.datasize) as u64;
+    let first = client.run().unwrap();
+    let second = client.run().unwrap();
+    assert!(
+        first.late_dispatch > events / 2 && first.late_dispatch <= events,
+        "{} of {events} dispatches late in the first run",
+        first.late_dispatch
+    );
+    assert!(
+        second.late_dispatch <= events,
+        "second run reports {} late dispatches of {events} events (first: {})",
+        second.late_dispatch,
+        first.late_dispatch
+    );
+}
