@@ -68,7 +68,7 @@ impl DispatchFailure {
 /// DAG-downward-closed set that need not be a per-stream prefix.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplaySkip {
-    settled: [Vec<usize>; 4],
+    indices: [Vec<usize>; 4],
 }
 
 impl ReplaySkip {
@@ -79,12 +79,12 @@ impl ReplaySkip {
 
     /// Whether the event at `index` of stream slot `slot` is settled.
     pub fn skips(&self, slot: usize, index: usize) -> bool {
-        self.settled[slot].binary_search(&index).is_ok()
+        self.indices[slot].binary_search(&index).is_ok()
     }
 
     /// Number of settled events in stream slot `slot`.
     pub fn settled_in(&self, slot: usize) -> usize {
-        self.settled[slot].len()
+        self.indices[slot].len()
     }
 }
 
@@ -124,6 +124,11 @@ impl RunOutcome {
     pub fn metric_for(&self, process: &str) -> Option<&ProcessMetric> {
         self.metrics.iter().find(|m| m.process == process)
     }
+}
+
+/// A span over a piece of the client's own (management) work.
+fn span(op: &'static str) -> dip_trace::Span {
+    dip_trace::span_cat(dip_trace::Layer::Core, op, dip_trace::Category::Management)
 }
 
 /// Generate the E1 input message of an event (`None` for a timed event).
@@ -233,11 +238,7 @@ impl<'a> Client<'a> {
         skip: &ReplaySkip,
         run: &mut PeriodRun,
     ) {
-        let _span = dip_trace::span_cat(
-            dip_trace::Layer::Core,
-            "worker_pool",
-            dip_trace::Category::Management,
-        );
+        let _span = span("worker_pool");
         let start = Instant::now();
         let pool = sched::run_pool(
             plan,
@@ -253,7 +254,7 @@ impl<'a> Client<'a> {
         // indices ascending and the failures deterministic
         for (task, outcome) in plan.tasks().iter().zip(pool.outcomes) {
             if outcome.settled() {
-                run.settled.settled[task.slot].push(task.index);
+                run.settled.indices[task.slot].push(task.index);
             }
             run.failures
                 .extend(DispatchFailure::of(task.process, k, task.seq, outcome));
@@ -278,26 +279,14 @@ impl<'a> Client<'a> {
         skip: &ReplaySkip,
         reinit: bool,
     ) -> StoreResult<PeriodRun> {
-        let _period_span = dip_trace::span_cat(
-            dip_trace::Layer::Core,
-            "period",
-            dip_trace::Category::Management,
-        );
+        let _period_span = span("period");
         if reinit {
             {
-                let _span = dip_trace::span_cat(
-                    dip_trace::Layer::Core,
-                    "uninitialize",
-                    dip_trace::Category::Management,
-                );
+                let _span = span("uninitialize");
                 self.env.uninitialize()?;
             }
             {
-                let _span = dip_trace::span_cat(
-                    dip_trace::Layer::Core,
-                    "initialize_sources",
-                    dip_trace::Category::Management,
-                );
+                let _span = span("initialize_sources");
                 self.env.initialize_sources(k)?;
             }
         }

@@ -1,5 +1,5 @@
 //! Crash-restart recovery: checkpointing the external systems' durable
-//! state, journaling stream watermarks, and re-running a benchmark from
+//! state, journaling which events are settled, and re-running a benchmark from
 //! the point an injected crash killed the integration system.
 //!
 //! The model follows the paper's setup: the *external systems'* data is
@@ -11,9 +11,9 @@
 //!
 //! 1. capture an [`EnvCheckpoint`] of every external database (rows plus
 //!    pending change-capture logs),
-//! 2. note each stream's settled watermark (the [`crate::client::
+//! 2. note each stream's settled events (the [`crate::client::
 //!    PeriodRun`] journal) — the schedule itself is deterministic, so the
-//!    undelivered suffix of the E1 inbox is regenerable, not stored,
+//!    undelivered rest of the E1 inbox is regenerable, not stored,
 //! 3. build a fresh environment + system (the "restart"), restore the
 //!    checkpoint, and replay every unsettled event via
 //!    [`crate::client::Client::run_period_from`],
@@ -190,7 +190,8 @@ pub struct RecoveryRun {
     /// Materialization steps the targeted instance executed.
     pub steps_seen: u32,
     pub crashed_period: Option<u32>,
-    /// Events the restarted system replayed from the journal watermarks.
+    /// Events the restarted system replayed (everything the journal did
+    /// not list as settled).
     pub replayed_events: usize,
     /// Rows restored from the checkpoint.
     pub checkpoint_rows: usize,
@@ -295,8 +296,8 @@ pub fn run_with_crash(
 
     // Replay the crashed period's exact unsettled set (no
     // re-initialization: the checkpoint already holds the period's
-    // mid-flight state), then run the remaining periods normally. Under
-    // parallel execution the settled set is DAG-downward-closed but not
+    // mid-flight state), then run the remaining periods normally. The
+    // settled set is DAG-downward-closed but, under `workers > 1`, not
     // stream-contiguous, so the skip set — not a watermark — is what
     // keeps the replay from double-dispatching settled instances.
     let d = config.scale.datasize;

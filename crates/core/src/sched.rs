@@ -573,10 +573,10 @@ impl PoolState {
     }
 }
 
-/// Drain a plan with `workers` threads (the caller's included).
-/// `skip(slot, index)` marks events a previous (crashed) run already
-/// settled: they complete instantly and count toward the done-counters,
-/// so the DAG's readiness replays exactly. Dispatching is the caller's
+/// Drain a plan with `workers` threads. `skip(slot, index)` marks events
+/// a previous (crashed) run already settled: they complete instantly and
+/// count toward the done-counters, so the DAG's readiness replays
+/// exactly. Dispatching is the caller's
 /// closure; it must be self-contained per calling thread (the engines
 /// open their own fault scope and transaction per delivery).
 ///
@@ -658,12 +658,20 @@ pub fn run_pool(
             }
         }
     };
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(worker);
-        }
+    // A one-thread phase runs on the caller. A wider one gets threads of
+    // its own while the caller waits: with the caller as one of them, what
+    // stream A leaves on its allocator arena made the caller's next
+    // `uninitialize` + `initialize_sources` ≈ 0.45 ms slower per `fed_d05`
+    // period (docs/PERFORMANCE.md, "One dispatcher").
+    if workers <= 1 {
         worker();
-    });
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
     if let Some(payload) = panicked.into_inner() {
         std::panic::resume_unwind(payload);
     }
