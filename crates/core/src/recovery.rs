@@ -1,6 +1,6 @@
 //! Crash-restart recovery: checkpointing the external systems' durable
-//! state, journaling which events are settled, and re-running a benchmark from
-//! the point an injected crash killed the integration system.
+//! state, journaling which events are settled, and re-running a benchmark
+//! from the point an injected crash killed the integration system.
 //!
 //! The model follows the paper's setup: the *external systems'* data is
 //! durable (a real deployment keeps it on disk), while the integration

@@ -661,8 +661,8 @@ pub fn run_pool(
     // A one-thread phase runs on the caller. A wider one gets threads of
     // its own while the caller waits: with the caller as one of them, what
     // stream A leaves on its allocator arena made the caller's next
-    // `uninitialize` + `initialize_sources` ≈ 0.45 ms slower per `fed_d05`
-    // period (docs/PERFORMANCE.md, "One dispatcher").
+    // `initialize_sources` ≈ 0.3 ms slower per `fed_d05` period
+    // (docs/PERFORMANCE.md, "One dispatcher").
     if workers <= 1 {
         worker();
     } else {
