@@ -71,7 +71,7 @@ impl Ty {
 
 /// One declared flag. The constants below define each flag's name, type
 /// and help once; a command that wants a different default takes it with
-/// [`Flag::or`].
+/// `Flag::or`.
 #[derive(Debug, Clone, Copy)]
 pub struct Flag {
     pub name: &'static str,

@@ -146,10 +146,9 @@ pub fn sweep(
     let mut verified = true;
     for (label, scale) in cells {
         let result = run_spec(spec, BenchConfig::new(*scale).with_periods(periods));
-        let avg = |ids: &[&str]| {
-            let vals: Vec<f64> = ids
-                .iter()
-                .filter_map(|p| result.outcome.metric_for(p))
+        let avg = |pick: &dyn Fn(&str) -> bool| {
+            let vals: Vec<f64> = (result.outcome.metrics.iter())
+                .filter(|m| pick(&m.process))
                 .map(|m| m.navg_plus_tu)
                 .collect();
             vals.iter().sum::<f64>() / vals.len().max(1) as f64
@@ -158,8 +157,8 @@ pub fn sweep(
             out,
             "{:<14} {:>12.2} {:>12.2} {:>12} {:>8}",
             label,
-            avg(&["P01", "P02", "P04", "P08", "P10"]),
-            avg(&["P03", "P09", "P11", "P12", "P13", "P14", "P15"]),
+            avg(&dipbench::schedule::is_message_process),
+            avg(&|p| ["P03", "P09", "P11", "P12", "P13", "P14", "P15"].contains(&p)),
             result.outcome.wall_time.as_millis(),
             pass_fail(result.verification.passed())
         )?;

@@ -239,11 +239,10 @@ fn counter(run: &CellRun, name: &str) -> u64 {
 
 /// Delivered (ok) E1 message instances across the whole run.
 fn delivered_messages(outcome: &RunOutcome) -> usize {
-    const E1: [&str; 5] = ["P01", "P02", "P04", "P08", "P10"];
     outcome
         .records
         .iter()
-        .filter(|r| r.ok && E1.contains(&r.process.as_str()))
+        .filter(|r| r.ok && dipbench::schedule::is_message_process(&r.process))
         .count()
 }
 

@@ -116,6 +116,25 @@ fn help_lists_each_flag_under_exactly_the_commands_that_accept_it() {
     );
 }
 
+/// Step kinds, order and variable names of the 15 MTM graphs are what
+/// `sched::derive_profile` and `explain` read. The fixture is the output
+/// at PR 18, the last commit that wrote every definition out by hand
+/// instead of building it from `processes::catalog`.
+#[test]
+fn explain_narrates_the_15_definitions_as_written_by_hand_at_pr18() {
+    let out = Process::new(env!("CARGO_BIN_EXE_dipbench"))
+        .arg("explain")
+        .output()
+        .expect("spawn dipbench");
+    assert!(out.status.success());
+    let narrated = String::from_utf8_lossy(&out.stdout);
+    let fixture = include_str!("../../../tests/fixtures/explain_pr18.txt");
+    for (n, (got, want)) in narrated.lines().zip(fixture.lines()).enumerate() {
+        assert_eq!(got, want, "explain, line {}", n + 1);
+    }
+    assert_eq!(narrated.len(), fixture.len());
+}
+
 #[test]
 fn misuse_exits_2_before_any_work_starts() {
     let cases: [(&[&str], &str); 17] = [

@@ -1,5 +1,6 @@
 //! Group A — source system management (P01, P02, P03).
 
+use super::catalog;
 use crate::datagen::keys;
 use crate::schema::{america, asia, europe, messages};
 use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step, SwitchCase};
@@ -109,18 +110,10 @@ pub fn p02() -> ProcessDef {
 /// DISTINCTs them per entity (the sources hold overlapping subsets) and
 /// loads the result into the local consolidated database US_Eastcoast.
 pub fn p03() -> ProcessDef {
-    let sources = [america::CHICAGO, america::BALTIMORE, america::MADISON];
     let mut steps: Vec<Step> = Vec::new();
-    // (table, union key columns)
-    let entities: [(&str, Vec<usize>); 4] = [
-        ("customer", vec![0]),
-        ("part", vec![0]),
-        ("orders", vec![0]),
-        ("lineitem", vec![0, 1]),
-    ];
-    for (table, key) in entities {
+    for (table, key) in catalog::CONSOLIDATION_ENTITIES {
         let mut inputs = Vec::new();
-        for source in sources {
+        for source in catalog::CONSOLIDATION_SOURCES {
             let var = format!("{table}_{source}");
             steps.push(Step::DbQuery {
                 db: source.into(),
@@ -132,7 +125,7 @@ pub fn p03() -> ProcessDef {
         let merged = format!("{table}_merged");
         steps.push(Step::UnionDistinct {
             inputs,
-            key: Some(key),
+            key: Some(key.to_vec()),
             output: merged.clone(),
         });
         steps.push(Step::DbInsert {

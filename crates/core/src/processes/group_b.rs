@@ -1,11 +1,21 @@
 //! Group B — data consolidation into the CDB (P04–P11).
 
-use super::{col_as, lit_as, vocab_as};
-use crate::schema::{america, asia, cdb, europe, messages, vocab};
+use super::catalog::{self, Extract};
+use crate::schema::{america, cdb, europe, messages};
 use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step};
 use dip_relstore::prelude::*;
-use dip_xmlkit::node::Element;
 use std::sync::Arc;
+
+/// Decode a canonical order message and load it into the CDB staging area.
+fn load_order(source: &str, input: &str) -> Step {
+    Step::DbLoadXml {
+        db: cdb::CDB.into(),
+        decoder: messages::cdb_order_decoder(source),
+        decoder_name: format!("cdb_order_decoder({source})"),
+        input: input.into(),
+        mode: LoadMode::InsertIgnore,
+    }
+}
 
 /// P04 — receive messages from Vienna (E1).
 ///
@@ -48,175 +58,57 @@ pub fn p04() -> ProcessDef {
                 name: "enrich_with_master_data".into(),
                 binds: vec!["msg3".into()],
                 f: Arc::new(|vars| {
-                    let segment = {
-                        let master = vars
-                            .get("master")
-                            .ok_or("master unbound")?
-                            .as_rel()
-                            .map_err(|e| e.to_string())?;
-                        master.rows.first().map(|r| r[5].render())
-                    };
-                    let mut doc = vars
+                    let master = vars
+                        .get("master")
+                        .ok_or("master unbound")?
+                        .as_rel()
+                        .map_err(|e| e.to_string())?;
+                    let doc = vars
                         .get("msg2")
                         .ok_or("msg2 unbound")?
                         .as_xml()
-                        .map_err(|e| e.to_string())?
-                        .clone();
-                    if let Some(seg) = segment {
-                        doc.root
-                            .children
-                            .push(dip_xmlkit::XmlNode::Element(Element::leaf(
-                                "customer_segment",
-                                seg,
-                            )));
-                    }
-                    vars.set("msg3", doc);
+                        .map_err(|e| e.to_string())?;
+                    let enriched = catalog::enrich_with_segment(doc, master);
+                    vars.set("msg3", enriched);
                     Ok(())
                 }),
             },
-            Step::DbLoadXml {
-                db: cdb::CDB.into(),
-                decoder: messages::cdb_order_decoder("vienna"),
-                decoder_name: "cdb_order_decoder(vienna)".into(),
-                input: "msg3".into(),
-                mode: LoadMode::InsertIgnore,
-            },
+            load_order("vienna", "msg3"),
         ],
     )
+}
+
+/// The MTM form of a set of catalog extracts: per source table, query it,
+/// project it onto the staging schema, load the staging table.
+fn extract_steps(db: &str, extracts: Vec<Extract>) -> Vec<Step> {
+    let mut steps: Vec<Step> = Vec::new();
+    for e in extracts {
+        let mapped = format!("{}_mapped", e.var);
+        steps.push(Step::DbQuery {
+            db: db.into(),
+            plan: e.plan,
+            output: e.var.into(),
+        });
+        steps.push(Step::Projection {
+            input: e.var.into(),
+            exprs: e.exprs,
+            output: mapped.clone(),
+        });
+        steps.push(Step::DbInsert {
+            db: cdb::CDB.into(),
+            table: e.staging.into(),
+            input: mapped,
+            mode: LoadMode::InsertIgnore,
+        });
+    }
+    steps
 }
 
 /// Shared body of P05/P06 (Berlin/Paris: selection on the location column,
 /// then projections renaming the self-defined European attributes into the
 /// CDB staging schema) and P07 (Trondheim: no location column).
 fn europe_extract(id: &str, name: &str, db: &'static str, loc: Option<&'static str>) -> ProcessDef {
-    let with_loc = loc.is_some();
-    let mut steps: Vec<Step> = Vec::new();
-    let select = |table: &str, loc_col: usize| -> Plan {
-        let scan = Plan::scan(table);
-        match loc {
-            Some(l) if with_loc => scan.filter(Expr::col(loc_col).eq(Expr::lit(l))),
-            _ => scan,
-        }
-    };
-    // customers: c_id, c_name, c_street, c_city, c_nation, c_seg, c_phone, c_bal [, c_loc]
-    steps.push(Step::DbQuery {
-        db: db.into(),
-        plan: select("cust", 8),
-        output: "cust".into(),
-    });
-    steps.push(Step::Projection {
-        input: "cust".into(),
-        exprs: vec![
-            col_as(0, "custkey", SqlType::Int),
-            col_as(1, "name", SqlType::Str),
-            col_as(2, "address", SqlType::Str),
-            col_as(3, "city_name", SqlType::Str),
-            col_as(4, "nation_name", SqlType::Str),
-            col_as(5, "segment", SqlType::Str),
-            col_as(6, "phone", SqlType::Str),
-            col_as(7, "acctbal", SqlType::Float),
-            lit_as(
-                Value::str(loc.unwrap_or("trondheim")),
-                "source",
-                SqlType::Str,
-            ),
-            lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-        ],
-        output: "cust_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "customer_staging".into(),
-        input: "cust_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // products: pr_id, pr_name, pr_group, pr_line, pr_price (shared catalog)
-    steps.push(Step::DbQuery {
-        db: db.into(),
-        plan: Plan::scan("prod"),
-        output: "prod".into(),
-    });
-    steps.push(Step::Projection {
-        input: "prod".into(),
-        exprs: vec![
-            col_as(0, "prodkey", SqlType::Int),
-            col_as(1, "name", SqlType::Str),
-            col_as(2, "group_name", SqlType::Str),
-            col_as(3, "line_name", SqlType::Str),
-            col_as(4, "price", SqlType::Float),
-            lit_as(
-                Value::str(loc.unwrap_or("trondheim")),
-                "source",
-                SqlType::Str,
-            ),
-            lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-        ],
-        output: "prod_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "product_staging".into(),
-        input: "prod_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // orders: o_id, o_cust, o_date, o_total, o_prio, o_state [, o_loc]
-    steps.push(Step::DbQuery {
-        db: db.into(),
-        plan: select("ord", 6),
-        output: "ord".into(),
-    });
-    steps.push(Step::Projection {
-        input: "ord".into(),
-        exprs: vec![
-            col_as(0, "orderkey", SqlType::Int),
-            col_as(1, "custkey", SqlType::Int),
-            col_as(2, "orderdate", SqlType::Date),
-            col_as(3, "totalprice", SqlType::Float),
-            vocab_as(&vocab::EUROPE_PRIORITY_MAP, 4, "priority"),
-            col_as(5, "state", SqlType::Str),
-            lit_as(
-                Value::str(loc.unwrap_or("trondheim")),
-                "source",
-                SqlType::Str,
-            ),
-        ],
-        output: "ord_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "orders_staging".into(),
-        input: "ord_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // order positions: p_ord, p_no, p_prod, p_qty, p_price, p_disc [, p_loc]
-    steps.push(Step::DbQuery {
-        db: db.into(),
-        plan: select("pos", 6),
-        output: "pos".into(),
-    });
-    steps.push(Step::Projection {
-        input: "pos".into(),
-        exprs: vec![
-            col_as(0, "orderkey", SqlType::Int),
-            col_as(1, "lineno", SqlType::Int),
-            col_as(2, "prodkey", SqlType::Int),
-            col_as(3, "quantity", SqlType::Int),
-            col_as(4, "extendedprice", SqlType::Float),
-            col_as(5, "discount", SqlType::Float),
-            lit_as(
-                Value::str(loc.unwrap_or("trondheim")),
-                "source",
-                SqlType::Str,
-            ),
-        ],
-        output: "pos_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "orderline_staging".into(),
-        input: "pos_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
+    let steps = extract_steps(db, catalog::europe_extracts(loc));
     ProcessDef::new(id, name, 'B', EventType::Timed, steps)
 }
 
@@ -265,13 +157,7 @@ pub fn p08() -> ProcessDef {
                 input: "msg1".into(),
                 output: "msg2".into(),
             },
-            Step::DbLoadXml {
-                db: cdb::CDB.into(),
-                decoder: messages::cdb_order_decoder("hongkong"),
-                decoder_name: "cdb_order_decoder(hongkong)".into(),
-                input: "msg2".into(),
-                mode: LoadMode::InsertIgnore,
-            },
+            load_order("hongkong", "msg2"),
         ],
     )
 }
@@ -284,39 +170,10 @@ pub fn p08() -> ProcessDef {
 /// XML-bound process of the benchmark.
 pub fn p09() -> ProcessDef {
     let mut steps: Vec<Step> = Vec::new();
-    // (ws operation, staging table, decode schema, union key)
-    let entities: [(&str, &str, SchemaRef, Vec<usize>); 4] = [
-        (
-            "customers",
-            "customer_staging",
-            cdb::customer_staging_schema(),
-            vec![0],
-        ),
-        (
-            "parts",
-            "product_staging",
-            cdb::product_staging_schema(),
-            vec![0],
-        ),
-        (
-            "orders",
-            "orders_staging",
-            cdb::orders_staging_schema(),
-            vec![0],
-        ),
-        (
-            "orderlines",
-            "orderline_staging",
-            cdb::orderline_staging_schema(),
-            vec![0, 1],
-        ),
-    ];
-    for (operation, staging, schema, key) in entities {
+    for entity in catalog::asia_entities() {
+        let operation = entity.operation;
         let mut merged_inputs = Vec::new();
-        for (service, stx) in [
-            (asia::BEIJING, messages::stx_beijing_rs_to_canon()),
-            (asia::SEOUL, messages::stx_seoul_rs_to_canon()),
-        ] {
+        for (service, stx) in catalog::asia_services() {
             let raw = format!("{operation}_{service}_raw");
             let canon = format!("{operation}_{service}_canon");
             let rel = format!("{operation}_{service}");
@@ -332,37 +189,26 @@ pub fn p09() -> ProcessDef {
             });
             steps.push(Step::XmlToRel {
                 input: canon,
-                schema: schema.clone(),
+                schema: entity.schema.clone(),
                 output: rel.clone(),
             });
             merged_inputs.push(rel);
         }
         let merged = format!("{operation}_merged");
+        let finished = format!("{operation}_final");
         steps.push(Step::UnionDistinct {
             inputs: merged_inputs,
-            key: Some(key),
+            key: Some(entity.key.clone()),
             output: merged.clone(),
         });
-        // fill in the staging bookkeeping columns the services don't send
-        let n = schema.len();
-        let mut exprs: Vec<ProjExpr> = Vec::new();
-        for (i, col) in schema.columns().iter().enumerate() {
-            match col.name.as_str() {
-                "source" => exprs.push(lit_as(Value::str(ASIA_SOURCE), "source", SqlType::Str)),
-                "integrated" => exprs.push(lit_as(Value::Bool(false), "integrated", SqlType::Bool)),
-                _ => exprs.push(col_as(i, &col.name, col.ty)),
-            }
-        }
-        debug_assert_eq!(exprs.len(), n);
-        let finished = format!("{operation}_final");
         steps.push(Step::Projection {
             input: merged,
-            exprs,
+            exprs: entity.bookkeeping(),
             output: finished.clone(),
         });
         steps.push(Step::DbInsert {
             db: cdb::CDB.into(),
-            table: staging.into(),
+            table: entity.staging.into(),
             input: finished,
             mode: LoadMode::InsertIgnore,
         });
@@ -398,13 +244,7 @@ pub fn p10() -> ProcessDef {
                         input: "msg1".into(),
                         output: "msg2".into(),
                     },
-                    Step::DbLoadXml {
-                        db: cdb::CDB.into(),
-                        decoder: messages::cdb_order_decoder("san_diego"),
-                        decoder_name: "cdb_order_decoder(san_diego)".into(),
-                        input: "msg2".into(),
-                        mode: LoadMode::InsertIgnore,
-                    },
+                    load_order("san_diego", "msg2"),
                 ],
                 on_invalid: vec![
                     Step::Custom {
@@ -422,18 +262,7 @@ pub fn p10() -> ProcessDef {
                                 .first()
                                 .map(|i| i.to_string())
                                 .unwrap_or_else(|| "unknown".into());
-                            // key the row by a payload hash — unique per
-                            // distinct failed message
-                            let mut h: i64 = 0xcbf2;
-                            for b in payload.bytes() {
-                                h = h.wrapping_mul(0x0100_01b3) ^ b as i64;
-                            }
-                            let row = vec![
-                                Value::Int(h.abs()),
-                                Value::str("P10"),
-                                Value::str(reason),
-                                Value::str(payload),
-                            ];
+                            let row = catalog::failed_message_row(payload, reason);
                             vars.set(
                                 "failed_row",
                                 Relation::new(cdb::failed_messages_schema(), vec![row]),
@@ -457,118 +286,11 @@ pub fn p10() -> ProcessDef {
 /// in US_Eastcoast, run the TPC-H → canonical schema mapping projections,
 /// and load it into the global CDB `Sales_Cleaning`.
 pub fn p11() -> ProcessDef {
-    // customers
-    let mut steps: Vec<Step> = vec![Step::DbQuery {
-        db: america::US_EASTCOAST.into(),
-        plan: Plan::scan("customer"),
-        output: "cust".into(),
-    }];
-    steps.push(Step::Projection {
-        input: "cust".into(),
-        exprs: vec![
-            col_as(0, "custkey", SqlType::Int),
-            col_as(1, "name", SqlType::Str),
-            col_as(2, "address", SqlType::Str),
-            col_as(3, "city_name", SqlType::Str),
-            col_as(4, "nation_name", SqlType::Str),
-            col_as(7, "segment", SqlType::Str),
-            col_as(5, "phone", SqlType::Str),
-            col_as(6, "acctbal", SqlType::Float),
-            lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-            lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-        ],
-        output: "cust_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "customer_staging".into(),
-        input: "cust_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // parts
-    steps.push(Step::DbQuery {
-        db: america::US_EASTCOAST.into(),
-        plan: Plan::scan("part"),
-        output: "part".into(),
-    });
-    steps.push(Step::Projection {
-        input: "part".into(),
-        exprs: vec![
-            col_as(0, "prodkey", SqlType::Int),
-            col_as(1, "name", SqlType::Str),
-            col_as(2, "group_name", SqlType::Str),
-            col_as(3, "line_name", SqlType::Str),
-            col_as(4, "price", SqlType::Float),
-            lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-            lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-        ],
-        output: "part_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "product_staging".into(),
-        input: "part_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // orders: o_orderkey, o_custkey, o_orderstatus, o_totalprice,
-    // o_orderdate, o_orderpriority
-    steps.push(Step::DbQuery {
-        db: america::US_EASTCOAST.into(),
-        plan: Plan::scan("orders"),
-        output: "ord".into(),
-    });
-    steps.push(Step::Projection {
-        input: "ord".into(),
-        exprs: vec![
-            col_as(0, "orderkey", SqlType::Int),
-            col_as(1, "custkey", SqlType::Int),
-            col_as(4, "orderdate", SqlType::Date),
-            col_as(3, "totalprice", SqlType::Float),
-            vocab_as(&vocab::AMERICA_PRIORITY_MAP, 5, "priority"),
-            vocab_as(&vocab::AMERICA_STATE_MAP, 2, "state"),
-            lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-        ],
-        output: "ord_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "orders_staging".into(),
-        input: "ord_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // line items
-    steps.push(Step::DbQuery {
-        db: america::US_EASTCOAST.into(),
-        plan: Plan::scan("lineitem"),
-        output: "line".into(),
-    });
-    steps.push(Step::Projection {
-        input: "line".into(),
-        exprs: vec![
-            col_as(0, "orderkey", SqlType::Int),
-            col_as(1, "lineno", SqlType::Int),
-            col_as(2, "prodkey", SqlType::Int),
-            col_as(3, "quantity", SqlType::Int),
-            col_as(4, "extendedprice", SqlType::Float),
-            col_as(5, "discount", SqlType::Float),
-            lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-        ],
-        output: "line_mapped".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: cdb::CDB.into(),
-        table: "orderline_staging".into(),
-        input: "line_mapped".into(),
-        mode: LoadMode::InsertIgnore,
-    });
     ProcessDef::new(
         "P11",
         "Extract data from CDB America",
         'B',
         EventType::Timed,
-        steps,
+        extract_steps(america::US_EASTCOAST, catalog::america_extracts()),
     )
 }
-
-/// The source tag P09 writes into staging rows.
-pub const ASIA_SOURCE: &str = "asia_ws";

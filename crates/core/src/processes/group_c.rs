@@ -1,10 +1,43 @@
 //! Group C — the data warehouse delta update (P12, P13). Exclusively
 //! data-intensive, serialized process types.
 
-use super::validate_relation;
+use super::catalog::{self, DwhLoad};
 use crate::schema::{cdb, dwh};
 use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step};
 use dip_relstore::prelude::*;
+use std::sync::Arc;
+
+/// The MTM form of a set of catalog CDB → DWH loads: extract every table,
+/// VALIDATE every relation (the paper's P12/P13 validate extracted data
+/// before loading it into the DWH), then load.
+fn dwh_load_steps(loads: &'static [DwhLoad]) -> Vec<Step> {
+    let query = |l: &DwhLoad| Step::DbQuery {
+        db: cdb::CDB.into(),
+        plan: Plan::scan(l.table),
+        output: l.var.into(),
+    };
+    let validate = |l: &'static DwhLoad| Step::Custom {
+        name: format!("validate_{}", l.var),
+        binds: vec![],
+        f: Arc::new(move |vars| {
+            let rel = vars
+                .get(l.var)
+                .ok_or_else(|| format!("variable {} unbound", l.var))?
+                .as_rel()
+                .map_err(|e| e.to_string())?;
+            l.check(rel)
+        }),
+    };
+    let insert = |l: &DwhLoad| Step::DbInsert {
+        db: dwh::DWH.into(),
+        table: l.table.into(),
+        input: l.var.into(),
+        mode: LoadMode::InsertIgnore,
+    };
+    let steps = loads.iter().map(query);
+    let steps = steps.chain(loads.iter().map(validate));
+    steps.chain(loads.iter().map(insert)).collect()
+}
 
 /// P12 — bulk-loading data warehouse master data (E2).
 ///
@@ -13,46 +46,19 @@ use dip_relstore::prelude::*;
 /// extracts the clean master data, validates it, and loads it into the
 /// DWH.
 pub fn p12() -> ProcessDef {
+    let mut steps = vec![Step::DbCall {
+        db: cdb::CDB.into(),
+        proc: "sp_runMasterDataCleansing".into(),
+        args: vec![],
+        output: Some("cleansing_report".into()),
+    }];
+    steps.extend(dwh_load_steps(&catalog::MASTER_LOADS));
     ProcessDef::new(
         "P12",
         "Bulk-loading data warehouse master data",
         'C',
         EventType::Timed,
-        vec![
-            Step::DbCall {
-                db: cdb::CDB.into(),
-                proc: "sp_runMasterDataCleansing".into(),
-                args: vec![],
-                output: Some("cleansing_report".into()),
-            },
-            Step::DbQuery {
-                db: cdb::CDB.into(),
-                plan: Plan::scan("customer"),
-                output: "customers".into(),
-            },
-            Step::DbQuery {
-                db: cdb::CDB.into(),
-                plan: Plan::scan("product"),
-                output: "products".into(),
-            },
-            // VALIDATE before loading: keys and dimension references must
-            // be present (cleansing guarantees this; the check is part of
-            // the process per the paper)
-            validate_relation("validate_customers", "customers", vec![0, 1, 3], None, None),
-            validate_relation("validate_products", "products", vec![0, 1, 2], None, None),
-            Step::DbInsert {
-                db: dwh::DWH.into(),
-                table: "customer".into(),
-                input: "customers".into(),
-                mode: LoadMode::InsertIgnore,
-            },
-            Step::DbInsert {
-                db: dwh::DWH.into(),
-                table: "product".into(),
-                input: "products".into(),
-                mode: LoadMode::InsertIgnore,
-            },
-        ],
+        steps,
     )
 }
 
@@ -63,64 +69,29 @@ pub fn p12() -> ProcessDef {
 /// removes the loaded movement data from the CDB for simple delta
 /// determination in following runs.
 pub fn p13() -> ProcessDef {
+    let mut steps = vec![Step::DbCall {
+        db: cdb::CDB.into(),
+        proc: "sp_runMovementDataCleansing".into(),
+        args: vec![],
+        output: Some("cleansing_report".into()),
+    }];
+    steps.extend(dwh_load_steps(&catalog::MOVEMENT_LOADS));
+    steps.push(Step::DbCall {
+        db: dwh::DWH.into(),
+        proc: "sp_refreshOrdersMV".into(),
+        args: vec![],
+        output: None,
+    });
+    steps.extend(catalog::MOVEMENT_LOADS.iter().map(|l| Step::DbDelete {
+        db: cdb::CDB.into(),
+        table: l.table.into(),
+        predicate: Expr::lit(true),
+    }));
     ProcessDef::new(
         "P13",
         "Bulk-loading data warehouse movement data",
         'C',
         EventType::Timed,
-        vec![
-            Step::DbCall {
-                db: cdb::CDB.into(),
-                proc: "sp_runMovementDataCleansing".into(),
-                args: vec![],
-                output: Some("cleansing_report".into()),
-            },
-            Step::DbQuery {
-                db: cdb::CDB.into(),
-                plan: Plan::scan("orders"),
-                output: "orders".into(),
-            },
-            Step::DbQuery {
-                db: cdb::CDB.into(),
-                plan: Plan::scan("orderline"),
-                output: "orderlines".into(),
-            },
-            validate_relation("validate_orders", "orders", vec![0, 1, 2], Some(4), Some(5)),
-            validate_relation(
-                "validate_orderlines",
-                "orderlines",
-                vec![0, 1, 2],
-                None,
-                None,
-            ),
-            Step::DbInsert {
-                db: dwh::DWH.into(),
-                table: "orders".into(),
-                input: "orders".into(),
-                mode: LoadMode::InsertIgnore,
-            },
-            Step::DbInsert {
-                db: dwh::DWH.into(),
-                table: "orderline".into(),
-                input: "orderlines".into(),
-                mode: LoadMode::InsertIgnore,
-            },
-            Step::DbCall {
-                db: dwh::DWH.into(),
-                proc: "sp_refreshOrdersMV".into(),
-                args: vec![],
-                output: None,
-            },
-            Step::DbDelete {
-                db: cdb::CDB.into(),
-                table: "orders".into(),
-                predicate: Expr::lit(true),
-            },
-            Step::DbDelete {
-                db: cdb::CDB.into(),
-                table: "orderline".into(),
-                predicate: Expr::lit(true),
-            },
-        ],
+        steps,
     )
 }

@@ -7,7 +7,7 @@
 //! threads each run a SELECTION (the region partition) and invoke a
 //! mart-specific loader subprocess realizing the DWH → DM schema mapping.
 
-use super::{col_as, lit_as};
+use super::catalog;
 use crate::schema::{dm, dwh};
 use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step};
 use dip_relstore::prelude::*;
@@ -145,151 +145,32 @@ pub fn p14_s1() -> ProcessDef {
 /// The loader subprocess for one mart: DWH → DM schema mapping plus load.
 /// Reads the selected sales subset from the conventional `input` variable.
 pub fn p14_loader(mart: dm::Mart) -> ProcessDef {
-    use sales_cols as c;
     let mut steps: Vec<Step> = Vec::new();
-    let db = mart.db_name().to_string();
-    // facts: orders (dedup from line grain), orderline
-    steps.push(Step::Projection {
-        input: "input".into(),
-        exprs: vec![
-            col_as(c::ORDERKEY, "orderkey", SqlType::Int),
-            col_as(c::CUSTKEY, "custkey", SqlType::Int),
-            col_as(c::ORDERDATE, "orderdate", SqlType::Date),
-            col_as(c::TOTALPRICE, "totalprice", SqlType::Float),
-            col_as(c::PRIORITY, "priority", SqlType::Str),
-            col_as(c::STATE, "state", SqlType::Str),
-        ],
-        output: "orders_raw".into(),
-    });
-    steps.push(Step::UnionDistinct {
-        inputs: vec!["orders_raw".into()],
-        key: Some(vec![0]),
-        output: "orders".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: db.clone(),
-        table: "orders".into(),
-        input: "orders".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    steps.push(Step::Projection {
-        input: "input".into(),
-        exprs: vec![
-            col_as(c::ORDERKEY, "orderkey", SqlType::Int),
-            col_as(c::LINENO, "lineno", SqlType::Int),
-            col_as(c::PRODKEY, "prodkey", SqlType::Int),
-            col_as(c::QUANTITY, "quantity", SqlType::Int),
-            col_as(c::EXTENDEDPRICE, "extendedprice", SqlType::Float),
-            col_as(c::DISCOUNT, "discount", SqlType::Float),
-        ],
-        output: "lines".into(),
-    });
-    steps.push(Step::DbInsert {
-        db: db.clone(),
-        table: "orderline".into(),
-        input: "lines".into(),
-        mode: LoadMode::InsertIgnore,
-    });
-    // customer dimension
-    if mart.denormalized_location() {
+    for load in catalog::mart_loads(mart) {
+        // dedup from line grain where the target is coarser
+        let projected = match load.distinct {
+            Some(_) => format!("{}_raw", load.var),
+            None => load.var.to_string(),
+        };
         steps.push(Step::Projection {
             input: "input".into(),
-            exprs: vec![
-                col_as(c::CUSTKEY, "custkey", SqlType::Int),
-                col_as(c::CNAME, "name", SqlType::Str),
-                col_as(c::CADDRESS, "address", SqlType::Str),
-                col_as(c::CITY, "city", SqlType::Str),
-                col_as(c::NATION, "nation", SqlType::Str),
-                col_as(c::REGION, "region", SqlType::Str),
-                col_as(c::SEGMENT, "segment", SqlType::Str),
-            ],
-            output: "cust_raw".into(),
+            exprs: load.exprs,
+            output: projected.clone(),
         });
-        steps.push(Step::UnionDistinct {
-            inputs: vec!["cust_raw".into()],
-            key: Some(vec![0]),
-            output: "cust".into(),
-        });
+        if load.distinct.is_some() {
+            steps.push(Step::UnionDistinct {
+                inputs: vec![projected],
+                key: load.distinct,
+                output: load.var.into(),
+            });
+        }
         steps.push(Step::DbInsert {
-            db: db.clone(),
-            table: "customer_d".into(),
-            input: "cust".into(),
-            mode: LoadMode::InsertIgnore,
-        });
-    } else {
-        steps.push(Step::Projection {
-            input: "input".into(),
-            exprs: vec![
-                col_as(c::CUSTKEY, "custkey", SqlType::Int),
-                col_as(c::CNAME, "name", SqlType::Str),
-                col_as(c::CADDRESS, "address", SqlType::Str),
-                col_as(c::CITYKEY, "citykey", SqlType::Int),
-                col_as(c::SEGMENT, "segment", SqlType::Str),
-                col_as(c::PHONE, "phone", SqlType::Str),
-                col_as(c::ACCTBAL, "acctbal", SqlType::Float),
-            ],
-            output: "cust_raw".into(),
-        });
-        steps.push(Step::UnionDistinct {
-            inputs: vec!["cust_raw".into()],
-            key: Some(vec![0]),
-            output: "cust".into(),
-        });
-        steps.push(Step::DbInsert {
-            db: db.clone(),
-            table: "customer".into(),
-            input: "cust".into(),
+            db: mart.db_name().into(),
+            table: load.table.into(),
+            input: load.var.into(),
             mode: LoadMode::InsertIgnore,
         });
     }
-    // product dimension
-    if mart.denormalized_product() {
-        steps.push(Step::Projection {
-            input: "input".into(),
-            exprs: vec![
-                col_as(c::PRODKEY, "prodkey", SqlType::Int),
-                col_as(c::PNAME, "name", SqlType::Str),
-                col_as(c::GROUP_NAME, "group_name", SqlType::Str),
-                col_as(c::LINE_NAME, "line_name", SqlType::Str),
-                col_as(c::PPRICE, "price", SqlType::Float),
-            ],
-            output: "prod_raw".into(),
-        });
-        steps.push(Step::UnionDistinct {
-            inputs: vec!["prod_raw".into()],
-            key: Some(vec![0]),
-            output: "prod".into(),
-        });
-        steps.push(Step::DbInsert {
-            db: db.clone(),
-            table: "product_d".into(),
-            input: "prod".into(),
-            mode: LoadMode::InsertIgnore,
-        });
-    } else {
-        steps.push(Step::Projection {
-            input: "input".into(),
-            exprs: vec![
-                col_as(c::PRODKEY, "prodkey", SqlType::Int),
-                col_as(c::PNAME, "name", SqlType::Str),
-                col_as(c::GROUPKEY, "groupkey", SqlType::Int),
-                col_as(c::PPRICE, "price", SqlType::Float),
-            ],
-            output: "prod_raw".into(),
-        });
-        steps.push(Step::UnionDistinct {
-            inputs: vec!["prod_raw".into()],
-            key: Some(vec![0]),
-            output: "prod".into(),
-        });
-        steps.push(Step::DbInsert {
-            db: db.clone(),
-            table: "product".into(),
-            input: "prod".into(),
-            mode: LoadMode::InsertIgnore,
-        });
-    }
-    let _ = lit_as; // helper shared with group B; kept for symmetry
     ProcessDef::new(
         format!("P14_{}", mart.db_name()),
         format!("Load data mart {}", mart.region_name()),
@@ -302,7 +183,6 @@ pub fn p14_loader(mart: dm::Mart) -> ProcessDef {
 /// P14 — refreshing data mart data (E2): S1 + three concurrent
 /// selection+loader threads.
 pub fn p14() -> ProcessDef {
-    use sales_cols::REGION;
     let branches: Vec<Vec<Step>> = dm::Mart::ALL
         .iter()
         .map(|&mart| {
@@ -310,7 +190,7 @@ pub fn p14() -> ProcessDef {
             vec![
                 Step::Selection {
                     input: "sales".into(),
-                    predicate: Expr::col(REGION).eq(Expr::lit(mart.region_name())),
+                    predicate: catalog::mart_partition(mart),
                     output: sel.clone(),
                 },
                 Step::Subprocess {

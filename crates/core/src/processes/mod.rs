@@ -22,16 +22,19 @@
 //! The modeled processes are deliberately *suboptimal*, exactly as the
 //! paper specifies ("we explicitly point out that the modeled processes
 //! are suboptimal — this leaves enough space for optimizations").
+//!
+//! What the time-driven types move — source tables, projections, target
+//! tables, load checks — is declared once in [`catalog`]; the definitions
+//! here and the other engines' realizations loop over it.
 
+pub mod catalog;
 mod group_a;
 mod group_b;
 mod group_c;
 pub mod group_d;
 
-use dip_mtm::process::{EventType, ProcessDef, Step};
+use dip_mtm::process::{EventType, ProcessDef};
 use dip_relstore::prelude::*;
-use std::sync::Arc;
-
 pub use group_a::{p01, p02, p03};
 pub use group_b::{p04, p05, p06, p07, p08, p09, p10, p11};
 pub use group_c::{p12, p13};
@@ -176,74 +179,6 @@ pub fn col_as(idx: usize, name: &str, ty: SqlType) -> ProjExpr {
 /// A constant projection column.
 pub fn lit_as(v: Value, name: &str, ty: SqlType) -> ProjExpr {
     ProjExpr::new(Expr::Lit(v), name, ty)
-}
-
-/// Map column `idx` through a vocabulary table (semantic heterogeneity).
-pub fn vocab_as(map: &'static [(&'static str, &'static str)], idx: usize, name: &str) -> ProjExpr {
-    let f = Arc::new(move |args: &[Value]| -> StoreResult<Value> {
-        Ok(match &args[0] {
-            Value::Str(s) => Value::str(crate::schema::vocab::map_vocab(map, s)),
-            other => other.clone(),
-        })
-    });
-    ProjExpr::new(Expr::Apply(f, vec![Expr::col(idx)]), name, SqlType::Str)
-}
-
-/// A VALIDATE step over a relational variable: every row must have
-/// non-null values in the given columns, canonical priority in
-/// `priority_col` and canonical state in `state_col` (if given). The
-/// paper's P12/P13 validate extracted data before loading it into the DWH.
-/// Check a relation's rows against load-time constraints: required
-/// columns non-null, canonical vocabulary where given. Shared between the
-/// MTM VALIDATE steps and the federated-DBMS procedures.
-pub fn check_relation(
-    rel: &Relation,
-    required: &[usize],
-    priority_col: Option<usize>,
-    state_col: Option<usize>,
-) -> Result<(), String> {
-    for (i, row) in rel.rows.iter().enumerate() {
-        for &c in required {
-            if row[c].is_null() {
-                return Err(format!("row {i}: NULL in required column {c}"));
-            }
-        }
-        if let Some(p) = priority_col {
-            match &row[p] {
-                Value::Str(s) if crate::schema::vocab::is_canon_priority(s) => {}
-                other => return Err(format!("row {i}: bad priority {other}")),
-            }
-        }
-        if let Some(s) = state_col {
-            match &row[s] {
-                Value::Str(v) if crate::schema::vocab::is_canon_state(v) => {}
-                other => return Err(format!("row {i}: bad state {other}")),
-            }
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn validate_relation(
-    name: &'static str,
-    var: &str,
-    required: Vec<usize>,
-    priority_col: Option<usize>,
-    state_col: Option<usize>,
-) -> Step {
-    let var_name = var.to_string();
-    Step::Custom {
-        name: name.into(),
-        binds: vec![],
-        f: Arc::new(move |vars| {
-            let rel = vars
-                .get(&var_name)
-                .ok_or_else(|| format!("variable {var_name} unbound"))?
-                .as_rel()
-                .map_err(|e| e.to_string())?;
-            check_relation(rel, &required, priority_col, state_col)
-        }),
-    }
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ pub enum AccessKind {
     Read,
     /// `InsertIgnore` load: content commutes with `Append`s of the same
     /// table from a *different* catalog (see module docs and
-    /// [`TypeProfile::catalog`]).
+    /// `TypeProfile::catalog`).
     Append,
     /// Anything order-sensitive: plain inserts, upserts, deletes, stored
     /// procedures, web-service updates.

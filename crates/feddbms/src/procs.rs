@@ -4,20 +4,21 @@
 //! over temp-table materialization points.
 //!
 //! Data semantics are identical to the MTM definitions in
-//! `dipbench::processes` (the cross-engine equivalence test in the
-//! workspace `tests/` directory checks exactly that); only the *execution
-//! strategy* differs — relational work runs through the planner, XML work
-//! through the unoptimized [`crate::xmlfn`] stack.
+//! `dipbench::processes` — what the time-driven types move is read from
+//! the same `dipbench::processes::catalog`, and the cross-engine
+//! equivalence test in the workspace `tests/` directory checks the rest;
+//! only the *execution strategy* differs — relational work runs through
+//! the planner, XML work through the unoptimized [`crate::xmlfn`] stack.
 
 use crate::engine::{E1Body, E2Body, FedCtx, FedDbms, FedError, FedResult};
 use crate::xmlfn;
+use dip_mtm::cost::run_branches;
 use dip_relstore::prelude::*;
 use dip_services::registry::LoadMode;
-use dip_xmlkit::node::Element;
 use dipbench::datagen::keys;
-use dipbench::processes::group_d::{s1_plan, sales_cols, sales_schema};
-use dipbench::processes::{check_relation, col_as, lit_as, vocab_as};
-use dipbench::schema::{america, asia, cdb, dm, dwh, europe, messages, vocab};
+use dipbench::processes::catalog::{self, AsiaEntity, DwhLoad, Extract};
+use dipbench::processes::group_d::{s1_plan, sales_schema};
+use dipbench::schema::{america, asia, cdb, dm, dwh, europe, messages};
 use std::sync::Arc;
 
 /// Install every process realization on the engine.
@@ -85,23 +86,16 @@ fn p02_body() -> E1Body {
 
 fn p03_body() -> E2Body {
     Arc::new(|ctx| {
-        let sources = [america::CHICAGO, america::BALTIMORE, america::MADISON];
-        let entities: [(&str, Vec<usize>); 4] = [
-            ("customer", vec![0]),
-            ("part", vec![0]),
-            ("orders", vec![0]),
-            ("lineitem", vec![0, 1]),
-        ];
-        for (table, key) in entities {
+        for (table, key) in catalog::CONSOLIDATION_ENTITIES {
             let mut temp_scans = Vec::new();
-            for source in sources {
+            for source in catalog::CONSOLIDATION_SOURCES {
                 let rel = ctx.remote_query(source, &Plan::scan(table))?;
                 let temp = ctx.materialize(&format!("{table}_{source}"), rel)?;
                 temp_scans.push(Plan::scan(temp));
             }
             let merged = ctx.local_query(&Plan::UnionDistinct {
                 inputs: temp_scans,
-                key: Some(key),
+                key: Some(key.to_vec()),
             })?;
             ctx.remote_load(
                 america::US_EASTCOAST,
@@ -131,18 +125,7 @@ fn p04_body() -> E1Body {
             europe::BERLIN_PARIS,
             &Plan::scan("cust").filter(Expr::col(0).eq(Expr::lit(key))),
         )?;
-        let enriched = ctx.processing(|| {
-            let mut out = translated.clone();
-            if let Some(row) = master.rows.first() {
-                out.root
-                    .children
-                    .push(dip_xmlkit::XmlNode::Element(Element::leaf(
-                        "customer_segment",
-                        row[5].render(),
-                    )));
-            }
-            Ok(out)
-        })?;
+        let enriched = ctx.processing(|| Ok(catalog::enrich_with_segment(&translated, &master)))?;
         load_cdb_order(ctx, &enriched, "vienna")
     })
 }
@@ -157,92 +140,31 @@ fn load_cdb_order(ctx: &FedCtx, doc: &dip_xmlkit::node::Document, source: &str) 
     Ok(())
 }
 
-/// Shared stored procedure for P05/P06/P07: extract the four entity tables
-/// from a European source, project them into the staging schema through a
-/// temp-table materialization point, and load them into the CDB.
+/// The federated form of a set of catalog extracts: per source table,
+/// materialize what `fetch` obtains from the source in a temp table (a
+/// *local materialization point*), project it onto the staging schema
+/// there, and load the CDB staging table. The ivm engine passes a `fetch`
+/// that drains the table's change log instead of scanning it.
+pub fn stage_extracts(
+    ctx: &FedCtx,
+    stem: &str,
+    extracts: Vec<Extract>,
+    fetch: impl Fn(&Extract) -> FedResult<Relation>,
+) -> FedResult<()> {
+    for e in extracts {
+        let rel = fetch(&e)?;
+        let temp = ctx.materialize(&format!("{stem}_{}", e.var), rel)?;
+        let mapped = ctx.local_query(&Plan::scan(temp).project(e.exprs))?;
+        ctx.remote_load(cdb::CDB, e.staging, mapped.rows, LoadMode::InsertIgnore)?;
+    }
+    Ok(())
+}
+
+/// Shared stored procedure for P05/P06/P07.
 fn europe_extract_body(db: &'static str, loc: Option<&'static str>) -> E2Body {
     Arc::new(move |ctx| {
-        let source = loc.unwrap_or("trondheim");
-        let filter = |plan: Plan, col: usize| match loc {
-            Some(l) => plan.filter(Expr::col(col).eq(Expr::lit(l))),
-            None => plan,
-        };
-        // customers
-        let rel = ctx.remote_query(db, &filter(Plan::scan("cust"), 8))?;
-        let temp = ctx.materialize("eu_cust", rel)?;
-        let mapped = ctx.local_query(&Plan::scan(temp).project(vec![
-            col_as(0, "custkey", SqlType::Int),
-            col_as(1, "name", SqlType::Str),
-            col_as(2, "address", SqlType::Str),
-            col_as(3, "city_name", SqlType::Str),
-            col_as(4, "nation_name", SqlType::Str),
-            col_as(5, "segment", SqlType::Str),
-            col_as(6, "phone", SqlType::Str),
-            col_as(7, "acctbal", SqlType::Float),
-            lit_as(Value::str(source), "source", SqlType::Str),
-            lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-        ]))?;
-        ctx.remote_load(
-            cdb::CDB,
-            "customer_staging",
-            mapped.rows,
-            LoadMode::InsertIgnore,
-        )?;
-        // products
-        let rel = ctx.remote_query(db, &Plan::scan("prod"))?;
-        let temp = ctx.materialize("eu_prod", rel)?;
-        let mapped = ctx.local_query(&Plan::scan(temp).project(vec![
-            col_as(0, "prodkey", SqlType::Int),
-            col_as(1, "name", SqlType::Str),
-            col_as(2, "group_name", SqlType::Str),
-            col_as(3, "line_name", SqlType::Str),
-            col_as(4, "price", SqlType::Float),
-            lit_as(Value::str(source), "source", SqlType::Str),
-            lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-        ]))?;
-        ctx.remote_load(
-            cdb::CDB,
-            "product_staging",
-            mapped.rows,
-            LoadMode::InsertIgnore,
-        )?;
-        // orders
-        let rel = ctx.remote_query(db, &filter(Plan::scan("ord"), 6))?;
-        let temp = ctx.materialize("eu_ord", rel)?;
-        let mapped = ctx.local_query(&Plan::scan(temp).project(vec![
-            col_as(0, "orderkey", SqlType::Int),
-            col_as(1, "custkey", SqlType::Int),
-            col_as(2, "orderdate", SqlType::Date),
-            col_as(3, "totalprice", SqlType::Float),
-            vocab_as(&vocab::EUROPE_PRIORITY_MAP, 4, "priority"),
-            col_as(5, "state", SqlType::Str),
-            lit_as(Value::str(source), "source", SqlType::Str),
-        ]))?;
-        ctx.remote_load(
-            cdb::CDB,
-            "orders_staging",
-            mapped.rows,
-            LoadMode::InsertIgnore,
-        )?;
-        // order positions
-        let rel = ctx.remote_query(db, &filter(Plan::scan("pos"), 6))?;
-        let temp = ctx.materialize("eu_pos", rel)?;
-        let mapped = ctx.local_query(&Plan::scan(temp).project(vec![
-            col_as(0, "orderkey", SqlType::Int),
-            col_as(1, "lineno", SqlType::Int),
-            col_as(2, "prodkey", SqlType::Int),
-            col_as(3, "quantity", SqlType::Int),
-            col_as(4, "extendedprice", SqlType::Float),
-            col_as(5, "discount", SqlType::Float),
-            lit_as(Value::str(source), "source", SqlType::Str),
-        ]))?;
-        ctx.remote_load(
-            cdb::CDB,
-            "orderline_staging",
-            mapped.rows,
-            LoadMode::InsertIgnore,
-        )?;
-        Ok(())
+        let fetch = |e: &Extract| ctx.remote_query(db, &e.plan);
+        stage_extracts(ctx, "eu", catalog::europe_extracts(loc), fetch)
     })
 }
 
@@ -254,86 +176,43 @@ fn p08_body() -> E1Body {
     })
 }
 
-/// The four Asia-WS entities P09 replicates:
-/// (ws operation, CDB staging table, staging schema, distinct key).
-pub fn p09_entities() -> [(&'static str, &'static str, SchemaRef, Vec<usize>); 4] {
-    [
-        (
-            "customers",
-            "customer_staging",
-            cdb::customer_staging_schema(),
-            vec![0],
-        ),
-        (
-            "parts",
-            "product_staging",
-            cdb::product_staging_schema(),
-            vec![0],
-        ),
-        (
-            "orders",
-            "orders_staging",
-            cdb::orders_staging_schema(),
-            vec![0],
-        ),
-        (
-            "orderlines",
-            "orderline_staging",
-            cdb::orderline_staging_schema(),
-            vec![0, 1],
-        ),
-    ]
-}
-
 /// Fetch one P09 entity from both Asia web services, canonicalize through
 /// the proprietary XML stack, dedup across services, and fill the staging
 /// bookkeeping columns. Shared by the full-refresh P09 realization and the
 /// ivm engine's snapshot-differential variant; both must flow through the
 /// identical WS + transform + decode path or float/date canonicalization
 /// could diverge between engines.
-pub fn p09_fetch(
-    ctx: &FedCtx,
-    operation: &str,
-    schema: &SchemaRef,
-    key: Vec<usize>,
-) -> FedResult<Relation> {
+pub fn p09_fetch(ctx: &FedCtx, entity: &AsiaEntity) -> FedResult<Relation> {
+    let operation = entity.operation;
     let mut temp_scans = Vec::new();
-    for (service, stx) in [
-        (asia::BEIJING, messages::stx_beijing_rs_to_canon()),
-        (asia::SEOUL, messages::stx_seoul_rs_to_canon()),
-    ] {
+    for (service, stx) in catalog::asia_services() {
         let doc = ctx.ws_query(service, operation)?;
         // translation + decode through the proprietary XML stack
         let rel = ctx.processing(|| {
             let canon = xmlfn::transform(&doc, &stx)?;
-            Ok(dip_services::resultset::decode(&canon, schema)?)
+            Ok(dip_services::resultset::decode(&canon, &entity.schema)?)
         })?;
         let temp = ctx.materialize(&format!("{operation}_{service}"), rel)?;
         temp_scans.push(Plan::scan(temp));
     }
     let union = Plan::UnionDistinct {
         inputs: temp_scans,
-        key: Some(key),
+        key: Some(entity.key.clone()),
     };
     // fill in bookkeeping columns in the same pass
-    let exprs: Vec<ProjExpr> = schema
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| match c.name.as_str() {
-            "source" => lit_as(Value::str("asia_ws"), "source", SqlType::Str),
-            "integrated" => lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-            _ => col_as(i, &c.name, c.ty),
-        })
-        .collect();
-    ctx.local_query(&union.project(exprs))
+    ctx.local_query(&union.project(entity.bookkeeping()))
 }
 
 fn p09_body() -> E2Body {
     Arc::new(|ctx| {
-        for (operation, staging, schema, key) in p09_entities() {
-            let finished = p09_fetch(ctx, operation, &schema, key)?;
-            ctx.remote_load(cdb::CDB, staging, finished.rows, LoadMode::InsertIgnore)?;
+        for entity in catalog::asia_entities() {
+            let finished = p09_fetch(ctx, &entity)?;
+            ctx.remote_load(
+                cdb::CDB,
+                entity.staging,
+                finished.rows,
+                LoadMode::InsertIgnore,
+            )?;
         }
         Ok(())
     })
@@ -350,17 +229,7 @@ fn p10_body() -> E1Body {
         } else {
             let row = ctx.processing(|| {
                 let payload = xmlfn::to_clob(doc);
-                let reason = issues[0].to_string();
-                let mut h: i64 = 0xcbf2;
-                for b in payload.bytes() {
-                    h = h.wrapping_mul(0x0100_01b3) ^ b as i64;
-                }
-                Ok(vec![
-                    Value::Int(h.abs()),
-                    Value::str("P10"),
-                    Value::str(reason),
-                    Value::str(payload),
-                ])
+                Ok(catalog::failed_message_row(payload, issues[0].to_string()))
             })?;
             ctx.remote_load(
                 cdb::CDB,
@@ -373,83 +242,10 @@ fn p10_body() -> E1Body {
     })
 }
 
-/// The four US-Eastcoast entities P11 replicates:
-/// (source table, temp-table stem, CDB staging table, staging projection).
-/// Shared by the full-scan P11 realization and the ivm engine's
-/// change-pull variant so the schema mappings cannot drift apart.
-pub fn p11_entities() -> [(&'static str, &'static str, &'static str, Vec<ProjExpr>); 4] {
-    [
-        (
-            "customer",
-            "us_cust",
-            "customer_staging",
-            vec![
-                col_as(0, "custkey", SqlType::Int),
-                col_as(1, "name", SqlType::Str),
-                col_as(2, "address", SqlType::Str),
-                col_as(3, "city_name", SqlType::Str),
-                col_as(4, "nation_name", SqlType::Str),
-                col_as(7, "segment", SqlType::Str),
-                col_as(5, "phone", SqlType::Str),
-                col_as(6, "acctbal", SqlType::Float),
-                lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-                lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-            ],
-        ),
-        (
-            "part",
-            "us_part",
-            "product_staging",
-            vec![
-                col_as(0, "prodkey", SqlType::Int),
-                col_as(1, "name", SqlType::Str),
-                col_as(2, "group_name", SqlType::Str),
-                col_as(3, "line_name", SqlType::Str),
-                col_as(4, "price", SqlType::Float),
-                lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-                lit_as(Value::Bool(false), "integrated", SqlType::Bool),
-            ],
-        ),
-        (
-            "orders",
-            "us_ord",
-            "orders_staging",
-            vec![
-                col_as(0, "orderkey", SqlType::Int),
-                col_as(1, "custkey", SqlType::Int),
-                col_as(4, "orderdate", SqlType::Date),
-                col_as(3, "totalprice", SqlType::Float),
-                vocab_as(&vocab::AMERICA_PRIORITY_MAP, 5, "priority"),
-                vocab_as(&vocab::AMERICA_STATE_MAP, 2, "state"),
-                lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-            ],
-        ),
-        (
-            "lineitem",
-            "us_line",
-            "orderline_staging",
-            vec![
-                col_as(0, "orderkey", SqlType::Int),
-                col_as(1, "lineno", SqlType::Int),
-                col_as(2, "prodkey", SqlType::Int),
-                col_as(3, "quantity", SqlType::Int),
-                col_as(4, "extendedprice", SqlType::Float),
-                col_as(5, "discount", SqlType::Float),
-                lit_as(Value::str("us_eastcoast"), "source", SqlType::Str),
-            ],
-        ),
-    ]
-}
-
 fn p11_body() -> E2Body {
     Arc::new(|ctx| {
-        for (table, stem, staging, exprs) in p11_entities() {
-            let rel = ctx.remote_query(america::US_EASTCOAST, &Plan::scan(table))?;
-            let temp = ctx.materialize(stem, rel)?;
-            let mapped = ctx.local_query(&Plan::scan(temp).project(exprs))?;
-            ctx.remote_load(cdb::CDB, staging, mapped.rows, LoadMode::InsertIgnore)?;
-        }
-        Ok(())
+        let fetch = |e: &Extract| ctx.remote_query(america::US_EASTCOAST, &e.plan);
+        stage_extracts(ctx, "us", catalog::america_extracts(), fetch)
     })
 }
 
@@ -457,44 +253,55 @@ fn p11_body() -> E2Body {
 // Group C
 // -----------------------------------------------------------------------
 
+/// The quality-gated CDB → DWH load P12 and P13 share: obtain every
+/// relation through `fetch`, run the catalog's completeness/consistency
+/// checks over all of them, then load. The ivm engine passes a `fetch`
+/// that drains the table's change log instead of scanning it.
+fn load_dwh(
+    ctx: &FedCtx,
+    loads: &[DwhLoad],
+    fetch: impl Fn(&DwhLoad) -> FedResult<Relation>,
+) -> FedResult<()> {
+    let rels = loads.iter().map(fetch).collect::<FedResult<Vec<_>>>()?;
+    ctx.processing(|| {
+        let mut checks = loads.iter().zip(&rels);
+        checks.try_for_each(|(load, rel)| load.check(rel).map_err(FedError::Other))
+    })?;
+    for (load, rel) in loads.iter().zip(rels) {
+        ctx.remote_load(dwh::DWH, load.table, rel.rows, LoadMode::InsertIgnore)?;
+    }
+    Ok(())
+}
+
+/// A full scan of the cleansed CDB table behind `load`.
+fn scan_cdb(ctx: &FedCtx, load: &DwhLoad) -> FedResult<Relation> {
+    ctx.remote_query(cdb::CDB, &Plan::scan(load.table))
+}
+
 fn p12_body() -> E2Body {
     Arc::new(|ctx| {
         ctx.remote_call(cdb::CDB, "sp_runMasterDataCleansing")?;
-        let customers = ctx.remote_query(cdb::CDB, &Plan::scan("customer"))?;
-        let products = ctx.remote_query(cdb::CDB, &Plan::scan("product"))?;
-        ctx.processing(|| {
-            check_relation(&customers, &[0, 1, 3], None, None).map_err(FedError::Other)?;
-            check_relation(&products, &[0, 1, 2], None, None).map_err(FedError::Other)
-        })?;
-        ctx.remote_load(dwh::DWH, "customer", customers.rows, LoadMode::InsertIgnore)?;
-        ctx.remote_load(dwh::DWH, "product", products.rows, LoadMode::InsertIgnore)?;
-        Ok(())
+        load_dwh(ctx, &catalog::MASTER_LOADS, |l| scan_cdb(ctx, l))
     })
 }
 
-/// The quality-gated tail of P13: completeness/consistency checks, the
-/// DWH load, the orders-MV refresh and the CDB cleanup. Shared by the
-/// full-scan realization and the ivm engine's change-pull variant — only
-/// how `orders`/`lines` were obtained differs between the two.
-pub fn p13_apply(ctx: &FedCtx, orders: Relation, lines: Relation) -> FedResult<()> {
-    ctx.processing(|| {
-        check_relation(&orders, &[0, 1, 2], Some(4), Some(5)).map_err(FedError::Other)?;
-        check_relation(&lines, &[0, 1, 2], None, None).map_err(FedError::Other)
-    })?;
-    ctx.remote_load(dwh::DWH, "orders", orders.rows, LoadMode::InsertIgnore)?;
-    ctx.remote_load(dwh::DWH, "orderline", lines.rows, LoadMode::InsertIgnore)?;
+/// The tail of P13 after cleansing: the quality-gated DWH load, the
+/// orders-MV refresh and the CDB cleanup. Shared by the full-scan
+/// realization and the ivm engine's change-pull variant — only how
+/// `fetch` obtains the movement relations differs between the two.
+pub fn p13_apply(ctx: &FedCtx, fetch: impl Fn(&DwhLoad) -> FedResult<Relation>) -> FedResult<()> {
+    load_dwh(ctx, &catalog::MOVEMENT_LOADS, fetch)?;
     ctx.remote_call(dwh::DWH, "sp_refreshOrdersMV")?;
-    ctx.remote_delete(cdb::CDB, "orders", &Expr::lit(true))?;
-    ctx.remote_delete(cdb::CDB, "orderline", &Expr::lit(true))?;
+    for load in &catalog::MOVEMENT_LOADS {
+        ctx.remote_delete(cdb::CDB, load.table, &Expr::lit(true))?;
+    }
     Ok(())
 }
 
 fn p13_body() -> E2Body {
     Arc::new(|ctx| {
         ctx.remote_call(cdb::CDB, "sp_runMovementDataCleansing")?;
-        let orders = ctx.remote_query(cdb::CDB, &Plan::scan("orders"))?;
-        let lines = ctx.remote_query(cdb::CDB, &Plan::scan("orderline"))?;
-        p13_apply(ctx, orders, lines)
+        p13_apply(ctx, |l| scan_cdb(ctx, l))
     })
 }
 
@@ -514,155 +321,38 @@ fn p14_body() -> E2Body {
 }
 
 /// The mart-loading half of P14: three concurrent loaders over a
-/// materialized sales relation. Shared by the full-refresh realization
-/// and the ivm engine, whose S1 stage computes the sales relation from an
-/// orderline delta instead of the full DWH join.
+/// materialized sales relation, each inside the instance's transaction,
+/// trace identity and fault schedule ([`run_branches`]) — a failing
+/// sibling rolls all mart writes back. Shared by the full-refresh
+/// realization and the ivm engine, whose S1 stage computes the sales
+/// relation from an orderline delta instead of the full DWH join.
 pub fn p14_load_marts(ctx: &FedCtx, sales_temp: String) -> FedResult<()> {
-    {
-        use sales_cols as c;
-        // three concurrent mart loaders; each joins the instance's
-        // transaction so a failing sibling rolls all mart writes back
-        let tx_handle = dip_relstore::tx::handle();
-        // and the instance's trace identity, which is a thread-local too
-        let trace_ctx = dip_trace::snapshot();
-        let results: Vec<FedResult<()>> = std::thread::scope(|scope| {
-            dm::Mart::ALL
-                .iter()
-                .map(|&mart| {
-                    let ctx = ctx.clone();
-                    let sales_temp = sales_temp.clone();
-                    let tx_handle = tx_handle.clone();
-                    let trace_ctx = trace_ctx.as_ref();
-                    scope.spawn(move || -> FedResult<()> {
-                        let _trace = trace_ctx.map(dip_trace::adopt);
-                        let _tx = tx_handle.as_ref().map(dip_relstore::tx::adopt);
-                        let db = mart.db_name();
-                        let base = Plan::scan(sales_temp.clone())
-                            .filter(Expr::col(c::REGION).eq(Expr::lit(mart.region_name())));
-                        // facts
-                        let orders = ctx.local_query(&Plan::UnionDistinct {
-                            inputs: vec![base.clone().project(vec![
-                                col_as(c::ORDERKEY, "orderkey", SqlType::Int),
-                                col_as(c::CUSTKEY, "custkey", SqlType::Int),
-                                col_as(c::ORDERDATE, "orderdate", SqlType::Date),
-                                col_as(c::TOTALPRICE, "totalprice", SqlType::Float),
-                                col_as(c::PRIORITY, "priority", SqlType::Str),
-                                col_as(c::STATE, "state", SqlType::Str),
-                            ])],
-                            key: Some(vec![0]),
-                        })?;
-                        ctx.remote_load(db, "orders", orders.rows, LoadMode::InsertIgnore)?;
-                        let lines = ctx.local_query(&base.clone().project(vec![
-                            col_as(c::ORDERKEY, "orderkey", SqlType::Int),
-                            col_as(c::LINENO, "lineno", SqlType::Int),
-                            col_as(c::PRODKEY, "prodkey", SqlType::Int),
-                            col_as(c::QUANTITY, "quantity", SqlType::Int),
-                            col_as(c::EXTENDEDPRICE, "extendedprice", SqlType::Float),
-                            col_as(c::DISCOUNT, "discount", SqlType::Float),
-                        ]))?;
-                        ctx.remote_load(db, "orderline", lines.rows, LoadMode::InsertIgnore)?;
-                        // customer dimension
-                        if mart.denormalized_location() {
-                            let cust = ctx.local_query(&Plan::UnionDistinct {
-                                inputs: vec![base.clone().project(vec![
-                                    col_as(c::CUSTKEY, "custkey", SqlType::Int),
-                                    col_as(c::CNAME, "name", SqlType::Str),
-                                    col_as(c::CADDRESS, "address", SqlType::Str),
-                                    col_as(c::CITY, "city", SqlType::Str),
-                                    col_as(c::NATION, "nation", SqlType::Str),
-                                    col_as(c::REGION, "region", SqlType::Str),
-                                    col_as(c::SEGMENT, "segment", SqlType::Str),
-                                ])],
-                                key: Some(vec![0]),
-                            })?;
-                            ctx.remote_load(db, "customer_d", cust.rows, LoadMode::InsertIgnore)?;
-                        } else {
-                            let cust = ctx.local_query(&Plan::UnionDistinct {
-                                inputs: vec![base.clone().project(vec![
-                                    col_as(c::CUSTKEY, "custkey", SqlType::Int),
-                                    col_as(c::CNAME, "name", SqlType::Str),
-                                    col_as(c::CADDRESS, "address", SqlType::Str),
-                                    col_as(c::CITYKEY, "citykey", SqlType::Int),
-                                    col_as(c::SEGMENT, "segment", SqlType::Str),
-                                    col_as(c::PHONE, "phone", SqlType::Str),
-                                    col_as(c::ACCTBAL, "acctbal", SqlType::Float),
-                                ])],
-                                key: Some(vec![0]),
-                            })?;
-                            ctx.remote_load(db, "customer", cust.rows, LoadMode::InsertIgnore)?;
-                        }
-                        // product dimension
-                        if mart.denormalized_product() {
-                            let prod = ctx.local_query(&Plan::UnionDistinct {
-                                inputs: vec![base.clone().project(vec![
-                                    col_as(c::PRODKEY, "prodkey", SqlType::Int),
-                                    col_as(c::PNAME, "name", SqlType::Str),
-                                    col_as(c::GROUP_NAME, "group_name", SqlType::Str),
-                                    col_as(c::LINE_NAME, "line_name", SqlType::Str),
-                                    col_as(c::PPRICE, "price", SqlType::Float),
-                                ])],
-                                key: Some(vec![0]),
-                            })?;
-                            ctx.remote_load(db, "product_d", prod.rows, LoadMode::InsertIgnore)?;
-                        } else {
-                            let prod = ctx.local_query(&Plan::UnionDistinct {
-                                inputs: vec![base.project(vec![
-                                    col_as(c::PRODKEY, "prodkey", SqlType::Int),
-                                    col_as(c::PNAME, "name", SqlType::Str),
-                                    col_as(c::GROUPKEY, "groupkey", SqlType::Int),
-                                    col_as(c::PPRICE, "price", SqlType::Float),
-                                ])],
-                                key: Some(vec![0]),
-                            })?;
-                            ctx.remote_load(db, "product", prod.rows, LoadMode::InsertIgnore)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(FedError::Other("mart loader panicked".into())))
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
+    let panicked = || FedError::Other("mart loader panicked".into());
+    run_branches(dm::Mart::ALL.len(), panicked, |branch| {
+        let mart = dm::Mart::ALL[branch];
+        let sales = Plan::scan(sales_temp.clone()).filter(catalog::mart_partition(mart));
+        for load in catalog::mart_loads(mart) {
+            let projected = sales.clone().project(load.exprs);
+            let rel = ctx.local_query(&match load.distinct {
+                Some(key) => Plan::UnionDistinct {
+                    inputs: vec![projected],
+                    key: Some(key),
+                },
+                None => projected,
+            })?;
+            ctx.remote_load(mart.db_name(), load.table, rel.rows, LoadMode::InsertIgnore)?;
         }
         Ok(())
-    }
+    })?;
+    Ok(())
 }
 
 fn p15_body() -> E2Body {
     Arc::new(|ctx| {
-        let tx_handle = dip_relstore::tx::handle();
-        let trace_ctx = dip_trace::snapshot();
-        let results: Vec<FedResult<()>> = std::thread::scope(|scope| {
-            dm::Mart::ALL
-                .iter()
-                .map(|&mart| {
-                    let ctx = ctx.clone();
-                    let tx_handle = tx_handle.clone();
-                    let trace_ctx = trace_ctx.as_ref();
-                    scope.spawn(move || -> FedResult<()> {
-                        let _trace = trace_ctx.map(dip_trace::adopt);
-                        let _tx = tx_handle.as_ref().map(dip_relstore::tx::adopt);
-                        ctx.remote_call(mart.db_name(), "sp_refreshDataMartViews")?;
-                        Ok(())
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(FedError::Other("refresh panicked".into())))
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
+        let panicked = || FedError::Other("refresh panicked".into());
+        run_branches(dm::Mart::ALL.len(), panicked, |branch| {
+            ctx.remote_call(dm::Mart::ALL[branch].db_name(), "sp_refreshDataMartViews")
+        })?;
         Ok(())
     })
 }

@@ -4,10 +4,12 @@
 
 use dip_feddbms::engine::{FedCtx, FedError};
 use dip_feddbms::{FedDbms, FedOptions};
-use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+use dip_netsim::{topology, FaultModel, LatencyModel, LinkSpec, Network, TransferMode};
 use dip_relstore::prelude::*;
 use dip_services::registry::{ExternalWorld, LoadMode};
+use dip_services::{Resilience, ResiliencePolicy};
 use dip_xmlkit::node::{Document, Element};
+use dipbench::schema::{dm, dwh};
 use std::sync::Arc;
 
 fn world() -> Arc<ExternalWorld> {
@@ -183,4 +185,41 @@ fn concurrent_executions_do_not_mix_costs() {
     assert!(pb_proc
         .iter()
         .all(|d| *d < std::time::Duration::from_millis(5)));
+}
+
+/// The DWH and the three marts on the benchmark network, resilience armed,
+/// with every transfer between the integration system and a mart dropped.
+fn world_with_unreachable_marts() -> Arc<ExternalWorld> {
+    let mut net = topology::dipbench_network(TransferMode::Accounted, 7);
+    let endpoint = |mart: dm::Mart| format!("es.{}", mart.db_name());
+    for mart in dm::Mart::ALL {
+        net.set_fault_model(topology::IS, &endpoint(mart), Some(FaultModel::drops(1.0)));
+        net.set_fault_model(&endpoint(mart), topology::IS, Some(FaultModel::drops(1.0)));
+    }
+    let mut w = ExternalWorld::new(Arc::new(net), topology::IS);
+    let clock = dip_netsim::virtual_clock().0;
+    w.arm_resilience(Arc::new(Resilience::new(ResiliencePolicy::DEFAULT, clock)));
+    let dwh = dwh::create_dwh(RefreshMode::Full).unwrap();
+    w.add_database(dwh::DWH, "es.dwh", dwh);
+    for mart in dm::Mart::ALL {
+        let db = dm::create_mart(mart).unwrap();
+        w.add_database(mart.db_name(), &endpoint(mart), db);
+    }
+    Arc::new(w)
+}
+
+/// The per-mart threads of P14 and P15 run inside the instance's fault
+/// scope: with the marts unreachable every one of their round trips is
+/// retried and exhausted. (Outside the scope, as before PR 19, the threads
+/// were never faulted and both instances returned `Ok` with zero retries.)
+#[test]
+fn mart_threads_of_p14_and_p15_are_inside_the_fault_schedule() {
+    let fed = FedDbms::new(world_with_unreachable_marts(), FedOptions::default());
+    dip_feddbms::procs::deploy_all(&fed).unwrap();
+    for process in ["P15", "P14"] {
+        let failed = fed.execute_event(process, 0, 0, None);
+        let err = failed.expect_err("no transfer reaches a mart");
+        assert!(err.is_transient(), "{process}: {err}");
+        assert!(err.transport().is_some_and(|t| t.attempts > 1), "{err}");
+    }
 }

@@ -34,6 +34,7 @@ use dip_mtm::error::MtmResult;
 use dip_mtm::process::ProcessDef;
 use dip_relstore::prelude::*;
 use dip_services::registry::{ExternalWorld, LoadMode};
+use dipbench::processes::catalog;
 use dipbench::processes::group_d::s1_delta_plan;
 use dipbench::schema::{america, cdb, dwh};
 use dipbench::system::{DeadLetterQueue, Delivery, Event, IntegrationSystem};
@@ -77,9 +78,9 @@ impl IvmSystem {
                 .enable_change_capture();
         }
         let state = Arc::new(Database::new("ivm_state"));
-        for (_, staging, _, _) in procs::p09_entities() {
+        for entity in catalog::asia_entities() {
             let schema = RelSchema::new(vec![Column::new("k".to_string(), SqlType::Str)]).shared();
-            state.create_table(Table::new(seen_table(staging), schema));
+            state.create_table(Table::new(seen_table(entity.staging), schema));
         }
         IvmSystem {
             fed: FedDbms::new(world, FedOptions::default()),
@@ -158,10 +159,14 @@ fn delta_relation(schema: SchemaRef, changes: Vec<Change>) -> Relation {
     Relation::new(schema, rows)
 }
 
-/// The catalog schema of a remote base table (deploy-time metadata; no
-/// round trip is charged, as with any federated catalog lookup).
-fn source_schema(ctx: &FedCtx, db: &str, table: &str) -> FedResult<SchemaRef> {
-    Ok(ctx.world.database(db)?.table(table)?.schema.clone())
+/// Drain a remote base table's change log and fold it into the delta
+/// relation — the change-pull replacement for a full `remote_query` scan.
+/// The table's schema is deploy-time catalog metadata: no round trip is
+/// charged for it, as with any federated catalog lookup.
+fn pull_delta(ctx: &FedCtx, db: &str, table: &str) -> FedResult<Relation> {
+    let changes = ctx.remote_pull_changes(db, table)?;
+    let schema = ctx.world.database(db)?.table(table)?.schema.clone();
+    ctx.processing(|| Ok(delta_relation(schema, changes)))
 }
 
 /// P09, snapshot-differential form: the Asia web services expose no change
@@ -170,10 +175,10 @@ fn source_schema(ctx: &FedCtx, db: &str, table: &str) -> FedResult<SchemaRef> {
 /// whose key it has not seen this period.
 fn ivm_p09(state: Arc<Database>) -> E2Body {
     Arc::new(move |ctx| {
-        for (operation, staging, schema, key) in procs::p09_entities() {
-            let finished = procs::p09_fetch(ctx, operation, &schema, key.clone())?;
+        for entity in catalog::asia_entities() {
+            let finished = procs::p09_fetch(ctx, &entity)?;
             let fresh = ctx.processing(|| {
-                let seen = state.table(&seen_table(staging))?;
+                let seen = state.table(&seen_table(entity.staging))?;
                 let known: HashSet<String> = seen
                     .scan()
                     .rows
@@ -183,7 +188,7 @@ fn ivm_p09(state: Arc<Database>) -> E2Body {
                 let mut new_keys: Vec<Row> = Vec::new();
                 let mut out: Vec<Row> = Vec::new();
                 for row in finished.rows {
-                    let fp = fingerprint(&row, &key);
+                    let fp = fingerprint(&row, &entity.key);
                     if !known.contains(&Value::str(fp.clone()).render()) {
                         new_keys.push(vec![Value::str(fp)]);
                         out.push(row);
@@ -192,7 +197,7 @@ fn ivm_p09(state: Arc<Database>) -> E2Body {
                 seen.insert(new_keys)?;
                 Ok(Relation::new(finished.schema, out))
             })?;
-            ctx.remote_load(cdb::CDB, staging, fresh.rows, LoadMode::InsertIgnore)?;
+            ctx.remote_load(cdb::CDB, entity.staging, fresh.rows, LoadMode::InsertIgnore)?;
         }
         Ok(())
     })
@@ -207,15 +212,8 @@ fn fingerprint(row: &Row, key: &[usize]) -> String {
 /// scanning the full tables, then run the identical staging projections.
 fn ivm_p11() -> E2Body {
     Arc::new(|ctx| {
-        for (table, stem, staging, exprs) in procs::p11_entities() {
-            let changes = ctx.remote_pull_changes(america::US_EASTCOAST, table)?;
-            let schema = source_schema(ctx, america::US_EASTCOAST, table)?;
-            let rel = ctx.processing(|| Ok(delta_relation(schema, changes)))?;
-            let temp = ctx.materialize(stem, rel)?;
-            let mapped = ctx.local_query(&Plan::scan(temp).project(exprs))?;
-            ctx.remote_load(cdb::CDB, staging, mapped.rows, LoadMode::InsertIgnore)?;
-        }
-        Ok(())
+        let fetch = |e: &catalog::Extract| pull_delta(ctx, america::US_EASTCOAST, e.table);
+        procs::stage_extracts(ctx, "us", catalog::america_extracts(), fetch)
     })
 }
 
@@ -225,13 +223,7 @@ fn ivm_p11() -> E2Body {
 fn ivm_p13() -> E2Body {
     Arc::new(|ctx| {
         ctx.remote_call(cdb::CDB, "sp_runMovementDataCleansing")?;
-        let order_changes = ctx.remote_pull_changes(cdb::CDB, "orders")?;
-        let line_changes = ctx.remote_pull_changes(cdb::CDB, "orderline")?;
-        let orders_schema = source_schema(ctx, cdb::CDB, "orders")?;
-        let lines_schema = source_schema(ctx, cdb::CDB, "orderline")?;
-        let orders = ctx.processing(|| Ok(delta_relation(orders_schema, order_changes)))?;
-        let lines = ctx.processing(|| Ok(delta_relation(lines_schema, line_changes)))?;
-        procs::p13_apply(ctx, orders, lines)
+        procs::p13_apply(ctx, |l| pull_delta(ctx, cdb::CDB, l.table))
     })
 }
 
@@ -240,9 +232,7 @@ fn ivm_p13() -> E2Body {
 /// query evaluated per change batch), then run the shared mart loaders.
 fn ivm_p14() -> E2Body {
     Arc::new(|ctx| {
-        let changes = ctx.remote_pull_changes(dwh::DWH, "orderline")?;
-        let schema = source_schema(ctx, dwh::DWH, "orderline")?;
-        let delta = ctx.processing(|| Ok(delta_relation(schema, changes)))?;
+        let delta = pull_delta(ctx, dwh::DWH, "orderline")?;
         let sales = ctx.remote_query(dwh::DWH, &s1_delta_plan(delta))?;
         let sales_temp = ctx.materialize("sales", sales)?;
         procs::p14_load_marts(ctx, sales_temp)

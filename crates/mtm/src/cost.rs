@@ -20,13 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The three cost categories of the benchmark metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CostCategory {
-    Communication,
-    Management,
-    Processing,
-}
+/// The three cost categories of the benchmark metric — the same enum the
+/// trace spans are tagged with, so the two ledgers cannot name them apart.
+pub use dip_trace::Category as CostCategory;
 
 /// Unique id of one executed process instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -216,6 +212,56 @@ impl CostRecorder {
     }
 }
 
+/// Run `n` parallel branches of the instance executing on this thread
+/// (an MTM FORK, the federated P14 mart loaders and P15 refreshers),
+/// each on a thread of its own. The three scopes [`run_instance`]
+/// opened are thread-locals a spawned thread does not inherit, so they
+/// are snapshotted once here and adopted by every branch: the trace
+/// identity (branch spans carry the instance's `(process, period,
+/// instance)`), the transaction (branch writes journal into the
+/// instance's undo log, so a failing sibling rolls all of them back)
+/// and the fault scope, derived by branch index — parallel branches
+/// own disjoint, deterministic regions of the fault schedule whatever
+/// the thread interleaving, and keep the root identity crash plans aim
+/// at. Each branch's transport retries are folded back into this
+/// thread's scope, a panicked branch becomes `panicked()`, and the
+/// results come back in branch order (the first error wins).
+///
+/// [`run_instance`]: CostRecorder::run_instance
+pub fn run_branches<T: Send, E: Send>(
+    n: usize,
+    panicked: impl Fn() -> E,
+    branch: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let trace_ctx = dip_trace::snapshot();
+    let tx_handle = dip_relstore::tx::handle();
+    let fault_snap = dip_netsim::fault::snapshot();
+    let outcomes: Vec<(Result<T, E>, u32)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|idx| {
+                let (trace_ctx, tx_handle, branch) =
+                    (trace_ctx.as_ref(), tx_handle.as_ref(), &branch);
+                scope.spawn(move || {
+                    let _trace = trace_ctx.map(dip_trace::adopt);
+                    let _tx = tx_handle.map(dip_relstore::tx::adopt);
+                    let _fault = fault_snap.map(|s| dip_netsim::fault::adopt(s, idx as u32));
+                    (branch(idx), dip_netsim::fault::scope_retries())
+                })
+            })
+            .collect();
+        let joined = handles.into_iter().map(|h| h.join());
+        joined
+            .map(|outcome| outcome.unwrap_or_else(|_| (Err(panicked()), 0)))
+            .collect()
+    });
+    let mut results = Vec::with_capacity(n);
+    for (result, retries) in outcomes {
+        dip_netsim::fault::note_retries(retries);
+        results.push(result);
+    }
+    results.into_iter().collect()
+}
+
 impl Default for CostRecorder {
     fn default() -> Self {
         Self::new()
@@ -265,5 +311,69 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].total(), Duration::from_micros(610));
         assert!(r.is_empty());
+    }
+
+    /// The hand-over of `run_branches`, scope by scope.
+    #[test]
+    fn branches_run_inside_the_instances_three_scopes() {
+        use dip_netsim::fault;
+        use dip_relstore::prelude::*;
+        let db = Database::new("d");
+        let schema = RelSchema::of(&[("k", SqlType::Int)]).shared();
+        db.create_table(Table::new("t", schema));
+        let table = db.table("t").unwrap();
+        dip_trace::enable();
+        let recorder = CostRecorder::new();
+        fn no_transport(_: &String) -> Option<&TransportFault> {
+            None
+        }
+        let keys = std::sync::Mutex::new(Vec::new());
+        let run = recorder.run_instance(Instant::now(), "PXX", 3, 0, no_transport, |_| {
+            run_branches(
+                2,
+                || "panicked".to_string(),
+                |idx| {
+                    drop(dip_trace::span(dip_trace::Layer::Mtm, "in_branch"));
+                    table.insert(vec![vec![Value::Int(idx as i64)]]).unwrap();
+                    let op = fault::begin_op().expect("a branch is inside the fault scope");
+                    keys.lock().unwrap().push(op.leg(0, 0));
+                    fault::note_retries(idx as u32 + 1);
+                    Ok(())
+                },
+            )?;
+            // both branches' retries were folded into the instance's scope
+            assert_eq!(fault::scope_retries(), 3);
+            assert_eq!(table.row_count(), 2);
+            Err::<(), String>("instance fails after its branches wrote".into())
+        });
+        dip_trace::disable();
+        assert_eq!(run.unwrap_err(), "instance fails after its branches wrote");
+        assert_eq!(
+            table.row_count(),
+            0,
+            "branch writes roll back with the instance"
+        );
+        let keys = keys.into_inner().unwrap();
+        assert_ne!(
+            keys[0], keys[1],
+            "each branch index owns its own fault keys"
+        );
+        let spans = dip_trace::drain();
+        let mine: Vec<_> = spans.iter().filter(|s| s.op == "in_branch").collect();
+        assert_eq!(mine.len(), 2);
+        for s in mine {
+            assert_eq!((s.process.as_deref(), s.period), (Some("PXX"), Some(3)));
+            assert!(s.instance.is_some());
+        }
+
+        let boom = |idx| {
+            if idx == 1 {
+                panic!("branch 1")
+            } else {
+                Ok(idx)
+            }
+        };
+        let joined: Result<Vec<usize>, String> = run_branches(2, || "panicked".into(), boom);
+        assert_eq!(joined.unwrap_err(), "panicked", "the error, not a panic");
     }
 }

@@ -77,7 +77,7 @@ impl MtmEngine {
     }
 
     /// Execute one instance of a deployed process; `input` is required for
-    /// E1 processes. Records an [`InstanceRecord`] either way.
+    /// E1 processes. Records an [`crate::cost::InstanceRecord`] either way.
     pub fn execute(&self, id: &str, period: u32, input: Option<Document>) -> MtmResult<()> {
         self.execute_event(id, period, 0, input).map(|_| ())
     }

@@ -14,7 +14,7 @@
 //! * instance setup and FORK thread management are **management** costs.
 
 use crate::context::VarStore;
-use crate::cost::{CostCategory, InstanceCosts};
+use crate::cost::{run_branches, CostCategory, InstanceCosts};
 use crate::error::{MtmError, MtmResult};
 use crate::message::MtmMessage;
 use crate::process::{AssignValue, ProcessDef, Step, SwitchCase};
@@ -70,8 +70,8 @@ impl<'a> Interpreter<'a> {
     fn step_meta(step: &Step) -> (&'static str, dip_trace::Category) {
         use dip_trace::Category::{Communication, Management, Processing};
         match step {
-            Step::Receive { .. } => ("receive", Management),
-            Step::Assign { .. } => ("assign", Management),
+            Step::Receive { .. } => ("receive", Processing),
+            Step::Assign { .. } => ("assign", Processing),
             Step::Translate { .. } => ("translate", Processing),
             Step::Validate { .. } => ("validate", Processing),
             Step::Switch { .. } => ("switch", Processing),
@@ -367,53 +367,21 @@ impl<'a> Interpreter<'a> {
             Step::Fork { branches } => {
                 let t = Instant::now();
                 // Each branch runs on its own thread over a fork of the
-                // variable store (payloads shared); what a branch bound is
-                // merged back in branch order. The instance's fault scope
-                // is a thread-local, so each branch re-adopts a snapshot of
-                // it, derived by branch index — parallel branches own
-                // disjoint, deterministic regions of the fault schedule
-                // regardless of thread interleaving.
-                let fault_snap = dip_netsim::fault::snapshot();
-                // Likewise for the instance's transaction scope: branch
-                // threads journal their writes into the same undo log so a
-                // failing sibling rolls the whole instance back.
-                let tx_handle = dip_relstore::tx::handle();
-                // And for the trace identity, so branch spans carry the
-                // instance's (process, period, instance).
-                let trace_ctx = dip_trace::snapshot();
-                let results: Vec<MtmResult<(VarStore, u32)>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = branches
-                        .iter()
-                        .enumerate()
-                        .map(|(branch_idx, branch)| {
-                            let mut branch_vars = vars.fork();
-                            let tx_handle = tx_handle.clone();
-                            let trace_ctx = trace_ctx.as_ref();
-                            scope.spawn(move || {
-                                let _trace = trace_ctx.map(dip_trace::adopt);
-                                let _scope = fault_snap
-                                    .map(|s| dip_netsim::fault::adopt(s, branch_idx as u32));
-                                let _tx = tx_handle.as_ref().map(dip_relstore::tx::adopt);
-                                let mut no_input = None;
-                                self.run_steps(def, branch, &mut branch_vars, &mut no_input)
-                                    .map(|()| (branch_vars, dip_netsim::fault::scope_retries()))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or_else(|_| Err(MtmError::Branch("branch panicked".into())))
-                        })
-                        .collect()
-                });
+                // variable store (payloads shared), inside the instance's
+                // scopes (`run_branches`); what a branch bound is merged
+                // back in branch order.
+                let parent: &VarStore = vars;
+                let forked = run_branches(
+                    branches.len(),
+                    || MtmError::Branch("branch panicked".into()),
+                    |idx| {
+                        let mut branch_vars = parent.fork();
+                        self.run_steps(def, &branches[idx], &mut branch_vars, &mut None)
+                            .map(|()| branch_vars)
+                    },
+                );
                 self.costs.add(CostCategory::Management, t.elapsed());
-                for r in results {
-                    let (branch_vars, branch_retries) = r?;
-                    // fold branch-thread retry counts back into the
-                    // parent's scope so the instance total is complete
-                    dip_netsim::fault::note_retries(branch_retries);
+                for branch_vars in forked? {
                     vars.merge(branch_vars);
                 }
             }

@@ -1,7 +1,7 @@
 //! Hash-first slot-chain indexes over table slots.
 //!
-//! An [`Index`] stores **no key tuples**. It hashes the indexed columns of
-//! a row with [`crate::hashkey`] (the hash the batch executor's joins and
+//! An `Index` stores **no key tuples**. It hashes the indexed columns of
+//! a row with `crate::hashkey` (the hash the batch executor's joins and
 //! distinct sets use) and keeps, per hash, a linked chain of the slot
 //! numbers registered under it: `heads` maps the hash to the chain's first
 //! and last slot, `links[slot]` names the slots before and after `slot`.
@@ -20,7 +20,7 @@
 //!   chain.** The table registers a row before storing it and unregisters
 //!   it (with the row it stored) before tombstoning or replacing it, so a
 //!   chain walk never meets a stale row. Different keys may share a chain
-//!   (a hash collision); [`Index::matches`] tells them apart by comparison.
+//!   (a hash collision); `Index::matches` tells them apart by comparison.
 //! * **Chains yield slots in registration order.** `scan_where` and
 //!   index-join output order — and with them the committed table digests —
 //!   depend on it: a replaced row re-registers and moves to the tail.

@@ -9,7 +9,7 @@
 //!
 //! * typed [`value::Value`]s with SQL three-valued comparison semantics;
 //! * slotted heap [`table::Table`]s with primary keys, hash-first
-//!   secondary indexes ([`index::Index`]) and statement-atomic batch
+//!   secondary indexes ([`index`]) and statement-atomic batch
 //!   inserts;
 //! * a programmatic [`query::Plan`] language
 //!   (filter/project/hash-join/union-distinct/aggregate/sort/limit) with a

@@ -10,10 +10,10 @@
 //!   `optimize_relational: false` ablation, and the oracle of the
 //!   executor differential tests.
 //!
-//! Both share [`AggState`], so aggregate semantics (exact-`i64` SUM with
+//! Both share `AggState`, so aggregate semantics (exact-`i64` SUM with
 //! overflow fallback, compensated float summation, NULL handling,
 //! first-seen group order) are identical by construction, and both share
-//! [`index_join_equivalent`] for an index join whose index is gone.
+//! `index_join_equivalent` for an index join whose index is gone.
 //!
 //! Per-node output row counts are published to `dip-trace` as
 //! `relstore.rows_out.<op>` counters; the batch executor additionally

@@ -250,9 +250,9 @@ impl Resilience {
     /// both legs' fault verdicts per attempt (failing *before* any remote
     /// side effect), waiting out timeouts and backoffs on the clock. The
     /// caller performs the actual transfers and side effect only when
-    /// `Attempt::Proceed` is returned, then reports the final outcome via
-    /// [`CircuitBreaker::record_success`] / `record_exhausted` (handled
-    /// here in [`Resilience::conclude`]).
+    /// `Attempt::Proceed` is returned; the outcome is reported to the
+    /// endpoint's breaker here ([`CircuitBreaker::record_success`] /
+    /// [`CircuitBreaker::record_exhausted`]).
     pub fn decide(&self, network: &Network, from: &str, to: &str, op: &OpKey) -> Attempt {
         let breaker = self.breaker(to);
         let mut wasted = Duration::ZERO;

@@ -3,7 +3,7 @@
 //! The observability subsystem of the DIPBench reproduction (see
 //! `docs/OBSERVABILITY.md`):
 //!
-//! * [`span`] — a low-overhead, dependency-free structured span/event
+//! * [`mod@span`] — a low-overhead, dependency-free structured span/event
 //!   collector. Instrumentation sites across every workspace layer
 //!   (relstore's executor, xmlkit's STX transformer and parser, netsim's
 //!   link transfers, the MTM interpreter's operator dispatch, feddbms

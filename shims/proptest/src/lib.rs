@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the slice of proptest the workspace's property tests use:
-//! the [`Strategy`] trait with `prop_map`/`prop_filter`/`boxed`, range and
+//! the [`strategy::Strategy`] trait with `prop_map`/`prop_filter`/`boxed`, range and
 //! tuple strategies, a regex-subset string strategy, `Just`, `any`,
 //! `prop::collection::vec`, `prop_oneof!`, and the [`proptest!`] macro with
 //! `ProptestConfig`. Differences from upstream:
