@@ -125,61 +125,56 @@ fn bench_relstore(c: &mut Criterion) {
 fn bench_mview(c: &mut Criterion) {
     let mut g = c.benchmark_group("mview_refresh");
     g.sample_size(15);
-    for (label, mode) in [
-        ("full", RefreshMode::Full),
-        ("incremental", RefreshMode::Incremental),
-    ] {
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || {
-                    let db = Database::new("mv");
-                    let orders =
-                        RelSchema::of(&[("day", SqlType::Int), ("price", SqlType::Float)]).shared();
-                    db.create_table(Table::new("orders", orders).with_change_capture());
-                    let mv = RelSchema::of(&[
-                        ("day", SqlType::Int),
-                        ("n", SqlType::Int),
-                        ("rev", SqlType::Float),
-                    ])
-                    .shared();
-                    db.create_table(
-                        Table::new("orders_mv", mv)
-                            .with_primary_key(&["day"])
-                            .unwrap(),
-                    );
-                    let def = Plan::scan("orders").aggregate(
-                        vec![0],
-                        vec![
-                            AggExpr::count_star("n"),
-                            AggExpr::new(AggFunc::Sum, Expr::col(1), "rev"),
-                        ],
-                    );
-                    db.create_view(MatView::new("orders_mv", "orders_mv", def, mode));
-                    // a large base plus a small delta — the incremental case
-                    db.table("orders")
-                        .unwrap()
-                        .insert(
-                            (0..5000)
-                                .map(|i| vec![Value::Int(i % 30), Value::Float(1.0)])
-                                .collect(),
-                        )
-                        .unwrap();
-                    db.refresh_view("orders_mv").unwrap();
-                    db.table("orders")
-                        .unwrap()
-                        .insert(
-                            (0..100)
-                                .map(|i| vec![Value::Int(i % 30), Value::Float(2.0)])
-                                .collect(),
-                        )
-                        .unwrap();
-                    db
-                },
-                |db| db.refresh_view("orders_mv").unwrap(),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    g.bench_function("full", |b| {
+        b.iter_batched(
+            || {
+                let db = Database::new("mv");
+                let orders =
+                    RelSchema::of(&[("day", SqlType::Int), ("price", SqlType::Float)]).shared();
+                db.create_table(Table::new("orders", orders));
+                let mv = RelSchema::of(&[
+                    ("day", SqlType::Int),
+                    ("n", SqlType::Int),
+                    ("rev", SqlType::Float),
+                ])
+                .shared();
+                db.create_table(
+                    Table::new("orders_mv", mv)
+                        .with_primary_key(&["day"])
+                        .unwrap(),
+                );
+                let def = Plan::scan("orders").aggregate(
+                    vec![0],
+                    vec![
+                        AggExpr::count_star("n"),
+                        AggExpr::new(AggFunc::Sum, Expr::col(1), "rev"),
+                    ],
+                );
+                db.create_view(MatView::new("orders_mv", "orders_mv", def));
+                // a large base refreshed once, then a small delta on top
+                db.table("orders")
+                    .unwrap()
+                    .insert(
+                        (0..5000)
+                            .map(|i| vec![Value::Int(i % 30), Value::Float(1.0)])
+                            .collect(),
+                    )
+                    .unwrap();
+                db.refresh_view("orders_mv").unwrap();
+                db.table("orders")
+                    .unwrap()
+                    .insert(
+                        (0..100)
+                            .map(|i| vec![Value::Int(i % 30), Value::Float(2.0)])
+                            .collect(),
+                    )
+                    .unwrap();
+                db
+            },
+            |db| db.refresh_view("orders_mv").unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 

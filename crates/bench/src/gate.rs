@@ -106,10 +106,9 @@ impl Fingerprint {
 pub enum Load {
     /// The closed-loop benchmark as the client paces it.
     Closed,
-    /// Closed loop, killed at a materialization step and recovered from the
-    /// checkpoint + journal. `rollback: false` turns instance rollback off
-    /// until the crash, so aborted instances leak partial writes.
-    Crash { target: CrashTarget, rollback: bool },
+    /// Closed loop, killed at the materialization step the cell's config
+    /// plans (`faults.crash`) and recovered from the checkpoint + journal.
+    Crash,
     /// Open-loop arrivals against bounded queues.
     Open(OverloadOptions),
 }
@@ -143,9 +142,9 @@ fn execute(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<Ce
         verification,
         detail,
     };
-    if let Load::Crash { target, rollback } = load {
+    if matches!(load, Load::Crash) {
         let make = |env: &BenchEnvironment| build_system(kind, env);
-        let run = recovery::run_with_crash(config, &make, target, !rollback)?;
+        let run = recovery::run_with_crash(config, &make)?;
         let detail = Detail::Crash {
             tripped: run.tripped,
         };
@@ -169,8 +168,8 @@ fn execute(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<Ce
     ))
 }
 
-/// Run one cell with counter tracing on. The trace collector and the
-/// crash plan are process-global, so cells serialize on one lock.
+/// Run one cell with counter tracing on. The trace collector is
+/// process-global, so cells serialize on one lock.
 pub fn run_cell(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<CellRun> {
     static SERIAL: Mutex<()> = Mutex::new(());
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -192,8 +191,10 @@ pub const CRASH_TARGETS: [&str; 4] = ["P02", "P05", "P09", "P13"];
 /// The crash sweep: an uncrashed reference, then for each target process
 /// instance `(period, seq)` one recovered cell per materialization step
 /// (`at`: only that step) until the ordinal falls off the instance's last
-/// round trip. Returns the fingerprints, reference first; `on_cell` sees
-/// the reference fingerprint and every cell as it finishes.
+/// round trip. `rollback: false` turns instance rollback off until the
+/// crash, so aborted instances leak partial writes. Returns the
+/// fingerprints, reference first; `on_cell` sees the reference fingerprint
+/// and every cell as it finishes.
 pub fn crash_sweep(
     kind: EngineKind,
     config: BenchConfig,
@@ -210,44 +211,49 @@ pub fn crash_sweep(
     // dead-lettered instance is never replayed, and its partial writes
     // stay out of the durable state only because the transaction layer
     // rolled them back. With rollback off they leak and digests diverge.
-    recovery::arm_abort("P04", period, 0, 2);
-    let swept = (|| {
-        let reference = run_cell(kind, config, &Load::Closed).map_err(|e| e.to_string())?;
-        if !reference.fingerprint.verified {
-            let report = reference.verification;
-            return Err(format!("reference run failed verification:\n{report}"));
-        }
-        let mut fps = vec![reference.fingerprint];
-        for process in targets {
-            for step in at.map_or(0..u32::MAX, |k| k..k.saturating_add(1)) {
-                let target = CrashTarget {
-                    process: process.to_string(),
-                    period,
-                    seq,
-                    step,
-                };
-                let load = Load::Crash {
-                    target: target.clone(),
-                    rollback,
-                };
-                let cell = run_cell(kind, config, &load);
-                on_cell(&target, &fps[0], &cell);
-                match cell {
-                    Ok(run) if matches!(run.detail, Detail::Crash { tripped: false }) => break,
-                    Ok(run) => fps.push(run.fingerprint),
-                    // leaked partial writes can make the replay itself blow
-                    // up (duplicate keys): equal to no reference, so diverged
-                    Err(e) => fps.push(Fingerprint::failed(e.to_string())),
-                }
+    let workload = config.with_faults(FaultPlan {
+        abort: Some(CrashPlan::at("P04", period, 0, 2)),
+        ..config.faults
+    });
+    let reference = run_cell(kind, workload, &Load::Closed).map_err(|e| e.to_string())?;
+    if !reference.fingerprint.verified {
+        let report = reference.verification;
+        return Err(format!("reference run failed verification:\n{report}"));
+    }
+    let mut fps = vec![reference.fingerprint];
+    let mut crashed = workload;
+    crashed.faults.leak_rollbacks = !rollback;
+    for process in targets {
+        for step in at.map_or(0..u32::MAX, |k| k..k.saturating_add(1)) {
+            let target = CrashTarget {
+                process: process.to_string(),
+                period,
+                seq,
+                step,
+            };
+            let (cell_config, load) = crash_cell(crashed, &target);
+            let cell = run_cell(kind, cell_config, &load);
+            on_cell(&target, &fps[0], &cell);
+            match cell {
+                Ok(run) if matches!(run.detail, Detail::Crash { tripped: false }) => break,
+                Ok(run) => fps.push(run.fingerprint),
+                // leaked partial writes can make the replay itself blow
+                // up (duplicate keys): equal to no reference, so diverged
+                Err(e) => fps.push(Fingerprint::failed(e.to_string())),
             }
         }
-        Ok(fps)
-    })();
-    recovery::disarm_abort();
-    match swept {
-        Ok(fps) if fps.len() == 1 => Err("no crash step ever fired — nothing was tested".into()),
-        swept => swept,
     }
+    if fps.len() == 1 {
+        return Err("no crash step ever fired — nothing was tested".into());
+    }
+    Ok(fps)
+}
+
+/// The configuration and load of one crash cell: `base`, killed at
+/// `target` and recovered.
+pub fn crash_cell(mut base: BenchConfig, target: &CrashTarget) -> (BenchConfig, Load) {
+    base.faults.crash = Some(target.plan());
+    (base, Load::Crash)
 }
 
 /// The configuration and load of one open-loop cell: `f`-skewed arrivals
@@ -400,7 +406,7 @@ pub const GATES: &[Gate] = &[
     Gate { name: "overload-eai", engine: Eai, workers: 1, d: 0.02, seed: 7, cells: DOUBLE_RATE, check: SameSeedTwice },
     Gate { name: "overload-monotone", engine: Fed, workers: 1, d: 0.02, seed: 7, cells: Overload { rates: &[1.0, 2.0, 4.0], capacity: 4 }, check: MonotoneShed },
     // a crash at every materialization step recovers to the uncrashed bytes — on mtm, across
-    // ivm's drain-then-load boundary, and inside the pooled A∥B phase; with rollback off it must not
+    // ivm's drain-then-load boundary, and with A∥B spread over four workers; with rollback off it must not
     Gate { name: "crash-mtm", engine: Mtm, workers: 1, d: 0.02, seed: 7, cells: CrashSweep { rollback: true }, check: EqualsReference },
     Gate { name: "crash-ivm", engine: Ivm, workers: 1, d: 0.02, seed: 7, cells: CrashSweep { rollback: true }, check: EqualsReference },
     Gate { name: "crash-w4", engine: Mtm, workers: 4, d: 0.02, seed: 7, cells: CrashSweep { rollback: true }, check: EqualsReference },

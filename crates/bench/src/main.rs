@@ -297,7 +297,10 @@ fn faults(p: &Parsed) {
             ..FaultModel::NONE
         };
         let config = base
-            .with_faults(FaultPlan { model })
+            .with_faults(FaultPlan {
+                model,
+                ..FaultPlan::NONE
+            })
             .with_resilience(ResiliencePolicy::DEFAULT.with_attempts(attempts));
         let (run, verdict) = twice(kind, config, &Load::Closed);
         let verified = verdict.verified == verdict.cells;
@@ -334,7 +337,7 @@ fn faults(p: &Parsed) {
     }
 }
 
-/// Exploratory crash-restart recovery: arm a deterministic crash at one
+/// Exploratory crash-restart recovery: plan a deterministic crash at one
 /// materialization step of a target instance (or sweep every step of
 /// every target), recover from the checkpoint + stream journal, and
 /// compare each recovered run with an uncrashed same-seed reference

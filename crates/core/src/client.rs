@@ -187,8 +187,12 @@ impl<'a> Client<'a> {
     /// crash killed: its partial writes were rolled back and no record
     /// was kept, so it is neither settled nor reported as a dispatch
     /// failure — recovery replays it, and counting it here too would
-    /// double it in the conservation totals.
+    /// double it in the conservation totals. A system the crash already
+    /// killed is handed nothing more.
     pub(crate) fn dispatch(&self, process: &'static str, period: u32, seq: u32) -> TaskOutcome {
+        if self.env.world.network.crash_tripped() {
+            return TaskOutcome::Crashed;
+        }
         let event = match message_for(self.env, process, period, seq) {
             Some(msg) => Event::message(process, period, seq, msg),
             None => Event::timed(process, period, seq),
@@ -249,7 +253,9 @@ impl<'a> Client<'a> {
                 self.dispatch(task.process, k, task.seq)
             },
         );
-        run.crashed |= pool.crashed;
+        // a trip nobody reported (a broker thread's instance, a branch whose
+        // sibling failed first) still means everything unsettled replays
+        run.crashed |= pool.crashed || self.env.world.network.crash_tripped();
         // tasks are in virtual-time order, which keeps each stream's
         // indices ascending and the failures deterministic
         for (task, outcome) in plan.tasks().iter().zip(pool.outcomes) {

@@ -2,7 +2,6 @@
 
 use crate::scale::ScaleFactors;
 use dip_netsim::FaultPlan;
-use dip_relstore::mview::RefreshMode;
 use dip_services::ResiliencePolicy;
 
 /// How the client paces the schedule.
@@ -73,9 +72,9 @@ pub struct BenchConfig {
     /// Seed for the data generator and the network jitter.
     pub seed: u64,
     pub pacing: PacingMode,
-    /// Refresh strategy for the DWH `OrdersMV` (ablation knob).
-    pub mv_mode: RefreshMode,
-    /// Seeded transport-fault plan (default: no faults — zero overhead).
+    /// Everything the run injects: the seeded transport-fault model and the
+    /// crash gate's crash point, instance abort and rollback-off switch
+    /// (default: nothing — zero overhead).
     pub faults: FaultPlan,
     /// Retry/timeout/breaker policy, engaged only when `faults` is active.
     pub resilience: ResiliencePolicy,
@@ -95,7 +94,6 @@ impl BenchConfig {
             periods: 3,
             seed: 0xD1B,
             pacing: PacingMode::Eager,
-            mv_mode: RefreshMode::Full,
             faults: FaultPlan::NONE,
             resilience: ResiliencePolicy::DEFAULT,
             workers: 1,
@@ -114,11 +112,6 @@ impl BenchConfig {
 
     pub fn with_pacing(mut self, pacing: PacingMode) -> BenchConfig {
         self.pacing = pacing;
-        self
-    }
-
-    pub fn with_mv_mode(mut self, mode: RefreshMode) -> BenchConfig {
-        self.mv_mode = mode;
         self
     }
 

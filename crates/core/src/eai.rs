@@ -296,7 +296,6 @@ mod tests {
 
     #[test]
     fn eai_runs_the_benchmark_and_verifies() {
-        let _serial = crate::testlock::hold();
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
         let env = BenchEnvironment::new(config).unwrap();
@@ -314,7 +313,6 @@ mod tests {
 
     #[test]
     fn eai_matches_mtm_integrated_data() {
-        let _serial = crate::testlock::hold();
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
         let run = |eai: bool| {
@@ -344,7 +342,6 @@ mod tests {
     fn timed_events_barrier_on_queue() {
         // a timed event fired right after a burst of messages must observe
         // all of their effects
-        let _serial = crate::testlock::hold();
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
         let env = BenchEnvironment::new(config).unwrap();
@@ -384,7 +381,6 @@ mod tests {
     #[test]
     fn a_panicking_instance_does_not_hang_the_broker() {
         use dip_mtm::process::{EventType, Step};
-        let _serial = crate::testlock::hold();
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
         let env = BenchEnvironment::new(config).unwrap();

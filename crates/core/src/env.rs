@@ -110,7 +110,7 @@ impl BenchEnvironment {
 
         // --- targets ---
         world.add_database(cdb::CDB, "es.cdb", cdb::create_cdb()?);
-        world.add_database(dwh::DWH, "es.dwh", dwh::create_dwh(config.mv_mode)?);
+        world.add_database(dwh::DWH, "es.dwh", dwh::create_dwh()?);
         for mart in dm::Mart::ALL {
             world.add_database(
                 mart.db_name(),

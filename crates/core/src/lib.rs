@@ -53,22 +53,6 @@ pub mod schema;
 pub mod system;
 pub mod verify;
 
-/// Serializes tests that execute whole benchmark instances against the
-/// tests that arm the process-global crash plan (`dip_netsim::fault::
-/// arm_crash`): an armed plan would trip inside an unrelated concurrent
-/// test's instance. Any test that drives a [`client::Client`] through
-/// real process instances should hold this lock.
-#[cfg(test)]
-pub(crate) mod testlock {
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub(crate) fn hold() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// The most commonly used items.
 pub mod prelude {
     pub use crate::client::{Client, ReplaySkip, RunOutcome};
@@ -81,6 +65,7 @@ pub mod prelude {
     pub use crate::system::{
         DeadLetter, DeadLetterQueue, Delivery, Event, IntegrationSystem, MtmSystem,
     };
+    pub use dip_netsim::fault::CrashPlan;
     pub use dip_netsim::{FaultModel, FaultPlan, PartitionWindow};
     pub use dip_services::ResiliencePolicy;
 }

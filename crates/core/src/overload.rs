@@ -400,7 +400,6 @@ mod tests {
     fn uniform_rate_one_is_lossless_and_waitless() {
         // D/D/1 with utilization < 1: the uniform schedule at rate 1
         // never queues, so nothing sheds and nothing waits
-        let _serial = crate::testlock::hold();
         let env = mini_env(Distribution::Uniform, 1);
         let system = Arc::new(MtmSystem::new(env.world.clone()));
         let run = run_overload(&env, system, &OverloadOptions::default()).unwrap();
@@ -413,7 +412,6 @@ mod tests {
 
     #[test]
     fn overload_sheds_and_conserves() {
-        let _serial = crate::testlock::hold();
         let env = mini_env(Distribution::Zipf10, 1);
         let system = Arc::new(MtmSystem::new(env.world.clone()));
         let opts = OverloadOptions {
@@ -436,7 +434,6 @@ mod tests {
 
     #[test]
     fn same_seed_double_runs_are_byte_identical() {
-        let _serial = crate::testlock::hold();
         let opts = OverloadOptions {
             rate: 2.0,
             admission: AdmissionControl::bounded(4, AdmissionPolicy::Degrade),
@@ -459,7 +456,6 @@ mod tests {
 
     #[test]
     fn block_policy_never_sheds_but_stalls() {
-        let _serial = crate::testlock::hold();
         let env = mini_env(Distribution::Zipf10, 1);
         let system = Arc::new(MtmSystem::new(env.world.clone()));
         let opts = OverloadOptions {
@@ -474,7 +470,6 @@ mod tests {
 
     #[test]
     fn shed_grows_monotonically_with_rate() {
-        let _serial = crate::testlock::hold();
         let mut prev = 0u64;
         for rate in [1.0, 2.0, 4.0] {
             let env = mini_env(Distribution::Zipf10, 1);

@@ -250,7 +250,6 @@ mod tests {
 
     #[test]
     fn quality_increases_along_pipeline() {
-        let _serial = crate::testlock::hold();
         let env = run_env();
         let q = measure(&env).unwrap();
         assert!(q.quality_increases(), "{q}");
@@ -265,7 +264,6 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let _serial = crate::testlock::hold();
         let env = run_env();
         let q = measure(&env).unwrap();
         let s = q.to_string();

@@ -23,16 +23,17 @@
 //!    uncrashed same-seed run ([`digest_tables`]).
 //!
 //! Crash points are materialization steps: every `round_trip` to an
-//! external system checks the armed [`dip_netsim::fault::CrashPlan`]
-//! before performing its effect, so a crashed step is all-or-nothing —
-//! exactly the Fig. 9 materialization-point boundaries.
+//! external system checks the run's [`dip_netsim::fault::CrashPlan`]
+//! (`BenchConfig::faults`) before performing its effect, so a crashed step
+//! is all-or-nothing — exactly the Fig. 9 materialization-point boundaries.
 
 use crate::client::{Client, DispatchFailure, PeriodRun, ReplaySkip, RunOutcome};
 use crate::config::BenchConfig;
 use crate::env::BenchEnvironment;
 use crate::system::IntegrationSystem;
 use crate::verify::{self, VerificationReport};
-use dip_netsim::fault::{self, CrashPlan};
+use dip_netsim::fault::CrashPlan;
+use dip_netsim::FaultPlan;
 use dip_relstore::prelude::*;
 use dip_relstore::table::Change;
 use dip_services::registry::ExternalWorld;
@@ -44,7 +45,7 @@ use std::time::Instant;
 struct TableCheckpoint {
     name: String,
     rows: Vec<Row>,
-    /// Pending change-capture log (undelivered incremental-MV deltas).
+    /// Pending change-capture log (deltas the ivm engine has not pulled).
     changes: Vec<Change>,
 }
 
@@ -149,27 +150,6 @@ pub fn digest_tables(world: &ExternalWorld) -> StoreResult<BTreeMap<String, u64>
     Ok(out)
 }
 
-/// Arm a deterministic *instance abort*: at materialization step `step` of
-/// the named instance the round trip fails with a transient,
-/// retries-exhausted fault, so an E1 message dead-letters — with partial
-/// writes already materialized if `step > 0`. Unlike a crash, an abort is
-/// part of the workload: arm it for the reference run and every recovery
-/// run alike, and it stays armed across restarts. This is what gives the
-/// `--no-rollback` gate its teeth — a dead-lettered instance is never
-/// replayed, so only rollback keeps its partial writes out of the final
-/// state.
-pub fn arm_abort(process: &str, period: u32, seq: u32, step: u32) {
-    fault::arm_abort(CrashPlan {
-        key: fault::instance_key(process, period, seq),
-        step,
-    });
-}
-
-/// Disarm the instance abort armed by [`arm_abort`].
-pub fn disarm_abort() {
-    fault::disarm_abort();
-}
-
 /// The instance and materialization step an injected crash targets.
 #[derive(Debug, Clone)]
 pub struct CrashTarget {
@@ -181,9 +161,17 @@ pub struct CrashTarget {
     pub step: u32,
 }
 
+impl CrashTarget {
+    /// The [`FaultPlan`] entry aimed at this step — as `crash` it kills the
+    /// system there, as `abort` it fails the instance there.
+    pub fn plan(&self) -> CrashPlan {
+        CrashPlan::at(&self.process, self.period, self.seq, self.step)
+    }
+}
+
 /// Everything a crash-inject-and-recover run produces.
 pub struct RecoveryRun {
-    /// Whether the armed crash actually fired (false once `step` walks
+    /// Whether the planned crash actually fired (false once `step` walks
     /// past the instance's last materialization step — the sweep's
     /// termination signal).
     pub tripped: bool,
@@ -203,40 +191,24 @@ pub struct RecoveryRun {
     pub digests: BTreeMap<String, u64>,
 }
 
-/// Disarms the crash plan and re-enables rollback on every exit path.
-struct CrashGuard;
-
-impl Drop for CrashGuard {
-    fn drop(&mut self) {
-        fault::disarm_crash();
-        dip_relstore::tx::set_rollback_disabled(false);
-    }
-}
-
-/// Run the benchmark with a crash armed at `target`, then recover:
-/// checkpoint the durable state, restart on a fresh environment + system,
-/// replay the unsettled events, and verify the merged outcome.
+/// Run the benchmark under `config`, whose plan names the crash point
+/// (`config.faults.crash`), then recover: checkpoint the durable state,
+/// restart on a fresh environment + system, replay the unsettled events,
+/// and verify the merged outcome.
 ///
-/// `disable_rollback` is the CI gate's "teeth" switch: it turns instance
-/// rollback off *until the crash* (the restarted system always rolls
-/// back), so mid-instance failures leak partial writes and the recovered
-/// state demonstrably diverges from an uncrashed run.
+/// `config.faults.leak_rollbacks` is the CI gate's "teeth" switch: it turns
+/// instance rollback off *until the crash* (the restarted system always
+/// rolls back), so mid-instance failures leak partial writes and the
+/// recovered state demonstrably diverges from an uncrashed run.
 pub fn run_with_crash(
     config: BenchConfig,
     make_system: &dyn Fn(&BenchEnvironment) -> Arc<dyn IntegrationSystem>,
-    target: &CrashTarget,
-    disable_rollback: bool,
 ) -> StoreResult<RecoveryRun> {
     let start = Instant::now();
-    let _guard = CrashGuard;
-    fault::arm_crash(CrashPlan {
-        key: fault::instance_key(&target.process, target.period, target.seq),
-        step: target.step,
-    });
-    dip_relstore::tx::set_rollback_disabled(disable_rollback);
 
     // Phase 1: run until the crash kills the system (or to completion,
     // if the step ordinal is past the instance's last round trip).
+    let steps_seen;
     let phase1 = {
         let env = BenchEnvironment::new(config)?;
         let system = make_system(&env);
@@ -257,6 +229,7 @@ pub fn run_with_crash(
         }
         let records = system.recorder().drain();
         let dead_letters = system.dead_letters().drain();
+        steps_seen = env.world.network.crash_steps_seen();
         match crash {
             None => {
                 // never tripped: finish as a normal run
@@ -266,7 +239,7 @@ pub fn run_with_crash(
                 let digests = digest_tables(&env.world)?;
                 return Ok(RecoveryRun {
                     tripped: false,
-                    steps_seen: fault::crash_steps_seen(),
+                    steps_seen,
                     crashed_period: None,
                     replayed_events: 0,
                     checkpoint_rows: 0,
@@ -285,11 +258,16 @@ pub fn run_with_crash(
     let (mut records, mut dead_letters, mut failures, crashed_period, settled, checkpoint) = phase1;
 
     // Phase 2: restart. A fresh environment + system stands in for the
-    // rebooted process; the durable external state comes back from the
-    // checkpoint, and rollback is unconditionally on again.
-    fault::disarm_crash();
-    dip_relstore::tx::set_rollback_disabled(false);
-    let env = BenchEnvironment::new(config)?;
+    // rebooted process, built from the same config minus the crash and the
+    // leak: the restarted system is alive and rolls back unconditionally.
+    // The abort stays — it is workload, and the replay must make the same
+    // decision. The durable external state comes back from the checkpoint.
+    let restarted = FaultPlan {
+        crash: None,
+        leak_rollbacks: false,
+        ..config.faults
+    };
+    let env = BenchEnvironment::new(config.with_faults(restarted))?;
     let system = make_system(&env);
     let client = Client::new(&env, system.clone())?;
     checkpoint.restore(&env.world)?;
@@ -323,7 +301,7 @@ pub fn run_with_crash(
     let digests = digest_tables(&env.world)?;
     Ok(RecoveryRun {
         tripped: true,
-        steps_seen: fault::crash_steps_seen(),
+        steps_seen,
         crashed_period: Some(crashed_period),
         replayed_events,
         checkpoint_rows: checkpoint.row_count(),
@@ -365,48 +343,76 @@ mod tests {
         assert_eq!(digest_tables(&env.world).unwrap(), before);
     }
 
-    /// The crash plan is process-global, so everything that arms it (or
-    /// runs a client while another test might) lives in ONE sequential
-    /// test — parallel test threads would corrupt each other's plans.
-    #[test]
-    fn crash_recovery_lifecycle() {
-        let _serial = crate::testlock::hold();
-        let config = tiny_config();
-        // reference: the same seed, never crashed
-        let ref_env = BenchEnvironment::new(config).unwrap();
-        let ref_sys = mtm(&ref_env);
-        let ref_client = Client::new(&ref_env, ref_sys).unwrap();
-        let ref_outcome = ref_client.run().unwrap();
-        let ref_digests = digest_tables(&ref_env.world).unwrap();
-        assert!(verify::verify_outcome(&ref_env, &ref_outcome)
-            .unwrap()
-            .passed());
+    /// The same seed, never crashed: its outcome and table digests.
+    fn reference(config: BenchConfig) -> (RunOutcome, BTreeMap<String, u64>) {
+        let env = BenchEnvironment::new(config).unwrap();
+        let outcome = Client::new(&env, mtm(&env)).unwrap().run().unwrap();
+        assert!(!env.world.network.crash_tripped(), "nothing was planned");
+        assert!(verify::verify_outcome(&env, &outcome).unwrap().passed());
+        (outcome, digest_tables(&env.world).unwrap())
+    }
 
-        // crash P09 (consolidation, stream C) at its second step
-        let target = CrashTarget {
-            process: "P09".into(),
-            period: 0,
-            seq: 0,
-            step: 1,
-        };
-        let run = run_with_crash(config, &|e| mtm(e), &target, false).unwrap();
+    /// Kill `process` (period 0, seq 0) at `step` and recover.
+    fn crashed(mut config: BenchConfig, process: &str, step: u32) -> RecoveryRun {
+        config.faults.crash = Some(CrashPlan::at(process, 0, 0, step));
+        run_with_crash(config, &|e| mtm(e)).unwrap()
+    }
+
+    #[test]
+    fn crash_mid_instance_recovers_to_the_uncrashed_bytes() {
+        let config = tiny_config();
+        let (ref_outcome, ref_digests) = reference(config);
+        // P09 (consolidation, stream C) dies at its second step
+        let run = crashed(config, "P09", 1);
         assert!(run.tripped, "P09 should reach step 1");
         assert!(run.replayed_events > 0);
         assert!(run.verification.passed(), "{}", run.verification);
         assert_eq!(run.digests, ref_digests, "recovered state diverged");
         assert_eq!(run.outcome.dead_letters, ref_outcome.dead_letters);
+    }
 
-        // a step ordinal past the instance's last round trip never fires
-        let target = CrashTarget {
-            process: "P09".into(),
-            period: 0,
-            seq: 0,
-            step: 10_000,
-        };
-        let run = run_with_crash(config, &|e| mtm(e), &target, false).unwrap();
+    #[test]
+    fn a_step_past_the_instances_last_round_trip_never_fires() {
+        let config = tiny_config();
+        let run = crashed(config, "P09", 10_000);
         assert!(!run.tripped);
         assert!(run.steps_seen > 0, "P09 executed no materialization steps?");
         assert!(run.verification.passed(), "{}", run.verification);
-        assert_eq!(run.digests, ref_digests);
+        assert_eq!(run.digests, reference(config).1);
+    }
+
+    /// A run is its config: two crashed runs and an uncrashed one, at once
+    /// in one process, each see only their own plan. (While the plan was
+    /// process state the second arming overwrote the first and the
+    /// reference could trip.)
+    #[test]
+    fn concurrent_runs_each_crash_at_their_own_point() {
+        let config = tiny_config();
+        let start = std::sync::Barrier::new(3);
+        let (p05, p09, (_, ref_digests)) = std::thread::scope(|s| {
+            let run = |process: &'static str| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    crashed(config, process, 1)
+                })
+            };
+            let (p05, p09) = (run("P05"), run("P09"));
+            start.wait();
+            let uncrashed = reference(config);
+            (p05.join().unwrap(), p09.join().unwrap(), uncrashed)
+        });
+        for (process, run) in [("P05", p05), ("P09", p09)] {
+            assert!(run.tripped, "{process} should reach step 1");
+            assert_eq!(
+                run.steps_seen, 2,
+                "{process}: steps 0 and 1 of its own target"
+            );
+            assert!(run.verification.passed(), "{process}: {}", run.verification);
+            assert_eq!(
+                run.digests, ref_digests,
+                "{process}: recovered state diverged"
+            );
+        }
     }
 }

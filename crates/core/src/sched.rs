@@ -580,10 +580,10 @@ impl PoolState {
 /// closure; it must be self-contained per calling thread (the engines
 /// open their own fault scope and transaction per delivery).
 ///
-/// An injected crash ([`TaskOutcome::Crashed`], or the process-global
-/// crash flag) stops every thread after its current task and leaves the
-/// rest `Pending`. A panic in `dispatch` does the same and is re-raised
-/// on the caller once the threads have stopped.
+/// An injected crash ([`TaskOutcome::Crashed`]) stops every thread after
+/// its current task and leaves the rest `Pending`. A panic in `dispatch`
+/// does the same and is re-raised on the caller once the threads have
+/// stopped.
 pub fn run_pool(
     plan: &PeriodPlan,
     workers: usize,
@@ -597,7 +597,7 @@ pub fn run_pool(
         outcomes: vec![TaskOutcome::Pending; n],
         done: vec![0; ords],
         completed: 0,
-        crashed: dip_netsim::fault::crash_tripped(),
+        crashed: false,
     };
     for (i, task) in plan.tasks.iter().enumerate() {
         if skip(task.slot, task.index) {
@@ -678,9 +678,7 @@ pub fn run_pool(
 
     let state = state.into_inner();
     PoolRun {
-        // the injected crash is process-global: a trip during the phase
-        // (even between claims) means everything not yet settled replays
-        crashed: state.crashed || dip_netsim::fault::crash_tripped(),
+        crashed: state.crashed,
         outcomes: state.outcomes,
     }
 }

@@ -122,16 +122,10 @@ pub fn create_dimension_tables(db: &Database) -> StoreResult<()> {
 }
 
 /// Create the clean master and movement tables (canonical shapes).
-pub fn create_core_tables(db: &Database, capture_orders: bool) -> StoreResult<()> {
+pub fn create_core_tables(db: &Database) -> StoreResult<()> {
     db.create_table(Table::new("customer", customer_schema()).with_primary_key(&["custkey"])?);
     db.create_table(Table::new("product", product_schema()).with_primary_key(&["prodkey"])?);
-    let orders = Table::new("orders", orders_schema()).with_primary_key(&["orderkey"])?;
-    let orders = if capture_orders {
-        orders.with_change_capture()
-    } else {
-        orders
-    };
-    db.create_table(orders);
+    db.create_table(Table::new("orders", orders_schema()).with_primary_key(&["orderkey"])?);
     db.create_table(
         Table::new("orderline", orderline_schema()).with_primary_key(&["orderkey", "lineno"])?,
     );
@@ -146,7 +140,7 @@ mod tests {
     fn all_tables_created() {
         let db = Database::new("x");
         create_dimension_tables(&db).unwrap();
-        create_core_tables(&db, false).unwrap();
+        create_core_tables(&db).unwrap();
         for t in [
             "region",
             "nation",
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn composite_orderline_key() {
         let db = Database::new("x");
-        create_core_tables(&db, false).unwrap();
+        create_core_tables(&db).unwrap();
         let ol = db.table("orderline").unwrap();
         ol.insert(vec![
             vec![

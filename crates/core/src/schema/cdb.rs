@@ -97,7 +97,7 @@ pub fn cleansing_report_schema() -> SchemaRef {
 pub fn create_cdb() -> StoreResult<Arc<Database>> {
     let db = Arc::new(Database::new(CDB));
     canonical::create_dimension_tables(&db)?;
-    canonical::create_core_tables(&db, false)?;
+    canonical::create_core_tables(&db)?;
     db.create_table(
         Table::new("customer_staging", customer_staging_schema())
             .with_primary_key(&["custkey"])?

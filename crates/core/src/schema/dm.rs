@@ -132,12 +132,7 @@ pub fn create_mart(mart: Mart) -> StoreResult<Arc<Database>> {
         }
     }
     db.create_table(Table::new("sales_mv", sales_mv_schema()).with_primary_key(&["state"])?);
-    db.create_view(MatView::new(
-        "sales_mv",
-        "sales_mv",
-        sales_mv_definition(),
-        RefreshMode::Full,
-    ));
+    db.create_view(MatView::new("sales_mv", "sales_mv", sales_mv_definition()));
     db.create_procedure(
         "sp_refreshDataMartViews",
         Arc::new(|db, _args| {

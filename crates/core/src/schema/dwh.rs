@@ -9,8 +9,7 @@ use std::sync::Arc;
 pub const DWH: &str = "dwh";
 
 /// `OrdersMV`: daily order counts and revenue — the classic time-dimension
-/// rollup over the fact table. Keyed by `orderdate` so incremental refresh
-/// is possible.
+/// rollup over the fact table, keyed by `orderdate`.
 pub fn orders_mv_schema() -> SchemaRef {
     RelSchema::new(vec![
         Column::not_null("orderdate", SqlType::Date),
@@ -31,20 +30,17 @@ pub fn orders_mv_definition() -> Plan {
     )
 }
 
-/// Build the complete DWH. `mv_mode` selects full vs. incremental refresh
-/// of `OrdersMV` (an ablation knob; the paper's System A refreshes via a
-/// stored-procedure call, realized here as `sp_refreshOrdersMV`).
-pub fn create_dwh(mv_mode: RefreshMode) -> StoreResult<Arc<Database>> {
+/// Build the complete DWH. The paper's System A refreshes `OrdersMV` via a
+/// stored-procedure call, realized here as `sp_refreshOrdersMV`.
+pub fn create_dwh() -> StoreResult<Arc<Database>> {
     let db = Arc::new(Database::new(DWH));
     canonical::create_dimension_tables(&db)?;
-    // change capture on orders powers incremental MV refresh
-    canonical::create_core_tables(&db, mv_mode == RefreshMode::Incremental)?;
+    canonical::create_core_tables(&db)?;
     db.create_table(Table::new("orders_mv", orders_mv_schema()).with_primary_key(&["orderdate"])?);
     db.create_view(MatView::new(
         "orders_mv",
         "orders_mv",
         orders_mv_definition(),
-        mv_mode,
     ));
     db.create_procedure(
         "sp_refreshOrdersMV",
@@ -78,7 +74,7 @@ mod tests {
 
     #[test]
     fn refresh_proc_materializes_daily_rollup() {
-        let db = create_dwh(RefreshMode::Full).unwrap();
+        let db = create_dwh().unwrap();
         let d1 = days_from_civil(2008, 4, 7);
         let d2 = days_from_civil(2008, 4, 8);
         db.table("orders")
@@ -98,31 +94,5 @@ mod tests {
         let row = mv.get_by_pk(&[Value::Date(d1)]).unwrap();
         assert_eq!(row[1], Value::Int(2));
         assert_eq!(row[2], Value::Float(15.0));
-    }
-
-    #[test]
-    fn incremental_mode_matches_full() {
-        let full = create_dwh(RefreshMode::Full).unwrap();
-        let inc = create_dwh(RefreshMode::Incremental).unwrap();
-        let d = days_from_civil(2008, 4, 7);
-        for db in [&full, &inc] {
-            db.table("orders")
-                .unwrap()
-                .insert(vec![order(1, d, 10.0)])
-                .unwrap();
-            db.call_procedure("sp_refreshOrdersMV", &[]).unwrap();
-            db.table("orders")
-                .unwrap()
-                .insert(vec![order(2, d, 2.0)])
-                .unwrap();
-            db.call_procedure("sp_refreshOrdersMV", &[]).unwrap();
-        }
-        let a = full.table("orders_mv").unwrap().scan();
-        let b = inc.table("orders_mv").unwrap().scan();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(
-            inc.view("orders_mv").unwrap().stats().incremental_refreshes,
-            2
-        );
     }
 }

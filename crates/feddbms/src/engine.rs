@@ -392,6 +392,7 @@ impl FedDbms {
             process,
             period,
             seq,
+            self.world.network.plan().leak_rollbacks,
             FedError::transport,
             |costs| {
                 let _span = dip_trace::span_cat(

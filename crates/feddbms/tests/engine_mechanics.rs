@@ -199,7 +199,7 @@ fn world_with_unreachable_marts() -> Arc<ExternalWorld> {
     let mut w = ExternalWorld::new(Arc::new(net), topology::IS);
     let clock = dip_netsim::virtual_clock().0;
     w.arm_resilience(Arc::new(Resilience::new(ResiliencePolicy::DEFAULT, clock)));
-    let dwh = dwh::create_dwh(RefreshMode::Full).unwrap();
+    let dwh = dwh::create_dwh().unwrap();
     w.add_database(dwh::DWH, "es.dwh", dwh);
     for mart in dm::Mart::ALL {
         let db = dm::create_mart(mart).unwrap();

@@ -42,9 +42,9 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// The base tables the engine maintains standing queries over:
-/// `(database, table, consuming process)`. `dwh.orders` is deliberately
-/// absent — its change log belongs to the `orders_mv` incremental-refresh
-/// path (a relstore change log has a single consumer).
+/// `(database, table, consuming process)`. `dwh.orders` is absent: P13
+/// recomputes `orders_mv` from the table once per period, so nothing would
+/// read its change log.
 pub const CAPTURE_SOURCES: [(&str, &str, &str); 7] = [
     (america::US_EASTCOAST, "customer", "P11"),
     (america::US_EASTCOAST, "part", "P11"),

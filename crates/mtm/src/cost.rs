@@ -135,15 +135,19 @@ impl CostRecorder {
     /// plan/SQL preparation) booked as management cost, the trace and
     /// fault-schedule scopes (`seq` anchors the instance's deterministic
     /// fault identity), one transaction — committed on `Ok`, rolled back
-    /// on `Err` — and the [`InstanceRecord`] either way. `transport` is
-    /// the error type's transport-fault accessor. Returns the number of
-    /// transport retries the resilience layer spent on the instance.
+    /// on `Err`, or discarded instead under `leak_rollbacks` (the run's
+    /// `FaultPlan::leak_rollbacks`, the crash gate's teeth switch) — and
+    /// the [`InstanceRecord`] either way. `transport` is the error type's
+    /// transport-fault accessor. Returns the number of transport retries
+    /// the resilience layer spent on the instance.
+    #[allow(clippy::too_many_arguments)] // the instance's identity, then its policies
     pub fn run_instance<T, E>(
         &self,
         mgmt_start: Instant,
         process: &str,
         period: u32,
         seq: u32,
+        leak_rollbacks: bool,
         transport: impl Fn(&E) -> Option<&TransportFault>,
         body: impl FnOnce(&InstanceCosts) -> Result<T, E>,
     ) -> Result<u32, E> {
@@ -153,7 +157,7 @@ impl CostRecorder {
         let _ctx = dip_trace::instance_scope(process, period, instance.0);
         let _fault_scope = dip_netsim::fault::instance_scope(process, period, seq);
         let start = self.epoch.elapsed();
-        let tx = dip_relstore::tx::begin();
+        let tx = dip_relstore::tx::begin_leaking(leak_rollbacks);
         let result = body(&costs);
         match &result {
             Ok(_) => tx.commit(),
@@ -328,7 +332,7 @@ mod tests {
             None
         }
         let keys = std::sync::Mutex::new(Vec::new());
-        let run = recorder.run_instance(Instant::now(), "PXX", 3, 0, no_transport, |_| {
+        let run = recorder.run_instance(Instant::now(), "PXX", 3, 0, false, no_transport, |_| {
             run_branches(
                 2,
                 || "panicked".to_string(),

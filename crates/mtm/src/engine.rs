@@ -19,11 +19,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Capture a message's payload for potential dead-lettering — only when
-/// the resilience layer or a deterministic instance-abort plan is armed
-/// (otherwise the run cannot produce transport faults, so serializing
-/// every message would be pure waste).
+/// the resilience layer is armed or the run plans a deterministic instance
+/// abort (otherwise the run cannot produce transport faults, so
+/// serializing every message would be pure waste).
 pub fn dead_letter_payload(world: &ExternalWorld, msg: &Document) -> Option<String> {
-    (world.resilience().is_some() || dip_netsim::fault::abort_armed())
+    (world.resilience().is_some() || world.network.plan().abort.is_some())
         .then(|| dip_xmlkit::write_compact(msg))
 }
 
@@ -100,6 +100,7 @@ impl MtmEngine {
             &def.id,
             period,
             seq,
+            self.world.network.plan().leak_rollbacks,
             MtmError::transport,
             |costs| {
                 let _span = dip_trace::span_cat(

@@ -147,26 +147,50 @@ pub enum Verdict {
     Fault(LinkFault),
 }
 
-/// The benchmark-level fault configuration: one model applied to every
-/// wireless link (IS ↔ external systems), scheduled from `seed`. Local
-/// ES-internal links never fault — they model intra-machine traffic.
+/// Everything a run injects: the link `model` applied to every wireless
+/// link (IS ↔ external systems; local ES-internal links never fault — they
+/// model intra-machine traffic), scheduled from the run's seed, plus the
+/// instance-level failures of the crash gate. A run is its config: the
+/// plan travels inside it and [`crate::topology::apply_fault_plan`] hands
+/// it to that run's [`crate::Network`], so runs in one process never see
+/// each other's crash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     pub model: FaultModel,
+    /// Kill the system at this materialization step; recovery restarts it
+    /// on a plan without one.
+    pub crash: Option<CrashPlan>,
+    /// Abort this instance at this step with a *transient*,
+    /// retries-exhausted transport fault, so an E1 message dead-letters.
+    /// Unlike a crash the system stays up: an abort is a deterministic
+    /// piece of the workload and stays in the restarted run's plan, so
+    /// replays make the same decision.
+    pub abort: Option<CrashPlan>,
+    /// The crash gate's "teeth" switch: instance rollback discards the undo
+    /// log instead of applying it, so the partial writes of a failed
+    /// instance survive. Never set outside that gate.
+    pub leak_rollbacks: bool,
 }
 
 impl FaultPlan {
-    /// No faults anywhere — the default; costs nothing.
+    /// Nothing injected — the default; costs nothing.
     pub const NONE: FaultPlan = FaultPlan {
         model: FaultModel::NONE,
+        crash: None,
+        abort: None,
+        leak_rollbacks: false,
     };
 
     pub fn drops(rate: f64) -> FaultPlan {
         FaultPlan {
             model: FaultModel::drops(rate),
+            ..FaultPlan::NONE
         }
     }
 
+    /// Whether the link model can fault — what arms the resilience layer.
+    /// A plan with only a crash, an abort or the leak set installs no link
+    /// model and arms nothing.
     pub fn is_active(&self) -> bool {
         self.model.is_active()
     }
@@ -355,16 +379,17 @@ pub struct TransportError {
 //
 // A crash plan names one process instance (by its stable identity key) and
 // one materialization-step ordinal within it. Every external round trip of
-// an in-scope instance claims the next step ordinal; when the armed plan's
+// an in-scope instance claims the next step ordinal; when the run's plan's
 // (instance, step) comes up, the "system dies": the round trip fails with a
 // crash fault, the engines suppress the instance, and the client stops the
 // run so recovery can restart it from the last checkpoint. The step counter
 // is per-scope and thread-local, so the schedule position is exactly as
-// reproducible as the fault schedule itself.
+// reproducible as the fault schedule itself. The plans and what they have
+// done so far belong to the run's `Network` (`Network::step_point`).
 // ---------------------------------------------------------------------------
 
-/// A single planned crash point: kill the system at materialization step
-/// `step` (0-based) of the instance identified by `key`.
+/// A single planned crash (or abort) point: materialization step `step`
+/// (0-based) of the instance identified by `key`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// Root instance identity (see [`instance_key`]).
@@ -373,76 +398,17 @@ pub struct CrashPlan {
     pub step: u32,
 }
 
-static CRASH_PLAN: std::sync::Mutex<Option<CrashPlan>> = std::sync::Mutex::new(None);
-/// A planned *instance abort*: same shape as a crash plan, but the step
-/// fails with a transient, retries-exhausted transport fault instead of
-/// killing the system — an E1 message dead-letters deterministically.
-static ABORT_PLAN: std::sync::Mutex<Option<CrashPlan>> = std::sync::Mutex::new(None);
-static CRASH_TRIPPED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-/// High-water mark of step ordinals observed on the planned instance —
-/// lets a sweep driver detect it has stepped past the last real step.
-static CRASH_STEPS_SEEN: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Arm a crash plan (process-wide). Replaces any previous plan and clears
-/// the tripped flag and step high-water mark.
-pub fn arm_crash(plan: CrashPlan) {
-    *CRASH_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
-    CRASH_TRIPPED.store(false, std::sync::atomic::Ordering::SeqCst);
-    CRASH_STEPS_SEEN.store(0, std::sync::atomic::Ordering::SeqCst);
+impl CrashPlan {
+    /// Step `step` of instance `(process, period, seq)`.
+    pub fn at(process: &str, period: u32, seq: u32, step: u32) -> CrashPlan {
+        CrashPlan {
+            key: instance_key(process, period, seq),
+            step,
+        }
+    }
 }
 
-/// Disarm crash injection and clear the tripped flag — a restarted system
-/// is alive again. The step count survives for inspection until the next
-/// [`arm_crash`].
-pub fn disarm_crash() {
-    *CRASH_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    CRASH_TRIPPED.store(false, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the armed plan has fired.
-pub fn crash_tripped() -> bool {
-    CRASH_TRIPPED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Materialization steps observed so far on the planned instance (across
-/// arm cycles of the same instance this is the per-run step count).
-pub fn crash_steps_seen() -> u32 {
-    CRASH_STEPS_SEEN.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Arm an instance-abort plan (process-wide): at the planned step the
-/// round trip fails with a *transient*, retries-exhausted transport fault,
-/// so an E1 instance dead-letters its message. Unlike a crash the system
-/// stays up — an abort is a deterministic piece of the workload and stays
-/// armed across restarts so replays make the same decision.
-pub fn arm_abort(plan: CrashPlan) {
-    *ABORT_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
-}
-
-/// Disarm instance-abort injection.
-pub fn disarm_abort() {
-    *ABORT_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-}
-
-/// Whether an instance-abort plan is armed. Systems use this to decide
-/// whether E1 payloads need capturing for potential dead-lettering even
-/// when no probabilistic fault plan is active.
-pub fn abort_armed() -> bool {
-    ABORT_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .is_some()
-}
-
-/// What the armed plans decree for one materialization step.
+/// What a run's plans decree for one materialization step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepVerdict {
     /// No plan fires; the round trip proceeds.
@@ -455,60 +421,23 @@ pub enum StepVerdict {
     Abort,
 }
 
-/// Claim the next materialization-step ordinal of the current instance and
-/// report whether an armed plan (crash or abort) fires on it. The counter
-/// advances whenever *any* plan targets this instance, so the ordinal ↔
-/// operation mapping is independent of the chosen step. Returns `Pass`
-/// outside any scope, when nothing is armed, or when the scope belongs to
-/// an unplanned instance.
-pub fn step_point() -> StepVerdict {
-    let crash = *CRASH_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let abort = *ABORT_PLAN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if crash.is_none() && abort.is_none() {
-        // disarmed: a restarted system runs normally even if the old one
-        // tripped
-        return StepVerdict::Pass;
-    }
-    if crash.is_some() && crash_tripped() {
-        // the system is already dead; fail every subsequent operation so
-        // concurrent streams cannot keep materializing state
-        return StepVerdict::Crash;
-    }
+/// Claim the next materialization-step ordinal of the instance running on
+/// this thread, if `planned` says a plan targets its root identity:
+/// `(root, step)`. The counter advances whenever *any* plan targets the
+/// instance, so the ordinal ↔ operation mapping is independent of the
+/// chosen step. `None` outside any scope or inside an unplanned instance.
+pub(crate) fn claim_step(planned: impl FnOnce(u64) -> bool) -> Option<(u64, u32)> {
     SCOPE.with(|s| {
         let mut s = s.borrow_mut();
-        let Some(active) = s.last_mut() else {
-            return StepVerdict::Pass;
-        };
+        let active = s.last_mut()?;
         let root = active.state.root;
-        let on_crash = crash.filter(|p| p.key == root);
-        let on_abort = abort.filter(|p| p.key == root);
-        if on_crash.is_none() && on_abort.is_none() {
-            return StepVerdict::Pass;
+        if !planned(root) {
+            return None;
         }
         let step = active.next_crash_step;
         active.next_crash_step += 1;
-        if let Some(plan) = on_crash {
-            CRASH_STEPS_SEEN.fetch_max(step + 1, std::sync::atomic::Ordering::SeqCst);
-            if step == plan.step {
-                CRASH_TRIPPED.store(true, std::sync::atomic::Ordering::SeqCst);
-                return StepVerdict::Crash;
-            }
-        }
-        if on_abort.is_some_and(|p| step == p.step) {
-            return StepVerdict::Abort;
-        }
-        StepVerdict::Pass
+        Some((root, step))
     })
-}
-
-/// [`step_point`] narrowed to the crash verdict (test convenience; the
-/// services layer consumes the full verdict).
-pub fn crash_point() -> bool {
-    step_point() == StepVerdict::Crash
 }
 
 #[cfg(test)]
@@ -583,49 +512,6 @@ mod tests {
         };
         assert_eq!(keys(5), keys(5));
         assert_ne!(keys(5), keys(6));
-    }
-
-    /// One combined test: the crash plan is process-global state, so the
-    /// scenarios must run sequentially.
-    #[test]
-    fn crash_plan_lifecycle() {
-        // fires at the exact step, then keeps the system dead while armed
-        let key = instance_key("P13", 0, 0);
-        arm_crash(CrashPlan { key, step: 2 });
-        {
-            let _g = instance_scope("P13", 0, 0);
-            assert!(!crash_point(), "step 0 survives");
-            assert!(!crash_point(), "step 1 survives");
-            assert!(crash_point(), "step 2 dies");
-            assert!(crash_tripped());
-            assert!(crash_point(), "system stays dead while armed");
-        }
-        assert!(crash_steps_seen() >= 3);
-        disarm_crash();
-        assert!(!crash_point(), "restarted system runs normally");
-
-        // other instances never consume the planned instance's steps
-        arm_crash(CrashPlan { key, step: 0 });
-        {
-            let _g = instance_scope("P05", 0, 0);
-            assert!(!crash_point(), "different instance is not the target");
-        }
-        assert!(!crash_tripped());
-        assert_eq!(crash_steps_seen(), 0);
-
-        // FORK branches inherit the root identity and stay crashable
-        {
-            let _g = instance_scope("P13", 0, 0);
-            let snap = snapshot().unwrap();
-            let _b = adopt(snap, 1);
-            assert!(crash_point(), "branch op is step 0 of the root instance");
-        }
-        disarm_crash();
-
-        // outside any scope nothing fires even when armed
-        arm_crash(CrashPlan { key, step: 0 });
-        assert!(!crash_point());
-        disarm_crash();
     }
 
     #[test]

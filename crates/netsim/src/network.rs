@@ -7,12 +7,13 @@
 //! delay is an accounted model quantity — but `TransferMode::RealSleep`
 //! makes transfers actually block, for wall-clock-faithful runs.
 
-use crate::fault::{self, FaultModel, OpKey, Verdict};
+use crate::fault::{self, CrashPlan, FaultModel, FaultPlan, OpKey, StepVerdict, Verdict};
 use crate::latency::LatencyModel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Duration;
 
 /// Whether transfers block for their modeled delay.
@@ -66,6 +67,15 @@ pub struct Network {
     /// latency RNG: fault evaluation never consumes latency randomness, so
     /// a fault-free plan leaves delay sequences byte-identical.
     fault_seed: u64,
+    /// What the run injects. The crash, the abort and the rollback-off
+    /// switch are read from here; the link model is installed above.
+    plan: FaultPlan,
+    /// The only run-time state of crash injection: whether the planned
+    /// crash has fired, and the high-water mark of step ordinals seen on
+    /// the planned instance — lets a sweep driver detect it has stepped
+    /// past the last real step.
+    crash_tripped: AtomicBool,
+    crash_steps_seen: AtomicU32,
 }
 
 impl std::fmt::Debug for Network {
@@ -89,6 +99,9 @@ impl Network {
             fault_links: HashMap::new(),
             default_fault: None,
             fault_seed: seed,
+            plan: FaultPlan::NONE,
+            crash_tripped: AtomicBool::new(false),
+            crash_steps_seen: AtomicU32::new(0),
         }
     }
 
@@ -158,6 +171,60 @@ impl Network {
             }
             _ => Verdict::Deliver { slow_factor: 1.0 },
         }
+    }
+
+    /// Give the network its run's plan ([`crate::topology::apply_fault_plan`]
+    /// also installs the plan's link model).
+    pub fn set_plan(&mut self, plan: FaultPlan) {
+        self.plan = plan;
+    }
+
+    /// The plan of the run this network belongs to.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// Whether the planned crash has fired: the system is dead.
+    pub fn crash_tripped(&self) -> bool {
+        self.crash_tripped.load(Ordering::SeqCst)
+    }
+
+    /// Materialization steps observed so far on the instance the crash
+    /// plan targets.
+    pub fn crash_steps_seen(&self) -> u32 {
+        self.crash_steps_seen.load(Ordering::SeqCst)
+    }
+
+    /// Claim the next materialization-step ordinal of the instance running
+    /// on this thread and report whether this run's crash or abort plan
+    /// fires on it. `Pass` outside any scope, when nothing is planned, or
+    /// when the scope belongs to an unplanned instance.
+    pub fn step_point(&self) -> StepVerdict {
+        let FaultPlan { crash, abort, .. } = self.plan;
+        if crash.is_none() && abort.is_none() {
+            return StepVerdict::Pass;
+        }
+        if self.crash_tripped() {
+            // the system is already dead; fail every subsequent operation so
+            // concurrent streams cannot keep materializing state
+            return StepVerdict::Crash;
+        }
+        let aimed = |plan: Option<CrashPlan>, root: u64| plan.filter(|p| p.key == root);
+        let planned = |root| aimed(crash, root).or(aimed(abort, root)).is_some();
+        let Some((root, step)) = fault::claim_step(planned) else {
+            return StepVerdict::Pass;
+        };
+        if let Some(plan) = aimed(crash, root) {
+            self.crash_steps_seen.fetch_max(step + 1, Ordering::SeqCst);
+            if step == plan.step {
+                self.crash_tripped.store(true, Ordering::SeqCst);
+                return StepVerdict::Crash;
+            }
+        }
+        if aimed(abort, root).is_some_and(|p| p.step == step) {
+            return StepVerdict::Abort;
+        }
+        StepVerdict::Pass
     }
 
     /// Model one message transfer of `bytes` from `from` to `to`; returns
@@ -298,6 +365,79 @@ mod tests {
         // ...and evaluating verdicts never consumed latency randomness
         let clean = net();
         assert_eq!(n.transfer("a", "b", 0), clean.transfer("a", "b", 0));
+    }
+
+    /// A network whose plan kills P13 (period 0, seq 0) at `step`.
+    fn crashing_at(step: u32) -> Network {
+        let mut n = net();
+        n.set_plan(FaultPlan {
+            crash: Some(CrashPlan::at("P13", 0, 0, step)),
+            ..FaultPlan::NONE
+        });
+        n
+    }
+
+    fn dies(n: &Network) -> bool {
+        n.step_point() == StepVerdict::Crash
+    }
+
+    #[test]
+    fn crash_fires_at_its_step_and_the_system_stays_dead() {
+        let n = crashing_at(2);
+        {
+            let _g = fault::instance_scope("P13", 0, 0);
+            assert!(!dies(&n), "step 0 survives");
+            assert!(!dies(&n), "step 1 survives");
+            assert!(dies(&n), "step 2 dies");
+            assert!(n.crash_tripped());
+            assert!(dies(&n), "system stays dead");
+        }
+        assert_eq!(n.crash_steps_seen(), 3);
+        // the restarted system is another network, built without the plan
+        assert!(!dies(&net()), "restarted system runs normally");
+    }
+
+    #[test]
+    fn other_instances_never_consume_the_planned_instances_steps() {
+        let n = crashing_at(0);
+        {
+            let _g = fault::instance_scope("P05", 0, 0);
+            assert!(!dies(&n), "different instance is not the target");
+        }
+        assert!(!n.crash_tripped());
+        assert_eq!(n.crash_steps_seen(), 0);
+    }
+
+    #[test]
+    fn fork_branches_inherit_the_root_identity_and_stay_crashable() {
+        let n = crashing_at(0);
+        let _g = fault::instance_scope("P13", 0, 0);
+        let snap = fault::snapshot().unwrap();
+        let _b = fault::adopt(snap, 1);
+        assert!(dies(&n), "branch op is step 0 of the root instance");
+    }
+
+    #[test]
+    fn outside_any_scope_nothing_fires() {
+        let n = crashing_at(0);
+        assert!(!dies(&n));
+        assert!(!n.crash_tripped());
+    }
+
+    /// Two networks in one process: each owns its plan and its trip.
+    #[test]
+    fn an_abort_fires_once_and_a_neighbour_network_sees_nothing() {
+        let mut n = net();
+        n.set_plan(FaultPlan {
+            abort: Some(CrashPlan::at("P04", 0, 0, 1)),
+            ..FaultPlan::NONE
+        });
+        let bystander = crashing_at(0);
+        let _g = fault::instance_scope("P04", 0, 0);
+        assert_eq!(n.step_point(), StepVerdict::Pass);
+        assert_eq!(n.step_point(), StepVerdict::Abort);
+        assert_eq!(n.step_point(), StepVerdict::Pass, "the system stays up");
+        assert!(!n.crash_tripped() && !bystander.crash_tripped());
     }
 
     #[test]

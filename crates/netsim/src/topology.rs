@@ -70,10 +70,13 @@ pub fn dipbench_network(mode: TransferMode, seed: u64) -> Network {
     net
 }
 
-/// Apply a fault plan to the benchmark network: the plan's model becomes
-/// the default (all wireless IS↔ES/CS traffic), while ES-internal pairs —
-/// intra-machine traffic — are explicitly shielded and never fault.
+/// Apply a run's fault plan to the benchmark network: the network keeps
+/// the plan (its crash, abort and rollback-off switch are read from there),
+/// and an active model becomes the default (all wireless IS↔ES/CS traffic),
+/// while ES-internal pairs — intra-machine traffic — are explicitly
+/// shielded and never fault.
 pub fn apply_fault_plan(net: &mut Network, plan: FaultPlan) {
+    net.set_plan(plan);
     if !plan.is_active() {
         return;
     }

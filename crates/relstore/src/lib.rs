@@ -17,9 +17,8 @@
 //!   batch executor and a naive reference interpreter;
 //! * AFTER-INSERT triggers and stored procedures — the two building blocks
 //!   of the paper's federated-DBMS reference implementation (Fig. 9);
-//! * materialized views with full and incremental refresh (`OrdersMV`,
-//!   data-mart MVs);
-//! * change capture for incremental maintenance.
+//! * materialized views (`OrdersMV`, data-mart MVs);
+//! * change capture for incremental maintenance by an engine above.
 //!
 //! ```
 //! use dip_relstore::prelude::*;
@@ -50,7 +49,7 @@ pub mod prelude {
     pub use crate::catalog::{Database, ProcFn, TriggerFn};
     pub use crate::error::{StoreError, StoreResult, TransportFault, TransportKind};
     pub use crate::expr::{CmpOp, Expr, ScalarFunc};
-    pub use crate::mview::{MatView, RefreshMode};
+    pub use crate::mview::MatView;
     pub use crate::query::{execute, execute_oracle, AggExpr, AggFunc, JoinKind, Plan, ProjExpr};
     pub use crate::row::{Relation, Row};
     pub use crate::schema::{Column, RelSchema, SchemaRef};

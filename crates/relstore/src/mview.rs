@@ -1,96 +1,44 @@
-//! Materialized views with full and incremental refresh.
+//! Materialized views.
 //!
 //! The DIPBench DWH schema contains the materialized view `OrdersMV`
 //! (refreshed by P13) and each data mart has its own materialized views
 //! (refreshed by P15). A [`MatView`] pairs a defining [`Plan`] with a
-//! storage table; `refresh` recomputes it. When the definition is a simple
-//! aggregate (`SUM`/`COUNT`) over a single change-capturing base table, an
-//! *incremental* refresh applies captured deltas instead — an ablation knob
-//! for the benchmark's MV-refresh cost.
+//! storage table; `refresh` recomputes the definition and replaces the
+//! storage contents. (Delta maintenance of views is the `dip-ivm` engine's
+//! job; docs/EXPERIMENTS.md records why the in-store incremental refresh
+//! went.)
 
 use crate::catalog::Database;
-use crate::error::{StoreError, StoreResult};
-use crate::index::key_of;
-use crate::query::plan::{AggFunc, Plan};
-use crate::table::Change;
-use crate::value::Value;
-use parking_lot::Mutex;
-
-/// Refresh strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshMode {
-    /// Recompute the definition and replace the storage contents.
-    Full,
-    /// Apply captured base-table changes as aggregate deltas when the
-    /// definition allows it; falls back to full refresh otherwise.
-    Incremental,
-}
+use crate::error::StoreResult;
+use crate::query::plan::Plan;
 
 /// A named materialized view.
+#[derive(Debug)]
 pub struct MatView {
     pub name: String,
     /// Name of the table that stores the materialized rows.
     pub storage: String,
     pub definition: Plan,
-    pub mode: RefreshMode,
-    stats: Mutex<ViewStats>,
-}
-
-/// Refresh bookkeeping, exposed for benches and reports.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ViewStats {
-    pub full_refreshes: u64,
-    pub incremental_refreshes: u64,
-    pub rows_last_refresh: usize,
-}
-
-impl std::fmt::Debug for MatView {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatView")
-            .field("name", &self.name)
-            .field("storage", &self.storage)
-            .field("mode", &self.mode)
-            .finish()
-    }
 }
 
 impl MatView {
-    pub fn new(
-        name: impl Into<String>,
-        storage: impl Into<String>,
-        definition: Plan,
-        mode: RefreshMode,
-    ) -> MatView {
+    pub fn new(name: impl Into<String>, storage: impl Into<String>, definition: Plan) -> MatView {
         MatView {
             name: name.into(),
             storage: storage.into(),
             definition,
-            mode,
-            stats: Mutex::new(ViewStats::default()),
         }
-    }
-
-    pub fn stats(&self) -> ViewStats {
-        *self.stats.lock()
     }
 
     /// Refresh the view; returns the number of rows now materialized.
     ///
     /// The refresh runs in its own transaction scope (nested if the caller
-    /// already opened one): an error mid-refresh used to leave the base
-    /// table's drained change log lost and the storage table half-applied —
-    /// rollback now restores both, so a failed refresh can simply be
-    /// retried.
+    /// already opened one): an error mid-refresh would otherwise leave the
+    /// storage table truncated or half-filled — rollback restores it, so a
+    /// failed refresh can simply be retried.
     pub fn refresh(&self, db: &Database) -> StoreResult<usize> {
         let tx = crate::tx::begin();
-        let result = match self.mode {
-            RefreshMode::Full => self.full_refresh(db),
-            RefreshMode::Incremental => match self.try_incremental(db) {
-                Ok(Some(n)) => Ok(n),
-                Ok(None) => self.full_refresh(db),
-                Err(e) => Err(e),
-            },
-        };
+        let result = self.recompute(db);
         match &result {
             Ok(_) => tx.commit(),
             Err(_) => tx.rollback(),
@@ -98,327 +46,31 @@ impl MatView {
         result
     }
 
-    fn full_refresh(&self, db: &Database) -> StoreResult<usize> {
+    fn recompute(&self, db: &Database) -> StoreResult<usize> {
         let rel = self.definition.run(db)?;
         let storage = db.table(&self.storage)?;
         storage.truncate();
         let n = rel.rows.len();
         storage.insert(rel.rows)?;
-        // a full refresh consumed whatever deltas were pending
-        if let Some(base) = self.simple_aggregate_base() {
-            if let Ok(t) = db.table(&base) {
-                if t.captures_changes() {
-                    let _ = t.drain_changes();
-                }
-            }
-        }
-        let mut s = self.stats.lock();
-        s.full_refreshes += 1;
-        s.rows_last_refresh = n;
         Ok(n)
     }
-
-    /// Detect the `Aggregate(Scan(base))` shape and return the base table.
-    fn simple_aggregate_base(&self) -> Option<String> {
-        match &self.definition {
-            Plan::Aggregate { input, aggs, .. } => {
-                let deltable = aggs
-                    .iter()
-                    .all(|a| matches!(a.func, AggFunc::Sum | AggFunc::Count));
-                match (deltable, input.as_ref()) {
-                    (
-                        true,
-                        Plan::Scan {
-                            table,
-                            predicate: None,
-                            projection: None,
-                        },
-                    ) => Some(table.clone()),
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Incremental refresh; `Ok(None)` means "shape not eligible, fall back".
-    fn try_incremental(&self, db: &Database) -> StoreResult<Option<usize>> {
-        let (group_by, aggs) = match &self.definition {
-            Plan::Aggregate { group_by, aggs, .. } => (group_by.clone(), aggs.clone()),
-            _ => return Ok(None),
-        };
-        let base_name = match self.simple_aggregate_base() {
-            Some(b) => b,
-            None => return Ok(None),
-        };
-        let base = db.table(&base_name)?;
-        if !base.captures_changes() {
-            return Ok(None);
-        }
-        let storage = db.table(&self.storage)?;
-        if storage.primary_key_columns().as_deref()
-            != Some(&(0..group_by.len()).collect::<Vec<_>>())
-        {
-            // storage must be keyed by the leading group columns
-            return Ok(None);
-        }
-        let changes = base.drain_changes();
-        for ch in changes {
-            let (row, sign) = match &ch {
-                Change::Insert(r) => (r, 1.0),
-                Change::Delete(r) => (r, -1.0),
-            };
-            let key = key_of(row, &group_by);
-            let mut current = storage.get_by_pk(&key).unwrap_or_else(|| {
-                let mut init = key.clone();
-                // SUM also starts at Int(0): integer inputs keep the
-                // accumulator Int-typed, matching the executor's SUM; the
-                // first float delta widens it below
-                for _ in &aggs {
-                    init.push(Value::Int(0));
-                }
-                init
-            });
-            for (i, a) in aggs.iter().enumerate() {
-                let pos = group_by.len() + i;
-                match a.func {
-                    AggFunc::Count => {
-                        let counted = match &a.input {
-                            None => true,
-                            Some(e) => !e.eval(row)?.is_null(),
-                        };
-                        if counted {
-                            let c = current[pos].to_int().unwrap_or(0);
-                            current[pos] = Value::Int(c + sign as i64);
-                        }
-                    }
-                    AggFunc::Sum => {
-                        let v = a
-                            .input
-                            .as_ref()
-                            .ok_or_else(|| StoreError::Invalid("SUM needs input".into()))?
-                            .eval(row)?;
-                        // integer deltas on an integer accumulator stay
-                        // exact (and Int-typed) like the executor's SUM;
-                        // mixed input or overflow widens to float
-                        let cur = current[pos].clone();
-                        if let (Value::Int(c), Value::Int(i)) = (&cur, &v) {
-                            let delta = if sign < 0.0 {
-                                i.checked_neg()
-                            } else {
-                                Some(*i)
-                            };
-                            current[pos] = match delta.and_then(|d| c.checked_add(d)) {
-                                Some(t) => Value::Int(t),
-                                None => Value::Float(*c as f64 + sign * *i as f64),
-                            };
-                        } else if let Some(f) = v.to_float() {
-                            current[pos] = Value::Float(cur.to_float().unwrap_or(0.0) + sign * f);
-                        }
-                    }
-                    _ => unreachable!("filtered by simple_aggregate_base"),
-                }
-            }
-            // drop groups whose count reached zero
-            let count_pos = aggs.iter().position(|a| a.func == AggFunc::Count);
-            let dead = count_pos
-                .map(|p| current[group_by.len() + p].to_int().unwrap_or(0) <= 0)
-                .unwrap_or(false);
-            if dead {
-                let pred = pk_predicate(&key);
-                storage.delete_where(&pred)?;
-            } else {
-                storage.upsert(vec![current])?;
-            }
-        }
-        let n = storage.row_count();
-        let mut s = self.stats.lock();
-        s.incremental_refreshes += 1;
-        s.rows_last_refresh = n;
-        Ok(Some(n))
-    }
-}
-
-/// Equality predicate over the leading key columns.
-fn pk_predicate(key: &[Value]) -> crate::expr::Expr {
-    use crate::expr::Expr;
-    let mut it = key.iter().enumerate();
-    let (i0, v0) = it.next().expect("non-empty key");
-    let mut pred = Expr::col(i0).eq(Expr::Lit(v0.clone()));
-    for (i, v) in it {
-        pred = pred.and(Expr::col(i).eq(Expr::Lit(v.clone())));
-    }
-    pred
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StoreError;
     use crate::expr::Expr;
-    use crate::query::plan::AggExpr;
-    use crate::schema::RelSchema;
+    use crate::query::plan::{AggExpr, AggFunc};
+    use crate::schema::{Column, RelSchema};
     use crate::table::Table;
-    use crate::value::SqlType;
+    use crate::value::{SqlType, Value};
 
-    /// orders(city, price) -> mv(city, revenue SUM, cnt COUNT)
-    fn setup(mode: RefreshMode) -> Database {
+    /// orders(city, price) -> mv(city NOT NULL, revenue SUM, cnt COUNT)
+    fn setup() -> Database {
         let db = Database::new("dwh");
         let orders = RelSchema::of(&[("city", SqlType::Str), ("price", SqlType::Float)]).shared();
-        db.create_table(Table::new("orders", orders).with_change_capture());
-        let mv_schema = RelSchema::of(&[
-            ("city", SqlType::Str),
-            ("revenue", SqlType::Float),
-            ("cnt", SqlType::Int),
-        ])
-        .shared();
-        db.create_table(
-            Table::new("orders_mv", mv_schema)
-                .with_primary_key(&["city"])
-                .unwrap(),
-        );
-        let def = Plan::scan("orders").aggregate(
-            vec![0],
-            vec![
-                AggExpr::new(AggFunc::Sum, Expr::col(1), "revenue"),
-                AggExpr::count_star("cnt"),
-            ],
-        );
-        db.create_view(MatView::new("orders_mv", "orders_mv", def, mode));
-        db
-    }
-
-    fn add(db: &Database, city: &str, price: f64) {
-        db.table("orders")
-            .unwrap()
-            .insert(vec![vec![Value::str(city), Value::Float(price)]])
-            .unwrap();
-    }
-
-    #[test]
-    fn full_refresh_materializes() {
-        let db = setup(RefreshMode::Full);
-        add(&db, "Berlin", 10.0);
-        add(&db, "Berlin", 5.0);
-        add(&db, "Paris", 7.0);
-        let n = db.refresh_view("orders_mv").unwrap();
-        assert_eq!(n, 2);
-        let mv = db.table("orders_mv").unwrap();
-        let row = mv.get_by_pk(&[Value::str("Berlin")]).unwrap();
-        assert_eq!(row[1], Value::Float(15.0));
-        assert_eq!(row[2], Value::Int(2));
-    }
-
-    #[test]
-    fn incremental_matches_full() {
-        let inc = setup(RefreshMode::Incremental);
-        let full = setup(RefreshMode::Full);
-        for db in [&inc, &full] {
-            add(db, "Berlin", 10.0);
-            add(db, "Paris", 3.0);
-            db.refresh_view("orders_mv").unwrap();
-            add(db, "Berlin", 2.5);
-            add(db, "Rome", 1.0);
-            db.table("orders")
-                .unwrap()
-                .delete_where(&Expr::col(0).eq(Expr::lit("Paris")))
-                .unwrap();
-            db.refresh_view("orders_mv").unwrap();
-        }
-        let mut a = inc.table("orders_mv").unwrap().scan();
-        let mut b = full.table("orders_mv").unwrap().scan();
-        a.sort_by_columns(&[0]);
-        b.sort_by_columns(&[0]);
-        assert_eq!(a.rows, b.rows);
-        // and the incremental one really took the incremental path
-        let stats = inc.view("orders_mv").unwrap().stats();
-        assert_eq!(stats.incremental_refreshes, 2);
-        assert_eq!(stats.full_refreshes, 0);
-    }
-
-    #[test]
-    fn incremental_integer_sum_stays_int() {
-        // an Int measure must stay Int-typed (and exact) through both
-        // refresh paths, matching the executor's integer SUM
-        let mk = |mode: RefreshMode| {
-            let db = Database::new("dwh");
-            let orders = RelSchema::of(&[("city", SqlType::Str), ("qty", SqlType::Int)]).shared();
-            db.create_table(Table::new("orders", orders).with_change_capture());
-            let mv_schema = RelSchema::of(&[
-                ("city", SqlType::Str),
-                ("total", SqlType::Int),
-                ("cnt", SqlType::Int),
-            ])
-            .shared();
-            db.create_table(
-                Table::new("orders_mv", mv_schema)
-                    .with_primary_key(&["city"])
-                    .unwrap(),
-            );
-            let def = Plan::scan("orders").aggregate(
-                vec![0],
-                vec![
-                    AggExpr::new(AggFunc::Sum, Expr::col(1), "total"),
-                    AggExpr::count_star("cnt"),
-                ],
-            );
-            db.create_view(MatView::new("orders_mv", "orders_mv", def, mode));
-            db
-        };
-        let inc = mk(RefreshMode::Incremental);
-        let full = mk(RefreshMode::Full);
-        for db in [&inc, &full] {
-            let t = db.table("orders").unwrap();
-            t.insert(vec![
-                vec![Value::str("Berlin"), Value::Int(3)],
-                vec![Value::str("Berlin"), Value::Int(4)],
-            ])
-            .unwrap();
-            db.refresh_view("orders_mv").unwrap();
-            t.insert(vec![vec![Value::str("Berlin"), Value::Int(5)]])
-                .unwrap();
-            db.refresh_view("orders_mv").unwrap();
-        }
-        for db in [&inc, &full] {
-            let row = db
-                .table("orders_mv")
-                .unwrap()
-                .get_by_pk(&[Value::str("Berlin")])
-                .unwrap();
-            // strict type check: Int(12), not Float(12.0)
-            assert!(matches!(row[1], Value::Int(12)), "got {:?}", row[1]);
-            assert_eq!(row[2], Value::Int(3));
-        }
-        assert_eq!(
-            inc.view("orders_mv").unwrap().stats().incremental_refreshes,
-            2
-        );
-    }
-
-    #[test]
-    fn incremental_first_refresh_from_empty() {
-        let db = setup(RefreshMode::Incremental);
-        add(&db, "Berlin", 4.0);
-        db.refresh_view("orders_mv").unwrap();
-        let row = db
-            .table("orders_mv")
-            .unwrap()
-            .get_by_pk(&[Value::str("Berlin")])
-            .unwrap();
-        assert_eq!(row[1], Value::Float(4.0));
-    }
-
-    /// Regression: an error mid-incremental-refresh used to *consume* the
-    /// base table's drained change log and leave the storage table with a
-    /// prefix of the deltas applied. The refresh-scoped transaction must
-    /// restore both, so the failed refresh is retryable.
-    #[test]
-    fn failed_incremental_refresh_rolls_back() {
-        use crate::schema::Column;
-        let db = Database::new("dwh");
-        // base allows NULL city; the storage table does not — applying a
-        // NULL-keyed delta fails the storage schema check mid-loop
-        let orders = RelSchema::of(&[("city", SqlType::Str), ("price", SqlType::Float)]).shared();
-        db.create_table(Table::new("orders", orders).with_change_capture());
+        db.create_table(Table::new("orders", orders));
         let mv_schema = RelSchema::new(vec![
             Column::not_null("city", SqlType::Str),
             Column::new("revenue", SqlType::Float),
@@ -437,102 +89,52 @@ mod tests {
                 AggExpr::count_star("cnt"),
             ],
         );
-        db.create_view(MatView::new(
-            "orders_mv",
-            "orders_mv",
-            def,
-            RefreshMode::Incremental,
-        ));
-        add(&db, "Berlin", 10.0);
+        db.create_view(MatView::new("orders_mv", "orders_mv", def));
+        db
+    }
+
+    fn add(db: &Database, city: Value, price: f64) {
+        db.table("orders")
+            .unwrap()
+            .insert(vec![vec![city, Value::Float(price)]])
+            .unwrap();
+    }
+
+    #[test]
+    fn refresh_materializes_and_follows_the_base() {
+        let db = setup();
+        add(&db, Value::str("Berlin"), 10.0);
+        add(&db, Value::str("Berlin"), 5.0);
+        add(&db, Value::str("Paris"), 7.0);
+        assert_eq!(db.refresh_view("orders_mv").unwrap(), 2);
+        let mv = db.table("orders_mv").unwrap();
+        let row = mv.get_by_pk(&[Value::str("Berlin")]).unwrap();
+        assert_eq!(row[1], Value::Float(15.0));
+        assert_eq!(row[2], Value::Int(2));
+        // a group whose rows are gone vanishes with the next refresh
+        db.table("orders")
+            .unwrap()
+            .delete_where(&Expr::col(0).eq(Expr::lit("Paris")))
+            .unwrap();
+        assert_eq!(db.refresh_view("orders_mv").unwrap(), 1);
+        assert!(mv.get_by_pk(&[Value::str("Paris")]).is_none());
+    }
+
+    /// An error mid-refresh — here after the storage table was truncated —
+    /// must leave the view as the last good refresh left it, so the failed
+    /// refresh is retryable.
+    #[test]
+    fn failed_refresh_rolls_back() {
+        let db = setup();
+        add(&db, Value::str("Berlin"), 10.0);
         db.refresh_view("orders_mv").unwrap();
         let mv_before = db.table("orders_mv").unwrap().state_dump();
 
-        // one good delta followed by one poisoned delta
-        add(&db, "Paris", 2.0);
-        db.table("orders")
-            .unwrap()
-            .insert(vec![vec![Value::Null, Value::Float(5.0)]])
-            .unwrap();
-        let pending = db.table("orders").unwrap().peek_changes();
-        assert_eq!(pending.len(), 2);
-
+        // the base allows a NULL city; the storage table does not
+        add(&db, Value::str("Paris"), 2.0);
+        add(&db, Value::Null, 5.0);
         let err = db.refresh_view("orders_mv").unwrap_err();
         assert!(matches!(err, StoreError::Constraint(_)), "{err}");
-        // storage unchanged: the good Paris delta did not leak through
         assert_eq!(db.table("orders_mv").unwrap().state_dump(), mv_before);
-        // and the drained change log is back, so a later (fixed) refresh
-        // still sees every delta
-        assert_eq!(db.table("orders").unwrap().peek_changes(), pending);
-    }
-
-    #[test]
-    fn group_vanishes_when_count_zero() {
-        let db = setup(RefreshMode::Incremental);
-        add(&db, "Berlin", 4.0);
-        db.refresh_view("orders_mv").unwrap();
-        db.table("orders")
-            .unwrap()
-            .delete_where(&Expr::col(0).eq(Expr::lit("Berlin")))
-            .unwrap();
-        db.refresh_view("orders_mv").unwrap();
-        assert_eq!(db.table("orders_mv").unwrap().row_count(), 0);
-    }
-}
-
-#[cfg(test)]
-mod fallback_tests {
-    use super::*;
-    use crate::expr::Expr;
-    use crate::query::plan::AggExpr;
-    use crate::schema::RelSchema;
-    use crate::table::Table;
-    use crate::value::{SqlType, Value};
-
-    /// A filtered definition is not eligible for incremental maintenance;
-    /// the view must silently fall back to full refresh.
-    #[test]
-    fn ineligible_shape_falls_back_to_full() {
-        let db = Database::new("f");
-        let orders = RelSchema::of(&[("city", SqlType::Str), ("price", SqlType::Float)]).shared();
-        db.create_table(Table::new("orders", orders).with_change_capture());
-        let mv = RelSchema::of(&[("city", SqlType::Str), ("rev", SqlType::Float)]).shared();
-        db.create_table(Table::new("mv", mv).with_primary_key(&["city"]).unwrap());
-        let def = Plan::scan("orders")
-            .filter(Expr::col(1).gt(Expr::lit(0.0)))
-            .aggregate(
-                vec![0],
-                vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "rev")],
-            );
-        let view = db.create_view(MatView::new("mv", "mv", def, RefreshMode::Incremental));
-        db.table("orders")
-            .unwrap()
-            .insert(vec![vec![Value::str("a"), Value::Float(2.0)]])
-            .unwrap();
-        db.refresh_view("mv").unwrap();
-        let stats = view.stats();
-        assert_eq!(stats.full_refreshes, 1);
-        assert_eq!(stats.incremental_refreshes, 0);
-        assert_eq!(db.table("mv").unwrap().row_count(), 1);
-    }
-
-    /// MIN/MAX aggregates cannot be maintained from deltas either.
-    #[test]
-    fn min_max_not_incrementally_maintained() {
-        let db = Database::new("g");
-        let orders = RelSchema::of(&[("city", SqlType::Str), ("price", SqlType::Float)]).shared();
-        db.create_table(Table::new("orders", orders).with_change_capture());
-        let mv = RelSchema::of(&[("city", SqlType::Str), ("mx", SqlType::Float)]).shared();
-        db.create_table(Table::new("mv", mv).with_primary_key(&["city"]).unwrap());
-        let def = Plan::scan("orders").aggregate(
-            vec![0],
-            vec![AggExpr::new(AggFunc::Max, Expr::col(1), "mx")],
-        );
-        let view = db.create_view(MatView::new("mv", "mv", def, RefreshMode::Incremental));
-        db.table("orders")
-            .unwrap()
-            .insert(vec![vec![Value::str("a"), Value::Float(2.0)]])
-            .unwrap();
-        db.refresh_view("mv").unwrap();
-        assert_eq!(view.stats().full_refreshes, 1);
     }
 }

@@ -39,7 +39,8 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
-/// A captured mutation, consumed by incremental materialized-view refresh.
+/// A captured mutation, consumed by a change-data pull
+/// ([`Table::drain_changes`] — the `dip-ivm` engine's standing queries).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Change {
     Insert(Row),
@@ -63,7 +64,7 @@ enum UndoOp {
         live: usize,
         restore_changes: Option<Vec<Change>>,
     },
-    /// The change-capture log was drained (mview refresh).
+    /// The change-capture log was drained (a change-data pull).
     Drained { changes: Vec<Change> },
 }
 
@@ -377,7 +378,7 @@ impl Table {
         self
     }
 
-    /// Enable change capture (for incremental MV refresh).
+    /// Enable change capture from the first row on.
     pub fn with_change_capture(self) -> Table {
         self.inner.write().capture = true;
         self
@@ -808,11 +809,6 @@ impl Table {
             );
         }
         drained
-    }
-
-    /// Whether change capture is enabled.
-    pub fn captures_changes(&self) -> bool {
-        self.inner.read().capture
     }
 }
 

@@ -17,9 +17,10 @@
 //! undoes the inner work. Cross-thread branches (FORK steps, per-mart
 //! loader threads) join the parent transaction via [`handle`]/[`adopt`].
 //!
-//! A process-wide debug switch ([`set_rollback_disabled`]) turns rollback
-//! into a no-op discard; the crash-recovery CI gate uses it to prove that
-//! the byte-identity check actually depends on rollback.
+//! A scope opened with [`begin_leaking`] turns its rollback — and that of
+//! every scope nested in it or adopted from it — into a no-op discard; the
+//! crash-recovery CI gate uses it to prove that the byte-identity check
+//! actually depends on rollback.
 
 #![cfg_attr(
     not(test),
@@ -29,17 +30,19 @@
 use crate::table::Table;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 static NEXT_TX_ID: AtomicU64 = AtomicU64::new(1);
-static ROLLBACK_DISABLED: AtomicBool = AtomicBool::new(false);
 
 /// The shared core of one transaction: its id and the set of tables that
 /// hold undo records for it. Tables register themselves on first touch.
 pub struct TxShared {
     id: u64,
     tables: Mutex<Vec<Weak<Table>>>,
+    /// Rollback discards the undo log instead of applying it
+    /// ([`begin_leaking`]).
+    leak: bool,
 }
 
 impl TxShared {
@@ -60,10 +63,21 @@ thread_local! {
 /// calling [`TxScope::commit`] rolls back — the RAII shape that makes
 /// `?`-propagated errors atomic for free.
 pub fn begin() -> TxScope {
+    begin_leaking(false)
+}
+
+/// [`begin`] with the crash gate's "teeth" switch: when `leak` is set, or
+/// the enclosing transaction leaks, a rollback silently discards the undo
+/// log instead of applying it, so partial writes of a failed instance
+/// survive. The switch belongs to the transaction, not the process: a
+/// scope on a neighbouring thread rolls back as ever, and branches that
+/// [`adopt`] this one journal into it and share its fate.
+pub fn begin_leaking(leak: bool) -> TxScope {
     let parent = current();
     let shared = Arc::new(TxShared {
         id: NEXT_TX_ID.fetch_add(1, Ordering::Relaxed),
         tables: Mutex::new(Vec::new()),
+        leak: leak || parent.as_ref().is_some_and(|p| p.leak),
     });
     ACTIVE.with(|a| a.borrow_mut().push(shared.clone()));
     dip_trace::count("tx.begin", 1);
@@ -180,7 +194,7 @@ impl Drop for TxScope {
 
 fn do_rollback(shared: &TxShared) {
     let tables = std::mem::take(&mut *shared.tables.lock());
-    if ROLLBACK_DISABLED.load(Ordering::Relaxed) {
+    if shared.leak {
         for t in tables {
             if let Some(t) = t.upgrade() {
                 t.tx_discard(shared.id);
@@ -197,18 +211,6 @@ fn do_rollback(shared: &TxShared) {
     }
     dip_trace::count("tx.rollback", 1);
     dip_trace::count("tx.rollback.records", records);
-}
-
-/// Debug switch for the crash-gate "teeth" check: when disabled, rollback
-/// silently discards the undo log instead of applying it, so partial
-/// writes of a failed instance survive. Never set in production paths.
-pub fn set_rollback_disabled(disabled: bool) {
-    ROLLBACK_DISABLED.store(disabled, Ordering::Relaxed);
-}
-
-/// Whether rollback is currently disabled (see [`set_rollback_disabled`]).
-pub fn rollback_disabled() -> bool {
-    ROLLBACK_DISABLED.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -430,15 +432,41 @@ mod tests {
         }
     }
 
+    /// The teeth switch is the transaction's: a leaking scope discards —
+    /// its nested scope and its adopted branch with it — while a sibling
+    /// scope open on another thread at the same time still rolls back.
     #[test]
-    fn disabled_rollback_keeps_partial_writes() {
-        let t = table();
-        set_rollback_disabled(true);
-        let tx = begin();
-        t.insert(vec![row(1, "kept")]).unwrap();
-        drop(tx);
-        set_rollback_disabled(false);
-        assert_eq!(t.row_count(), 1, "rollback was disabled");
+    fn leaking_scope_discards_while_a_concurrent_sibling_rolls_back() {
+        let (leaky, sound) = (table(), table());
+        // both scopes are open before either ends
+        let both_open = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let tx = begin_leaking(true);
+                leaky.insert(vec![row(1, "kept")]).unwrap();
+                let nested = begin();
+                leaky.insert(vec![row(2, "nested")]).unwrap();
+                drop(nested);
+                let h = handle().unwrap();
+                std::thread::scope(|b| {
+                    b.spawn(|| {
+                        let _g = adopt(&h);
+                        leaky.insert(vec![row(3, "branch")]).unwrap();
+                    });
+                });
+                both_open.wait();
+                drop(tx);
+            });
+            s.spawn(|| {
+                let tx = begin();
+                sound.insert(vec![row(1, "undone")]).unwrap();
+                both_open.wait();
+                drop(tx);
+            });
+        });
+        assert_eq!(leaky.row_count(), 3, "a leaking scope keeps partial writes");
+        assert_eq!(leaky.undo_footprint(), 0, "and discards its journal");
+        assert_eq!(sound.row_count(), 0, "the sibling rolled back");
     }
 
     #[test]

@@ -247,6 +247,8 @@ enum TxOp {
     UpdateWhere(i64, f64),
     Truncate,
     RefreshView,
+    /// A change-data pull: the log empties, the undo journal keeps it.
+    DrainChanges,
 }
 
 fn arb_tx_op() -> impl Strategy<Value = TxOp> {
@@ -257,11 +259,13 @@ fn arb_tx_op() -> impl Strategy<Value = TxOp> {
         (0i64..1000, -100.0f64..100.0).prop_map(|(k, v)| TxOp::UpdateWhere(k, v)),
         Just(TxOp::Truncate),
         Just(TxOp::RefreshView),
+        Just(TxOp::DrainChanges),
     ]
 }
 
-/// Build a database with a secondary-indexed base table, seed rows, and an
-/// incremental materialized view already refreshed once (change log drained).
+/// Build a database with a secondary-indexed, change-capturing base table,
+/// seed rows (pending in its change log), and a materialized view already
+/// refreshed once.
 fn make_tx_db(rows: &[(i64, i64, f64)]) -> Database {
     let db = Database::new("txprop");
     let schema = RelSchema::of(&[
@@ -293,7 +297,6 @@ fn make_tx_db(rows: &[(i64, i64, f64)]) -> Database {
         "t_by_g",
         "t_mv",
         Plan::scan("t").aggregate(vec![1], vec![AggExpr::new(AggFunc::Sum, Expr::col(2), "s")]),
-        RefreshMode::Incremental,
     ));
     db.refresh_view("t_by_g").unwrap();
     db
@@ -312,8 +315,9 @@ proptest! {
 
     /// Rolling back a random batch of mixed operations — bulk inserts,
     /// upserts, predicate deletes (including the full-wipe fast path),
-    /// updates, truncates and incremental mview refreshes — restores every
-    /// table, every index, and the mview storage byte-identically.
+    /// updates, truncates, mview refreshes and change-log drains — restores
+    /// every table, every index, the pending change log and the mview
+    /// storage byte-identically.
     #[test]
     fn rollback_restores_store_byte_identically(
         rows in arb_rows(30),
@@ -355,6 +359,7 @@ proptest! {
                     // nested scope: the refresh commits into the outer tx
                     db.refresh_view("t_by_g").unwrap();
                 }
+                TxOp::DrainChanges => drop(t.drain_changes()),
             }
         }
         tx.rollback();

@@ -163,7 +163,7 @@ impl ExternalWorld {
         // system is dead; recovery replays the instance); an abort is a
         // transient fault with retries exhausted (the message dead-letters
         // and is never replayed).
-        match fault::step_point() {
+        match self.network.step_point() {
             fault::StepVerdict::Pass => {}
             fault::StepVerdict::Crash => {
                 return Err(E::from(TransportFault {

@@ -4,7 +4,7 @@
 //! benchmark. Costs may (and should) differ; data must not.
 
 use dipbench::prelude::*;
-use dipbench::verify;
+use dipbench::{quality, verify};
 use dipbench_suite::{run_benchmark as run, sorted_rows, test_config as config, EngineKind};
 
 #[test]
@@ -157,6 +157,21 @@ fn optimizer_does_not_change_integrated_data() {
             sorted_rows(&on_env, db, table),
             sorted_rows(&off_env, db, table),
             "{db}.{table}: optimizer changed integrated data"
+        );
+    }
+}
+
+/// The data-quality extension (`dipbench::quality`, whose unit tests run
+/// the native engine only) holds whichever engine integrated the data.
+#[test]
+fn quality_extension_holds_on_both_engines() {
+    for engine in [EngineKind::Mtm, EngineKind::Federated] {
+        let (env, _) = run(engine, config());
+        let q = quality::measure(&env).unwrap();
+        assert!(q.quality_increases(), "{engine:?}:\n{q}");
+        assert!(
+            (q.warehouse.consistency - 1.0).abs() < 1e-9,
+            "{engine:?}:\n{q}"
         );
     }
 }

@@ -1,11 +1,11 @@
 //! Executor-vs-oracle at the engine level: `fed` runs its local queries
 //! through the one batch executor, `fed-unopt` through the naive reference
 //! interpreter, and both must integrate byte-identical data — at any
-//! worker count and under drop faults (the crash-restart twin lives in
-//! `crash_recovery.rs`, because the crash plan is process-global). The
+//! worker count, under drop faults and across a crash-restart. The
 //! digests committed at PR 11 (when three executors and `Auto` routing
 //! still existed) pin the same bytes across commits.
 
+use dip_bench::gate::{crash_cell, run_cell, Detail, Load};
 use dip_trace::Json;
 use dipbench::prelude::*;
 use dipbench_suite::{run_benchmark, EngineKind};
@@ -46,6 +46,36 @@ fn executor_matches_oracle_under_drop_faults() {
         digests(EngineKind::Federated, with_drops()),
         digests(EngineKind::FederatedUnoptimized, with_drops()),
         "fed diverged from fed-unopt under drop faults"
+    );
+}
+
+/// Kill `fed` at the first materialization step of P13 (stream D: a join
+/// and a grouped aggregate through the batch executor), recover, and
+/// require the bytes of an uncrashed `fed-unopt` run, whose local queries
+/// go through the oracle.
+#[test]
+fn executor_matches_oracle_across_a_crash_restart() {
+    let oracle = run_cell(EngineKind::FederatedUnoptimized, config(), &Load::Closed).unwrap();
+    assert!(
+        oracle.outcome.failures.is_empty(),
+        "{:#?}",
+        oracle.outcome.failures
+    );
+    let target = CrashTarget {
+        process: "P13".to_string(),
+        period: 0,
+        seq: 0,
+        step: 0,
+    };
+    let (crashed, load) = crash_cell(config(), &target);
+    let run = run_cell(EngineKind::Federated, crashed, &load).expect("fed recovery run");
+    let fired = matches!(run.detail, Detail::Crash { tripped: true, .. });
+    assert!(fired, "the planned P13 crash never fired");
+    let differs = run.fingerprint.diff(&oracle.fingerprint, false);
+    assert!(
+        run.fingerprint.verified && differs.is_empty(),
+        "recovered fed diverged from the uncrashed fed-unopt run: {differs:?}\n{}",
+        run.verification
     );
 }
 
