@@ -1,13 +1,17 @@
 //! The XML-path ablation: streaming STX transformation (`dip-xmlkit`)
 //! versus the federated DBMS's CLOB-bound "proprietary XML functions"
-//! (`dip_feddbms::xmlfn`). The paper attributes System A's poor showing on
-//! the concurrent process types to exactly this difference — XML
-//! functionality "apparently not included in the optimizer".
+//! (`dip_feddbms::xmlfn`), with the materializing STX driver the latter
+//! runs measured on its own in between. The paper attributes System A's
+//! poor showing on the concurrent process types to exactly this
+//! difference — XML functionality "apparently not included in the
+//! optimizer".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dip_relstore::prelude::*;
 use dip_services::apps::{self, OrderData, OrderLineData};
 use dip_xmlkit::node::Document;
-use dipbench::schema::messages;
+use dip_xmlkit::sax::{build, events};
+use dipbench::schema::{messages, vocab};
 use std::hint::black_box;
 
 fn order_message(lines: usize) -> Document {
@@ -31,17 +35,74 @@ fn order_message(lines: usize) -> Document {
     apps::vienna_order(&o)
 }
 
+/// The P09 shape: one wide Seoul result set, every element renamed, two
+/// columns through a vocabulary map.
+fn seoul_result_set(rows: i64) -> Document {
+    let columns = [
+        ("s_okey", SqlType::Int),
+        ("s_ckey", SqlType::Int),
+        ("s_odate", SqlType::Str),
+        ("s_oprio", SqlType::Str),
+        ("s_ostate", SqlType::Str),
+        ("s_ototal", SqlType::Float),
+        ("s_lineno", SqlType::Int),
+        ("s_pkey", SqlType::Int),
+        ("s_qty", SqlType::Int),
+        ("s_xprice", SqlType::Float),
+        ("s_disc", SqlType::Float),
+        ("s_cname", SqlType::Str),
+    ];
+    let rows = (0..rows)
+        .map(|i| {
+            vec![
+                Value::Int(3_000_000 + i),
+                Value::Int(1_100_000 + i % 200),
+                Value::str("2008-04-07"),
+                Value::str(vocab::ASIA_PRIORITY[(i % 3) as usize]),
+                Value::str(vocab::ASIA_STATE[(i % 3) as usize]),
+                Value::Float(100.0 + i as f64),
+                Value::Int(1 + i % 4),
+                Value::Int(1_110_000 + i % 40),
+                Value::Int(2),
+                Value::Float(10.0),
+                Value::Float(0.05),
+                Value::str(format!("customer-{i}")),
+            ]
+        })
+        .collect();
+    let rel = Relation::new(RelSchema::of(&columns).shared(), rows);
+    dip_services::resultset::encode("seoul", "orders", &rel)
+}
+
+/// Three ways through one stylesheet: the one-pass driver (MTM's
+/// TRANSLATE), the materializing pipeline on its own (tree → events →
+/// filter → events → tree), and that pipeline between its two CLOB round
+/// trips (`xmlfn::transform`, System A).
 fn bench_translation(c: &mut Criterion) {
     let mut g = c.benchmark_group("xml_translate");
     g.sample_size(30);
-    let stx = messages::stx_vienna_to_cdb();
-    for lines in [2usize, 20, 100] {
-        let doc = order_message(lines);
-        g.bench_with_input(BenchmarkId::new("streaming_stx", lines), &doc, |b, doc| {
+    let orders = [2usize, 20, 100].map(|lines| {
+        let stx = messages::stx_vienna_to_cdb();
+        (lines.to_string(), stx, order_message(lines))
+    });
+    let p09 = (
+        "p09_2000x12".to_string(),
+        messages::stx_seoul_rs_to_canon(),
+        seoul_result_set(2_000),
+    );
+    for (id, stx, doc) in orders.iter().chain([&p09]) {
+        g.bench_with_input(BenchmarkId::new("streaming_stx", id), doc, |b, doc| {
             b.iter(|| black_box(stx.transform(doc).unwrap()))
         });
-        g.bench_with_input(BenchmarkId::new("feddbms_xmlfn", lines), &doc, |b, doc| {
-            b.iter(|| black_box(dip_feddbms::xmlfn::transform(doc, &stx).unwrap()))
+        g.bench_with_input(
+            BenchmarkId::new("materializing_driver", id),
+            doc,
+            |b, doc| {
+                b.iter(|| black_box(build(stx.transform_events(&events(doc)).unwrap()).unwrap()))
+            },
+        );
+        g.bench_with_input(BenchmarkId::new("feddbms_xmlfn", id), doc, |b, doc| {
+            b.iter(|| black_box(dip_feddbms::xmlfn::transform(doc, stx).unwrap()))
         });
     }
     g.finish();

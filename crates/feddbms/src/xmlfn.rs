@@ -10,9 +10,18 @@
 //! serialize/parse boundary (XML values live as CLOBs in queue tables and
 //! temp tables), transformations run over materialized DOM trees instead
 //! of event streams, and nothing is cached between calls.
+//!
+//! [`transform`] is therefore the production caller of the *materializing*
+//! STX driver (`sax::events` → `Stylesheet::transform_events` →
+//! `sax::build`: two event vectors between three trees), while the MTM
+//! engine's `TRANSLATE` runs the one-pass `Stylesheet::transform`. Same
+//! rule engine, same result, different amount of buffering — which is the
+//! asymmetry this module exists to model, and it keeps the fed / ivm
+//! benchmark workloads a control for changes to the one-pass path.
 
 use dip_xmlkit::node::Document;
 use dip_xmlkit::path::Path;
+use dip_xmlkit::sax::{build, events};
 use dip_xmlkit::stx::Stylesheet;
 use dip_xmlkit::xsd::{ValidationIssue, XsdSchema};
 use dip_xmlkit::{parse, write_compact, XmlResult};
@@ -28,7 +37,7 @@ fn clob_roundtrip(doc: &Document) -> XmlResult<Document> {
 /// the engine re-checking its own output by re-parsing it.
 pub fn transform(doc: &Document, stylesheet: &Stylesheet) -> XmlResult<Document> {
     let materialized = clob_roundtrip(doc)?;
-    let transformed = stylesheet.transform(&materialized)?;
+    let transformed = build(stylesheet.transform_events(&events(&materialized))?)?;
     // the function returns a CLOB; the consumer parses it again
     clob_roundtrip(&transformed)
 }
@@ -74,6 +83,87 @@ mod tests {
         let naive = transform(&doc, &sheet).unwrap();
         let streaming = sheet.transform(&doc).unwrap();
         assert_eq!(naive, streaming);
+    }
+
+    /// Each of the seven benchmark stylesheets, over 50 generated messages
+    /// or result sets of its source type: the one-pass driver, the
+    /// materializing pipeline and this module's CLOB-bound [`transform`]
+    /// serialize to the same bytes. (It lives here because this is the
+    /// lowest crate that sees the message generators and all three paths.)
+    #[test]
+    fn seven_stylesheets_agree_through_every_driver() {
+        use dip_relstore::prelude::Relation;
+        use dipbench::prelude::{BenchConfig, BenchEnvironment, Distribution, ScaleFactors};
+        use dipbench::schema::{asia, messages};
+
+        let scale = ScaleFactors::new(0.1, 1.0, Distribution::Uniform);
+        let env = BenchEnvironment::new(BenchConfig::new(scale)).unwrap();
+        env.initialize_sources(0).unwrap();
+        let gen = &env.generator;
+        // 50 result sets per service: every 13th row of each of its four
+        // tables, from 13 (12 for two of them) different offsets
+        let result_sets = |service: &str| -> Vec<Document> {
+            let db = env.db(&format!("{service}_db"));
+            (0..50usize)
+                .map(|i| {
+                    let table = ["customers", "parts", "orders", "orderlines"][i % 4];
+                    let all = db.table(table).unwrap().scan();
+                    let rows = all.rows.iter().skip(i / 4).step_by(13).cloned().collect();
+                    let sample = Relation::new(all.schema.clone(), rows);
+                    dip_services::resultset::encode(service, table, &sample)
+                })
+                .collect()
+        };
+        let messages_of = |make: &dyn Fn(u32) -> Document| (0..50).map(make).collect::<Vec<_>>();
+        let cases = [
+            (
+                messages::stx_beijing_to_seoul(),
+                messages_of(&|m| gen.beijing_master_message(0, m)),
+            ),
+            (
+                messages::stx_mdm_to_europe(),
+                messages_of(&|m| gen.mdm_message(0, m)),
+            ),
+            (
+                messages::stx_vienna_to_cdb(),
+                messages_of(&|m| gen.vienna_message(0, m)),
+            ),
+            (
+                messages::stx_hongkong_to_cdb(),
+                messages_of(&|m| gen.hongkong_message(0, m)),
+            ),
+            (
+                messages::stx_san_diego_to_cdb(),
+                messages_of(&|m| gen.san_diego_message(0, m).0),
+            ),
+            (
+                messages::stx_beijing_rs_to_canon(),
+                result_sets(asia::BEIJING),
+            ),
+            (messages::stx_seoul_rs_to_canon(), result_sets(asia::SEOUL)),
+        ];
+        for (sheet, docs) in &cases {
+            let mut translated = 0;
+            for doc in docs {
+                let one_pass = write_compact(&sheet.transform(doc).unwrap());
+                let materializing =
+                    write_compact(&build(sheet.transform_events(&events(doc)).unwrap()).unwrap());
+                assert_eq!(one_pass, materializing, "{}", sheet.name);
+                // The CLOB-bound stack sees the message as it arrives: a
+                // generated empty value is an empty text node in memory
+                // and `<x/>` after any serialize / parse boundary.
+                let arrived = from_clob(&to_clob(doc)).unwrap();
+                assert_eq!(
+                    write_compact(&sheet.transform(&arrived).unwrap()),
+                    to_clob(&transform(doc, sheet).unwrap()),
+                    "{}",
+                    sheet.name
+                );
+                translated += usize::from(one_pass != write_compact(doc));
+            }
+            // the inputs are of the stylesheet's source type: its rules hit
+            assert_eq!(translated, 50, "{}", sheet.name);
+        }
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //!   message handling and P12/P13's load validation;
 //! * an STX-like streaming transformation engine ([`stx`]) implementing
 //!   the paper's schema translations.
+//!
+//! This crate reads what a source system sent, so malformed input is an
+//! expected event: outside tests nothing here may panic (the lint below),
+//! and [`parser::MAX_DEPTH`] bounds the recursion of everything that walks
+//! a parsed tree.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod error;
 pub mod node;

@@ -9,6 +9,12 @@
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};
 
+/// Deepest element nesting [`parse`] accepts. The parser, the writer, the
+/// tree walks and `Drop` all recurse once per level, and a stack overflow
+/// is an abort no panic guard catches — so depth is bounded where outside
+/// input enters. The deepest benchmark message has fewer than 10 levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a complete document.
 pub fn parse(input: &str) -> XmlResult<Document> {
     let _span = dip_trace::span_cat(
@@ -22,7 +28,7 @@ pub fn parse(input: &str) -> XmlResult<Document> {
         pos: 0,
     };
     p.skip_prolog()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_misc();
     if p.pos != p.bytes.len() {
         return Err(XmlError::parse(
@@ -129,7 +135,15 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
     }
 
-    fn parse_element(&mut self) -> XmlResult<Element> {
+    /// `depth` is the nesting level of the element about to be read (the
+    /// root is 1).
+    fn parse_element(&mut self, depth: usize) -> XmlResult<Element> {
+        if depth > MAX_DEPTH {
+            return Err(XmlError::parse(
+                self.pos,
+                format!("elements nested deeper than {MAX_DEPTH} levels"),
+            ));
+        }
         self.expect("<")?;
         let name = self.parse_name()?;
         let mut elem = Element::new(name);
@@ -212,7 +226,7 @@ impl<'a> Parser<'a> {
                     } else if self.starts_with("<?") {
                         self.skip_until("?>")?;
                     } else {
-                        let child = self.parse_element()?;
+                        let child = self.parse_element(depth + 1)?;
                         elem.children.push(XmlNode::Element(child));
                     }
                 }
@@ -341,6 +355,52 @@ mod tests {
         assert!(parse("<a></a><b/>").is_err());
         assert!(parse("<a>&unknown;</a>").is_err());
         assert!(parse("<a x=unquoted/>").is_err());
+    }
+
+    /// Run on a stack the size of a worker or FORK thread's.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_a_parse_error() {
+        // 100 000 levels overflowed the stack (an abort, not a panic)
+        // before the bound
+        let err = on_small_stack(|| parse(&nested(100_000))).unwrap_err();
+        assert_eq!(
+            err,
+            XmlError::parse(
+                3 * MAX_DEPTH,
+                format!("elements nested deeper than {MAX_DEPTH} levels")
+            )
+        );
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_document_at_the_limit_goes_all_the_way_through() {
+        on_small_stack(|| {
+            let text = nested(MAX_DEPTH);
+            let doc = parse(&text).unwrap();
+            assert_eq!(doc.root.depth(), MAX_DEPTH);
+            let out = crate::stx::Stylesheet::identity("id")
+                .transform(&doc)
+                .unwrap();
+            assert_eq!(out, doc);
+            let written = crate::writer::write_compact(&out);
+            assert!(written.ends_with(&text.replace("<a></a>", "<a/>")));
+            assert_eq!(crate::writer::compact_len(&out), written.len());
+            drop((doc, out));
+        });
     }
 
     #[test]

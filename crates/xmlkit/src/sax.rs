@@ -1,12 +1,26 @@
 //! SAX-style event streams over XML trees.
 //!
 //! STX — the transformation language the paper uses for schema translations
-//! — is defined over a stream of events rather than a tree. [`events`]
-//! linearizes a tree into events and [`build`] folds events back into a
-//! tree, so transformations can run in a genuinely streaming fashion.
+//! — is defined over a stream of events rather than a tree. Events reach a
+//! consumer in one of two forms:
+//!
+//! * **borrowed**, pushed into a [`Handler`] one call at a time — what
+//!   [`Stylesheet::transform`](crate::stx::Stylesheet::transform) does: it
+//!   walks the input tree through the rules straight into a
+//!   [`TreeBuilder`], so nothing but the output tree is ever allocated;
+//! * **materialized**, as a `Vec<SaxEvent>`: [`events`] linearizes a tree
+//!   and [`build`] folds a vector back into one. This is the pipeline of a
+//!   CLOB-bound XML function stack, and the one caller that runs it in
+//!   production is `dip_feddbms::xmlfn::transform`
+//!   (`build(sheet.transform_events(&events(doc)))`), on purpose; the tests
+//!   use it as the oracle of the one-pass path.
+//!
+//! Both forms end in the same fold ([`TreeBuilder`]), so they agree on
+//! every tree and on every error.
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};
+use std::borrow::Cow;
 
 /// One SAX event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,63 +58,153 @@ fn emit(e: &Element, out: &mut Vec<SaxEvent>) {
     });
 }
 
-/// Fold an event stream back into a document. The stream must be
-/// well-formed: one root element, balanced start/end tags.
-pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> {
-    let mut stack: Vec<Element> = Vec::new();
-    let mut root: Option<Element> = None;
-    for ev in events {
-        match ev {
-            SaxEvent::StartElement { name, attrs } => {
-                stack.push(Element {
-                    name,
-                    attrs,
-                    children: Vec::new(),
-                });
+/// A consumer of borrowed SAX events. `children` on a start event is the
+/// producer's estimate of how many child nodes will follow (0 when it
+/// cannot know), so a consumer that builds a tree can size the element
+/// once instead of growing it.
+pub(crate) trait Handler {
+    fn start(
+        &mut self,
+        name: &str,
+        attrs: Cow<'_, [(String, String)]>,
+        children: usize,
+    ) -> XmlResult<()>;
+    fn text(&mut self, text: &str) -> XmlResult<()>;
+    fn end(&mut self, name: &str) -> XmlResult<()>;
+}
+
+/// The materializing consumer: every event becomes an owned [`SaxEvent`].
+impl Handler for Vec<SaxEvent> {
+    fn start(
+        &mut self,
+        name: &str,
+        attrs: Cow<'_, [(String, String)]>,
+        _children: usize,
+    ) -> XmlResult<()> {
+        self.push(SaxEvent::StartElement {
+            name: name.to_string(),
+            attrs: attrs.into_owned(),
+        });
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        self.push(SaxEvent::Text(text.to_string()));
+        Ok(())
+    }
+
+    fn end(&mut self, name: &str) -> XmlResult<()> {
+        self.push(SaxEvent::EndElement {
+            name: name.to_string(),
+        });
+        Ok(())
+    }
+}
+
+/// The fold from events to a tree: open elements on a stack, adjacent text
+/// runs merged, exactly one root. Strings are taken as `Into<String>`, so
+/// an owned event moves into the tree and a borrowed one is copied once.
+#[derive(Default)]
+pub(crate) struct TreeBuilder {
+    stack: Vec<Element>,
+    root: Option<Element>,
+}
+
+impl TreeBuilder {
+    fn open(&mut self, name: String, attrs: Vec<(String, String)>, children: usize) {
+        self.stack.push(Element {
+            name,
+            attrs,
+            children: Vec::with_capacity(children),
+        });
+    }
+
+    fn append_text(&mut self, text: impl AsRef<str> + Into<String>) -> XmlResult<()> {
+        match self.stack.last_mut() {
+            Some(top) => {
+                if let Some(XmlNode::Text(prev)) = top.children.last_mut() {
+                    prev.push_str(text.as_ref());
+                } else {
+                    top.children.push(XmlNode::Text(text.into()));
+                }
             }
-            SaxEvent::Text(t) => match stack.last_mut() {
-                Some(top) => {
-                    if let Some(XmlNode::Text(prev)) = top.children.last_mut() {
-                        prev.push_str(&t);
-                    } else {
-                        top.children.push(XmlNode::Text(t));
-                    }
-                }
-                None => {
-                    if !t.trim().is_empty() {
-                        return Err(XmlError::Transform("text outside root element".into()));
-                    }
-                }
-            },
-            SaxEvent::EndElement { name } => {
-                let done = stack
-                    .pop()
-                    .ok_or_else(|| XmlError::Transform("unbalanced end event".into()))?;
-                if done.name != name {
-                    return Err(XmlError::Transform(format!(
-                        "end event {name} does not match open element {}",
-                        done.name
-                    )));
-                }
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(XmlNode::Element(done)),
-                    None => {
-                        if root.is_some() {
-                            return Err(XmlError::Transform("multiple root elements".into()));
-                        }
-                        root = Some(done);
-                    }
+            None => {
+                if !text.as_ref().trim().is_empty() {
+                    return Err(XmlError::Transform("text outside root element".into()));
                 }
             }
         }
+        Ok(())
     }
-    if !stack.is_empty() {
-        return Err(XmlError::Transform(
-            "unclosed elements at end of stream".into(),
-        ));
+
+    fn close(&mut self, name: &str) -> XmlResult<()> {
+        let done = self
+            .stack
+            .pop()
+            .ok_or_else(|| XmlError::Transform("unbalanced end event".into()))?;
+        if done.name != name {
+            return Err(XmlError::Transform(format!(
+                "end event {name} does not match open element {}",
+                done.name
+            )));
+        }
+        match self.stack.last_mut() {
+            Some(parent) => parent.children.push(XmlNode::Element(done)),
+            None => {
+                if self.root.is_some() {
+                    return Err(XmlError::Transform("multiple root elements".into()));
+                }
+                self.root = Some(done);
+            }
+        }
+        Ok(())
     }
-    root.map(Document::new)
-        .ok_or_else(|| XmlError::Transform("empty event stream".into()))
+
+    /// The finished document; the stream must have closed what it opened.
+    pub(crate) fn finish(self) -> XmlResult<Document> {
+        if !self.stack.is_empty() {
+            return Err(XmlError::Transform(
+                "unclosed elements at end of stream".into(),
+            ));
+        }
+        self.root
+            .map(Document::new)
+            .ok_or_else(|| XmlError::Transform("empty event stream".into()))
+    }
+}
+
+impl Handler for TreeBuilder {
+    fn start(
+        &mut self,
+        name: &str,
+        attrs: Cow<'_, [(String, String)]>,
+        children: usize,
+    ) -> XmlResult<()> {
+        self.open(name.to_string(), attrs.into_owned(), children);
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        self.append_text(text)
+    }
+
+    fn end(&mut self, name: &str) -> XmlResult<()> {
+        self.close(name)
+    }
+}
+
+/// Fold an event stream back into a document. The stream must be
+/// well-formed: one root element, balanced start/end tags.
+pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> {
+    let mut tree = TreeBuilder::default();
+    for ev in events {
+        match ev {
+            SaxEvent::StartElement { name, attrs } => tree.open(name, attrs, 0),
+            SaxEvent::Text(t) => tree.append_text(t)?,
+            SaxEvent::EndElement { name } => tree.close(&name)?,
+        }
+    }
+    tree.finish()
 }
 
 #[cfg(test)]

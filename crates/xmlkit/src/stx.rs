@@ -8,10 +8,22 @@
 //! the current element path, with rename / drop / unwrap / attribute and
 //! text-vocabulary actions, executed in a single pass over the event stream
 //! with O(depth) state.
+//!
+//! The rule application exists once, as a filter between borrowed events
+//! and a [`Handler`]; two drivers feed it. [`Stylesheet::transform`] walks
+//! the input tree through it into a tree builder — one pass, and the
+//! output tree is all it allocates; this is what the MTM engine's
+//! `TRANSLATE` operator runs. [`Stylesheet::transform_events`] runs it from
+//! one `Vec<SaxEvent>` into another; `dip_feddbms::xmlfn::transform` wraps
+//! that in `sax::events` / `sax::build` and two CLOB round trips, because a
+//! CLOB-bound SQL/XML function stack materializes every stage (the paper's
+//! System A), and the tests use the same pipeline as the one-pass driver's
+//! oracle.
 
 use crate::error::{XmlError, XmlResult};
-use crate::node::Document;
-use crate::sax::{build, events, SaxEvent};
+use crate::node::{Document, Element, XmlNode};
+use crate::sax::{Handler, SaxEvent, TreeBuilder};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// How a rule selects elements.
@@ -25,11 +37,16 @@ pub enum Match {
 }
 
 impl Match {
-    fn matches(&self, path: &[String]) -> bool {
+    fn matches(&self, path: &[&str]) -> bool {
         match self {
-            Match::Name(n) => path.last().map(String::as_str) == Some(n),
+            Match::Name(n) => path.last() == Some(&n.as_str()),
             Match::PathSuffix(suffix) => {
-                path.len() >= suffix.len() && path.ends_with(suffix.as_slice())
+                path.len() >= suffix.len()
+                    && path
+                        .iter()
+                        .rev()
+                        .zip(suffix.iter().rev())
+                        .all(|(p, s)| p == s)
             }
         }
     }
@@ -148,11 +165,162 @@ pub struct Stylesheet {
 }
 
 /// Per-open-element transformation state.
-struct Frame {
+struct Frame<'a> {
     /// Name to emit on the end event; `None` while unwrapped.
-    emit_name: Option<String>,
+    emit_name: Option<&'a str>,
     /// Active text map for direct text children.
-    text_map: Option<HashMap<String, String>>,
+    text_map: Option<&'a HashMap<String, String>>,
+}
+
+/// The rule application as a SAX filter: borrowed events in, borrowed
+/// events out into `sink`, O(depth) state in between. `'a` spans the
+/// stylesheet and the input, so path segments, emitted names and
+/// vocabulary maps are references into one or the other and nothing is
+/// cloned on the way through.
+struct Filter<'a, H: Handler> {
+    sheet: &'a Stylesheet,
+    sink: H,
+    /// Original (input) names of the open elements.
+    path: Vec<&'a str>,
+    frames: Vec<Frame<'a>>,
+    /// While dropping a subtree: depth below the dropped element.
+    drop_depth: Option<usize>,
+}
+
+impl<'a, H: Handler> Filter<'a, H> {
+    fn new(sheet: &'a Stylesheet, sink: H) -> Self {
+        Filter {
+            sheet,
+            sink,
+            path: Vec::new(),
+            frames: Vec::new(),
+            drop_depth: None,
+        }
+    }
+
+    /// `children` is the input element's child-node count, passed on (plus
+    /// what the rule adds) so a tree-building sink sizes the element once.
+    fn start(
+        &mut self,
+        name: &'a str,
+        attrs: &'a [(String, String)],
+        children: usize,
+    ) -> XmlResult<()> {
+        self.path.push(name);
+        if let Some(d) = self.drop_depth.as_mut() {
+            *d += 1;
+            return Ok(());
+        }
+        let mut emit_name = Some(name);
+        let mut out_attrs = Cow::Borrowed(attrs);
+        let mut text_map = None;
+        let mut attrs_to_elements = false;
+        if let Some(rule) = self.sheet.find_rule(&self.path) {
+            for action in &rule.actions {
+                match action {
+                    Action::Drop => self.drop_depth = Some(0),
+                    Action::Unwrap => emit_name = None,
+                    Action::Rename(to) => {
+                        if emit_name.is_some() {
+                            emit_name = Some(to);
+                        }
+                    }
+                    Action::MapText(m) => text_map = Some(m),
+                    Action::RenameAttr { from, to } => {
+                        for (n, _) in out_attrs.to_mut() {
+                            if n == from {
+                                n.clone_from(to);
+                            }
+                        }
+                    }
+                    Action::DropAttr(a) => out_attrs.to_mut().retain(|(n, _)| n != a),
+                    Action::SetAttr { name, value } => {
+                        let attrs = out_attrs.to_mut();
+                        match attrs.iter_mut().find(|(n, _)| n == name) {
+                            Some((_, v)) => v.clone_from(value),
+                            None => attrs.push((name.clone(), value.clone())),
+                        }
+                    }
+                    Action::AttrsToElements => attrs_to_elements = true,
+                }
+            }
+        }
+        if self.drop_depth.is_some() {
+            // element dropped: remember no frame; the drop counter tracks
+            // nesting from here on.
+            return Ok(());
+        }
+        if let Some(n) = emit_name {
+            if attrs_to_elements {
+                self.sink
+                    .start(n, Cow::Borrowed(&[]), children + out_attrs.len())?;
+                for (an, av) in out_attrs.iter() {
+                    self.sink.start(an, Cow::Borrowed(&[]), 1)?;
+                    self.sink.text(av)?;
+                    self.sink.end(an)?;
+                }
+            } else {
+                self.sink.start(n, out_attrs, children)?;
+            }
+        }
+        self.frames.push(Frame {
+            emit_name,
+            text_map,
+        });
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        if self.drop_depth.is_some() {
+            return Ok(());
+        }
+        let mapped = self
+            .frames
+            .last()
+            .and_then(|f| f.text_map)
+            .and_then(|m| m.get(text.trim()))
+            .map_or(text, String::as_str);
+        self.sink.text(mapped)
+    }
+
+    fn end(&mut self) -> XmlResult<()> {
+        self.path.pop();
+        match self.drop_depth.as_mut() {
+            // the dropped element itself closed
+            Some(0) => self.drop_depth = None,
+            Some(d) => *d -= 1,
+            None => {
+                let frame = self
+                    .frames
+                    .pop()
+                    .ok_or_else(|| XmlError::Transform("unbalanced input stream".into()))?;
+                if let Some(n) = frame.emit_name {
+                    self.sink.end(n)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Push a subtree through the filter, depth-first.
+    fn walk(&mut self, e: &'a Element) -> XmlResult<()> {
+        self.start(&e.name, &e.attrs, e.children.len())?;
+        for c in &e.children {
+            match c {
+                XmlNode::Element(child) => self.walk(child)?,
+                XmlNode::Text(t) => self.text(t)?,
+            }
+        }
+        self.end()
+    }
+}
+
+fn stx_span() -> dip_trace::Span {
+    dip_trace::span_cat(
+        dip_trace::Layer::Xmlkit,
+        "stx_transform",
+        dip_trace::Category::Processing,
+    )
 }
 
 impl Stylesheet {
@@ -168,139 +336,36 @@ impl Stylesheet {
         Stylesheet::new(name, Vec::new())
     }
 
-    fn find_rule(&self, path: &[String]) -> Option<&Rule> {
+    fn find_rule(&self, path: &[&str]) -> Option<&Rule> {
         self.rules.iter().find(|r| r.matcher.matches(path))
     }
 
-    /// Transform a SAX event stream in one pass.
+    /// Transform a materialized SAX event stream into another one — the
+    /// pipeline stage of a CLOB-bound XML function stack
+    /// (`dip_feddbms::xmlfn::transform`) and the oracle
+    /// [`Stylesheet::transform`] is tested against. Same filter, vector in,
+    /// vector out.
     pub fn transform_events(&self, input: &[SaxEvent]) -> XmlResult<Vec<SaxEvent>> {
-        let _span = dip_trace::span_cat(
-            dip_trace::Layer::Xmlkit,
-            "stx_transform",
-            dip_trace::Category::Processing,
-        );
-        let mut out = Vec::with_capacity(input.len());
-        let mut path: Vec<String> = Vec::new();
-        let mut frames: Vec<Frame> = Vec::new();
-        // While dropping a subtree: depth below the dropped element.
-        let mut drop_depth: Option<usize> = None;
-
+        let _span = stx_span();
+        let mut filter = Filter::new(self, Vec::with_capacity(input.len()));
         for ev in input {
             match ev {
-                SaxEvent::StartElement { name, attrs } => {
-                    path.push(name.clone());
-                    if let Some(d) = drop_depth.as_mut() {
-                        *d += 1;
-                        continue;
-                    }
-                    let rule = self.find_rule(&path);
-                    let mut emit_name = Some(name.clone());
-                    let mut out_attrs = attrs.clone();
-                    let mut text_map = None;
-                    let mut attrs_to_elements = false;
-                    if let Some(rule) = rule {
-                        for action in &rule.actions {
-                            match action {
-                                Action::Drop => {
-                                    drop_depth = Some(0);
-                                }
-                                Action::Unwrap => emit_name = None,
-                                Action::Rename(to) => {
-                                    if emit_name.is_some() {
-                                        emit_name = Some(to.clone());
-                                    }
-                                }
-                                Action::MapText(m) => text_map = Some(m.clone()),
-                                Action::RenameAttr { from, to } => {
-                                    for (n, _) in out_attrs.iter_mut() {
-                                        if n == from {
-                                            *n = to.clone();
-                                        }
-                                    }
-                                }
-                                Action::DropAttr(a) => out_attrs.retain(|(n, _)| n != a),
-                                Action::SetAttr { name, value } => {
-                                    match out_attrs.iter_mut().find(|(n, _)| n == name) {
-                                        Some((_, v)) => *v = value.clone(),
-                                        None => out_attrs.push((name.clone(), value.clone())),
-                                    }
-                                }
-                                Action::AttrsToElements => attrs_to_elements = true,
-                            }
-                        }
-                    }
-                    if drop_depth.is_some() {
-                        // element dropped: remember no frame; the drop
-                        // counter tracks nesting from here on.
-                        continue;
-                    }
-                    if let Some(n) = &emit_name {
-                        let final_attrs = if attrs_to_elements {
-                            Vec::new()
-                        } else {
-                            out_attrs.clone()
-                        };
-                        out.push(SaxEvent::StartElement {
-                            name: n.clone(),
-                            attrs: final_attrs,
-                        });
-                        if attrs_to_elements {
-                            for (an, av) in &out_attrs {
-                                out.push(SaxEvent::StartElement {
-                                    name: an.clone(),
-                                    attrs: vec![],
-                                });
-                                out.push(SaxEvent::Text(av.clone()));
-                                out.push(SaxEvent::EndElement { name: an.clone() });
-                            }
-                        }
-                    }
-                    frames.push(Frame {
-                        emit_name,
-                        text_map,
-                    });
-                }
-                SaxEvent::Text(t) => {
-                    if drop_depth.is_some() {
-                        continue;
-                    }
-                    let mapped = frames
-                        .last()
-                        .and_then(|f| f.text_map.as_ref())
-                        .and_then(|m| m.get(t.trim()))
-                        .cloned()
-                        .unwrap_or_else(|| t.clone());
-                    out.push(SaxEvent::Text(mapped));
-                }
-                SaxEvent::EndElement { .. } => {
-                    path.pop();
-                    match drop_depth.as_mut() {
-                        Some(0) => {
-                            drop_depth = None; // the dropped element itself closed
-                        }
-                        Some(d) => {
-                            *d -= 1;
-                        }
-                        None => {
-                            let frame = frames.pop().ok_or_else(|| {
-                                XmlError::Transform("unbalanced input stream".into())
-                            })?;
-                            if let Some(n) = frame.emit_name {
-                                out.push(SaxEvent::EndElement { name: n });
-                            }
-                        }
-                    }
-                }
+                SaxEvent::StartElement { name, attrs } => filter.start(name, attrs, 0)?,
+                SaxEvent::Text(t) => filter.text(t)?,
+                SaxEvent::EndElement { .. } => filter.end()?,
             }
         }
-        Ok(out)
+        Ok(filter.sink)
     }
 
-    /// Transform a whole document (events → transform → rebuild).
+    /// Transform a document in one pass: the input tree streams through
+    /// the rules straight into the output tree, which is the only thing
+    /// allocated.
     pub fn transform(&self, doc: &Document) -> XmlResult<Document> {
-        let evs = events(doc);
-        let out = self.transform_events(&evs)?;
-        build(out)
+        let _span = stx_span();
+        let mut filter = Filter::new(self, TreeBuilder::default());
+        filter.walk(&doc.root)?;
+        filter.sink.finish()
     }
 }
 
