@@ -159,9 +159,15 @@ impl CostRecorder {
         let start = self.epoch.elapsed();
         let tx = dip_relstore::tx::begin_leaking(leak_rollbacks);
         let result = body(&costs);
-        match &result {
-            Ok(_) => tx.commit(),
-            Err(_) => tx.rollback(),
+        {
+            // The undo log is freed (or applied) here: inside the record's
+            // interval, outside the engine's own `instance` span.
+            let op = if result.is_ok() { "commit" } else { "rollback" };
+            let _span = dip_trace::span(dip_trace::Layer::Relstore, op);
+            match &result {
+                Ok(_) => tx.commit(),
+                Err(_) => tx.rollback(),
+            }
         }
         let end = self.epoch.elapsed();
         let retries = dip_netsim::fault::scope_retries();
@@ -186,7 +192,17 @@ impl CostRecorder {
                 ok: result.is_ok(),
             });
         }
-        result.map(|_| retries)
+        result.map(|bound| {
+            // What the body hands back — an MTM instance's variables, i.e.
+            // every document and relation it bound — is freed here, after
+            // `end` and outside every cost category; named so the trace
+            // does not book it as the caller's own time.
+            if std::mem::needs_drop::<T>() {
+                let _span = dip_trace::span(dip_trace::Layer::Mtm, "release");
+                drop(bound);
+            }
+            retries
+        })
     }
 
     pub fn next_instance_id(&self) -> InstanceId {
