@@ -4,10 +4,11 @@
 //! — is defined over a stream of events rather than a tree. Events reach a
 //! consumer in one of two forms:
 //!
-//! * **borrowed**, pushed into a [`Handler`] one call at a time — what
+//! * **borrowed**, pushed into a `Handler` (crate-private) one call at a
+//!   time — what
 //!   [`Stylesheet::transform`](crate::stx::Stylesheet::transform) does: it
-//!   walks the input tree through the rules straight into a
-//!   [`TreeBuilder`], so nothing but the output tree is ever allocated;
+//!   walks the input tree through the rules straight into a `TreeBuilder`,
+//!   so nothing but the output tree is ever allocated;
 //! * **materialized**, as a `Vec<SaxEvent>`: [`events`] linearizes a tree
 //!   and [`build`] folds a vector back into one. This is the pipeline of a
 //!   CLOB-bound XML function stack, and the one caller that runs it in
@@ -15,8 +16,8 @@
 //!   (`build(sheet.transform_events(&events(doc)))`), on purpose; the tests
 //!   use it as the oracle of the one-pass path.
 //!
-//! Both forms end in the same fold ([`TreeBuilder`]), so they agree on
-//! every tree and on every error.
+//! Both forms end in the same fold (`TreeBuilder`, which [`build`] feeds
+//! too), so they agree on every tree and on every error.
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};
@@ -102,8 +103,8 @@ impl Handler for Vec<SaxEvent> {
 }
 
 /// The fold from events to a tree: open elements on a stack, adjacent text
-/// runs merged, exactly one root. Strings are taken as `Into<String>`, so
-/// an owned event moves into the tree and a borrowed one is copied once.
+/// runs merged, exactly one root. An owned event ([`build`]) moves into
+/// the tree; a borrowed one (the [`Handler`] impl) is copied once.
 #[derive(Default)]
 pub(crate) struct TreeBuilder {
     stack: Vec<Element>,

@@ -10,7 +10,7 @@
 //! with O(depth) state.
 //!
 //! The rule application exists once, as a filter between borrowed events
-//! and a [`Handler`]; two drivers feed it. [`Stylesheet::transform`] walks
+//! and a `sax::Handler`; two drivers feed it. [`Stylesheet::transform`] walks
 //! the input tree through it into a tree builder — one pass, and the
 //! output tree is all it allocates; this is what the MTM engine's
 //! `TRANSLATE` operator runs. [`Stylesheet::transform_events`] runs it from
