@@ -387,8 +387,9 @@ mod tests {
         let system = Arc::new(EaiSystem::new(env.world.clone(), 1));
         let custom = |name: &str, f: fn() -> Result<(), String>| Step::Custom {
             name: name.into(),
+            reads: Vec::new(),
             binds: Vec::new(),
-            f: Arc::new(move |_| f()),
+            f: Arc::new(move |_| f().map(|()| Vec::new())),
         };
         let receive = Step::Receive { var: "m".into() };
         let boom = custom("boom", || panic!("boom"));

@@ -1,5 +1,5 @@
-//! The mapping catalog: *what* the time-driven processes P03–P14 move,
-//! declared once as data.
+//! The catalog: the 15 process types (paper Table I), P02's route and
+//! *what* the time-driven processes P03–P14 move, declared once as data.
 //!
 //! The paper specifies the process types platform-independently and lets
 //! each system under test choose only how to execute them. This module is
@@ -19,12 +19,109 @@
 
 use super::group_d::sales_cols;
 use super::{col_as, lit_as};
-use crate::schema::{america, asia, canonical, cdb, dm, messages, vocab};
+use crate::datagen::keys;
+use crate::schema::{america, asia, canonical, cdb, dm, europe, messages, vocab};
+use dip_mtm::process::EventType::{self, Message, Timed};
+use dip_mtm::process::{ProcessDef, Step};
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::{Document, Element};
 use dip_xmlkit::stx::Stylesheet;
 use dip_xmlkit::XmlNode;
 use std::sync::Arc;
+
+/// One Table-I row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcessInfo {
+    pub group: char,
+    pub id: &'static str,
+    pub name: &'static str,
+    pub event: EventType,
+    /// The key space the type's `InsertIgnore` staging loads draw on
+    /// (`datagen::keys`). Loads from one space may stage duplicate primary
+    /// keys whose first-wins resolution depends on load order, so they do
+    /// not commute; loads from different spaces are key-disjoint and do.
+    pub staging: &'static str,
+}
+
+/// Paper Table I in id order: `(group, id, name, initiating event, shared
+/// staging key space)`. One European product catalog is replicated across
+/// Berlin, Paris and Trondheim (`keys::PROD_EUROPE`), so the three extracts
+/// stage colliding product keys; every other type's staging keys are
+/// disjoint from all of its siblings' (order keys are strictly per system,
+/// the shared Asia / America master spaces are each staged by one type) —
+/// `None`, a key space of its own.
+#[rustfmt::skip] // a table: one row per line
+const TABLE_I: [(char, &str, &str, EventType, Option<&str>); 15] = [
+    ('A', "P01", "Master data exchange Asia",                   Message, None),
+    ('A', "P02", "Master data subscription Europe",             Message, None),
+    ('A', "P03", "Local data consolidation America",            Timed,   None),
+    ('B', "P04", "Receive messages from Vienna",                Message, None),
+    ('B', "P05", "Extract data from Berlin",                    Timed,   Some("europe")),
+    ('B', "P06", "Extract data from Paris",                     Timed,   Some("europe")),
+    ('B', "P07", "Extract data from Trondheim",                 Timed,   Some("europe")),
+    ('B', "P08", "Receive messages from Hongkong",              Message, None),
+    ('B', "P09", "Extract wrapped data from Beijing and Seoul", Timed,   None),
+    ('B', "P10", "Receive error-prone messages from San Diego", Message, None),
+    ('B', "P11", "Extract data from CDB America",               Timed,   None),
+    ('C', "P12", "Bulk-loading data warehouse master data",     Timed,   None),
+    ('C', "P13", "Bulk-loading data warehouse movement data",   Timed,   None),
+    ('D', "P14", "Refreshing data mart data",                   Timed,   None),
+    ('D', "P15", "Refreshing data mart materialized views",     Timed,   None),
+];
+
+/// The Table-I rows, in id order.
+pub fn process_types() -> impl Iterator<Item = ProcessInfo> {
+    TABLE_I.into_iter().map(|(group, id, name, event, shared)| {
+        let staging = shared.unwrap_or(id);
+        ProcessInfo {
+            group,
+            id,
+            name,
+            event,
+            staging,
+        }
+    })
+}
+
+/// The Table-I row of process type `id`.
+pub fn process_type(id: &str) -> Option<ProcessInfo> {
+    process_types().find(|p| p.id == id)
+}
+
+/// The definition of Table-I type `id`: its row as the header of `steps`.
+pub fn define(id: &str, steps: Vec<Step>) -> ProcessDef {
+    let Some(info) = process_type(id) else {
+        panic!("{id} is not a Table-I process type");
+    };
+    ProcessDef::new(info.id, info.name, info.group, info.event, steps)
+}
+
+/// P02's route by customer key, `(keys below, database, location)`: the
+/// first row whose bound exceeds the key takes the message, the unbounded
+/// last row the rest. The MTM SWITCH and the federated trigger are both
+/// built from it.
+pub const P02_ROUTES: [(Option<i64>, &str, Option<&str>); 3] = [
+    (
+        Some(keys::P02_BERLIN_BELOW),
+        europe::BERLIN_PARIS,
+        Some(europe::LOC_BERLIN),
+    ),
+    (
+        Some(keys::P02_PARIS_BELOW),
+        europe::BERLIN_PARIS,
+        Some(europe::LOC_PARIS),
+    ),
+    (None, europe::TRONDHEIM, None),
+];
+
+/// Where P02 sends the customer with `key`: `(database, location)`.
+pub fn p02_route(key: i64) -> (&'static str, Option<&'static str>) {
+    let [.., (_, rest_db, rest_loc)] = P02_ROUTES;
+    let hit = P02_ROUTES
+        .iter()
+        .find(|(below, ..)| below.is_some_and(|b| key < b));
+    hit.map_or((rest_db, rest_loc), |&(_, db, loc)| (db, loc))
+}
 
 /// Project `sources` onto `target`, one expression per target column.
 fn onto(target: &RelSchema, sources: Vec<Expr>) -> Vec<ProjExpr> {
@@ -366,7 +463,6 @@ pub fn enrich_with_segment(order: &Document, master: &Relation) -> Document {
 mod tests {
     use super::*;
     use crate::processes::group_d::sales_schema;
-    use crate::schema::europe;
 
     /// A projection fits when it yields exactly the target table's column
     /// names and types in order, and every passed-through source column

@@ -1,9 +1,8 @@
 //! Group A — source system management (P01, P02, P03).
 
 use super::catalog;
-use crate::datagen::keys;
 use crate::schema::{america, asia, europe, messages};
-use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step, SwitchCase};
+use dip_mtm::process::{LoadMode, ProcessDef, Step, SwitchCase};
 use dip_relstore::prelude::*;
 use std::sync::Arc;
 
@@ -14,11 +13,8 @@ use std::sync::Arc;
 /// (The paper's prose says "finally sent to Beijing", an apparent typo for
 /// the Seoul target of an XSD_Seoul document — see DESIGN.md §6.)
 pub fn p01() -> ProcessDef {
-    ProcessDef::new(
+    catalog::define(
         "P01",
-        "Master data exchange Asia",
-        'A',
-        EventType::Message,
         vec![
             Step::Receive { var: "msg1".into() },
             Step::Translate {
@@ -42,21 +38,12 @@ fn p02_branch(db: &str, loc: Option<&'static str>) -> Vec<Step> {
     vec![
         Step::Custom {
             name: format!("decode_eu_customer_{}", loc.unwrap_or("trondheim")),
+            reads: vec!["msg2".into()],
             binds: vec![var.clone()],
-            f: {
-                let schema = schema.clone();
-                let var = var.clone();
-                Arc::new(move |vars| {
-                    let doc = vars
-                        .get("msg2")
-                        .ok_or("msg2 unbound")?
-                        .as_xml()
-                        .map_err(|e| e.to_string())?;
-                    let row = messages::europe_customer_row(doc, loc)?;
-                    vars.set(var.clone(), Relation::new(schema.clone(), vec![row]));
-                    Ok(())
-                })
-            },
+            f: Arc::new(move |inputs| {
+                let row = messages::europe_customer_row(inputs[0].as_xml()?, loc)?;
+                Ok(vec![Relation::new(schema.clone(), vec![row]).into()])
+            }),
         },
         Step::DbInsert {
             db: db.into(),
@@ -71,13 +58,21 @@ fn p02_branch(db: &str, loc: Option<&'static str>) -> Vec<Step> {
 ///
 /// Receives an MDM customer message, translates it to the Europe schema,
 /// then a SWITCH on the customer key routes the update to Berlin, Paris or
-/// Trondheim.
+/// Trondheim ([`catalog::P02_ROUTES`]).
 pub fn p02() -> ProcessDef {
-    ProcessDef::new(
+    let (mut cases, mut default) = (Vec::new(), Vec::new());
+    for (below, db, loc) in catalog::P02_ROUTES {
+        let steps = p02_branch(db, loc);
+        match below {
+            Some(bound) => cases.push(SwitchCase {
+                when: Expr::col(0).lt(Expr::lit(bound)),
+                steps,
+            }),
+            None => default = steps,
+        }
+    }
+    catalog::define(
         "P02",
-        "Master data subscription Europe",
-        'A',
-        EventType::Message,
         vec![
             Step::Receive { var: "msg1".into() },
             Step::Translate {
@@ -88,17 +83,8 @@ pub fn p02() -> ProcessDef {
             Step::Switch {
                 input: "msg2".into(),
                 path: "euCustomer/custkey".into(),
-                cases: vec![
-                    SwitchCase {
-                        when: Expr::col(0).lt(Expr::lit(keys::P02_BERLIN_BELOW)),
-                        steps: p02_branch(europe::BERLIN_PARIS, Some(europe::LOC_BERLIN)),
-                    },
-                    SwitchCase {
-                        when: Expr::col(0).lt(Expr::lit(keys::P02_PARIS_BELOW)),
-                        steps: p02_branch(europe::BERLIN_PARIS, Some(europe::LOC_PARIS)),
-                    },
-                ],
-                default: p02_branch(europe::TRONDHEIM, None),
+                cases,
+                default,
             },
         ],
     )
@@ -135,11 +121,5 @@ pub fn p03() -> ProcessDef {
             mode: LoadMode::InsertIgnore,
         });
     }
-    ProcessDef::new(
-        "P03",
-        "Local data consolidation America",
-        'A',
-        EventType::Timed,
-        steps,
-    )
+    catalog::define("P03", steps)
 }

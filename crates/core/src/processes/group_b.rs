@@ -2,7 +2,7 @@
 
 use super::catalog::{self, Extract};
 use crate::schema::{america, cdb, europe, messages};
-use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step};
+use dip_mtm::process::{LoadMode, ProcessDef, Step};
 use dip_relstore::prelude::*;
 use std::sync::Arc;
 
@@ -10,6 +10,7 @@ use std::sync::Arc;
 fn load_order(source: &str, input: &str) -> Step {
     Step::DbLoadXml {
         db: cdb::CDB.into(),
+        tables: messages::ORDER_STAGING_TABLES.map(String::from).into(),
         decoder: messages::cdb_order_decoder(source),
         decoder_name: format!("cdb_order_decoder({source})"),
         input: input.into(),
@@ -24,11 +25,8 @@ fn load_order(source: &str, input: &str) -> Step {
 /// referenced customer in the Berlin/Paris master source, whose segment is
 /// attached to the message), and loaded into the CDB staging area.
 pub fn p04() -> ProcessDef {
-    ProcessDef::new(
+    catalog::define(
         "P04",
-        "Receive messages from Vienna",
-        'B',
-        EventType::Message,
         vec![
             Step::Receive { var: "msg1".into() },
             Step::Translate {
@@ -38,16 +36,11 @@ pub fn p04() -> ProcessDef {
             },
             Step::DbQueryDyn {
                 db: europe::BERLIN_PARIS.into(),
+                reads: vec!["msg2".into()],
                 plan_name: "lookup_customer_master".into(),
-                plan: Arc::new(|vars| {
-                    let doc = vars
-                        .get("msg2")
-                        .ok_or("msg2 unbound")?
-                        .as_xml()
-                        .map_err(|e| e.to_string())?;
-                    let key: i64 = doc
-                        .root
-                        .child_text("custkey")
+                plan: Arc::new(|inputs| {
+                    let custkey = inputs[0].as_xml()?.root.child_text("custkey");
+                    let key: i64 = custkey
                         .and_then(|t| t.trim().parse().ok())
                         .ok_or("message has no <custkey>")?;
                     Ok(Plan::scan("cust").filter(Expr::col(0).eq(Expr::lit(key))))
@@ -56,21 +49,11 @@ pub fn p04() -> ProcessDef {
             },
             Step::Custom {
                 name: "enrich_with_master_data".into(),
+                reads: vec!["msg2".into(), "master".into()],
                 binds: vec!["msg3".into()],
-                f: Arc::new(|vars| {
-                    let master = vars
-                        .get("master")
-                        .ok_or("master unbound")?
-                        .as_rel()
-                        .map_err(|e| e.to_string())?;
-                    let doc = vars
-                        .get("msg2")
-                        .ok_or("msg2 unbound")?
-                        .as_xml()
-                        .map_err(|e| e.to_string())?;
-                    let enriched = catalog::enrich_with_segment(doc, master);
-                    vars.set("msg3", enriched);
-                    Ok(())
+                f: Arc::new(|inputs| {
+                    let (doc, master) = (inputs[0].as_xml()?, inputs[1].as_rel()?);
+                    Ok(vec![catalog::enrich_with_segment(doc, master).into()])
                 }),
             },
             load_order("vienna", "msg3"),
@@ -107,49 +90,30 @@ fn extract_steps(db: &str, extracts: Vec<Extract>) -> Vec<Step> {
 /// Shared body of P05/P06 (Berlin/Paris: selection on the location column,
 /// then projections renaming the self-defined European attributes into the
 /// CDB staging schema) and P07 (Trondheim: no location column).
-fn europe_extract(id: &str, name: &str, db: &'static str, loc: Option<&'static str>) -> ProcessDef {
-    let steps = extract_steps(db, catalog::europe_extracts(loc));
-    ProcessDef::new(id, name, 'B', EventType::Timed, steps)
+fn europe_extract(id: &str, db: &'static str, loc: Option<&'static str>) -> ProcessDef {
+    catalog::define(id, extract_steps(db, catalog::europe_extracts(loc)))
 }
 
 /// P05 — extract data from Berlin (E2).
 pub fn p05() -> ProcessDef {
-    europe_extract(
-        "P05",
-        "Extract data from Berlin",
-        europe::BERLIN_PARIS,
-        Some(europe::LOC_BERLIN),
-    )
+    europe_extract("P05", europe::BERLIN_PARIS, Some(europe::LOC_BERLIN))
 }
 
 /// P06 — extract data from Paris (E2).
 pub fn p06() -> ProcessDef {
-    europe_extract(
-        "P06",
-        "Extract data from Paris",
-        europe::BERLIN_PARIS,
-        Some(europe::LOC_PARIS),
-    )
+    europe_extract("P06", europe::BERLIN_PARIS, Some(europe::LOC_PARIS))
 }
 
 /// P07 — extract data from Trondheim (E2).
 pub fn p07() -> ProcessDef {
-    europe_extract(
-        "P07",
-        "Extract data from Trondheim",
-        europe::TRONDHEIM,
-        None,
-    )
+    europe_extract("P07", europe::TRONDHEIM, None)
 }
 
 /// P08 — receive messages from Hongkong (E1): schema translation, then
 /// load into the CDB.
 pub fn p08() -> ProcessDef {
-    ProcessDef::new(
+    catalog::define(
         "P08",
-        "Receive messages from Hongkong",
-        'B',
-        EventType::Message,
         vec![
             Step::Receive { var: "msg1".into() },
             Step::Translate {
@@ -213,13 +177,7 @@ pub fn p09() -> ProcessDef {
             mode: LoadMode::InsertIgnore,
         });
     }
-    ProcessDef::new(
-        "P09",
-        "Extract wrapped data from Beijing and Seoul",
-        'B',
-        EventType::Timed,
-        steps,
-    )
+    catalog::define("P09", steps)
 }
 
 /// P10 — receive error-prone messages from San Diego (E1).
@@ -228,11 +186,8 @@ pub fn p09() -> ProcessDef {
 /// in the CDB's failed-data destination; valid messages are translated and
 /// loaded like any other order message.
 pub fn p10() -> ProcessDef {
-    ProcessDef::new(
+    catalog::define(
         "P10",
-        "Receive error-prone messages from San Diego",
-        'B',
-        EventType::Message,
         vec![
             Step::Receive { var: "msg1".into() },
             Step::Validate {
@@ -249,13 +204,10 @@ pub fn p10() -> ProcessDef {
                 on_invalid: vec![
                     Step::Custom {
                         name: "build_failed_row".into(),
+                        reads: vec!["msg1".into()],
                         binds: vec!["failed_row".into()],
-                        f: Arc::new(|vars| {
-                            let doc = vars
-                                .get("msg1")
-                                .ok_or("msg1 unbound")?
-                                .as_xml()
-                                .map_err(|e| e.to_string())?;
+                        f: Arc::new(|inputs| {
+                            let doc = inputs[0].as_xml()?;
                             let payload = dip_xmlkit::write_compact(doc);
                             let issues = messages::san_diego_xsd().validate(doc);
                             let reason = issues
@@ -263,11 +215,8 @@ pub fn p10() -> ProcessDef {
                                 .map(|i| i.to_string())
                                 .unwrap_or_else(|| "unknown".into());
                             let row = catalog::failed_message_row(payload, reason);
-                            vars.set(
-                                "failed_row",
-                                Relation::new(cdb::failed_messages_schema(), vec![row]),
-                            );
-                            Ok(())
+                            let schema = cdb::failed_messages_schema();
+                            Ok(vec![Relation::new(schema, vec![row]).into()])
                         }),
                     },
                     Step::DbInsert {
@@ -286,11 +235,6 @@ pub fn p10() -> ProcessDef {
 /// in US_Eastcoast, run the TPC-H → canonical schema mapping projections,
 /// and load it into the global CDB `Sales_Cleaning`.
 pub fn p11() -> ProcessDef {
-    ProcessDef::new(
-        "P11",
-        "Extract data from CDB America",
-        'B',
-        EventType::Timed,
-        extract_steps(america::US_EASTCOAST, catalog::america_extracts()),
-    )
+    let steps = extract_steps(america::US_EASTCOAST, catalog::america_extracts());
+    catalog::define("P11", steps)
 }

@@ -3,7 +3,7 @@
 
 use super::catalog::{self, DwhLoad};
 use crate::schema::{cdb, dwh};
-use dip_mtm::process::{EventType, LoadMode, ProcessDef, Step};
+use dip_mtm::process::{LoadMode, ProcessDef, Step};
 use dip_relstore::prelude::*;
 use std::sync::Arc;
 
@@ -18,15 +18,9 @@ fn dwh_load_steps(loads: &'static [DwhLoad]) -> Vec<Step> {
     };
     let validate = |l: &'static DwhLoad| Step::Custom {
         name: format!("validate_{}", l.var),
+        reads: vec![l.var.into()],
         binds: vec![],
-        f: Arc::new(move |vars| {
-            let rel = vars
-                .get(l.var)
-                .ok_or_else(|| format!("variable {} unbound", l.var))?
-                .as_rel()
-                .map_err(|e| e.to_string())?;
-            l.check(rel)
-        }),
+        f: Arc::new(move |inputs| l.check(inputs[0].as_rel()?).map(|()| vec![])),
     };
     let insert = |l: &DwhLoad| Step::DbInsert {
         db: dwh::DWH.into(),
@@ -53,13 +47,7 @@ pub fn p12() -> ProcessDef {
         output: Some("cleansing_report".into()),
     }];
     steps.extend(dwh_load_steps(&catalog::MASTER_LOADS));
-    ProcessDef::new(
-        "P12",
-        "Bulk-loading data warehouse master data",
-        'C',
-        EventType::Timed,
-        steps,
-    )
+    catalog::define("P12", steps)
 }
 
 /// P13 — bulk-loading data warehouse movement data (E2).
@@ -87,11 +75,5 @@ pub fn p13() -> ProcessDef {
         table: l.table.into(),
         predicate: Expr::lit(true),
     }));
-    ProcessDef::new(
-        "P13",
-        "Bulk-loading data warehouse movement data",
-        'C',
-        EventType::Timed,
-        steps,
-    )
+    catalog::define("P13", steps)
 }

@@ -201,11 +201,8 @@ pub fn p14() -> ProcessDef {
             ]
         })
         .collect();
-    ProcessDef::new(
+    catalog::define(
         "P14",
-        "Refreshing data mart data",
-        'D',
-        EventType::Timed,
         vec![
             Step::Subprocess {
                 process: Arc::new(p14_s1()),
@@ -231,11 +228,5 @@ pub fn p15() -> ProcessDef {
             }]
         })
         .collect();
-    ProcessDef::new(
-        "P15",
-        "Refreshing data mart materialized views",
-        'D',
-        EventType::Timed,
-        vec![Step::Fork { branches }],
-    )
+    catalog::define("P15", vec![Step::Fork { branches }])
 }

@@ -23,9 +23,10 @@
 //! paper specifies ("we explicitly point out that the modeled processes
 //! are suboptimal — this leaves enough space for optimizations").
 //!
-//! What the time-driven types move — source tables, projections, target
-//! tables, load checks — is declared once in [`catalog`]; the definitions
-//! here and the other engines' realizations loop over it.
+//! The table itself, P02's route and what the time-driven types move —
+//! source tables, projections, target tables, load checks — are declared
+//! once in [`catalog`]; the definitions here and the other engines'
+//! realizations loop over it.
 
 pub mod catalog;
 mod group_a;
@@ -33,117 +34,17 @@ mod group_b;
 mod group_c;
 pub mod group_d;
 
-use dip_mtm::process::{EventType, ProcessDef};
+pub use catalog::ProcessInfo;
+use dip_mtm::process::ProcessDef;
 use dip_relstore::prelude::*;
 pub use group_a::{p01, p02, p03};
 pub use group_b::{p04, p05, p06, p07, p08, p09, p10, p11};
 pub use group_c::{p12, p13};
 pub use group_d::{p14, p15};
 
-/// One Table-I row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessInfo {
-    pub group: char,
-    pub id: &'static str,
-    pub name: &'static str,
-    pub event: EventType,
-}
-
 /// The Table-I registry.
 pub fn registry() -> Vec<ProcessInfo> {
-    use EventType::*;
-    vec![
-        ProcessInfo {
-            group: 'A',
-            id: "P01",
-            name: "Master data exchange Asia",
-            event: Message,
-        },
-        ProcessInfo {
-            group: 'A',
-            id: "P02",
-            name: "Master data subscription Europe",
-            event: Message,
-        },
-        ProcessInfo {
-            group: 'A',
-            id: "P03",
-            name: "Local data consolidation America",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P04",
-            name: "Receive messages from Vienna",
-            event: Message,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P05",
-            name: "Extract data from Berlin",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P06",
-            name: "Extract data from Paris",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P07",
-            name: "Extract data from Trondheim",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P08",
-            name: "Receive messages from Hongkong",
-            event: Message,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P09",
-            name: "Extract wrapped data from Beijing and Seoul",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P10",
-            name: "Receive error-prone messages from San Diego",
-            event: Message,
-        },
-        ProcessInfo {
-            group: 'B',
-            id: "P11",
-            name: "Extract data from CDB America",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'C',
-            id: "P12",
-            name: "Bulk-loading data warehouse master data",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'C',
-            id: "P13",
-            name: "Bulk-loading data warehouse movement data",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'D',
-            id: "P14",
-            name: "Refreshing data mart data",
-            event: Timed,
-        },
-        ProcessInfo {
-            group: 'D',
-            id: "P15",
-            name: "Refreshing data mart materialized views",
-            event: Timed,
-        },
-    ]
+    catalog::process_types().collect()
 }
 
 /// All 15 process definitions, in id order.
@@ -184,6 +85,7 @@ pub fn lit_as(v: Value, name: &str, ty: SqlType) -> ProjExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dip_mtm::process::EventType;
     use dip_mtm::validate::validate;
 
     #[test]

@@ -54,9 +54,10 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use crate::processes::catalog;
 use crate::schedule::{is_message_process, ScheduledEvent, StreamId};
-use dip_mtm::process::{LoadMode, ProcessDef, Step};
-use dip_relstore::prelude::Plan;
+pub use dip_mtm::process::Resource;
+use dip_mtm::process::{Access, LoadMode, ProcessDef, Step};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -89,58 +90,13 @@ impl AccessKind {
     }
 }
 
-/// The key space a process type's staging loads draw on, mirroring the
-/// key-range allocation in [`crate::datagen::keys`]. `Append`s from the
-/// same catalog may stage duplicate primary keys whose first-wins
-/// resolution depends on load order, so they do not commute; appends from
-/// different catalogs are key-disjoint and do.
-fn staging_catalog(process: &str) -> String {
-    match process {
-        // one European product catalog replicated across Berlin, Paris
-        // and Trondheim (`keys::PROD_EUROPE`) — the three European
-        // extracts stage colliding product keys
-        "P05" | "P06" | "P07" => "europe".to_string(),
-        // every other stager draws on key ranges disjoint from all of
-        // its siblings (order keys are strictly per-system; the shared
-        // Asia/America master spaces are each staged by a single type)
-        other => other.to_string(),
-    }
-}
-
-/// A shared resource of the external world.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Resource {
-    /// One table of an external database.
-    Table { db: String, table: String },
-    /// A whole database — stored procedures and runtime-built plans are
-    /// opaque, so they claim the coarse grain.
-    Db { db: String },
-    /// A web service (its backing state included).
-    Service { service: String },
-}
-
-impl Resource {
-    /// Whether two resources can denote overlapping state.
-    fn overlaps(&self, other: &Resource) -> bool {
-        match (self, other) {
-            (Resource::Table { db: a, table: t }, Resource::Table { db: b, table: u }) => {
-                a == b && t == u
-            }
-            (Resource::Db { db: a }, Resource::Db { db: b }) => a == b,
-            (Resource::Db { db: a }, Resource::Table { db: b, .. })
-            | (Resource::Table { db: a, .. }, Resource::Db { db: b }) => a == b,
-            (Resource::Service { service: a }, Resource::Service { service: b }) => a == b,
-            _ => false,
-        }
-    }
-}
-
 /// The statically derived resource footprint of one process type.
 #[derive(Debug, Clone)]
 pub struct TypeProfile {
     pub id: String,
-    /// The staging key space this type's `Append`s draw on (see
-    /// [`staging_catalog`]).
+    /// The staging key space this type's `Append`s draw on
+    /// ([`catalog::ProcessInfo::staging`]; a type outside Table I has one
+    /// of its own).
     catalog: String,
     accesses: BTreeMap<Resource, AccessKind>,
 }
@@ -169,165 +125,38 @@ impl TypeProfile {
     }
 }
 
-fn load_kind(mode: &LoadMode) -> AccessKind {
-    match mode {
-        // first-wins InsertIgnore content commutes across types staging
-        // from different catalogs (module docs)
-        LoadMode::InsertIgnore => AccessKind::Append,
-        LoadMode::Insert | LoadMode::Upsert => AccessKind::Write,
-    }
-}
-
-/// Base tables a query plan scans (recursively).
-fn plan_tables(plan: &Plan, out: &mut Vec<String>) {
-    match plan {
-        Plan::Scan { table, .. } => out.push(table.clone()),
-        Plan::Values(_) => {}
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => plan_tables(input, out),
-        Plan::HashJoin { left, right, .. } => {
-            plan_tables(left, out);
-            plan_tables(right, out);
-        }
-        Plan::IndexJoin { probe, table, .. } => {
-            plan_tables(probe, out);
-            out.push(table.clone());
-        }
-        Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
-            for p in inputs {
-                plan_tables(p, out);
-            }
-        }
-    }
-}
-
-/// Derive a process type's resource footprint by walking its step graph.
-/// Structured operators recurse into every branch (a `Switch` claims the
-/// union of its cases — which case runs depends on message content, so
-/// the profile must cover all of them). Pure relational operators and
-/// `Custom` closures touch only the instance-local variable store.
+/// Derive a process type's resource footprint from what its steps
+/// declare they touch ([`Step::facts`]). Structured operators recurse into
+/// every nested list (a `Switch` claims the union of its cases — which
+/// case runs depends on message content, so the profile must cover all of
+/// them).
 pub fn derive_profile(def: &ProcessDef) -> TypeProfile {
     let mut accesses: BTreeMap<Resource, AccessKind> = BTreeMap::new();
-    let mut add = |resource: Resource, kind: AccessKind| {
-        accesses
-            .entry(resource)
-            .and_modify(|k| *k = k.merge(kind))
-            .or_insert(kind);
-    };
-    fn walk(steps: &[Step], add: &mut dyn FnMut(Resource, AccessKind)) {
-        for step in steps {
-            match step {
-                Step::WsQuery { service, .. } => add(
-                    Resource::Service {
-                        service: service.clone(),
-                    },
-                    AccessKind::Read,
-                ),
-                Step::WsUpdate { service, .. } => add(
-                    Resource::Service {
-                        service: service.clone(),
-                    },
-                    AccessKind::Write,
-                ),
-                Step::DbQuery { db, plan, .. } => {
-                    let mut tables = Vec::new();
-                    plan_tables(plan, &mut tables);
-                    for table in tables {
-                        add(
-                            Resource::Table {
-                                db: db.clone(),
-                                table,
-                            },
-                            AccessKind::Read,
-                        );
+    fn walk(steps: &[Step], accesses: &mut BTreeMap<Resource, AccessKind>) {
+        for facts in steps.iter().map(Step::facts) {
+            for (resource, access) in facts.touches {
+                let kind = match access {
+                    Access::Read => AccessKind::Read,
+                    // first-wins InsertIgnore content commutes across types
+                    // staging from different catalogs (module docs)
+                    Access::Load(LoadMode::InsertIgnore) => AccessKind::Append,
+                    Access::Load(LoadMode::Insert | LoadMode::Upsert) | Access::Write => {
+                        AccessKind::Write
                     }
-                }
-                // the plan is built at runtime: claim the whole database
-                Step::DbQueryDyn { db, .. } => {
-                    add(Resource::Db { db: db.clone() }, AccessKind::Read)
-                }
-                Step::DbInsert {
-                    db, table, mode, ..
-                } => add(
-                    Resource::Table {
-                        db: db.clone(),
-                        table: table.clone(),
-                    },
-                    load_kind(mode),
-                ),
-                Step::DbLoadXml {
-                    db,
-                    decoder_name,
-                    mode,
-                    ..
-                } => {
-                    // the CDB order decoders target exactly the two
-                    // movement staging tables; unknown decoders fall back
-                    // to a whole-database write
-                    if decoder_name.starts_with("cdb_order_decoder") {
-                        for table in ["orders_staging", "orderline_staging"] {
-                            add(
-                                Resource::Table {
-                                    db: db.clone(),
-                                    table: table.to_string(),
-                                },
-                                load_kind(mode),
-                            );
-                        }
-                    } else {
-                        add(Resource::Db { db: db.clone() }, AccessKind::Write);
-                    }
-                }
-                // a stored procedure reads and mutates at will
-                Step::DbCall { db, .. } => add(Resource::Db { db: db.clone() }, AccessKind::Write),
-                Step::DbDelete { db, table, .. } => add(
-                    Resource::Table {
-                        db: db.clone(),
-                        table: table.clone(),
-                    },
-                    AccessKind::Write,
-                ),
-                Step::Validate {
-                    on_valid,
-                    on_invalid,
-                    ..
-                } => {
-                    walk(on_valid, add);
-                    walk(on_invalid, add);
-                }
-                Step::Switch { cases, default, .. } => {
-                    for case in cases {
-                        walk(&case.steps, add);
-                    }
-                    walk(default, add);
-                }
-                Step::Fork { branches } => {
-                    for branch in branches {
-                        walk(branch, add);
-                    }
-                }
-                Step::Subprocess { process, .. } => walk(&process.steps, add),
-                Step::Receive { .. }
-                | Step::Assign { .. }
-                | Step::Translate { .. }
-                | Step::Selection { .. }
-                | Step::Projection { .. }
-                | Step::UnionDistinct { .. }
-                | Step::Join { .. }
-                | Step::XmlToRel { .. }
-                | Step::RelToXml { .. }
-                | Step::Custom { .. } => {}
+                };
+                let merged = accesses.entry(resource).or_insert(kind);
+                *merged = merged.merge(kind);
+            }
+            for list in facts.nested.iter().flat_map(|n| n.lists()) {
+                walk(list, accesses);
             }
         }
     }
-    walk(&def.steps, &mut add);
+    walk(&def.steps, &mut accesses);
+    let staging = catalog::process_type(&def.id).map_or(def.id.as_str(), |p| p.staging);
     TypeProfile {
         id: def.id.clone(),
-        catalog: staging_catalog(&def.id),
+        catalog: staging.to_string(),
         accesses,
     }
 }
@@ -753,6 +582,31 @@ mod tests {
         for (a, b) in [("P04", "P08"), ("P04", "P10"), ("P08", "P10")] {
             assert!(!p[a].conflicts_with(&p[b]), "{a} vs {b}");
         }
+    }
+
+    /// Every type's staging catalog and sorted footprint, then the
+    /// conflict matrix: the conflict DAG of `--workers N` is a function of
+    /// exactly this, so a refactoring of how profiles are derived must
+    /// reproduce the file byte for byte (written at PR 22's parent).
+    #[test]
+    fn profiles_and_conflicts_match_the_pr22_fixture() {
+        let p = profiles();
+        let mut out = String::new();
+        for (id, profile) in &p {
+            out += &format!("{id} catalog={}\n", profile.catalog);
+            for (resource, kind) in profile.accesses() {
+                out += &format!("  {resource:?} {kind:?}\n");
+            }
+        }
+        for (a, pa) in &p {
+            let row = p.values().map(|pb| u8::from(pa.conflicts_with(pb)));
+            let row: Vec<String> = row.map(|c| c.to_string()).collect();
+            out += &format!("{a} {}\n", row.join(" "));
+        }
+        assert_eq!(
+            out,
+            include_str!("../../../tests/fixtures/profiles_pr22.txt")
+        );
     }
 
     fn plan_for(k: u32, d: f64) -> PeriodPlan {

@@ -12,6 +12,9 @@
 //! left). OCR of Table II leaves the P01/P02 divisors ambiguous; we use
 //! `⌈(100−k)·d/5⌉+1` and `⌈(100−k)·d/10⌉+1` (see DESIGN.md §6).
 
+use crate::processes::catalog;
+use dip_mtm::process::EventType;
+
 /// The four streams, correlated with the process groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamId {
@@ -37,7 +40,7 @@ pub struct ScheduledEvent {
 /// Whether `process` is initiated by E1 messages (the client generates
 /// one per instance) rather than by an E2 timed event.
 pub fn is_message_process(process: &str) -> bool {
-    matches!(process, "P01" | "P02" | "P04" | "P08" | "P10")
+    catalog::process_type(process).is_some_and(|p| p.event == EventType::Message)
 }
 
 fn ev(process: &'static str, stream: StreamId, deadline_tu: f64, seq: u32) -> ScheduledEvent {

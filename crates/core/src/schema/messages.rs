@@ -345,6 +345,10 @@ fn opt_date(e: &Element, name: &str) -> Value {
         .unwrap_or(Value::Null)
 }
 
+/// The CDB movement staging tables [`cdb_order_decoder`] emits rows for:
+/// the order's, then its lines'.
+pub const ORDER_STAGING_TABLES: [&str; 2] = ["orders_staging", "orderline_staging"];
+
 /// Decoder from the canonical `<cdbOrder>` message into the CDB movement
 /// staging tables. `source` tags the rows' origin system.
 pub fn cdb_order_decoder(source: &str) -> XmlDecoder {
@@ -380,13 +384,14 @@ pub fn cdb_order_decoder(source: &str) -> XmlDecoder {
                 ]);
             }
         }
+        let [orders, orderlines] = ORDER_STAGING_TABLES.map(String::from);
         Ok(vec![
             TableRows {
-                table: "orders_staging".into(),
+                table: orders,
                 rows: vec![order],
             },
             TableRows {
-                table: "orderline_staging".into(),
+                table: orderlines,
                 rows: lines,
             },
         ])

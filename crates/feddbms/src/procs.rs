@@ -15,7 +15,6 @@ use crate::xmlfn;
 use dip_mtm::cost::run_branches;
 use dip_relstore::prelude::*;
 use dip_services::registry::LoadMode;
-use dipbench::datagen::keys;
 use dipbench::processes::catalog::{self, AsiaEntity, DwhLoad, Extract};
 use dipbench::processes::group_d::{s1_plan, sales_schema};
 use dipbench::schema::{america, asia, cdb, dm, dwh, europe, messages};
@@ -69,13 +68,7 @@ fn p02_body() -> E1Body {
                 .and_then(|t| t.trim().parse().ok())
                 .ok_or_else(|| FedError::Other("message has no <custkey>".into()))
         })?;
-        let (db, loc) = if key < keys::P02_BERLIN_BELOW {
-            (europe::BERLIN_PARIS, Some(europe::LOC_BERLIN))
-        } else if key < keys::P02_PARIS_BELOW {
-            (europe::BERLIN_PARIS, Some(europe::LOC_PARIS))
-        } else {
-            (europe::TRONDHEIM, None)
-        };
+        let (db, loc) = catalog::p02_route(key);
         let row = ctx.processing(|| {
             messages::europe_customer_row(&translated, loc).map_err(FedError::Other)
         })?;

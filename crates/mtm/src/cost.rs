@@ -342,6 +342,7 @@ mod tests {
         let schema = RelSchema::of(&[("k", SqlType::Int)]).shared();
         db.create_table(Table::new("t", schema));
         let table = db.table("t").unwrap();
+        let _tracing = crate::TRACE_TESTS.lock().unwrap();
         dip_trace::enable();
         let recorder = CostRecorder::new();
         fn no_transport(_: &String) -> Option<&TransportFault> {

@@ -337,15 +337,11 @@ mod tests {
             EventType::Timed,
             vec![Step::Custom {
                 name: "double".into(),
+                reads: vec!["input".into()],
                 binds: vec!["output".into()],
-                f: Arc::new(|vars| {
-                    let v = vars
-                        .get("input")
-                        .and_then(|m| m.as_scalar().ok().cloned())
-                        .and_then(|v| v.to_int())
-                        .ok_or("no input")?;
-                    vars.set("output", Value::Int(v * 2));
-                    Ok(())
+                f: Arc::new(|inputs| {
+                    let v = inputs[0].as_scalar()?.to_int().ok_or("no input")?;
+                    Ok(vec![Value::Int(v * 2).into()])
                 }),
             }],
         ));
@@ -367,18 +363,11 @@ mod tests {
                     },
                     Step::Custom {
                         name: "check".into(),
+                        reads: vec!["result".into()],
                         binds: vec![],
-                        f: Arc::new(|vars| {
-                            let v = vars
-                                .get("result")
-                                .and_then(|m| m.as_scalar().ok().cloned())
-                                .and_then(|v| v.to_int())
-                                .ok_or("no result")?;
-                            if v == 42 {
-                                Ok(())
-                            } else {
-                                Err(format!("got {v}"))
-                            }
+                        f: Arc::new(|inputs| match inputs[0].as_scalar()?.to_int() {
+                            Some(42) => Ok(vec![]),
+                            other => Err(format!("got {other:?}")),
                         }),
                     },
                 ],

@@ -1,17 +1,18 @@
 //! The instrumented MTM interpreter.
 //!
 //! Executes a [`ProcessDef`] step by step, timing every operator and
-//! charging its duration to the right cost category:
+//! charging its duration to the cost category [`Step::kind`] states for
+//! its kind:
 //!
-//! * external interactions (`WsQuery`/`WsUpdate`/`DbQuery`/`DbInsert`/
-//!   `DbLoadXml`/`DbCall`/`DbDelete`) are **communication** costs — the
-//!   paper defines `Cc` as "time waiting for external systems (network
-//!   delay and external processing costs)", so both the modeled network
-//!   delay and the remote execution time count;
-//! * data-flow and control-flow operators (translate, validate, switch,
-//!   selection, projection, union, join, codecs, assigns) are
-//!   **processing** costs;
-//! * instance setup and FORK thread management are **management** costs.
+//! * external interactions (web-service and database steps) are
+//!   **communication** costs — the paper defines `Cc` as "time waiting for
+//!   external systems (network delay and external processing costs)", so
+//!   both the modeled network delay and the remote execution time count;
+//! * data-flow and control-flow operators are **processing** costs, and so
+//!   is the part of a step that builds a plan or decodes a message before
+//!   it goes out;
+//! * instance setup, FORK thread management and subprocess calls are
+//!   **management** costs.
 
 use crate::context::VarStore;
 use crate::cost::{run_branches, CostCategory, InstanceCosts};
@@ -22,7 +23,10 @@ use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::resultset;
 use dip_xmlkit::node::Document;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// What a step that waited for no external system adds to its own time.
+const LOCAL: Duration = Duration::ZERO;
 
 /// Shared execution services for one instance.
 pub struct Interpreter<'a> {
@@ -65,34 +69,9 @@ impl<'a> Interpreter<'a> {
             .ok_or_else(|| MtmError::UnboundVariable(name.to_string()))
     }
 
-    /// Trace label and cost category of one step kind, mirroring the
-    /// category each arm of `run_step` charges its time to.
-    fn step_meta(step: &Step) -> (&'static str, dip_trace::Category) {
-        use dip_trace::Category::{Communication, Management, Processing};
-        match step {
-            Step::Receive { .. } => ("receive", Processing),
-            Step::Assign { .. } => ("assign", Processing),
-            Step::Translate { .. } => ("translate", Processing),
-            Step::Validate { .. } => ("validate", Processing),
-            Step::Switch { .. } => ("switch", Processing),
-            Step::WsQuery { .. } => ("ws_query", Communication),
-            Step::WsUpdate { .. } => ("ws_update", Communication),
-            Step::DbQuery { .. } => ("db_query", Communication),
-            Step::DbQueryDyn { .. } => ("db_query_dyn", Communication),
-            Step::DbInsert { .. } => ("db_insert", Communication),
-            Step::DbLoadXml { .. } => ("db_load_xml", Communication),
-            Step::DbCall { .. } => ("db_call", Communication),
-            Step::DbDelete { .. } => ("db_delete", Communication),
-            Step::Selection { .. } => ("selection", Processing),
-            Step::Projection { .. } => ("projection", Processing),
-            Step::UnionDistinct { .. } => ("union_distinct", Processing),
-            Step::Join { .. } => ("join", Processing),
-            Step::XmlToRel { .. } => ("xml_to_rel", Processing),
-            Step::RelToXml { .. } => ("rel_to_xml", Processing),
-            Step::Fork { .. } => ("fork", Management),
-            Step::Subprocess { .. } => ("subprocess", Management),
-            Step::Custom { .. } => ("custom", Processing),
-        }
+    /// The messages bound to a step's declared reads, in that order.
+    fn gather<'v>(vars: &'v VarStore, reads: &[String]) -> MtmResult<Vec<&'v MtmMessage>> {
+        reads.iter().map(|name| Self::get(vars, name)).collect()
     }
 
     fn run_step(
@@ -102,11 +81,15 @@ impl<'a> Interpreter<'a> {
         vars: &mut VarStore,
         pending_input: &mut Option<Document>,
     ) -> MtmResult<()> {
-        let (op, category) = Self::step_meta(step);
+        // the span and the ledger name the step by the same table row
+        let (op, category) = step.kind();
         let _span = dip_trace::span_cat(dip_trace::Layer::Mtm, op, category);
+        let t = Instant::now();
+        // the step's own time so far, plus the modeled delay of the
+        // external system it waited for
+        let charge = |comm: Duration| self.costs.add(category, t.elapsed() + comm);
         match step {
             Step::Receive { var } => {
-                let t = Instant::now();
                 let doc = pending_input.take().ok_or_else(|| {
                     MtmError::InvalidProcess(format!(
                         "{}: RECEIVE without an initiating message",
@@ -114,23 +97,20 @@ impl<'a> Interpreter<'a> {
                     ))
                 })?;
                 vars.set(var.clone(), doc);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::Assign { var, value } => {
-                let t = Instant::now();
                 let v = match value {
                     AssignValue::Const(m) => m.clone(),
                     AssignValue::CopyVar(src) => Self::get(vars, src)?.clone(),
                 };
                 vars.set(var.clone(), v);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::Translate { stx, input, output } => {
-                let t = Instant::now();
-                let doc = Self::get(vars, input)?.as_xml()?;
-                let out = stx.transform(doc)?;
+                let out = stx.transform(Self::get(vars, input)?.as_xml()?)?;
                 vars.set(output.clone(), out);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::Validate {
                 xsd,
@@ -138,16 +118,10 @@ impl<'a> Interpreter<'a> {
                 on_valid,
                 on_invalid,
             } => {
-                let t = Instant::now();
-                let doc = Self::get(vars, input)?.as_xml()?;
-                let issues = xsd.validate(doc);
-                let valid = issues.is_empty();
-                self.costs.add(CostCategory::Processing, t.elapsed());
-                if valid {
-                    self.run_steps(def, on_valid, vars, pending_input)?;
-                } else {
-                    self.run_steps(def, on_invalid, vars, pending_input)?;
-                }
+                let valid = xsd.validate(Self::get(vars, input)?.as_xml()?).is_empty();
+                charge(LOCAL);
+                let branch = if valid { on_valid } else { on_invalid };
+                self.run_steps(def, branch, vars, pending_input)?;
             }
             Step::Switch {
                 input,
@@ -155,7 +129,6 @@ impl<'a> Interpreter<'a> {
                 cases,
                 default,
             } => {
-                let t = Instant::now();
                 let value = self.extract_switch_value(vars, input, path)?;
                 let row = vec![value.clone()];
                 let mut chosen: Option<&SwitchCase> = None;
@@ -165,7 +138,7 @@ impl<'a> Interpreter<'a> {
                         break;
                     }
                 }
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
                 match chosen {
                     Some(c) => self.run_steps(def, &c.steps, vars, pending_input)?,
                     None if !default.is_empty() => {
@@ -184,46 +157,38 @@ impl<'a> Interpreter<'a> {
                 operation,
                 output,
             } => {
-                let t = Instant::now();
                 let remote = self.world.ws_query(service, operation)?;
                 vars.set(output.clone(), remote.value);
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
+                charge(remote.comm);
             }
             Step::WsUpdate {
                 service,
                 operation,
                 input,
             } => {
-                let t = Instant::now();
                 let doc = Self::get(vars, input)?.as_xml()?;
-                let remote = self.world.ws_update(service, operation, doc)?;
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
+                charge(self.world.ws_update(service, operation, doc)?.comm);
             }
             Step::DbQuery { db, plan, output } => {
-                let t = Instant::now();
                 let remote = self.world.remote_query(db, plan)?;
                 vars.set(output.clone(), remote.value);
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
+                charge(remote.comm);
             }
             Step::DbQueryDyn {
                 db,
+                reads,
                 plan,
                 plan_name,
                 output,
             } => {
                 // building the plan from variables is processing work
-                let t = Instant::now();
-                let built = plan(vars)
+                let built = plan(&Self::gather(vars, reads)?)
                     .map_err(|m| MtmError::Custom(format!("plan builder {plan_name}: {m}")))?;
                 self.costs.add(CostCategory::Processing, t.elapsed());
                 let t = Instant::now();
                 let remote = self.world.remote_query(db, &built)?;
                 vars.set(output.clone(), remote.value);
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
+                self.costs.add(category, t.elapsed() + remote.comm);
             }
             Step::DbInsert {
                 db,
@@ -231,34 +196,32 @@ impl<'a> Interpreter<'a> {
                 input,
                 mode,
             } => {
-                let t = Instant::now();
                 // the one copy the target table must own
                 let rows = Self::get(vars, input)?.as_rel()?.rows.clone();
-                let remote = self.world.remote_load(db, table, rows, *mode)?;
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
+                charge(self.world.remote_load(db, table, rows, *mode)?.comm);
             }
             Step::DbLoadXml {
                 db,
+                tables,
                 decoder,
                 decoder_name,
                 input,
                 mode,
             } => {
                 // decoding is processing; the inserts are communication
-                let t = Instant::now();
-                let doc = Self::get(vars, input)?.as_xml()?;
-                let batches = decoder(doc)
-                    .map_err(|m| MtmError::Custom(format!("decoder {decoder_name}: {m}")))?;
+                let failed = |m: String| MtmError::Custom(format!("decoder {decoder_name}: {m}"));
+                let batches = decoder(Self::get(vars, input)?.as_xml()?).map_err(failed)?;
+                // the scheduler ordered this instance by the declared tables
+                if let Some(b) = batches.iter().find(|b| !tables.contains(&b.table)) {
+                    return Err(failed(format!("undeclared table {}", b.table)));
+                }
                 self.costs.add(CostCategory::Processing, t.elapsed());
                 let t = Instant::now();
-                let mut comm = std::time::Duration::ZERO;
+                let mut comm = Duration::ZERO;
                 for b in batches {
-                    let remote = self.world.remote_load(db, &b.table, b.rows, *mode)?;
-                    comm += remote.comm;
+                    comm += self.world.remote_load(db, &b.table, b.rows, *mode)?.comm;
                 }
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + comm);
+                self.costs.add(category, t.elapsed() + comm);
             }
             Step::DbCall {
                 db,
@@ -266,57 +229,47 @@ impl<'a> Interpreter<'a> {
                 args,
                 output,
             } => {
-                let t = Instant::now();
                 let remote = self.world.remote_call(db, proc, args)?;
                 if let (Some(out), Some(rel)) = (output, remote.value) {
                     vars.set(out.clone(), rel);
                 }
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
+                charge(remote.comm);
             }
             Step::DbDelete {
                 db,
                 table,
                 predicate,
-            } => {
-                let t = Instant::now();
-                let remote = self.world.remote_delete(db, table, predicate)?;
-                self.costs
-                    .add(CostCategory::Communication, t.elapsed() + remote.comm);
-            }
+            } => charge(self.world.remote_delete(db, table, predicate)?.comm),
             Step::Selection {
                 input,
                 predicate,
                 output,
             } => {
-                let t = Instant::now();
                 let out = selection(Self::get(vars, input)?.as_rel()?, predicate)?;
                 vars.set(output.clone(), out);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::Projection {
                 input,
                 exprs,
                 output,
             } => {
-                let t = Instant::now();
                 let out = projection(Self::get(vars, input)?.as_rel()?, exprs)?;
                 vars.set(output.clone(), out);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::UnionDistinct {
                 inputs,
                 key,
                 output,
             } => {
-                let t = Instant::now();
                 let rels = inputs
                     .iter()
                     .map(|name| Ok(Self::get(vars, name)?.as_rel()?))
                     .collect::<MtmResult<Vec<&Relation>>>()?;
                 let out = union_distinct(&rels, key.as_deref())?;
                 vars.set(output.clone(), out);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::Join {
                 left,
@@ -326,7 +279,6 @@ impl<'a> Interpreter<'a> {
                 kind,
                 output,
             } => {
-                let t = Instant::now();
                 let l = Self::get(vars, left)?.as_rel()?.clone();
                 let r = Self::get(vars, right)?.as_rel()?.clone();
                 let plan = Plan::Values(l).hash_join(
@@ -339,18 +291,16 @@ impl<'a> Interpreter<'a> {
                 let scratch = Database::new("scratch");
                 let out = plan.run(&scratch)?;
                 vars.set(output.clone(), out);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::XmlToRel {
                 input,
                 schema,
                 output,
             } => {
-                let t = Instant::now();
-                let doc = Self::get(vars, input)?.as_xml()?;
-                let rel = resultset::decode(doc, schema)?;
+                let rel = resultset::decode(Self::get(vars, input)?.as_xml()?, schema)?;
                 vars.set(output.clone(), rel);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::RelToXml {
                 input,
@@ -358,14 +308,11 @@ impl<'a> Interpreter<'a> {
                 table,
                 output,
             } => {
-                let t = Instant::now();
-                let rel = Self::get(vars, input)?.as_rel()?;
-                let doc = resultset::encode(source, table, rel);
+                let doc = resultset::encode(source, table, Self::get(vars, input)?.as_rel()?);
                 vars.set(output.clone(), doc);
-                self.costs.add(CostCategory::Processing, t.elapsed());
+                charge(LOCAL);
             }
             Step::Fork { branches } => {
-                let t = Instant::now();
                 // Each branch runs on its own thread over a fork of the
                 // variable store (payloads shared), inside the instance's
                 // scopes (`run_branches`); what a branch bound is merged
@@ -380,7 +327,7 @@ impl<'a> Interpreter<'a> {
                             .map(|()| branch_vars)
                     },
                 );
-                self.costs.add(CostCategory::Management, t.elapsed());
+                charge(LOCAL);
                 for branch_vars in forked? {
                     vars.merge(branch_vars);
                 }
@@ -390,13 +337,12 @@ impl<'a> Interpreter<'a> {
                 input,
                 output,
             } => {
-                let t = Instant::now();
                 let mut sub_vars = VarStore::new();
                 if let Some(in_var) = input {
                     let v = Self::get(vars, in_var)?.clone();
                     sub_vars.set("input", v);
                 }
-                self.costs.add(CostCategory::Management, t.elapsed());
+                charge(LOCAL);
                 let mut no_input = None;
                 self.run_steps(process, &process.steps, &mut sub_vars, &mut no_input)?;
                 if let Some(out_var) = output {
@@ -409,10 +355,22 @@ impl<'a> Interpreter<'a> {
                     vars.set(out_var.clone(), v);
                 }
             }
-            Step::Custom { name, f, binds: _ } => {
-                let t = Instant::now();
-                f(vars).map_err(|m| MtmError::Custom(format!("{name}: {m}")))?;
-                self.costs.add(CostCategory::Processing, t.elapsed());
+            Step::Custom {
+                name,
+                reads,
+                binds,
+                f,
+            } => {
+                let failed = |m: String| MtmError::Custom(format!("{name}: {m}"));
+                let outputs = f(&Self::gather(vars, reads)?).map_err(failed)?;
+                if outputs.len() != binds.len() {
+                    let (got, want) = (outputs.len(), binds.len());
+                    return Err(failed(format!("returned {got} outputs for {want} binds")));
+                }
+                for (var, value) in binds.iter().zip(outputs) {
+                    vars.set(var.clone(), value);
+                }
+                charge(LOCAL);
             }
         }
         Ok(())
@@ -472,6 +430,13 @@ fn union_distinct(inputs: &[&Relation], key: Option<&[usize]>) -> MtmResult<Rela
     let first = inputs
         .first()
         .ok_or_else(|| MtmError::InvalidProcess("UNION DISTINCT with no inputs".into()))?;
+    // the executor's error for the same plan; the rows of a union share
+    // an arity, so the first one speaks for all
+    if let Some(row) = inputs.iter().find_map(|rel| rel.rows.first()) {
+        for &c in key.unwrap_or_default() {
+            Expr::col(c).eval(row)?;
+        }
+    }
     let rows = match key {
         None => distinct_by(inputs, |r| r.as_slice()),
         Some(&[c]) => distinct_by(inputs, |r| &r[c]),
@@ -494,4 +459,234 @@ fn distinct_by<'a, K: std::hash::Hash + Eq>(
         }
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::process::{EventType, LoadMode, TableRows};
+    use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+    use dip_services::webservice::DbService;
+    use dip_trace::{Category, Layer};
+    use dip_xmlkit::node::Element;
+    use dip_xmlkit::stx::Stylesheet;
+    use dip_xmlkit::xsd::{XsdElement, XsdSchema};
+    use std::sync::Arc;
+
+    fn kv_schema() -> SchemaRef {
+        RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Str)]).shared()
+    }
+
+    /// A database `db` (tables `t`, `sink`, procedure `sp`) and a web
+    /// service `ws` (operation `items`), 10 us away.
+    fn world() -> ExternalWorld {
+        let link = LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 10_000_000);
+        let net = Arc::new(Network::new(link, TransferMode::Accounted, 1));
+        let mut world = ExternalWorld::new(net, "is");
+        let (db, ws_db) = (Arc::new(Database::new("db")), Arc::new(Database::new("ws")));
+        for (db, table) in [(&db, "t"), (&db, "sink"), (&ws_db, "items")] {
+            let table = Table::new(table, kv_schema()).with_primary_key(&["k"]);
+            db.create_table(table.unwrap());
+        }
+        db.create_procedure("sp", Arc::new(|_, _| Ok(None)));
+        world.add_database("db", "es.db", db);
+        world.add_service("es.ws", Arc::new(DbService::new("ws", ws_db)));
+        world
+    }
+
+    /// One step of every kind over the variables `xml` (a result set of
+    /// `kv_schema`), `rel` and `n`; nested lists are empty, so the step's
+    /// own charge is all there is.
+    fn one_of_every_kind() -> Vec<Step> {
+        let v = |name: &str| name.to_string();
+        let empty = Arc::new(ProcessDef::new("E", "e", 'D', EventType::Timed, vec![]));
+        let row = || vec![vec![Value::Int(7), Value::str("seven")]];
+        vec![
+            Step::Receive { var: v("m") },
+            Step::Assign {
+                var: v("o"),
+                value: AssignValue::CopyVar(v("n")),
+            },
+            Step::Translate {
+                stx: Arc::new(Stylesheet::identity("id")),
+                input: v("xml"),
+                output: v("o"),
+            },
+            Step::Validate {
+                xsd: Arc::new(XsdSchema::new("s", XsdElement::sequence("m", vec![]))),
+                input: v("xml"),
+                on_valid: vec![],
+                on_invalid: vec![],
+            },
+            Step::Switch {
+                input: v("n"),
+                path: String::new(),
+                cases: vec![SwitchCase {
+                    when: Expr::lit(true),
+                    steps: vec![],
+                }],
+                default: vec![],
+            },
+            Step::WsQuery {
+                service: v("ws"),
+                operation: v("items"),
+                output: v("o"),
+            },
+            Step::WsUpdate {
+                service: v("ws"),
+                operation: v("items"),
+                input: v("xml"),
+            },
+            Step::DbQuery {
+                db: v("db"),
+                plan: Plan::scan("t"),
+                output: v("o"),
+            },
+            Step::DbQueryDyn {
+                db: v("db"),
+                reads: vec![v("n")],
+                plan: Arc::new(|_| Ok(Plan::scan("t"))),
+                plan_name: v("scan"),
+                output: v("o"),
+            },
+            Step::DbInsert {
+                db: v("db"),
+                table: v("sink"),
+                input: v("rel"),
+                mode: LoadMode::InsertIgnore,
+            },
+            Step::DbLoadXml {
+                db: v("db"),
+                tables: vec![v("sink")],
+                decoder: Arc::new(move |_| {
+                    let (table, rows) = ("sink".into(), row());
+                    Ok(vec![TableRows { table, rows }])
+                }),
+                decoder_name: v("const"),
+                input: v("xml"),
+                mode: LoadMode::InsertIgnore,
+            },
+            Step::DbCall {
+                db: v("db"),
+                proc: v("sp"),
+                args: vec![],
+                output: None,
+            },
+            Step::DbDelete {
+                db: v("db"),
+                table: v("sink"),
+                predicate: Expr::lit(true),
+            },
+            Step::Selection {
+                input: v("rel"),
+                predicate: Expr::lit(true),
+                output: v("o"),
+            },
+            Step::Projection {
+                input: v("rel"),
+                exprs: vec![ProjExpr::new(Expr::col(0), "k", SqlType::Int)],
+                output: v("o"),
+            },
+            Step::UnionDistinct {
+                inputs: vec![v("rel"), v("rel")],
+                key: Some(vec![0]),
+                output: v("o"),
+            },
+            Step::Join {
+                left: v("rel"),
+                right: v("rel"),
+                left_keys: vec![0],
+                right_keys: vec![0],
+                kind: JoinKind::Inner,
+                output: v("o"),
+            },
+            Step::XmlToRel {
+                input: v("xml"),
+                schema: kv_schema(),
+                output: v("o"),
+            },
+            Step::RelToXml {
+                input: v("rel"),
+                source: v("db"),
+                table: v("t"),
+                output: v("o"),
+            },
+            Step::Fork {
+                branches: vec![vec![], vec![]],
+            },
+            Step::Subprocess {
+                process: empty,
+                input: Some(v("rel")),
+                output: None,
+            },
+            Step::Custom {
+                name: v("noop"),
+                reads: vec![v("rel")],
+                binds: vec![v("o")],
+                f: Arc::new(|inputs| Ok(vec![inputs[0].clone()])),
+            },
+        ]
+    }
+
+    /// The span of a step and the bucket of the instance's ledger its time
+    /// goes to name the same category, the one `Step::kind` states. They
+    /// used to be two hand-written lists, and until PR 19 `receive` and
+    /// `assign` spans said `management` while their time went to `Cp`.
+    #[test]
+    fn every_step_kind_charges_the_category_its_span_names() {
+        let world = world();
+        let def = ProcessDef::new("KINDS", "k", 'B', EventType::Message, vec![]);
+        let rel = Relation::new(kv_schema(), vec![vec![Value::Int(5), Value::str("five")]]);
+        let steps = one_of_every_kind();
+        let _tracing = crate::TRACE_TESTS.lock().unwrap();
+        dip_trace::enable();
+        let mut charged = Vec::new();
+        for (n, step) in steps.iter().enumerate() {
+            let costs = InstanceCosts::new();
+            let mut vars = VarStore::new();
+            vars.set("xml", resultset::encode("ws", "items", &rel));
+            vars.set("rel", rel.clone());
+            vars.set("n", Value::Int(1));
+            let mut message = Some(Document::new(Element::new("m")));
+            let _scope = dip_trace::instance_scope(&def.id, 0, n as u64);
+            Interpreter::new(&world, &costs)
+                .run_step(&def, step, &mut vars, &mut message)
+                .unwrap_or_else(|e| panic!("{step:?}: {e}"));
+            charged.push(costs.snapshot());
+        }
+        dip_trace::disable();
+        let spans = dip_trace::drain();
+        let mut labels = std::collections::BTreeSet::new();
+        for (n, (step, (comm, mgmt, proc))) in steps.iter().zip(charged).enumerate() {
+            let (label, category) = step.kind();
+            labels.insert(label);
+            let mine = |s: &&dip_trace::SpanRecord| {
+                (s.layer, s.process.as_deref(), s.instance)
+                    == (Layer::Mtm, Some("KINDS"), Some(n as u64))
+            };
+            let mine: Vec<_> = spans.iter().filter(mine).collect();
+            assert_eq!(mine.len(), 1, "{label}: {mine:?}");
+            assert_eq!((mine[0].op, mine[0].category), (label, Some(category)));
+            // the builder / decoder part of the two split steps is Cp
+            let split = matches!(step, Step::DbQueryDyn { .. } | Step::DbLoadXml { .. });
+            for (bucket, grew) in [
+                (Category::Communication, comm),
+                (Category::Management, mgmt),
+                (Category::Processing, proc),
+            ] {
+                if bucket == category {
+                    // two 10 us hops; a local step may round down to 0 us
+                    let floor = if category == Category::Communication {
+                        20
+                    } else {
+                        0
+                    };
+                    assert!(grew.as_micros() >= floor, "{label}: {grew:?}");
+                } else if !(split && bucket == Category::Processing) {
+                    assert!(grew.is_zero(), "{label} charged {bucket:?}");
+                }
+            }
+        }
+        assert_eq!(labels.len(), 22, "one row per step kind: {labels:?}");
+    }
 }

@@ -15,6 +15,11 @@
 //! * [`cost`] — the cost model shared by every integration system in the
 //!   workspace.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod context;
 pub mod cost;
 pub mod engine;
@@ -32,3 +37,8 @@ pub use process::{
     AssignValue, CustomFn, EventType, LoadMode, PlanBuilder, ProcessDef, Step, SwitchCase,
     TableRows, XmlDecoder,
 };
+
+/// The trace collector is process-wide: a test that switches it on holds
+/// this for as long as it records.
+#[cfg(test)]
+pub(crate) static TRACE_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -103,6 +103,13 @@ impl std::fmt::Display for MtmTypeError {
 
 impl std::error::Error for MtmTypeError {}
 
+/// A `Custom` step's function reports failures as text: `inputs[0].as_xml()?`.
+impl From<MtmTypeError> for String {
+    fn from(e: MtmTypeError) -> String {
+        e.to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

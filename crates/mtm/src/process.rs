@@ -8,6 +8,7 @@
 //! definitions are *descriptions*; execution semantics live in the
 //! [`crate::interpreter`].
 
+use crate::cost::CostCategory;
 use crate::message::MtmMessage;
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::Document;
@@ -34,9 +35,13 @@ pub struct TableRows {
 /// Decodes an XML message into relational rows for loading.
 pub type XmlDecoder = Arc<dyn Fn(&Document) -> Result<Vec<TableRows>, String> + Send + Sync>;
 
-/// An arbitrary computation over the variable store (escape hatch for
-/// enrichment logic that has no dedicated operator).
-pub type CustomFn = Arc<dyn Fn(&mut crate::context::VarStore) -> Result<(), String> + Send + Sync>;
+/// The messages bound to a step's declared `reads`, in that order.
+pub type Inputs<'a> = &'a [&'a MtmMessage];
+
+/// A computation that has no dedicated operator (enrichment, decoding):
+/// from the step's declared inputs to one message per declared `binds`
+/// entry, in that order.
+pub type CustomFn = Arc<dyn Fn(Inputs) -> Result<Vec<MtmMessage>, String> + Send + Sync>;
 
 /// One case of a SWITCH operator: `when` is evaluated over the single-value
 /// row `[extracted]`, first match wins.
@@ -64,8 +69,8 @@ pub enum AssignValue {
 
 pub use dip_services::registry::LoadMode;
 
-/// Builds a query plan from the variable store at execution time.
-pub type PlanBuilder = Arc<dyn Fn(&crate::context::VarStore) -> Result<Plan, String> + Send + Sync>;
+/// Builds a query plan from the step's declared inputs at execution time.
+pub type PlanBuilder = Arc<dyn Fn(Inputs) -> Result<Plan, String> + Send + Sync>;
 
 /// One MTM operator.
 #[derive(Clone)]
@@ -114,10 +119,11 @@ pub enum Step {
         plan: Plan,
         output: String,
     },
-    /// Run a query plan built at runtime from the variable store (for
+    /// Run a query plan built at runtime from the `reads` variables (for
     /// parameterized lookups, e.g. P04's master-data enrichment query).
     DbQueryDyn {
         db: String,
+        reads: Vec<String>,
         plan: PlanBuilder,
         plan_name: String,
         output: String,
@@ -129,9 +135,11 @@ pub enum Step {
         input: String,
         mode: LoadMode,
     },
-    /// Decode an XML variable into rows and insert them (multi-table).
+    /// Decode an XML variable into rows and insert them (multi-table);
+    /// `tables` declares every table the decoder may emit rows for.
     DbLoadXml {
         db: String,
+        tables: Vec<String>,
         decoder: XmlDecoder,
         decoder_name: String,
         input: String,
@@ -199,10 +207,11 @@ pub enum Step {
         input: Option<String>,
         output: Option<String>,
     },
-    /// Escape hatch. `binds` declares the variables the function is known
-    /// to set, so static validation can track them.
+    /// Escape hatch: `f` is handed the `reads` variables and its results
+    /// are bound to the `binds` variables.
     Custom {
         name: String,
+        reads: Vec<String>,
         binds: Vec<String>,
         f: CustomFn,
     },
@@ -280,6 +289,248 @@ impl std::fmt::Debug for Step {
     }
 }
 
+/// How a step uses an external resource.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    Read,
+    Load(LoadMode),
+    Write,
+}
+
+/// A shared resource of the external world.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Resource {
+    /// One table of an external database.
+    Table { db: String, table: String },
+    /// A whole database — stored procedures and runtime-built plans do not
+    /// say which tables they use, so they claim the coarse grain.
+    Db { db: String },
+    /// A web service (its backing state included).
+    Service { service: String },
+}
+
+impl Resource {
+    /// Whether two resources can denote overlapping state.
+    pub fn overlaps(&self, other: &Resource) -> bool {
+        match (self, other) {
+            (Resource::Table { db: a, table: t }, Resource::Table { db: b, table: u }) => {
+                a == b && t == u
+            }
+            (Resource::Db { db: a }, Resource::Db { db: b }) => a == b,
+            (Resource::Db { db: a }, Resource::Table { db: b, .. })
+            | (Resource::Table { db: a, .. }, Resource::Db { db: b }) => a == b,
+            (Resource::Service { service: a }, Resource::Service { service: b }) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// The nested step lists of a structured step and how they combine. Every
+/// list but a callee's carries the label `explain` prints above it.
+pub enum Nested<'a> {
+    /// Exactly one list runs (VALIDATE, SWITCH): only what every one of
+    /// them binds is bound afterwards.
+    Alternatives(Vec<(String, &'a [Step])>),
+    /// All lists run concurrently over the bindings from before (FORK):
+    /// their bindings union and must not overlap.
+    Parallel(Vec<(String, &'a [Step])>),
+    /// A call into a fresh variable scope (subprocess): what the step
+    /// reads arrives as `input`, what it binds is the callee's `output`.
+    Call(&'a ProcessDef),
+}
+
+impl<'a> Nested<'a> {
+    /// Every nested step list, however they combine.
+    pub fn lists(&self) -> Vec<&'a [Step]> {
+        match self {
+            Nested::Alternatives(lists) | Nested::Parallel(lists) => {
+                lists.iter().map(|(_, steps)| *steps).collect()
+            }
+            Nested::Call(process) => vec![&process.steps],
+        }
+    }
+}
+
+/// What one step reads, binds, nests and touches — the row [`Step::facts`]
+/// states per step kind. Validation, `explain`, `step_count` and the
+/// scheduler's resource profiles are derived from it.
+pub struct StepFacts<'a> {
+    /// Variables that must be bound when the step starts.
+    pub reads: Vec<&'a str>,
+    /// Variables the step has bound when it ends (after its nested lists).
+    pub binds: Vec<&'a str>,
+    pub nested: Option<Nested<'a>>,
+    pub touches: Vec<(Resource, Access)>,
+}
+
+impl<'a> StepFacts<'a> {
+    fn nesting(mut self, nested: Nested<'a>) -> Self {
+        self.nested = Some(nested);
+        self
+    }
+
+    fn touching(mut self, resources: impl IntoIterator<Item = Resource>, access: Access) -> Self {
+        self.touches = resources.into_iter().map(|r| (r, access)).collect();
+        self
+    }
+}
+
+/// A row without nested lists or external resources.
+fn io<'a>(
+    reads: impl IntoIterator<Item = &'a String>,
+    binds: impl IntoIterator<Item = &'a String>,
+) -> StepFacts<'a> {
+    StepFacts {
+        reads: reads.into_iter().map(String::as_str).collect(),
+        binds: binds.into_iter().map(String::as_str).collect(),
+        nested: None,
+        touches: Vec::new(),
+    }
+}
+
+fn labelled<'a>(label: &str, lists: &'a [Vec<Step>]) -> Vec<(String, &'a [Step])> {
+    let numbered = lists.iter().enumerate();
+    numbered
+        .map(|(i, steps)| (format!("{label} {i}"), steps.as_slice()))
+        .collect()
+}
+
+/// The one table of step kinds. Both matches are exhaustive on purpose: a
+/// new kind does not compile until its label, category, data flow, nesting
+/// and footprint are stated here.
+impl Step {
+    /// Trace label and cost category: the interpreter opens the step's
+    /// span and charges its ledger from this pair (allocation-free).
+    pub fn kind(&self) -> (&'static str, CostCategory) {
+        use CostCategory::{Communication, Management, Processing};
+        match self {
+            Step::Receive { .. } => ("receive", Processing),
+            Step::Assign { .. } => ("assign", Processing),
+            Step::Translate { .. } => ("translate", Processing),
+            Step::Validate { .. } => ("validate", Processing),
+            Step::Switch { .. } => ("switch", Processing),
+            Step::WsQuery { .. } => ("ws_query", Communication),
+            Step::WsUpdate { .. } => ("ws_update", Communication),
+            Step::DbQuery { .. } => ("db_query", Communication),
+            Step::DbQueryDyn { .. } => ("db_query_dyn", Communication),
+            Step::DbInsert { .. } => ("db_insert", Communication),
+            Step::DbLoadXml { .. } => ("db_load_xml", Communication),
+            Step::DbCall { .. } => ("db_call", Communication),
+            Step::DbDelete { .. } => ("db_delete", Communication),
+            Step::Selection { .. } => ("selection", Processing),
+            Step::Projection { .. } => ("projection", Processing),
+            Step::UnionDistinct { .. } => ("union_distinct", Processing),
+            Step::Join { .. } => ("join", Processing),
+            Step::XmlToRel { .. } => ("xml_to_rel", Processing),
+            Step::RelToXml { .. } => ("rel_to_xml", Processing),
+            Step::Fork { .. } => ("fork", Management),
+            Step::Subprocess { .. } => ("subprocess", Management),
+            Step::Custom { .. } => ("custom", Processing),
+        }
+    }
+
+    /// What the step reads, binds, nests and touches (deploy-time use).
+    pub fn facts(&self) -> StepFacts<'_> {
+        use Access::{Load, Read, Write};
+        let service_of = |service: &String| Resource::Service {
+            service: service.clone(),
+        };
+        let db_of = |db: &String| Resource::Db { db: db.clone() };
+        let table_of = |db: &String, table: &str| Resource::Table {
+            db: db.clone(),
+            table: table.into(),
+        };
+        match self {
+            Step::Receive { var } => io(None, [var]),
+            Step::Assign { var, value } => match value {
+                AssignValue::Const(_) => io(None, [var]),
+                AssignValue::CopyVar(src) => io([src], [var]),
+            },
+            Step::Translate { input, output, .. } => io([input], [output]),
+            Step::Validate {
+                input,
+                on_valid,
+                on_invalid,
+                ..
+            } => io([input], None).nesting(Nested::Alternatives(vec![
+                ("valid".into(), on_valid),
+                ("invalid".into(), on_invalid),
+            ])),
+            // no case matching is an error without a default, so an empty
+            // default is not an alternative
+            Step::Switch {
+                input,
+                cases,
+                default,
+                ..
+            } => {
+                let mut lists: Vec<(String, &[Step])> = Vec::new();
+                for (i, c) in cases.iter().enumerate() {
+                    lists.push((format!("case {i}: {:?}", c.when), &c.steps));
+                }
+                if !default.is_empty() {
+                    lists.push(("default".into(), default));
+                }
+                io([input], None).nesting(Nested::Alternatives(lists))
+            }
+            Step::WsQuery {
+                service, output, ..
+            } => io(None, [output]).touching([service_of(service)], Read),
+            Step::WsUpdate { service, input, .. } => {
+                io([input], None).touching([service_of(service)], Write)
+            }
+            Step::DbQuery { db, plan, output } => {
+                let tables = plan.tables().into_iter().map(|t| table_of(db, t));
+                io(None, [output]).touching(tables, Read)
+            }
+            Step::DbQueryDyn {
+                db, reads, output, ..
+            } => io(reads, [output]).touching([db_of(db)], Read),
+            Step::DbInsert {
+                db,
+                table,
+                input,
+                mode,
+            } => io([input], None).touching([table_of(db, table)], Load(*mode)),
+            Step::DbLoadXml {
+                db,
+                tables,
+                input,
+                mode,
+                ..
+            } => {
+                let tables = tables.iter().map(|t| table_of(db, t));
+                io([input], None).touching(tables, Load(*mode))
+            }
+            // a stored procedure reads and mutates at will
+            Step::DbCall { db, output, .. } => io(None, output).touching([db_of(db)], Write),
+            Step::DbDelete { db, table, .. } => {
+                io(None, None).touching([table_of(db, table)], Write)
+            }
+            Step::Selection { input, output, .. }
+            | Step::Projection { input, output, .. }
+            | Step::XmlToRel { input, output, .. }
+            | Step::RelToXml { input, output, .. } => io([input], [output]),
+            Step::UnionDistinct { inputs, output, .. } => io(inputs, [output]),
+            Step::Join {
+                left,
+                right,
+                output,
+                ..
+            } => io([left, right], [output]),
+            Step::Fork { branches } => {
+                io(None, None).nesting(Nested::Parallel(labelled("branch", branches)))
+            }
+            Step::Subprocess {
+                process,
+                input,
+                output,
+            } => io(input, output).nesting(Nested::Call(process)),
+            Step::Custom { reads, binds, .. } => io(reads, binds),
+        }
+    }
+}
+
 /// A complete process-type definition.
 #[derive(Debug, Clone)]
 pub struct ProcessDef {
@@ -316,37 +567,15 @@ impl ProcessDef {
             let pad = "  ".repeat(depth);
             for s in steps {
                 out.push_str(&format!("{pad}{s:?}\n"));
-                match s {
-                    Step::Validate {
-                        on_valid,
-                        on_invalid,
-                        ..
-                    } => {
-                        out.push_str(&format!("{pad}  [valid]\n"));
-                        walk(on_valid, depth + 2, out);
-                        out.push_str(&format!("{pad}  [invalid]\n"));
-                        walk(on_invalid, depth + 2, out);
-                    }
-                    Step::Switch { cases, default, .. } => {
-                        for (i, c) in cases.iter().enumerate() {
-                            out.push_str(&format!("{pad}  [case {i}: {:?}]\n", c.when));
-                            walk(&c.steps, depth + 2, out);
-                        }
-                        if !default.is_empty() {
-                            out.push_str(&format!("{pad}  [default]\n"));
-                            walk(default, depth + 2, out);
+                match s.facts().nested {
+                    Some(Nested::Alternatives(lists) | Nested::Parallel(lists)) => {
+                        for (label, steps) in lists {
+                            out.push_str(&format!("{pad}  [{label}]\n"));
+                            walk(steps, depth + 2, out);
                         }
                     }
-                    Step::Fork { branches } => {
-                        for (i, b) in branches.iter().enumerate() {
-                            out.push_str(&format!("{pad}  [branch {i}]\n"));
-                            walk(b, depth + 2, out);
-                        }
-                    }
-                    Step::Subprocess { process, .. } => {
-                        walk(&process.steps, depth + 1, out);
-                    }
-                    _ => {}
+                    Some(Nested::Call(process)) => walk(&process.steps, depth + 1, out),
+                    None => {}
                 }
             }
         }
@@ -362,24 +591,11 @@ impl ProcessDef {
     /// measure used in reports.
     pub fn step_count(&self) -> usize {
         fn count(steps: &[Step]) -> usize {
-            steps
-                .iter()
-                .map(|s| {
-                    1 + match s {
-                        Step::Validate {
-                            on_valid,
-                            on_invalid,
-                            ..
-                        } => count(on_valid) + count(on_invalid),
-                        Step::Switch { cases, default, .. } => {
-                            cases.iter().map(|c| count(&c.steps)).sum::<usize>() + count(default)
-                        }
-                        Step::Fork { branches } => branches.iter().map(|b| count(b)).sum(),
-                        Step::Subprocess { process, .. } => process.step_count(),
-                        _ => 0,
-                    }
-                })
-                .sum()
+            let mut n = steps.len();
+            for nested in steps.iter().filter_map(|s| s.facts().nested) {
+                n += nested.lists().into_iter().map(count).sum::<usize>();
+            }
+            n
         }
         count(&self.steps)
     }

@@ -8,7 +8,7 @@
 //! no two of them may bind the same name, or the join would have to pick.
 
 use crate::error::{MtmError, MtmResult};
-use crate::process::{AssignValue, EventType, ProcessDef, Step};
+use crate::process::{EventType, Nested, ProcessDef, Step};
 use std::collections::HashSet;
 
 /// Validate a process definition.
@@ -61,140 +61,55 @@ fn err(def: &ProcessDef, msg: String) -> MtmError {
     MtmError::InvalidProcess(format!("{}: {msg}", def.id))
 }
 
-fn require(def: &ProcessDef, scope: &Scope, var: &str, op: &str) -> MtmResult<()> {
-    if scope.defined.contains(var) {
-        Ok(())
-    } else {
-        Err(err(def, format!("{op} reads {var} before it is bound")))
-    }
+/// The rules about a step's shape rather than its data flow. `first`:
+/// the step opens the process's top-level step list.
+fn shape_error(def: &ProcessDef, step: &Step, first: bool) -> Option<&'static str> {
+    Some(match step {
+        Step::Receive { .. } if def.event != EventType::Message => {
+            "RECEIVE in a time-scheduled process"
+        }
+        Step::Receive { .. } if !first => "RECEIVE must be the first step",
+        Step::Switch { cases, .. } if cases.is_empty() => "SWITCH with no cases",
+        Step::Projection { exprs, .. } if exprs.is_empty() => "PROJECTION with no output columns",
+        Step::UnionDistinct { inputs, .. } if inputs.is_empty() => "UNION DISTINCT with no inputs",
+        Step::Join {
+            left_keys,
+            right_keys,
+            ..
+        } if left_keys.len() != right_keys.len() => "JOIN key arity mismatch",
+        Step::Fork { branches } if branches.len() < 2 => "FORK needs at least two branches",
+        _ => return None,
+    })
 }
 
+/// Every step requires what it reads, combines its nested lists by their
+/// kind, and binds what it binds ([`Step::facts`]).
 fn walk(def: &ProcessDef, steps: &[Step], scope: &mut Scope, top_level: bool) -> MtmResult<()> {
     for (i, step) in steps.iter().enumerate() {
-        match step {
-            Step::Receive { var } => {
-                if def.event != EventType::Message {
-                    return Err(err(def, "RECEIVE in a time-scheduled process".into()));
-                }
-                if !(top_level && i == 0) {
-                    return Err(err(def, "RECEIVE must be the first step".into()));
-                }
-                scope.bind(var);
-            }
-            Step::Assign { var, value } => {
-                if let AssignValue::CopyVar(src) = value {
-                    require(def, scope, src, "ASSIGN")?;
-                }
-                scope.bind(var);
-            }
-            Step::Translate { input, output, .. } => {
-                require(def, scope, input, "TRANSLATE")?;
-                scope.bind(output);
-            }
-            Step::Validate {
-                input,
-                on_valid,
-                on_invalid,
-                ..
-            } => {
-                require(def, scope, input, "VALIDATE")?;
-                let mut a = scope.branch();
-                walk(def, on_valid, &mut a, false)?;
-                let mut b = scope.branch();
-                walk(def, on_invalid, &mut b, false)?;
-                scope.join_alternatives(vec![a, b]);
-            }
-            Step::Switch {
-                input,
-                cases,
-                default,
-                ..
-            } => {
-                require(def, scope, input, "SWITCH")?;
-                if cases.is_empty() {
-                    return Err(err(def, "SWITCH with no cases".into()));
-                }
-                let mut alternatives: Vec<Scope> = Vec::new();
-                for c in cases {
+        if let Some(broken) = shape_error(def, step, top_level && i == 0) {
+            return Err(err(def, broken.into()));
+        }
+        let facts = step.facts();
+        if let Some(var) = facts.reads.iter().find(|v| !scope.defined.contains(**v)) {
+            let msg = format!("{step:?} reads {var} before it is bound");
+            return Err(err(def, msg));
+        }
+        match facts.nested {
+            None => {}
+            Some(Nested::Alternatives(lists)) => {
+                let mut alternatives = Vec::new();
+                for (_, steps) in lists {
                     let mut s = scope.branch();
-                    walk(def, &c.steps, &mut s, false)?;
-                    alternatives.push(s);
-                }
-                if !default.is_empty() {
-                    let mut s = scope.branch();
-                    walk(def, default, &mut s, false)?;
+                    walk(def, steps, &mut s, false)?;
                     alternatives.push(s);
                 }
                 scope.join_alternatives(alternatives);
             }
-            Step::WsQuery { output, .. } => {
-                scope.bind(output);
-            }
-            Step::WsUpdate { input, .. } => require(def, scope, input, "INVOKE(update)")?,
-            Step::DbQuery { output, .. } | Step::DbQueryDyn { output, .. } => {
-                scope.bind(output);
-            }
-            Step::DbInsert { input, .. } => require(def, scope, input, "INVOKE(insert)")?,
-            Step::DbLoadXml { input, .. } => require(def, scope, input, "INVOKE(load)")?,
-            Step::DbCall { output, .. } => {
-                if let Some(o) = output {
-                    scope.bind(o);
-                }
-            }
-            Step::DbDelete { .. } => {}
-            Step::Selection { input, output, .. } => {
-                require(def, scope, input, "SELECTION")?;
-                scope.bind(output);
-            }
-            Step::Projection {
-                input,
-                output,
-                exprs,
-            } => {
-                require(def, scope, input, "PROJECTION")?;
-                if exprs.is_empty() {
-                    return Err(err(def, "PROJECTION with no output columns".into()));
-                }
-                scope.bind(output);
-            }
-            Step::UnionDistinct { inputs, output, .. } => {
-                if inputs.is_empty() {
-                    return Err(err(def, "UNION DISTINCT with no inputs".into()));
-                }
-                for v in inputs {
-                    require(def, scope, v, "UNION DISTINCT")?;
-                }
-                scope.bind(output);
-            }
-            Step::Join {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                output,
-                ..
-            } => {
-                require(def, scope, left, "JOIN")?;
-                require(def, scope, right, "JOIN")?;
-                if left_keys.len() != right_keys.len() {
-                    return Err(err(def, "JOIN key arity mismatch".into()));
-                }
-                scope.bind(output);
-            }
-            Step::XmlToRel { input, output, .. } | Step::RelToXml { input, output, .. } => {
-                require(def, scope, input, "codec")?;
-                scope.bind(output);
-            }
-            Step::Fork { branches } => {
-                if branches.len() < 2 {
-                    return Err(err(def, "FORK needs at least two branches".into()));
-                }
-                // all branches run, each over the bindings from before the
-                // FORK: union what they bind, which must not overlap
+            Some(Nested::Parallel(lists)) => {
                 let mut joined = Scope::default();
-                for b in branches {
+                for (_, steps) in lists {
                     let mut s = scope.branch();
-                    walk(def, b, &mut s, false)?;
+                    walk(def, steps, &mut s, false)?;
                     if let Some(var) = s.bound.intersection(&joined.bound).min() {
                         return Err(err(def, format!("two FORK branches bind {var}")));
                     }
@@ -204,39 +119,20 @@ fn walk(def: &ProcessDef, steps: &[Step], scope: &mut Scope, top_level: bool) ->
                 scope.defined.extend(joined.defined);
                 scope.bound.extend(joined.bound);
             }
-            Step::Subprocess {
-                process,
-                input,
-                output,
-            } => {
-                if let Some(v) = input {
-                    require(def, scope, v, "SUBPROCESS")?;
-                }
-                // the subprocess runs in a fresh scope; by convention it
-                // sees `input` (when passed) and must bind `output` (when
-                // the parent expects one)
+            Some(Nested::Call(process)) => {
                 let mut sub = Scope::default();
-                if input.is_some() {
+                if !facts.reads.is_empty() {
                     sub.bind("input");
                 }
                 walk(process, &process.steps, &mut sub, false)?;
-                if output.is_some() && !sub.defined.contains("output") {
-                    return Err(err(
-                        def,
-                        format!("subprocess {} never binds 'output'", process.id),
-                    ));
-                }
-                if let Some(o) = output {
-                    scope.bind(o);
+                if !facts.binds.is_empty() && !sub.defined.contains("output") {
+                    let msg = format!("subprocess {} never binds 'output'", process.id);
+                    return Err(err(def, msg));
                 }
             }
-            Step::Custom { binds, .. } => {
-                // opaque body: reads cannot be checked, but declared
-                // bindings become visible
-                for var in binds {
-                    scope.bind(var);
-                }
-            }
+        }
+        for var in facts.binds {
+            scope.bind(var);
         }
     }
     Ok(())
@@ -246,6 +142,7 @@ fn walk(def: &ProcessDef, steps: &[Step], scope: &mut Scope, top_level: bool) ->
 mod tests {
     use super::*;
     use crate::message::MtmMessage;
+    use crate::process::AssignValue;
     use dip_relstore::prelude::*;
     use std::sync::Arc;
 

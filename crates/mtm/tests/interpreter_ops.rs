@@ -4,7 +4,7 @@
 use dip_mtm::context::VarStore;
 use dip_mtm::interpreter::Interpreter;
 use dip_mtm::message::MtmMessage;
-use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase};
+use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase, TableRows};
 use dip_mtm::{InstanceCosts, MtmEngine, MtmError};
 use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
 use dip_relstore::prelude::*;
@@ -87,12 +87,10 @@ fn dyn_query_builds_plan_from_variables() {
         },
         Step::DbQueryDyn {
             db: "db".into(),
+            reads: vec!["needle".into()],
             plan_name: "lookup".into(),
-            plan: Arc::new(|vars| {
-                let k = vars
-                    .get("needle")
-                    .and_then(|m| m.as_scalar().ok().cloned())
-                    .ok_or("needle unbound")?;
+            plan: Arc::new(|inputs| {
+                let k = inputs[0].as_scalar()?.clone();
                 Ok(Plan::scan("t").filter(Expr::col(0).eq(Expr::Lit(k))))
             }),
             output: "hit".into(),
@@ -117,6 +115,7 @@ fn dyn_query_builds_plan_from_variables() {
 fn dyn_query_builder_error_is_reported() {
     let err = run_timed(vec![Step::DbQueryDyn {
         db: "db".into(),
+        reads: vec![],
         plan_name: "broken".into(),
         plan: Arc::new(|_| Err("deliberately broken".into())),
         output: "x".into(),
@@ -184,17 +183,11 @@ fn validate_takes_correct_branch() {
             },
             Step::Custom {
                 name: "export".into(),
+                reads: vec!["branch".into()],
                 binds: vec![],
-                f: Arc::new(|vars| {
-                    // surfacing the branch via an error message keeps the
-                    // test independent of var inspection APIs
-                    let b = vars
-                        .get("branch")
-                        .and_then(|m| m.as_scalar().ok().cloned())
-                        .map(|v| v.render())
-                        .unwrap_or_default();
-                    Err(format!("took:{b}"))
-                }),
+                // surfacing the branch via an error message keeps the
+                // test independent of var inspection APIs
+                f: Arc::new(|inputs| Err(format!("took:{}", inputs[0].as_scalar()?.render()))),
             },
         ]
     };
@@ -300,17 +293,11 @@ fn db_call_and_delete_steps() {
         },
         Step::Custom {
             name: "check_echo".into(),
+            reads: vec!["echo".into()],
             binds: vec![],
-            f: Arc::new(|vars| {
-                let rel = vars
-                    .get("echo")
-                    .and_then(|m| m.as_rel().ok().cloned())
-                    .ok_or("echo unbound")?;
-                if rel.rows[0][0] == Value::Int(42) {
-                    Ok(())
-                } else {
-                    Err(format!("echo was {:?}", rel.rows[0][0]))
-                }
+            f: Arc::new(|inputs| match &inputs[0].as_rel()?.rows[0][0] {
+                Value::Int(42) => Ok(vec![]),
+                other => Err(format!("echo was {other:?}")),
             }),
         },
         Step::DbDelete {
@@ -416,6 +403,127 @@ fn join_step_enriches() {
         sink.get_by_pk(&[Value::Int(1)]).unwrap()[1],
         Value::str("one+one")
     );
+}
+
+/// A UNION DISTINCT key column the inputs do not have is the executor's
+/// typed error for the same plan (`Plan::UnionDistinct`), and one failed
+/// instance — it used to index out of bounds and panic inside the instance.
+#[test]
+fn union_distinct_key_out_of_range_is_a_typed_error() {
+    let union = |key| {
+        vec![
+            Step::DbQuery {
+                db: "db".into(),
+                plan: Plan::scan("t").filter(Expr::col(0).ge(Expr::lit(key))),
+                output: "a".into(),
+            },
+            Step::UnionDistinct {
+                inputs: vec!["a".into()],
+                key: Some(vec![9]),
+                output: "u".into(),
+            },
+        ]
+    };
+    let e = engine();
+    let def = |steps| ProcessDef::new("U", "union", 'B', EventType::Timed, steps);
+    e.deploy(def(union(1))).unwrap();
+    let err = e.execute("U", 0, None).unwrap_err();
+    assert!(matches!(err, MtmError::Store(_)), "{err:?}");
+    assert!(err.to_string().contains("column index 9 out of range"));
+    let records = e.recorder().drain();
+    assert_eq!(records.len(), 1);
+    assert!(!records[0].ok, "recorded as a failed instance");
+    // a union of no rows has no row to be out of range on
+    e.deploy(def(union(100))).unwrap();
+    e.execute("U", 0, None).unwrap();
+}
+
+/// The scheduler orders a loader by the tables its step declares, so a
+/// decoder emitting rows for another table fails before anything is loaded.
+#[test]
+fn decoder_emitting_an_undeclared_table_fails_before_loading() {
+    let steps = vec![
+        bind("doc", Document::new(Element::new("m"))),
+        Step::DbLoadXml {
+            db: "db".into(),
+            tables: vec!["sink".into()],
+            decoder: Arc::new(|_| {
+                let batch = |table: &str, k| TableRows {
+                    table: table.into(),
+                    rows: vec![vec![Value::Int(k), Value::str("loaded")]],
+                };
+                Ok(vec![batch("sink", 7), batch("t", 8)])
+            }),
+            decoder_name: "two_tables".into(),
+            input: "doc".into(),
+            mode: LoadMode::Insert,
+        },
+    ];
+    // a bare interpreter has no transaction around it: what it loaded stays
+    let (world, costs) = (world(), InstanceCosts::new());
+    let def = ProcessDef::new("L", "load", 'B', EventType::Timed, steps);
+    let err = Interpreter::new(&world, &costs)
+        .run(&def, None)
+        .unwrap_err();
+    assert!(matches!(err, MtmError::Custom(_)), "{err:?}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("decoder two_tables: undeclared table t"),
+        "{msg}"
+    );
+    let sink = world.database("db").unwrap().table("sink").unwrap();
+    assert_eq!(sink.row_count(), 0, "the declared table's batch came first");
+}
+
+/// What `Custom` and `DbQueryDyn` read is declared, so an unbound read is
+/// rejected at deploy, naming step and variable — their closures used to
+/// take the whole variable store, such a definition deployed, and its
+/// first instance failed.
+#[test]
+fn deploy_rejects_an_unbound_declared_read() {
+    let custom = Step::Custom {
+        name: "enrich".into(),
+        reads: vec!["absent".into()],
+        binds: vec![],
+        f: Arc::new(|_| Ok(vec![])),
+    };
+    let dyn_query = Step::DbQueryDyn {
+        db: "db".into(),
+        reads: vec!["absent".into()],
+        plan_name: "lookup".into(),
+        plan: Arc::new(|_| Ok(Plan::scan("t"))),
+        output: "hit".into(),
+    };
+    for (step, named) in [
+        (custom, "Custom[enrich]"),
+        (dyn_query, "DbQueryDyn[lookup]"),
+    ] {
+        let err = run_timed(vec![step]).map(|_| ()).unwrap_err();
+        assert!(matches!(err, MtmError::InvalidProcess(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains(named) && msg.contains("reads absent"), "{msg}");
+    }
+}
+
+/// A `Custom` returns one message per declared bind: any other number is
+/// an error of the step, not an index panic or a silently unbound variable.
+#[test]
+fn custom_output_count_must_match_its_binds() {
+    let returning = |outputs: Vec<MtmMessage>| Step::Custom {
+        name: "miscount".into(),
+        reads: vec![],
+        binds: vec!["x".into()],
+        f: Arc::new(move |_| Ok(outputs.clone())),
+    };
+    let one = MtmMessage::Scalar(Value::Int(1));
+    for outputs in [vec![], vec![one.clone(), one.clone()]] {
+        let err = run_timed(vec![returning(outputs)]).map(|_| ()).unwrap_err();
+        assert!(matches!(err, MtmError::Custom(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("miscount: returned"), "{msg}");
+    }
+    let vars = run_vars(vec![returning(vec![one.clone()])]);
+    assert_eq!(vars.get("x"), Some(&one));
 }
 
 // ---- data flow by reference: operators against their relstore twins,
@@ -599,11 +707,13 @@ fn probe(seen: &Arc<Mutex<HashMap<String, MtmMessage>>>, label: &str, var: &str)
     let (seen, label, var) = (seen.clone(), label.to_string(), var.to_string());
     Step::Custom {
         name: format!("probe {label}"),
+        reads: vec![var],
         binds: vec![],
-        f: Arc::new(move |vars| {
-            let m = vars.get(&var).ok_or(format!("{var} unbound"))?.clone();
-            seen.lock().unwrap().insert(label.clone(), m);
-            Ok(())
+        f: Arc::new(move |inputs| {
+            seen.lock()
+                .unwrap()
+                .insert(label.clone(), inputs[0].clone());
+            Ok(vec![])
         }),
     }
 }
@@ -612,10 +722,11 @@ fn wait(barrier: &Arc<Barrier>) -> Step {
     let barrier = barrier.clone();
     Step::Custom {
         name: "wait".into(),
+        reads: vec![],
         binds: vec![],
         f: Arc::new(move |_| {
             barrier.wait();
-            Ok(())
+            Ok(vec![])
         }),
     }
 }
