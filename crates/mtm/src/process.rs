@@ -388,6 +388,31 @@ fn io<'a>(
     }
 }
 
+/// The base tables a query plan reads, one entry per access.
+fn scanned_tables<'a>(plan: &'a Plan, out: &mut Vec<&'a str>) {
+    match plan {
+        Plan::Scan { table, .. } => out.push(table),
+        Plan::Values(_) => {}
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::TopK { input, .. } => scanned_tables(input, out),
+        Plan::HashJoin { left, right, .. } => {
+            scanned_tables(left, out);
+            scanned_tables(right, out);
+        }
+        Plan::IndexJoin { probe, table, .. } => {
+            scanned_tables(probe, out);
+            out.push(table);
+        }
+        Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
+            inputs.iter().for_each(|p| scanned_tables(p, out));
+        }
+    }
+}
+
 fn labelled<'a>(label: &str, lists: &'a [Vec<Step>]) -> Vec<(String, &'a [Step])> {
     let numbered = lists.iter().enumerate();
     numbered
@@ -480,7 +505,9 @@ impl Step {
                 io([input], None).touching([service_of(service)], Write)
             }
             Step::DbQuery { db, plan, output } => {
-                let tables = plan.tables().into_iter().map(|t| table_of(db, t));
+                let mut tables = Vec::new();
+                scanned_tables(plan, &mut tables);
+                let tables = tables.into_iter().map(|t| table_of(db, t));
                 io(None, [output]).touching(tables, Read)
             }
             Step::DbQueryDyn {

@@ -353,36 +353,6 @@ impl Plan {
         }
     }
 
-    /// The base tables this plan reads, one entry per access.
-    pub fn tables(&self) -> Vec<&str> {
-        fn walk<'a>(plan: &'a Plan, out: &mut Vec<&'a str>) {
-            match plan {
-                Plan::Scan { table, .. } => out.push(table),
-                Plan::Values(_) => {}
-                Plan::Filter { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Aggregate { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Limit { input, .. }
-                | Plan::TopK { input, .. } => walk(input, out),
-                Plan::HashJoin { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-                Plan::IndexJoin { probe, table, .. } => {
-                    walk(probe, out);
-                    out.push(table);
-                }
-                Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
-                    inputs.iter().for_each(|p| walk(p, out));
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
-    }
-
     /// Rough output-cardinality estimate for join-side selection.
     pub fn estimate_rows(&self, db: &Database) -> usize {
         match self {
