@@ -384,14 +384,13 @@ pub fn cdb_order_decoder(source: &str) -> XmlDecoder {
                 ]);
             }
         }
-        let [orders, orderlines] = ORDER_STAGING_TABLES.map(String::from);
         Ok(vec![
             TableRows {
-                table: orders,
+                table: ORDER_STAGING_TABLES[0].into(),
                 rows: vec![order],
             },
             TableRows {
-                table: orderlines,
+                table: ORDER_STAGING_TABLES[1].into(),
                 rows: lines,
             },
         ])
