@@ -88,7 +88,7 @@ pub fn s1_plan() -> Plan {
 /// forms project identical columns, so on equal input rows they produce
 /// byte-identical sales rows.
 pub fn s1_delta_plan(orderline_delta: Relation) -> Plan {
-    s1_join_from(Plan::Values(orderline_delta))
+    s1_join_from(Plan::Values(Arc::new(orderline_delta)))
 }
 
 fn s1_join_from(orderline: Plan) -> Plan {

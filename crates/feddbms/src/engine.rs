@@ -112,13 +112,15 @@ thread_local! {
     static CURRENT_COSTS: RefCell<Vec<InstanceCosts>> = const { RefCell::new(Vec::new()) };
 }
 
-fn current_costs() -> InstanceCosts {
-    CURRENT_COSTS.with(|c| {
-        c.borrow()
-            .last()
-            .cloned()
-            .expect("fed trigger fired outside an instrumented execution")
-    })
+/// A trigger firing outside an instrumented execution (an insert into a
+/// queue table that did not come through `execute_event`) is an error of
+/// that insert.
+fn current_costs() -> StoreResult<InstanceCosts> {
+    CURRENT_COSTS
+        .with(|c| c.borrow().last().cloned())
+        .ok_or_else(|| {
+            StoreError::Procedure("fed trigger fired outside an instrumented execution".into())
+        })
 }
 
 /// The per-call execution context handed to process bodies.
@@ -328,7 +330,7 @@ impl FedDbms {
             format!("{process}_trigger"),
             &table,
             Arc::new(move |_db, inserted| {
-                let costs = current_costs();
+                let costs = current_costs()?;
                 let ctx = FedCtx {
                     world: world.clone(),
                     local: local.clone(),

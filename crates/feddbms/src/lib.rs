@@ -18,6 +18,11 @@
 //!   functionalities, which are apparently not included in the
 //!   optimizer").
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod engine;
 pub mod procs;
 pub mod xmlfn;

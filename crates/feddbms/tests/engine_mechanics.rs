@@ -77,6 +77,22 @@ fn trigger_error_marks_instance_failed() {
     assert!(!recs[0].ok);
 }
 
+/// An insert into a queue table that did not come through `execute` has no
+/// instance to charge: the trigger reports a typed error to the inserter
+/// instead of panicking under `Database::insert_into`.
+#[test]
+fn trigger_outside_an_instance_is_a_typed_error() {
+    let fed = FedDbms::new(world(), FedOptions::default());
+    fed.deploy_queue("PZ", Arc::new(|_ctx: &FedCtx, _doc: &Document| Ok(())))
+        .unwrap();
+    let row = vec![Value::Int(1), Value::str("<m/>")];
+    let err = fed.local.insert_into("pz_queue", vec![row]).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Procedure(why) if why.contains("outside an instrumented")),
+        "got {err:?}"
+    );
+}
+
 #[test]
 fn message_process_without_message_fails_cleanly() {
     let fed = FedDbms::new(world(), FedOptions::default());

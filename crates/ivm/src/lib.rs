@@ -27,6 +27,11 @@
 //! restored by transaction rollback (the drain is undo-journaled), and a
 //! crash-recovery replay re-pulls exactly what the failed instance saw.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use dip_feddbms::engine::{E2Body, FedCtx};
 use dip_feddbms::{procs, FedDbms, FedOptions, FedResult};
 use dip_mtm::cost::CostRecorder;
@@ -39,7 +44,7 @@ use dipbench::processes::group_d::s1_delta_plan;
 use dipbench::schema::{america, cdb, dwh};
 use dipbench::system::{DeadLetterQueue, Delivery, Event, IntegrationSystem};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The base tables the engine maintains standing queries over:
 /// `(database, table, consuming process)`. `dwh.orders` is absent: P13
@@ -69,6 +74,9 @@ pub struct IvmSystem {
 
 impl IvmSystem {
     pub fn new(world: Arc<ExternalWorld>) -> IvmSystem {
+        // construction over the constant table above, before any message
+        // or row is seen: a world without these tables is a harness bug
+        #[allow(clippy::expect_used)]
         for (db, table, _) in CAPTURE_SOURCES {
             world
                 .database(db)
@@ -95,7 +103,7 @@ impl IvmSystem {
     /// instance transaction — the reset itself must survive an instance
     /// rollback.
     fn roll_period(&self, period: u32) {
-        let mut last = self.last_period.lock().expect("ivm period lock");
+        let mut last = (self.last_period.lock()).unwrap_or_else(PoisonError::into_inner);
         if *last != Some(period) {
             self.state.truncate_all();
             *last = Some(period);

@@ -279,8 +279,8 @@ impl<'a> Interpreter<'a> {
                 kind,
                 output,
             } => {
-                let l = Self::get(vars, left)?.as_rel()?.clone();
-                let r = Self::get(vars, right)?.as_rel()?.clone();
+                let l = Self::get(vars, left)?.shared_rel()?;
+                let r = Self::get(vars, right)?.shared_rel()?;
                 let plan = Plan::Values(l).hash_join(
                     Plan::Values(r),
                     left_keys.clone(),

@@ -36,6 +36,15 @@ impl MtmMessage {
         }
     }
 
+    /// The relation with its `Arc`: handing it to a `Plan::Values` shares
+    /// the payload.
+    pub(crate) fn shared_rel(&self) -> Result<Arc<Relation>, MtmTypeError> {
+        match self {
+            MtmMessage::Rel(r) => Ok(Arc::clone(r)),
+            other => Err(MtmTypeError::expected("relation", other)),
+        }
+    }
+
     pub fn as_scalar(&self) -> Result<&Value, MtmTypeError> {
         match self {
             MtmMessage::Scalar(v) => Ok(v),

@@ -405,6 +405,73 @@ fn join_step_enriches() {
     );
 }
 
+/// JOIN at size, inner and left: the step answers as the oracle does on
+/// the same plan, and it reads its inputs through their `Arc`s — the plan
+/// shares the payloads, both variables stay bound to them.
+#[test]
+fn join_step_at_size_matches_the_oracle_and_shares_its_inputs() {
+    let wide = RelSchema::of(&[
+        ("k", SqlType::Int),
+        ("part", SqlType::Int),
+        ("qty", SqlType::Int),
+        ("price", SqlType::Float),
+        ("tag", SqlType::Str),
+        ("note", SqlType::Str),
+    ])
+    .shared();
+    let facts = (0..20_000i64).map(|k| {
+        let part = if k % 97 == 0 {
+            Value::Null
+        } else {
+            Value::Int(k % 80) // 64..80 have no partner
+        };
+        let tag = Value::str(format!("t{}", k % 7));
+        vec![
+            Value::Int(k),
+            part,
+            Value::Int(1 + k % 40),
+            Value::Float((k % 1000) as f64 / 8.0),
+            tag,
+            Value::Null,
+        ]
+    });
+    let left = Arc::new(Relation::new(wide, facts.collect()));
+    let parts = (0..64i64).map(|p| vec![Value::Int(p), Value::str(format!("part-{p}"))]);
+    let right = Arc::new(Relation::new(
+        RelSchema::of(&[("part", SqlType::Int), ("name", SqlType::Str)]).shared(),
+        parts.collect(),
+    ));
+    for (kind, rows) in [(JoinKind::Inner, 15_834), (JoinKind::Left, 20_000)] {
+        let (l, r) = (
+            MtmMessage::Rel(left.clone()),
+            MtmMessage::Rel(right.clone()),
+        );
+        let vars = run_vars(vec![
+            bind("l", l.clone()),
+            bind("r", r.clone()),
+            Step::Join {
+                left: "l".into(),
+                right: "r".into(),
+                left_keys: vec![1],
+                right_keys: vec![0],
+                kind,
+                output: "j".into(),
+            },
+        ]);
+        let plan = Plan::Values(left.clone()).hash_join(
+            Plan::Values(right.clone()),
+            vec![1],
+            vec![0],
+            kind,
+        );
+        let joined = vars.get("j").unwrap().as_rel().unwrap();
+        assert_eq!(joined, &oracle(plan), "{kind:?}");
+        assert_eq!(joined.len(), rows, "{kind:?}");
+        assert!(same_payload(vars.get("l").unwrap(), &l), "{kind:?}: left");
+        assert!(same_payload(vars.get("r").unwrap(), &r), "{kind:?}: right");
+    }
+}
+
 /// A UNION DISTINCT key column the inputs do not have is the executor's
 /// typed error for the same plan (`Plan::UnionDistinct`), and one failed
 /// instance — it used to index out of bounds and panic inside the instance.
@@ -620,7 +687,7 @@ proptest! {
             bind("in", rel.clone()),
             Step::Selection { input: "in".into(), predicate: pred.clone(), output: "out".into() },
         ]);
-        let expected = oracle(Plan::Values(rel).filter(pred));
+        let expected = oracle(Plan::Values(rel.into()).filter(pred));
         prop_assert_eq!(vars.get("out").unwrap().as_rel().unwrap(), &expected);
     }
 
@@ -640,7 +707,7 @@ proptest! {
             bind("in", rel.clone()),
             Step::Projection { input: "in".into(), exprs: exprs.clone(), output: "out".into() },
         ]);
-        let expected = oracle(Plan::Values(rel).project(exprs));
+        let expected = oracle(Plan::Values(rel.into()).project(exprs));
         prop_assert_eq!(vars.get("out").unwrap().as_rel().unwrap(), &expected);
     }
 
@@ -660,7 +727,7 @@ proptest! {
             },
         ]);
         let expected = oracle(Plan::UnionDistinct {
-            inputs: vec![Plan::Values(a.clone()), Plan::Values(b), Plan::Values(a)],
+            inputs: vec![Plan::Values(a.clone().into()), Plan::Values(b.into()), Plan::Values(a.into())],
             key,
         });
         prop_assert_eq!(vars.get("out").unwrap().as_rel().unwrap(), &expected);

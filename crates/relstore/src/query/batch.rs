@@ -9,16 +9,11 @@
 //! * `Gather` — a shared source column plus a shared index vector: the
 //!   value at row `i` is `src[idx[i]]`.
 //!
-//! Column *storage* ([`ColData`]) is type-specialized: scans derive the
-//! layout from the catalog schema, so an `INT` column is a `Vec<i64>`, a
-//! `FLOAT` column a `Vec<f64>` and a `STR` column a `Vec<Arc<str>>`, each
-//! with an optional validity bitmap ([`NullMask`]) for NULLs. Aggregate
-//! accumulators and key hashing then run over unboxed primitive slices.
-//! Because the storage layer accepts *widened* values (an `Int` is legal
-//! in a `FLOAT` column, a `Bool` in an `INT` column) and those values must
-//! re-emit byte-identically, the builders are adaptive: a value the typed
-//! layout cannot represent demotes the column to boxed `Vec<Value>`
-//! storage for that chunk ([`ColBuilder`]).
+//! Column *storage* is one layout, a `Vec<Value>`, whatever the schema
+//! type: the storage layer accepts *widened* values (an `Int` is legal in
+//! a `FLOAT` column, a `Bool` in an `INT` column) and a column holds and
+//! re-emits each value as it arrived. Operators compare and hash `&Value`
+//! in place.
 //!
 //! `Gather` is the late-materialization trick that makes join chains
 //! linear: a join emits its probe-side columns as gathers over the probe
@@ -50,21 +45,21 @@
 //! * `UnionDistinct` keeps first occurrences; `TopK` breaks ties by input
 //!   sequence ([`TopKEntry`]);
 //! * all aggregate arithmetic goes through the shared [`AggState`]
-//!   (exact-`i64` SUM with overflow fallback, compensated float sums);
-//!   float MIN/MAX stay per-element — NaN makes "strictly less wins"
-//!   non-transitive, so chunk-local reductions could change results.
+//!   (exact-`i64` SUM with overflow fallback, compensated float sums),
+//!   one value at a time — float MIN/MAX in particular: NaN makes
+//!   "strictly less wins" non-transitive, so chunk-local reductions could
+//!   change results.
 //!
 //! Hash and group tables are pre-sized from planner cardinality estimates
 //! (table live counts at the leaves); aggregate inputs that are bare
 //! column references skip expression dispatch; computed aggregate inputs
-//! are evaluated column-at-a-time once per chunk through an [`EvalView`]
-//! (typed columns materialize to `Value`s once per chunk for the shared
-//! expression evaluator, boxed columns are borrowed in place).
+//! are evaluated column-at-a-time once per chunk. The shared expression
+//! evaluator reads a chunk row through [`EvalRow`], which borrows the
+//! columns in place.
 //!
-//! Each node publishes `relstore.batch.chunks.<op>` and
-//! `relstore.batch.rows.<op>` counters next to the shared
-//! `relstore.rows_out.<op>`; chunk fill rate is
-//! `batch.rows / (batch.chunks × 1024)`. Join output chunks follow probe
+//! Each node publishes a `relstore.batch.chunks.<op>` counter next to the
+//! shared `relstore.rows_out.<op>`; chunk fill rate is
+//! `rows_out / (batch.chunks × 1024)`. Join output chunks follow probe
 //! chunk boundaries, so a high-fan-out join can emit chunks taller than
 //! [`CHUNK_ROWS`]; consumers size off [`Chunk::live`], never the constant.
 
@@ -76,13 +71,13 @@
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};
-use crate::hashkey::{combine, hash_num, hash_str, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
-use crate::query::exec::{index_join_equivalent, plan_op, rows_counter, AggState, TopKEntry};
+use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
+use crate::query::exec::{index_join_equivalent, node_names, AggState, TopKEntry};
 use crate::query::plan::{AggFunc, JoinKind, Plan};
 use crate::row::{sort_rows_by_columns, Relation, Row};
-use crate::value::{SqlType, Value};
+use crate::value::Value;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Target rows per [`Chunk`]. Large enough to amortize per-chunk operator
 /// overhead, small enough that a chunk's columns stay cache-resident.
@@ -92,449 +87,36 @@ fn oob(c: usize) -> StoreError {
     StoreError::Eval(format!("column index {c} out of range"))
 }
 
-/// Validity bitmap for typed column storage: bit set = NULL at that row.
-/// Absent (`None` in the column) means "no NULLs", so the all-valid fast
-/// paths never touch it.
-#[derive(Clone, Debug, Default)]
-struct NullMask {
-    words: Vec<u64>,
-}
-
-impl NullMask {
-    fn set(&mut self, i: usize) {
-        let w = i / 64;
-        if self.words.len() <= w {
-            self.words.resize(w + 1, 0);
-        }
-        if let Some(word) = self.words.get_mut(w) {
-            *word |= 1u64 << (i % 64);
-        }
-    }
-
-    fn is_null(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// Number of NULLs among rows `0..n` (popcount — the COUNT fast path).
-    fn count_nulls(&self, n: usize) -> usize {
-        let mut total = 0usize;
-        for (w, word) in self.words.iter().enumerate() {
-            let lo = w * 64;
-            if lo >= n {
-                break;
-            }
-            let bits = n - lo;
-            let masked = if bits >= 64 {
-                *word
-            } else {
-                word & ((1u64 << bits) - 1)
-            };
-            total += masked.count_ones() as usize;
-        }
-        total
-    }
-
-    fn truncate(&mut self, n: usize) {
-        self.words.truncate(n.div_ceil(64));
-        if !n.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << (n % 64)) - 1;
-            }
-        }
-    }
-}
-
-/// The shared empty string typed NULL slots point at (never observable —
-/// the mask shadows it).
-fn empty_str() -> Arc<str> {
-    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::from("")).clone()
-}
-
-/// Physical storage of one column: boxed `Value`s, or an unboxed typed
-/// vector plus a NULL bitmap. Typed layouts hold exactly one `Value`
-/// variant (plus NULL); anything else lives in `Boxed` (see
-/// [`ColBuilder`]'s demotion rule).
-enum ColData {
-    Boxed(Vec<Value>),
-    I64(Vec<i64>, Option<NullMask>),
-    F64(Vec<f64>, Option<NullMask>),
-    Str(Vec<Arc<str>>, Option<NullMask>),
-}
-
-impl ColData {
-    /// The value at row `i` (owned — typed layouts construct it), if in
-    /// range. A masked row yields `Some(Value::Null)`.
-    fn value(&self, i: usize) -> Option<Value> {
-        match self {
-            ColData::Boxed(v) => v.get(i).cloned(),
-            ColData::I64(v, m) => v.get(i).map(|&x| {
-                if masked(m, i) {
-                    Value::Null
-                } else {
-                    Value::Int(x)
-                }
-            }),
-            ColData::F64(v, m) => v.get(i).map(|&x| {
-                if masked(m, i) {
-                    Value::Null
-                } else {
-                    Value::Float(x)
-                }
-            }),
-            ColData::Str(v, m) => v.get(i).map(|s| {
-                if masked(m, i) {
-                    Value::Null
-                } else {
-                    Value::Str(s.clone())
-                }
-            }),
-        }
-    }
-
-    /// Does row `i` equal `v` under `Value` equality (`total_cmp`)? Typed
-    /// rows compare through a stack-constructed `Value` so cross-type
-    /// numeric equality (`Int(3) == Float(3.0)`) behaves identically to
-    /// boxed storage.
-    fn eq_value(&self, i: usize, v: &Value) -> bool {
-        match self {
-            ColData::Boxed(vals) => vals.get(i).is_some_and(|x| x == v),
-            ColData::I64(vals, m) => vals.get(i).is_some_and(|&x| {
-                if masked(m, i) {
-                    v.is_null()
-                } else {
-                    Value::Int(x) == *v
-                }
-            }),
-            ColData::F64(vals, m) => vals.get(i).is_some_and(|&x| {
-                if masked(m, i) {
-                    v.is_null()
-                } else {
-                    Value::Float(x) == *v
-                }
-            }),
-            ColData::Str(vals, m) => vals.get(i).is_some_and(|s| {
-                if masked(m, i) {
-                    v.is_null()
-                } else {
-                    matches!(v, Value::Str(t) if **t == **s)
-                }
-            }),
-        }
-    }
-
-    /// `(key hash, is_null)` of row `i` — out-of-range rows hash as NULL
-    /// (they can never be emitted, so the flag only suppresses joins).
-    fn hash_at(&self, i: usize) -> (u64, bool) {
-        match self {
-            ColData::Boxed(v) => match v.get(i) {
-                Some(x) => (hash_value(x), x.is_null()),
-                None => (NULL_HASH, true),
-            },
-            ColData::I64(v, m) => match v.get(i) {
-                Some(&x) if !masked(m, i) => (hash_num(x as f64), false),
-                _ => (NULL_HASH, true),
-            },
-            ColData::F64(v, m) => match v.get(i) {
-                Some(&x) if !masked(m, i) => (hash_num(x), false),
-                _ => (NULL_HASH, true),
-            },
-            ColData::Str(v, m) => match v.get(i) {
-                Some(s) if !masked(m, i) => (hash_str(s), false),
-                _ => (NULL_HASH, true),
-            },
-        }
-    }
-
-    /// Fold this column's hashes into `acc` (one slot per row, dense
-    /// unselected chunks only) — the vectorized one-pass-per-key-column
-    /// form of [`ColData::hash_at`]. `nulls[i]` is OR-set where row `i`
-    /// is NULL.
-    fn hash_into(&self, acc: &mut [u64], nulls: Option<&mut [bool]>) {
-        match self {
-            ColData::Boxed(vals) => match nulls {
-                None => {
-                    for (slot, v) in acc.iter_mut().zip(vals) {
-                        *slot = combine(*slot, hash_value(v));
-                    }
-                }
-                Some(flags) => {
-                    for ((slot, flag), v) in acc.iter_mut().zip(flags.iter_mut()).zip(vals) {
-                        *slot = combine(*slot, hash_value(v));
-                        *flag |= v.is_null();
-                    }
-                }
-            },
-            ColData::I64(vals, m) => {
-                hash_dense(vals, m.as_ref(), acc, nulls, |&x| hash_num(x as f64))
-            }
-            ColData::F64(vals, m) => hash_dense(vals, m.as_ref(), acc, nulls, |&x| hash_num(x)),
-            ColData::Str(vals, m) => hash_dense(vals, m.as_ref(), acc, nulls, |s| hash_str(s)),
-        }
-    }
-
-    /// Rebuild the column as owned `Value`s (the chunk-to-rows boundary).
-    fn into_values(self) -> Vec<Value> {
-        match self {
-            ColData::Boxed(v) => v,
-            ColData::I64(v, m) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    if masked(&m, i) {
-                        Value::Null
-                    } else {
-                        Value::Int(x)
-                    }
-                })
-                .collect(),
-            ColData::F64(v, m) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    if masked(&m, i) {
-                        Value::Null
-                    } else {
-                        Value::Float(x)
-                    }
-                })
-                .collect(),
-            ColData::Str(v, m) => v
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if masked(&m, i) {
-                        Value::Null
-                    } else {
-                        Value::Str(s)
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Move the value at row `i` out (boxed storage leaves `Null` behind;
-    /// typed storage copies — same cost either way). Used by the selective
-    /// chunk-to-rows path, where the remainder is never read again.
-    fn take(&mut self, i: usize) -> Option<Value> {
-        match self {
-            ColData::Boxed(v) => v
-                .get_mut(i)
-                .map(|slot| std::mem::replace(slot, Value::Null)),
-            other => other.value(i),
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        match self {
-            ColData::Boxed(v) => v.truncate(n),
-            ColData::I64(v, m) => {
-                v.truncate(n);
-                if let Some(m) = m {
-                    m.truncate(n);
-                }
-            }
-            ColData::F64(v, m) => {
-                v.truncate(n);
-                if let Some(m) = m {
-                    m.truncate(n);
-                }
-            }
-            ColData::Str(v, m) => {
-                v.truncate(n);
-                if let Some(m) = m {
-                    m.truncate(n);
-                }
-            }
-        }
-    }
-}
-
-/// One pass of vectorized key hashing over a typed dense column.
-fn hash_dense<T>(
-    vals: &[T],
-    mask: Option<&NullMask>,
-    acc: &mut [u64],
-    nulls: Option<&mut [bool]>,
-    hash_one: impl Fn(&T) -> u64,
-) {
-    match mask {
-        None => {
-            for (slot, v) in acc.iter_mut().zip(vals) {
-                *slot = combine(*slot, hash_one(v));
-            }
-        }
-        Some(m) => {
-            for (i, (slot, v)) in acc.iter_mut().zip(vals).enumerate() {
-                let h = if m.is_null(i) { NULL_HASH } else { hash_one(v) };
-                *slot = combine(*slot, h);
-            }
-            if let Some(flags) = nulls {
-                for (i, flag) in flags.iter_mut().enumerate() {
-                    *flag |= m.is_null(i);
-                }
-            }
-        }
-    }
-}
-
-/// Adaptive column builder: starts in the layout the schema type names
-/// and **demotes to boxed storage** the moment a value arrives that the
-/// typed layout cannot re-emit byte-identically (a widened `Int` in a
-/// `FLOAT` column, a `Bool` in an `INT` column). Demotion reconstructs the
-/// exact `Value` sequence pushed so far, so output bytes never depend on
-/// which layout a chunk ended up in.
-enum ColBuilder {
-    Boxed(Vec<Value>),
-    I64(Vec<i64>, Option<NullMask>),
-    F64(Vec<f64>, Option<NullMask>),
-    Str(Vec<Arc<str>>, Option<NullMask>),
-}
-
-impl ColBuilder {
-    fn for_type(ty: Option<SqlType>, cap: usize) -> ColBuilder {
-        match ty {
-            Some(SqlType::Int) => ColBuilder::I64(Vec::with_capacity(cap), None),
-            Some(SqlType::Float) => ColBuilder::F64(Vec::with_capacity(cap), None),
-            Some(SqlType::Str) => ColBuilder::Str(Vec::with_capacity(cap), None),
-            _ => ColBuilder::Boxed(Vec::with_capacity(cap)),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ColBuilder::Boxed(v) => v.len(),
-            ColBuilder::I64(v, _) => v.len(),
-            ColBuilder::F64(v, _) => v.len(),
-            ColBuilder::Str(v, _) => v.len(),
-        }
-    }
-
-    /// Push `v` if the current layout represents it exactly.
-    fn try_push(&mut self, v: &Value) -> bool {
-        let n = self.len();
-        match self {
-            ColBuilder::Boxed(vals) => {
-                vals.push(v.clone());
-                true
-            }
-            ColBuilder::I64(vals, mask) => match v {
-                Value::Int(x) => {
-                    vals.push(*x);
-                    true
-                }
-                Value::Null => {
-                    vals.push(0);
-                    mask.get_or_insert_with(NullMask::default).set(n);
-                    true
-                }
-                _ => false,
-            },
-            ColBuilder::F64(vals, mask) => match v {
-                Value::Float(x) => {
-                    vals.push(*x);
-                    true
-                }
-                Value::Null => {
-                    vals.push(0.0);
-                    mask.get_or_insert_with(NullMask::default).set(n);
-                    true
-                }
-                _ => false,
-            },
-            ColBuilder::Str(vals, mask) => match v {
-                Value::Str(s) => {
-                    vals.push(s.clone());
-                    true
-                }
-                Value::Null => {
-                    vals.push(empty_str());
-                    mask.get_or_insert_with(NullMask::default).set(n);
-                    true
-                }
-                _ => false,
-            },
-        }
-    }
-
-    fn push(&mut self, v: &Value) {
-        if !self.try_push(v) {
-            self.demote();
-            if let ColBuilder::Boxed(vals) = self {
-                vals.push(v.clone());
-            }
-        }
-    }
-
-    fn push_owned(&mut self, v: Value) {
-        if let ColBuilder::Boxed(vals) = self {
-            vals.push(v);
-            return;
-        }
-        if !self.try_push(&v) {
-            self.demote();
-            if let ColBuilder::Boxed(vals) = self {
-                vals.push(v);
-            }
-        }
-    }
-
-    /// Fall back to boxed storage, reconstructing the values pushed so far
-    /// position-for-position.
-    fn demote(&mut self) {
-        let data = std::mem::replace(self, ColBuilder::Boxed(Vec::new())).finish();
-        *self = ColBuilder::Boxed(data.into_values());
-    }
-
-    fn finish(self) -> ColData {
-        match self {
-            ColBuilder::Boxed(v) => ColData::Boxed(v),
-            ColBuilder::I64(v, m) => ColData::I64(v, m),
-            ColBuilder::F64(v, m) => ColData::F64(v, m),
-            ColBuilder::Str(v, m) => ColData::Str(v, m),
-        }
-    }
-}
-
 /// One column of a chunk (see the module docs for the representations).
 enum Col {
     /// Owned storage, one entry per physical row.
-    Dense(ColData),
+    Dense(Vec<Value>),
     /// Storage shared with other chunks (pass-through / join source).
-    Shared(Arc<ColData>),
+    Shared(Arc<Vec<Value>>),
     /// Lazily gathered: the value at row `i` is `src[idx[i]]`.
     Gather {
-        src: Arc<ColData>,
+        src: Arc<Vec<Value>>,
         idx: Arc<Vec<u32>>,
     },
 }
 
 impl Col {
-    /// Resolve physical row `i` to `(storage, storage row)`.
-    fn at(&self, i: usize) -> Option<(&ColData, usize)> {
+    /// The value at physical row `i`, if in range.
+    fn value(&self, i: usize) -> Option<&Value> {
         match self {
-            Col::Dense(d) => Some((d, i)),
-            Col::Shared(d) => Some((d.as_ref(), i)),
-            Col::Gather { src, idx } => idx.get(i).map(|&j| (src.as_ref(), j as usize)),
+            Col::Dense(v) => v.get(i),
+            Col::Shared(v) => v.get(i),
+            Col::Gather { src, idx } => src.get(*idx.get(i)? as usize),
         }
     }
 
-    /// The value at physical row `i`, if in range (owned — typed storage
-    /// constructs it, boxed storage clones).
-    fn value(&self, i: usize) -> Option<Value> {
-        self.at(i).and_then(|(d, j)| d.value(j))
-    }
-
-    fn eq_value(&self, i: usize, v: &Value) -> bool {
-        self.at(i).is_some_and(|(d, j)| d.eq_value(j, v))
-    }
-
-    fn hash_at(&self, i: usize) -> (u64, bool) {
-        match self.at(i) {
-            Some((d, j)) => d.hash_at(j),
-            None => (NULL_HASH, true),
+    /// The storage itself when physical row `i` is entry `i` of it
+    /// (gathers fall back to per-row access).
+    fn direct(&self) -> Option<&[Value]> {
+        match self {
+            Col::Dense(v) => Some(v),
+            Col::Shared(v) => Some(v),
+            Col::Gather { .. } => None,
         }
     }
 
@@ -543,8 +125,8 @@ impl Col {
     /// pair it with the composed index).
     fn into_shared(self) -> SharedCol {
         match self {
-            Col::Dense(d) => (Arc::new(d), None),
-            Col::Shared(d) => (d, None),
+            Col::Dense(v) => (Arc::new(v), None),
+            Col::Shared(v) => (v, None),
             Col::Gather { src, idx } => (src, Some(idx)),
         }
     }
@@ -552,7 +134,7 @@ impl Col {
 
 /// A column converted to shareable form by [`Col::into_shared`]: the
 /// backing storage plus the gather index when the column was gathered.
-type SharedCol = (Arc<ColData>, Option<Arc<Vec<u32>>>);
+type SharedCol = (Arc<Vec<Value>>, Option<Arc<Vec<u32>>>);
 
 /// A batch of rows in columnar layout. `sel` — when present — lists the
 /// surviving *physical* row indices in order; operators that drop rows
@@ -585,18 +167,30 @@ impl Chunk {
     }
 
     /// The value at (physical row `i`, column `c`), if both are in range.
-    fn col_value(&self, c: usize, i: usize) -> Option<Value> {
+    fn col_value(&self, c: usize, i: usize) -> Option<&Value> {
         self.cols.get(c).and_then(|col| col.value(i))
     }
 
-    /// Does the value at (physical row `i`, column `c`) equal `v`?
+    /// Does the value at (physical row `i`, column `c`) equal `v` under
+    /// `Value` equality (`total_cmp`: `Int(3)` equals `Float(3.0)`)?
     fn eq_at(&self, c: usize, i: usize, v: &Value) -> bool {
-        self.cols.get(c).is_some_and(|col| col.eq_value(i, v))
+        self.col_value(c, i) == Some(v)
+    }
+
+    /// Clone the `cols` cells of physical row `i` — a join, group or
+    /// distinct key at the moment it is first stored.
+    fn key_at(&self, i: usize, cols: &[usize]) -> StoreResult<Vec<Value>> {
+        cols.iter()
+            .map(|&c| self.col_value(c, i).cloned().ok_or_else(|| oob(c)))
+            .collect()
     }
 
     /// Gather physical row `i` into an owned row.
     fn row_at(&self, i: usize) -> Row {
-        self.cols.iter().filter_map(|c| c.value(i)).collect()
+        self.cols
+            .iter()
+            .filter_map(|c| c.value(i).cloned())
+            .collect()
     }
 
     /// Append every selected row, in order, onto `out` — the chunk is
@@ -610,7 +204,7 @@ impl Chunk {
                 .cols
                 .into_iter()
                 .map(|c| match c {
-                    Col::Dense(d) => d.into_values().into_iter(),
+                    Col::Dense(v) => v.into_iter(),
                     _ => Vec::new().into_iter(),
                 })
                 .collect();
@@ -630,12 +224,11 @@ impl Chunk {
             // (the dropped remainder is never read again) — no re-clone
             if let Some(sel) = self.sel.take() {
                 for i in sel {
-                    let i = i as usize;
                     let mut row = Vec::with_capacity(self.cols.len());
                     for col in &mut self.cols {
-                        if let Col::Dense(d) = col {
-                            if let Some(v) = d.take(i) {
-                                row.push(v);
+                        if let Col::Dense(v) = col {
+                            if let Some(slot) = v.get_mut(i as usize) {
+                                row.push(std::mem::replace(slot, Value::Null));
                             }
                         }
                     }
@@ -659,8 +252,8 @@ impl Chunk {
                 }
                 if self.cols.iter().all(|c| matches!(c, Col::Dense(_))) {
                     for col in &mut self.cols {
-                        if let Col::Dense(d) = col {
-                            d.truncate(n);
+                        if let Col::Dense(v) = col {
+                            v.truncate(n);
                         }
                     }
                     self.height = n;
@@ -671,81 +264,20 @@ impl Chunk {
             }
         }
     }
-
-    /// Build a per-chunk view of the `needed` columns for the shared
-    /// expression evaluator (whose `RowAccess` hands out `&Value`): boxed
-    /// columns are borrowed in place (keeping their gather index), typed
-    /// columns are materialized to `Value`s once, indexed by physical row.
-    fn eval_view(&self, needed: &[usize]) -> EvalView<'_> {
-        let mut cols: Vec<EvalCol<'_>> = (0..self.cols.len()).map(|_| EvalCol::Absent).collect();
-        for &c in needed {
-            let Some(col) = self.cols.get(c) else {
-                continue;
-            };
-            let built = match col {
-                Col::Dense(ColData::Boxed(v)) => EvalCol::Borrowed(v, None),
-                Col::Dense(other) => EvalCol::Owned(
-                    (0..self.height)
-                        .map(|i| other.value(i).unwrap_or(Value::Null))
-                        .collect(),
-                ),
-                Col::Shared(d) => match d.as_ref() {
-                    ColData::Boxed(v) => EvalCol::Borrowed(v, None),
-                    other => EvalCol::Owned(
-                        (0..self.height)
-                            .map(|i| other.value(i).unwrap_or(Value::Null))
-                            .collect(),
-                    ),
-                },
-                Col::Gather { src, idx } => match src.as_ref() {
-                    ColData::Boxed(v) => EvalCol::Borrowed(v, Some(idx.as_slice())),
-                    other => EvalCol::Owned(
-                        idx.iter()
-                            .map(|&j| other.value(j as usize).unwrap_or(Value::Null))
-                            .collect(),
-                    ),
-                },
-            };
-            if let Some(slot) = cols.get_mut(c) {
-                *slot = built;
-            }
-        }
-        EvalView { cols }
-    }
 }
 
-/// One column of an [`EvalView`] (see [`Chunk::eval_view`]).
-enum EvalCol<'a> {
-    /// Not referenced by the expressions this view serves.
-    Absent,
-    /// Borrowed boxed storage, with the gather index when indirected.
-    Borrowed(&'a [Value], Option<&'a [u32]>),
-    /// Typed storage materialized to values, indexed by physical row.
-    Owned(Vec<Value>),
-}
-
-/// Borrow-friendly chunk view for expression evaluation.
-struct EvalView<'a> {
-    cols: Vec<EvalCol<'a>>,
-}
-
-/// One physical row of an [`EvalView`], readable through the shared
-/// expression evaluator ([`Expr::eval_on`] / [`Expr::matches_on`]).
-struct EvalRow<'a, 'b> {
-    view: &'a EvalView<'b>,
+/// One physical row of a chunk, readable through the shared expression
+/// evaluator ([`Expr::eval_on`] / [`Expr::matches_on`]); values are
+/// borrowed from the columns in place, through the gather index where
+/// there is one.
+struct EvalRow<'a> {
+    chunk: &'a Chunk,
     row: usize,
 }
 
-impl RowAccess for EvalRow<'_, '_> {
+impl RowAccess for EvalRow<'_> {
     fn value_at(&self, i: usize) -> Option<&Value> {
-        match self.view.cols.get(i)? {
-            EvalCol::Absent => None,
-            EvalCol::Borrowed(vals, None) => vals.get(self.row),
-            EvalCol::Borrowed(vals, Some(idx)) => {
-                idx.get(self.row).and_then(|&j| vals.get(j as usize))
-            }
-            EvalCol::Owned(vals) => vals.get(self.row),
-        }
+        self.chunk.col_value(i, self.row)
     }
 }
 
@@ -755,45 +287,30 @@ type ChunkSink<'s> = dyn FnMut(Chunk) -> StoreResult<bool> + 's;
 
 /// Accumulates emitted rows column-wise and flushes a dense chunk into the
 /// downstream sink every [`CHUNK_ROWS`] rows (plus a final partial flush).
-/// Scans and values build **typed** columns from the catalog schema;
-/// aggregate/sort/top-k output stays boxed (mixed accumulator types).
 struct Emitter<'a, 'b> {
-    types: Vec<Option<SqlType>>,
-    cols: Vec<ColBuilder>,
+    cols: Vec<Vec<Value>>,
     height: usize,
     sink: &'a mut ChunkSink<'b>,
 }
 
 impl<'a, 'b> Emitter<'a, 'b> {
-    /// An emitter with schema-typed column layouts (`None` = boxed).
-    fn typed(types: Vec<Option<SqlType>>, sink: &'a mut ChunkSink<'b>) -> Emitter<'a, 'b> {
+    fn new(width: usize, sink: &'a mut ChunkSink<'b>) -> Emitter<'a, 'b> {
         // Columns start empty and grow geometrically: most queries the E1
         // processes issue emit a handful of rows, and pre-reserving
         // CHUNK_ROWS per column would make the allocation dominate them.
         // Once a full chunk has been flushed the stream is known to be
         // large and the replacement columns are pre-sized (see `flush`).
         Emitter {
-            cols: types.iter().map(|&t| ColBuilder::for_type(t, 0)).collect(),
-            types,
+            cols: vec![Vec::new(); width],
             height: 0,
             sink,
         }
     }
 
-    /// An emitter producing boxed `Value` columns throughout.
-    fn boxed(width: usize, sink: &'a mut ChunkSink<'b>) -> Emitter<'a, 'b> {
-        Emitter::typed(vec![None; width], sink)
-    }
-
-    /// Push the concatenation of `parts` as one row.
-    fn push_concat(&mut self, parts: &[&[Value]]) -> StoreResult<bool> {
-        let mut cols = self.cols.iter_mut();
-        for part in parts {
-            for v in *part {
-                if let Some(col) = cols.next() {
-                    col.push(v);
-                }
-            }
+    /// Push a borrowed row (scan / values output).
+    fn push_row(&mut self, row: &[Value]) -> StoreResult<bool> {
+        for (col, v) in self.cols.iter_mut().zip(row) {
+            col.push(v.clone());
         }
         self.bump()
     }
@@ -802,7 +319,7 @@ impl<'a, 'b> Emitter<'a, 'b> {
     fn push_projected(&mut self, row: &[Value], proj: &[usize]) -> StoreResult<bool> {
         for (col, &src) in self.cols.iter_mut().zip(proj) {
             if let Some(v) = row.get(src) {
-                col.push(v);
+                col.push(v.clone());
             }
         }
         self.bump()
@@ -811,9 +328,19 @@ impl<'a, 'b> Emitter<'a, 'b> {
     /// Push an owned row (aggregate/sort/top-k output).
     fn push_owned(&mut self, row: Row) -> StoreResult<bool> {
         for (col, v) in self.cols.iter_mut().zip(row) {
-            col.push_owned(v);
+            col.push(v);
         }
         self.bump()
+    }
+
+    /// Push every row of an owned stream, then flush.
+    fn finish(mut self, rows: impl IntoIterator<Item = Row>) -> StoreResult<bool> {
+        for row in rows {
+            if !self.push_owned(row)? {
+                return Ok(false);
+            }
+        }
+        self.flush()
     }
 
     fn bump(&mut self) -> StoreResult<bool> {
@@ -837,17 +364,9 @@ impl<'a, 'b> Emitter<'a, 'b> {
         } else {
             0
         };
-        let builders = std::mem::replace(
-            &mut self.cols,
-            self.types
-                .iter()
-                .map(|&t| ColBuilder::for_type(t, cap))
-                .collect(),
-        );
         let chunk = Chunk {
-            cols: builders
-                .into_iter()
-                .map(|b| Col::Dense(b.finish()))
+            cols: (self.cols.iter_mut())
+                .map(|col| Col::Dense(std::mem::replace(col, Vec::with_capacity(cap))))
                 .collect(),
             height: self.height,
             sel: None,
@@ -927,49 +446,13 @@ pub(crate) fn materialize_chunked(plan: &Plan, db: &Database) -> StoreResult<Rel
     Ok(Relation::new(schema, rows))
 }
 
-/// `dip-trace` counter name for a node's emitted chunk count.
-fn chunks_counter(plan: &Plan) -> &'static str {
-    match plan {
-        Plan::Scan { .. } => "relstore.batch.chunks.scan",
-        Plan::Values(_) => "relstore.batch.chunks.values",
-        Plan::Filter { .. } => "relstore.batch.chunks.filter",
-        Plan::Project { .. } => "relstore.batch.chunks.project",
-        Plan::HashJoin { .. } => "relstore.batch.chunks.hash_join",
-        Plan::IndexJoin { .. } => "relstore.batch.chunks.index_join",
-        Plan::UnionAll(_) => "relstore.batch.chunks.union_all",
-        Plan::UnionDistinct { .. } => "relstore.batch.chunks.union_distinct",
-        Plan::Aggregate { .. } => "relstore.batch.chunks.aggregate",
-        Plan::Sort { .. } => "relstore.batch.chunks.sort",
-        Plan::Limit { .. } => "relstore.batch.chunks.limit",
-        Plan::TopK { .. } => "relstore.batch.chunks.top_k",
-    }
-}
-
-/// `dip-trace` counter name for a node's emitted (selected) row count —
-/// `batch.rows / (batch.chunks × 1024)` is the node's chunk fill rate.
-fn batch_rows_counter(plan: &Plan) -> &'static str {
-    match plan {
-        Plan::Scan { .. } => "relstore.batch.rows.scan",
-        Plan::Values(_) => "relstore.batch.rows.values",
-        Plan::Filter { .. } => "relstore.batch.rows.filter",
-        Plan::Project { .. } => "relstore.batch.rows.project",
-        Plan::HashJoin { .. } => "relstore.batch.rows.hash_join",
-        Plan::IndexJoin { .. } => "relstore.batch.rows.index_join",
-        Plan::UnionAll(_) => "relstore.batch.rows.union_all",
-        Plan::UnionDistinct { .. } => "relstore.batch.rows.union_distinct",
-        Plan::Aggregate { .. } => "relstore.batch.rows.aggregate",
-        Plan::Sort { .. } => "relstore.batch.rows.sort",
-        Plan::Limit { .. } => "relstore.batch.rows.limit",
-        Plan::TopK { .. } => "relstore.batch.rows.top_k",
-    }
-}
-
 /// Drive a node's chunk output into `sink`, publishing the per-node span
 /// and counters. Returns `Ok(false)` iff `sink` requested termination.
 fn drive(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> {
+    let (op, rows_out, chunks_out) = node_names(plan);
     let _span = dip_trace::span_cat(
         dip_trace::Layer::Relstore,
-        plan_op(plan),
+        op,
         dip_trace::Category::Processing,
     );
     let mut chunks: u64 = 0;
@@ -979,22 +462,21 @@ fn drive(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> 
         rows += c.live() as u64;
         sink(c)
     });
-    // chunks/rows add the batching view next to rows_out (skipped for
-    // empty streams so tiny point queries stay cheap).
-    dip_trace::count(rows_counter(plan), rows);
+    // the chunk count adds the batching view next to rows_out (skipped
+    // for empty streams so tiny point queries stay cheap).
+    dip_trace::count(rows_out, rows);
     if chunks > 0 {
-        dip_trace::count(chunks_counter(plan), chunks);
-        dip_trace::count(batch_rows_counter(plan), rows);
+        dip_trace::count(chunks_out, chunks);
     }
     result
 }
 
-/// Extract the join/group key columns of one selected chunk row into `buf`.
+/// Extract the join/sort key columns of one chunk row into `buf`.
 fn gather_key(chunk: &Chunk, row: usize, cols: &[usize], buf: &mut Vec<Value>) -> StoreResult<()> {
     buf.clear();
     for &c in cols {
         match chunk.col_value(c, row) {
-            Some(v) => buf.push(v),
+            Some(v) => buf.push(v.clone()),
             None => return Err(oob(c)),
         }
     }
@@ -1021,22 +503,20 @@ fn chunk_key_hashes(
     }
     for &cx in cols {
         let col = c.cols.get(cx).ok_or_else(|| oob(cx))?;
-        match (&c.sel, col) {
-            (None, Col::Dense(d)) => d.hash_into(hashes, nulls.as_mut().map(|v| v.as_mut_slice())),
-            (None, Col::Shared(d)) => d.hash_into(hashes, nulls.as_mut().map(|v| v.as_mut_slice())),
-            _ => {
-                for k in 0..live {
-                    let (h, isnull) = col.hash_at(c.idx(k));
-                    if let Some(slot) = hashes.get_mut(k) {
-                        *slot = combine(*slot, h);
-                    }
-                    if isnull {
-                        if let Some(n) = nulls.as_deref_mut() {
-                            if let Some(flag) = n.get_mut(k) {
-                                *flag = true;
-                            }
-                        }
-                    }
+        // an unselected, ungathered column is walked as a slice
+        let direct = if c.sel.is_none() { col.direct() } else { None };
+        for (k, slot) in hashes.iter_mut().enumerate() {
+            let v = match direct {
+                Some(vals) => vals.get(k),
+                None => col.value(c.idx(k)),
+            };
+            // an out-of-range row hashes as NULL: it can never be emitted,
+            // so the flag only suppresses joins
+            let (h, is_null) = v.map_or((NULL_HASH, true), |v| (hash_value(v), v.is_null()));
+            *slot = combine(*slot, h);
+            if is_null {
+                if let Some(flag) = nulls.as_deref_mut().and_then(|n| n.get_mut(k)) {
+                    *flag = true;
                 }
             }
         }
@@ -1064,133 +544,16 @@ fn apply_agg(st: &mut AggState, v: &Value) {
     }
 }
 
-/// The dense storage behind a column, when it has one (gathers fall back
-/// to per-row access).
-fn dense_data(col: &Col) -> Option<&ColData> {
-    match col {
-        Col::Dense(d) => Some(d),
-        Col::Shared(d) => Some(d.as_ref()),
-        Col::Gather { .. } => None,
-    }
-}
-
-/// Fold all `n` rows of a dense unselected column into one aggregate
-/// state — the type-specialized global-aggregate fast path. Typed columns
-/// run over primitive slices (COUNT is a bitmap popcount); float MIN/MAX
-/// stay per-element because NaN makes chunk-local reduction unsound.
-fn agg_dense(st: &mut AggState, d: &ColData, n: usize) {
-    match st.func() {
-        AggFunc::Count => match d {
-            ColData::Boxed(vals) => {
-                for v in vals.iter().take(n) {
-                    st.count_value(v);
-                }
-            }
-            ColData::I64(_, m) | ColData::F64(_, m) | ColData::Str(_, m) => {
-                let nulls = m.as_ref().map_or(0, |m| m.count_nulls(n));
-                st.count_n((n - nulls) as u64);
-            }
-        },
-        AggFunc::Sum | AggFunc::Avg => match d {
-            ColData::Boxed(vals) => {
-                for v in vals.iter().take(n) {
-                    st.add_value(v);
-                }
-            }
-            ColData::I64(vals, None) => {
-                for &x in vals.iter().take(n) {
-                    st.add_int(x);
-                }
-            }
-            ColData::I64(vals, Some(m)) => {
-                for (i, &x) in vals.iter().take(n).enumerate() {
-                    if !m.is_null(i) {
-                        st.add_int(x);
-                    }
-                }
-            }
-            ColData::F64(vals, None) => {
-                for &x in vals.iter().take(n) {
-                    st.add_float(x);
-                }
-            }
-            ColData::F64(vals, Some(m)) => {
-                for (i, &x) in vals.iter().take(n).enumerate() {
-                    if !m.is_null(i) {
-                        st.add_float(x);
-                    }
-                }
-            }
-            ColData::Str(vals, m) => {
-                // SUM over strings parses each value (oracle semantics)
-                for (i, s) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.add_value(&Value::Str(s.clone()));
-                    }
-                }
-            }
-        },
-        AggFunc::Min => match d {
-            ColData::Boxed(vals) => {
-                for v in vals.iter().take(n) {
-                    st.min_value(v);
-                }
-            }
-            ColData::I64(vals, m) => {
-                for (i, &x) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.min_value(&Value::Int(x));
-                    }
-                }
-            }
-            ColData::F64(vals, m) => {
-                for (i, &x) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.min_value(&Value::Float(x));
-                    }
-                }
-            }
-            ColData::Str(vals, m) => {
-                for (i, s) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.min_value(&Value::Str(s.clone()));
-                    }
-                }
-            }
-        },
-        AggFunc::Max => match d {
-            ColData::Boxed(vals) => {
-                for v in vals.iter().take(n) {
-                    st.max_value(v);
-                }
-            }
-            ColData::I64(vals, m) => {
-                for (i, &x) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.max_value(&Value::Int(x));
-                    }
-                }
-            }
-            ColData::F64(vals, m) => {
-                for (i, &x) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.max_value(&Value::Float(x));
-                    }
-                }
-            }
-            ColData::Str(vals, m) => {
-                for (i, s) in vals.iter().take(n).enumerate() {
-                    if !masked(m, i) {
-                        st.max_value(&Value::Str(s.clone()));
-                    }
-                }
-            }
-        },
-    }
-}
-
-fn masked(m: &Option<NullMask>, i: usize) -> bool {
-    m.as_ref().is_some_and(|m| m.is_null(i))
+/// Evaluate `e` on every selected row of `c`, in selection order.
+fn eval_column(e: &Expr, c: &Chunk) -> StoreResult<Vec<Value>> {
+    (0..c.live())
+        .map(|k| {
+            e.eval_on(&EvalRow {
+                chunk: c,
+                row: c.idx(k),
+            })
+        })
+        .collect()
 }
 
 fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> {
@@ -1201,17 +564,10 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             projection,
         } => {
             let t = db.table(table)?;
-            // typed column layouts come straight from the catalog schema
-            let types: Vec<Option<SqlType>> = match projection {
-                Some(p) => p
-                    .iter()
-                    .map(|&i| t.schema.columns().get(i).map(|c| c.ty))
-                    .collect(),
-                None => t.schema.columns().iter().map(|c| Some(c.ty)).collect(),
-            };
-            let mut em = Emitter::typed(types, sink);
+            let width = projection.as_ref().map_or(t.schema.len(), |p| p.len());
+            let mut em = Emitter::new(width, sink);
             let keep_going = match projection {
-                None => t.stream_rows(predicate.as_ref(), &mut |row| em.push_concat(&[row]))?,
+                None => t.stream_rows(predicate.as_ref(), &mut |row| em.push_row(row))?,
                 Some(p) => {
                     t.stream_rows(predicate.as_ref(), &mut |row| em.push_projected(row, p))?
                 }
@@ -1222,90 +578,47 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             em.flush()
         }
         Plan::Values(rel) => {
-            let types: Vec<Option<SqlType>> =
-                rel.schema.columns().iter().map(|c| Some(c.ty)).collect();
-            let mut em = Emitter::typed(types, sink);
+            let mut em = Emitter::new(rel.schema.len(), sink);
             for r in &rel.rows {
-                if !em.push_concat(&[r.as_slice()])? {
+                if !em.push_row(r)? {
                     return Ok(false);
                 }
             }
             em.flush()
         }
-        Plan::Filter { input, predicate } => {
-            let mut needed: Vec<usize> = Vec::new();
-            predicate.referenced_columns(&mut needed);
-            needed.sort_unstable();
-            needed.dedup();
-            drive(input, db, &mut |c: Chunk| {
-                let mut sel: Vec<u32> = Vec::with_capacity(c.live());
-                {
-                    let view = c.eval_view(&needed);
-                    for k in 0..c.live() {
-                        let i = c.idx(k);
-                        if predicate.matches_on(&EvalRow {
-                            view: &view,
-                            row: i,
-                        })? {
-                            sel.push(i as u32);
-                        }
-                    }
-                }
-                if sel.is_empty() {
-                    return Ok(true);
-                }
-                let Chunk { cols, height, .. } = c;
-                sink(Chunk {
-                    cols,
-                    height,
-                    sel: Some(sel),
-                })
-            })
-        }
-        Plan::Project { input, exprs } => {
-            let mut needed: Vec<usize> = Vec::new();
-            let mut has_computed = false;
-            for p in exprs {
-                if !matches!(p.expr, Expr::Col(_)) {
-                    has_computed = true;
-                    p.expr.referenced_columns(&mut needed);
+        Plan::Filter { input, predicate } => drive(input, db, &mut |c: Chunk| {
+            let mut sel: Vec<u32> = Vec::with_capacity(c.live());
+            for k in 0..c.live() {
+                let row = c.idx(k);
+                if predicate.matches_on(&EvalRow { chunk: &c, row })? {
+                    sel.push(row as u32);
                 }
             }
-            needed.sort_unstable();
-            needed.dedup();
+            if sel.is_empty() {
+                return Ok(true);
+            }
+            sink(Chunk {
+                sel: Some(sel),
+                ..c
+            })
+        }),
+        Plan::Project { input, exprs } => {
             drive(input, db, &mut |c: Chunk| {
                 let live = c.live();
                 if live == 0 {
                     return Ok(true);
                 }
                 // Computed expressions evaluate column-at-a-time first,
-                // through an eval view over the original chunk (typed
-                // columns materialize once). Bare-column projections then
+                // over the original chunk. Bare-column projections then
                 // forward the input storage: without a selection it is
                 // shared as-is, with one it becomes a gather over the
                 // selection — no values move either way.
                 let mut computed: Vec<Option<Vec<Value>>> = Vec::with_capacity(exprs.len());
-                {
-                    let view = if has_computed {
-                        Some(c.eval_view(&needed))
-                    } else {
-                        None
-                    };
-                    for p in exprs {
-                        match (&p.expr, &view) {
-                            (Expr::Col(_), _) | (_, None) => computed.push(None),
-                            (e, Some(view)) => {
-                                let mut vals = Vec::with_capacity(live);
-                                for k in 0..live {
-                                    vals.push(e.eval_on(&EvalRow {
-                                        view,
-                                        row: c.idx(k),
-                                    })?);
-                                }
-                                computed.push(Some(vals));
-                            }
-                        }
-                    }
+                for p in exprs {
+                    computed.push(match &p.expr {
+                        Expr::Col(_) => None,
+                        e => Some(eval_column(e, &c)?),
+                    });
                 }
                 let sel_idx: Option<Arc<Vec<u32>>> = c.sel.clone().map(Arc::new);
                 let mut shared: Vec<SharedCol> = Vec::with_capacity(c.cols.len());
@@ -1316,7 +629,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 let mut out_cols: Vec<Col> = Vec::with_capacity(exprs.len());
                 for (p, pre) in exprs.iter().zip(computed) {
                     if let Some(vals) = pre {
-                        out_cols.push(Col::Dense(ColData::Boxed(vals)));
+                        out_cols.push(Col::Dense(vals));
                         continue;
                     }
                     let Expr::Col(j) = &p.expr else {
@@ -1422,27 +735,22 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             drop(bh);
             drop(bnull);
             let left_pad = *kind == JoinKind::Left && probe_is_left;
-            // Columnarize the build side once into schema-typed storage
-            // (values move, not clone) and append one all-NULL row at index
-            // `build_len`: LEFT-join pad emissions gather it like any real
-            // match.
-            let build_schema = build_plan.schema(db)?;
-            let btypes: Vec<Option<SqlType>> =
-                build_schema.columns().iter().map(|c| Some(c.ty)).collect();
-            let mut builders: Vec<ColBuilder> = btypes
-                .iter()
-                .map(|&t| ColBuilder::for_type(t, build_len + 1))
+            // Columnarize the build side once (values move, not clone) and
+            // append one all-NULL row at index `build_len`: LEFT-join pad
+            // emissions gather it like any real match.
+            let build_width = build_plan.schema(db)?.len();
+            let mut bcols: Vec<Vec<Value>> = (0..build_width)
+                .map(|_| Vec::with_capacity(build_len + 1))
                 .collect();
-            for row in build_rows.drain(..) {
-                for (b, v) in builders.iter_mut().zip(row) {
-                    b.push_owned(v);
+            for row in build_rows {
+                for (col, v) in bcols.iter_mut().zip(row) {
+                    col.push(v);
                 }
             }
-            let bcols: Vec<Arc<ColData>> = builders
-                .into_iter()
-                .map(|mut b| {
-                    b.push(&Value::Null);
-                    Arc::new(b.finish())
+            let bcols: Vec<Arc<Vec<Value>>> = (bcols.into_iter())
+                .map(|mut col| {
+                    col.push(Value::Null);
+                    Arc::new(col)
                 })
                 .collect();
             let mut ph: Vec<u64> = Vec::new();
@@ -1468,10 +776,8 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     for cand in table.candidates(h) {
                         let b = cand as usize;
                         let eq = probe_keys.iter().zip(build_keys).all(|(&pk, &bk)| {
-                            match c.col_value(pk, i) {
-                                Some(v) => bcols.get(bk).is_some_and(|bc| bc.eq_value(b, &v)),
-                                None => false,
-                            }
+                            let stored = bcols.get(bk).and_then(|bc| bc.get(b));
+                            stored.is_some_and(|v| c.eq_at(pk, i, v))
                         });
                         if eq {
                             probe_idx.push(i as u32);
@@ -1574,10 +880,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 if probe_idx.is_empty() {
                     return Ok(true);
                 }
-                let inner: Vec<Col> = icols
-                    .into_iter()
-                    .map(|v| Col::Dense(ColData::Boxed(v)))
-                    .collect();
+                let inner: Vec<Col> = icols.into_iter().map(Col::Dense).collect();
                 sink(join_chunk(c, probe_idx, inner, probe_first))
             })
         }
@@ -1637,23 +940,17 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                             }
                         }
                         if !dup {
-                            let mut kv = Vec::with_capacity(kcols.len());
-                            for &cx in kcols {
-                                kv.push(c.col_value(cx, i).ok_or_else(|| oob(cx))?);
-                            }
                             ix.push(h);
-                            seen.push(kv);
+                            seen.push(c.key_at(i, kcols)?);
                             sel.push(i as u32);
                         }
                     }
                     if sel.is_empty() {
                         return Ok(true);
                     }
-                    let Chunk { cols, height, .. } = c;
                     sink(Chunk {
-                        cols,
-                        height,
                         sel: Some(sel),
+                        ..c
                     })
                 })?;
                 if !keep_going {
@@ -1670,149 +967,67 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             // Group keys live in first-seen order in `order` (emission
             // order), with states parallel to it; the hash-first index
             // maps key hashes to group ids, so existing groups (the common
-            // case) never materialize a key.
+            // case) never materialize a key. A global aggregate is the
+            // zero-column key: every row hashes to `KEY_SEED` and finds
+            // group 0.
             let est = plan.estimate_rows(db).max(1);
             let mut ix = KeyIndex::with_capacity(est);
             let mut order: Vec<Row> = Vec::new();
             let mut states: Vec<Vec<AggState>> = Vec::new();
             let mut ghash: Vec<u64> = Vec::new();
+            let fresh =
+                || -> Vec<AggState> { aggs.iter().map(|a| AggState::new(a.func)).collect() };
             drive(input, db, &mut |c: Chunk| {
-                let live = c.live();
                 // Resolve each aggregate's input source once per chunk:
                 // bare columns are read in place, computed expressions are
                 // evaluated column-at-a-time into a dense vector.
-                let mut eval_cols: Vec<usize> = Vec::new();
-                let mut any_computed = false;
-                for a in aggs {
-                    if let Some(e) = &a.input {
-                        if !matches!(e, Expr::Col(_)) {
-                            any_computed = true;
-                            e.referenced_columns(&mut eval_cols);
-                        }
-                    }
-                }
-                let view = if any_computed {
-                    eval_cols.sort_unstable();
-                    eval_cols.dedup();
-                    Some(c.eval_view(&eval_cols))
-                } else {
-                    None
-                };
                 let mut srcs: Vec<AggSrc> = Vec::with_capacity(aggs.len());
                 for a in aggs {
-                    let src = match &a.input {
+                    srcs.push(match &a.input {
                         None => AggSrc::Star,
                         Some(Expr::Col(j)) => AggSrc::Col(c.cols.get(*j).ok_or_else(|| oob(*j))?),
-                        Some(e) => {
-                            let Some(view) = &view else {
-                                return Err(StoreError::Eval(
-                                    "aggregate input was not evaluated".into(),
-                                ));
-                            };
-                            let mut vals = Vec::with_capacity(live);
-                            for k in 0..live {
-                                vals.push(e.eval_on(&EvalRow {
-                                    view,
-                                    row: c.idx(k),
-                                })?);
-                            }
-                            AggSrc::Computed(vals)
+                        Some(e) => AggSrc::Computed(eval_column(e, &c)?),
+                    });
+                }
+                chunk_key_hashes(&c, group_by, &mut ghash, None)?;
+                for k in 0..c.live() {
+                    let i = c.idx(k);
+                    let h = ghash.get(k).copied().unwrap_or(KEY_SEED);
+                    let known = ix.candidates(h).map(|cand| cand as usize).find(|&g| {
+                        order.get(g).is_some_and(|stored| {
+                            group_by
+                                .iter()
+                                .zip(stored)
+                                .all(|(&cx, v)| c.eq_at(cx, i, v))
+                        })
+                    });
+                    let g = match known {
+                        Some(g) => g,
+                        None => {
+                            order.push(c.key_at(i, group_by)?);
+                            states.push(fresh());
+                            ix.push(h) as usize
                         }
                     };
-                    srcs.push(src);
-                }
-                if group_by.is_empty() {
-                    // Global aggregate: one state vector, tight per-column
-                    // loops over typed storage — the specialized fast path.
-                    if states.is_empty() {
-                        order.push(Vec::new());
-                        states.push(aggs.iter().map(|a| AggState::new(a.func)).collect());
-                    }
-                    let Some(sts) = states.first_mut() else {
-                        return Ok(true);
+                    let Some(sts) = states.get_mut(g) else {
+                        continue;
                     };
                     for (st, src) in sts.iter_mut().zip(&srcs) {
                         match src {
+                            // mirrors `update(None)`: only COUNT reacts
                             AggSrc::Star => {
-                                // mirrors `update(None)`: only COUNT reacts
                                 if st.func() == AggFunc::Count {
-                                    st.count_n(live as u64);
+                                    st.count_row();
                                 }
                             }
                             AggSrc::Col(col) => {
-                                let dense = if c.sel.is_none() {
-                                    dense_data(col)
-                                } else {
-                                    None
-                                };
-                                match dense {
-                                    Some(d) => agg_dense(st, d, c.height),
-                                    None => {
-                                        for k in 0..live {
-                                            if let Some(v) = col.value(c.idx(k)) {
-                                                apply_agg(st, &v);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            AggSrc::Computed(vals) => {
-                                for v in vals {
+                                if let Some(v) = col.value(i) {
                                     apply_agg(st, v);
                                 }
                             }
-                        }
-                    }
-                } else {
-                    chunk_key_hashes(&c, group_by, &mut ghash, None)?;
-                    for k in 0..live {
-                        let i = c.idx(k);
-                        let h = ghash.get(k).copied().unwrap_or(KEY_SEED);
-                        let mut gid: Option<usize> = None;
-                        for cand in ix.candidates(h) {
-                            let g = cand as usize;
-                            if order.get(g).is_some_and(|stored| {
-                                group_by
-                                    .iter()
-                                    .zip(stored)
-                                    .all(|(&cx, v)| c.eq_at(cx, i, v))
-                            }) {
-                                gid = Some(g);
-                                break;
-                            }
-                        }
-                        let g = match gid {
-                            Some(g) => g,
-                            None => {
-                                let mut kv = Vec::with_capacity(group_by.len());
-                                for &cx in group_by {
-                                    kv.push(c.col_value(cx, i).ok_or_else(|| oob(cx))?);
-                                }
-                                let g = ix.push(h) as usize;
-                                order.push(kv);
-                                states.push(aggs.iter().map(|a| AggState::new(a.func)).collect());
-                                g
-                            }
-                        };
-                        let Some(sts) = states.get_mut(g) else {
-                            continue;
-                        };
-                        for (st, src) in sts.iter_mut().zip(&srcs) {
-                            match src {
-                                AggSrc::Star => {
-                                    if st.func() == AggFunc::Count {
-                                        st.count_row();
-                                    }
-                                }
-                                AggSrc::Col(col) => {
-                                    if let Some(v) = col.value(i) {
-                                        apply_agg(st, &v);
-                                    }
-                                }
-                                AggSrc::Computed(vals) => {
-                                    if let Some(v) = vals.get(k) {
-                                        apply_agg(st, v);
-                                    }
+                            AggSrc::Computed(vals) => {
+                                if let Some(v) = vals.get(k) {
+                                    apply_agg(st, v);
                                 }
                             }
                         }
@@ -1823,19 +1038,13 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             // Global aggregate over zero rows still yields one row.
             if states.is_empty() && group_by.is_empty() {
                 order.push(vec![]);
-                states.push(aggs.iter().map(|a| AggState::new(a.func)).collect());
+                states.push(fresh());
             }
-            let mut em = Emitter::boxed(group_by.len() + aggs.len(), sink);
-            for (key, sts) in order.into_iter().zip(states) {
-                let mut row = key;
-                for st in sts {
-                    row.push(st.finish());
-                }
-                if !em.push_owned(row)? {
-                    return Ok(false);
-                }
-            }
-            em.flush()
+            let rows = order.into_iter().zip(states).map(|(mut row, sts)| {
+                row.extend(sts.into_iter().map(AggState::finish));
+                row
+            });
+            Emitter::new(group_by.len() + aggs.len(), sink).finish(rows)
         }
         Plan::Sort { input, keys } => {
             let mut rows: Vec<Row> = Vec::new();
@@ -1844,14 +1053,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 Ok(true)
             })?;
             sort_rows_by_columns(&mut rows, keys);
-            let width = plan.schema(db)?.len();
-            let mut em = Emitter::boxed(width, sink);
-            for row in rows {
-                if !em.push_owned(row)? {
-                    return Ok(false);
-                }
-            }
-            em.flush()
+            Emitter::new(plan.schema(db)?.len(), sink).finish(rows)
         }
         Plan::Limit { input, n } => {
             let mut remaining = *n;
@@ -1916,14 +1118,8 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 }
                 Ok(true)
             })?;
-            let width = plan.schema(db)?.len();
-            let mut em = Emitter::boxed(width, sink);
-            for e in heap.into_sorted_vec() {
-                if !em.push_owned(e.row)? {
-                    return Ok(false);
-                }
-            }
-            em.flush()
+            let rows = heap.into_sorted_vec().into_iter().map(|e| e.row);
+            Emitter::new(plan.schema(db)?.len(), sink).finish(rows)
         }
     }
 }
@@ -1931,99 +1127,105 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::RelSchema;
+    use crate::value::SqlType;
 
-    #[test]
-    fn null_mask_set_count_truncate() {
-        let mut m = NullMask::default();
-        m.set(0);
-        m.set(63);
-        m.set(64);
-        m.set(130);
-        assert!(m.is_null(0) && m.is_null(63) && m.is_null(64) && m.is_null(130));
-        assert!(!m.is_null(1) && !m.is_null(129) && !m.is_null(4096));
-        assert_eq!(m.count_nulls(131), 4);
-        assert_eq!(m.count_nulls(130), 3); // bit 130 past the logical end
-        assert_eq!(m.count_nulls(64), 2);
-        m.truncate(64);
-        assert!(!m.is_null(64) && !m.is_null(130));
-        assert_eq!(m.count_nulls(131), 2);
-    }
-
-    #[test]
-    fn builder_keeps_typed_values_and_masks_nulls() {
-        let mut b = ColBuilder::for_type(Some(SqlType::Int), 0);
-        for v in [Value::Int(5), Value::Null, Value::Int(-9)] {
-            b.push(&v);
-        }
-        let d = b.finish();
-        assert!(matches!(d, ColData::I64(..)));
-        assert_eq!(d.value(0), Some(Value::Int(5)));
-        assert_eq!(d.value(1), Some(Value::Null));
-        assert_eq!(d.value(2), Some(Value::Int(-9)));
-        assert_eq!(d.value(3), None);
-    }
-
-    #[test]
-    fn builder_demotes_on_widened_variants() {
-        // Int is legal in a Float column (check_row widening) and must
-        // come back out as Int, not Float — the builder demotes to Boxed.
-        let seq = [
-            Value::Float(1.5),
-            Value::Null,
-            Value::Int(2),
-            Value::Float(3.0),
+    /// One two-column relation as a dense chunk, a selected chunk over
+    /// shared columns and a gathered chunk under a selection, each with
+    /// the rows it stands for.
+    fn shapes() -> Vec<(Chunk, Vec<Row>)> {
+        let rows: Vec<Row> = vec![
+            vec![Value::Int(3), Value::str("x")],
+            vec![Value::Null, Value::str("long enough to matter")],
+            vec![Value::Float(3.0), Value::Null],
+            vec![Value::Bool(true), Value::str("")],
+            vec![Value::Float(-0.5), Value::str("x")],
         ];
-        let mut b = ColBuilder::for_type(Some(SqlType::Float), 0);
-        for v in &seq {
-            b.push(v);
-        }
-        let d = b.finish();
-        assert!(matches!(d, ColData::Boxed(_)));
-        for (i, v) in seq.iter().enumerate() {
-            assert_eq!(d.value(i).as_ref(), Some(v));
-        }
-        // Bool in an Int column likewise
-        let mut b = ColBuilder::for_type(Some(SqlType::Int), 0);
-        b.push(&Value::Int(1));
-        b.push(&Value::Bool(true));
-        let d = b.finish();
-        assert_eq!(d.value(0), Some(Value::Int(1)));
-        assert_eq!(d.value(1), Some(Value::Bool(true)));
+        let col = |c: usize| -> Vec<Value> { rows.iter().map(|r| r[c].clone()).collect() };
+        let pick = |at: &[usize]| -> Vec<Row> { at.iter().map(|&i| rows[i].clone()).collect() };
+        let dense = Chunk {
+            cols: vec![Col::Dense(col(0)), Col::Dense(col(1))],
+            height: 5,
+            sel: None,
+        };
+        let selected = Chunk {
+            cols: vec![Col::Shared(Arc::new(col(0))), Col::Shared(Arc::new(col(1)))],
+            height: 5,
+            sel: Some(vec![0, 2, 4]),
+        };
+        let idx = Arc::new(vec![4u32, 1, 0, 0, 2]);
+        let gather = |c: usize| Col::Gather {
+            src: Arc::new(col(c)),
+            idx: idx.clone(),
+        };
+        let gathered = Chunk {
+            cols: vec![gather(0), gather(1)],
+            height: 5,
+            sel: Some(vec![1, 2, 4]),
+        };
+        vec![
+            (dense, rows.clone()),
+            (selected, pick(&[0, 2, 4])),
+            (gathered, pick(&[1, 0, 2])),
+        ]
     }
 
     #[test]
-    fn eq_value_and_hash_agree_across_numeric_types() {
-        let mut b = ColBuilder::for_type(Some(SqlType::Int), 0);
-        b.push(&Value::Int(3));
-        let d = b.finish();
-        // Int(3) ≡ Float(3.0) under total_cmp: typed storage must agree
-        assert!(d.eq_value(0, &Value::Float(3.0)));
-        assert!(d.eq_value(0, &Value::Int(3)));
-        assert!(!d.eq_value(0, &Value::Int(4)));
-        let (h, isnull) = d.hash_at(0);
-        assert!(!isnull);
-        assert_eq!(h, hash_value(&Value::Float(3.0)));
-        assert_eq!(h, hash_value(&Value::Int(3)));
+    fn chunk_key_hashes_match_per_value_hashing() {
+        for (n, (chunk, rows)) in shapes().into_iter().enumerate() {
+            let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
+            chunk_key_hashes(&chunk, &[0, 1], &mut hashes, Some(&mut nulls)).unwrap();
+            let folded: Vec<u64> = (rows.iter())
+                .map(|r| r.iter().fold(KEY_SEED, |h, v| combine(h, hash_value(v))))
+                .collect();
+            assert_eq!(hashes, folded, "shape {n}");
+            let any_null: Vec<bool> = (rows.iter())
+                .map(|r| r.iter().any(|v| v.is_null()))
+                .collect();
+            assert_eq!(nulls, any_null, "shape {n}");
+            // the chunk hands the same rows on, in the same order
+            let mut out = Vec::new();
+            chunk.into_rows(&mut out);
+            assert_eq!(out, rows, "shape {n}");
+        }
     }
 
     #[test]
-    fn typed_hash_into_matches_per_value_hashing() {
-        let vals = [
-            Value::str("x"),
-            Value::Null,
-            Value::str("long enough to matter"),
-        ];
-        let mut b = ColBuilder::for_type(Some(SqlType::Str), 0);
-        for v in &vals {
-            b.push(v);
+    fn eq_and_hash_agree_across_numeric_types() {
+        // Int(3) ≡ Float(3.0) under total_cmp, wherever the cell sits
+        for (n, (chunk, rows)) in shapes().into_iter().enumerate() {
+            let mut hashes = Vec::new();
+            chunk_key_hashes(&chunk, &[0], &mut hashes, None).unwrap();
+            for (k, row) in rows.iter().enumerate() {
+                let i = chunk.idx(k);
+                assert!(chunk.eq_at(0, i, &row[0]), "shape {n} row {k}");
+                let three = match row[0] {
+                    Value::Int(x) => x == 3,
+                    Value::Float(x) => x == 3.0,
+                    _ => false,
+                };
+                assert_eq!(chunk.eq_at(0, i, &Value::Float(3.0)), three);
+                assert_eq!(chunk.eq_at(0, i, &Value::Int(3)), three);
+                assert!(!chunk.eq_at(0, i, &Value::Int(4)));
+                let h = combine(KEY_SEED, hash_value(&Value::Float(3.0)));
+                assert_eq!(hashes[k] == h, three, "shape {n} row {k}");
+            }
+            assert!(!chunk.eq_at(0, chunk.height, &Value::Null), "out of range");
         }
-        let d = b.finish();
-        let mut acc = vec![KEY_SEED; vals.len()];
-        let mut nulls = vec![false; vals.len()];
-        d.hash_into(&mut acc, Some(&mut nulls));
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(acc[i], combine(KEY_SEED, hash_value(v)), "row {i}");
-        }
-        assert_eq!(nulls, vec![false, true, false]);
+        assert_eq!(hash_value(&Value::Int(3)), hash_value(&Value::Float(3.0)));
+        // … so Int(3) joins Float(3.0), and both come out as they went in
+        let side = |v: Value| {
+            let schema = RelSchema::of(&[("k", SqlType::Float)]).shared();
+            Plan::Values(Relation::new(schema, vec![vec![v]]).into())
+        };
+        let plan = side(Value::Int(3)).hash_join(
+            side(Value::Float(3.0)),
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+        );
+        let out = materialize_chunked(&plan, &Database::new("scratch")).unwrap();
+        assert!(matches!(out.rows[0][..], [Value::Int(3), Value::Float(f)] if f == 3.0));
+        assert_eq!(out.rows.len(), 1);
     }
 }

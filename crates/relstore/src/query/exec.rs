@@ -15,10 +15,9 @@
 //! first-seen group order) are identical by construction, and both share
 //! `index_join_equivalent` for an index join whose index is gone.
 //!
-//! Per-node output row counts are published to `dip-trace` as
-//! `relstore.rows_out.<op>` counters; the batch executor additionally
-//! publishes `relstore.batch.chunks.<op>` / `relstore.batch.rows.<op>`
-//! (no-ops when tracing is disabled).
+//! The batch executor publishes per-node output row counts to `dip-trace`
+//! as `relstore.rows_out.<op>` counters and per-node chunk counts as
+//! `relstore.batch.chunks.<op>` (no-ops when tracing is disabled).
 
 #![cfg_attr(
     not(test),
@@ -40,39 +39,32 @@ pub fn execute(plan: &Plan, db: &Database) -> StoreResult<Relation> {
     super::batch::materialize_chunked(&optimized, db)
 }
 
-/// Trace label of a plan node (one span per executed node).
-pub(crate) fn plan_op(plan: &Plan) -> &'static str {
-    match plan {
-        Plan::Scan { .. } => "scan",
-        Plan::Values(_) => "values",
-        Plan::Filter { .. } => "filter",
-        Plan::Project { .. } => "project",
-        Plan::HashJoin { .. } => "hash_join",
-        Plan::IndexJoin { .. } => "index_join",
-        Plan::UnionAll(_) => "union_all",
-        Plan::UnionDistinct { .. } => "union_distinct",
-        Plan::Aggregate { .. } => "aggregate",
-        Plan::Sort { .. } => "sort",
-        Plan::Limit { .. } => "limit",
-        Plan::TopK { .. } => "top_k",
+/// Trace names of a plan node, written once: the span label (one span
+/// per executed node) and the `dip-trace` counters for its output rows
+/// and output chunks.
+pub(crate) fn node_names(plan: &Plan) -> (&'static str, &'static str, &'static str) {
+    macro_rules! names {
+        ($op:literal) => {
+            (
+                $op,
+                concat!("relstore.rows_out.", $op),
+                concat!("relstore.batch.chunks.", $op),
+            )
+        };
     }
-}
-
-/// `dip-trace` counter name for a node's output row count.
-pub(crate) fn rows_counter(plan: &Plan) -> &'static str {
     match plan {
-        Plan::Scan { .. } => "relstore.rows_out.scan",
-        Plan::Values(_) => "relstore.rows_out.values",
-        Plan::Filter { .. } => "relstore.rows_out.filter",
-        Plan::Project { .. } => "relstore.rows_out.project",
-        Plan::HashJoin { .. } => "relstore.rows_out.hash_join",
-        Plan::IndexJoin { .. } => "relstore.rows_out.index_join",
-        Plan::UnionAll(_) => "relstore.rows_out.union_all",
-        Plan::UnionDistinct { .. } => "relstore.rows_out.union_distinct",
-        Plan::Aggregate { .. } => "relstore.rows_out.aggregate",
-        Plan::Sort { .. } => "relstore.rows_out.sort",
-        Plan::Limit { .. } => "relstore.rows_out.limit",
-        Plan::TopK { .. } => "relstore.rows_out.top_k",
+        Plan::Scan { .. } => names!("scan"),
+        Plan::Values(_) => names!("values"),
+        Plan::Filter { .. } => names!("filter"),
+        Plan::Project { .. } => names!("project"),
+        Plan::HashJoin { .. } => names!("hash_join"),
+        Plan::IndexJoin { .. } => names!("index_join"),
+        Plan::UnionAll(_) => names!("union_all"),
+        Plan::UnionDistinct { .. } => names!("union_distinct"),
+        Plan::Aggregate { .. } => names!("aggregate"),
+        Plan::Sort { .. } => names!("sort"),
+        Plan::Limit { .. } => names!("limit"),
+        Plan::TopK { .. } => names!("top_k"),
     }
 }
 
@@ -162,7 +154,7 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
 pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
     let _span = dip_trace::span_cat(
         dip_trace::Layer::Relstore,
-        plan_op(plan),
+        node_names(plan).0,
         dip_trace::Category::Processing,
     );
     match plan {
@@ -187,7 +179,7 @@ pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 },
             }
         }
-        Plan::Values(rel) => Ok(rel.clone()),
+        Plan::Values(rel) => Ok(Relation::clone(rel)),
         Plan::Filter { input, predicate } => {
             let rel = execute_oracle(input, db)?;
             let mut rows = Vec::new();
@@ -510,12 +502,6 @@ impl AggState {
     /// Count one row for `COUNT(*)` — the vectorized column loop's form.
     pub(crate) fn count_row(&mut self) {
         self.count += 1;
-    }
-
-    /// Count `n` rows at once — the batch executor's whole-chunk
-    /// `COUNT(*)` / bitmap-popcount `COUNT(col)` form.
-    pub(crate) fn count_n(&mut self, n: u64) {
-        self.count += n;
     }
 
     /// Count one non-NULL input for `COUNT(expr)`.

@@ -267,7 +267,7 @@ mod tests {
             schema.clone(),
             vec![vec![Value::Int(big)], vec![Value::Int(0)]],
         );
-        let plan = Plan::Values(rel)
+        let plan = Plan::Values(rel.into())
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Int(big));
@@ -279,7 +279,7 @@ mod tests {
             schema.clone(),
             vec![vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MAX)]],
         );
-        let plan = Plan::Values(rel)
+        let plan = Plan::Values(rel.into())
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(i64::MAX as f64 * 2.0));
@@ -287,7 +287,7 @@ mod tests {
         // mixed int/float input widens to Float; AVG is always Float
         let mixed = RelSchema::of(&[("x", SqlType::Float)]).shared();
         let rel = Relation::new(mixed, vec![vec![Value::Int(1)], vec![Value::Float(2.5)]]);
-        let plan = Plan::Values(rel).aggregate(
+        let plan = Plan::Values(rel.into()).aggregate(
             vec![],
             vec![
                 AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
@@ -319,7 +319,7 @@ mod tests {
         ];
         for p in perms {
             let rows: Vec<Vec<Value>> = p.iter().map(|&i| vec![Value::Float(vals[i])]).collect();
-            let plan = Plan::Values(Relation::new(schema.clone(), rows)).aggregate(
+            let plan = Plan::Values(Relation::new(schema.clone(), rows).into()).aggregate(
                 vec![],
                 vec![
                     AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
@@ -478,7 +478,7 @@ mod tests {
         let db = db();
         let schema = RelSchema::of(&[("x", SqlType::Int)]).shared();
         let rel = Relation::new(schema, vec![vec![Value::Int(5)]]);
-        let plan = Plan::Values(rel).project(vec![ProjExpr::new(
+        let plan = Plan::Values(rel.into()).project(vec![ProjExpr::new(
             Expr::col(0).mul(Expr::lit(2)),
             "y",
             SqlType::Int,
@@ -575,6 +575,199 @@ mod tests {
         assert_eq!(rel.rows[0][0], Value::Int(0));
         let expect: i64 = (0..n0).map(|i| i * 97).sum();
         assert_eq!(rel.rows[0][2], Value::Int(expect));
+    }
+
+    /// 6 000 rows of `w(f FLOAT, i INT, s STR)` — six chunks — holding what
+    /// the storage layer accepts beyond the declared type: an `Int` in the
+    /// `FLOAT` column (every `r % 5 == 1`), a `Bool` in the `INT` column
+    /// (every `r % 7 == 1`) and NULLs in every column; `dim(f FLOAT, label
+    /// STR)` carries the join key as `Float`, as widened `Int`, as NULL
+    /// and twice.
+    fn widened_db() -> Database {
+        let db = Database::new("widened");
+        let w = RelSchema::of(&[
+            ("f", SqlType::Float),
+            ("i", SqlType::Int),
+            ("s", SqlType::Str),
+        ])
+        .shared();
+        let row = |r: i64| {
+            let f = match r % 5 {
+                0 => Value::Null,
+                1 => Value::Int(r % 4),
+                _ => Value::Float((r % 4) as f64),
+            };
+            let i = match r % 7 {
+                0 => Value::Null,
+                1 => Value::Bool(r % 2 == 0),
+                _ => Value::Int(r % 3),
+            };
+            let s = match (r % 11, r % 13) {
+                (0, _) => Value::Null,
+                (_, 0..=8) => Value::str("a"),
+                _ => Value::str("b"),
+            };
+            vec![f, i, s]
+        };
+        let t = Table::new("w", w);
+        t.insert((0..6000).map(row).collect()).unwrap();
+        db.create_table(t);
+        let dim = RelSchema::of(&[("f", SqlType::Float), ("label", SqlType::Str)]).shared();
+        let t = Table::new("dim", dim);
+        t.insert(vec![
+            vec![Value::Float(0.0), Value::str("zero")],
+            vec![Value::Int(1), Value::str("one")],
+            vec![Value::Float(2.0), Value::str("two")],
+            vec![Value::Null, Value::str("none")],
+            vec![Value::Int(1), Value::str("uno")],
+        ])
+        .unwrap();
+        db.create_table(t);
+        db
+    }
+
+    /// Widened values re-emit as they were stored and compare / hash
+    /// across numeric types, through every operator, over selection
+    /// vectors, gathers and shared columns.
+    #[test]
+    fn widened_values_and_nulls_survive_every_operator() {
+        let db = widened_db();
+        let (a, b) = (Value::str("a"), Value::str("b"));
+        let (float, boolean) = (Value::Float, Value::Bool);
+
+        // scan with a pushed-down filter → hash join on the widened key:
+        // probe order × build insertion order, NULL keys never join, key 3
+        // has no partner, Int(1) = Float(1.0) = Int(1) twice
+        let joined = Plan::scan("w")
+            .filter(Expr::col(2).eq(Expr::lit("a")))
+            .hash_join(Plan::scan("dim"), vec![0], vec![0], JoinKind::Inner);
+        let rel = run_vs_oracle(&joined, &db);
+        assert_eq!(rel.len(), 3022);
+        assert_eq!(
+            rel.rows[..5],
+            [
+                vec![int(1), boolean(false), a.clone(), int(1), Value::str("one")],
+                vec![int(1), boolean(false), a.clone(), int(1), Value::str("uno")],
+                vec![float(2.0), int(2), a.clone(), float(2.0), Value::str("two")],
+                vec![
+                    float(0.0),
+                    int(1),
+                    a.clone(),
+                    float(0.0),
+                    Value::str("zero")
+                ],
+                vec![int(2), int(0), a.clone(), float(2.0), Value::str("two")],
+            ]
+        );
+
+        // a residual filter over both join sides narrows the gathered
+        // chunks to a selection vector; the aggregates read through it
+        let kept = joined.filter(
+            (Expr::col(1).is_null())
+                .and(Expr::col(4).eq(Expr::lit("uno")))
+                .not(),
+        );
+        let opt = crate::query::planner::optimize(kept.clone(), &db).unwrap();
+        assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
+        let aggs = |f_min: bool| {
+            vec![
+                AggExpr::count_star("n"),
+                AggExpr::new(AggFunc::Count, Expr::col(1), "ni"),
+                AggExpr::new(AggFunc::Sum, Expr::col(1), "si"),
+                AggExpr::new(AggFunc::Min, Expr::col(if f_min { 0 } else { 1 }), "lo"),
+                AggExpr::new(AggFunc::Max, Expr::col(1), "hi"),
+                AggExpr::new(AggFunc::Avg, Expr::col(0), "af"),
+            ]
+        };
+        // grouped on the widened key: a group's key is its first-seen
+        // value as stored; SUM skips the Bool, MIN / MAX rank it below ints
+        let rel = run_vs_oracle(&kept.clone().aggregate(vec![0], aggs(false)), &db);
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![
+                    int(1),
+                    int(1402),
+                    int(1294),
+                    int(1074),
+                    boolean(false),
+                    int(2),
+                    float(1.0)
+                ],
+                vec![
+                    float(2.0),
+                    int(757),
+                    int(648),
+                    int(545),
+                    boolean(true),
+                    int(2),
+                    float(2.0)
+                ],
+                vec![
+                    float(0.0),
+                    int(755),
+                    int(647),
+                    int(531),
+                    boolean(true),
+                    int(2),
+                    float(0.0)
+                ],
+            ]
+        );
+        let rel = run_vs_oracle(&kept.aggregate(vec![], aggs(true)), &db);
+        assert_eq!(
+            rel.rows,
+            vec![vec![
+                int(2914),
+                int(2589),
+                int(2150),
+                float(0.0),
+                int(2),
+                float(2916.0 / 2914.0)
+            ]]
+        );
+
+        // UnionDistinct keeps first occurrences: whole rows, then per key
+        let distinct = |key: Option<Vec<usize>>| Plan::UnionDistinct {
+            inputs: vec![Plan::scan("w"), Plan::scan("w")],
+            key,
+        };
+        let rel = run_vs_oracle(&distinct(None), &db);
+        assert_eq!(rel.len(), 78);
+        assert_eq!(
+            rel.rows[..3],
+            [
+                vec![Value::Null, Value::Null, Value::Null],
+                vec![int(1), boolean(false), a.clone()],
+                vec![float(2.0), int(2), a.clone()],
+            ]
+        );
+        assert_eq!(rel.rows[77], vec![Value::Null, boolean(false), Value::Null]);
+        let rel = run_vs_oracle(&distinct(Some(vec![0])), &db);
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![Value::Null, Value::Null, Value::Null],
+                vec![int(1), boolean(false), a.clone()],
+                vec![float(2.0), int(2), a.clone()],
+                vec![float(3.0), int(0), a.clone()],
+                vec![float(0.0), int(1), a.clone()],
+            ]
+        );
+
+        // a renaming projection forwards its input columns shared, so the
+        // LIMIT that ends inside the third chunk selects a prefix of it
+        let limited = Plan::scan("w")
+            .project(vec![
+                ProjExpr::new(Expr::col(0), "ff", SqlType::Float),
+                ProjExpr::new(Expr::col(2), "ss", SqlType::Str),
+            ])
+            .limit(2500);
+        let rel = run_vs_oracle(&limited, &db);
+        assert_eq!(rel.len(), 2500);
+        assert_eq!(rel.rows[1], vec![int(1), a.clone()]);
+        assert_eq!(rel.rows[2499], vec![float(3.0), a]);
+        assert_eq!(rel.rows[2051], vec![int(3), b]);
     }
 
     #[test]

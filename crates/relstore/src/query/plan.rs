@@ -12,6 +12,7 @@ use crate::expr::Expr;
 use crate::row::Relation;
 use crate::schema::{Column, RelSchema, SchemaRef};
 use crate::value::SqlType;
+use std::sync::Arc;
 
 /// Join flavours supported by the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +120,9 @@ pub enum Plan {
         predicate: Option<Expr>,
         projection: Option<Vec<usize>>,
     },
-    /// Literal input relation.
-    Values(Relation),
+    /// Literal input relation, shared: cloning the plan (as `execute` does
+    /// to optimize it) does not copy the rows.
+    Values(Arc<Relation>),
     Filter {
         input: Box<Plan>,
         predicate: Expr,
