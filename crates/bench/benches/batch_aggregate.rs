@@ -3,8 +3,8 @@
 //! hash-join → grouped SUM/COUNT/AVG aggregation, plus its join-free and
 //! index-join-only variants. One row count per order of magnitude — 1k
 //! fits in a single chunk, 32k and 256k exercise the multi-chunk path,
-//! pre-sized hash tables and the chunked probe loop. CI uploads the
-//! output as an artifact next to `BENCH_7.json`.
+//! pre-sized hash tables and the chunked probe loop. CI runs it and
+//! uploads the output as an artifact; nothing is compared against it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dip_relstore::prelude::*;

@@ -39,10 +39,10 @@ fn spans_of(kind: EngineKind) -> Vec<dip_trace::SpanRecord> {
     spans
 }
 
-fn render() -> String {
-    let mut first_line = std::fs::read_to_string(FIXTURE).unwrap_or_default();
-    first_line.truncate(first_line.find('\n').map_or(0, |at| at + 1));
-    let mut out = first_line;
+/// This run in the fixture's form, under the fixture's own first line
+/// (which says where the file came from).
+fn render(header: &str) -> String {
+    let mut out = format!("{header}\n");
     for (tag, kind) in [
         ("fed", EngineKind::Federated),
         ("mtm", EngineKind::Mtm),
@@ -71,7 +71,7 @@ fn render() -> String {
 #[test]
 fn spans_and_counters_match_the_fixture() {
     let expected = std::fs::read_to_string(FIXTURE).unwrap_or_default();
-    let actual = render();
+    let actual = render(expected.lines().next().unwrap_or_default());
     if actual != expected {
         let left = concat!(env!("CARGO_TARGET_TMPDIR"), "/trace_counts_actual.txt");
         std::fs::write(left, &actual).expect("write the actual rendering");

@@ -281,8 +281,8 @@ impl<'a> Interpreter<'a> {
             } => {
                 let l = Self::get(vars, left)?.shared_rel()?;
                 let r = Self::get(vars, right)?.shared_rel()?;
-                let plan = Plan::Values(l).hash_join(
-                    Plan::Values(r),
+                let plan = Plan::Values(l.clone()).hash_join(
+                    Plan::Values(r.clone()),
                     left_keys.clone(),
                     right_keys.clone(),
                     *kind,

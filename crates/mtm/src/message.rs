@@ -30,17 +30,14 @@ impl MtmMessage {
     }
 
     pub fn as_rel(&self) -> Result<&Relation, MtmTypeError> {
-        match self {
-            MtmMessage::Rel(r) => Ok(r),
-            other => Err(MtmTypeError::expected("relation", other)),
-        }
+        self.shared_rel().map(|rel| &**rel)
     }
 
-    /// The relation with its `Arc`: handing it to a `Plan::Values` shares
-    /// the payload.
-    pub(crate) fn shared_rel(&self) -> Result<Arc<Relation>, MtmTypeError> {
+    /// The relation behind its `Arc`: a clone of it (what a `Plan::Values`
+    /// holds) shares the payload.
+    pub(crate) fn shared_rel(&self) -> Result<&Arc<Relation>, MtmTypeError> {
         match self {
-            MtmMessage::Rel(r) => Ok(Arc::clone(r)),
+            MtmMessage::Rel(r) => Ok(r),
             other => Err(MtmTypeError::expected("relation", other)),
         }
     }

@@ -177,12 +177,22 @@ impl Chunk {
         self.col_value(c, i) == Some(v)
     }
 
-    /// Clone the `cols` cells of physical row `i` — a join, group or
-    /// distinct key at the moment it is first stored.
+    /// Clone the `cols` cells of physical row `i` into `buf` (an index
+    /// probe's or a top-K candidate's key).
+    fn key_into(&self, i: usize, cols: &[usize], buf: &mut Vec<Value>) -> StoreResult<()> {
+        buf.clear();
+        for &c in cols {
+            buf.push(self.col_value(c, i).cloned().ok_or_else(|| oob(c))?);
+        }
+        Ok(())
+    }
+
+    /// The same as an owned tuple — a group or distinct key at the moment
+    /// it is first stored.
     fn key_at(&self, i: usize, cols: &[usize]) -> StoreResult<Vec<Value>> {
-        cols.iter()
-            .map(|&c| self.col_value(c, i).cloned().ok_or_else(|| oob(c)))
-            .collect()
+        let mut key = Vec::with_capacity(cols.len());
+        self.key_into(i, cols, &mut key)?;
+        Ok(key)
     }
 
     /// Gather physical row `i` into an owned row.
@@ -469,18 +479,6 @@ fn drive(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> 
         dip_trace::count(chunks_out, chunks);
     }
     result
-}
-
-/// Extract the join/sort key columns of one chunk row into `buf`.
-fn gather_key(chunk: &Chunk, row: usize, cols: &[usize], buf: &mut Vec<Value>) -> StoreResult<()> {
-    buf.clear();
-    for &c in cols {
-        match chunk.col_value(c, row) {
-            Some(v) => buf.push(v.clone()),
-            None => return Err(oob(c)),
-        }
-    }
-    Ok(())
 }
 
 /// Compute the combined key hash of every *selected* row of `c`, one pass
@@ -834,7 +832,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 let mut icols: Vec<Vec<Value>> = (0..inner_width).map(|_| Vec::new()).collect();
                 for k in 0..c.live() {
                     let i = c.idx(k);
-                    gather_key(&c, i, probe_keys, &mut key)?;
+                    c.key_into(i, probe_keys, &mut key)?;
                     if key.iter().any(|v| v.is_null()) {
                         // NULL keys never join; LEFT probes still emit padded
                         if left_pad {
@@ -1088,7 +1086,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             drive(input, db, &mut |c: Chunk| {
                 for k in 0..c.live() {
                     let i = c.idx(k);
-                    gather_key(&c, i, keys, &mut kbuf)?;
+                    c.key_into(i, keys, &mut kbuf)?;
                     if heap.len() >= n {
                         // a row entering now carries the largest seq, so on
                         // a key tie it sorts after the current worst and
