@@ -395,10 +395,7 @@ fn scanned_tables<'a>(plan: &'a Plan, out: &mut Vec<&'a str>) {
         Plan::Values(_) => {}
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => scanned_tables(input, out),
+        | Plan::Aggregate { input, .. } => scanned_tables(input, out),
         Plan::HashJoin { left, right, .. } => {
             scanned_tables(left, out);
             scanned_tables(right, out);
@@ -407,7 +404,7 @@ fn scanned_tables<'a>(plan: &'a Plan, out: &mut Vec<&'a str>) {
             scanned_tables(probe, out);
             out.push(table);
         }
-        Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
+        Plan::UnionDistinct { inputs, .. } => {
             inputs.iter().for_each(|p| scanned_tables(p, out));
         }
     }

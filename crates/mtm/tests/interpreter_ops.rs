@@ -505,6 +505,45 @@ fn union_distinct_key_out_of_range_is_a_typed_error() {
     e.execute("U", 0, None).unwrap();
 }
 
+/// A JOIN key column an input does not have fails the instance with the
+/// executor's typed error — validation checks only the keys' arity, and
+/// the plan used to read the missing column as NULL and join nothing.
+#[test]
+fn join_key_out_of_range_fails_the_instance() {
+    let e = engine();
+    e.deploy(ProcessDef::new(
+        "J",
+        "join",
+        'B',
+        EventType::Timed,
+        vec![
+            Step::DbQuery {
+                db: "db".into(),
+                plan: Plan::scan("t"),
+                output: "l".into(),
+            },
+            Step::Join {
+                left: "l".into(),
+                right: "l".into(),
+                left_keys: vec![0],
+                right_keys: vec![5],
+                kind: JoinKind::Left,
+                output: "j".into(),
+            },
+        ],
+    ))
+    .unwrap();
+    let err = e.execute("J", 0, None).unwrap_err();
+    assert!(matches!(err, MtmError::Store(_)), "{err:?}");
+    assert!(
+        err.to_string().contains("column index 5 out of range"),
+        "{err}"
+    );
+    let records = e.recorder().drain();
+    assert_eq!(records.len(), 1);
+    assert!(!records[0].ok, "recorded as a failed instance");
+}
+
 /// The scheduler orders a loader by the tables its step declares, so a
 /// decoder emitting rows for another table fails before anything is loaded.
 #[test]

@@ -139,10 +139,6 @@ impl Database {
         Ok(())
     }
 
-    pub fn drop_triggers(&self, table: &str) {
-        self.triggers.write().remove(&table.to_lowercase());
-    }
-
     /// Register a stored procedure.
     pub fn create_procedure(&self, name: impl Into<String>, body: Arc<ProcFn>) {
         self.procs.write().insert(name.into().to_lowercase(), body);
@@ -159,10 +155,6 @@ impl Database {
         p(self, args)
     }
 
-    pub fn has_procedure(&self, name: &str) -> bool {
-        self.procs.read().contains_key(&name.to_lowercase())
-    }
-
     /// Register a materialized view (storage table must already exist).
     pub fn create_view(&self, view: MatView) -> Arc<MatView> {
         let v = Arc::new(view);
@@ -176,12 +168,6 @@ impl Database {
             .get(&name.to_lowercase())
             .cloned()
             .ok_or_else(|| StoreError::NoSuchView(name.to_string()))
-    }
-
-    pub fn view_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.views.read().keys().cloned().collect();
-        v.sort();
-        v
     }
 
     /// Refresh a materialized view by name.

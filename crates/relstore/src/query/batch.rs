@@ -32,8 +32,8 @@
 //! rows / group keys — a key tuple is only materialized when it is first
 //! inserted, never per probe row.
 //!
-//! Emission order is part of the contract — first-seen dedup, `LIMIT` and
-//! top-K ties turn it into content, and the committed parent digests
+//! Emission order is part of the contract — first-seen dedup turns it into
+//! content, and the committed parent digests
 //! (`tests/fixtures/digests_pr11.json`) pin it:
 //!
 //! * hash joins emit probe order × build insertion order (build ids are
@@ -42,8 +42,7 @@
 //!   NULL keys never join, LEFT pads with build-width NULLs;
 //! * aggregates emit groups in first-seen order and a global aggregate
 //!   over zero rows still yields one row;
-//! * `UnionDistinct` keeps first occurrences; `TopK` breaks ties by input
-//!   sequence ([`TopKEntry`]);
+//! * `UnionDistinct` keeps first occurrences;
 //! * all aggregate arithmetic goes through the shared [`AggState`]
 //!   (exact-`i64` SUM with overflow fallback, compensated float sums),
 //!   one value at a time — float MIN/MAX in particular: NaN makes
@@ -72,11 +71,10 @@ use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};
 use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
-use crate::query::exec::{index_join_equivalent, node_names, AggState, TopKEntry};
+use crate::query::exec::{index_join_equivalent, node_names, AggState};
 use crate::query::plan::{AggFunc, JoinKind, Plan};
-use crate::row::{sort_rows_by_columns, Relation, Row};
+use crate::row::{Relation, Row};
 use crate::value::Value;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Target rows per [`Chunk`]. Large enough to amortize per-chunk operator
@@ -138,8 +136,7 @@ type SharedCol = (Arc<Vec<Value>>, Option<Arc<Vec<u32>>>);
 
 /// A batch of rows in columnar layout. `sel` — when present — lists the
 /// surviving *physical* row indices in order; operators that drop rows
-/// (filter, distinct, limit over shared columns) narrow it instead of
-/// compacting the columns.
+/// (filter, distinct) narrow it instead of compacting the columns.
 pub(crate) struct Chunk {
     cols: Vec<Col>,
     /// Physical row count (columns may be empty when the row type has no
@@ -178,7 +175,7 @@ impl Chunk {
     }
 
     /// Clone the `cols` cells of physical row `i` into `buf` (an index
-    /// probe's or a top-K candidate's key). A `match`, not
+    /// probe's key). A `match`, not
     /// `.cloned().ok_or_else(..)?`: that form moves every cell through a
     /// `Result<Value, StoreError>` and measured +12 % on the index-join
     /// cells of `benches/batch_aggregate.rs`.
@@ -257,29 +254,6 @@ impl Chunk {
             out.push(self.row_at(self.idx(k)));
         }
     }
-
-    /// Keep only the first `n` selected rows.
-    fn truncate_live(&mut self, n: usize) {
-        match &mut self.sel {
-            Some(s) => s.truncate(n),
-            None => {
-                if n >= self.height {
-                    return;
-                }
-                if self.cols.iter().all(|c| matches!(c, Col::Dense(_))) {
-                    for col in &mut self.cols {
-                        if let Col::Dense(v) = col {
-                            v.truncate(n);
-                        }
-                    }
-                    self.height = n;
-                } else {
-                    // shared storage cannot be truncated — select a prefix
-                    self.sel = Some((0..n as u32).collect());
-                }
-            }
-        }
-    }
 }
 
 /// One physical row of a chunk, readable through the shared expression
@@ -297,9 +271,9 @@ impl RowAccess for EvalRow<'_> {
     }
 }
 
-/// The consumer side of a chunked operator: return `false` to stop the
-/// producer (early termination), `true` to keep receiving chunks.
-type ChunkSink<'s> = dyn FnMut(Chunk) -> StoreResult<bool> + 's;
+/// The consumer side of a chunked operator: receives every chunk the
+/// producer emits, in order.
+type ChunkSink<'s> = dyn FnMut(Chunk) -> StoreResult<()> + 's;
 
 /// Accumulates emitted rows column-wise and flushes a dense chunk into the
 /// downstream sink every [`CHUNK_ROWS`] rows (plus a final partial flush).
@@ -324,7 +298,7 @@ impl<'a, 'b> Emitter<'a, 'b> {
     }
 
     /// Push a borrowed row (scan / values output).
-    fn push_row(&mut self, row: &[Value]) -> StoreResult<bool> {
+    fn push_row(&mut self, row: &[Value]) -> StoreResult<()> {
         for (col, v) in self.cols.iter_mut().zip(row) {
             col.push(v.clone());
         }
@@ -332,7 +306,7 @@ impl<'a, 'b> Emitter<'a, 'b> {
     }
 
     /// Push `proj`-selected columns of `row` as one row.
-    fn push_projected(&mut self, row: &[Value], proj: &[usize]) -> StoreResult<bool> {
+    fn push_projected(&mut self, row: &[Value], proj: &[usize]) -> StoreResult<()> {
         for (col, &src) in self.cols.iter_mut().zip(proj) {
             if let Some(v) = row.get(src) {
                 col.push(v.clone());
@@ -341,38 +315,29 @@ impl<'a, 'b> Emitter<'a, 'b> {
         self.bump()
     }
 
-    /// Push an owned row (aggregate/sort/top-k output).
-    fn push_owned(&mut self, row: Row) -> StoreResult<bool> {
-        for (col, v) in self.cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-        self.bump()
-    }
-
-    /// Push every row of an owned stream, then flush.
-    fn finish(mut self, rows: impl IntoIterator<Item = Row>) -> StoreResult<bool> {
+    /// Push every row of an owned stream (aggregate output), then flush.
+    fn finish(mut self, rows: impl IntoIterator<Item = Row>) -> StoreResult<()> {
         for row in rows {
-            if !self.push_owned(row)? {
-                return Ok(false);
+            for (col, v) in self.cols.iter_mut().zip(row) {
+                col.push(v);
             }
+            self.bump()?;
         }
         self.flush()
     }
 
-    fn bump(&mut self) -> StoreResult<bool> {
+    fn bump(&mut self) -> StoreResult<()> {
         self.height += 1;
         if self.height >= CHUNK_ROWS {
-            self.flush()
-        } else {
-            Ok(true)
+            self.flush()?;
         }
+        Ok(())
     }
 
-    /// Send the buffered rows downstream (no-op when empty). Returns the
-    /// sink's verdict: `Ok(false)` = stop producing.
-    fn flush(&mut self) -> StoreResult<bool> {
+    /// Send the buffered rows downstream (no-op when empty).
+    fn flush(&mut self) -> StoreResult<()> {
         if self.height == 0 {
-            return Ok(true);
+            return Ok(());
         }
         // a full chunk means more is probably coming — pre-size the next one
         let cap = if self.height >= CHUNK_ROWS {
@@ -392,50 +357,47 @@ impl<'a, 'b> Emitter<'a, 'b> {
     }
 }
 
-/// Turn a spent probe chunk into gather columns over `probe_idx` (the
-/// physical probe row index of each output row). Every `Dense`/`Shared`
-/// probe column shares one index `Arc`; `Gather` probe columns compose
-/// their existing index with it — u32 reads, no `Value` clones. The memo
-/// reuses one composition per distinct source index vector (columns
-/// emitted by the same upstream join all share one).
-fn gather_probe_cols(probe: Chunk, probe_idx: &Arc<Vec<u32>>) -> Vec<Col> {
-    let mut memo: Vec<(*const Vec<u32>, Arc<Vec<u32>>)> = Vec::new();
-    probe
-        .cols
-        .into_iter()
-        .map(|col| {
-            let (src, old_idx) = col.into_shared();
-            let idx = match old_idx {
-                None => probe_idx.clone(),
-                Some(old) => {
-                    let key = Arc::as_ptr(&old);
-                    match memo.iter().find(|(p, _)| *p == key) {
-                        Some((_, composed)) => composed.clone(),
-                        None => {
-                            let composed: Arc<Vec<u32>> = Arc::new(
-                                probe_idx
-                                    .iter()
-                                    .map(|&k| old.get(k as usize).copied().unwrap_or_default())
-                                    .collect(),
-                            );
-                            memo.push((key, composed.clone()));
-                            composed
-                        }
-                    }
-                }
-            };
-            Col::Gather { src, idx }
-        })
-        .collect()
+/// The compositions [`compose`] has made: `(old, composed)` pairs.
+type ComposeMemo = Vec<(Arc<Vec<u32>>, Arc<Vec<u32>>)>;
+
+/// The gather index `outer` composed over a column's own gather index
+/// `old`: entry `k` is `old[outer[k]]`, or `outer` itself for a column
+/// that is not gathered — u32 reads, no `Value` clones. `memo` keeps one
+/// composition per distinct `old` (columns emitted by the same upstream
+/// join all share one).
+fn compose(
+    outer: &Arc<Vec<u32>>,
+    old: Option<Arc<Vec<u32>>>,
+    memo: &mut ComposeMemo,
+) -> Arc<Vec<u32>> {
+    let Some(old) = old else {
+        return outer.clone();
+    };
+    if let Some((_, composed)) = memo.iter().find(|(seen, _)| Arc::ptr_eq(seen, &old)) {
+        return composed.clone();
+    }
+    let composed: Arc<Vec<u32>> = Arc::new(
+        (outer.iter())
+            .map(|&k| old.get(k as usize).copied().unwrap_or_default())
+            .collect(),
+    );
+    memo.push((old, composed.clone()));
+    composed
 }
 
-/// Assemble one join output chunk: gathered probe columns and the inner
+/// Assemble one join output chunk: the probe columns gathered over
+/// `probe_idx` (the physical probe row of each output row) and the inner
 /// half, probe half first iff `probe_first`.
 fn join_chunk(probe: Chunk, probe_idx: Vec<u32>, inner: Vec<Col>, probe_first: bool) -> Chunk {
     let height = probe_idx.len();
     let probe_idx = Arc::new(probe_idx);
-    let probe_cols = gather_probe_cols(probe, &probe_idx);
-    let mut cols = Vec::with_capacity(probe_cols.len() + inner.len());
+    let mut cols = Vec::with_capacity(probe.cols.len() + inner.len());
+    let mut memo = Vec::new();
+    let probe_cols = probe.cols.into_iter().map(|col| {
+        let (src, old) = col.into_shared();
+        let idx = compose(&probe_idx, old, &mut memo);
+        Col::Gather { src, idx }
+    });
     if probe_first {
         cols.extend(probe_cols);
         cols.extend(inner);
@@ -457,14 +419,14 @@ pub(crate) fn materialize_chunked(plan: &Plan, db: &Database) -> StoreResult<Rel
     let mut rows: Vec<Row> = Vec::new();
     drive(plan, db, &mut |c: Chunk| {
         c.into_rows(&mut rows);
-        Ok(true)
+        Ok(())
     })?;
     Ok(Relation::new(schema, rows))
 }
 
 /// Drive a node's chunk output into `sink`, publishing the per-node span
-/// and counters. Returns `Ok(false)` iff `sink` requested termination.
-fn drive(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> {
+/// and counters.
+fn drive(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<()> {
     let (op, rows_out, chunks_out) = node_names(plan);
     let _span = dip_trace::span_cat(
         dip_trace::Layer::Relstore,
@@ -560,7 +522,7 @@ fn eval_column(e: &Expr, c: &Chunk) -> StoreResult<Vec<Value>> {
         .collect()
 }
 
-fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<bool> {
+fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<()> {
     match plan {
         Plan::Scan {
             table,
@@ -570,23 +532,18 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let t = db.table(table)?;
             let width = projection.as_ref().map_or(t.schema.len(), |p| p.len());
             let mut em = Emitter::new(width, sink);
-            let keep_going = match projection {
+            match projection {
                 None => t.stream_rows(predicate.as_ref(), &mut |row| em.push_row(row))?,
                 Some(p) => {
                     t.stream_rows(predicate.as_ref(), &mut |row| em.push_projected(row, p))?
                 }
-            };
-            if !keep_going {
-                return Ok(false);
             }
             em.flush()
         }
         Plan::Values(rel) => {
             let mut em = Emitter::new(rel.schema.len(), sink);
             for r in &rel.rows {
-                if !em.push_row(r)? {
-                    return Ok(false);
-                }
+                em.push_row(r)?;
             }
             em.flush()
         }
@@ -599,7 +556,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 }
             }
             if sel.is_empty() {
-                return Ok(true);
+                return Ok(());
             }
             sink(Chunk {
                 sel: Some(sel),
@@ -610,7 +567,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             drive(input, db, &mut |c: Chunk| {
                 let live = c.live();
                 if live == 0 {
-                    return Ok(true);
+                    return Ok(());
                 }
                 // Computed expressions evaluate column-at-a-time first,
                 // over the original chunk. Bare-column projections then
@@ -629,7 +586,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 for col in c.cols {
                     shared.push(col.into_shared());
                 }
-                let mut memo: Vec<(*const Vec<u32>, Arc<Vec<u32>>)> = Vec::new();
+                let mut memo = Vec::new();
                 let mut out_cols: Vec<Col> = Vec::with_capacity(exprs.len());
                 for (p, pre) in exprs.iter().zip(computed) {
                     if let Some(vals) = pre {
@@ -642,27 +599,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                         ));
                     };
                     let (src, old_idx) = shared.get(*j).cloned().ok_or_else(|| oob(*j))?;
-                    let idx = match (&sel_idx, old_idx) {
-                        (None, None) => None,
-                        (None, Some(old)) => Some(old),
-                        (Some(sel), None) => Some(sel.clone()),
-                        (Some(sel), Some(old)) => {
-                            let key = Arc::as_ptr(&old);
-                            Some(match memo.iter().find(|(k, _)| *k == key) {
-                                Some((_, composed)) => composed.clone(),
-                                None => {
-                                    let composed: Arc<Vec<u32>> = Arc::new(
-                                        sel.iter()
-                                            .map(|&k| {
-                                                old.get(k as usize).copied().unwrap_or_default()
-                                            })
-                                            .collect(),
-                                    );
-                                    memo.push((key, composed.clone()));
-                                    composed
-                                }
-                            })
-                        }
+                    let idx = match &sel_idx {
+                        None => old_idx,
+                        Some(sel) => Some(compose(sel, old_idx, &mut memo)),
                     };
                     out_cols.push(match idx {
                         None => Col::Shared(src),
@@ -687,9 +626,6 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             right_keys,
             kind,
         } => {
-            if left_keys.len() != right_keys.len() {
-                return Err(StoreError::Invalid("join key arity mismatch".into()));
-            }
             // Build on the estimated-smaller side; LEFT joins must build on
             // the right so unmatched left rows can be emitted while probing.
             let build_right =
@@ -704,7 +640,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let mut build_rows: Vec<Row> = Vec::with_capacity(build_plan.estimate_rows(db));
             drive(build_plan, db, &mut |c: Chunk| {
                 c.into_rows(&mut build_rows);
-                Ok(true)
+                Ok(())
             })?;
             let build_len = build_rows.len();
             // Hash every build key once, then fill the hash-first index in
@@ -794,7 +730,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     }
                 }
                 if probe_idx.is_empty() {
-                    return Ok(true);
+                    return Ok(());
                 }
                 let build_idx = Arc::new(build_idx);
                 let inner: Vec<Col> = bcols
@@ -856,7 +792,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                             None => true,
                         };
                         if !keep {
-                            return Ok(true);
+                            return Ok(());
                         }
                         matched = true;
                         probe_idx.push(i as u32);
@@ -872,7 +808,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                                 }
                             }
                         }
-                        Ok(true)
+                        Ok(())
                     })?;
                     if !matched && left_pad {
                         probe_idx.push(i as u32);
@@ -882,36 +818,13 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     }
                 }
                 if probe_idx.is_empty() {
-                    return Ok(true);
+                    return Ok(());
                 }
                 let inner: Vec<Col> = icols.into_iter().map(Col::Dense).collect();
                 sink(join_chunk(c, probe_idx, inner, probe_first))
             })
         }
-        Plan::UnionAll(inputs) => {
-            let width = plan.schema(db)?.len();
-            for i in inputs {
-                let w = i.schema(db)?.len();
-                if w != width {
-                    return Err(StoreError::Invalid(format!(
-                        "union arity mismatch: {w} vs {width}"
-                    )));
-                }
-            }
-            for i in inputs {
-                if !drive(i, db, sink)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
         Plan::UnionDistinct { inputs, key } => {
-            let width = plan.schema(db)?.len();
-            for i in inputs {
-                if i.schema(db)?.len() != width {
-                    return Err(StoreError::Invalid("union arity mismatch".into()));
-                }
-            }
             // First-seen dedup through the hash-first index: chunk key
             // hashes are computed per column, candidates compare against
             // the *stored* first occurrence, and a key tuple (or whole
@@ -920,7 +833,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let kcols: &[usize] = match key {
                 Some(cols) => cols,
                 None => {
-                    all_cols = (0..width).collect();
+                    all_cols = (0..plan.schema(db)?.len()).collect();
                     &all_cols
                 }
             };
@@ -928,7 +841,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let mut seen: Vec<Row> = Vec::new();
             let mut hashes: Vec<u64> = Vec::new();
             for inp in inputs {
-                let keep_going = drive(inp, db, &mut |c: Chunk| {
+                drive(inp, db, &mut |c: Chunk| {
                     chunk_key_hashes(&c, kcols, &mut hashes, None)?;
                     let mut sel: Vec<u32> = Vec::with_capacity(c.live());
                     for k in 0..c.live() {
@@ -950,18 +863,15 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                         }
                     }
                     if sel.is_empty() {
-                        return Ok(true);
+                        return Ok(());
                     }
                     sink(Chunk {
                         sel: Some(sel),
                         ..c
                     })
                 })?;
-                if !keep_going {
-                    return Ok(false);
-                }
             }
-            Ok(true)
+            Ok(())
         }
         Plan::Aggregate {
             input,
@@ -1037,7 +947,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                         }
                     }
                 }
-                Ok(true)
+                Ok(())
             })?;
             // Global aggregate over zero rows still yields one row.
             if states.is_empty() && group_by.is_empty() {
@@ -1049,81 +959,6 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 row
             });
             Emitter::new(group_by.len() + aggs.len(), sink).finish(rows)
-        }
-        Plan::Sort { input, keys } => {
-            let mut rows: Vec<Row> = Vec::new();
-            drive(input, db, &mut |c: Chunk| {
-                c.into_rows(&mut rows);
-                Ok(true)
-            })?;
-            sort_rows_by_columns(&mut rows, keys);
-            Emitter::new(plan.schema(db)?.len(), sink).finish(rows)
-        }
-        Plan::Limit { input, n } => {
-            let mut remaining = *n;
-            if remaining == 0 {
-                return Ok(true);
-            }
-            let mut downstream_stop = false;
-            drive(input, db, &mut |mut c: Chunk| {
-                if c.live() > remaining {
-                    c.truncate_live(remaining);
-                }
-                remaining -= c.live();
-                if !sink(c)? {
-                    downstream_stop = true;
-                    return Ok(false);
-                }
-                Ok(remaining > 0)
-            })?;
-            Ok(!downstream_stop)
-        }
-        Plan::TopK { input, keys, n } => {
-            let n = *n;
-            if n == 0 {
-                return Ok(true);
-            }
-            // Max-heap over (sort key, input sequence): the root is the
-            // worst of the current best-n, so the survivors are exactly
-            // the first n rows of the stable sorted order.
-            let mut heap: BinaryHeap<TopKEntry> = BinaryHeap::with_capacity(n + 1);
-            let mut seq = 0usize;
-            let mut kbuf: Vec<Value> = Vec::with_capacity(keys.len());
-            drive(input, db, &mut |c: Chunk| {
-                for k in 0..c.live() {
-                    let i = c.idx(k);
-                    c.key_into(i, keys, &mut kbuf)?;
-                    if heap.len() >= n {
-                        // a row entering now carries the largest seq, so on
-                        // a key tie it sorts after the current worst and
-                        // cannot displace it — only a strictly smaller key
-                        // wins, and everything else skips materialization
-                        let displaces = heap
-                            .peek()
-                            .is_some_and(|worst| kbuf.as_slice() < worst.key.as_slice());
-                        seq += 1;
-                        if !displaces {
-                            continue;
-                        }
-                        heap.pop();
-                        heap.push(TopKEntry {
-                            key: std::mem::take(&mut kbuf),
-                            seq: seq - 1,
-                            row: c.row_at(i),
-                        });
-                    } else {
-                        heap.push(TopKEntry {
-                            key: std::mem::take(&mut kbuf),
-                            seq,
-                            row: c.row_at(i),
-                        });
-                        seq += 1;
-                    }
-                }
-                Ok(true)
-            })?;
-            let rows = heap.into_sorted_vec().into_iter().map(|e| e.row);
-            Emitter::new(plan.schema(db)?.len(), sink).finish(rows)
         }
     }
 }

@@ -59,33 +59,8 @@ pub(crate) fn node_names(plan: &Plan) -> (&'static str, &'static str, &'static s
         Plan::Project { .. } => names!("project"),
         Plan::HashJoin { .. } => names!("hash_join"),
         Plan::IndexJoin { .. } => names!("index_join"),
-        Plan::UnionAll(_) => names!("union_all"),
         Plan::UnionDistinct { .. } => names!("union_distinct"),
         Plan::Aggregate { .. } => names!("aggregate"),
-        Plan::Sort { .. } => names!("sort"),
-        Plan::Limit { .. } => names!("limit"),
-        Plan::TopK { .. } => names!("top_k"),
-    }
-}
-
-/// One candidate of a bounded top-K: ordered by sort key, then by input
-/// position so ties reproduce the stable sort exactly.
-#[derive(PartialEq, Eq)]
-pub(crate) struct TopKEntry {
-    pub(crate) key: Vec<Value>,
-    pub(crate) seq: usize,
-    pub(crate) row: Row,
-}
-
-impl Ord for TopKEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for TopKEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -152,6 +127,12 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
 /// Execute `plan` as written through the naive materializing interpreter —
 /// the semantics reference ([`Plan::run_oracle`] is the method form).
 pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
+    // the whole plan's column references are checked before a row is read
+    plan.schema(db)?;
+    oracle(plan, db)
+}
+
+fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
     let _span = dip_trace::span_cat(
         dip_trace::Layer::Relstore,
         node_names(plan).0,
@@ -181,7 +162,7 @@ pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
         }
         Plan::Values(rel) => Ok(Relation::clone(rel)),
         Plan::Filter { input, predicate } => {
-            let rel = execute_oracle(input, db)?;
+            let rel = oracle(input, db)?;
             let mut rows = Vec::new();
             for r in rel.rows {
                 if predicate.matches(&r)? {
@@ -191,7 +172,7 @@ pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             Ok(Relation::new(rel.schema, rows))
         }
         Plan::Project { input, exprs } => {
-            let rel = execute_oracle(input, db)?;
+            let rel = oracle(input, db)?;
             let schema = plan.schema(db)?;
             let mut rows = Vec::with_capacity(rel.rows.len());
             for r in &rel.rows {
@@ -207,57 +188,23 @@ pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             right_keys,
             kind,
         } => {
-            let l = execute_oracle(left, db)?;
-            let r = execute_oracle(right, db)?;
+            let l = oracle(left, db)?;
+            let r = oracle(right, db)?;
             hash_join(db, plan, l, r, left_keys, right_keys, *kind)
         }
-        Plan::IndexJoin { .. } => execute_oracle(&index_join_equivalent(plan)?, db),
-        Plan::UnionAll(inputs) => {
-            let schema = plan.schema(db)?;
-            let mut rows = Vec::new();
-            for i in inputs {
-                let rel = execute_oracle(i, db)?;
-                if rel.schema.len() != schema.len() {
-                    return Err(StoreError::Invalid(format!(
-                        "union arity mismatch: {} vs {}",
-                        rel.schema.len(),
-                        schema.len()
-                    )));
-                }
-                rows.extend(rel.rows);
-            }
-            Ok(Relation::new(schema, rows))
-        }
+        Plan::IndexJoin { .. } => oracle(&index_join_equivalent(plan)?, db),
         Plan::UnionDistinct { inputs, key } => {
             let schema = plan.schema(db)?;
+            let mut seen: HashSet<Row> = HashSet::new();
             let mut rows: Vec<Row> = Vec::new();
-            match key {
-                Some(cols) => {
-                    let mut seen: HashSet<Vec<Value>> = HashSet::new();
-                    for i in inputs {
-                        let rel = execute_oracle(i, db)?;
-                        if rel.schema.len() != schema.len() {
-                            return Err(StoreError::Invalid("union arity mismatch".into()));
-                        }
-                        for r in rel.rows {
-                            if seen.insert(key_of(&r, cols)) {
-                                rows.push(r);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let mut seen: HashSet<Row> = HashSet::new();
-                    for i in inputs {
-                        let rel = execute_oracle(i, db)?;
-                        if rel.schema.len() != schema.len() {
-                            return Err(StoreError::Invalid("union arity mismatch".into()));
-                        }
-                        for r in rel.rows {
-                            if seen.insert(r.clone()) {
-                                rows.push(r);
-                            }
-                        }
+            for i in inputs {
+                for r in oracle(i, db)?.rows {
+                    let k = match key {
+                        Some(cols) => key_of(&r, cols),
+                        None => r.clone(),
+                    };
+                    if seen.insert(k) {
+                        rows.push(r);
                     }
                 }
             }
@@ -268,7 +215,7 @@ pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             group_by,
             aggs,
         } => {
-            let rel = execute_oracle(input, db)?;
+            let rel = oracle(input, db)?;
             let schema = plan.schema(db)?;
             let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
             let mut order: Vec<Vec<Value>> = Vec::new();
@@ -309,22 +256,6 @@ pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             }
             Ok(Relation::new(schema, rows))
         }
-        Plan::Sort { input, keys } => {
-            let mut rel = execute_oracle(input, db)?;
-            rel.sort_by_columns(keys);
-            Ok(rel)
-        }
-        Plan::Limit { input, n } => {
-            let mut rel = execute_oracle(input, db)?;
-            rel.rows.truncate(*n);
-            Ok(rel)
-        }
-        Plan::TopK { input, keys, n } => {
-            let mut rel = execute_oracle(input, db)?;
-            rel.sort_by_columns(keys);
-            rel.rows.truncate(*n);
-            Ok(rel)
-        }
     }
 }
 
@@ -337,9 +268,6 @@ fn hash_join(
     right_keys: &[usize],
     kind: JoinKind,
 ) -> StoreResult<Relation> {
-    if left_keys.len() != right_keys.len() {
-        return Err(StoreError::Invalid("join key arity mismatch".into()));
-    }
     let schema = plan.schema(db)?;
     // Build on the smaller side for inner joins; LEFT joins must build on
     // the right so unmatched left rows can be emitted while probing.

@@ -233,15 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_limit() {
-        let db = db();
-        let plan = Plan::scan("customer").sort(vec![0]).limit(2);
-        let rel = run_vs_oracle(&plan, &db);
-        assert_eq!(rel.len(), 2);
-        assert_eq!(rel.rows[0][0], Value::Int(1));
-    }
-
-    #[test]
     fn optimized_equals_unoptimized() {
         let db = db();
         let schema = db.table("customer").unwrap().schema.clone();
@@ -345,7 +336,7 @@ mod tests {
     #[test]
     fn multi_chunk_inputs() {
         // More rows than one 1024-row chunk, exercising chunk boundaries
-        // through filter → join → aggregate and LIMIT mid-chunk.
+        // through filter → join → aggregate and a filter ending mid-chunk.
         let db = Database::new("big");
         let schema = RelSchema::of(&[("k", SqlType::Int), ("g", SqlType::Int)]).shared();
         let t = Table::new("wide", schema).with_primary_key(&["k"]).unwrap();
@@ -387,31 +378,9 @@ mod tests {
         let rel = run_vs_oracle(&join, &db);
         assert_eq!(rel.len(), 3000 / 7 + 1); // k ≡ 3 (mod 7): 3, 10, …, 2999
 
-        let limited = Plan::scan("wide").limit(1500);
-        let rel = run_vs_oracle(&limited, &db);
+        let prefix = Plan::scan("wide").filter(Expr::col(0).lt(Expr::lit(1500)));
+        let rel = run_vs_oracle(&prefix, &db);
         assert_eq!(rel.len(), 1500);
-    }
-
-    #[test]
-    fn limit_over_sort_becomes_topk() {
-        let db = db();
-        let plan = Plan::scan("customer").sort(vec![2]).limit(2);
-        let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
-        assert!(
-            matches!(opt, Plan::TopK { n: 2, .. }),
-            "expected TopK, got {opt:?}"
-        );
-        // bounded top-K reproduces sort-then-truncate exactly, including the
-        // stable order of tied keys (citykey 10 appears twice)
-        let a = run_vs_oracle(&plan, &db);
-        assert_eq!(a.rows, execute_oracle(&plan, &db).unwrap().rows);
-        assert_eq!(
-            a.rows,
-            vec![
-                vec![int(1), Value::str("alpha"), int(10)],
-                vec![int(3), Value::str("gamma"), int(10)],
-            ]
-        );
     }
 
     #[test]
@@ -461,16 +430,6 @@ mod tests {
         assert!(matches!(opt, Plan::HashJoin { .. }), "got {opt:?}");
         let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.len(), 4);
-    }
-
-    #[test]
-    fn limit_terminates_union_early() {
-        let db = db();
-        // LIMIT stops upstream producers; a union must still yield rows
-        // from its first inputs only
-        let plan = Plan::UnionAll(vec![Plan::scan("customer"), Plan::scan("customer")]).limit(5);
-        let rel = run_vs_oracle(&plan, &db);
-        assert_eq!(rel.len(), 5);
     }
 
     #[test]
@@ -556,19 +515,18 @@ mod tests {
     #[test]
     fn large_join_free_aggregate_agrees_with_oracle() {
         let db = big_db(32 * 1024 + 17);
-        let plan = Plan::scan("wide")
-            .aggregate(
-                vec![1],
-                vec![
-                    AggExpr::count_star("n"),
-                    AggExpr::new(AggFunc::Sum, Expr::col(0), "sk"),
-                    AggExpr::new(AggFunc::Sum, Expr::col(2), "sv"),
-                    AggExpr::new(AggFunc::Min, Expr::col(2), "lo"),
-                    AggExpr::new(AggFunc::Max, Expr::col(2), "hi"),
-                ],
-            )
-            .sort(vec![0]);
-        let rel = run_vs_oracle(&plan, &db);
+        let plan = Plan::scan("wide").aggregate(
+            vec![1],
+            vec![
+                AggExpr::count_star("n"),
+                AggExpr::new(AggFunc::Sum, Expr::col(0), "sk"),
+                AggExpr::new(AggFunc::Sum, Expr::col(2), "sv"),
+                AggExpr::new(AggFunc::Min, Expr::col(2), "lo"),
+                AggExpr::new(AggFunc::Max, Expr::col(2), "hi"),
+            ],
+        );
+        let mut rel = run_vs_oracle(&plan, &db);
+        rel.sort_by_columns(&[0]);
         assert_eq!(rel.len(), 97);
         // exact integer sums: group g holds keys g, g+97, g+194, …
         let n0 = rel.rows[0][1].to_int().unwrap();
@@ -755,16 +713,14 @@ mod tests {
             ]
         );
 
-        // a renaming projection forwards its input columns shared, so the
-        // LIMIT that ends inside the third chunk selects a prefix of it
-        let limited = Plan::scan("w")
-            .project(vec![
-                ProjExpr::new(Expr::col(0), "ff", SqlType::Float),
-                ProjExpr::new(Expr::col(2), "ss", SqlType::Str),
-            ])
-            .limit(2500);
-        let rel = run_vs_oracle(&limited, &db);
-        assert_eq!(rel.len(), 2500);
+        // a renaming projection forwards its input columns shared; rows
+        // come out in scan order across the chunk boundaries
+        let renamed = Plan::scan("w").project(vec![
+            ProjExpr::new(Expr::col(0), "ff", SqlType::Float),
+            ProjExpr::new(Expr::col(2), "ss", SqlType::Str),
+        ]);
+        let rel = run_vs_oracle(&renamed, &db);
+        assert_eq!(rel.len(), 6000);
         assert_eq!(rel.rows[1], vec![int(1), a.clone()]);
         assert_eq!(rel.rows[2499], vec![float(3.0), a]);
         assert_eq!(rel.rows[2051], vec![int(3), b]);
@@ -785,9 +741,8 @@ mod tests {
             ProjExpr::new(Expr::col(0), "k", SqlType::Int),
             ProjExpr::new(Expr::col(1), "name", SqlType::Str),
         ]);
-        let union_all = Plan::UnionAll(vec![join_side.clone(), scan_side.clone()]);
-        let rel = run_vs_oracle(&union_all, &db);
-        assert_eq!(rel.len(), 3 + 4);
+        let sides = run_vs_oracle(&join_side, &db).len() + run_vs_oracle(&scan_side, &db).len();
+        assert_eq!(sides, 3 + 4);
         let distinct = Plan::UnionDistinct {
             inputs: vec![join_side, scan_side],
             key: Some(vec![0]),
@@ -818,6 +773,48 @@ mod tests {
                 matches!(result, Err(crate::error::StoreError::Invalid(_))),
                 "got {result:?}"
             );
+        }
+    }
+
+    /// A column index outside its input — a join key, a group-by column, a
+    /// union key, a scan projection, a projected column — is the same typed
+    /// error from the executor and the oracle: the executor used to read
+    /// an out-of-range join key as NULL (no rows, or NULL-padded ones
+    /// under LEFT) and the oracle to panic on it, and both paths panicked
+    /// on the group-by and the planner on the projected column. Plan
+    /// references are checked before a row is read, so a union of no rows
+    /// fails too.
+    #[test]
+    fn out_of_range_columns_are_the_same_error_on_both_paths() {
+        let db = db();
+        let values = |rows: i64| {
+            let schema = RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Int)]).shared();
+            let rows = (0..rows).map(|i| vec![int(i), int(i * 10)]).collect();
+            Plan::Values(Relation::new(schema, rows).into())
+        };
+        let join = |kind| values(5).hash_join(values(3), vec![0], vec![5], kind);
+        let plans = [
+            join(JoinKind::Inner),
+            join(JoinKind::Left),
+            values(5).aggregate(vec![7], vec![AggExpr::count_star("n")]),
+            Plan::UnionDistinct {
+                inputs: vec![values(2), values(0)],
+                key: Some(vec![4]),
+            },
+            Plan::Scan {
+                table: "customer".into(),
+                predicate: None,
+                projection: Some(vec![0, 9]),
+            },
+            Plan::scan("customer").project(vec![ProjExpr::new(Expr::col(9), "name", SqlType::Str)]),
+        ];
+        for plan in &plans {
+            let executed = execute(plan, &db);
+            assert!(
+                matches!(&executed, Err(e) if e.to_string().contains("column index")),
+                "{plan:?}: {executed:?}"
+            );
+            assert_eq!(executed, execute_oracle(plan, &db), "{plan:?}");
         }
     }
 }

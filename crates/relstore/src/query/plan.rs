@@ -159,8 +159,6 @@ pub enum Plan {
         /// (controls output column order).
         probe_is_left: bool,
     },
-    /// Bag union of same-arity inputs.
-    UnionAll(Vec<Plan>),
     /// Set union; `key = None` deduplicates whole rows, `Some(cols)`
     /// deduplicates on the given key columns keeping the first row seen —
     /// the paper's `UNION_DISTINCT, Ordkey` etc. (P03, P09).
@@ -172,23 +170,6 @@ pub enum Plan {
         input: Box<Plan>,
         group_by: Vec<usize>,
         aggs: Vec<AggExpr>,
-    },
-    Sort {
-        input: Box<Plan>,
-        keys: Vec<usize>,
-    },
-    Limit {
-        input: Box<Plan>,
-        n: usize,
-    },
-    /// Bounded partial sort produced by the planner for `Limit(Sort(x))`:
-    /// keeps only the first `n` rows of the sorted order (stable — ties
-    /// preserve input order), using a size-`n` heap instead of sorting
-    /// everything.
-    TopK {
-        input: Box<Plan>,
-        keys: Vec<usize>,
-        n: usize,
     },
 }
 
@@ -239,20 +220,6 @@ impl Plan {
         }
     }
 
-    pub fn sort(self, keys: Vec<usize>) -> Plan {
-        Plan::Sort {
-            input: Box::new(self),
-            keys,
-        }
-    }
-
-    pub fn limit(self, n: usize) -> Plan {
-        Plan::Limit {
-            input: Box::new(self),
-            n,
-        }
-    }
-
     /// Execute this plan against `db` — the method form of
     /// [`execute`](crate::query::execute).
     pub fn run(&self, db: &Database) -> StoreResult<crate::row::Relation> {
@@ -265,7 +232,11 @@ impl Plan {
         crate::query::execute_oracle(self, db)
     }
 
-    /// Compute the output schema against `db`.
+    /// Compute the output schema against `db`. This is also where a plan's
+    /// column references are checked: a scan or index-join projection, a
+    /// join key, a group-by column or a union key outside its input is a
+    /// typed error here, and both executors derive the schema before they
+    /// read a row.
     pub fn schema(&self, db: &Database) -> StoreResult<SchemaRef> {
         match self {
             Plan::Scan {
@@ -273,34 +244,35 @@ impl Plan {
             } => {
                 let t = db.table(table)?;
                 Ok(match projection {
-                    Some(p) => t.schema.project(p).shared(),
+                    Some(p) => {
+                        in_range(p, &t.schema, "scan projection")?;
+                        t.schema.project(p).shared()
+                    }
                     None => t.schema.clone(),
                 })
             }
             Plan::Values(rel) => Ok(rel.schema.clone()),
             Plan::Filter { input, .. } => input.schema(db),
-            Plan::Project { exprs, .. } => {
+            Plan::Project { input, exprs } => {
+                input.schema(db)?;
                 Ok(RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared())
             }
             Plan::HashJoin {
-                left, right, kind, ..
+                left,
+                right,
+                left_keys,
+                right_keys,
+                kind,
             } => {
-                let l = left.schema(db)?;
-                let mut r = (*right.schema(db)?).clone();
-                if *kind == JoinKind::Left {
-                    // right side becomes nullable under LEFT JOIN
-                    r = RelSchema::new(
-                        r.columns()
-                            .iter()
-                            .map(|c| Column::new(c.name.clone(), c.ty))
-                            .collect(),
-                    );
-                }
-                Ok(l.concat(&r).shared())
+                let (l, r) = (left.schema(db)?, right.schema(db)?);
+                join_keys(left_keys, &l, right_keys, &r)?;
+                Ok(l.concat(&padded(&r, *kind)).shared())
             }
             Plan::IndexJoin {
                 probe,
                 table,
+                probe_keys,
+                inner_keys,
                 projection,
                 kind,
                 probe_is_left,
@@ -308,31 +280,35 @@ impl Plan {
             } => {
                 let p = probe.schema(db)?;
                 let t = db.table(table)?;
-                let mut inner = match projection {
-                    Some(cols) => t.schema.project(cols),
-                    None => (*t.schema).clone(),
+                join_keys(probe_keys, &p, inner_keys, &t.schema)?;
+                let inner = match projection {
+                    Some(cols) => {
+                        in_range(cols, &t.schema, "index join projection")?;
+                        padded(&t.schema.project(cols), *kind)
+                    }
+                    None => padded(&t.schema, *kind),
                 };
-                if *kind == JoinKind::Left {
-                    // inner side becomes nullable under LEFT JOIN
-                    inner = RelSchema::new(
-                        inner
-                            .columns()
-                            .iter()
-                            .map(|c| Column::new(c.name.clone(), c.ty))
-                            .collect(),
-                    );
-                }
                 Ok(if *probe_is_left {
                     p.concat(&inner).shared()
                 } else {
                     inner.concat(&p).shared()
                 })
             }
-            Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
-                let first = inputs
-                    .first()
-                    .ok_or_else(|| StoreError::Invalid("empty union".into()))?;
-                first.schema(db)
+            Plan::UnionDistinct { inputs, key } => {
+                let mut schemas = inputs.iter().map(|i| i.schema(db));
+                let first =
+                    (schemas.next()).ok_or_else(|| StoreError::Invalid("empty union".into()))??;
+                for s in schemas {
+                    let w = s?.len();
+                    if w != first.len() {
+                        return Err(StoreError::Invalid(format!(
+                            "union arity mismatch: {w} vs {}",
+                            first.len()
+                        )));
+                    }
+                }
+                in_range(key.as_deref().unwrap_or_default(), &first, "union key")?;
+                Ok(first)
             }
             Plan::Aggregate {
                 input,
@@ -340,6 +316,7 @@ impl Plan {
                 aggs,
             } => {
                 let in_schema = input.schema(db)?;
+                in_range(group_by, &in_schema, "group-by")?;
                 let mut cols: Vec<Column> = group_by
                     .iter()
                     .map(|&i| in_schema.column(i).clone())
@@ -348,9 +325,6 @@ impl Plan {
                     cols.push(Column::new(a.name.clone(), a.out_type(&in_schema)));
                 }
                 Ok(RelSchema::new(cols).shared())
-            }
-            Plan::Sort { input, .. } | Plan::Limit { input, .. } | Plan::TopK { input, .. } => {
-                input.schema(db)
             }
         }
     }
@@ -379,9 +353,7 @@ impl Plan {
                 let inner = db.table(table).map(|t| t.row_count()).unwrap_or(0);
                 probe.estimate_rows(db).max(inner)
             }
-            Plan::UnionAll(inputs) | Plan::UnionDistinct { inputs, .. } => {
-                inputs.iter().map(|i| i.estimate_rows(db)).sum()
-            }
+            Plan::UnionDistinct { inputs, .. } => inputs.iter().map(|i| i.estimate_rows(db)).sum(),
             Plan::Aggregate {
                 input, group_by, ..
             } => {
@@ -391,118 +363,44 @@ impl Plan {
                     (input.estimate_rows(db) / 2).max(1)
                 }
             }
-            Plan::Sort { input, .. } => input.estimate_rows(db),
-            Plan::Limit { input, n } | Plan::TopK { input, n, .. } => {
-                input.estimate_rows(db).min(*n)
-            }
         }
     }
+}
 
-    /// Pretty-print the plan tree (EXPLAIN).
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0);
-        out
+/// Check that every position in `cols` is a column of `schema`.
+fn in_range(cols: &[usize], schema: &RelSchema, what: &str) -> StoreResult<()> {
+    match cols.iter().find(|&&c| c >= schema.len()) {
+        Some(c) => Err(StoreError::Invalid(format!(
+            "{what}: column index {c} out of range for {} columns",
+            schema.len()
+        ))),
+        None => Ok(()),
     }
+}
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match self {
-            Plan::Scan {
-                table,
-                predicate,
-                projection,
-            } => {
-                out.push_str(&format!("{pad}Scan {table}"));
-                if let Some(p) = predicate {
-                    out.push_str(&format!(" pred={p:?}"));
-                }
-                if let Some(pr) = projection {
-                    out.push_str(&format!(" proj={pr:?}"));
-                }
-                out.push('\n');
-            }
-            Plan::Values(rel) => out.push_str(&format!("{pad}Values [{} rows]\n", rel.len())),
-            Plan::Filter { input, predicate } => {
-                out.push_str(&format!("{pad}Filter {predicate:?}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Project { input, exprs } => {
-                let names: Vec<&str> = exprs.iter().map(|e| e.column.name.as_str()).collect();
-                out.push_str(&format!("{pad}Project {names:?}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                kind,
-            } => {
-                out.push_str(&format!(
-                    "{pad}HashJoin {kind:?} on {left_keys:?}={right_keys:?}\n"
-                ));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::UnionAll(inputs) => {
-                out.push_str(&format!("{pad}UnionAll\n"));
-                for i in inputs {
-                    i.explain_into(out, depth + 1);
-                }
-            }
-            Plan::UnionDistinct { inputs, key } => {
-                out.push_str(&format!("{pad}UnionDistinct key={key:?}\n"));
-                for i in inputs {
-                    i.explain_into(out, depth + 1);
-                }
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                let names: Vec<&str> = aggs.iter().map(|a| a.name.as_str()).collect();
-                out.push_str(&format!("{pad}Aggregate by {group_by:?} -> {names:?}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Sort { input, keys } => {
-                out.push_str(&format!("{pad}Sort {keys:?}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Limit { input, n } => {
-                out.push_str(&format!("{pad}Limit {n}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::IndexJoin {
-                probe,
-                table,
-                probe_keys,
-                inner_keys,
-                predicate,
-                projection,
-                kind,
-                probe_is_left,
-            } => {
-                out.push_str(&format!(
-                    "{pad}IndexJoin {kind:?} {table} on probe{probe_keys:?}=inner{inner_keys:?}"
-                ));
-                if let Some(p) = predicate {
-                    out.push_str(&format!(" pred={p:?}"));
-                }
-                if let Some(pr) = projection {
-                    out.push_str(&format!(" proj={pr:?}"));
-                }
-                if !probe_is_left {
-                    out.push_str(" (probe=right)");
-                }
-                out.push('\n');
-                probe.explain_into(out, depth + 1);
-            }
-            Plan::TopK { input, keys, n } => {
-                out.push_str(&format!("{pad}TopK {n} by {keys:?}\n"));
-                input.explain_into(out, depth + 1);
-            }
-        }
+/// Check a join's key lists: one key column per side, each inside its side.
+fn join_keys(
+    a: &[usize],
+    a_schema: &RelSchema,
+    b: &[usize],
+    b_schema: &RelSchema,
+) -> StoreResult<()> {
+    if a.len() != b.len() {
+        return Err(StoreError::Invalid("join key arity mismatch".into()));
+    }
+    in_range(a, a_schema, "join key")?;
+    in_range(b, b_schema, "join key")
+}
+
+/// A join's inner side as it appears in the output: every column nullable
+/// under LEFT JOIN.
+fn padded(inner: &RelSchema, kind: JoinKind) -> RelSchema {
+    match kind {
+        JoinKind::Inner => inner.clone(),
+        JoinKind::Left => RelSchema::new(
+            (inner.columns().iter())
+                .map(|c| Column::new(c.name.clone(), c.ty))
+                .collect(),
+        ),
     }
 }

@@ -1,6 +1,6 @@
 //! Rule-based plan optimizer.
 //!
-//! Five rewrites, applied bottom-up:
+//! Three rewrites, applied bottom-up:
 //!
 //! 1. **Predicate pushdown** — `Filter` over `Scan` merges into the scan's
 //!    predicate (enabling index probes inside the table); `Filter` over
@@ -8,13 +8,10 @@
 //!    left-only / right-only / residual conjuncts and pushed to the inputs.
 //! 2. **Projection pushdown** — `Project` consisting purely of column
 //!    references over a `Scan` becomes the scan's projection list.
-//! 3. **Union flattening** — nested `UnionAll` inputs are spliced inline.
-//! 4. **Index-join selection** — a `HashJoin` whose one side is a base-table
+//! 3. **Index-join selection** — a `HashJoin` whose one side is a base-table
 //!    scan with an index covering its join keys becomes an `IndexJoin`: the
 //!    other side streams through index probes and the scanned side is never
 //!    materialized.
-//! 5. **Top-K** — `Limit` over `Sort` becomes a bounded partial sort
-//!    (`TopK`); stacked `Limit`s merge.
 //!
 //! The FedDBMS reference implementation runs all relational work through
 //! this planner; the `bench_ablation` benchmark measures its effect (the
@@ -72,16 +69,6 @@ fn rewrite(plan: Plan, db: &Database) -> StoreResult<Plan> {
             kind,
             probe_is_left,
         },
-        Plan::UnionAll(inputs) => {
-            let mut flat = Vec::with_capacity(inputs.len());
-            for i in inputs {
-                match rewrite(i, db)? {
-                    Plan::UnionAll(nested) => flat.extend(nested),
-                    other => flat.push(other),
-                }
-            }
-            Plan::UnionAll(flat)
-        }
         Plan::UnionDistinct { inputs, key } => Plan::UnionDistinct {
             inputs: inputs
                 .into_iter()
@@ -97,29 +84,6 @@ fn rewrite(plan: Plan, db: &Database) -> StoreResult<Plan> {
             input: Box::new(rewrite(*input, db)?),
             group_by,
             aggs,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(rewrite(*input, db)?),
-            keys,
-        },
-        Plan::Limit { input, n } => match rewrite(*input, db)? {
-            // LIMIT over SORT: bounded partial sort instead of full sort
-            Plan::Sort { input, keys } => Plan::TopK { input, keys, n },
-            Plan::Limit { input, n: m } => Plan::Limit { input, n: n.min(m) },
-            Plan::TopK { input, keys, n: m } => Plan::TopK {
-                input,
-                keys,
-                n: n.min(m),
-            },
-            other => Plan::Limit {
-                input: Box::new(other),
-                n,
-            },
-        },
-        Plan::TopK { input, keys, n } => Plan::TopK {
-            input: Box::new(rewrite(*input, db)?),
-            keys,
-            n,
         },
         leaf => leaf,
     };
@@ -199,14 +163,6 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
                 },
                 None => join,
             })
-        }
-        Plan::UnionAll(inputs) => {
-            // filters distribute over union
-            let pushed: StoreResult<Vec<Plan>> = inputs
-                .into_iter()
-                .map(|i| push_filter(i, predicate.clone(), db))
-                .collect();
-            Ok(Plan::UnionAll(pushed?))
         }
         Plan::IndexJoin {
             probe,
@@ -311,7 +267,14 @@ fn push_project(
         let pure: Option<Vec<usize>> = exprs
             .iter()
             .map(|p| match p.expr {
-                Expr::Col(i) if schema.column(i).name == p.column.name => Some(i),
+                Expr::Col(i)
+                    if schema
+                        .columns()
+                        .get(i)
+                        .is_some_and(|c| c.name == p.column.name) =>
+                {
+                    Some(i)
+                }
                 _ => None,
             })
             .collect();
@@ -447,18 +410,10 @@ fn collect_base_tables(plan: &Plan, out: &mut Vec<String>) {
         Plan::Values(_) => {}
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopK { input, .. } => collect_base_tables(input, out),
+        | Plan::Aggregate { input, .. } => collect_base_tables(input, out),
         Plan::HashJoin { left, right, .. } => {
             collect_base_tables(left, out);
             collect_base_tables(right, out);
-        }
-        Plan::UnionAll(inputs) => {
-            for i in inputs {
-                collect_base_tables(i, out);
-            }
         }
         Plan::UnionDistinct { inputs, .. } => {
             for i in inputs {
@@ -496,7 +451,7 @@ mod tests {
     use crate::query::plan::{JoinKind, ProjExpr};
     use crate::schema::RelSchema;
     use crate::table::Table;
-    use crate::value::{SqlType, Value};
+    use crate::value::SqlType;
 
     fn db() -> Database {
         let db = Database::new("t");
@@ -598,31 +553,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn union_flattens_and_distributes_filter() {
-        let db = db();
-        let plan = Plan::UnionAll(vec![
-            Plan::UnionAll(vec![Plan::scan("x"), Plan::scan("y")]),
-            Plan::scan("x"),
-        ])
-        .filter(Expr::col(0).eq(Expr::lit(Value::Int(1))));
-        let opt = optimize(plan, &db).unwrap();
-        match opt {
-            Plan::UnionAll(inputs) => {
-                assert_eq!(inputs.len(), 3);
-                for i in inputs {
-                    assert!(matches!(
-                        i,
-                        Plan::Scan {
-                            predicate: Some(_),
-                            ..
-                        }
-                    ));
-                }
-            }
-            other => panic!("expected flattened union, got {other:?}"),
-        }
     }
 }

@@ -48,10 +48,18 @@ impl Relation {
         self.rows.iter().map(move |r| &r[idx])
     }
 
-    /// Sort rows by the given key columns (ascending, total order); useful
-    /// for deterministic comparisons in tests and verification.
+    /// Stable-sort rows by the given key columns (ascending, total order);
+    /// useful for deterministic comparisons in tests and verification.
     pub fn sort_by_columns(&mut self, cols: &[usize]) {
-        sort_rows_by_columns(&mut self.rows, cols);
+        self.rows.sort_by(|a, b| {
+            for &c in cols {
+                let ord = a[c].total_cmp(&b[c]);
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
     }
 
     /// A rendered, aligned table — handy in examples and failure messages.
@@ -83,21 +91,6 @@ impl Relation {
         }
         out
     }
-}
-
-/// Stable-sort a row buffer by the given key columns (ascending, total
-/// order). Shared by [`Relation::sort_by_columns`] and the executor's sort
-/// and top-K operators, which must agree exactly on ordering.
-pub fn sort_rows_by_columns(rows: &mut [Row], cols: &[usize]) {
-    rows.sort_by(|a, b| {
-        for &c in cols {
-            let ord = a[c].total_cmp(&b[c]);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
 }
 
 impl fmt::Display for Relation {

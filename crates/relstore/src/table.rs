@@ -403,15 +403,6 @@ impl Table {
         self.inner.read().primary.as_ref().map(Index::len)
     }
 
-    /// Column positions of the primary key, if declared.
-    pub fn primary_key_columns(&self) -> Option<Vec<usize>> {
-        self.inner
-            .read()
-            .primary
-            .as_ref()
-            .map(|p| p.columns.clone())
-    }
-
     fn duplicate_key(&self, pk: &Index, row: &[Value]) -> StoreError {
         StoreError::DuplicateKey {
             table: self.name.clone(),
@@ -698,7 +689,7 @@ impl Table {
                 Some(p) => p.iter().map(|&i| row[i].clone()).collect(),
                 None => row.to_vec(),
             });
-            Ok(true)
+            Ok(())
         })?;
         let schema = match projection {
             Some(p) => self.schema.project(p).shared(),
@@ -708,28 +699,27 @@ impl Table {
     }
 
     /// Stream live rows matching `pred` (all rows when `None`) to `f`
-    /// without materializing anything; `f` returning `false` stops the
-    /// scan. Uses the same index probes as [`Table::scan_where`]. Returns
-    /// `Ok(false)` iff the scan was stopped early.
+    /// without materializing anything. Uses the same index probes as
+    /// [`Table::scan_where`].
     pub fn stream_rows(
         &self,
         pred: Option<&Expr>,
-        f: &mut dyn FnMut(&[Value]) -> StoreResult<bool>,
-    ) -> StoreResult<bool> {
+        f: &mut dyn FnMut(&[Value]) -> StoreResult<()>,
+    ) -> StoreResult<()> {
         let inner = self.inner.read();
         if let Some(p) = pred {
             if let Some((ix, key)) = index_probe(&inner, p) {
                 let at = |i: usize| key.get(i).copied();
                 // a NULL literal equals nothing
                 let Some(h) = ix.hash_with(at) else {
-                    return Ok(true);
+                    return Ok(());
                 };
                 for (_, row) in ix.matches(&inner.slots, h, at) {
-                    if p.matches(row)? && !f(row)? {
-                        return Ok(false);
+                    if p.matches(row)? {
+                        f(row)?;
                     }
                 }
-                return Ok(true);
+                return Ok(());
             }
         }
         for row in inner.slots.iter().flatten() {
@@ -737,11 +727,11 @@ impl Table {
                 Some(p) => p.matches(row)?,
                 None => true,
             };
-            if keep && !f(row)? {
-                return Ok(false);
+            if keep {
+                f(row)?;
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Whether the primary key or a secondary index covers exactly the
@@ -899,30 +889,27 @@ pub struct TableProbe<'a> {
 
 impl TableProbe<'_> {
     /// Visit every live row whose indexed key equals `key` (given in the
-    /// column order passed to [`Table::probe_on`]); `f` returning `false`
-    /// stops the iteration. Returns `Ok(false)` iff stopped early.
+    /// column order passed to [`Table::probe_on`]).
     pub fn lookup_each(
         &self,
         key: &[Value],
-        f: &mut dyn FnMut(&[Value]) -> StoreResult<bool>,
-    ) -> StoreResult<bool> {
+        f: &mut dyn FnMut(&[Value]) -> StoreResult<()>,
+    ) -> StoreResult<()> {
         let Some(ix) = self.inner.indexes().nth(self.which) else {
             return Err(StoreError::Invalid("probe session lost its index".into()));
         };
         if key.len() != self.perm.len() {
-            return Ok(true);
+            return Ok(());
         }
         let at = |i: usize| key.get(*self.perm.get(i)?);
         // a key with a NULL part equals nothing
         let Some(h) = ix.hash_with(at) else {
-            return Ok(true);
+            return Ok(());
         };
         for (_, row) in ix.matches(&self.inner.slots, h, at) {
-            if !f(row)? {
-                return Ok(false);
-            }
+            f(row)?;
         }
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -1259,7 +1246,7 @@ mod tests {
             session
                 .lookup_each(key, &mut |r| {
                     out.push(r[2].to_int().unwrap());
-                    Ok(true)
+                    Ok(())
                 })
                 .unwrap();
             out
@@ -1278,10 +1265,6 @@ mod tests {
         assert!(collect(&[1, 0], &[Value::str("y"), Value::Null]).is_empty());
         assert!(collect(&[1, 0], &[Value::str("y")]).is_empty());
         assert!(t.probe_on(&[0]).is_none());
-        // early stop is reported
-        let session = t.probe_on(&[0, 1]).unwrap();
-        let stopped = session.lookup_each(&[Value::Int(1), Value::str("y")], &mut |_| Ok(false));
-        assert!(!stopped.unwrap());
     }
 
     /// Every write flavour, under transactions that commit or roll back, on

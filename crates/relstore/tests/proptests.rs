@@ -166,17 +166,16 @@ proptest! {
         prop_assert!((s - expected).abs() < 1e-6 * (1.0 + expected.abs()));
     }
 
-    /// The executor's fused scan→filter→project, index-nested-loop join
-    /// and bounded top-K paths return exactly the rows of the naive
-    /// materializing oracle across randomized data, join kinds and limits
-    /// (the trailing sort over every column pins one total order).
+    /// The executor's fused scan→filter and index-nested-loop join paths
+    /// return exactly the rows of the naive materializing oracle across
+    /// randomized data and join kinds (sorting both results on every
+    /// column pins one total order).
     #[test]
     fn executor_agrees_with_oracle_row_for_row(
         rows in arb_rows(60),
         dim in prop::collection::vec((0i64..12, "[a-z]{0,4}"), 0..20)
             .prop_map(|mut v| { v.sort_by_key(|(k, _)| *k); v.dedup_by_key(|(k, _)| *k); v }),
         threshold in -100.0f64..100.0,
-        n in 0usize..80,
         left in any::<bool>(),
     ) {
         let db = make_db(&rows);
@@ -190,17 +189,16 @@ proptest! {
         .unwrap();
         db.create_table(t);
         let kind = if left { JoinKind::Left } else { JoinKind::Inner };
-        // optimized: the filter pushes into t's scan, the join becomes an
-        // index-nested-loop probe of dim's primary key, and Limit(Sort)
-        // becomes a bounded top-K. Sorting on every column makes the top-n
-        // cutoff deterministic regardless of executor emission order.
+        // optimized: the filter pushes into t's scan and the join becomes
+        // an index-nested-loop probe of dim's primary key
         let plan = Plan::scan("t")
             .hash_join(Plan::scan("dim"), vec![1], vec![0], kind)
-            .filter(Expr::col(2).gt(Expr::lit(threshold)))
-            .sort(vec![0, 1, 2, 3, 4])
-            .limit(n);
-        let oracle = execute_oracle(&plan, &db).unwrap();
-        prop_assert_eq!(execute(&plan, &db).unwrap().rows, oracle.rows);
+            .filter(Expr::col(2).gt(Expr::lit(threshold)));
+        let mut oracle = execute_oracle(&plan, &db).unwrap();
+        let mut executed = execute(&plan, &db).unwrap();
+        oracle.sort_by_columns(&[0, 1, 2, 3, 4]);
+        executed.sort_by_columns(&[0, 1, 2, 3, 4]);
+        prop_assert_eq!(executed.rows, oracle.rows);
     }
 
     /// delete_where + the inverse predicate partition the table.
@@ -767,7 +765,8 @@ proptest! {
     /// exactly the oracle's rows across every plan shape: fused
     /// scan→filter→project, grouped aggregation over a NULL-bearing group
     /// key (COUNT/SUM/MIN/MAX, including overflow-boundary i64 sums),
-    /// distinct union, and a join on a nullable key.
+    /// distinct union, and a join on a nullable key. Both results are
+    /// sorted on every column before they are compared.
     #[test]
     fn typed_columns_agree_with_oracle(
         rows in arb_nullable_rows(50),
@@ -783,8 +782,7 @@ proptest! {
                     ProjExpr::new(Expr::col(1), "g", SqlType::Int),
                     ProjExpr::new(Expr::col(3), "s", SqlType::Str),
                     ProjExpr::new(Expr::col(2).mul(Expr::lit(2.0)), "v2", SqlType::Float),
-                ])
-                .sort(vec![0, 1, 2, 3]),
+                ]),
             // grouped aggregation: NULL group keys group together;
             // the i64 SUM crosses the checked-add overflow boundary
             Plan::scan("t")
@@ -798,22 +796,23 @@ proptest! {
                         AggExpr::new(AggFunc::Min, Expr::col(3), "lo"),
                         AggExpr::new(AggFunc::Max, Expr::col(2), "hi"),
                     ],
-                )
-                .sort(vec![0, 1, 2, 3, 4, 5, 6]),
+                ),
             // distinct union on a nullable string key
             Plan::UnionDistinct {
                 inputs: vec![Plan::scan("t"), Plan::scan("t")],
                 key: Some(vec![3]),
-            }
-            .sort(vec![0, 1, 2, 3]),
+            },
             // self join on the nullable int column: NULL keys never join
             Plan::scan("t")
-                .hash_join(Plan::scan("t"), vec![1], vec![1], JoinKind::Left)
-                .sort(vec![0, 1, 2, 3, 4, 5, 6, 7]),
+                .hash_join(Plan::scan("t"), vec![1], vec![1], JoinKind::Left),
         ];
         for plan in &plans {
-            let oracle = execute_oracle(plan, &db).unwrap();
-            prop_assert_eq!(execute(plan, &db).unwrap().rows, oracle.rows);
+            let sorted = |mut rel: Relation| {
+                rel.sort_by_columns(&(0..rel.schema.len()).collect::<Vec<_>>());
+                rel.rows
+            };
+            let oracle = sorted(execute_oracle(plan, &db).unwrap());
+            prop_assert_eq!(sorted(execute(plan, &db).unwrap()), oracle);
         }
     }
 
@@ -847,5 +846,291 @@ proptest! {
             prop_assert_eq!(&oracle.rows[0][0], &Value::Int(expect));
         }
         prop_assert_eq!(execute(&plan, &db).unwrap().rows, oracle.rows);
+    }
+}
+
+/// A row of the plan generator's tables: `(k, g, v, s)`, every column but
+/// the key nullable. `v` is a quarter and `g` a small int, so every SUM is
+/// exact and the same in any order — the two paths may feed an aggregate
+/// its rows in different orders (see `generated_plans_agree_with_oracle`).
+type GenRow = (i64, Option<i64>, Option<i64>, Option<String>);
+
+fn arb_gen_rows() -> impl Strategy<Value = Vec<GenRow>> {
+    let small = |lo: i64, hi: i64| prop_oneof![3 => (lo..hi).prop_map(Some), 1 => Just(None)];
+    let txt = prop_oneof![3 => "[ab]{0,1}".prop_map(Some), 1 => Just(None)];
+    prop::collection::vec((0i64..20, small(0, 5), small(-8, 8), txt), 3..16).prop_map(|mut v| {
+        v.sort_by_key(|r| r.0);
+        v.dedup_by_key(|r| r.0);
+        v
+    })
+}
+
+fn gen_row((k, g, v, s): &GenRow) -> Row {
+    vec![
+        Value::Int(*k),
+        g.map_or(Value::Null, Value::Int),
+        v.map_or(Value::Null, |q| Value::Float(q as f64 / 4.0)),
+        s.as_deref().map_or(Value::Null, Value::str),
+    ]
+}
+
+/// `t` and `u` share the `(k, g, v, s)` shape, keyed on `k`; `t` also
+/// indexes `g`. `d(k, w)` is a dimension keyed on `k`. The first rows of
+/// `u` double as the generator's `Values` leaf.
+fn make_gen_db(t: &[GenRow], u: &[GenRow], d: &[(i64, Option<String>)]) -> (Database, Plan) {
+    let db = Database::new("gen");
+    let schema = RelSchema::of(&[
+        ("k", SqlType::Int),
+        ("g", SqlType::Int),
+        ("v", SqlType::Float),
+        ("s", SqlType::Str),
+    ])
+    .shared();
+    let tt = Table::new("t", schema.clone())
+        .with_primary_key(&["k"])
+        .unwrap()
+        .with_index("t_g", &["g"])
+        .unwrap();
+    tt.insert(t.iter().map(gen_row).collect()).unwrap();
+    db.create_table(tt);
+    let ut = Table::new("u", schema.clone())
+        .with_primary_key(&["k"])
+        .unwrap();
+    ut.insert(u.iter().map(gen_row).collect()).unwrap();
+    db.create_table(ut);
+    let dschema = RelSchema::of(&[("k", SqlType::Int), ("w", SqlType::Str)]).shared();
+    let dt = Table::new("d", dschema).with_primary_key(&["k"]).unwrap();
+    let dim = d
+        .iter()
+        .map(|(k, w)| vec![Value::Int(*k), w.as_deref().map_or(Value::Null, Value::str)]);
+    dt.insert(dim.collect()).unwrap();
+    db.create_table(dt);
+    let values = Relation::new(schema, u.iter().take(4).map(gen_row).collect());
+    (db, Plan::Values(values.into()))
+}
+
+/// Builds a plan from a vector of picks — the proptest shim has no
+/// `prop_flat_map`, so a plan is a deterministic function of the picks.
+/// Every expression it writes evaluates without error on any row.
+struct PlanGen<'a> {
+    db: &'a Database,
+    values: Plan,
+    picks: Vec<usize>,
+    at: usize,
+}
+
+impl PlanGen<'_> {
+    /// The next choice among `n` (0 once the picks run out).
+    fn pick(&mut self, n: usize) -> usize {
+        let p = self.picks.get(self.at).copied().unwrap_or(0);
+        self.at += 1;
+        p % n.max(1)
+    }
+
+    fn types(&self, plan: &Plan) -> Vec<SqlType> {
+        let schema = plan.schema(self.db).unwrap();
+        schema.columns().iter().map(|c| c.ty).collect()
+    }
+
+    fn leaf(&mut self) -> Plan {
+        match self.pick(4) {
+            0 => Plan::scan("t"),
+            1 => Plan::scan("u"),
+            2 => Plan::scan("d"),
+            _ => self.values.clone(),
+        }
+    }
+
+    fn literal(&mut self, ty: SqlType) -> Expr {
+        match ty {
+            SqlType::Int => Expr::lit(self.pick(8) as i64 - 4),
+            SqlType::Float => Expr::lit(self.pick(12) as f64 / 2.0 - 3.0),
+            SqlType::Str => Expr::lit(["a", "b", ""][self.pick(3)]),
+            _ => Expr::lit(true),
+        }
+    }
+
+    /// Comparisons, IS NULL and their AND / OR / NOT.
+    fn predicate(&mut self, types: &[SqlType]) -> Expr {
+        let (a, b) = (self.pick(types.len()), self.pick(types.len()));
+        let lit = self.literal(types[a]);
+        match self.pick(5) {
+            0 => Expr::col(a).is_null(),
+            1 => Expr::col(a).lt(lit),
+            2 => Expr::col(a).eq(lit).or(Expr::col(b).is_null()),
+            3 => Expr::col(a).eq(Expr::col(b)).not(),
+            _ => Expr::col(a).ge(lit).and(Expr::col(b).is_null().not()),
+        }
+    }
+
+    /// A column of `types` typed `ty`, if there is one, so that a join on
+    /// it can match.
+    fn partner(&mut self, types: &[SqlType], ty: SqlType) -> usize {
+        let same: Vec<usize> = (0..types.len()).filter(|&c| types[c] == ty).collect();
+        match same.len() {
+            0 => self.pick(types.len()),
+            n => same[self.pick(n)],
+        }
+    }
+
+    /// A plan `depth` nodes deep at most, and the key columns to compare
+    /// when only those agree between the two paths (see the test).
+    fn plan(&mut self, depth: usize, root: bool) -> (Plan, Option<Vec<usize>>) {
+        if depth == 0 {
+            return (self.leaf(), None);
+        }
+        let plan = match self.pick(8) {
+            0 => self.leaf(),
+            1 => {
+                let input = self.plan(depth - 1, false).0;
+                let pred = self.predicate(&self.types(&input));
+                input.filter(pred)
+            }
+            2 => {
+                // bare columns keep their names, so over a scan the planner
+                // pushes them into its projection; one column is computed
+                let input = self.plan(depth - 1, false).0;
+                let schema = input.schema(self.db).unwrap();
+                let mut exprs: Vec<ProjExpr> = (0..1 + self.pick(3))
+                    .map(|_| {
+                        let c = self.pick(schema.len());
+                        ProjExpr::passthrough(&schema, &schema.column(c).name, None).unwrap()
+                    })
+                    .collect();
+                let (a, b) = (self.pick(schema.len()), self.pick(schema.len()));
+                exprs.insert(
+                    self.pick(exprs.len() + 1),
+                    match self.pick(2) {
+                        0 => ProjExpr::new(
+                            Expr::Concat(vec![Expr::col(a), Expr::lit("|"), Expr::col(b)]),
+                            "cat",
+                            SqlType::Str,
+                        ),
+                        _ => {
+                            let fallback = self.literal(schema.column(a).ty);
+                            let ty = schema.column(a).ty;
+                            ProjExpr::new(Expr::Coalesce(vec![Expr::col(a), fallback]), "coal", ty)
+                        }
+                    },
+                );
+                input.project(exprs)
+            }
+            3..=5 => {
+                // the right side is often a bare scan: joined on a key its
+                // index covers, the planner makes it an index join
+                let left = self.plan(depth - 1, false).0;
+                let right = match self.pick(2) {
+                    0 => self.leaf(),
+                    _ => self.plan(depth - 1, false).0,
+                };
+                let (lt, rt) = (self.types(&left), self.types(&right));
+                let lk = match self.pick(3) {
+                    0 => self.pick(lt.len()),
+                    _ => self.partner(&lt, SqlType::Int),
+                };
+                let rk = self.partner(&rt, lt[lk]);
+                let kind = if self.pick(3) == 0 {
+                    JoinKind::Left
+                } else {
+                    JoinKind::Inner
+                };
+                left.hash_join(right, vec![lk], vec![rk], kind)
+            }
+            6 => {
+                let input = self.plan(depth - 1, false).0;
+                let types = self.types(&input);
+                let second = match self.pick(3) {
+                    0 => input.clone(),
+                    1 => {
+                        let pred = self.predicate(&types);
+                        input.clone().filter(pred)
+                    }
+                    _ if types.len() == 4 => Plan::scan(["t", "u"][self.pick(2)]),
+                    _ => input.clone(),
+                };
+                let key = match self.pick(3) {
+                    0 => None,
+                    1 => Some(vec![self.pick(types.len())]),
+                    _ => Some(vec![self.pick(types.len()), self.pick(types.len())]),
+                };
+                // a keyed union over a join keeps whichever row of a key
+                // the join emits first; only the root may be one
+                let ordered = key.is_some() && has_join(&input);
+                let key = if ordered && !root { None } else { key };
+                let keys_only = if ordered && root { key.clone() } else { None };
+                let union = Plan::UnionDistinct {
+                    inputs: vec![input, second],
+                    key,
+                };
+                return (union, keys_only);
+            }
+            _ => {
+                let input = self.plan(depth - 1, false).0;
+                let types = self.types(&input);
+                let group_by: Vec<usize> =
+                    (0..self.pick(3)).map(|_| self.pick(types.len())).collect();
+                let mut col = || Expr::col(self.pick(types.len()));
+                let aggs = vec![
+                    AggExpr::count_star("n"),
+                    AggExpr::new(AggFunc::Count, col(), "nc"),
+                    AggExpr::new(AggFunc::Sum, col(), "s"),
+                    AggExpr::new(AggFunc::Min, col(), "lo"),
+                    AggExpr::new(AggFunc::Max, col(), "hi"),
+                    AggExpr::new(AggFunc::Avg, Expr::Coalesce(vec![col(), Expr::lit(1)]), "a"),
+                ];
+                input.aggregate(group_by, aggs)
+            }
+        };
+        (plan, None)
+    }
+}
+
+fn has_join(plan: &Plan) -> bool {
+    match plan {
+        Plan::HashJoin { .. } | Plan::IndexJoin { .. } => true,
+        Plan::Scan { .. } | Plan::Values(_) => false,
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. } => has_join(input),
+        Plan::UnionDistinct { inputs, .. } => inputs.iter().any(has_join),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Generated plans — scans and `Values`, filters, projections with a
+    /// computed column, inner and left hash joins (index joins where an
+    /// index covers the key), keyed and whole-row UNION DISTINCT, grouped
+    /// and global aggregates, up to three deep over three small nullable
+    /// tables — return the oracle's rows as a multiset.
+    ///
+    /// Where a keyed UNION DISTINCT sits above a join only its key columns
+    /// are compared: the executor builds a hash join on the side its
+    /// estimate says is smaller, the oracle on the side that is, and an
+    /// index join emits in probe order, so the two can emit a join's rows
+    /// in different orders and keep a different first row for a key.
+    #[test]
+    fn generated_plans_agree_with_oracle(
+        t in arb_gen_rows(),
+        u in arb_gen_rows(),
+        d in prop::collection::vec((0i64..6, prop_oneof![3 => "[ab]".prop_map(Some), 1 => Just(None)]), 2..8)
+            .prop_map(|mut v| { v.sort_by_key(|r| r.0); v.dedup_by_key(|r| r.0); v }),
+        picks in prop::collection::vec(0usize..840, 96),
+    ) {
+        let (db, values) = make_gen_db(&t, &u, &d);
+        let mut gen = PlanGen { db: &db, values, picks, at: 0 };
+        let (plan, keys_only) = gen.plan(3, true);
+        let width = plan.schema(&db).unwrap().len();
+        let cols = keys_only.unwrap_or_else(|| (0..width).collect());
+        let canonical = |rel: Relation| {
+            let mut rows: Vec<Row> = (rel.rows.iter())
+                .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+                .collect();
+            rows.sort_by(|a, b| a.iter().zip(b).map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal));
+            rows
+        };
+        let oracle = canonical(execute_oracle(&plan, &db).unwrap());
+        prop_assert_eq!(canonical(execute(&plan, &db).unwrap()), oracle, "{:?}", plan);
     }
 }
