@@ -139,8 +139,8 @@ fn fed_without_optimizer_still_correct() {
 
 #[test]
 fn optimizer_does_not_change_integrated_data() {
-    // the batch executor over optimized plans (fused scans, index joins,
-    // top-K) and the naive oracle must integrate byte-identical data
+    // the batch executor over optimized plans (fused scans, index joins)
+    // and the naive oracle must integrate byte-identical data
     let (on_env, _) = run(EngineKind::Federated, config());
     let (off_env, _) = run(EngineKind::FederatedUnoptimized, config());
     for (db, table) in [
