@@ -2,7 +2,8 @@
 //! probes and materialized-view refresh in `dip-relstore`. These back the
 //! "well-optimized relational operators" half of the paper's System A
 //! observation. `mtm_dataflow` adds the MTM interpreter's hand-offs: what
-//! moving a table-shaped message between operators costs. `write_path`
+//! moving a table-shaped message between operators costs, and what sizing
+//! it for the wire costs (`wire_bytes`). `write_path`
 //! runs the store's write flavours (bulk insert, merge, upsert, flag flip,
 //! truncate, rollback) over a wide indexed table.
 
@@ -354,6 +355,14 @@ fn bench_mtm_dataflow(c: &mut Criterion) {
     g.sample_size(20);
 
     let sales = sales(6_000);
+    // what the network bills for handing the relation to a remote system:
+    // `ExternalWorld`'s rendered length of every value plus a separator
+    g.bench_function("wire_bytes", |b| {
+        b.iter(|| {
+            let row_bytes = |r: &Row| r.iter().map(|v| v.rendered_len() + 1).sum::<usize>();
+            black_box(&sales).rows.iter().map(row_bytes).sum::<usize>()
+        })
+    });
     let marts = Arc::new(Database::new("marts"));
     for region in REGIONS {
         for (table, cols, pk) in MART_LOADS {

@@ -563,6 +563,23 @@ mod tests {
         assert_eq!(cust.child_text("sCity").as_deref(), Some("Seoul"));
     }
 
+    /// An order date whose day number leaves `i32` is malformed text like
+    /// any other: the decoder stores NULL. It used to overflow inside
+    /// `days_from_civil` — a panic in a debug build, a wrong date in a
+    /// release build.
+    #[test]
+    fn decoder_stores_null_for_a_date_beyond_the_day_range() {
+        let msg = Document::new(
+            Element::new("cdbOrder")
+                .child(Element::leaf("orderkey", "100"))
+                .child(Element::leaf("custkey", "7"))
+                .child(Element::leaf("orderdate", "99999999-01-01")),
+        );
+        let batches = cdb_order_decoder("vienna")(&msg).unwrap();
+        assert_eq!(batches[0].rows[0][0], Value::Int(100));
+        assert!(batches[0].rows[0][2].is_null());
+    }
+
     #[test]
     fn decoder_rejects_garbage() {
         let bad = Document::new(Element::new("junk"));

@@ -8,7 +8,7 @@
 
 use crate::cost::CostRecorder;
 use crate::error::{MtmError, MtmResult};
-use crate::interpreter::Interpreter;
+use crate::interpreter::{Interpreter, LastReaders};
 use crate::process::ProcessDef;
 use crate::validate::validate;
 use dip_services::registry::ExternalWorld;
@@ -30,8 +30,14 @@ pub fn dead_letter_payload(world: &ExternalWorld, msg: &Document) -> Option<Stri
 /// The MTM process engine.
 pub struct MtmEngine {
     pub world: Arc<ExternalWorld>,
-    processes: RwLock<HashMap<String, Arc<ProcessDef>>>,
+    processes: RwLock<HashMap<String, Arc<Deployed>>>,
     recorder: Arc<CostRecorder>,
+}
+
+/// A deployed definition and what deployment derived from it once.
+struct Deployed {
+    def: Arc<ProcessDef>,
+    last: LastReaders,
 }
 
 impl std::fmt::Debug for MtmEngine {
@@ -54,16 +60,25 @@ impl MtmEngine {
     /// Deploy a process definition (statically validated first).
     pub fn deploy(&self, def: ProcessDef) -> MtmResult<()> {
         validate(&def)?;
-        self.processes.write().insert(def.id.clone(), Arc::new(def));
+        let def = Arc::new(def);
+        let last = LastReaders::of(&def);
+        let deployed = Arc::new(Deployed { def, last });
+        self.processes
+            .write()
+            .insert(deployed.def.id.clone(), deployed);
         Ok(())
     }
 
-    pub fn process(&self, id: &str) -> MtmResult<Arc<ProcessDef>> {
+    fn deployed(&self, id: &str) -> MtmResult<Arc<Deployed>> {
         self.processes
             .read()
             .get(id)
             .cloned()
             .ok_or_else(|| MtmError::InvalidProcess(format!("process {id} not deployed")))
+    }
+
+    pub fn process(&self, id: &str) -> MtmResult<Arc<ProcessDef>> {
+        self.deployed(id).map(|d| d.def.clone())
     }
 
     pub fn deployed_ids(&self) -> Vec<String> {
@@ -94,7 +109,8 @@ impl MtmEngine {
         input: Option<Document>,
     ) -> MtmResult<u32> {
         let mgmt_start = Instant::now();
-        let def = self.process(id)?;
+        let deployed = self.deployed(id)?;
+        let Deployed { def, last } = &*deployed;
         self.recorder.run_instance(
             mgmt_start,
             &def.id,
@@ -108,7 +124,7 @@ impl MtmEngine {
                     "instance",
                     dip_trace::Category::Management,
                 );
-                Interpreter::new(&self.world, costs).run(&def, input)
+                Interpreter::new(&self.world, costs).run_deployed(def, last, input)
             },
         )
     }

@@ -3,7 +3,7 @@
 
 use dip_mtm::context::VarStore;
 use dip_mtm::interpreter::Interpreter;
-use dip_mtm::message::MtmMessage;
+use dip_mtm::message::{MtmMessage, MtmTypeError};
 use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase, TableRows};
 use dip_mtm::{InstanceCosts, MtmEngine, MtmError};
 use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
@@ -637,9 +637,14 @@ fn custom_output_count_must_match_its_binds() {
 
 /// Run `steps` in a bare interpreter and hand back the final variables.
 fn run_vars(steps: Vec<Step>) -> VarStore {
+    run_on(&world(), steps).unwrap()
+}
+
+/// [`run_vars`] against a given world, failures included.
+fn run_on(world: &ExternalWorld, steps: Vec<Step>) -> Result<VarStore, MtmError> {
     let costs = InstanceCosts::new();
     let def = ProcessDef::new("T", "test", 'B', EventType::Timed, steps);
-    Interpreter::new(&world(), &costs).run(&def, None).unwrap()
+    Interpreter::new(world, &costs).run(&def, None)
 }
 
 fn bind(var: &str, value: impl Into<MtmMessage>) -> Step {
@@ -946,6 +951,212 @@ fn fork_merge_keeps_a_branch_rebinding() {
     ]);
     assert_eq!(vars.get("x"), Some(&scalar(2)));
     assert_eq!(vars.get("y"), Some(&scalar(3)));
+}
+
+// ---- the DbInsert last-use move
+
+/// Rows of `db.sink`'s shape, `(k, "v<k>")`.
+fn kv(keys: &[i64]) -> Relation {
+    let rows = keys
+        .iter()
+        .map(|&k| vec![Value::Int(k), Value::str(format!("v{k}"))]);
+    Relation::new(
+        RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Str)]).shared(),
+        rows.collect(),
+    )
+}
+
+fn insert(var: &str) -> Step {
+    Step::DbInsert {
+        db: "db".into(),
+        table: "sink".into(),
+        input: var.into(),
+        mode: LoadMode::InsertIgnore,
+    }
+}
+
+fn sink_keys(world: &ExternalWorld) -> Vec<i64> {
+    let sink = world.database("db").unwrap().table("sink").unwrap();
+    let rows = sink.scan().rows;
+    let mut keys: Vec<i64> = rows.iter().map(|r| r[0].to_int().unwrap()).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// The last reader of a relation takes it: the table gets the rows and
+/// the variable is gone from the store the instance leaves behind.
+#[test]
+fn db_insert_reading_its_input_last_takes_it() {
+    let world = world();
+    let vars = run_on(&world, vec![bind("rows", kv(&[4, 5, 6])), insert("rows")]).unwrap();
+    assert_eq!(sink_keys(&world), vec![4, 5, 6]);
+    assert!(!vars.contains("rows"), "taken, not left bound");
+}
+
+/// A variable read after the insert — by the next step, after a SWITCH
+/// whose chosen case inserts it, inside a later SWITCH case or FORK
+/// branch, or as the `output` a subprocess body inserts before handing it
+/// back — is loaded from and left as it was.
+#[test]
+fn db_insert_leaves_a_variable_read_later_unchanged() {
+    let seen = Arc::new(Mutex::new(HashMap::new()));
+    let original = MtmMessage::from(kv(&[1, 2]));
+    let switch = |steps| Step::Switch {
+        input: "route".into(),
+        path: String::new(),
+        cases: vec![SwitchCase {
+            when: Expr::lit(true),
+            steps,
+        }],
+        default: vec![],
+    };
+    let route = || bind("route", Value::Int(1));
+    let sub = Arc::new(ProcessDef::new(
+        "SUB",
+        "load and return",
+        'D',
+        EventType::Timed,
+        vec![
+            Step::Selection {
+                input: "input".into(),
+                predicate: Expr::col(0).ge(Expr::lit(2)),
+                output: "output".into(),
+            },
+            insert("output"),
+        ],
+    ));
+    let call = Step::Subprocess {
+        process: sub,
+        input: Some("rows".into()),
+        output: Some("loaded".into()),
+    };
+    let read = |case| probe(&seen, case, "rows");
+    let fork = |branch| Step::Fork {
+        branches: vec![branch, vec![bind("other", Value::Int(0))]],
+    };
+    let cases = [
+        ("next step", vec![insert("rows"), read("next step")]),
+        (
+            "after switch",
+            vec![route(), switch(vec![insert("rows")]), read("after switch")],
+        ),
+        (
+            "in a later case",
+            vec![
+                insert("rows"),
+                route(),
+                switch(vec![read("in a later case")]),
+            ],
+        ),
+        (
+            "in a later branch",
+            vec![insert("rows"), fork(vec![read("in a later branch")])],
+        ),
+        ("subprocess output", vec![call, read("subprocess output")]),
+    ];
+    for (case, steps) in cases {
+        let world = world();
+        let mut all = vec![bind("rows", original.clone())];
+        all.extend(steps);
+        let vars = run_on(&world, all).unwrap();
+        let seen = seen.lock().unwrap();
+        assert!(same_payload(&seen[case], &original), "{case}");
+        assert_eq!(original.as_rel().unwrap(), &kv(&[1, 2]), "{case}");
+        assert!(same_payload(vars.get("rows").unwrap(), &original), "{case}");
+        if case == "subprocess output" {
+            assert_eq!(sink_keys(&world), vec![2]);
+            assert_eq!(vars.get("loaded").unwrap().as_rel().unwrap(), &kv(&[2]));
+        } else {
+            assert_eq!(sink_keys(&world), vec![1, 2], "{case}");
+        }
+    }
+}
+
+/// What a FORK branch binds and inserts is taken unless the parent reads
+/// it after the FORK.
+#[test]
+fn db_insert_in_a_fork_branch_keeps_what_the_parent_reads_after() {
+    let branch = vec![
+        Step::Selection {
+            input: "rows".into(),
+            predicate: Expr::col(0).ge(Expr::lit(2)),
+            output: "high".into(),
+        },
+        insert("high"),
+    ];
+    let read_high = Step::Custom {
+        name: "read high".into(),
+        reads: vec!["high".into()],
+        binds: vec![],
+        f: Arc::new(|_| Ok(vec![])),
+    };
+    for read_after in [false, true] {
+        let world = world();
+        let mut steps = vec![
+            bind("rows", kv(&[1, 2, 3])),
+            Step::Fork {
+                branches: vec![branch.clone(), vec![bind("other", Value::Int(0))]],
+            },
+        ];
+        if read_after {
+            steps.push(read_high.clone());
+        }
+        let vars = run_on(&world, steps).unwrap();
+        assert_eq!(sink_keys(&world), vec![2, 3]);
+        let high = vars.get("high").map(|m| m.as_rel().unwrap());
+        assert_eq!(high, read_after.then(|| kv(&[2, 3])).as_ref());
+    }
+}
+
+/// A relation shared with another binding — an ASSIGN copy, or the
+/// parent's binding a FORK branch inherited — is copied by the insert that
+/// reads it last: the other binding still holds the original rows.
+#[test]
+fn db_insert_copies_a_relation_another_binding_shares() {
+    let original = MtmMessage::from(kv(&[7, 8]));
+    let copy_var = Step::Assign {
+        var: "b".into(),
+        value: AssignValue::CopyVar("a".into()),
+    };
+    let fork = Step::Fork {
+        branches: vec![vec![insert("a")], vec![bind("other", Value::Int(0))]],
+    };
+    for steps in [vec![copy_var, insert("b")], vec![fork]] {
+        let world = world();
+        let mut all = vec![bind("a", original.clone())];
+        all.extend(steps);
+        let vars = run_on(&world, all).unwrap();
+        assert_eq!(sink_keys(&world), vec![7, 8]);
+        assert!(!vars.contains("b"), "the ASSIGN copy was taken");
+        assert!(same_payload(vars.get("a").unwrap(), &original));
+        assert_eq!(original.as_rel().unwrap(), &kv(&[7, 8]));
+    }
+}
+
+/// Inserting a variable that holds no relation fails the same way whether
+/// or not the insert is its last reader.
+#[test]
+fn db_insert_of_a_non_relation_is_a_type_error() {
+    let expected = MtmTypeError {
+        expected: "relation",
+        got: "scalar",
+    };
+    let read_after = Step::Custom {
+        name: "read n".into(),
+        reads: vec!["n".into()],
+        binds: vec![],
+        f: Arc::new(|_| Ok(vec![])),
+    };
+    let last = vec![bind("n", Value::Int(3)), insert("n")];
+    let not_last = vec![bind("n", Value::Int(3)), insert("n"), read_after];
+    for steps in [last, not_last] {
+        let world = world();
+        match run_on(&world, steps) {
+            Err(MtmError::Type(e)) => assert_eq!(e, expected),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(sink_keys(&world), Vec::<i64>::new());
+    }
 }
 
 #[test]

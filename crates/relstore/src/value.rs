@@ -145,8 +145,11 @@ impl Value {
     }
 
     /// Byte length of [`Value::render`]'s output, computed without
-    /// allocating the string — wire-size accounting runs this once per
-    /// value on every remote load/query, so it must not churn the heap.
+    /// building the string — wire-size accounting runs this once per value
+    /// on every remote load/query. Every length is arithmetic except that
+    /// of NaN, an infinity, a float below `1e-4` in magnitude or an
+    /// integral one from `1e15` up, which is counted by formatting into a
+    /// byte counter.
     pub fn rendered_len(&self) -> usize {
         match self {
             Value::Null => 4,
@@ -159,23 +162,22 @@ impl Value {
             }
             Value::Int(i) => int_digits(*i),
             Value::Float(f) => {
-                let mut w = LenCounter(0);
-                use std::fmt::Write;
                 if f.fract() == 0.0 && f.abs() < 1e15 {
-                    let _ = write!(w, "{f:.1}");
+                    // `{f:.1}`: the integer, `.0`, and the sign, `-0.0`'s too
+                    let sign = usize::from(f.is_sign_negative());
+                    sign + uint_digits(f.abs() as u64) + 2
+                } else if let Some(len) = shortest_float_len(*f) {
+                    len
                 } else {
+                    let mut w = LenCounter(0);
+                    use std::fmt::Write;
                     let _ = write!(w, "{f}");
+                    w.0
                 }
-                w.0
             }
             Value::Str(s) => s.len(),
-            Value::Date(d) => {
-                let (y, m, d) = civil_from_days(*d);
-                let mut w = LenCounter(0);
-                use std::fmt::Write;
-                let _ = write!(w, "{y:04}-{m:02}-{d:02}");
-                w.0
-            }
+            // `{y:04}-{m:02}-{d:02}`: the padding counts a year's sign
+            Value::Date(d) => int_digits(i64::from(civil_from_days(*d).0)).max(4) + 6,
         }
     }
 
@@ -310,7 +312,6 @@ impl From<Arc<str>> for Value {
     }
 }
 
-/// Days-since-epoch to `YYYY-MM-DD`, civil calendar.
 /// Byte-counting sink for [`Value::rendered_len`]: formats into nothing.
 struct LenCounter(usize);
 
@@ -321,23 +322,97 @@ impl std::fmt::Write for LenCounter {
     }
 }
 
-/// Decimal digit count of `i` including a leading `-` sign.
-fn int_digits(i: i64) -> usize {
-    let mut n = i.unsigned_abs();
-    let mut len = if i < 0 { 2usize } else { 1 };
-    while n >= 10 {
-        n /= 10;
-        len += 1;
-    }
-    len
+/// Decimal digit count of `n`.
+fn uint_digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
+/// Decimal digit count of `i` including a leading `-` sign.
+fn int_digits(i: i64) -> usize {
+    usize::from(i < 0) + uint_digits(i.unsigned_abs())
+}
+
+/// `10^f` for every fraction length [`shortest_float_len`] can meet.
+const POW10: [u128; 22] = {
+    let mut p = [1u128; 22];
+    let mut f = 1;
+    while f < p.len() {
+        p[f] = p[f - 1] * 10;
+        f += 1;
+    }
+    p
+};
+
+/// Byte length of `{x}` (`Display`, shortest round-trip digits, printed
+/// positionally) for a non-integral `x` with `1e-4 <= |x|`, in integer
+/// arithmetic; `None` outside that domain.
+///
+/// `core::fmt` decodes `x = m·2^e` into the rounding interval
+/// `((2m−1)·2^(e−1), (2m+1)·2^(e−1))` — `(4m−1)·2^(e−2)` below when `m` is
+/// `2^52`, the lower neighbour being closer — with both ends included
+/// iff `m` is even, and prints the multiple of the largest power of ten
+/// that the interval holds (the closest one, if it holds two). No integer
+/// lies in the interval of a non-integral double below `2^52`, so that
+/// power is `10^-f` for some `f >= 1` and the output is the integer part,
+/// a point and `f` fraction digits.
+fn shortest_float_len(x: f64) -> Option<usize> {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let abs = x.abs();
+    // excludes NaN, the infinities, subnormals and every integral value
+    if !(1e-4..TWO_52).contains(&abs) || x.fract() == 0.0 {
+        return None;
+    }
+    let bits = x.to_bits();
+    let fraction = bits & ((1 << 52) - 1);
+    let m = fraction | (1 << 52);
+    // |x| = m·2^e with -66 <= e <= -1; in units of 2^-s the interval's
+    // ends are integers below 2^55
+    let s = 1077 - ((bits >> 52) & 0x7ff) as usize;
+    let inclusive = m.is_multiple_of(2);
+    let low = u128::from(4 * m - if fraction == 0 { 1 } else { 2 });
+    let high = u128::from(4 * m + 2);
+    let unit = (1u128 << s) - 1;
+    // it holds a multiple of 10^-f iff (low·10^f, high·10^f) holds a
+    // multiple of 2^s — a multiple of 10^-f is one of 10^-(f+1) too, so
+    // this is monotone in f
+    let holds = |f: usize| {
+        let (low, high) = (low * POW10[f], high * POW10[f]);
+        let above = (low | unit) + 1;
+        if inclusive {
+            low & unit == 0 || above <= high
+        } else {
+            above < high
+        }
+    };
+    // it is wider than 2^(1-s) > 10^-g, so it holds a multiple of 10^-g
+    // (`k·78913 >> 18` is ⌊k·log10 2⌋ here; g <= 21, and 2^55·10^21 still
+    // fits); most doubles need every digit, so one fewer is tried first
+    let g = (((s - 1) * 78_913) >> 18) + 1;
+    let mut f = g;
+    if holds(g - 1) {
+        let mut lo = 1;
+        f = g - 1;
+        while lo < f {
+            let mid = (lo + f) / 2;
+            if holds(mid) {
+                f = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+    }
+    let sign = usize::from(x < 0.0);
+    Some(sign + uint_digits(abs as u64) + 1 + f)
+}
+
+/// Days-since-epoch to `YYYY-MM-DD`, civil calendar.
 pub fn render_date(days: i32) -> String {
     let (y, m, d) = civil_from_days(days);
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `YYYY-MM-DD` to days-since-epoch; returns `None` on malformed input.
+/// `YYYY-MM-DD` to days-since-epoch; returns `None` on malformed input and
+/// on a date whose day number does not fit in an `i32`.
 pub fn parse_date(s: &str) -> Option<i32> {
     let mut it = s.split('-');
     let y: i32 = it.next()?.parse().ok()?;
@@ -346,32 +421,41 @@ pub fn parse_date(s: &str) -> Option<i32> {
     if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
         return None;
     }
-    Some(days_from_civil(y, m, d))
+    i32::try_from(day_number(y, m, d)).ok()
 }
 
-/// Howard Hinnant's `days_from_civil` algorithm.
+/// Howard Hinnant's `days_from_civil` algorithm, for dates whose day
+/// number fits in an `i32` (years within ±5 879 610); beyond them it
+/// saturates.
 pub fn days_from_civil(y: i32, m: u32, d: u32) -> i32 {
-    let y = if m <= 2 { y - 1 } else { y };
+    let days = day_number(y, m, d);
+    i32::try_from(days).unwrap_or(if days < 0 { i32::MIN } else { i32::MAX })
+}
+
+/// [`days_from_civil`] in `i64`, which no `i32` year overflows.
+fn day_number(y: i32, m: u32, d: u32) -> i64 {
+    let y = i64::from(y) - i64::from(m <= 2);
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = (y - era * 400) as u32;
     let mp = (m + 9) % 12;
     let doy = (153 * mp + 2) / 5 + d - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    era * 146_097 + doe as i32 - 719_468
+    era * 146_097 + i64::from(doe) - 719_468
 }
 
-/// Inverse of [`days_from_civil`].
+/// Inverse of [`days_from_civil`], total over `i32` (computed in `i64`).
 pub fn civil_from_days(z: i32) -> (i32, u32, u32) {
-    let z = z + 719_468;
+    let z = i64::from(z) + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = (z - era * 146_097) as u32;
     let yoe = (doe - doe / 1460 + doe / 36524 - doe / 146_096) / 365;
-    let y = yoe as i32 + era * 400;
+    let y = i64::from(yoe) + era * 400;
     let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
     let mp = (5 * doy + 2) / 153;
     let d = doy - (153 * mp + 2) / 5 + 1;
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    (if m <= 2 { y + 1 } else { y }, m, d)
+    // |y| <= 5 879 611 for any i32 day
+    ((if m <= 2 { y + 1 } else { y }) as i32, m, d)
 }
 
 /// Calendar field extraction used by the DWH time dimension functions.
@@ -423,6 +507,24 @@ mod tests {
         assert_eq!(parse_date("2008-13-01"), None);
     }
 
+    /// A year whose day number leaves `i32` is malformed text, not an
+    /// overflow, and every `i32` day renders — both used to panic in a
+    /// debug build and wrap in a release build.
+    #[test]
+    fn dates_beyond_the_day_range_are_rejected_not_wrapped() {
+        assert_eq!(parse_date("99999999-01-01"), None);
+        assert_eq!(parse_date("-1-01-01"), None);
+        for days in [i32::MAX, i32::MIN, i32::MIN + 1] {
+            let rendered = render_date(days);
+            assert_eq!(Value::Date(days).rendered_len(), rendered.len());
+            let (y, m, d) = civil_from_days(days);
+            assert_eq!(days_from_civil(y, m, d), days, "{rendered}");
+        }
+        assert_eq!(parse_date(&render_date(i32::MAX)), Some(i32::MAX));
+        let past_the_end = format!("{}-12-31", civil_from_days(i32::MAX).0);
+        assert_eq!(parse_date(&past_the_end), None);
+    }
+
     #[test]
     fn to_int_and_float_views() {
         assert_eq!(Value::str(" 42 ").to_int(), Some(42));
@@ -450,14 +552,33 @@ mod tests {
             Value::Int(i64::MAX),
             Value::Int(i64::MIN),
             Value::Float(2.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(-7.0),
+            Value::Float(999_999_999_999_999.0),
             Value::Float(-0.125),
+            Value::Float(0.1),
+            Value::Float(123.45),
+            Value::Float(-0.000_123_4),
+            Value::Float(1e-4),
+            Value::Float(9.5e-5),
+            Value::Float(4_503_599_627_370_495.5),
+            Value::Float(1.0 / 3.0),
+            Value::Float(f64::EPSILON),
+            Value::Float(f64::MIN_POSITIVE / 2.0),
             Value::Float(1e300),
             Value::Float(3.125e15),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
             Value::str(""),
             Value::str("Straße 12"),
             Value::Date(0),
             Value::Date(19000),
             Value::Date(-140000),
+            Value::Date(-719_528),
+            Value::Date(-719_529),
+            Value::Date(-1_000_000),
+            Value::Date(i32::MAX),
         ];
         for v in cases {
             assert_eq!(v.rendered_len(), v.render().len(), "value {v:?}");

@@ -38,9 +38,11 @@ proptest! {
         }
     }
 
-    /// Date conversion round-trips for all in-range days.
+    /// Date conversion round-trips for every day from year 0 (the first
+    /// one `parse_date` reads: a negative year has a leading `-`) to the
+    /// last `i32` day.
     #[test]
-    fn date_roundtrip(days in -200_000i32..200_000) {
+    fn date_roundtrip(days in -719_528i32..=i32::MAX) {
         let rendered = render_date(days);
         prop_assert_eq!(parse_date(&rendered), Some(days));
     }
@@ -59,6 +61,54 @@ proptest! {
         // `%p%` matches exactly when the literal occurs as a substring
         let wrapped = format!("%{p}%");
         prop_assert_eq!(like_match(&s, &wrapped), s.contains(&p));
+    }
+}
+
+/// The anchors of the float size's arithmetic arm: its domain's edges
+/// (`1e-4`, `1e15`, `2^52`) and every power of two and of ten from just
+/// below it to just above it.
+fn float_anchors() -> Vec<f64> {
+    let twos = (-15..=54).map(|k| 2f64.powi(k));
+    // parsed, not computed: the double nearest each power of ten
+    let tens = (-5..=16).map(|k| format!("1e{k}").parse::<f64>().unwrap());
+    twos.chain(tens).collect()
+}
+
+/// Values whose wire size takes an arm of its own, near the arms' edges.
+fn arb_sized_value() -> impl Strategy<Value = Value> {
+    let anchors = float_anchors();
+    let near_anchor =
+        (0..anchors.len(), -50i64..=50, any::<bool>()).prop_map(move |(a, ulps, neg)| {
+            let x = f64::from_bits((anchors[a].to_bits() as i64 + ulps) as u64);
+            Value::Float(if neg { -x } else { x })
+        });
+    let digit_boundary = (0u32..=18, -1i64..=1, any::<bool>()).prop_map(|(k, off, neg)| {
+        let i = 10i64.pow(k) + off;
+        Value::Int(if neg { -i } else { i })
+    });
+    prop_oneof![
+        any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+        // the generator's `sample_f64` ranges
+        (-500.0f64..10_000.0).prop_map(Value::Float),
+        (0.5f64..500.0).prop_map(Value::Float),
+        (1.0f64..900.0).prop_map(Value::Float),
+        (0.0f64..0.2).prop_map(Value::Float),
+        near_anchor,
+        digit_boundary,
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+        any::<i32>().prop_map(Value::Date),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The network bills a value by `rendered_len`, which computes what
+    /// `render` would print without printing it.
+    #[test]
+    fn rendered_len_is_render_len(v in arb_sized_value()) {
+        prop_assert_eq!(v.rendered_len(), v.render().len(), "{:?}", v);
     }
 }
 
