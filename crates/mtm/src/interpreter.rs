@@ -23,7 +23,9 @@ use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::resultset;
 use dip_xmlkit::node::Document;
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What a step that waited for no external system adds to its own time.
@@ -41,9 +43,9 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Execute a whole process instance. `input` is the initiating message
-    /// for E1 processes. Which `DbInsert` steps read their input last is
-    /// derived here, per call; [`crate::MtmEngine`] derives it once per
-    /// deployed definition.
+    /// for E1 processes. Which steps read which variable last is derived
+    /// here, per call; [`crate::MtmEngine`] derives it once per deployed
+    /// definition.
     pub fn run(&self, def: &ProcessDef, input: Option<Document>) -> MtmResult<VarStore> {
         self.run_deployed(def, &LastReaders::of(def), input)
     }
@@ -86,6 +88,41 @@ impl<'a> Interpreter<'a> {
     /// The messages bound to a step's declared reads, in that order.
     fn gather<'v>(vars: &'v VarStore, reads: &[String]) -> MtmResult<Vec<&'v MtmMessage>> {
         reads.iter().map(|name| Self::get(vars, name)).collect()
+    }
+
+    /// The relation bound to `name`, unbound from the store when `step`
+    /// reads it last and no other binding shares it; `None` leaves the
+    /// store as it was. A FORK branch's inherited bindings share the
+    /// parent's payload, so a branch never unbinds what it inherited (and
+    /// never rebinds it as its own, which `VarStore::merge` would hand to
+    /// the parent).
+    fn take_last(
+        vars: &mut VarStore,
+        last: &LastReaders,
+        step: &Step,
+        name: &str,
+    ) -> Option<Arc<Relation>> {
+        match vars.get(name)? {
+            MtmMessage::Rel(rel) if Arc::strong_count(rel) == 1 && last.takes(step, name) => {}
+            _ => return None,
+        }
+        match vars.take(name)? {
+            MtmMessage::Rel(rel) => Some(rel),
+            _ => None,
+        }
+    }
+
+    /// The relation a step reads as `name`: the one [`Self::take_last`]
+    /// took, owned, or the binding's, borrowed.
+    fn relation<'v>(
+        vars: &'v VarStore,
+        name: &str,
+        taken: Option<Arc<Relation>>,
+    ) -> MtmResult<Input<'v>> {
+        Ok(match taken {
+            Some(rel) => Cow::Owned(Arc::unwrap_or_clone(rel)),
+            None => Cow::Borrowed(Self::get(vars, name)?.as_rel()?),
+        })
     }
 
     fn run_step(
@@ -214,7 +251,7 @@ impl<'a> Interpreter<'a> {
                 // the target table owns what it loads: the variable's rows
                 // when this step reads it last and nothing else shares
                 // them, a copy otherwise
-                let rows = if last.contains(step) {
+                let rows = if last.takes(step, input) {
                     let unbound = || MtmError::UnboundVariable(input.clone());
                     vars.take(input).ok_or_else(unbound)?.into_rows()?
                 } else {
@@ -267,7 +304,8 @@ impl<'a> Interpreter<'a> {
                 predicate,
                 output,
             } => {
-                let out = selection(Self::get(vars, input)?.as_rel()?, predicate)?;
+                let taken = Self::take_last(vars, last, step, input);
+                let out = selection(Self::relation(vars, input, taken)?, predicate)?;
                 vars.set(output.clone(), out);
                 charge(LOCAL);
             }
@@ -276,7 +314,8 @@ impl<'a> Interpreter<'a> {
                 exprs,
                 output,
             } => {
-                let out = projection(Self::get(vars, input)?.as_rel()?, exprs)?;
+                let taken = Self::take_last(vars, last, step, input);
+                let out = projection(Self::relation(vars, input, taken)?, exprs)?;
                 vars.set(output.clone(), out);
                 charge(LOCAL);
             }
@@ -285,11 +324,13 @@ impl<'a> Interpreter<'a> {
                 key,
                 output,
             } => {
-                let rels = inputs
-                    .iter()
-                    .map(|name| Ok(Self::get(vars, name)?.as_rel()?))
-                    .collect::<MtmResult<Vec<&Relation>>>()?;
-                let out = union_distinct(&rels, key.as_deref())?;
+                let taken: Vec<Option<Arc<Relation>>> = (inputs.iter())
+                    .map(|name| Self::take_last(vars, last, step, name))
+                    .collect();
+                let rels = (inputs.iter().zip(taken))
+                    .map(|(name, taken)| Self::relation(vars, name, taken))
+                    .collect::<MtmResult<Vec<Input>>>()?;
+                let out = union_distinct(rels, key.as_deref())?;
                 vars.set(output.clone(), out);
                 charge(LOCAL);
             }
@@ -361,7 +402,10 @@ impl<'a> Interpreter<'a> {
             } => {
                 let mut sub_vars = VarStore::new();
                 if let Some(in_var) = input {
-                    let v = Self::get(vars, in_var)?.clone();
+                    let v = match Self::take_last(vars, last, step, in_var) {
+                        Some(rel) => MtmMessage::Rel(rel),
+                        None => Self::get(vars, in_var)?.clone(),
+                    };
                     sub_vars.set("input", v);
                 }
                 charge(LOCAL);
@@ -419,16 +463,18 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// The `DbInsert` steps of a definition that are the last reader of their
-/// input: no step after them — in their own list, in a list nested in a
-/// later step, or after the list ends — reads that variable, so they take
-/// it out of the store and hand its rows to the target table. Per step
-/// list, what is read after it ends is what its enclosing list reads after
-/// the enclosing step — for SWITCH / VALIDATE alternatives and FORK
-/// branches alike — and `output` for a subprocess body. Steps are named by
-/// their address inside the definition, which is never modified once
-/// deployed.
-pub(crate) struct LastReaders(Vec<usize>);
+/// The reads of a definition that are their variable's last: `(step,
+/// variable)` pairs such that no later step — in the step's own list, in a
+/// list nested in a later step, or after the list ends — and none of the
+/// step's own nested lists reads the variable, and the step names it once
+/// (`UNION DISTINCT [a, a]` reads `a` twice and takes nothing). Such a
+/// step may take the variable out of the store ([`Interpreter::take_last`];
+/// a `DbInsert` takes it whether or not it is shared). Per step list, what
+/// is read after it ends is what its enclosing list reads after the
+/// enclosing step — for SWITCH / VALIDATE alternatives and FORK branches
+/// alike — and `output` for a subprocess body. Steps are named by their
+/// address inside the definition, which is never modified once deployed.
+pub(crate) struct LastReaders(Vec<(usize, String)>);
 
 impl LastReaders {
     pub(crate) fn of(def: &ProcessDef) -> LastReaders {
@@ -440,8 +486,11 @@ impl LastReaders {
         LastReaders(found)
     }
 
-    fn contains(&self, step: &Step) -> bool {
-        self.0.binary_search(&address(step)).is_ok()
+    fn takes(&self, step: &Step, var: &str) -> bool {
+        let at = address(step);
+        (self.0)
+            .binary_search_by(|(a, v)| (*a, v.as_str()).cmp(&(at, var)))
+            .is_ok()
     }
 }
 
@@ -450,20 +499,15 @@ fn address(step: &Step) -> usize {
 }
 
 /// Walk `steps` backwards from `after`, the variables read once the list
-/// has ended, collecting into `found` the `DbInsert`s that read their input
+/// has ended, collecting into `found` the reads that are their variable's
 /// last; returns `after` plus everything the list reads.
 fn read_later<'a>(
     steps: &'a [Step],
     after: &HashSet<&'a str>,
-    found: &mut Vec<usize>,
+    found: &mut Vec<(usize, String)>,
 ) -> HashSet<&'a str> {
     let mut read = after.clone();
     for step in steps.iter().rev() {
-        if let Step::DbInsert { input, .. } = step {
-            if !read.contains(input.as_str()) {
-                found.push(address(step));
-            }
-        }
         let facts = step.facts();
         match facts.nested {
             Some(Nested::Alternatives(lists) | Nested::Parallel(lists)) => {
@@ -477,73 +521,141 @@ fn read_later<'a>(
             }
             None => {}
         }
+        // a step reads before its nested lists run
+        for &var in &facts.reads {
+            let once = facts.reads.iter().filter(|&&v| v == var).count() == 1;
+            if once && !read.contains(var) {
+                found.push((address(step), var.to_string()));
+            }
+        }
         read.extend(facts.reads);
     }
     read
 }
 
-// The relational operators over variables. Inputs are shared and never
-// modified; each allocates once per output row (the row itself).
+// The relational operators over variables. Each is one function over an
+// input it owns or borrows: an owned input's rows and values move into the
+// output, a borrowed one's are copied. Each allocates once per output row
+// (the row itself, when it is not an input row moved whole).
 
-fn selection(rel: &Relation, predicate: &Expr) -> StoreResult<Relation> {
-    let mut rows = Vec::with_capacity(rel.rows.len());
-    for r in &rel.rows {
-        if predicate.matches(r)? {
-            rows.push(r.clone());
-        }
+/// A step's input relation: owned when the step took it from the store.
+type Input<'v> = Cow<'v, Relation>;
+
+/// The rows of an input, owned or borrowed as the input is.
+fn rows<'v>(rel: Input<'v>) -> Box<dyn Iterator<Item = Cow<'v, Row>> + 'v> {
+    match rel {
+        Cow::Owned(rel) => Box::new(rel.rows.into_iter().map(Cow::Owned)),
+        Cow::Borrowed(rel) => Box::new(rel.rows.iter().map(Cow::Borrowed)),
     }
-    Ok(Relation::new(rel.schema.clone(), rows))
 }
 
-fn projection(rel: &Relation, exprs: &[ProjExpr]) -> StoreResult<Relation> {
-    let schema = RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared();
-    let mut rows = Vec::with_capacity(rel.rows.len());
-    for r in &rel.rows {
-        let mut row = Vec::with_capacity(exprs.len());
-        for p in exprs {
-            row.push(p.expr.eval(r)?);
+fn oob(c: usize) -> StoreError {
+    StoreError::Eval(format!("column index {c} out of range"))
+}
+
+fn selection(rel: Input, predicate: &Expr) -> StoreResult<Relation> {
+    let schema = rel.schema.clone();
+    let mut out = Vec::with_capacity(rel.rows.len());
+    for row in rows(rel) {
+        if predicate.matches(&row)? {
+            out.push(row.into_owned());
         }
-        rows.push(row);
     }
-    Ok(Relation::new(schema, rows))
+    Ok(Relation::new(schema, out))
+}
+
+/// Computed expressions are evaluated first, over the whole row; then each
+/// bare column is copied by index — moved out of an owned row when no
+/// other expression names it. A bare column beyond the row is `Expr::eval`'s
+/// error.
+fn projection(rel: Input, exprs: &[ProjExpr]) -> StoreResult<Relation> {
+    let schema = RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared();
+    let col = |p: &ProjExpr| match p.expr {
+        Expr::Col(c) => Some(c),
+        _ => None,
+    };
+    // per expression: the bare column it copies and whether it may move
+    // it, or `None` for a computed one
+    let bare: Vec<Option<(usize, bool)>> = (exprs.iter().map(col))
+        .map(|c| Some((c?, exprs.iter().filter(|q| col(q) == c).count() == 1)))
+        .collect();
+    let mut computed: Vec<Value> = Vec::new();
+    let mut out = Vec::with_capacity(rel.rows.len());
+    for mut row in rows(rel) {
+        computed.clear();
+        for (p, b) in exprs.iter().zip(&bare) {
+            if b.is_none() {
+                computed.push(p.expr.eval(&row)?);
+            }
+        }
+        let mut computed = computed.drain(..);
+        let mut projected = Vec::with_capacity(exprs.len());
+        for b in &bare {
+            projected.push(match *b {
+                None => computed.next().unwrap_or(Value::Null),
+                Some((c, movable)) => match &mut row {
+                    Cow::Owned(r) if movable => {
+                        r.get_mut(c).map(|v| std::mem::replace(v, Value::Null))
+                    }
+                    r => r.get(c).cloned(),
+                }
+                .ok_or_else(|| oob(c))?,
+            });
+        }
+        out.push(projected);
+    }
+    Ok(Relation::new(schema, out))
 }
 
 /// First-seen rows of `inputs` in order, distinct on the `key` columns (the
-/// whole row without a key). Keys are compared by contents and borrowed
-/// from the inputs.
-fn union_distinct(inputs: &[&Relation], key: Option<&[usize]>) -> MtmResult<Relation> {
-    let first = inputs
+/// whole row without a key), moved out of the inputs that are owned. Keys
+/// are compared by contents and borrowed from the inputs.
+fn union_distinct(inputs: Vec<Input>, key: Option<&[usize]>) -> MtmResult<Relation> {
+    let schema = inputs
         .first()
-        .ok_or_else(|| MtmError::InvalidProcess("UNION DISTINCT with no inputs".into()))?;
-    // the executor's error for the same plan; the rows of a union share
-    // an arity, so the first one speaks for all
-    if let Some(row) = inputs.iter().find_map(|rel| rel.rows.first()) {
-        for &c in key.unwrap_or_default() {
-            Expr::col(c).eval(row)?;
+        .ok_or_else(|| MtmError::InvalidProcess("UNION DISTINCT with no inputs".into()))?
+        .schema
+        .clone();
+    // the executor's errors for the same plan: the inputs agree in width,
+    // and a key column is a column of every row
+    let key_cols = key.unwrap_or_default();
+    for rel in &inputs {
+        let w = rel.schema.len();
+        if w != schema.len() {
+            let msg = format!("union arity mismatch: {w} vs {}", schema.len());
+            return Err(StoreError::Invalid(msg).into());
         }
-    }
-    let rows = match key {
-        None => distinct_by(inputs, |r| r.as_slice()),
-        Some(&[c]) => distinct_by(inputs, |r| &r[c]),
-        Some(cols) => distinct_by(inputs, |r| cols.iter().map(|&c| &r[c]).collect::<Vec<_>>()),
-    };
-    Ok(Relation::new(first.schema.clone(), rows))
-}
-
-fn distinct_by<'a, K: std::hash::Hash + Eq>(
-    inputs: &[&'a Relation],
-    key: impl Fn(&'a Row) -> K,
-) -> Vec<Row> {
-    let mut seen = std::collections::HashSet::new();
-    let mut rows = Vec::new();
-    for rel in inputs {
-        for r in &rel.rows {
-            if seen.insert(key(r)) {
-                rows.push(r.clone());
+        for row in &rel.rows {
+            if let Some(&c) = key_cols.iter().find(|&&c| c >= row.len()) {
+                return Err(oob(c).into());
             }
         }
     }
-    rows
+    let keep = match key {
+        None => first_seen(&inputs, |r| r.as_slice()),
+        Some(&[c]) => first_seen(&inputs, |r| r.get(c)),
+        Some(cols) => first_seen(&inputs, |r| {
+            cols.iter().map(|&c| r.get(c)).collect::<Vec<_>>()
+        }),
+    };
+    let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+    let all = inputs.into_iter().flat_map(rows);
+    for (row, keep) in all.zip(keep) {
+        if keep {
+            out.push(row.into_owned());
+        }
+    }
+    Ok(Relation::new(schema, out))
+}
+
+/// Per row of `inputs`, in order: is its key the first of its kind?
+fn first_seen<'a, K: std::hash::Hash + Eq>(
+    inputs: &'a [Input],
+    key: impl Fn(&'a Row) -> K,
+) -> Vec<bool> {
+    let mut seen = HashSet::new();
+    let all = inputs.iter().flat_map(|rel| &rel.rows);
+    all.map(|r| seen.insert(key(r))).collect()
 }
 
 #[cfg(test)]

@@ -7,10 +7,12 @@
 //! A variable is a *value*: operators read it and bind new variables, they
 //! never mutate one. Documents and relations are therefore held behind an
 //! `Arc`, and every hand-off — ASSIGN, FORK, SUBPROCESS input — shares the
-//! payload instead of copying it. The one hand-off out of the instance, a
-//! `DbInsert` that is its variable's last reader, unbinds the variable and
-//! gives the target table the rows themselves when no other binding
-//! shares them.
+//! payload instead of copying it. A step that is its variable's last
+//! reader — SELECTION, PROJECTION, UNION DISTINCT, a SUBPROCESS input, a
+//! `DbInsert` — unbinds the variable and, when no other binding shares the
+//! relation, hands on the rows and values themselves instead of copies:
+//! into the relation it binds, to the callee's `input`, to the target
+//! table.
 
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::Document;

@@ -1159,6 +1159,431 @@ fn db_insert_of_a_non_relation_is_a_type_error() {
     }
 }
 
+// ---- relational steps move what they read last
+
+/// A step binding `var` to a copy of `rel` that nothing else shares — a
+/// constant ASSIGN's payload is shared with the definition that holds it.
+fn fresh(var: &str, rel: &Relation) -> Step {
+    let rel = rel.clone();
+    Step::Custom {
+        name: format!("fresh {var}"),
+        reads: vec![],
+        binds: vec![var.into()],
+        f: Arc::new(move |_| Ok(vec![rel.clone().into()])),
+    }
+}
+
+/// A step that reads `var` and does nothing with it.
+fn read(var: &str) -> Step {
+    Step::Custom {
+        name: format!("read {var}"),
+        reads: vec![var.into()],
+        binds: vec![],
+        f: Arc::new(|_| Ok(vec![])),
+    }
+}
+
+type Addresses = Arc<Mutex<HashMap<String, Vec<usize>>>>;
+
+/// Where each row of `rel` keeps its values: a row moved on keeps its
+/// buffer, a copied one gets a new one.
+fn buffers(rel: &Relation) -> Vec<usize> {
+    rel.rows.iter().map(|r| r.as_ptr() as usize).collect()
+}
+
+/// A step that files, under `label`, the address of `var`'s relation and
+/// then of each of its rows' buffers — without sharing the relation.
+fn addresses(seen: &Addresses, label: &str, var: &str) -> Step {
+    let (seen, label) = (seen.clone(), label.to_string());
+    Step::Custom {
+        name: format!("addresses {label}"),
+        reads: vec![var.into()],
+        binds: vec![],
+        f: Arc::new(move |inputs| {
+            let MtmMessage::Rel(rel) = inputs[0] else {
+                return Err("not a relation".into());
+            };
+            let mut at = vec![Arc::as_ptr(rel) as usize];
+            at.extend(buffers(rel));
+            seen.lock().unwrap().insert(label.clone(), at);
+            Ok(vec![])
+        }),
+    }
+}
+
+/// The four steps that take a relation they read last.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Reader {
+    Selection,
+    Projection,
+    Union,
+    Subprocess,
+}
+
+const READERS: [Reader; 4] = [
+    Reader::Selection,
+    Reader::Projection,
+    Reader::Union,
+    Reader::Subprocess,
+];
+
+/// A step of `kind` reading `kv`-shaped `var` into `out`. The subprocess
+/// files how many bindings share the relation it receives under
+/// "callee input".
+fn reader(kind: Reader, var: &str, out: &str, seen: &Addresses) -> Step {
+    let (input, output) = (var.to_string(), out.to_string());
+    match kind {
+        Reader::Selection => Step::Selection {
+            input,
+            predicate: Expr::col(0).ge(Expr::lit(2)),
+            output,
+        },
+        // computed and bare columns mixed, `k` named twice
+        Reader::Projection => Step::Projection {
+            input,
+            exprs: vec![
+                ProjExpr::new(
+                    Expr::Concat(vec![Expr::col(1), Expr::lit("/"), Expr::col(0)]),
+                    "tag",
+                    SqlType::Str,
+                ),
+                ProjExpr::new(Expr::col(1), "v", SqlType::Str),
+                ProjExpr::new(Expr::col(0), "k", SqlType::Int),
+                ProjExpr::new(Expr::col(0), "k2", SqlType::Int),
+            ],
+            output,
+        },
+        Reader::Union => Step::UnionDistinct {
+            inputs: vec![input],
+            key: Some(vec![0]),
+            output,
+        },
+        Reader::Subprocess => {
+            let seen = seen.clone();
+            let sharers = Step::Custom {
+                name: "sharers".into(),
+                reads: vec!["input".into()],
+                binds: vec![],
+                f: Arc::new(move |inputs| {
+                    let MtmMessage::Rel(rel) = inputs[0] else {
+                        return Err("not a relation".into());
+                    };
+                    let n = Arc::strong_count(rel);
+                    seen.lock().unwrap().insert("callee input".into(), vec![n]);
+                    Ok(vec![])
+                }),
+            };
+            let callee = ProcessDef::new(
+                "LOAD",
+                "select and return",
+                'D',
+                EventType::Timed,
+                vec![
+                    sharers,
+                    Step::Selection {
+                        input: "input".into(),
+                        predicate: Expr::col(0).ge(Expr::lit(2)),
+                        output: "output".into(),
+                    },
+                ],
+            );
+            Step::Subprocess {
+                process: Arc::new(callee),
+                input: Some(input),
+                output: Some(output),
+            }
+        }
+    }
+}
+
+/// `(k, "v<k>")` rows with a repeated key.
+fn repeated() -> Relation {
+    kv(&[1, 2, 2, 3, 0])
+}
+
+fn rel_of<'v>(vars: &'v VarStore, var: &str) -> &'v Relation {
+    vars.get(var).unwrap().as_rel().unwrap()
+}
+
+/// The last reader of a relation nothing else shares unbinds it and binds
+/// what the copying path binds; the rows a selection, a union or a callee's
+/// selection keeps are the input's own, and the callee receives its input
+/// unshared.
+#[test]
+fn relational_steps_take_a_relation_they_read_last() {
+    for kind in READERS {
+        let seen: Addresses = Default::default();
+        let copied = run_vars(vec![
+            fresh("in", &repeated()),
+            addresses(&seen, "copied", "in"),
+            reader(kind, "in", "out", &seen),
+            read("in"),
+        ]);
+        let copy_sharers = seen.lock().unwrap().remove("callee input");
+        let moved = run_vars(vec![
+            fresh("in", &repeated()),
+            addresses(&seen, "moved", "in"),
+            reader(kind, "in", "out", &seen),
+        ]);
+        assert_eq!(rel_of(&copied, "in"), &repeated(), "{kind:?}");
+        assert!(!moved.contains("in"), "{kind:?}: unbound");
+        assert_eq!(rel_of(&moved, "out"), rel_of(&copied, "out"), "{kind:?}");
+        let seen = seen.lock().unwrap();
+        let inside = |label: &str, vars: &VarStore| {
+            let rows = &seen[label][1..];
+            buffers(rel_of(vars, "out"))
+                .iter()
+                .all(|a| rows.contains(a))
+        };
+        assert_eq!(
+            inside("moved", &moved),
+            kind != Reader::Projection,
+            "{kind:?}"
+        );
+        assert!(!inside("copied", &copied), "{kind:?}");
+        if kind == Reader::Subprocess {
+            assert_eq!(copy_sharers, Some(vec![2]));
+            assert_eq!(seen["callee input"], vec![1]);
+        }
+    }
+}
+
+/// A relation another binding still reads — a later step, an ASSIGN
+/// `CopyVar` alias, a FORK sibling — is copied by its last reader and
+/// stays bound to the same rows.
+#[test]
+fn relational_steps_copy_a_relation_another_binding_reads() {
+    let rebound = Arc::new(Barrier::new(2));
+    for kind in READERS {
+        let seen: Addresses = Default::default();
+        let shared = Arc::new(Mutex::new(HashMap::new()));
+        let expected = run_vars(vec![
+            fresh("in", &repeated()),
+            reader(kind, "in", "out", &seen),
+        ]);
+        let alias = Step::Assign {
+            var: "alias".into(),
+            value: AssignValue::CopyVar("in".into()),
+        };
+        let sibling = Step::Fork {
+            branches: vec![
+                vec![reader(kind, "in", "out", &seen), wait(&rebound)],
+                vec![wait(&rebound), probe(&shared, "sibling", "in")],
+            ],
+        };
+        for (case, steps) in [
+            (
+                "later reader",
+                vec![reader(kind, "in", "out", &seen), read("in")],
+            ),
+            ("alias", vec![alias, reader(kind, "in", "out", &seen)]),
+            ("sibling", vec![sibling]),
+        ] {
+            let mut all = vec![fresh("in", &repeated()), addresses(&seen, case, "in")];
+            all.extend(steps);
+            let vars = run_vars(all);
+            let before = seen.lock().unwrap()[case][0];
+            let original = vars.get("in").unwrap();
+            let MtmMessage::Rel(rel) = original else {
+                panic!("{kind:?} {case}: {original:?}");
+            };
+            assert_eq!(Arc::as_ptr(rel) as usize, before, "{kind:?} {case}");
+            assert_eq!(&**rel, &repeated(), "{kind:?} {case}");
+            assert_eq!(
+                rel_of(&vars, "out"),
+                rel_of(&expected, "out"),
+                "{kind:?} {case}"
+            );
+            if case == "alias" {
+                assert!(same_payload(vars.get("alias").unwrap(), original));
+            }
+            if case == "sibling" {
+                assert!(same_payload(&shared.lock().unwrap()["sibling"], original));
+            }
+        }
+    }
+}
+
+/// A FORK branch that reads an inherited relation last copies it: the
+/// parent's binding is the one it had, and the join takes over what the
+/// branch bound — the same as when the parent reads the relation again.
+#[test]
+fn a_fork_branch_reading_an_inherited_relation_last_leaves_the_parent_as_it_was() {
+    for kind in READERS {
+        let seen: Addresses = Default::default();
+        let fork = Step::Fork {
+            branches: vec![
+                vec![reader(kind, "in", "out", &seen)],
+                vec![bind("other", Value::Int(0))],
+            ],
+        };
+        let run = |after: Vec<Step>| {
+            let mut steps = vec![
+                fresh("in", &repeated()),
+                addresses(&seen, "parent", "in"),
+                fork.clone(),
+            ];
+            steps.extend(after);
+            run_vars(steps)
+        };
+        let merged = run(vec![]);
+        let before = seen.lock().unwrap()["parent"][0];
+        let read_again = run(vec![read("in")]);
+        let MtmMessage::Rel(rel) = merged.get("in").unwrap() else {
+            panic!("{kind:?}");
+        };
+        assert_eq!(Arc::as_ptr(rel) as usize, before, "{kind:?}");
+        assert_eq!(&**rel, &repeated(), "{kind:?}");
+        let mut names = merged.names();
+        names.sort_unstable();
+        assert_eq!(names, vec!["in", "other", "out"], "{kind:?}");
+        assert_eq!(
+            rel_of(&merged, "out"),
+            rel_of(&read_again, "out"),
+            "{kind:?}"
+        );
+        if kind == Reader::Subprocess {
+            // the parent's binding, the branch's, the callee's (and the
+            // sibling's, while it runs)
+            let sharers = seen.lock().unwrap()["callee input"][0];
+            assert!(sharers >= 3, "{sharers}");
+        }
+    }
+}
+
+/// A projection that takes its input moves a bare column only where one
+/// expression names it: a column named twice, or by a computed expression
+/// too, reads the same as on the copying path and the oracle's.
+#[test]
+fn projection_moving_its_input_answers_as_the_oracle() {
+    let rel = repeated();
+    let exprs = vec![
+        ProjExpr::new(Expr::col(0), "k", SqlType::Int),
+        ProjExpr::new(Expr::col(0).mul(Expr::lit(10)), "k10", SqlType::Int),
+        ProjExpr::new(Expr::col(1), "v", SqlType::Str),
+        ProjExpr::new(Expr::col(0), "again", SqlType::Int),
+        ProjExpr::new(
+            Expr::Concat(vec![Expr::col(1), Expr::lit("+")]),
+            "v+",
+            SqlType::Str,
+        ),
+    ];
+    let project = Step::Projection {
+        input: "in".into(),
+        exprs: exprs.clone(),
+        output: "out".into(),
+    };
+    let moved = run_vars(vec![fresh("in", &rel), project.clone()]);
+    let copied = run_vars(vec![fresh("in", &rel), project, read("in")]);
+    let expected = oracle(Plan::Values(rel.into()).project(exprs));
+    assert!(!moved.contains("in"));
+    assert_eq!(rel_of(&moved, "out"), &expected);
+    assert_eq!(rel_of(&copied, "out"), &expected);
+}
+
+/// A projection failing on a later row — a computed expression's error
+/// after earlier rows had their columns moved, or a bare column beyond the
+/// row (`Expr::eval`'s text) — fails the instance with a typed error,
+/// whether the step took its input or copied it; nothing is bound.
+#[test]
+fn projection_failing_part_way_is_a_typed_error() {
+    let failing = |exprs: Vec<ProjExpr>| Step::Projection {
+        input: "in".into(),
+        exprs,
+        output: "out".into(),
+    };
+    let divide = vec![
+        ProjExpr::new(Expr::col(1), "v", SqlType::Str),
+        ProjExpr::new(Expr::lit(10).div(Expr::col(0)), "q", SqlType::Int),
+    ];
+    let beyond = vec![
+        ProjExpr::new(Expr::col(1), "v", SqlType::Str),
+        ProjExpr::new(Expr::col(5), "x", SqlType::Int),
+    ];
+    for (exprs, text) in [
+        (divide, "division by zero"),
+        (beyond, "column index 5 out of range"),
+    ] {
+        for taken in [true, false] {
+            let mut steps = vec![fresh("in", &repeated()), failing(exprs.clone())];
+            if !taken {
+                steps.push(read("in"));
+            }
+            let e = engine();
+            e.deploy(ProcessDef::new("F", "f", 'B', EventType::Timed, steps))
+                .unwrap();
+            let err = e.execute("F", 0, None).unwrap_err();
+            assert!(matches!(err, MtmError::Store(_)), "{err:?}");
+            assert!(err.to_string().contains(text), "{err}");
+            let records = e.recorder().drain();
+            assert!(records.len() == 1 && !records[0].ok, "a failed instance");
+        }
+    }
+}
+
+/// `UNION DISTINCT [a, a]` reads `a` twice, so neither read is its last:
+/// the union copies and `a` stays bound to its rows.
+#[test]
+fn union_distinct_naming_a_variable_twice_copies_it() {
+    let seen: Addresses = Default::default();
+    let vars = run_vars(vec![
+        fresh("a", &repeated()),
+        addresses(&seen, "a", "a"),
+        Step::UnionDistinct {
+            inputs: vec!["a".into(), "a".into()],
+            key: None,
+            output: "u".into(),
+        },
+    ]);
+    assert_eq!(rel_of(&vars, "a"), &repeated());
+    assert_eq!(rel_of(&vars, "u"), &kv(&[1, 2, 3, 0]));
+    let rows = &seen.lock().unwrap()["a"][1..];
+    assert!(buffers(rel_of(&vars, "u"))
+        .iter()
+        .all(|a| !rows.contains(a)));
+}
+
+/// A UNION DISTINCT input narrower than the first is the executor's arity
+/// error, and a key column beyond a row of a later input is `column index c
+/// out of range` — both used to index out of bounds and panic inside the
+/// instance.
+#[test]
+fn union_distinct_of_a_narrower_input_is_a_typed_error() {
+    let scan = Step::DbQuery {
+        db: "db".into(),
+        plan: Plan::scan("t"),
+        output: "a".into(),
+    };
+    let narrow = Step::Projection {
+        input: "a".into(),
+        exprs: vec![ProjExpr::new(Expr::col(0), "k", SqlType::Int)],
+        output: "b".into(),
+    };
+    let short_row = Relation::new(
+        RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Str)]).shared(),
+        vec![vec![Value::Int(4)]],
+    );
+    let union = Step::UnionDistinct {
+        inputs: vec!["a".into(), "b".into()],
+        key: Some(vec![1]),
+        output: "u".into(),
+    };
+    for (bind_b, text) in [
+        (narrow, "union arity mismatch: 1 vs 2"),
+        (fresh("b", &short_row), "column index 1 out of range"),
+    ] {
+        let e = engine();
+        let steps = vec![scan.clone(), bind_b, union.clone()];
+        e.deploy(ProcessDef::new("U", "u", 'B', EventType::Timed, steps))
+            .unwrap();
+        let err = e.execute("U", 0, None).unwrap_err();
+        assert!(matches!(err, MtmError::Store(_)), "{err:?}");
+        assert!(err.to_string().contains(text), "{err}");
+        let records = e.recorder().drain();
+        assert!(records.len() == 1 && !records[0].ok, "a failed instance");
+    }
+}
+
 #[test]
 fn spans_on_fork_threads_carry_the_instance() {
     let e = engine();

@@ -817,4 +817,118 @@ mod tests {
             assert_eq!(executed, execute_oracle(plan, &db), "{plan:?}");
         }
     }
+
+    /// A fact table over three chunks with NULL and unmatched dimension
+    /// keys, `d1` keyed by it, and `d2` keyed by `d1.x` (NULL or unmatched
+    /// in turn), each with its primary key.
+    fn gather_db() -> Database {
+        let db = Database::new("gather");
+        let table = |name: &str, cols: &[(&str, SqlType)], rows: Vec<Vec<Value>>| {
+            let schema = RelSchema::of(cols).shared();
+            let t = Table::new(name, schema).with_primary_key(&[cols[0].0]);
+            let t = t.unwrap();
+            t.insert(rows).unwrap();
+            db.create_table(t);
+        };
+        let null_every = |n: i64, k: i64, v: i64| if k % n == 0 { Value::Null } else { int(v) };
+        let facts = (0..3000i64).map(|k| {
+            let v = Value::str(format!("v{}", k % 5));
+            vec![int(k), null_every(11, k, k % 40), v]
+        });
+        let f = [
+            ("k", SqlType::Int),
+            ("d", SqlType::Int),
+            ("v", SqlType::Str),
+        ];
+        table("f", &f, facts.collect());
+        let dims = (0..30i64).map(|id| {
+            let name = Value::str(format!("n{id}"));
+            vec![int(id), name, null_every(7, id, id % 9)]
+        });
+        let d1 = [
+            ("id", SqlType::Int),
+            ("name", SqlType::Str),
+            ("x", SqlType::Int),
+        ];
+        table("d1", &d1, dims.collect());
+        let labels = (0..6i64).map(|id| vec![int(id), Value::str(format!("l{id}"))]);
+        table(
+            "d2",
+            &[("id", SqlType::Int), ("label", SqlType::Str)],
+            labels.collect(),
+        );
+        db
+    }
+
+    /// Index joins emit their inner half as gathers over the inner table's
+    /// row slots: INNER and LEFT (NULL probe keys and probes without a
+    /// match padded), with the inner predicate and projection the planner
+    /// pushes into the join, chained so that the second join probes with a
+    /// key read through the first one's gather (pads included), and a hash
+    /// join probing with such a chunk — each agrees with the oracle.
+    #[test]
+    fn index_joins_gather_inner_rows_and_agree_with_the_oracle() {
+        let db = gather_db();
+        let d1 = db.table("d1").unwrap().schema.clone();
+        let f_d1 = |kind| Plan::scan("f").hash_join(Plan::scan("d1"), vec![1], vec![0], kind);
+        let pushed = |kind| {
+            let inner = Plan::scan("d1")
+                .filter(Expr::col(1).eq(Expr::lit("n3")).not())
+                .project(vec![
+                    ProjExpr::passthrough(&d1, "x", None).unwrap(),
+                    ProjExpr::passthrough(&d1, "id", None).unwrap(),
+                ]);
+            Plan::scan("f").hash_join(inner, vec![1], vec![1], kind)
+        };
+        let chained = |kind| f_d1(kind).hash_join(Plan::scan("d2"), vec![5], vec![0], kind);
+        let tags = Relation::new(
+            RelSchema::of(&[("x", SqlType::Int), ("tag", SqlType::Str)]).shared(),
+            vec![
+                vec![int(2), Value::str("two")],
+                vec![int(8), Value::str("eight")],
+            ],
+        );
+        let hashed =
+            |kind| f_d1(kind).hash_join(Plan::Values(tags.clone().into()), vec![5], vec![0], kind);
+        // f.d: NULL at k ≡ 0 (mod 11), unmatched from 30 up
+        let unmatched = (0..3000).filter(|k| k % 11 == 0 || k % 40 >= 30).count();
+        for (kind, rows) in [(JoinKind::Inner, 3000 - unmatched), (JoinKind::Left, 3000)] {
+            let opt = planner::optimize(f_d1(kind), &db).unwrap();
+            assert!(matches!(opt, Plan::IndexJoin { .. }), "{opt:?}");
+            let out = run_vs_oracle(&f_d1(kind), &db);
+            assert_eq!(out.len(), rows, "{kind:?}");
+            let padded = out.rows.iter().filter(|r| r[3].is_null()).count();
+            assert_eq!(padded, rows - (3000 - unmatched), "{kind:?}");
+            assert!(out.rows.iter().all(|r| r.len() == 6));
+
+            let opt = planner::optimize(pushed(kind), &db).unwrap();
+            assert!(
+                matches!(
+                    &opt,
+                    Plan::IndexJoin { predicate: Some(_), projection: Some(p), .. } if p == &[2, 0]
+                ),
+                "{opt:?}"
+            );
+            let out = run_vs_oracle(&pushed(kind), &db);
+            let n3 = (0..3000).filter(|k| k % 11 != 0 && k % 40 == 3).count();
+            assert_eq!(
+                out.len(),
+                rows - if kind == JoinKind::Inner { n3 } else { 0 }
+            );
+
+            let opt = planner::optimize(chained(kind), &db).unwrap();
+            assert!(
+                matches!(&opt, Plan::IndexJoin { probe, .. } if matches!(**probe, Plan::IndexJoin { .. })),
+                "{opt:?}"
+            );
+            run_vs_oracle(&chained(kind), &db);
+
+            let opt = planner::optimize(hashed(kind), &db).unwrap();
+            assert!(
+                matches!(&opt, Plan::HashJoin { left, .. } if matches!(**left, Plan::IndexJoin { .. })),
+                "{opt:?}"
+            );
+            run_vs_oracle(&hashed(kind), &db);
+        }
+    }
 }

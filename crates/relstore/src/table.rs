@@ -895,6 +895,16 @@ impl TableProbe<'_> {
         key: &[Value],
         f: &mut dyn FnMut(&[Value]) -> StoreResult<()>,
     ) -> StoreResult<()> {
+        self.lookup(key, &mut |_, row| f(row))
+    }
+
+    /// [`TableProbe::lookup_each`] with each row's slot: the row is entry
+    /// `slot` of [`TableProbe::slots`].
+    pub(crate) fn lookup(
+        &self,
+        key: &[Value],
+        f: &mut dyn FnMut(u32, &[Value]) -> StoreResult<()>,
+    ) -> StoreResult<()> {
         let Some(ix) = self.inner.indexes().nth(self.which) else {
             return Err(StoreError::Invalid("probe session lost its index".into()));
         };
@@ -906,10 +916,16 @@ impl TableProbe<'_> {
         let Some(h) = ix.hash_with(at) else {
             return Ok(());
         };
-        for (_, row) in ix.matches(&self.inner.slots, h, at) {
-            f(row)?;
+        for (slot, row) in ix.matches(&self.inner.slots, h, at) {
+            f(slot_id(slot)?, row)?;
         }
         Ok(())
+    }
+
+    /// The table's row slots, unchanging while the session holds the read
+    /// lock (tombstones are `None`).
+    pub(crate) fn slots(&self) -> &[Option<Row>] {
+        &self.inner.slots
     }
 }
 

@@ -1066,11 +1066,17 @@ impl PlanGen<'_> {
                 input.project(exprs)
             }
             3..=5 => {
-                // the right side is often a bare scan: joined on a key its
-                // index covers, the planner makes it an index join
+                // the right side is often a scan, bare or filtered: joined
+                // on a key its index covers, the planner makes it an index
+                // join, and the filter its inner predicate
                 let left = self.plan(depth - 1, false).0;
-                let right = match self.pick(2) {
+                let right = match self.pick(3) {
                     0 => self.leaf(),
+                    1 => {
+                        let leaf = self.leaf();
+                        let pred = self.predicate(&self.types(&leaf));
+                        leaf.filter(pred)
+                    }
                     _ => self.plan(depth - 1, false).0,
                 };
                 let (lt, rt) = (self.types(&left), self.types(&right));
@@ -1151,7 +1157,8 @@ proptest! {
 
     /// Generated plans — scans and `Values`, filters, projections with a
     /// computed column, inner and left hash joins (index joins where an
-    /// index covers the key), keyed and whole-row UNION DISTINCT, grouped
+    /// index covers the key, a filtered inner scan's predicate pushed into
+    /// the join), keyed and whole-row UNION DISTINCT, grouped
     /// and global aggregates, up to three deep over three small nullable
     /// tables — return the oracle's rows as a multiset.
     ///
