@@ -23,9 +23,8 @@ use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::resultset;
 use dip_xmlkit::node::Document;
-use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// What a step that waited for no external system adds to its own time.
@@ -92,10 +91,8 @@ impl<'a> Interpreter<'a> {
 
     /// The relation bound to `name`, unbound from the store when `step`
     /// reads it last and no other binding shares it; `None` leaves the
-    /// store as it was. A FORK branch's inherited bindings share the
-    /// parent's payload, so a branch never unbinds what it inherited (and
-    /// never rebinds it as its own, which `VarStore::merge` would hand to
-    /// the parent).
+    /// store as it was (a FORK branch never unbinds what it inherited: the
+    /// parent's binding shares it).
     fn take_last(
         vars: &mut VarStore,
         last: &LastReaders,
@@ -112,17 +109,15 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// The relation a step reads as `name`: the one [`Self::take_last`]
-    /// took, owned, or the binding's, borrowed.
-    fn relation<'v>(
-        vars: &'v VarStore,
-        name: &str,
-        taken: Option<Arc<Relation>>,
-    ) -> MtmResult<Input<'v>> {
-        Ok(match taken {
-            Some(rel) => Cow::Owned(Arc::unwrap_or_clone(rel)),
-            None => Cow::Borrowed(Self::get(vars, name)?.as_rel()?),
-        })
+    /// The `Values` leaf over the relation a step reads as `name`: the one
+    /// [`Self::take_last`] took, freed with the step's plan, or the
+    /// binding's, shared.
+    fn values(vars: &mut VarStore, last: &LastReaders, step: &Step, name: &str) -> MtmResult<Plan> {
+        let rel = match Self::take_last(vars, last, step, name) {
+            Some(rel) => rel,
+            None => Self::get(vars, name)?.shared_rel()?.clone(),
+        };
+        Ok(Plan::Values(rel))
     }
 
     fn run_step(
@@ -304,9 +299,8 @@ impl<'a> Interpreter<'a> {
                 predicate,
                 output,
             } => {
-                let taken = Self::take_last(vars, last, step, input);
-                let out = selection(Self::relation(vars, input, taken)?, predicate)?;
-                vars.set(output.clone(), out);
+                let plan = Self::values(vars, last, step, input)?.filter(predicate.clone());
+                vars.set(output.clone(), run_values(plan)?);
                 charge(LOCAL);
             }
             Step::Projection {
@@ -314,9 +308,8 @@ impl<'a> Interpreter<'a> {
                 exprs,
                 output,
             } => {
-                let taken = Self::take_last(vars, last, step, input);
-                let out = projection(Self::relation(vars, input, taken)?, exprs)?;
-                vars.set(output.clone(), out);
+                let plan = Self::values(vars, last, step, input)?.project(exprs.clone());
+                vars.set(output.clone(), run_values(plan)?);
                 charge(LOCAL);
             }
             Step::UnionDistinct {
@@ -324,14 +317,14 @@ impl<'a> Interpreter<'a> {
                 key,
                 output,
             } => {
-                let taken: Vec<Option<Arc<Relation>>> = (inputs.iter())
-                    .map(|name| Self::take_last(vars, last, step, name))
-                    .collect();
-                let rels = (inputs.iter().zip(taken))
-                    .map(|(name, taken)| Self::relation(vars, name, taken))
-                    .collect::<MtmResult<Vec<Input>>>()?;
-                let out = union_distinct(rels, key.as_deref())?;
-                vars.set(output.clone(), out);
+                let inputs = (inputs.iter())
+                    .map(|name| Self::values(vars, last, step, name))
+                    .collect::<MtmResult<_>>()?;
+                let key = key.clone();
+                vars.set(
+                    output.clone(),
+                    run_values(Plan::UnionDistinct { inputs, key })?,
+                );
                 charge(LOCAL);
             }
             Step::Join {
@@ -342,18 +335,13 @@ impl<'a> Interpreter<'a> {
                 kind,
                 output,
             } => {
-                let l = Self::get(vars, left)?.shared_rel()?;
-                let r = Self::get(vars, right)?.shared_rel()?;
-                let plan = Plan::Values(l.clone()).hash_join(
-                    Plan::Values(r.clone()),
+                let plan = Self::values(vars, last, step, left)?.hash_join(
+                    Self::values(vars, last, step, right)?,
                     left_keys.clone(),
                     right_keys.clone(),
                     *kind,
                 );
-                // Values-only plans never touch a database; any one works.
-                let scratch = Database::new("scratch");
-                let out = plan.run(&scratch)?;
-                vars.set(output.clone(), out);
+                vars.set(output.clone(), run_values(plan)?);
                 charge(LOCAL);
             }
             Step::XmlToRel {
@@ -533,129 +521,13 @@ fn read_later<'a>(
     read
 }
 
-// The relational operators over variables. Each is one function over an
-// input it owns or borrows: an owned input's rows and values move into the
-// output, a borrowed one's are copied. Each allocates once per output row
-// (the row itself, when it is not an input row moved whole).
-
-/// A step's input relation: owned when the step took it from the store.
-type Input<'v> = Cow<'v, Relation>;
-
-/// The rows of an input, owned or borrowed as the input is.
-fn rows<'v>(rel: Input<'v>) -> Box<dyn Iterator<Item = Cow<'v, Row>> + 'v> {
-    match rel {
-        Cow::Owned(rel) => Box::new(rel.rows.into_iter().map(Cow::Owned)),
-        Cow::Borrowed(rel) => Box::new(rel.rows.iter().map(Cow::Borrowed)),
-    }
-}
-
-fn oob(c: usize) -> StoreError {
-    StoreError::Eval(format!("column index {c} out of range"))
-}
-
-fn selection(rel: Input, predicate: &Expr) -> StoreResult<Relation> {
-    let schema = rel.schema.clone();
-    let mut out = Vec::with_capacity(rel.rows.len());
-    for row in rows(rel) {
-        if predicate.matches(&row)? {
-            out.push(row.into_owned());
-        }
-    }
-    Ok(Relation::new(schema, out))
-}
-
-/// Computed expressions are evaluated first, over the whole row; then each
-/// bare column is copied by index — moved out of an owned row when no
-/// other expression names it. A bare column beyond the row is `Expr::eval`'s
-/// error.
-fn projection(rel: Input, exprs: &[ProjExpr]) -> StoreResult<Relation> {
-    let schema = RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared();
-    let col = |p: &ProjExpr| match p.expr {
-        Expr::Col(c) => Some(c),
-        _ => None,
-    };
-    // per expression: the bare column it copies and whether it may move
-    // it, or `None` for a computed one
-    let bare: Vec<Option<(usize, bool)>> = (exprs.iter().map(col))
-        .map(|c| Some((c?, exprs.iter().filter(|q| col(q) == c).count() == 1)))
-        .collect();
-    let mut computed: Vec<Value> = Vec::new();
-    let mut out = Vec::with_capacity(rel.rows.len());
-    for mut row in rows(rel) {
-        computed.clear();
-        for (p, b) in exprs.iter().zip(&bare) {
-            if b.is_none() {
-                computed.push(p.expr.eval(&row)?);
-            }
-        }
-        let mut computed = computed.drain(..);
-        let mut projected = Vec::with_capacity(exprs.len());
-        for b in &bare {
-            projected.push(match *b {
-                None => computed.next().unwrap_or(Value::Null),
-                Some((c, movable)) => match &mut row {
-                    Cow::Owned(r) if movable => {
-                        r.get_mut(c).map(|v| std::mem::replace(v, Value::Null))
-                    }
-                    r => r.get(c).cloned(),
-                }
-                .ok_or_else(|| oob(c))?,
-            });
-        }
-        out.push(projected);
-    }
-    Ok(Relation::new(schema, out))
-}
-
-/// First-seen rows of `inputs` in order, distinct on the `key` columns (the
-/// whole row without a key), moved out of the inputs that are owned. Keys
-/// are compared by contents and borrowed from the inputs.
-fn union_distinct(inputs: Vec<Input>, key: Option<&[usize]>) -> MtmResult<Relation> {
-    let schema = inputs
-        .first()
-        .ok_or_else(|| MtmError::InvalidProcess("UNION DISTINCT with no inputs".into()))?
-        .schema
-        .clone();
-    // the executor's errors for the same plan: the inputs agree in width,
-    // and a key column is a column of every row
-    let key_cols = key.unwrap_or_default();
-    for rel in &inputs {
-        let w = rel.schema.len();
-        if w != schema.len() {
-            let msg = format!("union arity mismatch: {w} vs {}", schema.len());
-            return Err(StoreError::Invalid(msg).into());
-        }
-        for row in &rel.rows {
-            if let Some(&c) = key_cols.iter().find(|&&c| c >= row.len()) {
-                return Err(oob(c).into());
-            }
-        }
-    }
-    let keep = match key {
-        None => first_seen(&inputs, |r| r.as_slice()),
-        Some(&[c]) => first_seen(&inputs, |r| r.get(c)),
-        Some(cols) => first_seen(&inputs, |r| {
-            cols.iter().map(|&c| r.get(c)).collect::<Vec<_>>()
-        }),
-    };
-    let mut out = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-    let all = inputs.into_iter().flat_map(rows);
-    for (row, keep) in all.zip(keep) {
-        if keep {
-            out.push(row.into_owned());
-        }
-    }
-    Ok(Relation::new(schema, out))
-}
-
-/// Per row of `inputs`, in order: is its key the first of its kind?
-fn first_seen<'a, K: std::hash::Hash + Eq>(
-    inputs: &'a [Input],
-    key: impl Fn(&'a Row) -> K,
-) -> Vec<bool> {
-    let mut seen = HashSet::new();
-    let all = inputs.iter().flat_map(|rel| &rel.rows);
-    all.map(|r| seen.insert(key(r))).collect()
+/// Run a relational step's plan — one operator over `Values` leaves, the
+/// step's inputs — on the batch executor every engine's queries run on.
+/// It reads no table, so every step runs it against one empty database; a
+/// taken input is freed with the plan, inside the step.
+fn run_values(plan: Plan) -> MtmResult<Relation> {
+    static NO_TABLES: LazyLock<Database> = LazyLock::new(|| Database::new("values"));
+    Ok(plan.run(&NO_TABLES)?)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * `Shared` — the same, behind an `Arc` (a column forwarded untouched);
 //! * `Gather` — a source plus a shared index vector: the value at row `i`
 //!   is entry `idx[i]` of the source, a shared column or one column of a
-//!   table's row slots.
+//!   table's row slots or of a `Values` relation's rows.
 //!
 //! Column *storage* is one layout, a `Vec<Value>`, whatever the schema
 //! type: the storage layer accepts *widened* values (an `Int` is legal in
@@ -27,10 +27,11 @@
 //! in a hash join's build index),
 //! shared by every inner column and read in place under the read lock its
 //! probe session holds until the join has handed on its last chunk — the
-//! borrow a chunk's lifetime parameter names. Values are cloned exactly
-//! once, at the final chunk-to-rows boundary. Filters and distinct-unions
-//! never copy either — they narrow the selection vector and pass the
-//! columns through.
+//! borrow a chunk's lifetime parameter names. A `Values` leaf is read in
+//! place the same way, its rows borrowed from the plan. Values are cloned
+//! exactly once, at the final chunk-to-rows boundary. Filters and
+//! distinct-unions never copy either — they narrow the selection vector
+//! and pass the columns through.
 //!
 //! Hash joins, hash aggregates and distinct unions key through
 //! `crate::hashkey`: whole key columns are hashed per chunk into a
@@ -78,7 +79,7 @@ use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};
 use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
-use crate::query::exec::{index_join_equivalent, node_names, AggState};
+use crate::query::exec::{checked_values, index_join_equivalent, node_names, AggState};
 use crate::query::plan::{AggFunc, JoinKind, Plan};
 use crate::row::{Relation, Row};
 use crate::value::Value;
@@ -112,6 +113,9 @@ enum Src<'t> {
         slots: &'t [Option<Row>],
         col: usize,
     },
+    /// Column `col` of a `Values` relation's rows, read in place: entry `k`
+    /// is row `k`'s value. The borrow is the plan's.
+    Values { rows: &'t [Row], col: usize },
 }
 
 impl Src<'_> {
@@ -120,6 +124,7 @@ impl Src<'_> {
             _ if k == PAD => Some(&NULL),
             Src::Col(v) => v.get(k as usize),
             Src::Rows { slots, col } => slots.get(k as usize)?.as_ref()?.get(*col),
+            Src::Values { rows, col } => rows.get(k as usize)?.get(*col),
         }
     }
 }
@@ -353,7 +358,7 @@ impl<'a, 'b> Emitter<'a, 'b> {
         }
     }
 
-    /// Push a borrowed row (scan / values output).
+    /// Push a borrowed row (scan output).
     fn push_row(&mut self, row: &[Value]) -> StoreResult<()> {
         for (col, v) in self.cols.iter_mut().zip(row) {
             col.push(v.clone());
@@ -607,11 +612,22 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             em.flush()
         }
         Plan::Values(rel) => {
-            let mut em = Emitter::new(rel.schema.len(), sink);
-            for r in &rel.rows {
-                em.push_row(r)?;
+            // each chunk reads its rows in place, every column through one
+            // identity index
+            let rows = &checked_values(rel)?.rows;
+            let idx = Arc::new((0..rows.len().min(CHUNK_ROWS) as u32).collect::<Vec<_>>());
+            for rows in rows.chunks(CHUNK_ROWS) {
+                let cols = (0..rel.schema.len()).map(|col| Col::Gather {
+                    src: Src::Values { rows, col },
+                    idx: idx.clone(),
+                });
+                sink(Chunk {
+                    cols: cols.collect(),
+                    height: rows.len(),
+                    sel: None,
+                })?;
             }
-            em.flush()
+            Ok(())
         }
         Plan::Filter { input, predicate } => feed(plan, input, db, &mut |c: Chunk| {
             let mut sel: Vec<u32> = Vec::with_capacity(c.live());
@@ -1010,6 +1026,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::plan::ProjExpr;
     use crate::schema::RelSchema;
     use crate::value::SqlType;
 
@@ -1033,11 +1050,18 @@ mod tests {
             .collect()
     }
 
+    /// A `Values` leaf's rows: a full chunk of filler, then `rows()`.
+    fn values_leaf() -> Vec<Row> {
+        let filler = (0..CHUNK_ROWS as i64).map(|i| vec![Value::Int(i), Value::Null]);
+        filler.chain(rows()).collect()
+    }
+
     /// Rows of `rows()` as a dense chunk, a selected chunk over shared
-    /// columns, a gathered chunk under a selection and an index join's
-    /// gather over `slots` (`table_slots()`) with a pad row, each with the
-    /// rows it stands for.
-    fn shapes(slots: &[Option<Row>]) -> Vec<(Chunk<'_>, Vec<Row>)> {
+    /// columns, a gathered chunk under a selection, an index join's gather
+    /// over `slots` (`table_slots()`) with a pad row and the partial tail
+    /// chunk a `Values` leaf over `values` (`values_leaf()`) emits, each
+    /// with the rows it stands for.
+    fn shapes<'t>(slots: &'t [Option<Row>], values: &'t [Row]) -> Vec<(Chunk<'t>, Vec<Row>)> {
         let rows = rows();
         let col = |c: usize| -> Vec<Value> { rows.iter().map(|r| r[c].clone()).collect() };
         let pick = |at: &[usize]| -> Vec<Row> { at.iter().map(|&i| rows[i].clone()).collect() };
@@ -1072,19 +1096,35 @@ mod tests {
             height: 5,
             sel: Some(vec![0, 1, 3]),
         };
+        // as `exec_chunks` emits it: the last five rows, read through the
+        // identity index every chunk of the leaf shares
+        let identity = Arc::new((0..CHUNK_ROWS as u32).collect::<Vec<_>>());
+        let values_gather = |col: usize| Col::Gather {
+            src: Src::Values {
+                rows: &values[CHUNK_ROWS..],
+                col,
+            },
+            idx: identity.clone(),
+        };
+        let values_tail = Chunk {
+            cols: vec![values_gather(0), values_gather(1)],
+            height: 5,
+            sel: None,
+        };
         let pad = vec![Value::Null, Value::Null];
         vec![
             (dense, rows.clone()),
             (selected, pick(&[0, 2, 4])),
             (gathered, pick(&[1, 0, 2])),
             (table_rows, vec![rows[0].clone(), pad, rows[3].clone()]),
+            (values_tail, rows.clone()),
         ]
     }
 
     #[test]
     fn chunk_key_hashes_match_per_value_hashing() {
-        let slots = table_slots();
-        for (n, (chunk, rows)) in shapes(&slots).into_iter().enumerate() {
+        let (slots, values) = (table_slots(), values_leaf());
+        for (n, (chunk, rows)) in shapes(&slots, &values).into_iter().enumerate() {
             let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
             chunk_key_hashes(&chunk, &[0, 1], &mut hashes, Some(&mut nulls)).unwrap();
             let folded: Vec<u64> = (rows.iter())
@@ -1107,8 +1147,8 @@ mod tests {
     #[test]
     fn eq_and_hash_agree_across_numeric_types() {
         // Int(3) ≡ Float(3.0) under total_cmp, wherever the cell sits
-        let slots = table_slots();
-        for (n, (chunk, rows)) in shapes(&slots).into_iter().enumerate() {
+        let (slots, values) = (table_slots(), values_leaf());
+        for (n, (chunk, rows)) in shapes(&slots, &values).into_iter().enumerate() {
             let mut hashes = Vec::new();
             chunk_key_hashes(&chunk, &[0], &mut hashes, None).unwrap();
             for (k, row) in rows.iter().enumerate() {
@@ -1142,5 +1182,42 @@ mod tests {
         let out = materialize_chunked(&plan, &Database::new("scratch")).unwrap();
         assert!(matches!(out.rows[0][..], [Value::Int(3), Value::Float(f)] if f == 3.0));
         assert_eq!(out.rows.len(), 1);
+    }
+
+    /// A `Values` leaf of 2 500 rows — two full chunks and a partial one,
+    /// NULL keys, `Int` and `Float` keys that are equal — read in place
+    /// through a filter, a projection of bare and computed columns and a
+    /// keyed distinct union: each answers as the oracle, in its order.
+    #[test]
+    fn values_leaf_over_chunks_agrees_with_the_oracle() {
+        let schema = RelSchema::of(&[("k", SqlType::Float), ("s", SqlType::Str)]).shared();
+        let row = |i: i64| {
+            let k = match i % 5 {
+                0 => Value::Null,
+                1 => Value::Int(i % 40),
+                _ => Value::Float((i % 40) as f64),
+            };
+            vec![k, Value::str(format!("s{}", i % 3))]
+        };
+        let values = Plan::Values(Relation::new(schema, (0..2500).map(row).collect()).into());
+        let high = values.clone().filter(Expr::col(0).gt(Expr::lit(20)));
+        let plans = [
+            high.clone(),
+            values.clone().project(vec![
+                ProjExpr::new(Expr::col(1), "s", SqlType::Str),
+                ProjExpr::new(Expr::col(0).add(Expr::lit(1)), "k1", SqlType::Float),
+                ProjExpr::new(Expr::col(0), "k", SqlType::Float),
+            ]),
+            Plan::UnionDistinct {
+                inputs: vec![high, values],
+                key: Some(vec![0]),
+            },
+        ];
+        let db = Database::new("values");
+        for (n, plan) in plans.iter().enumerate() {
+            let out = materialize_chunked(plan, &db).unwrap();
+            assert_eq!(out, plan.run_oracle(&db).unwrap(), "plan {n}");
+            assert!(out.len() > 10, "plan {n}");
+        }
     }
 }

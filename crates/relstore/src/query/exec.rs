@@ -124,6 +124,17 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
     })
 }
 
+/// A [`Plan::Values`] leaf's relation, checked before either path reads a
+/// row: a row narrower or wider than the schema is [`StoreError::Invalid`].
+pub(crate) fn checked_values(rel: &Relation) -> StoreResult<&Relation> {
+    let width = rel.schema.len();
+    if let Some(i) = rel.rows.iter().position(|r| r.len() != width) {
+        let msg = format!("values row {i} is not {width} columns wide");
+        return Err(StoreError::Invalid(msg));
+    }
+    Ok(rel)
+}
+
 /// Execute `plan` as written through the naive materializing interpreter —
 /// the semantics reference ([`Plan::run_oracle`] is the method form).
 pub fn execute_oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
@@ -160,7 +171,7 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 },
             }
         }
-        Plan::Values(rel) => Ok(Relation::clone(rel)),
+        Plan::Values(rel) => Ok(Relation::clone(checked_values(rel)?)),
         Plan::Filter { input, predicate } => {
             let rel = oracle(input, db)?;
             let mut rows = Vec::new();

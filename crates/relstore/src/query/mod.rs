@@ -818,6 +818,42 @@ mod tests {
         }
     }
 
+    /// A `Values` row narrower or wider than the relation's schema is the
+    /// same `StoreError::Invalid` from the executor and the oracle, before
+    /// a row is emitted — also when it sits past two full chunks, under a
+    /// filter or a union. The executor used to shift a short row's cells
+    /// into the next one, `[[1], [2, 3], [4, 5]]` coming out as
+    /// `[[1, 3], [2, 5], [4]]`, while the oracle passed the rows through.
+    #[test]
+    fn ragged_values_rows_are_invalid_on_both_paths() {
+        let db = db();
+        let values = |rows: Vec<Vec<i64>>| {
+            let schema = RelSchema::of(&[("a", SqlType::Int), ("b", SqlType::Int)]).shared();
+            let rows = rows.into_iter().map(|r| r.into_iter().map(int).collect());
+            Plan::Values(Relation::new(schema, rows.collect()).into())
+        };
+        let short = || values(vec![vec![1], vec![2, 3], vec![4, 5]]);
+        let mut long: Vec<Vec<i64>> = (0..2500).map(|i| vec![i, i % 7]).collect();
+        long.push(vec![1, 2, 3]);
+        let plans = [
+            short(),
+            values(long),
+            short().filter(Expr::col(0).gt(Expr::lit(0))),
+            Plan::UnionDistinct {
+                inputs: vec![values(vec![vec![9, 9]]), short()],
+                key: Some(vec![0]),
+            },
+        ];
+        for plan in &plans {
+            let executed = execute(plan, &db);
+            assert!(
+                matches!(&executed, Err(crate::error::StoreError::Invalid(_))),
+                "{executed:?}"
+            );
+            assert_eq!(executed, execute_oracle(plan, &db));
+        }
+    }
+
     /// A fact table over three chunks with NULL and unmatched dimension
     /// keys, `d1` keyed by it, and `d2` keyed by `d1.x` (NULL or unmatched
     /// in turn), each with its primary key.
