@@ -4,11 +4,13 @@
 //! chunk is a vector of [`Col`]umns plus an optional *selection vector* of
 //! surviving row indices. Columns come in three representations:
 //!
-//! * `Dense` — owned values, one per physical row (scan/aggregate output);
+//! * `Dense` — owned values, one per physical row: a computed projection
+//!   expression's output, and nothing else;
 //! * `Shared` — the same, behind an `Arc` (a column forwarded untouched);
 //! * `Gather` — a source plus a shared index vector: the value at row `i`
-//!   is entry `idx[i]` of the source, a shared column or one column of a
-//!   table's row slots or of a `Values` relation's rows.
+//!   is entry `idx[i]` of the source — a shared column, one column of a
+//!   table's row slots (scans, index joins) or one column of a row slice
+//!   (a `Values` leaf's rows, an aggregate's finished groups).
 //!
 //! Column *storage* is one layout, a `Vec<Value>`, whatever the schema
 //! type: the storage layer accepts *widened* values (an `Int` is legal in
@@ -22,16 +24,18 @@
 //! re-copying the accumulated prefix into fresh columns at every level.
 //! Chained joins *compose* index vectors — u32 arithmetic, no `Value`
 //! clones. A hash join's build side is columnarized once and gathered the
-//! same way; an index join gathers its inner half from the table itself:
-//! one vector of matched slot ids ([`PAD`] for a LEFT join's padding, as
-//! in a hash join's build index),
-//! shared by every inner column and read in place under the read lock its
-//! probe session holds until the join has handed on its last chunk — the
-//! borrow a chunk's lifetime parameter names. A `Values` leaf is read in
-//! place the same way, its rows borrowed from the plan. Values are cloned
-//! exactly once, at the final chunk-to-rows boundary. Filters and
-//! distinct-unions never copy either — they narrow the selection vector
-//! and pass the columns through.
+//! same way. Every leaf chunk is a gather too, so no operator copies a
+//! row to start a chunk. A scan reads its table in place: one vector of
+//! matched slot ids per chunk, shared by every column and read under the
+//! read lock its session (`table::TableRows`) holds until the scan has
+//! handed on its last chunk — the borrow a chunk's lifetime parameter
+//! names. An index join gathers its inner half from the table the same
+//! way, through its probe session ([`PAD`] for a LEFT join's padding, as
+//! in a hash join's build index). A `Values` leaf and an aggregate's
+//! finished groups are row slices read through one identity index
+//! ([`emit_rows`]). Values are cloned exactly once, at the final
+//! chunk-to-rows boundary. Filters and distinct-unions never copy either
+//! — they narrow the selection vector and pass the columns through.
 //!
 //! Hash joins, hash aggregates and distinct unions key through
 //! `crate::hashkey`: whole key columns are hashed per chunk into a
@@ -82,6 +86,7 @@ use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
 use crate::query::exec::{checked_values, index_join_equivalent, node_names, AggState};
 use crate::query::plan::{AggFunc, JoinKind, Plan};
 use crate::row::{Relation, Row};
+use crate::table::Table;
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -106,15 +111,16 @@ enum Src<'t> {
     /// A shared column: entry `k` is the value of row `k`.
     Col(Arc<Vec<Value>>),
     /// Column `col` of a table's row slots, read in place: entry `k` is
-    /// slot `k`'s value. The borrow is the index join's probe session,
-    /// which holds the table's read lock until the join has handed its
-    /// last chunk on.
+    /// slot `k`'s value. The borrow is a scan's or an index join's read
+    /// session, which holds the table's read lock until the operator has
+    /// handed its last chunk on.
     Rows {
         slots: &'t [Option<Row>],
         col: usize,
     },
-    /// Column `col` of a `Values` relation's rows, read in place: entry `k`
-    /// is row `k`'s value. The borrow is the plan's.
+    /// Column `col` of a row slice, read in place: entry `k` is row `k`'s
+    /// value. The borrow is the plan's (a `Values` leaf) or the
+    /// aggregate's (its finished groups).
     Values { rows: &'t [Row], col: usize },
 }
 
@@ -133,7 +139,7 @@ impl Src<'_> {
 /// Cloning a `Dense` column copies its values; the other two clone `Arc`s.
 #[derive(Clone)]
 enum Col<'t> {
-    /// Owned storage, one entry per physical row.
+    /// Owned storage, one entry per physical row (computed projections).
     Dense(Vec<Value>),
     /// Storage shared with other chunks (pass-through / join source).
     Shared(Arc<Vec<Value>>),
@@ -265,50 +271,10 @@ impl Chunk<'_> {
         row
     }
 
-    /// Append every selected row, in order, onto `out` — the chunk is
-    /// spent. Fully dense owned chunks transpose by moving the values;
-    /// shared or gathered columns clone each value exactly once.
-    fn into_rows(mut self, out: &mut Vec<Row>) {
+    /// Append every selected row, in order, onto `out`, cloning each value
+    /// exactly once.
+    fn into_rows(self, out: &mut Vec<Row>) {
         out.reserve(self.live());
-        let all_dense = self.cols.iter().all(|c| matches!(c, Col::Dense(_)));
-        if all_dense && self.sel.is_none() {
-            let mut its: Vec<std::vec::IntoIter<Value>> = self
-                .cols
-                .into_iter()
-                .map(|c| match c {
-                    Col::Dense(v) => v.into_iter(),
-                    _ => Vec::new().into_iter(),
-                })
-                .collect();
-            for _ in 0..self.height {
-                let mut row = Vec::with_capacity(its.len());
-                for it in &mut its {
-                    if let Some(v) = it.next() {
-                        row.push(v);
-                    }
-                }
-                out.push(row);
-            }
-            return;
-        }
-        if all_dense {
-            // selected rows are taken out of the owned columns in place
-            // (the dropped remainder is never read again) — no re-clone
-            if let Some(sel) = self.sel.take() {
-                for i in sel {
-                    let mut row = Vec::with_capacity(self.cols.len());
-                    for col in &mut self.cols {
-                        if let Col::Dense(v) = col {
-                            if let Some(slot) = v.get_mut(i as usize) {
-                                row.push(std::mem::replace(slot, Value::Null));
-                            }
-                        }
-                    }
-                    out.push(row);
-                }
-            }
-            return;
-        }
         for k in 0..self.live() {
             out.push(self.row_at(self.idx(k)));
         }
@@ -336,86 +302,41 @@ impl RowAccess for EvalRow<'_, '_> {
 /// the call: whatever it keeps, it clones.
 type ChunkSink<'s> = dyn for<'t> FnMut(Chunk<'t>) -> StoreResult<()> + 's;
 
-/// Accumulates emitted rows column-wise and flushes a dense chunk into the
-/// downstream sink every [`CHUNK_ROWS`] rows (plus a final partial flush).
-struct Emitter<'a, 'b> {
-    cols: Vec<Vec<Value>>,
-    height: usize,
-    sink: &'a mut ChunkSink<'b>,
+/// Hand `rows` on in chunks of at most [`CHUNK_ROWS`], read in place: every
+/// column of every chunk gathers through one identity index.
+fn emit_rows(rows: &[Row], width: usize, sink: &mut ChunkSink) -> StoreResult<()> {
+    let idx = Arc::new((0..rows.len().min(CHUNK_ROWS) as u32).collect::<Vec<_>>());
+    for rows in rows.chunks(CHUNK_ROWS) {
+        let cols = (0..width).map(|col| Col::Gather {
+            src: Src::Values { rows, col },
+            idx: idx.clone(),
+        });
+        sink(Chunk {
+            cols: cols.collect(),
+            height: rows.len(),
+            sel: None,
+        })?;
+    }
+    Ok(())
 }
 
-impl<'a, 'b> Emitter<'a, 'b> {
-    fn new(width: usize, sink: &'a mut ChunkSink<'b>) -> Emitter<'a, 'b> {
-        // Columns start empty and grow geometrically: most queries the E1
-        // processes issue emit a handful of rows, and pre-reserving
-        // CHUNK_ROWS per column would make the allocation dominate them.
-        // Once a full chunk has been flushed the stream is known to be
-        // large and the replacement columns are pre-sized (see `flush`).
-        Emitter {
-            cols: vec![Vec::new(); width],
-            height: 0,
-            sink,
-        }
+/// The columns of table `t` a scan or an index join's inner half emits.
+fn table_cols(t: &Table, projection: &Option<Vec<usize>>) -> Vec<usize> {
+    match projection {
+        Some(p) => p.clone(),
+        None => (0..t.schema.len()).collect(),
     }
+}
 
-    /// Push a borrowed row (scan output).
-    fn push_row(&mut self, row: &[Value]) -> StoreResult<()> {
-        for (col, v) in self.cols.iter_mut().zip(row) {
-            col.push(v.clone());
-        }
-        self.bump()
-    }
-
-    /// Push `proj`-selected columns of `row` as one row.
-    fn push_projected(&mut self, row: &[Value], proj: &[usize]) -> StoreResult<()> {
-        for (col, &src) in self.cols.iter_mut().zip(proj) {
-            if let Some(v) = row.get(src) {
-                col.push(v.clone());
-            }
-        }
-        self.bump()
-    }
-
-    /// Push every row of an owned stream (aggregate output), then flush.
-    fn finish(mut self, rows: impl IntoIterator<Item = Row>) -> StoreResult<()> {
-        for row in rows {
-            for (col, v) in self.cols.iter_mut().zip(row) {
-                col.push(v);
-            }
-            self.bump()?;
-        }
-        self.flush()
-    }
-
-    fn bump(&mut self) -> StoreResult<()> {
-        self.height += 1;
-        if self.height >= CHUNK_ROWS {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Send the buffered rows downstream (no-op when empty).
-    fn flush(&mut self) -> StoreResult<()> {
-        if self.height == 0 {
-            return Ok(());
-        }
-        // a full chunk means more is probably coming — pre-size the next one
-        let cap = if self.height >= CHUNK_ROWS {
-            CHUNK_ROWS
-        } else {
-            0
-        };
-        let chunk = Chunk {
-            cols: (self.cols.iter_mut())
-                .map(|col| Col::Dense(std::mem::replace(col, Vec::with_capacity(cap))))
-                .collect(),
-            height: self.height,
-            sel: None,
-        };
-        self.height = 0;
-        (self.sink)(chunk)
-    }
+/// Gathers of columns `cols` of table row slots, all through `idx`.
+fn slot_cols<'t>(slots: &'t [Option<Row>], cols: &[usize], idx: Vec<u32>) -> Vec<Col<'t>> {
+    let idx = Arc::new(idx);
+    (cols.iter())
+        .map(|&col| Col::Gather {
+            src: Src::Rows { slots, col },
+            idx: idx.clone(),
+        })
+        .collect()
 }
 
 /// The compositions [`compose`] has made: `(old, composed)` pairs.
@@ -600,35 +521,21 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             predicate,
             projection,
         } => {
+            // each chunk reads the matched rows in place, under the
+            // session's read lock, every column through one slot vector
             let t = db.table(table)?;
-            let width = projection.as_ref().map_or(t.schema.len(), |p| p.len());
-            let mut em = Emitter::new(width, sink);
-            match projection {
-                None => t.stream_rows(predicate.as_ref(), &mut |row| em.push_row(row))?,
-                Some(p) => {
-                    t.stream_rows(predicate.as_ref(), &mut |row| em.push_projected(row, p))?
-                }
-            }
-            em.flush()
-        }
-        Plan::Values(rel) => {
-            // each chunk reads its rows in place, every column through one
-            // identity index
-            let rows = &checked_values(rel)?.rows;
-            let idx = Arc::new((0..rows.len().min(CHUNK_ROWS) as u32).collect::<Vec<_>>());
-            for rows in rows.chunks(CHUNK_ROWS) {
-                let cols = (0..rel.schema.len()).map(|col| Col::Gather {
-                    src: Src::Values { rows, col },
-                    idx: idx.clone(),
-                });
+            let cols = table_cols(&t, projection);
+            let rows = t.rows();
+            let slots = rows.slots();
+            rows.matching(predicate.as_ref(), CHUNK_ROWS, &mut |idx| {
                 sink(Chunk {
-                    cols: cols.collect(),
-                    height: rows.len(),
+                    height: idx.len(),
+                    cols: slot_cols(slots, &cols, idx),
                     sel: None,
-                })?;
-            }
-            Ok(())
+                })
+            })
         }
+        Plan::Values(rel) => emit_rows(&checked_values(rel)?.rows, rel.schema.len(), sink),
         Plan::Filter { input, predicate } => feed(plan, input, db, &mut |c: Chunk| {
             let mut sel: Vec<u32> = Vec::with_capacity(c.live());
             for k in 0..c.live() {
@@ -830,10 +737,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             };
             // inner output column `x` reads column `inner_cols[x]` of the
             // matched table row
-            let inner_cols: Vec<usize> = match projection {
-                Some(p) => p.clone(),
-                None => (0..t.schema.len()).collect(),
-            };
+            let inner_cols = table_cols(&t, projection);
             // the planner only selects LEFT index joins with probe = left
             let left_pad = *kind == JoinKind::Left && *probe_is_left;
             let probe_first = *probe_is_left;
@@ -874,13 +778,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 if probe_idx.is_empty() {
                     return Ok(());
                 }
-                let (slots, slot_idx) = (session.slots(), Arc::new(slot_idx));
-                let inner = (inner_cols.iter())
-                    .map(|&col| Col::Gather {
-                        src: Src::Rows { slots, col },
-                        idx: slot_idx.clone(),
-                    })
-                    .collect();
+                let inner = slot_cols(session.rows.slots(), &inner_cols, slot_idx);
                 sink(join_chunk(c, probe_idx, inner, probe_first))
             })
         }
@@ -1014,11 +912,13 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 order.push(vec![]);
                 states.push(fresh());
             }
-            let rows = order.into_iter().zip(states).map(|(mut row, sts)| {
-                row.extend(sts.into_iter().map(AggState::finish));
-                row
-            });
-            Emitter::new(group_by.len() + aggs.len(), sink).finish(rows)
+            let rows: Vec<Row> = (order.into_iter().zip(states))
+                .map(|(mut row, sts)| {
+                    row.extend(sts.into_iter().map(AggState::finish));
+                    row
+                })
+                .collect();
+            emit_rows(&rows, group_by.len() + aggs.len(), sink)
         }
     }
 }
@@ -1026,9 +926,42 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::plan::ProjExpr;
+    use crate::query::plan::{AggExpr, ProjExpr};
     use crate::schema::RelSchema;
     use crate::value::SqlType;
+
+    /// A scan hands on full chunks of matched rows, then the rest, and
+    /// nothing for no match; an aggregate's groups chunk the same way.
+    /// These are the boundaries the `batch.chunks` counters count.
+    #[test]
+    fn leaf_chunks_are_full_until_the_last() {
+        let db = Database::new("chunks");
+        let schema = RelSchema::of(&[("k", SqlType::Int), ("g", SqlType::Int)]).shared();
+        let t = Table::new("t", schema).with_primary_key(&["k"]).unwrap();
+        let row = |k: i64| vec![Value::Int(k), Value::Int(k % 1500)];
+        t.insert((0..2500).map(row).collect()).unwrap();
+        // 400 tombstones ahead of 2 100 live rows
+        t.delete_where(&Expr::col(0).lt(Expr::lit(400))).unwrap();
+        db.create_table(t);
+        let heights = |plan: &Plan| {
+            let mut out = Vec::new();
+            let mut sink = |c: Chunk| {
+                out.push(c.height);
+                Ok(())
+            };
+            exec_chunks(plan, &db, &mut sink).unwrap();
+            out
+        };
+        assert_eq!(heights(&Plan::scan("t")), [1024, 1024, 52]);
+        let no_match = Plan::Scan {
+            table: "t".into(),
+            predicate: Some(Expr::col(0).eq(Expr::lit(7))),
+            projection: None,
+        };
+        assert!(heights(&no_match).is_empty());
+        let groups = Plan::scan("t").aggregate(vec![1], vec![AggExpr::count_star("n")]);
+        assert_eq!(heights(&groups), [1024, 476]);
+    }
 
     /// The two-column relation every shape stands for (rows of it).
     fn rows() -> Vec<Row> {
@@ -1058,9 +991,9 @@ mod tests {
 
     /// Rows of `rows()` as a dense chunk, a selected chunk over shared
     /// columns, a gathered chunk under a selection, an index join's gather
-    /// over `slots` (`table_slots()`) with a pad row and the partial tail
-    /// chunk a `Values` leaf over `values` (`values_leaf()`) emits, each
-    /// with the rows it stands for.
+    /// over `slots` (`table_slots()`) with a pad row, a scan's chunk over
+    /// the same slots and the partial tail chunk a `Values` leaf over
+    /// `values` (`values_leaf()`) emits, each with the rows it stands for.
     fn shapes<'t>(slots: &'t [Option<Row>], values: &'t [Row]) -> Vec<(Chunk<'t>, Vec<Row>)> {
         let rows = rows();
         let col = |c: usize| -> Vec<Value> { rows.iter().map(|r| r[c].clone()).collect() };
@@ -1096,6 +1029,12 @@ mod tests {
             height: 5,
             sel: Some(vec![0, 1, 3]),
         };
+        // as a scan emits it: the live slots in order, past the tombstone
+        let scanned = Chunk {
+            cols: slot_cols(slots, &[0, 1], vec![0, 2, 3, 4, 5]),
+            height: 5,
+            sel: None,
+        };
         // as `exec_chunks` emits it: the last five rows, read through the
         // identity index every chunk of the leaf shares
         let identity = Arc::new((0..CHUNK_ROWS as u32).collect::<Vec<_>>());
@@ -1117,6 +1056,7 @@ mod tests {
             (selected, pick(&[0, 2, 4])),
             (gathered, pick(&[1, 0, 2])),
             (table_rows, vec![rows[0].clone(), pad, rows[3].clone()]),
+            (scanned, pick(&[3, 0, 4, 2, 1])),
             (values_tail, rows.clone()),
         ]
     }

@@ -854,6 +854,82 @@ mod tests {
         }
     }
 
+    /// Scans read their table's slots in place, chunk by chunk: over 2 500
+    /// rows with every 7th deleted (three chunks of live rows between
+    /// tombstones) a bare scan, a projected scan, primary-key equality (an
+    /// index probe, on a live and on a deleted key), a range, a filter the
+    /// planner leaves above its scan, a hash join whose build side is a
+    /// scan and an aggregate emitting 1 428 groups (two chunks) each
+    /// return the oracle's rows in the oracle's order — optimized, and as
+    /// written.
+    #[test]
+    fn scans_over_tombstones_and_chunks_agree_with_the_oracle() {
+        let db = Database::new("tombstones");
+        let schema = RelSchema::of(&[
+            ("k", SqlType::Int),
+            ("g", SqlType::Int),
+            ("s", SqlType::Str),
+        ])
+        .shared();
+        let t = Table::new("t", schema).with_primary_key(&["k"]).unwrap();
+        let row = |k: i64| vec![int(k), int(k % 1500), Value::str(format!("s{}", k % 3))];
+        t.insert((0..2500).map(row).collect()).unwrap();
+        let sevens = (0..2500).step_by(7).map(int).collect();
+        assert_eq!(t.delete_where(&Expr::col(0).in_list(sevens)).unwrap(), 358);
+        db.create_table(t);
+
+        let scan = || Plan::scan("t");
+        let scan_where = |p: Expr| Plan::Scan {
+            table: "t".into(),
+            predicate: Some(p),
+            projection: None,
+        };
+        let key = |k: i64| Expr::col(0).eq(Expr::lit(k));
+        let plans = [
+            (scan(), 2142),
+            (
+                Plan::Scan {
+                    table: "t".into(),
+                    predicate: None,
+                    projection: Some(vec![2, 0]),
+                },
+                2142,
+            ),
+            (scan_where(key(1000)), 1),
+            (scan_where(key(1001)), 0),
+            (
+                scan_where(
+                    Expr::col(0)
+                        .ge(Expr::lit(300))
+                        .and(Expr::col(0).lt(Expr::lit(2200))),
+                ),
+                1628,
+            ),
+            (scan().filter(Expr::col(2).eq(Expr::lit("s1")).not()), 1428),
+            (
+                scan().hash_join(scan(), vec![1], vec![0], JoinKind::Inner),
+                1999,
+            ),
+            (
+                scan().aggregate(
+                    vec![1],
+                    vec![
+                        AggExpr::count_star("n"),
+                        AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
+                    ],
+                ),
+                1428,
+            ),
+        ];
+        for (n, (plan, rows)) in plans.iter().enumerate() {
+            let oracle = execute_oracle(plan, &db).unwrap();
+            assert_eq!(oracle.len(), *rows, "plan {n}");
+            assert_eq!(execute(plan, &db).unwrap(), oracle, "plan {n}");
+            let as_written = batch::materialize_chunked(plan, &db).unwrap();
+            assert_eq!(as_written, oracle, "plan {n}");
+        }
+    }
+
     /// A fact table over three chunks with NULL and unmatched dimension
     /// keys, `d1` keyed by it, and `d2` keyed by `d1.x` (NULL or unmatched
     /// in turn), each with its primary key.
