@@ -1,6 +1,6 @@
 //! The executor against the reference interpreter on the plan shape that
 //! dominates the heavy E2 processes (P09/P11/P13/P14): filter →
-//! hash-join → grouped SUM/COUNT/AVG aggregation, plus its join-free and
+//! hash-join → grouped SUM/COUNT(*) aggregation, plus its join-free and
 //! index-join-only variants. One row count per order of magnitude — 1k
 //! fits in a single chunk, 32k and 256k exercise the multi-chunk path,
 //! pre-sized hash tables and the chunked probe loop. CI runs it and
@@ -57,13 +57,13 @@ fn facts(n: i64) -> Database {
 fn mart_refresh_plan() -> Plan {
     Plan::scan("lineitem")
         .filter(Expr::col(2).gt(Expr::lit(5i64)))
-        .hash_join(Plan::scan("part"), vec![1], vec![0], JoinKind::Inner)
+        .hash_join(Plan::scan("part"), vec![1], vec![0])
         .aggregate(
             vec![1],
             vec![
-                AggExpr::new(AggFunc::Sum, Expr::col(3), "revenue"),
+                AggExpr::sum(Expr::col(3), "revenue"),
                 AggExpr::count_star("lines"),
-                AggExpr::new(AggFunc::Avg, Expr::col(2), "avg_qty"),
+                AggExpr::sum(Expr::col(2), "qty"),
             ],
         )
 }
@@ -76,9 +76,9 @@ fn join_free_plan() -> Plan {
         .aggregate(
             vec![1],
             vec![
-                AggExpr::new(AggFunc::Sum, Expr::col(3), "revenue"),
+                AggExpr::sum(Expr::col(3), "revenue"),
                 AggExpr::count_star("lines"),
-                AggExpr::new(AggFunc::Avg, Expr::col(2), "avg_qty"),
+                AggExpr::sum(Expr::col(2), "qty"),
             ],
         )
 }
@@ -90,7 +90,7 @@ fn join_free_plan() -> Plan {
 fn index_join_plan() -> Plan {
     Plan::scan("lineitem")
         .filter(Expr::col(2).gt(Expr::lit(5i64)))
-        .hash_join(Plan::scan("part"), vec![1], vec![0], JoinKind::Inner)
+        .hash_join(Plan::scan("part"), vec![1], vec![0])
 }
 
 type Runner = fn(&Plan, &Database) -> StoreResult<Relation>;

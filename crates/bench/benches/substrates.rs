@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step};
 use dip_mtm::{MtmEngine, MtmMessage};
-use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+use dip_netsim::{LatencyModel, LinkSpec, Network};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use std::hint::black_box;
@@ -76,8 +76,7 @@ fn bench_relstore(c: &mut Criterion) {
     });
 
     g.bench_function("hash_join_10k_x_50", |b| {
-        let plan =
-            Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner);
+        let plan = Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0]);
         b.iter(|| black_box(plan.run(&db).unwrap().len()))
     });
 
@@ -96,10 +95,7 @@ fn bench_relstore(c: &mut Criterion) {
     g.bench_function("aggregate_group_by_city", |b| {
         let plan = Plan::scan("customer").aggregate(
             vec![2],
-            vec![
-                AggExpr::count_star("n"),
-                AggExpr::new(AggFunc::Sum, Expr::col(3), "bal"),
-            ],
+            vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(3), "bal")],
         );
         b.iter(|| black_box(plan.run(&db).unwrap().len()))
     });
@@ -146,10 +142,7 @@ fn bench_mview(c: &mut Criterion) {
                 );
                 let def = Plan::scan("orders").aggregate(
                     vec![0],
-                    vec![
-                        AggExpr::count_star("n"),
-                        AggExpr::new(AggFunc::Sum, Expr::col(1), "rev"),
-                    ],
+                    vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(1), "rev")],
                 );
                 db.create_view(MatView::new("orders_mv", "orders_mv", def));
                 // a large base refreshed once, then a small delta on top
@@ -185,7 +178,7 @@ fn bench_optimizer(c: &mut Criterion) {
     let db = customers(10_000);
     // filter above a join: pushdown turns a 10k-row probe into an index probe
     let plan = Plan::scan("customer")
-        .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
+        .hash_join(Plan::scan("city"), vec![2], vec![0])
         .filter(Expr::col(0).eq(Expr::lit(42)));
     g.bench_function("pushdown_on", |b| {
         b.iter(|| black_box(execute(&plan, &db).unwrap().len()))
@@ -382,7 +375,6 @@ fn bench_mtm_dataflow(c: &mut Criterion) {
     }
     let net = Arc::new(Network::new(
         LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 10_000_000),
-        TransferMode::Accounted,
         1,
     ));
     let mut world = ExternalWorld::new(net, "is");

@@ -294,7 +294,6 @@ fn faults(p: &Parsed) {
         let model = FaultModel {
             drop_rate: rate,
             timeout_rate: p.get(TIMEOUT),
-            ..FaultModel::NONE
         };
         let config = base
             .with_faults(FaultPlan {

@@ -69,7 +69,7 @@ impl BenchEnvironment {
             // transfers: a run never blocks on backoff
             world.arm_resilience(Arc::new(dip_services::Resilience::new(
                 config.resilience,
-                dip_netsim::virtual_clock().0,
+                dip_netsim::virtual_clock(),
             )));
         }
 

@@ -66,6 +66,6 @@ pub mod prelude {
         DeadLetter, DeadLetterQueue, Delivery, Event, IntegrationSystem, MtmSystem,
     };
     pub use dip_netsim::fault::CrashPlan;
-    pub use dip_netsim::{FaultModel, FaultPlan, PartitionWindow};
+    pub use dip_netsim::{FaultModel, FaultPlan};
     pub use dip_services::ResiliencePolicy;
 }

@@ -93,24 +93,14 @@ pub fn s1_delta_plan(orderline_delta: Relation) -> Plan {
 
 fn s1_join_from(orderline: Plan) -> Plan {
     let joined = orderline
-        .hash_join(Plan::scan("orders"), vec![0], vec![0], JoinKind::Inner) // +6 @6
-        .hash_join(Plan::scan("customer"), vec![7], vec![0], JoinKind::Inner) // +7 @12
-        .hash_join(Plan::scan("city"), vec![15], vec![0], JoinKind::Inner) // +3 @19
-        .hash_join(Plan::scan("nation"), vec![21], vec![0], JoinKind::Inner) // +3 @22
-        .hash_join(Plan::scan("region"), vec![24], vec![0], JoinKind::Inner) // +2 @25
-        .hash_join(Plan::scan("product"), vec![2], vec![0], JoinKind::Inner) // +4 @27
-        .hash_join(
-            Plan::scan("productgroup"),
-            vec![29],
-            vec![0],
-            JoinKind::Inner,
-        ) // +3 @31
-        .hash_join(
-            Plan::scan("productline"),
-            vec![33],
-            vec![0],
-            JoinKind::Inner,
-        ); // +2 @34
+        .hash_join(Plan::scan("orders"), vec![0], vec![0]) // +6 @6
+        .hash_join(Plan::scan("customer"), vec![7], vec![0]) // +7 @12
+        .hash_join(Plan::scan("city"), vec![15], vec![0]) // +3 @19
+        .hash_join(Plan::scan("nation"), vec![21], vec![0]) // +3 @22
+        .hash_join(Plan::scan("region"), vec![24], vec![0]) // +2 @25
+        .hash_join(Plan::scan("product"), vec![2], vec![0]) // +4 @27
+        .hash_join(Plan::scan("productgroup"), vec![29], vec![0]) // +3 @31
+        .hash_join(Plan::scan("productline"), vec![33], vec![0]); // +2 @34
     let out = sales_schema();
     let src = [
         0usize, 1, 2, 3, 4, 5, // line facts

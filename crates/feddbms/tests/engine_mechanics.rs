@@ -15,7 +15,6 @@ use std::sync::Arc;
 fn world() -> Arc<ExternalWorld> {
     let net = Arc::new(Network::new(
         LinkSpec::new(LatencyModel::Fixed { micros: 100 }, 1_000_000),
-        TransferMode::Accounted,
         3,
     ));
     let mut w = ExternalWorld::new(net, "is");
@@ -213,7 +212,7 @@ fn world_with_unreachable_marts() -> Arc<ExternalWorld> {
         net.set_fault_model(&endpoint(mart), topology::IS, Some(FaultModel::drops(1.0)));
     }
     let mut w = ExternalWorld::new(Arc::new(net), topology::IS);
-    let clock = dip_netsim::virtual_clock().0;
+    let clock = dip_netsim::virtual_clock();
     w.arm_resilience(Arc::new(Resilience::new(ResiliencePolicy::DEFAULT, clock)));
     let dwh = dwh::create_dwh().unwrap();
     w.add_database(dwh::DWH, "es.dwh", dwh);

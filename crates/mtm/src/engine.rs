@@ -135,14 +135,13 @@ mod tests {
     use super::*;
     use crate::message::MtmMessage;
     use crate::process::{AssignValue, EventType, Step, SwitchCase};
-    use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+    use dip_netsim::{LatencyModel, LinkSpec, Network};
     use dip_relstore::prelude::*;
     use dip_xmlkit::Element;
 
     fn world() -> Arc<ExternalWorld> {
         let net = Arc::new(Network::new(
             LinkSpec::new(LatencyModel::Fixed { micros: 50 }, 1_000_000),
-            TransferMode::Accounted,
             11,
         ));
         let mut w = ExternalWorld::new(net, "is");

@@ -332,14 +332,12 @@ impl<'a> Interpreter<'a> {
                 right,
                 left_keys,
                 right_keys,
-                kind,
                 output,
             } => {
                 let plan = Self::values(vars, last, step, left)?.hash_join(
                     Self::values(vars, last, step, right)?,
                     left_keys.clone(),
                     right_keys.clone(),
-                    *kind,
                 );
                 vars.set(output.clone(), run_values(plan)?);
                 charge(LOCAL);
@@ -534,7 +532,7 @@ fn run_values(plan: Plan) -> MtmResult<Relation> {
 mod tests {
     use super::*;
     use crate::process::{EventType, LoadMode, TableRows};
-    use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+    use dip_netsim::{LatencyModel, LinkSpec, Network};
     use dip_services::webservice::DbService;
     use dip_trace::{Category, Layer};
     use dip_xmlkit::node::Element;
@@ -550,7 +548,7 @@ mod tests {
     /// service `ws` (operation `items`), 10 us away.
     fn world() -> ExternalWorld {
         let link = LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 10_000_000);
-        let net = Arc::new(Network::new(link, TransferMode::Accounted, 1));
+        let net = Arc::new(Network::new(link, 1));
         let mut world = ExternalWorld::new(net, "is");
         let (db, ws_db) = (Arc::new(Database::new("db")), Arc::new(Database::new("ws")));
         for (db, table) in [(&db, "t"), (&db, "sink"), (&ws_db, "items")] {
@@ -666,7 +664,6 @@ mod tests {
                 right: v("rel"),
                 left_keys: vec![0],
                 right_keys: vec![0],
-                kind: JoinKind::Inner,
                 output: v("o"),
             },
             Step::XmlToRel {

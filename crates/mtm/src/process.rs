@@ -182,7 +182,6 @@ pub enum Step {
         right: String,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        kind: JoinKind,
         output: String,
     },
     /// Decode a generic result-set XML variable into a relation.

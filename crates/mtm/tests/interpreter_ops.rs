@@ -6,7 +6,7 @@ use dip_mtm::interpreter::Interpreter;
 use dip_mtm::message::{MtmMessage, MtmTypeError};
 use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase, TableRows};
 use dip_mtm::{InstanceCosts, MtmEngine, MtmError};
-use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+use dip_netsim::{LatencyModel, LinkSpec, Network};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::webservice::DbService;
@@ -21,7 +21,6 @@ use std::sync::{Arc, Barrier, Mutex};
 fn world() -> Arc<ExternalWorld> {
     let net = Arc::new(Network::new(
         LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 10_000_000),
-        TransferMode::Accounted,
         1,
     ));
     let mut w = ExternalWorld::new(net, "is");
@@ -375,7 +374,6 @@ fn join_step_enriches() {
             right: "r".into(),
             left_keys: vec![0],
             right_keys: vec![0],
-            kind: JoinKind::Inner,
             output: "j".into(),
         },
         Step::Projection {
@@ -405,9 +403,10 @@ fn join_step_enriches() {
     );
 }
 
-/// JOIN at size, inner and left: the step answers as the oracle does on
-/// the same plan, and it reads its inputs through their `Arc`s — the plan
-/// shares the payloads, both variables stay bound to them.
+/// JOIN at size, with NULL and unmatched keys: the step answers as the
+/// oracle does on the same plan, and it reads its inputs through their
+/// `Arc`s — the plan shares the payloads, both variables stay bound to
+/// them.
 #[test]
 fn join_step_at_size_matches_the_oracle_and_shares_its_inputs() {
     let wide = RelSchema::of(&[
@@ -441,35 +440,27 @@ fn join_step_at_size_matches_the_oracle_and_shares_its_inputs() {
         RelSchema::of(&[("part", SqlType::Int), ("name", SqlType::Str)]).shared(),
         parts.collect(),
     ));
-    for (kind, rows) in [(JoinKind::Inner, 15_834), (JoinKind::Left, 20_000)] {
-        let (l, r) = (
-            MtmMessage::Rel(left.clone()),
-            MtmMessage::Rel(right.clone()),
-        );
-        let vars = run_vars(vec![
-            bind("l", l.clone()),
-            bind("r", r.clone()),
-            Step::Join {
-                left: "l".into(),
-                right: "r".into(),
-                left_keys: vec![1],
-                right_keys: vec![0],
-                kind,
-                output: "j".into(),
-            },
-        ]);
-        let plan = Plan::Values(left.clone()).hash_join(
-            Plan::Values(right.clone()),
-            vec![1],
-            vec![0],
-            kind,
-        );
-        let joined = vars.get("j").unwrap().as_rel().unwrap();
-        assert_eq!(joined, &oracle(plan), "{kind:?}");
-        assert_eq!(joined.len(), rows, "{kind:?}");
-        assert!(same_payload(vars.get("l").unwrap(), &l), "{kind:?}: left");
-        assert!(same_payload(vars.get("r").unwrap(), &r), "{kind:?}: right");
-    }
+    let (l, r) = (
+        MtmMessage::Rel(left.clone()),
+        MtmMessage::Rel(right.clone()),
+    );
+    let vars = run_vars(vec![
+        bind("l", l.clone()),
+        bind("r", r.clone()),
+        Step::Join {
+            left: "l".into(),
+            right: "r".into(),
+            left_keys: vec![1],
+            right_keys: vec![0],
+            output: "j".into(),
+        },
+    ]);
+    let plan = Plan::Values(left.clone()).hash_join(Plan::Values(right.clone()), vec![1], vec![0]);
+    let joined = vars.get("j").unwrap().as_rel().unwrap();
+    assert_eq!(joined, &oracle(plan));
+    assert_eq!(joined.len(), 15_834);
+    assert!(same_payload(vars.get("l").unwrap(), &l), "left");
+    assert!(same_payload(vars.get("r").unwrap(), &r), "right");
 }
 
 /// A UNION DISTINCT key column the inputs do not have is the executor's
@@ -531,7 +522,6 @@ fn join_key_out_of_range_fails_the_instance() {
                 right: "l".into(),
                 left_keys: vec![0],
                 right_keys: vec![5],
-                kind: JoinKind::Left,
                 output: "j".into(),
             },
         ],

@@ -1,60 +1,21 @@
-//! Clock abstraction: wall time for measurement runs, virtual time for
-//! deterministic tests.
+//! Virtual time: the resilience layer waits out call timeouts and retry
+//! backoffs, and times breaker cooldowns, on a clock that advances
+//! instantly — like the transfers, whose delays are accounted, never slept.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A monotonic clock reporting time since its creation.
-pub trait Clock: Send + Sync {
-    /// Elapsed time since the clock's epoch.
-    fn now(&self) -> Duration;
-    /// Block (or logically advance) for `d`. Virtual clocks advance
-    /// instantly; the wall clock sleeps.
-    fn sleep(&self, d: Duration);
-}
-
-/// Real time, backed by [`Instant`].
-#[derive(Debug)]
-pub struct WallClock {
-    epoch: Instant,
-}
-
-impl WallClock {
-    pub fn new() -> WallClock {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// Deterministic virtual time, advanced explicitly (or by `sleep`).
+/// Deterministic virtual time, advanced explicitly.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     micros: AtomicU64,
 }
 
 impl VirtualClock {
-    pub fn new() -> VirtualClock {
-        VirtualClock {
-            micros: AtomicU64::new(0),
-        }
+    /// Elapsed virtual time since the clock's epoch.
+    pub fn now(&self) -> Duration {
+        Duration::from_micros(self.micros.load(Ordering::Relaxed))
     }
 
     /// Advance by `d` and return the new now.
@@ -67,29 +28,9 @@ impl VirtualClock {
     }
 }
 
-impl Clock for VirtualClock {
-    fn now(&self) -> Duration {
-        Duration::from_micros(self.micros.load(Ordering::Relaxed))
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
-}
-
-/// Shared clock handle.
-pub type ClockRef = Arc<dyn Clock>;
-
-/// A wall clock behind a shared handle.
-pub fn wall_clock() -> ClockRef {
-    Arc::new(WallClock::new())
-}
-
-/// A virtual clock behind a shared handle (also returned concretely so the
-/// caller can `advance` it).
-pub fn virtual_clock() -> (ClockRef, Arc<VirtualClock>) {
-    let c = Arc::new(VirtualClock::new());
-    (c.clone() as ClockRef, c)
+/// A virtual clock at zero behind a shared handle.
+pub fn virtual_clock() -> Arc<VirtualClock> {
+    Arc::default()
 }
 
 #[cfg(test)]
@@ -98,19 +39,13 @@ mod tests {
 
     #[test]
     fn virtual_clock_advances() {
-        let (clock, handle) = virtual_clock();
+        let clock = virtual_clock();
         assert_eq!(clock.now(), Duration::ZERO);
-        handle.advance(Duration::from_millis(5));
-        assert_eq!(clock.now(), Duration::from_millis(5));
-        clock.sleep(Duration::from_millis(3));
+        assert_eq!(
+            clock.advance(Duration::from_millis(5)),
+            Duration::from_millis(5)
+        );
+        clock.advance(Duration::from_millis(3));
         assert_eq!(clock.now(), Duration::from_millis(8));
-    }
-
-    #[test]
-    fn wall_clock_monotonic() {
-        let c = WallClock::new();
-        let a = c.now();
-        let b = c.now();
-        assert!(b >= a);
     }
 }

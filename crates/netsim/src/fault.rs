@@ -4,9 +4,7 @@
 //! between ES/IS/CS and a San Diego application it calls "very
 //! error-prone" — yet only San Diego's payload errors were modelled until
 //! now. This module adds the transport-fault axis: per-link models that
-//! drop messages, stall them past a timeout, sever a link for whole
-//! benchmark periods (partition windows) or multiply delays (slow-link
-//! episodes).
+//! drop messages or stall them past a timeout.
 //!
 //! ## Determinism discipline
 //!
@@ -30,7 +28,6 @@
 //! measured work phase.
 
 use std::cell::RefCell;
-use std::time::Duration;
 
 /// One transport-level failure of a modeled message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,50 +36,16 @@ pub enum LinkFault {
     Drop,
     /// The link stalled past the caller's patience.
     Timeout,
-    /// The link is inside a partition window; fails fast.
-    Partition,
-}
-
-impl LinkFault {
-    pub fn label(self) -> &'static str {
-        match self {
-            LinkFault::Drop => "drop",
-            LinkFault::Timeout => "timeout",
-            LinkFault::Partition => "partition",
-        }
-    }
-}
-
-/// A window of whole benchmark periods during which a link is severed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// First partitioned period (inclusive).
-    pub from_period: u32,
-    /// First period after the window (exclusive).
-    pub until_period: u32,
-}
-
-impl PartitionWindow {
-    pub fn contains(&self, period: u32) -> bool {
-        (self.from_period..self.until_period).contains(&period)
-    }
 }
 
 /// Per-link fault behaviour. Rates are independent probabilities evaluated
-/// per transfer leg; `slow_factor` multiplies the modeled delay of a
-/// slow-link episode.
+/// per transfer leg.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Probability a message is silently lost.
     pub drop_rate: f64,
     /// Probability the link stalls past the caller's timeout.
     pub timeout_rate: f64,
-    /// Probability of a slow-link episode (delivered, but late).
-    pub slow_rate: f64,
-    /// Delay multiplier during a slow-link episode.
-    pub slow_factor: f64,
-    /// Periods during which the link is completely severed.
-    pub partition: Option<PartitionWindow>,
 }
 
 impl FaultModel {
@@ -90,9 +53,6 @@ impl FaultModel {
     pub const NONE: FaultModel = FaultModel {
         drop_rate: 0.0,
         timeout_rate: 0.0,
-        slow_rate: 0.0,
-        slow_factor: 1.0,
-        partition: None,
     };
 
     /// Drop-only model, the common chaos-run shape.
@@ -103,23 +63,15 @@ impl FaultModel {
         }
     }
 
-    /// Whether this model can ever produce a fault or slow episode.
+    /// Whether this model can ever produce a fault.
     pub fn is_active(&self) -> bool {
-        self.drop_rate > 0.0
-            || self.timeout_rate > 0.0
-            || self.slow_rate > 0.0
-            || self.partition.is_some()
+        self.drop_rate > 0.0 || self.timeout_rate > 0.0
     }
 
     /// Decide the fate of one transfer leg from its stable identity hash.
-    pub fn verdict(&self, period: u32, identity: u64) -> Verdict {
-        if let Some(w) = self.partition {
-            if w.contains(period) {
-                return Verdict::Fault(LinkFault::Partition);
-            }
-        }
+    pub fn verdict(&self, identity: u64) -> Verdict {
         if !self.is_active() {
-            return Verdict::Deliver { slow_factor: 1.0 };
+            return Verdict::Deliver;
         }
         // map the identity hash to a uniform draw in [0, 1)
         let u = (splitmix64(identity) >> 11) as f64 / (1u64 << 53) as f64;
@@ -127,23 +79,16 @@ impl FaultModel {
             Verdict::Fault(LinkFault::Drop)
         } else if u < self.drop_rate + self.timeout_rate {
             Verdict::Fault(LinkFault::Timeout)
-        } else if u < self.drop_rate + self.timeout_rate + self.slow_rate {
-            Verdict::Deliver {
-                slow_factor: self.slow_factor.max(1.0),
-            }
         } else {
-            Verdict::Deliver { slow_factor: 1.0 }
+            Verdict::Deliver
         }
     }
 }
 
 /// The fate of one transfer leg.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Delivered; the modeled delay is multiplied by `slow_factor`.
-    Deliver {
-        slow_factor: f64,
-    },
+    Deliver,
     Fault(LinkFault),
 }
 
@@ -234,8 +179,6 @@ pub struct ScopeState {
     /// The *root* instance identity — unchanged across FORK adoption, so
     /// crash plans aimed at an instance also cover its branches.
     pub root: u64,
-    /// Benchmark period — partition windows are evaluated against it.
-    pub period: u32,
 }
 
 struct ActiveScope {
@@ -290,11 +233,7 @@ pub fn instance_key(process: &str, period: u32, seq: u32) -> u64 {
 /// Scopes nest (a subprocess inherits its own identity).
 pub fn instance_scope(process: &str, period: u32, seq: u32) -> ScopeGuard {
     let key = instance_key(process, period, seq);
-    push_scope(ScopeState {
-        key,
-        root: key,
-        period,
-    })
+    push_scope(ScopeState { key, root: key })
 }
 
 /// Snapshot the current scope for crossing a thread boundary (FORK
@@ -310,7 +249,6 @@ pub fn adopt(state: ScopeState, branch: u32) -> ScopeGuard {
     push_scope(ScopeState {
         key: mix(state.key, 0x1000_0000 | branch as u64),
         root: state.root,
-        period: state.period,
     })
 }
 
@@ -319,14 +257,13 @@ pub fn adopt(state: ScopeState, branch: u32) -> ScopeGuard {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpKey {
     key: u64,
-    pub period: u32,
 }
 
 impl OpKey {
     /// An operation identity built directly from a raw key — for tests and
     /// tools that probe the fault schedule outside an instance scope.
-    pub fn synthetic(key: u64, period: u32) -> OpKey {
-        OpKey { key, period }
+    pub fn synthetic(key: u64) -> OpKey {
+        OpKey { key }
     }
 
     /// The identity of one transfer leg of one attempt of this operation.
@@ -346,7 +283,6 @@ pub fn begin_op() -> Option<OpKey> {
         active.next_op += 1;
         Some(OpKey {
             key: mix(active.state.key, ordinal as u64),
-            period: active.state.period,
         })
     })
 }
@@ -363,15 +299,6 @@ pub fn note_retries(n: u32) {
 /// Transport retries recorded so far for the current instance scope.
 pub fn scope_retries() -> u32 {
     SCOPE.with(|s| s.borrow().last().map_or(0, |a| a.retries))
-}
-
-/// A transport failure as surfaced to callers, with the modeled time the
-/// caller spent discovering it (timeout waits are communication cost).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransportError {
-    pub endpoint: String,
-    pub fault: LinkFault,
-    pub waited: Duration,
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +375,7 @@ mod tests {
     fn verdict_is_pure_and_seed_stable() {
         let m = FaultModel::drops(0.3);
         for key in 0..1000u64 {
-            assert_eq!(m.verdict(0, key), m.verdict(0, key));
+            assert_eq!(m.verdict(key), m.verdict(key));
         }
     }
 
@@ -456,7 +383,7 @@ mod tests {
     fn zero_rate_never_faults() {
         let m = FaultModel::NONE;
         for key in 0..1000u64 {
-            assert_eq!(m.verdict(0, key), Verdict::Deliver { slow_factor: 1.0 });
+            assert_eq!(m.verdict(key), Verdict::Deliver);
         }
     }
 
@@ -465,24 +392,24 @@ mod tests {
         let m = FaultModel::drops(0.2);
         let n = 20_000u64;
         let dropped = (0..n)
-            .filter(|&k| matches!(m.verdict(0, splitmix64(k)), Verdict::Fault(LinkFault::Drop)))
+            .filter(|&k| matches!(m.verdict(splitmix64(k)), Verdict::Fault(LinkFault::Drop)))
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((0.17..0.23).contains(&rate), "observed drop rate {rate}");
     }
 
     #[test]
-    fn partition_window_overrides_everything() {
+    fn timeouts_follow_drops_on_the_draw() {
         let m = FaultModel {
-            partition: Some(PartitionWindow {
-                from_period: 1,
-                until_period: 2,
-            }),
-            ..FaultModel::NONE
+            drop_rate: 0.1,
+            timeout_rate: 0.2,
         };
-        assert_eq!(m.verdict(1, 42), Verdict::Fault(LinkFault::Partition));
-        assert_eq!(m.verdict(0, 42), Verdict::Deliver { slow_factor: 1.0 });
-        assert_eq!(m.verdict(2, 42), Verdict::Deliver { slow_factor: 1.0 });
+        let n = 20_000u64;
+        let timeouts = (0..n)
+            .filter(|&k| m.verdict(splitmix64(k)) == Verdict::Fault(LinkFault::Timeout))
+            .count();
+        let rate = timeouts as f64 / n as f64;
+        assert!((0.17..0.23).contains(&rate), "observed timeout rate {rate}");
     }
 
     #[test]

@@ -9,8 +9,6 @@ use std::time::Duration;
 pub enum LatencyModel {
     /// Always exactly `micros`.
     Fixed { micros: u64 },
-    /// Uniform in `[min_micros, max_micros]`.
-    Uniform { min_micros: u64, max_micros: u64 },
     /// Normal(mean, stddev), truncated at zero — the jittery wireless
     /// profile of the paper's experimental setup.
     Normal {
@@ -24,13 +22,6 @@ impl LatencyModel {
     pub fn sample(&self, rng: &mut StdRng) -> Duration {
         match self {
             LatencyModel::Fixed { micros } => Duration::from_micros(*micros),
-            LatencyModel::Uniform {
-                min_micros,
-                max_micros,
-            } => {
-                let (lo, hi) = (*min_micros.min(max_micros), *min_micros.max(max_micros));
-                Duration::from_micros(rng.gen_range(lo..=hi))
-            }
             LatencyModel::Normal {
                 mean_micros,
                 stddev_micros,
@@ -41,20 +32,6 @@ impl LatencyModel {
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
                 let v = mean_micros + stddev_micros * z;
                 Duration::from_micros(v.max(0.0) as u64)
-            }
-        }
-    }
-
-    /// The distribution mean, used by capacity estimates and reports.
-    pub fn mean(&self) -> Duration {
-        match self {
-            LatencyModel::Fixed { micros } => Duration::from_micros(*micros),
-            LatencyModel::Uniform {
-                min_micros,
-                max_micros,
-            } => Duration::from_micros((min_micros + max_micros) / 2),
-            LatencyModel::Normal { mean_micros, .. } => {
-                Duration::from_micros(mean_micros.max(0.0) as u64)
             }
         }
     }
@@ -71,19 +48,6 @@ mod tests {
         let m = LatencyModel::Fixed { micros: 250 };
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), Duration::from_micros(250));
-        }
-    }
-
-    #[test]
-    fn uniform_stays_in_bounds() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let m = LatencyModel::Uniform {
-            min_micros: 100,
-            max_micros: 200,
-        };
-        for _ in 0..1000 {
-            let d = m.sample(&mut rng).as_micros() as u64;
-            assert!((100..=200).contains(&d));
         }
     }
 

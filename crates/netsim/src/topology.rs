@@ -54,9 +54,10 @@ pub fn local_link() -> LinkSpec {
 }
 
 /// Build the benchmark network. All IS↔ES and CS↔IS traffic uses the
-/// wireless profile; ES-internal pairs use the local profile.
-pub fn dipbench_network(mode: TransferMode, seed: u64) -> Network {
-    let mut net = Network::new(wireless_link(), mode, seed);
+/// wireless profile; ES-internal pairs use the local profile. Transfers are
+/// accounted ([`TransferMode::Accounted`], the one mode).
+pub fn dipbench_network(_mode: TransferMode, seed: u64) -> Network {
+    let mut net = Network::new(wireless_link(), seed);
     let es_endpoints: Vec<&str> = ES_DATABASES
         .iter()
         .chain(ES_SERVICES.iter())

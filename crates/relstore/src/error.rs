@@ -16,8 +16,6 @@ pub enum TransportKind {
     Drop,
     /// The link stalled past the caller's timeout.
     Timeout,
-    /// The link is partitioned; the failure was immediate.
-    Partition,
     /// The caller's circuit breaker is open; no attempt was made.
     CircuitOpen,
     /// The integration system itself was killed mid-operation (deterministic
@@ -32,7 +30,6 @@ impl TransportKind {
         match self {
             TransportKind::Drop => "drop",
             TransportKind::Timeout => "timeout",
-            TransportKind::Partition => "partition",
             TransportKind::CircuitOpen => "circuit-open",
             TransportKind::Crash => "crash",
         }

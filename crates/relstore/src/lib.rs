@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::error::{StoreError, StoreResult, TransportFault, TransportKind};
     pub use crate::expr::{CmpOp, Expr, ScalarFunc};
     pub use crate::mview::MatView;
-    pub use crate::query::{execute, execute_oracle, AggExpr, AggFunc, JoinKind, Plan, ProjExpr};
+    pub use crate::query::{execute, execute_oracle, AggExpr, AggOp, Plan, ProjExpr};
     pub use crate::row::{Relation, Row};
     pub use crate::schema::{Column, RelSchema, SchemaRef};
     pub use crate::table::{Change, Table};

@@ -61,7 +61,7 @@ mod tests {
     use super::*;
     use crate::error::StoreError;
     use crate::expr::Expr;
-    use crate::query::plan::{AggExpr, AggFunc};
+    use crate::query::plan::AggExpr;
     use crate::schema::{Column, RelSchema};
     use crate::table::Table;
     use crate::value::{SqlType, Value};
@@ -85,7 +85,7 @@ mod tests {
         let def = Plan::scan("orders").aggregate(
             vec![0],
             vec![
-                AggExpr::new(AggFunc::Sum, Expr::col(1), "revenue"),
+                AggExpr::sum(Expr::col(1), "revenue"),
                 AggExpr::count_star("cnt"),
             ],
         );

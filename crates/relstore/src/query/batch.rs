@@ -30,8 +30,7 @@
 //! read lock its session (`table::TableRows`) holds until the scan has
 //! handed on its last chunk — the borrow a chunk's lifetime parameter
 //! names. An index join gathers its inner half from the table the same
-//! way, through its probe session ([`PAD`] for a LEFT join's padding, as
-//! in a hash join's build index). A `Values` leaf and an aggregate's
+//! way, through its probe session. A `Values` leaf and an aggregate's
 //! finished groups are row slices read through one identity index
 //! ([`emit_rows`]). Values are cloned exactly once, at the final
 //! chunk-to-rows boundary. Filters and distinct-unions never copy either
@@ -50,16 +49,14 @@
 //!
 //! * hash joins emit probe order × build insertion order (build ids are
 //!   inserted into the [`KeyIndex`] in descending order so chains walk
-//!   ascending), build on the estimated-smaller side (LEFT builds right),
-//!   NULL keys never join, LEFT pads with build-width NULLs;
+//!   ascending), build on the estimated-smaller side, NULL keys never
+//!   join;
 //! * aggregates emit groups in first-seen order and a global aggregate
 //!   over zero rows still yields one row;
 //! * `UnionDistinct` keeps first occurrences;
 //! * all aggregate arithmetic goes through the shared [`AggState`]
 //!   (exact-`i64` SUM with overflow fallback, compensated float sums),
-//!   one value at a time — float MIN/MAX in particular: NaN makes
-//!   "strictly less wins" non-transitive, so chunk-local reductions could
-//!   change results.
+//!   one value at a time.
 //!
 //! Hash and group tables are pre-sized from planner cardinality estimates
 //! (table live counts at the leaves); aggregate inputs that are bare
@@ -84,7 +81,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::expr::{Expr, RowAccess};
 use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
 use crate::query::exec::{checked_values, index_join_equivalent, node_names, AggState};
-use crate::query::plan::{AggFunc, JoinKind, Plan};
+use crate::query::plan::{AggOp, Plan};
 use crate::row::{Relation, Row};
 use crate::table::Table;
 use crate::value::Value;
@@ -98,14 +95,7 @@ fn oob(c: usize) -> StoreError {
     StoreError::Eval(format!("column index {c} out of range"))
 }
 
-/// The gather index of a LEFT join's pad row: it reads NULL in every
-/// column. No row has it: a hash join's build side is indexed by `u32`
-/// below it, and [`crate::index::slot_id`] refuses it as a table slot.
-const PAD: u32 = u32::MAX;
-
-static NULL: Value = Value::Null;
-
-/// What a gather reads through its index; entry [`PAD`] is NULL.
+/// What a gather reads through its index.
 #[derive(Clone)]
 enum Src<'t> {
     /// A shared column: entry `k` is the value of row `k`.
@@ -127,7 +117,6 @@ enum Src<'t> {
 impl Src<'_> {
     fn get(&self, k: u32) -> Option<&Value> {
         match self {
-            _ if k == PAD => Some(&NULL),
             Src::Col(v) => v.get(k as usize),
             Src::Rows { slots, col } => slots.get(k as usize)?.as_ref()?.get(*col),
             Src::Values { rows, col } => rows.get(k as usize)?.get(*col),
@@ -343,8 +332,8 @@ fn slot_cols<'t>(slots: &'t [Option<Row>], cols: &[usize], idx: Vec<u32>) -> Vec
 type ComposeMemo = Vec<(Arc<Vec<u32>>, Arc<Vec<u32>>)>;
 
 /// The gather index `outer` composed over a column's own gather index
-/// `old`: entry `k` is `old[outer[k]]` — u32 reads, no `Value` clones; a
-/// [`PAD`] entry of `old` stays one. `memo` keeps one composition per
+/// `old`: entry `k` is `old[outer[k]]` — u32 reads, no `Value` clones.
+/// `memo` keeps one composition per
 /// distinct `old` (columns emitted by the same upstream join all share
 /// one).
 fn compose(outer: &Arc<Vec<u32>>, old: Arc<Vec<u32>>, memo: &mut ComposeMemo) -> Arc<Vec<u32>> {
@@ -491,17 +480,6 @@ enum AggSrc<'a, 't> {
     Star,
 }
 
-/// Apply one input value to an aggregate state — the by-reference mirror of
-/// [`AggState::update`]'s `Some(v)` path.
-fn apply_agg(st: &mut AggState, v: &Value) {
-    match st.func() {
-        AggFunc::Count => st.count_value(v),
-        AggFunc::Sum | AggFunc::Avg => st.add_value(v),
-        AggFunc::Min => st.min_value(v),
-        AggFunc::Max => st.max_value(v),
-    }
-}
-
 /// Evaluate `e` on every selected row of `c`, in selection order.
 fn eval_column(e: &Expr, c: &Chunk) -> StoreResult<Vec<Value>> {
     (0..c.live())
@@ -606,12 +584,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             right,
             left_keys,
             right_keys,
-            kind,
         } => {
-            // Build on the estimated-smaller side; LEFT joins must build on
-            // the right so unmatched left rows can be emitted while probing.
-            let build_right =
-                *kind == JoinKind::Left || right.estimate_rows(db) <= left.estimate_rows(db);
+            // Build on the estimated-smaller side.
+            let build_right = right.estimate_rows(db) <= left.estimate_rows(db);
             let (build_plan, probe_plan, build_keys, probe_keys, probe_is_left) = if build_right {
                 (&**right, &**left, right_keys, left_keys, true)
             } else {
@@ -656,9 +631,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             }
             drop(bh);
             drop(bnull);
-            let left_pad = *kind == JoinKind::Left && probe_is_left;
-            // Columnarize the build side once (values move, not clone); a
-            // LEFT-join pad gathers entry PAD, which reads NULL.
+            // Columnarize the build side once (values move, not clone).
             let build_width = build_plan.schema(db)?.len();
             let mut bcols: Vec<Vec<Value>> = (0..build_width)
                 .map(|_| Vec::with_capacity(build_len))
@@ -681,14 +654,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 for k in 0..c.live() {
                     let i = c.idx(k);
                     if pnull.get(k).copied().unwrap_or(true) {
-                        if left_pad {
-                            probe_idx.push(i as u32);
-                            build_idx.push(PAD);
-                        }
                         continue;
                     }
                     let h = ph.get(k).copied().unwrap_or(KEY_SEED);
-                    let before = probe_idx.len();
                     for cand in table.candidates(h) {
                         let b = cand as usize;
                         let eq = probe_keys.iter().zip(build_keys).all(|(&pk, &bk)| {
@@ -699,10 +667,6 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                             probe_idx.push(i as u32);
                             build_idx.push(cand);
                         }
-                    }
-                    if probe_idx.len() == before && left_pad {
-                        probe_idx.push(i as u32);
-                        build_idx.push(PAD);
                     }
                 }
                 if probe_idx.is_empty() {
@@ -726,7 +690,6 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             inner_keys,
             predicate,
             projection,
-            kind,
             probe_is_left,
         } => {
             let t = db.table(table)?;
@@ -738,9 +701,6 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             // inner output column `x` reads column `inner_cols[x]` of the
             // matched table row
             let inner_cols = table_cols(&t, projection);
-            // the planner only selects LEFT index joins with probe = left
-            let left_pad = *kind == JoinKind::Left && *probe_is_left;
-            let probe_first = *probe_is_left;
             let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
             feed(plan, probe, db, &mut |c: Chunk| {
                 // both halves are gathered, no value is cloned: the probe
@@ -752,14 +712,8 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     let i = c.idx(k);
                     c.key_into(i, probe_keys, &mut key)?;
                     if key.iter().any(|v| v.is_null()) {
-                        // NULL keys never join; LEFT probes still emit padded
-                        if left_pad {
-                            probe_idx.push(i as u32);
-                            slot_idx.push(PAD);
-                        }
-                        continue;
+                        continue; // NULL keys never join
                     }
-                    let before = slot_idx.len();
                     session.lookup(&key, &mut |slot, ir| {
                         if let Some(p) = predicate {
                             if !p.matches_on(ir)? {
@@ -770,16 +724,12 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                         slot_idx.push(slot);
                         Ok(())
                     })?;
-                    if slot_idx.len() == before && left_pad {
-                        probe_idx.push(i as u32);
-                        slot_idx.push(PAD);
-                    }
                 }
                 if probe_idx.is_empty() {
                     return Ok(());
                 }
                 let inner = slot_cols(session.rows.slots(), &inner_cols, slot_idx);
-                sink(join_chunk(c, probe_idx, inner, probe_first))
+                sink(join_chunk(c, probe_idx, inner, *probe_is_left))
             })
         }
         Plan::UnionDistinct { inputs, key } => {
@@ -847,18 +797,18 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let mut order: Vec<Row> = Vec::new();
             let mut states: Vec<Vec<AggState>> = Vec::new();
             let mut ghash: Vec<u64> = Vec::new();
-            let fresh =
-                || -> Vec<AggState> { aggs.iter().map(|a| AggState::new(a.func)).collect() };
             feed(plan, input, db, &mut |c: Chunk| {
                 // Resolve each aggregate's input source once per chunk:
                 // bare columns are read in place, computed expressions are
                 // evaluated column-at-a-time into a dense vector.
                 let mut srcs: Vec<AggSrc> = Vec::with_capacity(aggs.len());
                 for a in aggs {
-                    srcs.push(match &a.input {
-                        None => AggSrc::Star,
-                        Some(Expr::Col(j)) => AggSrc::Col(c.cols.get(*j).ok_or_else(|| oob(*j))?),
-                        Some(e) => AggSrc::Computed(eval_column(e, &c)?),
+                    srcs.push(match &a.op {
+                        AggOp::CountStar => AggSrc::Star,
+                        AggOp::Sum(Expr::Col(j)) => {
+                            AggSrc::Col(c.cols.get(*j).ok_or_else(|| oob(*j))?)
+                        }
+                        AggOp::Sum(e) => AggSrc::Computed(eval_column(e, &c)?),
                     });
                 }
                 chunk_key_hashes(&c, group_by, &mut ghash, None)?;
@@ -877,7 +827,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                         Some(g) => g,
                         None => {
                             order.push(c.key_at(i, group_by)?);
-                            states.push(fresh());
+                            states.push(vec![AggState::default(); aggs.len()]);
                             ix.push(h) as usize
                         }
                     };
@@ -886,20 +836,15 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     };
                     for (st, src) in sts.iter_mut().zip(&srcs) {
                         match src {
-                            // mirrors `update(None)`: only COUNT reacts
-                            AggSrc::Star => {
-                                if st.func() == AggFunc::Count {
-                                    st.count_row();
-                                }
-                            }
+                            AggSrc::Star => st.count_row(),
                             AggSrc::Col(col) => {
                                 if let Some(v) = col.value(i) {
-                                    apply_agg(st, v);
+                                    st.add_value(v);
                                 }
                             }
                             AggSrc::Computed(vals) => {
                                 if let Some(v) = vals.get(k) {
-                                    apply_agg(st, v);
+                                    st.add_value(v);
                                 }
                             }
                         }
@@ -910,11 +855,11 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             // Global aggregate over zero rows still yields one row.
             if states.is_empty() && group_by.is_empty() {
                 order.push(vec![]);
-                states.push(fresh());
+                states.push(vec![AggState::default(); aggs.len()]);
             }
             let rows: Vec<Row> = (order.into_iter().zip(states))
                 .map(|(mut row, sts)| {
-                    row.extend(sts.into_iter().map(AggState::finish));
+                    row.extend(sts.into_iter().zip(aggs).map(|(st, a)| st.finish(&a.op)));
                     row
                 })
                 .collect();
@@ -991,7 +936,7 @@ mod tests {
 
     /// Rows of `rows()` as a dense chunk, a selected chunk over shared
     /// columns, a gathered chunk under a selection, an index join's gather
-    /// over `slots` (`table_slots()`) with a pad row, a scan's chunk over
+    /// over `slots` (`table_slots()`), a scan's chunk over
     /// the same slots and the partial tail chunk a `Values` leaf over
     /// `values` (`values_leaf()`) emits, each with the rows it stands for.
     fn shapes<'t>(slots: &'t [Option<Row>], values: &'t [Row]) -> Vec<(Chunk<'t>, Vec<Row>)> {
@@ -1018,8 +963,8 @@ mod tests {
             height: 5,
             sel: Some(vec![1, 2, 4]),
         };
-        // slots 2, pad, 4, 0, 3 hold rows 0, -, 2, 3, 4
-        let slot_idx = Arc::new(vec![2u32, PAD, 4, 0, 3]);
+        // slots 2, 2, 4, 0, 3 hold rows 0, 0, 2, 3, 4
+        let slot_idx = Arc::new(vec![2u32, 2, 4, 0, 3]);
         let row_gather = |col: usize| Col::Gather {
             src: Src::Rows { slots, col },
             idx: slot_idx.clone(),
@@ -1050,12 +995,11 @@ mod tests {
             height: 5,
             sel: None,
         };
-        let pad = vec![Value::Null, Value::Null];
         vec![
             (dense, rows.clone()),
             (selected, pick(&[0, 2, 4])),
             (gathered, pick(&[1, 0, 2])),
-            (table_rows, vec![rows[0].clone(), pad, rows[3].clone()]),
+            (table_rows, pick(&[0, 0, 3])),
             (scanned, pick(&[3, 0, 4, 2, 1])),
             (values_tail, rows.clone()),
         ]
@@ -1113,12 +1057,7 @@ mod tests {
             let schema = RelSchema::of(&[("k", SqlType::Float)]).shared();
             Plan::Values(Relation::new(schema, vec![vec![v]]).into())
         };
-        let plan = side(Value::Int(3)).hash_join(
-            side(Value::Float(3.0)),
-            vec![0],
-            vec![0],
-            JoinKind::Inner,
-        );
+        let plan = side(Value::Int(3)).hash_join(side(Value::Float(3.0)), vec![0], vec![0]);
         let out = materialize_chunked(&plan, &Database::new("scratch")).unwrap();
         assert!(matches!(out.rows[0][..], [Value::Int(3), Value::Float(f)] if f == 3.0));
         assert_eq!(out.rows.len(), 1);

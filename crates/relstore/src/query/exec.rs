@@ -27,7 +27,7 @@
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::index::key_of;
-use crate::query::plan::{AggFunc, JoinKind, Plan};
+use crate::query::plan::{AggOp, Plan};
 use crate::row::{Relation, Row};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -77,7 +77,6 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
         inner_keys,
         predicate,
         projection,
-        kind,
         probe_is_left,
     } = plan
     else {
@@ -111,7 +110,6 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
             right: Box::new(scan),
             left_keys: probe_keys.clone(),
             right_keys: scan_keys,
-            kind: *kind,
         }
     } else {
         Plan::HashJoin {
@@ -119,7 +117,6 @@ pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
             right: probe.clone(),
             left_keys: scan_keys,
             right_keys: probe_keys.clone(),
-            kind: *kind,
         }
     })
 }
@@ -197,11 +194,10 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             right,
             left_keys,
             right_keys,
-            kind,
         } => {
             let l = oracle(left, db)?;
             let r = oracle(right, db)?;
-            hash_join(db, plan, l, r, left_keys, right_keys, *kind)
+            hash_join(db, plan, l, r, left_keys, right_keys)
         }
         Plan::IndexJoin { .. } => oracle(&index_join_equivalent(plan)?, db),
         Plan::UnionDistinct { inputs, key } => {
@@ -238,21 +234,20 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                         order.push(key.clone());
                         groups
                             .entry(key.clone())
-                            .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect())
+                            .or_insert_with(|| vec![AggState::default(); aggs.len()])
                     }
                 };
                 for (st, a) in states.iter_mut().zip(aggs) {
-                    let v = match &a.input {
-                        Some(e) => Some(e.eval(r)?),
-                        None => None,
-                    };
-                    st.update(v);
+                    match &a.op {
+                        AggOp::CountStar => st.count_row(),
+                        AggOp::Sum(e) => st.add_value(&e.eval(r)?),
+                    }
                 }
             }
             // Global aggregate over zero rows still yields one row.
             if groups.is_empty() && group_by.is_empty() {
                 order.push(vec![]);
-                groups.insert(vec![], aggs.iter().map(|a| AggState::new(a.func)).collect());
+                groups.insert(vec![], vec![AggState::default(); aggs.len()]);
             }
             let mut rows = Vec::with_capacity(order.len());
             for key in order {
@@ -260,9 +255,7 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                     continue;
                 };
                 let mut row = key;
-                for st in states {
-                    row.push(st.finish());
-                }
+                row.extend(states.into_iter().zip(aggs).map(|(st, a)| st.finish(&a.op)));
                 rows.push(row);
             }
             Ok(Relation::new(schema, rows))
@@ -277,12 +270,10 @@ fn hash_join(
     right: Relation,
     left_keys: &[usize],
     right_keys: &[usize],
-    kind: JoinKind,
 ) -> StoreResult<Relation> {
     let schema = plan.schema(db)?;
-    // Build on the smaller side for inner joins; LEFT joins must build on
-    // the right so unmatched left rows can be emitted while probing.
-    let build_right = kind == JoinKind::Left || right.len() <= left.len();
+    // Build on the smaller side.
+    let build_right = right.len() <= left.len();
     let (build, probe, build_keys, probe_keys, probe_is_left) = if build_right {
         (&right, &left, right_keys, left_keys, true)
     } else {
@@ -298,38 +289,22 @@ fn hash_join(
     }
     let mut rows = Vec::new();
     for pr in &probe.rows {
-        let key = key_of(pr, probe_keys);
-        let matches = if key.iter().any(|v| v.is_null()) {
-            None
-        } else {
-            table.get(&key)
-        };
-        match matches {
-            Some(slots) => {
-                for &s in slots {
-                    let br = &build.rows[s];
-                    let row: Row = if probe_is_left {
-                        pr.iter().chain(br.iter()).cloned().collect()
-                    } else {
-                        br.iter().chain(pr.iter()).cloned().collect()
-                    };
-                    rows.push(row);
-                }
-            }
-            None => {
-                if kind == JoinKind::Left && probe_is_left {
-                    let mut row: Row = pr.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, build.schema.len()));
-                    rows.push(row);
-                }
-            }
+        // a NULL probe key finds nothing: no NULL key was inserted
+        for &s in table.get(&key_of(pr, probe_keys)).into_iter().flatten() {
+            let br = &build.rows[s];
+            let row: Row = if probe_is_left {
+                pr.iter().chain(br.iter()).cloned().collect()
+            } else {
+                br.iter().chain(pr.iter()).cloned().collect()
+            };
+            rows.push(row);
         }
     }
     Ok(Relation::new(schema, rows))
 }
 
 /// Compensated (Kahan–Babuška/Neumaier) float accumulator. Every float
-/// `SUM`/`AVG` in the executor and the oracle routes through this one type,
+/// `SUM` in the executor and the oracle routes through this one type,
 /// so the summation error — and therefore the emitted bytes — do not depend
 /// on which operator ordering fed the aggregate. For inputs whose exact sum
 /// is representable the result is also order-independent, which is what the
@@ -360,7 +335,7 @@ impl Kahan {
     }
 }
 
-/// Numeric accumulator for `SUM`/`AVG`: exact `i64` arithmetic while every
+/// Numeric accumulator for `SUM`: exact `i64` arithmetic while every
 /// input is an integer, widening to compensated `f64` on the first
 /// non-integer input or on overflow.
 #[derive(Debug, Clone, Copy)]
@@ -369,90 +344,33 @@ enum NumAcc {
     Float(Kahan),
 }
 
-impl NumAcc {
-    fn as_f64(self) -> f64 {
-        match self {
-            NumAcc::Int(i) => i as f64,
-            NumAcc::Float(k) => k.value(),
-        }
-    }
-}
-
 /// Aggregate state shared by the oracle and the batch executor — one
-/// implementation so the two cannot drift.
-#[derive(Debug)]
+/// implementation so the two cannot drift. `count` is the rows of a
+/// `COUNT(*)`, or the numeric inputs of a `SUM`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct AggState {
-    func: AggFunc,
     count: u64,
     sum: NumAcc,
-    min: Option<Value>,
-    max: Option<Value>,
+}
+
+impl Default for AggState {
+    fn default() -> AggState {
+        AggState {
+            count: 0,
+            sum: NumAcc::Int(0),
+        }
+    }
 }
 
 impl AggState {
-    pub(crate) fn new(func: AggFunc) -> AggState {
-        AggState {
-            func,
-            count: 0,
-            sum: NumAcc::Int(0),
-            min: None,
-            max: None,
-        }
-    }
-
-    pub(crate) fn update(&mut self, v: Option<Value>) {
-        match self.func {
-            AggFunc::Count => {
-                // COUNT(*) counts rows; COUNT(expr) skips NULLs.
-                match &v {
-                    None => self.count += 1,
-                    Some(x) if !x.is_null() => self.count += 1,
-                    _ => {}
-                }
-            }
-            AggFunc::Sum | AggFunc::Avg => {
-                let Some(x) = v else { return };
-                match &x {
-                    Value::Int(i) => self.add_int(*i),
-                    other => {
-                        if let Some(f) = other.to_float() {
-                            self.add_float(f);
-                        }
-                    }
-                }
-            }
-            AggFunc::Min => {
-                if let Some(x) = v {
-                    if !x.is_null() && self.min.as_ref().is_none_or(|m| x < *m) {
-                        self.min = Some(x);
-                    }
-                }
-            }
-            AggFunc::Max => {
-                if let Some(x) = v {
-                    if !x.is_null() && self.max.as_ref().is_none_or(|m| x > *m) {
-                        self.max = Some(x);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Count one row for `COUNT(*)` — the vectorized column loop's form.
+    /// Count one row for `COUNT(*)`.
     pub(crate) fn count_row(&mut self) {
         self.count += 1;
     }
 
-    /// Count one non-NULL input for `COUNT(expr)`.
-    pub(crate) fn count_value(&mut self, v: &Value) {
-        if !v.is_null() {
-            self.count += 1;
-        }
-    }
-
-    /// Add one integer to a `SUM`/`AVG` (exact while it fits in `i64`,
+    /// Add one integer to a `SUM` (exact while it fits in `i64`,
     /// compensated-float after overflow or a prior float input).
-    pub(crate) fn add_int(&mut self, i: i64) {
+    fn add_int(&mut self, i: i64) {
         match &mut self.sum {
             NumAcc::Int(s) => {
                 self.sum = match s.checked_add(i) {
@@ -469,9 +387,9 @@ impl AggState {
         self.count += 1;
     }
 
-    /// Add one float to a `SUM`/`AVG` through the shared compensated
+    /// Add one float to a `SUM` through the shared compensated
     /// accumulator (widening an integer prefix first).
-    pub(crate) fn add_float(&mut self, f: f64) {
+    fn add_float(&mut self, f: f64) {
         match &mut self.sum {
             NumAcc::Int(s) => {
                 let mut k = Kahan::seeded(*s as f64);
@@ -483,8 +401,8 @@ impl AggState {
         self.count += 1;
     }
 
-    /// `SUM`/`AVG` update by reference — the vectorized path's per-column
-    /// loop form of [`AggState::update`]'s `Sum | Avg` arm.
+    /// Add one input value to a `SUM`; NULLs and non-numeric values are
+    /// skipped.
     pub(crate) fn add_value(&mut self, v: &Value) {
         match v {
             Value::Int(i) => self.add_int(*i),
@@ -496,46 +414,13 @@ impl AggState {
         }
     }
 
-    /// `MIN` update by reference (clones only when the value wins).
-    pub(crate) fn min_value(&mut self, v: &Value) {
-        if !v.is_null() && self.min.as_ref().is_none_or(|m| *v < *m) {
-            self.min = Some(v.clone());
-        }
-    }
-
-    /// `MAX` update by reference (clones only when the value wins).
-    pub(crate) fn max_value(&mut self, v: &Value) {
-        if !v.is_null() && self.max.as_ref().is_none_or(|m| *v > *m) {
-            self.max = Some(v.clone());
-        }
-    }
-
-    pub(crate) fn func(&self) -> AggFunc {
-        self.func
-    }
-
-    pub(crate) fn finish(self) -> Value {
-        match self.func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    match self.sum {
-                        NumAcc::Int(s) => Value::Int(s),
-                        NumAcc::Float(k) => Value::Float(k.value()),
-                    }
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum.as_f64() / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.unwrap_or(Value::Null),
-            AggFunc::Max => self.max.unwrap_or(Value::Null),
+    /// The value of aggregate `op` for this state.
+    pub(crate) fn finish(self, op: &AggOp) -> Value {
+        match (op, self.sum) {
+            (AggOp::CountStar, _) => Value::Int(self.count as i64),
+            (AggOp::Sum(_), _) if self.count == 0 => Value::Null,
+            (AggOp::Sum(_), NumAcc::Int(s)) => Value::Int(s),
+            (AggOp::Sum(_), NumAcc::Float(k)) => Value::Float(k.value()),
         }
     }
 }

@@ -8,7 +8,7 @@ pub mod plan;
 pub mod planner;
 
 pub use exec::{execute, execute_oracle};
-pub use plan::{AggExpr, AggFunc, JoinKind, Plan, ProjExpr};
+pub use plan::{AggExpr, AggOp, Plan, ProjExpr};
 
 #[cfg(test)]
 mod tests {
@@ -88,8 +88,7 @@ mod tests {
     #[test]
     fn inner_join() {
         let db = db();
-        let plan =
-            Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner);
+        let plan = Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0]);
         let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.schema.len(), 5);
         // probe order; delta's citykey 99 has no match
@@ -116,47 +115,6 @@ mod tests {
                     int(10),
                     int(10),
                     Value::str("Berlin")
-                ],
-            ]
-        );
-    }
-
-    #[test]
-    fn left_join_pads_nulls() {
-        let db = db();
-        let plan =
-            Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Left);
-        let rel = run_vs_oracle(&plan, &db);
-        assert_eq!(
-            rel.rows,
-            vec![
-                vec![
-                    int(1),
-                    Value::str("alpha"),
-                    int(10),
-                    int(10),
-                    Value::str("Berlin")
-                ],
-                vec![
-                    int(2),
-                    Value::str("beta"),
-                    int(20),
-                    int(20),
-                    Value::str("Paris")
-                ],
-                vec![
-                    int(3),
-                    Value::str("gamma"),
-                    int(10),
-                    int(10),
-                    Value::str("Berlin")
-                ],
-                vec![
-                    int(4),
-                    Value::str("delta"),
-                    int(99),
-                    Value::Null,
-                    Value::Null
                 ],
             ]
         );
@@ -204,17 +162,14 @@ mod tests {
         let db = db();
         let plan = Plan::scan("customer").aggregate(
             vec![2],
-            vec![
-                AggExpr::count_star("n"),
-                AggExpr::new(AggFunc::Max, Expr::col(0), "maxk"),
-            ],
+            vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "keys")],
         );
         let rel = run_vs_oracle(&plan, &db);
         // groups in first-seen order; citykey 10 twice
         assert_eq!(
             rel.rows,
             vec![
-                vec![int(10), int(2), int(3)],
+                vec![int(10), int(2), int(4)],
                 vec![int(20), int(1), int(2)],
                 vec![int(99), int(1), int(4)],
             ]
@@ -226,10 +181,12 @@ mod tests {
         let db = db();
         let plan = Plan::scan("customer")
             .filter(Expr::col(0).gt(Expr::lit(1000)))
-            .aggregate(vec![], vec![AggExpr::count_star("n")]);
+            .aggregate(
+                vec![],
+                vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "s")],
+            );
         let rel = run_vs_oracle(&plan, &db);
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel.rows[0][0], Value::Int(0));
+        assert_eq!(rel.rows, vec![vec![Value::Int(0), Value::Null]]);
     }
 
     #[test]
@@ -237,7 +194,7 @@ mod tests {
         let db = db();
         let schema = db.table("customer").unwrap().schema.clone();
         let plan = Plan::scan("customer")
-            .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
+            .hash_join(Plan::scan("city"), vec![2], vec![0])
             .filter(
                 Expr::col(1)
                     .like("%a%")
@@ -258,8 +215,8 @@ mod tests {
             schema.clone(),
             vec![vec![Value::Int(big)], vec![Value::Int(0)]],
         );
-        let plan = Plan::Values(rel.into())
-            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")]);
+        let plan =
+            Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Int(big));
         // the output schema advertises Int as well
@@ -270,24 +227,18 @@ mod tests {
             schema.clone(),
             vec![vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MAX)]],
         );
-        let plan = Plan::Values(rel.into())
-            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")]);
+        let plan =
+            Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(i64::MAX as f64 * 2.0));
 
-        // mixed int/float input widens to Float; AVG is always Float
+        // mixed int/float input widens to Float
         let mixed = RelSchema::of(&[("x", SqlType::Float)]).shared();
         let rel = Relation::new(mixed, vec![vec![Value::Int(1)], vec![Value::Float(2.5)]]);
-        let plan = Plan::Values(rel.into()).aggregate(
-            vec![],
-            vec![
-                AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
-                AggExpr::new(AggFunc::Avg, Expr::col(0), "a"),
-            ],
-        );
+        let plan =
+            Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(3.5));
-        assert_eq!(out.rows[0][1], Value::Float(1.75));
     }
 
     #[test]
@@ -310,13 +261,8 @@ mod tests {
         ];
         for p in perms {
             let rows: Vec<Vec<Value>> = p.iter().map(|&i| vec![Value::Float(vals[i])]).collect();
-            let plan = Plan::Values(Relation::new(schema.clone(), rows).into()).aggregate(
-                vec![],
-                vec![
-                    AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
-                    AggExpr::new(AggFunc::Avg, Expr::col(0), "a"),
-                ],
-            );
+            let plan = Plan::Values(Relation::new(schema.clone(), rows).into())
+                .aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
             for out in [
                 execute(&plan, &db).unwrap(),
                 execute_oracle(&plan, &db).unwrap(),
@@ -324,11 +270,7 @@ mod tests {
                 let Value::Float(s) = out.rows[0][0] else {
                     panic!("SUM not a float for {p:?}");
                 };
-                let Value::Float(a) = out.rows[0][1] else {
-                    panic!("AVG not a float for {p:?}");
-                };
                 assert_eq!(s.to_bits(), 1.0f64.to_bits(), "permutation {p:?}");
-                assert_eq!(a.to_bits(), (1.0f64 / 3.0).to_bits(), "permutation {p:?}");
             }
         }
     }
@@ -352,10 +294,7 @@ mod tests {
             .filter(Expr::col(0).lt(Expr::lit(2500)))
             .aggregate(
                 vec![1],
-                vec![
-                    AggExpr::count_star("n"),
-                    AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
-                ],
+                vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "s")],
             );
         let rel = run_vs_oracle(&agg, &db);
         assert_eq!(rel.len(), 7);
@@ -373,7 +312,6 @@ mod tests {
             Plan::scan("wide").filter(Expr::col(1).eq(Expr::lit(3))),
             vec![0],
             vec![0],
-            JoinKind::Inner,
         );
         let rel = run_vs_oracle(&join, &db);
         assert_eq!(rel.len(), 3000 / 7 + 1); // k ≡ 3 (mod 7): 3, 10, …, 2999
@@ -387,8 +325,7 @@ mod tests {
     fn planner_selects_index_join_on_pk() {
         let db = db();
         // city is scanned with its join key covered by its primary key
-        let plan =
-            Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner);
+        let plan = Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0]);
         let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
         assert!(
             matches!(
@@ -404,28 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn index_join_preserves_left_join_padding() {
-        let db = db();
-        let plan =
-            Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Left);
-        let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
-        assert!(matches!(opt, Plan::IndexJoin { .. }), "got {opt:?}");
-        let mut rel = run_vs_oracle(&plan, &db);
-        rel.sort_by_columns(&[0]);
-        assert_eq!(rel.len(), 4);
-        assert!(rel.rows[3][4].is_null()); // delta's citykey 99 padded
-    }
-
-    #[test]
     fn self_join_is_not_index_joined() {
         let db = db();
         // probing would re-lock the table the probe side is scanning
-        let plan = Plan::scan("customer").hash_join(
-            Plan::scan("customer"),
-            vec![0],
-            vec![0],
-            JoinKind::Inner,
-        );
+        let plan = Plan::scan("customer").hash_join(Plan::scan("customer"), vec![0], vec![0]);
         let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
         assert!(matches!(opt, Plan::HashJoin { .. }), "got {opt:?}");
         let rel = run_vs_oracle(&plan, &db);
@@ -458,7 +377,7 @@ mod tests {
         // already-compacted columns).
         let schema = db.table("customer").unwrap().schema.clone();
         let plan = Plan::scan("customer")
-            .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
+            .hash_join(Plan::scan("city"), vec![2], vec![0])
             .filter(Expr::col(0).add(Expr::col(3)).lt(Expr::lit(20)))
             .project(vec![
                 ProjExpr::passthrough(&schema, "name", None).unwrap(),
@@ -519,10 +438,8 @@ mod tests {
             vec![1],
             vec![
                 AggExpr::count_star("n"),
-                AggExpr::new(AggFunc::Sum, Expr::col(0), "sk"),
-                AggExpr::new(AggFunc::Sum, Expr::col(2), "sv"),
-                AggExpr::new(AggFunc::Min, Expr::col(2), "lo"),
-                AggExpr::new(AggFunc::Max, Expr::col(2), "hi"),
+                AggExpr::sum(Expr::col(0), "sk"),
+                AggExpr::sum(Expr::col(2), "sv"),
             ],
         );
         let mut rel = run_vs_oracle(&plan, &db);
@@ -598,7 +515,7 @@ mod tests {
         // has no partner, Int(1) = Float(1.0) = Int(1) twice
         let joined = Plan::scan("w")
             .filter(Expr::col(2).eq(Expr::lit("a")))
-            .hash_join(Plan::scan("dim"), vec![0], vec![0], JoinKind::Inner);
+            .hash_join(Plan::scan("dim"), vec![0], vec![0]);
         let rel = run_vs_oracle(&joined, &db);
         assert_eq!(rel.len(), 3022);
         assert_eq!(
@@ -627,63 +544,25 @@ mod tests {
         );
         let opt = crate::query::planner::optimize(kept.clone(), &db).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
-        let aggs = |f_min: bool| {
-            vec![
-                AggExpr::count_star("n"),
-                AggExpr::new(AggFunc::Count, Expr::col(1), "ni"),
-                AggExpr::new(AggFunc::Sum, Expr::col(1), "si"),
-                AggExpr::new(AggFunc::Min, Expr::col(if f_min { 0 } else { 1 }), "lo"),
-                AggExpr::new(AggFunc::Max, Expr::col(1), "hi"),
-                AggExpr::new(AggFunc::Avg, Expr::col(0), "af"),
-            ]
-        };
+        let aggs = vec![
+            AggExpr::count_star("n"),
+            AggExpr::sum(Expr::col(1), "si"),
+            AggExpr::sum(Expr::col(0), "sf"),
+        ];
         // grouped on the widened key: a group's key is its first-seen
-        // value as stored; SUM skips the Bool, MIN / MAX rank it below ints
-        let rel = run_vs_oracle(&kept.clone().aggregate(vec![0], aggs(false)), &db);
+        // value as stored; SUM skips the Bool, and a Float among the Ints
+        // of the key column widens its sum
+        let rel = run_vs_oracle(&kept.clone().aggregate(vec![0], aggs.clone()), &db);
         assert_eq!(
             rel.rows,
             vec![
-                vec![
-                    int(1),
-                    int(1402),
-                    int(1294),
-                    int(1074),
-                    boolean(false),
-                    int(2),
-                    float(1.0)
-                ],
-                vec![
-                    float(2.0),
-                    int(757),
-                    int(648),
-                    int(545),
-                    boolean(true),
-                    int(2),
-                    float(2.0)
-                ],
-                vec![
-                    float(0.0),
-                    int(755),
-                    int(647),
-                    int(531),
-                    boolean(true),
-                    int(2),
-                    float(0.0)
-                ],
+                vec![int(1), int(1402), int(1074), float(1402.0)],
+                vec![float(2.0), int(757), int(545), float(1514.0)],
+                vec![float(0.0), int(755), int(531), float(0.0)],
             ]
         );
-        let rel = run_vs_oracle(&kept.aggregate(vec![], aggs(true)), &db);
-        assert_eq!(
-            rel.rows,
-            vec![vec![
-                int(2914),
-                int(2589),
-                int(2150),
-                float(0.0),
-                int(2),
-                float(2916.0 / 2914.0)
-            ]]
-        );
+        let rel = run_vs_oracle(&kept.aggregate(vec![], aggs), &db);
+        assert_eq!(rel.rows, vec![vec![int(2914), int(2150), float(2916.0)]]);
 
         // UnionDistinct keeps first occurrences: whole rows, then per key
         let distinct = |key: Option<Vec<usize>>| Plan::UnionDistinct {
@@ -732,7 +611,7 @@ mod tests {
         // input order, so first-seen dedup prefers the join side
         let db = db();
         let join_side = Plan::scan("customer")
-            .hash_join(Plan::scan("city"), vec![2], vec![0], JoinKind::Inner)
+            .hash_join(Plan::scan("city"), vec![2], vec![0])
             .project(vec![
                 ProjExpr::new(Expr::col(0), "k", SqlType::Int),
                 ProjExpr::new(Expr::col(1), "name", SqlType::Str),
@@ -765,7 +644,6 @@ mod tests {
             inner_keys: vec![2],
             predicate: None,
             projection: Some(vec![0, 1]),
-            kind: JoinKind::Inner,
             probe_is_left: true,
         };
         for result in [execute(&plan, &db), execute_oracle(&plan, &db)] {
@@ -779,8 +657,8 @@ mod tests {
     /// A column index outside its input — a join key, a group-by column, a
     /// union key, a scan projection, a projected column — is the same typed
     /// error from the executor and the oracle: the executor used to read
-    /// an out-of-range join key as NULL (no rows, or NULL-padded ones
-    /// under LEFT) and the oracle to panic on it, and both paths panicked
+    /// an out-of-range join key as NULL (no rows) and the oracle to panic
+    /// on it, and both paths panicked
     /// on the group-by and the planner on the projected column. Plan
     /// references are checked before a row is read, so a union of no rows
     /// fails too.
@@ -792,10 +670,8 @@ mod tests {
             let rows = (0..rows).map(|i| vec![int(i), int(i * 10)]).collect();
             Plan::Values(Relation::new(schema, rows).into())
         };
-        let join = |kind| values(5).hash_join(values(3), vec![0], vec![5], kind);
         let plans = [
-            join(JoinKind::Inner),
-            join(JoinKind::Left),
+            values(5).hash_join(values(3), vec![0], vec![5]),
             values(5).aggregate(vec![7], vec![AggExpr::count_star("n")]),
             Plan::UnionDistinct {
                 inputs: vec![values(2), values(0)],
@@ -815,6 +691,52 @@ mod tests {
                 "{plan:?}: {executed:?}"
             );
             assert_eq!(executed, execute_oracle(plan, &db), "{plan:?}");
+        }
+    }
+
+    /// A column an expression reads outside its input — in a filter, a
+    /// projection, a SUM's input, a scan's pushed-down predicate or an
+    /// index join's residual — is the same typed error from the executor
+    /// and the oracle, over no rows as over one. Over no rows both paths
+    /// used to answer (`[]`, or `[[NULL]]` for the SUM): expressions were
+    /// checked only when a row reached them.
+    #[test]
+    fn out_of_range_expression_columns_fail_before_a_row_is_read() {
+        let db = db();
+        let schema = RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Int)]).shared();
+        db.create_table(Table::new("nothing", schema.clone()));
+        let values = |rows: i64| {
+            let rows = (0..rows).map(|i| vec![int(i), int(i * 10)]).collect();
+            Plan::Values(Relation::new(schema.clone(), rows).into())
+        };
+        let five = || Expr::col(5).eq(Expr::lit(1));
+        for rows in [0, 1] {
+            let plans = [
+                values(rows).filter(five()),
+                values(rows).project(vec![ProjExpr::new(Expr::col(5), "x", SqlType::Int)]),
+                values(rows).aggregate(vec![], vec![AggExpr::sum(Expr::col(5), "s")]),
+                Plan::scan("nothing").filter(five()),
+                Plan::IndexJoin {
+                    probe: Box::new(values(rows)),
+                    table: "city".into(),
+                    probe_keys: vec![0],
+                    inner_keys: vec![0],
+                    predicate: Some(five()),
+                    projection: None,
+                    probe_is_left: true,
+                },
+            ];
+            for plan in &plans {
+                let (executed, oracle) = (plan.run(&db), plan.run_oracle(&db));
+                for (path, result) in [("run", &executed), ("run_oracle", &oracle)] {
+                    assert!(
+                        matches!(result, Err(crate::error::StoreError::Invalid(e))
+                            if e.contains("column index 5 out of range for 2 columns")),
+                        "{path}, {rows} rows, {plan:?}: {result:?}"
+                    );
+                }
+                assert_eq!(executed, oracle, "{rows} rows, {plan:?}");
+            }
         }
     }
 
@@ -906,17 +828,11 @@ mod tests {
                 1628,
             ),
             (scan().filter(Expr::col(2).eq(Expr::lit("s1")).not()), 1428),
-            (
-                scan().hash_join(scan(), vec![1], vec![0], JoinKind::Inner),
-                1999,
-            ),
+            (scan().hash_join(scan(), vec![1], vec![0]), 1999),
             (
                 scan().aggregate(
                     vec![1],
-                    vec![
-                        AggExpr::count_star("n"),
-                        AggExpr::new(AggFunc::Sum, Expr::col(0), "s"),
-                    ],
+                    vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "s")],
                 ),
                 1428,
             ),
@@ -973,26 +889,65 @@ mod tests {
     }
 
     /// Index joins emit their inner half as gathers over the inner table's
-    /// row slots: INNER and LEFT (NULL probe keys and probes without a
-    /// match padded), with the inner predicate and projection the planner
-    /// pushes into the join, chained so that the second join probes with a
-    /// key read through the first one's gather (pads included), and a hash
+    /// row slots (NULL probe keys and probes without a match emit nothing),
+    /// probing from either side, with the inner predicate and projection
+    /// the planner pushes into the join, chained so that the second join
+    /// probes with a key read through the first one's gather, and a hash
     /// join probing with such a chunk — each agrees with the oracle.
     #[test]
     fn index_joins_gather_inner_rows_and_agree_with_the_oracle() {
         let db = gather_db();
         let d1 = db.table("d1").unwrap().schema.clone();
-        let f_d1 = |kind| Plan::scan("f").hash_join(Plan::scan("d1"), vec![1], vec![0], kind);
-        let pushed = |kind| {
-            let inner = Plan::scan("d1")
-                .filter(Expr::col(1).eq(Expr::lit("n3")).not())
-                .project(vec![
-                    ProjExpr::passthrough(&d1, "x", None).unwrap(),
-                    ProjExpr::passthrough(&d1, "id", None).unwrap(),
-                ]);
-            Plan::scan("f").hash_join(inner, vec![1], vec![1], kind)
-        };
-        let chained = |kind| f_d1(kind).hash_join(Plan::scan("d2"), vec![5], vec![0], kind);
+        let f_d1 = || Plan::scan("f").hash_join(Plan::scan("d1"), vec![1], vec![0]);
+        // f.d: NULL at k ≡ 0 (mod 11), unmatched from 30 up
+        let unmatched = (0..3000).filter(|k| k % 11 == 0 || k % 40 >= 30).count();
+        let opt = planner::optimize(f_d1(), &db).unwrap();
+        assert!(matches!(opt, Plan::IndexJoin { .. }), "{opt:?}");
+        let out = run_vs_oracle(&f_d1(), &db);
+        assert_eq!(out.len(), 3000 - unmatched);
+        assert!(out.rows.iter().all(|r| r.len() == 6 && !r[3].is_null()));
+
+        // d1 on the left: f probes it, and its columns come first
+        let d1_f = Plan::scan("d1").hash_join(Plan::scan("f"), vec![0], vec![1]);
+        let opt = planner::optimize(d1_f.clone(), &db).unwrap();
+        assert!(
+            matches!(
+                opt,
+                Plan::IndexJoin {
+                    probe_is_left: false,
+                    ..
+                }
+            ),
+            "{opt:?}"
+        );
+        assert_eq!(run_vs_oracle(&d1_f, &db).len(), 3000 - unmatched);
+
+        let inner = Plan::scan("d1")
+            .filter(Expr::col(1).eq(Expr::lit("n3")).not())
+            .project(vec![
+                ProjExpr::passthrough(&d1, "x", None).unwrap(),
+                ProjExpr::passthrough(&d1, "id", None).unwrap(),
+            ]);
+        let pushed = Plan::scan("f").hash_join(inner, vec![1], vec![1]);
+        let opt = planner::optimize(pushed.clone(), &db).unwrap();
+        assert!(
+            matches!(
+                &opt,
+                Plan::IndexJoin { predicate: Some(_), projection: Some(p), .. } if p == &[2, 0]
+            ),
+            "{opt:?}"
+        );
+        let n3 = (0..3000).filter(|k| k % 11 != 0 && k % 40 == 3).count();
+        assert_eq!(run_vs_oracle(&pushed, &db).len(), 3000 - unmatched - n3);
+
+        let chained = f_d1().hash_join(Plan::scan("d2"), vec![5], vec![0]);
+        let opt = planner::optimize(chained.clone(), &db).unwrap();
+        assert!(
+            matches!(&opt, Plan::IndexJoin { probe, .. } if matches!(**probe, Plan::IndexJoin { .. })),
+            "{opt:?}"
+        );
+        run_vs_oracle(&chained, &db);
+
         let tags = Relation::new(
             RelSchema::of(&[("x", SqlType::Int), ("tag", SqlType::Str)]).shared(),
             vec![
@@ -1000,47 +955,12 @@ mod tests {
                 vec![int(8), Value::str("eight")],
             ],
         );
-        let hashed =
-            |kind| f_d1(kind).hash_join(Plan::Values(tags.clone().into()), vec![5], vec![0], kind);
-        // f.d: NULL at k ≡ 0 (mod 11), unmatched from 30 up
-        let unmatched = (0..3000).filter(|k| k % 11 == 0 || k % 40 >= 30).count();
-        for (kind, rows) in [(JoinKind::Inner, 3000 - unmatched), (JoinKind::Left, 3000)] {
-            let opt = planner::optimize(f_d1(kind), &db).unwrap();
-            assert!(matches!(opt, Plan::IndexJoin { .. }), "{opt:?}");
-            let out = run_vs_oracle(&f_d1(kind), &db);
-            assert_eq!(out.len(), rows, "{kind:?}");
-            let padded = out.rows.iter().filter(|r| r[3].is_null()).count();
-            assert_eq!(padded, rows - (3000 - unmatched), "{kind:?}");
-            assert!(out.rows.iter().all(|r| r.len() == 6));
-
-            let opt = planner::optimize(pushed(kind), &db).unwrap();
-            assert!(
-                matches!(
-                    &opt,
-                    Plan::IndexJoin { predicate: Some(_), projection: Some(p), .. } if p == &[2, 0]
-                ),
-                "{opt:?}"
-            );
-            let out = run_vs_oracle(&pushed(kind), &db);
-            let n3 = (0..3000).filter(|k| k % 11 != 0 && k % 40 == 3).count();
-            assert_eq!(
-                out.len(),
-                rows - if kind == JoinKind::Inner { n3 } else { 0 }
-            );
-
-            let opt = planner::optimize(chained(kind), &db).unwrap();
-            assert!(
-                matches!(&opt, Plan::IndexJoin { probe, .. } if matches!(**probe, Plan::IndexJoin { .. })),
-                "{opt:?}"
-            );
-            run_vs_oracle(&chained(kind), &db);
-
-            let opt = planner::optimize(hashed(kind), &db).unwrap();
-            assert!(
-                matches!(&opt, Plan::HashJoin { left, .. } if matches!(**left, Plan::IndexJoin { .. })),
-                "{opt:?}"
-            );
-            run_vs_oracle(&hashed(kind), &db);
-        }
+        let hashed = f_d1().hash_join(Plan::Values(tags.into()), vec![5], vec![0]);
+        let opt = planner::optimize(hashed.clone(), &db).unwrap();
+        assert!(
+            matches!(&opt, Plan::HashJoin { left, .. } if matches!(**left, Plan::IndexJoin { .. })),
+            "{opt:?}"
+        );
+        run_vs_oracle(&hashed, &db);
     }
 }

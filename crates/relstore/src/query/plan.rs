@@ -14,65 +14,52 @@ use crate::schema::{Column, RelSchema, SchemaRef};
 use crate::value::SqlType;
 use std::sync::Arc;
 
-/// Join flavours supported by the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    Inner,
-    /// Keep unmatched left rows, padding right columns with NULL.
-    Left,
+/// What an aggregate output computes.
+#[derive(Debug, Clone)]
+pub enum AggOp {
+    /// `COUNT(*)`: the number of input rows.
+    CountStar,
+    /// `SUM(expr)` over the numeric inputs; NULL when there is none.
+    Sum(Expr),
 }
 
-/// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-/// One aggregate output: `func(input)` named `name`. `input = None` means
-/// `COUNT(*)`.
+/// One aggregate output: `COUNT(*)` or `SUM(expr)`, named `name`.
 #[derive(Debug, Clone)]
 pub struct AggExpr {
-    pub func: AggFunc,
-    pub input: Option<Expr>,
+    pub op: AggOp,
     pub name: String,
 }
 
 impl AggExpr {
     pub fn count_star(name: impl Into<String>) -> AggExpr {
         AggExpr {
-            func: AggFunc::Count,
-            input: None,
+            op: AggOp::CountStar,
             name: name.into(),
         }
     }
-    pub fn new(func: AggFunc, input: Expr, name: impl Into<String>) -> AggExpr {
+
+    pub fn sum(input: Expr, name: impl Into<String>) -> AggExpr {
         AggExpr {
-            func,
-            input: Some(input),
+            op: AggOp::Sum(input),
             name: name.into(),
         }
     }
 
     fn out_type(&self, input: &RelSchema) -> SqlType {
-        // Bare column references take the input column's type; anything
-        // computed falls back to Float (we cannot type-infer arbitrary
-        // expressions, and Float holds both).
-        let col_type = || match self.input {
-            Some(Expr::Col(i)) if i < input.len() => Some(input.column(i).ty),
-            _ => None,
-        };
-        match self.func {
-            AggFunc::Count => SqlType::Int,
-            AggFunc::Avg => SqlType::Float,
-            AggFunc::Sum => match col_type() {
-                Some(SqlType::Int) => SqlType::Int,
-                _ => SqlType::Float,
-            },
-            AggFunc::Min | AggFunc::Max => col_type().unwrap_or(SqlType::Float),
+        // SUM over a bare INT column stays INT; anything computed falls
+        // back to Float (we cannot type-infer arbitrary expressions, and
+        // Float holds both).
+        match &self.op {
+            AggOp::CountStar => SqlType::Int,
+            AggOp::Sum(Expr::Col(i))
+                if input
+                    .columns()
+                    .get(*i)
+                    .is_some_and(|c| c.ty == SqlType::Int) =>
+            {
+                SqlType::Int
+            }
+            AggOp::Sum(_) => SqlType::Float,
         }
     }
 }
@@ -136,7 +123,6 @@ pub enum Plan {
         right: Box<Plan>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        kind: JoinKind,
     },
     /// Index-nested-loop join produced by the planner when the inner side
     /// is a base-table scan with an index exactly covering its join keys.
@@ -154,7 +140,6 @@ pub enum Plan {
         predicate: Option<Expr>,
         /// Output projection of the inner side (from the folded scan).
         projection: Option<Vec<usize>>,
-        kind: JoinKind,
         /// Whether the probe side was the left side of the original join
         /// (controls output column order).
         probe_is_left: bool,
@@ -196,19 +181,12 @@ impl Plan {
         }
     }
 
-    pub fn hash_join(
-        self,
-        right: Plan,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        kind: JoinKind,
-    ) -> Plan {
+    pub fn hash_join(self, right: Plan, left_keys: Vec<usize>, right_keys: Vec<usize>) -> Plan {
         Plan::HashJoin {
             left: Box::new(self),
             right: Box::new(right),
             left_keys,
             right_keys,
-            kind,
         }
     }
 
@@ -234,15 +212,19 @@ impl Plan {
 
     /// Compute the output schema against `db`. This is also where a plan's
     /// column references are checked: a scan or index-join projection, a
-    /// join key, a group-by column or a union key outside its input is a
-    /// typed error here, and both executors derive the schema before they
-    /// read a row.
+    /// join key, a group-by column, a union key or a column an expression
+    /// reads (a filter, projection or pushed-down predicate, an aggregate
+    /// input) outside its input is a typed error here, and both executors
+    /// derive the schema before they read a row.
     pub fn schema(&self, db: &Database) -> StoreResult<SchemaRef> {
         match self {
             Plan::Scan {
-                table, projection, ..
+                table,
+                predicate,
+                projection,
             } => {
                 let t = db.table(table)?;
+                exprs_in_range(predicate, &t.schema)?;
                 Ok(match projection {
                     Some(p) => {
                         in_range(p, &t.schema, "scan projection")?;
@@ -252,9 +234,14 @@ impl Plan {
                 })
             }
             Plan::Values(rel) => Ok(rel.schema.clone()),
-            Plan::Filter { input, .. } => input.schema(db),
+            Plan::Filter { input, predicate } => {
+                let schema = input.schema(db)?;
+                exprs_in_range([predicate], &schema)?;
+                Ok(schema)
+            }
             Plan::Project { input, exprs } => {
-                input.schema(db)?;
+                let schema = input.schema(db)?;
+                exprs_in_range(exprs.iter().map(|p| &p.expr), &schema)?;
                 Ok(RelSchema::new(exprs.iter().map(|p| p.column.clone()).collect()).shared())
             }
             Plan::HashJoin {
@@ -262,31 +249,30 @@ impl Plan {
                 right,
                 left_keys,
                 right_keys,
-                kind,
             } => {
                 let (l, r) = (left.schema(db)?, right.schema(db)?);
                 join_keys(left_keys, &l, right_keys, &r)?;
-                Ok(l.concat(&padded(&r, *kind)).shared())
+                Ok(l.concat(&r).shared())
             }
             Plan::IndexJoin {
                 probe,
                 table,
                 probe_keys,
                 inner_keys,
+                predicate,
                 projection,
-                kind,
                 probe_is_left,
-                ..
             } => {
                 let p = probe.schema(db)?;
                 let t = db.table(table)?;
                 join_keys(probe_keys, &p, inner_keys, &t.schema)?;
+                exprs_in_range(predicate, &t.schema)?;
                 let inner = match projection {
                     Some(cols) => {
                         in_range(cols, &t.schema, "index join projection")?;
-                        padded(&t.schema.project(cols), *kind)
+                        t.schema.project(cols)
                     }
-                    None => padded(&t.schema, *kind),
+                    None => RelSchema::clone(&t.schema),
                 };
                 Ok(if *probe_is_left {
                     p.concat(&inner).shared()
@@ -317,6 +303,11 @@ impl Plan {
             } => {
                 let in_schema = input.schema(db)?;
                 in_range(group_by, &in_schema, "group-by")?;
+                let inputs = aggs.iter().filter_map(|a| match &a.op {
+                    AggOp::Sum(e) => Some(e),
+                    AggOp::CountStar => None,
+                });
+                exprs_in_range(inputs, &in_schema)?;
                 let mut cols: Vec<Column> = group_by
                     .iter()
                     .map(|&i| in_schema.column(i).clone())
@@ -378,6 +369,19 @@ fn in_range(cols: &[usize], schema: &RelSchema, what: &str) -> StoreResult<()> {
     }
 }
 
+/// Check that every column the expressions read is a column of `schema`
+/// (the input they are evaluated on, or a table's rows).
+fn exprs_in_range<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    schema: &RelSchema,
+) -> StoreResult<()> {
+    let mut cols = Vec::new();
+    for e in exprs {
+        e.referenced_columns(&mut cols);
+    }
+    in_range(&cols, schema, "expression")
+}
+
 /// Check a join's key lists: one key column per side, each inside its side.
 fn join_keys(
     a: &[usize],
@@ -390,17 +394,4 @@ fn join_keys(
     }
     in_range(a, a_schema, "join key")?;
     in_range(b, b_schema, "join key")
-}
-
-/// A join's inner side as it appears in the output: every column nullable
-/// under LEFT JOIN.
-fn padded(inner: &RelSchema, kind: JoinKind) -> RelSchema {
-    match kind {
-        JoinKind::Inner => inner.clone(),
-        JoinKind::Left => RelSchema::new(
-            (inner.columns().iter())
-                .map(|c| Column::new(c.name.clone(), c.ty))
-                .collect(),
-        ),
-    }
 }

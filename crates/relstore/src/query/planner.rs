@@ -21,7 +21,7 @@
 use crate::catalog::Database;
 use crate::error::StoreResult;
 use crate::expr::Expr;
-use crate::query::plan::{JoinKind, Plan};
+use crate::query::plan::Plan;
 
 /// Optimize a plan. `db` is used for schema/arity information only.
 pub fn optimize(plan: Plan, db: &Database) -> StoreResult<Plan> {
@@ -44,11 +44,10 @@ fn rewrite(plan: Plan, db: &Database) -> StoreResult<Plan> {
             right,
             left_keys,
             right_keys,
-            kind,
         } => {
             let left = rewrite(*left, db)?;
             let right = rewrite(*right, db)?;
-            select_index_join(left, right, left_keys, right_keys, kind, db)?
+            select_index_join(left, right, left_keys, right_keys, db)?
         }
         Plan::IndexJoin {
             probe,
@@ -57,7 +56,6 @@ fn rewrite(plan: Plan, db: &Database) -> StoreResult<Plan> {
             inner_keys,
             predicate,
             projection,
-            kind,
             probe_is_left,
         } => Plan::IndexJoin {
             probe: Box::new(rewrite(*probe, db)?),
@@ -66,7 +64,6 @@ fn rewrite(plan: Plan, db: &Database) -> StoreResult<Plan> {
             inner_keys,
             predicate,
             projection,
-            kind,
             probe_is_left,
         },
         Plan::UnionDistinct { inputs, key } => Plan::UnionDistinct {
@@ -120,7 +117,6 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
             right,
             left_keys,
             right_keys,
-            kind,
         } => {
             let left_width = left.schema(db)?.len();
             let conjuncts = split_conjuncts(predicate);
@@ -132,10 +128,7 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
                 c.referenced_columns(&mut cols);
                 if cols.iter().all(|&i| i < left_width) {
                     left_preds.push(c);
-                } else if cols.iter().all(|&i| i >= left_width)
-                    && kind == crate::query::plan::JoinKind::Inner
-                {
-                    // only safe to push right-side predicates for inner joins
+                } else if cols.iter().all(|&i| i >= left_width) {
                     right_preds.push(c.remap_columns(&|i| i - left_width));
                 } else {
                     residual.push(c);
@@ -154,7 +147,6 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
                 right: Box::new(r),
                 left_keys,
                 right_keys,
-                kind,
             };
             Ok(match conjoin(residual) {
                 Some(p) => Plan::Filter {
@@ -171,12 +163,11 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
             inner_keys,
             predicate: inner_pred,
             projection,
-            kind,
             probe_is_left,
         } => {
             // mirror the HashJoin split: probe-only conjuncts push into the
-            // probe input, inner-only conjuncts (inner joins only) merge
-            // into the join's residual predicate, the rest stays above
+            // probe input, inner-only conjuncts merge into the join's
+            // residual predicate, the rest stays above
             let probe_w = probe.schema(db)?.len();
             let inner_w = match &projection {
                 Some(p) => p.len(),
@@ -201,7 +192,6 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
                 } else if cols
                     .iter()
                     .all(|&i| i >= inner_lo && i < inner_lo + inner_w)
-                    && kind == crate::query::plan::JoinKind::Inner
                 {
                     // the join evaluates its residual on the *base* row
                     // before the scan projection applies, so remap output
@@ -229,7 +219,6 @@ fn push_filter(input: Plan, predicate: Expr, db: &Database) -> StoreResult<Plan>
                 inner_keys,
                 predicate: merged,
                 projection,
-                kind,
                 probe_is_left,
             };
             Ok(match conjoin(residual) {
@@ -296,14 +285,12 @@ fn push_project(
 /// base-table scan whose join keys are covered by an index on that table.
 /// The scan's predicate/projection travel into the join as a residual
 /// filter / output projection applied per probed row, so the indexed side
-/// is never materialized. LEFT joins only consider the right side (the
-/// left side must remain the probe so unmatched rows can be null-padded).
+/// is never materialized. The right side is tried first.
 fn select_index_join(
     left: Plan,
     right: Plan,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    kind: JoinKind,
     db: &Database,
 ) -> StoreResult<Plan> {
     if let Some(inner_keys) = index_candidate(&right, &right_keys, &left, db)? {
@@ -322,38 +309,33 @@ fn select_index_join(
             inner_keys,
             predicate,
             projection,
-            kind,
             probe_is_left: true,
         });
     }
-    if kind == JoinKind::Inner {
-        if let Some(inner_keys) = index_candidate(&left, &left_keys, &right, db)? {
-            let Plan::Scan {
-                table,
-                predicate,
-                projection,
-            } = left
-            else {
-                unreachable!("candidate is a scan");
-            };
-            return Ok(Plan::IndexJoin {
-                probe: Box::new(right),
-                table,
-                probe_keys: right_keys,
-                inner_keys,
-                predicate,
-                projection,
-                kind,
-                probe_is_left: false,
-            });
-        }
+    if let Some(inner_keys) = index_candidate(&left, &left_keys, &right, db)? {
+        let Plan::Scan {
+            table,
+            predicate,
+            projection,
+        } = left
+        else {
+            unreachable!("candidate is a scan");
+        };
+        return Ok(Plan::IndexJoin {
+            probe: Box::new(right),
+            table,
+            probe_keys: right_keys,
+            inner_keys,
+            predicate,
+            projection,
+            probe_is_left: false,
+        });
     }
     Ok(Plan::HashJoin {
         left: Box::new(left),
         right: Box::new(right),
         left_keys,
         right_keys,
-        kind,
     })
 }
 
@@ -448,7 +430,7 @@ fn conjoin(mut parts: Vec<Expr>) -> Option<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::plan::{JoinKind, ProjExpr};
+    use crate::query::plan::ProjExpr;
     use crate::schema::RelSchema;
     use crate::table::Table;
     use crate::value::SqlType;
@@ -499,7 +481,7 @@ mod tests {
             .and(Expr::col(3).lt(Expr::lit(5))) // right-only (col 3 = y.b)
             .and(Expr::col(0).eq(Expr::col(2))); // residual
         let plan = Plan::scan("x")
-            .hash_join(Plan::scan("y"), vec![0], vec![0], JoinKind::Inner)
+            .hash_join(Plan::scan("y"), vec![0], vec![0])
             .filter(pred);
         let opt = optimize(plan, &db).unwrap();
         // expect Filter(residual) over Join(Scan(pred), Scan(pred))
@@ -525,18 +507,6 @@ mod tests {
             },
             other => panic!("expected residual filter, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn left_join_keeps_right_filter_above() {
-        let db = db();
-        let pred = Expr::col(3).lt(Expr::lit(5)); // right-only
-        let plan = Plan::scan("x")
-            .hash_join(Plan::scan("y"), vec![0], vec![0], JoinKind::Left)
-            .filter(pred);
-        let opt = optimize(plan, &db).unwrap();
-        // must NOT push below a left join
-        assert!(matches!(opt, Plan::Filter { .. }));
     }
 
     #[test]

@@ -185,28 +185,18 @@ impl ExternalWorld {
             .as_ref()
             .filter(|_| self.network.has_faults())
             .and_then(|r| fault::begin_op().map(|op| (r, op)));
-        let (wasted, slow_req, slow_resp) = match guarded {
-            None => (Duration::ZERO, 1.0, 1.0),
+        let wasted = match guarded {
+            None => Duration::ZERO,
             Some((r, op)) => match r.decide(&self.network, &self.self_endpoint, endpoint, &op) {
-                Attempt::Proceed {
-                    wasted,
-                    slow_req,
-                    slow_resp,
-                    ..
-                } => (wasted, slow_req, slow_resp),
+                Attempt::Proceed { wasted } => wasted,
                 Attempt::Exhausted(f) => return Err(E::from(f)),
             },
         };
         let req = self
             .network
-            .transfer_scaled(&self.self_endpoint, endpoint, req_bytes, slow_req);
+            .transfer(&self.self_endpoint, endpoint, req_bytes);
         let value = effect()?;
-        let resp = self.network.transfer_scaled(
-            endpoint,
-            &self.self_endpoint,
-            resp_bytes(&value),
-            slow_resp,
-        );
+        let resp = (self.network).transfer(endpoint, &self.self_endpoint, resp_bytes(&value));
         Ok(Remote {
             value,
             comm: wasted + req + resp,
@@ -353,12 +343,11 @@ impl ExternalWorld {
 mod tests {
     use super::*;
     use crate::webservice::DbService;
-    use dip_netsim::{LatencyModel, LinkSpec, Network, TransferMode};
+    use dip_netsim::{LatencyModel, LinkSpec, Network};
 
     fn world() -> ExternalWorld {
         let net = Arc::new(Network::new(
             LinkSpec::new(LatencyModel::Fixed { micros: 100 }, 1_000_000),
-            TransferMode::Accounted,
             9,
         ));
         let mut w = ExternalWorld::new(net, "is");

@@ -12,21 +12,19 @@
 //!   evaluated *before* the remote side effect executes, so a retried
 //!   attempt never duplicates an insert. This models request-level
 //!   idempotency tokens; `docs/RESILIENCE.md` discusses the choice.
-//! - **Virtual-clock aware.** Timeout waits and backoff pauses go through
-//!   a [`ClockRef`]: eager (accounted) runs advance a virtual clock
-//!   instantly, `RealSleep` runs use the wall clock and actually block.
-//!   Either way the waited time is charged to communication cost `Cc` —
+//! - **Virtual clock.** Timeout waits and backoff pauses advance a
+//!   [`VirtualClock`] instantly, as transfers account their delay without
+//!   blocking. The waited time is charged to communication cost `Cc` —
 //!   waiting on a dead link is time spent on the network.
 //! - **Deterministic breaker.** The breaker counts *exhausted operations*
 //!   (all attempts failed), not individual attempt faults: at realistic
 //!   drop rates with a few retries, exhaustion is rare enough that the
 //!   breaker stays out of the schedule and determinism is preserved.
-//!   Partition windows are the intended trigger — a severed link exhausts
-//!   every operation immediately and deterministically.
+//!   Sustained drops are what trips it — at a high enough rate every
+//!   attempt of one operation after another fails.
 
-use dip_netsim::clock::ClockRef;
 use dip_netsim::fault::{self, LinkFault, OpKey};
-use dip_netsim::{Network, Verdict};
+use dip_netsim::{Network, Verdict, VirtualClock};
 use dip_relstore::error::{TransportFault, TransportKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -114,12 +112,12 @@ struct BreakerInner {
 /// A per-endpoint circuit breaker on a shared clock.
 pub struct CircuitBreaker {
     policy: ResiliencePolicy,
-    clock: ClockRef,
+    clock: Arc<VirtualClock>,
     inner: Mutex<BreakerInner>,
 }
 
 impl CircuitBreaker {
-    pub fn new(policy: ResiliencePolicy, clock: ClockRef) -> CircuitBreaker {
+    pub fn new(policy: ResiliencePolicy, clock: Arc<VirtualClock>) -> CircuitBreaker {
         CircuitBreaker {
             policy,
             clock,
@@ -203,7 +201,7 @@ impl CircuitBreaker {
 /// The armed resilience layer: policy + clock + per-endpoint breakers.
 pub struct Resilience {
     pub policy: ResiliencePolicy,
-    clock: ClockRef,
+    clock: Arc<VirtualClock>,
     breakers: Mutex<HashMap<String, Arc<CircuitBreaker>>>,
 }
 
@@ -217,20 +215,14 @@ impl std::fmt::Debug for Resilience {
 
 /// What the retry loop decided for one operation.
 pub enum Attempt {
-    /// Deliver on attempt `attempt`, after `wasted` of timeout/backoff
-    /// waiting; the two legs' slow factors scale the real transfers.
-    Proceed {
-        attempt: u32,
-        wasted: Duration,
-        slow_req: f64,
-        slow_resp: f64,
-    },
+    /// Deliver, after `wasted` of timeout/backoff waiting.
+    Proceed { wasted: Duration },
     /// Retries exhausted (or breaker open); the typed fault to surface.
     Exhausted(TransportFault),
 }
 
 impl Resilience {
-    pub fn new(policy: ResiliencePolicy, clock: ClockRef) -> Resilience {
+    pub fn new(policy: ResiliencePolicy, clock: Arc<VirtualClock>) -> Resilience {
         Resilience {
             policy,
             clock,
@@ -268,58 +260,40 @@ impl Resilience {
             }
             let v_req = network.fault_verdict(from, to, op, attempt, 0);
             let v_resp = network.fault_verdict(to, from, op, attempt, 1);
-            match (v_req, v_resp) {
-                (Verdict::Deliver { slow_factor: sr }, Verdict::Deliver { slow_factor: sp }) => {
+            let link_fault = match (v_req, v_resp) {
+                (Verdict::Deliver, Verdict::Deliver) => {
                     if attempt > 0 {
                         dip_trace::count("resilience.retries", attempt as u64);
                         fault::note_retries(attempt);
                     }
                     breaker.record_success();
-                    return Attempt::Proceed {
-                        attempt,
-                        wasted,
-                        slow_req: sr,
-                        slow_resp: sp,
-                    };
+                    return Attempt::Proceed { wasted };
                 }
-                (v1, v2) => {
-                    let link_fault = match (v1, v2) {
-                        (Verdict::Fault(f), _) | (_, Verdict::Fault(f)) => f,
-                        // unreachable: the outer match already handled the
-                        // double-Deliver case; keep a sane default anyway
-                        _ => LinkFault::Drop,
-                    };
-                    // waiting out a lost message is communication time;
-                    // partitions are detected immediately (connection
-                    // refused), so they cost nothing to discover
-                    let wait = match link_fault {
-                        LinkFault::Partition => Duration::ZERO,
-                        LinkFault::Drop | LinkFault::Timeout => self.policy.call_timeout(),
-                    };
-                    self.clock.sleep(wait);
-                    wasted += wait;
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        dip_trace::count("resilience.retries", (attempt - 1) as u64);
-                        fault::note_retries(attempt - 1);
-                        if breaker.record_exhausted() {
-                            dip_trace::count("resilience.breaker_open", 1);
-                        }
-                        return Attempt::Exhausted(TransportFault {
-                            endpoint: to.to_string(),
-                            kind: match link_fault {
-                                LinkFault::Partition => TransportKind::Partition,
-                                LinkFault::Timeout => TransportKind::Timeout,
-                                LinkFault::Drop => TransportKind::Drop,
-                            },
-                            attempts: attempt,
-                        });
-                    }
-                    let pause = self.policy.backoff(attempt - 1);
-                    self.clock.sleep(pause);
-                    wasted += pause;
+                (Verdict::Fault(f), _) | (_, Verdict::Fault(f)) => f,
+            };
+            // waiting out a lost or stalled message is communication time
+            let wait = self.policy.call_timeout();
+            self.clock.advance(wait);
+            wasted += wait;
+            attempt += 1;
+            if attempt >= self.policy.max_attempts {
+                dip_trace::count("resilience.retries", (attempt - 1) as u64);
+                fault::note_retries(attempt - 1);
+                if breaker.record_exhausted() {
+                    dip_trace::count("resilience.breaker_open", 1);
                 }
+                return Attempt::Exhausted(TransportFault {
+                    endpoint: to.to_string(),
+                    kind: match link_fault {
+                        LinkFault::Timeout => TransportKind::Timeout,
+                        LinkFault::Drop => TransportKind::Drop,
+                    },
+                    attempts: attempt,
+                });
             }
+            let pause = self.policy.backoff(attempt - 1);
+            self.clock.advance(pause);
+            wasted += pause;
         }
     }
 }
@@ -360,8 +334,8 @@ mod tests {
 
     #[test]
     fn breaker_opens_half_opens_and_closes_on_virtual_clock() {
-        let (clock, handle) = virtual_clock();
-        let b = CircuitBreaker::new(policy(), clock);
+        let clock = virtual_clock();
+        let b = CircuitBreaker::new(policy(), clock.clone());
         assert_eq!(b.state(), BreakerState::Closed);
         // three consecutive exhaustions open it
         assert!(!b.record_exhausted());
@@ -370,7 +344,7 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.admit(), "open breaker rejects");
         // cooldown elapses on the virtual clock → half-open probe admitted
-        handle.advance(Duration::from_micros(1_000));
+        clock.advance(Duration::from_micros(1_000));
         assert!(b.admit());
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // probe succeeds → closed again
@@ -381,12 +355,12 @@ mod tests {
 
     #[test]
     fn failed_half_open_probe_reopens() {
-        let (clock, handle) = virtual_clock();
-        let b = CircuitBreaker::new(policy(), clock);
+        let clock = virtual_clock();
+        let b = CircuitBreaker::new(policy(), clock.clone());
         for _ in 0..3 {
             b.record_exhausted();
         }
-        handle.advance(Duration::from_micros(1_000));
+        clock.advance(Duration::from_micros(1_000));
         assert!(b.admit());
         assert!(b.record_exhausted(), "failed probe reopens");
         assert_eq!(b.state(), BreakerState::Open);
@@ -395,8 +369,7 @@ mod tests {
 
     #[test]
     fn zero_threshold_disables_breaker() {
-        let (clock, _) = virtual_clock();
-        let b = CircuitBreaker::new(ResiliencePolicy::NO_RETRY, clock);
+        let b = CircuitBreaker::new(ResiliencePolicy::NO_RETRY, virtual_clock());
         for _ in 0..100 {
             assert!(!b.record_exhausted());
         }
@@ -406,16 +379,12 @@ mod tests {
 
     #[test]
     fn virtual_clock_sleeps_do_not_block() {
-        use dip_netsim::{Clock, LatencyModel, LinkSpec, Network, TransferMode};
-        let (clock, handle) = virtual_clock();
-        let r = Resilience::new(ResiliencePolicy::DEFAULT, clock);
-        let mut net = Network::new(
-            LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 0),
-            TransferMode::Accounted,
-            3,
-        );
+        use dip_netsim::{LatencyModel, LinkSpec, Network};
+        let clock = virtual_clock();
+        let r = Resilience::new(ResiliencePolicy::DEFAULT, clock.clone());
+        let mut net = Network::new(LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 0), 3);
         net.set_default_fault_model(Some(dip_netsim::FaultModel::drops(1.0)));
-        let op = OpKey::synthetic(1, 0);
+        let op = OpKey::synthetic(1);
         let t = std::time::Instant::now();
         let out = r.decide(&net, "is", "es.x", &op);
         assert!(t.elapsed() < Duration::from_millis(50), "must not sleep");
@@ -427,6 +396,6 @@ mod tests {
             Attempt::Proceed { .. } => panic!("100% drop cannot deliver"),
         }
         // 4 timeouts + 3 backoffs advanced the virtual clock
-        assert!(handle.now() >= Duration::from_micros(4 * 50_000));
+        assert!(clock.now() >= Duration::from_micros(4 * 50_000));
     }
 }
