@@ -3,7 +3,9 @@
 //! "well-optimized relational operators" half of the paper's System A
 //! observation. `mtm_dataflow` adds the MTM interpreter's hand-offs: what
 //! moving a table-shaped message between operators costs, and what sizing
-//! it for the wire costs (`wire_bytes`). `write_path`
+//! it for the wire costs (`wire_bytes`); `loader_chain` is one P14 mart
+//! load, PROJECTION → UNION DISTINCT → DB_INSERT, whose first two steps
+//! run as one plan. `write_path`
 //! runs the store's write flavours (bulk insert, merge, upsert, flag flip,
 //! truncate, rollback) over a wide indexed table.
 
@@ -264,19 +266,22 @@ fn mart_table(region: &str, table: &str) -> String {
     format!("{region}_{table}")
 }
 
+/// The columns `cols` of `schema`, as they are.
+fn mart_exprs(schema: &RelSchema, cols: &[usize]) -> Vec<ProjExpr> {
+    let col = |&c: &usize| {
+        let col = &schema.columns()[c];
+        ProjExpr::new(Expr::col(c), col.name.clone(), col.ty)
+    };
+    cols.iter().map(col).collect()
+}
+
 fn loader(region: &str, schema: &RelSchema) -> ProcessDef {
     let mut steps = Vec::new();
     for (table, cols, pk) in MART_LOADS {
         let raw = format!("{table}_raw");
         steps.push(Step::Projection {
             input: "input".into(),
-            exprs: cols
-                .iter()
-                .map(|&c| {
-                    let col = &schema.columns()[c];
-                    ProjExpr::new(Expr::col(c), col.name.clone(), col.ty)
-                })
-                .collect(),
+            exprs: mart_exprs(schema, cols),
             output: raw.clone(),
         });
         let loaded = if pk == 1 {
@@ -380,7 +385,52 @@ fn bench_mtm_dataflow(c: &mut Criterion) {
     let mut world = ExternalWorld::new(net, "is");
     world.add_database("marts", "es.marts", marts.clone());
     let engine = MtmEngine::new(Arc::new(world));
-    engine.deploy(dataflow(sales)).unwrap();
+    engine.deploy(dataflow(sales.clone())).unwrap();
+
+    // one deduplicated mart load over the whole relation: the projection
+    // hands its plan to the distinct union, whose result is loaded
+    let (table, cols, _) = MART_LOADS[2];
+    let chain = ProcessDef::new(
+        "CHAIN",
+        "projection, distinct union, load",
+        'D',
+        EventType::Timed,
+        vec![
+            Step::Assign {
+                var: "input".into(),
+                value: AssignValue::Const(MtmMessage::from(sales.clone())),
+            },
+            Step::Projection {
+                input: "input".into(),
+                exprs: mart_exprs(&sales.schema, cols),
+                output: "raw".into(),
+            },
+            Step::UnionDistinct {
+                inputs: vec!["raw".into()],
+                key: Some(vec![0]),
+                output: "loaded".into(),
+            },
+            Step::DbInsert {
+                db: "marts".into(),
+                table: mart_table(REGIONS[0], table),
+                input: "loaded".into(),
+                mode: LoadMode::InsertIgnore,
+            },
+        ],
+    );
+    engine.deploy(chain).unwrap();
+    g.bench_function("loader_chain_6000", |b| {
+        b.iter_batched(
+            || {
+                marts
+                    .table(&mart_table(REGIONS[0], table))
+                    .unwrap()
+                    .truncate()
+            },
+            |()| engine.execute("CHAIN", 0, None).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
 
     g.bench_function("p14_shape_6000x25", |b| {
         b.iter_batched(

@@ -4,13 +4,18 @@
 //! runs measured on its own in between. The paper attributes System A's
 //! poor showing on the concurrent process types to exactly this
 //! difference — XML functionality "apparently not included in the
-//! optimizer".
+//! optimizer". `translate_decode` times the P09 result set translated and
+//! decoded into rows: the fused path MTM runs for a `TRANSLATE` whose
+//! output only the next `XML_TO_REL` reads (the stylesheet into
+//! `resultset::RowSink`), against the tree it no longer builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dip_relstore::prelude::*;
 use dip_services::apps::{self, OrderData, OrderLineData};
+use dip_services::resultset::{self, RowSink};
 use dip_xmlkit::node::Document;
 use dip_xmlkit::sax::{build, events};
+use dipbench::processes::catalog;
 use dipbench::schema::{messages, vocab};
 use std::hint::black_box;
 
@@ -108,6 +113,28 @@ fn bench_translation(c: &mut Criterion) {
     g.finish();
 }
 
+/// The P09 result set into the orders staging schema: the stylesheet
+/// straight into the row sink, or into a tree that is then decoded.
+fn bench_translate_decode(c: &mut Criterion) {
+    let mut g = c.benchmark_group("translate_decode");
+    g.sample_size(30);
+    let stx = messages::stx_seoul_rs_to_canon();
+    let doc = seoul_result_set(2_000);
+    let orders = catalog::asia_entities().into_iter();
+    let schema = orders.filter(|e| e.operation == "orders").map(|e| e.schema);
+    let schema = schema.last().unwrap();
+    g.bench_function("fused", |b| {
+        b.iter(|| {
+            let rows = stx.transform_into(&doc, RowSink::new(&schema)).unwrap();
+            black_box(rows.finish().unwrap().unwrap())
+        })
+    });
+    g.bench_function("tree", |b| {
+        b.iter(|| black_box(resultset::decode(&stx.transform(&doc).unwrap(), &schema).unwrap()))
+    });
+    g.finish();
+}
+
 fn bench_validation(c: &mut Criterion) {
     let mut g = c.benchmark_group("xml_validate");
     g.sample_size(30);
@@ -154,6 +181,7 @@ fn bench_parse_write(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_translation,
+    bench_translate_decode,
     bench_validation,
     bench_parse_write
 );

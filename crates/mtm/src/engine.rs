@@ -8,7 +8,7 @@
 
 use crate::cost::CostRecorder;
 use crate::error::{MtmError, MtmResult};
-use crate::interpreter::{Interpreter, LastReaders};
+use crate::interpreter::{Deployment, Interpreter};
 use crate::process::ProcessDef;
 use crate::validate::validate;
 use dip_services::registry::ExternalWorld;
@@ -28,7 +28,7 @@ pub struct MtmEngine {
 /// A deployed definition and what deployment derived from it once.
 struct Deployed {
     def: Arc<ProcessDef>,
-    last: LastReaders,
+    last: Deployment,
 }
 
 impl std::fmt::Debug for MtmEngine {
@@ -52,7 +52,7 @@ impl MtmEngine {
     pub fn deploy(&self, def: ProcessDef) -> MtmResult<()> {
         validate(&def)?;
         let def = Arc::new(def);
-        let last = LastReaders::of(&def);
+        let last = Deployment::of(&def);
         let deployed = Arc::new(Deployed { def, last });
         self.processes
             .write()

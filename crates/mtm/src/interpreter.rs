@@ -13,6 +13,19 @@
 //!   it goes out;
 //! * instance setup, FORK thread management and subprocess calls are
 //!   **management** costs.
+//!
+//! Deployment derives a `Deployment` table from a definition once: which
+//! step reads which variable last (that step may move the variable out of
+//! the store instead of copying it), and which steps are *fused* with the
+//! step right after them. A fused step's output is read by that next step
+//! only, once, as its last read, so the fused step binds nothing and hands
+//! its work on instead (a `Handoff`): a `TRANSLATE` hands its stylesheet,
+//! and the `XML_TO_REL` after it runs the translation straight into its
+//! row-building handler, so the translated tree is never built; a
+//! relational step hands its plan, not yet run, and the relational step
+//! after it reads that plan where it would read a `Values` leaf, so the
+//! pair runs as one plan. Both steps still open their own span and charge
+//! their own time; the fused step's is what building its plan costs.
 
 use crate::context::VarStore;
 use crate::cost::{run_branches, CostCategory, InstanceCosts};
@@ -21,8 +34,9 @@ use crate::message::MtmMessage;
 use crate::process::{AssignValue, Nested, ProcessDef, Step, SwitchCase};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
-use dip_services::resultset;
+use dip_services::resultset::{self, RowSink};
 use dip_xmlkit::node::Document;
+use dip_xmlkit::stx::Stylesheet;
 use std::collections::HashSet;
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
@@ -42,18 +56,18 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Execute a whole process instance. `input` is the initiating message
-    /// for E1 processes. Which steps read which variable last is derived
+    /// for E1 processes. The definition's `Deployment` table is derived
     /// here, per call; [`crate::MtmEngine`] derives it once per deployed
     /// definition.
     pub fn run(&self, def: &ProcessDef, input: Option<Document>) -> MtmResult<VarStore> {
-        self.run_deployed(def, &LastReaders::of(def), input)
+        self.run_deployed(def, &Deployment::of(def), input)
     }
 
-    /// [`Interpreter::run`] with `def`'s [`LastReaders`].
+    /// [`Interpreter::run`] with `def`'s [`Deployment`] table.
     pub(crate) fn run_deployed(
         &self,
         def: &ProcessDef,
-        last: &LastReaders,
+        last: &Deployment,
         input: Option<Document>,
     ) -> MtmResult<VarStore> {
         let setup = Instant::now();
@@ -68,13 +82,14 @@ impl<'a> Interpreter<'a> {
     fn run_steps(
         &self,
         def: &ProcessDef,
-        last: &LastReaders,
+        last: &Deployment,
         steps: &[Step],
         vars: &mut VarStore,
         pending_input: &mut Option<Document>,
     ) -> MtmResult<()> {
+        let mut handoff = None;
         for step in steps {
-            self.run_step(def, last, step, vars, pending_input)?;
+            handoff = self.run_step(def, last, step, vars, pending_input, handoff)?;
         }
         Ok(())
     }
@@ -95,7 +110,7 @@ impl<'a> Interpreter<'a> {
     /// parent's binding shares it).
     fn take_last(
         vars: &mut VarStore,
-        last: &LastReaders,
+        last: &Deployment,
         step: &Step,
         name: &str,
     ) -> Option<Arc<Relation>> {
@@ -109,10 +124,24 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// The `Values` leaf over the relation a step reads as `name`: the one
-    /// [`Self::take_last`] took, freed with the step's plan, or the
-    /// binding's, shared.
-    fn values(vars: &mut VarStore, last: &LastReaders, step: &Step, name: &str) -> MtmResult<Plan> {
+    /// The plan a relational step reads as `name`: the plan the step
+    /// before it handed on as `name`, or a `Values` leaf over the relation
+    /// bound to it — the one [`Self::take_last`] took, freed with the
+    /// step's plan, or the binding's, shared.
+    fn values(
+        vars: &mut VarStore,
+        last: &Deployment,
+        step: &Step,
+        name: &str,
+        handoff: &mut Option<Handoff>,
+    ) -> MtmResult<Plan> {
+        if let Some(Handoff {
+            work: Work::Plan(plan),
+            ..
+        }) = handoff.take_if(|h| h.var == name)
+        {
+            return Ok(plan);
+        }
         let rel = match Self::take_last(vars, last, step, name) {
             Some(rel) => rel,
             None => Self::get(vars, name)?.shared_rel()?.clone(),
@@ -120,14 +149,34 @@ impl<'a> Interpreter<'a> {
         Ok(Plan::Values(rel))
     }
 
-    fn run_step(
+    /// Finish a relational step: hand its plan to the next step when the
+    /// two are fused, otherwise run it and bind the result to `output`.
+    fn bind_plan<'s>(
+        vars: &mut VarStore,
+        last: &Deployment,
+        step: &Step,
+        plan: Plan,
+        output: &'s str,
+    ) -> MtmResult<Option<Handoff<'s>>> {
+        if last.fuses(step) {
+            let work = Work::Plan(plan);
+            return Ok(Some(Handoff { var: output, work }));
+        }
+        vars.set(output, run_values(plan)?);
+        Ok(None)
+    }
+
+    /// Run one step; `handoff` is what the step before it handed on, and
+    /// the result what this one hands to the step after it.
+    fn run_step<'s>(
         &self,
         def: &ProcessDef,
-        last: &LastReaders,
-        step: &Step,
+        last: &Deployment,
+        step: &'s Step,
         vars: &mut VarStore,
         pending_input: &mut Option<Document>,
-    ) -> MtmResult<()> {
+        mut handoff: Option<Handoff<'s>>,
+    ) -> MtmResult<Option<Handoff<'s>>> {
         // the span and the ledger name the step by the same table row
         let (op, category) = step.kind();
         let _span = dip_trace::span_cat(dip_trace::Layer::Mtm, op, category);
@@ -135,6 +184,7 @@ impl<'a> Interpreter<'a> {
         // the step's own time so far, plus the modeled delay of the
         // external system it waited for
         let charge = |comm: Duration| self.costs.add(category, t.elapsed() + comm);
+        let mut next = None;
         match step {
             Step::Receive { var } => {
                 let doc = pending_input.take().ok_or_else(|| {
@@ -155,8 +205,13 @@ impl<'a> Interpreter<'a> {
                 charge(LOCAL);
             }
             Step::Translate { stx, input, output } => {
-                let out = stx.transform(Self::get(vars, input)?.as_xml()?)?;
-                vars.set(output.clone(), out);
+                let doc = Self::get(vars, input)?.as_xml()?;
+                if last.fuses(step) {
+                    let work = Work::Translate { stx, input };
+                    next = Some(Handoff { var: output, work });
+                } else {
+                    vars.set(output.clone(), stx.transform(doc)?);
+                }
                 charge(LOCAL);
             }
             Step::Validate {
@@ -299,8 +354,9 @@ impl<'a> Interpreter<'a> {
                 predicate,
                 output,
             } => {
-                let plan = Self::values(vars, last, step, input)?.filter(predicate.clone());
-                vars.set(output.clone(), run_values(plan)?);
+                let input = Self::values(vars, last, step, input, &mut handoff)?;
+                let plan = input.filter(predicate.clone());
+                next = Self::bind_plan(vars, last, step, plan, output)?;
                 charge(LOCAL);
             }
             Step::Projection {
@@ -308,8 +364,9 @@ impl<'a> Interpreter<'a> {
                 exprs,
                 output,
             } => {
-                let plan = Self::values(vars, last, step, input)?.project(exprs.clone());
-                vars.set(output.clone(), run_values(plan)?);
+                let input = Self::values(vars, last, step, input, &mut handoff)?;
+                let plan = input.project(exprs.clone());
+                next = Self::bind_plan(vars, last, step, plan, output)?;
                 charge(LOCAL);
             }
             Step::UnionDistinct {
@@ -318,13 +375,11 @@ impl<'a> Interpreter<'a> {
                 output,
             } => {
                 let inputs = (inputs.iter())
-                    .map(|name| Self::values(vars, last, step, name))
+                    .map(|name| Self::values(vars, last, step, name, &mut handoff))
                     .collect::<MtmResult<_>>()?;
                 let key = key.clone();
-                vars.set(
-                    output.clone(),
-                    run_values(Plan::UnionDistinct { inputs, key })?,
-                );
+                let plan = Plan::UnionDistinct { inputs, key };
+                next = Self::bind_plan(vars, last, step, plan, output)?;
                 charge(LOCAL);
             }
             Step::Join {
@@ -334,12 +389,12 @@ impl<'a> Interpreter<'a> {
                 right_keys,
                 output,
             } => {
-                let plan = Self::values(vars, last, step, left)?.hash_join(
-                    Self::values(vars, last, step, right)?,
+                let plan = Self::values(vars, last, step, left, &mut None)?.hash_join(
+                    Self::values(vars, last, step, right, &mut None)?,
                     left_keys.clone(),
                     right_keys.clone(),
                 );
-                vars.set(output.clone(), run_values(plan)?);
+                next = Self::bind_plan(vars, last, step, plan, output)?;
                 charge(LOCAL);
             }
             Step::XmlToRel {
@@ -347,7 +402,17 @@ impl<'a> Interpreter<'a> {
                 schema,
                 output,
             } => {
-                let rel = resultset::decode(Self::get(vars, input)?.as_xml()?, schema)?;
+                let rel = match handoff.take_if(|h| h.var == input) {
+                    // the fused TRANSLATE's stylesheet runs into the rows
+                    Some(Handoff {
+                        work: Work::Translate { stx, input },
+                        ..
+                    }) => {
+                        let doc = Self::get(vars, input)?.as_xml()?;
+                        stx.transform_into(doc, RowSink::new(schema))?.finish()??
+                    }
+                    _ => resultset::decode(Self::get(vars, input)?.as_xml()?, schema)?,
+                };
                 vars.set(output.clone(), rel);
                 charge(LOCAL);
             }
@@ -421,7 +486,7 @@ impl<'a> Interpreter<'a> {
                 charge(LOCAL);
             }
         }
-        Ok(())
+        Ok(next)
     }
 
     /// Extract the SWITCH routing value from a variable.
@@ -445,34 +510,88 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// The reads of a definition that are their variable's last: `(step,
-/// variable)` pairs such that no later step — in the step's own list, in a
-/// list nested in a later step, or after the list ends — and none of the
-/// step's own nested lists reads the variable, and the step names it once
-/// (`UNION DISTINCT [a, a]` reads `a` twice and takes nothing). Such a
-/// step may take the variable out of the store ([`Interpreter::take_last`];
-/// a `DbInsert` takes it whether or not it is shared). Per step list, what
-/// is read after it ends is what its enclosing list reads after the
-/// enclosing step — for SWITCH / VALIDATE alternatives and FORK branches
-/// alike — and `output` for a subprocess body. Steps are named by their
-/// address inside the definition, which is never modified once deployed.
-pub(crate) struct LastReaders(Vec<(usize, String)>);
+/// What a fused step hands to the step right after it in place of binding
+/// its output variable `var`.
+struct Handoff<'s> {
+    var: &'s str,
+    work: Work<'s>,
+}
 
-impl LastReaders {
-    pub(crate) fn of(def: &ProcessDef) -> LastReaders {
-        let mut found = Vec::new();
-        read_later(&def.steps, &HashSet::new(), &mut found);
-        found.sort_unstable();
+enum Work<'s> {
+    /// A `TRANSLATE`: its stylesheet and the variable holding the XML it
+    /// reads (checked bound when the step ran).
+    Translate { stx: &'s Stylesheet, input: &'s str },
+    /// A relational step's plan, not yet run.
+    Plan(Plan),
+}
+
+/// What deployment derives from a definition, once.
+///
+/// **Last reads**: `(step, variable)` pairs such that no later step — in
+/// the step's own list, in a list nested in a later step, or after the
+/// list ends — and none of the step's own nested lists reads the
+/// variable, and the step names it once (`UNION DISTINCT [a, a]` reads `a`
+/// twice and takes nothing). Such a step may take the variable out of the
+/// store ([`Interpreter::take_last`]; a `DbInsert` takes it whether or not
+/// it is shared). Per step list, what is read after it ends is what its
+/// enclosing list reads after the enclosing step — for SWITCH / VALIDATE
+/// alternatives and FORK branches alike — and `output` for a subprocess
+/// body.
+///
+/// **Fused steps**: a step whose output the step right after it in the
+/// same list reads last, once, where the pair is one that runs as one
+/// ([`handed_on`]).
+///
+/// Steps are named by their address inside the definition, which is never
+/// modified once deployed.
+pub(crate) struct Deployment {
+    last: Vec<(usize, String)>,
+    fused: Vec<usize>,
+}
+
+impl Deployment {
+    pub(crate) fn of(def: &ProcessDef) -> Deployment {
+        let mut table = Deployment {
+            last: Vec::new(),
+            fused: Vec::new(),
+        };
+        read_later(&def.steps, &HashSet::new(), &mut table);
         // a subprocess called twice is walked twice
-        found.dedup();
-        LastReaders(found)
+        table.last.sort_unstable();
+        table.last.dedup();
+        table.fused.sort_unstable();
+        table.fused.dedup();
+        table
+    }
+
+    /// The table that moves and fuses nothing: every read copies, every
+    /// step binds its output.
+    #[cfg(test)]
+    pub(crate) fn empty() -> Deployment {
+        Deployment {
+            last: Vec::new(),
+            fused: Vec::new(),
+        }
+    }
+
+    /// This table with `step` fused into the step after it, whatever
+    /// reads its output.
+    #[cfg(test)]
+    pub(crate) fn fusing(mut self, step: &Step) -> Deployment {
+        self.fused.push(address(step));
+        self.fused.sort_unstable();
+        self
     }
 
     fn takes(&self, step: &Step, var: &str) -> bool {
         let at = address(step);
-        (self.0)
+        (self.last)
             .binary_search_by(|(a, v)| (*a, v.as_str()).cmp(&(at, var)))
             .is_ok()
+    }
+
+    pub(crate) fn fuses(&self, step: &Step) -> bool {
+        self.fused.binary_search(&address(step)).is_ok()
     }
 }
 
@@ -480,43 +599,81 @@ fn address(step: &Step) -> usize {
     std::ptr::from_ref(step) as usize
 }
 
+/// The variable `step` would hand to `next` if the two are a pair that runs
+/// as one: a `TRANSLATE` and the `XML_TO_REL` after it, or a relational
+/// step and a `SELECTION`, `PROJECTION` or `UNION DISTINCT` after it, which
+/// take a plan where they would take a `Values` leaf. A `JOIN` after it
+/// takes none: the join builds its hash table on the side whose estimated
+/// size is smaller, and the plan's estimate is not its rows', so the output
+/// order could change.
+fn handed_on<'a>(step: &'a Step, next: &Step) -> Option<&'a str> {
+    let wraps_a_plan = matches!(
+        next,
+        Step::Selection { .. } | Step::Projection { .. } | Step::UnionDistinct { .. }
+    );
+    match step {
+        Step::Translate { output, .. } if matches!(next, Step::XmlToRel { .. }) => Some(output),
+        Step::Selection { output, .. }
+        | Step::Projection { output, .. }
+        | Step::UnionDistinct { output, .. }
+        | Step::Join { output, .. }
+            if wraps_a_plan =>
+        {
+            Some(output)
+        }
+        _ => None,
+    }
+}
+
 /// Walk `steps` backwards from `after`, the variables read once the list
-/// has ended, collecting into `found` the reads that are their variable's
-/// last; returns `after` plus everything the list reads.
+/// has ended, collecting into `table` the reads that are their variable's
+/// last and the steps fused with the step after them; returns `after` plus
+/// everything the list reads.
 fn read_later<'a>(
     steps: &'a [Step],
     after: &HashSet<&'a str>,
-    found: &mut Vec<(usize, String)>,
+    table: &mut Deployment,
 ) -> HashSet<&'a str> {
     let mut read = after.clone();
+    // the step after the current one, and the variables it reads last
+    let mut next: Option<(&Step, Vec<&str>)> = None;
     for step in steps.iter().rev() {
         let facts = step.facts();
         match facts.nested {
             Some(Nested::Alternatives(lists) | Nested::Parallel(lists)) => {
                 let after_step = read.clone();
                 for (_, list) in lists {
-                    read.extend(read_later(list, &after_step, found));
+                    read.extend(read_later(list, &after_step, table));
                 }
             }
             Some(Nested::Call(process)) => {
-                read_later(&process.steps, &HashSet::from(["output"]), found);
+                read_later(&process.steps, &HashSet::from(["output"]), table);
             }
             None => {}
         }
         // a step reads before its nested lists run
+        let mut takes = Vec::new();
         for &var in &facts.reads {
             let once = facts.reads.iter().filter(|&&v| v == var).count() == 1;
             if once && !read.contains(var) {
-                found.push((address(step), var.to_string()));
+                table.last.push((address(step), var.to_string()));
+                takes.push(var);
+            }
+        }
+        if let Some((next, next_takes)) = &next {
+            if handed_on(step, next).is_some_and(|out| next_takes.contains(&out)) {
+                table.fused.push(address(step));
             }
         }
         read.extend(facts.reads);
+        next = Some((step, takes));
     }
     read
 }
 
-/// Run a relational step's plan — one operator over `Values` leaves, the
-/// step's inputs — on the batch executor every engine's queries run on.
+/// Run a relational step's plan — its operator over `Values` leaves, the
+/// step's inputs, or over the plans fused steps handed on — on the batch
+/// executor every engine's queries run on.
 /// It reads no table, so every step runs it against one empty database; a
 /// taken input is freed with the plan, inside the step.
 fn run_values(plan: Plan) -> MtmResult<Relation> {
@@ -700,7 +857,7 @@ mod tests {
         let def = ProcessDef::new("KINDS", "k", 'B', EventType::Message, vec![]);
         let rel = Relation::new(kv_schema(), vec![vec![Value::Int(5), Value::str("five")]]);
         let steps = one_of_every_kind();
-        let last = LastReaders::of(&def);
+        let last = Deployment::of(&def);
         let _tracing = crate::TRACE_TESTS.lock().unwrap();
         dip_trace::enable();
         let mut charged = Vec::new();
@@ -713,7 +870,7 @@ mod tests {
             let mut message = Some(Document::new(Element::new("m")));
             let _scope = dip_trace::instance_scope(&def.id, 0, n as u64);
             Interpreter::new(&world, &costs)
-                .run_step(&def, &last, step, &mut vars, &mut message)
+                .run_step(&def, &last, step, &mut vars, &mut message, None)
                 .unwrap_or_else(|e| panic!("{step:?}: {e}"));
             charged.push(costs.snapshot());
         }

@@ -29,6 +29,9 @@ pub mod message;
 pub mod process;
 pub mod validate;
 
+#[cfg(test)]
+mod graphs;
+
 pub use cost::{CostCategory, CostRecorder, InstanceCosts, InstanceRecord};
 pub use engine::MtmEngine;
 pub use error::{MtmError, MtmResult};

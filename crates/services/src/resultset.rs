@@ -11,11 +11,21 @@
 //!   …
 //! </resultSet>
 //! ```
+//!
+//! The decoder exists once, as a SAX handler ([`RowSink`]) that builds the
+//! rows from the events as they arrive. [`decode`] walks a document into
+//! it; the MTM engine runs a `TRANSLATE` whose output only the next
+//! `XML_TO_REL` reads through the stylesheet straight into it
+//! (`Stylesheet::transform_into`), so that translated result set is never
+//! built as a tree.
 
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::{Document, Element};
+use dip_xmlkit::sax::{self, Handler};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::xsd::{XsdAttr, XsdElement, XsdSchema};
+use dip_xmlkit::{XmlError, XmlResult};
+use std::borrow::Cow;
 
 /// Encode a relation as a generic result-set document.
 pub fn encode(source: &str, table: &str, rel: &Relation) -> Document {
@@ -39,32 +49,162 @@ pub fn encode(source: &str, table: &str, rel: &Relation) -> Document {
 /// Decode a result-set document back into a relation with the given target
 /// schema: elements are matched to columns by name (case-insensitive),
 /// missing elements become NULL, values are coerced to the column type.
+/// The document is walked into a [`RowSink`].
 pub fn decode(doc: &Document, schema: &SchemaRef) -> StoreResult<Relation> {
-    if doc.root.name != "resultSet" {
-        return Err(StoreError::Invalid(format!(
-            "expected <resultSet>, got <{}>",
-            doc.root.name
-        )));
+    // a tree is one balanced root: the stream checks never fire on a walk
+    let decoded = sax::walk(doc, RowSink::new(schema)).and_then(RowSink::finish);
+    decoded.map_err(|e| StoreError::Invalid(e.to_string()))?
+}
+
+/// The result-set decoder as a [`Handler`]: rows are built from the events
+/// as they arrive, so nothing else of the document is kept. The root must
+/// be `<resultSet>`; each of its `<row>` children is one row; each element
+/// child of a row whose name is a column's (case-insensitive) sets that
+/// column from its direct text, coerced to the column type; anything else
+/// (other elements, text between rows, attributes, elements nested in a
+/// field) is skipped.
+///
+/// A decode failure (a wrong root, a value that does not read as its
+/// column type) is kept, the first one in document order, and the stream
+/// runs on: what the stream itself gets wrong — text outside the root, a
+/// second root, no root at all — is the tree builder's error, with its
+/// text, and comes first, so a stylesheet run into this sink fails as
+/// `decode(&stylesheet.transform(doc)?)` does. The one check of the tree
+/// builder this leaves out is that an end event names the open element:
+/// every driver over a tree closes what it opened.
+pub struct RowSink {
+    schema: SchemaRef,
+    rows: Vec<Row>,
+    /// Open elements.
+    depth: usize,
+    /// Top-level elements opened so far.
+    roots: usize,
+    /// The row being built, while a `<row>` of the root is open.
+    row: Option<Row>,
+    /// The column of the open field, while a known field of `row` is open.
+    field: Option<usize>,
+    /// The open field's direct text.
+    text: String,
+    /// The first decode failure; no row is built after it.
+    failed: Option<StoreError>,
+}
+
+impl RowSink {
+    pub fn new(schema: &SchemaRef) -> RowSink {
+        RowSink {
+            schema: schema.clone(),
+            rows: Vec::new(),
+            depth: 0,
+            roots: 0,
+            row: None,
+            field: None,
+            text: String::new(),
+            failed: None,
+        }
     }
-    let mut rows = Vec::new();
-    for row_el in doc.root.all("row") {
-        let mut row: Row = vec![Value::Null; schema.len()];
-        for field in row_el.elements() {
-            if let Ok(idx) = schema.index_of(&field.name) {
-                let text = field.text_content();
-                row[idx] = coerce(&text, schema.column(idx).ty).ok_or_else(|| {
-                    StoreError::SchemaMismatch(format!(
-                        "cannot read {:?} as {} for column {}",
-                        text,
-                        schema.column(idx).ty,
-                        schema.column(idx).name
-                    ))
-                })?;
+
+    /// The decoded relation once the stream has ended: `Err` if the stream
+    /// was not one closed root (the tree builder's error), `Ok(Err)` with
+    /// the first decode failure.
+    pub fn finish(self) -> XmlResult<StoreResult<Relation>> {
+        if self.depth > 0 {
+            let msg = "unclosed elements at end of stream";
+            return Err(XmlError::Transform(msg.into()));
+        }
+        if self.roots == 0 {
+            return Err(XmlError::Transform("empty event stream".into()));
+        }
+        Ok(match self.failed {
+            Some(e) => Err(e),
+            None => Ok(Relation::new(self.schema, self.rows)),
+        })
+    }
+
+    /// Coerce the open field's text into its column of the open row.
+    fn set_field(&mut self, idx: usize) {
+        let (Some(row), Some(col)) = (self.row.as_mut(), self.schema.columns().get(idx)) else {
+            return;
+        };
+        match (coerce(&self.text, col.ty), row.get_mut(idx)) {
+            (Some(v), Some(slot)) => *slot = v,
+            _ => {
+                self.failed = Some(StoreError::SchemaMismatch(format!(
+                    "cannot read {:?} as {} for column {}",
+                    self.text, col.ty, col.name
+                )));
+                self.row = None;
             }
         }
-        rows.push(row);
     }
-    Ok(Relation::new(schema.clone(), rows))
+}
+
+impl Handler for RowSink {
+    fn start(
+        &mut self,
+        name: &str,
+        _attrs: Cow<'_, [(String, String)]>,
+        children: usize,
+    ) -> XmlResult<()> {
+        match self.depth {
+            0 => {
+                self.roots += 1;
+                if self.roots == 1 && name != "resultSet" {
+                    self.failed = Some(StoreError::Invalid(format!(
+                        "expected <resultSet>, got <{name}>"
+                    )));
+                }
+                if self.roots == 1 && self.failed.is_none() {
+                    self.rows.reserve(children);
+                }
+            }
+            1 if self.roots == 1 && self.failed.is_none() && name == "row" => {
+                self.row = Some(vec![Value::Null; self.schema.len()]);
+            }
+            2 if self.row.is_some() => {
+                let mut columns = self.schema.columns().iter();
+                self.field = columns.position(|c| c.name.eq_ignore_ascii_case(name));
+                self.text.clear();
+            }
+            _ => {}
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        match self.depth {
+            0 if !text.trim().is_empty() => {
+                Err(XmlError::Transform("text outside root element".into()))
+            }
+            3 if self.field.is_some() => {
+                self.text.push_str(text);
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn end(&mut self, _name: &str) -> XmlResult<()> {
+        self.depth = (self.depth.checked_sub(1))
+            .ok_or_else(|| XmlError::Transform("unbalanced end event".into()))?;
+        match self.depth {
+            0 if self.roots > 1 => {
+                return Err(XmlError::Transform("multiple root elements".into()));
+            }
+            1 => {
+                if let Some(row) = self.row.take() {
+                    self.rows.push(row);
+                }
+            }
+            2 => {
+                if let Some(idx) = self.field.take() {
+                    self.set_field(idx);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 /// Lexical-to-typed coercion used when decoding.

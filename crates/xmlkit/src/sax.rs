@@ -4,11 +4,14 @@
 //! — is defined over a stream of events rather than a tree. Events reach a
 //! consumer in one of two forms:
 //!
-//! * **borrowed**, pushed into a `Handler` (crate-private) one call at a
-//!   time — what
-//!   [`Stylesheet::transform`](crate::stx::Stylesheet::transform) does: it
-//!   walks the input tree through the rules straight into a `TreeBuilder`,
-//!   so nothing but the output tree is ever allocated;
+//! * **borrowed**, pushed into a [`Handler`] one call at a time. A handler
+//!   is whatever folds the stream: the tree builder behind
+//!   [`Stylesheet::transform`](crate::stx::Stylesheet::transform), the
+//!   vector behind
+//!   [`Stylesheet::transform_events`](crate::stx::Stylesheet::transform_events),
+//!   or one outside this crate — `dip_services::resultset::RowSink` builds
+//!   a result set's rows from the events, so a translated result set that
+//!   is only decoded is never built as a tree;
 //! * **materialized**, as a `Vec<SaxEvent>`: [`events`] linearizes a tree
 //!   and [`build`] folds a vector back into one. This is the pipeline of a
 //!   CLOB-bound XML function stack, and the one caller that runs it in
@@ -16,8 +19,12 @@
 //!   (`build(sheet.transform_events(&events(doc)))`), on purpose; the tests
 //!   use it as the oracle of the one-pass path.
 //!
-//! Both forms end in the same fold (`TreeBuilder`, which [`build`] feeds
-//! too), so they agree on every tree and on every error.
+//! Three drivers push events into a handler: [`walk`] walks a tree into it
+//! as it is, and the stylesheet's two
+//! ([`Stylesheet::transform_into`](crate::stx::Stylesheet::transform_into)
+//! for a tree, `transform_events` for a vector) run them through the one
+//! rule filter first. The tree builder is the fold [`build`] runs too, so
+//! every form agrees on every tree and on every error.
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};
@@ -62,8 +69,9 @@ fn emit(e: &Element, out: &mut Vec<SaxEvent>) {
 /// A consumer of borrowed SAX events. `children` on a start event is the
 /// producer's estimate of how many child nodes will follow (0 when it
 /// cannot know), so a consumer that builds a tree can size the element
-/// once instead of growing it.
-pub(crate) trait Handler {
+/// once instead of growing it. An error from any call ends the stream: the
+/// driver returns it as it is.
+pub trait Handler {
     fn start(
         &mut self,
         name: &str,
@@ -194,6 +202,24 @@ impl Handler for TreeBuilder {
     }
 }
 
+/// Walk a document into `sink` as it is, depth-first, and hand the sink
+/// back. A tree is one root with balanced tags, so the stream it makes is
+/// well-formed.
+pub fn walk<H: Handler>(doc: &Document, mut sink: H) -> XmlResult<H> {
+    fn visit<H: Handler>(e: &Element, sink: &mut H) -> XmlResult<()> {
+        sink.start(&e.name, Cow::Borrowed(&e.attrs), e.children.len())?;
+        for c in &e.children {
+            match c {
+                XmlNode::Element(child) => visit(child, sink)?,
+                XmlNode::Text(t) => sink.text(t)?,
+            }
+        }
+        sink.end(&e.name)
+    }
+    visit(&doc.root, &mut sink)?;
+    Ok(sink)
+}
+
 /// Fold an event stream back into a document. The stream must be
 /// well-formed: one root element, balanced start/end tags.
 pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> {
@@ -220,6 +246,19 @@ mod tests {
         assert_eq!(evs.len(), 7); // a, b, "hi", /b, c, /c, /a
         let rebuilt = build(evs).unwrap();
         assert_eq!(rebuilt, doc);
+    }
+
+    #[test]
+    fn walk_drives_a_handler_through_the_tree() {
+        let doc = parse(r#"<a x="1"><b>hi</b><c/></a>"#).unwrap();
+        assert_eq!(walk(&doc, Vec::new()).unwrap(), events(&doc));
+        assert_eq!(
+            walk(&doc, TreeBuilder::default())
+                .unwrap()
+                .finish()
+                .unwrap(),
+            doc
+        );
     }
 
     #[test]

@@ -10,15 +10,19 @@
 //! with O(depth) state.
 //!
 //! The rule application exists once, as a filter between borrowed events
-//! and a `sax::Handler`; two drivers feed it. [`Stylesheet::transform`] walks
-//! the input tree through it into a tree builder — one pass, and the
-//! output tree is all it allocates; this is what the MTM engine's
-//! `TRANSLATE` operator runs. [`Stylesheet::transform_events`] runs it from
-//! one `Vec<SaxEvent>` into another; `dip_feddbms::xmlfn::transform` wraps
+//! and a [`Handler`]; two drivers feed it. [`Stylesheet::transform_into`]
+//! walks the input tree through it into any handler in one pass:
+//! [`Stylesheet::transform`] is that driver into a tree builder, the
+//! output tree being all it allocates — the MTM engine's `TRANSLATE`
+//! operator — and the engine runs a `TRANSLATE` whose output only the next
+//! `XML_TO_REL` reads straight into that step's row-building handler
+//! (`dip_services::resultset::RowSink`), so no output tree is built.
+//! [`Stylesheet::transform_events`] runs the filter from one
+//! `Vec<SaxEvent>` into another; `dip_feddbms::xmlfn::transform` wraps
 //! that in `sax::events` / `sax::build` and two CLOB round trips, because a
 //! CLOB-bound SQL/XML function stack materializes every stage (the paper's
 //! System A), and the tests use the same pipeline as the one-pass driver's
-//! oracle.
+//! oracle. (`sax::walk`, the third driver, skips the filter.)
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};
@@ -359,13 +363,20 @@ impl Stylesheet {
     }
 
     /// Transform a document in one pass: the input tree streams through
-    /// the rules straight into the output tree, which is the only thing
-    /// allocated.
-    pub fn transform(&self, doc: &Document) -> XmlResult<Document> {
+    /// the rules into `sink`, which is handed back once the root has
+    /// closed. Whatever the sink builds is its own; the filter keeps
+    /// O(depth) state.
+    pub fn transform_into<H: Handler>(&self, doc: &Document, sink: H) -> XmlResult<H> {
         let _span = stx_span();
-        let mut filter = Filter::new(self, TreeBuilder::default());
+        let mut filter = Filter::new(self, sink);
         filter.walk(&doc.root)?;
-        filter.sink.finish()
+        Ok(filter.sink)
+    }
+
+    /// [`Stylesheet::transform_into`] a tree builder: the output tree is
+    /// the only thing allocated.
+    pub fn transform(&self, doc: &Document) -> XmlResult<Document> {
+        self.transform_into(doc, TreeBuilder::default())?.finish()
     }
 }
 

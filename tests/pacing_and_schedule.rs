@@ -1,9 +1,12 @@
 //! Client behaviour tests: real-time pacing honours deadlines, and the
 //! dispatched instance mix matches Table II exactly.
 
+use dip_mtm::{CostRecorder, MtmResult, ProcessDef, Step};
 use dipbench::prelude::*;
 use dipbench::schedule;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 #[test]
 fn realtime_pacing_respects_deadlines() {
@@ -93,17 +96,107 @@ fn dispatched_mix_matches_table_ii_per_period() {
     );
 }
 
+/// Two parties that each wait, once, for the other to arrive: the first
+/// P01 (stream A) and the first P04 (stream B).
+#[derive(Default)]
+struct Meeting {
+    arrived: Mutex<[bool; 2]>,
+    met: Condvar,
+    timed_out: AtomicBool,
+}
+
+impl Meeting {
+    /// Long enough for any client that runs the streams concurrently;
+    /// one that runs them one after the other waits it out.
+    const TIMEOUT: Duration = Duration::from_secs(20);
+
+    /// Party `me` arrives; its first arrival waits for the other's.
+    fn arrive(&self, me: usize) {
+        let mut arrived = self.arrived.lock().unwrap();
+        if arrived[me] {
+            return;
+        }
+        arrived[me] = true;
+        self.met.notify_all();
+        let (arrived, wait) = (self.met)
+            .wait_timeout_while(arrived, Self::TIMEOUT, |a| !a[1 - me])
+            .unwrap();
+        drop(arrived);
+        if wait.timed_out() {
+            self.timed_out.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// The MTM system with a rendezvous step at the start of P01 and P04
+/// (after P01's RECEIVE): their first instances each wait, inside the
+/// instance, for the other to begin, so the two instances overlap in wall
+/// time whenever the client runs the streams concurrently.
+struct Rendezvous {
+    inner: MtmSystem,
+    meeting: Arc<Meeting>,
+}
+
+impl IntegrationSystem for Rendezvous {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn deploy(&self, mut defs: Vec<ProcessDef>) -> MtmResult<()> {
+        for def in &mut defs {
+            let Some(me) = ["P01", "P04"].iter().position(|p| *p == def.id) else {
+                continue;
+            };
+            let meeting = self.meeting.clone();
+            let at = usize::from(matches!(def.steps.first(), Some(Step::Receive { .. })));
+            let meet = Step::Custom {
+                name: "rendezvous".into(),
+                reads: vec![],
+                binds: vec![],
+                f: Arc::new(move |_| {
+                    meeting.arrive(me);
+                    Ok(vec![])
+                }),
+            };
+            def.steps.insert(at, meet);
+        }
+        self.inner.deploy(defs)
+    }
+
+    fn deliver(&self, event: Event) -> Delivery {
+        self.inner.deliver(event)
+    }
+
+    fn recorder(&self) -> Arc<CostRecorder> {
+        self.inner.recorder()
+    }
+
+    fn dead_letters(&self) -> Arc<DeadLetterQueue> {
+        self.inner.dead_letters()
+    }
+}
+
 #[test]
 fn streams_a_and_b_actually_overlap() {
-    // with eager pacing, stream A and stream B instances should interleave
-    // in wall time: some records of group A must start before the last
-    // group B record ends and vice versa
+    // with eager pacing, stream A and stream B instances interleave in
+    // wall time: some records of group A start before the last group B
+    // record ends and vice versa. The rendezvous makes that independent
+    // of thread start-up timing: the first P01 and the first P04 are open
+    // at the same time unless the client serialized the streams.
     let config =
         BenchConfig::new(ScaleFactors::new(0.05, 1.0, Distribution::Uniform)).with_periods(1);
     let env = BenchEnvironment::new(config).unwrap();
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
+    let meeting = Arc::new(Meeting::default());
+    let system = Arc::new(Rendezvous {
+        inner: MtmSystem::new(env.world.clone()),
+        meeting: meeting.clone(),
+    });
     let client = Client::new(&env, system).unwrap();
     let outcome = client.run().unwrap();
+    assert!(
+        !meeting.timed_out.load(Ordering::SeqCst),
+        "the first P01 and the first P04 never ran at the same time: streams serialized"
+    );
     let a: Vec<_> = outcome
         .records
         .iter()
