@@ -11,10 +11,10 @@
 //!
 //! Each graph runs twice: with its [`Deployment`] table, which moves what
 //! a step reads last and fuses the pairs that run as one, and with the
-//! empty table, which copies every read and binds every output. The two
-//! runs must end alike: the same result, the same bindings observed, the
-//! same rows in the sink table. A failing graph is reported as its pick
-//! vector.
+//! default table, which is empty: every read copies, every step binds its
+//! output. The two runs must end alike: the same result, the same
+//! bindings observed, the same rows in the sink table. A failing graph is
+//! reported as its pick vector.
 
 use crate::context::VarStore;
 use crate::cost::InstanceCosts;
@@ -375,7 +375,7 @@ fn run(def: &ProcessDef, table: &Deployment, observed: &Observed) -> Outcome {
 /// difference.
 fn runs_agree(def: &ProcessDef, table: &Deployment, observed: &Observed) -> Result<(), String> {
     let deployed = run(def, table, observed);
-    let written = run(def, &Deployment::empty(), observed);
+    let written = run(def, &Deployment::default(), observed);
     if deployed == written {
         return Ok(());
     }

@@ -543,7 +543,9 @@ enum Work<'s> {
 /// ([`handed_on`]).
 ///
 /// Steps are named by their address inside the definition, which is never
-/// modified once deployed.
+/// modified once deployed. The default table moves and fuses nothing:
+/// every read copies, every step binds its output.
+#[derive(Default)]
 pub(crate) struct Deployment {
     last: Vec<(usize, String)>,
     fused: Vec<usize>,
@@ -551,10 +553,7 @@ pub(crate) struct Deployment {
 
 impl Deployment {
     pub(crate) fn of(def: &ProcessDef) -> Deployment {
-        let mut table = Deployment {
-            last: Vec::new(),
-            fused: Vec::new(),
-        };
+        let mut table = Deployment::default();
         read_later(&def.steps, &HashSet::new(), &mut table);
         // a subprocess called twice is walked twice
         table.last.sort_unstable();
@@ -562,16 +561,6 @@ impl Deployment {
         table.fused.sort_unstable();
         table.fused.dedup();
         table
-    }
-
-    /// The table that moves and fuses nothing: every read copies, every
-    /// step binds its output.
-    #[cfg(test)]
-    pub(crate) fn empty() -> Deployment {
-        Deployment {
-            last: Vec::new(),
-            fused: Vec::new(),
-        }
     }
 
     /// This table with `step` fused into the step after it, whatever
