@@ -148,13 +148,13 @@ impl Handler for RowSink {
         match self.depth {
             0 => {
                 self.roots += 1;
-                if self.roots == 1 && name != "resultSet" {
-                    self.failed = Some(StoreError::Invalid(format!(
-                        "expected <resultSet>, got <{name}>"
-                    )));
-                }
-                if self.roots == 1 && self.failed.is_none() {
+                if self.roots > 1 {
+                    // the tree builder's error, once this root closes
+                } else if name == "resultSet" {
                     self.rows.reserve(children);
+                } else {
+                    let got = format!("expected <resultSet>, got <{name}>");
+                    self.failed = Some(StoreError::Invalid(got));
                 }
             }
             1 if self.roots == 1 && self.failed.is_none() && name == "row" => {
