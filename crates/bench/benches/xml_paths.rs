@@ -120,9 +120,8 @@ fn bench_translate_decode(c: &mut Criterion) {
     g.sample_size(30);
     let stx = messages::stx_seoul_rs_to_canon();
     let doc = seoul_result_set(2_000);
-    let orders = catalog::asia_entities().into_iter();
-    let schema = orders.filter(|e| e.operation == "orders").map(|e| e.schema);
-    let schema = schema.last().unwrap();
+    let mut entities = catalog::asia_entities().into_iter();
+    let schema = entities.find(|e| e.operation == "orders").unwrap().schema;
     g.bench_function("fused", |b| {
         b.iter(|| {
             let rows = stx.transform_into(&doc, RowSink::new(&schema)).unwrap();
