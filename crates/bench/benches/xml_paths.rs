@@ -8,11 +8,15 @@
 //! decoded into rows: the fused path MTM runs for a `TRANSLATE` whose
 //! output only the next `XML_TO_REL` reads (the stylesheet into
 //! `resultset::RowSink`), against the tree it no longer builds.
+//! `ws_translate_decode` times the whole response-to-rows chain MTM runs
+//! behind a fused `WS_QUERY`: the response sized and read straight from its
+//! rows (`resultset::ResultSet`), against the source tree built, sized
+//! with a walk and then read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dip_relstore::prelude::*;
 use dip_services::apps::{self, OrderData, OrderLineData};
-use dip_services::resultset::{self, RowSink};
+use dip_services::resultset::{self, ResultSet, RowSink};
 use dip_xmlkit::node::Document;
 use dip_xmlkit::sax::{build, events};
 use dipbench::processes::catalog;
@@ -43,6 +47,11 @@ fn order_message(lines: usize) -> Document {
 /// The P09 shape: one wide Seoul result set, every element renamed, two
 /// columns through a vocabulary map.
 fn seoul_result_set(rows: i64) -> Document {
+    seoul_rows(rows).to_document()
+}
+
+/// [`seoul_result_set`] as the web service answers it, not yet XML.
+fn seoul_rows(rows: i64) -> ResultSet {
     let columns = [
         ("s_okey", SqlType::Int),
         ("s_ckey", SqlType::Int),
@@ -76,7 +85,7 @@ fn seoul_result_set(rows: i64) -> Document {
         })
         .collect();
     let rel = Relation::new(RelSchema::of(&columns).shared(), rows);
-    dip_services::resultset::encode("seoul", "orders", &rel)
+    ResultSet::new("seoul", "orders", rel)
 }
 
 /// Three ways through one stylesheet: the one-pass driver (MTM's
@@ -134,6 +143,36 @@ fn bench_translate_decode(c: &mut Criterion) {
     g.finish();
 }
 
+/// The Seoul response into the orders staging schema, sized and decoded:
+/// read from its rows, or built as a tree, sized with a walk and read
+/// from the tree.
+fn bench_ws_translate_decode(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ws_translate_decode");
+    g.sample_size(30);
+    let stx = messages::stx_seoul_rs_to_canon();
+    let response = seoul_rows(2_000);
+    let mut entities = catalog::asia_entities().into_iter();
+    let schema = entities.find(|e| e.operation == "orders").unwrap().schema;
+    g.bench_function("rows", |b| {
+        b.iter(|| {
+            black_box(response.wire_len());
+            let rows = stx
+                .transform_into(&response, RowSink::new(&schema))
+                .unwrap();
+            black_box(rows.finish().unwrap().unwrap())
+        })
+    });
+    g.bench_function("tree", |b| {
+        b.iter(|| {
+            let doc = response.to_document();
+            black_box(dip_xmlkit::compact_len(&doc));
+            let rows = stx.transform_into(&doc, RowSink::new(&schema)).unwrap();
+            black_box(rows.finish().unwrap().unwrap())
+        })
+    });
+    g.finish();
+}
+
 fn bench_validation(c: &mut Criterion) {
     let mut g = c.benchmark_group("xml_validate");
     g.sample_size(30);
@@ -181,6 +220,7 @@ criterion_group!(
     benches,
     bench_translation,
     bench_translate_decode,
+    bench_ws_translate_decode,
     bench_validation,
     bench_parse_write
 );

@@ -9,6 +9,7 @@
 //! target), implemented by [`SeoulService`].
 
 use dip_relstore::prelude::*;
+use dip_services::resultset::ResultSet;
 use dip_services::webservice::{DbService, ServiceError, ServiceResult, WebService};
 use dip_xmlkit::node::Document;
 use std::sync::Arc;
@@ -144,7 +145,7 @@ impl WebService for SeoulService {
         SEOUL
     }
 
-    fn query(&self, operation: &str) -> ServiceResult<Document> {
+    fn query(&self, operation: &str) -> ServiceResult<ResultSet> {
         self.inner.query(operation)
     }
 
@@ -265,7 +266,7 @@ mod tests {
     fn seoul_plain_query_still_works() {
         let db = create_asia_db(SEOUL).unwrap();
         let svc = SeoulService::new(db);
-        let doc = svc.query("orders").unwrap();
+        let doc = svc.query("orders").unwrap().to_document();
         assert_eq!(doc.root.name, "resultSet");
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! A graph is built from a vector of picks: relational steps over five
 //! relation variables, `TRANSLATE` → `XML_TO_REL` pairs (adjacent, or apart
-//! with a step between), `JOIN`s narrowed by a `PROJECTION`, `CopyVar`
-//! aliases, a `DB_INSERT` sink, and SWITCH / FORK / SUBPROCESS nesting
-//! three levels deep. It ends in an observer step that reads the variables
+//! with a step between), `WS_QUERY` → `TRANSLATE` → `XML_TO_REL` chains
+//! over a web service (adjacent, apart, or with the response translated a
+//! second time, so that the query's output is read again later), `JOIN`s
+//! narrowed by a `PROJECTION`, `CopyVar` aliases, a `DB_INSERT` sink, and
+//! SWITCH / FORK / SUBPROCESS nesting three levels deep. It ends in an observer step that reads the variables
 //! the picks name: those are the variables still read after the run, and
 //! a subprocess's `output` reaches them through its caller. Graphs that
 //! `validate` rejects are skipped.
@@ -26,6 +28,7 @@ use dip_netsim::{LatencyModel, LinkSpec, Network};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::resultset;
+use dip_services::webservice::DbService;
 use dip_xmlkit::stx::{Rule, Stylesheet};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -57,9 +60,10 @@ fn relation(seed: i64) -> Relation {
     Relation::new(schema(), rows.collect())
 }
 
-/// The source-shaped result set `x` holds, and the stylesheet that brings
-/// it to `schema()`'s field names.
-fn source_xml() -> MtmMessage {
+/// The source-shaped relation behind the result set `x` holds and behind
+/// the web service's table: `relation(3)` under other field names, with a
+/// column the stylesheet drops.
+fn source_relation() -> Relation {
     let named = RelSchema::of(&[
         ("key", SqlType::Int),
         ("v", SqlType::Int),
@@ -70,10 +74,16 @@ fn source_xml() -> MtmMessage {
         r.push(Value::str("dropped"));
         r
     });
-    let rel = Relation::new(named.shared(), rows.collect());
-    resultset::encode("src", "t", &rel).into()
+    Relation::new(named.shared(), rows.collect())
 }
 
+/// The result set `x` holds: what the web service answers, as a tree.
+fn source_xml() -> MtmMessage {
+    resultset::encode("src", "t", &source_relation()).into()
+}
+
+/// The stylesheet that brings the source's result set to `schema()`'s
+/// field names.
 fn source_stx() -> Arc<Stylesheet> {
     Arc::new(Stylesheet::new(
         "src_to_rel",
@@ -248,6 +258,43 @@ impl Picks<'_> {
                     output,
                 });
             }
+            10 => {
+                // WS_QUERY → TRANSLATE → XML_TO_REL: adjacent, apart, or
+                // with the response translated twice
+                let output = self.bind(binds);
+                let (raw, xml) = (format!("{output}_raw"), format!("{output}_xml"));
+                let way = self.next(3);
+                steps.push(Step::WsQuery {
+                    service: v("src"),
+                    operation: v("t"),
+                    output: raw.clone(),
+                });
+                if way == 1 {
+                    // a step between: the query does not fuse
+                    self.push_step(steps, MAX_DEPTH, binds, sinks);
+                }
+                let translate = |output: &String| Step::Translate {
+                    stx: source_stx(),
+                    input: raw.clone(),
+                    output: output.clone(),
+                };
+                steps.push(translate(&xml));
+                steps.push(Step::XmlToRel {
+                    input: xml.clone(),
+                    schema: schema(),
+                    output: output.clone(),
+                });
+                if way == 2 {
+                    // the response read again later: the query does not
+                    // fuse, each translation does
+                    steps.push(translate(&xml));
+                    steps.push(Step::XmlToRel {
+                        input: xml,
+                        schema: schema(),
+                        output,
+                    });
+                }
+            }
             5 => steps.push(Step::Assign {
                 value: AssignValue::CopyVar(self.rel()),
                 var: self.bind(binds),
@@ -340,13 +387,20 @@ fn graph(picks: &[usize], observed: &Observed) -> ProcessDef {
     ProcessDef::new("GEN", "generated", 'D', EventType::Timed, steps)
 }
 
-/// A database `db` with one keyless table `sink` of `schema()`.
+/// A database `db` with one keyless table `sink` of `schema()`, and a web
+/// service `src` whose operation `t` answers `source_relation()`.
 fn world() -> ExternalWorld {
     let link = LinkSpec::new(LatencyModel::Fixed { micros: 1 }, 1_000_000_000);
     let mut world = ExternalWorld::new(Arc::new(Network::new(link, 1)), "is");
     let db = Arc::new(Database::new("db"));
     db.create_table(Table::new("sink", schema()));
     world.add_database("db", "es.db", db);
+    let source = source_relation();
+    let ws = Arc::new(Database::new("src"));
+    let t = Table::new("t", source.schema.clone());
+    t.insert(source.rows).unwrap();
+    ws.create_table(t);
+    world.add_service("es.ws.src", Arc::new(DbService::new("src", ws)));
     world
 }
 
@@ -437,6 +491,42 @@ fn a_planted_fusion_whose_output_is_read_later_is_caught() {
     assert!(caught.contains("unbound process variable p"), "{caught}");
 }
 
+/// The same for a `WS_QUERY` planted as fused into the `TRANSLATE` after it
+/// while a later step reads the response: the handed-on rows never bind it.
+#[test]
+fn a_planted_ws_query_fusion_whose_output_is_read_later_is_caught() {
+    let observed = Observed::default();
+    let mut steps = prologue(false);
+    steps.extend([
+        Step::WsQuery {
+            service: v("src"),
+            operation: v("t"),
+            output: v("raw"),
+        },
+        Step::Translate {
+            stx: source_stx(),
+            input: v("raw"),
+            output: v("xml"),
+        },
+        Step::XmlToRel {
+            input: v("xml"),
+            schema: schema(),
+            output: v("r"),
+        },
+        observer(vec![v("raw"), v("r")], &observed),
+    ]);
+    let def = ProcessDef::new("PLANTED", "planted", 'D', EventType::Timed, steps);
+    validate(&def).unwrap();
+    let [query, translate] = [4, 3].map(|back| &def.steps[def.steps.len() - back]);
+    let deployed = Deployment::of(&def);
+    assert!(!deployed.fuses(query), "read later: never fused");
+    assert!(deployed.fuses(translate));
+    runs_agree(&def, &deployed, &observed).unwrap();
+    let planted = Deployment::of(&def).fusing(query);
+    let caught = runs_agree(&def, &planted, &observed).unwrap_err();
+    assert!(caught.contains("unbound process variable raw"), "{caught}");
+}
+
 /// The generator reaches what it is for: in the first cases' graphs every
 /// fused pair kind and every move occurs, and graphs validate.
 #[test]
@@ -480,6 +570,7 @@ fn generated_graphs_fuse_every_pair_kind() {
     }
     assert!(valid > 128, "{valid} of 256 graphs validate");
     for pair in [
+        ("ws_query", "translate"),
         ("translate", "xml_to_rel"),
         ("projection", "union_distinct"),
         ("union_distinct", "projection"),

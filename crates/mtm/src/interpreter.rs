@@ -19,13 +19,23 @@
 //! the store instead of copying it), and which steps are *fused* with the
 //! step right after them. A fused step's output is read by that next step
 //! only, once, as its last read, so the fused step binds nothing and hands
-//! its work on instead (a `Handoff`): a `TRANSLATE` hands its stylesheet,
-//! and the `XML_TO_REL` after it runs the translation straight into its
-//! row-building handler, so the translated tree is never built; a
-//! relational step hands its plan, not yet run, and the relational step
-//! after it reads that plan where it would read a `Values` leaf, so the
-//! pair runs as one plan. Both steps still open their own span and charge
-//! their own time; the fused step's is what building its plan costs.
+//! its work on instead (a `Handoff`):
+//!
+//! * a `WS_QUERY` hands its response as rows (a `ResultSet`), and the
+//!   `TRANSLATE` after it runs its stylesheet from the rows: no source
+//!   tree is built. The scan and the wire size stay the `WS_QUERY`'s `Cc`;
+//!   rendering the values to text is the reader's `Cp`, where a real
+//!   client would parse the response;
+//! * a `TRANSLATE` hands its stylesheet and its input, and the
+//!   `XML_TO_REL` after it runs the translation straight into its
+//!   row-building handler, so the translated tree is never built — behind
+//!   a fused `WS_QUERY`, P09's chain runs rows → stylesheet → rows;
+//! * a relational step hands its plan, not yet run, and the relational
+//!   step after it reads that plan where it would read a `Values` leaf, so
+//!   the pair runs as one plan.
+//!
+//! Every step still opens its own span and charges its own time; a fused
+//! step's is what building its handoff costs.
 
 use crate::context::VarStore;
 use crate::cost::{run_branches, CostCategory, InstanceCosts};
@@ -34,9 +44,11 @@ use crate::message::MtmMessage;
 use crate::process::{AssignValue, Nested, ProcessDef, Step, SwitchCase};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
-use dip_services::resultset::{self, RowSink};
+use dip_services::resultset::{self, ResultSet, RowSink};
 use dip_xmlkit::node::Document;
+use dip_xmlkit::sax::{EventSource, Sink};
 use dip_xmlkit::stx::Stylesheet;
+use dip_xmlkit::XmlResult;
 use std::collections::HashSet;
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
@@ -205,12 +217,22 @@ impl<'a> Interpreter<'a> {
                 charge(LOCAL);
             }
             Step::Translate { stx, input, output } => {
-                let doc = Self::get(vars, input)?.as_xml()?;
+                let input = match handoff.take_if(|h| h.var == input) {
+                    Some(Handoff {
+                        work: Work::Rows(rows),
+                        ..
+                    }) => Xml::Rows(rows),
+                    _ => {
+                        Self::get(vars, input)?.as_xml()?;
+                        Xml::Var(input)
+                    }
+                };
                 if last.fuses(step) {
                     let work = Work::Translate { stx, input };
                     next = Some(Handoff { var: output, work });
                 } else {
-                    vars.set(output.clone(), stx.transform(doc)?);
+                    let doc = stx.transform(&input.source(vars)?)?;
+                    vars.set(output.clone(), doc);
                 }
                 charge(LOCAL);
             }
@@ -259,8 +281,13 @@ impl<'a> Interpreter<'a> {
                 operation,
                 output,
             } => {
-                let remote = self.world.ws_query(service, operation)?;
-                vars.set(output.clone(), remote.value);
+                let remote = self.world.ws_result_set(service, operation)?;
+                if last.fuses(step) {
+                    let work = Work::Rows(remote.value);
+                    next = Some(Handoff { var: output, work });
+                } else {
+                    vars.set(output.clone(), remote.value.to_document());
+                }
                 charge(remote.comm);
             }
             Step::WsUpdate {
@@ -408,8 +435,8 @@ impl<'a> Interpreter<'a> {
                         work: Work::Translate { stx, input },
                         ..
                     }) => {
-                        let doc = Self::get(vars, input)?.as_xml()?;
-                        stx.transform_into(doc, RowSink::new(schema))?.finish()??
+                        let rows = RowSink::new(schema);
+                        stx.transform_into(&input.source(vars)?, rows)?.finish()??
                     }
                     _ => resultset::decode(Self::get(vars, input)?.as_xml()?, schema)?,
                 };
@@ -518,11 +545,45 @@ struct Handoff<'s> {
 }
 
 enum Work<'s> {
-    /// A `TRANSLATE`: its stylesheet and the variable holding the XML it
-    /// reads (checked bound when the step ran).
-    Translate { stx: &'s Stylesheet, input: &'s str },
+    /// A `WS_QUERY`'s response, not yet XML.
+    Rows(ResultSet),
+    /// A `TRANSLATE`: its stylesheet and the XML it reads.
+    Translate { stx: &'s Stylesheet, input: Xml<'s> },
     /// A relational step's plan, not yet run.
     Plan(Plan),
+}
+
+/// The XML a `TRANSLATE` reads: the response the fused `WS_QUERY` before
+/// it handed on, or the document bound to a variable (checked bound when
+/// the `TRANSLATE` ran).
+enum Xml<'s> {
+    Rows(ResultSet),
+    Var(&'s str),
+}
+
+impl Xml<'_> {
+    fn source<'v>(&'v self, vars: &'v VarStore) -> MtmResult<XmlSource<'v>> {
+        Ok(match self {
+            Xml::Rows(rows) => XmlSource::Rows(rows),
+            Xml::Var(name) => XmlSource::Tree(Interpreter::get(vars, name)?.as_xml()?),
+        })
+    }
+}
+
+/// An [`Xml`] input's events: the rows rendered as they are read, or the
+/// bound tree walked.
+enum XmlSource<'v> {
+    Rows(&'v ResultSet),
+    Tree(&'v Document),
+}
+
+impl EventSource for XmlSource<'_> {
+    fn emit<'a, S: Sink<'a>>(&'a self, sink: &mut S) -> XmlResult<()> {
+        match self {
+            XmlSource::Rows(rows) => rows.emit(sink),
+            XmlSource::Tree(doc) => doc.emit(sink),
+        }
+    }
 }
 
 /// What deployment derives from a definition, once.
@@ -589,7 +650,8 @@ fn address(step: &Step) -> usize {
 }
 
 /// The variable `step` would hand to `next` if the two are a pair that runs
-/// as one: a `TRANSLATE` and the `XML_TO_REL` after it, or a relational
+/// as one: a `WS_QUERY` and the `TRANSLATE` after it, a `TRANSLATE` and the
+/// `XML_TO_REL` after it, or a relational
 /// step and a `SELECTION`, `PROJECTION` or `UNION DISTINCT` after it, which
 /// take a plan where they would take a `Values` leaf. A `JOIN` after it
 /// takes none: the join builds its hash table on the side whose estimated
@@ -601,6 +663,7 @@ fn handed_on<'a>(step: &'a Step, next: &Step) -> Option<&'a str> {
         Step::Selection { .. } | Step::Projection { .. } | Step::UnionDistinct { .. }
     );
     match step {
+        Step::WsQuery { output, .. } if matches!(next, Step::Translate { .. }) => Some(output),
         Step::Translate { output, .. } if matches!(next, Step::XmlToRel { .. }) => Some(output),
         Step::Selection { output, .. }
         | Step::Projection { output, .. }
@@ -897,5 +960,79 @@ mod tests {
             }
         }
         assert_eq!(labels.len(), 22, "one row per step kind: {labels:?}");
+    }
+
+    /// The same for the chain a deployment fuses end to end, P09's shape:
+    /// `WS_QUERY` hands its rows to `TRANSLATE`, which hands its stylesheet
+    /// to `XML_TO_REL`. Each step still has its own span and charges its
+    /// own category alone; the query's `Cc` holds both modeled hops, and
+    /// the rows arrive.
+    #[test]
+    fn a_fused_ws_query_chain_charges_the_categories_its_spans_name() {
+        let world = world();
+        let rows = vec![vec![Value::Int(3), Value::str("a<b")]];
+        let update = resultset::encode("ws", "items", &Relation::new(kv_schema(), rows.clone()));
+        world.ws_update("ws", "items", &update).unwrap();
+        let v = |name: &str| name.to_string();
+        let steps = vec![
+            Step::WsQuery {
+                service: v("ws"),
+                operation: v("items"),
+                output: v("raw"),
+            },
+            Step::Translate {
+                stx: Arc::new(Stylesheet::identity("id")),
+                input: v("raw"),
+                output: v("xml"),
+            },
+            Step::XmlToRel {
+                input: v("xml"),
+                schema: kv_schema(),
+                output: v("rel"),
+            },
+        ];
+        let def = ProcessDef::new("CHAIN", "c", 'B', EventType::Timed, steps);
+        let last = Deployment::of(&def);
+        let [query, translate, decode] = [0, 1, 2].map(|i| &def.steps[i]);
+        assert!(last.fuses(query) && last.fuses(translate) && !last.fuses(decode));
+        let _tracing = crate::TRACE_TESTS.lock().unwrap();
+        dip_trace::enable();
+        let (mut vars, mut handoff, mut charged) = (VarStore::new(), None, Vec::new());
+        for (n, step) in def.steps.iter().enumerate() {
+            let costs = InstanceCosts::new();
+            let _scope = dip_trace::instance_scope(&def.id, 0, n as u64);
+            handoff = Interpreter::new(&world, &costs)
+                .run_step(&def, &last, step, &mut vars, &mut None, handoff)
+                .unwrap_or_else(|e| panic!("{step:?}: {e}"));
+            assert_eq!(handoff.is_some(), n < 2, "{step:?} hands on");
+            charged.push(costs.snapshot());
+        }
+        dip_trace::disable();
+        let spans = dip_trace::drain();
+        for (n, (step, (comm, mgmt, proc))) in def.steps.iter().zip(charged).enumerate() {
+            let (label, category) = step.kind();
+            let mine = |s: &&dip_trace::SpanRecord| {
+                (s.layer, s.process.as_deref(), s.instance)
+                    == (Layer::Mtm, Some("CHAIN"), Some(n as u64))
+            };
+            let mine: Vec<_> = spans.iter().filter(mine).collect();
+            assert_eq!(mine.len(), 1, "{label}: {mine:?}");
+            assert_eq!((mine[0].op, mine[0].category), (label, Some(category)));
+            let (own, others) = match category {
+                Category::Communication => (comm, [mgmt, proc]),
+                Category::Management => (mgmt, [comm, proc]),
+                Category::Processing => (proc, [comm, mgmt]),
+            };
+            // two 10 us hops
+            let floor = if category == Category::Communication {
+                20
+            } else {
+                0
+            };
+            assert!(own.as_micros() >= floor, "{label}: {own:?}");
+            assert!(others.iter().all(Duration::is_zero), "{label}: {others:?}");
+        }
+        assert_eq!(vars.names(), ["rel"], "nothing but the rows is bound");
+        assert_eq!(vars.get("rel").unwrap().as_rel().unwrap().rows, rows);
     }
 }

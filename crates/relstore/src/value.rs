@@ -126,22 +126,18 @@ impl Value {
         matches!(self, Value::Bool(true))
     }
 
-    /// Render the value the way the report writers print it.
+    /// Render the value the way the report writers print it (its
+    /// `Display`).
     pub fn render(&self) -> String {
-        match self {
-            Value::Null => "NULL".to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    format!("{f:.1}")
-                } else {
-                    format!("{f}")
-                }
-            }
-            Value::Str(s) => s.to_string(),
-            Value::Date(d) => render_date(*d),
-        }
+        self.to_string()
+    }
+
+    /// Append [`Value::render`]'s text to `out`, so one buffer can take
+    /// value after value.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        // writing into a `String` never fails
+        let _ = write!(out, "{self}");
     }
 
     /// Byte length of [`Value::render`]'s output, computed without
@@ -270,9 +266,27 @@ impl Hash for Value {
     }
 }
 
+/// The one rendering of a value: [`Value::render`], [`Value::render_into`]
+/// and [`Value::rendered_len`]'s length.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            Value::Null => f.write_str("NULL"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => {
+                if x.fract() == 0.0 && x.abs() < 1e15 {
+                    write!(f, "{x:.1}")
+                } else {
+                    write!(f, "{x}")
+                }
+            }
+            Value::Str(s) => f.write_str(s),
+            Value::Date(d) => {
+                let (y, m, d) = civil_from_days(*d);
+                write!(f, "{y:04}-{m:02}-{d:02}")
+            }
+        }
     }
 }
 
@@ -407,8 +421,7 @@ fn shortest_float_len(x: f64) -> Option<usize> {
 
 /// Days-since-epoch to `YYYY-MM-DD`, civil calendar.
 pub fn render_date(days: i32) -> String {
-    let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
+    Value::Date(days).render()
 }
 
 /// `YYYY-MM-DD` to days-since-epoch; returns `None` on malformed input and

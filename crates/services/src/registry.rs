@@ -8,6 +8,7 @@
 //! to the `Cc` (communication) cost category.
 
 use crate::resilience::{Attempt, Resilience};
+use crate::resultset::ResultSet;
 use crate::webservice::{ServiceError, ServiceResult, WebService};
 use dip_netsim::fault;
 use dip_relstore::error::TransportFault;
@@ -102,10 +103,7 @@ impl ExternalWorld {
     }
 
     pub fn service(&self, name: &str) -> ServiceResult<Arc<dyn WebService>> {
-        self.services
-            .get(&name.to_lowercase())
-            .map(|(_, s)| s.clone())
-            .ok_or_else(|| ServiceError::UnknownOperation(format!("unknown service {name}")))
+        self.service_entry(name).map(|(_, s)| s)
     }
 
     pub fn database_names(&self) -> Vec<String> {
@@ -125,6 +123,13 @@ impl ExternalWorld {
             .get(&name.to_lowercase())
             .cloned()
             .ok_or_else(|| StoreError::Invalid(format!("unknown external database {name}")))
+    }
+
+    fn service_entry(&self, name: &str) -> ServiceResult<(String, Arc<dyn WebService>)> {
+        self.services
+            .get(&name.to_lowercase())
+            .cloned()
+            .ok_or_else(|| ServiceError::UnknownOperation(format!("unknown service {name}")))
     }
 
     /// Estimate the wire size of a relation (rendered values + separators)
@@ -312,14 +317,23 @@ impl ExternalWorld {
         )
     }
 
-    /// Query a web service operation (returns result-set XML).
+    /// Query a web service operation. The response is charged by the
+    /// size of its compact XML ([`ResultSet::wire_len`]) and handed over
+    /// as rows; a caller renders it as XML only if it reads it as XML.
+    pub fn ws_result_set(
+        &self,
+        service: &str,
+        operation: &str,
+    ) -> ServiceResult<Remote<ResultSet>> {
+        let (endpoint, ws) = self.service_entry(service)?;
+        self.round_trip(&endpoint, 256, || ws.query(operation), ResultSet::wire_len)
+    }
+
+    /// [`ExternalWorld::ws_result_set`] as a result-set document.
     pub fn ws_query(&self, service: &str, operation: &str) -> ServiceResult<Remote<Document>> {
-        let (endpoint, ws) = self
-            .services
-            .get(&service.to_lowercase())
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownOperation(format!("unknown service {service}")))?;
-        self.round_trip(&endpoint, 256, || ws.query(operation), compact_len)
+        let Remote { value, comm } = self.ws_result_set(service, operation)?;
+        let value = value.to_document();
+        Ok(Remote { value, comm })
     }
 
     /// Send an update document to a web service operation.
@@ -329,11 +343,7 @@ impl ExternalWorld {
         operation: &str,
         doc: &Document,
     ) -> ServiceResult<Remote<usize>> {
-        let (endpoint, ws) = self
-            .services
-            .get(&service.to_lowercase())
-            .cloned()
-            .ok_or_else(|| ServiceError::UnknownOperation(format!("unknown service {service}")))?;
+        let (endpoint, ws) = self.service_entry(service)?;
         let bytes = compact_len(doc);
         self.round_trip(&endpoint, bytes, || ws.update(operation, doc), |_| 64)
     }
@@ -392,6 +402,10 @@ mod tests {
         assert_eq!(up.value, 1);
         let q = w.ws_query("beijing", "t").unwrap();
         assert_eq!(q.value.root.all("row").count(), 1);
+        // the rows and the tree are charged alike, by the tree's size
+        let rs = w.ws_result_set("beijing", "t").unwrap();
+        assert_eq!(rs.value.wire_len(), compact_len(&q.value));
+        assert_eq!(rs.comm, q.comm);
     }
 
     #[test]
@@ -399,6 +413,10 @@ mod tests {
         let w = world();
         assert!(w.remote_query("nope", &Plan::scan("t")).is_err());
         assert!(w.ws_query("nope", "t").is_err());
+        assert!(w.ws_result_set("nope", "t").is_err());
+        assert!(w
+            .ws_update("nope", "t", &Document::new(dip_xmlkit::Element::new("x")))
+            .is_err());
         assert!(w.database("nope").is_err());
     }
 }

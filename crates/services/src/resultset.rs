@@ -12,38 +12,133 @@
 //! </resultSet>
 //! ```
 //!
+//! The encoder exists once, as a [`ResultSet`]'s event emitter: a web
+//! service answers with the rows it scanned, sized for the wire by
+//! arithmetic ([`ResultSet::wire_len`]), and the result set becomes XML
+//! events only where something reads it as XML — rendering each value as
+//! it goes. [`encode`] is that emitter into the tree builder
+//! ([`ResultSet::to_document`]); the MTM engine runs a `TRANSLATE` that
+//! reads a `WS_QUERY`'s response straight from the rows.
+//!
 //! The decoder exists once, as a SAX handler ([`RowSink`]) that builds the
 //! rows from the events as they arrive. [`decode`] walks a document into
 //! it; the MTM engine runs a `TRANSLATE` whose output only the next
 //! `XML_TO_REL` reads through the stylesheet straight into it
 //! (`Stylesheet::transform_into`), so that translated result set is never
-//! built as a tree.
+//! built as a tree — and with a fused `WS_QUERY` before it, runs rows →
+//! stylesheet → rows with no tree on either side.
 
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::{Document, Element};
-use dip_xmlkit::sax::{self, Handler};
+use dip_xmlkit::sax::{self, EventSource, Handler, Sink};
 use dip_xmlkit::value_types::SimpleType;
+use dip_xmlkit::writer::{escaped_len, PROLOG};
 use dip_xmlkit::xsd::{XsdAttr, XsdElement, XsdSchema};
 use dip_xmlkit::{XmlError, XmlResult};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
-/// Encode a relation as a generic result-set document.
-pub fn encode(source: &str, table: &str, rel: &Relation) -> Document {
-    let mut root = Element::new("resultSet")
-        .attr("source", source)
-        .attr("table", table);
-    for row in &rel.rows {
-        let mut row_el = Element::new("row");
-        for (v, col) in row.iter().zip(rel.schema.columns()) {
-            if v.is_null() {
-                // NULL is encoded as an absent element
-                continue;
-            }
-            row_el = row_el.child(Element::leaf(col.name.clone(), v.render()));
-        }
-        root = root.child(row_el);
+/// A web service's response: the relation it scanned from `table` of
+/// `source`, in the generic result-set shape without being XML yet. It
+/// owns its relation; [`encode`] lends one (`R = &Relation`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultSet<R: Borrow<Relation> = Relation> {
+    /// `source` and `table`: the root element's attributes.
+    attrs: [(String, String); 2],
+    pub rel: R,
+}
+
+impl<R: Borrow<Relation>> ResultSet<R> {
+    pub fn new(source: &str, table: &str, rel: R) -> ResultSet<R> {
+        let attrs = [("source", source), ("table", table)].map(|(n, v)| (n.into(), v.into()));
+        ResultSet { attrs, rel }
     }
-    Document::new(root)
+
+    pub fn source(&self) -> &str {
+        &self.attrs[0].1
+    }
+
+    pub fn table(&self) -> &str {
+        &self.attrs[1].1
+    }
+
+    /// The byte length of the compact serialization,
+    /// `compact_len(&self.to_document())`, counted without rendering a
+    /// value: each field's text is [`Value::rendered_len`] bytes plus what
+    /// escaping adds, which only a string can need.
+    pub fn wire_len(&self) -> usize {
+        const ROOT: &str = "resultSet";
+        // `<name>text</name>`, the tags without the text
+        let rel = self.rel.borrow();
+        let tags: Vec<usize> = (rel.schema.columns().iter())
+            .map(|c| 2 * c.name.len() + 5)
+            .collect();
+        // `<resultSet source="…" table="…"`
+        let mut len = PROLOG.len() + 1 + ROOT.len();
+        for (n, v) in &self.attrs {
+            len += 1 + n.len() + 2 + escaped_len(v, true) + 1;
+        }
+        if rel.rows.is_empty() {
+            return len + 2;
+        }
+        // `>` … `</resultSet>`
+        len += 1 + 2 + ROOT.len() + 1;
+        for row in &rel.rows {
+            let mut fields = 0;
+            for (v, tag) in row.iter().zip(&tags) {
+                fields += match v {
+                    Value::Null => 0,
+                    Value::Str(s) => tag + escaped_len(s, false),
+                    v => tag + v.rendered_len(),
+                };
+            }
+            // `<row/>`, or `<row>` fields `</row>`
+            len += if fields == 0 { 6 } else { 11 + fields };
+        }
+        len
+    }
+
+    /// The response as a tree: the emitter into the tree builder.
+    pub fn to_document(&self) -> Document {
+        // one root with balanced tags and no text outside it: the builder
+        // has nothing to reject
+        sax::tree(self).unwrap_or_else(|_| Document::new(Element::new("resultSet")))
+    }
+}
+
+/// The result set's events: the root with its two attributes; a `<row>`
+/// per row; in it, for each non-NULL value (NULL is an absent element), an
+/// element named by its column holding the rendered value. Names and
+/// attributes are the result set's own; every value is rendered into one
+/// buffer, reused.
+impl<R: Borrow<Relation>> EventSource for ResultSet<R> {
+    fn emit<'a, S: Sink<'a>>(&'a self, sink: &mut S) -> XmlResult<()> {
+        let rel = self.rel.borrow();
+        let columns = rel.schema.columns();
+        let mut text = String::new();
+        sink.start("resultSet", &self.attrs, rel.rows.len())?;
+        for row in &rel.rows {
+            let fields = row.iter().filter(|v| !v.is_null()).count();
+            sink.start("row", &[], fields)?;
+            for (v, col) in row.iter().zip(columns) {
+                if v.is_null() {
+                    continue;
+                }
+                text.clear();
+                v.render_into(&mut text);
+                sink.start(&col.name, &[], 1)?;
+                sink.text(&text)?;
+                sink.end(&col.name)?;
+            }
+            sink.end("row")?;
+        }
+        sink.end("resultSet")
+    }
+}
+
+/// Encode a relation as a generic result-set document: a [`ResultSet`]'s
+/// events folded into a tree.
+pub fn encode(source: &str, table: &str, rel: &Relation) -> Document {
+    ResultSet::new(source, table, rel).to_document()
 }
 
 /// Decode a result-set document back into a relation with the given target

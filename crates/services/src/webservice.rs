@@ -2,12 +2,18 @@
 //!
 //! The region-Asia sources (Hongkong, Beijing, Seoul) are "data sources
 //! hidden by Web services": a [`DbService`] exposes the tables of a
-//! [`Database`] through `query` (returning generic result-set XML) and
+//! [`Database`] through `query` (returning a generic result set) and
 //! `update` (accepting result-set XML) operations. Each service manages its
 //! master data locally, which is why P01 replicates master data between
 //! Beijing and Seoul.
+//!
+//! A query's response crosses the service boundary the way a remote
+//! database query's does: as the scanned rows (a [`ResultSet`]), sized for
+//! the wire by arithmetic. It is rendered as XML events only where a
+//! caller reads it as XML — into a tree (`ResultSet::to_document`, what
+//! the federated engine keeps) or straight through a stylesheet.
 
-use crate::resultset;
+use crate::resultset::{self, ResultSet};
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::Document;
 use std::sync::Arc;
@@ -78,8 +84,8 @@ pub trait WebService: Send + Sync {
     /// The service name (also its netsim endpoint suffix).
     fn name(&self) -> &str;
 
-    /// `query(table)` — return the full table as a result-set document.
-    fn query(&self, operation: &str) -> ServiceResult<Document>;
+    /// `query(table)` — return the full table as a result set.
+    fn query(&self, operation: &str) -> ServiceResult<ResultSet>;
 
     /// `update(table, doc)` — merge a result-set document into a table
     /// (insert-ignore-duplicates for rows whose key already exists).
@@ -107,12 +113,12 @@ impl WebService for DbService {
         &self.name
     }
 
-    fn query(&self, operation: &str) -> ServiceResult<Document> {
+    fn query(&self, operation: &str) -> ServiceResult<ResultSet> {
         if !self.db.has_table(operation) {
             return Err(ServiceError::UnknownOperation(operation.to_string()));
         }
         let rel = self.db.table(operation)?.scan();
-        Ok(resultset::encode(&self.name, operation, &rel))
+        Ok(ResultSet::new(&self.name, operation, rel))
     }
 
     fn update(&self, operation: &str, doc: &Document) -> ServiceResult<usize> {
@@ -143,7 +149,9 @@ mod tests {
     #[test]
     fn query_returns_resultset() {
         let s = service();
-        let doc = s.query("part").unwrap();
+        let rs = s.query("part").unwrap();
+        assert_eq!((rs.source(), rs.table()), ("beijing", "part"));
+        let doc = rs.to_document();
         assert_eq!(doc.root.name, "resultSet");
         assert_eq!(doc.root.all("row").count(), 1);
         assert!(matches!(

@@ -5,13 +5,15 @@
 //! error (variant and text) with the translation's first, on generated
 //! stylesheets and result sets.
 
+mod support;
+
 use dip_relstore::prelude::*;
-use dip_services::resultset::{decode, encode, RowSink};
+use dip_services::resultset::encode;
 use dip_xmlkit::node::{Document, Element, XmlNode};
-use dip_xmlkit::stx::{Action, Match, Rule, Stylesheet};
+use dip_xmlkit::stx::{Rule, Stylesheet};
 use dip_xmlkit::{parse, XmlError};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use support::{arb_rules, pick, Outcome, Pools};
 
 /// Element names a generated document uses and a generated rule aims at:
 /// the two the decoder looks for, the schema's columns in mixed case, an
@@ -42,45 +44,11 @@ fn schema() -> SchemaRef {
     .shared()
 }
 
-fn pick<T: Copy>(pool: &[T], i: usize) -> T {
-    pool[i % pool.len()]
-}
-
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Rows(Relation),
-    Translate(XmlError),
-    Decode(StoreError),
-}
-
-/// The stylesheet into the row sink.
-fn fused(sheet: &Stylesheet, doc: &Document) -> Outcome {
-    match sheet.transform_into(doc, RowSink::new(&schema())) {
-        Err(e) => Outcome::Translate(e),
-        Ok(sink) => match sink.finish() {
-            Err(e) => Outcome::Translate(e),
-            Ok(Err(e)) => Outcome::Decode(e),
-            Ok(Ok(rel)) => Outcome::Rows(rel),
-        },
-    }
-}
-
-/// The stylesheet into a tree, the tree decoded.
-fn tree(sheet: &Stylesheet, doc: &Document) -> Outcome {
-    match sheet.transform(doc) {
-        Err(e) => Outcome::Translate(e),
-        Ok(out) => match decode(&out, &schema()) {
-            Err(e) => Outcome::Decode(e),
-            Ok(rel) => Outcome::Rows(rel),
-        },
-    }
-}
-
 fn paths_agree(sheet: &Stylesheet, doc: &Document) -> Outcome {
-    let one = fused(sheet, doc);
+    let one = support::fused(sheet, doc, &schema());
     assert_eq!(
         one,
-        tree(sheet, doc),
+        support::tree(sheet, doc, &schema()),
         "stylesheet {sheet:?}\ndocument {doc:?}"
     );
     one
@@ -147,58 +115,14 @@ fn document((root, items): &(usize, Vec<ItemSpec>)) -> Document {
     Document::new(root)
 }
 
-/// `(by path, name pick, actions as (kind, pick, pick))`.
-type RuleSpec = (bool, usize, Vec<(usize, usize, usize)>);
-
-fn arb_rules() -> impl Strategy<Value = Vec<RuleSpec>> {
-    let action = (0usize..8, 0usize..1000, 0usize..1000);
-    prop::collection::vec(
-        (
-            any::<bool>(),
-            0usize..1000,
-            prop::collection::vec(action, 1..3),
-        ),
-        0..4,
-    )
-}
-
-/// Every `Action`, aimed by name or by `parent/name` at the names a
-/// generated document uses — the root and `row` among them.
-fn stylesheet(specs: &[RuleSpec]) -> Stylesheet {
-    let rules = specs.iter().map(|(by_path, name, actions)| {
-        let matcher = if *by_path {
-            Match::PathSuffix(vec![
-                pick(&NAMES, name / 9).into(),
-                pick(&NAMES, *name).into(),
-            ])
-        } else {
-            Match::Name(pick(&NAMES, *name).into())
-        };
-        let actions = actions.iter().map(|&(kind, a, b)| match kind {
-            0 => Action::Rename(pick(&NAMES, a).into()),
-            1 => Action::Drop,
-            2 => Action::Unwrap,
-            3 => Action::MapText(HashMap::from([(
-                pick(&TEXTS, a).trim().to_string(),
-                pick(&TEXTS, b).to_string(),
-            )])),
-            4 => Action::RenameAttr {
-                from: pick(&ATTRS, a).into(),
-                to: pick(&NAMES, b).into(),
-            },
-            5 => Action::DropAttr(pick(&ATTRS, a).into()),
-            6 => Action::SetAttr {
-                name: pick(&NAMES, a).into(),
-                value: pick(&TEXTS, b).into(),
-            },
-            _ => Action::AttrsToElements,
-        });
-        Rule {
-            matcher,
-            actions: actions.collect(),
-        }
-    });
-    Stylesheet::new("generated", rules.collect())
+/// Generated stylesheets aim at the names a generated document uses.
+fn stylesheet(specs: &[support::RuleSpec]) -> Stylesheet {
+    let pools = Pools {
+        names: &NAMES,
+        texts: &TEXTS,
+        attrs: &ATTRS,
+    };
+    support::stylesheet(specs, &pools)
 }
 
 proptest! {

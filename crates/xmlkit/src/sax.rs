@@ -1,17 +1,24 @@
-//! SAX-style event streams over XML trees.
+//! SAX-style event streams.
 //!
 //! STX — the transformation language the paper uses for schema translations
-//! — is defined over a stream of events rather than a tree. Events reach a
-//! consumer in one of two forms:
+//! — is defined over a stream of events rather than a tree. Events come
+//! from an [`EventSource`]: something that pushes its own events, depth
+//! first, into a [`Sink`] that may keep each element's name and attributes
+//! as long as the source lives. A [`Document`] walks itself;
+//! `dip_services::resultset::ResultSet` emits a relation's rows as the
+//! generic result set, rendering each value into one reused buffer, so a
+//! web service's response is XML only where something reads it as XML.
+//!
+//! Events reach a consumer in one of two forms:
 //!
 //! * **borrowed**, pushed into a [`Handler`] one call at a time. A handler
-//!   is whatever folds the stream: the tree builder behind
+//!   is whatever folds the stream: the tree builder behind [`tree`] and
 //!   [`Stylesheet::transform`](crate::stx::Stylesheet::transform), the
 //!   vector behind
 //!   [`Stylesheet::transform_events`](crate::stx::Stylesheet::transform_events),
 //!   or one outside this crate — `dip_services::resultset::RowSink` builds
 //!   a result set's rows from the events, so a translated result set that
-//!   is only decoded is never built as a tree;
+//!   is only decoded is never built as a tree. Every handler is a sink;
 //! * **materialized**, as a `Vec<SaxEvent>`: [`events`] linearizes a tree
 //!   and [`build`] folds a vector back into one. This is the pipeline of a
 //!   CLOB-bound XML function stack, and the one caller that runs it in
@@ -19,12 +26,13 @@
 //!   (`build(sheet.transform_events(&events(doc)))`), on purpose; the tests
 //!   use it as the oracle of the one-pass path.
 //!
-//! Three drivers push events into a handler: [`walk`] walks a tree into it
-//! as it is, and the stylesheet's two
+//! Three drivers push events into a handler: [`walk`] runs a source into
+//! it as it is, and the stylesheet's two
 //! ([`Stylesheet::transform_into`](crate::stx::Stylesheet::transform_into)
-//! for a tree, `transform_events` for a vector) run them through the one
-//! rule filter first. The tree builder is the fold [`build`] runs too, so
-//! every form agrees on every tree and on every error.
+//! for a source, `transform_events` for a vector) run them through the one
+//! rule filter first — itself the sink a source emits into. The tree
+//! builder is the fold [`build`] runs too, so every form agrees on every
+//! tree and on every error.
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};
@@ -48,6 +56,67 @@ pub fn events(doc: &Document) -> Vec<SaxEvent> {
     let out = Vec::with_capacity(doc.root.subtree_size() * 2);
     // the vector handler never fails
     walk(doc, out).unwrap_or_default()
+}
+
+/// A producer of SAX events whose element names and attributes are
+/// borrowed from itself: a consumer that keeps them (the rule filter keeps
+/// the open elements' names, to match paths against) copies nothing. Text
+/// may be the source's own or rendered for the one call.
+pub trait EventSource {
+    /// Push every event into `sink`, depth-first: one root, balanced tags.
+    /// An error from the sink ends the stream and is returned as it is.
+    fn emit<'a, S: Sink<'a>>(&'a self, sink: &mut S) -> XmlResult<()>;
+}
+
+/// A consumer of the events of an [`EventSource`] that lives for `'a`.
+/// `children` on a start event is the producer's estimate of how many
+/// child nodes will follow, as for [`Handler::start`]. Every [`Handler`]
+/// is a sink.
+pub trait Sink<'a> {
+    fn start(
+        &mut self,
+        name: &'a str,
+        attrs: &'a [(String, String)],
+        children: usize,
+    ) -> XmlResult<()>;
+    fn text(&mut self, text: &str) -> XmlResult<()>;
+    fn end(&mut self, name: &'a str) -> XmlResult<()>;
+}
+
+impl<'a, H: Handler> Sink<'a> for H {
+    fn start(
+        &mut self,
+        name: &'a str,
+        attrs: &'a [(String, String)],
+        children: usize,
+    ) -> XmlResult<()> {
+        Handler::start(self, name, Cow::Borrowed(attrs), children)
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        Handler::text(self, text)
+    }
+
+    fn end(&mut self, name: &'a str) -> XmlResult<()> {
+        Handler::end(self, name)
+    }
+}
+
+/// A document walks its tree as it is.
+impl EventSource for Document {
+    fn emit<'a, S: Sink<'a>>(&'a self, sink: &mut S) -> XmlResult<()> {
+        fn visit<'a, S: Sink<'a>>(e: &'a Element, sink: &mut S) -> XmlResult<()> {
+            sink.start(&e.name, &e.attrs, e.children.len())?;
+            for c in &e.children {
+                match c {
+                    XmlNode::Element(child) => visit(child, sink)?,
+                    XmlNode::Text(t) => sink.text(t)?,
+                }
+            }
+            sink.end(&e.name)
+        }
+        visit(&self.root, sink)
+    }
 }
 
 /// A consumer of borrowed SAX events. `children` on a start event is the
@@ -186,22 +255,16 @@ impl Handler for TreeBuilder {
     }
 }
 
-/// Walk a document into `sink` as it is, depth-first, and hand the sink
-/// back. A tree is one root with balanced tags, so the stream it makes is
-/// well-formed.
-pub fn walk<H: Handler>(doc: &Document, mut sink: H) -> XmlResult<H> {
-    fn visit<H: Handler>(e: &Element, sink: &mut H) -> XmlResult<()> {
-        sink.start(&e.name, Cow::Borrowed(&e.attrs), e.children.len())?;
-        for c in &e.children {
-            match c {
-                XmlNode::Element(child) => visit(child, sink)?,
-                XmlNode::Text(t) => sink.text(t)?,
-            }
-        }
-        sink.end(&e.name)
-    }
-    visit(&doc.root, &mut sink)?;
+/// Run a source into `sink` as it is and hand the sink back. A source is
+/// one root with balanced tags, so the stream is well-formed.
+pub fn walk<S: EventSource + ?Sized, H: Handler>(src: &S, mut sink: H) -> XmlResult<H> {
+    src.emit(&mut sink)?;
     Ok(sink)
+}
+
+/// A source's events folded into a tree.
+pub fn tree<S: EventSource + ?Sized>(src: &S) -> XmlResult<Document> {
+    walk(src, TreeBuilder::default())?.finish()
 }
 
 /// Fold an event stream back into a document. The stream must be
@@ -233,15 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn walk_into_a_tree_builder_rebuilds_the_tree() {
+    fn a_tree_walked_into_a_tree_builder_is_itself() {
         let doc = parse(r#"<a x="1"><b>hi</b><c/></a>"#).unwrap();
-        assert_eq!(
-            walk(&doc, TreeBuilder::default())
-                .unwrap()
-                .finish()
-                .unwrap(),
-            doc
-        );
+        assert_eq!(tree(&doc).unwrap(), doc);
     }
 
     #[test]

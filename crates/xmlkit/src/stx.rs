@@ -11,13 +11,17 @@
 //!
 //! The rule application exists once, as a filter between borrowed events
 //! and a [`Handler`]; two drivers feed it. [`Stylesheet::transform_into`]
-//! walks the input tree through it into any handler in one pass:
-//! [`Stylesheet::transform`] is that driver into a tree builder, the
-//! output tree being all it allocates — the MTM engine's `TRANSLATE`
-//! operator — and the engine runs a `TRANSLATE` whose output only the next
-//! `XML_TO_REL` reads straight into that step's row-building handler
-//! (`dip_services::resultset::RowSink`), so no output tree is built.
-//! [`Stylesheet::transform_events`] runs the filter from one
+//! runs any [`EventSource`] through it into any handler in one pass — the
+//! source emits straight into the filter, which is a [`Sink`] and has no
+//! walk of its own. [`Stylesheet::transform`] is that driver into a tree
+//! builder, the output tree being all it allocates: the MTM engine's
+//! `TRANSLATE` operator, over a bound document or over the result set a
+//! `WS_QUERY` handed on (`dip_services::resultset::ResultSet`, which
+//! renders its values as the filter reads them). The engine runs a
+//! `TRANSLATE` whose output only the next `XML_TO_REL` reads straight into
+//! that step's row-building handler (`dip_services::resultset::RowSink`),
+//! so no output tree is built, and behind a fused `WS_QUERY` no input tree
+//! either. [`Stylesheet::transform_events`] runs the filter from one
 //! `Vec<SaxEvent>` into another; `dip_feddbms::xmlfn::transform` wraps
 //! that in `sax::events` / `sax::build` and two CLOB round trips, because a
 //! CLOB-bound SQL/XML function stack materializes every stage (the paper's
@@ -25,8 +29,8 @@
 //! oracle. (`sax::walk`, the third driver, skips the filter.)
 
 use crate::error::{XmlError, XmlResult};
-use crate::node::{Document, Element, XmlNode};
-use crate::sax::{Handler, SaxEvent, TreeBuilder};
+use crate::node::Document;
+use crate::sax::{EventSource, Handler, SaxEvent, Sink, TreeBuilder};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -176,9 +180,9 @@ struct Frame<'a> {
     text_map: Option<&'a HashMap<String, String>>,
 }
 
-/// The rule application as a SAX filter: borrowed events in, borrowed
-/// events out into `sink`, O(depth) state in between. `'a` spans the
-/// stylesheet and the input, so path segments, emitted names and
+/// The rule application as a SAX filter: the [`Sink`] a source emits
+/// into, borrowed events out into `sink`, O(depth) state in between. `'a`
+/// spans the stylesheet and the source, so path segments, emitted names and
 /// vocabulary maps are references into one or the other and nothing is
 /// cloned on the way through.
 struct Filter<'a, H: Handler> {
@@ -201,7 +205,9 @@ impl<'a, H: Handler> Filter<'a, H> {
             drop_depth: None,
         }
     }
+}
 
+impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
     /// `children` is the input element's child-node count, passed on (plus
     /// what the rule adds) so a tree-building sink sizes the element once.
     fn start(
@@ -287,7 +293,7 @@ impl<'a, H: Handler> Filter<'a, H> {
         self.sink.text(mapped)
     }
 
-    fn end(&mut self) -> XmlResult<()> {
+    fn end(&mut self, _name: &'a str) -> XmlResult<()> {
         self.path.pop();
         match self.drop_depth.as_mut() {
             // the dropped element itself closed
@@ -304,18 +310,6 @@ impl<'a, H: Handler> Filter<'a, H> {
             }
         }
         Ok(())
-    }
-
-    /// Push a subtree through the filter, depth-first.
-    fn walk(&mut self, e: &'a Element) -> XmlResult<()> {
-        self.start(&e.name, &e.attrs, e.children.len())?;
-        for c in &e.children {
-            match c {
-                XmlNode::Element(child) => self.walk(child)?,
-                XmlNode::Text(t) => self.text(t)?,
-            }
-        }
-        self.end()
     }
 }
 
@@ -356,27 +350,32 @@ impl Stylesheet {
             match ev {
                 SaxEvent::StartElement { name, attrs } => filter.start(name, attrs, 0)?,
                 SaxEvent::Text(t) => filter.text(t)?,
-                SaxEvent::EndElement { .. } => filter.end()?,
+                SaxEvent::EndElement { name } => filter.end(name)?,
             }
         }
         Ok(filter.sink)
     }
 
-    /// Transform a document in one pass: the input tree streams through
-    /// the rules into `sink`, which is handed back once the root has
-    /// closed. Whatever the sink builds is its own; the filter keeps
-    /// O(depth) state.
-    pub fn transform_into<H: Handler>(&self, doc: &Document, sink: H) -> XmlResult<H> {
+    /// Transform a source in one pass: its events stream through the rules
+    /// into `sink`, which is handed back once the root has closed. Whatever
+    /// the sink builds is its own; the filter keeps O(depth) state, and
+    /// what a source renders on the way (a result set's values) is this
+    /// span's time.
+    pub fn transform_into<S, H>(&self, src: &S, sink: H) -> XmlResult<H>
+    where
+        S: EventSource + ?Sized,
+        H: Handler,
+    {
         let _span = stx_span();
         let mut filter = Filter::new(self, sink);
-        filter.walk(&doc.root)?;
+        src.emit(&mut filter)?;
         Ok(filter.sink)
     }
 
     /// [`Stylesheet::transform_into`] a tree builder: the output tree is
     /// the only thing allocated.
-    pub fn transform(&self, doc: &Document) -> XmlResult<Document> {
-        self.transform_into(doc, TreeBuilder::default())?.finish()
+    pub fn transform<S: EventSource + ?Sized>(&self, src: &S) -> XmlResult<Document> {
+        self.transform_into(src, TreeBuilder::default())?.finish()
     }
 }
 

@@ -2,11 +2,14 @@
 
 use crate::node::{Document, Element, XmlNode};
 
+/// The XML declaration every compact document starts with.
+pub const PROLOG: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+
 /// Serialize without insignificant whitespace (round-trips through the
 /// parser, which drops whitespace-only text runs).
 pub fn write_compact(doc: &Document) -> String {
     let mut out = String::with_capacity(256);
-    out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+    out.push_str(PROLOG);
     write_element(&doc.root, &mut out);
     out
 }
@@ -16,7 +19,6 @@ pub fn write_compact(doc: &Document) -> String {
 /// round trip, where serializing a whole document just to measure it
 /// would dominate the call.
 pub fn compact_len(doc: &Document) -> usize {
-    const PROLOG: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
     PROLOG.len() + element_len(&doc.root)
 }
 
@@ -39,16 +41,17 @@ fn element_len(e: &Element) -> usize {
     len + 2 + e.name.len() + 1
 }
 
-/// Byte length [`escape_into`] would append for `s`.
-fn escaped_len(s: &str, attr: bool) -> usize {
-    s.chars()
-        .map(|ch| match ch {
-            '<' | '>' => 4,
-            '&' => 5,
-            '"' if attr => 6,
-            _ => ch.len_utf8(),
-        })
-        .sum()
+/// Byte length of `s` as the serializers write it, escaped, in attribute
+/// context if `attr`: every escaped character is ASCII, so bytes are
+/// counted.
+pub fn escaped_len(s: &str, attr: bool) -> usize {
+    let extra = |b: &u8| match b {
+        b'<' | b'>' => 3,
+        b'&' => 4,
+        b'"' if attr => 5,
+        _ => 0,
+    };
+    s.len() + s.as_bytes().iter().map(extra).sum::<usize>()
 }
 
 /// Serialize with two-space indentation; mixed-content elements are kept
