@@ -276,7 +276,10 @@ impl fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => {
                 if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
+                    // `{x:.1}` without the float formatter: the sign
+                    // (`-0.0`'s too), the integer, `.0`
+                    let sign = if x.is_sign_negative() { "-" } else { "" };
+                    write!(f, "{sign}{}.0", x.abs() as u64)
                 } else {
                     write!(f, "{x}")
                 }
@@ -551,6 +554,23 @@ mod tests {
         assert_eq!(Value::Float(2.0).render(), "2.0");
         assert_eq!(Value::Int(7).render(), "7");
         assert_eq!(Value::Null.render(), "NULL");
+        // an integral float is rendered without the float formatter, as
+        // `{x:.1}` renders it
+        for x in [
+            0.0,
+            -0.0,
+            2.0,
+            -7.0,
+            1e14,
+            -999_999_999_999_999.0,
+            9_007_199.0,
+        ] {
+            assert_eq!(Value::Float(x).render(), format!("{x:.1}"));
+        }
+        let mut out = String::from("x=");
+        Value::Float(-3.0).render_into(&mut out);
+        Value::str("|s").render_into(&mut out);
+        assert_eq!(out, "x=-3.0|s");
     }
 
     #[test]

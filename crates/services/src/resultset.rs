@@ -108,25 +108,30 @@ impl<R: Borrow<Relation>> ResultSet<R> {
 /// The result set's events: the root with its two attributes; a `<row>`
 /// per row; in it, for each non-NULL value (NULL is an absent element), an
 /// element named by its column holding the rendered value. Names and
-/// attributes are the result set's own; every value is rendered into one
-/// buffer, reused.
+/// attributes are the result set's own; every value but a string, which is
+/// its own text, is rendered into one buffer, reused.
 impl<R: Borrow<Relation>> EventSource for ResultSet<R> {
     fn emit<'a, S: Sink<'a>>(&'a self, sink: &mut S) -> XmlResult<()> {
         let rel = self.rel.borrow();
         let columns = rel.schema.columns();
-        let mut text = String::new();
+        let mut rendered = String::new();
         sink.start("resultSet", &self.attrs, rel.rows.len())?;
         for row in &rel.rows {
             let fields = row.iter().filter(|v| !v.is_null()).count();
             sink.start("row", &[], fields)?;
             for (v, col) in row.iter().zip(columns) {
-                if v.is_null() {
-                    continue;
-                }
-                text.clear();
-                v.render_into(&mut text);
+                let text = match v {
+                    Value::Null => continue,
+                    // a string is its own rendering
+                    Value::Str(s) => s,
+                    v => {
+                        rendered.clear();
+                        v.render_into(&mut rendered);
+                        rendered.as_str()
+                    }
+                };
                 sink.start(&col.name, &[], 1)?;
-                sink.text(&text)?;
+                sink.text(text)?;
                 sink.end(&col.name)?;
             }
             sink.end("row")?;
