@@ -562,6 +562,7 @@ enum Xml<'s> {
 }
 
 impl Xml<'_> {
+    /// This input's events, over what `vars` binds.
     fn source<'v>(&'v self, vars: &'v VarStore) -> MtmResult<XmlSource<'v>> {
         Ok(match self {
             Xml::Rows(rows) => XmlSource::Rows(rows),
@@ -651,9 +652,9 @@ fn address(step: &Step) -> usize {
 
 /// The variable `step` would hand to `next` if the two are a pair that runs
 /// as one: a `WS_QUERY` and the `TRANSLATE` after it, a `TRANSLATE` and the
-/// `XML_TO_REL` after it, or a relational
-/// step and a `SELECTION`, `PROJECTION` or `UNION DISTINCT` after it, which
-/// take a plan where they would take a `Values` leaf. A `JOIN` after it
+/// `XML_TO_REL` after it, or a relational step and a `SELECTION`,
+/// `PROJECTION` or `UNION DISTINCT` after it, which take a plan where they
+/// would take a `Values` leaf. A `JOIN` after it
 /// takes none: the join builds its hash table on the side whose estimated
 /// size is smaller, and the plan's estimate is not its rows', so the output
 /// order could change.

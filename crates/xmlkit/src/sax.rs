@@ -296,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn a_tree_walked_into_a_tree_builder_is_itself() {
+    fn walk_into_a_tree_builder_rebuilds_the_tree() {
         let doc = parse(r#"<a x="1"><b>hi</b><c/></a>"#).unwrap();
         assert_eq!(tree(&doc).unwrap(), doc);
     }
