@@ -35,4 +35,4 @@ pub mod xsd;
 pub use error::{XmlError, XmlResult};
 pub use node::{Document, Element, XmlNode};
 pub use parser::parse;
-pub use writer::{compact_len, escaped_len, write_compact, write_pretty};
+pub use writer::{compact_len, write_compact, write_pretty};

@@ -6,8 +6,8 @@
 //! first, into a [`Sink`] that may keep each element's name and attributes
 //! as long as the source lives. A [`Document`] walks itself;
 //! `dip_services::resultset::ResultSet` emits a relation's rows as the
-//! generic result set, rendering each value into one reused buffer, so a
-//! web service's response is XML only where something reads it as XML.
+//! generic result set, rendering each value as it goes, so a web
+//! service's response is XML only where something reads it as XML.
 //!
 //! Events reach a consumer in one of two forms:
 //!
