@@ -11,7 +11,11 @@
 //! `ws_translate_decode` times the whole response-to-rows chain MTM runs
 //! behind a fused `WS_QUERY`: the response sized and read straight from its
 //! rows (`resultset::ResultSet`), against the source tree built, sized
-//! with a walk and then read.
+//! with a walk and then read. `order_translate_decode` times a 20-line
+//! Hongkong (P08) and San Diego (P10) order translated and decoded into
+//! staging rows: the stylesheet straight into the order decoder, what MTM
+//! runs for a fused `TRANSLATE` → `DB_LOAD_XML` (`fused`), against the
+//! translated tree built and walked into it (`tree`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dip_relstore::prelude::*;
@@ -24,7 +28,11 @@ use dipbench::schema::{messages, vocab};
 use std::hint::black_box;
 
 fn order_message(lines: usize) -> Document {
-    let o = OrderData {
+    apps::vienna_order(&order_data(lines))
+}
+
+fn order_data(lines: usize) -> OrderData {
+    OrderData {
         orderkey: 1,
         custkey: 100_000,
         orderdate: "2008-04-07".into(),
@@ -40,8 +48,7 @@ fn order_message(lines: usize) -> Document {
                 discount: 0.05,
             })
             .collect(),
-    };
-    apps::vienna_order(&o)
+    }
 }
 
 /// The P09 shape: one wide Seoul result set, every element renamed, two
@@ -173,6 +180,50 @@ fn bench_ws_translate_decode(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 20-line order into the staging rows: each source's stylesheet straight
+/// into the order decoder, or into a tree the decoder then walks.
+fn bench_order_translate_decode(c: &mut Criterion) {
+    let mut g = c.benchmark_group("order_translate_decode");
+    g.sample_size(30);
+    let mut order = order_data(20);
+    order.priority = "HIGH".into();
+    order.state = "NEW".into();
+    let hongkong = apps::hongkong_order(&order);
+    order.priority = "1".into();
+    order.state = "P".into();
+    let san_diego = apps::san_diego_order(&order, None);
+    for (id, source, stx, msg) in [
+        (
+            "hongkong_20",
+            "hongkong",
+            messages::stx_hongkong_to_cdb(),
+            hongkong,
+        ),
+        (
+            "san_diego_20",
+            "san_diego",
+            messages::stx_san_diego_to_cdb(),
+            san_diego,
+        ),
+    ] {
+        let decoder = messages::cdb_order_decoder(source);
+        g.bench_with_input(BenchmarkId::new("fused", id), &msg, |b, msg| {
+            b.iter(|| {
+                let mut sink = decoder();
+                stx.transform_into(msg, &mut *sink).unwrap();
+                black_box(sink.finish().unwrap().unwrap())
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("tree", id), &msg, |b, msg| {
+            b.iter(|| {
+                let translated = stx.transform(msg).unwrap();
+                black_box(messages::decode_order(source, &translated).unwrap())
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_validation(c: &mut Criterion) {
     let mut g = c.benchmark_group("xml_validate");
     g.sample_size(30);
@@ -221,6 +272,7 @@ criterion_group!(
     bench_translation,
     bench_translate_decode,
     bench_ws_translate_decode,
+    bench_order_translate_decode,
     bench_validation,
     bench_parse_write
 );

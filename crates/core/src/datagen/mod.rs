@@ -763,6 +763,9 @@ mod tests {
         for m in 0..n {
             let (doc, injected) = g.san_diego_message(0, m);
             assert_eq!(!xsd.is_valid(&doc), injected, "message {m}");
+            // P10's failed-message row names this issue
+            let first = xsd.validate(&doc).into_iter().next();
+            assert_eq!(xsd.first_issue(&doc), first, "message {m}");
         }
     }
 

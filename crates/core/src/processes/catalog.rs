@@ -449,9 +449,9 @@ pub fn failed_message_row(payload: String, reason: String) -> Row {
 }
 
 /// P04: the order message enriched with the segment of the customer
-/// master row looked up for it (unchanged when the lookup found none).
-pub fn enrich_with_segment(order: &Document, master: &Relation) -> Document {
-    let mut doc = order.clone();
+/// master row looked up for it (unchanged when the lookup found none),
+/// appended in place.
+pub fn enrich_with_segment(mut doc: Document, master: &Relation) -> Document {
     if let Some(row) = master.rows.first() {
         let segment = Element::leaf("customer_segment", row[5].render());
         doc.root.children.push(XmlNode::Element(segment));

@@ -51,9 +51,17 @@ pub fn p04() -> ProcessDef {
                 name: "enrich_with_master_data".into(),
                 reads: vec!["msg2".into(), "master".into()],
                 binds: vec!["msg3".into()],
+                // the step reads the translated message last: it is handed
+                // the only binding, and the segment is appended in place
                 f: Arc::new(|inputs| {
-                    let (doc, master) = (inputs[0].as_xml()?, inputs[1].as_rel()?);
-                    Ok(vec![catalog::enrich_with_segment(doc, master).into()])
+                    let mut inputs = inputs.into_iter();
+                    let (Some(doc), Some(master)) = (inputs.next(), inputs.next()) else {
+                        return Err("expected the message and its master rows".into());
+                    };
+                    let doc = Arc::unwrap_or_clone(doc.into_xml()?);
+                    Ok(vec![
+                        catalog::enrich_with_segment(doc, master.as_rel()?).into()
+                    ])
                 }),
             },
             load_order("vienna", "msg3"),
@@ -186,12 +194,14 @@ pub fn p09() -> ProcessDef {
 /// in the CDB's failed-data destination; valid messages are translated and
 /// loaded like any other order message.
 pub fn p10() -> ProcessDef {
+    let xsd = Arc::new(messages::san_diego_xsd());
+    let schema = xsd.clone();
     catalog::define(
         "P10",
         vec![
             Step::Receive { var: "msg1".into() },
             Step::Validate {
-                xsd: Arc::new(messages::san_diego_xsd()),
+                xsd,
                 input: "msg1".into(),
                 on_valid: vec![
                     Step::Translate {
@@ -206,14 +216,12 @@ pub fn p10() -> ProcessDef {
                         name: "build_failed_row".into(),
                         reads: vec!["msg1".into()],
                         binds: vec!["failed_row".into()],
-                        f: Arc::new(|inputs| {
+                        // the reason is the first issue VALIDATE found
+                        f: Arc::new(move |inputs| {
                             let doc = inputs[0].as_xml()?;
                             let payload = dip_xmlkit::write_compact(doc);
-                            let issues = messages::san_diego_xsd().validate(doc);
-                            let reason = issues
-                                .first()
-                                .map(|i| i.to_string())
-                                .unwrap_or_else(|| "unknown".into());
+                            let reason = (schema.first_issue(doc))
+                                .map_or_else(|| "unknown".into(), |i| i.to_string());
                             let row = catalog::failed_message_row(payload, reason);
                             let schema = cdb::failed_messages_schema();
                             Ok(vec![Relation::new(schema, vec![row]).into()])

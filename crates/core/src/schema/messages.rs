@@ -12,12 +12,15 @@
 //! ```
 
 use crate::schema::vocab;
-use dip_mtm::process::{TableRows, XmlDecoder};
+use dip_mtm::process::{LoadSink, TableRows, XmlDecoder};
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::{Document, Element};
+use dip_xmlkit::sax::{self, Handler};
 use dip_xmlkit::stx::{Rule, Stylesheet};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::xsd::{XsdElement, XsdSchema};
+use dip_xmlkit::XmlResult;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -338,63 +341,285 @@ fn opt_str(e: &Element, name: &str) -> Value {
     e.child_text(name).map(Value::str).unwrap_or(Value::Null)
 }
 
-fn opt_date(e: &Element, name: &str) -> Value {
-    e.child_text(name)
-        .and_then(|t| parse_date(t.trim()))
-        .map(Value::Date)
-        .unwrap_or(Value::Null)
-}
-
 /// The CDB movement staging tables [`cdb_order_decoder`] emits rows for:
 /// the order's, then its lines'.
 pub const ORDER_STAGING_TABLES: [&str; 2] = ["orders_staging", "orderline_staging"];
 
-/// Decoder from the canonical `<cdbOrder>` message into the CDB movement
-/// staging tables. `source` tags the rows' origin system.
-pub fn cdb_order_decoder(source: &str) -> XmlDecoder {
-    let source = source.to_string();
-    Arc::new(move |doc: &Document| {
-        let root = &doc.root;
-        if root.name != "cdbOrder" {
-            return Err(format!("expected <cdbOrder>, got <{}>", root.name));
+/// How a field's text reads as a value: an integer, a float or a date
+/// after trimming, a string as it is. Text that does not read is NULL, and
+/// a required field that is NULL or absent fails the message.
+#[derive(Clone, Copy)]
+enum Lexical {
+    Int,
+    Float,
+    Date,
+    Str,
+}
+
+impl Lexical {
+    fn read(self, text: &str) -> Value {
+        let t = text.trim();
+        let read = match self {
+            Lexical::Int => t.parse().ok().map(Value::Int),
+            Lexical::Float => t.parse().ok().map(Value::Float),
+            Lexical::Date => parse_date(t).map(Value::Date),
+            Lexical::Str => Some(Value::str(text)),
+        };
+        read.unwrap_or(Value::Null)
+    }
+}
+
+/// The `<cdbOrder>` children the decoder reads, in `orders_staging`'s
+/// column order (the source column follows).
+const ORDER_FIELDS: [(&str, Lexical); 6] = [
+    ("orderkey", Lexical::Int),
+    ("custkey", Lexical::Int),
+    ("orderdate", Lexical::Date),
+    ("totalprice", Lexical::Float),
+    ("priority", Lexical::Str),
+    ("state", Lexical::Str),
+];
+/// The `<line>` children the decoder reads, in `orderline_staging`'s
+/// column order after the order key (the source column follows).
+const LINE_FIELDS: [(&str, Lexical); 5] = [
+    ("lineno", Lexical::Int),
+    ("prodkey", Lexical::Int),
+    ("quantity", Lexical::Int),
+    ("extendedprice", Lexical::Float),
+    ("discount", Lexical::Float),
+];
+
+/// The value a required integer field holds, or the message's error.
+fn required(slot: &mut Option<Value>, name: &str) -> Result<Value, String> {
+    match slot.take() {
+        Some(v @ Value::Int(_)) => Ok(v),
+        _ => Err(format!("missing or non-integer <{name}>")),
+    }
+}
+
+/// The field element open at the moment, by its index in its table.
+#[derive(Clone, Copy)]
+enum Field {
+    Order(usize),
+    Line(usize),
+}
+
+/// Where the decoder is relative to the lines container: before the first
+/// `<lines>` child of the root, inside it, or past it (a later `<lines>`
+/// is not read).
+#[derive(Clone, Copy, PartialEq)]
+enum Lines {
+    Before,
+    Open,
+    Done,
+}
+
+/// The order decoder: builds the staging rows of one canonical
+/// `<cdbOrder>` message from its events as they arrive, nothing else of
+/// the message kept. A field is a child element of the root (of a
+/// `<line>`, for a line's), read from its direct text; the first one of
+/// a name counts, and elements nested in it are skipped. The lines are
+/// the `<line>` children of the root's first `<lines>` child. The order
+/// key is required, then the customer key, then each line's number and
+/// product key in document order: the first of them missing or not an
+/// integer fails the message, as does a root other than `<cdbOrder>`.
+/// What the stream itself gets wrong is [`sax::OneRoot`]'s error, first.
+struct OrderSink {
+    shape: sax::OneRoot,
+    /// The rows' origin system: one value every row shares.
+    source: Value,
+    /// The error for a root other than `<cdbOrder>`; nothing is read then.
+    wrong_root: Option<String>,
+    order: [Option<Value>; 6],
+    lines: Lines,
+    /// The open line's fields.
+    line: Option<[Option<Value>; 5]>,
+    /// The finished lines' rows, their order key still NULL.
+    rows: Vec<Row>,
+    /// The first line whose number or product key failed.
+    line_error: Option<String>,
+    field: Option<Field>,
+    /// The open field's direct text.
+    text: String,
+}
+
+impl OrderSink {
+    fn new(source: Value) -> OrderSink {
+        OrderSink {
+            shape: sax::OneRoot::default(),
+            source,
+            wrong_root: None,
+            order: Default::default(),
+            lines: Lines::Before,
+            line: None,
+            rows: Vec::new(),
+            line_error: None,
+            field: None,
+            text: String::new(),
         }
-        let orderkey = req_int(root, "orderkey")?;
-        let order = vec![
-            orderkey.clone(),
-            req_int(root, "custkey")?,
-            opt_date(root, "orderdate"),
-            opt_float(root, "totalprice"),
-            opt_str(root, "priority"),
-            opt_str(root, "state"),
-            Value::str(source.clone()),
-        ];
-        let mut lines = Vec::new();
-        if let Some(container) = root.first("lines") {
-            for line in container.all("line") {
-                lines.push(vec![
-                    orderkey.clone(),
-                    req_int(line, "lineno")?,
-                    req_int(line, "prodkey")?,
-                    line.child_text("quantity")
-                        .and_then(|t| t.trim().parse::<i64>().ok().map(Value::Int))
-                        .unwrap_or(Value::Null),
-                    opt_float(line, "extendedprice"),
-                    opt_float(line, "discount"),
-                    Value::str(source.clone()),
-                ]);
+    }
+
+    /// A line closed: its row, or the message's error if it is the first
+    /// line that fails.
+    fn finish_line(&mut self, mut line: [Option<Value>; 5]) {
+        if self.line_error.is_some() {
+            return;
+        }
+        let lineno = required(&mut line[0], LINE_FIELDS[0].0);
+        let prodkey = lineno.and_then(|l| Ok((l, required(&mut line[1], LINE_FIELDS[1].0)?)));
+        match prodkey {
+            Ok((lineno, prodkey)) => {
+                let [_, _, quantity, price, discount] = line.map(|v| v.unwrap_or(Value::Null));
+                let source = self.source.clone();
+                let row = vec![
+                    Value::Null,
+                    lineno,
+                    prodkey,
+                    quantity,
+                    price,
+                    discount,
+                    source,
+                ];
+                self.rows.push(row);
             }
+            Err(e) => self.line_error = Some(e),
         }
-        Ok(vec![
-            TableRows {
-                table: ORDER_STAGING_TABLES[0].into(),
-                rows: vec![order],
-            },
-            TableRows {
-                table: ORDER_STAGING_TABLES[1].into(),
-                rows: lines,
-            },
-        ])
-    })
+    }
+
+    /// The rows once the stream has ended: `Err` if it was not one closed
+    /// root, `Ok(Err)` with the message's first failure.
+    fn finish(mut self) -> XmlResult<Result<Vec<TableRows>, String>> {
+        self.shape.finish()?;
+        Ok(self.rows())
+    }
+
+    fn rows(&mut self) -> Result<Vec<TableRows>, String> {
+        if let Some(e) = self.wrong_root.take() {
+            return Err(e);
+        }
+        let orderkey = required(&mut self.order[0], ORDER_FIELDS[0].0)?;
+        let custkey = required(&mut self.order[1], ORDER_FIELDS[1].0)?;
+        if let Some(e) = self.line_error.take() {
+            return Err(e);
+        }
+        let mut lines = std::mem::take(&mut self.rows);
+        for line in &mut lines {
+            line[0] = orderkey.clone();
+        }
+        let mut order = vec![orderkey, custkey];
+        order.extend(
+            self.order[2..]
+                .iter_mut()
+                .map(|v| v.take().unwrap_or(Value::Null)),
+        );
+        order.push(self.source.clone());
+        let rows = [vec![order], lines];
+        Ok((ORDER_STAGING_TABLES.into_iter().zip(rows))
+            .map(|(table, rows)| TableRows {
+                table: table.into(),
+                rows,
+            })
+            .collect())
+    }
+}
+
+impl Handler for OrderSink {
+    fn start(
+        &mut self,
+        name: &str,
+        _attrs: Cow<'_, [(String, String)]>,
+        children: usize,
+    ) -> XmlResult<()> {
+        let position = |fields: &[(&str, Lexical)]| fields.iter().position(|(f, _)| *f == name);
+        match self.shape.open() {
+            // a second root: the stream's error, once it closes
+            _ if self.shape.in_extra_root() => {}
+            0 if name != "cdbOrder" => {
+                self.wrong_root = Some(format!("expected <cdbOrder>, got <{name}>"));
+            }
+            0 => {}
+            _ if self.wrong_root.is_some() => {}
+            1 if name == "lines" && self.lines == Lines::Before => {
+                self.lines = Lines::Open;
+                self.rows.reserve(children);
+            }
+            1 => {
+                if let Some(i) = position(&ORDER_FIELDS).filter(|&i| self.order[i].is_none()) {
+                    self.field = Some(Field::Order(i));
+                    self.text.clear();
+                }
+            }
+            2 if self.lines == Lines::Open && name == "line" => {
+                self.line = Some(Default::default())
+            }
+            3 if self.line.is_some() => {
+                let unread = |i: &usize| self.line.as_ref().is_some_and(|l| l[*i].is_none());
+                if let Some(i) = position(&LINE_FIELDS).filter(unread) {
+                    self.field = Some(Field::Line(i));
+                    self.text.clear();
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        // a field's direct text: the field is open at depth 1 (order) or 3
+        // (line), so the text is inside 2 or 4 open elements
+        match (self.shape.text(text)?, self.field) {
+            (2, Some(Field::Order(_))) | (4, Some(Field::Line(_))) => self.text.push_str(text),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn end(&mut self, _name: &str) -> XmlResult<()> {
+        match (self.shape.close()?, self.field) {
+            (1, Some(Field::Order(i))) => {
+                self.order[i] = Some(ORDER_FIELDS[i].1.read(&self.text));
+                self.field = None;
+            }
+            (1, _) if self.lines == Lines::Open => self.lines = Lines::Done,
+            (2, _) => {
+                if let Some(line) = self.line.take() {
+                    self.finish_line(line);
+                }
+            }
+            (3, Some(Field::Line(i))) => {
+                if let Some(line) = self.line.as_mut() {
+                    line[i] = Some(LINE_FIELDS[i].1.read(&self.text));
+                }
+                self.field = None;
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+impl LoadSink for OrderSink {
+    fn finish(self: Box<Self>) -> XmlResult<Result<Vec<TableRows>, String>> {
+        OrderSink::finish(*self)
+    }
+}
+
+/// Decoder from the canonical `<cdbOrder>` message into the CDB movement
+/// staging tables, as the message's events arrive: a bound message walked
+/// into it, or a stylesheet's output run into it as it is produced (the
+/// MTM engine's fused `TRANSLATE` → `DB_LOAD_XML`). `source` tags the
+/// rows' origin system.
+pub fn cdb_order_decoder(source: &str) -> XmlDecoder {
+    let source = Value::str(source);
+    Arc::new(move || Box::new(OrderSink::new(source.clone())))
+}
+
+/// [`cdb_order_decoder`] over a message held as a tree: the tree walked
+/// into the decoder.
+pub fn decode_order(source: &str, doc: &Document) -> Result<Vec<TableRows>, String> {
+    // a tree is one closed root: the stream checks never fire on a walk
+    let decoded = sax::walk(doc, OrderSink::new(Value::str(source))).and_then(OrderSink::finish);
+    decoded.map_err(|e| e.to_string())?
 }
 
 /// Decode a `<euCustomer>` update message into one row of the Europe `cust`
@@ -456,7 +681,7 @@ mod tests {
         assert_eq!(out.root.name, "cdbOrder");
         assert_eq!(out.root.child_text("orderkey").as_deref(), Some("100"));
         assert_eq!(out.root.child_text("priority").as_deref(), Some("HIGH"));
-        let batches = cdb_order_decoder("vienna")(&out).unwrap();
+        let batches = decode_order("vienna", &out).unwrap();
         assert_eq!(batches[0].rows.len(), 1);
         assert_eq!(batches[1].rows.len(), 1);
         assert_eq!(batches[1].rows[0][1], Value::Int(1)); // lineno
@@ -471,7 +696,7 @@ mod tests {
         let out = stx_hongkong_to_cdb().transform(&msg).unwrap();
         assert_eq!(out.root.name, "cdbOrder");
         assert_eq!(out.root.child_text("state").as_deref(), Some("OPEN"));
-        assert!(cdb_order_decoder("hongkong")(&out).is_ok());
+        assert!(decode_order("hongkong", &out).is_ok());
     }
 
     #[test]
@@ -488,6 +713,53 @@ mod tests {
         }
     }
 
+    /// P10's failed-message row names the first issue: `first_issue`
+    /// stops at the one `validate` lists first, so the row keeps its bytes.
+    /// Every error kind, alone and with a bad line number, a stray
+    /// attribute or a missing header added, over orders of 0–3 lines.
+    #[test]
+    fn first_issue_is_the_first_issue_validate_lists() {
+        let xsd = san_diego_xsd();
+        let mut o = order();
+        o.priority = "2".into();
+        o.state = "O".into();
+        let line = o.lines[0].clone();
+        let extras: [fn(&mut Element); 4] = [
+            |_| {},
+            |root| root.set_attribute("rogue", "1"),
+            |root| {
+                root.children
+                    .retain(|c| c.as_element().is_none_or(|e| e.name != "sdHeader"))
+            },
+            |root| {
+                let lines = root.children.iter_mut().filter_map(|c| match c {
+                    dip_xmlkit::node::XmlNode::Element(e) if e.name == "sdLines" => Some(e),
+                    _ => None,
+                });
+                for e in lines.flat_map(|l| l.children.iter_mut()) {
+                    if let dip_xmlkit::node::XmlNode::Element(e) = e {
+                        e.set_attribute("no", "x");
+                    }
+                }
+            },
+        ];
+        let mut bad = 0;
+        for n in 0..4 {
+            o.lines = vec![line.clone(); n];
+            let kinds = apps::ALL_MESSAGE_ERRORS.map(Some);
+            for kind in [None].into_iter().chain(kinds) {
+                for extra in extras {
+                    let mut doc = apps::san_diego_order(&o, kind);
+                    extra(&mut doc.root);
+                    let all = xsd.validate(&doc);
+                    bad += usize::from(all.len() > 1);
+                    assert_eq!(xsd.first_issue(&doc), all.first().cloned(), "{doc:?}");
+                }
+            }
+        }
+        assert!(bad > 20, "{bad} messages with more than one issue");
+    }
+
     #[test]
     fn san_diego_translates_after_validation() {
         let mut o = order();
@@ -499,7 +771,7 @@ mod tests {
         assert_eq!(out.root.child_text("priority").as_deref(), Some("URGENT"));
         assert_eq!(out.root.child_text("state").as_deref(), Some("SHIPPED"));
         assert!(out.root.first("sdHeader").is_none());
-        let batches = cdb_order_decoder("san_diego")(&out).unwrap();
+        let batches = decode_order("san_diego", &out).unwrap();
         let line = &batches[1].rows[0];
         assert_eq!(line[1], Value::Int(1)); // lineno from the `no` attribute
         assert_eq!(line[2], Value::Int(3)); // prodkey
@@ -575,7 +847,7 @@ mod tests {
                 .child(Element::leaf("custkey", "7"))
                 .child(Element::leaf("orderdate", "99999999-01-01")),
         );
-        let batches = cdb_order_decoder("vienna")(&msg).unwrap();
+        let batches = decode_order("vienna", &msg).unwrap();
         assert_eq!(batches[0].rows[0][0], Value::Int(100));
         assert!(batches[0].rows[0][2].is_null());
     }
@@ -583,9 +855,9 @@ mod tests {
     #[test]
     fn decoder_rejects_garbage() {
         let bad = Document::new(Element::new("junk"));
-        assert!(cdb_order_decoder("x")(&bad).is_err());
+        assert!(decode_order("x", &bad).is_err());
         let no_key = Document::new(Element::new("cdbOrder"));
-        assert!(cdb_order_decoder("x")(&no_key).is_err());
+        assert!(decode_order("x", &no_key).is_err());
         assert!(europe_customer_row(&bad, None).is_err());
     }
 }

@@ -387,14 +387,11 @@ fn stx_stylesheets_compose_with_decoders() {
         let v = g.vienna_message(0, m);
         let t = messages::stx_vienna_to_cdb().transform(&v).unwrap();
         assert!(
-            messages::cdb_order_decoder("vienna")(&t).is_ok(),
+            messages::decode_order("vienna", &t).is_ok(),
             "vienna msg {m}"
         );
         let h = g.hongkong_message(0, m);
         let t = messages::stx_hongkong_to_cdb().transform(&h).unwrap();
-        assert!(
-            messages::cdb_order_decoder("hongkong")(&t).is_ok(),
-            "hk msg {m}"
-        );
+        assert!(messages::decode_order("hongkong", &t).is_ok(), "hk msg {m}");
     }
 }

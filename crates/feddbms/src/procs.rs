@@ -119,7 +119,7 @@ fn p04_body() -> E1Body {
             europe::BERLIN_PARIS,
             &Plan::scan("cust").filter(Expr::col(0).eq(Expr::lit(key))),
         )?;
-        let enriched = ctx.processing(|| Ok(catalog::enrich_with_segment(&translated, &master)))?;
+        let enriched = ctx.processing(|| Ok(catalog::enrich_with_segment(translated, &master)))?;
         load_cdb_order(ctx, &enriched, "vienna")
     })
 }
@@ -127,7 +127,7 @@ fn p04_body() -> E1Body {
 /// Decode a canonical order message and load it into the CDB staging area.
 fn load_cdb_order(ctx: &FedCtx, doc: &dip_xmlkit::node::Document, source: &str) -> MtmResult<()> {
     let batches =
-        ctx.processing(|| messages::cdb_order_decoder(source)(doc).map_err(MtmError::Custom))?;
+        ctx.processing(|| messages::decode_order(source, doc).map_err(MtmError::Custom))?;
     for batch in batches {
         ctx.remote_load(cdb::CDB, &batch.table, batch.rows, LoadMode::InsertIgnore)?;
     }

@@ -4,12 +4,16 @@
 //! relation variables, `TRANSLATE` → `XML_TO_REL` pairs (adjacent, or apart
 //! with a step between), `WS_QUERY` → `TRANSLATE` → `XML_TO_REL` chains
 //! over a web service (adjacent, apart, or with the response translated a
-//! second time, so that the query's output is read again later), `JOIN`s
-//! narrowed by a `PROJECTION`, `CopyVar` aliases, a `DB_INSERT` sink, and
-//! SWITCH / FORK / SUBPROCESS nesting three levels deep. It ends in an observer step that reads the variables
-//! the picks name: those are the variables still read after the run, and
-//! a subprocess's `output` reaches them through its caller. Graphs that
-//! `validate` rejects are skipped.
+//! second time, so that the query's output is read again later),
+//! `TRANSLATE` → `DB_LOAD_XML` pairs (adjacent, apart, or with the
+//! translated document decoded again later), `CUSTOM` edits of a
+//! translated document (reading it last, so it is moved to them, or with
+//! the document read again after them), `JOIN`s narrowed by a
+//! `PROJECTION`, `CopyVar` aliases, a `DB_INSERT` sink, and SWITCH / FORK /
+//! SUBPROCESS nesting three levels deep. It ends in an observer step that
+//! reads the variables the picks name: those are the variables still read
+//! after the run, and a subprocess's `output` reaches them through its
+//! caller. Graphs that `validate` rejects are skipped.
 //!
 //! Each graph runs twice: with its [`Deployment`] table, which moves what
 //! a step reads last and fuses the pairs that run as one, and with the
@@ -22,15 +26,21 @@ use crate::context::VarStore;
 use crate::cost::InstanceCosts;
 use crate::interpreter::{Deployment, Interpreter};
 use crate::message::MtmMessage;
-use crate::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase};
+use crate::process::{
+    AssignValue, EventType, LoadMode, LoadSink, ProcessDef, Step, SwitchCase, TableRows, XmlDecoder,
+};
 use crate::validate::validate;
 use dip_netsim::{LatencyModel, LinkSpec, Network};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
-use dip_services::resultset;
+use dip_services::resultset::{self, RowSink};
 use dip_services::webservice::DbService;
+use dip_xmlkit::node::{Element, XmlNode};
+use dip_xmlkit::sax::Handler;
 use dip_xmlkit::stx::{Rule, Stylesheet};
+use dip_xmlkit::XmlResult;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// The relation variables; every one is bound before the first generated
@@ -92,6 +102,89 @@ fn source_stx() -> Arc<Stylesheet> {
             Rule::for_name("note").drop().build(),
         ],
     ))
+}
+
+/// A load decoder over the result-set shape: the rows a [`RowSink`] of
+/// `schema` decodes, all for `table`.
+pub(crate) fn result_set_loader(table: &str, schema: SchemaRef) -> XmlDecoder {
+    struct Loader {
+        table: String,
+        rows: RowSink,
+    }
+    impl Handler for Loader {
+        fn start(
+            &mut self,
+            name: &str,
+            attrs: Cow<'_, [(String, String)]>,
+            children: usize,
+        ) -> XmlResult<()> {
+            self.rows.start(name, attrs, children)
+        }
+        fn text(&mut self, text: &str) -> XmlResult<()> {
+            self.rows.text(text)
+        }
+        fn end(&mut self, name: &str) -> XmlResult<()> {
+            self.rows.end(name)
+        }
+    }
+    impl LoadSink for Loader {
+        fn finish(self: Box<Self>) -> XmlResult<Result<Vec<TableRows>, String>> {
+            let table = self.table;
+            Ok((self.rows.finish()?)
+                .map(|rel| {
+                    vec![TableRows {
+                        table,
+                        rows: rel.rows,
+                    }]
+                })
+                .map_err(|e| e.to_string()))
+        }
+    }
+    let table = table.to_string();
+    Arc::new(move || {
+        let (table, rows) = (table.clone(), RowSink::new(&schema));
+        Box::new(Loader { table, rows })
+    })
+}
+
+/// The load of a translated result set into the sink table.
+fn load(input: &str) -> Step {
+    Step::DbLoadXml {
+        db: v("db"),
+        tables: vec![v("sink")],
+        decoder: result_set_loader("sink", schema()),
+        decoder_name: v("rows"),
+        input: v(input),
+        mode: LoadMode::Insert,
+    }
+}
+
+/// The translation of `x` into `schema()`'s field names, bound to `output`.
+fn translate_x(output: &str) -> Step {
+    Step::Translate {
+        stx: source_stx(),
+        input: v("x"),
+        output: v(output),
+    }
+}
+
+/// A `CUSTOM` that appends one row to the result set it reads: in place
+/// when it is handed the only binding, to a copy otherwise.
+fn append_row(input: &str, output: &str) -> Step {
+    Step::Custom {
+        name: v("append_row"),
+        reads: vec![v(input)],
+        binds: vec![v(output)],
+        f: Arc::new(|inputs| {
+            let doc = inputs.into_iter().next().ok_or("no input")?;
+            let mut doc = Arc::unwrap_or_clone(doc.into_xml()?);
+            let row = (Element::new("row").child(Element::leaf("k", "9")))
+                .child(Element::leaf("v", "1"))
+                .child(Element::leaf("s", "z"));
+            doc.root.children.push(XmlNode::Element(row));
+            Ok(vec![doc.into()])
+        }),
+    }
 }
 
 fn v(name: &str) -> String {
@@ -201,7 +294,7 @@ impl Picks<'_> {
     fn push_step(&mut self, steps: &mut Vec<Step>, depth: usize, binds: &[&str], sinks: bool) {
         let nests = depth < MAX_DEPTH;
         // the three plan-wrapping steps twice as often as the rest
-        match self.next(14) {
+        match self.next(16) {
             0 | 11 => steps.push(Step::Selection {
                 input: self.rel(),
                 predicate: self.predicate(),
@@ -295,6 +388,46 @@ impl Picks<'_> {
                     });
                 }
             }
+            14 if sinks => {
+                // TRANSLATE → DB_LOAD_XML: adjacent, apart, or with the
+                // translated document decoded again later
+                let xml = format!("load{}", self.at);
+                let way = self.next(3);
+                steps.push(translate_x(&xml));
+                if way == 1 {
+                    // a step between: the pair does not fuse
+                    self.push_step(steps, MAX_DEPTH, binds, sinks);
+                }
+                steps.push(load(&xml));
+                if way == 2 {
+                    // read again: the translation does not fuse
+                    steps.push(Step::XmlToRel {
+                        input: xml,
+                        schema: schema(),
+                        output: self.bind(binds),
+                    });
+                }
+            }
+            15 => {
+                // a CUSTOM edit of a translated document: its last reader,
+                // or with the document decoded again after it
+                let output = self.bind(binds);
+                let (xml, edited) = (format!("{output}_in"), format!("{output}_edited"));
+                steps.push(translate_x(&xml));
+                steps.push(append_row(&xml, &edited));
+                if self.next(2) == 1 {
+                    steps.push(Step::XmlToRel {
+                        input: xml,
+                        schema: schema(),
+                        output: output.clone(),
+                    });
+                }
+                steps.push(Step::XmlToRel {
+                    input: edited,
+                    schema: schema(),
+                    output,
+                });
+            }
             5 => steps.push(Step::Assign {
                 value: AssignValue::CopyVar(self.rel()),
                 var: self.bind(binds),
@@ -364,7 +497,7 @@ fn observer(reads: Vec<String>, observed: &Observed) -> Step {
         reads,
         binds: vec![],
         f: Arc::new(move |inputs| {
-            let read = names.iter().cloned().zip(inputs.iter().map(|&m| m.clone()));
+            let read = names.iter().cloned().zip(inputs);
             seen.lock().unwrap().extend(read);
             Ok(vec![])
         }),
@@ -527,18 +660,83 @@ fn a_planted_ws_query_fusion_whose_output_is_read_later_is_caught() {
     assert!(caught.contains("unbound process variable raw"), "{caught}");
 }
 
+/// The same for a `TRANSLATE` planted as fused into the `DB_LOAD_XML` after
+/// it while a later step decodes the translated document again.
+#[test]
+fn a_planted_translate_load_fusion_whose_output_is_read_later_is_caught() {
+    let observed = Observed::default();
+    let mut steps = prologue(false);
+    steps.extend([
+        translate_x("xml"),
+        load("xml"),
+        Step::XmlToRel {
+            input: v("xml"),
+            schema: schema(),
+            output: v("r"),
+        },
+        observer(vec![v("r")], &observed),
+    ]);
+    let def = ProcessDef::new("PLANTED", "planted", 'D', EventType::Timed, steps);
+    validate(&def).unwrap();
+    let translate = &def.steps[def.steps.len() - 4];
+    assert!(
+        !Deployment::of(&def).fuses(translate),
+        "read later: never fused"
+    );
+    runs_agree(&def, &Deployment::of(&def), &observed).unwrap();
+    let planted = Deployment::of(&def).fusing(translate);
+    let caught = runs_agree(&def, &planted, &observed).unwrap_err();
+    assert!(caught.contains("unbound process variable xml"), "{caught}");
+}
+
+/// A `CUSTOM` planted as the last reader of a document a later step still
+/// decodes: the move leaves that step nothing to read.
+#[test]
+fn a_planted_early_custom_move_is_caught() {
+    let observed = Observed::default();
+    let mut steps = prologue(false);
+    steps.extend([
+        translate_x("xml"),
+        append_row("xml", "edited"),
+        Step::XmlToRel {
+            input: v("xml"),
+            schema: schema(),
+            output: v("r"),
+        },
+        observer(vec![v("edited"), v("r")], &observed),
+    ]);
+    let def = ProcessDef::new("PLANTED", "planted", 'D', EventType::Timed, steps);
+    validate(&def).unwrap();
+    let edit = &def.steps[def.steps.len() - 3];
+    assert!(
+        !Deployment::of(&def).takes(edit, "xml"),
+        "read later: never moved"
+    );
+    runs_agree(&def, &Deployment::of(&def), &observed).unwrap();
+    let planted = Deployment::of(&def).taking(edit, "xml");
+    let caught = runs_agree(&def, &planted, &observed).unwrap_err();
+    assert!(caught.contains("unbound process variable xml"), "{caught}");
+}
+
 /// The generator reaches what it is for: in the first cases' graphs every
 /// fused pair kind and every move occurs, and graphs validate.
 #[test]
 fn generated_graphs_fuse_every_pair_kind() {
     use crate::process::Nested;
-    fn walk(steps: &[Step], table: &Deployment, seen: &mut Vec<(&'static str, &'static str)>) {
+    /// Fused pairs by kind, and whether a `CUSTOM` edit took its input.
+    type Seen = (Vec<(&'static str, &'static str)>, Vec<bool>);
+    fn walk(steps: &[Step], table: &Deployment, seen: &mut Seen) {
         for (step, next) in steps.iter().zip(steps.iter().skip(1)) {
             if table.fuses(step) {
-                seen.push((step.kind().0, next.kind().0));
+                seen.0.push((step.kind().0, next.kind().0));
             }
         }
         for step in steps {
+            if let Step::Custom { name, reads, .. } = step {
+                if name == "append_row" {
+                    seen.1.push(table.takes(step, &reads[0]));
+                }
+            }
             match step.facts().nested {
                 Some(Nested::Alternatives(lists) | Nested::Parallel(lists)) => {
                     for (_, list) in lists {
@@ -550,7 +748,7 @@ fn generated_graphs_fuse_every_pair_kind() {
             }
         }
     }
-    let mut seen = Vec::new();
+    let mut seen = Seen::default();
     let mut valid = 0;
     let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
     for _ in 0..256 {
@@ -569,15 +767,19 @@ fn generated_graphs_fuse_every_pair_kind() {
         }
     }
     assert!(valid > 128, "{valid} of 256 graphs validate");
+    let (fused, edits) = seen;
+    assert!(edits.contains(&true), "no edit was moved its input");
+    assert!(edits.contains(&false), "no edit shared its input");
     for pair in [
         ("ws_query", "translate"),
         ("translate", "xml_to_rel"),
+        ("translate", "db_load_xml"),
         ("projection", "union_distinct"),
         ("union_distinct", "projection"),
         ("join", "projection"),
         ("selection", "selection"),
     ] {
-        assert!(seen.contains(&pair), "{pair:?} never fused: {seen:?}");
+        assert!(fused.contains(&pair), "{pair:?} never fused: {fused:?}");
     }
 }
 

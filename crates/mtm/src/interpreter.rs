@@ -27,15 +27,24 @@
 //!   rendering the values to text is the reader's `Cp`, where a real
 //!   client would parse the response;
 //! * a `TRANSLATE` hands its stylesheet and its input, and the
-//!   `XML_TO_REL` after it runs the translation straight into its
-//!   row-building handler, so the translated tree is never built — behind
-//!   a fused `WS_QUERY`, P09's chain runs rows → stylesheet → rows;
+//!   `XML_TO_REL` or `DB_LOAD_XML` after it runs the translation straight
+//!   into its row-building handler (`RowSink`, the load's decoder), so the
+//!   translated tree is never built — behind a fused `WS_QUERY`, P09's
+//!   chain runs rows → stylesheet → rows, and an order message (P08, P10)
+//!   runs message → stylesheet → staging rows. The translation's time is
+//!   the reader's `Cp` (the decode part of a `DB_LOAD_XML`);
 //! * a relational step hands its plan, not yet run, and the relational
 //!   step after it reads that plan where it would read a `Values` leaf, so
 //!   the pair runs as one plan.
 //!
 //! Every step still opens its own span and charges its own time; a fused
 //! step's is what building its handoff costs.
+//!
+//! A step that consumes what it reads moves the variables it reads last
+//! out of the store: a `DB_INSERT` its relation's rows, a `CUSTOM` the
+//! messages it is handed (the rest it is handed as shared clones), so a
+//! custom edit of a document nothing else reads — P04's enrichment —
+//! happens in place.
 
 use crate::context::VarStore;
 use crate::cost::{run_branches, CostCategory, InstanceCosts};
@@ -46,7 +55,7 @@ use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::resultset::{self, ResultSet, RowSink};
 use dip_xmlkit::node::Document;
-use dip_xmlkit::sax::{EventSource, Sink};
+use dip_xmlkit::sax::{self, EventSource, Sink};
 use dip_xmlkit::stx::Stylesheet;
 use dip_xmlkit::XmlResult;
 use std::collections::HashSet;
@@ -114,6 +123,22 @@ impl<'a> Interpreter<'a> {
     /// The messages bound to a step's declared reads, in that order.
     fn gather<'v>(vars: &'v VarStore, reads: &[String]) -> MtmResult<Vec<&'v MtmMessage>> {
         reads.iter().map(|name| Self::get(vars, name)).collect()
+    }
+
+    /// The message bound to `name`: moved out of the store when `step`
+    /// reads it last, shared with its binding otherwise.
+    fn owned(
+        vars: &mut VarStore,
+        last: &Deployment,
+        step: &Step,
+        name: &str,
+    ) -> MtmResult<MtmMessage> {
+        let owned = if last.takes(step, name) {
+            vars.take(name)
+        } else {
+            vars.get(name).cloned()
+        };
+        owned.ok_or_else(|| MtmError::UnboundVariable(name.to_string()))
     }
 
     /// The relation bound to `name`, unbound from the store when `step`
@@ -328,12 +353,7 @@ impl<'a> Interpreter<'a> {
                 // the target table owns what it loads: the variable's rows
                 // when this step reads it last and nothing else shares
                 // them, a copy otherwise
-                let rows = if last.takes(step, input) {
-                    let unbound = || MtmError::UnboundVariable(input.clone());
-                    vars.take(input).ok_or_else(unbound)?.into_rows()?
-                } else {
-                    Self::get(vars, input)?.as_rel()?.rows.clone()
-                };
+                let rows = Self::owned(vars, last, step, input)?.into_rows()?;
                 charge(self.world.remote_load(db, table, rows, *mode)?.comm);
             }
             Step::DbLoadXml {
@@ -346,7 +366,20 @@ impl<'a> Interpreter<'a> {
             } => {
                 // decoding is processing; the inserts are communication
                 let failed = |m: String| MtmError::Custom(format!("decoder {decoder_name}: {m}"));
-                let batches = decoder(Self::get(vars, input)?.as_xml()?).map_err(failed)?;
+                let mut sink = decoder();
+                match handoff.take_if(|h| h.var == input) {
+                    // the fused TRANSLATE's stylesheet runs into the decoder
+                    Some(Handoff {
+                        work: Work::Translate { stx, input },
+                        ..
+                    }) => {
+                        stx.transform_into(&input.source(vars)?, &mut *sink)?;
+                    }
+                    _ => {
+                        sax::walk(Self::get(vars, input)?.as_xml()?, &mut *sink)?;
+                    }
+                }
+                let batches = sink.finish()?.map_err(failed)?;
                 // the scheduler ordered this instance by the declared tables
                 if let Some(b) = batches.iter().find(|b| !tables.contains(&b.table)) {
                     return Err(failed(format!("undeclared table {}", b.table)));
@@ -502,7 +535,10 @@ impl<'a> Interpreter<'a> {
                 f,
             } => {
                 let failed = |m: String| MtmError::Custom(format!("{name}: {m}"));
-                let outputs = f(&Self::gather(vars, reads)?).map_err(failed)?;
+                let inputs = (reads.iter())
+                    .map(|read| Self::owned(vars, last, step, read))
+                    .collect::<MtmResult<_>>()?;
+                let outputs = f(inputs).map_err(failed)?;
                 if outputs.len() != binds.len() {
                     let (got, want) = (outputs.len(), binds.len());
                     return Err(failed(format!("returned {got} outputs for {want} binds")));
@@ -594,8 +630,8 @@ impl EventSource for XmlSource<'_> {
 /// list ends — and none of the step's own nested lists reads the
 /// variable, and the step names it once (`UNION DISTINCT [a, a]` reads `a`
 /// twice and takes nothing). Such a step may take the variable out of the
-/// store ([`Interpreter::take_last`]; a `DbInsert` takes it whether or not
-/// it is shared). Per step list, what is read after it ends is what its
+/// store ([`Interpreter::take_last`]; a `DbInsert` and a `Custom` take it
+/// whether or not it is shared, [`Interpreter::owned`]). Per step list, what is read after it ends is what its
 /// enclosing list reads after the enclosing step — for SWITCH / VALIDATE
 /// alternatives and FORK branches alike — and `output` for a subprocess
 /// body.
@@ -634,7 +670,15 @@ impl Deployment {
         self
     }
 
-    fn takes(&self, step: &Step, var: &str) -> bool {
+    /// This table with `step` reading `var` last, whatever reads it after.
+    #[cfg(test)]
+    pub(crate) fn taking(mut self, step: &Step, var: &str) -> Deployment {
+        self.last.push((address(step), var.to_string()));
+        self.last.sort_unstable();
+        self
+    }
+
+    pub(crate) fn takes(&self, step: &Step, var: &str) -> bool {
         let at = address(step);
         (self.last)
             .binary_search_by(|(a, v)| (*a, v.as_str()).cmp(&(at, var)))
@@ -652,7 +696,7 @@ fn address(step: &Step) -> usize {
 
 /// The variable `step` would hand to `next` if the two are a pair that runs
 /// as one: a `WS_QUERY` and the `TRANSLATE` after it, a `TRANSLATE` and the
-/// `XML_TO_REL` after it, or a relational step and a `SELECTION`,
+/// `XML_TO_REL` or `DB_LOAD_XML` after it, or a relational step and a `SELECTION`,
 /// `PROJECTION` or `UNION DISTINCT` after it, which take a plan where they
 /// would take a `Values` leaf. A `JOIN` after it
 /// takes none: the join builds its hash table on the side whose estimated
@@ -665,7 +709,11 @@ fn handed_on<'a>(step: &'a Step, next: &Step) -> Option<&'a str> {
     );
     match step {
         Step::WsQuery { output, .. } if matches!(next, Step::Translate { .. }) => Some(output),
-        Step::Translate { output, .. } if matches!(next, Step::XmlToRel { .. }) => Some(output),
+        Step::Translate { output, .. }
+            if matches!(next, Step::XmlToRel { .. } | Step::DbLoadXml { .. }) =>
+        {
+            Some(output)
+        }
         Step::Selection { output, .. }
         | Step::Projection { output, .. }
         | Step::UnionDistinct { output, .. }
@@ -737,7 +785,7 @@ fn run_values(plan: Plan) -> MtmResult<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{EventType, LoadMode, TableRows};
+    use crate::process::{EventType, LoadMode};
     use dip_netsim::{LatencyModel, LinkSpec, Network};
     use dip_services::webservice::DbService;
     use dip_trace::{Category, Layer};
@@ -773,7 +821,6 @@ mod tests {
     fn one_of_every_kind() -> Vec<Step> {
         let v = |name: &str| name.to_string();
         let empty = Arc::new(ProcessDef::new("E", "e", 'D', EventType::Timed, vec![]));
-        let row = || vec![vec![Value::Int(7), Value::str("seven")]];
         vec![
             Step::Receive { var: v("m") },
             Step::Assign {
@@ -831,11 +878,8 @@ mod tests {
             Step::DbLoadXml {
                 db: v("db"),
                 tables: vec![v("sink")],
-                decoder: Arc::new(move |_| {
-                    let (table, rows) = ("sink".into(), row());
-                    Ok(vec![TableRows { table, rows }])
-                }),
-                decoder_name: v("const"),
+                decoder: crate::graphs::result_set_loader("sink", kv_schema()),
+                decoder_name: v("rows"),
                 input: v("xml"),
                 mode: LoadMode::InsertIgnore,
             },
@@ -1035,5 +1079,85 @@ mod tests {
         }
         assert_eq!(vars.names(), ["rel"], "nothing but the rows is bound");
         assert_eq!(vars.get("rel").unwrap().as_rel().unwrap().rows, rows);
+    }
+
+    /// The pair a deployment fuses for an order message, P08's shape: a
+    /// `TRANSLATE` hands its stylesheet to the `DB_LOAD_XML` after it, and
+    /// the stylesheet runs into the decoder inside the load's span
+    /// (`xmlkit/stx_transform` nested in `mtm/db_load_xml`). The
+    /// translation charges `Cp` alone; the load charges its decode part to
+    /// `Cp` and its inserts to `Cc`, never `Cm`; only the message stays
+    /// bound, and its rows reach the table.
+    #[test]
+    fn a_fused_translate_load_charges_the_categories_its_spans_name() {
+        let world = world();
+        let rows = vec![vec![Value::Int(4), Value::str("four")]];
+        let message = resultset::encode("ws", "items", &Relation::new(kv_schema(), rows.clone()));
+        let v = |name: &str| name.to_string();
+        let steps = vec![
+            Step::Translate {
+                stx: Arc::new(Stylesheet::identity("id")),
+                input: v("msg"),
+                output: v("canon"),
+            },
+            Step::DbLoadXml {
+                db: v("db"),
+                tables: vec![v("sink")],
+                decoder: crate::graphs::result_set_loader("sink", kv_schema()),
+                decoder_name: v("rows"),
+                input: v("canon"),
+                mode: LoadMode::InsertIgnore,
+            },
+        ];
+        let def = ProcessDef::new("LOAD", "l", 'B', EventType::Message, steps);
+        let last = Deployment::of(&def);
+        assert!(last.fuses(&def.steps[0]) && !last.fuses(&def.steps[1]));
+        let _tracing = crate::TRACE_TESTS.lock().unwrap();
+        dip_trace::enable();
+        let mut vars = VarStore::new();
+        vars.set("msg", message);
+        let (mut handoff, mut charged) = (None, Vec::new());
+        for (n, step) in def.steps.iter().enumerate() {
+            let costs = InstanceCosts::new();
+            let _scope = dip_trace::instance_scope(&def.id, 0, n as u64);
+            handoff = Interpreter::new(&world, &costs)
+                .run_step(&def, &last, step, &mut vars, &mut None, handoff)
+                .unwrap_or_else(|e| panic!("{step:?}: {e}"));
+            assert_eq!(handoff.is_some(), n == 0, "{step:?} hands on");
+            charged.push(costs.snapshot());
+        }
+        dip_trace::disable();
+        let spans = dip_trace::drain();
+        let of = |n: u64, layer: Layer| {
+            let mine = |s: &&dip_trace::SpanRecord| {
+                (s.layer, s.process.as_deref(), s.instance) == (layer, Some("LOAD"), Some(n))
+            };
+            spans.iter().filter(mine).collect::<Vec<_>>()
+        };
+        for (n, step) in def.steps.iter().enumerate() {
+            let mine = of(n as u64, Layer::Mtm);
+            assert_eq!(mine.len(), 1, "{mine:?}");
+            let (label, category) = step.kind();
+            assert_eq!((mine[0].op, mine[0].category), (label, Some(category)));
+        }
+        let ((_, _, translated), (load_comm, load_mgmt, _)) = (charged[0], charged[1]);
+        assert_eq!(charged[0], (Duration::ZERO, Duration::ZERO, translated));
+        // two 10 us hops
+        assert!(load_comm.as_micros() >= 20, "{load_comm:?}");
+        assert!(load_mgmt.is_zero());
+        let load = of(1, Layer::Mtm)[0];
+        let stx = of(1, Layer::Xmlkit);
+        assert_eq!(stx.len(), 1, "the stylesheet ran in the load: {stx:?}");
+        assert!(
+            of(0, Layer::Xmlkit).is_empty(),
+            "and not in the translation"
+        );
+        let within = |s: &dip_trace::SpanRecord| {
+            s.start_ns >= load.start_ns && s.start_ns + s.dur_ns <= load.start_ns + load.dur_ns
+        };
+        assert!(within(stx[0]), "{stx:?} outside {load:?}");
+        assert_eq!(vars.names(), ["msg"], "nothing but the message is bound");
+        let sink = world.database("db").unwrap().table("sink").unwrap().scan();
+        assert_eq!(sink.rows, rows);
     }
 }

@@ -37,8 +37,8 @@ pub use engine::MtmEngine;
 pub use error::{MtmError, MtmResult};
 pub use message::MtmMessage;
 pub use process::{
-    AssignValue, CustomFn, EventType, LoadMode, PlanBuilder, ProcessDef, Step, SwitchCase,
-    TableRows, XmlDecoder,
+    AssignValue, CustomFn, EventType, LoadMode, LoadSink, PlanBuilder, ProcessDef, Step,
+    SwitchCase, TableRows, XmlDecoder,
 };
 
 /// The trace collector is process-wide: a test that switches it on holds

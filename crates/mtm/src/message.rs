@@ -35,6 +35,15 @@ impl MtmMessage {
         }
     }
 
+    /// The document behind its `Arc`, by value: a `CUSTOM` handed the
+    /// only binding edits it in place (`Arc::unwrap_or_clone`).
+    pub fn into_xml(self) -> Result<Arc<Document>, MtmTypeError> {
+        match self {
+            MtmMessage::Xml(d) => Ok(d),
+            other => Err(MtmTypeError::expected("XML", &other)),
+        }
+    }
+
     pub fn as_rel(&self) -> Result<&Relation, MtmTypeError> {
         self.shared_rel().map(|rel| &**rel)
     }

@@ -11,9 +11,10 @@
 use crate::cost::CostCategory;
 use crate::message::MtmMessage;
 use dip_relstore::prelude::*;
-use dip_xmlkit::node::Document;
+use dip_xmlkit::sax::Handler;
 use dip_xmlkit::stx::Stylesheet;
 use dip_xmlkit::xsd::XsdSchema;
+use dip_xmlkit::XmlResult;
 use std::sync::Arc;
 
 /// How a process instance is initiated (the paper's two event types).
@@ -32,16 +33,30 @@ pub struct TableRows {
     pub rows: Vec<Row>,
 }
 
-/// Decodes an XML message into relational rows for loading.
-pub type XmlDecoder = Arc<dyn Fn(&Document) -> Result<Vec<TableRows>, String> + Send + Sync>;
+/// Decodes one XML message into relational rows for loading, as its
+/// events arrive: a SAX handler the message runs into — a bound tree
+/// walked, or a stylesheet's output as it is produced — that keeps only
+/// the rows it builds.
+pub trait LoadSink: Handler {
+    /// The rows per table once the stream has ended: `Err` if the stream
+    /// was not one closed root (the tree builder's error, with its text,
+    /// as `dip_services::resultset::RowSink::finish`), `Ok(Err)` with the
+    /// decode failure's text.
+    fn finish(self: Box<Self>) -> XmlResult<Result<Vec<TableRows>, String>>;
+}
+
+/// Makes the [`LoadSink`] each message is decoded into.
+pub type XmlDecoder = Arc<dyn Fn() -> Box<dyn LoadSink> + Send + Sync>;
 
 /// The messages bound to a step's declared `reads`, in that order.
 pub type Inputs<'a> = &'a [&'a MtmMessage];
 
 /// A computation that has no dedicated operator (enrichment, decoding):
 /// from the step's declared inputs to one message per declared `binds`
-/// entry, in that order.
-pub type CustomFn = Arc<dyn Fn(Inputs) -> Result<Vec<MtmMessage>, String> + Send + Sync>;
+/// entry, in that order. An input the step reads last arrives moved out
+/// of the variable store; any other shares its payload with its binding,
+/// so `Arc::unwrap_or_clone` edits the one and copies the other.
+pub type CustomFn = Arc<dyn Fn(Vec<MtmMessage>) -> Result<Vec<MtmMessage>, String> + Send + Sync>;
 
 /// One case of a SWITCH operator: `when` is evaluated over the single-value
 /// row `[extracted]`, first match wins.
@@ -206,8 +221,9 @@ pub enum Step {
         input: Option<String>,
         output: Option<String>,
     },
-    /// Escape hatch: `f` is handed the `reads` variables and its results
-    /// are bound to the `binds` variables.
+    /// Escape hatch: `f` is handed the `reads` variables — those it reads
+    /// last moved out of the store — and its results are bound to the
+    /// `binds` variables.
     Custom {
         name: String,
         reads: Vec<String>,

@@ -4,17 +4,22 @@
 use dip_mtm::context::VarStore;
 use dip_mtm::interpreter::Interpreter;
 use dip_mtm::message::{MtmMessage, MtmTypeError};
-use dip_mtm::process::{AssignValue, EventType, LoadMode, ProcessDef, Step, SwitchCase, TableRows};
+use dip_mtm::process::{
+    AssignValue, EventType, LoadMode, LoadSink, ProcessDef, Step, SwitchCase, TableRows,
+};
 use dip_mtm::{InstanceCosts, MtmEngine, MtmError};
 use dip_netsim::{LatencyModel, LinkSpec, Network};
 use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::webservice::DbService;
 use dip_xmlkit::node::{Document, Element};
+use dip_xmlkit::sax::Handler;
 use dip_xmlkit::stx::{Rule, Stylesheet};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::xsd::{XsdElement, XsdSchema};
+use dip_xmlkit::XmlResult;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -538,6 +543,32 @@ fn join_key_out_of_range_fails_the_instance() {
     assert!(!records[0].ok, "recorded as a failed instance");
 }
 
+/// A decoder that reads nothing of its message and emits a row for `sink`,
+/// then one for `t`.
+struct TwoTables;
+
+impl Handler for TwoTables {
+    fn start(&mut self, _: &str, _: Cow<'_, [(String, String)]>, _: usize) -> XmlResult<()> {
+        Ok(())
+    }
+    fn text(&mut self, _: &str) -> XmlResult<()> {
+        Ok(())
+    }
+    fn end(&mut self, _: &str) -> XmlResult<()> {
+        Ok(())
+    }
+}
+
+impl LoadSink for TwoTables {
+    fn finish(self: Box<Self>) -> XmlResult<Result<Vec<TableRows>, String>> {
+        let batch = |table: &str, k| TableRows {
+            table: table.into(),
+            rows: vec![vec![Value::Int(k), Value::str("loaded")]],
+        };
+        Ok(Ok(vec![batch("sink", 7), batch("t", 8)]))
+    }
+}
+
 /// The scheduler orders a loader by the tables its step declares, so a
 /// decoder emitting rows for another table fails before anything is loaded.
 #[test]
@@ -547,13 +578,7 @@ fn decoder_emitting_an_undeclared_table_fails_before_loading() {
         Step::DbLoadXml {
             db: "db".into(),
             tables: vec!["sink".into()],
-            decoder: Arc::new(|_| {
-                let batch = |table: &str, k| TableRows {
-                    table: table.into(),
-                    rows: vec![vec![Value::Int(k), Value::str("loaded")]],
-                };
-                Ok(vec![batch("sink", 7), batch("t", 8)])
-            }),
+            decoder: Arc::new(|| Box::new(TwoTables)),
             decoder_name: "two_tables".into(),
             input: "doc".into(),
             mode: LoadMode::Insert,
@@ -624,6 +649,42 @@ fn custom_output_count_must_match_its_binds() {
     }
     let vars = run_vars(vec![returning(vec![one.clone()])]);
     assert_eq!(vars.get("x"), Some(&one));
+}
+
+/// A `Custom` is handed what it reads last moved out of the store — the
+/// only binding, so `Arc::unwrap_or_clone` edits the document in place —
+/// and what a later step reads as a shared clone: the edit copies, and the
+/// binding keeps the original.
+#[test]
+fn custom_is_handed_what_it_reads_last() {
+    let sharers = Arc::new(Mutex::new(Vec::new()));
+    let fresh_doc = Step::Custom {
+        name: "fresh doc".into(),
+        reads: vec![],
+        binds: vec!["doc".into()],
+        f: Arc::new(|_| Ok(vec![Document::new(Element::new("m")).into()])),
+    };
+    let seen = sharers.clone();
+    let edit = Step::Custom {
+        name: "edit".into(),
+        reads: vec!["doc".into()],
+        binds: vec!["edited".into()],
+        f: Arc::new(move |inputs| {
+            let doc = inputs.into_iter().next().ok_or("no input")?.into_xml()?;
+            seen.lock().unwrap().push(Arc::strong_count(&doc));
+            let mut doc = Arc::unwrap_or_clone(doc);
+            doc.root = doc.root.child(Element::leaf("added", "1"));
+            Ok(vec![doc.into()])
+        }),
+    };
+    let moved = run_vars(vec![fresh_doc.clone(), edit.clone()]);
+    let shared = run_vars(vec![fresh_doc, edit, read("doc")]);
+    assert_eq!(*sharers.lock().unwrap(), [1, 2]);
+    assert!(!moved.contains("doc"), "moved to the edit");
+    let xml = |vars: &VarStore, name: &str| vars.get(name).unwrap().as_xml().unwrap().clone();
+    assert_eq!(xml(&shared, "doc"), Document::new(Element::new("m")));
+    assert_eq!(xml(&moved, "edited"), xml(&shared, "edited"));
+    assert!(xml(&moved, "edited").root.first("added").is_some());
 }
 
 // ---- data flow by reference: operators against their relstore twins,
@@ -903,12 +964,14 @@ fn union_distinct_keys_compare_by_contents() {
 }
 
 /// A `Custom` step that files the current binding of `var` under `label`
-/// (sharing its payload, so `Arc` identity can be compared afterwards).
+/// (sharing its payload, so `Arc` identity can be compared afterwards). It
+/// names `var` twice, so it is never the variable's last reader and leaves
+/// the store as it found it.
 fn probe(seen: &Arc<Mutex<HashMap<String, MtmMessage>>>, label: &str, var: &str) -> Step {
     let (seen, label, var) = (seen.clone(), label.to_string(), var.to_string());
     Step::Custom {
         name: format!("probe {label}"),
-        reads: vec![var],
+        reads: vec![var.clone(), var],
         binds: vec![],
         f: Arc::new(move |inputs| {
             seen.lock()
@@ -1176,7 +1239,8 @@ fn db_insert_in_a_fork_branch_keeps_what_the_parent_reads_after() {
     ];
     let read_high = Step::Custom {
         name: "read high".into(),
-        reads: vec!["high".into()],
+        // named twice: read, and left bound
+        reads: vec!["high".into(), "high".into()],
         binds: vec![],
         f: Arc::new(|_| Ok(vec![])),
     };
@@ -1263,11 +1327,12 @@ fn fresh(var: &str, rel: &Relation) -> Step {
     }
 }
 
-/// A step that reads `var` and does nothing with it.
+/// A step that reads `var` and does nothing with it: it names `var`
+/// twice, so it is never the variable's last reader and leaves it bound.
 fn read(var: &str) -> Step {
     Step::Custom {
         name: format!("read {var}"),
-        reads: vec![var.into()],
+        reads: vec![var.into(), var.into()],
         binds: vec![],
         f: Arc::new(|_| Ok(vec![])),
     }
@@ -1290,7 +1355,7 @@ fn addresses(seen: &Addresses, label: &str, var: &str) -> Step {
         reads: vec![var.into()],
         binds: vec![],
         f: Arc::new(move |inputs| {
-            let MtmMessage::Rel(rel) = inputs[0] else {
+            let MtmMessage::Rel(rel) = &inputs[0] else {
                 return Err("not a relation".into());
             };
             let mut at = vec![Arc::as_ptr(rel) as usize];
@@ -1355,10 +1420,12 @@ fn reader(kind: Reader, var: &str, out: &str, seen: &Addresses) -> Step {
                 reads: vec!["input".into()],
                 binds: vec![],
                 f: Arc::new(move |inputs| {
-                    let MtmMessage::Rel(rel) = inputs[0] else {
+                    let MtmMessage::Rel(rel) = &inputs[0] else {
                         return Err("not a relation".into());
                     };
-                    let n = Arc::strong_count(rel);
+                    // the selection after this step reads `input` too, so
+                    // this step is handed a clone: one sharer of its own
+                    let n = Arc::strong_count(rel) - 1;
                     seen.lock().unwrap().insert("callee input".into(), vec![n]);
                     Ok(vec![])
                 }),

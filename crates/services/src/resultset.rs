@@ -34,7 +34,7 @@ use dip_xmlkit::sax::{self, EventSource, Handler, Sink};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::writer::{escaped_len, PROLOG};
 use dip_xmlkit::xsd::{XsdAttr, XsdElement, XsdSchema};
-use dip_xmlkit::{XmlError, XmlResult};
+use dip_xmlkit::XmlResult;
 use std::borrow::{Borrow, Cow};
 
 /// A web service's response: the relation it scanned from `table` of
@@ -168,17 +168,15 @@ pub fn decode(doc: &Document, schema: &SchemaRef) -> StoreResult<Relation> {
 /// column type) is kept, the first one in document order, and the stream
 /// runs on: what the stream itself gets wrong — text outside the root, a
 /// second root, no root at all — is the tree builder's error, with its
-/// text, and comes first, so a stylesheet run into this sink fails as
+/// text ([`sax::OneRoot`], the one check both run), and comes first, so a
+/// stylesheet run into this sink fails as
 /// `decode(&stylesheet.transform(doc)?)` does. The one check of the tree
 /// builder this leaves out is that an end event names the open element:
 /// every driver over a tree closes what it opened.
 pub struct RowSink {
     schema: SchemaRef,
     rows: Vec<Row>,
-    /// Open elements.
-    depth: usize,
-    /// Top-level elements opened so far.
-    roots: usize,
+    shape: sax::OneRoot,
     /// The row being built, while a `<row>` of the root is open.
     row: Option<Row>,
     /// The column of the open field, while a known field of `row` is open.
@@ -194,8 +192,7 @@ impl RowSink {
         RowSink {
             schema: schema.clone(),
             rows: Vec::new(),
-            depth: 0,
-            roots: 0,
+            shape: sax::OneRoot::default(),
             row: None,
             field: None,
             text: String::new(),
@@ -207,13 +204,7 @@ impl RowSink {
     /// was not one closed root (the tree builder's error), `Ok(Err)` with
     /// the first decode failure.
     pub fn finish(self) -> XmlResult<StoreResult<Relation>> {
-        if self.depth > 0 {
-            let msg = "unclosed elements at end of stream";
-            return Err(XmlError::Transform(msg.into()));
-        }
-        if self.roots == 0 {
-            return Err(XmlError::Transform("empty event stream".into()));
-        }
+        self.shape.finish()?;
         Ok(match self.failed {
             Some(e) => Err(e),
             None => Ok(Relation::new(self.schema, self.rows)),
@@ -245,19 +236,18 @@ impl Handler for RowSink {
         _attrs: Cow<'_, [(String, String)]>,
         children: usize,
     ) -> XmlResult<()> {
-        match self.depth {
+        match self.shape.open() {
+            // a second root: the tree builder's error, once it closes
+            _ if self.shape.in_extra_root() => {}
             0 => {
-                self.roots += 1;
-                if self.roots > 1 {
-                    // the tree builder's error, once this root closes
-                } else if name == "resultSet" {
+                if name == "resultSet" {
                     self.rows.reserve(children);
                 } else {
                     let got = format!("expected <resultSet>, got <{name}>");
                     self.failed = Some(StoreError::Invalid(got));
                 }
             }
-            1 if self.roots == 1 && self.failed.is_none() && name == "row" => {
+            1 if self.failed.is_none() && name == "row" => {
                 self.row = Some(vec![Value::Null; self.schema.len()]);
             }
             2 if self.row.is_some() => {
@@ -267,30 +257,18 @@ impl Handler for RowSink {
             }
             _ => {}
         }
-        self.depth += 1;
         Ok(())
     }
 
     fn text(&mut self, text: &str) -> XmlResult<()> {
-        match self.depth {
-            0 if !text.trim().is_empty() => {
-                Err(XmlError::Transform("text outside root element".into()))
-            }
-            3 if self.field.is_some() => {
-                self.text.push_str(text);
-                Ok(())
-            }
-            _ => Ok(()),
+        if self.shape.text(text)? == 3 && self.field.is_some() {
+            self.text.push_str(text);
         }
+        Ok(())
     }
 
     fn end(&mut self, _name: &str) -> XmlResult<()> {
-        self.depth = (self.depth.checked_sub(1))
-            .ok_or_else(|| XmlError::Transform("unbalanced end event".into()))?;
-        match self.depth {
-            0 if self.roots > 1 => {
-                return Err(XmlError::Transform("multiple root elements".into()));
-            }
+        match self.shape.close()? {
             1 => {
                 if let Some(row) = self.row.take() {
                     self.rows.push(row);

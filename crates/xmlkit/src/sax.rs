@@ -163,17 +163,105 @@ impl Handler for Vec<SaxEvent> {
     }
 }
 
+/// A borrowed handler is a handler: a driver that takes its sink by value
+/// can run into a sink the caller keeps, behind a `dyn` type included.
+impl<H: Handler + ?Sized> Handler for &mut H {
+    fn start(
+        &mut self,
+        name: &str,
+        attrs: Cow<'_, [(String, String)]>,
+        children: usize,
+    ) -> XmlResult<()> {
+        (**self).start(name, attrs, children)
+    }
+
+    fn text(&mut self, text: &str) -> XmlResult<()> {
+        (**self).text(text)
+    }
+
+    fn end(&mut self, name: &str) -> XmlResult<()> {
+        (**self).end(name)
+    }
+}
+
+/// The one check of a stream's shape, for every handler that folds a
+/// stream into one document's worth of output — the tree builder,
+/// `dip_services::resultset::RowSink`, the order decoder: the stream must
+/// be one root element, opened and closed, with no text outside it but
+/// whitespace. A handler reports each event to it and reads back the
+/// depth the event is at; the errors, and their texts, are this type's.
+#[derive(Debug, Default)]
+pub struct OneRoot {
+    /// Open elements.
+    depth: usize,
+    /// Top-level elements opened so far.
+    roots: usize,
+}
+
+impl OneRoot {
+    /// An element opens: its depth, 0 for a top-level element.
+    pub fn open(&mut self) -> usize {
+        if self.depth == 0 {
+            self.roots += 1;
+        }
+        self.depth += 1;
+        self.depth - 1
+    }
+
+    /// Whether the open elements belong to a top-level element after the
+    /// first: the stream is already wrong, and says so when it closes, so
+    /// a handler ignores what is inside it.
+    pub fn in_extra_root(&self) -> bool {
+        self.roots > 1
+    }
+
+    /// Text arrives: the number of open elements it is inside, or the
+    /// error for text outside the root (whitespace there is no text).
+    pub fn text(&self, text: &str) -> XmlResult<usize> {
+        if self.depth == 0 && !text.trim().is_empty() {
+            return Err(XmlError::Transform("text outside root element".into()));
+        }
+        Ok(self.depth)
+    }
+
+    /// An element closes: its depth, or the error for an end without a
+    /// start or for a second top-level element.
+    pub fn close(&mut self) -> XmlResult<usize> {
+        self.depth = (self.depth.checked_sub(1))
+            .ok_or_else(|| XmlError::Transform("unbalanced end event".into()))?;
+        if self.depth == 0 && self.roots > 1 {
+            return Err(XmlError::Transform("multiple root elements".into()));
+        }
+        Ok(self.depth)
+    }
+
+    /// The stream ended: `Ok` once exactly one root has opened and closed.
+    pub fn finish(&self) -> XmlResult<()> {
+        if self.depth > 0 {
+            let msg = "unclosed elements at end of stream";
+            return Err(XmlError::Transform(msg.into()));
+        }
+        if self.roots == 0 {
+            return Err(XmlError::Transform("empty event stream".into()));
+        }
+        Ok(())
+    }
+}
+
 /// The fold from events to a tree: open elements on a stack, adjacent text
-/// runs merged, exactly one root. An owned event ([`build`]) moves into
-/// the tree; a borrowed one (the [`Handler`] impl) is copied once.
+/// runs merged, its shape checked by [`OneRoot`]. An owned event
+/// ([`build`]) moves into the tree; a borrowed one (the [`Handler`] impl)
+/// is copied once.
 #[derive(Default)]
 pub(crate) struct TreeBuilder {
+    shape: OneRoot,
     stack: Vec<Element>,
     root: Option<Element>,
 }
 
 impl TreeBuilder {
     fn open(&mut self, name: String, attrs: Vec<(String, String)>, children: usize) {
+        self.shape.open();
         self.stack.push(Element {
             name,
             attrs,
@@ -182,41 +270,30 @@ impl TreeBuilder {
     }
 
     fn append_text(&mut self, text: impl AsRef<str> + Into<String>) -> XmlResult<()> {
-        match self.stack.last_mut() {
-            Some(top) => {
-                if let Some(XmlNode::Text(prev)) = top.children.last_mut() {
-                    prev.push_str(text.as_ref());
-                } else {
-                    top.children.push(XmlNode::Text(text.into()));
-                }
-            }
-            None => {
-                if !text.as_ref().trim().is_empty() {
-                    return Err(XmlError::Transform("text outside root element".into()));
-                }
+        self.shape.text(text.as_ref())?;
+        if let Some(top) = self.stack.last_mut() {
+            if let Some(XmlNode::Text(prev)) = top.children.last_mut() {
+                prev.push_str(text.as_ref());
+            } else {
+                top.children.push(XmlNode::Text(text.into()));
             }
         }
         Ok(())
     }
 
     fn close(&mut self, name: &str) -> XmlResult<()> {
-        let done = self
-            .stack
-            .pop()
-            .ok_or_else(|| XmlError::Transform("unbalanced end event".into()))?;
-        if done.name != name {
+        if let Some(open) = self.stack.last().filter(|open| open.name != name) {
             return Err(XmlError::Transform(format!(
                 "end event {name} does not match open element {}",
-                done.name
+                open.name
             )));
         }
-        match self.stack.last_mut() {
-            Some(parent) => parent.children.push(XmlNode::Element(done)),
-            None => {
-                if self.root.is_some() {
-                    return Err(XmlError::Transform("multiple root elements".into()));
-                }
-                self.root = Some(done);
+        self.shape.close()?;
+        // the shape saw an open element: the stack holds it
+        if let Some(done) = self.stack.pop() {
+            match self.stack.last_mut() {
+                Some(parent) => parent.children.push(XmlNode::Element(done)),
+                None => self.root = Some(done),
             }
         }
         Ok(())
@@ -224,14 +301,9 @@ impl TreeBuilder {
 
     /// The finished document; the stream must have closed what it opened.
     pub(crate) fn finish(self) -> XmlResult<Document> {
-        if !self.stack.is_empty() {
-            return Err(XmlError::Transform(
-                "unclosed elements at end of stream".into(),
-            ));
-        }
-        self.root
-            .map(Document::new)
-            .ok_or_else(|| XmlError::Transform("empty event stream".into()))
+        self.shape.finish()?;
+        // one root opened and closed: it is the root
+        Ok(Document::new(self.root.unwrap_or_default()))
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::node::{Document, Element, XmlNode};
 use crate::value_types::{check_simple, SimpleType};
+use std::ops::ControlFlow;
 
 /// An attribute declaration.
 #[derive(Debug, Clone)]
@@ -185,42 +186,71 @@ impl XsdSchema {
 
     /// Validate a document, returning every issue found (empty = valid).
     pub fn validate(&self, doc: &Document) -> Vec<ValidationIssue> {
-        let mut issues = Vec::new();
-        if doc.root.name != self.root.name {
-            issues.push(ValidationIssue {
-                path: format!("/{}", doc.root.name),
-                message: format!("expected root element <{}>", self.root.name),
-            });
-            return issues;
-        }
-        validate_element(
-            &doc.root,
-            &self.root,
-            &format!("/{}", doc.root.name),
-            &mut issues,
-        );
-        issues
+        self.issues(doc, false)
+    }
+
+    /// The first issue [`XsdSchema::validate`] would report, found by the
+    /// same traversal, which stops there.
+    pub fn first_issue(&self, doc: &Document) -> Option<ValidationIssue> {
+        self.issues(doc, true).pop()
     }
 
     pub fn is_valid(&self, doc: &Document) -> bool {
-        self.validate(doc).is_empty()
+        self.first_issue(doc).is_none()
+    }
+
+    fn issues(&self, doc: &Document, first_only: bool) -> Vec<ValidationIssue> {
+        let mut issues = Issues {
+            found: Vec::new(),
+            first_only,
+        };
+        let path = format!("/{}", doc.root.name);
+        // the traversal stops early only when asked to
+        let _ = if doc.root.name != self.root.name {
+            issues.push(&path, format!("expected root element <{}>", self.root.name))
+        } else {
+            validate_element(&doc.root, &self.root, &path, &mut issues)
+        };
+        issues.found
     }
 }
 
-fn validate_element(e: &Element, decl: &XsdElement, path: &str, issues: &mut Vec<ValidationIssue>) {
+/// The issues a traversal has found; with `first_only`, the traversal
+/// breaks off at the first.
+struct Issues {
+    found: Vec<ValidationIssue>,
+    first_only: bool,
+}
+
+impl Issues {
+    fn push(&mut self, path: &str, message: String) -> ControlFlow<()> {
+        self.found.push(ValidationIssue {
+            path: path.to_string(),
+            message,
+        });
+        if self.first_only {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+fn validate_element(
+    e: &Element,
+    decl: &XsdElement,
+    path: &str,
+    issues: &mut Issues,
+) -> ControlFlow<()> {
     // attributes
     for a in &decl.attrs {
         match e.attribute(&a.name) {
-            None if a.required => issues.push(ValidationIssue {
-                path: path.to_string(),
-                message: format!("missing required attribute @{}", a.name),
-            }),
+            None if a.required => {
+                issues.push(path, format!("missing required attribute @{}", a.name))?
+            }
             Some(v) => {
                 if let Err(msg) = check_simple(&a.ty, v) {
-                    issues.push(ValidationIssue {
-                        path: path.to_string(),
-                        message: format!("attribute @{}: {msg}", a.name),
-                    });
+                    issues.push(path, format!("attribute @{}: {msg}", a.name))?;
                 }
             }
             None => {}
@@ -228,10 +258,7 @@ fn validate_element(e: &Element, decl: &XsdElement, path: &str, issues: &mut Vec
     }
     for (n, _) in &e.attrs {
         if !decl.attrs.iter().any(|a| &a.name == n) {
-            issues.push(ValidationIssue {
-                path: path.to_string(),
-                message: format!("unexpected attribute @{n}"),
-            });
+            issues.push(path, format!("unexpected attribute @{n}"))?;
         }
     }
     // content
@@ -239,41 +266,31 @@ fn validate_element(e: &Element, decl: &XsdElement, path: &str, issues: &mut Vec
         Content::Any => {}
         Content::Empty => {
             if !e.children.is_empty() {
-                issues.push(ValidationIssue {
-                    path: path.to_string(),
-                    message: "element must be empty".into(),
-                });
+                issues.push(path, "element must be empty".into())?;
             }
         }
         Content::Simple(ty) => {
             if e.elements().next().is_some() {
-                issues.push(ValidationIssue {
-                    path: path.to_string(),
-                    message: "simple-content element must not have child elements".into(),
-                });
+                let msg = "simple-content element must not have child elements";
+                issues.push(path, msg.into())?;
             }
             let text = e.text_content();
             if let Err(msg) = check_simple(ty, text.trim()) {
-                issues.push(ValidationIssue {
-                    path: path.to_string(),
-                    message: msg,
-                });
+                issues.push(path, msg)?;
             }
         }
         Content::Sequence(particles) => {
             for c in &e.children {
                 if let XmlNode::Text(t) = c {
                     if !t.trim().is_empty() {
-                        issues.push(ValidationIssue {
-                            path: path.to_string(),
-                            message: "unexpected text content in sequence".into(),
-                        });
+                        issues.push(path, "unexpected text content in sequence".into())?;
                     }
                 }
             }
-            validate_sequence(e, particles, path, issues);
+            validate_sequence(e, particles, path, issues)?;
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// Greedy in-order matching of child elements against the particle list.
@@ -281,8 +298,8 @@ fn validate_sequence(
     e: &Element,
     particles: &[Particle],
     path: &str,
-    issues: &mut Vec<ValidationIssue>,
-) {
+    issues: &mut Issues,
+) -> ControlFlow<()> {
     let children: Vec<&Element> = e.elements().collect();
     let mut ci = 0usize;
     for p in particles {
@@ -292,27 +309,20 @@ fn validate_sequence(
             && p.max.is_none_or(|m| count < m)
         {
             let child_path = format!("{path}/{}", children[ci].name);
-            validate_element(children[ci], &p.element, &child_path, issues);
+            validate_element(children[ci], &p.element, &child_path, issues)?;
             ci += 1;
             count += 1;
         }
         if count < p.min {
-            issues.push(ValidationIssue {
-                path: path.to_string(),
-                message: format!(
-                    "expected at least {} <{}> element(s), found {count}",
-                    p.min, p.element.name
-                ),
-            });
+            let (min, name) = (p.min, &p.element.name);
+            let msg = format!("expected at least {min} <{name}> element(s), found {count}");
+            issues.push(path, msg)?;
         }
     }
-    while ci < children.len() {
-        issues.push(ValidationIssue {
-            path: path.to_string(),
-            message: format!("unexpected element <{}>", children[ci].name),
-        });
-        ci += 1;
+    for child in &children[ci..] {
+        issues.push(path, format!("unexpected element <{}>", child.name))?;
     }
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
