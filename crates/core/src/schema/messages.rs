@@ -10,6 +10,14 @@
 //!   <lines><line><lineno/><prodkey/><quantity/><extendedprice/><discount/></line>…</lines>
 //! </cdbOrder>
 //! ```
+//!
+//! That message is decoded once, by one SAX handler
+//! ([`cdb_order_decoder`]) that builds the staging rows from the events as
+//! they arrive: the MTM engine runs the source's stylesheet straight into
+//! it where the load is the translation's only reader (P08, P10), and
+//! walks a bound message into it elsewhere (P04's enriched message);
+//! [`decode_order`] is that walk for the fed and ivm engines, which hold
+//! the translated tree.
 
 use crate::schema::vocab;
 use dip_mtm::process::{LoadSink, TableRows, XmlDecoder};
@@ -390,8 +398,8 @@ const LINE_FIELDS: [(&str, Lexical); 5] = [
 ];
 
 /// The value a required integer field holds, or the message's error.
-fn required(slot: &mut Option<Value>, name: &str) -> Result<Value, String> {
-    match slot.take() {
+fn required(slot: Option<Value>, name: &str) -> Result<Value, String> {
+    match slot {
         Some(v @ Value::Int(_)) => Ok(v),
         _ => Err(format!("missing or non-integer <{name}>")),
     }
@@ -461,25 +469,17 @@ impl OrderSink {
 
     /// A line closed: its row, or the message's error if it is the first
     /// line that fails.
-    fn finish_line(&mut self, mut line: [Option<Value>; 5]) {
+    fn finish_line(&mut self, line: [Option<Value>; 5]) {
         if self.line_error.is_some() {
             return;
         }
-        let lineno = required(&mut line[0], LINE_FIELDS[0].0);
-        let prodkey = lineno.and_then(|l| Ok((l, required(&mut line[1], LINE_FIELDS[1].0)?)));
-        match prodkey {
+        let [lineno, prodkey, rest @ ..] = line;
+        let keys = required(lineno, "lineno").and_then(|l| Ok((l, required(prodkey, "prodkey")?)));
+        match keys {
             Ok((lineno, prodkey)) => {
-                let [_, _, quantity, price, discount] = line.map(|v| v.unwrap_or(Value::Null));
-                let source = self.source.clone();
-                let row = vec![
-                    Value::Null,
-                    lineno,
-                    prodkey,
-                    quantity,
-                    price,
-                    discount,
-                    source,
-                ];
+                let mut row = vec![Value::Null, lineno, prodkey];
+                row.extend(rest.map(|v| v.unwrap_or(Value::Null)));
+                row.push(self.source.clone());
                 self.rows.push(row);
             }
             Err(e) => self.line_error = Some(e),
@@ -488,31 +488,30 @@ impl OrderSink {
 
     /// The rows once the stream has ended: `Err` if it was not one closed
     /// root, `Ok(Err)` with the message's first failure.
-    fn finish(mut self) -> XmlResult<Result<Vec<TableRows>, String>> {
+    fn finish(self) -> XmlResult<Result<Vec<TableRows>, String>> {
         self.shape.finish()?;
         Ok(self.rows())
     }
 
-    fn rows(&mut self) -> Result<Vec<TableRows>, String> {
-        if let Some(e) = self.wrong_root.take() {
+    /// The staging rows, or the first failure in the order the checks run:
+    /// the root, the order key, the customer key, the first failing line.
+    fn rows(self) -> Result<Vec<TableRows>, String> {
+        if let Some(e) = self.wrong_root {
             return Err(e);
         }
-        let orderkey = required(&mut self.order[0], ORDER_FIELDS[0].0)?;
-        let custkey = required(&mut self.order[1], ORDER_FIELDS[1].0)?;
-        if let Some(e) = self.line_error.take() {
+        let [orderkey, custkey, rest @ ..] = self.order;
+        let orderkey = required(orderkey, "orderkey")?;
+        let custkey = required(custkey, "custkey")?;
+        if let Some(e) = self.line_error {
             return Err(e);
         }
-        let mut lines = std::mem::take(&mut self.rows);
+        let mut lines = self.rows;
         for line in &mut lines {
             line[0] = orderkey.clone();
         }
         let mut order = vec![orderkey, custkey];
-        order.extend(
-            self.order[2..]
-                .iter_mut()
-                .map(|v| v.take().unwrap_or(Value::Null)),
-        );
-        order.push(self.source.clone());
+        order.extend(rest.map(|v| v.unwrap_or(Value::Null)));
+        order.push(self.source);
         let rows = [vec![order], lines];
         Ok((ORDER_STAGING_TABLES.into_iter().zip(rows))
             .map(|(table, rows)| TableRows {

@@ -631,10 +631,10 @@ impl EventSource for XmlSource<'_> {
 /// variable, and the step names it once (`UNION DISTINCT [a, a]` reads `a`
 /// twice and takes nothing). Such a step may take the variable out of the
 /// store ([`Interpreter::take_last`]; a `DbInsert` and a `Custom` take it
-/// whether or not it is shared, [`Interpreter::owned`]). Per step list, what is read after it ends is what its
-/// enclosing list reads after the enclosing step — for SWITCH / VALIDATE
-/// alternatives and FORK branches alike — and `output` for a subprocess
-/// body.
+/// whether or not it is shared, [`Interpreter::owned`]). Per step list,
+/// what is read after it ends is what its enclosing list reads after the
+/// enclosing step — for SWITCH / VALIDATE alternatives and FORK branches
+/// alike — and `output` for a subprocess body.
 ///
 /// **Fused steps**: a step whose output the step right after it in the
 /// same list reads last, once, where the pair is one that runs as one
@@ -696,10 +696,10 @@ fn address(step: &Step) -> usize {
 
 /// The variable `step` would hand to `next` if the two are a pair that runs
 /// as one: a `WS_QUERY` and the `TRANSLATE` after it, a `TRANSLATE` and the
-/// `XML_TO_REL` or `DB_LOAD_XML` after it, or a relational step and a `SELECTION`,
-/// `PROJECTION` or `UNION DISTINCT` after it, which take a plan where they
-/// would take a `Values` leaf. A `JOIN` after it
-/// takes none: the join builds its hash table on the side whose estimated
+/// `XML_TO_REL` or `DB_LOAD_XML` after it, or a relational step and a
+/// `SELECTION`, `PROJECTION` or `UNION DISTINCT` after it, which take a
+/// plan where they would take a `Values` leaf. A `JOIN` after it takes
+/// none: the join builds its hash table on the side whose estimated
 /// size is smaller, and the plan's estimate is not its rows', so the output
 /// order could change.
 fn handed_on<'a>(step: &'a Step, next: &Step) -> Option<&'a str> {

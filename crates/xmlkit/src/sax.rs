@@ -17,8 +17,11 @@
 //!   vector behind
 //!   [`Stylesheet::transform_events`](crate::stx::Stylesheet::transform_events),
 //!   or one outside this crate — `dip_services::resultset::RowSink` builds
-//!   a result set's rows from the events, so a translated result set that
-//!   is only decoded is never built as a tree. Every handler is a sink;
+//!   a result set's rows from the events, and the order decoder
+//!   (`dipbench::schema::messages::cdb_order_decoder`) an order message's
+//!   staging rows, so a translated message that is only decoded is never
+//!   built as a tree. Every handler is a sink, and so is a borrowed one
+//!   (`&mut H`), so a driver can run into a handler behind a `dyn` type;
 //! * **materialized**, as a `Vec<SaxEvent>`: [`events`] linearizes a tree
 //!   and [`build`] folds a vector back into one. This is the pipeline of a
 //!   CLOB-bound XML function stack, and the one caller that runs it in
@@ -33,6 +36,13 @@
 //! rule filter first — itself the sink a source emits into. The tree
 //! builder is the fold [`build`] runs too, so every form agrees on every
 //! tree and on every error.
+//!
+//! A handler that folds the stream into one document's worth of output
+//! checks the stream's shape with [`OneRoot`] — one root, opened and
+//! closed, no text outside it — the one place those checks and their
+//! texts live: the tree builder, `RowSink` and the order decoder all report
+//! their events to it, so a stylesheet that gets the stream wrong fails
+//! alike whichever of them it runs into.
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Document, Element, XmlNode};

@@ -18,10 +18,11 @@
 //! `TRANSLATE` operator, over a bound document or over the result set a
 //! `WS_QUERY` handed on (`dip_services::resultset::ResultSet`, which
 //! renders its values as the filter reads them). The engine runs a
-//! `TRANSLATE` whose output only the next `XML_TO_REL` reads straight into
-//! that step's row-building handler (`dip_services::resultset::RowSink`),
-//! so no output tree is built, and behind a fused `WS_QUERY` no input tree
-//! either. [`Stylesheet::transform_events`] runs the filter from one
+//! `TRANSLATE` whose output only the next `XML_TO_REL` or `DB_LOAD_XML`
+//! reads straight into that step's row-building handler
+//! (`dip_services::resultset::RowSink`, or the load's decoder — for an
+//! order message the order decoder), so no output tree is built, and
+//! behind a fused `WS_QUERY` no input tree either. [`Stylesheet::transform_events`] runs the filter from one
 //! `Vec<SaxEvent>` into another; `dip_feddbms::xmlfn::transform` wraps
 //! that in `sax::events` / `sax::build` and two CLOB round trips, because a
 //! CLOB-bound SQL/XML function stack materializes every stage (the paper's
