@@ -477,9 +477,17 @@ impl OrderSink {
         let keys = required(lineno, "lineno").and_then(|l| Ok((l, required(prodkey, "prodkey")?)));
         match keys {
             Ok((lineno, prodkey)) => {
-                let mut row = vec![Value::Null, lineno, prodkey];
-                row.extend(rest.map(|v| v.unwrap_or(Value::Null)));
-                row.push(self.source.clone());
+                let [quantity, price, discount] = rest.map(|v| v.unwrap_or(Value::Null));
+                let source = self.source.clone();
+                let row = vec![
+                    Value::Null,
+                    lineno,
+                    prodkey,
+                    quantity,
+                    price,
+                    discount,
+                    source,
+                ];
                 self.rows.push(row);
             }
             Err(e) => self.line_error = Some(e),
@@ -509,9 +517,8 @@ impl OrderSink {
         for line in &mut lines {
             line[0] = orderkey.clone();
         }
-        let mut order = vec![orderkey, custkey];
-        order.extend(rest.map(|v| v.unwrap_or(Value::Null)));
-        order.push(self.source);
+        let [date, price, priority, state] = rest.map(|v| v.unwrap_or(Value::Null));
+        let order = vec![orderkey, custkey, date, price, priority, state, self.source];
         let rows = [vec![order], lines];
         Ok((ORDER_STAGING_TABLES.into_iter().zip(rows))
             .map(|(table, rows)| TableRows {
