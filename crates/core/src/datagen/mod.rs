@@ -248,16 +248,6 @@ impl Generator {
     // Source-system initialization
     // -----------------------------------------------------------------
 
-    /// Initialize every source system for period `k` (the per-period
-    /// "initialize source systems" box of the execution schedule).
-    ///
-    /// Equivalent to `self.source_snapshot(k).replay(world)`; callers that
-    /// initialize the same period repeatedly should cache the snapshot
-    /// (see `BenchEnvironment::initialize_sources`).
-    pub fn init_all_sources(&self, world: &ExternalWorld, k: u32) -> StoreResult<()> {
-        self.source_snapshot(k).replay(world)
-    }
-
     /// Generate the complete source-system state for period `k` without
     /// touching any database: every `(database, table)` batch the
     /// initializer would insert, in insertion order. The snapshot is
@@ -695,11 +685,6 @@ impl SourceSnapshot {
     /// Total generated rows across all batches.
     pub fn row_count(&self) -> usize {
         self.tables.iter().map(|(_, _, rows)| rows.len()).sum()
-    }
-
-    /// Number of `(database, table)` batches.
-    pub fn batch_count(&self) -> usize {
-        self.tables.len()
     }
 
     /// Insert every batch into its source table. The sources are expected

@@ -3,10 +3,10 @@
 //! data marts.
 //!
 //! Dimensions: Location (normalized: City → Nation → Region), Product
-//! (normalized: Product → ProductGroup → ProductLine), Customer, and Time
-//! (built-in `Year()`/`Month()`/`Day()` functions over `orderdate`, see
-//! [`dip_relstore::expr::ScalarFunc`]). Facts: Orders and Orderline. The
-//! DWH adds the materialized view `OrdersMV`.
+//! (normalized: Product → ProductGroup → ProductLine), Customer, and Time,
+//! which is `orderdate` itself: no process derives a year, month or day
+//! from it. Facts: Orders and Orderline. The DWH adds the materialized
+//! view `OrdersMV`.
 
 use dip_relstore::prelude::*;
 

@@ -656,6 +656,7 @@ pub fn europe_customer_row(doc: &Document, loc: Option<&str>) -> Result<Row, Str
 mod tests {
     use super::*;
     use dip_services::apps::{self, CustomerData, OrderData, OrderLineData};
+    use dip_xmlkit::{parse, write_compact};
 
     fn order() -> OrderData {
         OrderData {
@@ -764,6 +765,23 @@ mod tests {
             }
         }
         assert!(bad > 20, "{bad} messages with more than one issue");
+    }
+
+    /// `f64::from_str` reads these totals, xs:decimal does not: each is
+    /// the message's first issue, so P10 files it as failed.
+    #[test]
+    fn a_total_that_is_not_a_decimal_is_the_first_issue() {
+        let xsd = san_diego_xsd();
+        let mut o = order();
+        o.priority = "2".into();
+        o.state = "O".into();
+        let clean = write_compact(&apps::san_diego_order(&o, None));
+        assert!(clean.contains("<total>123.45</total>"), "{clean}");
+        for total in ["NaN", "inf", "1e3"] {
+            let doc = parse(&clean.replace("123.45", total)).unwrap();
+            let issue = xsd.first_issue(&doc).expect(total);
+            assert_eq!(issue.path, "/sdMessage/sdOrder/total", "{total}: {issue}");
+        }
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl MtmEngine {
         self.deployed(id).map(|d| d.def.clone())
     }
 
-    pub fn deployed_ids(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.processes.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     pub fn recorder(&self) -> Arc<CostRecorder> {
         self.recorder.clone()
     }

@@ -254,9 +254,14 @@ impl Picks<'_> {
         match self.next(3) {
             0 => Expr::col(0).gt(Expr::lit(k)),
             1 => Expr::col(1).eq(Expr::lit(k % 3)),
-            _ => Expr::col(2)
-                .eq(Expr::lit("x"))
-                .or(Expr::col(0).le(Expr::lit(k))),
+            // computed: s = 'x' OR k <= bound
+            _ => Expr::Apply(
+                Arc::new(move |a: &[Value]| {
+                    let bound = a[1].to_int().is_some_and(|i| i <= k);
+                    Ok(Value::Bool(a[0] == Value::str("x") || bound))
+                }),
+                vec![Expr::col(2), Expr::col(0)],
+            ),
         }
     }
 
@@ -267,7 +272,14 @@ impl Picks<'_> {
         let (k, val) = match self.next(3) {
             0 => (Expr::col(0), Expr::col(ints)),
             1 => (Expr::col(ints), Expr::col(0)),
-            _ => (Expr::col(0).add(Expr::lit(1)), Expr::lit(7)),
+            _ => {
+                let plus_one =
+                    |a: &[Value]| Ok(a[0].to_int().map_or(Value::Null, |k| Value::Int(k + 1)));
+                (
+                    Expr::Apply(Arc::new(plus_one), vec![Expr::col(0)]),
+                    Expr::lit(7),
+                )
+            }
         };
         vec![
             int(k, "k"),

@@ -82,15 +82,6 @@ impl MtmMessage {
             MtmMessage::Scalar(_) => "scalar",
         }
     }
-
-    /// Approximate payload size, used for communication-cost modeling.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            MtmMessage::Xml(d) => d.root.subtree_size() * 24,
-            MtmMessage::Rel(r) => r.rows.len() * r.schema.len() * 8 + 64,
-            MtmMessage::Scalar(_) => 16,
-        }
-    }
 }
 
 impl From<Document> for MtmMessage {
@@ -155,16 +146,5 @@ mod tests {
         let e = m.as_scalar().unwrap_err();
         assert_eq!(e.expected, "scalar");
         assert_eq!(e.got, "XML");
-    }
-
-    #[test]
-    fn sizes_scale() {
-        let small = MtmMessage::Scalar(Value::Int(1));
-        let schema = RelSchema::of(&[("a", SqlType::Int)]).shared();
-        let big = MtmMessage::from(Relation::new(
-            schema,
-            (0..100).map(|i| vec![Value::Int(i)]).collect(),
-        ));
-        assert!(big.approx_bytes() > small.approx_bytes());
     }
 }

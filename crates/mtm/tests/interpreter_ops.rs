@@ -244,7 +244,7 @@ fn translate_and_ws_steps() {
     let sheet = Arc::new(Stylesheet::new(
         "t",
         vec![Rule::for_name("resultSet")
-            .set_attr("touched", "yes")
+            .rename_attr("source", "origin")
             .build()],
     ));
     let e = engine();
@@ -386,7 +386,7 @@ fn join_step_enriches() {
             exprs: vec![
                 ProjExpr::new(Expr::col(0), "k", SqlType::Int),
                 ProjExpr::new(
-                    Expr::Concat(vec![Expr::col(1), Expr::lit("+"), Expr::col(3)]),
+                    joined(vec![Expr::col(1), Expr::lit("+"), Expr::col(3)]),
                     "v",
                     SqlType::Str,
                 ),
@@ -742,32 +742,52 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
-const CMP_OPS: [CmpOp; 6] = [
-    CmpOp::Eq,
-    CmpOp::Ne,
-    CmpOp::Lt,
-    CmpOp::Le,
-    CmpOp::Gt,
-    CmpOp::Ge,
-];
+const CMP_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 
 fn cmp(op: CmpOp, a: Expr, b: Expr) -> Expr {
     Expr::Cmp(op, Box::new(a), Box::new(b))
 }
 
+/// A computed expression: `f` over the values of `args`.
+fn apply(
+    args: Vec<Expr>,
+    f: impl Fn(&[Value]) -> StoreResult<Value> + Send + Sync + 'static,
+) -> Expr {
+    Expr::Apply(Arc::new(f), args)
+}
+
+/// `col + 1`, an int staying an int; NULL stays NULL.
+fn plus_one(col: usize) -> Expr {
+    apply(vec![Expr::col(col)], |a| {
+        Ok(match &a[0] {
+            Value::Int(k) => Value::Int(k + 1),
+            v => v.to_float().map_or(Value::Null, |x| Value::Float(x + 1.0)),
+        })
+    })
+}
+
+/// The rendered values of `args` run together, a NULL rendering empty.
+fn joined(args: Vec<Expr>) -> Expr {
+    apply(args, |a| {
+        let parts = a.iter().filter(|v| !v.is_null()).map(Value::render);
+        Ok(Value::str(parts.collect::<String>()))
+    })
+}
+
 /// A predicate over `nis_schema` rows: column/literal, column/column and
-/// computed comparison operands, alone and under AND / OR / IS NULL.
+/// computed comparison operands, alone and under AND with another
+/// comparison that is NULL wherever its column is.
 fn predicate(shape: usize, op: CmpOp, k: i64) -> Expr {
     let col_lit = cmp(op, Expr::col(1), Expr::lit(k));
     let col_col = cmp(op, Expr::col(0), Expr::col(1));
-    let computed = cmp(op, Expr::col(1).add(Expr::lit(1)), Expr::col(0));
+    let computed = cmp(op, plus_one(1), Expr::col(0));
     match shape {
         0 => col_lit,
         1 => col_col,
         2 => computed,
         3 => col_lit.and(Expr::col(2).eq(Expr::lit("a"))),
-        4 => col_col.or(Expr::col(2).is_null()),
-        _ => cmp(op, Expr::lit(k), Expr::col(0)).not(),
+        4 => col_col.and(Expr::col(2).ge(Expr::lit("a"))),
+        _ => cmp(op, Expr::lit(k), Expr::col(0)),
     }
 }
 
@@ -778,7 +798,7 @@ proptest! {
     fn selection_matches_plan_filter(
         rel in arb_relation(),
         shape in 0usize..6,
-        op in 0usize..6,
+        op in 0..CMP_OPS.len(),
         k in 0i64..4,
     ) {
         let pred = predicate(shape, CMP_OPS[op], k);
@@ -791,12 +811,12 @@ proptest! {
     }
 
     #[test]
-    fn projection_matches_plan_project(rel in arb_relation(), op in 0usize..6) {
+    fn projection_matches_plan_project(rel in arb_relation(), op in 0..CMP_OPS.len()) {
         let exprs = vec![
             ProjExpr::new(Expr::col(2), "s", SqlType::Str),
-            ProjExpr::new(Expr::col(0).add(Expr::lit(1)), "n1", SqlType::Float),
+            ProjExpr::new(plus_one(0), "n1", SqlType::Float),
             ProjExpr::new(
-                Expr::Concat(vec![Expr::col(2), Expr::lit("-"), Expr::col(1)]),
+                joined(vec![Expr::col(2), Expr::lit("-"), Expr::col(1)]),
                 "tag",
                 SqlType::Str,
             ),
@@ -868,7 +888,7 @@ proptest! {
         generated in arb_relation(),
         picks in prop::collection::vec(0usize..3, 1..4),
         shape in 0usize..6,
-        op in 0usize..6,
+        op in 0..CMP_OPS.len(),
         k in 0i64..4,
         key in prop_oneof![Just(None), Just(Some(vec![0])), Just(Some(vec![1, 0]))],
         taken in any::<bool>(),
@@ -905,7 +925,7 @@ proptest! {
         let exprs = vec![
             ProjExpr::new(Expr::col(2), "s", SqlType::Str),
             ProjExpr::new(Expr::col(0), "n", SqlType::Float),
-            ProjExpr::new(Expr::col(0).add(Expr::lit(1)), "n1", SqlType::Float),
+            ProjExpr::new(plus_one(0), "n1", SqlType::Float),
             ProjExpr::new(cmp(CMP_OPS[op], Expr::col(0), Expr::col(1)), "c", SqlType::Bool),
             ProjExpr::new(Expr::col(0), "n_again", SqlType::Float),
         ];
@@ -1398,7 +1418,7 @@ fn reader(kind: Reader, var: &str, out: &str, seen: &Addresses) -> Step {
             input,
             exprs: vec![
                 ProjExpr::new(
-                    Expr::Concat(vec![Expr::col(1), Expr::lit("/"), Expr::col(0)]),
+                    joined(vec![Expr::col(1), Expr::lit("/"), Expr::col(0)]),
                     "tag",
                     SqlType::Str,
                 ),
@@ -1601,11 +1621,17 @@ fn projection_moving_its_input_answers_as_the_oracle() {
     let rel = repeated();
     let exprs = vec![
         ProjExpr::new(Expr::col(0), "k", SqlType::Int),
-        ProjExpr::new(Expr::col(0).mul(Expr::lit(10)), "k10", SqlType::Int),
+        ProjExpr::new(
+            apply(vec![Expr::col(0)], |a| {
+                Ok(Value::Int(a[0].to_int().unwrap() * 10))
+            }),
+            "k10",
+            SqlType::Int,
+        ),
         ProjExpr::new(Expr::col(1), "v", SqlType::Str),
         ProjExpr::new(Expr::col(0), "again", SqlType::Int),
         ProjExpr::new(
-            Expr::Concat(vec![Expr::col(1), Expr::lit("+")]),
+            joined(vec![Expr::col(1), Expr::lit("+")]),
             "v+",
             SqlType::Str,
         ),
@@ -1636,7 +1662,15 @@ fn projection_failing_part_way_is_a_typed_error() {
     };
     let divide = vec![
         ProjExpr::new(Expr::col(1), "v", SqlType::Str),
-        ProjExpr::new(Expr::lit(10).div(Expr::col(0)), "q", SqlType::Int),
+        ProjExpr::new(
+            // 10 / k
+            apply(vec![Expr::col(0)], |a| match a[0].to_int() {
+                Some(0) => Err(StoreError::Eval("division by zero".into())),
+                k => Ok(k.map_or(Value::Null, |k| Value::Int(10 / k))),
+            }),
+            "q",
+            SqlType::Int,
+        ),
     ];
     let beyond = vec![
         ProjExpr::new(Expr::col(1), "v", SqlType::Str),
@@ -1788,7 +1822,6 @@ fn cmp_is_the_same_over_borrowed_and_computed_operands() {
         let ord = a.total_cmp(b);
         Value::Bool(match op {
             CmpOp::Eq => ord == Equal,
-            CmpOp::Ne => ord != Equal,
             CmpOp::Lt => ord == Less,
             CmpOp::Le => ord != Greater,
             CmpOp::Gt => ord == Greater,
@@ -1800,7 +1833,7 @@ fn cmp_is_the_same_over_borrowed_and_computed_operands() {
         [
             Expr::col(col),
             Expr::Lit(v.clone()),
-            Expr::Coalesce(vec![Expr::col(col)]),
+            apply(vec![Expr::col(col)], |a| Ok(a[0].clone())),
         ]
     };
     for a in &values {

@@ -182,12 +182,6 @@ impl Database {
             t.truncate();
         }
     }
-
-    /// Total number of live rows over all tables — a cheap size probe used
-    /// by verification and reports.
-    pub fn total_rows(&self) -> usize {
-        self.tables.read().values().map(|t| t.row_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -267,13 +261,14 @@ mod tests {
     }
 
     #[test]
-    fn truncate_all_and_total_rows() {
+    fn truncate_all_empties_every_table() {
         let db = db();
         db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
             .unwrap();
-        assert_eq!(db.total_rows(), 1);
+        let rows = |db: &Database| db.table("src").unwrap().row_count();
+        assert_eq!(rows(&db), 1);
         db.truncate_all();
-        assert_eq!(db.total_rows(), 0);
+        assert_eq!(rows(&db), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::catalog::{Database, ProcFn, TriggerFn};
     pub use crate::error::{StoreError, StoreResult, TransportFault, TransportKind};
-    pub use crate::expr::{CmpOp, Expr, ScalarFunc};
+    pub use crate::expr::{CmpOp, Expr};
     pub use crate::mview::MatView;
     pub use crate::query::{execute, execute_oracle, AggExpr, AggOp, Plan, ProjExpr};
     pub use crate::row::{Relation, Row};

@@ -1080,11 +1080,20 @@ mod tests {
         };
         let values = Plan::Values(Relation::new(schema, (0..2500).map(row).collect()).into());
         let high = values.clone().filter(Expr::col(0).gt(Expr::lit(20)));
+        let plus_one = Expr::Apply(
+            std::sync::Arc::new(|a: &[Value]| {
+                Ok(match &a[0] {
+                    Value::Int(k) => Value::Int(k + 1),
+                    v => v.to_float().map_or(Value::Null, |k| Value::Float(k + 1.0)),
+                })
+            }),
+            vec![Expr::col(0)],
+        );
         let plans = [
             high.clone(),
             values.clone().project(vec![
                 ProjExpr::new(Expr::col(1), "s", SqlType::Str),
-                ProjExpr::new(Expr::col(0).add(Expr::lit(1)), "k1", SqlType::Float),
+                ProjExpr::new(plus_one, "k1", SqlType::Float),
                 ProjExpr::new(Expr::col(0), "k", SqlType::Float),
             ]),
             Plan::UnionDistinct {

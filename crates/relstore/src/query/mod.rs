@@ -19,6 +19,20 @@ mod tests {
     use crate::schema::RelSchema;
     use crate::table::Table;
     use crate::value::{SqlType, Value};
+    use std::sync::Arc;
+
+    /// A computed expression: `f` over the values of `args`.
+    fn apply(args: Vec<Expr>, f: impl Fn(&[Value]) -> Value + Send + Sync + 'static) -> Expr {
+        Expr::Apply(Arc::new(move |a: &[Value]| Ok(f(a))), args)
+    }
+
+    /// `NOT (col = s)`, NULL on a NULL column.
+    fn differs(col: usize, s: &'static str) -> Expr {
+        apply(vec![Expr::col(col)], move |a| match &a[0] {
+            Value::Null => Value::Null,
+            v => Value::Bool(v != &Value::str(s)),
+        })
+    }
 
     fn db() -> Database {
         let db = Database::new("q");
@@ -196,9 +210,11 @@ mod tests {
         let plan = Plan::scan("customer")
             .hash_join(Plan::scan("city"), vec![2], vec![0])
             .filter(
-                Expr::col(1)
-                    .like("%a%")
-                    .and(Expr::col(4).eq(Expr::lit("Berlin"))),
+                apply(vec![Expr::col(1)], |a| match &a[0] {
+                    Value::Str(s) => Value::Bool(s.contains('a')),
+                    _ => Value::Null,
+                })
+                .and(Expr::col(4).eq(Expr::lit("Berlin"))),
             )
             .project(vec![ProjExpr::passthrough(&schema, "name", None).unwrap()]);
         run_vs_oracle(&plan, &db);
@@ -357,7 +373,9 @@ mod tests {
         let schema = RelSchema::of(&[("x", SqlType::Int)]).shared();
         let rel = Relation::new(schema, vec![vec![Value::Int(5)]]);
         let plan = Plan::Values(rel.into()).project(vec![ProjExpr::new(
-            Expr::col(0).mul(Expr::lit(2)),
+            apply(vec![Expr::col(0)], |a| {
+                Value::Int(a[0].to_int().unwrap() * 2)
+            }),
             "y",
             SqlType::Int,
         )]);
@@ -378,10 +396,21 @@ mod tests {
         let schema = db.table("customer").unwrap().schema.clone();
         let plan = Plan::scan("customer")
             .hash_join(Plan::scan("city"), vec![2], vec![0])
-            .filter(Expr::col(0).add(Expr::col(3)).lt(Expr::lit(20)))
+            .filter(
+                apply(vec![Expr::col(0), Expr::col(3)], |a| {
+                    Value::Int(a[0].to_int().unwrap() + a[1].to_int().unwrap())
+                })
+                .lt(Expr::lit(20)),
+            )
             .project(vec![
                 ProjExpr::passthrough(&schema, "name", None).unwrap(),
-                ProjExpr::new(Expr::col(0).mul(Expr::lit(10)), "k10", SqlType::Int),
+                ProjExpr::new(
+                    apply(vec![Expr::col(0)], |a| {
+                        Value::Int(a[0].to_int().unwrap() * 10)
+                    }),
+                    "k10",
+                    SqlType::Int,
+                ),
             ]);
         // the shape under test: the filter survives above the join
         let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
@@ -537,11 +566,14 @@ mod tests {
 
         // a residual filter over both join sides narrows the gathered
         // chunks to a selection vector; the aggregates read through it
-        let kept = joined.filter(
-            (Expr::col(1).is_null())
-                .and(Expr::col(4).eq(Expr::lit("uno")))
-                .not(),
-        );
+        // NOT (col(1) IS NULL AND col(4) = 'uno')
+        let kept = joined.filter(apply(vec![Expr::col(1), Expr::col(4)], |a| {
+            match (a[0].is_null(), &a[1]) {
+                (false, _) => Value::Bool(true),
+                (true, Value::Null) => Value::Null,
+                (true, v) => Value::Bool(v != &Value::str("uno")),
+            }
+        }));
         let opt = crate::query::planner::optimize(kept.clone(), &db).unwrap();
         assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
         let aggs = vec![
@@ -796,8 +828,11 @@ mod tests {
         let t = Table::new("t", schema).with_primary_key(&["k"]).unwrap();
         let row = |k: i64| vec![int(k), int(k % 1500), Value::str(format!("s{}", k % 3))];
         t.insert((0..2500).map(row).collect()).unwrap();
-        let sevens = (0..2500).step_by(7).map(int).collect();
-        assert_eq!(t.delete_where(&Expr::col(0).in_list(sevens)).unwrap(), 358);
+        // k IN (0, 7, 14, …)
+        let sevens = apply(vec![Expr::col(0)], |a| {
+            Value::Bool(a[0].to_int().is_some_and(|k| k % 7 == 0))
+        });
+        assert_eq!(t.delete_where(&sevens).unwrap(), 358);
         db.create_table(t);
 
         let scan = || Plan::scan("t");
@@ -827,7 +862,7 @@ mod tests {
                 ),
                 1628,
             ),
-            (scan().filter(Expr::col(2).eq(Expr::lit("s1")).not()), 1428),
+            (scan().filter(differs(2, "s1")), 1428),
             (scan().hash_join(scan(), vec![1], vec![0]), 1999),
             (
                 scan().aggregate(
@@ -922,12 +957,10 @@ mod tests {
         );
         assert_eq!(run_vs_oracle(&d1_f, &db).len(), 3000 - unmatched);
 
-        let inner = Plan::scan("d1")
-            .filter(Expr::col(1).eq(Expr::lit("n3")).not())
-            .project(vec![
-                ProjExpr::passthrough(&d1, "x", None).unwrap(),
-                ProjExpr::passthrough(&d1, "id", None).unwrap(),
-            ]);
+        let inner = Plan::scan("d1").filter(differs(1, "n3")).project(vec![
+            ProjExpr::passthrough(&d1, "x", None).unwrap(),
+            ProjExpr::passthrough(&d1, "id", None).unwrap(),
+        ]);
         let pushed = Plan::scan("f").hash_join(inner, vec![1], vec![1]);
         let opt = planner::optimize(pushed.clone(), &db).unwrap();
         assert!(

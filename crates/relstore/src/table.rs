@@ -996,6 +996,14 @@ mod tests {
     use crate::schema::{Column, RelSchema};
     use crate::value::SqlType;
 
+    /// `col(0) + by` over int keys.
+    fn key_plus(by: i64) -> Expr {
+        Expr::Apply(
+            Arc::new(move |a: &[Value]| Ok(Value::Int(a[0].to_int().unwrap() + by))),
+            vec![Expr::col(0)],
+        )
+    }
+
     fn customers() -> Table {
         let schema = RelSchema::new(vec![
             Column::not_null("custkey", SqlType::Int),
@@ -1190,7 +1198,7 @@ mod tests {
 
         // keys may move onto keys the same statement vacates: 1,2,3 -> 2,3,4
         let n = t
-            .update_where(&Expr::lit(true), &[(0, Expr::col(0).add(Expr::lit(1)))])
+            .update_where(&Expr::lit(true), &[(0, key_plus(1))])
             .unwrap();
         assert_eq!(n, 3);
         assert!(t.get_by_pk(&[Value::Int(1)]).is_none());
@@ -1201,7 +1209,7 @@ mod tests {
         // and the move rolls back byte-identically
         let before = t.state_dump();
         let tx = crate::tx::begin();
-        t.update_where(&Expr::lit(true), &[(0, Expr::col(0).add(Expr::lit(10)))])
+        t.update_where(&Expr::lit(true), &[(0, key_plus(10))])
             .unwrap();
         assert!(t.get_by_pk(&[Value::Int(12)]).is_some());
         drop(tx);
@@ -1370,7 +1378,7 @@ mod tests {
                         t.update_where(&Expr::col(0).lt(Expr::lit(key)), &[(2, Expr::lit(city))])
                     }
                     // moves primary keys; refused when they would collide
-                    16..=17 => t.update_where(&by_city, &[(0, Expr::col(0).add(Expr::lit(key)))]),
+                    16..=17 => t.update_where(&by_city, &[(0, key_plus(key))]),
                     18 => t.delete_where(&Expr::lit(true)),
                     _ => {
                         t.truncate();

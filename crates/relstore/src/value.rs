@@ -177,15 +177,6 @@ impl Value {
         }
     }
 
-    /// SQL-style three-valued equality: `Null` compared to anything is not
-    /// equal (returns `None`).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other) == Ordering::Equal)
-    }
-
     /// Total comparison used for sorting and index keys.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
@@ -474,11 +465,6 @@ pub fn civil_from_days(z: i32) -> (i32, u32, u32) {
     ((if m <= 2 { y + 1 } else { y }) as i32, m, d)
 }
 
-/// Calendar field extraction used by the DWH time dimension functions.
-pub fn date_parts(days: i32) -> (i32, u32, u32) {
-    civil_from_days(days)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,13 +488,6 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
         assert!(Value::Int(2) < Value::Float(2.5));
-    }
-
-    #[test]
-    fn sql_eq_is_three_valued() {
-        assert_eq!(Value::Null.sql_eq(&Value::Int(1)), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Some(false));
     }
 
     #[test]

@@ -2,6 +2,47 @@
 
 use dip_relstore::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// A computed expression: `f` over the values of `args`.
+fn apply(
+    args: Vec<Expr>,
+    f: impl Fn(&[Value]) -> StoreResult<Value> + Send + Sync + 'static,
+) -> Expr {
+    Expr::Apply(Arc::new(f), args)
+}
+
+/// `col * by`: NULL stays NULL, a non-number is an evaluation error.
+fn times(col: usize, by: f64) -> Expr {
+    apply(vec![Expr::col(col)], move |a| match &a[0] {
+        Value::Null => Ok(Value::Null),
+        v => (v.to_float().map(|x| Value::Float(x * by)))
+            .ok_or_else(|| StoreError::Eval(format!("non-numeric: {v}"))),
+    })
+}
+
+/// `col IS NULL`, or its negation.
+fn null_test(col: usize, null: bool) -> Expr {
+    apply(vec![Expr::col(col)], move |a| {
+        Ok(Value::Bool(a[0].is_null() == null))
+    })
+}
+
+/// `COALESCE(args[0], args[1])`.
+fn coalesce(args: Vec<Expr>) -> Expr {
+    apply(args, |a| {
+        Ok(if a[0].is_null() { &a[1] } else { &a[0] }.clone())
+    })
+}
+
+/// An int key column's membership in `keys`.
+fn key_in(keys: Vec<i64>) -> Expr {
+    apply(vec![Expr::col(0)], move |a| {
+        Ok(Value::Bool(
+            a[0].to_int().is_some_and(|k| keys.contains(&k)),
+        ))
+    })
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -45,22 +86,6 @@ proptest! {
     fn date_roundtrip(days in -719_528i32..=i32::MAX) {
         let rendered = render_date(days);
         prop_assert_eq!(parse_date(&rendered), Some(days));
-    }
-
-    /// LIKE with a pattern equal to the string (no wildcards) matches
-    /// exactly; '%' alone matches everything; prefix% matches prefixes.
-    #[test]
-    fn like_basics(s in "[a-z0-9]{0,12}", p in "[a-z0-9]{0,12}") {
-        use dip_relstore::expr::like_match;
-        prop_assert!(like_match(&s, "%"));
-        prop_assert_eq!(like_match(&s, &s), true);
-        if !p.is_empty() && s.starts_with(&p) {
-            let prefix_pattern = format!("{p}%");
-            prop_assert!(like_match(&s, &prefix_pattern));
-        }
-        // `%p%` matches exactly when the literal occurs as a substring
-        let wrapped = format!("%{p}%");
-        prop_assert_eq!(like_match(&s, &wrapped), s.contains(&p));
     }
 }
 
@@ -154,7 +179,7 @@ proptest! {
             .filter(Expr::col(2).gt(Expr::lit(threshold)).and(Expr::col(4).le(Expr::lit(5))))
             .project(vec![
                 ProjExpr::new(Expr::col(0), "k", SqlType::Int),
-                ProjExpr::new(Expr::col(5).mul(Expr::lit(2.0)), "v2", SqlType::Float),
+                ProjExpr::new(times(5, 2.0), "v2", SqlType::Float),
             ]);
         let mut a = execute(&plan, &db).unwrap();
         let mut b = execute_oracle(&plan, &db).unwrap();
@@ -678,7 +703,10 @@ proptest! {
                     let clash = new.iter().enumerate().any(|(i, r)| {
                         staying.iter().any(|s| s[0] == r[0]) || new[..i].iter().any(|e| e[0] == r[0])
                     });
-                    let key = Expr::col(0).mul(Expr::lit(*mul)).add(Expr::lit(*add));
+                    let (mul, add) = (*mul, *add);
+                    let key = apply(vec![Expr::col(0)], move |a| {
+                        Ok(Value::Int(a[0].to_int().unwrap() * mul + add))
+                    });
                     let result = t.update_where(&by_flag(*flag), &[(0, key)]);
                     if clash {
                         prop_assert!(matches!(result, Err(StoreError::DuplicateKey { .. })), "{result:?}");
@@ -829,7 +857,7 @@ proptest! {
                     ProjExpr::new(Expr::col(0), "k", SqlType::Int),
                     ProjExpr::new(Expr::col(1), "g", SqlType::Int),
                     ProjExpr::new(Expr::col(3), "s", SqlType::Str),
-                    ProjExpr::new(Expr::col(2).mul(Expr::lit(2.0)), "v2", SqlType::Float),
+                    ProjExpr::new(times(2, 2.0), "v2", SqlType::Float),
                 ]),
             // grouped aggregation: NULL group keys group together;
             // the i64 SUM crosses the checked-add overflow boundary
@@ -943,8 +971,7 @@ fn make_gen_db(
         .with_index("t_g", &["g"])
         .unwrap();
     tt.insert(t.iter().map(gen_row).collect()).unwrap();
-    tt.delete_where(&Expr::col(0).in_list(gone.iter().map(|&k| Value::Int(k)).collect()))
-        .unwrap();
+    tt.delete_where(&key_in(gone.to_vec())).unwrap();
     db.create_table(tt);
     let ut = Table::new("u", schema.clone())
         .with_primary_key(&["k"])
@@ -1003,7 +1030,8 @@ impl PlanGen<'_> {
         }
     }
 
-    /// Comparisons, IS NULL and their AND / OR / NOT; a third of them
+    /// Comparisons, computed NULL tests and their ANDs, which are NULL
+    /// wherever a compared column is; a third of them
     /// under a `col(0) = literal` conjunct, which over a scan of a table
     /// keyed on its first column (every table here) is an index probe,
     /// for a key in the tables' range.
@@ -1011,11 +1039,11 @@ impl PlanGen<'_> {
         let (a, b) = (self.pick(types.len()), self.pick(types.len()));
         let lit = self.literal(types[a]);
         let pred = match self.pick(5) {
-            0 => Expr::col(a).is_null(),
+            0 => null_test(a, true),
             1 => Expr::col(a).lt(lit),
-            2 => Expr::col(a).eq(lit).or(Expr::col(b).is_null()),
-            3 => Expr::col(a).eq(Expr::col(b)).not(),
-            _ => Expr::col(a).ge(lit).and(Expr::col(b).is_null().not()),
+            2 => Expr::col(a).eq(lit).and(Expr::col(b).le(Expr::col(a))),
+            3 => Expr::col(a).eq(Expr::col(b)),
+            _ => Expr::col(a).ge(lit).and(null_test(b, false)),
         };
         let key = match types[0] {
             SqlType::Int => Expr::lit(self.pick(22) as i64 - 1),
@@ -1066,14 +1094,24 @@ impl PlanGen<'_> {
                     self.pick(exprs.len() + 1),
                     match self.pick(2) {
                         0 => ProjExpr::new(
-                            Expr::Concat(vec![Expr::col(a), Expr::lit("|"), Expr::col(b)]),
+                            // a|b, a NULL rendering empty
+                            apply(vec![Expr::col(a), Expr::col(b)], |v| {
+                                let text = |v: &Value| {
+                                    if v.is_null() {
+                                        String::new()
+                                    } else {
+                                        v.render()
+                                    }
+                                };
+                                Ok(Value::str(format!("{}|{}", text(&v[0]), text(&v[1]))))
+                            }),
                             "cat",
                             SqlType::Str,
                         ),
                         _ => {
                             let fallback = self.literal(schema.column(a).ty);
                             let ty = schema.column(a).ty;
-                            ProjExpr::new(Expr::Coalesce(vec![Expr::col(a), fallback]), "coal", ty)
+                            ProjExpr::new(coalesce(vec![Expr::col(a), fallback]), "coal", ty)
                         }
                     },
                 );
@@ -1138,7 +1176,7 @@ impl PlanGen<'_> {
                 let aggs = vec![
                     AggExpr::count_star("n"),
                     AggExpr::sum(col(), "s"),
-                    AggExpr::sum(Expr::Coalesce(vec![col(), Expr::lit(1)]), "c"),
+                    AggExpr::sum(coalesce(vec![col(), Expr::lit(1)]), "c"),
                 ];
                 input.aggregate(group_by, aggs)
             }
@@ -1286,7 +1324,7 @@ proptest! {
         let scope = tx::begin();
         let written = match write {
             0 => table.insert(rows(20)),
-            1 => table.delete_where(&Expr::col(0).in_list(batch.iter().map(|r| Value::Int(r.0)).collect())),
+            1 => table.delete_where(&key_in(batch.iter().map(|r| r.0).collect())),
             _ => table.upsert(rows(0)),
         };
         prop_assert!(written.is_ok(), "{:?}", written);

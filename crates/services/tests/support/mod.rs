@@ -5,7 +5,7 @@
 use dip_relstore::prelude::*;
 use dip_services::resultset::{decode, RowSink};
 use dip_xmlkit::sax::EventSource;
-use dip_xmlkit::stx::{Action, Match, Rule, Stylesheet};
+use dip_xmlkit::stx::{Action, Rule, Stylesheet};
 use dip_xmlkit::XmlError;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -51,34 +51,19 @@ pub struct Pools<'p> {
     pub attrs: &'p [&'p str],
 }
 
-/// `(by path, name pick, actions as (kind, pick, pick))`.
-pub type RuleSpec = (bool, usize, Vec<(usize, usize, usize)>);
+/// `(name pick, actions as (kind, pick, pick))`.
+pub type RuleSpec = (usize, Vec<(usize, usize, usize)>);
 
 pub fn arb_rules() -> impl Strategy<Value = Vec<RuleSpec>> {
-    let action = (0usize..8, 0usize..1000, 0usize..1000);
-    prop::collection::vec(
-        (
-            any::<bool>(),
-            0usize..1000,
-            prop::collection::vec(action, 1..3),
-        ),
-        0..4,
-    )
+    let action = (0usize..6, 0usize..1000, 0usize..1000);
+    prop::collection::vec((0usize..1000, prop::collection::vec(action, 1..3)), 0..4)
 }
 
-/// Every `Action`, aimed by name or by `parent/name` at the names in
-/// `pools` — the root and `row` among them.
+/// Every `Action`, aimed by name at the names in `pools` — the root and
+/// `row` among them.
 pub fn stylesheet(specs: &[RuleSpec], pools: &Pools) -> Stylesheet {
     let (names, texts, attrs) = (pools.names, pools.texts, pools.attrs);
-    let rules = specs.iter().map(|(by_path, name, actions)| {
-        let matcher = if *by_path {
-            Match::PathSuffix(vec![
-                pick(names, name / 9).into(),
-                pick(names, *name).into(),
-            ])
-        } else {
-            Match::Name(pick(names, *name).into())
-        };
+    let rules = specs.iter().map(|(name, actions)| {
         let actions = actions.iter().map(|&(kind, a, b)| match kind {
             0 => Action::Rename(pick(names, a).into()),
             1 => Action::Drop,
@@ -91,15 +76,10 @@ pub fn stylesheet(specs: &[RuleSpec], pools: &Pools) -> Stylesheet {
                 from: pick(attrs, a).into(),
                 to: pick(names, b).into(),
             },
-            5 => Action::DropAttr(pick(attrs, a).into()),
-            6 => Action::SetAttr {
-                name: pick(names, a).into(),
-                value: pick(texts, b).into(),
-            },
             _ => Action::AttrsToElements,
         });
         Rule {
-            matcher,
+            name: pick(names, *name).into(),
             actions: actions.collect(),
         }
     });

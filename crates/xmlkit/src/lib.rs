@@ -6,11 +6,12 @@
 //!   serializer ([`writer`]);
 //! * SAX event streams ([`sax`]) as the substrate for streaming
 //!   transformations;
-//! * an XPath-lite selection language ([`path`]);
+//! * an XPath-lite selection language ([`path`]): child-name paths, the
+//!   one form a process uses;
 //! * an XSD-lite structural validator ([`xsd`]) used by P10's error-prone
 //!   message handling and P12/P13's load validation;
 //! * an STX-like streaming transformation engine ([`stx`]) implementing
-//!   the paper's schema translations.
+//!   the paper's schema translations with rules that name an element.
 //!
 //! This crate reads what a source system sent, so malformed input is an
 //! expected event: outside tests nothing here may panic (the lint below),

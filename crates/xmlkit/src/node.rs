@@ -16,13 +16,6 @@ impl XmlNode {
             XmlNode::Text(_) => None,
         }
     }
-
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            XmlNode::Text(t) => Some(t),
-            XmlNode::Element(_) => None,
-        }
-    }
 }
 
 /// An XML element: name, attributes (ordered), children.

@@ -1,83 +1,50 @@
-//! XPath-lite: a small path language for selecting elements, attribute
-//! values and text content.
+//! XPath-lite: element selection by a path of child names.
 //!
-//! Grammar (informal):
+//! A path is element names separated by `/`, with an optional leading `/`:
 //!
 //! ```text
-//! path     := '/'? step ('/' step)*           absolute or relative
-//! step     := name | '*' | '//' name          child, any child, descendant
-//! terminal := step | '@' name | 'text()'      last step may select data
+//! path := '/'? name ('/' name)*
 //! ```
 //!
-//! Examples: `/orders/order`, `order/@id`, `//custkey`, `customer/name/text()`.
+//! The first name matches the root element, each further name that
+//! element's children of that name; a path's value is the first match's
+//! text content. That is every form a caller writes (`euCustomer/custkey`
+//! in P02's SWITCH, `cdbOrder/custkey` in fed's `xmlfn::extract`). Any
+//! other form — `//`, `*`, `@attr`, `text()`, an empty step — is an
+//! [`XmlError::Path`].
 
 use crate::error::{XmlError, XmlResult};
 use crate::node::Element;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Step {
-    Child(String),
-    AnyChild,
-    Descendant(String),
-}
-
-/// A compiled path.
+/// A compiled path: the element name of each step.
 #[derive(Debug, Clone)]
 pub struct Path {
-    steps: Vec<Step>,
-    /// `Some(name)` selects the attribute; text selection is a flag.
-    attr: Option<String>,
-    text: bool,
+    steps: Vec<String>,
 }
 
 impl Path {
     /// Compile a path expression.
     pub fn compile(expr: &str) -> XmlResult<Path> {
-        let mut rest = expr.trim();
-        if rest.is_empty() {
-            return Err(XmlError::Path("empty path".into()));
-        }
+        let expr = expr.trim();
         // A leading '/' only anchors at the root element, which selection
         // always does anyway: strip it.
-        if rest.starts_with('/') && !rest.starts_with("//") {
-            rest = &rest[1..];
-        }
-        let mut steps = Vec::new();
-        let mut attr = None;
-        let mut text = false;
-        while !rest.is_empty() {
-            if let Some(r) = rest.strip_prefix("//") {
-                let (name, r2) = take_name(r)?;
-                steps.push(Step::Descendant(name));
-                rest = r2;
-            } else if let Some(r) = rest.strip_prefix('@') {
-                let (name, r2) = take_name(r)?;
-                if !r2.is_empty() {
-                    return Err(XmlError::Path("attribute must be the last step".into()));
+        let rest = expr.strip_prefix('/').unwrap_or(expr);
+        let steps = rest
+            .split('/')
+            .map(|step| {
+                let is_name = !step.is_empty()
+                    && step
+                        .chars()
+                        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'));
+                match is_name {
+                    true => Ok(step.to_string()),
+                    false => Err(XmlError::Path(format!(
+                        "expected an element name at {step:?} in {expr:?}"
+                    ))),
                 }
-                attr = Some(name);
-                rest = r2;
-            } else if let Some(r) = rest.strip_prefix("text()") {
-                if !r.is_empty() {
-                    return Err(XmlError::Path("text() must be the last step".into()));
-                }
-                text = true;
-                rest = r;
-            } else if let Some(r) = rest.strip_prefix('*') {
-                steps.push(Step::AnyChild);
-                rest = r;
-            } else {
-                let (name, r2) = take_name(rest)?;
-                steps.push(Step::Child(name));
-                rest = r2;
-            }
-            if let Some(r) = rest.strip_prefix('/') {
-                rest = r;
-            } else if !rest.is_empty() {
-                return Err(XmlError::Path(format!("unexpected characters: {rest:?}")));
-            }
-        }
-        Ok(Path { steps, attr, text })
+            })
+            .collect::<XmlResult<_>>()?;
+        Ok(Path { steps })
     }
 
     /// Select matching elements below (and including, for the first step)
@@ -85,76 +52,23 @@ impl Path {
     /// matches — so `/orders/order` against a document whose root is
     /// `<orders>` selects the `<order>` children.
     pub fn select<'a>(&self, root: &'a Element) -> Vec<&'a Element> {
-        let mut current: Vec<&Element> = Vec::new();
         let mut steps = self.steps.iter();
-        match steps.next() {
-            None => current.push(root),
-            Some(first) => match first {
-                Step::Child(n) if &root.name == n => current.push(root),
-                Step::AnyChild => current.push(root),
-                Step::Descendant(n) => collect_descendants(root, n, &mut current),
-                _ => {}
-            },
-        }
-        for step in steps {
-            let mut next = Vec::new();
-            for e in current {
-                match step {
-                    Step::Child(n) => next.extend(e.elements().filter(|c| &c.name == n)),
-                    Step::AnyChild => next.extend(e.elements()),
-                    Step::Descendant(n) => {
-                        for c in e.elements() {
-                            collect_descendants(c, n, &mut next);
-                        }
-                    }
-                }
-            }
-            current = next;
+        let mut current: Vec<&Element> = match steps.next() {
+            Some(first) if &root.name == first => vec![root],
+            _ => Vec::new(),
+        };
+        for n in steps {
+            current = (current.into_iter())
+                .flat_map(|e| e.elements().filter(move |c| &c.name == n))
+                .collect();
         }
         current
     }
 
-    /// First matching element.
-    pub fn first<'a>(&self, root: &'a Element) -> Option<&'a Element> {
-        self.select(root).into_iter().next()
-    }
-
-    /// Evaluate to strings: attribute values, text content, or (for bare
-    /// element paths) each match's text content.
-    pub fn values(&self, root: &Element) -> Vec<String> {
-        let elems = self.select(root);
-        match (&self.attr, self.text) {
-            (Some(a), _) => elems
-                .iter()
-                .filter_map(|e| e.attribute(a).map(str::to_string))
-                .collect(),
-            _ => elems.iter().map(|e| e.text_content()).collect(),
-        }
-    }
-
-    /// First value, if any.
+    /// The text content of the first matching element, if any.
     pub fn value(&self, root: &Element) -> Option<String> {
-        self.values(root).into_iter().next()
+        self.select(root).first().map(|e| e.text_content())
     }
-}
-
-fn collect_descendants<'a>(e: &'a Element, name: &str, out: &mut Vec<&'a Element>) {
-    if e.name == name {
-        out.push(e);
-    }
-    for c in e.elements() {
-        collect_descendants(c, name, out);
-    }
-}
-
-fn take_name(s: &str) -> XmlResult<(String, &str)> {
-    let end = s
-        .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':')))
-        .unwrap_or(s.len());
-    if end == 0 {
-        return Err(XmlError::Path(format!("expected name at {s:?}")));
-    }
-    Ok((s[..end].to_string(), &s[end..]))
 }
 
 /// One-shot convenience: select elements by path expression.
@@ -195,37 +109,27 @@ mod tests {
     }
 
     #[test]
-    fn attributes_and_text() {
-        let d = doc();
-        let p = Path::compile("orders/order/@id").unwrap();
-        assert_eq!(p.values(&d.root), vec!["1", "2"]);
-        assert_eq!(
-            value(&d.root, "orders/@region").unwrap().as_deref(),
-            Some("eu")
-        );
-        assert_eq!(
-            value(&d.root, "orders/order/custkey/text()")
-                .unwrap()
-                .as_deref(),
-            Some("10")
-        );
-    }
-
-    #[test]
-    fn descendant_and_wildcard() {
-        let d = doc();
-        let all = select(&d.root, "//custkey").unwrap();
-        assert_eq!(all.len(), 3);
-        let any = select(&d.root, "orders/*").unwrap();
-        assert_eq!(any.len(), 3); // two orders + meta
-    }
-
-    #[test]
     fn bad_paths_rejected() {
-        assert!(Path::compile("").is_err());
-        assert!(Path::compile("a/@x/y").is_err());
-        assert!(Path::compile("a/text()/b").is_err());
-        assert!(Path::compile("a//").is_err());
+        for bad in [
+            "",
+            " ",
+            "/",
+            "//x",
+            "a//b",
+            "a/*",
+            "a/@id",
+            "a/text()",
+            "a/",
+            "a/@x/y",
+            "a/text()/b",
+            "a//",
+        ] {
+            assert!(
+                matches!(Path::compile(bad), Err(XmlError::Path(_))),
+                "{bad:?}"
+            );
+        }
+        assert!(Path::compile(" /a/b-c.d_e:f ").is_ok());
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! MDM → Europe, P08/P09/P10: source schemas → CDB schema) are specified as
 //! STX stylesheets — *streaming* transformations over a SAX event stream
 //! (Becker, "Streaming Transformations for XML", 2003). This module
-//! implements the subset those translations need: template rules matched on
-//! the current element path, with rename / drop / unwrap / attribute and
-//! text-vocabulary actions, executed in a single pass over the event stream
-//! with O(depth) state.
+//! implements the subset those translations use: template rules that name
+//! one element, with rename / drop / unwrap / attribute-rename /
+//! attributes-to-elements and text-vocabulary actions, executed in a single
+//! pass over the event stream with O(depth) state. The first rule naming
+//! an element applies to it wherever it occurs; every stylesheet the
+//! processes use is written that way, and a rule kind comes back only
+//! together with a stylesheet that needs it.
 //!
 //! The rule application exists once, as a filter between borrowed events
 //! and a [`Handler`]; two drivers feed it. [`Stylesheet::transform_into`]
@@ -35,32 +38,6 @@ use crate::sax::{EventSource, Handler, SaxEvent, Sink, TreeBuilder};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// How a rule selects elements.
-#[derive(Debug, Clone)]
-pub enum Match {
-    /// Any element with this name.
-    Name(String),
-    /// An element whose path of (original) names ends with this suffix,
-    /// e.g. `["order", "state"]` matches `<state>` directly under `<order>`.
-    PathSuffix(Vec<String>),
-}
-
-impl Match {
-    fn matches(&self, path: &[&str]) -> bool {
-        match self {
-            Match::Name(n) => path.last() == Some(&n.as_str()),
-            Match::PathSuffix(suffix) => {
-                path.len() >= suffix.len()
-                    && path
-                        .iter()
-                        .rev()
-                        .zip(suffix.iter().rev())
-                        .all(|(p, s)| p == s)
-            }
-        }
-    }
-}
-
 /// What to do with a matched element.
 #[derive(Debug, Clone)]
 pub enum Action {
@@ -77,55 +54,42 @@ pub enum Action {
     MapText(HashMap<String, String>),
     /// Rename an attribute.
     RenameAttr { from: String, to: String },
-    /// Remove an attribute.
-    DropAttr(String),
-    /// Add or overwrite an attribute with a constant value.
-    SetAttr { name: String, value: String },
     /// Turn every attribute into a leading child element
     /// (`<o id="1"/>` → `<o><id>1</id></o>`).
     AttrsToElements,
 }
 
-/// A template rule: first matching rule wins, all its actions apply.
+/// A template rule for the elements of one (input) name: the first rule
+/// naming an element wins, and all its actions apply.
 #[derive(Debug, Clone)]
 pub struct Rule {
-    pub matcher: Match,
+    pub name: String,
     pub actions: Vec<Action>,
 }
 
 impl Rule {
     pub fn for_name(name: impl Into<String>) -> RuleBuilder {
-        RuleBuilder {
-            matcher: Match::Name(name.into()),
+        RuleBuilder(Rule {
+            name: name.into(),
             actions: Vec::new(),
-        }
-    }
-
-    pub fn for_path(suffix: &[&str]) -> RuleBuilder {
-        RuleBuilder {
-            matcher: Match::PathSuffix(suffix.iter().map(|s| s.to_string()).collect()),
-            actions: Vec::new(),
-        }
+        })
     }
 }
 
 /// Fluent rule construction.
-pub struct RuleBuilder {
-    matcher: Match,
-    actions: Vec<Action>,
-}
+pub struct RuleBuilder(Rule);
 
 impl RuleBuilder {
     pub fn rename(mut self, to: impl Into<String>) -> RuleBuilder {
-        self.actions.push(Action::Rename(to.into()));
+        self.0.actions.push(Action::Rename(to.into()));
         self
     }
     pub fn drop(mut self) -> RuleBuilder {
-        self.actions.push(Action::Drop);
+        self.0.actions.push(Action::Drop);
         self
     }
     pub fn unwrap_element(mut self) -> RuleBuilder {
-        self.actions.push(Action::Unwrap);
+        self.0.actions.push(Action::Unwrap);
         self
     }
     pub fn map_text(mut self, pairs: &[(&str, &str)]) -> RuleBuilder {
@@ -133,36 +97,22 @@ impl RuleBuilder {
             .iter()
             .map(|(a, b)| (a.to_string(), b.to_string()))
             .collect();
-        self.actions.push(Action::MapText(map));
+        self.0.actions.push(Action::MapText(map));
         self
     }
     pub fn rename_attr(mut self, from: impl Into<String>, to: impl Into<String>) -> RuleBuilder {
-        self.actions.push(Action::RenameAttr {
+        self.0.actions.push(Action::RenameAttr {
             from: from.into(),
             to: to.into(),
         });
         self
     }
-    pub fn drop_attr(mut self, name: impl Into<String>) -> RuleBuilder {
-        self.actions.push(Action::DropAttr(name.into()));
-        self
-    }
-    pub fn set_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> RuleBuilder {
-        self.actions.push(Action::SetAttr {
-            name: name.into(),
-            value: value.into(),
-        });
-        self
-    }
     pub fn attrs_to_elements(mut self) -> RuleBuilder {
-        self.actions.push(Action::AttrsToElements);
+        self.0.actions.push(Action::AttrsToElements);
         self
     }
     pub fn build(self) -> Rule {
-        Rule {
-            matcher: self.matcher,
-            actions: self.actions,
-        }
+        self.0
     }
 }
 
@@ -183,14 +133,12 @@ struct Frame<'a> {
 
 /// The rule application as a SAX filter: the [`Sink`] a source emits
 /// into, borrowed events out into `sink`, O(depth) state in between. `'a`
-/// spans the stylesheet and the source, so path segments, emitted names and
-/// vocabulary maps are references into one or the other and nothing is
-/// cloned on the way through.
+/// spans the stylesheet and the source, so emitted names and vocabulary
+/// maps are references into one or the other and nothing is cloned on the
+/// way through.
 struct Filter<'a, H: Handler> {
     sheet: &'a Stylesheet,
     sink: H,
-    /// Original (input) names of the open elements.
-    path: Vec<&'a str>,
     frames: Vec<Frame<'a>>,
     /// While dropping a subtree: depth below the dropped element.
     drop_depth: Option<usize>,
@@ -201,7 +149,6 @@ impl<'a, H: Handler> Filter<'a, H> {
         Filter {
             sheet,
             sink,
-            path: Vec::new(),
             frames: Vec::new(),
             drop_depth: None,
         }
@@ -217,7 +164,6 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
         attrs: &'a [(String, String)],
         children: usize,
     ) -> XmlResult<()> {
-        self.path.push(name);
         if let Some(d) = self.drop_depth.as_mut() {
             *d += 1;
             return Ok(());
@@ -226,7 +172,7 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
         let mut out_attrs = Cow::Borrowed(attrs);
         let mut text_map = None;
         let mut attrs_to_elements = false;
-        if let Some(rule) = self.sheet.find_rule(&self.path) {
+        if let Some(rule) = self.sheet.find_rule(name) {
             for action in &rule.actions {
                 match action {
                     Action::Drop => self.drop_depth = Some(0),
@@ -242,14 +188,6 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
                             if n == from {
                                 n.clone_from(to);
                             }
-                        }
-                    }
-                    Action::DropAttr(a) => out_attrs.to_mut().retain(|(n, _)| n != a),
-                    Action::SetAttr { name, value } => {
-                        let attrs = out_attrs.to_mut();
-                        match attrs.iter_mut().find(|(n, _)| n == name) {
-                            Some((_, v)) => v.clone_from(value),
-                            None => attrs.push((name.clone(), value.clone())),
                         }
                     }
                     Action::AttrsToElements => attrs_to_elements = true,
@@ -295,7 +233,6 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
     }
 
     fn end(&mut self, _name: &'a str) -> XmlResult<()> {
-        self.path.pop();
         match self.drop_depth.as_mut() {
             // the dropped element itself closed
             Some(0) => self.drop_depth = None,
@@ -335,8 +272,8 @@ impl Stylesheet {
         Stylesheet::new(name, Vec::new())
     }
 
-    fn find_rule(&self, path: &[&str]) -> Option<&Rule> {
-        self.rules.iter().find(|r| r.matcher.matches(path))
+    fn find_rule(&self, name: &str) -> Option<&Rule> {
+        self.rules.iter().find(|r| r.name == name)
     }
 
     /// Transform a materialized SAX event stream into another one — the
@@ -443,35 +380,15 @@ mod tests {
     }
 
     #[test]
-    fn path_suffix_scopes_rule() {
-        // rename <state> only under <order>, not under <customer>
-        let sheet = Stylesheet::new(
-            "s",
-            vec![Rule::for_path(&["order", "state"]).rename("ostate").build()],
-        );
-        let doc =
-            parse("<m><order><state>O</state></order><customer><state>C</state></customer></m>")
-                .unwrap();
-        let out = sheet.transform(&doc).unwrap();
-        assert!(out.root.first("order").unwrap().first("ostate").is_some());
-        assert!(out.root.first("customer").unwrap().first("state").is_some());
-    }
-
-    #[test]
     fn attribute_actions() {
         let sheet = Stylesheet::new(
             "s",
-            vec![Rule::for_name("o")
-                .rename_attr("id", "okey")
-                .drop_attr("junk")
-                .set_attr("src", "mdm")
-                .build()],
+            vec![Rule::for_name("o").rename_attr("id", "okey").build()],
         );
         let doc = parse(r#"<o id="5" junk="x"/>"#).unwrap();
         let out = sheet.transform(&doc).unwrap();
         assert_eq!(out.root.attribute("okey"), Some("5"));
-        assert_eq!(out.root.attribute("junk"), None);
-        assert_eq!(out.root.attribute("src"), Some("mdm"));
+        assert_eq!(out.root.attribute("junk"), Some("x"));
     }
 
     #[test]
@@ -483,6 +400,17 @@ mod tests {
         assert!(row.attrs.is_empty());
         assert_eq!(row.child_text("a").as_deref(), Some("1"));
         assert_eq!(row.child_text("b").as_deref(), Some("x"));
+    }
+
+    #[test]
+    fn a_rule_names_its_element_at_any_depth() {
+        let sheet = Stylesheet::new("s", vec![Rule::for_name("state").rename("st").build()]);
+        let doc =
+            parse("<m><order><state>O</state></order><customer><state>C</state></customer></m>")
+                .unwrap();
+        let out = sheet.transform(&doc).unwrap();
+        assert!(out.root.first("order").unwrap().first("st").is_some());
+        assert!(out.root.first("customer").unwrap().first("st").is_some());
     }
 
     #[test]

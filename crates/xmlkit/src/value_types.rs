@@ -7,7 +7,9 @@ pub enum SimpleType {
     String,
     /// Optionally-signed integer.
     Int,
-    /// Decimal number (integer or fraction).
+    /// Decimal number in xs:decimal's lexical form: an optional sign,
+    /// digits, an optional fraction (`-1`, `4.`, `.5`, `+0.25`); no
+    /// exponent, `NaN` or infinity.
     Decimal,
     /// `YYYY-MM-DD`.
     Date,
@@ -27,7 +29,7 @@ pub fn check_simple(ty: &SimpleType, text: &str) -> Result<(), String> {
             }
         }
         SimpleType::Decimal => {
-            if text.parse::<f64>().is_ok() && !text.is_empty() {
+            if is_decimal(text) {
                 Ok(())
             } else {
                 Err(format!("{text:?} is not a decimal"))
@@ -56,6 +58,14 @@ pub fn check_simple(ty: &SimpleType, text: &str) -> Result<(), String> {
     }
 }
 
+/// `[+-]?(digits(.digits?)?|.digits)`.
+fn is_decimal(text: &str) -> bool {
+    let unsigned = text.strip_prefix(['+', '-']).unwrap_or(text);
+    let (whole, fraction) = unsigned.split_once('.').unwrap_or((unsigned, ""));
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    digits(whole) && digits(fraction) && !(whole.is_empty() && fraction.is_empty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +78,30 @@ mod tests {
         assert!(check_simple(&SimpleType::Decimal, "4").is_ok());
         assert!(check_simple(&SimpleType::Decimal, "").is_err());
         assert!(check_simple(&SimpleType::Decimal, "x").is_err());
+        for ok in ["0", "-1", "+2", "4.", ".5", "-.5", "+0.25", "123.45", "007"] {
+            assert!(check_simple(&SimpleType::Decimal, ok).is_ok(), "{ok:?}");
+        }
+        // `f64::from_str` reads all of these; xs:decimal none
+        for bad in [
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "+infinity",
+            "1e3",
+            "1E3",
+            "1.5e-2",
+            ".",
+            "+",
+            "-",
+            "+-1",
+            "1.2.3",
+            " 1",
+            "1 ",
+            "0x1",
+        ] {
+            assert!(check_simple(&SimpleType::Decimal, bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -137,15 +137,6 @@ impl XsdElement {
         }
     }
 
-    /// Particle: one or more.
-    pub fn at_least_one(self) -> Particle {
-        Particle {
-            element: self,
-            min: 1,
-            max: None,
-        }
-    }
-
     /// Particle with explicit bounds.
     pub fn occurs(self, min: u32, max: Option<u32>) -> Particle {
         Particle {

@@ -5,7 +5,7 @@
 
 use dip_xmlkit::node::{Document, Element, XmlNode};
 use dip_xmlkit::sax::{build, events};
-use dip_xmlkit::stx::{Action, Match, Rule, Stylesheet};
+use dip_xmlkit::stx::{Action, Rule, Stylesheet};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::xsd::{XsdAttr, XsdElement, XsdSchema};
 use dip_xmlkit::{compact_len, parse, write_compact, write_pretty, XmlError, XmlResult};
@@ -176,13 +176,11 @@ enum ActionSpec {
     Unwrap,
     MapText { text: usize, to: String },
     RenameAttr { attr: usize, to: String },
-    DropAttr { attr: usize },
-    SetAttr { attr: usize, value: String },
     AttrsToElements,
 }
 
-/// `(path suffix instead of name, element pick, actions)`.
-type RuleSpec = (bool, usize, Vec<ActionSpec>);
+/// `(element name pick, actions)`.
+type RuleSpec = (usize, Vec<ActionSpec>);
 
 fn arb_action() -> impl Strategy<Value = ActionSpec> {
     let pick = || 0usize..1000;
@@ -192,28 +190,22 @@ fn arb_action() -> impl Strategy<Value = ActionSpec> {
         Just(ActionSpec::Unwrap),
         (pick(), arb_text()).prop_map(|(text, to)| ActionSpec::MapText { text, to }),
         (pick(), arb_name()).prop_map(|(attr, to)| ActionSpec::RenameAttr { attr, to }),
-        pick().prop_map(|attr| ActionSpec::DropAttr { attr }),
-        (pick(), "[ -~]{0,10}").prop_map(|(attr, value)| ActionSpec::SetAttr { attr, value }),
         Just(ActionSpec::AttrsToElements),
     ]
 }
 
 fn arb_rules() -> impl Strategy<Value = Vec<RuleSpec>> {
     prop::collection::vec(
-        (
-            any::<bool>(),
-            0usize..1000,
-            prop::collection::vec(arb_action(), 1..4),
-        ),
+        (0usize..1000, prop::collection::vec(arb_action(), 1..4)),
         1..7,
     )
 }
 
-/// What a tree offers a rule to aim at: every element as `(parent name,
-/// name)` in document order (the root first), attribute names, text runs.
+/// What a tree offers a rule to aim at: every element's name in document
+/// order (the root first), attribute names, text runs.
 #[derive(Default)]
 struct Pools {
-    elements: Vec<(Option<String>, String)>,
+    elements: Vec<String>,
     attrs: Vec<String>,
     texts: Vec<String>,
 }
@@ -221,20 +213,19 @@ struct Pools {
 impl Pools {
     fn of(doc: &Document) -> Pools {
         let mut pools = Pools::default();
-        pools.collect(None, &doc.root);
+        pools.collect(&doc.root);
         // a tree without attributes or text still resolves every pick
         pools.attrs.push("absent".into());
         pools.texts.push("absent".into());
         pools
     }
 
-    fn collect(&mut self, parent: Option<&str>, e: &Element) {
-        self.elements
-            .push((parent.map(str::to_string), e.name.clone()));
+    fn collect(&mut self, e: &Element) {
+        self.elements.push(e.name.clone());
         self.attrs.extend(e.attrs.iter().map(|(n, _)| n.clone()));
         for c in &e.children {
             match c {
-                XmlNode::Element(child) => self.collect(Some(&e.name), child),
+                XmlNode::Element(child) => self.collect(child),
                 XmlNode::Text(t) => self.texts.push(t.trim().to_string()),
             }
         }
@@ -244,13 +235,8 @@ impl Pools {
         let attr = |i: &usize| self.attrs[i % self.attrs.len()].clone();
         let rules = specs
             .iter()
-            .map(|(by_path, pick, actions)| {
-                let (parent, name) = &self.elements[pick % self.elements.len()];
-                let matcher = match (by_path, parent) {
-                    (true, Some(parent)) => Match::PathSuffix(vec![parent.clone(), name.clone()]),
-                    (true, None) => Match::PathSuffix(vec![name.clone()]),
-                    (false, _) => Match::Name(name.clone()),
-                };
+            .map(|(pick, actions)| {
+                let name = self.elements[pick % self.elements.len()].clone();
                 let actions = actions
                     .iter()
                     .map(|a| match a {
@@ -265,15 +251,10 @@ impl Pools {
                             from: attr(a),
                             to: to.clone(),
                         },
-                        ActionSpec::DropAttr { attr: a } => Action::DropAttr(attr(a)),
-                        ActionSpec::SetAttr { attr: a, value } => Action::SetAttr {
-                            name: attr(a),
-                            value: value.clone(),
-                        },
                         ActionSpec::AttrsToElements => Action::AttrsToElements,
                     })
                     .collect();
-                Rule { matcher, actions }
+                Rule { name, actions }
             })
             .collect();
         Stylesheet::new("generated", rules)
@@ -330,7 +311,7 @@ fn stx_drivers_agree_on_corner_outcomes() {
         Ok(doc("<a>1</a>"))
     );
 
-    let drop_mid = Stylesheet::new("s", vec![Rule::for_path(&["r", "x"]).drop().build()]);
+    let drop_mid = Stylesheet::new("s", vec![Rule::for_name("x").drop().build()]);
     let merged = drivers_agree(&drop_mid, &doc("<r>left <x>gone</x>right</r>")).unwrap();
     assert_eq!(
         merged.root.children,
@@ -398,9 +379,7 @@ fn message_families(n: u32) -> Vec<(Document, Stylesheet, XsdSchema)> {
             Rule::for_name("priority")
                 .map_text(&[("1-URGENT", "URGENT"), ("2-HIGH", "HIGH")])
                 .build(),
-            Rule::for_path(&["position", "lineNo"])
-                .rename("lineno")
-                .build(),
+            Rule::for_name("lineNo").rename("lineno").build(),
         ],
     );
     let vienna_xsd = XsdSchema::new(
