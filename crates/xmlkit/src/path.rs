@@ -36,11 +36,12 @@ impl Path {
                     && step
                         .chars()
                         .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'));
-                match is_name {
-                    true => Ok(step.to_string()),
-                    false => Err(XmlError::Path(format!(
+                if is_name {
+                    Ok(step.to_string())
+                } else {
+                    Err(XmlError::Path(format!(
                         "expected an element name at {step:?} in {expr:?}"
-                    ))),
+                    )))
                 }
             })
             .collect::<XmlResult<_>>()?;

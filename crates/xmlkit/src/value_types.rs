@@ -81,7 +81,7 @@ mod tests {
         for ok in ["0", "-1", "+2", "4.", ".5", "-.5", "+0.25", "123.45", "007"] {
             assert!(check_simple(&SimpleType::Decimal, ok).is_ok(), "{ok:?}");
         }
-        // `f64::from_str` reads all of these; xs:decimal none
+        // none is xs:decimal; `f64::from_str` reads the first eight
         for bad in [
             "NaN",
             "nan",
