@@ -289,7 +289,9 @@ fn faults(p: &Parsed) {
         kind.label(),
         delivered_messages(&clean.outcome)
     );
-    println!("drop    attempts  delivered   dead  retries  breaker  navg+[tu]  inflation  verify deterministic");
+    println!(
+        "drop    attempts  delivered   dead  retries  navg+[tu]  inflation  verify deterministic"
+    );
     for (rate, attempts) in cells {
         let model = FaultModel {
             drop_rate: rate,
@@ -300,18 +302,17 @@ fn faults(p: &Parsed) {
                 model,
                 ..FaultPlan::NONE
             })
-            .with_resilience(ResiliencePolicy::DEFAULT.with_attempts(attempts));
+            .with_attempts(attempts);
         let (run, verdict) = twice(kind, config, &Load::Closed);
         let verified = verdict.verified == verdict.cells;
         let navg = mean_navg_plus(&run.outcome);
         println!(
-            "{:<7} {:>8} {:>10} {:>6} {:>8} {:>8} {:>10.2} {:>9.2}x {:>7} {:>13}",
+            "{:<7} {:>8} {:>10} {:>6} {:>8} {:>10.2} {:>9.2}x {:>7} {:>13}",
             rate,
             attempts,
             delivered_messages(&run.outcome),
             run.outcome.dead_letters.len(),
             counter(&run, "resilience.retries"),
-            counter(&run, "resilience.breaker_open"),
             navg,
             navg / clean_navg.max(1e-9),
             pass_fail(verified),
@@ -370,15 +371,9 @@ fn crash(p: &Parsed) {
         .with_seed(seed)
         .with_workers(p.get(WORKERS));
     if drop > 0.0 {
-        // extra chaos cell: transport drops on top of the crash. The
-        // breaker stays disabled — its consecutive-failure count would
-        // not survive the restart, and the gate demands bit-exact replay.
-        config = config
-            .with_faults(FaultPlan::drops(drop))
-            .with_resilience(ResiliencePolicy {
-                breaker_threshold: 0,
-                ..ResiliencePolicy::DEFAULT
-            });
+        // extra chaos cell: transport drops on top of the crash, under the
+        // default attempt budget
+        config = config.with_faults(FaultPlan::drops(drop));
     }
     println!(
         "# crash-restart recovery on {} (d={d}, seed={seed}, drop={drop})",

@@ -154,7 +154,8 @@ pub struct Client<'a> {
     env: &'a BenchEnvironment,
     system: Arc<dyn IntegrationSystem>,
     /// Statically derived per-type resource footprints, used by the
-    /// conflict DAG of [`PeriodPlan::concurrent_phase`].
+    /// conflict DAG of [`PeriodPlan::concurrent_phase`] and the message
+    /// edges of [`PeriodPlan::by_stream`].
     profiles: BTreeMap<String, TypeProfile>,
     /// Events dispatched past their deadline (RealTime pacing only)
     /// since the last [`Client::build_outcome`].
@@ -176,6 +177,11 @@ impl<'a> Client<'a> {
             profiles,
             late: AtomicU64::new(0),
         })
+    }
+
+    /// The per-type resource footprints the plans are built from.
+    pub(crate) fn profiles(&self) -> &BTreeMap<String, TypeProfile> {
+        &self.profiles
     }
 
     /// Deliver one scheduled event — generate its E1 message (if any),
@@ -306,7 +312,7 @@ impl<'a> Client<'a> {
         // (`workers > 1`) independent instances across the workers
         let workers = self.env.config.workers;
         let (concurrent, threads) = match workers {
-            0 | 1 => (PeriodPlan::by_stream(&streams, 0..2), 2),
+            0 | 1 => (PeriodPlan::by_stream(&streams, 0..2, &self.profiles), 2),
             _ => (
                 PeriodPlan::concurrent_phase(&streams, &self.profiles),
                 workers,
@@ -315,7 +321,7 @@ impl<'a> Client<'a> {
         self.run_phase(k, &concurrent, threads, skip, &mut run);
         // streams C and D keep their declared serialization
         for slot in 2..4 {
-            let chain = PeriodPlan::by_stream(&streams, slot..slot + 1);
+            let chain = PeriodPlan::by_stream(&streams, slot..slot + 1, &self.profiles);
             self.run_phase(k, &chain, 1, skip, &mut run);
         }
         Ok(run)

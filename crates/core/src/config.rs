@@ -2,7 +2,6 @@
 
 use crate::scale::ScaleFactors;
 use dip_netsim::FaultPlan;
-use dip_services::ResiliencePolicy;
 
 /// How the client paces the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +75,10 @@ pub struct BenchConfig {
     /// crash gate's crash point, instance abort and rollback-off switch
     /// (default: nothing — zero overhead).
     pub faults: FaultPlan,
-    /// Retry/timeout/breaker policy, engaged only when `faults` is active.
-    pub resilience: ResiliencePolicy,
+    /// Attempts per remote operation (1 = no retry), engaged only when
+    /// `faults` is active. The call timeout and the backoff are constants
+    /// of [`dip_services::resilience`].
+    pub attempts: u32,
     /// Worker threads for schedule execution. `1` (the default) runs the
     /// paper's order — streams A and B as two serial chains on a thread
     /// each; `> 1` runs independent process instances of A ∥ B on that
@@ -95,7 +96,7 @@ impl BenchConfig {
             seed: 0xD1B,
             pacing: PacingMode::Eager,
             faults: FaultPlan::NONE,
-            resilience: ResiliencePolicy::DEFAULT,
+            attempts: dip_services::resilience::DEFAULT_ATTEMPTS,
             workers: 1,
         }
     }
@@ -120,8 +121,8 @@ impl BenchConfig {
         self
     }
 
-    pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> BenchConfig {
-        self.resilience = resilience;
+    pub fn with_attempts(mut self, attempts: u32) -> BenchConfig {
+        self.attempts = attempts.max(1);
         self
     }
 

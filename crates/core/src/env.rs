@@ -65,12 +65,9 @@ impl BenchEnvironment {
         topology::apply_fault_plan(&mut network, config.faults);
         let mut world = ExternalWorld::new(Arc::new(network), topology::IS);
         if config.faults.is_active() {
-            // retry/breaker timing runs on a virtual clock, like the
-            // transfers: a run never blocks on backoff
-            world.arm_resilience(Arc::new(dip_services::Resilience::new(
-                config.resilience,
-                dip_netsim::virtual_clock(),
-            )));
+            // waits are accounted, like the transfers: a run never blocks
+            // on a timeout or a backoff
+            world.arm_resilience(config.attempts);
         }
 
         // --- Europe ---

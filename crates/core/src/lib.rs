@@ -67,5 +67,4 @@ pub mod prelude {
     };
     pub use dip_netsim::fault::CrashPlan;
     pub use dip_netsim::{FaultModel, FaultPlan};
-    pub use dip_services::ResiliencePolicy;
 }

@@ -346,7 +346,7 @@ pub fn run_overload(
         // canonical dispatch order: the client's phases (A ∥ B, then C,
         // then D), each walked serially in its plan's virtual-time order
         for slots in [0..2, 2..3, 3..4] {
-            for task in PeriodPlan::by_stream(&streams, slots).tasks() {
+            for task in PeriodPlan::by_stream(&streams, slots, client.profiles()).tasks() {
                 match fates[task.slot][task.index] {
                     Some(Fate::Shed { degraded }) => {
                         let payload =

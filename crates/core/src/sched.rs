@@ -7,8 +7,9 @@
 //!
 //! * [`PeriodPlan::by_stream`] — the paper's order. Each stream is a
 //!   serial chain; a *timed* event additionally waits for every
-//!   virtually-earlier event of the other streams of the phase, message
-//!   events flow without a cross-stream edge. A ∥ B at the default
+//!   virtually-earlier event of the other streams of the phase, a message
+//!   event only for the virtually-earlier events of the other streams
+//!   whose [`TypeProfile`]s conflict with its own. A ∥ B at the default
 //!   `workers = 1` (two threads, one per stream), and C and D as
 //!   one-chain plans.
 //! * [`PeriodPlan::concurrent_phase`] — `workers > 1`: independent
@@ -23,9 +24,9 @@
 //!   time, never against wall-clock completion order, so the DAG is a
 //!   pure function of the schedule.
 //! * **Every conflicting pair is ordered.** Two tasks are unordered only
-//!   if swapping them cannot change a byte (message series feeding
-//!   distinct external systems under `by_stream`; compatible
-//!   [`TypeProfile`]s under `concurrent_phase`). Which thread runs a
+//!   if swapping them cannot change a byte (cross-stream messages of
+//!   compatible types under `by_stream`; compatible [`TypeProfile`]s
+//!   under `concurrent_phase`). Which thread runs a
 //!   task, and which of two ready tasks is claimed first, therefore
 //!   never changes integrated data, fault verdicts (a pure hash of the
 //!   instance's identity), dead letters or undo journals — the claim
@@ -168,6 +169,17 @@ pub fn derive_profiles(defs: &[ProcessDef]) -> BTreeMap<String, TypeProfile> {
         .collect()
 }
 
+/// Whether instances of types `a` and `b` must be ordered: the same type
+/// always serializes, and a type without a profile serializes against
+/// everything.
+fn conflicts(profiles: &BTreeMap<String, TypeProfile>, a: &str, b: &str) -> bool {
+    a == b
+        || match (profiles.get(a), profiles.get(b)) {
+            (Some(pa), Some(pb)) => pa.conflicts_with(pb),
+            _ => true,
+        }
+}
+
 /// One schedulable instance of a phase.
 #[derive(Debug)]
 pub struct Task {
@@ -270,29 +282,47 @@ impl PeriodPlan {
     /// its events dispatch in schedule order — and a *timed* event
     /// (extract, consolidation, …) additionally waits until the other
     /// streams have completed everything virtually earlier (ties go to
-    /// stream A). Message events get no cross-stream edge: each message
-    /// series feeds a distinct external system, so cross-stream messages
-    /// are conflict-free and leaving them unordered preserves the A ∥ B
-    /// concurrency the benchmark prescribes. Without the timed edges,
-    /// whether e.g. the P05 extract observes the P02 master-data updates
-    /// (deadlines far earlier in the schedule) would depend on thread
-    /// scheduling, and the integrated data would be nondeterministic.
+    /// stream A). Without the timed edges, whether e.g. the P05 extract
+    /// observes the P02 master-data updates (deadlines far earlier in the
+    /// schedule) would depend on thread scheduling, and the integrated
+    /// data would be nondeterministic. A message event waits only for the
+    /// virtually-earlier events of the other streams whose type conflicts
+    /// with its own (`profiles`): most message series feed distinct
+    /// external systems and stay unordered, which preserves the A ∥ B
+    /// concurrency the benchmark prescribes, but P04 (stream B) reads the
+    /// customers P02 (stream A) upserts, so those two alternate in virtual
+    /// time.
     pub fn by_stream(
         streams: &[(StreamId, Vec<ScheduledEvent>)],
         slots: Range<usize>,
+        profiles: &BTreeMap<String, TypeProfile>,
     ) -> PeriodPlan {
         let mut tasks = PeriodPlan::tasks_of(streams, slots.clone());
-        // virtually-earlier events per stream, as the walk passes them
+        // virtually-earlier events per stream, as the walk passes them, and
+        // per stream and type the count that ends at its latest instance
         let mut earlier = vec![0usize; slots.len()];
+        let mut latest: Vec<Vec<(&str, usize)>> = vec![Vec::new(); slots.len()];
         for task in &mut tasks {
             let own = task.slot - slots.start;
             let timed = !is_message_process(task.process);
+            let after = |u: usize| match u == own || timed {
+                true => earlier[u],
+                false => (latest[u].iter())
+                    .filter(|(ty, _)| conflicts(profiles, task.process, ty))
+                    .map(|&(_, count)| count)
+                    .max()
+                    .unwrap_or(0),
+            };
             task.type_ord = own;
             task.prereqs = (0..earlier.len())
-                .filter(|&u| earlier[u] > 0 && (u == own || timed))
-                .map(|u| (u, earlier[u]))
+                .map(|u| (u, after(u)))
+                .filter(|&(_, count)| count > 0)
                 .collect();
             earlier[own] += 1;
+            match latest[own].iter_mut().find(|(ty, _)| *ty == task.process) {
+                Some(entry) => entry.1 = earlier[own],
+                None => latest[own].push((task.process, earlier[own])),
+            }
         }
         let names = streams[slots].iter().map(|(id, _)| format!("{id:?}"));
         PeriodPlan::new(tasks, names.collect())
@@ -316,17 +346,12 @@ impl PeriodPlan {
             };
             task.type_ord = ord;
         }
-        // type-level conflict matrix (same type always serializes)
+        // type-level conflict matrix
         let n = type_ids.len();
         let mut conflict = vec![vec![false; n]; n];
         for (i, a) in type_ids.iter().enumerate() {
             for (j, b) in type_ids.iter().enumerate() {
-                conflict[i][j] = i == j
-                    || match (profiles.get(a), profiles.get(b)) {
-                        (Some(pa), Some(pb)) => pa.conflicts_with(pb),
-                        // unknown type: serialize against everything
-                        _ => true,
-                    };
+                conflict[i][j] = conflicts(profiles, a, b);
             }
         }
         // prerequisites: instances of conflicting types that are earlier
@@ -743,17 +768,20 @@ mod tests {
             .any(|o| matches!(o, TaskOutcome::Failed(_))));
     }
 
-    /// `by_stream` must state exactly the rule the classic two-thread
-    /// client enforced with a condvar gate, written out here independently
-    /// of the builder: an event waits for its own stream's earlier events;
-    /// a timed event also waits for every sibling event with a smaller
-    /// `(deadline, slot, index)`; a message event waits for nothing else.
+    /// `by_stream` must state exactly this rule, written out here
+    /// independently of the builder: an event waits for its own stream's
+    /// earlier events; a timed event also waits for every sibling event
+    /// with a smaller `(deadline, slot, index)` (the classic two-thread
+    /// client's condvar gate); a message event waits for the sibling's
+    /// events up to the last virtually-earlier one whose type conflicts
+    /// with its own, and for nothing else.
     #[test]
     fn by_stream_prerequisites_are_the_gate_rule() {
+        let p = profiles();
         for k in [0, 50, 99] {
             for d in [0.02, 0.05, 0.2, 0.5] {
                 let streams = schedule::period_streams(k, d);
-                let plan = PeriodPlan::by_stream(&streams, 0..2);
+                let plan = PeriodPlan::by_stream(&streams, 0..2, &p);
                 assert_eq!(plan.type_ids(), ["A", "B"]);
                 assert_eq!(
                     plan.tasks().len(),
@@ -766,18 +794,20 @@ mod tests {
                     if task.index > 0 {
                         expected.push((task.slot, task.index));
                     }
-                    if !is_message_process(task.process) {
-                        let earlier = streams[sibling]
-                            .1
-                            .iter()
-                            .filter(|e| {
-                                e.deadline_tu < task.deadline_tu
-                                    || (e.deadline_tu == task.deadline_tu && sibling < task.slot)
-                            })
-                            .count();
-                        if earlier > 0 {
-                            expected.push((sibling, earlier));
-                        }
+                    let earlier: Vec<_> = (streams[sibling].1.iter())
+                        .take_while(|e| {
+                            e.deadline_tu < task.deadline_tu
+                                || (e.deadline_tu == task.deadline_tu && sibling < task.slot)
+                        })
+                        .collect();
+                    let waits_for = match is_message_process(task.process) {
+                        false => earlier.len(),
+                        true => (earlier.iter())
+                            .rposition(|e| p[e.process].conflicts_with(&p[task.process]))
+                            .map_or(0, |i| i + 1),
+                    };
+                    if waits_for > 0 {
+                        expected.push((sibling, waits_for));
                     }
                     expected.sort_unstable();
                     let mut got = task.prereqs.clone();
@@ -788,8 +818,11 @@ mod tests {
                         task.process, task.index, task.slot
                     );
                 }
+                // P04 reads the customers P02 upserts: the two alternate
+                let p04 = plan.tasks().iter().filter(|t| t.process == "P04");
+                assert!(p04.skip(1).all(|t| t.prereqs.len() == 2), "k={k} d={d}");
                 // a serialized stream is the chain alone
-                let c = PeriodPlan::by_stream(&streams, 2..3);
+                let c = PeriodPlan::by_stream(&streams, 2..3, &p);
                 for task in c.tasks() {
                     assert_eq!(task.slot, 2);
                     let chain: Vec<_> = (task.index > 0)
@@ -808,7 +841,7 @@ mod tests {
     #[test]
     fn by_stream_plan_dispatches_each_stream_in_order() {
         let streams = schedule::period_streams(0, 0.05);
-        let plan = PeriodPlan::by_stream(&streams, 0..2);
+        let plan = PeriodPlan::by_stream(&streams, 0..2, &profiles());
         for workers in [1, 2, 4] {
             let started: Mutex<[Vec<usize>; 2]> = Mutex::new(Default::default());
             let finished = [AtomicUsize::new(0), AtomicUsize::new(0)];
@@ -842,7 +875,7 @@ mod tests {
     #[test]
     fn claim_prefers_the_ordinal_just_completed() {
         let streams = schedule::period_streams(0, 0.05);
-        let plan = PeriodPlan::by_stream(&streams, 0..2);
+        let plan = PeriodPlan::by_stream(&streams, 0..2, &profiles());
         let state = PoolState {
             head: vec![0, 0],
             outcomes: vec![TaskOutcome::Pending; plan.tasks().len()],

@@ -211,9 +211,9 @@ pub fn deliver(
             seq,
         } => (process, period, seq, None),
     };
-    // captured only when the run can dead-letter: an armed resilience
-    // layer or a planned abort (else serializing every message is waste)
-    let can_fail = world.resilience().is_some() || world.network.plan().abort.is_some();
+    // captured only when the run can dead-letter: an armed retry loop or
+    // a planned abort (else serializing every message is waste)
+    let can_fail = world.attempts().is_some() || world.network.plan().abort.is_some();
     let payload = msg
         .as_ref()
         .filter(|_| can_fail)
@@ -328,7 +328,6 @@ mod tests {
     use super::*;
     use dip_netsim::{LatencyModel, LinkSpec, Network};
     use dip_relstore::prelude::{TransportFault, TransportKind};
-    use dip_services::{Resilience, ResiliencePolicy};
     use dip_xmlkit::node::Element;
 
     fn transport_error() -> MtmError {
@@ -343,8 +342,7 @@ mod tests {
     fn armed_world() -> ExternalWorld {
         let link = LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 1_000_000);
         let mut world = ExternalWorld::new(Arc::new(Network::new(link, 1)), "is");
-        let clock = dip_netsim::virtual_clock();
-        world.arm_resilience(Arc::new(Resilience::new(ResiliencePolicy::DEFAULT, clock)));
+        world.arm_resilience(dip_services::resilience::DEFAULT_ATTEMPTS);
         world
     }
 

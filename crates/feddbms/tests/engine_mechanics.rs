@@ -8,7 +8,6 @@ use dip_mtm::error::MtmError;
 use dip_netsim::{topology, FaultModel, LatencyModel, LinkSpec, Network, TransferMode};
 use dip_relstore::prelude::*;
 use dip_services::registry::{ExternalWorld, LoadMode};
-use dip_services::{Resilience, ResiliencePolicy};
 use dip_xmlkit::node::{Document, Element};
 use dipbench::schema::{dm, dwh};
 use std::sync::Arc;
@@ -209,12 +208,11 @@ fn world_with_unreachable_marts() -> Arc<ExternalWorld> {
     let mut net = topology::dipbench_network(TransferMode::Accounted, 7);
     let endpoint = |mart: dm::Mart| format!("es.{}", mart.db_name());
     for mart in dm::Mart::ALL {
-        net.set_fault_model(topology::IS, &endpoint(mart), Some(FaultModel::drops(1.0)));
-        net.set_fault_model(&endpoint(mart), topology::IS, Some(FaultModel::drops(1.0)));
+        net.set_fault_model(topology::IS, &endpoint(mart), FaultModel::drops(1.0));
+        net.set_fault_model(&endpoint(mart), topology::IS, FaultModel::drops(1.0));
     }
     let mut w = ExternalWorld::new(Arc::new(net), topology::IS);
-    let clock = dip_netsim::virtual_clock();
-    w.arm_resilience(Arc::new(Resilience::new(ResiliencePolicy::DEFAULT, clock)));
+    w.arm_resilience(dip_services::resilience::DEFAULT_ATTEMPTS);
     let dwh = dwh::create_dwh().unwrap();
     w.add_database(dwh::DWH, "es.dwh", dwh);
     for mart in dm::Mart::ALL {

@@ -56,10 +56,8 @@ pub struct Network {
     default_link: LinkSpec,
     rng: Mutex<StdRng>,
     stats: Mutex<NetStats>,
-    /// Per-link fault models. An explicit `None` entry is a tombstone that
-    /// shields a link from `default_fault` (ES-internal links stay clean
-    /// even when the wireless default faults).
-    fault_links: HashMap<(String, String), Option<FaultModel>>,
+    /// Per-link fault models, overriding `default_fault`.
+    fault_links: HashMap<(String, String), FaultModel>,
     default_fault: Option<FaultModel>,
     /// Seed component of every fault-identity hash. Kept separate from the
     /// latency RNG: fault evaluation never consumes latency randomness, so
@@ -119,9 +117,8 @@ impl Network {
             .unwrap_or(self.default_link)
     }
 
-    /// Set (or, with `None`, explicitly clear) the fault model of a
-    /// directed link. A cleared link is shielded from the default model.
-    pub fn set_fault_model(&mut self, from: &str, to: &str, model: Option<FaultModel>) {
+    /// Set the fault model of a directed link, overriding the default.
+    pub fn set_fault_model(&mut self, from: &str, to: &str, model: FaultModel) {
         self.fault_links
             .insert((from.to_string(), to.to_string()), model);
     }
@@ -135,17 +132,13 @@ impl Network {
     /// keep the happy path entirely outside the resilience machinery.
     pub fn has_faults(&self) -> bool {
         self.default_fault.map(|m| m.is_active()).unwrap_or(false)
-            || self
-                .fault_links
-                .values()
-                .any(|m| m.map(|m| m.is_active()).unwrap_or(false))
+            || self.fault_links.values().any(|m| m.is_active())
     }
 
     fn fault_model(&self, from: &str, to: &str) -> Option<FaultModel> {
-        match self.fault_links.get(&(from.to_string(), to.to_string())) {
-            Some(entry) => *entry,
-            None => self.default_fault,
-        }
+        (self.fault_links.get(&(from.to_string(), to.to_string())))
+            .copied()
+            .or(self.default_fault)
     }
 
     /// Decide the fate of one transfer leg of one attempt of operation
@@ -253,11 +246,6 @@ impl Network {
         delay
     }
 
-    /// A round trip: request of `req_bytes` plus response of `resp_bytes`.
-    pub fn round_trip(&self, a: &str, b: &str, req_bytes: usize, resp_bytes: usize) -> Duration {
-        self.transfer(a, b, req_bytes) + self.transfer(b, a, resp_bytes)
-    }
-
     pub fn stats(&self) -> NetStats {
         *self.stats.lock()
     }
@@ -297,7 +285,8 @@ mod tests {
     fn stats_accumulate() {
         let n = net();
         n.transfer("a", "b", 10);
-        n.round_trip("a", "b", 10, 20);
+        n.transfer("a", "b", 10);
+        n.transfer("b", "a", 20);
         let s = n.stats();
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 40);
@@ -305,14 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_verdicts_are_deterministic_and_tombstoned() {
+    fn fault_verdicts_are_deterministic_per_link() {
         use crate::fault::LinkFault;
         let mut n = net();
         n.set_default_fault_model(Some(FaultModel::drops(0.5)));
-        n.set_fault_model("a", "c", None); // shielded from the default
+        n.set_fault_model("a", "c", FaultModel::drops(0.0)); // overrides the default
         assert!(n.has_faults());
         let op = OpKey::synthetic(99);
-        // shielded link never faults
+        // a clean link never faults
         for attempt in 0..64 {
             assert_eq!(n.fault_verdict("a", "c", &op, attempt, 0), Verdict::Deliver);
         }

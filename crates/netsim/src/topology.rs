@@ -73,25 +73,12 @@ pub fn dipbench_network(_mode: TransferMode, seed: u64) -> Network {
 
 /// Apply a run's fault plan to the benchmark network: the network keeps
 /// the plan (its crash, abort and rollback-off switch are read from there),
-/// and an active model becomes the default (all wireless IS↔ES/CS traffic),
-/// while ES-internal pairs — intra-machine traffic — are explicitly
-/// shielded and never fault.
+/// and an active model becomes the default of every link. Only the legs
+/// between the integration system and an endpoint are ever judged.
 pub fn apply_fault_plan(net: &mut Network, plan: FaultPlan) {
     net.set_plan(plan);
-    if !plan.is_active() {
-        return;
-    }
-    net.set_default_fault_model(Some(plan.model));
-    let es_endpoints: Vec<&str> = ES_DATABASES
-        .iter()
-        .chain(ES_SERVICES.iter())
-        .copied()
-        .collect();
-    for (i, a) in es_endpoints.iter().enumerate() {
-        for b in es_endpoints.iter().skip(i + 1) {
-            net.set_fault_model(a, b, None);
-            net.set_fault_model(b, a, None);
-        }
+    if plan.is_active() {
+        net.set_default_fault_model(Some(plan.model));
     }
 }
 

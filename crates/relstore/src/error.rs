@@ -16,8 +16,6 @@ pub enum TransportKind {
     Drop,
     /// The link stalled past the caller's timeout.
     Timeout,
-    /// The caller's circuit breaker is open; no attempt was made.
-    CircuitOpen,
     /// The integration system itself was killed mid-operation (deterministic
     /// crash injection). NOT transient: the instance must not be retried or
     /// dead-lettered by the dying process — recovery replays it after
@@ -30,7 +28,6 @@ impl TransportKind {
         match self {
             TransportKind::Drop => "drop",
             TransportKind::Timeout => "timeout",
-            TransportKind::CircuitOpen => "circuit-open",
             TransportKind::Crash => "crash",
         }
     }
@@ -42,8 +39,8 @@ impl TransportKind {
 pub struct TransportFault {
     pub endpoint: String,
     pub kind: TransportKind,
-    /// Attempts made before surfacing the fault (≥ 1 unless the breaker
-    /// rejected the operation outright).
+    /// Attempts made before surfacing the fault (0 for an injected crash
+    /// or abort, which fail before any attempt).
     pub attempts: u32,
 }
 
@@ -91,7 +88,7 @@ pub enum StoreError {
     /// Catch-all for invalid plans or misuse of the API.
     Invalid(String),
     /// A transport-level failure reaching a remote store (injected by the
-    /// fault schedule, or a breaker rejection). Transient: retryable.
+    /// fault schedule). Transient unless it is an injected crash.
     Transport(TransportFault),
 }
 

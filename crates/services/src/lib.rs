@@ -20,5 +20,4 @@ pub mod resultset;
 pub mod webservice;
 
 pub use registry::{ExternalWorld, Remote};
-pub use resilience::{BreakerState, CircuitBreaker, Resilience, ResiliencePolicy};
 pub use webservice::{DbService, ServiceError, ServiceResult, WebService};

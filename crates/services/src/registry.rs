@@ -7,7 +7,7 @@
 //! communication delay. That delay is what the benchmark monitor charges
 //! to the `Cc` (communication) cost category.
 
-use crate::resilience::{Attempt, Resilience};
+use crate::resilience::{self, Attempt};
 use crate::resultset::ResultSet;
 use crate::webservice::{ServiceError, ServiceResult, WebService};
 use dip_netsim::fault;
@@ -46,9 +46,10 @@ pub struct ExternalWorld {
     pub self_endpoint: String,
     databases: HashMap<String, (String, Arc<Database>)>,
     services: HashMap<String, (String, Arc<dyn WebService>)>,
-    /// Retry/breaker layer, armed only when the network carries a fault
-    /// plan; `None` keeps every round trip on the historical fast path.
-    resilience: Option<Arc<Resilience>>,
+    /// Attempt budget of the retry loop, armed only when the network
+    /// carries a fault plan; `None` keeps every round trip on the
+    /// historical fast path.
+    attempts: Option<u32>,
 }
 
 impl std::fmt::Debug for ExternalWorld {
@@ -67,18 +68,19 @@ impl ExternalWorld {
             self_endpoint: self_endpoint.into(),
             databases: HashMap::new(),
             services: HashMap::new(),
-            resilience: None,
+            attempts: None,
         }
     }
 
-    /// Engage the resilience layer for all subsequent remote/WS calls.
-    pub fn arm_resilience(&mut self, resilience: Arc<Resilience>) {
-        self.resilience = Some(resilience);
+    /// Engage the retry loop, with `attempts` attempts per operation, for
+    /// all subsequent remote/WS calls.
+    pub fn arm_resilience(&mut self, attempts: u32) {
+        self.attempts = Some(attempts);
     }
 
-    /// The armed resilience layer, if any.
-    pub fn resilience(&self) -> Option<&Arc<Resilience>> {
-        self.resilience.as_ref()
+    /// The armed attempt budget, if any.
+    pub fn attempts(&self) -> Option<u32> {
+        self.attempts
     }
 
     /// Register a database under a logical name at a network endpoint.
@@ -146,10 +148,10 @@ impl ExternalWorld {
     /// The resilience layer engages only when it is armed, the network
     /// carries an active fault plan, and the call runs inside an instance
     /// fault scope — otherwise this is exactly the historical unguarded
-    /// path (no verdicts, no clock, no breaker). When engaged, both legs'
-    /// fault verdicts are evaluated *before* `effect` runs, so a retried
-    /// attempt never re-executes the remote side effect; timeout and
-    /// backoff waits are folded into the returned communication delay.
+    /// path (no verdicts). When engaged, both legs' fault verdicts are
+    /// evaluated *before* `effect` runs, so a retried attempt never
+    /// re-executes the remote side effect; timeout and backoff waits are
+    /// folded into the returned communication delay.
     fn round_trip<T, E>(
         &self,
         endpoint: &str,
@@ -186,16 +188,23 @@ impl ExternalWorld {
             }
         }
         let guarded = self
-            .resilience
-            .as_ref()
+            .attempts
             .filter(|_| self.network.has_faults())
-            .and_then(|r| fault::begin_op().map(|op| (r, op)));
+            .and_then(|n| fault::begin_op().map(|op| (n, op)));
         let wasted = match guarded {
             None => Duration::ZERO,
-            Some((r, op)) => match r.decide(&self.network, &self.self_endpoint, endpoint, &op) {
-                Attempt::Proceed { wasted } => wasted,
-                Attempt::Exhausted(f) => return Err(E::from(f)),
-            },
+            Some((attempts, op)) => {
+                match resilience::decide(
+                    &self.network,
+                    &self.self_endpoint,
+                    endpoint,
+                    &op,
+                    attempts,
+                ) {
+                    Attempt::Proceed { wasted } => wasted,
+                    Attempt::Exhausted(f) => return Err(E::from(f)),
+                }
+            }
         };
         let req = self
             .network

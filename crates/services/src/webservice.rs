@@ -24,8 +24,8 @@ pub enum ServiceError {
     UnknownOperation(String),
     Store(StoreError),
     Malformed(String),
-    /// A transport-level failure reaching the service endpoint.
-    /// Transient: the retry/breaker layer keys off this variant.
+    /// A transport-level failure reaching the service endpoint. Transient
+    /// unless it is an injected crash: delivery dead-letters on it.
     Transport(TransportFault),
 }
 

@@ -56,14 +56,11 @@ fn check(report: &verify::VerificationReport, name: &str) -> bool {
 /// scheduled message.
 #[test]
 fn same_seed_produces_identical_dead_letters_and_data() {
-    // no retries and no breaker: every transport verdict maps 1:1 to a
-    // delivery outcome, so the run is a pure function of the seed (the
-    // breaker is deliberately excluded — its consecutive-failure count is
-    // interleaving-dependent across the concurrent streams)
+    // no retries: every transport verdict maps 1:1 to a delivery outcome
     let config = BenchConfig::new(scale())
         .with_periods(1)
         .with_faults(FaultPlan::drops(0.2))
-        .with_resilience(ResiliencePolicy::NO_RETRY);
+        .with_attempts(1);
     let (env_a, out_a) = run_fed(config);
     let (env_b, out_b) = run_fed(config);
 
@@ -103,7 +100,7 @@ fn engines_agree_under_fault_schedule() {
     let config = BenchConfig::new(scale())
         .with_periods(1)
         .with_faults(FaultPlan::drops(0.05))
-        .with_resilience(ResiliencePolicy::DEFAULT.with_attempts(6));
+        .with_attempts(6);
 
     let mut results = Vec::new();
     for engine in ["mtm", "fed", "eai"] {
@@ -145,11 +142,9 @@ fn engines_agree_under_fault_schedule() {
 #[test]
 fn rate_zero_plan_is_byte_identical_to_unarmed_run() {
     let plain = BenchConfig::new(scale()).with_periods(1);
-    // rate-0 model + a custom policy: is_active() is false, so neither may
-    // change anything
-    let rate0 = plain
-        .with_faults(FaultPlan::drops(0.0))
-        .with_resilience(ResiliencePolicy::DEFAULT.with_attempts(9));
+    // rate-0 model + a custom attempt budget: is_active() is false, so
+    // neither may change anything
+    let rate0 = plain.with_faults(FaultPlan::drops(0.0)).with_attempts(9);
     let (env_a, out_a) = run_fed(plain);
     let (env_b, out_b) = run_fed(rate0);
     assert!(out_a.dead_letters.is_empty() && out_b.dead_letters.is_empty());

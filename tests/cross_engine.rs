@@ -117,9 +117,7 @@ fn ivm_engine_matches_fed_and_mtm() {
 fn ivm_agrees_with_fed_under_drop_faults() {
     // with the default retry budget a modest drop rate must not change
     // integrated data for either engine — and they must still agree
-    let faulty = config()
-        .with_faults(FaultPlan::drops(0.05))
-        .with_resilience(ResiliencePolicy::DEFAULT);
+    let faulty = config().with_faults(FaultPlan::drops(0.05));
     let (ivm_env, ivm_out) = run(EngineKind::Ivm, faulty);
     assert!(ivm_out.failures.is_empty(), "{:#?}", ivm_out.failures);
     assert!(verify::verify(&ivm_env).unwrap().passed());

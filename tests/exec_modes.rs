@@ -16,9 +16,7 @@ fn config() -> BenchConfig {
 }
 
 fn with_drops() -> BenchConfig {
-    config()
-        .with_faults(FaultPlan::drops(0.05))
-        .with_resilience(ResiliencePolicy::DEFAULT)
+    config().with_faults(FaultPlan::drops(0.05))
 }
 
 /// Run the full benchmark and digest every table of every database.

@@ -72,7 +72,7 @@ fn retried_fault_runs_are_byte_identical_across_worker_counts() {
     let base = BenchConfig::new(scale())
         .with_periods(1)
         .with_faults(FaultPlan::drops(0.05))
-        .with_resilience(ResiliencePolicy::DEFAULT.with_attempts(6));
+        .with_attempts(6);
     for engine in ENGINES {
         let reference = fingerprint(base, engine);
         assert!(
@@ -91,16 +91,18 @@ fn retried_fault_runs_are_byte_identical_across_worker_counts() {
     }
 }
 
-/// Dead-lettering faults: a 20% no-retry drop plan (breaker excluded —
-/// its consecutive-failure count is interleaving-dependent) produces a
-/// nonempty dead-letter queue, and that queue is byte-identical at every
-/// worker count.
+/// Dead-lettering faults: a 20% no-retry drop plan produces a nonempty
+/// dead-letter queue, and that queue is byte-identical at every worker
+/// count. At 30% with one attempt on four workers — where a retry loop
+/// that kept state across operations would read their arrival order —
+/// two same-seed runs of every engine agree on everything, counters
+/// included.
 #[test]
 fn dead_letter_queues_are_byte_identical_across_worker_counts() {
     let base = BenchConfig::new(scale())
         .with_periods(1)
         .with_faults(FaultPlan::drops(0.2))
-        .with_resilience(ResiliencePolicy::NO_RETRY);
+        .with_attempts(1);
     let reference = fingerprint(base, EngineKind::Federated);
     assert!(
         !reference.fingerprint.dead_letters.is_empty(),
@@ -115,6 +117,41 @@ fn dead_letter_queues_are_byte_identical_across_worker_counts() {
             &reference,
             &format!("fed workers={workers} dead-letter"),
         );
+    }
+    let heavy = BenchConfig::new(scale())
+        .with_periods(1)
+        .with_faults(FaultPlan::drops(0.3))
+        .with_attempts(1)
+        .with_workers(4);
+    for engine in ENGINES {
+        for seed in [1, 2, 3] {
+            assert_same_seed_twice(engine, heavy.with_seed(seed), "30% drop");
+        }
+    }
+}
+
+/// Two runs of one cell agree on everything, every counter included.
+fn assert_same_seed_twice(engine: EngineKind, config: BenchConfig, label: &str) {
+    let (a, b) = (fingerprint(config, engine), fingerprint(config, engine));
+    let differs = b.fingerprint.diff(&a.fingerprint, true);
+    let seed = config.seed;
+    assert!(
+        differs.is_empty(),
+        "{engine:?} seed={seed} {label}: same-seed runs differ on {differs:?}"
+    );
+}
+
+/// The closed-loop EAI broker (one broker thread, the registry's default)
+/// runs the E1 messages in the order the client hands them over, so a
+/// same-seed pair agrees on every counter, `netsim.bytes` included: the
+/// P04 enrichment reads the customers P02 upserts only after the
+/// virtually-earlier P02 messages (`PeriodPlan::by_stream`).
+#[test]
+fn eai_same_seed_runs_agree_on_every_counter() {
+    let config =
+        BenchConfig::new(ScaleFactors::new(0.05, 1.0, Distribution::Uniform)).with_periods(1);
+    for seed in [1, 2, 3, 4, 5] {
+        assert_same_seed_twice(EngineKind::Eai, config.with_seed(seed), "closed loop");
     }
 }
 
