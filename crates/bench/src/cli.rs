@@ -122,7 +122,7 @@ mod flags {
     pub const SEED: Flag = Flag::new("--seed", Ty::Seed, "seed of the data generator and the fault schedule").or("3355");
     pub const DROP: Flag = Flag::new("--drop", Ty::Rate, "transport drop rate").or("0.05");
     pub const TIMEOUT: Flag = Flag::new("--timeout", Ty::Rate, "transport timeout rate").or("0");
-    pub const ATTEMPTS: Flag = Flag::new("--attempts", Ty::Count, "delivery attempts per operation").or("4");
+    pub const ATTEMPTS: Flag = Flag::new("--attempts", Ty::Count, "delivery attempts per operation, the retry loop's one setting (50 ms timeout, 2-16 ms backoff)").or("4");
     pub const SWEEP: Flag = Flag::new("--sweep", Ty::Switch, "walk the command's cell grid instead of one cell");
     pub const PERIOD: Flag = Flag::new("--period", Ty::Index, "period of the crashed instance").or("0");
     pub const SEQ: Flag = Flag::new("--seq", Ty::Index, "sequence number of the crashed instance").or("0");

@@ -58,7 +58,7 @@ pub struct Network {
     stats: Mutex<NetStats>,
     /// Per-link fault models, overriding `default_fault`.
     fault_links: HashMap<(String, String), FaultModel>,
-    default_fault: Option<FaultModel>,
+    default_fault: FaultModel,
     /// Seed component of every fault-identity hash. Kept separate from the
     /// latency RNG: fault evaluation never consumes latency randomness, so
     /// a fault-free plan leaves delay sequences byte-identical.
@@ -91,7 +91,7 @@ impl Network {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             stats: Mutex::new(NetStats::default()),
             fault_links: HashMap::new(),
-            default_fault: None,
+            default_fault: FaultModel::NONE,
             fault_seed: seed,
             plan: FaultPlan::NONE,
             crash_tripped: AtomicBool::new(false),
@@ -124,21 +124,20 @@ impl Network {
     }
 
     /// Fault model applied to every link without an explicit entry.
-    pub fn set_default_fault_model(&mut self, model: Option<FaultModel>) {
+    pub fn set_default_fault_model(&mut self, model: FaultModel) {
         self.default_fault = model;
     }
 
     /// Whether any link of this network can fault. Callers use this to
     /// keep the happy path entirely outside the resilience machinery.
     pub fn has_faults(&self) -> bool {
-        self.default_fault.map(|m| m.is_active()).unwrap_or(false)
-            || self.fault_links.values().any(|m| m.is_active())
+        self.default_fault.is_active() || self.fault_links.values().any(|m| m.is_active())
     }
 
-    fn fault_model(&self, from: &str, to: &str) -> Option<FaultModel> {
+    fn fault_model(&self, from: &str, to: &str) -> FaultModel {
         (self.fault_links.get(&(from.to_string(), to.to_string())))
             .copied()
-            .or(self.default_fault)
+            .unwrap_or(self.default_fault)
     }
 
     /// Decide the fate of one transfer leg of one attempt of operation
@@ -152,14 +151,13 @@ impl Network {
         attempt: u32,
         leg: u32,
     ) -> Verdict {
-        match self.fault_model(from, to) {
-            Some(model) if model.is_active() => {
-                let link = fault::mix(fault::hash_str(from), fault::hash_str(to));
-                let identity = fault::mix(self.fault_seed, fault::mix(link, op.leg(attempt, leg)));
-                model.verdict(identity)
-            }
-            _ => Verdict::Deliver,
+        let model = self.fault_model(from, to);
+        if !model.is_active() {
+            return Verdict::Deliver;
         }
+        let link = fault::mix(fault::hash_str(from), fault::hash_str(to));
+        let identity = fault::mix(self.fault_seed, fault::mix(link, op.leg(attempt, leg)));
+        model.verdict(identity)
     }
 
     /// Give the network its run's plan ([`crate::topology::apply_fault_plan`]
@@ -297,7 +295,7 @@ mod tests {
     fn fault_verdicts_are_deterministic_per_link() {
         use crate::fault::LinkFault;
         let mut n = net();
-        n.set_default_fault_model(Some(FaultModel::drops(0.5)));
+        n.set_default_fault_model(FaultModel::drops(0.5));
         n.set_fault_model("a", "c", FaultModel::drops(0.0)); // overrides the default
         assert!(n.has_faults());
         let op = OpKey::synthetic(99);

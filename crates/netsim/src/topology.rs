@@ -73,13 +73,11 @@ pub fn dipbench_network(_mode: TransferMode, seed: u64) -> Network {
 
 /// Apply a run's fault plan to the benchmark network: the network keeps
 /// the plan (its crash, abort and rollback-off switch are read from there),
-/// and an active model becomes the default of every link. Only the legs
+/// and its link model becomes the default of every link. Only the legs
 /// between the integration system and an endpoint are ever judged.
 pub fn apply_fault_plan(net: &mut Network, plan: FaultPlan) {
     net.set_plan(plan);
-    if plan.is_active() {
-        net.set_default_fault_model(Some(plan.model));
-    }
+    net.set_default_fault_model(plan.model);
 }
 
 #[cfg(test)]

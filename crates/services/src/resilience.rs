@@ -32,17 +32,17 @@ use std::time::Duration;
 pub const DEFAULT_ATTEMPTS: u32 = 4;
 
 /// Modeled time a caller waits before declaring a drop or stall lost.
-pub const CALL_TIMEOUT: Duration = Duration::from_millis(50);
+const CALL_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// The first backoff pause; it doubles per failed attempt up to
 /// [`MAX_BACKOFF`].
-pub const BASE_BACKOFF: Duration = Duration::from_millis(2);
+const BASE_BACKOFF: Duration = Duration::from_millis(2);
 
 /// The backoff ceiling.
-pub const MAX_BACKOFF: Duration = Duration::from_millis(16);
+const MAX_BACKOFF: Duration = Duration::from_millis(16);
 
 /// Backoff pause before retrying after `attempt` (0-based) failed.
-pub fn backoff(attempt: u32) -> Duration {
+fn backoff(attempt: u32) -> Duration {
     BASE_BACKOFF
         .saturating_mul(1 << attempt.min(16))
         .min(MAX_BACKOFF)
@@ -104,7 +104,7 @@ mod tests {
 
     fn network(drop_rate: f64) -> Network {
         let mut net = Network::new(LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 0), 3);
-        net.set_default_fault_model(Some(FaultModel::drops(drop_rate)));
+        net.set_default_fault_model(FaultModel::drops(drop_rate));
         net
     }
 

@@ -150,7 +150,7 @@ fn assert_same_seed_twice(engine: EngineKind, config: BenchConfig, label: &str) 
 fn eai_same_seed_runs_agree_on_every_counter() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.05, 1.0, Distribution::Uniform)).with_periods(1);
-    for seed in [1, 2, 3, 4, 5] {
+    for seed in 1..=10 {
         assert_same_seed_twice(EngineKind::Eai, config.with_seed(seed), "closed loop");
     }
 }
