@@ -174,23 +174,6 @@ fn bench_mview(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_optimizer(c: &mut Criterion) {
-    let mut g = c.benchmark_group("planner");
-    g.sample_size(20);
-    let db = customers(10_000);
-    // filter above a join: pushdown turns a 10k-row probe into an index probe
-    let plan = Plan::scan("customer")
-        .hash_join(Plan::scan("city"), vec![2], vec![0])
-        .filter(Expr::col(0).eq(Expr::lit(42)));
-    g.bench_function("pushdown_on", |b| {
-        b.iter(|| black_box(execute(&plan, &db).unwrap().len()))
-    });
-    g.bench_function("pushdown_off", |b| {
-        b.iter(|| black_box(execute_oracle(&plan, &db).unwrap().len()))
-    });
-    g.finish();
-}
-
 const REGIONS: [&str; 3] = ["europe", "asia", "america"];
 const SALES_COLUMNS: usize = 25;
 
@@ -547,7 +530,6 @@ criterion_group!(
     benches,
     bench_relstore,
     bench_mview,
-    bench_optimizer,
     bench_mtm_dataflow,
     bench_write_path
 );

@@ -199,21 +199,6 @@ impl Expr {
             }
         }
     }
-
-    /// Rewrite column references through a mapping (old position → new).
-    /// Used by the optimizer when pushing expressions below projections.
-    pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> Expr {
-        match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Cmp(op, a, b) => a.remap_columns(map).compare(*op, b.remap_columns(map)),
-            Expr::And(a, b) => a.remap_columns(map).and(b.remap_columns(map)),
-            Expr::Apply(f, args) => Expr::Apply(
-                f.clone(),
-                args.iter().map(|a| a.remap_columns(map)).collect(),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,17 +253,12 @@ mod tests {
     }
 
     #[test]
-    fn referenced_and_remap() {
+    fn referenced_columns() {
         let e = Expr::Apply(plus(), vec![Expr::col(2), Expr::col(0)]).gt(Expr::lit(1));
         let mut cols = vec![];
         e.referenced_columns(&mut cols);
         cols.sort();
         assert_eq!(cols, vec![0, 2]);
-        let remapped = e.remap_columns(&|i| i + 10);
-        let mut cols = vec![];
-        remapped.referenced_columns(&mut cols);
-        cols.sort();
-        assert_eq!(cols, vec![10, 12]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * a programmatic [`query::Plan`] language
 //!   (filter/project/hash-join/union-distinct/aggregate — the operators
 //!   the benchmark's processes build) with a rule-based optimizer
-//!   (predicate + projection pushdown, index-join selection), one
+//!   (filter and projection into scans, index-join selection), one
 //!   columnar batch executor and a naive reference interpreter;
 //! * AFTER-INSERT triggers and stored procedures — the two building blocks
 //!   of the paper's federated-DBMS reference implementation (Fig. 9);

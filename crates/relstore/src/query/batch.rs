@@ -83,7 +83,6 @@ use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
 use crate::query::exec::{checked_values, index_join_equivalent, node_names, AggState};
 use crate::query::plan::{AggOp, Plan};
 use crate::row::{Relation, Row};
-use crate::table::Table;
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -309,14 +308,6 @@ fn emit_rows(rows: &[Row], width: usize, sink: &mut ChunkSink) -> StoreResult<()
     Ok(())
 }
 
-/// The columns of table `t` a scan or an index join's inner half emits.
-fn table_cols(t: &Table, projection: &Option<Vec<usize>>) -> Vec<usize> {
-    match projection {
-        Some(p) => p.clone(),
-        None => (0..t.schema.len()).collect(),
-    }
-}
-
 /// Gathers of columns `cols` of table row slots, all through `idx`.
 fn slot_cols<'t>(slots: &'t [Option<Row>], cols: &[usize], idx: Vec<u32>) -> Vec<Col<'t>> {
     let idx = Arc::new(idx);
@@ -502,7 +493,10 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             // each chunk reads the matched rows in place, under the
             // session's read lock, every column through one slot vector
             let t = db.table(table)?;
-            let cols = table_cols(&t, projection);
+            let cols = match projection {
+                Some(p) => p.clone(),
+                None => (0..t.schema.len()).collect(),
+            };
             let rows = t.rows();
             let slots = rows.slots();
             rows.matching(predicate.as_ref(), CHUNK_ROWS, &mut |idx| {
@@ -688,24 +682,20 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             table,
             probe_keys,
             inner_keys,
-            predicate,
-            projection,
-            probe_is_left,
         } => {
             let t = db.table(table)?;
             let Some(session) = t.probe_on(inner_keys) else {
                 // index dropped since planning: degrade to the equivalent
                 // hash join rather than failing the query
-                return exec_chunks(&index_join_equivalent(plan)?, db, sink);
+                let equivalent = index_join_equivalent(probe, table, probe_keys, inner_keys);
+                return exec_chunks(&equivalent, db, sink);
             };
-            // inner output column `x` reads column `inner_cols[x]` of the
-            // matched table row
-            let inner_cols = table_cols(&t, projection);
+            let inner_cols: Vec<usize> = (0..t.schema.len()).collect();
             let mut key: Vec<Value> = Vec::with_capacity(probe_keys.len());
             feed(plan, probe, db, &mut |c: Chunk| {
                 // both halves are gathered, no value is cloned: the probe
-                // columns over the probe chunk, the inner columns over the
-                // table's row slots, read in place under the session's lock
+                // columns over the probe chunk, the table's columns over
+                // its row slots, read in place under the session's lock
                 let mut probe_idx: Vec<u32> = Vec::new();
                 let mut slot_idx: Vec<u32> = Vec::new();
                 for k in 0..c.live() {
@@ -714,12 +704,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     if key.iter().any(|v| v.is_null()) {
                         continue; // NULL keys never join
                     }
-                    session.lookup(&key, &mut |slot, ir| {
-                        if let Some(p) = predicate {
-                            if !p.matches_on(ir)? {
-                                return Ok(());
-                            }
-                        }
+                    session.lookup(&key, &mut |slot, _| {
                         probe_idx.push(i as u32);
                         slot_idx.push(slot);
                         Ok(())
@@ -729,7 +714,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     return Ok(());
                 }
                 let inner = slot_cols(session.rows.slots(), &inner_cols, slot_idx);
-                sink(join_chunk(c, probe_idx, inner, *probe_is_left))
+                sink(join_chunk(c, probe_idx, inner, true))
             })
         }
         Plan::UnionDistinct { inputs, key } => {
@@ -873,6 +858,7 @@ mod tests {
     use super::*;
     use crate::query::plan::{AggExpr, ProjExpr};
     use crate::schema::RelSchema;
+    use crate::table::Table;
     use crate::value::SqlType;
 
     /// A scan hands on full chunks of matched rows, then the rest, and

@@ -64,61 +64,18 @@ pub(crate) fn node_names(plan: &Plan) -> (&'static str, &'static str, &'static s
     }
 }
 
-/// Rewrite an [`Plan::IndexJoin`] back into the hash join it was derived
-/// from — the executor's fallback when the covering index has vanished
-/// between planning and execution, and the oracle's semantics. A plan
-/// whose `projection` drops an `inner_keys` column has no such hash join
-/// and is rejected as [`StoreError::Invalid`].
-pub(crate) fn index_join_equivalent(plan: &Plan) -> StoreResult<Plan> {
-    let Plan::IndexJoin {
-        probe,
-        table,
-        probe_keys,
-        inner_keys,
-        predicate,
-        projection,
-        probe_is_left,
-    } = plan
-    else {
-        return Err(StoreError::Invalid(
-            "index_join_equivalent on a non-IndexJoin plan".into(),
-        ));
-    };
-    let scan = Plan::Scan {
-        table: table.clone(),
-        predicate: predicate.clone(),
-        projection: projection.clone(),
-    };
-    // inner_keys are base-table positions; map them through the projection
-    // to positions in the scan's output
-    let scan_keys: Vec<usize> = match projection {
-        Some(p) => inner_keys
-            .iter()
-            .map(|k| {
-                p.iter().position(|c| c == k).ok_or_else(|| {
-                    StoreError::Invalid(format!(
-                        "index join on `{table}`: key column {k} is not in the projection"
-                    ))
-                })
-            })
-            .collect::<StoreResult<_>>()?,
-        None => inner_keys.clone(),
-    };
-    Ok(if *probe_is_left {
-        Plan::HashJoin {
-            left: probe.clone(),
-            right: Box::new(scan),
-            left_keys: probe_keys.clone(),
-            right_keys: scan_keys,
-        }
-    } else {
-        Plan::HashJoin {
-            left: Box::new(scan),
-            right: probe.clone(),
-            left_keys: scan_keys,
-            right_keys: probe_keys.clone(),
-        }
-    })
+/// The hash join a [`Plan::IndexJoin`] stands for, `HashJoin(probe,
+/// Scan(table))` — the executor's fallback when the covering index has
+/// vanished between planning and execution, and the oracle's semantics.
+pub(crate) fn index_join_equivalent(
+    probe: &Plan,
+    table: &str,
+    probe_keys: &[usize],
+    inner_keys: &[usize],
+) -> Plan {
+    probe
+        .clone()
+        .hash_join(Plan::scan(table), probe_keys.to_vec(), inner_keys.to_vec())
 }
 
 /// A [`Plan::Values`] leaf's relation, checked before either path reads a
@@ -199,7 +156,15 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             let r = oracle(right, db)?;
             hash_join(db, plan, l, r, left_keys, right_keys)
         }
-        Plan::IndexJoin { .. } => oracle(&index_join_equivalent(plan)?, db),
+        Plan::IndexJoin {
+            probe,
+            table,
+            probe_keys,
+            inner_keys,
+        } => oracle(
+            &index_join_equivalent(probe, table, probe_keys, inner_keys),
+            db,
+        ),
         Plan::UnionDistinct { inputs, key } => {
             let schema = plan.schema(db)?;
             let mut seen: HashSet<Row> = HashSet::new();

@@ -344,13 +344,7 @@ mod tests {
         let plan = Plan::scan("customer").hash_join(Plan::scan("city"), vec![2], vec![0]);
         let opt = crate::query::planner::optimize(plan.clone(), &db).unwrap();
         assert!(
-            matches!(
-                opt,
-                Plan::IndexJoin {
-                    probe_is_left: true,
-                    ..
-                }
-            ),
+            matches!(opt, Plan::IndexJoin { .. }),
             "expected IndexJoin, got {opt:?}"
         );
         run_vs_oracle(&plan, &db);
@@ -386,8 +380,8 @@ mod tests {
     #[test]
     fn project_after_unpushable_filter() {
         let db = db();
-        // The predicate compares columns from both join sides, so the
-        // planner keeps it as a residual Filter above the join: the batch
+        // The planner pushes no filter through a join, so this one, over
+        // columns of both join sides, stays above the join: the batch
         // executor's Project then sees a chunk with a selection vector
         // over gathered join columns — a shape where forwarded bare
         // columns must compose the selection into their gather index
@@ -663,27 +657,24 @@ mod tests {
         assert_eq!(rel.rows[0][0], Value::Int(1));
     }
 
+    /// A hand-built index join over a table no index covers runs as the
+    /// hash join it stands for, on both paths.
     #[test]
-    fn index_join_without_projected_key_is_invalid_not_a_panic() {
+    fn index_join_without_its_index_runs_as_the_hash_join() {
         let db = db();
-        // hand-built: no index covers customer.citykey, so the executor and
-        // the oracle both fall back to the equivalent hash join — which
-        // cannot be keyed when the projection drops the join column
         let plan = Plan::IndexJoin {
             probe: Box::new(Plan::scan("city")),
             table: "customer".into(),
             probe_keys: vec![0],
             inner_keys: vec![2],
-            predicate: None,
-            projection: Some(vec![0, 1]),
-            probe_is_left: true,
         };
-        for result in [execute(&plan, &db), execute_oracle(&plan, &db)] {
-            assert!(
-                matches!(result, Err(crate::error::StoreError::Invalid(_))),
-                "got {result:?}"
-            );
-        }
+        let hashed = Plan::scan("city").hash_join(Plan::scan("customer"), vec![0], vec![2]);
+        let mut expected = execute_oracle(&hashed, &db).unwrap().rows;
+        let mut rows = run_vs_oracle(&plan, &db).rows;
+        expected.sort();
+        rows.sort();
+        assert_eq!(expected.len(), 3);
+        assert_eq!(rows, expected);
     }
 
     /// A column index outside its input — a join key, a group-by column, a
@@ -727,8 +718,8 @@ mod tests {
     }
 
     /// A column an expression reads outside its input — in a filter, a
-    /// projection, a SUM's input, a scan's pushed-down predicate or an
-    /// index join's residual — is the same typed error from the executor
+    /// projection, a SUM's input or a scan's pushed-down predicate — is
+    /// the same typed error from the executor
     /// and the oracle, over no rows as over one. Over no rows both paths
     /// used to answer (`[]`, or `[[NULL]]` for the SUM): expressions were
     /// checked only when a row reached them.
@@ -748,15 +739,6 @@ mod tests {
                 values(rows).project(vec![ProjExpr::new(Expr::col(5), "x", SqlType::Int)]),
                 values(rows).aggregate(vec![], vec![AggExpr::sum(Expr::col(5), "s")]),
                 Plan::scan("nothing").filter(five()),
-                Plan::IndexJoin {
-                    probe: Box::new(values(rows)),
-                    table: "city".into(),
-                    probe_keys: vec![0],
-                    inner_keys: vec![0],
-                    predicate: Some(five()),
-                    projection: None,
-                    probe_is_left: true,
-                },
             ];
             for plan in &plans {
                 let (executed, oracle) = (plan.run(&db), plan.run_oracle(&db));
@@ -925,14 +907,12 @@ mod tests {
 
     /// Index joins emit their inner half as gathers over the inner table's
     /// row slots (NULL probe keys and probes without a match emit nothing),
-    /// probing from either side, with the inner predicate and projection
-    /// the planner pushes into the join, chained so that the second join
-    /// probes with a key read through the first one's gather, and a hash
-    /// join probing with such a chunk — each agrees with the oracle.
+    /// chained so that the second join probes with a key read through the
+    /// first one's gather, and a hash join probing with such a chunk — each
+    /// agrees with the oracle.
     #[test]
     fn index_joins_gather_inner_rows_and_agree_with_the_oracle() {
         let db = gather_db();
-        let d1 = db.table("d1").unwrap().schema.clone();
         let f_d1 = || Plan::scan("f").hash_join(Plan::scan("d1"), vec![1], vec![0]);
         // f.d: NULL at k ≡ 0 (mod 11), unmatched from 30 up
         let unmatched = (0..3000).filter(|k| k % 11 == 0 || k % 40 >= 30).count();
@@ -941,37 +921,6 @@ mod tests {
         let out = run_vs_oracle(&f_d1(), &db);
         assert_eq!(out.len(), 3000 - unmatched);
         assert!(out.rows.iter().all(|r| r.len() == 6 && !r[3].is_null()));
-
-        // d1 on the left: f probes it, and its columns come first
-        let d1_f = Plan::scan("d1").hash_join(Plan::scan("f"), vec![0], vec![1]);
-        let opt = planner::optimize(d1_f.clone(), &db).unwrap();
-        assert!(
-            matches!(
-                opt,
-                Plan::IndexJoin {
-                    probe_is_left: false,
-                    ..
-                }
-            ),
-            "{opt:?}"
-        );
-        assert_eq!(run_vs_oracle(&d1_f, &db).len(), 3000 - unmatched);
-
-        let inner = Plan::scan("d1").filter(differs(1, "n3")).project(vec![
-            ProjExpr::passthrough(&d1, "x", None).unwrap(),
-            ProjExpr::passthrough(&d1, "id", None).unwrap(),
-        ]);
-        let pushed = Plan::scan("f").hash_join(inner, vec![1], vec![1]);
-        let opt = planner::optimize(pushed.clone(), &db).unwrap();
-        assert!(
-            matches!(
-                &opt,
-                Plan::IndexJoin { predicate: Some(_), projection: Some(p), .. } if p == &[2, 0]
-            ),
-            "{opt:?}"
-        );
-        let n3 = (0..3000).filter(|k| k % 11 != 0 && k % 40 == 3).count();
-        assert_eq!(run_vs_oracle(&pushed, &db).len(), 3000 - unmatched - n3);
 
         let chained = f_d1().hash_join(Plan::scan("d2"), vec![5], vec![0]);
         let opt = planner::optimize(chained.clone(), &db).unwrap();

@@ -124,25 +124,19 @@ pub enum Plan {
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
     },
-    /// Index-nested-loop join produced by the planner when the inner side
-    /// is a base-table scan with an index exactly covering its join keys.
-    /// The probe side streams; the inner side is never materialized.
+    /// Index-nested-loop join, produced by the planner from
+    /// `HashJoin(probe, Scan(table))` when the scan is bare and an index of
+    /// `table` covers `inner_keys`. The probe side streams through index
+    /// lookups; the table is never materialized. Each output row is the
+    /// probe row followed by the whole table row.
     IndexJoin {
         probe: Box<Plan>,
         /// Inner base table (looked up per probe row through its index).
         table: String,
         /// Join key columns of the probe side (positions in probe output).
         probe_keys: Vec<usize>,
-        /// Matching key columns in the *base* table (scan projection
-        /// already applied by the planner).
+        /// Matching key columns of the table.
         inner_keys: Vec<usize>,
-        /// Residual predicate over base-table rows (from the folded scan).
-        predicate: Option<Expr>,
-        /// Output projection of the inner side (from the folded scan).
-        projection: Option<Vec<usize>>,
-        /// Whether the probe side was the left side of the original join
-        /// (controls output column order).
-        probe_is_left: bool,
     },
     /// Set union; `key = None` deduplicates whole rows, `Some(cols)`
     /// deduplicates on the given key columns keeping the first row seen —
@@ -211,11 +205,11 @@ impl Plan {
     }
 
     /// Compute the output schema against `db`. This is also where a plan's
-    /// column references are checked: a scan or index-join projection, a
-    /// join key, a group-by column, a union key or a column an expression
-    /// reads (a filter, projection or pushed-down predicate, an aggregate
-    /// input) outside its input is a typed error here, and both executors
-    /// derive the schema before they read a row.
+    /// column references are checked: a scan projection, a join key, a
+    /// group-by column, a union key or a column an expression reads (a
+    /// filter, projection or pushed-down predicate, an aggregate input)
+    /// outside its input is a typed error here, and both executors derive
+    /// the schema before they read a row.
     pub fn schema(&self, db: &Database) -> StoreResult<SchemaRef> {
         match self {
             Plan::Scan {
@@ -259,26 +253,11 @@ impl Plan {
                 table,
                 probe_keys,
                 inner_keys,
-                predicate,
-                projection,
-                probe_is_left,
             } => {
                 let p = probe.schema(db)?;
                 let t = db.table(table)?;
                 join_keys(probe_keys, &p, inner_keys, &t.schema)?;
-                exprs_in_range(predicate, &t.schema)?;
-                let inner = match projection {
-                    Some(cols) => {
-                        in_range(cols, &t.schema, "index join projection")?;
-                        t.schema.project(cols)
-                    }
-                    None => RelSchema::clone(&t.schema),
-                };
-                Ok(if *probe_is_left {
-                    p.concat(&inner).shared()
-                } else {
-                    inner.concat(&p).shared()
-                })
+                Ok(p.concat(&t.schema).shared())
             }
             Plan::UnionDistinct { inputs, key } => {
                 let mut schemas = inputs.iter().map(|i| i.schema(db));

