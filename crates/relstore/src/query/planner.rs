@@ -4,7 +4,7 @@
 //! build plans for:
 //!
 //! 1. **Filter into scan** — a `Filter` over a `Scan` merges into the
-//!    scan's predicate, conjoined with any predicate already there (which
+//!    scan's predicate, ANDed with any predicate already there (which
 //!    enables index probes inside the table). Stacked filters over a scan
 //!    merge one at a time, innermost first.
 //! 2. **Projection into scan** — a `Project` consisting purely of column

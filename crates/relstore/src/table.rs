@@ -398,8 +398,8 @@ impl Table {
         self.inner.read().live
     }
 
-    /// Number of distinct keys of the primary index, if any (the tests
-    /// check the index against the rows with it).
+    /// Number of distinct keys of the primary index, if any. Only tests
+    /// read it, to check the index against the stored rows.
     pub fn pk_cardinality(&self) -> Option<usize> {
         self.inner.read().primary.as_ref().map(Index::len)
     }
