@@ -61,9 +61,9 @@ fn mart_refresh_plan() -> Plan {
         .aggregate(
             vec![1],
             vec![
-                AggExpr::sum(Expr::col(3), "revenue"),
+                AggExpr::sum(3, "revenue"),
                 AggExpr::count_star("lines"),
-                AggExpr::sum(Expr::col(2), "qty"),
+                AggExpr::sum(2, "qty"),
             ],
         )
 }
@@ -76,9 +76,9 @@ fn join_free_plan() -> Plan {
         .aggregate(
             vec![1],
             vec![
-                AggExpr::sum(Expr::col(3), "revenue"),
+                AggExpr::sum(3, "revenue"),
                 AggExpr::count_star("lines"),
-                AggExpr::sum(Expr::col(2), "qty"),
+                AggExpr::sum(2, "qty"),
             ],
         )
 }

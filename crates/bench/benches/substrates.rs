@@ -97,7 +97,7 @@ fn bench_relstore(c: &mut Criterion) {
     g.bench_function("aggregate_group_by_city", |b| {
         let plan = Plan::scan("customer").aggregate(
             vec![2],
-            vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(3), "bal")],
+            vec![AggExpr::count_star("n"), AggExpr::sum(3, "bal")],
         );
         b.iter(|| black_box(plan.run(&db).unwrap().len()))
     });
@@ -144,7 +144,7 @@ fn bench_mview(c: &mut Criterion) {
                 );
                 let def = Plan::scan("orders").aggregate(
                     vec![0],
-                    vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(1), "rev")],
+                    vec![AggExpr::count_star("n"), AggExpr::sum(1, "rev")],
                 );
                 db.create_view(MatView::new("orders_mv", "orders_mv", def));
                 // a large base refreshed once, then a small delta on top

@@ -352,10 +352,10 @@ impl<'a> Client<'a> {
         // arrival order is interleaving-dependent under concurrent
         // streams (and any worker count > 1); canonicalize every
         // order-carrying output into schedule order so same-seed runs
-        // are byte-identical. Records have no seq, but same-type
-        // instances complete in series order on every path, so a stable
-        // sort by (period, process) yields one deterministic sequence.
-        records.sort_by(|a, b| (a.period, a.process.as_str()).cmp(&(b.period, b.process.as_str())));
+        // are byte-identical
+        records.sort_by(|a, b| {
+            (a.period, a.process.as_str(), a.seq).cmp(&(b.period, b.process.as_str(), b.seq))
+        });
         failures.sort_by(|a, b| {
             (a.period, a.process.as_str(), a.seq).cmp(&(b.period, b.process.as_str(), b.seq))
         });

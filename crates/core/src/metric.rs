@@ -76,14 +76,13 @@ pub fn process_metrics(records: &[NormalizedRecord], scale: &ScaleFactors) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dip_mtm::cost::InstanceId;
     use std::time::Duration;
 
-    fn nrec(id: u64, process: &str, nc_ms: u64, ok: bool) -> NormalizedRecord {
+    fn nrec(seq: u32, process: &str, nc_ms: u64, ok: bool) -> NormalizedRecord {
         NormalizedRecord {
-            instance: InstanceId(id),
             process: process.into(),
             period: 0,
+            seq,
             raw: Duration::from_millis(nc_ms),
             factor: 1.0,
             nc: Duration::from_millis(nc_ms),

@@ -10,16 +10,15 @@
 //! when it fully overlaps one other instance, and so on. The factor scales
 //! the instance's total attributed cost (Cc+Cm+Cp).
 
-use dip_mtm::cost::{InstanceId, InstanceRecord};
-use std::collections::HashMap;
+use dip_mtm::cost::InstanceRecord;
 use std::time::Duration;
 
 /// An instance's cost after concurrency normalization.
 #[derive(Debug, Clone)]
 pub struct NormalizedRecord {
-    pub instance: InstanceId,
     pub process: String,
     pub period: u32,
+    pub seq: u32,
     /// The raw attributed cost (Cc + Cm + Cp).
     pub raw: Duration,
     /// The concurrency factor in (0, 1].
@@ -33,7 +32,8 @@ pub struct NormalizedRecord {
     pub ok: bool,
 }
 
-/// Compute the concurrency factor of every instance.
+/// Compute the concurrency factor of every instance, parallel to
+/// `records`.
 ///
 /// Single event-sorted sweep, `O(n log n)`: with the records' start/end
 /// events in time order, maintain the running integral
@@ -41,65 +41,60 @@ pub struct NormalizedRecord {
 /// share of wall time is then `F(end) − F(start)` — the same elementary
 /// intervals as a boundary-by-boundary rescan would produce, without the
 /// `O(intervals × records)` inner loop.
-pub fn concurrency_factors(records: &[InstanceRecord]) -> HashMap<InstanceId, f64> {
+pub fn concurrency_factors(records: &[InstanceRecord]) -> Vec<f64> {
     // Zero-length instances contribute no active time and get factor 1
-    // below; they never enter the sweep.
-    let mut events: Vec<(Duration, i64)> = Vec::with_capacity(records.len() * 2);
-    for r in records {
+    // below; they never enter the sweep. An event is (time, ±1, record).
+    let mut events: Vec<(Duration, i64, usize)> = Vec::with_capacity(records.len() * 2);
+    for (i, r) in records.iter().enumerate() {
         if r.end > r.start {
-            events.push((r.start, 1));
-            events.push((r.end, -1));
+            events.push((r.start, 1, i));
+            events.push((r.end, -1, i));
         }
     }
     events.sort_unstable();
-    // F(t) at every event boundary. All starts/ends of swept records are
-    // boundaries, so every lookup below hits.
-    let mut integral_at: HashMap<Duration, f64> = HashMap::with_capacity(events.len());
+    // Every event at time t sees F(t): the interval since the previous
+    // boundary is added by the first of them, the rest add nothing. A
+    // start subtracts F(start) from its record's share, the end adds
+    // F(end).
+    let mut shares = vec![0.0_f64; records.len()];
     let mut active: i64 = 0;
     let mut integral = 0.0_f64;
     let mut prev: Option<Duration> = None;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
+    for &(t, delta, i) in &events {
         if let Some(p) = prev {
             if active > 0 {
                 integral += (t - p).as_secs_f64() / active as f64;
             }
         }
-        integral_at.insert(t, integral);
-        while i < events.len() && events[i].0 == t {
-            active += events[i].1;
-            i += 1;
-        }
         prev = Some(t);
+        shares[i] += if delta > 0 { -integral } else { integral };
+        active += delta;
     }
     records
         .iter()
-        .map(|r| {
+        .zip(shares)
+        .map(|(r, share)| {
             let wall = (r.end - r.start).as_secs_f64();
-            let factor = if wall <= 0.0 {
+            if wall <= 0.0 {
                 1.0
             } else {
-                let share = integral_at[&r.end] - integral_at[&r.start];
                 (share / wall).clamp(0.0, 1.0)
-            };
-            (r.instance, factor)
+            }
         })
         .collect()
 }
 
 /// Normalize every record.
 pub fn normalize(records: &[InstanceRecord]) -> Vec<NormalizedRecord> {
-    let factors = concurrency_factors(records);
     records
         .iter()
-        .map(|r| {
-            let factor = factors.get(&r.instance).copied().unwrap_or(1.0);
+        .zip(concurrency_factors(records))
+        .map(|(r, factor)| {
             let scale = |d: Duration| Duration::from_secs_f64(d.as_secs_f64() * factor);
             NormalizedRecord {
-                instance: r.instance,
                 process: r.process.clone(),
                 period: r.period,
+                seq: r.seq,
                 raw: r.total(),
                 factor,
                 nc: scale(r.total()),
@@ -115,13 +110,12 @@ pub fn normalize(records: &[InstanceRecord]) -> Vec<NormalizedRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dip_mtm::cost::InstanceId;
 
-    fn rec(id: u64, start_ms: u64, end_ms: u64, cost_ms: u64) -> InstanceRecord {
+    fn rec(id: u32, start_ms: u64, end_ms: u64, cost_ms: u64) -> InstanceRecord {
         InstanceRecord {
-            instance: InstanceId(id),
             process: format!("P{id:02}"),
             period: 0,
+            seq: 0,
             start: Duration::from_millis(start_ms),
             end: Duration::from_millis(end_ms),
             comm: Duration::from_millis(cost_ms / 2),
@@ -135,15 +129,15 @@ mod tests {
     fn serial_instances_keep_factor_one() {
         let records = vec![rec(0, 0, 10, 8), rec(1, 10, 30, 15)];
         let f = concurrency_factors(&records);
-        assert!((f[&InstanceId(0)] - 1.0).abs() < 1e-9);
-        assert!((f[&InstanceId(1)] - 1.0).abs() < 1e-9);
+        assert!((f[0] - 1.0).abs() < 1e-9);
+        assert!((f[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn full_overlap_halves() {
         let records = vec![rec(0, 0, 10, 8), rec(1, 0, 10, 8)];
         let f = concurrency_factors(&records);
-        assert!((f[&InstanceId(0)] - 0.5).abs() < 1e-9);
+        assert!((f[0] - 0.5).abs() < 1e-9);
         let norm = normalize(&records);
         assert_eq!(norm[0].nc, Duration::from_millis(4));
         // category breakdown scales consistently
@@ -156,34 +150,30 @@ mod tests {
         let records = vec![rec(0, 0, 10, 10), rec(1, 5, 15, 10)];
         let f = concurrency_factors(&records);
         let expected = (5.0 + 2.5) / 10.0; // 5ms alone + 5ms shared
-        assert!(
-            (f[&InstanceId(0)] - expected).abs() < 1e-9,
-            "{}",
-            f[&InstanceId(0)]
-        );
-        assert!((f[&InstanceId(1)] - expected).abs() < 1e-9);
+        assert!((f[0] - expected).abs() < 1e-9, "{}", f[0]);
+        assert!((f[1] - expected).abs() < 1e-9);
     }
 
     #[test]
     fn zero_duration_instance_is_factor_one() {
         let records = vec![rec(0, 5, 5, 1)];
         let f = concurrency_factors(&records);
-        assert!((f[&InstanceId(0)] - 1.0).abs() < 1e-9);
+        assert!((f[0] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn three_way_overlap() {
         let records = vec![rec(0, 0, 9, 9), rec(1, 0, 9, 9), rec(2, 0, 9, 9)];
         let f = concurrency_factors(&records);
-        for id in 0..3 {
-            assert!((f[&InstanceId(id)] - 1.0 / 3.0).abs() < 1e-9);
+        for factor in f {
+            assert!((factor - 1.0 / 3.0).abs() < 1e-9);
         }
     }
 
     /// Reference implementation: rescan the active set for every
     /// elementary interval (the pre-sweep O(intervals × records)
     /// algorithm). Kept in tests as the ground truth the sweep must match.
-    fn concurrency_factors_rescan(records: &[InstanceRecord]) -> HashMap<InstanceId, f64> {
+    fn concurrency_factors_rescan(records: &[InstanceRecord]) -> Vec<f64> {
         let mut boundaries: Vec<Duration> = Vec::new();
         for r in records {
             boundaries.push(r.start);
@@ -191,36 +181,34 @@ mod tests {
         }
         boundaries.sort();
         boundaries.dedup();
-        let mut shares: HashMap<InstanceId, f64> = HashMap::new();
+        let mut shares: Vec<Option<f64>> = vec![None; records.len()];
         for w in boundaries.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let len = (hi - lo).as_secs_f64();
             if len == 0.0 {
                 continue;
             }
-            let active: Vec<InstanceId> = records
-                .iter()
-                .filter(|r| r.start < hi && r.end > lo)
-                .map(|r| r.instance)
+            let active: Vec<usize> = (0..records.len())
+                .filter(|&i| records[i].start < hi && records[i].end > lo)
                 .collect();
             if active.is_empty() {
                 continue;
             }
             let share = len / active.len() as f64;
-            for id in active {
-                *shares.entry(id).or_insert(0.0) += share;
+            for i in active {
+                *shares[i].get_or_insert(0.0) += share;
             }
         }
         records
             .iter()
-            .map(|r| {
+            .zip(shares)
+            .map(|(r, share)| {
                 let wall = (r.end - r.start).as_secs_f64();
-                let factor = if wall <= 0.0 {
+                if wall <= 0.0 {
                     1.0
                 } else {
-                    (shares.get(&r.instance).copied().unwrap_or(wall) / wall).clamp(0.0, 1.0)
-                };
-                (r.instance, factor)
+                    (share.unwrap_or(wall) / wall).clamp(0.0, 1.0)
+                }
             })
             .collect()
     }
@@ -239,7 +227,7 @@ mod tests {
             (state >> 33) % bound
         };
         let mut records = Vec::new();
-        for id in 0..2_000u64 {
+        for id in 0..2_000u32 {
             let start = next(500_000);
             // ~2 % zero-length instances; the rest up to 20 ms long, with
             // coarse granularity so many boundaries coincide exactly.
@@ -249,9 +237,9 @@ mod tests {
                 (1 + next(200)) * 100
             };
             records.push(InstanceRecord {
-                instance: InstanceId(id),
                 process: format!("P{:02}", id % 15 + 1),
-                period: (id % 3) as u32,
+                period: id % 3,
+                seq: id / 45,
                 start: Duration::from_micros(start),
                 end: Duration::from_micros(start + len),
                 comm: Duration::from_micros(len / 2),
@@ -263,11 +251,10 @@ mod tests {
         let fast = concurrency_factors(&records);
         let reference = concurrency_factors_rescan(&records);
         assert_eq!(fast.len(), reference.len());
-        for (id, expected) in &reference {
-            let got = fast[id];
+        for (i, (got, expected)) in fast.iter().zip(&reference).enumerate() {
             assert!(
                 (got - expected).abs() < 1e-9,
-                "instance {id:?}: sweep {got} vs rescan {expected}"
+                "record {i}: sweep {got} vs rescan {expected}"
             );
         }
     }

@@ -93,7 +93,7 @@ pub fn sales_mv_definition() -> Plan {
         vec![5], // group by state
         vec![
             AggExpr::count_star("order_count"),
-            AggExpr::sum(Expr::col(3), "revenue"),
+            AggExpr::sum(3, "revenue"),
         ],
     )
 }

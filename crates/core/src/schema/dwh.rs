@@ -25,7 +25,7 @@ pub fn orders_mv_definition() -> Plan {
         vec![2], // group by orderdate
         vec![
             AggExpr::count_star("order_count"),
-            AggExpr::sum(Expr::col(3), "revenue"),
+            AggExpr::sum(3, "revenue"),
         ],
     )
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the benchmark core: cost normalization,
 //! schedule series, metric arithmetic and generator determinism.
 
-use dip_mtm::cost::{InstanceId, InstanceRecord};
+use dip_mtm::cost::InstanceRecord;
 use dipbench::monitor::{concurrency_factors, normalize};
 use dipbench::scale::{Distribution, ScaleFactors};
 use dipbench::{datagen, schedule};
@@ -14,9 +14,9 @@ fn arb_records(max: usize) -> impl Strategy<Value = Vec<InstanceRecord>> {
             .into_iter()
             .enumerate()
             .map(|(i, (start, len, cost))| InstanceRecord {
-                instance: InstanceId(i as u64),
                 process: format!("P{:02}", i % 15 + 1),
                 period: 0,
+                seq: (i / 15) as u32,
                 start: Duration::from_micros(start),
                 end: Duration::from_micros(start + len),
                 comm: Duration::from_micros(cost / 2),
@@ -35,9 +35,7 @@ proptest! {
     /// exceeds raw cost.
     #[test]
     fn factors_bounded(records in arb_records(24)) {
-        let factors = concurrency_factors(&records);
-        for r in &records {
-            let f = factors[&r.instance];
+        for f in concurrency_factors(&records) {
             prop_assert!(f > 0.0 && f <= 1.0 + 1e-9, "factor {f}");
         }
         for n in normalize(&records) {
@@ -60,9 +58,9 @@ proptest! {
                 let start = t;
                 t += g + 10; // 10µs run, g µs gap
                 InstanceRecord {
-                    instance: InstanceId(i as u64),
                     process: "P04".into(),
                     period: 0,
+                    seq: i as u32,
                     start: Duration::from_micros(start),
                     end: Duration::from_micros(start + 10),
                     comm: Duration::from_micros(5),
@@ -72,7 +70,7 @@ proptest! {
                 }
             })
             .collect();
-        for (_, f) in concurrency_factors(&records) {
+        for f in concurrency_factors(&records) {
             prop_assert!((f - 1.0).abs() < 1e-9);
         }
     }

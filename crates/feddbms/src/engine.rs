@@ -1,6 +1,14 @@
 //! The federated-DBMS engine: queue tables + INSERT triggers for E1,
 //! stored procedures with temp-table materialization points for E2.
 //!
+//! An instance is named by its event alone. A queue row's `tid` is the
+//! queue table's row count + 1 — one type's messages arrive one after the
+//! other on every dispatch path, so the count is a function of the
+//! schedule — and every instance materializes into a [`Database`] of its
+//! own, dropped with the instance (a DBMS scopes temp tables to the
+//! session the same way), so a temp table is named `tmp_<stem>` whatever
+//! ran beside it.
+//!
 //! Process bodies fail with [`MtmError`], the failure type every engine
 //! shares, and the engine delivers through `dipbench::system::deliver`,
 //! the path every engine shares: a failure reaches the client with the
@@ -15,7 +23,6 @@ use dip_xmlkit::node::Document;
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,18 +62,25 @@ fn current_costs() -> StoreResult<InstanceCosts> {
 }
 
 /// The per-call execution context handed to process bodies.
-#[derive(Clone)]
 pub struct FedCtx {
     pub world: Arc<ExternalWorld>,
-    /// The integration system's own database (queue + temp tables).
-    pub local: Arc<Database>,
+    /// This instance's temp tables, in a database of their own that is
+    /// dropped with the context.
+    pub temps: Database,
     pub costs: InstanceCosts,
     pub opts: FedOptions,
-    /// Unique suffix for this instance's temp tables.
-    pub temp_tag: u64,
 }
 
 impl FedCtx {
+    fn new(world: Arc<ExternalWorld>, costs: InstanceCosts, opts: FedOptions) -> FedCtx {
+        FedCtx {
+            world,
+            temps: Database::new("temp"),
+            costs,
+            opts,
+        }
+    }
+
     /// Time a block of local processing work (Cp).
     pub fn processing<T>(&self, f: impl FnOnce() -> MtmResult<T>) -> MtmResult<T> {
         let t = Instant::now();
@@ -123,10 +137,11 @@ impl FedCtx {
         self.communication(|| self.world.ws_update(service, operation, doc))
     }
 
-    /// Materialize an intermediate result into a temp table (a *local
-    /// materialization point*, Fig. 9b) and return its name.
+    /// Materialize an intermediate result into this instance's temp table
+    /// `tmp_<stem>` (a *local materialization point*, Fig. 9b) and return
+    /// its name.
     pub fn materialize(&self, stem: &str, rel: Relation) -> MtmResult<String> {
-        let name = format!("tmp_{}_{}", stem, self.temp_tag);
+        let name = format!("tmp_{stem}");
         self.processing(|| {
             // temp tables carry no constraints: make every column nullable
             let schema = RelSchema::new(
@@ -139,33 +154,23 @@ impl FedCtx {
             .shared();
             let table = Table::new(name.clone(), schema);
             table.insert(rel.rows)?;
-            self.local.create_table(table);
+            self.temps.create_table(table);
             Ok(())
         })?;
         Ok(name)
     }
 
-    /// Execute a plan over the local (temp) tables, charging Cp. The
+    /// Execute a plan over this instance's temp tables, charging Cp. The
     /// `optimize_relational: false` ablation runs the plan as written
     /// through the reference interpreter.
     pub fn local_query(&self, plan: &Plan) -> MtmResult<Relation> {
         self.processing(|| {
             Ok(if self.opts.optimize_relational {
-                execute(plan, &self.local)?
+                execute(plan, &self.temps)?
             } else {
-                execute_oracle(plan, &self.local)?
+                execute_oracle(plan, &self.temps)?
             })
         })
-    }
-
-    /// Drop this instance's temp tables.
-    pub fn cleanup_temps(&self) {
-        let suffix = format!("_{}", self.temp_tag);
-        for t in self.local.table_names() {
-            if t.starts_with("tmp_") && t.ends_with(&suffix) {
-                self.local.drop_table(&t);
-            }
-        }
     }
 }
 
@@ -175,18 +180,18 @@ pub type E2Body = Arc<dyn Fn(&FedCtx) -> MtmResult<()> + Send + Sync>;
 
 #[derive(Clone)]
 enum Realization {
-    Queue { table: Arc<str> },
+    Queue { table: Arc<Table> },
     Procedure { body: E2Body },
 }
 
 /// The federated-DBMS integration system.
 pub struct FedDbms {
     pub world: Arc<ExternalWorld>,
+    /// The integration system's own database: the queue tables.
     pub local: Arc<Database>,
     opts: FedOptions,
     recorder: Arc<CostRecorder>,
     realizations: RwLock<HashMap<String, Realization>>,
-    next_tid: AtomicU64,
     dlq: Arc<dipbench::system::DeadLetterQueue>,
 }
 
@@ -206,7 +211,6 @@ impl FedDbms {
             opts,
             recorder: Arc::new(CostRecorder::new()),
             realizations: RwLock::new(HashMap::new()),
-            next_tid: AtomicU64::new(1),
             dlq: Arc::new(dipbench::system::DeadLetterQueue::new()),
         }
     }
@@ -226,26 +230,18 @@ impl FedDbms {
     /// Realize an E1 process: create its queue table and register the
     /// INSERT trigger that runs the body over the `inserted` rows.
     pub fn deploy_queue(&self, process: &str, body: E1Body) -> MtmResult<()> {
-        let table = format!("{}_queue", process.to_lowercase());
-        self.local.create_table(
-            Table::new(table.clone(), Self::queue_schema()).with_primary_key(&["tid"])?,
+        let name = format!("{}_queue", process.to_lowercase());
+        let table = self.local.create_table(
+            Table::new(name.clone(), Self::queue_schema()).with_primary_key(&["tid"])?,
         );
         let world = self.world.clone();
-        let local = self.local.clone();
         let opts = self.opts;
         let process_name = process.to_string();
         self.local.create_trigger(
             format!("{process}_trigger"),
-            &table,
+            &name,
             Arc::new(move |_db, inserted| {
-                let costs = current_costs()?;
-                let ctx = FedCtx {
-                    world: world.clone(),
-                    local: local.clone(),
-                    costs,
-                    opts,
-                    temp_tag: 0,
-                };
+                let ctx = FedCtx::new(world.clone(), current_costs()?, opts);
                 for row in inserted {
                     // parse the CLOB back into a DOM (processing work)
                     let doc = {
@@ -267,12 +263,9 @@ impl FedDbms {
                 Ok(())
             }),
         )?;
-        self.realizations.write().insert(
-            process.to_string(),
-            Realization::Queue {
-                table: table.into(),
-            },
-        );
+        self.realizations
+            .write()
+            .insert(process.to_string(), Realization::Queue { table });
         Ok(())
     }
 
@@ -303,7 +296,6 @@ impl FedDbms {
         let realization = self.realizations.read().get(process).cloned();
         let realization = realization
             .ok_or_else(|| MtmError::InvalidProcess(format!("process {process} not deployed")))?;
-        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
         self.recorder.run_instance(
             mgmt_start,
             process,
@@ -316,7 +308,7 @@ impl FedDbms {
                     "instance",
                     dip_trace::Category::Management,
                 );
-                self.dispatch(process, realization, input, costs, tid)
+                self.dispatch(process, realization, input, costs)
             },
         )
     }
@@ -327,7 +319,6 @@ impl FedDbms {
         realization: Realization,
         input: Option<Document>,
         costs: &InstanceCosts,
-        tid: u64,
     ) -> MtmResult<()> {
         match realization {
             Realization::Queue { table } => {
@@ -355,9 +346,11 @@ impl FedDbms {
                     dip_trace::Category::Management,
                 );
                 let t = Instant::now();
+                // the next tid of a series that never runs two at once
+                let tid = Value::Int(table.row_count() as i64 + 1);
                 let result = self
                     .local
-                    .insert_into(&table, vec![vec![Value::Int(tid as i64), Value::str(clob)]]);
+                    .insert_into(&table.name, vec![vec![tid, Value::str(clob)]]);
                 // queue-table maintenance is management work
                 costs.add(CostCategory::Management, t.elapsed());
                 CURRENT_COSTS.with(|c| {
@@ -367,23 +360,15 @@ impl FedDbms {
                 Ok(())
             }
             Realization::Procedure { body } => {
-                let ctx = FedCtx {
-                    world: self.world.clone(),
-                    local: self.local.clone(),
-                    costs: costs.clone(),
-                    opts: self.opts,
-                    temp_tag: tid,
-                };
-                let out = {
-                    let _span = dip_trace::span_cat(
-                        dip_trace::Layer::Feddbms,
-                        "procedure_body",
-                        dip_trace::Category::Processing,
-                    );
-                    body(&ctx)
-                };
-                ctx.cleanup_temps();
-                out
+                let ctx = FedCtx::new(self.world.clone(), costs.clone(), self.opts);
+                // `_span` closes before `ctx` drops the temp tables: freeing
+                // them is not the body's work
+                let _span = dip_trace::span_cat(
+                    dip_trace::Layer::Feddbms,
+                    "procedure_body",
+                    dip_trace::Category::Processing,
+                );
+                body(&ctx)
             }
         }
     }

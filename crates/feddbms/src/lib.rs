@@ -10,6 +10,7 @@
 //! * **event type E2 (time events, Fig. 9b)** — a stored procedure per
 //!   time-driven process type, using temporary tables as *local
 //!   materialization points* between extraction, transformation and load;
+//!   the temp tables belong to the procedure instance;
 //! * relational work goes through the relstore planner ("the
 //!   data-intensive processes are realized with relational operators and
 //!   thus could be well-optimized");

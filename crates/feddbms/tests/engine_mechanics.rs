@@ -4,13 +4,14 @@
 
 use dip_feddbms::engine::FedCtx;
 use dip_feddbms::{FedDbms, FedOptions};
-use dip_mtm::error::MtmError;
+use dip_mtm::error::{MtmError, MtmResult};
 use dip_netsim::{topology, FaultModel, LatencyModel, LinkSpec, Network, TransferMode};
 use dip_relstore::prelude::*;
 use dip_services::registry::{ExternalWorld, LoadMode};
 use dip_xmlkit::node::{Document, Element};
+use dipbench::prelude::{BenchConfig, BenchEnvironment, Distribution, ScaleFactors};
 use dipbench::schema::{dm, dwh};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn world() -> Arc<ExternalWorld> {
     let net = Arc::new(Network::new(
@@ -125,6 +126,80 @@ fn procedure_temp_tables_are_cleaned_up() {
         "{:?}",
         fed.local.table_names()
     );
+}
+
+/// A fed system, every process deployed, over a benchmark environment
+/// whose period-0 sources are loaded.
+fn bench_fed() -> (BenchEnvironment, FedDbms) {
+    let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
+    let env = BenchEnvironment::new(BenchConfig::new(scale)).unwrap();
+    env.initialize_sources(0).unwrap();
+    let fed = FedDbms::new(env.world.clone(), FedOptions::default());
+    dip_feddbms::procs::deploy_all(&fed).unwrap();
+    (env, fed)
+}
+
+/// A queue row's `tid` counts its own series only: the first P04 message
+/// leaves the same row whether three P01 messages came before it or not.
+#[test]
+fn a_queue_row_is_numbered_within_its_series() {
+    let p04_rows = |p01_before: u32| {
+        let (env, fed) = bench_fed();
+        for seq in 0..p01_before {
+            let msg = env.generator.beijing_master_message(0, seq);
+            fed.execute_event("P01", 0, seq, Some(msg)).unwrap();
+        }
+        let msg = env.generator.vienna_message(0, 0);
+        fed.execute_event("P04", 0, 0, Some(msg)).unwrap();
+        fed.local.table("p04_queue").unwrap().scan().rows
+    };
+    let first = p04_rows(0);
+    assert_eq!(first.len(), 1);
+    assert_eq!(first[0][0], Value::Int(1));
+    assert_eq!(p04_rows(3), first, "P04 after three P01s");
+}
+
+/// Temp tables belong to the procedure instance: its local plans name
+/// the same temp tables whatever ran on the system before it.
+#[test]
+fn a_procedures_temp_tables_are_named_by_the_procedure() {
+    let plans = |messages_before: u32| {
+        let fed = FedDbms::new(world(), FedOptions::default());
+        fed.deploy_queue("PQ", Arc::new(|_: &FedCtx, _: &Document| Ok(())))
+            .unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        fed.deploy_procedure(
+            "PTMP",
+            Arc::new(move |ctx: &FedCtx| {
+                let schema = RelSchema::of(&[("x", SqlType::Int)]).shared();
+                let scans = ["part_a", "part_b"]
+                    .into_iter()
+                    .map(|stem| {
+                        let rel = Relation::new(schema.clone(), vec![vec![Value::Int(1)]]);
+                        Ok(Plan::scan(ctx.materialize(stem, rel)?))
+                    })
+                    .collect::<MtmResult<Vec<_>>>()?;
+                let union = Plan::UnionDistinct {
+                    inputs: scans,
+                    key: None,
+                };
+                log.lock().unwrap().push(format!("{union:?}"));
+                assert_eq!(ctx.local_query(&union)?.len(), 1);
+                Ok(())
+            }),
+        );
+        for seq in 0..messages_before {
+            let msg = Document::new(Element::new("m"));
+            fed.execute_event("PQ", 0, seq, Some(msg)).unwrap();
+        }
+        fed.execute_event("PTMP", 0, 0, None).unwrap();
+        let seen = seen.lock().unwrap().clone();
+        seen
+    };
+    let first = plans(0);
+    assert!(first[0].contains("tmp_part_a"), "{first:?}");
+    assert_eq!(plans(3), first, "the procedure after three messages");
 }
 
 #[test]

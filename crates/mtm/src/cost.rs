@@ -18,25 +18,27 @@ use crate::error::{MtmError, MtmResult};
 use dip_relstore::error::TransportKind;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// The three cost categories of the benchmark metric — the same enum the
 /// trace spans are tagged with, so the two ledgers cannot name them apart.
 pub use dip_trace::Category as CostCategory;
 
-/// Unique id of one executed process instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct InstanceId(pub u64);
+/// The monitor's clock: one epoch per process, so the records of every
+/// recorder — a crashed system's and its restart's — lie on one timeline.
+static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 
-/// The record of one completed process instance.
+/// The record of one completed process instance, named by its event's
+/// `(process, period, seq)`.
 #[derive(Debug, Clone)]
 pub struct InstanceRecord {
-    pub instance: InstanceId,
     /// Process-type id, e.g. `"P04"`.
     pub process: String,
     /// Benchmark period the instance ran in.
     pub period: u32,
+    /// The event's schedule sequence number within its type and period.
+    pub seq: u32,
     /// Start/end offsets on the monitor's clock.
     pub start: Duration,
     pub end: Duration,
@@ -108,10 +110,7 @@ impl Default for InstanceCosts {
 
 /// Collects finished instance records from all engines and streams.
 pub struct CostRecorder {
-    next_instance: AtomicU64,
     records: Mutex<Vec<InstanceRecord>>,
-    /// The monitor's clock: instance intervals are offsets from it.
-    epoch: Instant,
 }
 
 impl std::fmt::Debug for CostRecorder {
@@ -125,18 +124,17 @@ impl std::fmt::Debug for CostRecorder {
 impl CostRecorder {
     pub fn new() -> CostRecorder {
         CostRecorder {
-            next_instance: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
-            epoch: Instant::now(),
         }
     }
 
     /// Run one process instance inside the envelope every engine puts
     /// around it: the preparation since `mgmt_start` (definition lookup,
     /// plan/SQL preparation) booked as management cost, the trace and
-    /// fault-schedule scopes (`seq` anchors the instance's deterministic
-    /// fault identity), one transaction — committed on `Ok`, rolled back
-    /// on `Err`, or discarded instead under `leak_rollbacks` (the run's
+    /// fault-schedule scopes, both named by the event's `(process, period,
+    /// seq)` (the instance's one identity, which its record carries too),
+    /// one transaction — committed on `Ok`, rolled back on `Err`, or
+    /// discarded instead under `leak_rollbacks` (the run's
     /// `FaultPlan::leak_rollbacks`, the crash gate's teeth switch) — and
     /// the [`InstanceRecord`] either way. Returns the number of transport
     /// retries the resilience layer spent on the instance.
@@ -150,11 +148,10 @@ impl CostRecorder {
         body: impl FnOnce(&InstanceCosts) -> MtmResult<T>,
     ) -> MtmResult<u32> {
         let costs = InstanceCosts::new();
-        let instance = self.next_instance_id();
         costs.add(CostCategory::Management, mgmt_start.elapsed());
-        let _ctx = dip_trace::instance_scope(process, period, instance.0);
+        let _ctx = dip_trace::instance_scope(process, period, u64::from(seq));
         let _fault_scope = dip_netsim::fault::instance_scope(process, period, seq);
-        let start = self.epoch.elapsed();
+        let start = EPOCH.elapsed();
         let tx = dip_relstore::tx::begin_leaking(leak_rollbacks);
         let result = body(&costs);
         {
@@ -167,7 +164,7 @@ impl CostRecorder {
                 Err(_) => tx.rollback(),
             }
         }
-        let end = self.epoch.elapsed();
+        let end = EPOCH.elapsed();
         let retries = dip_netsim::fault::scope_retries();
         // A crash fault means the system died mid-instance: it never got to
         // write its cost record, and recovery will replay the instance after
@@ -179,9 +176,9 @@ impl CostRecorder {
         if !crashed {
             let (comm, mgmt, proc) = costs.snapshot();
             self.record(InstanceRecord {
-                instance,
                 process: process.to_string(),
                 period,
+                seq,
                 start,
                 end,
                 comm,
@@ -201,10 +198,6 @@ impl CostRecorder {
             }
             retries
         })
-    }
-
-    pub fn next_instance_id(&self) -> InstanceId {
-        InstanceId(self.next_instance.fetch_add(1, Ordering::Relaxed))
     }
 
     pub fn record(&self, rec: InstanceRecord) {
@@ -236,7 +229,7 @@ impl CostRecorder {
 /// opened are thread-locals a spawned thread does not inherit, so they
 /// are snapshotted once here and adopted by every branch: the trace
 /// identity (branch spans carry the instance's `(process, period,
-/// instance)`), the transaction (branch writes journal into the
+/// seq)`), the transaction (branch writes journal into the
 /// instance's undo log, so a failing sibling rolls all of them back)
 /// and the fault scope, derived by branch index — parallel branches
 /// own disjoint, deterministic regions of the fault schedule whatever
@@ -311,12 +304,10 @@ mod tests {
     #[test]
     fn recorder_drains() {
         let r = CostRecorder::new();
-        let id = r.next_instance_id();
-        assert_eq!(id, InstanceId(0));
         r.record(InstanceRecord {
-            instance: id,
             process: "P01".into(),
             period: 0,
+            seq: 0,
             start: Duration::ZERO,
             end: Duration::from_millis(1),
             comm: Duration::from_micros(100),

@@ -84,10 +84,7 @@ mod tests {
         );
         let def = Plan::scan("orders").aggregate(
             vec![0],
-            vec![
-                AggExpr::sum(Expr::col(1), "revenue"),
-                AggExpr::count_star("cnt"),
-            ],
+            vec![AggExpr::sum(1, "revenue"), AggExpr::count_star("cnt")],
         );
         db.create_view(MatView::new("orders_mv", "orders_mv", def));
         db

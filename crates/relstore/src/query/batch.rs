@@ -462,15 +462,6 @@ fn chunk_key_hashes(
     Ok(())
 }
 
-/// Per-chunk source of one aggregate's input values: a borrowed chunk
-/// column (bare `Expr::Col` inputs — no expression dispatch per row), a
-/// dense pre-evaluated vector in selection order, or nothing (`COUNT(*)`).
-enum AggSrc<'a, 't> {
-    Col(&'a Col<'t>),
-    Computed(Vec<Value>),
-    Star,
-}
-
 /// Evaluate `e` on every selected row of `c`, in selection order.
 fn eval_column(e: &Expr, c: &Chunk) -> StoreResult<Vec<Value>> {
     (0..c.live())
@@ -704,7 +695,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     if key.iter().any(|v| v.is_null()) {
                         continue; // NULL keys never join
                     }
-                    session.lookup(&key, &mut |slot, _| {
+                    session.lookup(&key, &mut |slot| {
                         probe_idx.push(i as u32);
                         slot_idx.push(slot);
                         Ok(())
@@ -783,17 +774,13 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             let mut states: Vec<Vec<AggState>> = Vec::new();
             let mut ghash: Vec<u64> = Vec::new();
             feed(plan, input, db, &mut |c: Chunk| {
-                // Resolve each aggregate's input source once per chunk:
-                // bare columns are read in place, computed expressions are
-                // evaluated column-at-a-time into a dense vector.
-                let mut srcs: Vec<AggSrc> = Vec::with_capacity(aggs.len());
+                // Resolve each SUM's input column once per chunk and read
+                // it in place (`None` is a `COUNT(*)`).
+                let mut srcs: Vec<Option<&Col>> = Vec::with_capacity(aggs.len());
                 for a in aggs {
-                    srcs.push(match &a.op {
-                        AggOp::CountStar => AggSrc::Star,
-                        AggOp::Sum(Expr::Col(j)) => {
-                            AggSrc::Col(c.cols.get(*j).ok_or_else(|| oob(*j))?)
-                        }
-                        AggOp::Sum(e) => AggSrc::Computed(eval_column(e, &c)?),
+                    srcs.push(match a.op {
+                        AggOp::CountStar => None,
+                        AggOp::Sum(j) => Some(c.cols.get(j).ok_or_else(|| oob(j))?),
                     });
                 }
                 chunk_key_hashes(&c, group_by, &mut ghash, None)?;
@@ -821,14 +808,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     };
                     for (st, src) in sts.iter_mut().zip(&srcs) {
                         match src {
-                            AggSrc::Star => st.count_row(),
-                            AggSrc::Col(col) => {
+                            None => st.count_row(),
+                            Some(col) => {
                                 if let Some(v) = col.value(i) {
-                                    st.add_value(v);
-                                }
-                            }
-                            AggSrc::Computed(vals) => {
-                                if let Some(v) = vals.get(k) {
                                     st.add_value(v);
                                 }
                             }

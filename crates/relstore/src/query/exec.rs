@@ -203,9 +203,13 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                     }
                 };
                 for (st, a) in states.iter_mut().zip(aggs) {
-                    match &a.op {
+                    match a.op {
                         AggOp::CountStar => st.count_row(),
-                        AggOp::Sum(e) => st.add_value(&e.eval(r)?),
+                        AggOp::Sum(i) => {
+                            if let Some(v) = r.get(i) {
+                                st.add_value(v);
+                            }
+                        }
                     }
                 }
             }

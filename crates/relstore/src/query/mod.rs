@@ -176,7 +176,7 @@ mod tests {
         let db = db();
         let plan = Plan::scan("customer").aggregate(
             vec![2],
-            vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "keys")],
+            vec![AggExpr::count_star("n"), AggExpr::sum(0, "keys")],
         );
         let rel = run_vs_oracle(&plan, &db);
         // groups in first-seen order; citykey 10 twice
@@ -195,10 +195,7 @@ mod tests {
         let db = db();
         let plan = Plan::scan("customer")
             .filter(Expr::col(0).gt(Expr::lit(1000)))
-            .aggregate(
-                vec![],
-                vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "s")],
-            );
+            .aggregate(vec![], vec![AggExpr::count_star("n"), AggExpr::sum(0, "s")]);
         let rel = run_vs_oracle(&plan, &db);
         assert_eq!(rel.rows, vec![vec![Value::Int(0), Value::Null]]);
     }
@@ -231,8 +228,7 @@ mod tests {
             schema.clone(),
             vec![vec![Value::Int(big)], vec![Value::Int(0)]],
         );
-        let plan =
-            Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
+        let plan = Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(0, "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Int(big));
         // the output schema advertises Int as well
@@ -243,16 +239,14 @@ mod tests {
             schema.clone(),
             vec![vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MAX)]],
         );
-        let plan =
-            Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
+        let plan = Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(0, "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(i64::MAX as f64 * 2.0));
 
         // mixed int/float input widens to Float
         let mixed = RelSchema::of(&[("x", SqlType::Float)]).shared();
         let rel = Relation::new(mixed, vec![vec![Value::Int(1)], vec![Value::Float(2.5)]]);
-        let plan =
-            Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
+        let plan = Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(0, "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(3.5));
     }
@@ -278,7 +272,7 @@ mod tests {
         for p in perms {
             let rows: Vec<Vec<Value>> = p.iter().map(|&i| vec![Value::Float(vals[i])]).collect();
             let plan = Plan::Values(Relation::new(schema.clone(), rows).into())
-                .aggregate(vec![], vec![AggExpr::sum(Expr::col(0), "s")]);
+                .aggregate(vec![], vec![AggExpr::sum(0, "s")]);
             for out in [
                 execute(&plan, &db).unwrap(),
                 execute_oracle(&plan, &db).unwrap(),
@@ -310,7 +304,7 @@ mod tests {
             .filter(Expr::col(0).lt(Expr::lit(2500)))
             .aggregate(
                 vec![1],
-                vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "s")],
+                vec![AggExpr::count_star("n"), AggExpr::sum(0, "s")],
             );
         let rel = run_vs_oracle(&agg, &db);
         assert_eq!(rel.len(), 7);
@@ -461,8 +455,8 @@ mod tests {
             vec![1],
             vec![
                 AggExpr::count_star("n"),
-                AggExpr::sum(Expr::col(0), "sk"),
-                AggExpr::sum(Expr::col(2), "sv"),
+                AggExpr::sum(0, "sk"),
+                AggExpr::sum(2, "sv"),
             ],
         );
         let mut rel = run_vs_oracle(&plan, &db);
@@ -572,8 +566,8 @@ mod tests {
         assert!(matches!(opt, Plan::Filter { .. }), "got {opt:?}");
         let aggs = vec![
             AggExpr::count_star("n"),
-            AggExpr::sum(Expr::col(1), "si"),
-            AggExpr::sum(Expr::col(0), "sf"),
+            AggExpr::sum(1, "si"),
+            AggExpr::sum(0, "sf"),
         ];
         // grouped on the widened key: a group's key is its first-seen
         // value as stored; SUM skips the Bool, and a Float among the Ints
@@ -737,7 +731,7 @@ mod tests {
             let plans = [
                 values(rows).filter(five()),
                 values(rows).project(vec![ProjExpr::new(Expr::col(5), "x", SqlType::Int)]),
-                values(rows).aggregate(vec![], vec![AggExpr::sum(Expr::col(5), "s")]),
+                values(rows).aggregate(vec![], vec![AggExpr::sum(5, "s")]),
                 Plan::scan("nothing").filter(five()),
             ];
             for plan in &plans {
@@ -849,7 +843,7 @@ mod tests {
             (
                 scan().aggregate(
                     vec![1],
-                    vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(0), "s")],
+                    vec![AggExpr::count_star("n"), AggExpr::sum(0, "s")],
                 ),
                 1428,
             ),

@@ -19,11 +19,12 @@ use std::sync::Arc;
 pub enum AggOp {
     /// `COUNT(*)`: the number of input rows.
     CountStar,
-    /// `SUM(expr)` over the numeric inputs; NULL when there is none.
-    Sum(Expr),
+    /// `SUM(col)` over the numeric values of an input column; NULL when
+    /// there is none.
+    Sum(usize),
 }
 
-/// One aggregate output: `COUNT(*)` or `SUM(expr)`, named `name`.
+/// One aggregate output: `COUNT(*)` or `SUM(col)`, named `name`.
 #[derive(Debug, Clone)]
 pub struct AggExpr {
     pub op: AggOp,
@@ -38,25 +39,18 @@ impl AggExpr {
         }
     }
 
-    pub fn sum(input: Expr, name: impl Into<String>) -> AggExpr {
+    pub fn sum(col: usize, name: impl Into<String>) -> AggExpr {
         AggExpr {
-            op: AggOp::Sum(input),
+            op: AggOp::Sum(col),
             name: name.into(),
         }
     }
 
+    /// `SUM` of an INT column is INT, otherwise FLOAT.
     fn out_type(&self, input: &RelSchema) -> SqlType {
-        // SUM over a bare INT column stays INT; anything computed falls
-        // back to Float (we cannot type-infer arbitrary expressions, and
-        // Float holds both).
-        match &self.op {
+        match self.op {
             AggOp::CountStar => SqlType::Int,
-            AggOp::Sum(Expr::Col(i))
-                if input
-                    .columns()
-                    .get(*i)
-                    .is_some_and(|c| c.ty == SqlType::Int) =>
-            {
+            AggOp::Sum(i) if input.columns().get(i).is_some_and(|c| c.ty == SqlType::Int) => {
                 SqlType::Int
             }
             AggOp::Sum(_) => SqlType::Float,
@@ -282,11 +276,14 @@ impl Plan {
             } => {
                 let in_schema = input.schema(db)?;
                 in_range(group_by, &in_schema, "group-by")?;
-                let inputs = aggs.iter().filter_map(|a| match &a.op {
-                    AggOp::Sum(e) => Some(e),
-                    AggOp::CountStar => None,
-                });
-                exprs_in_range(inputs, &in_schema)?;
+                let inputs: Vec<usize> = aggs
+                    .iter()
+                    .filter_map(|a| match a.op {
+                        AggOp::Sum(i) => Some(i),
+                        AggOp::CountStar => None,
+                    })
+                    .collect();
+                in_range(&inputs, &in_schema, "aggregate")?;
                 let mut cols: Vec<Column> = group_by
                     .iter()
                     .map(|&i| in_schema.column(i).clone())

@@ -928,13 +928,13 @@ pub(crate) struct TableProbe<'a> {
 }
 
 impl TableProbe<'_> {
-    /// Visit every live row whose indexed key equals `key` (given in the
-    /// column order passed to [`Table::probe_on`]) with its slot: the row
+    /// Hand `f` the slot of every live row whose indexed key equals `key`
+    /// (given in the column order passed to [`Table::probe_on`]): the row
     /// is entry `slot` of [`TableRows::slots`].
     pub(crate) fn lookup(
         &self,
         key: &[Value],
-        f: &mut dyn FnMut(u32, &[Value]) -> StoreResult<()>,
+        f: &mut dyn FnMut(u32) -> StoreResult<()>,
     ) -> StoreResult<()> {
         let inner = &self.rows.inner;
         let Some(ix) = inner.indexes().nth(self.which) else {
@@ -948,8 +948,8 @@ impl TableProbe<'_> {
         let Some(h) = ix.hash_with(at) else {
             return Ok(());
         };
-        for (slot, row) in ix.matches(&inner.slots, h, at) {
-            f(slot_id(slot)?, row)?;
+        for (slot, _) in ix.matches(&inner.slots, h, at) {
+            f(slot_id(slot)?)?;
         }
         Ok(())
     }
@@ -1312,8 +1312,8 @@ mod tests {
             let mut out = Vec::new();
             let session = t.probe_on(cols).unwrap();
             session
-                .lookup(key, &mut |slot, r| {
-                    assert_eq!(session.rows.slots()[slot as usize].as_deref(), Some(r));
+                .lookup(key, &mut |slot| {
+                    let r = session.rows.slots()[slot as usize].as_deref().unwrap();
                     out.push(r[2].to_int().unwrap());
                     Ok(())
                 })

@@ -230,7 +230,7 @@ proptest! {
         let grouped = Plan::scan("t")
             .aggregate(
                 vec![1],
-                vec![AggExpr::count_star("n"), AggExpr::sum(Expr::col(2), "s")],
+                vec![AggExpr::count_star("n"), AggExpr::sum(2, "s")],
             )
             .run(&db)
             .unwrap();
@@ -367,7 +367,7 @@ fn make_tx_db(rows: &[(i64, i64, f64)]) -> Database {
     db.create_view(MatView::new(
         "t_by_g",
         "t_mv",
-        Plan::scan("t").aggregate(vec![1], vec![AggExpr::sum(Expr::col(2), "s")]),
+        Plan::scan("t").aggregate(vec![1], vec![AggExpr::sum(2, "s")]),
     ));
     db.refresh_view("t_by_g").unwrap();
     db
@@ -866,8 +866,8 @@ proptest! {
                     vec![1],
                     vec![
                         AggExpr::count_star("n"),
-                        AggExpr::sum(Expr::col(1), "si"),
-                        AggExpr::sum(Expr::col(2), "sf"),
+                        AggExpr::sum(1, "si"),
+                        AggExpr::sum(2, "sf"),
                     ],
                 ),
             // distinct union on a nullable string key
@@ -912,7 +912,7 @@ proptest! {
         t.insert(rows).unwrap();
         db.create_table(t);
         let plan = Plan::scan("t")
-            .aggregate(vec![], vec![AggExpr::sum(Expr::col(1), "s")]);
+            .aggregate(vec![], vec![AggExpr::sum(1, "s")]);
         let oracle = execute_oracle(&plan, &db).unwrap();
         if !overflow {
             let expect: i64 = base.iter().sum();
@@ -1172,11 +1172,11 @@ impl PlanGen<'_> {
                 let types = self.types(&input);
                 let group_by: Vec<usize> =
                     (0..self.pick(3)).map(|_| self.pick(types.len())).collect();
-                let mut col = || Expr::col(self.pick(types.len()));
+                let mut col = || self.pick(types.len());
                 let aggs = vec![
                     AggExpr::count_star("n"),
                     AggExpr::sum(col(), "s"),
-                    AggExpr::sum(coalesce(vec![col(), Expr::lit(1)]), "c"),
+                    AggExpr::sum(col(), "c"),
                 ];
                 input.aggregate(group_by, aggs)
             }

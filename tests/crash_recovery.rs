@@ -13,13 +13,17 @@
 //!
 //! The crash point, the abort and the rollback-off switch are part of each
 //! cell's config, so the tests here (and every other test of this binary)
-//! run side by side.
+//! run side by side. The last test checks what the merge of a crashed
+//! system's records and its restart's hands the monitor.
 
 use dip_bench::gate::CRASH_TARGETS;
 use dip_bench::gate::{crash_sweep, judge, CellRun, Check, Fingerprint};
 use dip_bench::EngineKind;
+use dip_mtm::{CostRecorder, InstanceRecord, MtmResult, ProcessDef};
 use dip_relstore::error::StoreResult;
 use dipbench::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 /// The sweep over `targets` on mtm at d = 0.01; a cell that errors panics.
 fn sweep(targets: &[&str], rollback: bool) -> Vec<Fingerprint> {
@@ -72,4 +76,93 @@ fn crash_at_every_step_recovers_and_conserves() {
 fn without_rollback_a_recovered_run_diverges() {
     let verdict = judge(Check::MustDiverge, &sweep(&["P09"], false));
     assert!(verdict.pass, "rollback disabled yet every recovery matched");
+}
+
+/// The mtm system, keeping the largest snapshot its recorder showed after
+/// a delivery: every record is written inside a delivery, and
+/// `run_with_crash` drains the recorders itself.
+struct Keeping {
+    inner: MtmSystem,
+    kept: Arc<Mutex<Vec<InstanceRecord>>>,
+}
+
+impl IntegrationSystem for Keeping {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn deploy(&self, defs: Vec<ProcessDef>) -> MtmResult<()> {
+        self.inner.deploy(defs)
+    }
+
+    fn deliver(&self, event: Event) -> Delivery {
+        let delivery = self.inner.deliver(event);
+        let now = self.inner.recorder().snapshot();
+        let mut kept = self.kept.lock().unwrap();
+        if now.len() > kept.len() {
+            *kept = now;
+        }
+        delivery
+    }
+
+    fn recorder(&self) -> Arc<CostRecorder> {
+        self.inner.recorder()
+    }
+
+    fn dead_letters(&self) -> Arc<DeadLetterQueue> {
+        self.inner.dead_letters()
+    }
+}
+
+/// A crashed system's records and its restart's are merged into one
+/// outcome and normalized in one sweep, so they keep their events'
+/// distinct `(process, period, seq)` and lie on one monitor clock: the
+/// restart's instances start after every pre-crash instance ended.
+#[test]
+fn recovered_records_keep_their_names_on_one_clock() {
+    let mut config = BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform))
+        .with_periods(1)
+        .with_seed(7);
+    config.faults.crash = Some(CrashPlan::at("P09", 0, 0, 1));
+    let systems: Mutex<Vec<Arc<Mutex<Vec<InstanceRecord>>>>> = Mutex::new(Vec::new());
+    let run = run_with_crash(config, &|env| {
+        let kept = Arc::new(Mutex::new(Vec::new()));
+        systems.lock().unwrap().push(kept.clone());
+        Arc::new(Keeping {
+            inner: MtmSystem::new(env.world.clone()),
+            kept,
+        })
+    })
+    .unwrap();
+    assert!(run.tripped, "P09 should reach step 1");
+    assert!(run.verification.passed(), "{}", run.verification);
+
+    let merged = &run.outcome.records;
+    let names: BTreeSet<_> = merged
+        .iter()
+        .map(|r| (r.process.as_str(), r.period, r.seq))
+        .collect();
+    assert_eq!(names.len(), merged.len(), "two records share a name");
+
+    let systems = systems.into_inner().unwrap();
+    let [before, after] = &systems[..] else {
+        panic!(
+            "{} systems built, not a crashed one and its restart",
+            systems.len()
+        );
+    };
+    let (before, after) = (before.lock().unwrap(), after.lock().unwrap());
+    assert!(!before.is_empty() && !after.is_empty());
+    assert_eq!(before.len() + after.len(), merged.len());
+    let crashed_at = before.iter().map(|r| r.end).max().unwrap();
+    for r in after.iter() {
+        assert!(
+            r.start >= crashed_at,
+            "{} {} seq {} restarted at {:?}, before the last pre-crash end {crashed_at:?}",
+            r.process,
+            r.period,
+            r.seq,
+            r.start
+        );
+    }
 }

@@ -5,13 +5,21 @@
 //! dispatch-failure list; the instances each process type ran and failed;
 //! verification) must match the 1-worker run exactly — on clean runs,
 //! under a retried fault plan, under a no-retry plan aggressive enough to
-//! dead-letter messages, and after a crash-restart.
+//! dead-letter messages, and after a crash-restart. Fed's own catalog, the
+//! queue tables no fingerprint reads, is compared on its own.
 
 use dip_bench::gate::{crash_cell, run_cell, CellRun, Detail, Load};
 use dip_bench::EngineKind;
+use dip_feddbms::{FedDbms, FedOptions};
 use dipbench::prelude::*;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// A run that drives a `Client` itself counts into the trace collector
+/// whenever a neighbouring `run_cell` has it on, so it holds this lock,
+/// and so does every comparison of counters.
+static COUNTERS: Mutex<()> = Mutex::new(());
 const ENGINES: [EngineKind; 3] = [EngineKind::Mtm, EngineKind::Federated, EngineKind::Ivm];
 
 fn scale() -> ScaleFactors {
@@ -60,6 +68,44 @@ fn clean_runs_are_byte_identical_across_worker_counts() {
                 &reference,
                 &format!("{engine:?} workers={workers} clean"),
             );
+        }
+    }
+}
+
+/// Fed's own catalog under the pool: two same-seed runs at 1, 2 and 4
+/// workers leave the same queue tables, every row with its `tid`, as the
+/// first 1-worker run.
+#[test]
+fn fed_queue_tables_are_byte_identical_across_worker_counts() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let local_tables = |workers: usize| -> Vec<(String, String)> {
+        let config = BenchConfig::new(scale())
+            .with_periods(2)
+            .with_workers(workers);
+        let env = BenchEnvironment::new(config).unwrap();
+        let fed = Arc::new(FedDbms::new(env.world.clone(), FedOptions::default()));
+        Client::new(&env, fed.clone()).unwrap().run().unwrap();
+        let tables = fed.local.table_names().into_iter();
+        let dump = |t: String| {
+            let rows = fed.local.table(&t).unwrap().scan().rows;
+            (t, format!("{rows:?}"))
+        };
+        tables.map(dump).collect()
+    };
+    let reference = local_tables(1);
+    assert!(reference.iter().any(|(t, _)| t == "p04_queue"));
+    for workers in [1, 2, 4] {
+        for run in 0..2 {
+            let tables = local_tables(workers);
+            let names =
+                |ts: &[(String, String)]| ts.iter().map(|(t, _)| t.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&tables), names(&reference));
+            for ((table, rows), (_, want)) in tables.iter().zip(&reference) {
+                assert!(
+                    rows == want,
+                    "workers={workers} run {run}: fed.local.{table} differs from the reference"
+                );
+            }
         }
     }
 }
@@ -132,6 +178,7 @@ fn dead_letter_queues_are_byte_identical_across_worker_counts() {
 
 /// Two runs of one cell agree on everything, every counter included.
 fn assert_same_seed_twice(engine: EngineKind, config: BenchConfig, label: &str) {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let (a, b) = (fingerprint(config, engine), fingerprint(config, engine));
     let differs = b.fingerprint.diff(&a.fingerprint, true);
     let seed = config.seed;
