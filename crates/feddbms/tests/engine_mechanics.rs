@@ -61,6 +61,24 @@ fn queue_trigger_executes_body_and_charges_costs() {
     assert!(recs[0].proc > std::time::Duration::ZERO);
 }
 
+/// The queue triggers hold no reference to the database they are
+/// registered in, so dropping the engine frees its queue tables and every
+/// message in them.
+#[test]
+fn dropping_the_engine_frees_its_database() {
+    let fed = FedDbms::new(world(), FedOptions::default());
+    fed.deploy_queue("PX", Arc::new(|_: &FedCtx, _: &Document| Ok(())))
+        .unwrap();
+    let msg = Document::new(Element::new("m"));
+    fed.execute("PX", 0, Some(msg)).unwrap();
+    let local = Arc::downgrade(&fed.local);
+    drop(fed);
+    assert!(
+        local.upgrade().is_none(),
+        "the fed database outlived its engine"
+    );
+}
+
 #[test]
 fn trigger_error_marks_instance_failed() {
     let fed = FedDbms::new(world(), FedOptions::default());
@@ -117,7 +135,8 @@ fn procedure_temp_tables_are_cleaned_up() {
         }),
     );
     fed.execute("PPROC", 0, None).unwrap();
-    // no tmp_ tables survive the call
+    // no tmp_ table survives the call: not in the fed database, and not
+    // for the next instance
     assert!(
         fed.local
             .table_names()
@@ -126,6 +145,15 @@ fn procedure_temp_tables_are_cleaned_up() {
         "{:?}",
         fed.local.table_names()
     );
+    fed.deploy_procedure(
+        "PPEEK",
+        Arc::new(|ctx: &FedCtx| {
+            ctx.local_query(&Plan::scan("tmp_scratch"))?;
+            Ok(())
+        }),
+    );
+    let err = fed.execute("PPEEK", 0, None).unwrap_err().to_string();
+    assert!(err.contains("tmp_scratch"), "{err}");
 }
 
 /// A fed system, every process deployed, over a benchmark environment

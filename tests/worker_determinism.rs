@@ -15,12 +15,12 @@ use dipbench::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const ENGINES: [EngineKind; 3] = [EngineKind::Mtm, EngineKind::Federated, EngineKind::Ivm];
 
 /// A run that drives a `Client` itself counts into the trace collector
 /// whenever a neighbouring `run_cell` has it on, so it holds this lock,
 /// and so does every comparison of counters.
 static COUNTERS: Mutex<()> = Mutex::new(());
-const ENGINES: [EngineKind; 3] = [EngineKind::Mtm, EngineKind::Federated, EngineKind::Ivm];
 
 fn scale() -> ScaleFactors {
     ScaleFactors::new(0.02, 1.0, Distribution::Uniform)
