@@ -56,11 +56,10 @@ fn build_mtm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
 }
 
 fn build_eai(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    // One worker (= one shard) per configured client worker. The default of
-    // 1 yields a global-FIFO broker whose execution order — and therefore
-    // every interleaving-sensitive counter (netsim.bytes, …) — is
-    // deterministic, which the overload determinism gate relies on.
-    Arc::new(EaiSystem::new(env.world.clone(), env.config.workers))
+    // The broker has no threads: the client's barriers run its one FIFO in
+    // acceptance order, deterministic at any `config.workers`. The second
+    // argument is unused.
+    Arc::new(EaiSystem::new(env.world.clone(), 1))
 }
 
 fn build_ivm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {

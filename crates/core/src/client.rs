@@ -149,6 +149,25 @@ pub(crate) fn message_for(
     }
 }
 
+/// How the client counts a delivery. [`TaskOutcome::Crashed`] is the
+/// event whose instance the injected crash killed: its partial writes were
+/// rolled back and no record was kept, so it is neither settled nor
+/// reported as a dispatch failure — recovery replays it, and counting it
+/// here too would double it in the conservation totals.
+pub(crate) fn outcome(delivery: Delivery) -> TaskOutcome {
+    match delivery {
+        Delivery::Failed { error }
+            if error
+                .transport()
+                .is_some_and(|t| t.kind == TransportKind::Crash) =>
+        {
+            TaskOutcome::Crashed
+        }
+        Delivery::Failed { error } => TaskOutcome::Failed(error.to_string()),
+        _ => TaskOutcome::Settled,
+    }
+}
+
 /// The benchmark client.
 pub struct Client<'a> {
     env: &'a BenchEnvironment,
@@ -188,13 +207,7 @@ impl<'a> Client<'a> {
     /// hand it to the system under test — and classify what came back.
     /// The engines open their own fault scope and transaction per
     /// delivery, so this is self-contained on whichever thread runs it.
-    ///
-    /// [`TaskOutcome::Crashed`] is the event whose instance the injected
-    /// crash killed: its partial writes were rolled back and no record
-    /// was kept, so it is neither settled nor reported as a dispatch
-    /// failure — recovery replays it, and counting it here too would
-    /// double it in the conservation totals. A system the crash already
-    /// killed is handed nothing more.
+    /// A system the crash already killed is handed nothing more.
     pub(crate) fn dispatch(&self, process: &'static str, period: u32, seq: u32) -> TaskOutcome {
         if self.env.world.network.crash_tripped() {
             return TaskOutcome::Crashed;
@@ -203,17 +216,7 @@ impl<'a> Client<'a> {
             Some(msg) => Event::message(process, period, seq, msg),
             None => Event::timed(process, period, seq),
         };
-        match self.system.deliver(event) {
-            Delivery::Failed { error }
-                if error
-                    .transport()
-                    .is_some_and(|t| t.kind == TransportKind::Crash) =>
-            {
-                TaskOutcome::Crashed
-            }
-            Delivery::Failed { error } => TaskOutcome::Failed(error.to_string()),
-            _ => TaskOutcome::Settled,
-        }
+        outcome(self.system.deliver(event))
     }
 
     /// Under `RealTime` pacing, sleep until `deadline_tu` past `start`;
@@ -259,8 +262,9 @@ impl<'a> Client<'a> {
                 self.dispatch(task.process, k, task.seq)
             },
         );
-        // a trip nobody reported (a broker thread's instance, a branch whose
-        // sibling failed first) still means everything unsettled replays
+        // a trip nobody reported (a queued message a barrier ran, a branch
+        // whose sibling failed first) still means everything unsettled
+        // replays
         run.crashed |= pool.crashed || self.env.world.network.crash_tripped();
         // tasks are in virtual-time order, which keeps each stream's
         // indices ascending and the failures deterministic
@@ -271,6 +275,8 @@ impl<'a> Client<'a> {
             run.failures
                 .extend(DispatchFailure::of(task.process, k, task.seq, outcome));
         }
+        // queued messages the phase's barriers ran and that failed for good
+        run.failures.extend(self.system.take_failures());
     }
 
     /// Execute one benchmark period: uninitialize, initialize, streams

@@ -3,22 +3,27 @@
 //! §VII).
 //!
 //! Unlike the synchronous MTM engine and the trigger-driven federated
-//! DBMS, an EAI server is a *message broker*: incoming messages are
-//! accepted immediately, queued, and processed asynchronously by a pool of
-//! worker threads. Time-driven processes act as barriers — a real broker
-//! drains in-flight messages before running a scheduled batch job, which
-//! also preserves the benchmark's stream-completion semantics (`T1(P04)`
+//! DBMS, an EAI server is a *message broker*: an incoming message is
+//! accepted at once and processed later. Here "later" is the next
+//! barrier. [`IntegrationSystem::deliver`] appends a message to one FIFO
+//! and answers [`Delivery::Completed`]; a time-driven event, like a real
+//! broker's scheduled batch job, first drains the FIFO and then runs.
+//! That preserves the benchmark's stream-completion semantics (`T1(P04)`
 //! etc.) and therefore the integrated data.
 //!
-//! Queues are partitioned by process type (destination), one worker per
-//! partition set, so messages of the same type apply in arrival order —
-//! the per-queue FIFO guarantee real brokers give. This matters for
-//! correctness, not just fidelity: successive master-data updates (P01,
-//! P02) may target the same entity, and reordering them across a shared
-//! worker pool would integrate different final values than the
-//! serialized engines.
+//! The broker has no threads of its own: a drain runs the queued messages
+//! on the thread that calls it, one drain at a time, in acceptance order.
+//! The client already orders every pair of conflicting messages before
+//! handing them over (P02 → P04: [`crate::sched::PeriodPlan`] waits for
+//! P02's `deliver` to return before it dispatches P04), and one FIFO keeps
+//! that order; messages that do not conflict commute. So a run is a
+//! function of its seed at any client worker count.
 //!
-//! Queues are unbounded: the broker accepts whatever the client paces.
+//! A queued message that fails for good is kept by the drain and handed
+//! to the client by [`IntegrationSystem::take_failures`]; one that panics
+//! unwinds through the barrier that runs it, as on every other engine.
+//!
+//! The queue is unbounded: the broker accepts whatever the client paces.
 //! What a *bounded* queue does under overload (`Block | Shed | Degrade`)
 //! is decided in virtual time by [`crate::overload`], the one admission
 //! model, before any message reaches the broker.
@@ -28,185 +33,77 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use crate::client::{self, DispatchFailure};
 use crate::system::{deliver, DeadLetterQueue, Delivery, Event, IntegrationSystem};
 use dip_mtm::cost::CostRecorder;
 use dip_mtm::engine::MtmEngine;
-use dip_mtm::error::{MtmError, MtmResult};
+use dip_mtm::error::MtmResult;
 use dip_mtm::process::ProcessDef;
 use dip_services::registry::ExternalWorld;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 #[derive(Default)]
-struct Pending {
-    count: Mutex<usize>,
-    drained: Condvar,
-}
-
-impl Pending {
-    fn inc(&self) {
-        *self.count.lock() += 1;
-    }
-
-    fn dec(&self) {
-        let mut n = self.count.lock();
-        *n -= 1;
-        if *n == 0 {
-            self.drained.notify_all();
-        }
-    }
-}
-
-#[derive(Default)]
-struct ShardState {
-    /// Accepted E1 events.
-    queue: VecDeque<Event>,
-    closed: bool,
-}
-
-#[derive(Default)]
-struct Shard {
-    state: Mutex<ShardState>,
-    /// Signaled when a job is enqueued (worker wakes).
-    nonempty: Condvar,
-    /// False when the worker thread failed to spawn; the shard then
-    /// executes inline at deliver time instead of asynchronously.
-    has_worker: AtomicBool,
+struct Queue {
+    /// Accepted E1 events, in acceptance order.
+    events: VecDeque<Event>,
+    /// The longest the queue has been.
+    max_depth: u64,
 }
 
 /// The EAI-style asynchronous integration system.
 pub struct EaiSystem {
-    engine: Arc<MtmEngine>,
-    /// One queue per worker; a process type always routes to the same
-    /// queue, so same-type messages are processed in arrival order.
-    shards: Vec<Arc<Shard>>,
-    workers: Vec<JoinHandle<()>>,
-    pending: Arc<Pending>,
+    engine: MtmEngine,
     dlq: Arc<DeadLetterQueue>,
-    /// High-water mark over every shard's queue length.
-    max_depth: Arc<AtomicU64>,
-}
-
-/// Raise the queue-depth high-water mark. Kept out of the dip-trace
-/// counters on purpose: real queue depth depends on thread timing, and
-/// putting it in the drained counter set would make same-seed gate
-/// fingerprints differ. The deterministic virtual depth
-/// ([`crate::overload`]) is the counted one; this is an inspection accessor.
-fn raise_max_depth(max_depth: &AtomicU64, depth: u64) {
-    max_depth.fetch_max(depth, Ordering::Relaxed);
+    queue: Mutex<Queue>,
+    /// Held for a whole drain, so a drain that finds the queue empty has
+    /// also waited for the messages another drain popped. Keeps the hard
+    /// failures of drained messages until the client takes them.
+    drain: Mutex<Vec<DispatchFailure>>,
 }
 
 impl EaiSystem {
-    /// Build the broker with `workers` message-processing threads.
-    pub fn new(world: Arc<ExternalWorld>, workers: usize) -> EaiSystem {
-        let engine = Arc::new(MtmEngine::new(world));
-        let pending = Arc::new(Pending::default());
-        let dlq = Arc::new(DeadLetterQueue::new());
-        let shards: Vec<Arc<Shard>> = (0..workers.max(1))
-            .map(|_| Arc::new(Shard::default()))
-            .collect();
-        let mut handles = Vec::new();
-        for (i, shard) in shards.iter().enumerate() {
-            let shard = shard.clone();
-            let engine = engine.clone();
-            let pending = pending.clone();
-            let dlq = dlq.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("eai-worker-{i}"))
-                .spawn({
-                    let shard = shard.clone();
-                    move || loop {
-                        let event = {
-                            let mut st = shard.state.lock();
-                            loop {
-                                if let Some(event) = st.queue.pop_front() {
-                                    break event;
-                                }
-                                if st.closed {
-                                    return;
-                                }
-                                shard.nonempty.wait(&mut st);
-                            }
-                        };
-                        // instance failures are captured in the cost
-                        // records (ok = false) and, when transient, in
-                        // the dead-letter queue; the broker keeps going.
-                        // A panicking instance (a `Custom` step) is one
-                        // more failure: were the unwind to kill this
-                        // thread, `pending` would never reach zero and
-                        // the next timed event's drain would hang.
-                        deliver(&engine.world, &dlq, event, |process, period, seq, msg| {
-                            let run = || engine.execute_event(process, period, seq, msg);
-                            catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-                                Err(MtmError::Custom(format!("{process} instance panicked")))
-                            })
-                        });
-                        pending.dec();
-                    }
-                });
-            match spawned {
-                Ok(h) => {
-                    shard.has_worker.store(true, Ordering::Release);
-                    handles.push(h);
-                }
-                // worker thread unavailable: the shard degrades to inline
-                // execution at deliver time — slower, still correct
-                Err(_) => shard.has_worker.store(false, Ordering::Release),
-            }
-        }
+    /// Build the broker. `_workers` is unused: the broker runs queued
+    /// messages on the caller's thread. It stays only because
+    /// `benchmark/src/probes.rs` passes it.
+    pub fn new(world: Arc<ExternalWorld>, _workers: usize) -> EaiSystem {
         EaiSystem {
-            engine,
-            shards,
-            workers: handles,
-            pending,
-            dlq,
-            max_depth: Arc::new(AtomicU64::new(0)),
+            engine: MtmEngine::new(world),
+            dlq: Arc::new(DeadLetterQueue::new()),
+            queue: Mutex::new(Queue::default()),
+            drain: Mutex::new(Vec::new()),
         }
     }
 
-    /// Partition key: which worker queue a process type's messages go to.
-    fn shard(&self, process: &str) -> usize {
-        // FNV-1a over the process id
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in process.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
-    }
-
-    /// Block until every queued message has been processed.
+    /// Run every queued message, in acceptance order, on this thread.
     pub fn drain(&self) {
-        let mut n = self.pending.count.lock();
-        while *n > 0 {
-            self.pending.drained.wait(&mut n);
+        let mut failures = self.drain.lock();
+        loop {
+            // popped in a statement of its own: the queue is free to
+            // accept while the message runs
+            let next = self.queue.lock().events.pop_front();
+            let Some(event) = next else { break };
+            let (process, period, seq) = (event.process().to_string(), event.period(), event.seq());
+            let outcome = client::outcome(self.run(event));
+            failures.extend(DispatchFailure::of(&process, period, seq, outcome));
         }
     }
 
-    /// Messages currently queued or in flight.
-    pub fn in_flight(&self) -> usize {
-        *self.pending.count.lock()
-    }
-
-    /// High-water mark of any shard's queue length over the system's life.
+    /// The longest the queue has been over the system's life. Not a trace
+    /// counter: under two client threads it depends on their timing.
     pub fn max_queue_depth(&self) -> u64 {
-        self.max_depth.load(Ordering::Relaxed)
+        self.queue.lock().max_depth
     }
-}
 
-impl Drop for EaiSystem {
-    fn drop(&mut self) {
-        for shard in &self.shards {
-            shard.state.lock().closed = true;
-            shard.nonempty.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    fn run(&self, event: Event) -> Delivery {
+        let engine = &self.engine;
+        deliver(
+            &engine.world,
+            &self.dlq,
+            event,
+            |process, period, seq, msg| engine.execute_event(process, period, seq, msg),
+        )
     }
 }
 
@@ -222,34 +119,17 @@ impl IntegrationSystem for EaiSystem {
         Ok(())
     }
 
+    /// A message is queued and `Completed` means "accepted"; a timed event
+    /// drains the queue first and then runs.
     fn deliver(&self, event: Event) -> Delivery {
-        if let Event::Message { process, .. } = &event {
-            let shard = &self.shards[self.shard(process)];
-            // asynchronous acceptance: `Completed` means "queued" —
-            // processing failures surface later in the cost records and
-            // the dead-letter queue. A workerless shard executes inline,
-            // like the synchronous engines (queue depth stays 0).
-            if shard.has_worker.load(Ordering::Acquire) {
-                let mut st = shard.state.lock();
-                self.pending.inc();
-                st.queue.push_back(event);
-                raise_max_depth(&self.max_depth, st.queue.len() as u64);
-                shard.nonempty.notify_one();
-                return Delivery::Completed;
-            }
-        } else {
-            // scheduled batch jobs run after the broker drained — this
-            // also realizes the schedule's completion chaining (T1(P04),
-            // T1(Stream B))
-            self.drain();
+        if let Event::Message { .. } = event {
+            let mut queue = self.queue.lock();
+            queue.events.push_back(event);
+            queue.max_depth = queue.max_depth.max(queue.events.len() as u64);
+            return Delivery::Completed;
         }
-        let engine = &self.engine;
-        deliver(
-            &engine.world,
-            &self.dlq,
-            event,
-            |process, period, seq, msg| engine.execute_event(process, period, seq, msg),
-        )
+        self.drain();
+        self.run(event)
     }
 
     fn recorder(&self) -> Arc<CostRecorder> {
@@ -258,6 +138,10 @@ impl IntegrationSystem for EaiSystem {
 
     fn dead_letters(&self) -> Arc<DeadLetterQueue> {
         self.dlq.clone()
+    }
+
+    fn take_failures(&self) -> Vec<DispatchFailure> {
+        std::mem::take(&mut *self.drain.lock())
     }
 }
 
@@ -278,8 +162,7 @@ mod tests {
         // queued messages fail only via records; dispatch itself never errors
         assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
         assert_eq!(outcome.metrics.len(), 15);
-        system.drain();
-        assert_eq!(system.in_flight(), 0);
+        assert_eq!(system.take_failures().len(), 0);
         let report = verify::verify(&env).unwrap();
         assert!(report.passed(), "{report}");
     }
@@ -333,7 +216,7 @@ mod tests {
         }
         // P05 is timed: it must drain the broker first
         assert!(system.deliver(Event::timed("P05", 0, 0)).is_ok());
-        assert_eq!(system.in_flight(), 0);
+        assert_eq!(system.max_queue_depth(), u64::from(n));
         let staged = env
             .db("sales_cleaning")
             .table("orders_staging")
@@ -346,17 +229,10 @@ mod tests {
         assert_eq!(staged.len() as u32, n);
     }
 
-    /// A process instance that panics on a worker thread is one failed
-    /// instance, not the end of the shard: `pending` is settled, the
-    /// worker lives on, and the next timed event's drain returns. The
-    /// deliveries run on a thread of their own so that a regression fails
-    /// the test instead of hanging it.
-    #[test]
-    fn a_panicking_instance_does_not_hang_the_broker() {
+    /// Deploy `P90`, a message process whose one step is `step`, and
+    /// `P91`, a timed process that does nothing.
+    fn broker_with(env: &BenchEnvironment, step: fn() -> Result<(), String>) -> Arc<EaiSystem> {
         use dip_mtm::process::{EventType, Step};
-        let config =
-            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        let env = BenchEnvironment::new(config).unwrap();
         let system = Arc::new(EaiSystem::new(env.world.clone(), 1));
         let custom = |name: &str, f: fn() -> Result<(), String>| Step::Custom {
             name: name.into(),
@@ -365,36 +241,79 @@ mod tests {
             f: Arc::new(move |_| f().map(|()| Vec::new())),
         };
         let receive = Step::Receive { var: "m".into() };
-        let boom = custom("boom", || panic!("boom"));
-        let noop = custom("noop", || Ok(()));
+        let steps = vec![receive, custom("step", step)];
         system
             .deploy(vec![
+                ProcessDef::new("P90", "queued", 'A', EventType::Message, steps),
                 ProcessDef::new(
-                    "P90",
-                    "panics",
+                    "P91",
+                    "barrier",
                     'A',
-                    EventType::Message,
-                    vec![receive, boom],
+                    EventType::Timed,
+                    vec![custom("noop", || Ok(()))],
                 ),
-                ProcessDef::new("P91", "barrier", 'A', EventType::Timed, vec![noop]),
             ])
             .unwrap();
+        system
+    }
+
+    fn env() -> BenchEnvironment {
+        let config =
+            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
+        BenchEnvironment::new(config).unwrap()
+    }
+
+    /// A queued message that fails for good is accepted, and its failure
+    /// reaches the client once a barrier has run it.
+    #[test]
+    fn a_failed_queued_message_is_reported_after_the_barrier() {
+        let env = env();
+        let system = broker_with(&env, || Err("bad data".into()));
         let msg = env.generator.vienna_message(0, 0);
+        assert!(matches!(
+            system.deliver(Event::message("P90", 0, 3, msg)),
+            Delivery::Completed
+        ));
+        assert!(
+            system.take_failures().is_empty(),
+            "not run before the barrier"
+        );
+        assert!(system.deliver(Event::timed("P91", 0, 0)).is_ok());
+        let failures = system.take_failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        let failure = &failures[0];
+        assert_eq!(
+            (failure.process.as_str(), failure.period, failure.seq),
+            ("P90", 0, 3)
+        );
+        assert!(failure.error.contains("bad data"), "{}", failure.error);
+        assert!(system.take_failures().is_empty(), "taken once");
+    }
+
+    /// A queued message that panics unwinds through the barrier that runs
+    /// it and reaches the caller, as on every engine
+    /// (`tests/client_panic.rs`). The barrier runs on a thread of its own
+    /// so that a broker that hangs fails the test instead of hanging it.
+    #[test]
+    fn a_panicking_queued_message_reaches_the_barriers_caller() {
+        let env = env();
+        let system = broker_with(&env, || panic!("boom"));
+        let msg = env.generator.vienna_message(0, 0);
+        assert!(system.deliver(Event::message("P90", 0, 0, msg)).is_ok());
         let (done, finished) = std::sync::mpsc::channel();
         let broker = system.clone();
         std::thread::spawn(move || {
-            // accepted: the failure surfaces asynchronously
-            assert!(broker
-                .deliver(Event::message("P90", 0, 0, msg.clone()))
-                .is_ok());
-            assert!(broker.deliver(Event::timed("P91", 0, 0)).is_ok());
-            // the worker survived: a second message is still served
-            assert!(broker.deliver(Event::message("P90", 0, 1, msg)).is_ok());
-            broker.drain();
-            let _ = done.send(());
+            let barrier = || broker.deliver(Event::timed("P91", 0, 0));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(barrier));
+            let _ = done.send(outcome.map(|d| d.is_ok()));
         });
         let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
-        assert!(waited.is_ok(), "the broker hung behind a panicked instance");
-        assert_eq!(system.in_flight(), 0);
+        let payload = waited
+            .expect("the barrier hung behind a panicking message")
+            .expect_err("the panic must reach the barrier's caller");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "boom");
+        // the broker is still usable: the queue is empty and a barrier runs
+        assert!(system.deliver(Event::timed("P91", 0, 1)).is_ok());
     }
 }

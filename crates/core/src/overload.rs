@@ -44,7 +44,7 @@
 //! counters — the property the `overload-*` rows of `dipbench gate` pin.
 //!
 //! This is the one admission model: the real broker
-//! ([`crate::eai::EaiSystem`]) keeps unbounded queues, so the virtual
+//! ([`crate::eai::EaiSystem`]) keeps an unbounded queue, so the virtual
 //! simulation is the sole shedder and fates stay deterministic.
 
 #![cfg_attr(
@@ -373,6 +373,8 @@ pub fn run_overload(
             }
         }
     }
+    // queued messages that a barrier ran and that failed for good
+    failures.extend(system.take_failures());
     // finalize the wait mean (simulate_series accumulated the sum)
     if stats.admitted > 0 {
         stats.mean_wait_tu /= stats.admitted as f64;

@@ -15,7 +15,8 @@
 //! [`Delivery`] outcome instead of a bare `Result`:
 //!
 //! - [`Delivery::Completed`] — the event was processed (or, for an
-//!   asynchronous broker, accepted) without transport retries.
+//!   asynchronous broker's message, accepted: it runs at the next
+//!   barrier) without transport retries.
 //! - [`Delivery::Retried`] — processed after the resilience layer spent
 //!   `attempts` transport retries on the instance's behalf.
 //! - [`Delivery::DeadLettered`] — an E1 message whose transport retries
@@ -40,6 +41,7 @@
 //! the engine's instance and turns the [`MtmError`] that comes back — the
 //! one failure type of every engine — into a [`Delivery`].
 
+use crate::client::DispatchFailure;
 use dip_mtm::cost::CostRecorder;
 use dip_mtm::engine::MtmEngine;
 use dip_mtm::error::{MtmError, MtmResult};
@@ -109,7 +111,9 @@ impl Event {
 /// The typed outcome of delivering an [`Event`].
 #[derive(Debug)]
 pub enum Delivery {
-    /// Processed (or accepted, for asynchronous brokers) cleanly.
+    /// Processed cleanly, or, for an asynchronous broker's message,
+    /// accepted: it runs at the next barrier, and a hard failure then
+    /// reaches the client through [`IntegrationSystem::take_failures`].
     Completed,
     /// Processed after `attempts` transport retries.
     Retried { attempts: u32 },
@@ -159,7 +163,7 @@ impl DeadLetterQueue {
     pub fn push(&self, letter: DeadLetter) {
         dip_trace::count(
             if letter.shed {
-                "eai.shed"
+                "overload.shed"
             } else {
                 "resilience.dlq"
             },
@@ -274,6 +278,13 @@ pub trait IntegrationSystem: Send + Sync {
     /// systems that never dead-letter.
     fn dead_letters(&self) -> Arc<DeadLetterQueue> {
         Arc::new(DeadLetterQueue::new())
+    }
+
+    /// Take the hard failures of events that `deliver` accepted and a
+    /// later barrier ran (an asynchronous broker's queued messages).
+    /// Default: none, for systems that run every event inside `deliver`.
+    fn take_failures(&self) -> Vec<DispatchFailure> {
+        Vec::new()
     }
 }
 

@@ -15,7 +15,12 @@ use dipbench::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const ENGINES: [EngineKind; 3] = [EngineKind::Mtm, EngineKind::Federated, EngineKind::Ivm];
+const ENGINES: [EngineKind; 4] = [
+    EngineKind::Mtm,
+    EngineKind::Federated,
+    EngineKind::Ivm,
+    EngineKind::Eai,
+];
 
 /// A run that drives a `Client` itself counts into the trace collector
 /// whenever a neighbouring `run_cell` has it on, so it holds this lock,
@@ -188,17 +193,22 @@ fn assert_same_seed_twice(engine: EngineKind, config: BenchConfig, label: &str) 
     );
 }
 
-/// The closed-loop EAI broker (one broker thread, the registry's default)
-/// runs the E1 messages in the order the client hands them over, so a
+/// The closed-loop EAI broker runs its queued E1 messages in the order
+/// the client hands them over, at one client thread or four, so a
 /// same-seed pair agrees on every counter, `netsim.bytes` included: the
 /// P04 enrichment reads the customers P02 upserts only after the
-/// virtually-earlier P02 messages (`PeriodPlan::by_stream`).
+/// virtually-earlier P02 messages (`PeriodPlan::by_stream` and
+/// `concurrent_phase` both order them).
 #[test]
 fn eai_same_seed_runs_agree_on_every_counter() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.05, 1.0, Distribution::Uniform)).with_periods(1);
-    for seed in 1..=10 {
-        assert_same_seed_twice(EngineKind::Eai, config.with_seed(seed), "closed loop");
+    for workers in [1, 4] {
+        for seed in 1..=10 {
+            let label = format!("closed loop, workers={workers}");
+            let config = config.with_workers(workers).with_seed(seed);
+            assert_same_seed_twice(EngineKind::Eai, config, &label);
+        }
     }
 }
 
