@@ -34,9 +34,8 @@
 )]
 
 use crate::client::{self, DispatchFailure};
-use crate::system::{deliver, DeadLetterQueue, Delivery, Event, IntegrationSystem};
+use crate::system::{DeadLetterQueue, Delivery, Event, IntegrationSystem, MtmSystem};
 use dip_mtm::cost::CostRecorder;
-use dip_mtm::engine::MtmEngine;
 use dip_mtm::error::MtmResult;
 use dip_mtm::process::ProcessDef;
 use dip_services::registry::ExternalWorld;
@@ -52,10 +51,10 @@ struct Queue {
     max_depth: u64,
 }
 
-/// The EAI-style asynchronous integration system.
+/// The EAI-style asynchronous integration system: the MTM engine behind
+/// a message queue.
 pub struct EaiSystem {
-    engine: MtmEngine,
-    dlq: Arc<DeadLetterQueue>,
+    engine: MtmSystem,
     queue: Mutex<Queue>,
     /// Held for a whole drain, so a drain that finds the queue empty has
     /// also waited for the messages another drain popped. Keeps the hard
@@ -69,8 +68,7 @@ impl EaiSystem {
     /// `benchmark/src/probes.rs` passes it.
     pub fn new(world: Arc<ExternalWorld>, _workers: usize) -> EaiSystem {
         EaiSystem {
-            engine: MtmEngine::new(world),
-            dlq: Arc::new(DeadLetterQueue::new()),
+            engine: MtmSystem::new(world),
             queue: Mutex::new(Queue::default()),
             drain: Mutex::new(Vec::new()),
         }
@@ -85,7 +83,7 @@ impl EaiSystem {
             let next = self.queue.lock().events.pop_front();
             let Some(event) = next else { break };
             let (process, period, seq) = (event.process().to_string(), event.period(), event.seq());
-            let outcome = client::outcome(self.run(event));
+            let outcome = client::outcome(self.engine.deliver(event));
             failures.extend(DispatchFailure::of(&process, period, seq, outcome));
         }
     }
@@ -95,16 +93,6 @@ impl EaiSystem {
     pub fn max_queue_depth(&self) -> u64 {
         self.queue.lock().max_depth
     }
-
-    fn run(&self, event: Event) -> Delivery {
-        let engine = &self.engine;
-        deliver(
-            &engine.world,
-            &self.dlq,
-            event,
-            |process, period, seq, msg| engine.execute_event(process, period, seq, msg),
-        )
-    }
 }
 
 impl IntegrationSystem for EaiSystem {
@@ -113,10 +101,7 @@ impl IntegrationSystem for EaiSystem {
     }
 
     fn deploy(&self, defs: Vec<ProcessDef>) -> MtmResult<()> {
-        for def in defs {
-            self.engine.deploy(def)?;
-        }
-        Ok(())
+        self.engine.deploy(defs)
     }
 
     /// A message is queued and `Completed` means "accepted"; a timed event
@@ -129,7 +114,7 @@ impl IntegrationSystem for EaiSystem {
             return Delivery::Completed;
         }
         self.drain();
-        self.run(event)
+        self.engine.deliver(event)
     }
 
     fn recorder(&self) -> Arc<CostRecorder> {
@@ -137,7 +122,7 @@ impl IntegrationSystem for EaiSystem {
     }
 
     fn dead_letters(&self) -> Arc<DeadLetterQueue> {
-        self.dlq.clone()
+        self.engine.dead_letters()
     }
 
     fn take_failures(&self) -> Vec<DispatchFailure> {
@@ -151,11 +136,15 @@ mod tests {
     use crate::prelude::*;
     use crate::verify;
 
-    #[test]
-    fn eai_runs_the_benchmark_and_verifies() {
+    fn env() -> BenchEnvironment {
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        let env = BenchEnvironment::new(config).unwrap();
+        BenchEnvironment::new(config).unwrap()
+    }
+
+    #[test]
+    fn eai_runs_the_benchmark_and_verifies() {
+        let env = env();
         let system = Arc::new(EaiSystem::new(env.world.clone(), 4));
         let client = Client::new(&env, system.clone()).unwrap();
         let outcome = client.run().unwrap();
@@ -198,9 +187,7 @@ mod tests {
     fn timed_events_barrier_on_queue() {
         // a timed event fired right after a burst of messages must observe
         // all of their effects
-        let config =
-            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        let env = BenchEnvironment::new(config).unwrap();
+        let env = env();
         let system = Arc::new(EaiSystem::new(env.world.clone(), 4));
         system.deploy(crate::processes::all_processes()).unwrap();
         env.initialize_sources(0).unwrap();
@@ -255,12 +242,6 @@ mod tests {
             ])
             .unwrap();
         system
-    }
-
-    fn env() -> BenchEnvironment {
-        let config =
-            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        BenchEnvironment::new(config).unwrap()
     }
 
     /// A queued message that fails for good is accepted, and its failure

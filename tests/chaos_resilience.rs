@@ -105,10 +105,7 @@ fn engines_agree_under_fault_schedule() {
     let mut results = Vec::new();
     for engine in ["mtm", "fed", "eai"] {
         let env = BenchEnvironment::new(config).unwrap();
-        let system: Arc<dyn IntegrationSystem> = match EngineKind::parse(engine) {
-            Some(EngineKind::Eai) => Arc::new(EaiSystem::new(env.world.clone(), 4)),
-            kind => build_system(kind.unwrap(), &env),
-        };
+        let system = build_system(EngineKind::parse(engine).unwrap(), &env);
         let outcome = run(system, &env);
         assert!(
             outcome.dead_letters.is_empty(),
