@@ -146,12 +146,11 @@ mod tests {
     fn eai_runs_the_benchmark_and_verifies() {
         let env = env();
         let system = Arc::new(EaiSystem::new(env.world.clone(), 4));
-        let client = Client::new(&env, system.clone()).unwrap();
+        let client = Client::new(&env, system).unwrap();
         let outcome = client.run().unwrap();
-        // queued messages fail only via records; dispatch itself never errors
+        // neither a dispatched event nor a queued message failed
         assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
         assert_eq!(outcome.metrics.len(), 15);
-        assert_eq!(system.take_failures().len(), 0);
         let report = verify::verify(&env).unwrap();
         assert!(report.passed(), "{report}");
     }
