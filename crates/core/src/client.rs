@@ -390,6 +390,70 @@ impl<'a> Client<'a> {
 mod tests {
     use super::*;
     use crate::scale::{Distribution, ScaleFactors};
+    use dip_mtm::cost::CostRecorder;
+    use dip_mtm::error::MtmResult;
+    use dip_mtm::process::ProcessDef;
+    use std::sync::Mutex;
+
+    /// Accepts every event; the first `take_failures` reports one queued
+    /// message that failed after it was accepted.
+    #[derive(Default)]
+    struct Deferred {
+        recorder: Arc<CostRecorder>,
+        taken: Mutex<bool>,
+    }
+
+    impl IntegrationSystem for Deferred {
+        fn name(&self) -> &str {
+            "deferred"
+        }
+
+        fn deploy(&self, _defs: Vec<ProcessDef>) -> MtmResult<()> {
+            Ok(())
+        }
+
+        fn deliver(&self, _event: Event) -> Delivery {
+            Delivery::Completed
+        }
+
+        fn recorder(&self) -> Arc<CostRecorder> {
+            self.recorder.clone()
+        }
+
+        fn take_failures(&self) -> Vec<DispatchFailure> {
+            let mut taken = self.taken.lock().unwrap();
+            let failure = DispatchFailure {
+                process: "P04".into(),
+                period: 0,
+                seq: 7,
+                error: "late".into(),
+            };
+            let failures = if *taken { Vec::new() } else { vec![failure] };
+            *taken = true;
+            failures
+        }
+    }
+
+    /// What a system reports through `take_failures` is one of the run's
+    /// failures, under the closed-loop client and the overload harness.
+    #[test]
+    fn failures_of_queued_messages_reach_the_run() {
+        let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
+        let env = BenchEnvironment::new(BenchConfig::new(scale).with_periods(1)).unwrap();
+        let named = |failures: &[DispatchFailure]| {
+            let names = failures
+                .iter()
+                .map(|f| (f.process.as_str(), f.period, f.seq));
+            names.collect::<Vec<_>>() == [("P04", 0, 7)]
+        };
+        let client = Client::new(&env, Arc::new(Deferred::default())).unwrap();
+        let outcome = client.run().unwrap();
+        assert!(named(&outcome.failures), "{:?}", outcome.failures);
+        let options = crate::overload::OverloadOptions::default();
+        let run = crate::overload::run_overload(&env, Arc::new(Deferred::default()), &options);
+        let failures = run.unwrap().outcome.failures;
+        assert!(named(&failures), "{failures:?}");
+    }
 
     /// The schedule's message/timed split (which decides the cross-stream
     /// edges of `PeriodPlan::by_stream`) and the message generator must

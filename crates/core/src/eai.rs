@@ -280,16 +280,18 @@ mod tests {
         let system = broker_with(&env, || panic!("boom"));
         let msg = env.generator.vienna_message(0, 0);
         assert!(system.deliver(Event::message("P90", 0, 0, msg)).is_ok());
-        let (done, finished) = std::sync::mpsc::channel();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
         let broker = system.clone();
-        std::thread::spawn(move || {
-            let barrier = || broker.deliver(Event::timed("P91", 0, 0));
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(barrier));
-            let _ = done.send(outcome.map(|d| d.is_ok()));
+        let barrier = std::thread::spawn(move || {
+            // dropped when the thread ends, by returning or by unwinding
+            let _done = done;
+            broker.deliver(Event::timed("P91", 0, 0)).is_ok()
         });
         let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
-        let payload = waited
-            .expect("the barrier hung behind a panicking message")
+        let ended = matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Disconnected));
+        assert!(ended, "the barrier hung behind a panicking message");
+        let payload = barrier
+            .join()
             .expect_err("the panic must reach the barrier's caller");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "boom");
