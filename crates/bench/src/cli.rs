@@ -34,7 +34,7 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// The value placeholder of the synopsis (e.g. `X`, `block|shed|degrade`)
+    /// The value placeholder of the synopsis (e.g. `X`, `uniform|zipf5|zipf10|normal`)
     /// and the constraint in words, for help text and error messages.
     fn describe(self) -> (String, String) {
         let (metavar, expects) = match self {
@@ -129,7 +129,6 @@ mod flags {
     pub const AT: Flag = Flag::new("--at", Ty::Index, "materialization step at which the system dies");
     pub const PROCESS: Flag = Flag::new("--process", Ty::Text("Pxx"), "crash only this process type (default: P02, P05, P09, P13)");
     pub const RATE: Flag = Flag::new("--rate", Ty::Positive, "arrival-rate multiplier").or("1.0");
-    pub const POLICY: Flag = Flag::new("--policy", Ty::Choice(&["block", "shed", "degrade"]), "full-queue policy").or("shed");
     pub const CAPACITY: Flag = Flag::new("--capacity", Ty::Count, "queue bound per process type").or("8");
 }
 pub use flags::*;
@@ -167,7 +166,7 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "crash", args: "", arity: (0, 0), summary: "crash-restart recovery at one step (--at) or every step (--sweep) (exit 1 on divergence)",
               flags: &[ENGINE.or("mtm"), D.or("0.02"), PERIODS, SEED, PERIOD, SEQ, AT, PROCESS, SWEEP, DROP.or("0"), WORKERS] },
     Command { name: "overload", args: "", arity: (0, 0), summary: "open-loop overload cell or rate x skew sweep, each cell run twice (exit 1 on violation)",
-              flags: &[ENGINE, D.or("0.02"), PERIODS, SEED, RATE, F.or("zipf10"), POLICY, CAPACITY, SWEEP, OUT] },
+              flags: &[ENGINE, D.or("0.02"), PERIODS, SEED, RATE, F.or("zipf10"), CAPACITY, SWEEP, OUT] },
     Command { name: "gate", args: "[NAME...]", arity: (0, usize::MAX), flags: &[], summary: "walk the declared robustness gates (all, or the named rows)" },
     Command { name: "explain", args: "[P01..P15]", arity: (0, 1), flags: &[], summary: "narrate process definitions" },
     Command { name: "help", args: "[COMMAND]", arity: (0, 1), flags: &[], summary: "this overview, or one command's flags in detail" },

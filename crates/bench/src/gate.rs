@@ -257,16 +257,18 @@ pub fn crash_cell(mut base: BenchConfig, target: &CrashTarget) -> (BenchConfig, 
 }
 
 /// The configuration and load of one open-loop cell: `f`-skewed arrivals
-/// at `rate` × the schedule's average against `admission`-bounded queues.
+/// at `rate` × the schedule's average against queues that hold at most
+/// `capacity` (at least 1) waiting messages per process type.
 pub fn overload_cell(
     base: BenchConfig,
     f: Distribution,
     rate: f64,
-    admission: AdmissionControl,
+    capacity: usize,
 ) -> (BenchConfig, Load) {
     let scale = ScaleFactors::new(base.scale.datasize, base.scale.time, f);
     let config = BenchConfig { scale, ..base };
-    (config, Load::Open(OverloadOptions { rate, admission }))
+    let capacity = capacity.max(1);
+    (config, Load::Open(OverloadOptions { rate, capacity }))
 }
 
 /// How a gate row's cells are compared.
@@ -445,8 +447,7 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
             cells.extend(counts.map(cell));
         }
         Overload { rates, capacity } => {
-            let admission = AdmissionControl::bounded(capacity, AdmissionPolicy::Shed);
-            let cell = |&rate| overload_cell(base, Distribution::Zipf10, rate, admission);
+            let cell = |&rate| overload_cell(base, Distribution::Zipf10, rate, capacity);
             cells.extend(rates.iter().map(cell));
         }
     }
@@ -455,7 +456,7 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
         for _ in 0..repeats {
             let run = run_cell(kind, *config, load).map_err(|e| e.to_string())?;
             if let (Detail::Open(stats), Load::Open(opts)) = (run.detail, load) {
-                if stats.max_depth > opts.admission.capacity as u64 {
+                if stats.max_depth > opts.capacity as u64 {
                     return Err(format!("queue depth {} broke the bound", stats.max_depth));
                 }
             }

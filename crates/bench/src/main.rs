@@ -423,23 +423,17 @@ fn overload(p: &Parsed) {
     let kind = p.engine();
     let (d, seed, periods): (f64, u64, u32) = (p.get(D), p.get(SEED), p.get(PERIODS));
     let capacity: usize = p.get(CAPACITY);
-    let word: String = p.get(POLICY);
-    use AdmissionPolicy::{Block, Degrade, Shed};
-    let policy = [Block, Shed, Degrade]
-        .into_iter()
-        .find(|policy| policy.label() == word);
-    let admission = AdmissionControl::bounded(capacity, policy.expect("a declared choice"));
     let base = BenchConfig::new(ScaleFactors::new(d, 1.0, Uniform))
         .with_periods(periods)
         .with_seed(seed);
     println!(
-        "# overload on {} (d={d}, seed={seed}, {periods} period(s), capacity {capacity}, policy {word})",
+        "# overload on {} (d={d}, seed={seed}, {periods} period(s), capacity {capacity})",
         kind.label()
     );
     println!(" rate         f  sched  admit  shed depth  wait[tu]  navg+[tu]  +wait[tu]  verify deterministic");
     // One cell, twice: prints its row, returns (first run, JSON cell, ok).
     let run = |f: Distribution, rate: f64| {
-        let (config, load) = gate::overload_cell(base, f, rate, admission);
+        let (config, load) = gate::overload_cell(base, f, rate, capacity);
         let (run, verdict) = twice(kind, config, &load);
         let Detail::Open(s) = run.detail else {
             unreachable!("an open load reports queueing stats")
@@ -474,12 +468,10 @@ fn overload(p: &Parsed) {
             ("scheduled", Json::num(s.scheduled_messages as f64)),
             ("admitted", Json::num(s.admitted as f64)),
             ("shed", Json::num(s.shed as f64)),
-            ("degraded_evictions", Json::num(s.degraded_evictions as f64)),
             ("max_depth", Json::num(s.max_depth as f64)),
             ("delayed", Json::num(s.delayed as f64)),
             ("mean_wait_tu", Json::num(s.mean_wait_tu)),
             ("max_wait_tu", Json::num(s.max_wait_tu)),
-            ("blocked_tu", Json::num(s.blocked_tu)),
             ("navg_plus_tu", Json::num(navg)),
             ("navg_plus_open_loop_tu", Json::num(navg + s.mean_wait_tu)),
             ("verify", Json::Bool(verified)),
@@ -513,7 +505,6 @@ fn overload(p: &Parsed) {
                 ("periods", Json::num(periods)),
                 ("seed", Json::num(seed as f64)),
                 ("capacity", Json::num(capacity as f64)),
-                ("policy", Json::str(word)),
                 ("cells", Json::Arr(json_cells)),
             ]);
             write_file(&path, &(artifact.render() + "\n"));

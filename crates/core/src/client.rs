@@ -65,7 +65,9 @@ impl DispatchFailure {
 /// Exactly which events of a period are settled — the replay-skip set a
 /// recovering run hands back to [`Client::run_period_from`]: per stream
 /// (A, B, C, D) the settled event indices, ascending. A crash leaves a
-/// DAG-downward-closed set that need not be a per-stream prefix.
+/// DAG-downward-closed set that need not be a per-stream prefix. The
+/// overload harness hands in its shed events the same way: they are
+/// never dispatched, and their dependents run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplaySkip {
     indices: [Vec<usize>; 4],
@@ -80,6 +82,16 @@ impl ReplaySkip {
     /// Whether the event at `index` of stream slot `slot` is settled.
     pub fn skips(&self, slot: usize, index: usize) -> bool {
         self.indices[slot].binary_search(&index).is_ok()
+    }
+
+    /// The events at these `(slot, index)` pairs, given in any order.
+    pub(crate) fn of(events: impl IntoIterator<Item = (usize, usize)>) -> ReplaySkip {
+        let mut skip = ReplaySkip::none();
+        for (slot, index) in events {
+            skip.indices[slot].push(index);
+        }
+        skip.indices.iter_mut().for_each(|v| v.sort_unstable());
+        skip
     }
 
     /// Number of settled events in stream slot `slot`.
@@ -198,17 +210,12 @@ impl<'a> Client<'a> {
         })
     }
 
-    /// The per-type resource footprints the plans are built from.
-    pub(crate) fn profiles(&self) -> &BTreeMap<String, TypeProfile> {
-        &self.profiles
-    }
-
     /// Deliver one scheduled event — generate its E1 message (if any),
     /// hand it to the system under test — and classify what came back.
     /// The engines open their own fault scope and transaction per
     /// delivery, so this is self-contained on whichever thread runs it.
     /// A system the crash already killed is handed nothing more.
-    pub(crate) fn dispatch(&self, process: &'static str, period: u32, seq: u32) -> TaskOutcome {
+    fn dispatch(&self, process: &'static str, period: u32, seq: u32) -> TaskOutcome {
         if self.env.world.network.crash_tripped() {
             return TaskOutcome::Crashed;
         }

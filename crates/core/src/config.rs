@@ -15,51 +15,6 @@ pub enum PacingMode {
     RealTime,
 }
 
-/// What a bounded queue does when a process type's queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Backpressure: the producer blocks until a slot frees up. No message
-    /// is ever lost, but under sustained overload waits grow without bound
-    /// (classic closed-loop collapse — kept as the honest baseline).
-    Block,
-    /// Drop-tail: reject the *arriving* message. The shed message lands in
-    /// the dead-letter queue with `shed = true` so E1 conservation still
-    /// closes.
-    Shed,
-    /// Drop-head: evict the *oldest* waiting message of the same process
-    /// type and admit the newest — bounds staleness instead of loss-rate.
-    /// The evicted message is dead-lettered with `shed = true`.
-    Degrade,
-}
-
-impl AdmissionPolicy {
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdmissionPolicy::Block => "block",
-            AdmissionPolicy::Shed => "shed",
-            AdmissionPolicy::Degrade => "degrade",
-        }
-    }
-}
-
-/// Per-process-type queue bound + full-queue policy of an open-loop cell
-/// ([`crate::overload::OverloadOptions`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionControl {
-    /// Maximum queued (not yet executing) messages per process type.
-    pub capacity: usize,
-    pub policy: AdmissionPolicy,
-}
-
-impl AdmissionControl {
-    pub fn bounded(capacity: usize, policy: AdmissionPolicy) -> AdmissionControl {
-        AdmissionControl {
-            capacity: capacity.max(1),
-            policy,
-        }
-    }
-}
-
 /// Everything a benchmark run needs to know.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchConfig {

@@ -24,7 +24,7 @@
 //! unwinds through the barrier that runs it, as on every other engine.
 //!
 //! The queue is unbounded: the broker accepts whatever the client paces.
-//! What a *bounded* queue does under overload (`Block | Shed | Degrade`)
+//! Which messages a *bounded* queue would shed under overload (drop-tail)
 //! is decided in virtual time by [`crate::overload`], the one admission
 //! model, before any message reaches the broker.
 

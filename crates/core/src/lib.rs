@@ -56,7 +56,7 @@ pub mod verify;
 /// The most commonly used items.
 pub mod prelude {
     pub use crate::client::{Client, ReplaySkip, RunOutcome};
-    pub use crate::config::{AdmissionControl, AdmissionPolicy, BenchConfig, PacingMode};
+    pub use crate::config::{BenchConfig, PacingMode};
     pub use crate::eai::EaiSystem;
     pub use crate::env::BenchEnvironment;
     pub use crate::metric::ProcessMetric;

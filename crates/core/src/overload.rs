@@ -24,18 +24,18 @@
 //!    multiplier. A deterministic single-server FIFO queue per process
 //!    type (service time = base + message bytes) decides every event's
 //!    fate — [`Fate::Admitted`] with its queueing wait, or [`Fate::Shed`]
-//!    under a bounded queue's [`AdmissionPolicy`]. The gap RNG streams
-//!    depend only on `(seed, period, process)`, never on `rate`, so a
-//!    higher rate compresses the *same* arrival pattern: load is monotone
-//!    in the multiplier by construction.
-//! 2. **Deterministic dispatch.** Admitted events are delivered to the
-//!    real [`IntegrationSystem`] in canonical schedule order (streams A+B
-//!    merged by virtual time — a serial walk of the order
-//!    [`crate::sched::PeriodPlan::by_stream`] allows, `docs/SCHEDULER.md` —
-//!    then C, then D) through the client's one dispatch function. It
-//!    stays on one thread: two would reorder the EAI broker's single
-//!    FIFO. Shed events are never delivered; they land in the
-//!    system's [`DeadLetterQueue`](crate::system::DeadLetterQueue) with
+//!    when the arrival finds `capacity` messages already waiting
+//!    (drop-tail). The gap RNG streams depend only on
+//!    `(seed, period, process)`, never on `rate`, so a higher rate
+//!    compresses the *same* arrival pattern: load is monotone in the
+//!    multiplier by construction.
+//! 2. **Real dispatch.** The period then runs through the client's one
+//!    dispatcher, [`Client::run_period_from`], with the shed events as its
+//!    skip set: A ∥ B on the client's pool at `config.workers`, then C,
+//!    then D, exactly as a closed run (`docs/SCHEDULER.md`). A skipped
+//!    event counts as settled, so its dependents run, as in a recovery
+//!    replay. Shed events are never delivered; they land in the system's
+//!    [`DeadLetterQueue`](crate::system::DeadLetterQueue) with
 //!    `shed = true`, so the E1 conservation check still closes:
 //!    `scheduled = integrated + dead-lettered + failed + shed`.
 //!
@@ -52,15 +52,13 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::client::{message_for, Client, DispatchFailure, RunOutcome};
-use crate::config::{AdmissionControl, AdmissionPolicy};
+use crate::client::{message_for, Client, ReplaySkip, RunOutcome};
 use crate::datagen::dist;
 use crate::env::BenchEnvironment;
-use crate::sched::PeriodPlan;
 use crate::schedule::{self, is_message_process, ScheduledEvent};
 use crate::system::{DeadLetter, IntegrationSystem};
 use dip_relstore::prelude::StoreResult;
-use dip_xmlkit::write_compact;
+use dip_xmlkit::{compact_len, write_compact};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,15 +77,16 @@ pub struct OverloadOptions {
     /// Arrival-rate multiplier: all inter-arrival gaps divide by this.
     /// `1.0` replays the schedule's average rate; `2.0` doubles it.
     pub rate: f64,
-    /// Virtual per-process-type queue bound + full-queue policy.
-    pub admission: AdmissionControl,
+    /// Maximum queued (not yet executing) messages per process type; an
+    /// arrival that finds the queue full is shed. Values below 1 act as 1.
+    pub capacity: usize,
 }
 
 impl Default for OverloadOptions {
     fn default() -> Self {
         OverloadOptions {
             rate: 1.0,
-            admission: AdmissionControl::bounded(16, AdmissionPolicy::Shed),
+            capacity: 16,
         }
     }
 }
@@ -97,9 +96,8 @@ impl Default for OverloadOptions {
 pub enum Fate {
     /// Enters service after `wait_tu` in the queue.
     Admitted { wait_tu: f64 },
-    /// Rejected by admission control; `degraded` when the event was
-    /// admitted and later evicted by a newer arrival (drop-head).
-    Shed { degraded: bool },
+    /// Rejected on arrival: its process type's queue was full.
+    Shed,
 }
 
 /// Aggregate queueing statistics over every simulated E1 series.
@@ -110,16 +108,12 @@ pub struct OverloadStats {
     pub scheduled_messages: u64,
     pub admitted: u64,
     pub shed: u64,
-    /// Subset of `shed` evicted by the `Degrade` policy.
-    pub degraded_evictions: u64,
     /// High-water mark of any process type's waiting queue.
     pub max_depth: u64,
     /// Admitted messages that waited at all.
     pub delayed: u64,
     pub mean_wait_tu: f64,
     pub max_wait_tu: f64,
-    /// Total producer stall under the `Block` policy.
-    pub blocked_tu: f64,
 }
 
 /// One overload run: the real execution outcome plus the virtual-time
@@ -142,117 +136,41 @@ struct SeriesEvent {
 /// series, deciding each event's [`Fate`]. `events` is in arrival order.
 fn simulate_series(
     events: &[SeriesEvent],
-    admission: AdmissionControl,
+    capacity: usize,
     stats: &mut OverloadStats,
 ) -> Vec<(usize, Fate)> {
-    let n = events.len();
-    let mut shed = vec![false; n];
-    let mut degraded = vec![false; n];
-    let mut waits = vec![0.0f64; n];
-    // indices waiting (admitted, not yet in service)
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut in_service: Option<usize> = None;
+    // service start times of the admitted messages not yet in service
+    let mut waiting: VecDeque<f64> = VecDeque::new();
     let mut busy_until = 0.0f64;
-    // Block policy: the producer's clock after its last stall
-    let mut stall = 0.0f64;
-
-    // complete everything due by `now`, pulling waiters into service
-    let advance = |now: f64,
-                   in_service: &mut Option<usize>,
-                   busy_until: &mut f64,
-                   waiting: &mut VecDeque<usize>,
-                   waits: &mut [f64]| {
-        while in_service.is_some() && *busy_until <= now {
-            *in_service = waiting.pop_front();
-            if let Some(j) = *in_service {
-                let start = busy_until.max(events[j].arrival_tu);
-                waits[j] = start - events[j].arrival_tu;
-                *busy_until = start + events[j].service_tu;
-            }
+    let mut out = Vec::with_capacity(events.len());
+    for e in events {
+        stats.scheduled_messages += 1;
+        // whatever entered service by now has left the queue
+        while waiting.front().is_some_and(|&start| start <= e.arrival_tu) {
+            waiting.pop_front();
         }
-    };
-
-    for i in 0..n {
-        let mut now = events[i].arrival_tu.max(stall);
-        advance(
-            now,
-            &mut in_service,
-            &mut busy_until,
-            &mut waiting,
-            &mut waits,
-        );
-        if waiting.len() >= admission.capacity {
-            match admission.policy {
-                AdmissionPolicy::Block => {
-                    let before = now;
-                    while waiting.len() >= admission.capacity && in_service.is_some() {
-                        now = now.max(busy_until);
-                        advance(
-                            now,
-                            &mut in_service,
-                            &mut busy_until,
-                            &mut waiting,
-                            &mut waits,
-                        );
-                    }
-                    stats.blocked_tu += now - before;
-                    stall = now;
-                }
-                AdmissionPolicy::Shed => {
-                    shed[i] = true;
-                    continue;
-                }
-                AdmissionPolicy::Degrade => {
-                    if let Some(old) = waiting.pop_front() {
-                        shed[old] = true;
-                        degraded[old] = true;
-                    }
-                }
-            }
+        if waiting.len() >= capacity.max(1) {
+            stats.shed += 1;
+            out.push((e.index, Fate::Shed));
+            continue;
         }
-        if in_service.is_none() {
-            // idle server: enters service immediately
-            busy_until = now + events[i].service_tu;
-            waits[i] = now - events[i].arrival_tu;
-            in_service = Some(i);
-        } else {
-            waiting.push_back(i);
+        // FIFO: service starts when the server frees up, or at arrival
+        let start = busy_until.max(e.arrival_tu);
+        busy_until = start + e.service_tu;
+        if start > e.arrival_tu {
+            waiting.push_back(start);
         }
         stats.max_depth = stats.max_depth.max(waiting.len() as u64);
-    }
-    // drain: everything still queued eventually runs
-    advance(
-        f64::INFINITY,
-        &mut in_service,
-        &mut busy_until,
-        &mut waiting,
-        &mut waits,
-    );
-
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        stats.scheduled_messages += 1;
-        let fate = if shed[i] {
-            stats.shed += 1;
-            if degraded[i] {
-                stats.degraded_evictions += 1;
-            }
-            Fate::Shed {
-                degraded: degraded[i],
-            }
-        } else {
-            stats.admitted += 1;
-            let w = waits[i];
-            if w > 1e-9 {
-                stats.delayed += 1;
-            }
-            stats.max_wait_tu = stats.max_wait_tu.max(w);
-            // mean_wait_tu holds the running *sum* here; finalized by the
-            // caller once every series contributed
-            stats.mean_wait_tu += w;
-            Fate::Admitted { wait_tu: w }
-        };
-        out.push((events[i].index, fate));
+        let w = start - e.arrival_tu;
+        stats.admitted += 1;
+        if w > 1e-9 {
+            stats.delayed += 1;
+        }
+        stats.max_wait_tu = stats.max_wait_tu.max(w);
+        // mean_wait_tu holds the running *sum* here; finalized by the
+        // caller once every series contributed
+        stats.mean_wait_tu += w;
+        out.push((e.index, Fate::Admitted { wait_tu: w }));
     }
     out
 }
@@ -299,9 +217,7 @@ fn plan_period(
                 }
                 prev_deadline = e.deadline_tu;
                 let service_tu = match message_for(env, process, period, e.seq) {
-                    Some(msg) => {
-                        SERVICE_BASE_TU + write_compact(&msg).len() as f64 / SERVICE_BYTES_PER_TU
-                    }
+                    Some(msg) => SERVICE_BASE_TU + compact_len(&msg) as f64 / SERVICE_BYTES_PER_TU,
                     None => SERVICE_BASE_TU,
                 };
                 sim_events.push(SeriesEvent {
@@ -310,7 +226,7 @@ fn plan_period(
                     service_tu,
                 });
             }
-            for (index, fate) in simulate_series(&sim_events, opts.admission, stats) {
+            for (index, fate) in simulate_series(&sim_events, opts.capacity, stats) {
                 fates[slot][index] = Some(fate);
             }
         }
@@ -318,9 +234,10 @@ fn plan_period(
     fates
 }
 
-/// Run the whole benchmark under open-loop overload: simulate fates in
-/// virtual time, then dispatch admitted events to `system` in canonical
-/// schedule order and dead-letter the shed ones (`shed = true`).
+/// Run the whole benchmark under open-loop overload: simulate each
+/// period's fates in virtual time, dead-letter the shed events
+/// (`shed = true`), then run the period through the client with the shed
+/// events skipped.
 ///
 /// The returned outcome's records/failures/dead-letters are canonically
 /// sorted; same-seed invocations are byte-identical.
@@ -337,44 +254,30 @@ pub fn run_overload(
     let start = Instant::now();
     let client = Client::new(env, system.clone())?;
     let mut stats = OverloadStats::default();
-    let mut failures: Vec<DispatchFailure> = Vec::new();
+    let mut failures = Vec::new();
     for k in 0..env.config.periods {
-        env.uninitialize()?;
-        env.initialize_sources(k)?;
         let streams = schedule::period_streams(k, env.config.scale.datasize);
         let fates = plan_period(env, &streams, k, opts, &mut stats);
-        // canonical dispatch order: the client's phases (A ∥ B, then C,
-        // then D), each walked serially in its plan's virtual-time order
-        for slots in [0..2, 2..3, 3..4] {
-            for task in PeriodPlan::by_stream(&streams, slots, client.profiles()).tasks() {
-                match fates[task.slot][task.index] {
-                    Some(Fate::Shed { degraded }) => {
-                        let payload =
-                            message_for(env, task.process, k, task.seq).map(|m| write_compact(&m));
-                        system.dead_letters().push(DeadLetter {
-                            process: task.process.to_string(),
-                            period: k,
-                            seq: task.seq,
-                            reason: format!(
-                                "overload admission: queue full ({})",
-                                if degraded { "degrade" } else { "shed" }
-                            ),
-                            payload,
-                            shed: true,
-                        });
-                    }
-                    _ => failures.extend(DispatchFailure::of(
-                        task.process,
-                        k,
-                        task.seq,
-                        client.dispatch(task.process, k, task.seq),
-                    )),
+        let mut shed = Vec::new();
+        for (slot, (_, events)) in streams.iter().enumerate() {
+            for (index, e) in events.iter().enumerate() {
+                if fates[slot][index] != Some(Fate::Shed) {
+                    continue;
                 }
+                shed.push((slot, index));
+                system.dead_letters().push(DeadLetter {
+                    process: e.process.to_string(),
+                    period: k,
+                    seq: e.seq,
+                    reason: "overload admission: queue full (shed)".into(),
+                    payload: message_for(env, e.process, k, e.seq).map(|m| write_compact(&m)),
+                    shed: true,
+                });
             }
         }
+        let run = client.run_period_from(k, &ReplaySkip::of(shed), true)?;
+        failures.extend(run.failures);
     }
-    // queued messages that a barrier ran and that failed for good
-    failures.extend(system.take_failures());
     // finalize the wait mean (simulate_series accumulated the sum)
     if stats.admitted > 0 {
         stats.mean_wait_tu /= stats.admitted as f64;
@@ -418,7 +321,7 @@ mod tests {
         let system = Arc::new(MtmSystem::new(env.world.clone()));
         let opts = OverloadOptions {
             rate: 3.0,
-            admission: AdmissionControl::bounded(4, AdmissionPolicy::Shed),
+            capacity: 4,
         };
         let run = run_overload(&env, system, &opts).unwrap();
         assert!(run.stats.shed > 0, "{:?}", run.stats);
@@ -438,7 +341,7 @@ mod tests {
     fn same_seed_double_runs_are_byte_identical() {
         let opts = OverloadOptions {
             rate: 2.0,
-            admission: AdmissionControl::bounded(4, AdmissionPolicy::Degrade),
+            capacity: 4,
         };
         let run_once = || {
             let env = mini_env(Distribution::Zipf10, 1);
@@ -449,6 +352,7 @@ mod tests {
         };
         let (a, da) = run_once();
         let (b, db) = run_once();
+        assert!(a.stats.shed > 0, "{:?}", a.stats);
         assert_eq!(da, db, "integrated data differs between same-seed runs");
         assert_eq!(a.outcome.dead_letters, b.outcome.dead_letters);
         assert_eq!(a.stats.shed, b.stats.shed);
@@ -457,29 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_never_sheds_but_stalls() {
-        let env = mini_env(Distribution::Zipf10, 1);
-        let system = Arc::new(MtmSystem::new(env.world.clone()));
-        let opts = OverloadOptions {
-            rate: 3.0,
-            admission: AdmissionControl::bounded(2, AdmissionPolicy::Block),
-        };
-        let run = run_overload(&env, system, &opts).unwrap();
-        assert_eq!(run.stats.shed, 0);
-        assert!(run.stats.blocked_tu > 0.0, "{:?}", run.stats);
-        assert!(run.stats.max_depth <= 2 + 1, "{:?}", run.stats);
-    }
-
-    #[test]
     fn shed_grows_monotonically_with_rate() {
         let mut prev = 0u64;
         for rate in [1.0, 2.0, 4.0] {
             let env = mini_env(Distribution::Zipf10, 1);
             let system = Arc::new(MtmSystem::new(env.world.clone()));
-            let opts = OverloadOptions {
-                rate,
-                admission: AdmissionControl::bounded(4, AdmissionPolicy::Shed),
-            };
+            let opts = OverloadOptions { rate, capacity: 4 };
             let run = run_overload(&env, system, &opts).unwrap();
             assert!(
                 run.stats.shed >= prev,

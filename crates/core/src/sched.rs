@@ -391,6 +391,8 @@ struct PoolState {
     outcomes: Vec<TaskOutcome>,
     /// Completed (settled) instances per ordinal.
     done: Vec<usize>,
+    /// Per task: skipped (settled before the pool started).
+    skipped: Vec<bool>,
     completed: usize,
     crashed: bool,
 }
@@ -403,6 +405,19 @@ impl PoolState {
                 break;
             }
             self.head[ord] += 1;
+        }
+    }
+
+    /// Count the skipped tasks at the front of what `ord` has left to
+    /// complete. A skipped task completes when its chain reaches it, not
+    /// before: one in mid-chain (a shed message) must not release what
+    /// waits on the tasks ahead of it.
+    fn count_skipped(&mut self, plan: &PeriodPlan, ord: usize) {
+        while let Some(&i) = plan.chains[ord].get(self.done[ord]) {
+            if !self.skipped[i] {
+                break;
+            }
+            self.done[ord] += 1;
         }
     }
 
@@ -428,9 +443,11 @@ impl PoolState {
 }
 
 /// Drain a plan with `workers` threads. `skip(slot, index)` marks events
-/// a previous (crashed) run already settled: they complete instantly and
-/// count toward the done-counters, so the DAG's readiness replays
-/// exactly. Dispatching is the caller's
+/// that are settled without a dispatch — what a previous (crashed) run
+/// already settled, or what the overload harness shed. Each counts toward
+/// its ordinal's done-counter once the tasks ahead of it in its chain
+/// have completed, so the DAG's readiness is the same as if it had run.
+/// Dispatching is the caller's
 /// closure; it must be self-contained per calling thread (the engines
 /// open their own fault scope and transaction per delivery).
 ///
@@ -450,18 +467,20 @@ pub fn run_pool(
         head: vec![0; ords],
         outcomes: vec![TaskOutcome::Pending; n],
         done: vec![0; ords],
+        skipped: vec![false; n],
         completed: 0,
         crashed: false,
     };
     for (i, task) in plan.tasks.iter().enumerate() {
         if skip(task.slot, task.index) {
             state.outcomes[i] = TaskOutcome::Settled;
-            state.done[task.type_ord] += 1;
+            state.skipped[i] = true;
             state.completed += 1;
         }
     }
     for ord in 0..ords {
         state.pass_settled(plan, ord);
+        state.count_skipped(plan, ord);
     }
     let state = Mutex::new(state);
     let ready = Condvar::new();
@@ -499,6 +518,7 @@ pub fn run_pool(
                 Ok(outcome) => {
                     if outcome.settled() {
                         guard.done[task.type_ord] += 1;
+                        guard.count_skipped(plan, task.type_ord);
                     }
                     guard.crashed |= outcome == TaskOutcome::Crashed;
                     guard.outcomes[i] = outcome;
@@ -867,6 +887,37 @@ mod tests {
         }
     }
 
+    /// A skipped event in mid-stream (a shed message) completes only when
+    /// its stream reaches it: a task that waits on it also waits on every
+    /// event ahead of it, at any thread count.
+    #[test]
+    fn mid_stream_skips_release_nothing_early() {
+        let streams = schedule::period_streams(0, 0.05);
+        let plan = PeriodPlan::by_stream(&streams, 0..2, &profiles());
+        let skip = |slot: usize, index: usize| {
+            index % 3 == 1 && is_message_process(streams[slot].1[index].process)
+        };
+        for workers in [1, 2, 4] {
+            let finished: Mutex<[Vec<bool>; 2]> =
+                Mutex::new([0, 1].map(|slot| vec![false; streams[slot].1.len()]));
+            let run = run_pool(&plan, workers, &skip, &|task| {
+                for &(ord, count) in &task.prereqs {
+                    let finished = finished.lock();
+                    assert!(
+                        (0..count).all(|i| finished[ord][i] || skip(ord, i)),
+                        "{} #{} started before its prerequisites settled",
+                        task.process,
+                        task.index
+                    );
+                }
+                std::thread::yield_now();
+                finished.lock()[task.slot][task.index] = true;
+                TaskOutcome::Settled
+            });
+            assert!(run.outcomes.iter().all(|o| *o == TaskOutcome::Settled));
+        }
+    }
+
     /// The claim rule: a thread continues the ordinal it just completed
     /// when that head is ready, and otherwise takes the virtually-earliest
     /// ready head. (Without the preference the thread that ran stream B
@@ -880,6 +931,7 @@ mod tests {
             head: vec![0, 0],
             outcomes: vec![TaskOutcome::Pending; plan.tasks().len()],
             done: vec![0, 0],
+            skipped: vec![false; plan.tasks().len()],
             completed: 0,
             crashed: false,
         };

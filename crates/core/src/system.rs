@@ -2,10 +2,11 @@
 //!
 //! DIPBench is system-independent: the client only needs to deliver E1
 //! messages and E2 scheduling events to *some* integration system and
-//! collect cost records afterwards. Three implementations exist in this
+//! collect cost records afterwards. Four implementations exist in this
 //! workspace: [`MtmSystem`] (the native MTM engine, here), the
-//! asynchronous [`crate::eai::EaiSystem`] broker, and the federated-DBMS
-//! reference implementation in `dip-feddbms`.
+//! asynchronous [`crate::eai::EaiSystem`] broker, the federated-DBMS
+//! reference implementation in `dip-feddbms`, and the incremental view
+//! maintenance engine in `dip-ivm`.
 //!
 //! # The `deliver` API
 //!
@@ -29,7 +30,7 @@
 //!
 //! A message the open-loop overload harness sheds ([`crate::overload`])
 //! is never delivered at all: it goes straight to the dead-letter queue
-//! with `shed = true`.
+//! with `shed = true`, and the client's dispatcher skips its event.
 //!
 //! Events carry their schedule sequence number (`seq`): together with
 //! `(process, period)` it anchors the instance's position in the

@@ -2,8 +2,9 @@
 //! decisions are made in virtual time (a pure function of seed, scale and
 //! rate), so same-seed runs must be byte-identical — the whole gate
 //! fingerprint, every drained counter included, and the queueing stats —
-//! and the E1 conservation check must close even when admission control
-//! sheds messages (`scheduled = integrated + dead-lettered + failed + shed`).
+//! the worker count must not change the data, and the E1 conservation
+//! check must close even when admission control sheds messages
+//! (`scheduled = integrated + dead-lettered + failed + shed`).
 
 use dip_bench::gate::{overload_cell, run_cell, CellRun, Detail};
 use dip_bench::EngineKind;
@@ -12,14 +13,19 @@ use dipbench::prelude::*;
 
 const ENGINES: [EngineKind; 3] = [EngineKind::Federated, EngineKind::Mtm, EngineKind::Eai];
 
-/// One zipf(1.0) open-loop cell at seed 7.
-fn run(kind: EngineKind, rate: f64, capacity: usize, policy: AdmissionPolicy) -> CellRun {
+/// One zipf(1.0) open-loop cell at seed 7 on `workers` threads.
+fn run_on(kind: EngineKind, workers: usize, rate: f64, capacity: usize) -> CellRun {
     let base = BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform))
         .with_periods(1)
-        .with_seed(7);
-    let admission = AdmissionControl::bounded(capacity, policy);
-    let (config, load) = overload_cell(base, Distribution::Zipf10, rate, admission);
+        .with_seed(7)
+        .with_workers(workers);
+    let (config, load) = overload_cell(base, Distribution::Zipf10, rate, capacity);
     run_cell(kind, config, &load).unwrap()
+}
+
+/// The same cell on one worker.
+fn run(kind: EngineKind, rate: f64, capacity: usize) -> CellRun {
+    run_on(kind, 1, rate, capacity)
 }
 
 fn stats(run: &CellRun) -> OverloadStats {
@@ -32,8 +38,8 @@ fn stats(run: &CellRun) -> OverloadStats {
 #[test]
 fn same_seed_double_runs_are_byte_identical_for_every_engine() {
     for kind in ENGINES {
-        let one = run(kind, 2.0, 4, AdmissionPolicy::Shed);
-        let two = run(kind, 2.0, 4, AdmissionPolicy::Shed);
+        let one = run(kind, 2.0, 4);
+        let two = run(kind, 2.0, 4);
         let differs = one.fingerprint.diff(&two.fingerprint, true);
         assert!(differs.is_empty(), "{kind:?} diverged on {differs:?}");
         assert_eq!(stats(&one), stats(&two), "{kind:?} stats");
@@ -44,7 +50,7 @@ fn same_seed_double_runs_are_byte_identical_for_every_engine() {
 fn shed_extended_conservation_closes_at_double_rate_for_every_engine() {
     // capacity 2 at rate 2x forces real shedding on the zipf(1.0) bursts
     for kind in ENGINES {
-        let exp = run(kind, 2.0, 2, AdmissionPolicy::Shed);
+        let exp = run(kind, 2.0, 2);
         let s = stats(&exp);
         assert!(s.shed > 0, "{kind:?}: expected shedding at 2x capacity 2");
         assert_eq!(s.admitted + s.shed, s.scheduled_messages, "{kind:?}");
@@ -56,7 +62,7 @@ fn shed_extended_conservation_closes_at_double_rate_for_every_engine() {
 #[test]
 fn queue_depth_stays_within_capacity_as_rate_grows() {
     for rate in [1.0, 2.0, 4.0] {
-        let exp = run(EngineKind::Federated, rate, 3, AdmissionPolicy::Shed);
+        let exp = run(EngineKind::Federated, rate, 3);
         let depth = stats(&exp).max_depth;
         assert!(depth <= 3, "rate {rate}: depth {depth} breached capacity 3");
         assert!(
@@ -71,7 +77,7 @@ fn queue_depth_stays_within_capacity_as_rate_grows() {
 fn shed_count_degrades_monotonically_with_rate() {
     let mut prev = 0u64;
     for rate in [1.0, 2.0, 4.0] {
-        let shed = stats(&run(EngineKind::Federated, rate, 4, AdmissionPolicy::Shed)).shed;
+        let shed = stats(&run(EngineKind::Federated, rate, 4)).shed;
         assert!(
             shed >= prev,
             "shed fell from {prev} to {shed} as rate rose to {rate}"
@@ -82,27 +88,22 @@ fn shed_count_degrades_monotonically_with_rate() {
 }
 
 #[test]
-fn block_policy_trades_stall_for_losslessness() {
-    let exp = run(EngineKind::Federated, 4.0, 2, AdmissionPolicy::Block);
-    let s = stats(&exp);
-    assert_eq!(s.shed, 0, "Block must never shed");
-    assert_eq!(s.admitted, s.scheduled_messages);
-    assert_eq!(exp.fingerprint.shed(), 0);
-    assert!(s.blocked_tu > 0.0, "4x overload must stall the producer");
-    assert!(s.max_depth <= 2);
-    assert!(exp.fingerprint.verified, "{}", exp.verification);
-}
-
-#[test]
-fn degrade_policy_evicts_oldest_and_conserves() {
-    let exp = run(EngineKind::Federated, 3.0, 2, AdmissionPolicy::Degrade);
-    let s = stats(&exp);
-    assert!(s.shed > 0 && s.degraded_evictions == s.shed);
-    assert_eq!(s.admitted + s.shed, s.scheduled_messages);
-    let letters = &exp.fingerprint.dead_letters;
-    assert!(letters
-        .iter()
-        .filter(|l| l.shed)
-        .all(|l| l.reason.contains("degrade")));
-    assert!(exp.fingerprint.verified, "{}", exp.verification);
+fn the_worker_count_never_changes_what_an_overloaded_run_produces() {
+    // A ∥ B runs on the client's pool at `config.workers`, shed events
+    // skipped: the 2x capacity-2 cell must produce the same data, dead
+    // letters, failures and instances at every worker count
+    for kind in ENGINES {
+        let one = run_on(kind, 1, 2.0, 2);
+        assert!(one.fingerprint.verified, "{kind:?}:\n{}", one.verification);
+        assert!(one.fingerprint.shed() > 0, "{kind:?}: nothing was shed");
+        for workers in [2, 4] {
+            let many = run_on(kind, workers, 2.0, 2);
+            let differs = many.fingerprint.diff(&one.fingerprint, false);
+            assert!(
+                differs.is_empty(),
+                "{kind:?} at {workers} workers: {differs:?}"
+            );
+            assert!(many.fingerprint.verified, "{kind:?} at {workers} workers");
+        }
+    }
 }
