@@ -258,7 +258,7 @@ pub fn crash_cell(mut base: BenchConfig, target: &CrashTarget) -> (BenchConfig, 
 
 /// The configuration and load of one open-loop cell: `f`-skewed arrivals
 /// at `rate` × the schedule's average against queues that hold at most
-/// `capacity` (at least 1) waiting messages per process type.
+/// `capacity` waiting messages per process type.
 pub fn overload_cell(
     base: BenchConfig,
     f: Distribution,
@@ -267,7 +267,6 @@ pub fn overload_cell(
 ) -> (BenchConfig, Load) {
     let scale = ScaleFactors::new(base.scale.datasize, base.scale.time, f);
     let config = BenchConfig { scale, ..base };
-    let capacity = capacity.max(1);
     (config, Load::Open(OverloadOptions { rate, capacity }))
 }
 

@@ -175,18 +175,18 @@ fn simulate_series(
     out
 }
 
-/// Phase 1 for one period: per-slot fates, `None` for timed events.
+/// Phase 1 for one period: the `(slot, index)` of every event the
+/// virtual queues shed.
 fn plan_period(
     env: &BenchEnvironment,
     streams: &[(schedule::StreamId, Vec<ScheduledEvent>)],
     period: u32,
     opts: &OverloadOptions,
     stats: &mut OverloadStats,
-) -> Vec<Vec<Option<Fate>>> {
+) -> Vec<(usize, usize)> {
     let f = env.config.scale.distribution;
     let rate = opts.rate.max(1e-6);
-    let mut fates: Vec<Vec<Option<Fate>>> =
-        streams.iter().map(|(_, ev)| vec![None; ev.len()]).collect();
+    let mut shed = Vec::new();
     for (slot, (_, events)) in streams.iter().enumerate() {
         // group the slot's message events into per-process series,
         // preserving schedule (deadline) order within each series
@@ -227,11 +227,13 @@ fn plan_period(
                 });
             }
             for (index, fate) in simulate_series(&sim_events, opts.capacity, stats) {
-                fates[slot][index] = Some(fate);
+                if fate == Fate::Shed {
+                    shed.push((slot, index));
+                }
             }
         }
     }
-    fates
+    shed
 }
 
 /// Run the whole benchmark under open-loop overload: simulate each
@@ -257,23 +259,17 @@ pub fn run_overload(
     let mut failures = Vec::new();
     for k in 0..env.config.periods {
         let streams = schedule::period_streams(k, env.config.scale.datasize);
-        let fates = plan_period(env, &streams, k, opts, &mut stats);
-        let mut shed = Vec::new();
-        for (slot, (_, events)) in streams.iter().enumerate() {
-            for (index, e) in events.iter().enumerate() {
-                if fates[slot][index] != Some(Fate::Shed) {
-                    continue;
-                }
-                shed.push((slot, index));
-                system.dead_letters().push(DeadLetter {
-                    process: e.process.to_string(),
-                    period: k,
-                    seq: e.seq,
-                    reason: "overload admission: queue full (shed)".into(),
-                    payload: message_for(env, e.process, k, e.seq).map(|m| write_compact(&m)),
-                    shed: true,
-                });
-            }
+        let shed = plan_period(env, &streams, k, opts, &mut stats);
+        for &(slot, index) in &shed {
+            let e = &streams[slot].1[index];
+            system.dead_letters().push(DeadLetter {
+                process: e.process.to_string(),
+                period: k,
+                seq: e.seq,
+                reason: "overload admission: queue full (shed)".into(),
+                payload: message_for(env, e.process, k, e.seq).map(|m| write_compact(&m)),
+                shed: true,
+            });
         }
         let run = client.run_period_from(k, &ReplaySkip::of(shed), true)?;
         failures.extend(run.failures);
