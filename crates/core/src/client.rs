@@ -66,8 +66,9 @@ impl DispatchFailure {
 /// recovering run hands back to [`Client::run_period_from`]: per stream
 /// (A, B, C, D) the settled event indices, ascending. A crash leaves a
 /// DAG-downward-closed set that need not be a per-stream prefix. The
-/// overload harness hands in its shed events the same way: they are
-/// never dispatched, and their dependents run.
+/// overload harness hands in its shed events the same way, in mid-stream.
+/// The pool knows nothing of it: a skipped event stays a task of its
+/// chain, and the client's dispatch settles it without delivering it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplaySkip {
     indices: [Vec<usize>; 4],
@@ -248,8 +249,11 @@ impl<'a> Client<'a> {
     /// Drain one phase of period `k` through [`sched::run_pool`] — the
     /// one dispatch path of every run, gate and recovery replay — and
     /// add what it durably produced to `run`. Deadlines are relative to
-    /// the phase's start. A dead system dispatches nothing: only the
-    /// replay-skipped events of the phase come back settled.
+    /// the phase's start. An event in `skip` is a task like any other: it
+    /// waits for its prerequisites and then settles without pacing or
+    /// delivery. It counts as settled even if a crash stops the phase
+    /// before the pool reaches it, and a dead system dispatches nothing
+    /// else.
     fn run_phase(
         &self,
         k: u32,
@@ -260,23 +264,22 @@ impl<'a> Client<'a> {
     ) {
         let _span = span("worker_pool");
         let start = Instant::now();
-        let pool = sched::run_pool(
-            plan,
-            threads,
-            &|slot, index| skip.skips(slot, index),
-            &|task| {
-                self.pace(start, task.deadline_tu);
-                self.dispatch(task.process, k, task.seq)
-            },
-        );
+        let outcomes = sched::run_pool(plan, threads, &|task| {
+            if skip.skips(task.slot, task.index) {
+                return TaskOutcome::Settled;
+            }
+            self.pace(start, task.deadline_tu);
+            self.dispatch(task.process, k, task.seq)
+        });
         // a trip nobody reported (a queued message a barrier ran, a branch
         // whose sibling failed first) still means everything unsettled
         // replays
-        run.crashed |= pool.crashed || self.env.world.network.crash_tripped();
+        run.crashed |=
+            outcomes.contains(&TaskOutcome::Crashed) || self.env.world.network.crash_tripped();
         // tasks are in virtual-time order, which keeps each stream's
         // indices ascending and the failures deterministic
-        for (task, outcome) in plan.tasks().iter().zip(pool.outcomes) {
-            if outcome.settled() {
+        for (task, outcome) in plan.tasks().iter().zip(outcomes) {
+            if outcome.settled() || skip.skips(task.slot, task.index) {
                 run.settled.indices[task.slot].push(task.index);
             }
             run.failures
@@ -398,8 +401,9 @@ mod tests {
     use super::*;
     use crate::scale::{Distribution, ScaleFactors};
     use dip_mtm::cost::CostRecorder;
-    use dip_mtm::error::MtmResult;
+    use dip_mtm::error::{MtmError, MtmResult};
     use dip_mtm::process::ProcessDef;
+    use dip_relstore::prelude::TransportFault;
     use std::sync::Mutex;
 
     /// Accepts every event; the first `take_failures` reports one queued
@@ -460,6 +464,96 @@ mod tests {
         let run = crate::overload::run_overload(&env, Arc::new(Deferred::default()), &options);
         let failures = run.unwrap().outcome.failures;
         assert!(named(&failures), "{failures:?}");
+    }
+
+    /// Records what it is delivered. With `crash`, the first delivery
+    /// kills it and every later one finds it dead.
+    #[derive(Default)]
+    struct Recording {
+        recorder: Arc<CostRecorder>,
+        crash: bool,
+        delivered: Mutex<Vec<(String, u32)>>,
+    }
+
+    impl IntegrationSystem for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn deploy(&self, _defs: Vec<ProcessDef>) -> MtmResult<()> {
+            Ok(())
+        }
+
+        fn deliver(&self, event: Event) -> Delivery {
+            let id = (event.process().to_string(), event.seq());
+            self.delivered.lock().unwrap().push(id);
+            match self.crash {
+                false => Delivery::Completed,
+                true => Delivery::Failed {
+                    error: MtmError::Transport(TransportFault {
+                        endpoint: "recording".into(),
+                        kind: TransportKind::Crash,
+                        attempts: 0,
+                    }),
+                },
+            }
+        }
+
+        fn recorder(&self) -> Arc<CostRecorder> {
+            self.recorder.clone()
+        }
+    }
+
+    /// A skip set in mid-stream — every third event of streams A and B,
+    /// messages and timed events alike — is settled by the client: none
+    /// of it reaches the system, all of it is reported settled, and so it
+    /// stays when a crash stops the period before the pool reaches it.
+    #[test]
+    fn skipped_events_are_settled_and_never_delivered() {
+        let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
+        let streams = schedule::period_streams(0, scale.datasize);
+        let skipped: Vec<(usize, usize)> = (0..2)
+            .flat_map(|slot| {
+                (1..streams[slot].1.len())
+                    .step_by(3)
+                    .map(move |i| (slot, i))
+            })
+            .collect();
+        let skip = ReplaySkip::of(skipped.iter().copied());
+        let ids: Vec<(String, u32)> = (skipped.iter())
+            .map(|&(slot, i)| &streams[slot].1[i])
+            .map(|e| (e.process.to_string(), e.seq))
+            .collect();
+        for workers in [1, 4] {
+            let config = BenchConfig::new(scale).with_periods(1);
+            let env = BenchEnvironment::new(config.with_workers(workers)).unwrap();
+            for crash in [false, true] {
+                let system = Arc::new(Recording {
+                    crash,
+                    ..Recording::default()
+                });
+                let client = Client::new(&env, system.clone()).unwrap();
+                let run = client.run_period_from(0, &skip, true).unwrap();
+                let delivered = system.delivered.lock().unwrap();
+                assert!(!delivered.is_empty(), "workers {workers} crash {crash}");
+                assert!(
+                    delivered.iter().all(|d| !ids.contains(d)),
+                    "workers {workers} crash {crash}: a skipped event was delivered"
+                );
+                assert_eq!(run.crashed, crash, "workers {workers}");
+                for &(slot, i) in &skipped {
+                    assert!(
+                        run.settled.skips(slot, i),
+                        "workers {workers} crash {crash}: skipped ({slot}, {i}) not settled"
+                    );
+                }
+                // a crash-free period settles everything, a crashed one
+                // not the event the crash killed
+                let all: usize = streams.iter().map(|(_, events)| events.len()).sum();
+                let settled: usize = (0..4).map(|slot| run.settled.settled_in(slot)).sum();
+                assert_eq!(settled == all, !crash, "workers {workers}");
+            }
+        }
     }
 
     /// The schedule's message/timed split (which decides the cross-stream

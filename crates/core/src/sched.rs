@@ -204,7 +204,8 @@ pub struct Task {
 pub enum TaskOutcome {
     /// Not dispatched (crash upstream) — stays unsettled for recovery.
     Pending,
-    /// Settled without a dispatch failure (includes replay-skipped tasks).
+    /// Settled without a dispatch failure (a skipped event included: the
+    /// client settles it without delivering it).
     Settled,
     /// Settled with a dispatch failure (the engine recorded the failed
     /// instance; the run continues).
@@ -377,50 +378,17 @@ impl PeriodPlan {
     }
 }
 
-/// Result of draining one plan through the pool.
-pub struct PoolRun {
-    /// Per-task outcomes, parallel to [`PeriodPlan::tasks`].
-    pub outcomes: Vec<TaskOutcome>,
-    /// Whether an injected crash tripped during the phase.
-    pub crashed: bool,
-}
-
 struct PoolState {
     /// Per ordinal: position in its chain of the earliest unclaimed task.
     head: Vec<usize>,
     outcomes: Vec<TaskOutcome>,
     /// Completed (settled) instances per ordinal.
     done: Vec<usize>,
-    /// Per task: skipped (settled before the pool started).
-    skipped: Vec<bool>,
     completed: usize,
     crashed: bool,
 }
 
 impl PoolState {
-    /// Move `ord`'s head past the tasks a previous run already settled.
-    fn pass_settled(&mut self, plan: &PeriodPlan, ord: usize) {
-        while let Some(&i) = plan.chains[ord].get(self.head[ord]) {
-            if self.outcomes[i] == TaskOutcome::Pending {
-                break;
-            }
-            self.head[ord] += 1;
-        }
-    }
-
-    /// Count the skipped tasks at the front of what `ord` has left to
-    /// complete. A skipped task completes when its chain reaches it, not
-    /// before: one in mid-chain (a shed message) must not release what
-    /// waits on the tasks ahead of it.
-    fn count_skipped(&mut self, plan: &PeriodPlan, ord: usize) {
-        while let Some(&i) = plan.chains[ord].get(self.done[ord]) {
-            if !self.skipped[i] {
-                break;
-            }
-            self.done[ord] += 1;
-        }
-    }
-
     /// The head of `ord`, if its prerequisites are met.
     fn ready_head(&self, plan: &PeriodPlan, ord: usize) -> Option<usize> {
         let i = *plan.chains[ord].get(self.head[ord])?;
@@ -442,14 +410,12 @@ impl PoolState {
     }
 }
 
-/// Drain a plan with `workers` threads. `skip(slot, index)` marks events
-/// that are settled without a dispatch — what a previous (crashed) run
-/// already settled, or what the overload harness shed. Each counts toward
-/// its ordinal's done-counter once the tasks ahead of it in its chain
-/// have completed, so the DAG's readiness is the same as if it had run.
-/// Dispatching is the caller's
-/// closure; it must be self-contained per calling thread (the engines
-/// open their own fault scope and transaction per delivery).
+/// Drain a plan with `workers` threads: a task is claimed when its
+/// prerequisites are done, and it counts toward them once it settles.
+/// Dispatching is the caller's closure; it must be self-contained per
+/// calling thread (the engines open their own fault scope and transaction
+/// per delivery). Returns the per-task outcomes, parallel to
+/// [`PeriodPlan::tasks`].
 ///
 /// An injected crash ([`TaskOutcome::Crashed`]) stops every thread after
 /// its current task and leaves the rest `Pending`. A panic in `dispatch`
@@ -458,31 +424,17 @@ impl PoolState {
 pub fn run_pool(
     plan: &PeriodPlan,
     workers: usize,
-    skip: &(dyn Fn(usize, usize) -> bool + Sync),
     dispatch: &(dyn Fn(&Task) -> TaskOutcome + Sync),
-) -> PoolRun {
+) -> Vec<TaskOutcome> {
     let n = plan.tasks.len();
     let ords = plan.type_ids.len();
-    let mut state = PoolState {
+    let state = Mutex::new(PoolState {
         head: vec![0; ords],
         outcomes: vec![TaskOutcome::Pending; n],
         done: vec![0; ords],
-        skipped: vec![false; n],
         completed: 0,
         crashed: false,
-    };
-    for (i, task) in plan.tasks.iter().enumerate() {
-        if skip(task.slot, task.index) {
-            state.outcomes[i] = TaskOutcome::Settled;
-            state.skipped[i] = true;
-            state.completed += 1;
-        }
-    }
-    for ord in 0..ords {
-        state.pass_settled(plan, ord);
-        state.count_skipped(plan, ord);
-    }
-    let state = Mutex::new(state);
+    });
     let ready = Condvar::new();
     // first panic of a dispatch, re-raised after the pool stops — the
     // panicked task never completes, so the other threads are released via
@@ -506,7 +458,6 @@ pub fn run_pool(
             };
             let task = &plan.tasks[i];
             guard.head[task.type_ord] += 1;
-            guard.pass_settled(plan, task.type_ord);
             // a sleeper is woken only for a task this thread leaves behind
             if guard.next_ready(plan, None).is_some() {
                 ready.notify_one();
@@ -518,7 +469,6 @@ pub fn run_pool(
                 Ok(outcome) => {
                     if outcome.settled() {
                         guard.done[task.type_ord] += 1;
-                        guard.count_skipped(plan, task.type_ord);
                     }
                     guard.crashed |= outcome == TaskOutcome::Crashed;
                     guard.outcomes[i] = outcome;
@@ -549,12 +499,7 @@ pub fn run_pool(
     if let Some(payload) = panicked.into_inner() {
         std::panic::resume_unwind(payload);
     }
-
-    let state = state.into_inner();
-    PoolRun {
-        crashed: state.crashed,
-        outcomes: state.outcomes,
-    }
+    state.into_inner().outcomes
 }
 
 #[cfg(test)]
@@ -697,13 +642,12 @@ mod tests {
         let plan = plan_for(0, 0.02);
         for workers in [1, 2, 4, 8] {
             let log: Mutex<Vec<(&'static str, u32)>> = Mutex::new(Vec::new());
-            let run = run_pool(&plan, workers, &|_, _| false, &|task| {
+            let outcomes = run_pool(&plan, workers, &|task| {
                 log.lock().push((task.process, task.seq));
                 TaskOutcome::Settled
             });
-            assert!(!run.crashed);
-            assert_eq!(run.outcomes.len(), plan.tasks().len());
-            assert!(run.outcomes.iter().all(|o| *o == TaskOutcome::Settled));
+            assert_eq!(outcomes.len(), plan.tasks().len());
+            assert!(outcomes.iter().all(|o| *o == TaskOutcome::Settled));
             let log = log.into_inner();
             assert_eq!(log.len(), plan.tasks().len());
             for ty in plan.type_ids() {
@@ -719,7 +663,8 @@ mod tests {
         }
     }
 
-    /// Replay-skipped tasks satisfy prerequisites without dispatching.
+    /// Skipped tasks, settled by the dispatch closure without running,
+    /// satisfy prerequisites like any other.
     #[test]
     fn skipped_tasks_count_toward_readiness() {
         let plan = plan_for(0, 0.02);
@@ -729,18 +674,14 @@ mod tests {
             .map(|t| (t.slot, t.index))
             .collect();
         let dispatched = AtomicUsize::new(0);
-        let run = run_pool(
-            &plan,
-            4,
-            &|slot, index| skipped.contains(&(slot, index)),
-            &|_| {
+        let outcomes = run_pool(&plan, 4, &|task| {
+            if !skipped.contains(&(task.slot, task.index)) {
                 dispatched.fetch_add(1, Ordering::SeqCst);
-                TaskOutcome::Settled
-            },
-        );
-        assert!(!run.crashed);
+            }
+            TaskOutcome::Settled
+        });
         assert_eq!(dispatched.load(Ordering::SeqCst), plan.tasks().len() - cut);
-        assert!(run.outcomes.iter().all(|o| o.settled()));
+        assert!(outcomes.iter().all(|o| o.settled()));
     }
 
     /// A crashed dispatch stops the pool: later tasks stay `Pending`
@@ -749,7 +690,7 @@ mod tests {
     fn crash_leaves_downstream_pending() {
         let plan = plan_for(0, 0.02);
         let crash_at = plan.tasks().len() / 3;
-        let run = run_pool(&plan, 2, &|_, _| false, &|task| {
+        let outcomes = run_pool(&plan, 2, &|task| {
             let pos = plan
                 .tasks()
                 .iter()
@@ -761,10 +702,9 @@ mod tests {
                 TaskOutcome::Settled
             }
         });
-        assert!(run.crashed);
-        assert_eq!(run.outcomes[crash_at], TaskOutcome::Crashed);
-        assert!(run.outcomes.contains(&TaskOutcome::Pending));
-        let settled = run.outcomes.iter().filter(|o| o.settled()).count();
+        assert_eq!(outcomes[crash_at], TaskOutcome::Crashed);
+        assert!(outcomes.contains(&TaskOutcome::Pending));
+        let settled = outcomes.iter().filter(|o| o.settled()).count();
         assert!(settled < plan.tasks().len() - 1);
     }
 
@@ -773,19 +713,15 @@ mod tests {
     #[test]
     fn failures_do_not_block_the_dag() {
         let plan = plan_for(0, 0.02);
-        let run = run_pool(&plan, 4, &|_, _| false, &|task| {
+        let outcomes = run_pool(&plan, 4, &|task| {
             if task.process == "P04" {
                 TaskOutcome::Failed("injected".into())
             } else {
                 TaskOutcome::Settled
             }
         });
-        assert!(!run.crashed);
-        assert!(run.outcomes.iter().all(|o| o.settled()));
-        assert!(run
-            .outcomes
-            .iter()
-            .any(|o| matches!(o, TaskOutcome::Failed(_))));
+        assert!(outcomes.iter().all(|o| o.settled()));
+        assert!(outcomes.iter().any(|o| matches!(o, TaskOutcome::Failed(_))));
     }
 
     /// `by_stream` must state exactly this rule, written out here
@@ -865,7 +801,7 @@ mod tests {
         for workers in [1, 2, 4] {
             let started: Mutex<[Vec<usize>; 2]> = Mutex::new(Default::default());
             let finished = [AtomicUsize::new(0), AtomicUsize::new(0)];
-            let run = run_pool(&plan, workers, &|_, _| false, &|task| {
+            let outcomes = run_pool(&plan, workers, &|task| {
                 started.lock()[task.slot].push(task.index);
                 for &(ord, count) in &task.prereqs {
                     assert!(
@@ -879,7 +815,7 @@ mod tests {
                 finished[task.slot].fetch_add(1, Ordering::SeqCst);
                 TaskOutcome::Settled
             });
-            assert!(run.outcomes.iter().all(|o| *o == TaskOutcome::Settled));
+            assert!(outcomes.iter().all(|o| *o == TaskOutcome::Settled));
             for (slot, order) in started.into_inner().iter().enumerate() {
                 let in_order: Vec<usize> = (0..streams[slot].1.len()).collect();
                 assert_eq!(order, &in_order, "stream {slot} at {workers} threads");
@@ -900,7 +836,10 @@ mod tests {
         for workers in [1, 2, 4] {
             let finished: Mutex<[Vec<bool>; 2]> =
                 Mutex::new([0, 1].map(|slot| vec![false; streams[slot].1.len()]));
-            let run = run_pool(&plan, workers, &skip, &|task| {
+            let outcomes = run_pool(&plan, workers, &|task| {
+                if skip(task.slot, task.index) {
+                    return TaskOutcome::Settled;
+                }
                 for &(ord, count) in &task.prereqs {
                     let finished = finished.lock();
                     assert!(
@@ -914,7 +853,7 @@ mod tests {
                 finished.lock()[task.slot][task.index] = true;
                 TaskOutcome::Settled
             });
-            assert!(run.outcomes.iter().all(|o| *o == TaskOutcome::Settled));
+            assert!(outcomes.iter().all(|o| *o == TaskOutcome::Settled));
         }
     }
 
@@ -931,7 +870,6 @@ mod tests {
             head: vec![0, 0],
             outcomes: vec![TaskOutcome::Pending; plan.tasks().len()],
             done: vec![0, 0],
-            skipped: vec![false; plan.tasks().len()],
             completed: 0,
             crashed: false,
         };
@@ -961,7 +899,7 @@ mod tests {
     fn worker_panic_propagates() {
         let plan = plan_for(0, 0.02);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_pool(&plan, 4, &|_, _| false, &|task| {
+            run_pool(&plan, 4, &|task| {
                 if task.seq == 1 && task.process == "P02" {
                     panic!("boom");
                 }

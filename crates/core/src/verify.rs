@@ -155,8 +155,8 @@ fn verify_with(
     );
 
     // 5. OrdersMV is consistent with the fact table — recomputed through
-    // the oracle executor so the check is independent of the mode the
-    // engines ran with.
+    // the reference interpreter, so the check does not run the executor
+    // whose output it checks.
     let recomputed = dwh::orders_mv_definition().run_oracle(&dwh_db)?;
     let mut materialized = dwh_db.table("orders_mv")?.scan();
     let mut recomputed = recomputed;

@@ -1,9 +1,11 @@
 //! A hand-written, non-validating XML parser.
 //!
-//! Supports the subset the benchmark's message schemas use: the XML
-//! declaration, elements, attributes (single- or double-quoted), character
-//! data, CDATA sections, comments, processing instructions and the five
-//! predefined entities plus decimal/hex character references. Namespaces
+//! Accepts the subset [`crate::writer::write_compact`] writes, the only
+//! producer of what it reads: an optional XML declaration, elements,
+//! double-quoted attributes, character data and the five predefined
+//! entities. Whitespace-only text between elements is dropped. Comments,
+//! processing instructions, CDATA sections, a DOCTYPE, character
+//! references and single-quoted attributes are parse errors. Namespaces
 //! are not interpreted (prefixes stay part of the name).
 
 use crate::error::{XmlError, XmlResult};
@@ -29,7 +31,7 @@ pub fn parse(input: &str) -> XmlResult<Document> {
     };
     p.skip_prolog()?;
     let root = p.parse_element(1)?;
-    p.skip_misc();
+    p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(XmlError::parse(
             p.pos,
@@ -72,37 +74,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skip the XML declaration, comments, PIs and whitespace before root.
+    /// Skip the XML declaration and whitespace before root.
     fn skip_prolog(&mut self) -> XmlResult<()> {
         self.skip_ws();
         if self.starts_with("<?xml") {
             self.skip_until("?>")?;
         }
-        self.skip_misc();
-        // DOCTYPE (ignored, no internal subset support)
-        if self.starts_with("<!DOCTYPE") {
-            self.skip_until(">")?;
-        }
-        self.skip_misc();
+        self.skip_ws();
         Ok(())
-    }
-
-    /// Skip comments, PIs and whitespace.
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                if self.skip_until("-->").is_err() {
-                    return;
-                }
-            } else if self.starts_with("<?") {
-                if self.skip_until("?>").is_err() {
-                    return;
-                }
-            } else {
-                return;
-            }
-        }
     }
 
     fn skip_until(&mut self, end: &str) -> XmlResult<()> {
@@ -163,24 +142,21 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect("=")?;
                     self.skip_ws();
-                    let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
-                        _ => {
-                            return Err(XmlError::parse(
-                                self.pos,
-                                "expected quoted attribute value",
-                            ))
-                        }
-                    };
+                    if self.peek() != Some(b'"') {
+                        return Err(XmlError::parse(
+                            self.pos,
+                            "expected double-quoted attribute value",
+                        ));
+                    }
                     self.pos += 1;
                     let vstart = self.pos;
                     while let Some(b) = self.peek() {
-                        if b == quote {
+                        if b == b'"' {
                             break;
                         }
                         self.pos += 1;
                     }
-                    if self.peek() != Some(quote) {
+                    if self.peek() != Some(b'"') {
                         return Err(XmlError::parse(vstart, "unterminated attribute value"));
                     }
                     let raw = &self.bytes[vstart..self.pos];
@@ -213,18 +189,6 @@ impl<'a> Parser<'a> {
                         self.skip_ws();
                         self.expect(">")?;
                         return Ok(elem);
-                    } else if self.starts_with("<!--") {
-                        self.skip_until("-->")?;
-                    } else if self.starts_with("<![CDATA[") {
-                        self.pos += "<![CDATA[".len();
-                        let hay = &self.bytes[self.pos..];
-                        let end = find_sub(hay, b"]]>")
-                            .ok_or_else(|| XmlError::parse(self.pos, "unterminated CDATA"))?;
-                        let text = String::from_utf8_lossy(&hay[..end]).into_owned();
-                        push_text(&mut elem, text);
-                        self.pos += end + 3;
-                    } else if self.starts_with("<?") {
-                        self.skip_until("?>")?;
                     } else {
                         let child = self.parse_element(depth + 1)?;
                         elem.children.push(XmlNode::Element(child));
@@ -242,20 +206,11 @@ impl<'a> Parser<'a> {
                     let text = decode_entities(&raw, start)?;
                     // whitespace-only runs between elements are not preserved
                     if !text.trim().is_empty() {
-                        push_text(&mut elem, text);
+                        elem.children.push(XmlNode::Text(text));
                     }
                 }
             }
         }
-    }
-}
-
-/// Append text, merging adjacent text nodes.
-fn push_text(elem: &mut Element, text: String) {
-    if let Some(XmlNode::Text(prev)) = elem.children.last_mut() {
-        prev.push_str(&text);
-    } else {
-        elem.children.push(XmlNode::Text(text));
     }
 }
 
@@ -267,7 +222,7 @@ fn find_sub(hay: &[u8], needle: &[u8]) -> Option<usize> {
     hay.windows(needle.len()).position(|w| w == needle)
 }
 
-/// Decode `&amp;`-style entities and numeric character references.
+/// Decode the five predefined entities (`&amp;` and its kin).
 fn decode_entities(s: &str, offset: usize) -> XmlResult<String> {
     if !s.contains('&') {
         return Ok(s.to_string());
@@ -287,23 +242,6 @@ fn decode_entities(s: &str, offset: usize) -> XmlResult<String> {
             "amp" => out.push('&'),
             "quot" => out.push('"'),
             "apos" => out.push('\''),
-            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                let cp = u32::from_str_radix(&ent[2..], 16)
-                    .map_err(|_| XmlError::parse(offset, format!("bad char ref &{ent};")))?;
-                out.push(
-                    char::from_u32(cp)
-                        .ok_or_else(|| XmlError::parse(offset, "invalid code point"))?,
-                );
-            }
-            _ if ent.starts_with('#') => {
-                let cp: u32 = ent[1..]
-                    .parse()
-                    .map_err(|_| XmlError::parse(offset, format!("bad char ref &{ent};")))?;
-                out.push(
-                    char::from_u32(cp)
-                        .ok_or_else(|| XmlError::parse(offset, "invalid code point"))?,
-                );
-            }
             _ => return Err(XmlError::parse(offset, format!("unknown entity &{ent};"))),
         }
         rest = &rest[end + 1..];
@@ -320,7 +258,6 @@ mod tests {
     fn basic_document() {
         let doc = parse(
             r#"<?xml version="1.0"?>
-            <!-- a comment -->
             <order id="7">
               <custkey>42</custkey>
               <note>a &amp; b &lt;ok&gt;</note>
@@ -336,16 +273,9 @@ mod tests {
     }
 
     #[test]
-    fn cdata_and_char_refs() {
-        let doc = parse("<t><![CDATA[<not-a-tag>]]>&#65;&#x42;</t>").unwrap();
-        assert_eq!(doc.root.text_content(), "<not-a-tag>AB");
-    }
-
-    #[test]
     fn attribute_entities_and_quotes() {
-        let doc = parse(r#"<t a="x &quot;y&quot;" b='single'/>"#).unwrap();
+        let doc = parse(r#"<t a="x &quot;y&quot;"/>"#).unwrap();
         assert_eq!(doc.root.attribute("a"), Some("x \"y\""));
-        assert_eq!(doc.root.attribute("b"), Some("single"));
     }
 
     #[test]
@@ -403,10 +333,23 @@ mod tests {
         });
     }
 
+    /// What no writer emits is a typed parse error, wherever it stands.
     #[test]
-    fn doctype_and_pi_skipped() {
-        let doc = parse("<?xml version=\"1.0\"?><!DOCTYPE x><?pi data?><x/>").unwrap();
-        assert_eq!(doc.root.name, "x");
+    fn syntax_the_writer_never_emits_is_a_parse_error() {
+        for text in [
+            "<!-- c --><x/>",
+            "<x><!-- c --></x>",
+            "<x/><!-- c -->",
+            "<?xml version=\"1.0\"?><?pi data?><x/>",
+            "<x><?pi data?></x>",
+            "<t><![CDATA[<not-a-tag>]]></t>",
+            "<!DOCTYPE x><x/>",
+            "<t>&#65;</t>",
+            "<t>&#x42;</t>",
+            "<t a='single'/>",
+        ] {
+            assert!(matches!(parse(text), Err(XmlError::Parse { .. })), "{text}");
+        }
     }
 
     #[test]

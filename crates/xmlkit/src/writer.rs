@@ -1,4 +1,4 @@
-//! XML serialization (compact and pretty).
+//! XML serialization.
 
 use crate::node::{Document, Element, XmlNode};
 
@@ -54,16 +54,6 @@ pub fn escaped_len(s: &str, attr: bool) -> usize {
     s.len() + s.as_bytes().iter().map(extra).sum::<usize>()
 }
 
-/// Serialize with two-space indentation; mixed-content elements are kept
-/// on one line to preserve their text exactly.
-pub fn write_pretty(doc: &Document) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    write_element_pretty(&doc.root, &mut out, 0);
-    out.push('\n');
-    out
-}
-
 fn write_element(e: &Element, out: &mut String) {
     out.push('<');
     out.push_str(&e.name);
@@ -84,47 +74,6 @@ fn write_element(e: &Element, out: &mut String) {
             XmlNode::Element(child) => write_element(child, out),
             XmlNode::Text(t) => escape_into(t, false, out),
         }
-    }
-    out.push_str("</");
-    out.push_str(&e.name);
-    out.push('>');
-}
-
-fn write_element_pretty(e: &Element, out: &mut String, depth: usize) {
-    let pad = "  ".repeat(depth);
-    out.push_str(&pad);
-    out.push('<');
-    out.push_str(&e.name);
-    for (n, v) in &e.attrs {
-        out.push(' ');
-        out.push_str(n);
-        out.push_str("=\"");
-        escape_into(v, true, out);
-        out.push('"');
-    }
-    if e.children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    let has_text = e.children.iter().any(|c| matches!(c, XmlNode::Text(_)));
-    if has_text {
-        // mixed or text content: keep inline
-        for c in &e.children {
-            match c {
-                XmlNode::Element(child) => write_element(child, out),
-                XmlNode::Text(t) => escape_into(t, false, out),
-            }
-        }
-    } else {
-        for c in &e.children {
-            if let XmlNode::Element(child) = c {
-                out.push('\n');
-                write_element_pretty(child, out, depth + 1);
-            }
-        }
-        out.push('\n');
-        out.push_str(&pad);
     }
     out.push_str("</");
     out.push_str(&e.name);
@@ -169,13 +118,5 @@ mod tests {
             let doc = parse(src).unwrap();
             assert_eq!(compact_len(&doc), write_compact(&doc).len(), "doc {src}");
         }
-    }
-
-    #[test]
-    fn pretty_is_reparseable() {
-        let doc = parse("<a><b><c>x</c></b><d/></a>").unwrap();
-        let pretty = write_pretty(&doc);
-        assert!(pretty.contains("\n  <b>"));
-        assert_eq!(parse(&pretty).unwrap(), doc);
     }
 }

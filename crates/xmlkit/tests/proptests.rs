@@ -8,7 +8,7 @@ use dip_xmlkit::sax::{build, events};
 use dip_xmlkit::stx::{Action, Rule, Stylesheet};
 use dip_xmlkit::value_types::SimpleType;
 use dip_xmlkit::xsd::{XsdAttr, XsdElement, XsdSchema};
-use dip_xmlkit::{compact_len, parse, write_compact, write_pretty, XmlError, XmlResult};
+use dip_xmlkit::{compact_len, parse, write_compact, XmlError, XmlResult};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -96,15 +96,6 @@ proptest! {
     fn compact_roundtrip(root in arb_element(3)) {
         let doc = Document::new(normalize(&root));
         let text = write_compact(&doc);
-        let back = parse(&text).unwrap();
-        prop_assert_eq!(back, doc);
-    }
-
-    /// The pretty printer parses back to the same tree.
-    #[test]
-    fn pretty_roundtrip(root in arb_element(3)) {
-        let doc = Document::new(normalize(&root));
-        let text = write_pretty(&doc);
         let back = parse(&text).unwrap();
         prop_assert_eq!(back, doc);
     }
