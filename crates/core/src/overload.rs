@@ -33,8 +33,9 @@
 //!    dispatcher, [`Client::run_period_from`], with the shed events as its
 //!    skip set: A ∥ B on the client's pool at `config.workers`, then C,
 //!    then D, exactly as a closed run (`docs/SCHEDULER.md`). A skipped
-//!    event counts as settled, so its dependents run, as in a recovery
-//!    replay. Shed events are never delivered; they land in the system's
+//!    event stays a task of its stream, which the client settles without
+//!    delivering it, so its dependents run, as in a recovery replay.
+//!    Shed events are never delivered; they land in the system's
 //!    [`DeadLetterQueue`](crate::system::DeadLetterQueue) with
 //!    `shed = true`, so the E1 conservation check still closes:
 //!    `scheduled = integrated + dead-lettered + failed + shed`.
