@@ -1,5 +1,5 @@
-//! Harness helpers shared by the `dipbench` CLI, the criterion benches and
-//! the integration tests: the engine registry ([`registry`]), experiment
+//! Harness helpers shared by the `dipbench` CLI, the examples and the
+//! integration tests: the engine registry ([`registry`]), experiment
 //! execution, the declared command table ([`cli`]) and gate table ([`gate`]).
 
 use dipbench::prelude::*;
@@ -146,25 +146,32 @@ pub fn sweep(
     let mut verified = true;
     for (label, scale) in cells {
         let result = run_spec(spec, BenchConfig::new(*scale).with_periods(periods));
-        let avg = |pick: &dyn Fn(&str) -> bool| {
-            let vals: Vec<f64> = (result.outcome.metrics.iter())
-                .filter(|m| pick(&m.process))
-                .map(|m| m.navg_plus_tu)
-                .collect();
-            vals.iter().sum::<f64>() / vals.len().max(1) as f64
-        };
+        let (e1, e2) = navg_plus_by_event(&result.outcome.metrics);
         writeln!(
             out,
             "{:<14} {:>12.2} {:>12.2} {:>12} {:>8}",
             label,
-            avg(&dipbench::schedule::is_message_process),
-            avg(&|p| ["P03", "P09", "P11", "P12", "P13", "P14", "P15"].contains(&p)),
+            e1,
+            e2,
             result.outcome.wall_time.as_millis(),
             pass_fail(result.verification.passed())
         )?;
         verified &= result.verification.passed();
     }
     Ok(verified)
+}
+
+/// Mean `NAVG+` of the E1 and of the E2 process types, in tu: E1 are the
+/// message-driven types ([`dipbench::schedule::is_message_process`]), E2
+/// every other type (Table I's timed events). A side with no metric reads 0.
+pub fn navg_plus_by_event(metrics: &[ProcessMetric]) -> (f64, f64) {
+    let (e1, e2): (Vec<&ProcessMetric>, Vec<&ProcessMetric>) = metrics
+        .iter()
+        .partition(|m| dipbench::schedule::is_message_process(&m.process));
+    let mean = |side: &[&ProcessMetric]| {
+        side.iter().map(|m| m.navg_plus_tu).sum::<f64>() / side.len().max(1) as f64
+    };
+    (mean(&e1), mean(&e2))
 }
 
 /// Qualitative shape checks on a Fig. 10/11-style outcome — the
@@ -229,6 +236,33 @@ mod tests {
         assert_eq!(EngineKind::parse("nope"), None);
         assert_eq!(EngineKind::Ivm.tag(), "ivm");
         assert_eq!(EngineKind::Ivm.label(), "ivm-engine");
+    }
+
+    #[test]
+    fn e2_is_every_type_that_is_not_e1() {
+        let metric = |process: &str, navg_plus_tu: f64| ProcessMetric {
+            process: process.to_string(),
+            instances: 1,
+            failures: 0,
+            navg_tu: navg_plus_tu,
+            stddev_tu: 0.0,
+            navg_plus_tu,
+            comm_tu: 0.0,
+            mgmt_tu: 0.0,
+            proc_tu: 0.0,
+        };
+        // P05–P07 are timed events (Table I), so E2 averages them too
+        let metrics = [
+            metric("P01", 2.0),
+            metric("P04", 4.0),
+            metric("P05", 10.0),
+            metric("P06", 20.0),
+            metric("P07", 30.0),
+            metric("P13", 40.0),
+        ];
+        assert_eq!(navg_plus_by_event(&metrics), (3.0, 25.0));
+        assert_eq!(navg_plus_by_event(&metrics[..2]), (3.0, 0.0));
+        assert_eq!(navg_plus_by_event(&[]), (0.0, 0.0));
     }
 
     #[test]

@@ -343,6 +343,11 @@ fn faults(p: &Parsed) {
 /// compare each recovered run with an uncrashed same-seed reference
 /// through the gate fingerprint. The blocking CI sweeps — and the
 /// rollback-off teeth check — are the `crash-*` rows of `GATES`.
+///
+/// At `--workers > 1` the `replayed` and `ckpt[r]` columns depend on how
+/// far the other pool threads got before the crash, so they can differ
+/// between same-seed runs; `verify` and the comparison with the reference
+/// are still functions of the seed.
 fn crash(p: &Parsed) {
     let kind = p.engine();
     let registry = EngineRegistry::builtin();

@@ -108,15 +108,6 @@ impl EnvCheckpoint {
         dip_trace::count("recovery.restore.rows", rows_n);
         Ok(())
     }
-
-    /// Total rows captured (diagnostics).
-    pub fn row_count(&self) -> usize {
-        self.databases
-            .iter()
-            .flat_map(|(_, ts)| ts.iter())
-            .map(|t| t.rows.len())
-            .sum()
-    }
 }
 
 /// Logical content digest of every table, keyed `database.table`. Row
@@ -177,12 +168,9 @@ pub struct RecoveryRun {
     pub tripped: bool,
     /// Materialization steps the targeted instance executed.
     pub steps_seen: u32,
-    pub crashed_period: Option<u32>,
     /// Events the restarted system replayed (everything the journal did
     /// not list as settled).
     pub replayed_events: usize,
-    /// Rows restored from the checkpoint.
-    pub checkpoint_rows: usize,
     /// Merged (pre-crash + post-restart) outcome.
     pub outcome: RunOutcome,
     /// Verification over the merged outcome and the recovered final state.
@@ -240,9 +228,7 @@ pub fn run_with_crash(
                 return Ok(RecoveryRun {
                     tripped: false,
                     steps_seen,
-                    crashed_period: None,
                     replayed_events: 0,
-                    checkpoint_rows: 0,
                     outcome,
                     verification,
                     digests,
@@ -302,9 +288,7 @@ pub fn run_with_crash(
     Ok(RecoveryRun {
         tripped: true,
         steps_seen,
-        crashed_period: Some(crashed_period),
         replayed_events,
-        checkpoint_rows: checkpoint.row_count(),
         outcome,
         verification,
         digests,
@@ -335,7 +319,6 @@ mod tests {
         env.initialize_sources(0).unwrap();
         let before = digest_tables(&env.world).unwrap();
         let cp = EnvCheckpoint::capture(&env.world).unwrap();
-        assert!(cp.row_count() > 0);
         // scramble: wipe everything, then restore
         env.uninitialize().unwrap();
         assert_ne!(digest_tables(&env.world).unwrap(), before);

@@ -190,7 +190,7 @@ pub struct Task {
     pub process: &'static str,
     pub seq: u32,
     pub deadline_tu: f64,
-    /// This task's ordinal in [`PeriodPlan::type_ids`].
+    /// This task's ordinal in its plan's `type_ids`.
     type_ord: usize,
     /// Readiness prerequisites: `(ordinal, completed instances
     /// required)` — the number of virtually-earlier instances of each
@@ -371,10 +371,6 @@ impl PeriodPlan {
 
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
-    }
-
-    pub fn type_ids(&self) -> &[String] {
-        &self.type_ids
     }
 }
 
@@ -620,14 +616,14 @@ mod tests {
     #[test]
     fn prereqs_reference_only_earlier_virtual_time() {
         let plan = plan_for(0, 0.02);
-        let mut earlier = vec![0usize; plan.type_ids().len()];
+        let mut earlier = vec![0usize; plan.type_ids.len()];
         for task in plan.tasks() {
             for &(u, c) in &task.prereqs {
                 assert!(
                     c <= earlier[u],
                     "{}: requires {c} of {} but only {} are earlier",
                     task.process,
-                    plan.type_ids()[u],
+                    plan.type_ids[u],
                     earlier[u]
                 );
             }
@@ -650,7 +646,7 @@ mod tests {
             assert!(outcomes.iter().all(|o| *o == TaskOutcome::Settled));
             let log = log.into_inner();
             assert_eq!(log.len(), plan.tasks().len());
-            for ty in plan.type_ids() {
+            for ty in &plan.type_ids {
                 let seqs: Vec<u32> = log
                     .iter()
                     .filter(|(p, _)| p == ty)
@@ -738,7 +734,7 @@ mod tests {
             for d in [0.02, 0.05, 0.2, 0.5] {
                 let streams = schedule::period_streams(k, d);
                 let plan = PeriodPlan::by_stream(&streams, 0..2, &p);
-                assert_eq!(plan.type_ids(), ["A", "B"]);
+                assert_eq!(plan.type_ids, ["A", "B"]);
                 assert_eq!(
                     plan.tasks().len(),
                     streams[0].1.len() + streams[1].1.len(),

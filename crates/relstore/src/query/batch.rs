@@ -228,7 +228,8 @@ impl Chunk<'_> {
     /// probe's key). A `match`, not
     /// `.cloned().ok_or_else(..)?`: that form moves every cell through a
     /// `Result<Value, StoreError>` and measured +12 % on the index-join
-    /// cells of `benches/batch_aggregate.rs`.
+    /// cells of the executor microbench (since deleted; index joins are
+    /// timed by the `relstore.join9_nms` probe of `benchmark/`).
     fn key_into(&self, i: usize, cols: &[usize], buf: &mut Vec<Value>) -> StoreResult<()> {
         buf.clear();
         for &c in cols {

@@ -6,22 +6,10 @@
 //! cargo run --release --example scale_sweep
 //! ```
 
-use dip_bench::{run_experiment, EngineKind};
+use dip_bench::{navg_plus_by_event, run_experiment, EngineKind};
 use dipbench::prelude::*;
 
-fn navg_plus(outcome: &RunOutcome, ids: &[&str]) -> f64 {
-    let vals: Vec<f64> = ids
-        .iter()
-        .filter_map(|p| outcome.metric_for(p))
-        .map(|m| m.navg_plus_tu)
-        .collect();
-    vals.iter().sum::<f64>() / vals.len().max(1) as f64
-}
-
 fn main() {
-    const E1: [&str; 5] = ["P01", "P02", "P04", "P08", "P10"];
-    const E2: [&str; 7] = ["P03", "P09", "P11", "P12", "P13", "P14", "P15"];
-
     println!("== datasize sweep (t=1.0, uniform, 1 period) ==");
     println!(
         "{:<8} {:>14} {:>14} {:>10}",
@@ -32,11 +20,12 @@ fn main() {
             BenchConfig::new(ScaleFactors::new(d, 1.0, Distribution::Uniform)).with_periods(1);
         let r = run_experiment(EngineKind::Federated, config);
         assert!(r.verification.passed());
+        let (e1, e2) = navg_plus_by_event(&r.outcome.metrics);
         println!(
             "{:<8} {:>14.2} {:>14.2} {:>10}",
             d,
-            navg_plus(&r.outcome, &E1),
-            navg_plus(&r.outcome, &E2),
+            e1,
+            e2,
             r.outcome.wall_time.as_millis()
         );
     }
@@ -48,12 +37,8 @@ fn main() {
             BenchConfig::new(ScaleFactors::new(0.05, t, Distribution::Uniform)).with_periods(1);
         let r = run_experiment(EngineKind::Federated, config);
         // a tu is 1/t ms: the same wall cost reads as t× more tu
-        println!(
-            "{:<8} {:>14.2} {:>14.2}",
-            t,
-            navg_plus(&r.outcome, &E1),
-            navg_plus(&r.outcome, &E2)
-        );
+        let (e1, e2) = navg_plus_by_event(&r.outcome.metrics);
+        println!("{:<8} {:>14.2} {:>14.2}", t, e1, e2);
     }
 
     println!("\n== distribution sweep (d=0.05, t=1.0, 1 period) ==");
@@ -69,11 +54,12 @@ fn main() {
     ] {
         let config = BenchConfig::new(ScaleFactors::new(0.05, 1.0, f)).with_periods(1);
         let r = run_experiment(EngineKind::Federated, config);
+        let (e1, e2) = navg_plus_by_event(&r.outcome.metrics);
         println!(
             "{:<12} {:>14.2} {:>14.2} {:>8}",
             f.label(),
-            navg_plus(&r.outcome, &E1),
-            navg_plus(&r.outcome, &E2),
+            e1,
+            e2,
             if r.verification.passed() {
                 "PASS"
             } else {
