@@ -11,7 +11,8 @@ use dipbench::prelude::*;
 use dipbench::recovery;
 use dipbench::verify::{verify_outcome, VerificationReport};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Everything a run durably produces, in byte-comparable form. Wall-clock
 /// metrics are real durations and stay out.
@@ -168,11 +169,9 @@ fn execute(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<Ce
     ))
 }
 
-/// Run one cell with counter tracing on. The trace collector is
-/// process-global, so cells serialize on one lock.
+/// Run one cell with counter tracing on. The cell's trace collector is
+/// this thread's, so cells on other threads count apart from it.
 pub fn run_cell(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<CellRun> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     dip_trace::enable();
     let executed = execute(kind, config, load);
     let _ = dip_trace::drain();
@@ -468,4 +467,22 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
         );
     }
     Ok(judge(gate.check, &fps))
+}
+
+/// Run gate rows, two at a time, each on a thread of its own; the verdicts
+/// come back in the order of `rows`.
+pub fn run_gates(rows: &[&Gate]) -> Vec<Result<Verdict, String>> {
+    let next = AtomicUsize::new(0);
+    let verdicts = Mutex::new(BTreeMap::new());
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(row) = rows.get(i) else { break };
+                let verdict = run_gate(row);
+                verdicts.lock().unwrap().insert(i, verdict);
+            });
+        }
+    });
+    verdicts.into_inner().unwrap().into_values().collect()
 }

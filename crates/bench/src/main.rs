@@ -524,7 +524,8 @@ fn overload(p: &Parsed) {
 }
 
 /// `dipbench gate [NAME…]`: walk the declared gate matrix (or the named
-/// rows) and print one line per row; exit 1 if any row fails.
+/// rows) two rows at a time and print one line per row in declared order;
+/// exit 1 if any row fails.
 fn gate_cmd(p: &Parsed) {
     let names: Vec<&str> = gate::GATES.iter().map(|g| g.name).collect();
     if let Some(unknown) = p.positionals.iter().find(|n| !names.contains(&n.as_str())) {
@@ -533,13 +534,14 @@ fn gate_cmd(p: &Parsed) {
             names.join(" ")
         ));
     }
+    let rows: Vec<&gate::Gate> = (gate::GATES.iter())
+        .filter(|row| p.positionals.is_empty() || p.positionals.iter().any(|n| n == row.name))
+        .collect();
     println!("gate               engine  workers     d  seed  check             cells verified identical diverged  result");
+    let verdicts = gate::run_gates(&rows);
     let mut failed = 0;
-    for row in gate::GATES {
-        if !p.positionals.is_empty() && !p.positionals.iter().any(|n| n == row.name) {
-            continue;
-        }
-        let verdict = gate::run_gate(row).unwrap_or_else(|error| gate::Verdict {
+    for (row, verdict) in rows.into_iter().zip(verdicts) {
+        let verdict = verdict.unwrap_or_else(|error| gate::Verdict {
             notes: vec![error],
             ..gate::Verdict::default()
         });

@@ -4,8 +4,8 @@
 //! a PR that adds, drops or renames a span or a counter says so in its
 //! diff.
 //!
-//! One `#[test]` in its own binary: the trace collector is process-wide.
-//! On a mismatch the rendering of this run is left in the target tmp
+//! Pool-worker and FORK-branch spans reach the run's collector through
+//! `dip_trace::adopt`, so the budget covers them too. On a mismatch the rendering of this run is left in the target tmp
 //! directory; copy it over the fixture once the difference is intended.
 
 use dip_bench::gate::{run_cell, Load};

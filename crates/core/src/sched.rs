@@ -482,13 +482,18 @@ pub fn run_pool(
     // its own while the caller waits: with the caller as one of them, what
     // stream A leaves on its allocator arena made the caller's next
     // `initialize_sources` ≈ 0.3 ms slower per `fed_d05` period
-    // (docs/PERFORMANCE.md, "One dispatcher").
+    // (docs/PERFORMANCE.md, "One dispatcher"). Those threads record into
+    // the caller's trace collector, if it has one.
     if workers <= 1 {
         worker();
     } else {
+        let trace = dip_trace::snapshot();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(worker);
+                scope.spawn(|| {
+                    let _trace = trace.as_ref().map(dip_trace::adopt);
+                    worker()
+                });
             }
         });
     }

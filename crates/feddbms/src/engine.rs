@@ -30,8 +30,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy)]
 pub struct FedOptions {
     /// Route fed-local relational plans through the optimizer (the paper's
-    /// "well-optimized relational operators"); turning this off is the
-    /// ablation measured by `bench_ablation`.
+    /// "well-optimized relational operators"). Off, this is the `fed-unopt`
+    /// engine: the naive-interpreter reference that `tests/exec_modes.rs`
+    /// compares fed against.
     pub optimize_relational: bool,
 }
 

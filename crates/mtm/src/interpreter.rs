@@ -955,7 +955,6 @@ mod tests {
         let rel = Relation::new(kv_schema(), vec![vec![Value::Int(5), Value::str("five")]]);
         let steps = one_of_every_kind();
         let last = Deployment::of(&def);
-        let _tracing = crate::TRACE_TESTS.lock().unwrap();
         dip_trace::enable();
         let mut charged = Vec::new();
         for (n, step) in steps.iter().enumerate() {
@@ -1040,7 +1039,6 @@ mod tests {
         let last = Deployment::of(&def);
         let [query, translate, decode] = [0, 1, 2].map(|i| &def.steps[i]);
         assert!(last.fuses(query) && last.fuses(translate) && !last.fuses(decode));
-        let _tracing = crate::TRACE_TESTS.lock().unwrap();
         dip_trace::enable();
         let (mut vars, mut handoff, mut charged) = (VarStore::new(), None, Vec::new());
         for (n, step) in def.steps.iter().enumerate() {
@@ -1112,7 +1110,6 @@ mod tests {
         let def = ProcessDef::new("LOAD", "l", 'B', EventType::Message, steps);
         let last = Deployment::of(&def);
         assert!(last.fuses(&def.steps[0]) && !last.fuses(&def.steps[1]));
-        let _tracing = crate::TRACE_TESTS.lock().unwrap();
         dip_trace::enable();
         let mut vars = VarStore::new();
         vars.set("msg", message);

@@ -40,8 +40,3 @@ pub use process::{
     AssignValue, CustomFn, EventType, LoadMode, LoadSink, PlanBuilder, ProcessDef, Step,
     SwitchCase, TableRows, XmlDecoder,
 };
-
-/// The trace collector is process-wide: a test that switches it on holds
-/// this for as long as it records.
-#[cfg(test)]
-pub(crate) static TRACE_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -1779,21 +1779,13 @@ fn spans_on_fork_threads_carry_the_instance() {
     dip_trace::enable();
     e.execute("TRC", 3, None).unwrap();
     dip_trace::disable();
-    // other tests of this binary may have recorded spans meanwhile; this
-    // instance's are the ones carrying its process id
-    let spans: Vec<_> = dip_trace::drain()
-        .into_iter()
-        .filter(|s| s.process.as_deref() == Some("TRC"))
-        .collect();
+    let spans = dip_trace::drain();
     let fork = spans.iter().find(|s| s.op == "fork").expect("fork span");
     let assigns: Vec<_> = spans.iter().filter(|s| s.op == "assign").collect();
-    assert_eq!(
-        assigns.len(),
-        2,
-        "both branch spans are attributed: {spans:?}"
-    );
+    assert_eq!(assigns.len(), 2, "both branches recorded: {spans:?}");
     for a in assigns {
         assert_ne!(a.thread, fork.thread, "recorded on a branch thread");
+        assert_eq!(a.process.as_deref(), Some("TRC"));
         assert_eq!((a.period, a.instance), (fork.period, fork.instance));
         assert_eq!(a.period, Some(3));
     }

@@ -4,7 +4,7 @@
 //! `docs/OBSERVABILITY.md`):
 //!
 //! * [`mod@span`] — a low-overhead, dependency-free structured span/event
-//!   collector. Instrumentation sites across every workspace layer
+//!   collector, one per traced run. Instrumentation sites across every workspace layer
 //!   (relstore's executor, xmlkit's STX transformer and parser, netsim's
 //!   link transfers, the MTM interpreter's operator dispatch, feddbms
 //!   trigger/procedure execution, the core client loop) open enter/exit
@@ -25,6 +25,6 @@ pub use chrome::to_chrome_trace;
 pub use json::{Json, JsonError};
 pub use span::{
     adopt, count, disable, drain, drain_counters, enable, instance_scope, is_enabled,
-    record_modeled, snapshot, span, span_cat, span_count, Category, CtxGuard, CtxSnapshot, Layer,
-    Span, SpanRecord,
+    record_modeled, snapshot, span, span_cat, Category, CtxGuard, CtxSnapshot, Layer, Span,
+    SpanRecord,
 };

@@ -1,12 +1,18 @@
-//! The span collector: a process-global, thread-safe sink for structured
-//! trace spans and counters.
+//! Span collectors: thread-safe sinks for structured trace spans and
+//! counters, one per traced run.
 //!
 //! Design constraints (see docs/OBSERVABILITY.md):
 //!
+//! * **A run owns its trace.** [`enable`] hands the calling thread a
+//!   collector; the threads the run starts record into it once they
+//!   [`adopt`] its [`snapshot`]. A thread that did neither records
+//!   nothing, so runs traced side by side in one process never see each
+//!   other's spans or counters.
 //! * **Zero cost when disabled.** Every instrumentation site first performs
-//!   one `Relaxed` atomic load; when tracing is off (the default) no clock
-//!   is read, nothing allocates and nothing locks. Benchmark figure runs
-//!   are therefore unaffected by the instrumentation being compiled in.
+//!   one `Relaxed` load of the process-wide count of collectors switched
+//!   on; while it is zero (the default) no clock is read, nothing
+//!   allocates and nothing locks. Benchmark figure runs are therefore
+//!   unaffected by the instrumentation being compiled in.
 //! * **Cross-layer keying.** A span carries its [`Layer`] and operator name
 //!   plus the benchmark identity of the work it belongs to — process type,
 //!   period and instance id — taken from a thread-local instance scope the
@@ -17,8 +23,8 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The workspace layer a span originates from.
@@ -123,72 +129,106 @@ struct InstanceCtx {
     instance: u64,
 }
 
+/// One run's spans and counters. The thread that [`enable`]s it owns it;
+/// the threads that run starts record into it after [`adopt`]ing it.
 struct Collector {
     epoch: Instant,
+    on: AtomicBool,
     spans: Mutex<Vec<SpanRecord>>,
     counters: Mutex<HashMap<&'static str, u64>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    static CTX: RefCell<Vec<InstanceCtx>> = const { RefCell::new(Vec::new()) };
-}
-
-fn collector() -> &'static Collector {
-    COLLECTOR.get_or_init(|| Collector {
-        epoch: Instant::now(),
-        spans: Mutex::new(Vec::new()),
-        counters: Mutex::new(HashMap::new()),
-    })
-}
-
-/// Turn the collector on. Spans recorded from this point on are kept until
-/// [`drain`]. (The epoch is fixed at first use, so spans from multiple
-/// enable/disable windows share one time base.)
-pub fn enable() {
-    collector();
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Turn the collector off; instrumentation sites return to no-ops.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether spans are currently being collected.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Take all collected spans, leaving the collector empty.
-pub fn drain() -> Vec<SpanRecord> {
-    match COLLECTOR.get() {
-        Some(c) => std::mem::take(&mut *c.spans.lock().unwrap()),
-        None => Vec::new(),
+impl Drop for Collector {
+    fn drop(&mut self) {
+        // an owner that ends without `disable` switches its collector off
+        if *self.on.get_mut() {
+            RECORDING.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 }
 
-/// Take all counters, sorted by name.
-pub fn drain_counters() -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = match COLLECTOR.get() {
-        Some(c) => std::mem::take(&mut *c.counters.lock().unwrap())
-            .into_iter()
-            .map(|(k, n)| (k.to_string(), n))
-            .collect(),
-        None => Vec::new(),
-    };
-    v.sort();
-    v
+/// Collectors switched on, process-wide: zero in every untraced run, so
+/// an instrumentation site costs one relaxed load of it.
+static RECORDING: AtomicUsize = AtomicUsize::new(0);
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+
+/// What this thread records into, and on whose behalf.
+struct Local {
+    collector: Option<Arc<Collector>>,
+    scopes: Vec<InstanceCtx>,
 }
 
-/// Number of spans currently buffered (diagnostic).
-pub fn span_count() -> usize {
-    COLLECTOR.get().map_or(0, |c| c.spans.lock().unwrap().len())
+thread_local! {
+    static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            collector: None,
+            scopes: Vec::new(),
+        })
+    };
+}
+
+fn with_collector<T: Default>(f: impl FnOnce(&Collector) -> T) -> T {
+    LOCAL.with(|l| l.borrow().collector.as_deref().map(f).unwrap_or_default())
+}
+
+/// Turn this thread's collector on, first giving the thread one if it has
+/// none. Spans and counters recorded on this thread, and on the threads
+/// that [`adopt`] its [`snapshot`], are kept until [`drain`]. (A thread
+/// keeps its collector, so spans from several enable/disable windows share
+/// one time base.)
+pub fn enable() {
+    let collector = LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let c = l.collector.get_or_insert_with(|| {
+            Arc::new(Collector {
+                epoch: Instant::now(),
+                on: AtomicBool::new(false),
+                spans: Mutex::new(Vec::new()),
+                counters: Mutex::new(HashMap::new()),
+            })
+        });
+        Arc::clone(c)
+    });
+    if !collector.on.swap(true, Ordering::SeqCst) {
+        RECORDING.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Turn this thread's collector off; its instrumentation sites return to
+/// no-ops. What it holds stays until [`drain`].
+pub fn disable() {
+    with_collector(|c| {
+        if c.on.swap(false, Ordering::SeqCst) {
+            RECORDING.fetch_sub(1, Ordering::SeqCst);
+        }
+    })
+}
+
+/// Whether spans recorded on this thread are being collected.
+#[inline]
+pub fn is_enabled() -> bool {
+    RECORDING.load(Ordering::Relaxed) != 0 && recording()
+}
+
+#[inline(never)]
+fn recording() -> bool {
+    with_collector(|c| c.on.load(Ordering::Relaxed))
+}
+
+/// Take all spans of this thread's collector, leaving it empty.
+pub fn drain() -> Vec<SpanRecord> {
+    with_collector(|c| std::mem::take(&mut *c.spans.lock().unwrap()))
+}
+
+/// Take all counters of this thread's collector, sorted by name.
+pub fn drain_counters() -> Vec<(String, u64)> {
+    let counters = with_collector(|c| std::mem::take(&mut *c.counters.lock().unwrap()));
+    let mut v: Vec<(String, u64)> = (counters.into_iter())
+        .map(|(k, n)| (k.to_string(), n))
+        .collect();
+    v.sort();
+    v
 }
 
 /// Add `delta` to a named counter. No-op while disabled.
@@ -197,64 +237,88 @@ pub fn count(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    *collector()
-        .counters
-        .lock()
-        .unwrap()
-        .entry(name)
-        .or_insert(0) += delta;
+    with_collector(|c| *c.counters.lock().unwrap().entry(name).or_insert(0) += delta);
 }
 
 /// Establish the benchmark identity of the work running on this thread;
 /// spans recorded until the guard drops inherit it. Scopes nest (e.g. a
 /// subprocess instance inside its parent).
 pub fn instance_scope(process: &str, period: u32, instance: u64) -> CtxGuard {
-    if !is_enabled() {
-        return CtxGuard { pushed: false };
+    let pushed = is_enabled();
+    if pushed {
+        LOCAL.with(|l| {
+            l.borrow_mut().scopes.push(InstanceCtx {
+                process: process.to_string(),
+                period,
+                instance,
+            })
+        });
     }
-    CTX.with(|c| {
-        c.borrow_mut().push(InstanceCtx {
-            process: process.to_string(),
-            period,
-            instance,
-        })
-    });
-    CtxGuard { pushed: true }
+    CtxGuard {
+        pushed,
+        previous: None,
+    }
 }
 
-/// The instance context of this thread, for a thread it is about to spawn
-/// (FORK branches, mart loaders): thread-locals are not inherited. `None`
-/// outside any scope, and while tracing is off.
+/// This thread's collector and instance context, for a thread it is about
+/// to start (pool workers, FORK branches, mart loaders): thread-locals are
+/// not inherited. `None` while this thread records nothing.
 pub fn snapshot() -> Option<CtxSnapshot> {
     if !is_enabled() {
         return None;
     }
-    CTX.with(|c| c.borrow().last().cloned().map(CtxSnapshot))
+    LOCAL.with(|l| {
+        let l = l.borrow();
+        Some(CtxSnapshot {
+            collector: Arc::clone(l.collector.as_ref()?),
+            scope: l.scopes.last().cloned(),
+        })
+    })
 }
 
-/// Re-establish a snapshotted instance context on this thread; spans
-/// recorded until the guard drops carry the parent's identity.
+/// Record into a snapshotted collector on this thread; spans recorded
+/// until the guard drops carry the snapshot's instance identity.
 pub fn adopt(snapshot: &CtxSnapshot) -> CtxGuard {
-    CTX.with(|c| c.borrow_mut().push(snapshot.0.clone()));
-    CtxGuard { pushed: true }
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let previous = l.collector.replace(Arc::clone(&snapshot.collector));
+        l.scopes.extend(snapshot.scope.clone());
+        CtxGuard {
+            pushed: snapshot.scope.is_some(),
+            previous: Some(previous),
+        }
+    })
 }
 
-/// An instance context taken by [`snapshot`] for [`adopt`] on another thread.
-pub struct CtxSnapshot(InstanceCtx);
+/// A collector and instance context taken by [`snapshot`] for [`adopt`] on
+/// another thread.
+pub struct CtxSnapshot {
+    collector: Arc<Collector>,
+    scope: Option<InstanceCtx>,
+}
 
-/// Guard returned by [`instance_scope`] and [`adopt`]; pops the context on
-/// drop.
+/// Guard returned by [`instance_scope`] and [`adopt`]; pops the context
+/// and, after [`adopt`], gives the thread back the collector it had.
 pub struct CtxGuard {
     pushed: bool,
+    /// After [`adopt`]: the collector to give back.
+    previous: Option<Option<Arc<Collector>>>,
 }
 
 impl Drop for CtxGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            CTX.with(|c| {
-                c.borrow_mut().pop();
-            });
+        if !self.pushed && self.previous.is_none() {
+            return;
         }
+        LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            if self.pushed {
+                l.scopes.pop();
+            }
+            if let Some(previous) = self.previous.take() {
+                l.collector = previous;
+            }
+        })
     }
 }
 
@@ -324,37 +388,31 @@ fn push_record(
     start: Instant,
     dur: Duration,
 ) {
-    let c = collector();
-    let (process, period, instance) = CTX.with(|ctx| {
-        ctx.borrow().last().map_or((None, None, None), |i| {
-            (Some(i.process.clone()), Some(i.period), Some(i.instance))
-        })
-    });
-    let rec = SpanRecord {
-        layer,
-        op,
-        category,
-        process,
-        period,
-        instance,
-        thread: THREAD_ID.with(|t| *t),
-        start_ns: start.saturating_duration_since(c.epoch).as_nanos() as u64,
-        dur_ns: dur.as_nanos() as u64,
-    };
-    c.spans.lock().unwrap().push(rec);
+    LOCAL.with(|l| {
+        let l = l.borrow();
+        let Some(c) = &l.collector else { return };
+        let scope = l.scopes.last();
+        let rec = SpanRecord {
+            layer,
+            op,
+            category,
+            process: scope.map(|i| i.process.clone()),
+            period: scope.map(|i| i.period),
+            instance: scope.map(|i| i.instance),
+            thread: THREAD_ID.with(|t| *t),
+            start_ns: start.saturating_duration_since(c.epoch).as_nanos() as u64,
+            dur_ns: dur.as_nanos() as u64,
+        };
+        c.spans.lock().unwrap().push(rec);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The collector is process-global, so the unit tests here run the whole
-    // lifecycle inside one test to avoid cross-test interference.
     #[test]
     fn lifecycle_enable_record_drain_disable() {
-        drain();
-        drain_counters();
-
         // disabled: nothing recorded
         assert!(!is_enabled());
         {
@@ -363,7 +421,6 @@ mod tests {
             let _g = instance_scope("P01", 0, 1);
             let _t = span_cat(Layer::Mtm, "translate", Category::Processing);
         }
-        assert_eq!(span_count(), 0);
         assert!(drain().is_empty());
         assert!(drain_counters().is_empty());
 
@@ -397,36 +454,74 @@ mod tests {
         assert_eq!(net.process, None, "modeled span outside any scope");
         assert_eq!(drain_counters(), vec![("net.bytes".to_string(), 50)]);
 
-        // a spawned thread does not inherit the scope; adopting a snapshot
-        // gives its spans the parent's identity
+        // disabled again: back to no-op
+        let _s = span(Layer::Core, "period");
+        drop(_s);
+        assert!(drain().is_empty());
+    }
+
+    /// A spawned thread records only after adopting a snapshot: then into
+    /// the snapshotting thread's collector, under its instance identity.
+    #[test]
+    fn started_threads_record_only_what_they_adopt() {
         assert!(snapshot().is_none(), "disabled: nothing to hand over");
         enable();
-        assert!(snapshot().is_none(), "outside any scope");
+        let bare = snapshot().expect("outside any scope: the collector alone");
         {
             let _g = instance_scope("P14", 1, 9);
             let snap = snapshot();
             std::thread::scope(|s| {
-                s.spawn(|| drop(span(Layer::Mtm, "orphan")));
+                s.spawn(|| {
+                    drop(span(Layer::Mtm, "orphan"));
+                    count("orphan", 1);
+                });
                 s.spawn(|| {
                     let _ctx = snap.as_ref().map(adopt);
                     drop(span(Layer::Mtm, "adopted"));
+                    count("adopted", 1);
+                });
+                s.spawn(|| {
+                    let _ctx = adopt(&bare);
+                    drop(span(Layer::Mtm, "unscoped"));
                 });
             });
         }
         disable();
         let spans = drain();
+        let ops: Vec<&str> = spans.iter().map(|s| s.op).collect();
+        assert!(!ops.contains(&"orphan"), "{ops:?}");
         let by_op = |op: &str| spans.iter().find(|s| s.op == op).unwrap();
-        assert_eq!(by_op("orphan").process, None);
         let adopted = by_op("adopted");
         assert_eq!(
             (adopted.process.as_deref(), adopted.period, adopted.instance),
             (Some("P14"), Some(1), Some(9))
         );
+        assert_eq!(by_op("unscoped").process, None);
+        assert_eq!(drain_counters(), vec![("adopted".to_string(), 1)]);
+    }
 
-        // disabled again: back to no-op
-        let _s = span(Layer::Core, "period");
-        drop(_s);
-        assert!(drain().is_empty());
+    /// Two threads tracing at once keep two collectors.
+    #[test]
+    fn concurrent_collectors_stay_apart() {
+        let run = |op: &'static str| {
+            enable();
+            for _ in 0..100 {
+                drop(span(Layer::Core, op));
+                count(op, 1);
+            }
+            disable();
+            (drain(), drain_counters())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run("a"));
+            let b = s.spawn(|| run("b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for ((spans, counters), op) in [(a, "a"), (b, "b")] {
+            assert_eq!(spans.len(), 100);
+            assert!(spans.iter().all(|s| s.op == op));
+            assert_eq!(counters, vec![(op.to_string(), 100)]);
+        }
     }
 
     #[test]

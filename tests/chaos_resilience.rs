@@ -157,11 +157,9 @@ fn rate_zero_plan_is_byte_identical_to_unarmed_run() {
 }
 
 /// Same seed ⇒ same fingerprint: two independent runs of the default
-/// configuration leave identical gate fingerprints — every table digest
-/// and the instances each process type ran and failed. Wall-clock metrics
-/// are real durations and stay out of the fingerprint; so do the counters
-/// here (the collector is process-global and this binary's other tests run
-/// beside this one — the `chaos-*` gate rows compare them).
+/// configuration leave identical gate fingerprints — every table digest,
+/// the instances each process type ran and failed, and every counter.
+/// Wall-clock metrics are real durations and stay out of the fingerprint.
 #[test]
 fn same_seed_fingerprints_are_identical() {
     let config = BenchConfig::new(scale()).with_periods(1);
@@ -169,7 +167,7 @@ fn same_seed_fingerprints_are_identical() {
     let (a, b) = (cell().fingerprint, cell().fingerprint);
     assert_eq!(a.instances.len(), 15, "one entry per process type");
     assert!(a.instances.iter().all(|(_, ran, _)| *ran > 0));
-    assert_eq!(a.diff(&b, false), Vec::<String>::new());
+    assert_eq!(a.diff(&b, true), Vec::<String>::new());
 }
 
 /// Replaying cached period snapshots must be invisible to the benchmark:

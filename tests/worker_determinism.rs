@@ -9,10 +9,11 @@
 //! queue tables no fingerprint reads, is compared on its own.
 
 use dip_bench::gate::{crash_cell, run_cell, CellRun, Detail, Load};
-use dip_bench::EngineKind;
+use dip_bench::{build_system, EngineKind};
 use dip_feddbms::{FedDbms, FedOptions};
 use dipbench::prelude::*;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const ENGINES: [EngineKind; 4] = [
@@ -21,11 +22,6 @@ const ENGINES: [EngineKind; 4] = [
     EngineKind::Ivm,
     EngineKind::Eai,
 ];
-
-/// A run that drives a `Client` itself counts into the trace collector
-/// whenever a neighbouring `run_cell` has it on, so it holds this lock,
-/// and so does every comparison of counters.
-static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn scale() -> ScaleFactors {
     ScaleFactors::new(0.02, 1.0, Distribution::Uniform)
@@ -82,7 +78,6 @@ fn clean_runs_are_byte_identical_across_worker_counts() {
 /// first 1-worker run.
 #[test]
 fn fed_queue_tables_are_byte_identical_across_worker_counts() {
-    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let local_tables = |workers: usize| -> Vec<(String, String)> {
         let config = BenchConfig::new(scale())
             .with_periods(2)
@@ -183,7 +178,6 @@ fn dead_letter_queues_are_byte_identical_across_worker_counts() {
 
 /// Two runs of one cell agree on everything, every counter included.
 fn assert_same_seed_twice(engine: EngineKind, config: BenchConfig, label: &str) {
-    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let (a, b) = (fingerprint(config, engine), fingerprint(config, engine));
     let differs = b.fingerprint.diff(&a.fingerprint, true);
     let seed = config.seed;
@@ -210,6 +204,43 @@ fn eai_same_seed_runs_agree_on_every_counter() {
             assert_same_seed_twice(EngineKind::Eai, config, &label);
         }
     }
+}
+
+/// A run owns its trace: a fed cell and an mtm cell run at once, while a
+/// third thread keeps driving a `Client` directly with tracing off, and
+/// each cell counts exactly what it counts alone.
+#[test]
+fn concurrent_cells_count_only_their_own_work() {
+    let config = BenchConfig::new(scale()).with_periods(1).with_seed(7);
+    let counters = |engine| fingerprint(config, engine).fingerprint.counters;
+    let (fed_alone, mtm_alone) = (counters(EngineKind::Federated), counters(EngineKind::Mtm));
+    assert!(!fed_alone.is_empty() && !mtm_alone.is_empty());
+    let start = Barrier::new(3);
+    let cells_done = AtomicBool::new(false);
+    let (fed, mtm) = std::thread::scope(|s| {
+        let cell = |engine| {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                counters(engine)
+            })
+        };
+        let (fed, mtm) = (cell(EngineKind::Federated), cell(EngineKind::Mtm));
+        let direct = s.spawn(|| {
+            start.wait();
+            while !cells_done.load(Ordering::Relaxed) {
+                let env = BenchEnvironment::new(config).unwrap();
+                let system = build_system(EngineKind::Federated, &env);
+                Client::new(&env, system).unwrap().run().unwrap();
+            }
+        });
+        let joined = (fed.join().unwrap(), mtm.join().unwrap());
+        cells_done.store(true, Ordering::Relaxed);
+        direct.join().unwrap();
+        joined
+    });
+    assert_eq!(fed, fed_alone, "fed cell beside other runs");
+    assert_eq!(mtm, mtm_alone, "mtm cell beside other runs");
 }
 
 /// Kill `process` seq 0 at its second materialization step and recover.
