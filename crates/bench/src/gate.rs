@@ -472,6 +472,7 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
 /// Run gate rows, two at a time, each on a thread of its own; the verdicts
 /// come back in the order of `rows`.
 pub fn run_gates(rows: &[&Gate]) -> Vec<Result<Verdict, String>> {
+    const POISONED: &str = "a gate row panicked while storing its verdict";
     let next = AtomicUsize::new(0);
     let verdicts = Mutex::new(BTreeMap::new());
     std::thread::scope(|s| {
@@ -480,9 +481,13 @@ pub fn run_gates(rows: &[&Gate]) -> Vec<Result<Verdict, String>> {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(row) = rows.get(i) else { break };
                 let verdict = run_gate(row);
-                verdicts.lock().unwrap().insert(i, verdict);
+                verdicts.lock().expect(POISONED).insert(i, verdict);
             });
         }
     });
-    verdicts.into_inner().unwrap().into_values().collect()
+    verdicts
+        .into_inner()
+        .expect(POISONED)
+        .into_values()
+        .collect()
 }
