@@ -637,16 +637,22 @@ mod tests {
     }
 
     /// The pool must drain every task exactly once, and same-type tasks
-    /// must complete in schedule order, at any worker count.
+    /// must complete in schedule order, at any worker count. Every pool
+    /// thread counts into the caller's trace collector.
     #[test]
     fn pool_drains_every_task_once_in_series_order() {
         let plan = plan_for(0, 0.02);
+        dip_trace::enable();
         for workers in [1, 2, 4, 8] {
             let log: Mutex<Vec<(&'static str, u32)>> = Mutex::new(Vec::new());
             let outcomes = run_pool(&plan, workers, &|task| {
+                dip_trace::count("dispatched", 1);
                 log.lock().push((task.process, task.seq));
                 TaskOutcome::Settled
             });
+            let dispatched = plan.tasks().len() as u64;
+            let counted = dip_trace::drain_counters();
+            assert_eq!(counted, vec![("dispatched".to_string(), dispatched)]);
             assert_eq!(outcomes.len(), plan.tasks().len());
             assert!(outcomes.iter().all(|o| *o == TaskOutcome::Settled));
             let log = log.into_inner();
@@ -662,6 +668,7 @@ mod tests {
                 assert_eq!(seqs, sorted, "{ty} instances ran out of series order");
             }
         }
+        dip_trace::disable();
     }
 
     /// Skipped tasks, settled by the dispatch closure without running,
