@@ -12,7 +12,7 @@ use dipbench::recovery;
 use dipbench::verify::{verify_outcome, VerificationReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// Everything a run durably produces, in byte-comparable form. Wall-clock
 /// metrics are real durations and stay out.
@@ -469,25 +469,30 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
     Ok(judge(gate.check, &fps))
 }
 
-/// Run gate rows, two at a time, each on a thread of its own; the verdicts
-/// come back in the order of `rows`.
-pub fn run_gates(rows: &[&Gate]) -> Vec<Result<Verdict, String>> {
-    const POISONED: &str = "a gate row panicked while storing its verdict";
-    let next = AtomicUsize::new(0);
-    let verdicts = Mutex::new(BTreeMap::new());
+/// Run gate rows, two at a time, each on a thread of its own; `report`
+/// gets each row's verdict in the order of `rows`, as soon as that row and
+/// every row before it are done.
+pub fn run_gates(rows: &[&Gate], mut report: impl FnMut(&Gate, Result<Verdict, String>)) {
+    let next = &AtomicUsize::new(0);
+    let (done, finished) = mpsc::channel();
     std::thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| loop {
+        for done in [done.clone(), done] {
+            s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(row) = rows.get(i) else { break };
-                let verdict = run_gate(row);
-                verdicts.lock().expect(POISONED).insert(i, verdict);
+                let Ok(()) = done.send((i, run_gate(row))) else {
+                    break;
+                };
             });
         }
+        let mut waiting: Vec<_> = rows.iter().map(|_| None).collect();
+        let mut reported = 0;
+        for (i, verdict) in finished {
+            waiting[i] = Some(verdict);
+            while let Some(verdict) = waiting.get_mut(reported).and_then(Option::take) {
+                report(rows[reported], verdict);
+                reported += 1;
+            }
+        }
     });
-    verdicts
-        .into_inner()
-        .expect(POISONED)
-        .into_values()
-        .collect()
 }

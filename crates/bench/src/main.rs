@@ -538,9 +538,8 @@ fn gate_cmd(p: &Parsed) {
         .filter(|row| p.positionals.is_empty() || p.positionals.iter().any(|n| n == row.name))
         .collect();
     println!("gate               engine  workers     d  seed  check             cells verified identical diverged  result");
-    let verdicts = gate::run_gates(&rows);
     let mut failed = 0;
-    for (row, verdict) in rows.into_iter().zip(verdicts) {
+    gate::run_gates(&rows, |row, verdict| {
         let verdict = verdict.unwrap_or_else(|error| gate::Verdict {
             notes: vec![error],
             ..gate::Verdict::default()
@@ -563,7 +562,7 @@ fn gate_cmd(p: &Parsed) {
             failed += 1;
             verdict.notes.iter().for_each(|n| eprintln!("  [!!] {n}"));
         }
-    }
+    });
     if failed > 0 {
         fail(&format!("{failed} gate row(s) failed"));
     }

@@ -4,9 +4,11 @@
 //! a PR that adds, drops or renames a span or a counter says so in its
 //! diff.
 //!
-//! Pool-worker and FORK-branch spans reach the run's collector through
-//! `dip_trace::adopt`, so the budget covers them too. On a mismatch the rendering of this run is left in the target tmp
-//! directory; copy it over the fixture once the difference is intended.
+//! Even at one worker, streams A and B run on two pool threads and FORK
+//! branches on their own; their spans reach the run's collector only
+//! through `dip_trace::adopt`, so the budget covers them. On a mismatch
+//! the rendering of this run is left in the target tmp directory; copy it
+//! over the fixture once the difference is intended.
 
 use dip_bench::gate::{run_cell, Load};
 use dip_bench::{build_system, EngineKind};

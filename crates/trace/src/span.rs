@@ -415,7 +415,9 @@ mod tests {
 
     #[test]
     fn lifecycle_enable_record_drain_disable() {
-        // disabled: nothing recorded
+        // disabled: nothing recorded, even into a collector switched off
+        enable();
+        disable();
         assert!(!is_enabled());
         {
             let _s = span(Layer::Relstore, "scan");
@@ -459,7 +461,9 @@ mod tests {
         // disabled again: back to no-op
         let _s = span(Layer::Core, "period");
         drop(_s);
+        count("rows", 1);
         assert!(drain().is_empty());
+        assert!(drain_counters().is_empty());
     }
 
     /// A spawned thread records only after adopting a snapshot: then into

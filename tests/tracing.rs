@@ -9,8 +9,10 @@ use dipbench_suite::{run_benchmark, test_config, EngineKind};
 
 #[test]
 fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
-    // Phase 1: tracing disabled (the default). A full benchmark run must
-    // leave the collector completely empty — no spans, no counters.
+    // Phase 1: tracing disabled. A full benchmark run must leave the
+    // thread's collector, switched off, empty — no spans, no counters.
+    dip_trace::enable();
+    dip_trace::disable();
     assert!(!dip_trace::is_enabled());
     let (_env, outcome) = run_benchmark(EngineKind::Mtm, test_config());
     assert!(!outcome.metrics.is_empty());
@@ -61,4 +63,5 @@ fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     // Phase 3: disabled again — instrumented code must go back to no-op.
     let (_env, _outcome) = run_benchmark(EngineKind::Federated, test_config());
     assert!(dip_trace::drain().is_empty());
+    assert!(dip_trace::drain_counters().is_empty());
 }
