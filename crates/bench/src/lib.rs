@@ -10,6 +10,7 @@ use std::sync::Arc;
 pub mod cli;
 pub mod gate;
 pub mod registry;
+pub mod selftime;
 
 pub use registry::{EngineRegistry, EngineSpec};
 

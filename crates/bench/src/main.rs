@@ -11,7 +11,7 @@
 
 use dip_bench::cli::{self, Parsed, *};
 use dip_bench::gate::{self, CellRun, Check, Detail, Load};
-use dip_bench::{pass_fail, run_experiment, shape_findings, EngineKind, EngineRegistry};
+use dip_bench::{pass_fail, run_experiment, selftime, shape_findings, EngineKind, EngineRegistry};
 use dip_trace::Json;
 use dipbench::prelude::*;
 use dipbench::report;
@@ -42,6 +42,7 @@ fn main() {
         "overload" => overload(p),
         "gate" => gate_cmd(p),
         "explain" => explain(p),
+        "selftime" => selftime(p),
         "help" => match p.positionals.first().map(|name| (name, cli::command(name))) {
             None => print!("{}", cli::usage()),
             Some((_, Some(cmd))) => print!("{}", cli::help(cmd)),
@@ -51,6 +52,19 @@ fn main() {
         },
         declared => unreachable!("`{declared}` is in COMMANDS but has no body"),
     }
+}
+
+/// `dipbench selftime`: one trace file's self times, or two files' and
+/// the change per op; an unreadable file exits 1.
+fn selftime(p: &Parsed) {
+    let read = |path: &String| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+        let json = Json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        selftime::self_times(&json).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+    };
+    let times: Vec<_> = p.positionals.iter().map(read).collect();
+    print!("{}", selftime::render(&times[0], times.get(1)));
 }
 
 /// Report misuse the flag table cannot express and exit 2.

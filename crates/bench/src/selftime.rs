@@ -1,0 +1,269 @@
+//! Self time per period from the benchmark's trace files
+//! (`benchmark/out/<workload>.trace.json`, written by a `--trace 1` run).
+//!
+//! Every span of the file's `dip_trace_spans` table is nested by
+//! containment on its thread; a span's self time is its duration minus
+//! what the spans inside it cover. Self time is booked per process (the
+//! span's own, else the innermost enclosing span's) and `layer/op`, and
+//! turned into nms per period: nanoseconds divided by 10^6, by the file's
+//! `summary.calibration_factor` and by the number of periods traced (the
+//! benchmark's `core/dispatch` spans, one per period).
+//!
+//! Modeled `netsim/transfer` spans record a delay that never elapsed and
+//! are left out. The self time of [`WAIT_OPS`] is time spent waiting for
+//! other threads (the worker pool's dispatcher, a FORK while its branches
+//! run) and is booked as wait, apart from work.
+
+use dip_trace::Json;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Spans whose self time is waiting for other threads, not work.
+pub const WAIT_OPS: [&str; 2] = ["core/worker_pool", "mtm/fork"];
+
+/// Prefix of the benchmark's own spans mirrored into `dip_trace`: the rest
+/// of the op is their `layer/op`.
+const MIRRORED: &str = "bench|";
+
+/// One trace file's self times.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SelfTimes {
+    pub periods: usize,
+    pub calibration_factor: f64,
+    /// nms per period by `(process, layer/op)`; `-` is no process.
+    pub by_op: BTreeMap<(String, String), f64>,
+}
+
+impl SelfTimes {
+    /// Whether `op` is booked as wait.
+    pub fn is_wait(op: &str) -> bool {
+        WAIT_OPS.contains(&op)
+    }
+
+    /// Total nms per period of work (`false`) or of wait (`true`).
+    pub fn total(&self, wait: bool) -> f64 {
+        let rows = self.by_op.iter();
+        rows.filter(|((_, op), _)| Self::is_wait(op) == wait)
+            .map(|(_, nms)| nms)
+            .sum()
+    }
+}
+
+/// A span of the file, on the clock of its thread.
+struct Span {
+    name: String,
+    process: Option<String>,
+    thread: u64,
+    start: u64,
+    end: u64,
+}
+
+/// Read a trace file's self times; `Err` says what the file lacks.
+pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
+    let factor = (trace.get("summary"))
+        .and_then(|s| s.get("calibration_factor"))
+        .and_then(Json::as_f64)
+        .filter(|f| *f > 0.0)
+        .ok_or("no summary.calibration_factor")?;
+    let table = trace.get("dip_trace_spans").ok_or("no dip_trace_spans")?;
+    let columns: Vec<&str> = (table.get("columns").and_then(Json::as_arr))
+        .ok_or("dip_trace_spans has no columns")?
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    let at = |name: &str| {
+        (columns.iter().position(|c| *c == name))
+            .ok_or_else(|| format!("dip_trace_spans has no column {name}"))
+    };
+    let [layer, op, process, thread, start, dur] =
+        ["layer", "op", "process", "thread", "start_ns", "dur_ns"].map(at);
+    let (layer, op, process, thread, start, dur) = (layer?, op?, process?, thread?, start?, dur?);
+    let rows = (table.get("rows").and_then(Json::as_arr)).ok_or("dip_trace_spans has no rows")?;
+    let mut spans = Vec::with_capacity(rows.len());
+    for (n, row) in rows.iter().enumerate() {
+        let cell = |i: usize| row.as_arr().and_then(|r| r.get(i));
+        let text = |i: usize| cell(i).and_then(Json::as_str);
+        let num = |i: usize| cell(i).and_then(Json::as_u64);
+        let bad = || format!("dip_trace_spans row {n} is malformed");
+        let (layer, op) = (text(layer).ok_or_else(bad)?, text(op).ok_or_else(bad)?);
+        let name = match op.strip_prefix(MIRRORED) {
+            Some(mirrored) => mirrored.to_string(),
+            None => format!("{layer}/{op}"),
+        };
+        if name == "netsim/transfer" {
+            continue;
+        }
+        let start = num(start).ok_or_else(bad)?;
+        spans.push(Span {
+            name,
+            process: text(process).map(str::to_string),
+            thread: num(thread).ok_or_else(bad)?,
+            start,
+            end: start + num(dur).ok_or_else(bad)?,
+        });
+    }
+    let periods = spans.iter().filter(|s| s.name == "core/dispatch").count();
+    if periods == 0 {
+        return Err("no core/dispatch spans: not a benchmark trace".into());
+    }
+    let per_period = |ns: u64| ns as f64 / 1e6 / factor / periods as f64;
+    let mut ns: BTreeMap<(String, String), u64> = BTreeMap::new();
+    // outer before inner: by thread, earlier start first, longer first
+    spans.sort_by(|a, b| (a.thread, a.start, b.end).cmp(&(b.thread, b.start, a.end)));
+    let mut open: Vec<Open> = Vec::new();
+    for s in &spans {
+        while (open.last()).is_some_and(|o| o.span.thread != s.thread || o.span.end <= s.start) {
+            close(&mut open, &mut ns);
+        }
+        let inherited = open.last().map(|o| o.process.clone());
+        if let Some(parent) = open.last_mut() {
+            parent.book(&mut ns, s.start);
+            parent.from = s.start;
+        }
+        let process = (s.process.clone())
+            .or(inherited)
+            .unwrap_or_else(|| "-".into());
+        open.push(Open {
+            span: s,
+            process,
+            from: s.start,
+        });
+    }
+    while !open.is_empty() {
+        close(&mut open, &mut ns);
+    }
+    Ok(SelfTimes {
+        periods,
+        calibration_factor: factor,
+        by_op: ns.into_iter().map(|(k, v)| (k, per_period(v))).collect(),
+    })
+}
+
+/// A span whose end is not reached yet, nesting the spans after it.
+struct Open<'s> {
+    span: &'s Span,
+    /// Its own process, else the innermost enclosing span's.
+    process: String,
+    /// Where its time not covered by a child resumes.
+    from: u64,
+}
+
+impl Open<'_> {
+    /// Book its uncovered time from `from` to `to`.
+    fn book(&self, ns: &mut BTreeMap<(String, String), u64>, to: u64) {
+        let key = (self.process.clone(), self.span.name.clone());
+        *ns.entry(key).or_default() += to.min(self.span.end).saturating_sub(self.from);
+    }
+}
+
+/// Close the innermost open span: book the rest of it; its parent resumes
+/// where it ended.
+fn close(open: &mut Vec<Open>, ns: &mut BTreeMap<(String, String), u64>) {
+    let Some(child) = open.pop() else { return };
+    child.book(ns, child.span.end);
+    if let Some(parent) = open.last_mut() {
+        parent.from = parent.from.max(child.span.end.min(parent.span.end));
+    }
+}
+
+/// The table `dipbench selftime` prints: one file's self times, or two
+/// files' side by side with the change per op, largest first; rows under
+/// 0.005 nms on both sides are left out.
+pub fn render(a: &SelfTimes, b: Option<&SelfTimes>) -> String {
+    let mut out = String::new();
+    let head = |t: &SelfTimes| format!("{} periods, factor {:.3}", t.periods, t.calibration_factor);
+    let _ = match b {
+        None => writeln!(out, "nms per period ({})", head(a)),
+        Some(b) => writeln!(out, "nms per period (A: {}; B: {})", head(a), head(b)),
+    };
+    let empty = SelfTimes {
+        by_op: BTreeMap::new(),
+        ..a.clone()
+    };
+    let b_or = b.unwrap_or(&empty);
+    let mut keys: Vec<&(String, String)> = a.by_op.keys().chain(b_or.by_op.keys()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let of = |t: &SelfTimes, k: &(String, String)| t.by_op.get(k).copied().unwrap_or(0.0);
+    for wait in [false, true] {
+        let mut rows: Vec<(&(String, String), f64, f64)> = (keys.iter())
+            .filter(|(_, op)| SelfTimes::is_wait(op) == wait)
+            .map(|k| (*k, of(a, k), of(b_or, k)))
+            .filter(|(_, x, y)| x.max(*y) >= 0.005)
+            .collect();
+        let size = |&(_, x, y): &(&(String, String), f64, f64)| match b {
+            None => x,
+            Some(_) => (y - x).abs(),
+        };
+        rows.sort_by(|p, q| size(q).total_cmp(&size(p)));
+        let _ = writeln!(out, "\n{}", if wait { "wait" } else { "self" });
+        for ((process, op), x, y) in rows {
+            let _ = match b {
+                None => writeln!(out, "  {process:<8} {op:<32} {x:>9.3}"),
+                Some(_) => writeln!(
+                    out,
+                    "  {process:<8} {op:<32} {x:>9.3} {y:>9.3} {:>+9.3}",
+                    y - x
+                ),
+            };
+        }
+        let (x, y) = (a.total(wait), b_or.total(wait));
+        let _ = match b {
+            None => writeln!(out, "  {:<41} {x:>9.3}", "total"),
+            Some(_) => writeln!(out, "  {:<41} {x:>9.3} {y:>9.3} {:>+9.3}", "total", y - x),
+        };
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Five spans on two threads: a period's dispatch holding the worker
+    /// pool, a FORK on a pool thread around a filter, and a modeled
+    /// transfer inside the filter. Calibration factor 2, one period.
+    const FIVE_SPANS: &str = r#"{
+        "summary": {"calibration_factor": 2.0},
+        "dip_trace_spans": {
+            "columns": ["layer", "op", "category", "process", "period", "instance",
+                        "thread", "start_ns", "dur_ns"],
+            "rows": [
+                ["core", "bench|core/dispatch", null, null, null, null, 1, 0, 10000000],
+                ["core", "worker_pool", null, null, 0, null, 1, 1000000, 8000000],
+                ["mtm", "fork", "management", "P14", 0, 0, 2, 2000000, 5000000],
+                ["relstore", "filter", "processing", null, 0, 0, 2, 3000000, 2000000],
+                ["netsim", "transfer", "communication", "P14", 0, 0, 2, 3000000, 1000000]
+            ]
+        }
+    }"#;
+
+    #[test]
+    fn five_spans_book_self_time_and_wait_per_period() {
+        let times = self_times(&Json::parse(FIVE_SPANS).unwrap()).unwrap();
+        let nms = |process: &str, op: &str| times.by_op[&(process.into(), op.into())];
+        assert_eq!(times.periods, 1);
+        // 10 ms less the 8 ms pool inside it, at factor 2
+        assert_eq!(nms("-", "core/dispatch"), 1.0);
+        assert_eq!(nms("-", "core/worker_pool"), 4.0);
+        // 5 ms less the 2 ms filter; the filter inherits the FORK's process
+        assert_eq!(nms("P14", "mtm/fork"), 1.5);
+        assert_eq!(nms("P14", "relstore/filter"), 1.0);
+        assert_eq!(times.by_op.len(), 4, "the modeled transfer is left out");
+        assert_eq!((times.total(false), times.total(true)), (2.0, 5.5));
+        let table = render(&times, None);
+        assert!(table.contains("relstore/filter"), "{table}");
+        let twice = render(&times, Some(&times));
+        assert!(twice.contains("+0.000"), "{twice}");
+    }
+
+    #[test]
+    fn a_file_without_periods_or_factor_is_refused() {
+        let no_factor = FIVE_SPANS.replace("calibration_factor", "factor");
+        let e = self_times(&Json::parse(&no_factor).unwrap()).unwrap_err();
+        assert!(e.contains("calibration_factor"), "{e}");
+        let no_dispatch = FIVE_SPANS.replace("core/dispatch", "core/run");
+        let e = self_times(&Json::parse(&no_dispatch).unwrap()).unwrap_err();
+        assert!(e.contains("core/dispatch"), "{e}");
+    }
+}

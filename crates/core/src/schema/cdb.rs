@@ -134,6 +134,10 @@ pub fn register_cleansing_procedures(db: &Database) {
 /// P12's cleansing: eliminate duplicates (handled structurally by the
 /// staging primary keys) and error-prone master data, resolve dimension
 /// keys by name, and copy clean rows into the canonical tables.
+///
+/// Pending staging rows (`integrated = false`, through the staging
+/// table's index) are read in place; only the cells of the rows it loads
+/// are copied.
 fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>> {
     let mut scanned = 0i64;
     let mut rejected = 0i64;
@@ -142,25 +146,14 @@ fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<R
     // --- customers ---
     let staging = db.table("customer_staging")?;
     let city = db.table("city")?;
-    let pending = staging.scan_where(
-        &Expr::col(9).eq(Expr::lit(false)), // integrated = false
-        None,
-    )?;
-    scanned += pending.len() as i64;
+    let pending = Expr::col(9).eq(Expr::lit(false)); // integrated = false
     let mut clean_rows: Vec<Row> = Vec::new();
-    for r in &pending.rows {
+    staging.for_each_where(&pending, |r| {
+        scanned += 1;
         // dirty-data rules: empty name, absurd balance, unknown city
         let name_ok = matches!(&r[1], Value::Str(s) if !s.trim().is_empty());
         let bal_ok = r[7].to_float().is_none_or(|b| b > -9_000.0);
-        let citykey = match &r[3] {
-            Value::Str(cn) => city
-                .scan_where(&Expr::col(1).eq(Expr::lit(&**cn)), Some(&[0]))?
-                .rows
-                .first()
-                .map(|row| row[0].clone()),
-            _ => None,
-        };
-        match (name_ok && bal_ok, citykey) {
+        match (name_ok && bal_ok, key_by_name(&city, &r[3])?) {
             (true, Some(ck)) => clean_rows.push(vec![
                 r[0].clone(), // custkey
                 r[1].clone(), // name
@@ -172,7 +165,8 @@ fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<R
             ]),
             _ => rejected += 1,
         }
-    }
+        Ok(())
+    })?;
     // canonicalize: staging row order depends on how the concurrent
     // extract/message instances interleaved their loads, so clean output
     // is emitted in key order — downstream scan-order-sensitive consumers
@@ -183,46 +177,50 @@ fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<R
     // --- products ---
     let staging_p = db.table("product_staging")?;
     let groups = db.table("productgroup")?;
-    let pending_p = staging_p.scan_where(&Expr::col(6).eq(Expr::lit(false)), None)?;
-    scanned += pending_p.len() as i64;
+    let pending_p = Expr::col(6).eq(Expr::lit(false));
     let mut clean_rows: Vec<Row> = Vec::new();
-    for r in &pending_p.rows {
+    staging_p.for_each_where(&pending_p, |r| {
+        scanned += 1;
         let name_ok = matches!(&r[1], Value::Str(s) if !s.trim().is_empty());
         let price_ok = r[4].to_float().is_none_or(|p| p >= 0.0);
-        let groupkey = match &r[2] {
-            Value::Str(g) => groups
-                .scan_where(&Expr::col(1).eq(Expr::lit(&**g)), Some(&[0]))?
-                .rows
-                .first()
-                .map(|row| row[0].clone()),
-            _ => None,
-        };
-        match (name_ok && price_ok, groupkey) {
+        match (name_ok && price_ok, key_by_name(&groups, &r[2])?) {
             (true, Some(gk)) => clean_rows.push(vec![r[0].clone(), r[1].clone(), gk, r[4].clone()]),
             _ => rejected += 1,
         }
-    }
+        Ok(())
+    })?;
     clean_rows.sort_by_key(|r| r[0].to_int());
     loaded += db.table("product")?.insert_ignore_duplicates(clean_rows)? as i64;
 
     // flag everything we just processed as integrated (but keep it — P12
     // only marks master data, it never removes it)
-    staging.update_where(&Expr::col(9).eq(Expr::lit(false)), &[(9, Expr::lit(true))])?;
-    staging_p.update_where(&Expr::col(6).eq(Expr::lit(false)), &[(6, Expr::lit(true))])?;
+    staging.update_where(&pending, &[(9, Expr::lit(true))])?;
+    staging_p.update_where(&pending_p, &[(6, Expr::lit(true))])?;
 
-    Ok(Some(Relation::new(
-        cleansing_report_schema(),
-        vec![vec![
-            Value::Int(scanned),
-            Value::Int(rejected),
-            Value::Int(loaded),
-        ]],
-    )))
+    Ok(Some(cleansing_report(scanned, rejected, loaded)))
+}
+
+/// The key (column 0) of the first row of a dimension table whose name
+/// (column 1) is `name`; `None` for an unknown or non-text name.
+fn key_by_name(dimension: &Table, name: &Value) -> StoreResult<Option<Value>> {
+    let Value::Str(name) = name else {
+        return Ok(None);
+    };
+    let named = dimension.scan_where(&Expr::col(1).eq(Expr::lit(&**name)), Some(&[0]))?;
+    Ok(named
+        .rows
+        .into_iter()
+        .next()
+        .and_then(|row| row.into_iter().next()))
 }
 
 /// P13's cleansing: eliminate movement-data errors (bad totals, unknown
 /// vocabulary, orphaned foreign keys) and copy clean movement data into the
 /// canonical tables. Staging movement rows are consumed (truncated).
+///
+/// Staging is read in place, foreign keys are probed on the primary key
+/// without copying the row they find, and only the rows it loads are
+/// copied.
 fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>> {
     let mut scanned = 0i64;
     let mut rejected = 0i64;
@@ -232,44 +230,43 @@ fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option
     let staging_l = db.table("orderline_staging")?;
     let customer = db.table("customer")?;
     let product = db.table("product")?;
+    let orders = db.table("orders")?;
 
-    let pending = staging_o.scan();
-    scanned += pending.len() as i64;
     let mut clean_orders: Vec<Row> = Vec::new();
     let mut kept_orderkeys: std::collections::HashSet<i64> = std::collections::HashSet::new();
-    for r in &pending.rows {
+    staging_o.for_each(|r| {
+        scanned += 1;
         let total_ok = r[3].to_float().is_some_and(|t| t > 0.0);
         let prio_ok = matches!(&r[4], Value::Str(p) if vocab::is_canon_priority(p));
         let state_ok = matches!(&r[5], Value::Str(s) if vocab::is_canon_state(s));
-        let cust_ok = customer.get_by_pk(&[r[1].clone()]).is_some();
         let date_ok = !r[2].is_null();
-        if total_ok && prio_ok && state_ok && cust_ok && date_ok {
+        if total_ok && prio_ok && state_ok && date_ok && customer.contains_key(&r[1..2]) {
             kept_orderkeys.insert(r[0].to_int().unwrap_or(-1));
             clean_orders.push(r[..6].to_vec());
         } else {
             rejected += 1;
         }
-    }
+        Ok::<(), StoreError>(())
+    })?;
     // canonicalize: staging order is interleaving-dependent under the
     // worker pool, and `OrdersMV`'s revenue is a float sum in fact-table
     // scan order — key-sorted output keeps it byte-identical
     clean_orders.sort_by_key(|r| r[0].to_int());
-    loaded += db.table("orders")?.insert_ignore_duplicates(clean_orders)? as i64;
+    loaded += orders.insert_ignore_duplicates(clean_orders)? as i64;
 
-    let pending_l = staging_l.scan();
-    scanned += pending_l.len() as i64;
     let mut clean_lines: Vec<Row> = Vec::new();
-    for r in &pending_l.rows {
+    staging_l.for_each(|r| {
+        scanned += 1;
         let order_ok = r[0].to_int().is_some_and(|k| kept_orderkeys.contains(&k))
-            || db.table("orders")?.get_by_pk(&[r[0].clone()]).is_some();
-        let prod_ok = product.get_by_pk(&[r[2].clone()]).is_some();
+            || orders.contains_key(&r[..1]);
         let qty_ok = r[3].to_int().is_some_and(|q| q > 0);
-        if order_ok && prod_ok && qty_ok {
+        if order_ok && qty_ok && product.contains_key(&r[2..3]) {
             clean_lines.push(r[..6].to_vec());
         } else {
             rejected += 1;
         }
-    }
+        Ok::<(), StoreError>(())
+    })?;
     clean_lines.sort_by_key(|r| (r[0].to_int(), r[1].to_int()));
     loaded += db
         .table("orderline")?
@@ -279,14 +276,19 @@ fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option
     staging_o.truncate();
     staging_l.truncate();
 
-    Ok(Some(Relation::new(
+    Ok(Some(cleansing_report(scanned, rejected, loaded)))
+}
+
+/// The one row a cleansing procedure returns.
+fn cleansing_report(scanned: i64, rejected: i64, loaded: i64) -> Relation {
+    Relation::new(
         cleansing_report_schema(),
         vec![vec![
             Value::Int(scanned),
             Value::Int(rejected),
             Value::Int(loaded),
         ]],
-    )))
+    )
 }
 
 #[cfg(test)]

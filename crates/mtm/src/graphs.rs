@@ -306,7 +306,7 @@ impl Picks<'_> {
     fn push_step(&mut self, steps: &mut Vec<Step>, depth: usize, binds: &[&str], sinks: bool) {
         let nests = depth < MAX_DEPTH;
         // the three plan-wrapping steps twice as often as the rest
-        match self.next(16) {
+        match self.next(17) {
             0 | 11 => steps.push(Step::Selection {
                 input: self.rel(),
                 predicate: self.predicate(),
@@ -440,6 +440,7 @@ impl Picks<'_> {
                     output,
                 });
             }
+            16 => self.push_shared_selection(steps, depth, binds, sinks),
             5 => steps.push(Step::Assign {
                 value: AssignValue::CopyVar(self.rel()),
                 var: self.bind(binds),
@@ -497,6 +498,101 @@ impl Picks<'_> {
                 predicate: Expr::lit(true),
                 output: self.bind(binds),
             }),
+        }
+    }
+}
+
+impl Picks<'_> {
+    /// A SELECTION over a relation another step reads again, so that it
+    /// keeps ids over its input: its input then read by a PROJECTION, or
+    /// (P14's shape) FORK branches each selecting from one relation and
+    /// handing their selection to a loader SUBPROCESS, or one such
+    /// selection and loader with the input read again after them.
+    fn push_shared_selection(
+        &mut self,
+        steps: &mut Vec<Step>,
+        depth: usize,
+        binds: &[&str],
+        sinks: bool,
+    ) {
+        let input = self.rel();
+        let select = |picks: &mut Self, output: &str| Step::Selection {
+            input: input.clone(),
+            predicate: picks.predicate(),
+            output: v(output),
+        };
+        match self.next(3) {
+            1 if depth < MAX_DEPTH => {
+                let branches = (BRANCH_BINDS.iter())
+                    .map(|half| {
+                        let mine: Vec<&str> =
+                            half.iter().copied().filter(|b| binds.contains(b)).collect();
+                        if mine.is_empty() {
+                            return vec![];
+                        }
+                        let picked = format!("{}_picked", mine[0]);
+                        vec![select(self, &picked), self.loader(&picked, &mine, false)]
+                    })
+                    .collect();
+                steps.push(Step::Fork { branches });
+            }
+            2 => {
+                let picked = format!("{}_picked", binds[0]);
+                steps.push(select(self, &picked));
+                steps.push(self.loader(&picked, binds, sinks));
+                steps.push(Step::Assign {
+                    var: self.bind(binds),
+                    value: AssignValue::CopyVar(input.clone()),
+                });
+            }
+            _ => {
+                let output = self.bind(binds);
+                steps.push(select(self, &output));
+                steps.push(Step::Projection {
+                    input: input.clone(),
+                    exprs: self.projection(1, 2),
+                    output: self.bind(binds),
+                });
+            }
+        }
+    }
+
+    /// A SUBPROCESS handed `input`, which two PROJECTIONs read (and a
+    /// `DB_INSERT`, when `sinks`), their union bound to one of `binds`.
+    fn loader(&mut self, input: &str, binds: &[&str], sinks: bool) -> Step {
+        let mut body = vec![
+            Step::Projection {
+                input: v("input"),
+                exprs: self.projection(1, 2),
+                output: v("p"),
+            },
+            Step::Projection {
+                input: v("input"),
+                exprs: self.projection(1, 2),
+                output: v("q"),
+            },
+            Step::UnionDistinct {
+                inputs: vec![v("p"), v("q")],
+                key: None,
+                output: v("output"),
+            },
+        ];
+        if sinks {
+            body.insert(
+                1,
+                Step::DbInsert {
+                    db: v("db"),
+                    table: v("sink"),
+                    input: v("input"),
+                    mode: LoadMode::Insert,
+                },
+            );
+        }
+        let process = ProcessDef::new("LOAD", "generated loader", 'D', EventType::Timed, body);
+        Step::Subprocess {
+            process: Arc::new(process),
+            input: Some(v(input)),
+            output: Some(self.bind(binds)),
         }
     }
 }
@@ -730,17 +826,62 @@ fn a_planted_early_custom_move_is_caught() {
     assert!(caught.contains("unbound process variable xml"), "{caught}");
 }
 
+/// The comparison catches ids bound over the wrong relation: a SELECTION
+/// over a relation the observer reads again keeps ids over it, and ids
+/// planted over another variable's relation bind other rows.
+#[test]
+fn a_planted_selection_over_another_relation_is_caught() {
+    let observed = Observed::default();
+    let mut steps = prologue(false);
+    steps.extend([
+        Step::Selection {
+            input: v("a"),
+            predicate: Expr::col(0).gt(Expr::lit(1)),
+            output: v("s"),
+        },
+        observer(vec![v("a"), v("s")], &observed),
+    ]);
+    let def = ProcessDef::new("PLANTED", "planted", 'D', EventType::Timed, steps);
+    validate(&def).unwrap();
+    let selection = &def.steps[def.steps.len() - 2];
+    let deployed = Deployment::of(&def);
+    assert!(!deployed.takes(selection, "a"), "read later: never taken");
+    runs_agree(&def, &deployed, &observed).unwrap();
+    let planted = Deployment::of(&def).rebasing(selection, "b");
+    let caught = runs_agree(&def, &planted, &observed).unwrap_err();
+    assert!(
+        !caught.contains("Err("),
+        "both runs end, with other rows: {caught}"
+    );
+}
+
 /// The generator reaches what it is for: in the first cases' graphs every
-/// fused pair kind and every move occurs, and graphs validate.
+/// fused pair kind and every move occurs, a SELECTION keeps ids over a
+/// shared relation at the top level, in a FORK branch and for a
+/// SUBPROCESS's input, and graphs validate.
 #[test]
 fn generated_graphs_fuse_every_pair_kind() {
     use crate::process::Nested;
-    /// Fused pairs by kind, and whether a `CUSTOM` edit took its input.
-    type Seen = (Vec<(&'static str, &'static str)>, Vec<bool>);
-    fn walk(steps: &[Step], table: &Deployment, seen: &mut Seen) {
+    /// Fused pairs by kind, whether a `CUSTOM` edit took its input, and
+    /// where a SELECTION kept ids over a relation it could not take.
+    type Seen = (
+        Vec<(&'static str, &'static str)>,
+        Vec<bool>,
+        Vec<&'static str>,
+    );
+    fn walk(steps: &[Step], table: &Deployment, seen: &mut Seen, at: &'static str) {
         for (step, next) in steps.iter().zip(steps.iter().skip(1)) {
             if table.fuses(step) {
                 seen.0.push((step.kind().0, next.kind().0));
+            }
+            if let Step::Selection { input, output, .. } = step {
+                let picks = !table.fuses(step) && !table.takes(step, input);
+                let handed = matches!(next, Step::Subprocess { input: Some(i), .. } if i == output);
+                match (picks, handed) {
+                    (true, true) => seen.2.push("subprocess input"),
+                    (true, false) => seen.2.push(at),
+                    _ => {}
+                }
             }
         }
         for step in steps {
@@ -750,12 +891,17 @@ fn generated_graphs_fuse_every_pair_kind() {
                 }
             }
             match step.facts().nested {
-                Some(Nested::Alternatives(lists) | Nested::Parallel(lists)) => {
+                Some(Nested::Alternatives(lists)) => {
                     for (_, list) in lists {
-                        walk(list, table, seen);
+                        walk(list, table, seen, "nested");
                     }
                 }
-                Some(Nested::Call(process)) => walk(&process.steps, table, seen),
+                Some(Nested::Parallel(lists)) => {
+                    for (_, list) in lists {
+                        walk(list, table, seen, "fork branch");
+                    }
+                }
+                Some(Nested::Call(process)) => walk(&process.steps, table, seen, "nested"),
                 None => {}
             }
         }
@@ -775,11 +921,14 @@ fn generated_graphs_fuse_every_pair_kind() {
         let def = graph(&picks, &Observed::default());
         if validate(&def).is_ok() {
             valid += 1;
-            walk(&def.steps, &Deployment::of(&def), &mut seen);
+            walk(&def.steps, &Deployment::of(&def), &mut seen, "top level");
         }
     }
     assert!(valid > 128, "{valid} of 256 graphs validate");
-    let (fused, edits) = seen;
+    let (fused, edits, picked) = seen;
+    for at in ["top level", "fork branch", "subprocess input"] {
+        assert!(picked.contains(&at), "no selection kept ids at {at}");
+    }
     assert!(edits.contains(&true), "no edit was moved its input");
     assert!(edits.contains(&false), "no edit shared its input");
     for pair in [
@@ -824,14 +973,14 @@ fn a_join_takes_no_plan_from_the_step_before_it() {
     runs_agree(&def, &Deployment::of(&def), &observed).unwrap();
 
     let no_tables = Database::new("values");
-    let values = |seed| Plan::Values(Arc::new(relation(seed)));
+    let values = |seed| Plan::Values(relation(seed).into());
     let union = Plan::UnionDistinct {
         inputs: vec![values(1)],
         key: Some(vec![0]),
     };
     let join = |left: Plan| left.hash_join(values(2), vec![0], vec![0]).run(&no_tables);
     let as_plan = join(union.clone()).unwrap();
-    let as_rows = join(Plan::Values(Arc::new(union.run(&no_tables).unwrap()))).unwrap();
+    let as_rows = join(Plan::Values(union.run(&no_tables).unwrap().into())).unwrap();
     assert_ne!(as_plan.rows, as_rows.rows, "the build side flipped");
     let sorted = |mut rows: Vec<Row>| {
         rows.sort_by_key(|r| format!("{r:?}"));

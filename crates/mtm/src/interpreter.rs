@@ -45,6 +45,15 @@
 //! messages it is handed (the rest it is handed as shared clones), so a
 //! custom edit of a document nothing else reads — P04's enrichment —
 //! happens in place.
+//!
+//! A `SELECTION` that neither takes its input nor is fused shares its
+//! input's rows: it runs its filter on the executor and binds the ids of
+//! the rows that pass over the input's relation ([`MtmMessage::Picked`]).
+//! The steps after it read those rows in place through their `Values`
+//! leaves; P14's loaders project their narrow rows straight from the
+//! shared `sales` relation. Whoever needs owned rows copies the picked
+//! ones, once: a `DB_INSERT`, and a `RelToXml` or `CUSTOM` reading them
+//! through `as_rel`.
 
 use crate::context::VarStore;
 use crate::cost::{run_branches, CostCategory, InstanceCosts};
@@ -59,7 +68,7 @@ use dip_xmlkit::sax::{self, EventSource, Sink};
 use dip_xmlkit::stx::Stylesheet;
 use dip_xmlkit::XmlResult;
 use std::collections::HashSet;
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
 /// What a step that waited for no external system adds to its own time.
@@ -150,20 +159,20 @@ impl<'a> Interpreter<'a> {
         last: &Deployment,
         step: &Step,
         name: &str,
-    ) -> Option<Arc<Relation>> {
-        match vars.get(name)? {
-            MtmMessage::Rel(rel) if Arc::strong_count(rel) == 1 && last.takes(step, name) => {}
-            _ => return None,
-        }
-        match vars.take(name)? {
-            MtmMessage::Rel(rel) => Some(rel),
-            _ => None,
-        }
+    ) -> Option<MtmMessage> {
+        Self::reads_unshared_last(vars, last, step, name)
+            .then(|| vars.take(name))
+            .flatten()
+    }
+
+    /// Whether `step` reads `name` last and no other binding shares it.
+    fn reads_unshared_last(vars: &VarStore, last: &Deployment, step: &Step, name: &str) -> bool {
+        vars.get(name).is_some_and(MtmMessage::unshared) && last.takes(step, name)
     }
 
     /// The plan a relational step reads as `name`: the plan the step
-    /// before it handed on as `name`, or a `Values` leaf over the relation
-    /// bound to it — the one [`Self::take_last`] took, freed with the
+    /// before it handed on as `name`, or a `Values` leaf over the rows
+    /// bound to it — the ones [`Self::take_last`] took, freed with the
     /// step's plan, or the binding's, shared.
     fn values(
         vars: &mut VarStore,
@@ -179,11 +188,11 @@ impl<'a> Interpreter<'a> {
         {
             return Ok(plan);
         }
-        let rel = match Self::take_last(vars, last, step, name) {
-            Some(rel) => rel,
-            None => Self::get(vars, name)?.shared_rel()?.clone(),
+        let view = match Self::take_last(vars, last, step, name) {
+            Some(taken) => taken.view()?,
+            None => Self::get(vars, name)?.view()?,
         };
-        Ok(Plan::Values(rel))
+        Ok(Plan::Values(view))
     }
 
     /// Finish a relational step: hand its plan to the next step when the
@@ -414,9 +423,22 @@ impl<'a> Interpreter<'a> {
                 predicate,
                 output,
             } => {
-                let input = Self::values(vars, last, step, input, &mut handoff)?;
-                let plan = input.filter(predicate.clone());
-                next = Self::bind_plan(vars, last, step, plan, output)?;
+                // over rows another binding still reads, keep the ids of
+                // the rows that pass instead of copying them
+                let planned = handoff.as_ref().is_some_and(|h| h.var == input)
+                    || last.fuses(step)
+                    || Self::reads_unshared_last(vars, last, step, input);
+                if planned {
+                    let input = Self::values(vars, last, step, input, &mut handoff)?;
+                    let plan = input.filter(predicate.clone());
+                    next = Self::bind_plan(vars, last, step, plan, output)?;
+                } else {
+                    let view = Self::get(vars, input)?.view()?;
+                    let picked = execute_selection(view, predicate.clone(), &NO_TABLES)?;
+                    #[cfg(test)]
+                    let picked = last.rebased(step, vars, picked);
+                    vars.set(output.clone(), MtmMessage::picked(picked));
+                }
                 charge(LOCAL);
             }
             Step::Projection {
@@ -510,7 +532,7 @@ impl<'a> Interpreter<'a> {
                 let mut sub_vars = VarStore::new();
                 if let Some(in_var) = input {
                     let v = match Self::take_last(vars, last, step, in_var) {
-                        Some(rel) => MtmMessage::Rel(rel),
+                        Some(taken) => taken,
                         None => Self::get(vars, in_var)?.clone(),
                     };
                     sub_vars.set("input", v);
@@ -566,7 +588,7 @@ impl<'a> Interpreter<'a> {
                     Err(_) => Value::str(text),
                 })
             }
-            MtmMessage::Rel(_) => Err(MtmError::Custom(
+            MtmMessage::Rel(_) | MtmMessage::Picked(_) => Err(MtmError::Custom(
                 "SWITCH input must be XML or scalar".into(),
             )),
         }
@@ -647,6 +669,10 @@ impl EventSource for XmlSource<'_> {
 pub(crate) struct Deployment {
     last: Vec<(usize, String)>,
     fused: Vec<usize>,
+    /// Planted by a test: SELECTIONs that bind their ids over another
+    /// variable's relation.
+    #[cfg(test)]
+    rebased: Vec<(usize, String)>,
 }
 
 impl Deployment {
@@ -676,6 +702,27 @@ impl Deployment {
         self.last.push((address(step), var.to_string()));
         self.last.sort_unstable();
         self
+    }
+
+    /// This table with `step`, a SELECTION over a shared input, binding
+    /// the ids it picked over the relation bound to `var`.
+    #[cfg(test)]
+    pub(crate) fn rebasing(mut self, step: &Step, var: &str) -> Deployment {
+        self.rebased.push((address(step), var.to_string()));
+        self
+    }
+
+    /// `picked` as `step` binds it: over the relation a test planted.
+    #[cfg(test)]
+    fn rebased(&self, step: &Step, vars: &VarStore, picked: View) -> View {
+        let planted = self.rebased.iter().find(|(at, _)| *at == address(step));
+        match planted.and_then(|(_, var)| vars.get(var)?.view().ok()) {
+            Some(other) => View {
+                base: other.base,
+                ..picked
+            },
+            None => picked,
+        }
     }
 
     pub(crate) fn takes(&self, step: &Step, var: &str) -> bool {
@@ -778,9 +825,11 @@ fn read_later<'a>(
 /// It reads no table, so every step runs it against one empty database; a
 /// taken input is freed with the plan, inside the step.
 fn run_values(plan: Plan) -> MtmResult<Relation> {
-    static NO_TABLES: LazyLock<Database> = LazyLock::new(|| Database::new("values"));
     Ok(plan.run(&NO_TABLES)?)
 }
+
+/// The one empty database every step's plan runs against.
+static NO_TABLES: LazyLock<Database> = LazyLock::new(|| Database::new("values"));
 
 #[cfg(test)]
 mod tests {

@@ -14,17 +14,35 @@
 //! a relational step frees its input as it ends and a SUBPROCESS hands it
 //! to the callee, when nothing else shares it; a `DbInsert` moves the rows
 //! into the target table, copying them while another binding shares them.
-
+//!
+//! A SELECTION whose input another binding shares (P14's three FORK
+//! branches all select from `sales`) copies nothing: it binds a
+//! [`MtmMessage::Picked`], the shared relation plus the ids of the rows it
+//! kept, and a relational step reads those rows in place through its
+//! `Values` leaf. A reader that needs an owned relation copies the picked
+//! rows once: a `DbInsert` its rows, and `as_rel` (`RelToXml`, a `CUSTOM`
+//! check) a relation it keeps beside the view for later readers.
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::Document;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A value bound to a process variable. Cloning shares the payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum MtmMessage {
     Xml(Arc<Document>),
     Rel(Arc<Relation>),
+    /// A selection's rows over a relation another binding shares.
+    Picked(Arc<Picked>),
     Scalar(Value),
+}
+
+/// The rows a SELECTION kept, read in place from the relation it read,
+/// and the copy [`MtmMessage::as_rel`] makes of them, once, when a reader
+/// asks for a `&Relation`.
+#[derive(Debug)]
+pub struct Picked {
+    view: View,
+    copy: OnceLock<Relation>,
 }
 
 impl MtmMessage {
@@ -44,16 +62,37 @@ impl MtmMessage {
         }
     }
 
+    /// The relation; picked rows are copied into one the first time.
     pub fn as_rel(&self) -> Result<&Relation, MtmTypeError> {
-        self.shared_rel().map(|rel| &**rel)
-    }
-
-    /// The relation behind its `Arc`: a clone of it (what a `Plan::Values`
-    /// holds) shares the payload.
-    pub(crate) fn shared_rel(&self) -> Result<&Arc<Relation>, MtmTypeError> {
         match self {
             MtmMessage::Rel(r) => Ok(r),
+            MtmMessage::Picked(p) => Ok(p.copy.get_or_init(|| p.view.clone().into_relation())),
             other => Err(MtmTypeError::expected("relation", other)),
+        }
+    }
+
+    /// The relation's rows as a view (what a `Plan::Values` holds): the
+    /// payload shared, no row copied.
+    pub(crate) fn view(&self) -> Result<View, MtmTypeError> {
+        match self {
+            MtmMessage::Rel(r) => Ok(View::from(r.clone())),
+            MtmMessage::Picked(p) => Ok(p.view.clone()),
+            other => Err(MtmTypeError::expected("relation", other)),
+        }
+    }
+
+    /// Bind the rows `view` picks.
+    pub(crate) fn picked(view: View) -> MtmMessage {
+        let copy = OnceLock::new();
+        MtmMessage::Picked(Arc::new(Picked { view, copy }))
+    }
+
+    /// Whether this binding is the payload's only one.
+    pub(crate) fn unshared(&self) -> bool {
+        match self {
+            MtmMessage::Rel(r) => Arc::strong_count(r) == 1,
+            MtmMessage::Picked(p) => Arc::strong_count(p) == 1,
+            _ => false,
         }
     }
 
@@ -61,9 +100,14 @@ impl MtmMessage {
     /// only one, copied when another still shares it.
     pub(crate) fn into_rows(self) -> Result<Vec<Row>, MtmTypeError> {
         match self {
-            MtmMessage::Rel(rel) => {
-                Ok(Arc::try_unwrap(rel).map_or_else(|shared| shared.rows.clone(), |rel| rel.rows))
+            MtmMessage::Rel(rel) => Ok(View::from(rel).into_relation().rows),
+            MtmMessage::Picked(p) => Ok(match Arc::try_unwrap(p) {
+                Ok(Picked { view, copy }) => {
+                    copy.into_inner().unwrap_or_else(|| view.into_relation())
+                }
+                Err(shared) => shared.view.clone().into_relation(),
             }
+            .rows),
             other => Err(MtmTypeError::expected("relation", &other)),
         }
     }
@@ -78,8 +122,20 @@ impl MtmMessage {
     pub fn kind(&self) -> &'static str {
         match self {
             MtmMessage::Xml(_) => "XML",
-            MtmMessage::Rel(_) => "relation",
+            MtmMessage::Rel(_) | MtmMessage::Picked(_) => "relation",
             MtmMessage::Scalar(_) => "scalar",
+        }
+    }
+}
+
+/// A relation and picked rows are equal when they hold the same rows under
+/// the same schema, however each holds them.
+impl PartialEq for MtmMessage {
+    fn eq(&self, other: &MtmMessage) -> bool {
+        match (self, other) {
+            (MtmMessage::Xml(a), MtmMessage::Xml(b)) => a == b,
+            (MtmMessage::Scalar(a), MtmMessage::Scalar(b)) => a == b,
+            (a, b) => matches!((a.view(), b.view()), (Ok(a), Ok(b)) if a == b),
         }
     }
 }

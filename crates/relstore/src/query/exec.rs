@@ -26,9 +26,10 @@
 
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
+use crate::expr::Expr;
 use crate::index::key_of;
 use crate::query::plan::{AggOp, Plan};
-use crate::row::{Relation, Row};
+use crate::row::{Relation, Row, View};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -78,15 +79,37 @@ pub(crate) fn index_join_equivalent(
         .hash_join(Plan::scan(table), probe_keys.to_vec(), inner_keys.to_vec())
 }
 
-/// A [`Plan::Values`] leaf's relation, checked before either path reads a
-/// row: a row narrower or wider than the schema is [`StoreError::Invalid`].
-pub(crate) fn checked_values(rel: &Relation) -> StoreResult<&Relation> {
-    let width = rel.schema.len();
-    if let Some(i) = rel.rows.iter().position(|r| r.len() != width) {
-        let msg = format!("values row {i} is not {width} columns wide");
-        return Err(StoreError::Invalid(msg));
+/// A [`Plan::Values`] leaf's view, checked before either path reads a
+/// row: a row narrower or wider than the schema, or an id past the
+/// relation's rows, is [`StoreError::Invalid`].
+pub(crate) fn checked_values(view: &View) -> StoreResult<&View> {
+    let width = view.schema().len();
+    let rows = &view.base.rows;
+    let wrong = |row: Option<&Row>| row.is_none_or(|r| r.len() != width);
+    let bad = match &view.ids {
+        None => rows.iter().position(|r| wrong(Some(r))),
+        Some(ids) => ids.iter().position(|&id| wrong(rows.get(id as usize))),
+    };
+    match bad {
+        Some(i) => Err(StoreError::Invalid(format!(
+            "values row {i} is not {width} columns wide"
+        ))),
+        None => Ok(view),
     }
-    Ok(rel)
+}
+
+/// Run `Filter(Values(view))` through the batch executor as [`execute`]
+/// runs it, keeping the filter's selection vector instead of copying the
+/// rows: the kept rows as a view over `view`'s relation.
+pub fn execute_selection(view: View, predicate: Expr, db: &Database) -> StoreResult<View> {
+    let base = view.base.clone();
+    let plan = Plan::Values(view).filter(predicate);
+    let optimized = crate::query::planner::optimize(plan, db)?;
+    let ids = super::batch::selected_ids(&optimized, db)?;
+    Ok(View {
+        base,
+        ids: Some(ids.into()),
+    })
 }
 
 /// Execute `plan` as written through the naive materializing interpreter —
@@ -125,7 +148,7 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 },
             }
         }
-        Plan::Values(rel) => Ok(Relation::clone(checked_values(rel)?)),
+        Plan::Values(view) => Ok(checked_values(view)?.clone().into_relation()),
         Plan::Filter { input, predicate } => {
             let rel = oracle(input, db)?;
             let mut rows = Vec::new();

@@ -7,7 +7,7 @@ pub mod exec;
 pub mod plan;
 pub mod planner;
 
-pub use exec::{execute, execute_oracle};
+pub use exec::{execute, execute_oracle, execute_selection};
 pub use plan::{AggExpr, AggOp, Plan, ProjExpr};
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A row is a plain vector of values, positionally matching a schema.
 pub type Row = Vec<Value>;
@@ -90,6 +91,73 @@ impl Relation {
             out.push_str(&format!("… {} more rows\n", self.rows.len() - max_rows));
         }
         out
+    }
+}
+
+/// Rows of a shared relation, read in place: all of `base`'s rows, or
+/// the rows at `ids`, in that order — what a selection over a relation
+/// it cannot take keeps (the executor's selection vector) instead of
+/// copying the rows. A [`crate::query::Plan::Values`] leaf reads one.
+/// Cloning shares both the relation and the ids.
+#[derive(Debug, Clone)]
+pub struct View {
+    pub base: Arc<Relation>,
+    /// Positions in `base.rows`; `None` is every row.
+    pub ids: Option<Arc<[u32]>>,
+}
+
+impl View {
+    pub fn schema(&self) -> &SchemaRef {
+        &self.base.schema
+    }
+
+    pub fn len(&self) -> usize {
+        self.ids.as_ref().map_or(self.base.len(), |ids| ids.len())
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows, in order. An id outside `base` is skipped; a plan checks
+    /// its leaf's ids before it reads a row.
+    pub fn rows(&self) -> impl Iterator<Item = &Row> {
+        (0..self.len()).filter_map(|k| {
+            let id = match &self.ids {
+                Some(ids) => *ids.get(k)? as usize,
+                None => k,
+            };
+            self.base.rows.get(id)
+        })
+    }
+
+    /// The rows as an owned relation: moved out when this view is every
+    /// row of a relation nothing else shares, copied otherwise.
+    pub fn into_relation(self) -> Relation {
+        match self.ids {
+            None => Arc::try_unwrap(self.base).unwrap_or_else(|shared| Relation::clone(&shared)),
+            Some(_) => Relation::new(self.base.schema.clone(), self.rows().cloned().collect()),
+        }
+    }
+}
+
+impl From<Arc<Relation>> for View {
+    fn from(base: Arc<Relation>) -> View {
+        View { base, ids: None }
+    }
+}
+
+impl From<Relation> for View {
+    fn from(rel: Relation) -> View {
+        Arc::new(rel).into()
+    }
+}
+
+/// Two views are equal when they hold the same rows under the same
+/// schema, whatever relation or ids they read them through.
+impl PartialEq for View {
+    fn eq(&self, other: &View) -> bool {
+        self.schema() == other.schema() && self.len() == other.len() && self.rows().eq(other.rows())
     }
 }
 

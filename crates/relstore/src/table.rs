@@ -687,20 +687,35 @@ impl Table {
         if let Some(c) = (projection.into_iter().flatten()).find(|&&c| c >= width) {
             return Err(StoreError::Eval(format!("column index {c} out of range")));
         }
-        let session = self.rows();
-        let slots = session.slots();
         let mut rows = Vec::new();
-        session.matching(Some(pred), usize::MAX, &mut |ids| {
-            let live = (ids.iter()).filter_map(|&id| slots.get(id as usize)?.as_ref());
-            rows.extend(live.map(|row| match projection {
+        self.for_each_where(pred, |row| {
+            rows.push(match projection {
                 Some(p) => p.iter().filter_map(|&i| row.get(i).cloned()).collect(),
                 None => row.clone(),
-            }));
+            });
             Ok(())
         })?;
         let schema =
             projection.map_or_else(|| self.schema.clone(), |p| self.schema.project(p).shared());
         Ok(Relation::new(schema, rows))
+    }
+
+    /// Visit the live rows matching `pred` in place, in [`Table::scan_where`]'s
+    /// order and through the same index, under one read lock: do not
+    /// write this table from `f`.
+    pub fn for_each_where(
+        &self,
+        pred: &Expr,
+        mut f: impl FnMut(&Row) -> StoreResult<()>,
+    ) -> StoreResult<()> {
+        let session = self.rows();
+        let slots = session.slots();
+        session.matching(Some(pred), usize::MAX, &mut |ids| {
+            for row in (ids.iter()).filter_map(|&id| slots.get(id as usize)?.as_ref()) {
+                f(row)?;
+            }
+            Ok(())
+        })
     }
 
     /// Open a read session over the table's row slots (see [`TableRows`]).
@@ -742,6 +757,17 @@ impl Table {
 
     /// Point lookup by primary key.
     pub fn get_by_pk(&self, key: &[Value]) -> Option<Row> {
+        self.by_pk(key, Row::clone)
+    }
+
+    /// Whether a live row has primary key `key`: [`Table::get_by_pk`]
+    /// without the copy.
+    pub fn contains_key(&self, key: &[Value]) -> bool {
+        self.by_pk(key, |_| ()).is_some()
+    }
+
+    /// `read` of the live row with primary key `key`, under the read lock.
+    fn by_pk<T>(&self, key: &[Value], read: impl FnOnce(&Row) -> T) -> Option<T> {
         let inner = self.inner.read();
         let pk = inner.primary.as_ref()?;
         if key.len() != pk.columns.len() {
@@ -749,7 +775,7 @@ impl Table {
         }
         let at = |i: usize| key.get(i);
         let mut hits = pk.matches(&inner.slots, pk.hash_with(at)?, at);
-        hits.next().map(|(_, row)| row.clone())
+        hits.next().map(|(_, row)| read(row))
     }
 
     /// Visit every live row without materializing the table.
