@@ -22,6 +22,7 @@
 //! `Values` leaf. A reader that needs an owned relation copies the picked
 //! rows once: a `DbInsert` its rows, and `as_rel` (`RelToXml`, a `CUSTOM`
 //! check) a relation it keeps beside the view for later readers.
+
 use dip_relstore::prelude::*;
 use dip_xmlkit::node::Document;
 use std::sync::{Arc, OnceLock};

@@ -784,6 +784,57 @@ mod tests {
         }
     }
 
+    /// A selection over a view keeps the positions of the rows that pass
+    /// in the view's relation, across chunk boundaries and over positions
+    /// picked before: read back, they are the filter's output, and a plan
+    /// reads them as a `Values` leaf would read those rows. A position past
+    /// the relation is invalid on both paths.
+    #[test]
+    fn a_selection_over_a_view_keeps_positions_in_its_relation() {
+        let db = db();
+        let schema = RelSchema::of(&[("a", SqlType::Int), ("b", SqlType::Int)]).shared();
+        let rows = (0..2500).map(|i| vec![int(i), int(i % 7)]);
+        let rel = Arc::new(Relation::new(schema, rows.collect()));
+        let (sevens, high) = (
+            Expr::col(1).eq(Expr::lit(3)),
+            Expr::col(0).gt(Expr::lit(1000)),
+        );
+        let filtered = |p: Plan| p.run(&db).unwrap().rows;
+        let first = execute_selection(rel.clone().into(), sevens.clone(), &db).unwrap();
+        assert!(Arc::ptr_eq(&first.base, &rel), "no copy of the relation");
+        let all = Plan::Values(rel.clone().into()).filter(sevens);
+        assert_eq!(
+            first.rows().cloned().collect::<Vec<_>>(),
+            filtered(all.clone())
+        );
+        let second = execute_selection(first, high.clone(), &db).unwrap();
+        let both = all.filter(high);
+        assert_eq!(
+            second.rows().cloned().collect::<Vec<_>>(),
+            filtered(both.clone())
+        );
+        let doubled = |input: Plan| {
+            let twice = Expr::Apply(
+                Arc::new(|a: &[Value]| Ok(int(a[0].to_int().unwrap_or(0) * 2))),
+                vec![Expr::col(0)],
+            );
+            input.project(vec![ProjExpr::new(twice, "a2", SqlType::Int)])
+        };
+        let read = doubled(Plan::Values(second));
+        assert_eq!(filtered(read.clone()), filtered(doubled(both)));
+        assert_eq!(read.run(&db), read.run_oracle(&db));
+        let past = Plan::Values(crate::row::View {
+            base: rel,
+            ids: Some(vec![0, 2500].into()),
+        });
+        let executed = execute(&past, &db);
+        assert!(
+            matches!(&executed, Err(crate::error::StoreError::Invalid(_))),
+            "{executed:?}"
+        );
+        assert_eq!(executed, execute_oracle(&past, &db));
+    }
+
     /// Scans read their table's slots in place, chunk by chunk: over 2 500
     /// rows with every 7th deleted (three chunks of live rows between
     /// tombstones) a bare scan, a projected scan, primary-key equality (an
