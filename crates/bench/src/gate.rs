@@ -1,15 +1,15 @@
 //! The robustness gates as data plus one interpreter: one [`Fingerprint`]
-//! of what a run durably produced, one [`run_cell`] that produces it under
-//! any [`Load`], one [`judge`] per [`Check`], and the declared [`GATES`]
-//! table that `dipbench gate`, the exploratory `faults`/`crash`/`overload`
-//! commands and the integration tests all walk.
+//! of what a run durably produced, one [`run_cell`] that produces it for
+//! any config — a cell's faults, crash point and arrival model are all
+//! fields of its [`BenchConfig`] — one [`judge`] per [`Check`], and the
+//! declared [`GATES`] table that `dipbench gate`, the exploratory
+//! `faults`/`crash`/`overload` commands and the integration tests all walk.
 
 use crate::{build_system, EngineKind};
 use dip_relstore::error::StoreResult;
-use dipbench::overload::{run_overload, OverloadOptions, OverloadStats};
+use dipbench::client;
 use dipbench::prelude::*;
-use dipbench::recovery;
-use dipbench::verify::{verify_outcome, VerificationReport};
+use dipbench::verify::VerificationReport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -102,85 +102,28 @@ impl Fingerprint {
     }
 }
 
-/// How a cell drives the system under test.
-#[derive(Debug, Clone)]
-pub enum Load {
-    /// The closed-loop benchmark as the client paces it.
-    Closed,
-    /// Closed loop, killed at the materialization step the cell's config
-    /// plans (`faults.crash`) and recovered from the checkpoint + journal.
-    Crash,
-    /// Open-loop arrivals against bounded queues.
-    Open(OverloadOptions),
-}
-
-/// What only one kind of [`Load`] reports.
-#[derive(Debug, Clone, Copy)]
-pub enum Detail {
-    Closed,
-    /// `tripped` is false once the step ordinal walks past the instance's
-    /// last materialization step — the sweep's termination signal.
-    Crash {
-        tripped: bool,
-    },
-    Open(OverloadStats),
-}
-
-/// One executed cell: the comparable fingerprint plus what the exploratory
-/// commands print.
+/// One executed cell: the comparable fingerprint plus the run the
+/// exploratory commands print.
 pub struct CellRun {
     pub fingerprint: Fingerprint,
-    pub outcome: RunOutcome,
-    pub verification: VerificationReport,
-    pub detail: Detail,
-}
-
-/// Drive the load; the counters are [`run_cell`]'s to fill in.
-fn execute(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<CellRun> {
-    let cell = |outcome: RunOutcome, verification: VerificationReport, digests, detail| CellRun {
-        fingerprint: Fingerprint::of(&outcome, &verification, digests),
-        outcome,
-        verification,
-        detail,
-    };
-    if matches!(load, Load::Crash) {
-        let make = |env: &BenchEnvironment| build_system(kind, env);
-        let run = recovery::run_with_crash(config, &make)?;
-        let detail = Detail::Crash {
-            tripped: run.tripped,
-        };
-        return Ok(cell(run.outcome, run.verification, run.digests, detail));
-    }
-    let env = BenchEnvironment::new(config)?;
-    let system = build_system(kind, &env);
-    let (outcome, detail) = match load {
-        Load::Open(opts) => {
-            let run = run_overload(&env, system, opts)?;
-            (run.outcome, Detail::Open(run.stats))
-        }
-        _ => (Client::new(&env, system)?.run()?, Detail::Closed),
-    };
-    let verification = verify_outcome(&env, &outcome)?;
-    Ok(cell(
-        outcome,
-        verification,
-        digest_tables(&env.world)?,
-        detail,
-    ))
+    pub run: Run,
 }
 
 /// Run one cell with counter tracing on. The cell's trace collector is
 /// this thread's, so cells on other threads count apart from it.
-pub fn run_cell(kind: EngineKind, config: BenchConfig, load: &Load) -> StoreResult<CellRun> {
+pub fn run_cell(kind: EngineKind, config: BenchConfig) -> StoreResult<CellRun> {
     dip_trace::enable();
-    let executed = execute(kind, config, load);
+    let run = client::run(config, &|env| build_system(kind, env));
     let _ = dip_trace::drain();
     let mut counters = dip_trace::drain_counters();
     dip_trace::disable();
     counters.sort();
-    let mut run = executed?;
-    run.fingerprint.counters = counters;
-    Ok(run)
+    let run = run?;
+    let fingerprint = Fingerprint {
+        counters,
+        ..Fingerprint::of(&run.outcome, &run.verification, run.digests.clone())
+    };
+    Ok(CellRun { fingerprint, run })
 }
 
 /// The process types the crash sweep kills, one per group of Fig. 9's
@@ -214,9 +157,9 @@ pub fn crash_sweep(
         abort: Some(CrashPlan::at("P04", period, 0, 2)),
         ..config.faults
     });
-    let reference = run_cell(kind, workload, &Load::Closed).map_err(|e| e.to_string())?;
+    let reference = run_cell(kind, workload).map_err(|e| e.to_string())?;
     if !reference.fingerprint.verified {
-        let report = reference.verification;
+        let report = reference.run.verification;
         return Err(format!("reference run failed verification:\n{report}"));
     }
     let mut fps = vec![reference.fingerprint];
@@ -230,12 +173,11 @@ pub fn crash_sweep(
                 seq,
                 step,
             };
-            let (cell_config, load) = crash_cell(crashed, &target);
-            let cell = run_cell(kind, cell_config, &load);
+            let cell = run_cell(kind, crash_cell(crashed, &target));
             on_cell(&target, &fps[0], &cell);
             match cell {
-                Ok(run) if matches!(run.detail, Detail::Crash { tripped: false }) => break,
-                Ok(run) => fps.push(run.fingerprint),
+                Ok(cell) if !cell.run.tripped => break,
+                Ok(cell) => fps.push(cell.fingerprint),
                 // leaked partial writes can make the replay itself blow
                 // up (duplicate keys): equal to no reference, so diverged
                 Err(e) => fps.push(Fingerprint::failed(e.to_string())),
@@ -248,25 +190,29 @@ pub fn crash_sweep(
     Ok(fps)
 }
 
-/// The configuration and load of one crash cell: `base`, killed at
-/// `target` and recovered.
-pub fn crash_cell(mut base: BenchConfig, target: &CrashTarget) -> (BenchConfig, Load) {
+/// The configuration of one crash cell: `base`, killed at `target` and
+/// recovered.
+pub fn crash_cell(mut base: BenchConfig, target: &CrashTarget) -> BenchConfig {
     base.faults.crash = Some(target.plan());
-    (base, Load::Crash)
+    base
 }
 
-/// The configuration and load of one open-loop cell: `f`-skewed arrivals
-/// at `rate` × the schedule's average against queues that hold at most
-/// `capacity` waiting messages per process type.
+/// The configuration of one open-loop cell: `base` with `f`-skewed
+/// arrivals at `rate` × the schedule's average against queues that hold
+/// at most `capacity` waiting messages per process type.
 pub fn overload_cell(
     base: BenchConfig,
     f: Distribution,
     rate: f64,
     capacity: usize,
-) -> (BenchConfig, Load) {
+) -> BenchConfig {
     let scale = ScaleFactors::new(base.scale.datasize, base.scale.time, f);
-    let config = BenchConfig { scale, ..base };
-    (config, Load::Open(OverloadOptions { rate, capacity }))
+    let arrivals = Some(OverloadOptions { rate, capacity });
+    BenchConfig {
+        scale,
+        arrivals,
+        ..base
+    }
 }
 
 /// How a gate row's cells are compared.
@@ -424,7 +370,7 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
         .with_seed(gate.seed)
         .with_workers(gate.workers);
     let repeats = if gate.check == SameSeedTwice { 2 } else { 1 };
-    let mut cells: Vec<(BenchConfig, Load)> = Vec::new();
+    let mut cells: Vec<BenchConfig> = Vec::new();
     match gate.cells {
         CrashSweep { rollback } => {
             let fps = crash_sweep(
@@ -438,10 +384,10 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
             )?;
             return Ok(judge(gate.check, &fps));
         }
-        Drop(rate) => cells.push((base.with_faults(FaultPlan::drops(rate)), Load::Closed)),
+        Drop(rate) => cells.push(base.with_faults(FaultPlan::drops(rate))),
         Workers(counts) => {
             let counts = std::iter::once(&gate.workers).chain(counts);
-            let cell = |&w| (base.with_periods(3).with_workers(w), Load::Closed);
+            let cell = |&w| base.with_periods(3).with_workers(w);
             cells.extend(counts.map(cell));
         }
         Overload { rates, capacity } => {
@@ -450,15 +396,14 @@ pub fn run_gate(gate: &Gate) -> Result<Verdict, String> {
         }
     }
     let mut fps = Vec::new();
-    for (config, load) in &cells {
+    for config in cells {
         for _ in 0..repeats {
-            let run = run_cell(kind, *config, load).map_err(|e| e.to_string())?;
-            if let (Detail::Open(stats), Load::Open(opts)) = (run.detail, load) {
-                if stats.max_depth > opts.capacity as u64 {
-                    return Err(format!("queue depth {} broke the bound", stats.max_depth));
-                }
+            let cell = run_cell(kind, config).map_err(|e| e.to_string())?;
+            let depth = cell.run.stats.max_depth;
+            if config.arrivals.is_some_and(|a| depth > a.capacity as u64) {
+                return Err(format!("queue depth {depth} broke the bound"));
             }
-            fps.push(run.fingerprint);
+            fps.push(cell.fingerprint);
         }
     }
     if matches!(gate.cells, Overload { .. }) && fps.iter().all(|f| f.shed() == 0) {

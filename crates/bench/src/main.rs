@@ -10,7 +10,7 @@
 //! [`EngineRegistry`], gate names through [`dip_bench::gate::GATES`].
 
 use dip_bench::cli::{self, Parsed, *};
-use dip_bench::gate::{self, CellRun, Check, Detail, Load};
+use dip_bench::gate::{self, CellRun, Check};
 use dip_bench::{pass_fail, run_experiment, selftime, shape_findings, EngineKind, EngineRegistry};
 use dip_trace::Json;
 use dipbench::prelude::*;
@@ -230,8 +230,8 @@ fn explain(p: &Parsed) {
 
 /// The same cell twice, judged `same-seed-twice`; divergences go to stderr.
 /// A cell that errors ends the exploratory command.
-fn twice(kind: EngineKind, config: BenchConfig, load: &Load) -> (CellRun, gate::Verdict) {
-    let cell = || gate::run_cell(kind, config, load).unwrap_or_else(|e| fail(&e.to_string()));
+fn twice(kind: EngineKind, config: BenchConfig) -> (CellRun, gate::Verdict) {
+    let cell = || gate::run_cell(kind, config).unwrap_or_else(|e| fail(&e.to_string()));
     let (one, two) = (cell(), cell());
     let verdict = gate::judge(
         Check::SameSeedTwice,
@@ -240,14 +240,14 @@ fn twice(kind: EngineKind, config: BenchConfig, load: &Load) -> (CellRun, gate::
     for note in &verdict.notes {
         eprintln!("  [!!] same-seed runs diverged on {}: {note}", kind.tag());
     }
-    for check in one.verification.failed_checks() {
+    for check in one.run.verification.failed_checks() {
         eprintln!("  [!!] {:<40} {}", check.name, check.detail);
     }
     (one, verdict)
 }
 
-fn counter(run: &CellRun, name: &str) -> u64 {
-    let found = run.fingerprint.counters.iter().find(|(k, _)| k == name);
+fn counter(cell: &CellRun, name: &str) -> u64 {
+    let found = cell.fingerprint.counters.iter().find(|(k, _)| k == name);
     found.map_or(0, |(_, n)| *n)
 }
 
@@ -317,23 +317,24 @@ fn faults(p: &Parsed) {
                 ..FaultPlan::NONE
             })
             .with_attempts(attempts);
-        let (run, verdict) = twice(kind, config, &Load::Closed);
+        let (cell, verdict) = twice(kind, config);
         let verified = verdict.verified == verdict.cells;
-        let navg = mean_navg_plus(&run.outcome);
+        let outcome = &cell.run.outcome;
+        let navg = mean_navg_plus(outcome);
         println!(
             "{:<7} {:>8} {:>10} {:>6} {:>8} {:>10.2} {:>9.2}x {:>7} {:>13}",
             rate,
             attempts,
-            delivered_messages(&run.outcome),
-            run.outcome.dead_letters.len(),
-            counter(&run, "resilience.retries"),
+            delivered_messages(outcome),
+            outcome.dead_letters.len(),
+            counter(&cell, "resilience.retries"),
             navg,
             navg / clean_navg.max(1e-9),
             pass_fail(verified),
             if verdict.diverged == 0 { "yes" } else { "NO" }
         );
         if !verified {
-            for f in run.outcome.failures.iter().take(3) {
+            for f in outcome.failures.iter().take(3) {
                 eprintln!(
                     "  [!!] {} period {} seq {}: {}",
                     f.process, f.period, f.seq, f.error
@@ -400,30 +401,30 @@ fn crash(p: &Parsed) {
     );
     println!("process  step  tripped   replayed  ckpt[r]  verify  vs uncrashed reference");
     let instance = (p.get(PERIOD), p.get(SEQ));
-    let mut row = |target: &CrashTarget, reference: &gate::Fingerprint, cell: &_| {
-        print!("{:<8} {:>4} ", target.process, target.step);
-        match cell {
-            Err(e) => println!("{:>8}   recovery error: {e}", "yes"),
-            Ok(CellRun {
-                detail: Detail::Crash { tripped, .. },
-                ..
-            }) if !tripped => println!("{:>8}   (the instance has no such step)", "no"),
-            Ok(run) => {
-                let differs = run.fingerprint.diff(reference, false);
-                let versus = match differs.is_empty() {
-                    true => "same".to_string(),
-                    false => format!("DIFF: {}", differs.join(", ")),
-                };
-                let verify = pass_fail(run.fingerprint.verified);
-                let replayed = counter(run, "recovery.replayed_events");
-                let rows = counter(run, "recovery.checkpoint.rows");
-                println!(
-                    "{:>8} {replayed:>10} {rows:>8} {verify:>7}  {versus}",
-                    "yes"
-                );
+    let mut row =
+        |target: &CrashTarget, reference: &gate::Fingerprint, cell: &Result<CellRun, _>| {
+            print!("{:<8} {:>4} ", target.process, target.step);
+            match cell {
+                Err(e) => println!("{:>8}   recovery error: {e}", "yes"),
+                Ok(cell) if !cell.run.tripped => {
+                    println!("{:>8}   (the instance has no such step)", "no")
+                }
+                Ok(cell) => {
+                    let differs = cell.fingerprint.diff(reference, false);
+                    let versus = match differs.is_empty() {
+                        true => "same".to_string(),
+                        false => format!("DIFF: {}", differs.join(", ")),
+                    };
+                    let verify = pass_fail(cell.fingerprint.verified);
+                    let replayed = counter(cell, "recovery.replayed_events");
+                    let rows = counter(cell, "recovery.checkpoint.rows");
+                    println!(
+                        "{:>8} {replayed:>10} {rows:>8} {verify:>7}  {versus}",
+                        "yes"
+                    );
+                }
             }
-        }
-    };
+        };
     let fps = gate::crash_sweep(kind, config, &targets, instance, at, true, &mut row)
         .unwrap_or_else(|e| fail(&e));
     if !gate::judge(Check::EqualsReference, &fps).pass {
@@ -452,14 +453,11 @@ fn overload(p: &Parsed) {
     println!(" rate         f  sched  admit  shed depth  wait[tu]  navg+[tu]  +wait[tu]  verify deterministic");
     // One cell, twice: prints its row, returns (first run, JSON cell, ok).
     let run = |f: Distribution, rate: f64| {
-        let (config, load) = gate::overload_cell(base, f, rate, capacity);
-        let (run, verdict) = twice(kind, config, &load);
-        let Detail::Open(s) = run.detail else {
-            unreachable!("an open load reports queueing stats")
-        };
+        let (cell, verdict) = twice(kind, gate::overload_cell(base, f, rate, capacity));
+        let s = cell.run.stats;
         let verified = verdict.verified == verdict.cells;
         let deterministic = verdict.diverged == 0;
-        let navg = mean_navg_plus(&run.outcome);
+        let navg = mean_navg_plus(&cell.run.outcome);
         println!(
             "{:>5} {:>9} {:>6} {:>6} {:>5} {:>5} {:>9.2} {:>10.2} {:>10.2} {:>7} {:>13}",
             rate,
@@ -496,7 +494,7 @@ fn overload(p: &Parsed) {
             ("verify", Json::Bool(verified)),
             ("deterministic", Json::Bool(deterministic)),
         ]);
-        (run.fingerprint, json, verified && deterministic && bounded)
+        (cell.fingerprint, json, verified && deterministic && bounded)
     };
     let mut all_ok = true;
     if p.has(SWEEP) {

@@ -10,7 +10,7 @@
 //! the rendering of this run is left in the target tmp directory; copy it
 //! over the fixture once the difference is intended.
 
-use dip_bench::gate::{run_cell, Load};
+use dip_bench::gate::run_cell;
 use dip_bench::{build_system, EngineKind};
 use dipbench::prelude::*;
 use std::collections::BTreeMap;
@@ -57,7 +57,7 @@ fn render(header: &str) -> String {
                 .entry(format!("{}/{}", s.layer.label(), s.op))
                 .or_default() += 1;
         }
-        let cell = run_cell(kind, config(), &Load::Closed).expect("cell");
+        let cell = run_cell(kind, config()).expect("cell");
         assert!(cell.fingerprint.verified, "{tag}: verification failed");
         writeln!(out, "{tag} spans {}", spans.len()).unwrap();
         for (op, n) in per_op {

@@ -7,6 +7,12 @@
 //! definition of a stream); the client generates E1 input messages on the
 //! fly and fires E2 scheduling events. Every phase is a DAG drained by the
 //! one dispatcher, [`crate::sched::run_pool`] (`docs/SCHEDULER.md`).
+//!
+//! Every run walks its periods in one loop, whatever its config asks for:
+//! [`run`] builds the environment and system and runs closed or open-loop
+//! arrivals (`BenchConfig::arrivals`, [`crate::overload`]), crashed or not
+//! (`BenchConfig::faults`, [`crate::recovery`]); [`Client::run`] is the
+//! same loop on a client already built.
 
 #![cfg_attr(
     not(test),
@@ -17,13 +23,17 @@ use crate::config::{BenchConfig, PacingMode};
 use crate::env::BenchEnvironment;
 use crate::metric::{process_metrics, ProcessMetric};
 use crate::monitor::{normalize, NormalizedRecord};
+use crate::overload::{self, OverloadStats};
 use crate::processes;
+use crate::recovery;
 use crate::sched::{self, PeriodPlan, TaskOutcome, TypeProfile};
 use crate::schedule;
 use crate::system::{DeadLetter, Delivery, Event, IntegrationSystem};
+use crate::verify::{self, VerificationReport};
 use dip_mtm::cost::InstanceRecord;
 use dip_relstore::prelude::{StoreError, StoreResult, TransportKind};
 use dip_xmlkit::node::Document;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,8 +75,8 @@ impl DispatchFailure {
 /// Exactly which events of a period are settled — the replay-skip set a
 /// recovering run hands back to [`Client::run_period_from`]: per stream
 /// (A, B, C, D) the settled event indices, ascending. A crash leaves a
-/// DAG-downward-closed set that need not be a per-stream prefix. The
-/// overload harness hands in its shed events the same way, in mid-stream.
+/// DAG-downward-closed set that need not be a per-stream prefix. An
+/// open-loop period hands in its shed events the same way, in mid-stream.
 /// The pool knows nothing of it: a skipped event stays a task of its
 /// chain, and the client's dispatch settles it without delivering it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -137,6 +147,54 @@ impl RunOutcome {
     pub fn metric_for(&self, process: &str) -> Option<&ProcessMetric> {
         self.metrics.iter().find(|m| m.process == process)
     }
+}
+
+/// Builds the system under test over an environment's world: for a run,
+/// and again for its restart after an injected crash.
+pub type MakeSystem<'m> = &'m dyn Fn(&BenchEnvironment) -> Arc<dyn IntegrationSystem>;
+
+/// Everything one run of a config produces, whatever its load.
+pub struct Run {
+    /// The outcome, merged over a crash (pre-crash + post-restart).
+    pub outcome: RunOutcome,
+    /// Verification over the outcome and the final state.
+    pub verification: VerificationReport,
+    /// Per-table digests of the final (after a crash: recovered) state.
+    pub digests: BTreeMap<String, u64>,
+    /// Whether the config's crash fired (false once its step walks past
+    /// the instance's last materialization step — the crash sweep's
+    /// termination signal).
+    pub tripped: bool,
+    /// Materialization steps the crash's target instance executed.
+    pub steps_seen: u32,
+    /// Events the restarted system replayed: everything the crashed
+    /// period had not settled.
+    pub replayed_events: usize,
+    /// Virtual-time queueing statistics of the arrival model (zeros on a
+    /// closed run).
+    pub stats: OverloadStats,
+}
+
+/// Run the benchmark `config` describes on a fresh environment and a
+/// system from `make_system`, then verify the outcome and digest the final
+/// state. A crash the config plans restarts the run on a fresh
+/// environment and system (see [`crate::recovery`]), and the outcome
+/// merges both halves.
+pub fn run(config: BenchConfig, make_system: MakeSystem) -> StoreResult<Run> {
+    let env = BenchEnvironment::new(config)?;
+    let restarted = OnceCell::new();
+    let client = Client::new(&env, make_system(&env))?;
+    let (outcome, replayed_events, stats) = client.drive(Some((make_system, &restarted)))?;
+    let world = restarted.get().unwrap_or(&env);
+    Ok(Run {
+        verification: verify::verify_outcome(world, &outcome)?,
+        digests: recovery::digest_tables(&world.world)?,
+        outcome,
+        tripped: env.world.network.crash_tripped(),
+        steps_seen: env.world.network.crash_steps_seen(),
+        replayed_events,
+        stats,
+    })
 }
 
 /// A span over a piece of the client's own (management) work.
@@ -343,21 +401,77 @@ impl<'a> Client<'a> {
         Ok(run)
     }
 
-    /// Execute the whole work phase and aggregate the metric.
+    /// Execute the whole work phase and aggregate the metric: [`run`]'s
+    /// loop on this client's environment and system. It has no system to
+    /// restart, so a crash the config plans leaves the dead system in
+    /// place and the rest of the run undelivered.
     pub fn run(&self) -> StoreResult<RunOutcome> {
+        self.drive(None).map(|(outcome, ..)| outcome)
+    }
+
+    /// The one period loop. Each period's skip set is, under open-loop
+    /// arrivals, the events its virtual queues shed, dead-lettered first
+    /// ([`overload::shed_period`]); then [`Client::run_period_from`] runs
+    /// it. On a crash, given a `restart`, the loop restarts into the slot
+    /// ([`recovery::restart`]) and replays the crashed period without
+    /// re-initialization, skipping its settled set (its sheds included),
+    /// then carries on. Returns the merged outcome, the events the restart
+    /// replayed and the arrival model's statistics.
+    fn drive(
+        &self,
+        restart: Option<(MakeSystem, &'a OnceCell<BenchEnvironment>)>,
+    ) -> StoreResult<(RunOutcome, usize, OverloadStats)> {
+        let config = self.env.config;
+        let _span = config.arrivals.map(|_| span("overload"));
         let start = Instant::now();
-        let mut failures = Vec::new();
-        for k in 0..self.env.config.periods {
-            failures.extend(self.run_period(k)?);
+        let restarted = OnceCell::new();
+        let mut client = self;
+        let (mut records, mut failures, mut dead_letters) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut late, mut replayed, mut stats) = (0, 0, OverloadStats::default());
+        // the crashed period's settled set, for the restart to replay
+        let mut replay: Option<ReplaySkip> = None;
+        let mut k = 0;
+        while k < config.periods {
+            let reinit = replay.is_none();
+            let skip = match (replay.take(), &config.arrivals) {
+                (Some(settled), _) => settled,
+                (None, Some(arrivals)) => {
+                    overload::shed_period(client.env, &*client.system, k, arrivals, &mut stats)
+                }
+                (None, None) => ReplaySkip::none(),
+            };
+            let period = client.run_period_from(k, &skip, reinit)?;
+            failures.extend(period.failures);
+            let Some((make_system, slot)) = restart.filter(|_| period.crashed) else {
+                k += 1;
+                continue;
+            };
+            // the crashed system produced no record of the instance it
+            // killed, so its replay adds exactly one
+            records.extend(client.system.recorder().drain());
+            dead_letters.extend(client.system.dead_letters().drain());
+            late += client.late.swap(0, Ordering::Relaxed);
+            let fresh = recovery::restart(client.env, make_system, slot)?;
+            client = restarted.get_or_init(|| fresh);
+            let settled: usize = (0..4).map(|slot| period.settled.settled_in(slot)).sum();
+            replayed =
+                schedule::period_event_count(k, config.scale.datasize).saturating_sub(settled);
+            dip_trace::count("recovery.replayed_events", replayed as u64);
+            replay = Some(period.settled);
         }
-        let records = self.system.recorder().drain();
-        let dead_letters = self.system.dead_letters().drain();
-        Ok(self.build_outcome(records, failures, dead_letters, start.elapsed()))
+        if config.arrivals.is_some() {
+            stats.finish();
+        }
+        records.extend(client.system.recorder().drain());
+        dead_letters.extend(client.system.dead_letters().drain());
+        let mut outcome = client.build_outcome(records, failures, dead_letters, start.elapsed());
+        outcome.late_dispatch += late;
+        Ok((outcome, replayed, stats))
     }
 
     /// Aggregate already-collected raw results into a [`RunOutcome`] —
-    /// the tail of [`Client::run`], split out so a recovering run can
-    /// merge pre-crash and post-restart records before aggregating.
+    /// the tail of the period loop, which merges a crashed system's
+    /// records with its restart's before aggregating.
     pub fn build_outcome(
         &self,
         mut records: Vec<InstanceRecord>,
@@ -446,24 +560,24 @@ mod tests {
     }
 
     /// What a system reports through `take_failures` is one of the run's
-    /// failures, under the closed-loop client and the overload harness.
+    /// failures, under closed and open-loop arrivals alike.
     #[test]
     fn failures_of_queued_messages_reach_the_run() {
         let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
-        let env = BenchEnvironment::new(BenchConfig::new(scale).with_periods(1)).unwrap();
-        let named = |failures: &[DispatchFailure]| {
+        let closed = BenchConfig::new(scale).with_periods(1);
+        let open = BenchConfig {
+            arrivals: Some(crate::overload::OverloadOptions::default()),
+            ..closed
+        };
+        for config in [closed, open] {
+            let env = BenchEnvironment::new(config).unwrap();
+            let client = Client::new(&env, Arc::new(Deferred::default())).unwrap();
+            let failures = client.run().unwrap().failures;
             let names = failures
                 .iter()
                 .map(|f| (f.process.as_str(), f.period, f.seq));
-            names.collect::<Vec<_>>() == [("P04", 0, 7)]
-        };
-        let client = Client::new(&env, Arc::new(Deferred::default())).unwrap();
-        let outcome = client.run().unwrap();
-        assert!(named(&outcome.failures), "{:?}", outcome.failures);
-        let options = crate::overload::OverloadOptions::default();
-        let run = crate::overload::run_overload(&env, Arc::new(Deferred::default()), &options);
-        let failures = run.unwrap().outcome.failures;
-        assert!(named(&failures), "{failures:?}");
+            assert_eq!(names.collect::<Vec<_>>(), [("P04", 0, 7)], "{failures:?}");
+        }
     }
 
     /// Records what it is delivered. With `crash`, the first delivery

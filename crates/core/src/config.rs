@@ -1,5 +1,6 @@
 //! Benchmark run configuration.
 
+use crate::overload::OverloadOptions;
 use crate::scale::ScaleFactors;
 use dip_netsim::FaultPlan;
 
@@ -41,6 +42,11 @@ pub struct BenchConfig {
     /// dispatcher, [`crate::sched::run_pool`], and same-seed runs are
     /// byte-identical at every worker count.
     pub workers: usize,
+    /// The arrival model. `None` (the default) is the paper's closed loop;
+    /// `Some` fires the E1 messages open-loop at a rate multiplier against
+    /// bounded queues and sheds what finds them full
+    /// ([`crate::overload`]).
+    pub arrivals: Option<OverloadOptions>,
 }
 
 impl BenchConfig {
@@ -53,6 +59,7 @@ impl BenchConfig {
             faults: FaultPlan::NONE,
             attempts: dip_services::resilience::DEFAULT_ATTEMPTS,
             workers: 1,
+            arrivals: None,
         }
     }
 

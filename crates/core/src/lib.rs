@@ -10,7 +10,10 @@
 //!   message-emitting applications) and [`datagen::Generator`] fills them
 //!   with deterministic, scale-controlled synthetic data;
 //! * **Client** — [`client::Client`] executes the benchmark periods with
-//!   the four event streams of the specification ([`schedule`]);
+//!   the four event streams of the specification ([`schedule`]), in one
+//!   period loop ([`client::run`]) whatever the config asks for: closed or
+//!   open-loop arrivals ([`overload`]), crashed and recovered or not
+//!   ([`recovery`]);
 //! * **Monitor** — [`monitor`] collects and normalizes per-instance costs,
 //!   [`metric`] computes the `NAVG+` metric, and [`report`] renders the
 //!   paper's plots and tables.
@@ -55,12 +58,13 @@ pub mod verify;
 
 /// The most commonly used items.
 pub mod prelude {
-    pub use crate::client::{Client, ReplaySkip, RunOutcome};
+    pub use crate::client::{Client, ReplaySkip, Run, RunOutcome};
     pub use crate::config::{BenchConfig, PacingMode};
     pub use crate::eai::EaiSystem;
     pub use crate::env::BenchEnvironment;
     pub use crate::metric::ProcessMetric;
-    pub use crate::recovery::{digest_tables, run_with_crash, CrashTarget, RecoveryRun};
+    pub use crate::overload::OverloadOptions;
+    pub use crate::recovery::{digest_tables, CrashTarget};
     pub use crate::scale::{Distribution, ScaleFactors};
     pub use crate::system::{
         DeadLetter, DeadLetterQueue, Delivery, Event, IntegrationSystem, MtmSystem,

@@ -1,19 +1,20 @@
-//! Open-loop overload harness: saturation behavior as a first-class,
+//! Open-loop arrivals: saturation behavior as a first-class,
 //! deterministic measurement.
 //!
 //! The paper's client is closed-loop — `run_period` sleeps until each
 //! event's deadline, then dispatches *synchronously*, so when the system
 //! falls behind the clock silently stretches and the measured load never
 //! exceeds the service rate. Production systems don't get that mercy:
-//! arrivals keep coming on their own schedule. This module asks the
-//! production question — *how does the system degrade at saturation?* —
-//! while keeping the reproduction's core invariant: **same-seed runs are
-//! byte-identical**, counters included.
+//! arrivals keep coming on their own schedule. A run whose config sets
+//! `BenchConfig::arrivals` asks the production question — *how does the
+//! system degrade at saturation?* — while keeping the reproduction's core
+//! invariant: **same-seed runs are byte-identical**, counters included.
 //!
 //! # Two-phase design
 //!
 //! Real open-loop execution makes admission decisions depend on wall-clock
-//! timing, which is irreproducible. Instead the harness splits the run:
+//! timing, which is irreproducible. Instead each period of the run's one
+//! period loop ([`crate::client::run`]) is split:
 //!
 //! 1. **Virtual-time queueing simulation.** Arrivals are generated in
 //!    abstract time units from the schedule: each E1 message series gets
@@ -30,12 +31,13 @@
 //!    compresses the *same* arrival pattern: load is monotone in the
 //!    multiplier by construction.
 //! 2. **Real dispatch.** The period then runs through the client's one
-//!    dispatcher, [`Client::run_period_from`], with the shed events as its
-//!    skip set: A ∥ B on the client's pool at `config.workers`, then C,
-//!    then D, exactly as a closed run (`docs/SCHEDULER.md`). A skipped
-//!    event stays a task of its stream, which the client settles without
-//!    delivering it, so its dependents run, as in a recovery replay.
-//!    Shed events are never delivered; they land in the system's
+//!    dispatcher, [`Client::run_period_from`](crate::client::Client::run_period_from),
+//!    with the shed events in its skip set: A ∥ B on the client's pool at
+//!    `config.workers`, then C, then D, exactly as a closed run
+//!    (`docs/SCHEDULER.md`). A skipped event stays a task of its stream,
+//!    which the client settles without delivering it, so its dependents
+//!    run, as in a recovery replay. Shed events are never delivered; they
+//!    land in the system's
 //!    [`DeadLetterQueue`](crate::system::DeadLetterQueue) with
 //!    `shed = true`, so the E1 conservation check still closes:
 //!    `scheduled = integrated + dead-lettered + failed + shed`.
@@ -43,6 +45,9 @@
 //! Because every admission decision is made in virtual time, wall-clock
 //! jitter cannot change integrated data, records, dead letters, or
 //! counters — the property the `overload-*` rows of `dipbench gate` pin.
+//! A crash in an overloaded run decides no fate twice: the crashed
+//! period's sheds are already dead-lettered and in its settled set, and
+//! the restart replays that set without planning the period again.
 //!
 //! This is the one admission model: the real broker
 //! ([`crate::eai::EaiSystem`]) keeps an unbounded queue, so the virtual
@@ -53,16 +58,13 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::client::{message_for, Client, ReplaySkip, RunOutcome};
+use crate::client::{message_for, ReplaySkip};
 use crate::datagen::dist;
 use crate::env::BenchEnvironment;
 use crate::schedule::{self, is_message_process, ScheduledEvent};
 use crate::system::{DeadLetter, IntegrationSystem};
-use dip_relstore::prelude::StoreResult;
 use dip_xmlkit::{compact_len, write_compact};
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Virtual service time: a fixed per-message overhead plus a throughput
 /// term proportional to the compact message size. Chosen so the uniform
@@ -72,7 +74,7 @@ use std::time::Instant;
 const SERVICE_BASE_TU: f64 = 0.6;
 const SERVICE_BYTES_PER_TU: f64 = 1500.0;
 
-/// Knobs of one overload cell.
+/// The open-loop arrival model of a run (`BenchConfig::arrivals`).
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadOptions {
     /// Arrival-rate multiplier: all inter-arrival gaps divide by this.
@@ -117,12 +119,16 @@ pub struct OverloadStats {
     pub max_wait_tu: f64,
 }
 
-/// One overload run: the real execution outcome plus the virtual-time
-/// queueing statistics that shaped it.
-#[derive(Debug)]
-pub struct OverloadRun {
-    pub outcome: RunOutcome,
-    pub stats: OverloadStats,
+impl OverloadStats {
+    /// Close a run's statistics: turn the wait sum into a mean and count
+    /// the deterministic virtual-time counters of the gate fingerprint.
+    pub(crate) fn finish(&mut self) {
+        if self.admitted > 0 {
+            self.mean_wait_tu /= self.admitted as f64;
+        }
+        dip_trace::count("overload.queue_depth_max", self.max_depth);
+        dip_trace::count("overload.delayed", self.delayed);
+    }
 }
 
 /// Per-event simulated arrival (virtual tu, already rate-compressed).
@@ -237,90 +243,65 @@ fn plan_period(
     shed
 }
 
-/// Run the whole benchmark under open-loop overload: simulate each
-/// period's fates in virtual time, dead-letter the shed events
-/// (`shed = true`), then run the period through the client with the shed
-/// events skipped.
-///
-/// The returned outcome's records/failures/dead-letters are canonically
-/// sorted; same-seed invocations are byte-identical.
-pub fn run_overload(
+/// Phase 1 of period `k`: the events the virtual queues shed, each
+/// dead-lettered on `system` (`shed = true`) — the period's skip set.
+pub(crate) fn shed_period(
     env: &BenchEnvironment,
-    system: Arc<dyn IntegrationSystem>,
+    system: &dyn IntegrationSystem,
+    k: u32,
     opts: &OverloadOptions,
-) -> StoreResult<OverloadRun> {
-    let _span = dip_trace::span_cat(
-        dip_trace::Layer::Core,
-        "overload",
-        dip_trace::Category::Management,
-    );
-    let start = Instant::now();
-    let client = Client::new(env, system.clone())?;
-    let mut stats = OverloadStats::default();
-    let mut failures = Vec::new();
-    for k in 0..env.config.periods {
-        let streams = schedule::period_streams(k, env.config.scale.datasize);
-        let shed = plan_period(env, &streams, k, opts, &mut stats);
-        for &(slot, index) in &shed {
-            let e = &streams[slot].1[index];
-            system.dead_letters().push(DeadLetter {
-                process: e.process.to_string(),
-                period: k,
-                seq: e.seq,
-                reason: "overload admission: queue full (shed)".into(),
-                payload: message_for(env, e.process, k, e.seq).map(|m| write_compact(&m)),
-                shed: true,
-            });
-        }
-        let run = client.run_period_from(k, &ReplaySkip::of(shed), true)?;
-        failures.extend(run.failures);
+    stats: &mut OverloadStats,
+) -> ReplaySkip {
+    let streams = schedule::period_streams(k, env.config.scale.datasize);
+    let shed = plan_period(env, &streams, k, opts, stats);
+    for &(slot, index) in &shed {
+        let e = &streams[slot].1[index];
+        system.dead_letters().push(DeadLetter {
+            process: e.process.to_string(),
+            period: k,
+            seq: e.seq,
+            reason: "overload admission: queue full (shed)".into(),
+            payload: message_for(env, e.process, k, e.seq).map(|m| write_compact(&m)),
+            shed: true,
+        });
     }
-    // finalize the wait mean (simulate_series accumulated the sum)
-    if stats.admitted > 0 {
-        stats.mean_wait_tu /= stats.admitted as f64;
-    }
-    // deterministic virtual-time counters for the gate fingerprint
-    dip_trace::count("overload.queue_depth_max", stats.max_depth);
-    dip_trace::count("overload.delayed", stats.delayed);
-    let records = system.recorder().drain();
-    let dead_letters = system.dead_letters().drain();
-    let outcome = client.build_outcome(records, failures, dead_letters, start.elapsed());
-    Ok(OverloadRun { outcome, stats })
+    ReplaySkip::of(shed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{run, Run};
     use crate::prelude::*;
+    use std::sync::Arc;
 
-    fn mini_env(f: Distribution, periods: u32) -> BenchEnvironment {
-        let config = BenchConfig::new(ScaleFactors::new(0.02, 1.0, f)).with_periods(periods);
-        BenchEnvironment::new(config).unwrap()
+    /// One mtm period under `opts` arrivals.
+    fn overloaded(f: Distribution, opts: OverloadOptions) -> Run {
+        let config = BenchConfig {
+            arrivals: Some(opts),
+            ..BenchConfig::new(ScaleFactors::new(0.02, 1.0, f)).with_periods(1)
+        };
+        run(config, &|env| Arc::new(MtmSystem::new(env.world.clone()))).unwrap()
     }
 
     #[test]
     fn uniform_rate_one_is_lossless_and_waitless() {
         // D/D/1 with utilization < 1: the uniform schedule at rate 1
         // never queues, so nothing sheds and nothing waits
-        let env = mini_env(Distribution::Uniform, 1);
-        let system = Arc::new(MtmSystem::new(env.world.clone()));
-        let run = run_overload(&env, system, &OverloadOptions::default()).unwrap();
+        let run = overloaded(Distribution::Uniform, OverloadOptions::default());
         assert_eq!(run.stats.shed, 0, "{:?}", run.stats);
         assert_eq!(run.stats.max_depth, 0, "{:?}", run.stats);
         assert!(run.outcome.failures.is_empty());
-        let report = crate::verify::verify_outcome(&env, &run.outcome).unwrap();
-        assert!(report.passed(), "{report}");
+        assert!(run.verification.passed(), "{}", run.verification);
     }
 
     #[test]
     fn overload_sheds_and_conserves() {
-        let env = mini_env(Distribution::Zipf10, 1);
-        let system = Arc::new(MtmSystem::new(env.world.clone()));
         let opts = OverloadOptions {
             rate: 3.0,
             capacity: 4,
         };
-        let run = run_overload(&env, system, &opts).unwrap();
+        let run = overloaded(Distribution::Zipf10, opts);
         assert!(run.stats.shed > 0, "{:?}", run.stats);
         assert!(run.stats.max_depth <= 4, "{:?}", run.stats);
         let shed_letters = run.outcome.dead_letters.iter().filter(|l| l.shed).count() as u64;
@@ -330,8 +311,7 @@ mod tests {
             run.stats.scheduled_messages
         );
         // shed-aware conservation closes on the real integrated data
-        let report = crate::verify::verify_outcome(&env, &run.outcome).unwrap();
-        assert!(report.passed(), "{report}");
+        assert!(run.verification.passed(), "{}", run.verification);
     }
 
     #[test]
@@ -340,17 +320,13 @@ mod tests {
             rate: 2.0,
             capacity: 4,
         };
-        let run_once = || {
-            let env = mini_env(Distribution::Zipf10, 1);
-            let system = Arc::new(MtmSystem::new(env.world.clone()));
-            let run = run_overload(&env, system, &opts).unwrap();
-            let digest = crate::recovery::digest_tables(&env.world).unwrap();
-            (run, digest)
-        };
-        let (a, da) = run_once();
-        let (b, db) = run_once();
+        let a = overloaded(Distribution::Zipf10, opts);
+        let b = overloaded(Distribution::Zipf10, opts);
         assert!(a.stats.shed > 0, "{:?}", a.stats);
-        assert_eq!(da, db, "integrated data differs between same-seed runs");
+        assert_eq!(
+            a.digests, b.digests,
+            "integrated data differs between same-seed runs"
+        );
         assert_eq!(a.outcome.dead_letters, b.outcome.dead_letters);
         assert_eq!(a.stats.shed, b.stats.shed);
         assert_eq!(a.stats.max_depth, b.stats.max_depth);
@@ -361,16 +337,13 @@ mod tests {
     fn shed_grows_monotonically_with_rate() {
         let mut prev = 0u64;
         for rate in [1.0, 2.0, 4.0] {
-            let env = mini_env(Distribution::Zipf10, 1);
-            let system = Arc::new(MtmSystem::new(env.world.clone()));
             let opts = OverloadOptions { rate, capacity: 4 };
-            let run = run_overload(&env, system, &opts).unwrap();
+            let shed = overloaded(Distribution::Zipf10, opts).stats.shed;
             assert!(
-                run.stats.shed >= prev,
-                "shed fell from {prev} to {} at rate {rate}",
-                run.stats.shed
+                shed >= prev,
+                "shed fell from {prev} to {shed} at rate {rate}"
             );
-            prev = run.stats.shed;
+            prev = shed;
         }
     }
 }

@@ -7,39 +7,47 @@
 //! system's in-flight instance is volatile. The undo-log transactions of
 //! `dip-relstore` guarantee that at the moment of a crash the durable
 //! state reflects exactly the *settled* instances — the killed instance's
-//! partial materializations were rolled back — so recovery is:
+//! partial materializations were rolled back — so recovery is four steps
+//! of the run's one period loop ([`crate::client::run`]):
 //!
 //! 1. capture an [`EnvCheckpoint`] of every external database (rows plus
 //!    pending change-capture logs),
 //! 2. note each stream's settled events (the [`crate::client::
 //!    PeriodRun`] journal) — the schedule itself is deterministic, so the
 //!    undelivered rest of the E1 inbox is regenerable, not stored,
-//! 3. build a fresh environment + system (the "restart"), restore the
-//!    checkpoint, and replay every unsettled event via
-//!    [`crate::client::Client::run_period_from`],
+//! 3. build a fresh environment + system (the "restart"),
+//!    restore the checkpoint, and replay every unsettled event of the
+//!    crashed period via [`crate::client::Client::run_period_from`], then
+//!    run the remaining periods,
 //! 4. merge pre-crash and post-restart outcomes; E1 conservation
-//!    (`scheduled = integrated + dead-lettered + failed`) must hold over
-//!    the merge, and the final data must be byte-identical to an
+//!    (`scheduled = integrated + dead-lettered + failed + shed`) must hold
+//!    over the merge, and the final data must be byte-identical to an
 //!    uncrashed same-seed run ([`digest_tables`]).
 //!
 //! Crash points are materialization steps: every `round_trip` to an
 //! external system checks the run's [`dip_netsim::fault::CrashPlan`]
 //! (`BenchConfig::faults`) before performing its effect, so a crashed step
 //! is all-or-nothing — exactly the Fig. 9 materialization-point boundaries.
+//!
+//! `config.faults.leak_rollbacks` is the CI gate's "teeth" switch: it turns
+//! instance rollback off *until the crash* (the restarted system always
+//! rolls back), so mid-instance failures leak partial writes and the
+//! recovered state demonstrably diverges from an uncrashed run.
 
-use crate::client::{Client, DispatchFailure, PeriodRun, ReplaySkip, RunOutcome};
-use crate::config::BenchConfig;
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use crate::client::{Client, MakeSystem};
 use crate::env::BenchEnvironment;
-use crate::system::IntegrationSystem;
-use crate::verify::{self, VerificationReport};
 use dip_netsim::fault::CrashPlan;
 use dip_netsim::FaultPlan;
 use dip_relstore::prelude::*;
 use dip_relstore::table::Change;
 use dip_services::registry::ExternalWorld;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// One table's durable state at checkpoint time.
 struct TableCheckpoint {
@@ -160,145 +168,40 @@ impl CrashTarget {
     }
 }
 
-/// Everything a crash-inject-and-recover run produces.
-pub struct RecoveryRun {
-    /// Whether the planned crash actually fired (false once `step` walks
-    /// past the instance's last materialization step — the sweep's
-    /// termination signal).
-    pub tripped: bool,
-    /// Materialization steps the targeted instance executed.
-    pub steps_seen: u32,
-    /// Events the restarted system replayed (everything the journal did
-    /// not list as settled).
-    pub replayed_events: usize,
-    /// Merged (pre-crash + post-restart) outcome.
-    pub outcome: RunOutcome,
-    /// Verification over the merged outcome and the recovered final state.
-    pub verification: VerificationReport,
-    /// Per-table digests of the recovered final state.
-    pub digests: BTreeMap<String, u64>,
-}
-
-/// Run the benchmark under `config`, whose plan names the crash point
-/// (`config.faults.crash`), then recover: checkpoint the durable state,
-/// restart on a fresh environment + system, replay the unsettled events,
-/// and verify the merged outcome.
-///
-/// `config.faults.leak_rollbacks` is the CI gate's "teeth" switch: it turns
-/// instance rollback off *until the crash* (the restarted system always
-/// rolls back), so mid-instance failures leak partial writes and the
-/// recovered state demonstrably diverges from an uncrashed run.
-pub fn run_with_crash(
-    config: BenchConfig,
-    make_system: &dyn Fn(&BenchEnvironment) -> Arc<dyn IntegrationSystem>,
-) -> StoreResult<RecoveryRun> {
-    let start = Instant::now();
-
-    // Phase 1: run until the crash kills the system (or to completion,
-    // if the step ordinal is past the instance's last round trip).
-    let steps_seen;
-    let phase1 = {
-        let env = BenchEnvironment::new(config)?;
-        let system = make_system(&env);
-        let client = Client::new(&env, system.clone())?;
-        let mut failures: Vec<DispatchFailure> = Vec::new();
-        let mut crash: Option<(u32, ReplaySkip)> = None;
-        for k in 0..config.periods {
-            let PeriodRun {
-                failures: f,
-                settled,
-                crashed,
-            } = client.run_period_from(k, &ReplaySkip::none(), true)?;
-            failures.extend(f);
-            if crashed {
-                crash = Some((k, settled));
-                break;
-            }
-        }
-        let records = system.recorder().drain();
-        let dead_letters = system.dead_letters().drain();
-        steps_seen = env.world.network.crash_steps_seen();
-        match crash {
-            None => {
-                // never tripped: finish as a normal run
-                let outcome =
-                    client.build_outcome(records, failures, dead_letters, start.elapsed());
-                let verification = verify::verify_outcome(&env, &outcome)?;
-                let digests = digest_tables(&env.world)?;
-                return Ok(RecoveryRun {
-                    tripped: false,
-                    steps_seen,
-                    replayed_events: 0,
-                    outcome,
-                    verification,
-                    digests,
-                });
-            }
-            Some((period, settled)) => {
-                dip_trace::count("recovery.crashes", 1);
-                let checkpoint = EnvCheckpoint::capture(&env.world)?;
-                (records, dead_letters, failures, period, settled, checkpoint)
-            }
-        }
-    };
-    let (mut records, mut dead_letters, mut failures, crashed_period, settled, checkpoint) = phase1;
-
-    // Phase 2: restart. A fresh environment + system stands in for the
-    // rebooted process, built from the same config minus the crash and the
-    // leak: the restarted system is alive and rolls back unconditionally.
-    // The abort stays — it is workload, and the replay must make the same
-    // decision. The durable external state comes back from the checkpoint.
-    let restarted = FaultPlan {
+/// The restart after `crashed`'s system died: checkpoint its durable
+/// state, build a fresh environment into `slot` and a system on it (the
+/// rebooted process), deploy, and restore the checkpoint. The fresh
+/// environment runs `crashed`'s config minus the crash and the leak: the
+/// restarted system is alive and rolls back unconditionally. The abort
+/// stays — it is workload, and the replay must make the same decision —
+/// and so do the arrivals, so later periods shed as an uncrashed run's do.
+pub(crate) fn restart<'e>(
+    crashed: &BenchEnvironment,
+    make_system: MakeSystem,
+    slot: &'e OnceCell<BenchEnvironment>,
+) -> StoreResult<Client<'e>> {
+    dip_trace::count("recovery.crashes", 1);
+    let checkpoint = EnvCheckpoint::capture(&crashed.world)?;
+    let faults = FaultPlan {
         crash: None,
         leak_rollbacks: false,
-        ..config.faults
+        ..crashed.config.faults
     };
-    let env = BenchEnvironment::new(config.with_faults(restarted))?;
-    let system = make_system(&env);
-    let client = Client::new(&env, system.clone())?;
+    let env = BenchEnvironment::new(crashed.config.with_faults(faults))?;
+    let env = slot.get_or_init(|| env);
+    let client = Client::new(env, make_system(env))?;
     checkpoint.restore(&env.world)?;
-
-    // Replay the crashed period's exact unsettled set (no
-    // re-initialization: the checkpoint already holds the period's
-    // mid-flight state), then run the remaining periods normally. The
-    // settled set is DAG-downward-closed but, under `workers > 1`, not
-    // stream-contiguous, so the skip set — not a watermark — is what
-    // keeps the replay from double-dispatching settled instances.
-    let d = config.scale.datasize;
-    let replayed_events: usize = crate::schedule::period_streams(crashed_period, d)
-        .iter()
-        .enumerate()
-        .map(|(slot, (_, events))| events.len().saturating_sub(settled.settled_in(slot)))
-        .sum();
-    dip_trace::count("recovery.replayed_events", replayed_events as u64);
-    let run = client.run_period_from(crashed_period, &settled, false)?;
-    failures.extend(run.failures);
-    for k in crashed_period + 1..config.periods {
-        failures.extend(client.run_period(k)?);
-    }
-
-    // Merge: the crashed instance produced no pre-crash record (the dying
-    // system suppressed it), so its replay contributes exactly one —
-    // conservation counts every scheduled event once.
-    records.extend(system.recorder().drain());
-    dead_letters.extend(system.dead_letters().drain());
-    let outcome = client.build_outcome(records, failures, dead_letters, start.elapsed());
-    let verification = verify::verify_outcome(&env, &outcome)?;
-    let digests = digest_tables(&env.world)?;
-    Ok(RecoveryRun {
-        tripped: true,
-        steps_seen,
-        replayed_events,
-        outcome,
-        verification,
-        digests,
-    })
+    Ok(client)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::MtmSystem;
+    use crate::client::{run, Run, RunOutcome};
+    use crate::config::BenchConfig;
+    use crate::system::{IntegrationSystem, MtmSystem};
+    use crate::verify;
+    use std::sync::Arc;
 
     fn mtm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
         Arc::new(MtmSystem::new(env.world.clone()))
@@ -336,9 +239,9 @@ mod tests {
     }
 
     /// Kill `process` (period 0, seq 0) at `step` and recover.
-    fn crashed(mut config: BenchConfig, process: &str, step: u32) -> RecoveryRun {
+    fn crashed(mut config: BenchConfig, process: &str, step: u32) -> Run {
         config.faults.crash = Some(CrashPlan::at(process, 0, 0, step));
-        run_with_crash(config, &|e| mtm(e)).unwrap()
+        run(config, &mtm).unwrap()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! integrate identical data *despite* a nonzero fault rate; and a rate-0
 //! plan must leave the pipeline untouched.
 
-use dip_bench::gate::{run_cell, Fingerprint, Load};
+use dip_bench::gate::{run_cell, Fingerprint};
 use dip_bench::{build_system, EngineKind};
 use dipbench::prelude::*;
 use dipbench::verify;
@@ -163,7 +163,7 @@ fn rate_zero_plan_is_byte_identical_to_unarmed_run() {
 #[test]
 fn same_seed_fingerprints_are_identical() {
     let config = BenchConfig::new(scale()).with_periods(1);
-    let cell = || run_cell(EngineKind::Federated, config, &Load::Closed).unwrap();
+    let cell = || run_cell(EngineKind::Federated, config).unwrap();
     let (a, b) = (cell().fingerprint, cell().fingerprint);
     assert_eq!(a.instances.len(), 15, "one entry per process type");
     assert!(a.instances.iter().all(|(_, ran, _)| *ran > 0));

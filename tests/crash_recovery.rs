@@ -13,8 +13,9 @@
 //!
 //! The crash point, the abort and the rollback-off switch are part of each
 //! cell's config, so the tests here (and every other test of this binary)
-//! run side by side. The last test checks what the merge of a crashed
-//! system's records and its restart's hands the monitor.
+//! run side by side. The last tests check what the merge of a crashed
+//! system's records and its restart's hands the monitor, and that the
+//! merged outcome counts both systems' late dispatches.
 
 use dip_bench::gate::CRASH_TARGETS;
 use dip_bench::gate::{crash_sweep, judge, CellRun, Check, Fingerprint};
@@ -79,8 +80,8 @@ fn without_rollback_a_recovered_run_diverges() {
 }
 
 /// The mtm system, keeping the largest snapshot its recorder showed after
-/// a delivery: every record is written inside a delivery, and
-/// `run_with_crash` drains the recorders itself.
+/// a delivery: every record is written inside a delivery, and the run
+/// drains the recorders itself.
 struct Keeping {
     inner: MtmSystem,
     kept: Arc<Mutex<Vec<InstanceRecord>>>,
@@ -125,7 +126,7 @@ fn recovered_records_keep_their_names_on_one_clock() {
         .with_seed(7);
     config.faults.crash = Some(CrashPlan::at("P09", 0, 0, 1));
     let systems: Mutex<Vec<Arc<Mutex<Vec<InstanceRecord>>>>> = Mutex::new(Vec::new());
-    let run = run_with_crash(config, &|env| {
+    let run = dipbench::client::run(config, &|env| {
         let kept = Arc::new(Mutex::new(Vec::new()));
         systems.lock().unwrap().push(kept.clone());
         Arc::new(Keeping {
@@ -165,4 +166,31 @@ fn recovered_records_keep_their_names_on_one_clock() {
             r.start
         );
     }
+}
+
+/// Under `RealTime` pacing at t = 1e6 (1 tu = 1 ns) practically every
+/// dispatch is late. A crashed run's outcome counts the late dispatches of
+/// the crashed client and of its restart, as the trace counter does.
+#[test]
+fn a_recovered_run_counts_the_lag_of_both_clients() {
+    let scale = ScaleFactors::new(0.02, 1e6, Distribution::Uniform);
+    let mut config = BenchConfig::new(scale)
+        .with_periods(1)
+        .with_pacing(PacingMode::RealTime);
+    config.faults.crash = Some(CrashPlan::at("P09", 0, 0, 1));
+    dip_trace::enable();
+    let run = dipbench::client::run(config, &|env| Arc::new(MtmSystem::new(env.world.clone())));
+    let _ = dip_trace::drain();
+    let counters = dip_trace::drain_counters();
+    dip_trace::disable();
+    let run = run.unwrap();
+    assert!(run.tripped, "P09 should reach step 1");
+    let counted = (counters.iter())
+        .find(|(name, _)| name == "client.late_dispatch")
+        .map_or(0, |(_, n)| *n);
+    assert!(counted > 0, "no dispatch was late");
+    assert_eq!(
+        run.outcome.late_dispatch, counted,
+        "the outcome lost a client's late dispatches"
+    );
 }

@@ -5,7 +5,7 @@
 //! digests committed at PR 11 (when three executors and `Auto` routing
 //! still existed) pin the same bytes across commits.
 
-use dip_bench::gate::{crash_cell, run_cell, Detail, Load};
+use dip_bench::gate::{crash_cell, run_cell};
 use dip_trace::Json;
 use dipbench::prelude::*;
 use dipbench_suite::{run_benchmark, EngineKind};
@@ -53,27 +53,23 @@ fn executor_matches_oracle_under_drop_faults() {
 /// go through the oracle.
 #[test]
 fn executor_matches_oracle_across_a_crash_restart() {
-    let oracle = run_cell(EngineKind::FederatedUnoptimized, config(), &Load::Closed).unwrap();
-    assert!(
-        oracle.outcome.failures.is_empty(),
-        "{:#?}",
-        oracle.outcome.failures
-    );
+    let oracle = run_cell(EngineKind::FederatedUnoptimized, config()).unwrap();
+    let failures = &oracle.run.outcome.failures;
+    assert!(failures.is_empty(), "{failures:#?}");
     let target = CrashTarget {
         process: "P13".to_string(),
         period: 0,
         seq: 0,
         step: 0,
     };
-    let (crashed, load) = crash_cell(config(), &target);
-    let run = run_cell(EngineKind::Federated, crashed, &load).expect("fed recovery run");
-    let fired = matches!(run.detail, Detail::Crash { tripped: true, .. });
-    assert!(fired, "the planned P13 crash never fired");
-    let differs = run.fingerprint.diff(&oracle.fingerprint, false);
+    let cell = run_cell(EngineKind::Federated, crash_cell(config(), &target));
+    let cell = cell.expect("fed recovery run");
+    assert!(cell.run.tripped, "the planned P13 crash never fired");
+    let differs = cell.fingerprint.diff(&oracle.fingerprint, false);
     assert!(
-        run.fingerprint.verified && differs.is_empty(),
+        cell.fingerprint.verified && differs.is_empty(),
         "recovered fed diverged from the uncrashed fed-unopt run: {differs:?}\n{}",
-        run.verification
+        cell.run.verification
     );
 }
 

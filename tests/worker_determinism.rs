@@ -8,7 +8,7 @@
 //! dead-letter messages, and after a crash-restart. Fed's own catalog, the
 //! queue tables no fingerprint reads, is compared on its own.
 
-use dip_bench::gate::{crash_cell, run_cell, CellRun, Detail, Load};
+use dip_bench::gate::{crash_cell, run_cell, CellRun};
 use dip_bench::{build_system, EngineKind};
 use dip_feddbms::{FedDbms, FedOptions};
 use dipbench::prelude::*;
@@ -30,7 +30,7 @@ fn scale() -> ScaleFactors {
 /// One run — its gate fingerprint is the byte-comparable part (wall-clock
 /// metrics are excluded on purpose: they are real durations).
 fn fingerprint(config: BenchConfig, engine: EngineKind) -> CellRun {
-    run_cell(engine, config, &Load::Closed).unwrap()
+    run_cell(engine, config).unwrap()
 }
 
 /// A divergence names the artifact (and for digests, the tables) that
@@ -44,7 +44,7 @@ fn assert_same(run: &CellRun, reference: &CellRun, label: &str) {
 }
 
 fn conserves(run: &CellRun) -> bool {
-    let checks = &run.verification.checks;
+    let checks = &run.run.verification.checks;
     checks
         .iter()
         .any(|c| c.name == "e1_message_conservation" && c.passed)
@@ -252,12 +252,10 @@ fn crashed(kind: EngineKind, config: BenchConfig, process: &str) -> CellRun {
         step: 1,
     };
     let label = format!("{process} workers={}", config.workers);
-    let (config, load) = crash_cell(config, &target);
-    let run =
-        run_cell(kind, config, &load).unwrap_or_else(|e| panic!("{label}: recovery error {e}"));
-    let fired = matches!(run.detail, Detail::Crash { tripped: true, .. });
-    assert!(fired, "{label}: the planned crash never fired");
-    run
+    let cell = run_cell(kind, crash_cell(config, &target))
+        .unwrap_or_else(|e| panic!("{label}: recovery error {e}"));
+    assert!(cell.run.tripped, "{label}: the planned crash never fired");
+    cell
 }
 
 /// Crash recovery: killing the system mid-instance and recovering from the
@@ -273,8 +271,9 @@ fn crash_recovery_is_byte_identical_at_every_worker_count() {
 
     // Uncrashed 1-worker reference — the bytes every recovered run of
     // every worker count must land on.
-    let reference = run_cell(EngineKind::Mtm, config, &Load::Closed).unwrap();
-    assert!(reference.fingerprint.verified, "{}", reference.verification);
+    let reference = run_cell(EngineKind::Mtm, config).unwrap();
+    let verification = &reference.run.verification;
+    assert!(reference.fingerprint.verified, "{verification}");
 
     // P05 seq 0 dies inside the pooled A∥B phase (stream A extraction);
     // P09 dies in the serial C phase, after the pool has drained — so the
@@ -287,7 +286,7 @@ fn crash_recovery_is_byte_identical_at_every_worker_count() {
                 differs.is_empty(),
                 "{process} workers={workers}: recovered run diverged from the uncrashed run \
                  on {differs:?}\n{}",
-                run.verification
+                run.run.verification
             );
         }
     }
@@ -297,7 +296,7 @@ fn crash_recovery_is_byte_identical_at_every_worker_count() {
     // count — its change logs are replay-order sensitive, so a pooled
     // crash is the hardest case it faces.
     let pooled = config.with_workers(4);
-    let ivm_ref = run_cell(EngineKind::Ivm, pooled, &Load::Closed).unwrap();
+    let ivm_ref = run_cell(EngineKind::Ivm, pooled).unwrap();
     let run = crashed(EngineKind::Ivm, pooled, "P05");
     assert_eq!(
         run.fingerprint.digests, ivm_ref.fingerprint.digests,
