@@ -348,17 +348,11 @@ impl<'a> Client<'a> {
     }
 
     /// Execute one benchmark period: uninitialize, initialize, streams
-    /// A ∥ B, then C, then D.
-    pub fn run_period(&self, k: u32) -> StoreResult<Vec<DispatchFailure>> {
-        self.run_period_from(k, &ReplaySkip::none(), true)
-            .map(|p| p.failures)
-    }
-
-    /// [`Client::run_period`] with a replay-skip set: already-settled
-    /// events (from a previous, crashed run) are not re-dispatched, and
-    /// `reinit` turns off the uninitialize/initialize prologue — a
-    /// recovering run restores the period's mid-flight state from a
-    /// checkpoint instead of rebuilding it.
+    /// A ∥ B, then C, then D. Events in `skip` (shed, or settled by a
+    /// crashed run) are not dispatched, and `reinit: false` turns off the
+    /// uninitialize/initialize prologue — a recovering run restores the
+    /// period's mid-flight state from a checkpoint instead of rebuilding
+    /// it.
     pub fn run_period_from(
         &self,
         k: u32,

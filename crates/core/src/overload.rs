@@ -1,7 +1,7 @@
 //! Open-loop arrivals: saturation behavior as a first-class,
 //! deterministic measurement.
 //!
-//! The paper's client is closed-loop — `run_period` sleeps until each
+//! The paper's client is closed-loop — it sleeps until each
 //! event's deadline, then dispatches *synchronously*, so when the system
 //! falls behind the clock silently stretches and the measured load never
 //! exceeds the service rate. Production systems don't get that mercy:

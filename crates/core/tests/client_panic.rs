@@ -60,13 +60,12 @@ fn dispatch_panic_propagates_and_does_not_deadlock() {
             assert_eq!(config.pacing, PacingMode::Eager);
             let env = BenchEnvironment::new(config).unwrap();
             let client = Client::new(&env, Arc::new(PanicOnP03::default())).unwrap();
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.run_period(0)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.run()));
             tx.send(outcome).ok();
         });
         let outcome = rx
             .recv_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("run_period deadlocked at {workers} workers"));
+            .unwrap_or_else(|_| panic!("the run deadlocked at {workers} workers"));
 
         // the panic must reach the caller, not be reported as a clean period
         let payload = outcome.expect_err("a panicking dispatch must not report success");

@@ -20,9 +20,9 @@ fn realtime_pacing_respects_deadlines() {
     let system = Arc::new(MtmSystem::new(env.world.clone()));
     let client = Client::new(&env, system).unwrap();
     let start = std::time::Instant::now();
-    let failures = client.run_period(0).unwrap();
+    let outcome = client.run().unwrap();
     let elapsed = start.elapsed();
-    assert!(failures.is_empty());
+    assert!(outcome.failures.is_empty());
     let last_deadline_tu = 3000.0 + 2.5 * (schedule::p10_count(scale.datasize) - 1) as f64;
     let min_wall = scale.tu_to_duration(last_deadline_tu);
     assert!(
@@ -42,7 +42,7 @@ fn eager_pacing_is_faster_than_realtime() {
         let system = Arc::new(MtmSystem::new(env.world.clone()));
         let client = Client::new(&env, system).unwrap();
         let start = std::time::Instant::now();
-        client.run_period(0).unwrap();
+        client.run().unwrap();
         start.elapsed()
     };
     let eager = run(PacingMode::Eager);
