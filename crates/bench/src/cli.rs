@@ -4,7 +4,8 @@
 //! values off the [`Parsed`] result through the flag constants below, so
 //! each `(command, flag)` pair is declared exactly once.
 
-use crate::{EngineKind, EngineRegistry};
+use crate::registry::{self, ENGINES};
+use crate::EngineKind;
 use dipbench::prelude::{Distribution, ScaleFactors};
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -27,7 +28,7 @@ pub enum Ty {
     Seed,
     /// One of a fixed set of words.
     Choice(&'static [&'static str]),
-    /// An engine tag or alias of the [`EngineRegistry`].
+    /// An engine tag or alias of [`ENGINES`].
     Engine,
     /// Free text (a path or a process id), shown as this metavariable.
     Text(&'static str),
@@ -44,7 +45,7 @@ impl Ty {
             Ty::Count => ("N", "an integer >= 1"),
             Ty::Index | Ty::Seed => ("N", "a non-negative integer"),
             Ty::Engine => {
-                let tags = EngineRegistry::builtin().usage_tags();
+                let tags = registry::usage_tags(|_| true);
                 return ("TAG".into(), format!("one of {tags}"));
             }
             Ty::Choice(words) => return (words.join("|"), format!("one of {}", words.join("|"))),
@@ -121,7 +122,6 @@ mod flags {
     pub const OUT_DIR: Flag = Flag::new("--out", Ty::Text("DIR"), "write the report files into this directory");
     pub const SEED: Flag = Flag::new("--seed", Ty::Seed, "seed of the data generator and the fault schedule").or("3355");
     pub const DROP: Flag = Flag::new("--drop", Ty::Rate, "transport drop rate").or("0.05");
-    pub const TIMEOUT: Flag = Flag::new("--timeout", Ty::Rate, "transport timeout rate").or("0");
     pub const ATTEMPTS: Flag = Flag::new("--attempts", Ty::Count, "delivery attempts per operation, the retry loop's one setting (50 ms timeout, 2-16 ms backoff)").or("4");
     pub const SWEEP: Flag = Flag::new("--sweep", Ty::Switch, "walk the command's cell grid instead of one cell");
     pub const PERIOD: Flag = Flag::new("--period", Ty::Index, "period of the crashed instance").or("0");
@@ -162,7 +162,7 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "sweep", args: "[d|t|f]", arity: (0, 1), flags: &[PERIODS, ENGINE], summary: "scale-factor sweep (default d; exit 1 on a failed verification)" },
     Command { name: "quality", args: "", arity: (0, 0), flags: &[PERIODS, ENGINE, D], summary: "data-quality profile per pipeline layer" },
     Command { name: "faults", args: "", arity: (0, 0), summary: "seeded chaos cells, each run twice (exit 1 on divergence or a failed single cell)",
-              flags: &[ENGINE, PERIODS, D, SEED, DROP, TIMEOUT, ATTEMPTS, SWEEP, WORKERS] },
+              flags: &[ENGINE, PERIODS, D, SEED, DROP, ATTEMPTS, SWEEP, WORKERS] },
     Command { name: "crash", args: "", arity: (0, 0), summary: "crash-restart recovery at one step (--at) or every step (--sweep) (exit 1 on divergence)",
               flags: &[ENGINE.or("mtm"), D.or("0.02"), PERIODS, SEED, PERIOD, SEQ, AT, PROCESS, SWEEP, DROP.or("0"), WORKERS] },
     Command { name: "overload", args: "", arity: (0, 0), summary: "open-loop overload cell or rate x skew sweep, each cell run twice (exit 1 on violation)",
@@ -301,9 +301,9 @@ pub fn usage() -> String {
     for cmd in COMMANDS {
         let _ = writeln!(out, "{}\n    {}", synopsis(cmd), cmd.summary);
     }
-    let registry = EngineRegistry::builtin();
-    let _ = writeln!(out, "\nengines (--engine {}):", registry.usage_tags());
-    for spec in registry.specs() {
+    let tags = registry::usage_tags(|_| true);
+    let _ = writeln!(out, "\nengines (--engine {tags}):");
+    for spec in &ENGINES {
         let _ = writeln!(out, "    {:<10} {}", spec.tag, spec.description);
     }
     out

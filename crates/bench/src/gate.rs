@@ -5,6 +5,11 @@
 //! declared [`GATES`] table that `dipbench gate`, the exploratory
 //! `faults`/`crash`/`overload` commands and the integration tests all walk.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::{build_system, EngineKind};
 use dip_relstore::error::StoreResult;
 use dipbench::client;

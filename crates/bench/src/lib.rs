@@ -1,10 +1,12 @@
 //! Harness helpers shared by the `dipbench` CLI, the examples and the
-//! integration tests: the engine registry ([`registry`]), experiment
-//! execution, the declared command table ([`cli`]) and gate table ([`gate`]).
+//! integration tests: the engine table ([`registry`]), the table commands
+//! ([`compare`], [`sweep`]), the declared command table ([`cli`]) and gate
+//! table ([`gate`]). Every run goes through [`dipbench::client::run`].
 
+use dipbench::client;
 use dipbench::prelude::*;
-use dipbench::verify::{self, VerificationReport};
-use std::io::{self, Write};
+use std::error::Error;
+use std::io::Write;
 use std::sync::Arc;
 
 pub mod cli;
@@ -12,12 +14,12 @@ pub mod gate;
 pub mod registry;
 pub mod selftime;
 
-pub use registry::{EngineRegistry, EngineSpec};
+pub use registry::{EngineSpec, ENGINES};
 
-/// Which integration system to benchmark. The registry
-/// ([`EngineRegistry`]) is the source of truth for tags,
-/// labels, constructors and capabilities; this enum is the cheap copyable
-/// handle the harness passes around.
+/// Which integration system to benchmark. The engine table ([`ENGINES`])
+/// is the source of truth for tags, labels, constructors and
+/// capabilities; this enum is the cheap copyable handle the harness passes
+/// around, and its discriminant is its index in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// The federated-DBMS reference implementation (the paper's System A
@@ -36,50 +38,30 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Resolve an `--engine` value (registry tag or alias).
+    /// Resolve an `--engine` value (tag or alias).
     pub fn parse(s: &str) -> Option<EngineKind> {
-        EngineRegistry::builtin().resolve(s).map(|spec| spec.kind)
+        registry::resolve(s).map(|spec| spec.kind)
+    }
+
+    /// This kind's entry of [`ENGINES`].
+    pub fn spec(self) -> &'static EngineSpec {
+        &ENGINES[self as usize]
     }
 
     /// Human-readable label, e.g. `federated-dbms`.
     pub fn label(&self) -> &'static str {
-        EngineRegistry::builtin().spec_of(*self).label
+        self.spec().label
     }
 
     /// Canonical short tag, e.g. `fed` — the `--engine` value.
     pub fn tag(&self) -> &'static str {
-        EngineRegistry::builtin().spec_of(*self).tag
+        self.spec().tag
     }
 }
 
 /// Build the system under test over an environment's world.
 pub fn build_system(kind: EngineKind, env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    (EngineRegistry::builtin().spec_of(kind).build)(env)
-}
-
-/// One full experiment: environment + work phase + verification.
-pub struct ExperimentResult {
-    pub outcome: RunOutcome,
-    pub verification: VerificationReport,
-}
-
-/// Run a complete experiment.
-pub fn run_experiment(kind: EngineKind, config: BenchConfig) -> ExperimentResult {
-    run_spec(EngineRegistry::builtin().spec_of(kind), config)
-}
-
-/// [`run_experiment`] on a registry entry (the built-in one of a kind, or
-/// a test double).
-pub fn run_spec(spec: &EngineSpec, config: BenchConfig) -> ExperimentResult {
-    let env = BenchEnvironment::new(config).expect("environment construction");
-    let system = (spec.build)(&env);
-    let client = Client::new(&env, system).expect("deployment");
-    let outcome = client.run().expect("work phase");
-    let verification = verify::verify_outcome(&env, &outcome).expect("verification phase");
-    ExperimentResult {
-        outcome,
-        verification,
-    }
+    (kind.spec().build)(env)
 }
 
 /// The word a table prints for a verification or gate result.
@@ -91,17 +73,18 @@ pub fn pass_fail(passed: bool) -> &'static str {
     }
 }
 
-/// `dipbench compare`: the same cell on every engine of `registry`, one
+/// `dipbench compare`: the same cell on every engine of `engines`, one
 /// after the other in this process — one NAVG+ column per engine, then
-/// each engine's verification. Returns whether every engine verified.
+/// each engine's verification. Returns whether every engine verified; an
+/// error is a run that failed or output that could not be written.
 pub fn compare(
-    registry: &EngineRegistry,
+    engines: &[EngineSpec],
     config: BenchConfig,
     out: &mut dyn Write,
-) -> io::Result<bool> {
-    let runs: Vec<(&EngineSpec, ExperimentResult)> = (registry.specs().iter())
-        .map(|spec| (spec, run_spec(spec, config)))
-        .collect();
+) -> Result<bool, Box<dyn Error>> {
+    let runs = (engines.iter())
+        .map(|spec| client::run(config, &spec.build).map(|run| (spec, run)))
+        .collect::<Result<Vec<_>, _>>()?;
     write!(out, "{:<5}", "proc")?;
     for (spec, _) in &runs {
         write!(out, " {:>19}", format!("{} NAVG+[tu]", spec.tag))?;
@@ -138,7 +121,7 @@ pub fn sweep(
     cells: &[(String, ScaleFactors)],
     periods: u32,
     out: &mut dyn Write,
-) -> io::Result<bool> {
+) -> Result<bool, Box<dyn Error>> {
     writeln!(
         out,
         "{:<14} {:>12} {:>12} {:>12} {:>8}",
@@ -146,18 +129,18 @@ pub fn sweep(
     )?;
     let mut verified = true;
     for (label, scale) in cells {
-        let result = run_spec(spec, BenchConfig::new(*scale).with_periods(periods));
-        let (e1, e2) = navg_plus_by_event(&result.outcome.metrics);
+        let run = client::run(BenchConfig::new(*scale).with_periods(periods), &spec.build)?;
+        let (e1, e2) = navg_plus_by_event(&run.outcome.metrics);
         writeln!(
             out,
             "{:<14} {:>12.2} {:>12.2} {:>12} {:>8}",
             label,
             e1,
             e2,
-            result.outcome.wall_time.as_millis(),
-            pass_fail(result.verification.passed())
+            run.outcome.wall_time.as_millis(),
+            pass_fail(run.verification.passed())
         )?;
-        verified &= result.verification.passed();
+        verified &= run.verification.passed();
     }
     Ok(verified)
 }
@@ -270,8 +253,8 @@ mod tests {
     fn small_experiment_runs_and_verifies() {
         let config =
             BenchConfig::new(ScaleFactors::new(0.01, 1.0, Distribution::Uniform)).with_periods(1);
-        let result = run_experiment(EngineKind::Federated, config);
-        assert!(result.verification.passed(), "{}", result.verification);
-        assert_eq!(result.outcome.metrics.len(), 15);
+        let run = client::run(config, &EngineKind::Federated.spec().build).unwrap();
+        assert!(run.verification.passed(), "{}", run.verification);
+        assert_eq!(run.outcome.metrics.len(), 15);
     }
 }

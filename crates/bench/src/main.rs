@@ -6,15 +6,16 @@
 //! [`dip_bench::cli::COMMANDS`]; parsing, rejection of unknown flags and
 //! out-of-range values (exit 2) and every help text derive from that
 //! table. `dipbench help` prints it; `dipbench help <command>` explains
-//! one command's flags. Engine tags resolve through the
-//! [`EngineRegistry`], gate names through [`dip_bench::gate::GATES`].
+//! one command's flags. Engine tags resolve through
+//! [`dip_bench::ENGINES`], gate names through [`dip_bench::gate::GATES`].
+//! Every run is one [`dipbench::client::run`].
 
 use dip_bench::cli::{self, Parsed, *};
 use dip_bench::gate::{self, CellRun, Check};
-use dip_bench::{pass_fail, run_experiment, selftime, shape_findings, EngineKind, EngineRegistry};
+use dip_bench::{pass_fail, registry, selftime, shape_findings, EngineKind, ENGINES};
 use dip_trace::Json;
 use dipbench::prelude::*;
-use dipbench::report;
+use dipbench::{client, report, schedule};
 use std::path::{Path, PathBuf};
 use Distribution::{Normal, Uniform, Zipf10, Zipf5};
 
@@ -79,6 +80,11 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Run `config` on `kind`; a run that errors ends the command (exit 1).
+fn run(kind: EngineKind, config: BenchConfig) -> Run {
+    client::run(config, &kind.spec().build).unwrap_or_else(|e| fail(&e.to_string()))
+}
+
 fn write_file(path: &Path, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
         fail(&format!("cannot write {}: {e}", path.display()));
@@ -102,7 +108,7 @@ fn figure(p: &Parsed, scale: ScaleFactors) {
     if trace_out.is_some() {
         dip_trace::enable();
     }
-    let result = run_experiment(kind, config);
+    let result = run(kind, config);
     if let Some(path) = &trace_out {
         let spans = dip_trace::drain();
         dip_trace::disable();
@@ -149,24 +155,25 @@ fn figure(p: &Parsed, scale: ScaleFactors) {
 }
 
 /// End a command that printed a table of runs: exit 1 if any run failed
-/// verification (after the whole table is out).
-fn finish(verified: std::io::Result<bool>) {
+/// verification (after the whole table is out), or with a message if a
+/// run errored or stdout could not be written.
+fn finish(verified: Result<bool, Box<dyn std::error::Error>>) {
     match verified {
         Ok(true) => {}
         Ok(false) => std::process::exit(1),
-        Err(e) => fail(&format!("cannot write to stdout: {e}")),
+        Err(e) if e.is::<std::io::Error>() => fail(&format!("cannot write to stdout: {e}")),
+        Err(e) => fail(&e.to_string()),
     }
 }
 
 fn compare(p: &Parsed) {
     let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(p.get(PERIODS));
-    let registry = EngineRegistry::builtin();
-    finish(dip_bench::compare(registry, config, &mut std::io::stdout()));
+    finish(dip_bench::compare(&ENGINES, config, &mut std::io::stdout()));
 }
 
 fn sweep(p: &Parsed) {
     let periods: u32 = p.get(PERIODS);
-    let spec = EngineRegistry::builtin().spec_of(p.engine());
+    let spec = p.engine().spec();
     let param = p.positionals.first().map_or("d", String::as_str);
     let uniform = |d, t| ScaleFactors::new(d, t, Uniform);
     let cells: Vec<(String, ScaleFactors)> = match param {
@@ -200,11 +207,8 @@ fn sweep(p: &Parsed) {
 fn quality(p: &Parsed) {
     let scale = ScaleFactors::new(p.get(D), 1.0, Uniform);
     let config = BenchConfig::new(scale).with_periods(p.get(PERIODS));
-    let env = BenchEnvironment::new(config).expect("environment");
-    let system = dip_bench::build_system(p.engine(), &env);
-    let client = Client::new(&env, system).expect("deploy");
-    client.run().expect("work phase");
-    let q = dipbench::quality::measure(&env).expect("quality measurement");
+    let run = run(p.engine(), config);
+    let q = dipbench::quality::measure(&run.env).unwrap_or_else(|e| fail(&e.to_string()));
     print!("{q}");
     println!(
         "quality increases along the pipeline: {}",
@@ -284,7 +288,7 @@ fn faults(p: &Parsed) {
         "clean reference run on {} (d={d}, seed={seed}, {periods} period(s), {workers} worker(s))…",
         kind.label()
     );
-    let clean = run_experiment(kind, base);
+    let clean = run(kind, base);
     let clean_navg = mean_navg_plus(&clean.outcome);
     let mut all_ok = clean.verification.passed();
     if !all_ok {
@@ -307,15 +311,8 @@ fn faults(p: &Parsed) {
         "drop    attempts  delivered   dead  retries  navg+[tu]  inflation  verify deterministic"
     );
     for (rate, attempts) in cells {
-        let model = FaultModel {
-            drop_rate: rate,
-            timeout_rate: p.get(TIMEOUT),
-        };
         let config = base
-            .with_faults(FaultPlan {
-                model,
-                ..FaultPlan::NONE
-            })
+            .with_faults(FaultPlan::drops(rate))
             .with_attempts(attempts);
         let (cell, verdict) = twice(kind, config);
         let verified = verdict.verified == verdict.cells;
@@ -356,8 +353,10 @@ fn faults(p: &Parsed) {
 /// materialization step of a target instance (or sweep every step of
 /// every target), recover from the checkpoint + stream journal, and
 /// compare each recovered run with an uncrashed same-seed reference
-/// through the gate fingerprint. The blocking CI sweeps — and the
-/// rollback-off teeth check — are the `crash-*` rows of `GATES`.
+/// through the gate fingerprint. A target instance the schedule never
+/// runs is misuse (exit 2), refused before any run. The blocking CI
+/// sweeps — and the rollback-off teeth check — are the `crash-*` rows of
+/// `GATES`.
 ///
 /// At `--workers > 1` the `replayed` and `ckpt[r]` columns depend on how
 /// far the other pool threads got before the crash, so they can differ
@@ -365,13 +364,12 @@ fn faults(p: &Parsed) {
 /// are still functions of the seed.
 fn crash(p: &Parsed) {
     let kind = p.engine();
-    let registry = EngineRegistry::builtin();
-    if !registry.spec_of(kind).crash_capable {
+    if !kind.spec().crash_capable {
         fail_usage(&format!(
             "engine {:?} acks before effect and cannot give the byte-identity \
              guarantee the crash gate checks (use {})",
             kind.tag(),
-            registry.crash_usage_tags()
+            registry::usage_tags(|s| s.crash_capable)
         ));
     }
     let at: Option<u32> = p.opt(AT);
@@ -386,8 +384,21 @@ fn crash(p: &Parsed) {
         .as_deref()
         .map_or(gate::CRASH_TARGETS.to_vec(), |one| vec![one]);
     let (d, seed, drop): (f64, u64, f64) = (p.get(D), p.get(SEED), p.get(DROP));
+    let (periods, period, seq): (u32, u32, u32) = (p.get(PERIODS), p.get(PERIOD), p.get(SEQ));
+    for target in &targets {
+        let scheduled = period < periods
+            && (schedule::period_streams(period, d).iter())
+                .flat_map(|(_, events)| events)
+                .any(|e| e.process == *target && e.seq == seq);
+        if !scheduled {
+            fail_usage(&format!(
+                "the instance {target} period {period} seq {seq} is never scheduled \
+                 at d={d} over {periods} period(s): there is nothing to crash"
+            ));
+        }
+    }
     let mut config = BenchConfig::new(ScaleFactors::new(d, 1.0, Uniform))
-        .with_periods(p.get(PERIODS))
+        .with_periods(periods)
         .with_seed(seed)
         .with_workers(p.get(WORKERS));
     if drop > 0.0 {
@@ -400,7 +411,7 @@ fn crash(p: &Parsed) {
         kind.label()
     );
     println!("process  step  tripped   replayed  ckpt[r]  verify  vs uncrashed reference");
-    let instance = (p.get(PERIOD), p.get(SEQ));
+    let instance = (period, seq);
     let mut row =
         |target: &CrashTarget, reference: &gate::Fingerprint, cell: &Result<CellRun, _>| {
             print!("{:<8} {:>4} ", target.process, target.step);

@@ -1,17 +1,22 @@
-//! The declarative engine registry.
+//! The engine table.
 //!
-//! One [`EngineSpec`] per system under test. The CLI resolves `--engine`
-//! values, usage strings and display labels here and `dipbench compare`
-//! walks it, so adding an engine is one table entry plus a crate
+//! One [`EngineSpec`] per system under test, in [`ENGINES`], indexed by
+//! [`EngineKind`]. The CLI resolves `--engine` values, usage strings and
+//! display labels here and `dipbench compare` walks it, so adding an
+//! engine is one table entry, one `EngineKind` variant plus a crate
 //! dependency — no new `match` arms in `main.rs` (DESIGN.md, "How to add
 //! an engine").
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::EngineKind;
 use dip_feddbms::{FedDbms, FedOptions};
 use dip_ivm::IvmSystem;
 use dipbench::prelude::*;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Everything the harness needs to know about one system under test.
 pub struct EngineSpec {
@@ -32,158 +37,100 @@ pub struct EngineSpec {
     pub build: fn(&BenchEnvironment) -> Arc<dyn IntegrationSystem>,
 }
 
-/// The registry: an ordered list of [`EngineSpec`]s (order is the order
-/// engines appear in usage text and `compare` columns).
-pub struct EngineRegistry {
-    specs: Vec<EngineSpec>,
-}
-
-fn build_fed(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    Arc::new(FedDbms::new(env.world.clone(), FedOptions::default()))
-}
-
-fn build_fed_unopt(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    Arc::new(FedDbms::new(
-        env.world.clone(),
-        FedOptions {
-            optimize_relational: false,
+/// The built-in engines, at the index of their [`EngineKind`] — which is
+/// also the order they appear in usage text and `compare` columns.
+pub static ENGINES: [EngineSpec; 5] = [
+    EngineSpec {
+        kind: EngineKind::Federated,
+        tag: "fed",
+        aliases: &["federated"],
+        label: "federated-dbms",
+        description: "federated-DBMS reference implementation (default)",
+        crash_capable: true,
+        build: |env| Arc::new(FedDbms::new(env.world.clone(), FedOptions::default())),
+    },
+    EngineSpec {
+        kind: EngineKind::Mtm,
+        tag: "mtm",
+        aliases: &[],
+        label: "mtm-engine",
+        description: "native message-transformation-model engine",
+        crash_capable: true,
+        build: |env| Arc::new(MtmSystem::new(env.world.clone())),
+    },
+    EngineSpec {
+        kind: EngineKind::FederatedUnoptimized,
+        tag: "fed-unopt",
+        aliases: &[],
+        label: "federated-dbms (no optimizer)",
+        description: "federated engine with the relational optimizer disabled",
+        crash_capable: true,
+        build: |env| {
+            let options = FedOptions {
+                optimize_relational: false,
+            };
+            Arc::new(FedDbms::new(env.world.clone(), options))
         },
-    ))
+    },
+    EngineSpec {
+        kind: EngineKind::Eai,
+        tag: "eai",
+        aliases: &[],
+        label: "eai-server",
+        description: "asynchronous EAI-broker-style engine",
+        crash_capable: false,
+        // The broker has no threads: the client's barriers run its one FIFO
+        // in acceptance order, deterministic at any `config.workers`. The
+        // second argument is unused.
+        build: |env| Arc::new(EaiSystem::new(env.world.clone(), 1)),
+    },
+    EngineSpec {
+        kind: EngineKind::Ivm,
+        tag: "ivm",
+        aliases: &[],
+        label: "ivm-engine",
+        description: "incremental view maintenance over change-capture logs",
+        crash_capable: true,
+        build: |env| Arc::new(IvmSystem::new(env.world.clone())),
+    },
+];
+
+/// Resolve an `--engine` value by tag or alias.
+pub fn resolve(name: &str) -> Option<&'static EngineSpec> {
+    ENGINES
+        .iter()
+        .find(|s| s.tag == name || s.aliases.contains(&name))
 }
 
-fn build_mtm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    Arc::new(MtmSystem::new(env.world.clone()))
-}
-
-fn build_eai(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    // The broker has no threads: the client's barriers run its one FIFO in
-    // acceptance order, deterministic at any `config.workers`. The second
-    // argument is unused.
-    Arc::new(EaiSystem::new(env.world.clone(), 1))
-}
-
-fn build_ivm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
-    Arc::new(IvmSystem::new(env.world.clone()))
-}
-
-impl EngineRegistry {
-    /// A registry of exactly these engines, in presentation order.
-    pub fn new(specs: Vec<EngineSpec>) -> EngineRegistry {
-        EngineRegistry { specs }
-    }
-
-    /// The built-in engines, in presentation order.
-    pub fn builtin() -> &'static EngineRegistry {
-        static REGISTRY: OnceLock<EngineRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| EngineRegistry {
-            specs: vec![
-                EngineSpec {
-                    kind: EngineKind::Federated,
-                    tag: "fed",
-                    aliases: &["federated"],
-                    label: "federated-dbms",
-                    description: "federated-DBMS reference implementation (default)",
-                    crash_capable: true,
-                    build: build_fed,
-                },
-                EngineSpec {
-                    kind: EngineKind::Mtm,
-                    tag: "mtm",
-                    aliases: &[],
-                    label: "mtm-engine",
-                    description: "native message-transformation-model engine",
-                    crash_capable: true,
-                    build: build_mtm,
-                },
-                EngineSpec {
-                    kind: EngineKind::FederatedUnoptimized,
-                    tag: "fed-unopt",
-                    aliases: &[],
-                    label: "federated-dbms (no optimizer)",
-                    description: "federated engine with the relational optimizer disabled",
-                    crash_capable: true,
-                    build: build_fed_unopt,
-                },
-                EngineSpec {
-                    kind: EngineKind::Eai,
-                    tag: "eai",
-                    aliases: &[],
-                    label: "eai-server",
-                    description: "asynchronous EAI-broker-style engine",
-                    crash_capable: false,
-                    build: build_eai,
-                },
-                EngineSpec {
-                    kind: EngineKind::Ivm,
-                    tag: "ivm",
-                    aliases: &[],
-                    label: "ivm-engine",
-                    description: "incremental view maintenance over change-capture logs",
-                    crash_capable: true,
-                    build: build_ivm,
-                },
-            ],
-        })
-    }
-
-    pub fn specs(&self) -> &[EngineSpec] {
-        &self.specs
-    }
-
-    /// Resolve an `--engine` value by tag or alias.
-    pub fn resolve(&self, name: &str) -> Option<&EngineSpec> {
-        self.specs
-            .iter()
-            .find(|s| s.tag == name || s.aliases.contains(&name))
-    }
-
-    /// The spec for a kind (every kind is registered; this cannot miss).
-    pub fn spec_of(&self, kind: EngineKind) -> &EngineSpec {
-        self.specs
-            .iter()
-            .find(|s| s.kind == kind)
-            .expect("every EngineKind is registered")
-    }
-
-    /// Pipe-joined tag list for usage text, e.g. `fed|mtm|fed-unopt|eai|ivm`.
-    pub fn usage_tags(&self) -> String {
-        let tags: Vec<&str> = self.specs.iter().map(|s| s.tag).collect();
-        tags.join("|")
-    }
-
-    /// Tag list restricted to crash-capable engines.
-    pub fn crash_usage_tags(&self) -> String {
-        let tags: Vec<&str> = self
-            .specs
-            .iter()
-            .filter(|s| s.crash_capable)
-            .map(|s| s.tag)
-            .collect();
-        tags.join("|")
-    }
+/// Pipe-joined tags of the engines `keep` admits, for usage text, e.g.
+/// `fed|mtm|fed-unopt|eai|ivm`.
+pub fn usage_tags(keep: fn(&EngineSpec) -> bool) -> String {
+    let tags: Vec<&str> = ENGINES.iter().filter(|s| keep(s)).map(|s| s.tag).collect();
+    tags.join("|")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `EngineKind::spec` indexes the table by discriminant: entry `i`
+    /// must be the kind whose discriminant is `i`.
     #[test]
     fn every_kind_has_a_spec_and_tags_are_unique() {
-        let reg = EngineRegistry::builtin();
-        let mut tags: Vec<&str> = reg.specs().iter().map(|s| s.tag).collect();
+        for (i, spec) in ENGINES.iter().enumerate() {
+            assert_eq!(spec.kind as usize, i, "{}", spec.tag);
+            assert_eq!(spec.kind.spec().tag, spec.tag);
+        }
+        let mut tags: Vec<&str> = ENGINES.iter().map(|s| s.tag).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), reg.specs().len(), "duplicate engine tags");
-        for spec in reg.specs() {
-            assert_eq!(reg.spec_of(spec.kind).tag, spec.tag);
-        }
+        assert_eq!(tags.len(), ENGINES.len(), "duplicate engine tags");
     }
 
     #[test]
     fn usage_lists_are_registry_driven() {
-        let reg = EngineRegistry::builtin();
-        assert_eq!(reg.usage_tags(), "fed|mtm|fed-unopt|eai|ivm");
+        assert_eq!(usage_tags(|_| true), "fed|mtm|fed-unopt|eai|ivm");
         // eai acks before effect: excluded from the crash gate
-        assert_eq!(reg.crash_usage_tags(), "fed|mtm|fed-unopt|ivm");
+        assert_eq!(usage_tags(|s| s.crash_capable), "fed|mtm|fed-unopt|ivm");
     }
 }

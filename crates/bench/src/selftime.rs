@@ -14,6 +14,11 @@
 //! other threads (the worker pool's dispatcher, a FORK while its branches
 //! run) and is booked as wait, apart from work.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use dip_trace::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

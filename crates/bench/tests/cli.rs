@@ -3,11 +3,11 @@
 //! naming the flags the command does accept, out-of-range values are
 //! rejected before any work starts, and the help text — and the README
 //! block generated from it — lists each flag under exactly the commands
-//! that take it. `compare` walks the engine registry, and a table command
+//! that take it. `compare` walks the engine table, and a table command
 //! (`compare`, `sweep`) reports a failed verification to its caller.
 
 use dip_bench::cli::{self, Command, Flag, Ty, COMMANDS};
-use dip_bench::{EngineKind, EngineRegistry, EngineSpec};
+use dip_bench::{EngineKind, EngineSpec, ENGINES};
 use dipbench::prelude::*;
 use std::collections::BTreeSet;
 use std::process::Command as Process;
@@ -137,7 +137,7 @@ fn explain_narrates_the_15_definitions_as_written_by_hand_at_pr18() {
 
 #[test]
 fn misuse_exits_2_before_any_work_starts() {
-    let cases: [(&[&str], &str); 17] = [
+    let cases: [(&[&str], &str); 21] = [
         (
             &["run", "--exec-mode", "vectorized"],
             "unknown flag --exec-mode",
@@ -165,6 +165,21 @@ fn misuse_exits_2_before_any_work_starts() {
         (
             &["faults", "--drop", "1.0"],
             "--drop expects a rate in [0, 1)",
+        ),
+        // timeouts cost what drops cost: the fault model only drops
+        (&["faults", "--timeout", "0.1"], "unknown flag --timeout"),
+        // a crash target the schedule never runs is misuse, not a failed run
+        (
+            &["crash", "--d", "0.01", "--at", "0", "--process", "P99"],
+            "the instance P99 period 0 seq 0 is never scheduled",
+        ),
+        (
+            &["crash", "--at", "0", "--period", "5", "--periods", "1"],
+            "period 5 seq 0 is never scheduled at d=0.02 over 1 period(s)",
+        ),
+        (
+            &["crash", "--at", "0", "--seq", "999"],
+            "seq 999 is never scheduled",
         ),
         (
             &["sweep", "--periods", "1", "x"],
@@ -211,9 +226,7 @@ fn compare_prints_one_column_per_registered_engine_and_exits_0() {
         .expect("spawn dipbench");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
-    let tags: Vec<&str> = (EngineRegistry::builtin().specs().iter())
-        .map(|s| s.tag)
-        .collect();
+    let tags: Vec<&str> = ENGINES.iter().map(|s| s.tag).collect();
     let header: Vec<&str> = stdout.lines().next().unwrap().split_whitespace().collect();
     let columns: Vec<&str> = tags.iter().flat_map(|tag| [*tag, "NAVG+[tu]"]).collect();
     assert_eq!(header[0], "proc");
@@ -265,8 +278,7 @@ fn table_commands_report_a_failed_verification_after_the_full_table() {
     let scale = ScaleFactors::new(0.02, 1.0, Distribution::Uniform);
     let config = BenchConfig::new(scale).with_periods(1);
     let mut table = Vec::new();
-    let broken = EngineRegistry::new(vec![lossy()]);
-    assert!(!dip_bench::compare(&broken, config, &mut table).unwrap());
+    assert!(!dip_bench::compare(&[lossy()], config, &mut table).unwrap());
     let table = String::from_utf8(table).unwrap();
     assert!(table.ends_with("verification: lossy=FAIL\n"), "{table}");
 
@@ -280,6 +292,6 @@ fn table_commands_report_a_failed_verification_after_the_full_table() {
     let failed = table.lines().filter(|l| l.ends_with("FAIL"));
     assert_eq!(failed.count(), 2, "every cell is printed:\n{table}");
     // the same cells on a sound engine
-    let mtm = EngineRegistry::builtin().spec_of(EngineKind::Mtm);
+    let mtm = EngineKind::Mtm.spec();
     assert!(dip_bench::sweep(mtm, &cells, 1, &mut Vec::new()).unwrap());
 }

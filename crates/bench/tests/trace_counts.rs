@@ -27,17 +27,19 @@ fn config() -> BenchConfig {
         .with_seed(7)
 }
 
-/// Spans of one work phase: `run_cell` drops the spans it drains, so the
-/// span half drives the client directly.
+/// Spans of one closed period: `run_cell` drops the spans it drains, so
+/// the span half drives a built client the way `benchmark/` does, which
+/// keeps the spans of verification and digesting out.
 fn spans_of(kind: EngineKind) -> Vec<dip_trace::SpanRecord> {
     let env = BenchEnvironment::new(config()).expect("environment");
     let system = build_system(kind, &env);
     dip_trace::enable();
-    let outcome = Client::new(&env, system).and_then(|client| client.run());
+    let period = Client::new(&env, system)
+        .and_then(|client| client.run_period_from(0, &ReplaySkip::none(), true));
     let spans = dip_trace::drain();
     let _ = dip_trace::drain_counters();
     dip_trace::disable();
-    outcome.expect("work phase");
+    period.expect("work phase");
     spans
 }
 

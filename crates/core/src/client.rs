@@ -11,8 +11,10 @@
 //! Every run walks its periods in one loop, whatever its config asks for:
 //! [`run`] builds the environment and system and runs closed or open-loop
 //! arrivals (`BenchConfig::arrivals`, [`crate::overload`]), crashed or not
-//! (`BenchConfig::faults`, [`crate::recovery`]); [`Client::run`] is the
-//! same loop on a client already built.
+//! (`BenchConfig::faults`, [`crate::recovery`]), and returns the world it
+//! ended in. A built [`Client`] runs single periods
+//! ([`Client::run_period_from`]) and aggregates their records
+//! ([`Client::build_outcome`]), the way `benchmark/` reuses one client.
 
 #![cfg_attr(
     not(test),
@@ -155,6 +157,8 @@ pub type MakeSystem<'m> = &'m dyn Fn(&BenchEnvironment) -> Arc<dyn IntegrationSy
 
 /// Everything one run of a config produces, whatever its load.
 pub struct Run {
+    /// The world the run ended in: after a crash, the restarted one.
+    pub env: BenchEnvironment,
     /// The outcome, merged over a crash (pre-crash + post-restart).
     pub outcome: RunOutcome,
     /// Verification over the outcome and the final state.
@@ -183,15 +187,18 @@ pub struct Run {
 pub fn run(config: BenchConfig, make_system: MakeSystem) -> StoreResult<Run> {
     let env = BenchEnvironment::new(config)?;
     let restarted = OnceCell::new();
-    let client = Client::new(&env, make_system(&env))?;
-    let (outcome, replayed_events, stats) = client.drive(Some((make_system, &restarted)))?;
-    let world = restarted.get().unwrap_or(&env);
+    let (outcome, replayed_events, stats) =
+        Client::new(&env, make_system(&env))?.drive(make_system, &restarted)?;
+    let network = &env.world.network;
+    let (tripped, steps_seen) = (network.crash_tripped(), network.crash_steps_seen());
+    let env = restarted.into_inner().unwrap_or(env);
     Ok(Run {
-        verification: verify::verify_outcome(world, &outcome)?,
-        digests: recovery::digest_tables(&world.world)?,
+        verification: verify::verify_outcome(&env, &outcome)?,
+        digests: recovery::digest_tables(&env.world)?,
+        env,
         outcome,
-        tripped: env.world.network.crash_tripped(),
-        steps_seen: env.world.network.crash_steps_seen(),
+        tripped,
+        steps_seen,
         replayed_events,
         stats,
     })
@@ -395,25 +402,18 @@ impl<'a> Client<'a> {
         Ok(run)
     }
 
-    /// Execute the whole work phase and aggregate the metric: [`run`]'s
-    /// loop on this client's environment and system. It has no system to
-    /// restart, so a crash the config plans leaves the dead system in
-    /// place and the rest of the run undelivered.
-    pub fn run(&self) -> StoreResult<RunOutcome> {
-        self.drive(None).map(|(outcome, ..)| outcome)
-    }
-
     /// The one period loop. Each period's skip set is, under open-loop
     /// arrivals, the events its virtual queues shed, dead-lettered first
     /// ([`overload::shed_period`]); then [`Client::run_period_from`] runs
-    /// it. On a crash, given a `restart`, the loop restarts into the slot
-    /// ([`recovery::restart`]) and replays the crashed period without
-    /// re-initialization, skipping its settled set (its sheds included),
-    /// then carries on. Returns the merged outcome, the events the restart
-    /// replayed and the arrival model's statistics.
+    /// it. On a crash the loop restarts into `slot` with a system from
+    /// `make_system` ([`recovery::restart`]) and replays the crashed period
+    /// without re-initialization, skipping its settled set (its sheds
+    /// included), then carries on. Returns the merged outcome, the events
+    /// the restart replayed and the arrival model's statistics.
     fn drive(
         &self,
-        restart: Option<(MakeSystem, &'a OnceCell<BenchEnvironment>)>,
+        make_system: MakeSystem,
+        slot: &'a OnceCell<BenchEnvironment>,
     ) -> StoreResult<(RunOutcome, usize, OverloadStats)> {
         let config = self.env.config;
         let _span = config.arrivals.map(|_| span("overload"));
@@ -436,10 +436,10 @@ impl<'a> Client<'a> {
             };
             let period = client.run_period_from(k, &skip, reinit)?;
             failures.extend(period.failures);
-            let Some((make_system, slot)) = restart.filter(|_| period.crashed) else {
+            if !period.crashed {
                 k += 1;
                 continue;
-            };
+            }
             // the crashed system produced no record of the instance it
             // killed, so its replay adds exactly one
             records.extend(client.system.recorder().drain());
@@ -564,9 +564,10 @@ mod tests {
             ..closed
         };
         for config in [closed, open] {
-            let env = BenchEnvironment::new(config).unwrap();
-            let client = Client::new(&env, Arc::new(Deferred::default())).unwrap();
-            let failures = client.run().unwrap().failures;
+            let failures = run(config, &|_| Arc::new(Deferred::default()))
+                .unwrap()
+                .outcome
+                .failures;
             let names = failures
                 .iter()
                 .map(|f| (f.process.as_str(), f.period, f.seq));

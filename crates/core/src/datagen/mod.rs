@@ -653,14 +653,6 @@ impl Generator {
             .collect();
         apps::beijing_master_data(&customers, &parts)
     }
-
-    /// How many San Diego messages of the first `count` carry injected
-    /// errors — used by verification to predict failed-message counts.
-    pub fn expected_san_diego_errors(&self, k: u32, count: u32) -> usize {
-        (0..count)
-            .filter(|&m| self.san_diego_message(k, m).1)
-            .count()
-    }
 }
 
 /// One period's complete source-system state: every `(database, table)`
@@ -740,7 +732,7 @@ mod tests {
     fn san_diego_error_rate_plausible() {
         let g = generator();
         let n = 400;
-        let errors = g.expected_san_diego_errors(0, n);
+        let errors = (0..n).filter(|&m| g.san_diego_message(0, m).1).count();
         let rate = errors as f64 / n as f64;
         assert!((0.08..0.25).contains(&rate), "rate {rate}");
         // injected messages really fail validation

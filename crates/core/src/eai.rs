@@ -133,45 +133,38 @@ impl IntegrationSystem for EaiSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::run;
     use crate::prelude::*;
-    use crate::verify;
+
+    fn config() -> BenchConfig {
+        BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1)
+    }
 
     fn env() -> BenchEnvironment {
-        let config =
-            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        BenchEnvironment::new(config).unwrap()
+        BenchEnvironment::new(config()).unwrap()
     }
 
     #[test]
     fn eai_runs_the_benchmark_and_verifies() {
-        let env = env();
-        let system = Arc::new(EaiSystem::new(env.world.clone(), 4));
-        let client = Client::new(&env, system).unwrap();
-        let outcome = client.run().unwrap();
+        let run = run(config(), &|env| {
+            Arc::new(EaiSystem::new(env.world.clone(), 4))
+        })
+        .unwrap();
+        let outcome = &run.outcome;
         // neither a dispatched event nor a queued message failed
         assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
         assert_eq!(outcome.metrics.len(), 15);
-        let report = verify::verify(&env).unwrap();
-        assert!(report.passed(), "{report}");
+        assert!(run.verification.passed(), "{}", run.verification);
     }
 
     #[test]
     fn eai_matches_mtm_integrated_data() {
-        let config =
-            BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        let run = |eai: bool| {
-            let env = BenchEnvironment::new(config).unwrap();
-            let system: Arc<dyn IntegrationSystem> = if eai {
-                Arc::new(EaiSystem::new(env.world.clone(), 3))
-            } else {
-                Arc::new(MtmSystem::new(env.world.clone()))
-            };
-            let client = Client::new(&env, system).unwrap();
-            client.run().unwrap();
-            env
-        };
-        let a = run(true);
-        let b = run(false);
+        let a = run(config(), &|env| {
+            Arc::new(EaiSystem::new(env.world.clone(), 3))
+        })
+        .unwrap();
+        let b = run(config(), &|env| Arc::new(MtmSystem::new(env.world.clone()))).unwrap();
+        let (a, b) = (a.env, b.env);
         for table in ["orders", "orderline", "customer", "product", "orders_mv"] {
             let mut x = a.db("dwh").table(table).unwrap().scan();
             let mut y = b.db("dwh").table(table).unwrap().scan();

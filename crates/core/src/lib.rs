@@ -29,12 +29,10 @@
 //! use std::sync::Arc;
 //!
 //! let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(1);
-//! let env = BenchEnvironment::new(config).unwrap();
-//! let system = Arc::new(MtmSystem::new(env.world.clone()));
-//! let client = Client::new(&env, system).unwrap();
-//! let outcome = client.run().unwrap();
-//! println!("{}", dipbench::report::metrics_table(&outcome));
-//! assert!(dipbench::verify::verify(&env).unwrap().passed());
+//! let run = dipbench::client::run(config, &|env| Arc::new(MtmSystem::new(env.world.clone())))
+//!     .unwrap();
+//! println!("{}", dipbench::report::metrics_table(&run.outcome));
+//! assert!(run.verification.passed());
 //! ```
 
 pub mod client;

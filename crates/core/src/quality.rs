@@ -241,11 +241,8 @@ mod tests {
     fn run_env() -> BenchEnvironment {
         let config =
             BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-        let env = BenchEnvironment::new(config).unwrap();
-        let system = Arc::new(MtmSystem::new(env.world.clone()));
-        let client = Client::new(&env, system).unwrap();
-        client.run().unwrap();
-        env
+        let mtm = |env: &BenchEnvironment| Arc::new(MtmSystem::new(env.world.clone())) as _;
+        crate::client::run(config, &mtm).unwrap().env
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!    run the remaining periods,
 //! 4. merge pre-crash and post-restart outcomes; E1 conservation
 //!    (`scheduled = integrated + dead-lettered + failed + shed`) must hold
-//!    over the merge, and the final data must be byte-identical to an
-//!    uncrashed same-seed run ([`digest_tables`]).
+//!    over the merge, and the final data — the restarted world, which the
+//!    run returns as `Run::env` — must be byte-identical to an uncrashed
+//!    same-seed run ([`digest_tables`]).
 //!
 //! Crash points are materialization steps: every `round_trip` to an
 //! external system checks the run's [`dip_netsim::fault::CrashPlan`]
@@ -200,7 +201,6 @@ mod tests {
     use crate::client::{run, Run, RunOutcome};
     use crate::config::BenchConfig;
     use crate::system::{IntegrationSystem, MtmSystem};
-    use crate::verify;
     use std::sync::Arc;
 
     fn mtm(env: &BenchEnvironment) -> Arc<dyn IntegrationSystem> {
@@ -231,11 +231,10 @@ mod tests {
 
     /// The same seed, never crashed: its outcome and table digests.
     fn reference(config: BenchConfig) -> (RunOutcome, BTreeMap<String, u64>) {
-        let env = BenchEnvironment::new(config).unwrap();
-        let outcome = Client::new(&env, mtm(&env)).unwrap().run().unwrap();
-        assert!(!env.world.network.crash_tripped(), "nothing was planned");
-        assert!(verify::verify_outcome(&env, &outcome).unwrap().passed());
-        (outcome, digest_tables(&env.world).unwrap())
+        let run = run(config, &mtm).unwrap();
+        assert!(!run.tripped, "nothing was planned");
+        assert!(run.verification.passed(), "{}", run.verification);
+        (run.outcome, run.digests)
     }
 
     /// Kill `process` (period 0, seq 0) at `step` and recover.

@@ -2,7 +2,7 @@
 //! integrated data (paper Fig. 6's "Benchmark Verification").
 //!
 //! All checks are structural invariants of the final state (after the last
-//! period), so they hold for *any* correct integration system — this is
+//! period) and of what the run delivered ([`verify_outcome`]), so they hold for *any* correct integration system — this is
 //! what makes benchmark results comparable across systems.
 
 use crate::client::RunOutcome;
@@ -68,26 +68,14 @@ fn key_set(db: &Database, table: &str, cols: &[usize]) -> StoreResult<HashSet<Ve
     Ok(out)
 }
 
-/// Run every verification check against the environment's final state.
-pub fn verify(env: &BenchEnvironment) -> StoreResult<VerificationReport> {
-    verify_with(env, None)
-}
-
-/// Like [`verify`], but aware of the run's delivery outcomes: messages the
-/// transport dead-lettered never reached the integration layer, so the
-/// failed-data expectation excludes them, and an additional conservation
-/// check accounts every scheduled E1 message as integrated, dead-lettered,
-/// or failed.
+/// Run every verification check against the final state of a run and
+/// its delivery outcomes: messages the transport dead-lettered never
+/// reached the integration layer, so the failed-data expectation excludes
+/// them, and the conservation check accounts every scheduled E1 message
+/// as integrated, dead-lettered, failed or shed.
 pub fn verify_outcome(
     env: &BenchEnvironment,
     outcome: &RunOutcome,
-) -> StoreResult<VerificationReport> {
-    verify_with(env, Some(outcome))
-}
-
-fn verify_with(
-    env: &BenchEnvironment,
-    outcome: Option<&RunOutcome>,
 ) -> StoreResult<VerificationReport> {
     let mut report = VerificationReport::default();
     let cdb_db = env.db(cdb::CDB);
@@ -276,25 +264,17 @@ fn verify_with(
 
     // 8. Failed-data handling: exactly the injected San Diego errors of
     // the final period sit in the failed-messages table. Dead-lettered P10
-    // messages never reached the CDB, so their injected errors are excluded
-    // when the run outcome is known.
+    // messages never reached the CDB, so their injected errors are excluded.
     let last_period = env.config.periods.saturating_sub(1);
     let n_p10 = crate::schedule::p10_count(env.config.scale.datasize);
-    let expected_failures = match outcome {
-        None => env.generator.expected_san_diego_errors(last_period, n_p10),
-        Some(out) => {
-            let dlq: HashSet<u32> = out
-                .dead_letters
-                .iter()
-                .filter(|d| d.process == "P10" && d.period == last_period)
-                .map(|d| d.seq)
-                .collect();
-            (0..n_p10)
-                .filter(|m| !dlq.contains(m))
-                .filter(|&m| env.generator.san_diego_message(last_period, m).1)
-                .count()
-        }
-    };
+    let dlq: HashSet<u32> = (outcome.dead_letters.iter())
+        .filter(|d| d.process == "P10" && d.period == last_period)
+        .map(|d| d.seq)
+        .collect();
+    let expected_failures = (0..n_p10)
+        .filter(|m| !dlq.contains(m))
+        .filter(|&m| env.generator.san_diego_message(last_period, m).1)
+        .count();
     let actual_failures = cdb_db.table("failed_messages")?.row_count();
     report.push(
         "failed_messages_match_injected",
@@ -309,63 +289,61 @@ fn verify_with(
     // integrated (ok), was dead-lettered after exhausted transport
     // retries, or failed outright:
     // `scheduled = integrated + dead-lettered + failed + shed`.
-    if let Some(out) = outcome {
-        let d = env.config.scale.datasize;
-        let mut conserved = true;
-        let mut detail = String::new();
-        for k in 0..env.config.periods {
-            for (process, scheduled) in [
-                ("P01", crate::schedule::p01_count(k, d)),
-                ("P02", crate::schedule::p02_count(k, d)),
-                ("P04", crate::schedule::p04_count(d)),
-                ("P08", crate::schedule::p08_count(d)),
-                ("P10", n_p10),
-            ] {
-                let scheduled = scheduled as usize;
-                let recs = out
-                    .records
-                    .iter()
-                    .filter(|r| r.process == process && r.period == k);
-                let (mut total, mut ok) = (0usize, 0usize);
-                for r in recs {
-                    total += 1;
-                    ok += r.ok as usize;
-                }
-                let (mut dlq, mut shed) = (0usize, 0usize);
-                for l in out
-                    .dead_letters
-                    .iter()
-                    .filter(|l| l.process == process && l.period == k)
-                {
-                    if l.shed {
-                        shed += 1;
-                    } else {
-                        dlq += 1;
-                    }
-                }
-                let failed = out
-                    .failures
-                    .iter()
-                    .filter(|f| f.process == process && f.period == k)
-                    .count();
-                if total + shed != scheduled || ok + dlq + failed + shed != scheduled {
-                    conserved = false;
-                    detail = format!(
-                        "{process} period {k}: scheduled {scheduled}, \
-                         recorded {total}, ok {ok} + dlq {dlq} + failed {failed} \
-                         + shed {shed}"
-                    );
+    let d = env.config.scale.datasize;
+    let mut conserved = true;
+    let mut detail = String::new();
+    for k in 0..env.config.periods {
+        for (process, scheduled) in [
+            ("P01", crate::schedule::p01_count(k, d)),
+            ("P02", crate::schedule::p02_count(k, d)),
+            ("P04", crate::schedule::p04_count(d)),
+            ("P08", crate::schedule::p08_count(d)),
+            ("P10", n_p10),
+        ] {
+            let scheduled = scheduled as usize;
+            let recs = outcome
+                .records
+                .iter()
+                .filter(|r| r.process == process && r.period == k);
+            let (mut total, mut ok) = (0usize, 0usize);
+            for r in recs {
+                total += 1;
+                ok += r.ok as usize;
+            }
+            let (mut dlq, mut shed) = (0usize, 0usize);
+            for l in outcome
+                .dead_letters
+                .iter()
+                .filter(|l| l.process == process && l.period == k)
+            {
+                if l.shed {
+                    shed += 1;
+                } else {
+                    dlq += 1;
                 }
             }
+            let failed = outcome
+                .failures
+                .iter()
+                .filter(|f| f.process == process && f.period == k)
+                .count();
+            if total + shed != scheduled || ok + dlq + failed + shed != scheduled {
+                conserved = false;
+                detail = format!(
+                    "{process} period {k}: scheduled {scheduled}, \
+                     recorded {total}, ok {ok} + dlq {dlq} + failed {failed} \
+                     + shed {shed}"
+                );
+            }
         }
-        if detail.is_empty() {
-            let dlq_total = out.dead_letters.iter().filter(|l| !l.shed).count();
-            let shed_total = out.dead_letters.len() - dlq_total;
-            detail =
-                format!("all E1 messages accounted ({dlq_total} dead-lettered, {shed_total} shed)");
-        }
-        report.push("e1_message_conservation", conserved, detail);
     }
+    if detail.is_empty() {
+        let dlq_total = outcome.dead_letters.iter().filter(|l| !l.shed).count();
+        let shed_total = outcome.dead_letters.len() - dlq_total;
+        detail =
+            format!("all E1 messages accounted ({dlq_total} dead-lettered, {shed_total} shed)");
+    }
+    report.push("e1_message_conservation", conserved, detail);
 
     Ok(report)
 }

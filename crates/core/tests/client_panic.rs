@@ -11,6 +11,7 @@
 use dip_mtm::cost::CostRecorder;
 use dip_mtm::error::MtmResult;
 use dip_mtm::process::ProcessDef;
+use dipbench::client;
 use dipbench::prelude::*;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -58,10 +59,9 @@ fn dispatch_panic_propagates_and_does_not_deadlock() {
                 .with_periods(1)
                 .with_workers(workers);
             assert_eq!(config.pacing, PacingMode::Eager);
-            let env = BenchEnvironment::new(config).unwrap();
-            let client = Client::new(&env, Arc::new(PanicOnP03::default())).unwrap();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.run()));
-            tx.send(outcome).ok();
+            let make_system = |_: &BenchEnvironment| Arc::new(PanicOnP03::default()) as _;
+            let run = || client::run(config, &make_system).map(|run| run.outcome);
+            tx.send(std::panic::catch_unwind(run)).ok();
         });
         let outcome = rx
             .recv_timeout(Duration::from_secs(60))

@@ -3,22 +3,19 @@
 //! phase.
 
 use dipbench::prelude::*;
-use dipbench::{report, schedule, verify};
+use dipbench::{client, report, schedule};
 use std::sync::Arc;
 
-fn run(config: BenchConfig) -> (BenchEnvironment, RunOutcome) {
-    let env = BenchEnvironment::new(config).unwrap();
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
-    let outcome = client.run().unwrap();
-    (env, outcome)
+fn run(config: BenchConfig) -> Run {
+    client::run(config, &|env| Arc::new(MtmSystem::new(env.world.clone()))).unwrap()
 }
 
 #[test]
 fn one_period_runs_and_verifies() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-    let (env, outcome) = run(config);
+    let run = run(config);
+    let outcome = &run.outcome;
 
     // every process type executed
     assert_eq!(outcome.metrics.len(), 15, "{:#?}", outcome.metrics);
@@ -45,7 +42,7 @@ fn one_period_runs_and_verifies() {
     assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
 
     // the verification phase passes
-    let report = verify::verify(&env).unwrap();
+    let report = &run.verification;
     assert!(report.passed(), "verification failed:\n{report}");
 }
 
@@ -53,7 +50,8 @@ fn one_period_runs_and_verifies() {
 fn multi_period_last_state_verifies() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(3);
-    let (env, outcome) = run(config);
+    let run = run(config);
+    let outcome = &run.outcome;
     assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
     // three periods × schedule
     let m = outcome.metric_for("P04").unwrap();
@@ -61,7 +59,7 @@ fn multi_period_last_state_verifies() {
         m.instances as u32,
         3 * schedule::p04_count(config.scale.datasize)
     );
-    let report = verify::verify(&env).unwrap();
+    let report = &run.verification;
     assert!(report.passed(), "verification failed:\n{report}");
 }
 
@@ -69,16 +67,17 @@ fn multi_period_last_state_verifies() {
 fn skewed_distribution_also_verifies() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Zipf10)).with_periods(1);
-    let (env, outcome) = run(config);
-    assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
-    assert!(verify::verify(&env).unwrap().passed());
+    let run = run(config);
+    let failures = &run.outcome.failures;
+    assert!(failures.is_empty(), "{failures:#?}");
+    assert!(run.verification.passed(), "{}", run.verification);
 }
 
 #[test]
 fn reports_render_from_real_run() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-    let (_env, outcome) = run(config);
+    let outcome = run(config).outcome;
     let table = report::metrics_table(&outcome);
     assert!(table.contains("P13"));
     let chart = report::ascii_chart(&outcome.metrics, 50);
@@ -91,8 +90,7 @@ fn reports_render_from_real_run() {
 fn deterministic_data_flow_across_identical_runs() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-    let (env1, _) = run(config);
-    let (env2, _) = run(config);
+    let (env1, env2) = (run(config).env, run(config).env);
     // the final DWH state must be identical (costs differ, data must not)
     let mut a = env1.db("dwh").table("orders").unwrap().scan();
     let mut b = env2.db("dwh").table("orders").unwrap().scan();
@@ -117,7 +115,8 @@ fn deterministic_data_flow_across_identical_runs() {
 #[ignore = "full 100-period protocol; run with --ignored"]
 fn full_protocol_hundred_periods() {
     let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(100);
-    let (env, outcome) = run(config);
+    let run = run(config);
+    let outcome = &run.outcome;
     assert!(outcome.failures.is_empty());
     // P01's decreasing series: period 99 has the minimum instance count
     let p01_in_period = |k: u32| {
@@ -129,17 +128,16 @@ fn full_protocol_hundred_periods() {
     };
     assert_eq!(p01_in_period(0), schedule::p01_count(0, 0.05));
     assert_eq!(p01_in_period(99), schedule::p01_count(99, 0.05));
-    assert!(verify::verify(&env).unwrap().passed());
+    assert!(run.verification.passed());
 }
 
 #[test]
 fn save_experiment_writes_all_files() {
     let config =
         BenchConfig::new(ScaleFactors::new(0.01, 1.0, Distribution::Uniform)).with_periods(1);
-    let (env, outcome) = run(config);
-    let verification = verify::verify(&env).unwrap();
+    let run = run(config);
     let dir = std::env::temp_dir().join(format!("dipbench-report-{}", std::process::id()));
-    let written = report::save_experiment(&dir, &outcome, &verification).unwrap();
+    let written = report::save_experiment(&dir, &run.outcome, &run.verification).unwrap();
     assert_eq!(written.len(), 4);
     for p in &written {
         let content = std::fs::read_to_string(p).unwrap();

@@ -4,7 +4,7 @@
 //! between ES/IS/CS and a San Diego application it calls "very
 //! error-prone" — yet only San Diego's payload errors were modelled until
 //! now. This module adds the transport-fault axis: per-link models that
-//! drop messages or stall them past a timeout.
+//! drop messages.
 //!
 //! ## Determinism discipline
 //!
@@ -29,43 +29,25 @@
 
 use std::cell::RefCell;
 
-/// One transport-level failure of a modeled message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkFault {
-    /// The message vanished; the caller notices via its timeout.
-    Drop,
-    /// The link stalled past the caller's patience.
-    Timeout,
-}
-
-/// Per-link fault behaviour. Rates are independent probabilities evaluated
-/// per transfer leg.
+/// Per-link fault behaviour, evaluated per transfer leg.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Probability a message is silently lost.
     pub drop_rate: f64,
-    /// Probability the link stalls past the caller's timeout.
-    pub timeout_rate: f64,
 }
 
 impl FaultModel {
     /// A model that never faults (the implicit default everywhere).
-    pub const NONE: FaultModel = FaultModel {
-        drop_rate: 0.0,
-        timeout_rate: 0.0,
-    };
+    pub const NONE: FaultModel = FaultModel { drop_rate: 0.0 };
 
-    /// Drop-only model, the common chaos-run shape.
+    /// A model that loses a message with probability `rate`.
     pub fn drops(rate: f64) -> FaultModel {
-        FaultModel {
-            drop_rate: rate,
-            ..FaultModel::NONE
-        }
+        FaultModel { drop_rate: rate }
     }
 
     /// Whether this model can ever produce a fault.
     pub fn is_active(&self) -> bool {
-        self.drop_rate > 0.0 || self.timeout_rate > 0.0
+        self.drop_rate > 0.0
     }
 
     /// Decide the fate of one transfer leg from its stable identity hash.
@@ -76,9 +58,7 @@ impl FaultModel {
         // map the identity hash to a uniform draw in [0, 1)
         let u = (splitmix64(identity) >> 11) as f64 / (1u64 << 53) as f64;
         if u < self.drop_rate {
-            Verdict::Fault(LinkFault::Drop)
-        } else if u < self.drop_rate + self.timeout_rate {
-            Verdict::Fault(LinkFault::Timeout)
+            Verdict::Drop
         } else {
             Verdict::Deliver
         }
@@ -89,7 +69,8 @@ impl FaultModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     Deliver,
-    Fault(LinkFault),
+    /// The message vanished; the caller notices via its timeout.
+    Drop,
 }
 
 /// Everything a run injects: the link `model` applied to every wireless
@@ -392,24 +373,10 @@ mod tests {
         let m = FaultModel::drops(0.2);
         let n = 20_000u64;
         let dropped = (0..n)
-            .filter(|&k| matches!(m.verdict(splitmix64(k)), Verdict::Fault(LinkFault::Drop)))
+            .filter(|&k| m.verdict(splitmix64(k)) == Verdict::Drop)
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((0.17..0.23).contains(&rate), "observed drop rate {rate}");
-    }
-
-    #[test]
-    fn timeouts_follow_drops_on_the_draw() {
-        let m = FaultModel {
-            drop_rate: 0.1,
-            timeout_rate: 0.2,
-        };
-        let n = 20_000u64;
-        let timeouts = (0..n)
-            .filter(|&k| m.verdict(splitmix64(k)) == Verdict::Fault(LinkFault::Timeout))
-            .count();
-        let rate = timeouts as f64 / n as f64;
-        assert!((0.17..0.23).contains(&rate), "observed timeout rate {rate}");
     }
 
     #[test]

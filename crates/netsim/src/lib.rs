@@ -18,6 +18,6 @@ pub mod latency;
 pub mod network;
 pub mod topology;
 
-pub use fault::{FaultModel, FaultPlan, LinkFault, Verdict};
+pub use fault::{FaultModel, FaultPlan, Verdict};
 pub use latency::LatencyModel;
 pub use network::{LinkSpec, NetStats, Network, TransferMode};

@@ -293,7 +293,6 @@ mod tests {
 
     #[test]
     fn fault_verdicts_are_deterministic_per_link() {
-        use crate::fault::LinkFault;
         let mut n = net();
         n.set_default_fault_model(FaultModel::drops(0.5));
         n.set_fault_model("a", "c", FaultModel::drops(0.0)); // overrides the default
@@ -308,7 +307,7 @@ mod tests {
         for attempt in 0..64 {
             let v = n.fault_verdict("a", "b", &op, attempt, 0);
             assert_eq!(v, n.fault_verdict("a", "b", &op, attempt, 0));
-            if v == Verdict::Fault(LinkFault::Drop) {
+            if v == Verdict::Drop {
                 dropped += 1;
             }
         }

@@ -14,8 +14,6 @@ use std::fmt;
 pub enum TransportKind {
     /// The message was silently lost; the caller timed out waiting.
     Drop,
-    /// The link stalled past the caller's timeout.
-    Timeout,
     /// The integration system itself was killed mid-operation (deterministic
     /// crash injection). NOT transient: the instance must not be retried or
     /// dead-lettered by the dying process — recovery replays it after
@@ -27,7 +25,6 @@ impl TransportKind {
     pub fn label(self) -> &'static str {
         match self {
             TransportKind::Drop => "drop",
-            TransportKind::Timeout => "timeout",
             TransportKind::Crash => "crash",
         }
     }

@@ -23,7 +23,7 @@
 //!   communication cost `Cc` — waiting on a dead link is time spent on the
 //!   network.
 
-use dip_netsim::fault::{self, LinkFault, OpKey};
+use dip_netsim::fault::{self, OpKey};
 use dip_netsim::{Network, Verdict};
 use dip_relstore::error::{TransportFault, TransportKind};
 use std::time::Duration;
@@ -68,17 +68,14 @@ pub fn decide(network: &Network, from: &str, to: &str, op: &OpKey, max_attempts:
     loop {
         let v_req = network.fault_verdict(from, to, op, attempt, 0);
         let v_resp = network.fault_verdict(to, from, op, attempt, 1);
-        let link_fault = match (v_req, v_resp) {
-            (Verdict::Deliver, Verdict::Deliver) => {
-                if attempt > 0 {
-                    dip_trace::count("resilience.retries", attempt as u64);
-                    fault::note_retries(attempt);
-                }
-                return Attempt::Proceed { wasted };
+        if (v_req, v_resp) == (Verdict::Deliver, Verdict::Deliver) {
+            if attempt > 0 {
+                dip_trace::count("resilience.retries", attempt as u64);
+                fault::note_retries(attempt);
             }
-            (Verdict::Fault(f), _) | (_, Verdict::Fault(f)) => f,
-        };
-        // waiting out a lost or stalled message is communication time
+            return Attempt::Proceed { wasted };
+        }
+        // waiting out a lost message is communication time
         wasted += CALL_TIMEOUT;
         attempt += 1;
         if attempt >= max_attempts {
@@ -86,10 +83,7 @@ pub fn decide(network: &Network, from: &str, to: &str, op: &OpKey, max_attempts:
             fault::note_retries(attempt - 1);
             return Attempt::Exhausted(TransportFault {
                 endpoint: to.to_string(),
-                kind: match link_fault {
-                    LinkFault::Timeout => TransportKind::Timeout,
-                    LinkFault::Drop => TransportKind::Drop,
-                },
+                kind: TransportKind::Drop,
                 attempts: attempt,
             });
         }

@@ -21,12 +21,10 @@ fn main() {
     // the DWH has data to archive.
     let config =
         BenchConfig::new(ScaleFactors::new(0.05, 1.0, Distribution::Uniform)).with_periods(1);
-    let env = BenchEnvironment::new(config).expect("environment");
-    {
-        let system = std::sync::Arc::new(MtmSystem::new(env.world.clone()));
-        let client = Client::new(&env, system).expect("deploy");
-        client.run().expect("work phase");
-    }
+    let mtm = |env: &BenchEnvironment| std::sync::Arc::new(MtmSystem::new(env.world.clone())) as _;
+    let env = dipbench::client::run(config, &mtm)
+        .expect("benchmark run")
+        .env;
 
     // Add an archive table to the DWH.
     let dwh = env.db("dwh");

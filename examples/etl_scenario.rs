@@ -11,6 +11,7 @@ use dip_feddbms::{FedDbms, FedOptions};
 use dipbench::prelude::*;
 use dipbench::{schedule, verify};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn count(env: &BenchEnvironment, db: &str, table: &str) -> usize {
     env.db(db).table(table).map(|t| t.row_count()).unwrap_or(0)
@@ -27,10 +28,12 @@ fn main() {
     let env = BenchEnvironment::new(config).expect("environment");
     let system: Arc<dyn IntegrationSystem> =
         Arc::new(FedDbms::new(env.world.clone(), FedOptions::default()));
-    system
-        .deploy(dipbench::processes::all_processes())
-        .expect("deploy");
+    // the client deploys the 15 process types; this tour delivers the
+    // period's events by hand instead of through its streams
+    let client = Client::new(&env, system.clone()).expect("deploy");
+    let start = Instant::now();
     env.initialize_sources(0).expect("initializer");
+    let d = config.scale.datasize;
 
     println!("== Layer 1: source systems (after initialization) ==");
     println!(
@@ -48,12 +51,18 @@ fn main() {
     );
 
     println!("\n== Group A: source-system management ==");
-    let msg = env.generator.beijing_master_message(0, 0);
-    dispatch(&system, Event::message("P01", 0, 0, msg));
-    println!("  P01: Beijing master data replicated to Seoul");
-    let msg = env.generator.mdm_message(0, 0);
-    dispatch(&system, Event::message("P02", 0, 0, msg));
-    println!("  P02: MDM customer update routed into Europe");
+    let n_p01 = schedule::p01_count(0, d);
+    for m in 0..n_p01 {
+        let msg = env.generator.beijing_master_message(0, m);
+        dispatch(&system, Event::message("P01", 0, m, msg));
+    }
+    println!("  P01 x{n_p01}: Beijing master data replicated to Seoul");
+    let n_p02 = schedule::p02_count(0, d);
+    for m in 0..n_p02 {
+        let msg = env.generator.mdm_message(0, m);
+        dispatch(&system, Event::message("P02", 0, m, msg));
+    }
+    println!("  P02 x{n_p02}: MDM customer updates routed into Europe");
     dispatch(&system, Event::timed("P03", 0, 0));
     println!(
         "  P03: US local consolidation -> us_eastcoast.orders = {}",
@@ -61,7 +70,7 @@ fn main() {
     );
 
     println!("\n== Group B: data consolidation into the CDB ==");
-    let n_p04 = schedule::p04_count(config.scale.datasize);
+    let n_p04 = schedule::p04_count(d);
     for m in 0..n_p04 {
         dispatch(
             &system,
@@ -73,7 +82,7 @@ fn main() {
         dispatch(&system, Event::timed(p, 0, 0));
     }
     println!("  P05-P07: European extracts staged");
-    let n_p08 = schedule::p08_count(config.scale.datasize);
+    let n_p08 = schedule::p08_count(d);
     for m in 0..n_p08 {
         dispatch(
             &system,
@@ -82,7 +91,7 @@ fn main() {
     }
     dispatch(&system, Event::timed("P09", 0, 0));
     println!("  P08/P09: Asian flow staged");
-    let n_p10 = schedule::p10_count(config.scale.datasize);
+    let n_p10 = schedule::p10_count(d);
     let mut rejected = 0;
     for m in 0..n_p10 {
         let (msg, injected) = env.generator.san_diego_message(0, m);
@@ -129,7 +138,10 @@ fn main() {
     }
 
     println!("\n== Post phase: verification ==");
-    let report = verify::verify(&env).expect("verification");
+    let records = system.recorder().drain();
+    let dead_letters = system.dead_letters().drain();
+    let outcome = client.build_outcome(records, Vec::new(), dead_letters, start.elapsed());
+    let report = verify::verify_outcome(&env, &outcome).expect("verification");
     print!("{report}");
     println!("overall: {}", if report.passed() { "PASS" } else { "FAIL" });
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use dipbench::prelude::*;
-use dipbench::{report, verify};
+use dipbench::{client, report};
 use std::sync::Arc;
 
 fn main() {
@@ -14,24 +14,20 @@ fn main() {
     // shortened to one benchmark period for a quick demo.
     let config = BenchConfig::new(ScaleFactors::paper_fig10()).with_periods(1);
 
-    // Build the complete environment: eleven database instances, three
-    // web services and the message-emitting applications, wired through
-    // the simulated wireless network.
-    let env = BenchEnvironment::new(config).expect("environment");
+    // One run: build the complete environment (eleven database instances,
+    // three web services and the message-emitting applications, wired
+    // through the simulated wireless network), deploy the 15 process types
+    // on the system under test, run the work phase (streams A ∥ B, then C,
+    // then D) and the post phase, the functional verification of the
+    // integrated data.
+    let run = client::run(config, &|env| Arc::new(MtmSystem::new(env.world.clone())))
+        .expect("benchmark run");
 
-    // Pick a system under test and deploy the 15 process types on it.
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).expect("deployment");
-
-    // The work phase: streams A ∥ B, then C, then D.
-    let outcome = client.run().expect("work phase");
-
-    print!("{}", report::metrics_table(&outcome));
+    print!("{}", report::metrics_table(&run.outcome));
     println!();
-    print!("{}", report::ascii_chart(&outcome.metrics, 60));
+    print!("{}", report::ascii_chart(&run.outcome.metrics, 60));
 
-    // The post phase: functional verification of the integrated data.
-    let verification = verify::verify(&env).expect("verification");
+    let verification = &run.verification;
     println!(
         "\nverification: {}",
         if verification.passed() {

@@ -8,27 +8,40 @@
 use dip_bench::gate::{run_cell, Fingerprint};
 use dip_bench::{build_system, EngineKind};
 use dipbench::prelude::*;
-use dipbench::verify;
-use dipbench_suite::{run_benchmark, sorted_rows};
-use std::sync::Arc;
+use dipbench::{client, verify};
+use dipbench_suite::sorted_rows;
+use std::time::Instant;
 
 fn scale() -> ScaleFactors {
     ScaleFactors::new(0.02, 1.0, Distribution::Uniform)
 }
 
-fn run(system: Arc<dyn IntegrationSystem>, env: &BenchEnvironment) -> RunOutcome {
-    let client = Client::new(env, system).unwrap();
-    client.run().unwrap()
+fn run(kind: EngineKind, config: BenchConfig) -> Run {
+    client::run(config, &kind.spec().build).unwrap()
 }
 
-fn run_fed(config: BenchConfig) -> (BenchEnvironment, RunOutcome) {
-    run_benchmark(EngineKind::Federated, config)
+fn run_fed(config: BenchConfig) -> Run {
+    run(EngineKind::Federated, config)
 }
 
 /// The gate fingerprint of a finished run over `env`, as it stands now.
 fn fingerprint(env: &BenchEnvironment, out: &RunOutcome) -> Fingerprint {
     let report = verify::verify_outcome(env, out).unwrap();
     Fingerprint::of(out, &report, digest_tables(&env.world).unwrap())
+}
+
+/// Run the one period of `env`'s config again over `env` with a built
+/// client, the way `benchmark/` reruns periods on one environment.
+fn rerun(env: &BenchEnvironment) -> RunOutcome {
+    let start = Instant::now();
+    let system = build_system(EngineKind::Federated, env);
+    let client = Client::new(env, system.clone()).unwrap();
+    let period = client
+        .run_period_from(0, &ReplaySkip::none(), true)
+        .unwrap();
+    let records = system.recorder().drain();
+    let dead_letters = system.dead_letters().drain();
+    client.build_outcome(records, period.failures, dead_letters, start.elapsed())
 }
 
 /// Tables that together cover every integration target layer.
@@ -61,8 +74,8 @@ fn same_seed_produces_identical_dead_letters_and_data() {
         .with_periods(1)
         .with_faults(FaultPlan::drops(0.2))
         .with_attempts(1);
-    let (env_a, out_a) = run_fed(config);
-    let (env_b, out_b) = run_fed(config);
+    let (a, b) = (run_fed(config), run_fed(config));
+    let (out_a, out_b) = (&a.outcome, &b.outcome);
 
     assert!(
         !out_a.dead_letters.is_empty(),
@@ -74,18 +87,17 @@ fn same_seed_produces_identical_dead_letters_and_data() {
     );
     for (db, table) in PROBE_TABLES {
         assert_eq!(
-            sorted_rows(&env_a, db, table),
-            sorted_rows(&env_b, db, table),
+            sorted_rows(&a.env, db, table),
+            sorted_rows(&b.env, db, table),
             "{db}.{table}: same-seed chaos runs integrated different data"
         );
     }
 
     // conservation: scheduled = integrated + dead-lettered + failed, and
     // the failed-data expectation excludes dead-lettered P10 messages
-    for (env, out) in [(&env_a, &out_a), (&env_b, &out_b)] {
-        let report = verify::verify_outcome(env, out).unwrap();
-        assert!(check(&report, "e1_message_conservation"), "{report}");
-        assert!(check(&report, "failed_messages_match_injected"), "{report}");
+    for report in [&a.verification, &b.verification] {
+        assert!(check(report, "e1_message_conservation"), "{report}");
+        assert!(check(report, "failed_messages_match_injected"), "{report}");
     }
 }
 
@@ -104,9 +116,12 @@ fn engines_agree_under_fault_schedule() {
 
     let mut results = Vec::new();
     for engine in ["mtm", "fed", "eai"] {
-        let env = BenchEnvironment::new(config).unwrap();
-        let system = build_system(EngineKind::parse(engine).unwrap(), &env);
-        let outcome = run(system, &env);
+        let Run {
+            env,
+            outcome,
+            verification: report,
+            ..
+        } = run(EngineKind::parse(engine).unwrap(), config);
         assert!(
             outcome.dead_letters.is_empty(),
             "{engine}: retries should have absorbed all faults, got {:#?}",
@@ -117,7 +132,6 @@ fn engines_agree_under_fault_schedule() {
             "{engine}: {:#?}",
             outcome.failures
         );
-        let report = verify::verify_outcome(&env, &outcome).unwrap();
         assert!(report.passed(), "{engine} failed verification:\n{report}");
         results.push((engine, env));
     }
@@ -142,18 +156,18 @@ fn rate_zero_plan_is_byte_identical_to_unarmed_run() {
     // rate-0 model + a custom attempt budget: is_active() is false, so
     // neither may change anything
     let rate0 = plain.with_faults(FaultPlan::drops(0.0)).with_attempts(9);
-    let (env_a, out_a) = run_fed(plain);
-    let (env_b, out_b) = run_fed(rate0);
+    let (a, b) = (run_fed(plain), run_fed(rate0));
+    let (out_a, out_b) = (&a.outcome, &b.outcome);
     assert!(out_a.dead_letters.is_empty() && out_b.dead_letters.is_empty());
     assert!(out_a.failures.is_empty() && out_b.failures.is_empty());
     for (db, table) in PROBE_TABLES {
         assert_eq!(
-            sorted_rows(&env_a, db, table),
-            sorted_rows(&env_b, db, table),
+            sorted_rows(&a.env, db, table),
+            sorted_rows(&b.env, db, table),
             "{db}.{table}: a rate-0 fault plan changed the integrated data"
         );
     }
-    assert!(verify::verify_outcome(&env_b, &out_b).unwrap().passed());
+    assert!(b.verification.passed(), "{}", b.verification);
 }
 
 /// Same seed ⇒ same fingerprint: two independent runs of the default
@@ -178,16 +192,15 @@ fn same_seed_fingerprints_are_identical() {
 #[test]
 fn cached_snapshot_rerun_matches_fresh_run() {
     let config = BenchConfig::new(scale()).with_periods(1);
-    let env = BenchEnvironment::new(config).unwrap();
-    let first = run(build_system(EngineKind::Federated, &env), &env);
-    let first = fingerprint(&env, &first);
+    let run = run_fed(config);
+    let env = &run.env;
+    let first = fingerprint(env, &run.outcome);
     assert_eq!(env.cached_periods(), 1, "first run should fill the cache");
     // second run over the same environment: sources replay from the cache
-    let second = run(build_system(EngineKind::Federated, &env), &env);
-    let second = fingerprint(&env, &second);
+    let second = fingerprint(env, &rerun(env));
     assert_eq!(env.cached_periods(), 1, "rerun must not regenerate");
-    let (fresh_env, fresh) = run_fed(config);
-    let fresh = fingerprint(&fresh_env, &fresh);
+    let fresh = run_fed(config);
+    let fresh = fingerprint(&fresh.env, &fresh.outcome);
     assert!(second.verified);
     assert_eq!(second.diff(&fresh, false), Vec::<String>::new());
     assert_eq!(second.diff(&first, false), Vec::<String>::new());

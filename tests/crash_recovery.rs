@@ -14,8 +14,9 @@
 //! The crash point, the abort and the rollback-off switch are part of each
 //! cell's config, so the tests here (and every other test of this binary)
 //! run side by side. The last tests check what the merge of a crashed
-//! system's records and its restart's hands the monitor, and that the
-//! merged outcome counts both systems' late dispatches.
+//! system's records and its restart's hands the monitor, that the merged
+//! outcome counts both systems' late dispatches, and that a crashed run
+//! returns the restarted world.
 
 use dip_bench::gate::CRASH_TARGETS;
 use dip_bench::gate::{crash_sweep, judge, CellRun, Check, Fingerprint};
@@ -193,4 +194,22 @@ fn a_recovered_run_counts_the_lag_of_both_clients() {
         run.outcome.late_dispatch, counted,
         "the outcome lost a client's late dispatches"
     );
+}
+
+/// A crashed run returns the world it ended in: the restarted one, not the
+/// one the crash killed. Its tables are the run's digests and pass the
+/// verification of the merged outcome.
+#[test]
+fn a_recovered_run_returns_the_restarted_world() {
+    let mut config = BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform))
+        .with_periods(1)
+        .with_seed(7);
+    config.faults.crash = Some(CrashPlan::at("P09", 0, 0, 1));
+    let run = dipbench::client::run(config, &EngineKind::Mtm.spec().build).unwrap();
+    assert!(run.tripped, "P09 should reach step 1");
+    assert!(run.env.config.faults.crash.is_none(), "the crashed world");
+    assert!(!run.env.world.network.crash_tripped(), "the crashed world");
+    assert_eq!(digest_tables(&run.env.world).unwrap(), run.digests);
+    let report = dipbench::verify::verify_outcome(&run.env, &run.outcome).unwrap();
+    assert!(report.passed(), "{report}");
 }

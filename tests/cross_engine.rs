@@ -3,28 +3,33 @@
 //! identical inputs — the central system-independence claim of the
 //! benchmark. Costs may (and should) differ; data must not.
 
-use dip_bench::EngineRegistry;
+use dip_bench::ENGINES;
 use dip_mtm::error::MtmError;
 use dip_relstore::prelude::StoreError;
 use dipbench::prelude::*;
 use dipbench::schema::europe;
-use dipbench::{processes, quality, verify};
-use dipbench_suite::{run_benchmark as run, sorted_rows, test_config as config, EngineKind};
+use dipbench::{client, processes, quality};
+use dipbench_suite::{sorted_rows, test_config as config, EngineKind};
+
+fn run(kind: EngineKind, config: BenchConfig) -> Run {
+    client::run(config, &kind.spec().build).unwrap()
+}
 
 #[test]
 fn fed_runs_and_verifies() {
-    let (env, outcome) = run(EngineKind::Federated, config());
+    let run = run(EngineKind::Federated, config());
+    let outcome = &run.outcome;
     assert_eq!(outcome.system, "federated-dbms");
     assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
     assert_eq!(outcome.metrics.len(), 15);
-    let report = verify::verify(&env).unwrap();
+    let report = &run.verification;
     assert!(report.passed(), "verification failed:\n{report}");
 }
 
 #[test]
 fn engines_produce_identical_integrated_data() {
-    let (mtm_env, _) = run(EngineKind::Mtm, config());
-    let (fed_env, _) = run(EngineKind::Federated, config());
+    let mtm_env = run(EngineKind::Mtm, config()).env;
+    let fed_env = run(EngineKind::Federated, config()).env;
     // every target system must match, table by table
     let targets: [(&str, &[&str]); 6] = [
         (
@@ -91,26 +96,21 @@ fn ivm_engine_matches_fed_and_mtm() {
     // world-registered database) across all three engines, multi-period so
     // the change logs actually cycle through truncate/capture/drain
     let config = config().with_periods(2);
-    let (ivm_env, ivm_out) = run(EngineKind::Ivm, config);
-    assert_eq!(ivm_out.system, "ivm-engine");
-    assert!(ivm_out.failures.is_empty(), "{:#?}", ivm_out.failures);
-    assert_eq!(ivm_out.metrics.len(), 15);
-    assert!(verify::verify(&ivm_env).unwrap().passed());
-
-    let (fed_env, _) = run(EngineKind::Federated, config);
-    let (mtm_env, _) = run(EngineKind::Mtm, config);
-
-    let ivm_digest = digest_tables(&ivm_env.world).unwrap();
-    assert_eq!(
-        ivm_digest,
-        digest_tables(&fed_env.world).unwrap(),
-        "ivm and fed digests diverge"
+    let ivm = run(EngineKind::Ivm, config);
+    assert_eq!(ivm.outcome.system, "ivm-engine");
+    assert!(
+        ivm.outcome.failures.is_empty(),
+        "{:#?}",
+        ivm.outcome.failures
     );
-    assert_eq!(
-        ivm_digest,
-        digest_tables(&mtm_env.world).unwrap(),
-        "ivm and mtm digests diverge"
-    );
+    assert_eq!(ivm.outcome.metrics.len(), 15);
+    assert!(ivm.verification.passed(), "{}", ivm.verification);
+
+    let fed = run(EngineKind::Federated, config);
+    let mtm = run(EngineKind::Mtm, config);
+
+    assert_eq!(ivm.digests, fed.digests, "ivm and fed digests diverge");
+    assert_eq!(ivm.digests, mtm.digests, "ivm and mtm digests diverge");
 }
 
 #[test]
@@ -118,33 +118,41 @@ fn ivm_agrees_with_fed_under_drop_faults() {
     // with the default retry budget a modest drop rate must not change
     // integrated data for either engine — and they must still agree
     let faulty = config().with_faults(FaultPlan::drops(0.05));
-    let (ivm_env, ivm_out) = run(EngineKind::Ivm, faulty);
-    assert!(ivm_out.failures.is_empty(), "{:#?}", ivm_out.failures);
-    assert!(verify::verify(&ivm_env).unwrap().passed());
+    let ivm = run(EngineKind::Ivm, faulty);
+    assert!(
+        ivm.outcome.failures.is_empty(),
+        "{:#?}",
+        ivm.outcome.failures
+    );
+    assert!(ivm.verification.passed(), "{}", ivm.verification);
 
-    let (fed_env, fed_out) = run(EngineKind::Federated, faulty);
-    assert!(fed_out.failures.is_empty(), "{:#?}", fed_out.failures);
+    let fed = run(EngineKind::Federated, faulty);
+    assert!(
+        fed.outcome.failures.is_empty(),
+        "{:#?}",
+        fed.outcome.failures
+    );
 
     assert_eq!(
-        digest_tables(&ivm_env.world).unwrap(),
-        digest_tables(&fed_env.world).unwrap(),
+        ivm.digests, fed.digests,
         "ivm and fed digests diverge under drop faults"
     );
 }
 
 #[test]
 fn fed_without_optimizer_still_correct() {
-    let (env, outcome) = run(EngineKind::FederatedUnoptimized, config());
-    assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
-    assert!(verify::verify(&env).unwrap().passed());
+    let run = run(EngineKind::FederatedUnoptimized, config());
+    let failures = &run.outcome.failures;
+    assert!(failures.is_empty(), "{failures:#?}");
+    assert!(run.verification.passed(), "{}", run.verification);
 }
 
 #[test]
 fn optimizer_does_not_change_integrated_data() {
     // the batch executor over optimized plans (fused scans, index joins)
     // and the naive oracle must integrate byte-identical data
-    let (on_env, _) = run(EngineKind::Federated, config());
-    let (off_env, _) = run(EngineKind::FederatedUnoptimized, config());
+    let on_env = run(EngineKind::Federated, config()).env;
+    let off_env = run(EngineKind::FederatedUnoptimized, config()).env;
     for (db, table) in [
         ("dwh", "orders"),
         ("dwh", "orderline"),
@@ -168,8 +176,7 @@ fn optimizer_does_not_change_integrated_data() {
 #[test]
 fn quality_extension_holds_on_both_engines() {
     for engine in [EngineKind::Mtm, EngineKind::Federated] {
-        let (env, _) = run(engine, config());
-        let q = quality::measure(&env).unwrap();
+        let q = quality::measure(&run(engine, config()).env).unwrap();
         assert!(q.quality_increases(), "{engine:?}:\n{q}");
         assert!(
             (q.warehouse.consistency - 1.0).abs() < 1e-9,
@@ -187,7 +194,7 @@ fn quality_extension_holds_on_both_engines() {
 #[test]
 fn every_engine_reports_a_failed_event_alike() {
     let mut texts = Vec::new();
-    for spec in EngineRegistry::builtin().specs() {
+    for spec in &ENGINES {
         let env = BenchEnvironment::new(config()).unwrap();
         let system = (spec.build)(&env);
         system.deploy(processes::all_processes()).unwrap();

@@ -7,8 +7,9 @@
 
 use dip_bench::gate::{crash_cell, run_cell};
 use dip_trace::Json;
+use dipbench::client;
 use dipbench::prelude::*;
-use dipbench_suite::{run_benchmark, EngineKind};
+use dipbench_suite::EngineKind;
 use std::collections::BTreeMap;
 
 fn config() -> BenchConfig {
@@ -21,9 +22,10 @@ fn with_drops() -> BenchConfig {
 
 /// Run the full benchmark and digest every table of every database.
 fn digests(kind: EngineKind, config: BenchConfig) -> BTreeMap<String, u64> {
-    let (env, outcome) = run_benchmark(kind, config);
-    assert!(outcome.failures.is_empty(), "{:#?}", outcome.failures);
-    digest_tables(&env.world).unwrap()
+    let run = client::run(config, &kind.spec().build).unwrap();
+    let failures = &run.outcome.failures;
+    assert!(failures.is_empty(), "{failures:#?}");
+    run.digests
 }
 
 #[test]

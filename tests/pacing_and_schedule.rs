@@ -3,10 +3,15 @@
 
 use dip_mtm::{CostRecorder, MtmResult, ProcessDef, Step};
 use dipbench::prelude::*;
-use dipbench::schedule;
+use dipbench::{client, schedule};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// One run of `config` on the native MTM engine.
+fn mtm(config: BenchConfig) -> Run {
+    client::run(config, &|env| Arc::new(MtmSystem::new(env.world.clone()))).unwrap()
+}
 
 #[test]
 fn realtime_pacing_respects_deadlines() {
@@ -16,12 +21,8 @@ fn realtime_pacing_respects_deadlines() {
     let config = BenchConfig::new(scale)
         .with_periods(1)
         .with_pacing(PacingMode::RealTime);
-    let env = BenchEnvironment::new(config).unwrap();
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
-    let start = std::time::Instant::now();
-    let outcome = client.run().unwrap();
-    let elapsed = start.elapsed();
+    let outcome = mtm(config).outcome;
+    let elapsed = outcome.wall_time;
     assert!(outcome.failures.is_empty());
     let last_deadline_tu = 3000.0 + 2.5 * (schedule::p10_count(scale.datasize) - 1) as f64;
     let min_wall = scale.tu_to_duration(last_deadline_tu);
@@ -38,12 +39,7 @@ fn eager_pacing_is_faster_than_realtime() {
     let scale = ScaleFactors::new(0.02, 10.0, Distribution::Uniform);
     let run = |pacing| {
         let config = BenchConfig::new(scale).with_periods(1).with_pacing(pacing);
-        let env = BenchEnvironment::new(config).unwrap();
-        let system = Arc::new(MtmSystem::new(env.world.clone()));
-        let client = Client::new(&env, system).unwrap();
-        let start = std::time::Instant::now();
-        client.run().unwrap();
-        start.elapsed()
+        mtm(config).outcome.wall_time
     };
     let eager = run(PacingMode::Eager);
     let realtime = run(PacingMode::RealTime);
@@ -56,11 +52,7 @@ fn eager_pacing_is_faster_than_realtime() {
 #[test]
 fn dispatched_mix_matches_table_ii_per_period() {
     let scale = ScaleFactors::new(0.05, 1.0, Distribution::Uniform);
-    let config = BenchConfig::new(scale).with_periods(2);
-    let env = BenchEnvironment::new(config).unwrap();
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
-    let outcome = client.run().unwrap();
+    let outcome = mtm(BenchConfig::new(scale).with_periods(2)).outcome;
     // count instances per (process, period) from the raw records
     let count = |process: &str, period: u32| {
         outcome
@@ -185,14 +177,13 @@ fn streams_a_and_b_actually_overlap() {
     // at the same time unless the client serialized the streams.
     let config =
         BenchConfig::new(ScaleFactors::new(0.05, 1.0, Distribution::Uniform)).with_periods(1);
-    let env = BenchEnvironment::new(config).unwrap();
     let meeting = Arc::new(Meeting::default());
-    let system = Arc::new(Rendezvous {
-        inner: MtmSystem::new(env.world.clone()),
-        meeting: meeting.clone(),
-    });
-    let client = Client::new(&env, system).unwrap();
-    let outcome = client.run().unwrap();
+    let make_system = |env: &BenchEnvironment| {
+        let inner = MtmSystem::new(env.world.clone());
+        let meeting = meeting.clone();
+        Arc::new(Rendezvous { inner, meeting }) as _
+    };
+    let outcome = client::run(config, &make_system).unwrap().outcome;
     assert!(
         !meeting.timed_out.load(Ordering::SeqCst),
         "the first P01 and the first P04 never ran at the same time: streams serialized"
@@ -234,10 +225,18 @@ fn late_dispatch_counts_one_run_not_the_clients_lifetime() {
         .with_pacing(PacingMode::RealTime);
     let env = BenchEnvironment::new(config).unwrap();
     let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
+    let client = Client::new(&env, system.clone()).unwrap();
     let events = schedule::period_event_count(0, scale.datasize) as u64;
-    let first = client.run().unwrap();
-    let second = client.run().unwrap();
+    let run = || {
+        let start = std::time::Instant::now();
+        let period = client
+            .run_period_from(0, &ReplaySkip::none(), true)
+            .unwrap();
+        let records = system.recorder().drain();
+        let dead_letters = system.dead_letters().drain();
+        client.build_outcome(records, period.failures, dead_letters, start.elapsed())
+    };
+    let (first, second) = (run(), run());
     assert!(
         first.late_dispatch > events / 2 && first.late_dispatch <= events,
         "{} of {events} dispatches late in the first run",

@@ -5,7 +5,13 @@
 //! The phases share this thread's collector, so they run in one ordered
 //! test.
 
-use dipbench_suite::{run_benchmark, test_config, EngineKind};
+use dipbench::client;
+use dipbench_suite::{test_config, EngineKind};
+
+/// One run of the test configuration on `kind`.
+fn run(kind: EngineKind) -> dipbench::prelude::Run {
+    client::run(test_config(), &kind.spec().build).unwrap()
+}
 
 #[test]
 fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
@@ -14,8 +20,7 @@ fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     dip_trace::enable();
     dip_trace::disable();
     assert!(!dip_trace::is_enabled());
-    let (_env, outcome) = run_benchmark(EngineKind::Mtm, test_config());
-    assert!(!outcome.metrics.is_empty());
+    assert!(!run(EngineKind::Mtm).outcome.metrics.is_empty());
     assert!(
         dip_trace::drain().is_empty(),
         "disabled sink collected spans"
@@ -25,7 +30,7 @@ fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     // Phase 2: tracing enabled. The same run must produce spans from every
     // instrumented layer the MTM engine exercises.
     dip_trace::enable();
-    let (_env, _outcome) = run_benchmark(EngineKind::Mtm, test_config());
+    run(EngineKind::Mtm);
     let spans = dip_trace::drain();
     let counters = dip_trace::drain_counters();
     dip_trace::disable();
@@ -61,7 +66,7 @@ fn disabled_sink_is_noop_and_enabled_run_covers_layers() {
     assert_eq!(complete, spans.len());
 
     // Phase 3: disabled again — instrumented code must go back to no-op.
-    let (_env, _outcome) = run_benchmark(EngineKind::Federated, test_config());
+    run(EngineKind::Federated);
     assert!(dip_trace::drain().is_empty());
     assert!(dip_trace::drain_counters().is_empty());
 }

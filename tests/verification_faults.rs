@@ -4,21 +4,18 @@
 
 use dip_relstore::prelude::*;
 use dipbench::prelude::*;
-use dipbench::verify;
+use dipbench::{client, verify};
 use std::sync::Arc;
 
-fn run_env() -> BenchEnvironment {
+fn clean_run() -> Run {
     let config =
         BenchConfig::new(ScaleFactors::new(0.02, 1.0, Distribution::Uniform)).with_periods(1);
-    let env = BenchEnvironment::new(config).unwrap();
-    let system = Arc::new(MtmSystem::new(env.world.clone()));
-    let client = Client::new(&env, system).unwrap();
-    client.run().unwrap();
-    env
+    client::run(config, &|env| Arc::new(MtmSystem::new(env.world.clone()))).unwrap()
 }
 
-fn failing_check(env: &BenchEnvironment) -> Vec<String> {
-    verify::verify(env)
+/// The checks that fail on the run's world as it stands now.
+fn failing_check(run: &Run) -> Vec<String> {
+    verify::verify_outcome(&run.env, &run.outcome)
         .unwrap()
         .failed_checks()
         .iter()
@@ -28,21 +25,22 @@ fn failing_check(env: &BenchEnvironment) -> Vec<String> {
 
 #[test]
 fn clean_run_passes() {
-    let env = run_env();
-    assert!(verify::verify(&env).unwrap().passed());
+    let run = clean_run();
+    assert!(run.verification.passed(), "{}", run.verification);
+    assert_eq!(failing_check(&run), Vec::<String>::new());
 }
 
 #[test]
 fn dangling_order_detected() {
-    let env = run_env();
+    let run = clean_run();
     // delete a customer that has orders
-    let dwh = env.db("dwh");
+    let dwh = run.env.db("dwh");
     let some_custkey = dwh.table("orders").unwrap().scan().rows[0][1].clone();
     dwh.table("customer")
         .unwrap()
         .delete_where(&Expr::col(0).eq(Expr::Lit(some_custkey)))
         .unwrap();
-    let failed = failing_check(&env);
+    let failed = failing_check(&run);
     assert!(
         failed.iter().any(|n| n == "dwh_orders_fk_customer"),
         "failed checks: {failed:?}"
@@ -51,14 +49,14 @@ fn dangling_order_detected() {
 
 #[test]
 fn stale_materialized_view_detected() {
-    let env = run_env();
-    let dwh = env.db("dwh");
+    let run = clean_run();
+    let dwh = run.env.db("dwh");
     // tamper with one MV row's revenue
     dwh.table("orders_mv")
         .unwrap()
         .update_where(&Expr::lit(true), &[(2, Expr::lit(1.0e9))])
         .unwrap();
-    let failed = failing_check(&env);
+    let failed = failing_check(&run);
     assert!(
         failed.iter().any(|n| n == "orders_mv_consistent"),
         "{failed:?}"
@@ -67,8 +65,9 @@ fn stale_materialized_view_detected() {
 
 #[test]
 fn leftover_cdb_movement_detected() {
-    let env = run_env();
-    env.db("sales_cleaning")
+    let run = clean_run();
+    run.env
+        .db("sales_cleaning")
         .table("orders")
         .unwrap()
         .insert(vec![vec![
@@ -80,7 +79,7 @@ fn leftover_cdb_movement_detected() {
             Value::str("OPEN"),
         ]])
         .unwrap();
-    let failed = failing_check(&env);
+    let failed = failing_check(&run);
     assert!(
         failed.iter().any(|n| n == "cdb_movement_consumed"),
         "{failed:?}"
@@ -89,9 +88,10 @@ fn leftover_cdb_movement_detected() {
 
 #[test]
 fn wrong_mart_partition_detected() {
-    let env = run_env();
+    let run = clean_run();
     // smuggle an Asian customer into the Europe mart
-    env.db("dm_europe")
+    run.env
+        .db("dm_europe")
         .table("customer_d")
         .unwrap()
         .insert(vec![vec![
@@ -104,7 +104,7 @@ fn wrong_mart_partition_detected() {
             Value::str("AUTO"),
         ]])
         .unwrap();
-    let failed = failing_check(&env);
+    let failed = failing_check(&run);
     assert!(
         failed.iter().any(|n| n == "dm_region_partitioning"),
         "{failed:?}"
@@ -113,13 +113,14 @@ fn wrong_mart_partition_detected() {
 
 #[test]
 fn vocabulary_violation_detected() {
-    let env = run_env();
-    env.db("dwh")
+    let run = clean_run();
+    run.env
+        .db("dwh")
         .table("orders")
         .unwrap()
         .update_where(&Expr::lit(true), &[(4, Expr::lit("MEGA-URGENT"))])
         .unwrap();
-    let failed = failing_check(&env);
+    let failed = failing_check(&run);
     assert!(
         failed.iter().any(|n| n == "dwh_canonical_vocabulary"),
         "{failed:?}"
@@ -128,8 +129,9 @@ fn vocabulary_violation_detected() {
 
 #[test]
 fn spurious_failed_message_detected() {
-    let env = run_env();
-    env.db("sales_cleaning")
+    let run = clean_run();
+    run.env
+        .db("sales_cleaning")
         .table("failed_messages")
         .unwrap()
         .insert(vec![vec![
@@ -139,7 +141,7 @@ fn spurious_failed_message_detected() {
             Value::str("<junk/>"),
         ]])
         .unwrap();
-    let failed = failing_check(&env);
+    let failed = failing_check(&run);
     assert!(
         failed.iter().any(|n| n == "failed_messages_match_injected"),
         "{failed:?}"

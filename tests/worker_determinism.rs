@@ -11,7 +11,9 @@
 use dip_bench::gate::{crash_cell, run_cell, CellRun};
 use dip_bench::{build_system, EngineKind};
 use dip_feddbms::{FedDbms, FedOptions};
+use dipbench::client;
 use dipbench::prelude::*;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -82,9 +84,14 @@ fn fed_queue_tables_are_byte_identical_across_worker_counts() {
         let config = BenchConfig::new(scale())
             .with_periods(2)
             .with_workers(workers);
-        let env = BenchEnvironment::new(config).unwrap();
-        let fed = Arc::new(FedDbms::new(env.world.clone(), FedOptions::default()));
-        Client::new(&env, fed.clone()).unwrap().run().unwrap();
+        let fed = OnceCell::new();
+        let make_system = |env: &BenchEnvironment| {
+            let system = Arc::new(FedDbms::new(env.world.clone(), FedOptions::default()));
+            fed.get_or_init(|| system.clone());
+            system as Arc<dyn IntegrationSystem>
+        };
+        client::run(config, &make_system).unwrap();
+        let fed = fed.get().unwrap();
         let tables = fed.local.table_names().into_iter();
         let dump = |t: String| {
             let rows = fed.local.table(&t).unwrap().scan().rows;
@@ -229,9 +236,7 @@ fn concurrent_cells_count_only_their_own_work() {
         let direct = s.spawn(|| {
             start.wait();
             while !cells_done.load(Ordering::Relaxed) {
-                let env = BenchEnvironment::new(config).unwrap();
-                let system = build_system(EngineKind::Federated, &env);
-                Client::new(&env, system).unwrap().run().unwrap();
+                client::run(config, &|env| build_system(EngineKind::Federated, env)).unwrap();
             }
         });
         let joined = (fed.join().unwrap(), mtm.join().unwrap());
