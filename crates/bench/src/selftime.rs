@@ -5,14 +5,15 @@
 //! containment on its thread; a span's self time is its duration minus
 //! what the spans inside it cover. Self time is booked per process (the
 //! span's own, else the innermost enclosing span's) and `layer/op`, and
-//! turned into nms per period: nanoseconds divided by 10^6, by the file's
+//! per process and cost category (Cc / Cm / Cp: the span's own, else the
+//! innermost enclosing span's, else `-`), and turned into nms per period: nanoseconds divided by 10^6, by the file's
 //! `summary.calibration_factor` and by the number of periods traced (the
 //! benchmark's `core/dispatch` spans, one per period).
 //!
 //! Modeled `netsim/transfer` spans record a delay that never elapsed and
 //! are left out. The self time of [`WAIT_OPS`] is time spent waiting for
 //! other threads (the worker pool's dispatcher, a FORK while its branches
-//! run) and is booked as wait, apart from work.
+//! run) and is booked as wait, apart from work and from the categories.
 
 #![cfg_attr(
     not(test),
@@ -37,6 +38,9 @@ pub struct SelfTimes {
     pub calibration_factor: f64,
     /// nms per period by `(process, layer/op)`; `-` is no process.
     pub by_op: BTreeMap<(String, String), f64>,
+    /// nms per period of work (wait left out) by `(process, category)`;
+    /// the category is a cost-category label or `-`.
+    pub by_category: BTreeMap<(String, String), f64>,
 }
 
 impl SelfTimes {
@@ -58,6 +62,7 @@ impl SelfTimes {
 struct Span {
     name: String,
     process: Option<String>,
+    category: Option<String>,
     thread: u64,
     start: u64,
     end: u64,
@@ -80,9 +85,12 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
         (columns.iter().position(|c| *c == name))
             .ok_or_else(|| format!("dip_trace_spans has no column {name}"))
     };
-    let [layer, op, process, thread, start, dur] =
-        ["layer", "op", "process", "thread", "start_ns", "dur_ns"].map(at);
-    let (layer, op, process, thread, start, dur) = (layer?, op?, process?, thread?, start?, dur?);
+    let [layer, op, category, process, thread, start, dur] = [
+        "layer", "op", "category", "process", "thread", "start_ns", "dur_ns",
+    ]
+    .map(at);
+    let (layer, op, category) = (layer?, op?, category?);
+    let (process, thread, start, dur) = (process?, thread?, start?, dur?);
     let rows = (table.get("rows").and_then(Json::as_arr)).ok_or("dip_trace_spans has no rows")?;
     let mut spans = Vec::with_capacity(rows.len());
     for (n, row) in rows.iter().enumerate() {
@@ -102,6 +110,7 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
         spans.push(Span {
             name,
             process: text(process).map(str::to_string),
+            category: text(category).map(str::to_string),
             thread: num(thread).ok_or_else(bad)?,
             start,
             end: start + num(dur).ok_or_else(bad)?,
@@ -112,7 +121,7 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
         return Err("no core/dispatch spans: not a benchmark trace".into());
     }
     let per_period = |ns: u64| ns as f64 / 1e6 / factor / periods as f64;
-    let mut ns: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let mut ns = Booked::default();
     // outer before inner: by thread, earlier start first, longer first
     spans.sort_by(|a, b| (a.thread, a.start, b.end).cmp(&(b.thread, b.start, a.end)));
     let mut open: Vec<Open> = Vec::new();
@@ -120,28 +129,46 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
         while (open.last()).is_some_and(|o| o.span.thread != s.thread || o.span.end <= s.start) {
             close(&mut open, &mut ns);
         }
-        let inherited = open.last().map(|o| o.process.clone());
-        if let Some(parent) = open.last_mut() {
-            parent.book(&mut ns, s.start);
-            parent.from = s.start;
-        }
-        let process = (s.process.clone())
-            .or(inherited)
-            .unwrap_or_else(|| "-".into());
+        let parent = open.last_mut();
+        let (process, category) = match parent {
+            Some(parent) => {
+                parent.book(&mut ns, s.start);
+                parent.from = s.start;
+                let process = s.process.as_ref().unwrap_or(&parent.process);
+                let category = s.category.as_ref().unwrap_or(&parent.category);
+                (process.clone(), category.clone())
+            }
+            None => {
+                let or_none = |v: &Option<String>| v.clone().unwrap_or_else(|| "-".into());
+                (or_none(&s.process), or_none(&s.category))
+            }
+        };
         open.push(Open {
             span: s,
             process,
+            category,
             from: s.start,
         });
     }
     while !open.is_empty() {
         close(&mut open, &mut ns);
     }
+    let per_period =
+        |ns: BTreeMap<_, u64>| ns.into_iter().map(|(k, v)| (k, per_period(v))).collect();
     Ok(SelfTimes {
         periods,
         calibration_factor: factor,
-        by_op: ns.into_iter().map(|(k, v)| (k, per_period(v))).collect(),
+        by_op: per_period(ns.by_op),
+        by_category: per_period(ns.by_category),
     })
+}
+
+/// Nanoseconds booked so far, by `(process, layer/op)` and, for work, by
+/// `(process, category)`.
+#[derive(Default)]
+struct Booked {
+    by_op: BTreeMap<(String, String), u64>,
+    by_category: BTreeMap<(String, String), u64>,
 }
 
 /// A span whose end is not reached yet, nesting the spans after it.
@@ -149,21 +176,28 @@ struct Open<'s> {
     span: &'s Span,
     /// Its own process, else the innermost enclosing span's.
     process: String,
+    /// Its own category, else the innermost enclosing span's.
+    category: String,
     /// Where its time not covered by a child resumes.
     from: u64,
 }
 
 impl Open<'_> {
     /// Book its uncovered time from `from` to `to`.
-    fn book(&self, ns: &mut BTreeMap<(String, String), u64>, to: u64) {
+    fn book(&self, ns: &mut Booked, to: u64) {
+        let t = to.min(self.span.end).saturating_sub(self.from);
         let key = (self.process.clone(), self.span.name.clone());
-        *ns.entry(key).or_default() += to.min(self.span.end).saturating_sub(self.from);
+        *ns.by_op.entry(key).or_default() += t;
+        if !SelfTimes::is_wait(&self.span.name) {
+            let key = (self.process.clone(), self.category.clone());
+            *ns.by_category.entry(key).or_default() += t;
+        }
     }
 }
 
 /// Close the innermost open span: book the rest of it; its parent resumes
 /// where it ended.
-fn close(open: &mut Vec<Open>, ns: &mut BTreeMap<(String, String), u64>) {
+fn close(open: &mut Vec<Open>, ns: &mut Booked) {
     let Some(child) = open.pop() else { return };
     child.book(ns, child.span.end);
     if let Some(parent) = open.last_mut() {
@@ -172,8 +206,9 @@ fn close(open: &mut Vec<Open>, ns: &mut BTreeMap<(String, String), u64>) {
 }
 
 /// The table `dipbench selftime` prints: one file's self times, or two
-/// files' side by side with the change per op, largest first; rows under
-/// 0.005 nms on both sides are left out.
+/// files' side by side with the change per op, largest first; then each
+/// process's work by cost category. Rows under 0.005 nms on both sides are
+/// left out.
 pub fn render(a: &SelfTimes, b: Option<&SelfTimes>) -> String {
     let mut out = String::new();
     let head = |t: &SelfTimes| format!("{} periods, factor {:.3}", t.periods, t.calibration_factor);
@@ -218,6 +253,24 @@ pub fn render(a: &SelfTimes, b: Option<&SelfTimes>) -> String {
             Some(_) => writeln!(out, "  {:<41} {x:>9.3} {y:>9.3} {:>+9.3}", "total", y - x),
         };
     }
+    let _ = writeln!(out, "\nself by category");
+    let mut keys: Vec<&(String, String)> =
+        (a.by_category.keys().chain(b_or.by_category.keys())).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let of = |t: &SelfTimes, k: &(String, String)| t.by_category.get(k).copied().unwrap_or(0.0);
+    for key @ (process, category) in keys {
+        let (x, y) = (of(a, key), of(b_or, key));
+        let _ = match b {
+            _ if x.max(y) < 0.005 => Ok(()),
+            None => writeln!(out, "  {process:<8} {category:<32} {x:>9.3}"),
+            Some(_) => writeln!(
+                out,
+                "  {process:<8} {category:<32} {x:>9.3} {y:>9.3} {:>+9.3}",
+                y - x
+            ),
+        };
+    }
     out
 }
 
@@ -227,7 +280,8 @@ mod tests {
 
     /// Five spans on two threads: a period's dispatch holding the worker
     /// pool, a FORK on a pool thread around a filter, and a modeled
-    /// transfer inside the filter. Calibration factor 2, one period.
+    /// transfer inside the filter. Calibration factor 2, one period. The
+    /// FORK is Cm, the filter Cp.
     const FIVE_SPANS: &str = r#"{
         "summary": {"calibration_factor": 2.0},
         "dip_trace_spans": {
@@ -236,9 +290,9 @@ mod tests {
             "rows": [
                 ["core", "bench|core/dispatch", null, null, null, null, 1, 0, 10000000],
                 ["core", "worker_pool", null, null, 0, null, 1, 1000000, 8000000],
-                ["mtm", "fork", "management", "P14", 0, 0, 2, 2000000, 5000000],
-                ["relstore", "filter", "processing", null, 0, 0, 2, 3000000, 2000000],
-                ["netsim", "transfer", "communication", "P14", 0, 0, 2, 3000000, 1000000]
+                ["mtm", "fork", "Cm", "P14", 0, 0, 2, 2000000, 5000000],
+                ["relstore", "filter", "Cp", null, 0, 0, 2, 3000000, 2000000],
+                ["netsim", "transfer", "Cc", "P14", 0, 0, 2, 3000000, 1000000]
             ]
         }
     }"#;
@@ -260,6 +314,32 @@ mod tests {
         assert!(table.contains("relstore/filter"), "{table}");
         let twice = render(&times, Some(&times));
         assert!(twice.contains("+0.000"), "{twice}");
+    }
+
+    /// Work is booked under its own category, else the innermost enclosing
+    /// span's, else `-`; wait is in no category.
+    #[test]
+    fn five_spans_book_work_by_category() {
+        let times = self_times(&Json::parse(FIVE_SPANS).unwrap()).unwrap();
+        let cat = |process: &str, c: &str| times.by_category[&(process.into(), c.into())];
+        assert_eq!(cat("-", "-"), 1.0, "the dispatch has no category");
+        assert_eq!(cat("P14", "Cp"), 1.0);
+        // the FORK is wait: booked by op, in no category
+        assert_eq!(times.by_category.len(), 2, "{:?}", times.by_category);
+        let total: f64 = times.by_category.values().sum();
+        assert_eq!(total, times.total(false));
+        // a filter without a category of its own takes the FORK's
+        let inherits = FIVE_SPANS.replace(r#""filter", "Cp""#, r#""filter", null"#);
+        let times = self_times(&Json::parse(&inherits).unwrap()).unwrap();
+        assert_eq!(times.by_category[&("P14".into(), "Cm".into())], 1.0);
+        let table = render(&times, None);
+        assert!(table.contains("self by category"), "{table}");
+        assert!(
+            table
+                .lines()
+                .any(|l| l.split_whitespace().eq(["P14", "Cm", "1.000"])),
+            "{table}"
+        );
     }
 
     #[test]

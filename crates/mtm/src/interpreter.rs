@@ -276,7 +276,7 @@ impl<'a> Interpreter<'a> {
                 on_valid,
                 on_invalid,
             } => {
-                let valid = xsd.validate(Self::get(vars, input)?.as_xml()?).is_empty();
+                let valid = xsd.is_valid(Self::get(vars, input)?.as_xml()?);
                 charge(LOCAL);
                 let branch = if valid { on_valid } else { on_invalid };
                 self.run_steps(def, last, branch, vars, pending_input)?;

@@ -169,9 +169,10 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
             return Ok(());
         }
         let mut emit_name = Some(name);
-        let mut out_attrs = Cow::Borrowed(attrs);
         let mut text_map = None;
         let mut attrs_to_elements = false;
+        // the rule's actions, when any of them renames an attribute
+        let mut renames = None;
         if let Some(rule) = self.sheet.find_rule(name) {
             for action in &rule.actions {
                 match action {
@@ -183,13 +184,7 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
                         }
                     }
                     Action::MapText(m) => text_map = Some(m),
-                    Action::RenameAttr { from, to } => {
-                        for (n, _) in out_attrs.to_mut() {
-                            if n == from {
-                                n.clone_from(to);
-                            }
-                        }
-                    }
+                    Action::RenameAttr { .. } => renames = Some(&rule.actions[..]),
                     Action::AttrsToElements => attrs_to_elements = true,
                 }
             }
@@ -200,16 +195,24 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
             return Ok(());
         }
         if let Some(n) = emit_name {
+            let out_name = |attr: &'a str| renames.map_or(attr, |actions| renamed(actions, attr));
             if attrs_to_elements {
                 self.sink
-                    .start(n, Cow::Borrowed(&[]), children + out_attrs.len())?;
-                for (an, av) in out_attrs.iter() {
+                    .start(n, Cow::Borrowed(&[]), children + attrs.len())?;
+                for (an, av) in attrs {
+                    let an = out_name(an);
                     self.sink.start(an, Cow::Borrowed(&[]), 1)?;
                     self.sink.text(av)?;
                     self.sink.end(an)?;
                 }
+            } else if renames.is_some() {
+                let out_attrs = attrs
+                    .iter()
+                    .map(|(an, av)| (out_name(an).to_string(), av.clone()));
+                self.sink
+                    .start(n, Cow::Owned(out_attrs.collect()), children)?;
             } else {
-                self.sink.start(n, out_attrs, children)?;
+                self.sink.start(n, Cow::Borrowed(attrs), children)?;
             }
         }
         self.frames.push(Frame {
@@ -249,6 +252,15 @@ impl<'a, H: Handler> Sink<'a> for Filter<'a, H> {
         }
         Ok(())
     }
+}
+
+/// An attribute's output name: `name` through every `RenameAttr` of
+/// `actions`, in action order, so `a→b` then `b→c` makes `a` into `c`.
+fn renamed<'a>(actions: &'a [Action], name: &'a str) -> &'a str {
+    actions.iter().fold(name, |n, action| match action {
+        Action::RenameAttr { from, to } if from == n => to,
+        _ => n,
+    })
 }
 
 fn stx_span() -> dip_trace::Span {

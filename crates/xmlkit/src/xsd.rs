@@ -190,19 +190,52 @@ impl XsdSchema {
         self.first_issue(doc).is_none()
     }
 
+    /// The one traversal behind the three checks, timed as one
+    /// `xmlkit/xsd_validate` span. On a valid document it allocates
+    /// nothing: the element trail is a chain of borrowed names, rendered
+    /// into a path only for an issue.
     fn issues(&self, doc: &Document, first_only: bool) -> Vec<ValidationIssue> {
+        let _span = dip_trace::span_cat(
+            dip_trace::Layer::Xmlkit,
+            "xsd_validate",
+            dip_trace::Category::Processing,
+        );
         let mut issues = Issues {
             found: Vec::new(),
             first_only,
         };
-        let path = format!("/{}", doc.root.name);
+        let trail = Trail {
+            parent: None,
+            name: &doc.root.name,
+        };
         // the traversal stops early only when asked to
         let _ = if doc.root.name != self.root.name {
-            issues.push(&path, format!("expected root element <{}>", self.root.name))
+            issues.push(
+                &trail,
+                format!("expected root element <{}>", self.root.name),
+            )
         } else {
-            validate_element(&doc.root, &self.root, &path, &mut issues)
+            validate_element(&doc.root, &self.root, &trail, &mut issues)
         };
         issues.found
+    }
+}
+
+/// The element trail from the root to the element being checked, each
+/// level a borrowed name on the stack of the traversal.
+struct Trail<'a> {
+    parent: Option<&'a Trail<'a>>,
+    name: &'a str,
+}
+
+impl Trail<'_> {
+    /// The `/`-separated path of an issue: `/root/child/…`.
+    fn render(&self, out: &mut String) {
+        if let Some(parent) = self.parent {
+            parent.render(out);
+        }
+        out.push('/');
+        out.push_str(self.name);
     }
 }
 
@@ -214,11 +247,10 @@ struct Issues {
 }
 
 impl Issues {
-    fn push(&mut self, path: &str, message: String) -> ControlFlow<()> {
-        self.found.push(ValidationIssue {
-            path: path.to_string(),
-            message,
-        });
+    fn push(&mut self, trail: &Trail, message: String) -> ControlFlow<()> {
+        let mut path = String::new();
+        trail.render(&mut path);
+        self.found.push(ValidationIssue { path, message });
         if self.first_only {
             ControlFlow::Break(())
         } else {
@@ -230,18 +262,18 @@ impl Issues {
 fn validate_element(
     e: &Element,
     decl: &XsdElement,
-    path: &str,
+    trail: &Trail,
     issues: &mut Issues,
 ) -> ControlFlow<()> {
     // attributes
     for a in &decl.attrs {
         match e.attribute(&a.name) {
             None if a.required => {
-                issues.push(path, format!("missing required attribute @{}", a.name))?
+                issues.push(trail, format!("missing required attribute @{}", a.name))?
             }
             Some(v) => {
                 if let Err(msg) = check_simple(&a.ty, v) {
-                    issues.push(path, format!("attribute @{}: {msg}", a.name))?;
+                    issues.push(trail, format!("attribute @{}: {msg}", a.name))?;
                 }
             }
             None => {}
@@ -249,7 +281,7 @@ fn validate_element(
     }
     for (n, _) in &e.attrs {
         if !decl.attrs.iter().any(|a| &a.name == n) {
-            issues.push(path, format!("unexpected attribute @{n}"))?;
+            issues.push(trail, format!("unexpected attribute @{n}"))?;
         }
     }
     // content
@@ -257,61 +289,72 @@ fn validate_element(
         Content::Any => {}
         Content::Empty => {
             if !e.children.is_empty() {
-                issues.push(path, "element must be empty".into())?;
+                issues.push(trail, "element must be empty".into())?;
             }
         }
         Content::Simple(ty) => {
             if e.elements().next().is_some() {
                 let msg = "simple-content element must not have child elements";
-                issues.push(path, msg.into())?;
+                issues.push(trail, msg.into())?;
             }
-            let text = e.text_content();
+            // a leaf's one text run is read where it lies
+            let joined;
+            let text = match e.children.as_slice() {
+                [] => "",
+                [XmlNode::Text(t)] => t,
+                _ => {
+                    joined = e.text_content();
+                    &joined
+                }
+            };
             if let Err(msg) = check_simple(ty, text.trim()) {
-                issues.push(path, msg)?;
+                issues.push(trail, msg)?;
             }
         }
         Content::Sequence(particles) => {
             for c in &e.children {
                 if let XmlNode::Text(t) = c {
                     if !t.trim().is_empty() {
-                        issues.push(path, "unexpected text content in sequence".into())?;
+                        issues.push(trail, "unexpected text content in sequence".into())?;
                     }
                 }
             }
-            validate_sequence(e, particles, path, issues)?;
+            validate_sequence(e, particles, trail, issues)?;
         }
     }
     ControlFlow::Continue(())
 }
 
-/// Greedy in-order matching of child elements against the particle list.
+/// Greedy in-order matching of child elements against the particle list,
+/// in one pass over the children.
 fn validate_sequence(
     e: &Element,
     particles: &[Particle],
-    path: &str,
+    trail: &Trail,
     issues: &mut Issues,
 ) -> ControlFlow<()> {
-    let children: Vec<&Element> = e.elements().collect();
-    let mut ci = 0usize;
+    let mut children = e.elements().peekable();
     for p in particles {
         let mut count = 0u32;
-        while ci < children.len()
-            && children[ci].name == p.element.name
-            && p.max.is_none_or(|m| count < m)
-        {
-            let child_path = format!("{path}/{}", children[ci].name);
-            validate_element(children[ci], &p.element, &child_path, issues)?;
-            ci += 1;
+        while p.max.is_none_or(|m| count < m) {
+            let Some(child) = children.next_if(|c| c.name == p.element.name) else {
+                break;
+            };
+            let child_trail = Trail {
+                parent: Some(trail),
+                name: &child.name,
+            };
+            validate_element(child, &p.element, &child_trail, issues)?;
             count += 1;
         }
         if count < p.min {
             let (min, name) = (p.min, &p.element.name);
             let msg = format!("expected at least {min} <{name}> element(s), found {count}");
-            issues.push(path, msg)?;
+            issues.push(trail, msg)?;
         }
     }
-    for child in &children[ci..] {
-        issues.push(path, format!("unexpected element <{}>", child.name))?;
+    for child in children {
+        issues.push(trail, format!("unexpected element <{}>", child.name))?;
     }
     ControlFlow::Continue(())
 }

@@ -1,7 +1,8 @@
 //! Property-based tests of the XML stack: serializer/parser round trips,
 //! SAX stream invariants, STX identity behaviour on arbitrary trees, the
-//! equivalence of the two STX drivers under generated stylesheets, and
-//! hostile (truncated / mutated) input.
+//! equivalence of the two STX drivers under generated stylesheets, the
+//! stylesheet against a tree-walking reference of its rules, and hostile
+//! (truncated / mutated) input.
 
 use dip_xmlkit::node::{Document, Element, XmlNode};
 use dip_xmlkit::sax::{build, events};
@@ -166,8 +167,16 @@ enum ActionSpec {
     Drop,
     Unwrap,
     MapText { text: usize, to: String },
-    RenameAttr { attr: usize, to: String },
+    RenameAttr { attr: usize, to: AttrName },
     AttrsToElements,
+}
+
+/// The new name of a renamed attribute: another attribute's (a pick into
+/// the pool, so renames chain: `a→b`, then `b→c`) or a fresh one.
+#[derive(Debug, Clone)]
+enum AttrName {
+    Pick(usize),
+    Fresh(String),
 }
 
 /// `(element name pick, actions)`.
@@ -180,7 +189,14 @@ fn arb_action() -> impl Strategy<Value = ActionSpec> {
         Just(ActionSpec::Drop),
         Just(ActionSpec::Unwrap),
         (pick(), arb_text()).prop_map(|(text, to)| ActionSpec::MapText { text, to }),
-        (pick(), arb_name()).prop_map(|(attr, to)| ActionSpec::RenameAttr { attr, to }),
+        (
+            pick(),
+            prop_oneof![
+                pick().prop_map(AttrName::Pick),
+                arb_name().prop_map(AttrName::Fresh)
+            ]
+        )
+            .prop_map(|(attr, to)| ActionSpec::RenameAttr { attr, to }),
         Just(ActionSpec::AttrsToElements),
     ]
 }
@@ -240,7 +256,10 @@ impl Pools {
                         )])),
                         ActionSpec::RenameAttr { attr: a, to } => Action::RenameAttr {
                             from: attr(a),
-                            to: to.clone(),
+                            to: match to {
+                                AttrName::Pick(b) => attr(b),
+                                AttrName::Fresh(name) => name.clone(),
+                            },
                         },
                         ActionSpec::AttrsToElements => Action::AttrsToElements,
                     })
@@ -307,6 +326,172 @@ fn stx_drivers_agree_on_corner_outcomes() {
     assert_eq!(
         merged.root.children,
         vec![XmlNode::Text("left right".into())]
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The stylesheet against a reference of its rules
+// ---------------------------------------------------------------------------
+
+/// The rule semantics written over trees, as directly as they can be: the
+/// nodes an element becomes. The first rule naming the element applies; a
+/// `Drop` anywhere in it leaves nothing; `Unwrap` leaves the element's
+/// children and a `Rename` after it is moot; the last `MapText` maps the
+/// element's own text runs; each attribute's name goes through every
+/// `RenameAttr` in order; `AttrsToElements` makes the attributes leading
+/// leaf children. Adjacent text runs merge, as the parser merges them.
+fn reference(sheet: &Stylesheet, e: &Element) -> Vec<XmlNode> {
+    let rule = sheet.rules.iter().find(|r| r.name == e.name);
+    let actions = rule.map_or(&[][..], |r| &r.actions[..]);
+    if actions.iter().any(|a| matches!(a, Action::Drop)) {
+        return Vec::new();
+    }
+    let mut name = Some(e.name.clone());
+    let mut text_map = None;
+    for a in actions {
+        match a {
+            Action::Unwrap => name = None,
+            Action::Rename(to) => name = name.map(|_| to.clone()),
+            Action::MapText(m) => text_map = Some(m),
+            _ => {}
+        }
+    }
+    let mut children = Vec::new();
+    for c in &e.children {
+        match c {
+            XmlNode::Element(child) => {
+                for n in reference(sheet, child) {
+                    push_merged(&mut children, n);
+                }
+            }
+            XmlNode::Text(t) => {
+                let mapped = text_map.and_then(|m| m.get(t.trim())).unwrap_or(t);
+                push_merged(&mut children, XmlNode::Text(mapped.clone()));
+            }
+        }
+    }
+    let Some(name) = name else {
+        return children;
+    };
+    let mut attrs: Vec<(String, String)> = e.attrs.clone();
+    for a in actions {
+        if let Action::RenameAttr { from, to } = a {
+            for (n, _) in &mut attrs {
+                if n == from {
+                    n.clone_from(to);
+                }
+            }
+        }
+    }
+    let mut out = Element::new(name);
+    if actions.iter().any(|a| matches!(a, Action::AttrsToElements)) {
+        let leaves = attrs
+            .into_iter()
+            .map(|(n, v)| XmlNode::Element(Element::leaf(n, v)));
+        out.children = leaves.chain(children).collect();
+    } else {
+        out.attrs = attrs;
+        out.children = children;
+    }
+    vec![XmlNode::Element(out)]
+}
+
+fn push_merged(nodes: &mut Vec<XmlNode>, node: XmlNode) {
+    match (nodes.last_mut(), node) {
+        (Some(XmlNode::Text(prev)), XmlNode::Text(t)) => prev.push_str(&t),
+        (_, node) => nodes.push(node),
+    }
+}
+
+/// The reference's document: one root, no text but whitespace beside it,
+/// and the first violation in document order is the error.
+fn reference_document(sheet: &Stylesheet, doc: &Document) -> XmlResult<Document> {
+    let err = |m: &str| Err(XmlError::Transform(m.into()));
+    let mut root = None;
+    for node in reference(sheet, &doc.root) {
+        match node {
+            XmlNode::Text(t) if t.trim().is_empty() => {}
+            XmlNode::Text(_) => return err("text outside root element"),
+            XmlNode::Element(e) if root.is_none() => root = Some(e),
+            XmlNode::Element(_) => return err("multiple root elements"),
+        }
+    }
+    root.map_or_else(|| err("empty event stream"), |e| Ok(Document::new(e)))
+}
+
+fn matches_reference(sheet: &Stylesheet, doc: &Document) -> XmlResult<Document> {
+    let out = sheet.transform(doc);
+    assert_eq!(out, reference_document(sheet, doc), "stylesheet {sheet:?}");
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn stx_matches_the_tree_reference(root in arb_element(3), specs in arb_rules()) {
+        let doc = Document::new(normalize(&root));
+        let sheet = Pools::of(&doc).stylesheet(&specs);
+        let _ = matches_reference(&sheet, &doc);
+    }
+}
+
+/// Attribute renames pinned: a chain in either order, with and without
+/// `AttrsToElements`, and under `Drop` and `Unwrap`.
+#[test]
+fn attribute_renames_match_the_reference() {
+    let doc = parse(r#"<m><o a="1" b="2" c="3"><i a="4">t</i></o></m>"#).unwrap();
+    let rule = |actions: Vec<Action>| {
+        let o = Rule {
+            name: "o".into(),
+            actions,
+        };
+        Stylesheet::new(
+            "s",
+            vec![o, Rule::for_name("i").rename_attr("a", "z").build()],
+        )
+    };
+    let rename = |from: &str, to: &str| Action::RenameAttr {
+        from: from.into(),
+        to: to.into(),
+    };
+    let chain = || vec![rename("a", "b"), rename("b", "c")];
+    let out = matches_reference(&rule(chain()), &doc).unwrap();
+    let o = out.root.first("o").unwrap();
+    let names: Vec<&str> = o.attrs.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["c", "c", "c"], "a→b→c, b→c, c stays");
+    assert_eq!(o.first("i").unwrap().attribute("z"), Some("4"));
+
+    let backwards = vec![rename("b", "c"), rename("a", "b")];
+    let out = matches_reference(&rule(backwards), &doc).unwrap();
+    let o = out.root.first("o").unwrap();
+    assert_eq!(
+        o.attrs[..2],
+        [("b".into(), "1".into()), ("c".into(), "2".into())]
+    );
+
+    for to_elements_first in [false, true] {
+        let mut actions = chain();
+        actions.insert(usize::from(!to_elements_first) * 2, Action::AttrsToElements);
+        let out = matches_reference(&rule(actions), &doc).unwrap();
+        let o = out.root.first("o").unwrap();
+        assert!(o.attrs.is_empty());
+        assert_eq!(o.all("c").count(), 3);
+    }
+
+    let mut dropped = chain();
+    dropped.insert(1, Action::Drop);
+    let out = matches_reference(&rule(dropped), &doc).unwrap();
+    assert!(out.root.first("o").is_none());
+
+    let mut unwrapped = chain();
+    unwrapped.push(Action::Unwrap);
+    unwrapped.push(Action::AttrsToElements);
+    let out = matches_reference(&rule(unwrapped), &doc).unwrap();
+    assert_eq!(out.root.first("i").unwrap().attribute("z"), Some("4"));
+    assert!(
+        out.root.first("c").is_none(),
+        "an unwrapped element emits no attributes"
     );
 }
 
