@@ -6,7 +6,8 @@
 //! what the spans inside it cover. Self time is booked per process (the
 //! span's own, else the innermost enclosing span's) and `layer/op`, and
 //! per process and cost category (Cc / Cm / Cp: the span's own, else the
-//! innermost enclosing span's, else `-`), and turned into nms per period: nanoseconds divided by 10^6, by the file's
+//! innermost enclosing span's, else `-`). It is turned into nms per
+//! period: nanoseconds divided by 10^6, by the file's
 //! `summary.calibration_factor` and by the number of periods traced (the
 //! benchmark's `core/dispatch` spans, one per period).
 //!
