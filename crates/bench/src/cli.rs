@@ -169,7 +169,7 @@ pub const COMMANDS: &[Command] = &[
               flags: &[ENGINE, D.or("0.02"), PERIODS, SEED, RATE, F.or("zipf10"), CAPACITY, SWEEP, OUT] },
     Command { name: "gate", args: "[NAME...]", arity: (0, usize::MAX), flags: &[], summary: "walk the declared robustness gates (all, or the named rows)" },
     Command { name: "explain", args: "[P01..P15]", arity: (0, 1), flags: &[], summary: "narrate process definitions" },
-    Command { name: "selftime", args: "TRACE [OTHER]", arity: (1, 2), flags: &[], summary: "self time per period by process x layer/op and by process x cost category (Cc/Cm/Cp) of a benchmark trace file, or the change between two" },
+    Command { name: "selftime", args: "TRACE [OTHER]", arity: (1, 2), flags: &[], summary: "self time per period and calls per instance by process x layer/op, and self time by process x cost category (Cc/Cm/Cp), of a benchmark trace file, or the change between two" },
     Command { name: "help", args: "[COMMAND]", arity: (0, 1), flags: &[], summary: "this overview, or one command's flags in detail" },
 ];
 

@@ -11,6 +11,11 @@
 //! `summary.calibration_factor` and by the number of periods traced (the
 //! benchmark's `core/dispatch` spans, one per period).
 //!
+//! Beside each `(process, layer/op)` it counts the op's spans per
+//! instance of the process: spans over the process's [`INSTANCE_OP`]
+//! spans, the one span each engine opens around an instance's work. A
+//! body that runs twice per message reads twice the calls its code makes.
+//!
 //! Modeled `netsim/transfer` spans record a delay that never elapsed and
 //! are left out. The self time of [`WAIT_OPS`] is time spent waiting for
 //! other threads (the worker pool's dispatcher, a FORK while its branches
@@ -28,6 +33,10 @@ use std::fmt::Write as _;
 /// Spans whose self time is waiting for other threads, not work.
 pub const WAIT_OPS: [&str; 2] = ["core/worker_pool", "mtm/fork"];
 
+/// The span each engine opens around one instance (`feddbms/instance`,
+/// `mtm/instance`): its `layer/op` ends in this.
+pub const INSTANCE_OP: &str = "/instance";
+
 /// Prefix of the benchmark's own spans mirrored into `dip_trace`: the rest
 /// of the op is their `layer/op`.
 const MIRRORED: &str = "bench|";
@@ -42,12 +51,24 @@ pub struct SelfTimes {
     /// nms per period of work (wait left out) by `(process, category)`;
     /// the category is a cost-category label or `-`.
     pub by_category: BTreeMap<(String, String), f64>,
+    /// Spans by `(process, layer/op)`.
+    pub calls: BTreeMap<(String, String), u64>,
+    /// Instances by process: its [`INSTANCE_OP`] spans.
+    pub instances: BTreeMap<String, u64>,
 }
 
 impl SelfTimes {
     /// Whether `op` is booked as wait.
     pub fn is_wait(op: &str) -> bool {
         WAIT_OPS.contains(&op)
+    }
+
+    /// Spans of `key`'s op per instance of its process; `None` for a
+    /// process without instances.
+    pub fn calls_per_instance(&self, key: &(String, String)) -> Option<f64> {
+        let instances = *self.instances.get(&key.0)?;
+        let calls = self.calls.get(key).copied().unwrap_or(0);
+        Some(calls as f64 / instances as f64)
     }
 
     /// Total nms per period of work (`false`) or of wait (`true`).
@@ -123,6 +144,7 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
     }
     let per_period = |ns: u64| ns as f64 / 1e6 / factor / periods as f64;
     let mut ns = Booked::default();
+    let mut calls: BTreeMap<(String, String), u64> = BTreeMap::new();
     // outer before inner: by thread, earlier start first, longer first
     spans.sort_by(|a, b| (a.thread, a.start, b.end).cmp(&(b.thread, b.start, a.end)));
     let mut open: Vec<Open> = Vec::new();
@@ -144,6 +166,7 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
                 (or_none(&s.process), or_none(&s.category))
             }
         };
+        *calls.entry((process.clone(), s.name.clone())).or_default() += 1;
         open.push(Open {
             span: s,
             process,
@@ -156,11 +179,17 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
     }
     let per_period =
         |ns: BTreeMap<_, u64>| ns.into_iter().map(|(k, v)| (k, per_period(v))).collect();
+    let instances = (calls.iter())
+        .filter(|((_, op), _)| op.ends_with(INSTANCE_OP))
+        .map(|((process, _), n)| (process.clone(), *n))
+        .collect();
     Ok(SelfTimes {
         periods,
         calibration_factor: factor,
         by_op: per_period(ns.by_op),
         by_category: per_period(ns.by_category),
+        calls,
+        instances,
     })
 }
 
@@ -207,9 +236,10 @@ fn close(open: &mut Vec<Open>, ns: &mut Booked) {
 }
 
 /// The table `dipbench selftime` prints: one file's self times, or two
-/// files' side by side with the change per op, largest first; then each
-/// process's work by cost category. Rows under 0.005 nms on both sides are
-/// left out.
+/// files' side by side with the change per op, largest first, each row
+/// followed by its calls per instance (`4.0/inst`, per file) where the
+/// process has instances; then each process's work by cost category. Rows
+/// under 0.005 nms on both sides are left out.
 pub fn render(a: &SelfTimes, b: Option<&SelfTimes>) -> String {
     let mut out = String::new();
     let head = |t: &SelfTimes| format!("{} periods, factor {:.3}", t.periods, t.calibration_factor);
@@ -226,6 +256,9 @@ pub fn render(a: &SelfTimes, b: Option<&SelfTimes>) -> String {
     keys.sort_unstable();
     keys.dedup();
     let of = |t: &SelfTimes, k: &(String, String)| t.by_op.get(k).copied().unwrap_or(0.0);
+    let calls = |t: &SelfTimes, k: &(String, String)| {
+        (t.calls_per_instance(k)).map_or_else(String::new, |n| format!(" {n:>7.1}/inst"))
+    };
     for wait in [false, true] {
         let mut rows: Vec<(&(String, String), f64, f64)> = (keys.iter())
             .filter(|(_, op)| SelfTimes::is_wait(op) == wait)
@@ -238,13 +271,15 @@ pub fn render(a: &SelfTimes, b: Option<&SelfTimes>) -> String {
         };
         rows.sort_by(|p, q| size(q).total_cmp(&size(p)));
         let _ = writeln!(out, "\n{}", if wait { "wait" } else { "self" });
-        for ((process, op), x, y) in rows {
+        for (key @ (process, op), x, y) in rows {
             let _ = match b {
-                None => writeln!(out, "  {process:<8} {op:<32} {x:>9.3}"),
-                Some(_) => writeln!(
+                None => writeln!(out, "  {process:<8} {op:<32} {x:>9.3}{}", calls(a, key)),
+                Some(b) => writeln!(
                     out,
-                    "  {process:<8} {op:<32} {x:>9.3} {y:>9.3} {:>+9.3}",
-                    y - x
+                    "  {process:<8} {op:<32} {x:>9.3} {y:>9.3} {:>+9.3}{}{}",
+                    y - x,
+                    calls(a, key),
+                    calls(b, key)
                 ),
             };
         }
@@ -341,6 +376,42 @@ mod tests {
                 .any(|l| l.split_whitespace().eq(["P14", "Cm", "1.000"])),
             "{table}"
         );
+    }
+
+    /// Calls are counted per instance of a process: its `*/instance`
+    /// spans. An instance span around the FORK, and a second filter in it,
+    /// reads 2.0 filters per instance.
+    #[test]
+    fn five_spans_count_calls_per_instance() {
+        let times = self_times(&Json::parse(FIVE_SPANS).unwrap()).unwrap();
+        let key = |process: &str, op: &str| (process.to_string(), op.to_string());
+        assert!(times.instances.is_empty());
+        assert_eq!(times.calls[&key("P14", "relstore/filter")], 1);
+        assert_eq!(
+            times.calls_per_instance(&key("P14", "relstore/filter")),
+            None
+        );
+        let fork = r#"["mtm", "fork", "Cm", "P14", 0, 0, 2, 2000000, 5000000],"#;
+        let doubled = FIVE_SPANS.replace(
+            fork,
+            &format!(
+                r#"["mtm", "instance", "Cm", "P14", 0, 0, 2, 1500000, 6000000], {fork}
+                ["relstore", "filter", "Cp", null, 0, 0, 2, 5500000, 1000000],"#
+            ),
+        );
+        let times = self_times(&Json::parse(&doubled).unwrap()).unwrap();
+        let per = |process: &str, op: &str| times.calls_per_instance(&key(process, op));
+        assert_eq!(times.instances[&"P14".to_string()], 1);
+        assert_eq!(per("P14", "relstore/filter"), Some(2.0));
+        assert_eq!(per("P14", "mtm/fork"), Some(1.0));
+        assert_eq!(per("P14", "netsim/transfer"), Some(0.0), "left out");
+        assert_eq!(per("-", "core/dispatch"), None, "no instances");
+        let table = render(&times, None);
+        let row = |op: &str| table.lines().find(|l| l.contains(op)).unwrap().to_string();
+        assert!(row("relstore/filter").ends_with("2.0/inst"), "{table}");
+        assert!(!row("core/dispatch").contains("/inst"), "{table}");
+        let twice = render(&times, Some(&times));
+        assert!(twice.contains("2.0/inst     2.0/inst"), "{twice}");
     }
 
     #[test]

@@ -264,8 +264,11 @@ pub trait IntegrationSystem: Send + Sync {
     /// Display name (appears in reports).
     fn name(&self) -> &str;
 
-    /// Deploy the benchmark's process definitions. Called once before the
-    /// work phase.
+    /// Deploy the benchmark's process definitions before the work phase.
+    /// Deploying again replaces every definition: a redeployed system
+    /// behaves exactly as if it had been deployed once (the benchmark
+    /// harness deploys twice, through a throw-away client and then the
+    /// measuring one).
     fn deploy(&self, defs: Vec<ProcessDef>) -> MtmResult<()>;
 
     /// Deliver one benchmark event; see the module docs for the outcome

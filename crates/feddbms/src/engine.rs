@@ -229,7 +229,9 @@ impl FedDbms {
     }
 
     /// Realize an E1 process: create its queue table and register the
-    /// INSERT trigger that runs the body over the `inserted` rows.
+    /// INSERT trigger that runs the body over the `inserted` rows. Deploying
+    /// a process again replaces its queue table and its trigger (`CREATE OR
+    /// REPLACE`), so one inserted message still fires one body.
     pub fn deploy_queue(&self, process: &str, body: E1Body) -> MtmResult<()> {
         let name = format!("{}_queue", process.to_lowercase());
         let table = self.local.create_table(
@@ -245,13 +247,15 @@ impl FedDbms {
                 let ctx = FedCtx::new(world.clone(), current_costs()?, opts);
                 for row in inserted {
                     // parse the CLOB back into a DOM (processing work)
+                    let bad = |why: String| {
+                        StoreError::Procedure(format!("{process_name}: bad message: {why}"))
+                    };
+                    let clob = (row[1].as_str()).ok_or_else(|| bad("msg is not a CLOB".into()))?;
                     let doc = {
                         let t = Instant::now();
-                        let parsed = crate::xmlfn::from_clob(&row[1].render());
+                        let parsed = crate::xmlfn::from_clob(clob);
                         ctx.costs.add(CostCategory::Processing, t.elapsed());
-                        parsed.map_err(|e| {
-                            StoreError::Procedure(format!("{process_name}: bad message: {e}"))
-                        })?
+                        parsed.map_err(|e| bad(e.to_string()))?
                     };
                     // transport faults must cross the trigger boundary
                     // typed, not stringified, so the dispatcher can still

@@ -9,6 +9,11 @@
 //! equivalence test in the workspace `tests/` directory checks the rest;
 //! only the *execution strategy* differs — relational work runs through
 //! the planner, XML work through the unoptimized [`crate::xmlfn`] stack.
+//!
+//! The stylesheets and the XSD a body uses are catalog objects: each
+//! `pN_body()` builds them once, when the process is deployed, and its
+//! closure holds them, as MTM's definitions do. Per message, only the
+//! [`crate::xmlfn`] work itself runs.
 
 use crate::engine::{E1Body, E2Body, FedCtx, FedDbms};
 use crate::xmlfn;
@@ -16,6 +21,7 @@ use dip_mtm::cost::run_branches;
 use dip_mtm::error::{MtmError, MtmResult};
 use dip_relstore::prelude::*;
 use dip_services::registry::LoadMode;
+use dip_xmlkit::stx::Stylesheet;
 use dipbench::processes::catalog::{self, AsiaEntity, DwhLoad, Extract};
 use dipbench::processes::group_d::{s1_plan, sales_schema};
 use dipbench::schema::{america, asia, cdb, dm, dwh, europe, messages};
@@ -52,18 +58,18 @@ pub fn deploy_all(fed: &FedDbms) -> MtmResult<()> {
 // -----------------------------------------------------------------------
 
 fn p01_body() -> E1Body {
-    Arc::new(|ctx, doc| {
-        let translated =
-            ctx.processing(|| Ok(xmlfn::transform(doc, &messages::stx_beijing_to_seoul())?))?;
+    let stx = messages::stx_beijing_to_seoul();
+    Arc::new(move |ctx, doc| {
+        let translated = ctx.processing(|| Ok(xmlfn::transform(doc, &stx)?))?;
         ctx.ws_update(asia::SEOUL, "masterdata", &translated)?;
         Ok(())
     })
 }
 
 fn p02_body() -> E1Body {
-    Arc::new(|ctx, doc| {
-        let translated =
-            ctx.processing(|| Ok(xmlfn::transform(doc, &messages::stx_mdm_to_europe())?))?;
+    let stx = messages::stx_mdm_to_europe();
+    Arc::new(move |ctx, doc| {
+        let translated = ctx.processing(|| Ok(xmlfn::transform(doc, &stx)?))?;
         let key: i64 = ctx.processing(|| {
             xmlfn::extract(&translated, "euCustomer/custkey")?
                 .and_then(|t| t.trim().parse().ok())
@@ -107,9 +113,9 @@ fn p03_body() -> E2Body {
 // -----------------------------------------------------------------------
 
 fn p04_body() -> E1Body {
-    Arc::new(|ctx, doc| {
-        let translated =
-            ctx.processing(|| Ok(xmlfn::transform(doc, &messages::stx_vienna_to_cdb())?))?;
+    let stx = messages::stx_vienna_to_cdb();
+    Arc::new(move |ctx, doc| {
+        let translated = ctx.processing(|| Ok(xmlfn::transform(doc, &stx)?))?;
         let key: i64 = ctx.processing(|| {
             xmlfn::extract(&translated, "cdbOrder/custkey")?
                 .and_then(|t| t.trim().parse().ok())
@@ -163,9 +169,9 @@ fn europe_extract_body(db: &'static str, loc: Option<&'static str>) -> E2Body {
 }
 
 fn p08_body() -> E1Body {
-    Arc::new(|ctx, doc| {
-        let translated =
-            ctx.processing(|| Ok(xmlfn::transform(doc, &messages::stx_hongkong_to_cdb())?))?;
+    let stx = messages::stx_hongkong_to_cdb();
+    Arc::new(move |ctx, doc| {
+        let translated = ctx.processing(|| Ok(xmlfn::transform(doc, &stx)?))?;
         load_cdb_order(ctx, &translated, "hongkong")
     })
 }
@@ -175,15 +181,20 @@ fn p08_body() -> E1Body {
 /// bookkeeping columns. Shared by the full-refresh P09 realization and the
 /// ivm engine's snapshot-differential variant; both must flow through the
 /// identical WS + transform + decode path or float/date canonicalization
-/// could diverge between engines.
-pub fn p09_fetch(ctx: &FedCtx, entity: &AsiaEntity) -> MtmResult<Relation> {
+/// could diverge between engines. `services` is
+/// [`catalog::asia_services`], built once when the body is deployed.
+pub fn p09_fetch(
+    ctx: &FedCtx,
+    entity: &AsiaEntity,
+    services: &[(&str, Arc<Stylesheet>)],
+) -> MtmResult<Relation> {
     let operation = entity.operation;
     let mut temp_scans = Vec::new();
-    for (service, stx) in catalog::asia_services() {
+    for (service, stx) in services {
         let doc = ctx.ws_query(service, operation)?;
         // translation + decode through the proprietary XML stack
         let rel = ctx.processing(|| {
-            let canon = xmlfn::transform(&doc, &stx)?;
+            let canon = xmlfn::transform(&doc, stx)?;
             Ok(dip_services::resultset::decode(&canon, &entity.schema)?)
         })?;
         let temp = ctx.materialize(&format!("{operation}_{service}"), rel)?;
@@ -198,9 +209,10 @@ pub fn p09_fetch(ctx: &FedCtx, entity: &AsiaEntity) -> MtmResult<Relation> {
 }
 
 fn p09_body() -> E2Body {
-    Arc::new(|ctx| {
+    let services = catalog::asia_services();
+    Arc::new(move |ctx| {
         for entity in catalog::asia_entities() {
-            let finished = p09_fetch(ctx, &entity)?;
+            let finished = p09_fetch(ctx, &entity, &services)?;
             ctx.remote_load(
                 cdb::CDB,
                 entity.staging,
@@ -213,12 +225,12 @@ fn p09_body() -> E2Body {
 }
 
 fn p10_body() -> E1Body {
-    Arc::new(|ctx, doc| {
-        let xsd = messages::san_diego_xsd();
+    let xsd = messages::san_diego_xsd();
+    let stx = messages::stx_san_diego_to_cdb();
+    Arc::new(move |ctx, doc| {
         let issues = ctx.processing(|| Ok(xmlfn::validate(doc, &xsd)?))?;
         if issues.is_empty() {
-            let translated =
-                ctx.processing(|| Ok(xmlfn::transform(doc, &messages::stx_san_diego_to_cdb())?))?;
+            let translated = ctx.processing(|| Ok(xmlfn::transform(doc, &stx)?))?;
             load_cdb_order(ctx, &translated, "san_diego")
         } else {
             let row = ctx.processing(|| {

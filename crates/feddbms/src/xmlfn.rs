@@ -9,7 +9,9 @@
 //! CLOB-based SQL/XML function stack does — every call crosses a
 //! serialize/parse boundary (XML values live as CLOBs in queue tables and
 //! temp tables), transformations run over materialized DOM trees instead
-//! of event streams, and nothing is cached between calls.
+//! of event streams, and no CLOB, DOM or compiled path is cached between
+//! calls. The stylesheets and schemas themselves are catalog objects,
+//! registered once when a process is deployed and passed in by reference.
 //!
 //! [`transform`] is therefore the production caller of the *materializing*
 //! STX driver (`sax::events` → `Stylesheet::transform_events` →

@@ -179,9 +179,10 @@ fn pull_delta(ctx: &FedCtx, db: &str, table: &str) -> MtmResult<Relation> {
 /// then diffs the result against its standing view, loading only rows
 /// whose key it has not seen this period.
 fn ivm_p09(state: Arc<Database>) -> E2Body {
+    let services = catalog::asia_services();
     Arc::new(move |ctx| {
         for entity in catalog::asia_entities() {
-            let finished = procs::p09_fetch(ctx, &entity)?;
+            let finished = procs::p09_fetch(ctx, &entity, &services)?;
             let fresh = ctx.processing(|| {
                 let seen = state.table(&seen_table(entity.staging))?;
                 let known: HashSet<String> = seen

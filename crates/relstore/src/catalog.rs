@@ -94,19 +94,24 @@ impl Database {
 
     /// Insert through the trigger machinery: rows are applied to the table
     /// first, then every trigger registered for it fires with the inserted
-    /// rows. A trigger error is reported to the caller (the insert itself
-    /// is not rolled back — matching common DBMS AFTER-trigger semantics
-    /// loosely, and documented for the benchmark's failed-data handling).
+    /// rows, in registration order. A trigger error is reported to the
+    /// caller (the insert itself is not rolled back — matching common DBMS
+    /// AFTER-trigger semantics loosely, and documented for the benchmark's
+    /// failed-data handling). The rows are copied for the triggers only
+    /// when the table has one.
     pub fn insert_into(&self, table: &str, rows: Vec<Row>) -> StoreResult<usize> {
         let t = self.table(table)?;
-        let fired_rows = rows.clone();
-        let n = t.insert(rows)?;
         let triggers: Vec<Trigger> = self
             .triggers
             .read()
             .get(&table.to_lowercase())
             .cloned()
             .unwrap_or_default();
+        if triggers.is_empty() {
+            return t.insert(rows);
+        }
+        let fired_rows = rows.clone();
+        let n = t.insert(rows)?;
         for tr in triggers {
             (tr.body)(self, &fired_rows).map_err(|e| match e {
                 // transport faults stay typed across the trigger boundary so
@@ -118,7 +123,10 @@ impl Database {
         Ok(n)
     }
 
-    /// Register an AFTER-INSERT trigger on `table`.
+    /// Register an AFTER-INSERT trigger on `table` (`CREATE OR REPLACE
+    /// TRIGGER`): a trigger of the same (case-insensitive) name on that
+    /// table is replaced in place, keeping its turn; a new name fires after
+    /// the triggers registered before it.
     pub fn create_trigger(
         &self,
         name: impl Into<String>,
@@ -128,14 +136,16 @@ impl Database {
         if !self.has_table(table) {
             return Err(StoreError::NoSuchTable(table.to_string()));
         }
-        self.triggers
-            .write()
-            .entry(table.to_lowercase())
-            .or_default()
-            .push(Trigger {
-                name: name.into(),
-                body,
-            });
+        let trigger = Trigger {
+            name: name.into(),
+            body,
+        };
+        let mut triggers = self.triggers.write();
+        let on_table = triggers.entry(table.to_lowercase()).or_default();
+        match (on_table.iter_mut()).find(|t| t.name.eq_ignore_ascii_case(&trigger.name)) {
+            Some(existing) => *existing = trigger,
+            None => on_table.push(trigger),
+        }
         Ok(())
     }
 
@@ -234,6 +244,45 @@ mod tests {
         assert!(matches!(err, StoreError::Procedure(_)));
         // the base insert stuck (AFTER semantics)
         assert_eq!(db.table("src").unwrap().row_count(), 1);
+    }
+
+    /// A trigger that appends `tag` to `dst` under the next free id.
+    fn tagging(tag: &'static str) -> Arc<TriggerFn> {
+        Arc::new(move |db, _| {
+            let dst = db.table("dst")?;
+            let id = dst.row_count() as i64;
+            dst.insert(vec![vec![Value::Int(id), Value::str(tag)]])?;
+            Ok(())
+        })
+    }
+
+    /// The tags `dst` holds, in firing order.
+    fn fired(db: &Database) -> Vec<Value> {
+        let mut rel = db.table("dst").unwrap().scan();
+        rel.sort_by_columns(&[0]);
+        rel.rows.into_iter().map(|r| r[1].clone()).collect()
+    }
+
+    #[test]
+    fn a_trigger_created_twice_under_one_name_fires_once() {
+        let db = db();
+        db.create_trigger("t", "src", tagging("first")).unwrap();
+        db.create_trigger("T", "SRC", tagging("second")).unwrap();
+        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+            .unwrap();
+        assert_eq!(fired(&db), vec![Value::str("second")]);
+    }
+
+    #[test]
+    fn triggers_of_two_names_both_fire_in_registration_order() {
+        let db = db();
+        db.create_trigger("b", "src", tagging("b")).unwrap();
+        db.create_trigger("a", "src", tagging("a")).unwrap();
+        // replacing the first keeps its turn
+        db.create_trigger("b", "src", tagging("b2")).unwrap();
+        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+            .unwrap();
+        assert_eq!(fired(&db), vec![Value::str("b2"), Value::str("a")]);
     }
 
     #[test]

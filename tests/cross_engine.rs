@@ -3,6 +3,7 @@
 //! identical inputs — the central system-independence claim of the
 //! benchmark. Costs may (and should) differ; data must not.
 
+use dip_bench::gate::Fingerprint;
 use dip_bench::ENGINES;
 use dip_mtm::error::MtmError;
 use dip_relstore::prelude::StoreError;
@@ -234,4 +235,47 @@ fn every_engine_reports_a_failed_event_alike() {
             "{tag} and {first} word the failure differently"
         );
     }
+}
+
+/// The harness may deploy a system more than once (`benchmark/` deploys
+/// through a throw-away client, then through the measuring one), and the
+/// benchmark measures the redeployed system. Deploying again replaces
+/// every definition: a system deployed twice runs one period exactly like
+/// one deployed once — the same data and, counters included, the same
+/// work (a queue trigger appended instead of replaced fires its body twice
+/// per message, which the digests alone do not show).
+#[test]
+fn a_redeployed_system_runs_like_one_deployed_once() {
+    let config = config().with_seed(7);
+    let traced = |make: client::MakeSystem| {
+        dip_trace::enable();
+        let run = client::run(config, make).unwrap();
+        let _ = dip_trace::drain();
+        let mut counters = dip_trace::drain_counters();
+        dip_trace::disable();
+        counters.sort();
+        Fingerprint {
+            counters,
+            ..Fingerprint::of(&run.outcome, &run.verification, run.digests)
+        }
+    };
+    let mut diverged = Vec::new();
+    for spec in &ENGINES {
+        let once = traced(&spec.build);
+        let twice = traced(&|env| {
+            let system = (spec.build)(env);
+            system.deploy(processes::all_processes()).unwrap();
+            system
+        });
+        assert!(once.verified, "{}: the run failed verification", spec.tag);
+        let differs = twice.diff(&once, true);
+        if !differs.is_empty() {
+            diverged.push(format!("{}: {differs:?}", spec.tag));
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "redeployed systems differ from ones deployed once:\n{}",
+        diverged.join("\n")
+    );
 }
