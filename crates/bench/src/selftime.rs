@@ -53,8 +53,6 @@ pub struct SelfTimes {
     pub by_category: BTreeMap<(String, String), f64>,
     /// Spans by `(process, layer/op)`.
     pub calls: BTreeMap<(String, String), u64>,
-    /// Instances by process: its [`INSTANCE_OP`] spans.
-    pub instances: BTreeMap<String, u64>,
 }
 
 impl SelfTimes {
@@ -63,12 +61,15 @@ impl SelfTimes {
         WAIT_OPS.contains(&op)
     }
 
-    /// Spans of `key`'s op per instance of its process; `None` for a
-    /// process without instances.
+    /// Spans of `key`'s op per instance of its process (its
+    /// [`INSTANCE_OP`] spans); `None` for a process without instances.
     pub fn calls_per_instance(&self, key: &(String, String)) -> Option<f64> {
-        let instances = *self.instances.get(&key.0)?;
+        let instances: u64 = (self.calls.iter())
+            .filter(|((process, op), _)| *process == key.0 && op.ends_with(INSTANCE_OP))
+            .map(|(_, n)| n)
+            .sum();
         let calls = self.calls.get(key).copied().unwrap_or(0);
-        Some(calls as f64 / instances as f64)
+        (instances > 0).then(|| calls as f64 / instances as f64)
     }
 
     /// Total nms per period of work (`false`) or of wait (`true`).
@@ -179,17 +180,12 @@ pub fn self_times(trace: &Json) -> Result<SelfTimes, String> {
     }
     let per_period =
         |ns: BTreeMap<_, u64>| ns.into_iter().map(|(k, v)| (k, per_period(v))).collect();
-    let instances = (calls.iter())
-        .filter(|((_, op), _)| op.ends_with(INSTANCE_OP))
-        .map(|((process, _), n)| (process.clone(), *n))
-        .collect();
     Ok(SelfTimes {
         periods,
         calibration_factor: factor,
         by_op: per_period(ns.by_op),
         by_category: per_period(ns.by_category),
         calls,
-        instances,
     })
 }
 
@@ -385,7 +381,6 @@ mod tests {
     fn five_spans_count_calls_per_instance() {
         let times = self_times(&Json::parse(FIVE_SPANS).unwrap()).unwrap();
         let key = |process: &str, op: &str| (process.to_string(), op.to_string());
-        assert!(times.instances.is_empty());
         assert_eq!(times.calls[&key("P14", "relstore/filter")], 1);
         assert_eq!(
             times.calls_per_instance(&key("P14", "relstore/filter")),
@@ -401,7 +396,7 @@ mod tests {
         );
         let times = self_times(&Json::parse(&doubled).unwrap()).unwrap();
         let per = |process: &str, op: &str| times.calls_per_instance(&key(process, op));
-        assert_eq!(times.instances[&"P14".to_string()], 1);
+        assert_eq!(per("P14", "mtm/instance"), Some(1.0));
         assert_eq!(per("P14", "relstore/filter"), Some(2.0));
         assert_eq!(per("P14", "mtm/fork"), Some(1.0));
         assert_eq!(per("P14", "netsim/transfer"), Some(0.0), "left out");
