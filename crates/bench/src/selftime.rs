@@ -72,12 +72,12 @@ impl SelfTimes {
         (instances > 0).then(|| calls as f64 / instances as f64)
     }
 
-    /// Total nms per period of work (`false`) or of wait (`true`).
+    /// Total nms per period of work (`false`) or of wait (`true`); `0.0`
+    /// when there is none (a float `sum` of nothing is `-0.0`).
     pub fn total(&self, wait: bool) -> f64 {
         let rows = self.by_op.iter();
         rows.filter(|((_, op), _)| Self::is_wait(op) == wait)
-            .map(|(_, nms)| nms)
-            .sum()
+            .fold(0.0, |total, (_, nms)| total + nms)
     }
 }
 
@@ -407,6 +407,28 @@ mod tests {
         assert!(!row("core/dispatch").contains("/inst"), "{table}");
         let twice = render(&times, Some(&times));
         assert!(twice.contains("2.0/inst     2.0/inst"), "{twice}");
+    }
+
+    /// A trace with no wait at all (an E1-only run starts no pool and no
+    /// FORK) totals its wait as `0.000`, not `-0.000`.
+    #[test]
+    fn a_trace_without_wait_totals_zero_wait() {
+        let no_wait: String = (FIVE_SPANS.lines())
+            .filter(|l| !l.contains("worker_pool") && !l.contains("fork"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let times = self_times(&Json::parse(&no_wait).unwrap()).unwrap();
+        assert_eq!(times.total(true).to_bits(), 0.0f64.to_bits());
+        let table = render(&times, None);
+        let wait = table.split("\nwait\n").nth(1).unwrap();
+        let total = wait.lines().find(|l| l.contains("total")).unwrap();
+        assert_eq!(
+            total.split_whitespace().collect::<Vec<_>>(),
+            ["total", "0.000"],
+            "{table}"
+        );
+        let twice = render(&times, Some(&times));
+        assert!(!twice.contains("-0.000"), "{twice}");
     }
 
     #[test]

@@ -270,16 +270,16 @@ impl Generator {
         let parts: Vec<PartData> = (0..self.cards.products)
             .map(|i| self.part(&mut rng, keys::PROD_EUROPE + i as i64))
             .collect();
-        let prod_rows: Vec<Row> = parts
+        let prod_rows: Vec<SharedRow> = parts
             .iter()
             .map(|p| {
-                vec![
+                SharedRow::from([
                     Value::Int(p.prodkey),
                     Value::str(p.name.clone()),
                     Value::str(p.group.clone()),
                     Value::str(p.line.clone()),
                     Value::Float(p.price),
-                ]
+                ])
             })
             .collect();
         snap.push(bp, "prod", prod_rows.clone());
@@ -296,10 +296,13 @@ impl Generator {
                 false,
             ),
         ] {
+            // the location column of the Berlin/Paris tables, one string
+            // every row of the location shares
+            let loc_col = with_loc.then(|| Value::str(loc));
             let mut cust_rows = Vec::with_capacity(self.cards.customers);
             for i in 0..self.cards.customers {
                 let c = self.customer(&mut rng, cust_base + i as i64, refdata::REGION_EUROPE);
-                let mut row = vec![
+                let row = [
                     Value::Int(c.custkey),
                     Value::str(c.name),
                     Value::str(c.address),
@@ -309,10 +312,7 @@ impl Generator {
                     Value::str(c.phone),
                     Value::Float(c.acctbal),
                 ];
-                if with_loc {
-                    row.push(Value::str(loc));
-                }
-                cust_rows.push(row);
+                cust_rows.push(row.into_iter().chain(loc_col.clone()).collect());
             }
             snap.push(db, "cust", cust_rows);
 
@@ -329,7 +329,7 @@ impl Generator {
                     &vocab::EUROPE_PRIORITY,
                     &vocab::EUROPE_STATE,
                 );
-                let mut row = vec![
+                let row = [
                     Value::Int(o.orderkey),
                     Value::Int(o.custkey),
                     Value::Date(parse_date(&o.orderdate).expect("generated date")),
@@ -337,12 +337,9 @@ impl Generator {
                     Value::str(o.priority.clone()),
                     Value::str(o.state.clone()),
                 ];
-                if with_loc {
-                    row.push(Value::str(loc));
-                }
-                ord_rows.push(row);
+                ord_rows.push(row.into_iter().chain(loc_col.clone()).collect());
                 for l in &o.lines {
-                    let mut row = vec![
+                    let row = [
                         Value::Int(o.orderkey),
                         Value::Int(l.lineno),
                         Value::Int(l.prodkey),
@@ -350,10 +347,7 @@ impl Generator {
                         Value::Float(l.extendedprice),
                         Value::Float(l.discount),
                     ];
-                    if with_loc {
-                        row.push(Value::str(loc));
-                    }
-                    pos_rows.push(row);
+                    pos_rows.push(row.into_iter().chain(loc_col.clone()).collect());
                 }
             }
             snap.push(db, "ord", ord_rows);
@@ -386,7 +380,7 @@ impl Generator {
             for c in &customers {
                 if dist::chance(&mut rng, AMERICA_OVERLAP) {
                     member_custs.push(c);
-                    cust_rows.push(vec![
+                    cust_rows.push(SharedRow::from([
                         Value::Int(c.custkey),
                         Value::str(c.name.clone()),
                         Value::str(c.address.clone()),
@@ -395,7 +389,7 @@ impl Generator {
                         Value::str(c.phone.clone()),
                         Value::Float(c.acctbal),
                         Value::str(c.segment.clone()),
-                    ]);
+                    ]));
                 }
             }
             if member_custs.is_empty() {
@@ -405,13 +399,13 @@ impl Generator {
             let mut part_rows = Vec::new();
             for p in &parts {
                 if dist::chance(&mut rng, AMERICA_OVERLAP) {
-                    part_rows.push(vec![
+                    part_rows.push(SharedRow::from([
                         Value::Int(p.prodkey),
                         Value::str(p.name.clone()),
                         Value::str(p.group.clone()),
                         Value::str(p.line.clone()),
                         Value::Float(p.price),
-                    ]);
+                    ]));
                 }
             }
             snap.push(source, "part", part_rows);
@@ -429,23 +423,23 @@ impl Generator {
                     &vocab::AMERICA_PRIORITY,
                     &vocab::AMERICA_STATE,
                 );
-                ord_rows.push(vec![
+                ord_rows.push(SharedRow::from([
                     Value::Int(o.orderkey),
                     Value::Int(o.custkey),
                     Value::str(o.state.clone()),
                     Value::Float(o.totalprice),
                     Value::Date(parse_date(&o.orderdate).expect("generated date")),
                     Value::str(o.priority.clone()),
-                ]);
+                ]));
                 for l in &o.lines {
-                    line_rows.push(vec![
+                    line_rows.push(SharedRow::from([
                         Value::Int(o.orderkey),
                         Value::Int(l.lineno),
                         Value::Int(l.prodkey),
                         Value::Int(l.quantity),
                         Value::Float(l.extendedprice),
                         Value::Float(l.discount),
-                    ]);
+                    ]));
                 }
             }
             snap.push(source, "orders", ord_rows);
@@ -473,30 +467,30 @@ impl Generator {
             (crate::schema::asia::SEOUL, keys::ORD_SEOUL),
         ] {
             let db = format!("{service}_db");
-            let cust_rows: Vec<Row> = customers
+            let cust_rows: Vec<SharedRow> = customers
                 .iter()
                 .map(|c| {
-                    vec![
+                    SharedRow::from([
                         Value::Int(c.custkey),
                         Value::str(c.name.clone()),
                         Value::str(c.city.clone()),
                         Value::str(c.segment.clone()),
                         Value::str(c.phone.clone()),
                         Value::Float(c.acctbal),
-                    ]
+                    ])
                 })
                 .collect();
             snap.push(&db, "customers", cust_rows);
-            let part_rows: Vec<Row> = parts
+            let part_rows: Vec<SharedRow> = parts
                 .iter()
                 .map(|p| {
-                    vec![
+                    SharedRow::from([
                         Value::Int(p.prodkey),
                         Value::str(p.name.clone()),
                         Value::str(p.group.clone()),
                         Value::str(p.line.clone()),
                         Value::Float(p.price),
-                    ]
+                    ])
                 })
                 .collect();
             snap.push(&db, "parts", part_rows);
@@ -514,23 +508,23 @@ impl Generator {
                     &vocab::ASIA_PRIORITY,
                     &vocab::ASIA_STATE,
                 );
-                ord_rows.push(vec![
+                ord_rows.push(SharedRow::from([
                     Value::Int(o.orderkey),
                     Value::Int(o.custkey),
                     Value::Date(parse_date(&o.orderdate).expect("generated date")),
                     Value::str(o.priority.clone()),
                     Value::str(o.state.clone()),
                     Value::Float(o.totalprice),
-                ]);
+                ]));
                 for l in &o.lines {
-                    line_rows.push(vec![
+                    line_rows.push(SharedRow::from([
                         Value::Int(o.orderkey),
                         Value::Int(l.lineno),
                         Value::Int(l.prodkey),
                         Value::Int(l.quantity),
                         Value::Float(l.extendedprice),
                         Value::Float(l.discount),
-                    ]);
+                    ]));
                 }
             }
             snap.push(&db, "orders", ord_rows);
@@ -659,18 +653,18 @@ impl Generator {
 /// row batch the initializer inserts, in insertion order.
 ///
 /// Generating a snapshot runs the full data generator (RNG streams,
-/// string formatting, dirty-data injection); replaying one only clones
-/// the rows — with shared-string values a clone is a refcount bump per
-/// string — and bulk-inserts them. `BenchEnvironment` caches snapshots
-/// per period so repeated runs over the same environment skip generation
-/// entirely.
+/// string formatting, dirty-data injection); replaying one hands the
+/// snapshot's own rows to the tables — a reference-count bump per row,
+/// no row copied — and the next wipe drops those references again.
+/// `BenchEnvironment` caches snapshots per period so repeated runs over
+/// the same environment skip generation entirely.
 #[derive(Debug, Default, Clone)]
 pub struct SourceSnapshot {
-    tables: Vec<(String, String, Vec<Row>)>,
+    tables: Vec<(String, String, Vec<SharedRow>)>,
 }
 
 impl SourceSnapshot {
-    fn push(&mut self, db: &str, table: &str, rows: Vec<Row>) {
+    fn push(&mut self, db: &str, table: &str, rows: Vec<SharedRow>) {
         self.tables.push((db.to_string(), table.to_string(), rows));
     }
 

@@ -25,6 +25,19 @@ pub struct RefData {
     pub lines: Vec<(i64, &'static str)>,
     /// (groupkey, name, linekey)
     pub groups: Vec<(i64, &'static str, i64)>,
+    /// The rows of the five dimension tables, built once from the lists
+    /// above: every period's preload shares them.
+    dim_rows: DimRows,
+}
+
+/// The dimension tables' rows, each table's in catalog order.
+#[derive(Debug, Clone)]
+struct DimRows {
+    region: Vec<SharedRow>,
+    nation: Vec<SharedRow>,
+    city: Vec<SharedRow>,
+    productline: Vec<SharedRow>,
+    productgroup: Vec<SharedRow>,
 }
 
 pub const REGION_EUROPE: i64 = 1;
@@ -84,12 +97,37 @@ impl RefData {
             (5, "Consulting", 3),
             (6, "Support", 3),
         ];
+        let dim_rows = DimRows {
+            region: (regions.iter())
+                .map(|(k, n)| [Value::Int(*k), Value::str(*n)].into())
+                .collect(),
+            nation: (nations.iter())
+                .map(|(k, n, r)| [Value::Int(*k), Value::str(*n), Value::Int(*r)].into())
+                .collect(),
+            city: (cities.iter())
+                .map(|c| {
+                    let row = [
+                        Value::Int(c.citykey),
+                        Value::str(c.name),
+                        Value::Int(c.nationkey),
+                    ];
+                    row.into()
+                })
+                .collect(),
+            productline: (lines.iter())
+                .map(|(k, n)| [Value::Int(*k), Value::str(*n)].into())
+                .collect(),
+            productgroup: (groups.iter())
+                .map(|(k, n, l)| [Value::Int(*k), Value::str(*n), Value::Int(*l)].into())
+                .collect(),
+        };
         RefData {
             regions,
             nations,
             cities,
             lines,
             groups,
+            dim_rows,
         }
     }
 
@@ -120,42 +158,27 @@ impl RefData {
     /// Load the dimension tables of a target database (CDB, DWH, and the
     /// data marts that keep normalized dimensions).
     pub fn preload(&self, db: &Database) -> StoreResult<()> {
-        db.table("region")?.insert_ignore_duplicates(
-            self.regions
-                .iter()
-                .map(|(k, n)| vec![Value::Int(*k), Value::str(*n)])
-                .collect(),
-        )?;
-        db.table("nation")?.insert_ignore_duplicates(
-            self.nations
-                .iter()
-                .map(|(k, n, r)| vec![Value::Int(*k), Value::str(*n), Value::Int(*r)])
-                .collect(),
-        )?;
-        db.table("city")?.insert_ignore_duplicates(
-            self.cities
-                .iter()
-                .map(|c| {
-                    vec![
-                        Value::Int(c.citykey),
-                        Value::str(c.name),
-                        Value::Int(c.nationkey),
-                    ]
-                })
-                .collect(),
-        )?;
-        db.table("productline")?.insert_ignore_duplicates(
-            self.lines
-                .iter()
-                .map(|(k, n)| vec![Value::Int(*k), Value::str(*n)])
-                .collect(),
-        )?;
-        db.table("productgroup")?.insert_ignore_duplicates(
-            self.groups
-                .iter()
-                .map(|(k, n, l)| vec![Value::Int(*k), Value::str(*n), Value::Int(*l)])
-                .collect(),
-        )?;
+        let rows = &self.dim_rows;
+        for (table, rows) in [
+            ("region", &rows.region),
+            ("nation", &rows.nation),
+            ("city", &rows.city),
+        ] {
+            db.table(table)?.insert_ignore_duplicates(rows.clone())?;
+        }
+        self.preload_products(db)
+    }
+
+    /// Load only the product dimensions (`productline`, `productgroup`):
+    /// what a mart without geographic dimensions keeps.
+    pub fn preload_products(&self, db: &Database) -> StoreResult<()> {
+        let rows = &self.dim_rows;
+        for (table, rows) in [
+            ("productline", &rows.productline),
+            ("productgroup", &rows.productgroup),
+        ] {
+            db.table(table)?.insert_ignore_duplicates(rows.clone())?;
+        }
         Ok(())
     }
 }

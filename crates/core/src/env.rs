@@ -152,22 +152,7 @@ impl BenchEnvironment {
 
     fn preload_product_dims(&self, db: &Database) -> StoreResult<()> {
         if db.has_table("productline") {
-            db.table("productline")?.insert_ignore_duplicates(
-                self.generator
-                    .refdata
-                    .lines
-                    .iter()
-                    .map(|(k, n)| vec![Value::Int(*k), Value::str(*n)])
-                    .collect(),
-            )?;
-            db.table("productgroup")?.insert_ignore_duplicates(
-                self.generator
-                    .refdata
-                    .groups
-                    .iter()
-                    .map(|(k, n, l)| vec![Value::Int(*k), Value::str(*n), Value::Int(*l)])
-                    .collect(),
-            )?;
+            self.generator.refdata.preload_products(db)?;
         }
         Ok(())
     }

@@ -435,17 +435,17 @@ pub fn mart_loads(mart: dm::Mart) -> [MartLoad; 4] {
 /// P10: the `failed_messages` row for a message that failed validation,
 /// keyed by a hash of its serialized payload — unique per distinct failed
 /// message. How the payload is serialized is the engine's business.
-pub fn failed_message_row(payload: String, reason: String) -> Row {
+pub fn failed_message_row(payload: String, reason: String) -> SharedRow {
     let mut h: i64 = 0xcbf2;
     for b in payload.bytes() {
         h = h.wrapping_mul(0x0100_01b3) ^ b as i64;
     }
-    vec![
+    SharedRow::from([
         Value::Int(h.abs()),
         Value::str("P10"),
         Value::str(reason),
         Value::str(payload),
-    ]
+    ])
 }
 
 /// P04: the order message enriched with the segment of the customer

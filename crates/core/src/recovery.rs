@@ -53,7 +53,7 @@ use std::collections::BTreeMap;
 /// One table's durable state at checkpoint time.
 struct TableCheckpoint {
     name: String,
-    rows: Vec<Row>,
+    rows: Vec<SharedRow>,
     /// Pending change-capture log (deltas the ivm engine has not pulled).
     changes: Vec<Change>,
 }

@@ -172,27 +172,27 @@ impl WebService for SeoulService {
         if let Some(custs) = doc.root.first("sCustomers") {
             let mut rows = Vec::new();
             for c in custs.all("sCustomer") {
-                rows.push(vec![
+                rows.push(SharedRow::from([
                     Value::Int(int(c, "sKey")?),
                     Value::str(text(c, "sName")),
                     Value::str(text(c, "sCity")),
                     Value::str(text(c, "sSegment")),
                     Value::str(text(c, "sPhone")),
                     Value::Float(float(c, "sBal")),
-                ]);
+                ]));
             }
             n += self.inner.db.table("customers")?.upsert(rows)?;
         }
         if let Some(parts) = doc.root.first("sParts") {
             let mut rows = Vec::new();
             for p in parts.all("sPart") {
-                rows.push(vec![
+                rows.push(SharedRow::from([
                     Value::Int(int(p, "sKey")?),
                     Value::str(text(p, "sName")),
                     Value::str(text(p, "sGroup")),
                     Value::Null, // line name not exchanged by P01
                     Value::Float(float(p, "sPrice")),
-                ]);
+                ]));
             }
             n += self.inner.db.table("parts")?.upsert(rows)?;
         }

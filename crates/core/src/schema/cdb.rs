@@ -147,14 +147,14 @@ fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<R
     let staging = db.table("customer_staging")?;
     let city = db.table("city")?;
     let pending = Expr::col(9).eq(Expr::lit(false)); // integrated = false
-    let mut clean_rows: Vec<Row> = Vec::new();
+    let mut clean_rows: Vec<SharedRow> = Vec::new();
     staging.for_each_where(&pending, |r| {
         scanned += 1;
         // dirty-data rules: empty name, absurd balance, unknown city
         let name_ok = matches!(&r[1], Value::Str(s) if !s.trim().is_empty());
         let bal_ok = r[7].to_float().is_none_or(|b| b > -9_000.0);
         match (name_ok && bal_ok, key_by_name(&city, &r[3])?) {
-            (true, Some(ck)) => clean_rows.push(vec![
+            (true, Some(ck)) => clean_rows.push(SharedRow::from([
                 r[0].clone(), // custkey
                 r[1].clone(), // name
                 r[2].clone(), // address
@@ -162,7 +162,7 @@ fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<R
                 r[5].clone(), // segment
                 r[6].clone(), // phone
                 r[7].clone(), // acctbal
-            ]),
+            ])),
             _ => rejected += 1,
         }
         Ok(())
@@ -178,13 +178,15 @@ fn master_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option<R
     let staging_p = db.table("product_staging")?;
     let groups = db.table("productgroup")?;
     let pending_p = Expr::col(6).eq(Expr::lit(false));
-    let mut clean_rows: Vec<Row> = Vec::new();
+    let mut clean_rows: Vec<SharedRow> = Vec::new();
     staging_p.for_each_where(&pending_p, |r| {
         scanned += 1;
         let name_ok = matches!(&r[1], Value::Str(s) if !s.trim().is_empty());
         let price_ok = r[4].to_float().is_none_or(|p| p >= 0.0);
         match (name_ok && price_ok, key_by_name(&groups, &r[2])?) {
-            (true, Some(gk)) => clean_rows.push(vec![r[0].clone(), r[1].clone(), gk, r[4].clone()]),
+            (true, Some(gk)) => {
+                clean_rows.push([r[0].clone(), r[1].clone(), gk, r[4].clone()].into())
+            }
             _ => rejected += 1,
         }
         Ok(())
@@ -207,11 +209,7 @@ fn key_by_name(dimension: &Table, name: &Value) -> StoreResult<Option<Value>> {
         return Ok(None);
     };
     let named = dimension.scan_where(&Expr::col(1).eq(Expr::lit(&**name)), Some(&[0]))?;
-    Ok(named
-        .rows
-        .into_iter()
-        .next()
-        .and_then(|row| row.into_iter().next()))
+    Ok(named.rows.first().and_then(|row| row.first().cloned()))
 }
 
 /// P13's cleansing: eliminate movement-data errors (bad totals, unknown
@@ -232,7 +230,7 @@ fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option
     let product = db.table("product")?;
     let orders = db.table("orders")?;
 
-    let mut clean_orders: Vec<Row> = Vec::new();
+    let mut clean_orders: Vec<SharedRow> = Vec::new();
     let mut kept_orderkeys: std::collections::HashSet<i64> = std::collections::HashSet::new();
     staging_o.for_each(|r| {
         scanned += 1;
@@ -242,7 +240,7 @@ fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option
         let date_ok = !r[2].is_null();
         if total_ok && prio_ok && state_ok && date_ok && customer.contains_key(&r[1..2]) {
             kept_orderkeys.insert(r[0].to_int().unwrap_or(-1));
-            clean_orders.push(r[..6].to_vec());
+            clean_orders.push(SharedRow::from(&r[..6]));
         } else {
             rejected += 1;
         }
@@ -254,14 +252,14 @@ fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option
     clean_orders.sort_by_key(|r| r[0].to_int());
     loaded += orders.insert_ignore_duplicates(clean_orders)? as i64;
 
-    let mut clean_lines: Vec<Row> = Vec::new();
+    let mut clean_lines: Vec<SharedRow> = Vec::new();
     staging_l.for_each(|r| {
         scanned += 1;
         let order_ok = r[0].to_int().is_some_and(|k| kept_orderkeys.contains(&k))
             || orders.contains_key(&r[..1]);
         let qty_ok = r[3].to_int().is_some_and(|q| q > 0);
         if order_ok && qty_ok && product.contains_key(&r[2..3]) {
-            clean_lines.push(r[..6].to_vec());
+            clean_lines.push(SharedRow::from(&r[..6]));
         } else {
             rejected += 1;
         }
@@ -283,11 +281,11 @@ fn movement_data_cleansing(db: &Database, _args: &[Value]) -> StoreResult<Option
 fn cleansing_report(scanned: i64, rejected: i64, loaded: i64) -> Relation {
     Relation::new(
         cleansing_report_schema(),
-        vec![vec![
+        vec![SharedRow::from([
             Value::Int(scanned),
             Value::Int(rejected),
             Value::Int(loaded),
-        ]],
+        ])],
     )
 }
 

@@ -140,7 +140,7 @@ pub fn create_mart(mart: Mart) -> StoreResult<Arc<Database>> {
             let schema = RelSchema::of(&[("rows", SqlType::Int)]).shared();
             Ok(Some(Relation::new(
                 schema,
-                vec![vec![Value::Int(n as i64)]],
+                vec![[Value::Int(n as i64)].into()],
             )))
         }),
     );

@@ -49,7 +49,7 @@ pub fn create_dwh() -> StoreResult<Arc<Database>> {
             let schema = RelSchema::of(&[("rows", SqlType::Int)]).shared();
             Ok(Some(Relation::new(
                 schema,
-                vec![vec![Value::Int(n as i64)]],
+                vec![[Value::Int(n as i64)].into()],
             )))
         }),
     );
@@ -61,8 +61,8 @@ mod tests {
     use super::*;
     use dip_relstore::value::days_from_civil;
 
-    fn order(k: i64, day: i32, total: f64) -> Row {
-        vec![
+    fn order(k: i64, day: i32, total: f64) -> SharedRow {
+        [
             Value::Int(k),
             Value::Int(1),
             Value::Date(day),
@@ -70,6 +70,7 @@ mod tests {
             Value::str("HIGH"),
             Value::str("OPEN"),
         ]
+        .into()
     }
 
     #[test]

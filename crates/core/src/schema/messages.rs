@@ -442,8 +442,9 @@ struct OrderSink {
     lines: Lines,
     /// The open line's fields.
     line: Option<[Option<Value>; 5]>,
-    /// The finished lines' rows, their order key still NULL.
-    rows: Vec<Row>,
+    /// The finished lines' values, lineno to discount: each line's row
+    /// is built once its order key is known.
+    rows: Vec<[Value; 5]>,
     /// The first line whose number or product key failed.
     line_error: Option<String>,
     field: Option<Field>,
@@ -478,17 +479,7 @@ impl OrderSink {
         match keys {
             Ok((lineno, prodkey)) => {
                 let [quantity, price, discount] = rest.map(|v| v.unwrap_or(Value::Null));
-                let source = self.source.clone();
-                let row = vec![
-                    Value::Null,
-                    lineno,
-                    prodkey,
-                    quantity,
-                    price,
-                    discount,
-                    source,
-                ];
-                self.rows.push(row);
+                self.rows.push([lineno, prodkey, quantity, price, discount]);
             }
             Err(e) => self.line_error = Some(e),
         }
@@ -513,13 +504,25 @@ impl OrderSink {
         if let Some(e) = self.line_error {
             return Err(e);
         }
-        let mut lines = self.rows;
-        for line in &mut lines {
-            line[0] = orderkey.clone();
-        }
+        let source = self.source;
+        let lines: Vec<SharedRow> = (self.rows.into_iter())
+            .map(|[lineno, prodkey, quantity, price, discount]| {
+                let key = orderkey.clone();
+                [
+                    key,
+                    lineno,
+                    prodkey,
+                    quantity,
+                    price,
+                    discount,
+                    source.clone(),
+                ]
+                .into()
+            })
+            .collect();
         let [date, price, priority, state] = rest.map(|v| v.unwrap_or(Value::Null));
-        let order = vec![orderkey, custkey, date, price, priority, state, self.source];
-        let rows = [vec![order], lines];
+        let order = [orderkey, custkey, date, price, priority, state, source];
+        let rows = [vec![order.into()], lines];
         Ok((ORDER_STAGING_TABLES.into_iter().zip(rows))
             .map(|(table, rows)| TableRows {
                 table: table.into(),
@@ -631,12 +634,12 @@ pub fn decode_order(source: &str, doc: &Document) -> Result<Vec<TableRows>, Stri
 /// Decode a `<euCustomer>` update message into one row of the Europe `cust`
 /// table. `loc` is `Some("berlin"|"paris")` for the shared database, `None`
 /// for Trondheim (whose schema has no location column).
-pub fn europe_customer_row(doc: &Document, loc: Option<&str>) -> Result<Row, String> {
+pub fn europe_customer_row(doc: &Document, loc: Option<&str>) -> Result<SharedRow, String> {
     let root = &doc.root;
     if root.name != "euCustomer" {
         return Err(format!("expected <euCustomer>, got <{}>", root.name));
     }
-    let mut row = vec![
+    let row = [
         req_int(root, "custkey")?,
         opt_str(root, "name"),
         opt_str(root, "street"),
@@ -646,10 +649,7 @@ pub fn europe_customer_row(doc: &Document, loc: Option<&str>) -> Result<Row, Str
         opt_str(root, "phone"),
         opt_float(root, "acctbal"),
     ];
-    if let Some(l) = loc {
-        row.push(Value::str(l));
-    }
-    Ok(row)
+    Ok(row.into_iter().chain(loc.map(Value::str)).collect())
 }
 
 #[cfg(test)]

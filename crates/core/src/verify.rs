@@ -354,7 +354,7 @@ fn mv_equivalent(a: &Relation, b: &Relation) -> bool {
         return false;
     }
     for (ra, rb) in a.rows.iter().zip(&b.rows) {
-        for (va, vb) in ra.iter().zip(rb) {
+        for (va, vb) in ra.iter().zip(rb.iter()) {
             let close = match (va.to_float(), vb.to_float()) {
                 (Some(x), Some(y)) => (x - y).abs() < 1e-6 * (1.0 + x.abs()),
                 _ => va == vb,

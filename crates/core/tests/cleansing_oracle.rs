@@ -32,7 +32,7 @@ fn oracle_master(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>
         None,
     )?;
     scanned += pending.len() as i64;
-    let mut clean_rows: Vec<Row> = Vec::new();
+    let mut clean_rows: Vec<SharedRow> = Vec::new();
     for r in &pending.rows {
         // dirty-data rules: empty name, absurd balance, unknown city
         let name_ok = matches!(&r[1], Value::Str(s) if !s.trim().is_empty());
@@ -46,15 +46,18 @@ fn oracle_master(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>
             _ => None,
         };
         match (name_ok && bal_ok, citykey) {
-            (true, Some(ck)) => clean_rows.push(vec![
-                r[0].clone(), // custkey
-                r[1].clone(), // name
-                r[2].clone(), // address
-                ck,
-                r[5].clone(), // segment
-                r[6].clone(), // phone
-                r[7].clone(), // acctbal
-            ]),
+            (true, Some(ck)) => clean_rows.push(
+                [
+                    r[0].clone(), // custkey
+                    r[1].clone(), // name
+                    r[2].clone(), // address
+                    ck,
+                    r[5].clone(), // segment
+                    r[6].clone(), // phone
+                    r[7].clone(), // acctbal
+                ]
+                .into(),
+            ),
             _ => rejected += 1,
         }
     }
@@ -66,7 +69,7 @@ fn oracle_master(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>
     let groups = db.table("productgroup")?;
     let pending_p = staging_p.scan_where(&Expr::col(6).eq(Expr::lit(false)), None)?;
     scanned += pending_p.len() as i64;
-    let mut clean_rows: Vec<Row> = Vec::new();
+    let mut clean_rows: Vec<SharedRow> = Vec::new();
     for r in &pending_p.rows {
         let name_ok = matches!(&r[1], Value::Str(s) if !s.trim().is_empty());
         let price_ok = r[4].to_float().is_none_or(|p| p >= 0.0);
@@ -79,7 +82,9 @@ fn oracle_master(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>
             _ => None,
         };
         match (name_ok && price_ok, groupkey) {
-            (true, Some(gk)) => clean_rows.push(vec![r[0].clone(), r[1].clone(), gk, r[4].clone()]),
+            (true, Some(gk)) => {
+                clean_rows.push([r[0].clone(), r[1].clone(), gk, r[4].clone()].into())
+            }
             _ => rejected += 1,
         }
     }
@@ -91,11 +96,12 @@ fn oracle_master(db: &Database, _args: &[Value]) -> StoreResult<Option<Relation>
 
     Ok(Some(Relation::new(
         cleansing_report_schema(),
-        vec![vec![
+        vec![[
             Value::Int(scanned),
             Value::Int(rejected),
             Value::Int(loaded),
-        ]],
+        ]
+        .into()],
     )))
 }
 
@@ -112,7 +118,7 @@ fn oracle_movement(db: &Database, _args: &[Value]) -> StoreResult<Option<Relatio
 
     let pending = staging_o.scan();
     scanned += pending.len() as i64;
-    let mut clean_orders: Vec<Row> = Vec::new();
+    let mut clean_orders: Vec<SharedRow> = Vec::new();
     let mut kept_orderkeys: std::collections::HashSet<i64> = std::collections::HashSet::new();
     for r in &pending.rows {
         let total_ok = r[3].to_float().is_some_and(|t| t > 0.0);
@@ -122,7 +128,7 @@ fn oracle_movement(db: &Database, _args: &[Value]) -> StoreResult<Option<Relatio
         let date_ok = !r[2].is_null();
         if total_ok && prio_ok && state_ok && cust_ok && date_ok {
             kept_orderkeys.insert(r[0].to_int().unwrap_or(-1));
-            clean_orders.push(r[..6].to_vec());
+            clean_orders.push(r[..6].to_vec().into());
         } else {
             rejected += 1;
         }
@@ -132,14 +138,14 @@ fn oracle_movement(db: &Database, _args: &[Value]) -> StoreResult<Option<Relatio
 
     let pending_l = staging_l.scan();
     scanned += pending_l.len() as i64;
-    let mut clean_lines: Vec<Row> = Vec::new();
+    let mut clean_lines: Vec<SharedRow> = Vec::new();
     for r in &pending_l.rows {
         let order_ok = r[0].to_int().is_some_and(|k| kept_orderkeys.contains(&k))
             || db.table("orders")?.get_by_pk(&[r[0].clone()]).is_some();
         let prod_ok = product.get_by_pk(&[r[2].clone()]).is_some();
         let qty_ok = r[3].to_int().is_some_and(|q| q > 0);
         if order_ok && prod_ok && qty_ok {
-            clean_lines.push(r[..6].to_vec());
+            clean_lines.push(r[..6].to_vec().into());
         } else {
             rejected += 1;
         }
@@ -154,11 +160,12 @@ fn oracle_movement(db: &Database, _args: &[Value]) -> StoreResult<Option<Relatio
 
     Ok(Some(Relation::new(
         cleansing_report_schema(),
-        vec![vec![
+        vec![[
             Value::Int(scanned),
             Value::Int(rejected),
             Value::Int(loaded),
-        ]],
+        ]
+        .into()],
     )))
 }
 
@@ -177,10 +184,10 @@ fn cdb(oracle: bool) -> Arc<Database> {
 /// One period's staging rows, per staging table.
 #[derive(Debug, Default, Clone)]
 struct Staged {
-    customers: Vec<Row>,
-    products: Vec<Row>,
-    orders: Vec<Row>,
-    lines: Vec<Row>,
+    customers: Vec<SharedRow>,
+    products: Vec<SharedRow>,
+    orders: Vec<SharedRow>,
+    lines: Vec<SharedRow>,
 }
 
 /// `n` orders of staging data for `period`, dirty at the generator's rates.
@@ -258,8 +265,8 @@ fn generate(seed: u64, period: i64, n: usize) -> Staged {
     staged
 }
 
-fn customer(key: i64, name: &str, city: &str, bal: f64) -> Row {
-    vec![
+fn customer(key: i64, name: &str, city: &str, bal: f64) -> SharedRow {
+    [
         Value::Int(key),
         Value::str(name),
         Value::str(format!("{key} main street")),
@@ -271,10 +278,11 @@ fn customer(key: i64, name: &str, city: &str, bal: f64) -> Row {
         Value::str("berlin"),
         Value::Bool(false),
     ]
+    .into()
 }
 
-fn product(key: i64, name: &str, group: &str, price: f64) -> Row {
-    vec![
+fn product(key: i64, name: &str, group: &str, price: f64) -> SharedRow {
+    [
         Value::Int(key),
         Value::str(name),
         Value::str(group),
@@ -283,10 +291,11 @@ fn product(key: i64, name: &str, group: &str, price: f64) -> Row {
         Value::str("berlin"),
         Value::Bool(false),
     ]
+    .into()
 }
 
-fn order(key: i64, cust: i64, date: Value, total: f64, prio: &str) -> Row {
-    vec![
+fn order(key: i64, cust: i64, date: Value, total: f64, prio: &str) -> SharedRow {
+    [
         Value::Int(key),
         Value::Int(cust),
         date,
@@ -295,10 +304,11 @@ fn order(key: i64, cust: i64, date: Value, total: f64, prio: &str) -> Row {
         Value::str("OPEN"),
         Value::str("berlin"),
     ]
+    .into()
 }
 
-fn line(order: i64, lineno: i64, prod: i64, qty: i64) -> Row {
-    vec![
+fn line(order: i64, lineno: i64, prod: i64, qty: i64) -> SharedRow {
+    [
         Value::Int(order),
         Value::Int(lineno),
         Value::Int(prod),
@@ -307,6 +317,7 @@ fn line(order: i64, lineno: i64, prod: i64, qty: i64) -> Row {
         Value::Float(0.1),
         Value::str("berlin"),
     ]
+    .into()
 }
 
 /// Stage `rows`, run both procedures, and return their reports.
@@ -328,7 +339,7 @@ fn cleanse(db: &Database, rows: &Staged) -> (Relation, Relation) {
 }
 
 /// Every table either procedure reads or writes, rows in slot order.
-fn tables(db: &Database) -> Vec<(&'static str, Vec<Row>)> {
+fn tables(db: &Database) -> Vec<(&'static str, Vec<SharedRow>)> {
     [
         "customer",
         "product",
@@ -379,19 +390,21 @@ fn the_procedures_cleanse_as_the_loops_did() {
         .map(|o| o[0].to_int().unwrap())
         .unwrap();
     let planted = &mut periods[1];
+    let mut no_balance = customer(902, "no balance", "Berlin", 1.0).to_vec();
+    no_balance[7] = Value::Null;
     planted.customers.extend([
         customer(900, "unknown city", "Atlantis", 1.0),
         customer(901, " ", "Berlin", 1.0),
-        customer(902, "no balance", "Berlin", 1.0),
+        no_balance.into(),
     ]);
-    planted.customers.last_mut().unwrap()[7] = Value::Null;
+    let mut no_group = product(1903, "no group", "Bolts", 1.0).to_vec();
+    no_group[2] = Value::Null;
     planted.products.extend([
         product(1900, "unknown group", "Nogroup", 1.0),
         product(1901, "", "Bolts", 1.0),
         product(1902, "negative price", "Bolts", -0.01),
-        product(1903, "no group", "Bolts", 1.0),
+        no_group.into(),
     ]);
-    planted.products.last_mut().unwrap()[2] = Value::Null;
     planted.orders.extend([
         order(90_000, 902, Value::Null, 10.0, "HIGH"),
         order(90_001, 902, date(), 10.0, "HIGH"),

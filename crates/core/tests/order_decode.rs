@@ -50,7 +50,7 @@ fn oracle(source: &str, doc: &Document) -> Result<Vec<TableRows>, String> {
         return Err(format!("expected <cdbOrder>, got <{}>", root.name));
     }
     let orderkey = req_int(root, "orderkey")?;
-    let order = vec![
+    let order = [
         orderkey.clone(),
         req_int(root, "custkey")?,
         opt_date(root, "orderdate"),
@@ -62,7 +62,7 @@ fn oracle(source: &str, doc: &Document) -> Result<Vec<TableRows>, String> {
     let mut lines = Vec::new();
     if let Some(container) = root.first("lines") {
         for line in container.all("line") {
-            lines.push(vec![
+            lines.push(SharedRow::from([
                 orderkey.clone(),
                 req_int(line, "lineno")?,
                 req_int(line, "prodkey")?,
@@ -72,7 +72,7 @@ fn oracle(source: &str, doc: &Document) -> Result<Vec<TableRows>, String> {
                 opt_float(line, "extendedprice"),
                 opt_float(line, "discount"),
                 Value::str(source),
-            ]);
+            ]));
         }
     }
     let table = |name: &str, rows| TableRows {
@@ -80,7 +80,7 @@ fn oracle(source: &str, doc: &Document) -> Result<Vec<TableRows>, String> {
         rows,
     };
     Ok(vec![
-        table("orders_staging", vec![order]),
+        table("orders_staging", vec![order.into()]),
         table("orderline_staging", lines),
     ])
 }
@@ -89,7 +89,7 @@ fn oracle(source: &str, doc: &Document) -> Result<Vec<TableRows>, String> {
 
 #[derive(Debug, PartialEq)]
 enum Outcome {
-    Rows(Vec<(String, Vec<Row>)>),
+    Rows(Vec<(String, Vec<SharedRow>)>),
     Decode(String),
     Stream(XmlError),
 }

@@ -110,7 +110,7 @@ impl FedCtx {
         &self,
         db: &str,
         table: &str,
-        rows: Vec<Row>,
+        rows: Vec<SharedRow>,
         mode: LoadMode,
     ) -> MtmResult<usize> {
         self.communication(|| self.world.remote_load(db, table, rows, mode))
@@ -355,7 +355,7 @@ impl FedDbms {
                 let tid = Value::Int(table.row_count() as i64 + 1);
                 let result = self
                     .local
-                    .insert_into(&table.name, vec![vec![tid, Value::str(clob)]]);
+                    .insert_into(&table.name, vec![[tid, Value::str(clob)].into()]);
                 // queue-table maintenance is management work
                 costs.add(CostCategory::Management, t.elapsed());
                 CURRENT_COSTS.with(|c| {

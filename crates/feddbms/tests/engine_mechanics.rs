@@ -36,7 +36,7 @@ fn queue_trigger_executes_body_and_charges_costs() {
             ctx.remote_load(
                 "target",
                 "t",
-                vec![vec![Value::Int(key), Value::str("from-trigger")]],
+                vec![[Value::Int(key), Value::str("from-trigger")].into()],
                 LoadMode::Insert,
             )?;
             Ok(())
@@ -104,7 +104,10 @@ fn trigger_outside_an_instance_is_a_typed_error() {
     fed.deploy_queue("PZ", Arc::new(|_ctx: &FedCtx, _doc: &Document| Ok(())))
         .unwrap();
     let row = vec![Value::Int(1), Value::str("<m/>")];
-    let err = fed.local.insert_into("pz_queue", vec![row]).unwrap_err();
+    let err = fed
+        .local
+        .insert_into("pz_queue", vec![row.into()])
+        .unwrap_err();
     assert!(
         matches!(&err, StoreError::Procedure(why) if why.contains("outside an instrumented")),
         "got {err:?}"
@@ -127,7 +130,7 @@ fn procedure_temp_tables_are_cleaned_up() {
         "PPROC",
         Arc::new(|ctx: &FedCtx| {
             let schema = RelSchema::of(&[("x", SqlType::Int)]).shared();
-            let rel = Relation::new(schema, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+            let rel = Relation::new(schema, vec![[Value::Int(1)].into(), [Value::Int(2)].into()]);
             let temp = ctx.materialize("scratch", rel)?;
             let out = ctx.local_query(&Plan::scan(temp).filter(Expr::col(0).gt(Expr::lit(1))))?;
             assert_eq!(out.len(), 1);
@@ -204,7 +207,7 @@ fn a_procedures_temp_tables_are_named_by_the_procedure() {
                 let scans = ["part_a", "part_b"]
                     .into_iter()
                     .map(|stem| {
-                        let rel = Relation::new(schema.clone(), vec![vec![Value::Int(1)]]);
+                        let rel = Relation::new(schema.clone(), vec![[Value::Int(1)].into()]);
                         Ok(Plan::scan(ctx.materialize(stem, rel)?))
                     })
                     .collect::<MtmResult<Vec<_>>>()?;
@@ -243,7 +246,7 @@ fn temp_tables_accept_null_columns() {
                 Column::not_null("v", SqlType::Str),
             ])
             .shared();
-            let rel = Relation::new(schema, vec![vec![Value::Int(1), Value::Null]]);
+            let rel = Relation::new(schema, vec![[Value::Int(1), Value::Null].into()]);
             ctx.materialize("nullable", rel)?;
             Ok(())
         }),

@@ -150,7 +150,7 @@ fn seen_table(staging: &str) -> String {
 /// base table's current content. A `Delete` cancels one earlier equal row
 /// and is a no-op when none is pending (the row predates this log).
 fn delta_relation(schema: SchemaRef, changes: Vec<Change>) -> Relation {
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<SharedRow> = Vec::new();
     for change in changes {
         match change {
             Change::Insert(row) => rows.push(row),
@@ -191,12 +191,12 @@ fn ivm_p09(state: Arc<Database>) -> E2Body {
                     .into_iter()
                     .map(|r| r[0].render())
                     .collect();
-                let mut new_keys: Vec<Row> = Vec::new();
-                let mut out: Vec<Row> = Vec::new();
+                let mut new_keys: Vec<SharedRow> = Vec::new();
+                let mut out: Vec<SharedRow> = Vec::new();
                 for row in finished.rows {
                     let fp = fingerprint(&row, &entity.key);
                     if !known.contains(&Value::str(fp.clone()).render()) {
-                        new_keys.push(vec![Value::str(fp)]);
+                        new_keys.push([Value::str(fp)].into());
                         out.push(row);
                     }
                 }
@@ -209,7 +209,7 @@ fn ivm_p09(state: Arc<Database>) -> E2Body {
     })
 }
 
-fn fingerprint(row: &Row, key: &[usize]) -> String {
+fn fingerprint(row: &[Value], key: &[usize]) -> String {
     let parts: Vec<String> = key.iter().map(|&i| row[i].render()).collect();
     parts.join("\u{1}")
 }
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn delta_folds_in_log_order() {
-        let row = |k: i64, v: &str| vec![Value::Int(k), Value::str(v)];
+        let row = |k: i64, v: &str| SharedRow::from([Value::Int(k), Value::str(v)]);
         let changes = vec![
             Change::Insert(row(1, "a")),
             Change::Insert(row(2, "b")),

@@ -143,8 +143,8 @@ mod tests {
         let rel = Relation::new(
             schema,
             vec![
-                vec![Value::Int(1), Value::str("a")],
-                vec![Value::Int(2), Value::str("b")],
+                [Value::Int(1), Value::str("a")].into(),
+                [Value::Int(2), Value::str("b")].into(),
             ],
         );
         engine
@@ -271,8 +271,12 @@ mod tests {
     fn fork_runs_all_branches() {
         let engine = MtmEngine::new(world());
         let schema = RelSchema::of(&[("id", SqlType::Int), ("v", SqlType::Str)]).shared();
-        let row =
-            |i: i64| Relation::new(schema.clone(), vec![vec![Value::Int(i), Value::str("x")]]);
+        let row = |i: i64| {
+            Relation::new(
+                schema.clone(),
+                vec![[Value::Int(i), Value::str("x")].into()],
+            )
+        };
         engine
             .deploy(ProcessDef::new(
                 "FK",

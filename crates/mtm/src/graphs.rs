@@ -67,7 +67,7 @@ fn relation(seed: i64) -> Relation {
         let s = if (i + seed) % 3 == 0 { "x" } else { "y" };
         vec![Value::Int((i * seed) % 5), Value::Int(i % 3), Value::str(s)]
     });
-    Relation::new(schema(), rows.collect())
+    Relation::new(schema(), rows.map(Into::into).collect())
 }
 
 /// The source-shaped relation behind the result set `x` holds and behind
@@ -80,10 +80,8 @@ fn source_relation() -> Relation {
         ("s", SqlType::Str),
         ("note", SqlType::Str),
     ]);
-    let rows = (relation(3).rows.into_iter()).map(|mut r| {
-        r.push(Value::str("dropped"));
-        r
-    });
+    let rows = (relation(3).rows.into_iter())
+        .map(|r| r.iter().cloned().chain([Value::str("dropped")]).collect());
     Relation::new(named.shared(), rows.collect())
 }
 
@@ -651,7 +649,7 @@ fn world() -> ExternalWorld {
 struct Outcome {
     result: Result<(), String>,
     observed: Vec<(String, MtmMessage)>,
-    sink: Vec<Row>,
+    sink: Vec<SharedRow>,
 }
 
 fn run(def: &ProcessDef, table: &Deployment, observed: &Observed) -> Outcome {
@@ -982,7 +980,7 @@ fn a_join_takes_no_plan_from_the_step_before_it() {
     let as_plan = join(union.clone()).unwrap();
     let as_rows = join(Plan::Values(union.run(&no_tables).unwrap().into())).unwrap();
     assert_ne!(as_plan.rows, as_rows.rows, "the build side flipped");
-    let sorted = |mut rows: Vec<Row>| {
+    let sorted = |mut rows: Vec<SharedRow>| {
         rows.sort_by_key(|r| format!("{r:?}"));
         rows
     };

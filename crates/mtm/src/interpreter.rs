@@ -1001,7 +1001,10 @@ mod tests {
     fn every_step_kind_charges_the_category_its_span_names() {
         let world = world();
         let def = ProcessDef::new("KINDS", "k", 'B', EventType::Message, vec![]);
-        let rel = Relation::new(kv_schema(), vec![vec![Value::Int(5), Value::str("five")]]);
+        let rel = Relation::new(
+            kv_schema(),
+            vec![[Value::Int(5), Value::str("five")].into()],
+        );
         let steps = one_of_every_kind();
         let last = Deployment::of(&def);
         dip_trace::enable();
@@ -1063,7 +1066,7 @@ mod tests {
     #[test]
     fn a_fused_ws_query_chain_charges_the_categories_its_spans_name() {
         let world = world();
-        let rows = vec![vec![Value::Int(3), Value::str("a<b")]];
+        let rows: Vec<SharedRow> = vec![[Value::Int(3), Value::str("a<b")].into()];
         let update = resultset::encode("ws", "items", &Relation::new(kv_schema(), rows.clone()));
         world.ws_update("ws", "items", &update).unwrap();
         let v = |name: &str| name.to_string();
@@ -1138,7 +1141,7 @@ mod tests {
     #[test]
     fn a_fused_translate_load_charges_the_categories_its_spans_name() {
         let world = world();
-        let rows = vec![vec![Value::Int(4), Value::str("four")]];
+        let rows: Vec<SharedRow> = vec![[Value::Int(4), Value::str("four")].into()];
         let message = resultset::encode("ws", "items", &Relation::new(kv_schema(), rows.clone()));
         let v = |name: &str| name.to_string();
         let steps = vec![

@@ -98,8 +98,8 @@ impl MtmMessage {
     }
 
     /// The relation's rows: moved out when this binding was the payload's
-    /// only one, copied when another still shares it.
-    pub(crate) fn into_rows(self) -> Result<Vec<Row>, MtmTypeError> {
+    /// only one, shared row by row when another still holds it.
+    pub(crate) fn into_rows(self) -> Result<Vec<SharedRow>, MtmTypeError> {
         match self {
             MtmMessage::Rel(rel) => Ok(View::from(rel).into_relation().rows),
             MtmMessage::Picked(p) => Ok(match Arc::try_unwrap(p) {

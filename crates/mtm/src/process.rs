@@ -30,7 +30,7 @@ pub enum EventType {
 #[derive(Debug, Clone)]
 pub struct TableRows {
     pub table: String,
-    pub rows: Vec<Row>,
+    pub rows: Vec<SharedRow>,
 }
 
 /// Decodes one XML message into relational rows for loading, as its

@@ -52,9 +52,10 @@ fn world() -> Arc<ExternalWorld> {
             let schema = RelSchema::of(&[("echo", SqlType::Int)]).shared();
             Ok(Some(Relation::new(
                 schema,
-                vec![vec![Value::Int(
+                vec![[Value::Int(
                     args.first().and_then(|v| v.to_int()).unwrap_or(-1),
-                )]],
+                )]
+                .into()],
             )))
         }),
     );
@@ -439,11 +440,11 @@ fn join_step_at_size_matches_the_oracle_and_shares_its_inputs() {
             Value::Null,
         ]
     });
-    let left = Arc::new(Relation::new(wide, facts.collect()));
+    let left = Arc::new(Relation::new(wide, facts.map(Into::into).collect()));
     let parts = (0..64i64).map(|p| vec![Value::Int(p), Value::str(format!("part-{p}"))]);
     let right = Arc::new(Relation::new(
         RelSchema::of(&[("part", SqlType::Int), ("name", SqlType::Str)]).shared(),
-        parts.collect(),
+        parts.map(Into::into).collect(),
     ));
     let (l, r) = (
         MtmMessage::Rel(left.clone()),
@@ -567,7 +568,7 @@ impl LoadSink for TwoTables {
     fn finish(self: Box<Self>) -> XmlResult<Result<Vec<TableRows>, String>> {
         let batch = |table: &str, k| TableRows {
             table: table.into(),
-            rows: vec![vec![Value::Int(k), Value::str("loaded")]],
+            rows: vec![[Value::Int(k), Value::str("loaded")].into()],
         };
         Ok(Ok(vec![batch("sink", 7), batch("t", 8)]))
     }
@@ -741,7 +742,10 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     prop::collection::vec((n, i, s), 0..24).prop_map(|rows| {
         Relation::new(
             nis_schema(),
-            rows.into_iter().map(|(n, i, s)| vec![n, i, s]).collect(),
+            rows.into_iter()
+                .map(|(n, i, s)| vec![n, i, s])
+                .map(Into::into)
+                .collect(),
         )
     })
 }
@@ -862,7 +866,7 @@ proptest! {
 /// a whole row repeated), and a generated relation over the same domain,
 /// so keys repeat across inputs too.
 fn inputs(generated: Relation) -> [Relation; 3] {
-    let row = |n: Value, i: Value, s: Value| vec![n, i, s];
+    let row = |n: Value, i: Value, s: Value| SharedRow::from([n, i, s]);
     let (a, b) = (Value::str("a"), Value::str("b"));
     let hard = vec![
         row(Value::Int(3), Value::Int(1), a.clone()),
@@ -958,11 +962,11 @@ fn union_distinct_keys_compare_by_contents() {
     let rel = Relation::new(
         nis_schema(),
         vec![
-            vec![Value::Int(3), Value::Int(1), Value::str("x")],
-            vec![Value::Float(3.0), Value::Int(2), Value::str("x")],
-            vec![Value::Null, Value::Int(3), Value::str("y")],
-            vec![Value::Null, Value::Int(4), Value::str("y")],
-            vec![Value::Int(3), Value::Int(1), Value::str("x")],
+            [Value::Int(3), Value::Int(1), Value::str("x")].into(),
+            [Value::Float(3.0), Value::Int(2), Value::str("x")].into(),
+            [Value::Null, Value::Int(3), Value::str("y")].into(),
+            [Value::Null, Value::Int(4), Value::str("y")].into(),
+            [Value::Int(3), Value::Int(1), Value::str("x")].into(),
         ],
     );
     let firsts = |key: Option<Vec<usize>>| -> Vec<Value> {
@@ -1027,7 +1031,11 @@ fn same_payload(a: &MtmMessage, b: &MtmMessage) -> bool {
 fn ints(values: &[i64]) -> Relation {
     Relation::new(
         RelSchema::of(&[("k", SqlType::Int)]).shared(),
-        values.iter().map(|&k| vec![Value::Int(k)]).collect(),
+        values
+            .iter()
+            .map(|&k| vec![Value::Int(k)])
+            .map(Into::into)
+            .collect(),
     )
 }
 
@@ -1139,7 +1147,7 @@ fn kv(keys: &[i64]) -> Relation {
         .map(|&k| vec![Value::Int(k), Value::str(format!("v{k}"))]);
     Relation::new(
         RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Str)]).shared(),
-        rows.collect(),
+        rows.map(Into::into).collect(),
     )
 }
 
@@ -1364,8 +1372,8 @@ fn read(var: &str) -> Step {
 
 type Addresses = Arc<Mutex<HashMap<String, Vec<usize>>>>;
 
-/// Where each row of `rel` keeps its values: a row moved on keeps its
-/// buffer, a copied one gets a new one.
+/// Where each row of `rel` keeps its values: a row moved on or shared
+/// keeps its buffer, a row built anew gets a new one.
 fn buffers(rel: &Relation) -> Vec<usize> {
     rel.rows.iter().map(|r| r.as_ptr() as usize).collect()
 }
@@ -1702,9 +1710,10 @@ fn projection_failing_part_way_is_a_typed_error() {
 }
 
 /// `UNION DISTINCT [a, a]` reads `a` twice, so neither read is its last:
-/// the union copies and `a` stays bound to its rows.
+/// `a` stays bound to its rows, and the rows the union keeps are `a`'s
+/// own, shared (a stored row is immutable), not copies.
 #[test]
-fn union_distinct_naming_a_variable_twice_copies_it() {
+fn union_distinct_naming_a_variable_twice_shares_its_rows() {
     let seen: Addresses = Default::default();
     let vars = run_vars(vec![
         fresh("a", &repeated()),
@@ -1718,9 +1727,7 @@ fn union_distinct_naming_a_variable_twice_copies_it() {
     assert_eq!(rel_of(&vars, "a"), &repeated());
     assert_eq!(rel_of(&vars, "u"), &kv(&[1, 2, 3, 0]));
     let rows = &seen.lock().unwrap()["a"][1..];
-    assert!(buffers(rel_of(&vars, "u"))
-        .iter()
-        .all(|a| !rows.contains(a)));
+    assert!(buffers(rel_of(&vars, "u")).iter().all(|a| rows.contains(a)));
 }
 
 /// A UNION DISTINCT input narrower than the first is the executor's arity
@@ -1741,7 +1748,7 @@ fn union_distinct_of_a_narrower_input_is_a_typed_error() {
     };
     let short_row = Relation::new(
         RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Str)]).shared(),
-        vec![vec![Value::Int(4)]],
+        vec![[Value::Int(4)].into()],
     );
     let union = Step::UnionDistinct {
         inputs: vec!["a".into(), "b".into()],

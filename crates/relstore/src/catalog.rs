@@ -10,7 +10,7 @@
 
 use crate::error::{StoreError, StoreResult};
 use crate::mview::MatView;
-use crate::row::{Relation, Row};
+use crate::row::{Relation, SharedRow};
 use crate::table::Table;
 use crate::value::Value;
 use parking_lot::RwLock;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// An INSERT trigger body: receives the database and the just-inserted rows
 /// (the `inserted` logical table of the paper's Fig. 9a).
-pub type TriggerFn = dyn Fn(&Database, &[Row]) -> StoreResult<()> + Send + Sync;
+pub type TriggerFn = dyn Fn(&Database, &[SharedRow]) -> StoreResult<()> + Send + Sync;
 
 /// A stored procedure body: receives the database and positional arguments,
 /// optionally returning a result relation.
@@ -97,9 +97,9 @@ impl Database {
     /// rows, in registration order. A trigger error is reported to the
     /// caller (the insert itself is not rolled back — matching common DBMS
     /// AFTER-trigger semantics loosely, and documented for the benchmark's
-    /// failed-data handling). The rows are copied for the triggers only
-    /// when the table has one.
-    pub fn insert_into(&self, table: &str, rows: Vec<Row>) -> StoreResult<usize> {
+    /// failed-data handling). The triggers read the rows the table
+    /// stored, shared.
+    pub fn insert_into(&self, table: &str, rows: Vec<SharedRow>) -> StoreResult<usize> {
         let t = self.table(table)?;
         let triggers: Vec<Trigger> = self
             .triggers
@@ -224,7 +224,7 @@ mod tests {
             }),
         )
         .unwrap();
-        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+        db.insert_into("src", vec![[Value::Int(1), Value::str("a")].into()])
             .unwrap();
         assert_eq!(db.table("dst").unwrap().row_count(), 1);
     }
@@ -239,7 +239,7 @@ mod tests {
         )
         .unwrap();
         let err = db
-            .insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+            .insert_into("src", vec![[Value::Int(1), Value::str("a")].into()])
             .unwrap_err();
         assert!(matches!(err, StoreError::Procedure(_)));
         // the base insert stuck (AFTER semantics)
@@ -268,7 +268,7 @@ mod tests {
         let db = db();
         db.create_trigger("t", "src", tagging("first")).unwrap();
         db.create_trigger("T", "SRC", tagging("second")).unwrap();
-        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+        db.insert_into("src", vec![[Value::Int(1), Value::str("a")].into()])
             .unwrap();
         assert_eq!(fired(&db), vec![Value::str("second")]);
     }
@@ -280,7 +280,7 @@ mod tests {
         db.create_trigger("a", "src", tagging("a")).unwrap();
         // replacing the first keeps its turn
         db.create_trigger("b", "src", tagging("b2")).unwrap();
-        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+        db.insert_into("src", vec![[Value::Int(1), Value::str("a")].into()])
             .unwrap();
         assert_eq!(fired(&db), vec![Value::str("b2"), Value::str("a")]);
     }
@@ -295,11 +295,11 @@ mod tests {
                 let schema = RelSchema::of(&[("n", SqlType::Int)]).shared();
                 Ok(Some(Relation::new(
                     schema,
-                    vec![vec![Value::Int(t.row_count() as i64)]],
+                    vec![[Value::Int(t.row_count() as i64)].into()],
                 )))
             }),
         );
-        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+        db.insert_into("src", vec![[Value::Int(1), Value::str("a")].into()])
             .unwrap();
         let rel = db
             .call_procedure("SP_COUNT", &[Value::str("src")])
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn truncate_all_empties_every_table() {
         let db = db();
-        db.insert_into("src", vec![vec![Value::Int(1), Value::str("a")]])
+        db.insert_into("src", vec![[Value::Int(1), Value::str("a")].into()])
             .unwrap();
         let rows = |db: &Database| db.table("src").unwrap().row_count();
         assert_eq!(rows(&db), 1);

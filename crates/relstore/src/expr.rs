@@ -10,7 +10,6 @@
 //! time, so evaluation itself never does string lookups.
 
 use crate::error::{StoreError, StoreResult};
-use crate::row::Row;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -20,19 +19,13 @@ use std::sync::Arc;
 /// Positional access to a row's values.
 ///
 /// The batch executor evaluates expressions over rows that are not
-/// contiguous `Vec<Value>`s — one row index across a chunk's columns — so
-/// evaluation is generic over this accessor instead of taking `&Row`.
+/// contiguous value slices — one row index across a chunk's columns — so
+/// evaluation is generic over this accessor instead of taking `&[Value]`.
 pub trait RowAccess {
     fn value_at(&self, i: usize) -> Option<&Value>;
 }
 
 impl RowAccess for [Value] {
-    fn value_at(&self, i: usize) -> Option<&Value> {
-        self.get(i)
-    }
-}
-
-impl RowAccess for Row {
     fn value_at(&self, i: usize) -> Option<&Value> {
         self.get(i)
     }
@@ -113,8 +106,8 @@ impl Expr {
     }
 
     /// Evaluate against a materialized row.
-    pub fn eval(&self, row: &Row) -> StoreResult<Value> {
-        self.eval_on(row.as_slice())
+    pub fn eval(&self, row: &[Value]) -> StoreResult<Value> {
+        self.eval_on(row)
     }
 
     /// Evaluate against anything with positional value access (joined row
@@ -170,8 +163,8 @@ impl Expr {
     }
 
     /// Evaluate as a predicate: `Null` counts as not-matching, per SQL.
-    pub fn matches(&self, row: &Row) -> StoreResult<bool> {
-        Ok(self.eval_on(row.as_slice())?.is_true())
+    pub fn matches(&self, row: &[Value]) -> StoreResult<bool> {
+        Ok(self.eval_on(row)?.is_true())
     }
 
     /// Predicate evaluation over any positional row representation.
@@ -205,7 +198,7 @@ impl Expr {
 mod tests {
     use super::*;
 
-    fn row() -> Row {
+    fn row() -> Vec<Value> {
         vec![
             Value::Int(10),
             Value::str("Berlin"),

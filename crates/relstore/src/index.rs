@@ -37,7 +37,7 @@
 
 use crate::error::{StoreError, StoreResult};
 use crate::hashkey::{combine, hash_value, PreMixed, KEY_SEED};
-use crate::row::Row;
+use crate::row::SharedRow;
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -148,10 +148,10 @@ impl Index {
     /// order, with their slots.
     pub(crate) fn matches<'a>(
         &'a self,
-        slots: &'a [Option<Row>],
+        slots: &'a [Option<SharedRow>],
         h: u64,
         key: impl Fn(usize) -> Option<&'a Value> + 'a,
-    ) -> impl Iterator<Item = (usize, &'a Row)> + 'a {
+    ) -> impl Iterator<Item = (usize, &'a SharedRow)> + 'a {
         self.chain(self.heads.get(&h).map_or(NIL, |&(first, _)| first))
             .filter_map(move |slot| {
                 let row = slots.get(slot)?.as_ref()?;
@@ -242,7 +242,7 @@ impl Index {
     /// used by transaction-rollback tests. Read off the chains, not the
     /// slot vector, so a missing or dangling registration shows (the
     /// latter under an empty key).
-    pub(crate) fn entries(&self, slots: &[Option<Row>]) -> Vec<(KeyTuple, Vec<usize>)> {
+    pub(crate) fn entries(&self, slots: &[Option<SharedRow>]) -> Vec<(KeyTuple, Vec<usize>)> {
         let mut out: Vec<(KeyTuple, Vec<usize>)> = Vec::new();
         for &(first, _) in self.heads.values() {
             let chain_start = out.len();
@@ -302,14 +302,14 @@ impl Iterator for Chain<'_> {
 mod tests {
     use super::*;
 
-    fn row(i: i64, s: &str) -> Row {
-        vec![Value::Int(i), Value::str(s)]
+    fn row(i: i64, s: &str) -> SharedRow {
+        [Value::Int(i), Value::str(s)].into()
     }
 
     /// A slot vector and an index over column `col` kept in step, the way
     /// the table does it.
     struct Fixture {
-        slots: Vec<Option<Row>>,
+        slots: Vec<Option<SharedRow>>,
         ix: Index,
     }
 
@@ -321,7 +321,7 @@ mod tests {
             }
         }
 
-        fn push(&mut self, r: Row) -> usize {
+        fn push(&mut self, r: SharedRow) -> usize {
             let slot = self.slots.len();
             self.ix.insert(&r, slot).unwrap();
             self.slots.push(Some(r));
@@ -333,7 +333,7 @@ mod tests {
             self.ix.remove(&old, slot);
         }
 
-        fn replace(&mut self, slot: usize, r: Row) {
+        fn replace(&mut self, slot: usize, r: SharedRow) {
             self.delete(slot);
             self.ix.insert(&r, slot).unwrap();
             self.slots[slot] = Some(r);
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn null_keys_never_conflict() {
         let mut f = Fixture::new(Index::new("u", vec![1]));
-        f.push(vec![Value::Int(1), Value::Null]);
+        f.push([Value::Int(1), Value::Null].into());
         assert_eq!(f.ix.hash_row(&[Value::Int(2), Value::Null]), None);
         assert_eq!(f.ix.len(), 0);
         assert!(f.find(&[Value::Null]).is_empty());
@@ -394,8 +394,8 @@ mod tests {
     #[test]
     fn int_and_float_are_one_key() {
         let mut f = Fixture::new(Index::new("pk", vec![0]));
-        f.push(vec![Value::Int(3), Value::str("int")]);
-        f.push(vec![Value::Float(3.0), Value::str("float")]);
+        f.push([Value::Int(3), Value::str("int")].into());
+        f.push([Value::Float(3.0), Value::str("float")].into());
         assert_eq!(f.find(&[Value::Int(3)]), vec![0, 1]);
         assert_eq!(f.find(&[Value::Float(3.0)]), vec![0, 1]);
         assert_eq!(f.find_row(&[Value::Float(3.0), Value::Null]), vec![0, 1]);

@@ -27,7 +27,7 @@
 //! let db = Database::new("demo");
 //! let schema = RelSchema::of(&[("id", SqlType::Int), ("city", SqlType::Str)]).shared();
 //! db.create_table(Table::new("t", schema).with_primary_key(&["id"]).unwrap());
-//! db.insert_into("t", vec![vec![Value::Int(1), Value::str("Berlin")]]).unwrap();
+//! db.insert_into("t", vec![[Value::Int(1), Value::str("Berlin")].into()]).unwrap();
 //! let rel = Plan::scan("t").filter(Expr::col(1).eq(Expr::lit("Berlin"))).run(&db).unwrap();
 //! assert_eq!(rel.len(), 1);
 //! ```
@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::query::{
         execute, execute_oracle, execute_selection, AggExpr, AggOp, Plan, ProjExpr,
     };
-    pub use crate::row::{Relation, Row, View};
+    pub use crate::row::{try_row, Relation, Row, SharedRow, View};
     pub use crate::schema::{Column, RelSchema, SchemaRef};
     pub use crate::table::{Change, Table};
     pub use crate::tx;

@@ -33,8 +33,11 @@
 //! way, through its probe session. A `Values` leaf and an aggregate's
 //! finished groups are row slices read through one identity index
 //! ([`emit_rows`]). Values are cloned exactly once, at the final
-//! chunk-to-rows boundary. Filters and distinct-unions never copy either
-//! — they narrow the selection vector and pass the columns through.
+//! chunk-to-rows boundary, into one allocation per row — except where a
+//! chunk's columns are exactly its source's stored rows (a full-width scan
+//! or `Values` leaf, through any filter): those rows are shared, not
+//! rebuilt ([`Chunk::stored_rows`]). Filters and distinct-unions never copy
+//! either — they narrow the selection vector and pass the columns through.
 //!
 //! Hash joins, hash aggregates and distinct unions key through
 //! `crate::hashkey`: whole key columns are hashed per chunk into a
@@ -82,7 +85,7 @@ use crate::expr::{Expr, RowAccess};
 use crate::hashkey::{combine, hash_value, KeyIndex, KEY_SEED, NULL_HASH};
 use crate::query::exec::{checked_values, index_join_equivalent, node_names, AggState};
 use crate::query::plan::{AggOp, Plan};
-use crate::row::{Relation, Row};
+use crate::row::{Relation, SharedRow};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -104,13 +107,30 @@ enum Src<'t> {
     /// session, which holds the table's read lock until the operator has
     /// handed its last chunk on.
     Rows {
-        slots: &'t [Option<Row>],
+        slots: &'t [Option<SharedRow>],
         col: usize,
     },
     /// Column `col` of a row slice, read in place: entry `k` is row `k`'s
     /// value. The borrow is the plan's (a `Values` leaf) or the
     /// aggregate's (its finished groups).
-    Values { rows: &'t [Row], col: usize },
+    Values { rows: &'t [SharedRow], col: usize },
+}
+
+/// Stored rows a chunk's columns can all read through one index (see
+/// [`Chunk::stored_rows`]).
+#[derive(Clone, Copy)]
+enum Stored<'t> {
+    Slots(&'t [Option<SharedRow>]),
+    Rows(&'t [SharedRow]),
+}
+
+impl<'t> Stored<'t> {
+    fn get(self, k: u32) -> Option<&'t SharedRow> {
+        match self {
+            Stored::Slots(slots) => slots.get(k as usize)?.as_ref(),
+            Stored::Rows(rows) => rows.get(k as usize),
+        }
+    }
 }
 
 impl Src<'_> {
@@ -196,7 +216,7 @@ pub(crate) struct Chunk<'t> {
     sel: Option<Vec<u32>>,
 }
 
-impl Chunk<'_> {
+impl<'t> Chunk<'t> {
     /// Number of selected (live) rows.
     fn live(&self) -> usize {
         match &self.sel {
@@ -249,23 +269,63 @@ impl Chunk<'_> {
         Ok(key)
     }
 
-    /// Gather physical row `i` into an owned row, allocated at its width.
-    fn row_at(&self, i: usize) -> Row {
-        let mut row = Vec::with_capacity(self.cols.len());
-        for c in &self.cols {
-            if let Some(v) = c.value(i) {
-                row.push(v.clone());
-            }
-        }
-        row
+    /// Gather physical row `i` into a new row, in one allocation.
+    fn row_at(&self, i: usize) -> SharedRow {
+        (self.cols.iter())
+            .map(|c| c.value(i).cloned().unwrap_or(Value::Null))
+            .collect()
     }
 
-    /// Append every selected row, in order, onto `out`, cloning each value
-    /// exactly once.
-    fn into_rows(self, out: &mut Vec<Row>) {
+    /// The stored rows behind this chunk, when column `j` is column `j`
+    /// of one table's slots or one row slice for every `j`, all through
+    /// one index: physical row `i` is then the stored row at `idx[i]`
+    /// whenever that row is exactly as wide as the chunk.
+    fn stored_rows(&self) -> Option<(Stored<'t>, &Arc<Vec<u32>>)> {
+        let (stored, idx) = match self.cols.first()? {
+            Col::Gather {
+                src: Src::Rows { slots, .. },
+                idx,
+            } => (Stored::Slots(slots), idx),
+            Col::Gather {
+                src: Src::Values { rows, .. },
+                idx,
+            } => (Stored::Rows(rows), idx),
+            _ => return None,
+        };
+        let same = self.cols.iter().enumerate().all(|(j, c)| {
+            let Col::Gather { src, idx: own } = c else {
+                return false;
+            };
+            Arc::ptr_eq(own, idx)
+                && match (src, stored) {
+                    (Src::Rows { slots, col }, Stored::Slots(s)) => {
+                        *col == j && std::ptr::eq(*slots, s)
+                    }
+                    (Src::Values { rows, col }, Stored::Rows(r)) => {
+                        *col == j && std::ptr::eq(*rows, r)
+                    }
+                    _ => false,
+                }
+        });
+        same.then_some((stored, idx))
+    }
+
+    /// Append every selected row, in order, onto `out`: a stored row the
+    /// chunk reads whole is shared, any other row is gathered, cloning
+    /// each value exactly once.
+    fn into_rows(self, out: &mut Vec<SharedRow>) {
         out.reserve(self.live());
+        let stored = self.stored_rows();
+        let width = self.cols.len();
         for k in 0..self.live() {
-            out.push(self.row_at(self.idx(k)));
+            let i = self.idx(k);
+            let whole = stored
+                .and_then(|(rows, idx)| rows.get(*idx.get(i)?))
+                .filter(|row| row.len() == width);
+            out.push(match whole {
+                Some(row) => row.clone(),
+                None => self.row_at(i),
+            });
         }
     }
 }
@@ -295,7 +355,7 @@ type ChunkSink<'s> = dyn for<'t> FnMut(Chunk<'t>) -> StoreResult<()> + 's;
 /// every column of a chunk gathers through one index of row positions —
 /// `ids`, a chunk at a time, or all of `rows` in order.
 fn emit_rows(
-    rows: &[Row],
+    rows: &[SharedRow],
     ids: Option<&[u32]>,
     width: usize,
     sink: &mut ChunkSink,
@@ -321,7 +381,7 @@ fn emit_rows(
 }
 
 /// Gathers of columns `cols` of table row slots, all through `idx`.
-fn slot_cols<'t>(slots: &'t [Option<Row>], cols: &[usize], idx: Vec<u32>) -> Vec<Col<'t>> {
+fn slot_cols<'t>(slots: &'t [Option<SharedRow>], cols: &[usize], idx: Vec<u32>) -> Vec<Col<'t>> {
     let idx = Arc::new(idx);
     (cols.iter())
         .map(|&col| Col::Gather {
@@ -384,7 +444,7 @@ fn join_chunk<'t>(
 /// what [`execute`](crate::query::execute) runs after optimizing.
 pub(crate) fn materialize_chunked(plan: &Plan, db: &Database) -> StoreResult<Relation> {
     let schema = plan.schema(db)?;
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<SharedRow> = Vec::new();
     drive(plan, db, &mut |c: Chunk| {
         c.into_rows(&mut rows);
         Ok(())
@@ -615,25 +675,34 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             } else {
                 (&**left, &**right, left_keys, right_keys, false)
             };
-            // Pre-size from the planner's cardinality estimate (table live
-            // counts at the leaves), then exactly once the build is in hand.
-            let mut build_rows: Vec<Row> = Vec::with_capacity(build_plan.estimate_rows(db));
+            // Columnarize the build side as it arrives, each value cloned
+            // once, pre-sized from the planner's cardinality estimate
+            // (table live counts at the leaves).
+            let build_width = build_plan.schema(db)?.len();
+            let estimate = build_plan.estimate_rows(db);
+            let mut bcols: Vec<Vec<Value>> = (0..build_width)
+                .map(|_| Vec::with_capacity(estimate))
+                .collect();
+            let mut build_len = 0;
             feed(plan, build_plan, db, &mut |c: Chunk| {
-                c.into_rows(&mut build_rows);
+                build_len += c.live();
+                for (j, col) in bcols.iter_mut().enumerate() {
+                    let values = (0..c.live()).map(|k| c.col_value(j, c.idx(k)));
+                    col.extend(values.map(|v| v.cloned().unwrap_or(Value::Null)));
+                }
                 Ok(())
             })?;
-            let build_len = build_rows.len();
             // Hash every build key once, then fill the hash-first index in
             // *descending* id order: chains walk ascending, so output is
             // probe order × build insertion order. NULL keys never join,
             // so they are never inserted.
             let mut bh: Vec<u64> = Vec::with_capacity(build_len);
             let mut bnull: Vec<bool> = Vec::with_capacity(build_len);
-            for r in &build_rows {
+            for b in 0..build_len {
                 let mut h = KEY_SEED;
                 let mut isnull = false;
                 for &k in build_keys {
-                    match r.get(k) {
+                    match bcols.get(k).and_then(|col| col.get(b)) {
                         Some(v) => {
                             h = combine(h, hash_value(v));
                             isnull |= v.is_null();
@@ -654,16 +723,6 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             }
             drop(bh);
             drop(bnull);
-            // Columnarize the build side once (values move, not clone).
-            let build_width = build_plan.schema(db)?.len();
-            let mut bcols: Vec<Vec<Value>> = (0..build_width)
-                .map(|_| Vec::with_capacity(build_len))
-                .collect();
-            for row in build_rows {
-                for (col, v) in bcols.iter_mut().zip(row) {
-                    col.push(v);
-                }
-            }
             let bcols: Vec<Arc<Vec<Value>>> = bcols.into_iter().map(Arc::new).collect();
             let mut ph: Vec<u64> = Vec::new();
             let mut pnull: Vec<bool> = Vec::new();
@@ -760,7 +819,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 }
             };
             let mut ix = KeyIndex::with_capacity(plan.estimate_rows(db));
-            let mut seen: Vec<Row> = Vec::new();
+            let mut seen: Vec<Vec<Value>> = Vec::new();
             let mut hashes: Vec<u64> = Vec::new();
             for inp in inputs {
                 feed(plan, inp, db, &mut |c: Chunk| {
@@ -808,7 +867,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
             // group 0.
             let est = plan.estimate_rows(db).max(1);
             let mut ix = KeyIndex::with_capacity(est);
-            let mut order: Vec<Row> = Vec::new();
+            let mut order: Vec<Vec<Value>> = Vec::new();
             let mut states: Vec<Vec<AggState>> = Vec::new();
             let mut ghash: Vec<u64> = Vec::new();
             feed(plan, input, db, &mut |c: Chunk| {
@@ -862,10 +921,10 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 order.push(vec![]);
                 states.push(vec![AggState::default(); aggs.len()]);
             }
-            let rows: Vec<Row> = (order.into_iter().zip(states))
-                .map(|(mut row, sts)| {
-                    row.extend(sts.into_iter().zip(aggs).map(|(st, a)| st.finish(&a.op)));
-                    row
+            let rows: Vec<SharedRow> = (order.into_iter().zip(states))
+                .map(|(key, sts)| {
+                    let finished = sts.into_iter().zip(aggs).map(|(st, a)| st.finish(&a.op));
+                    key.into_iter().chain(finished).collect()
                 })
                 .collect();
             emit_rows(&rows, None, group_by.len() + aggs.len(), sink)
@@ -915,18 +974,18 @@ mod tests {
     }
 
     /// The two-column relation every shape stands for (rows of it).
-    fn rows() -> Vec<Row> {
+    fn rows() -> Vec<SharedRow> {
         vec![
-            vec![Value::Int(3), Value::str("x")],
-            vec![Value::Null, Value::str("long enough to matter")],
-            vec![Value::Float(3.0), Value::Null],
-            vec![Value::Bool(true), Value::str("")],
-            vec![Value::Float(-0.5), Value::str("x")],
+            [Value::Int(3), Value::str("x")].into(),
+            [Value::Null, Value::str("long enough to matter")].into(),
+            [Value::Float(3.0), Value::Null].into(),
+            [Value::Bool(true), Value::str("")].into(),
+            [Value::Float(-0.5), Value::str("x")].into(),
         ]
     }
 
     /// A table's row slots holding `rows()` out of order, with a tombstone.
-    fn table_slots() -> Vec<Option<Row>> {
+    fn table_slots() -> Vec<Option<SharedRow>> {
         let rows = rows();
         [Some(3), None, Some(0), Some(4), Some(2), Some(1)]
             .iter()
@@ -935,8 +994,8 @@ mod tests {
     }
 
     /// A `Values` leaf's rows: a full chunk of filler, then `rows()`.
-    fn values_leaf() -> Vec<Row> {
-        let filler = (0..CHUNK_ROWS as i64).map(|i| vec![Value::Int(i), Value::Null]);
+    fn values_leaf() -> Vec<SharedRow> {
+        let filler = (0..CHUNK_ROWS as i64).map(|i| [Value::Int(i), Value::Null].into());
         filler.chain(rows()).collect()
     }
 
@@ -945,10 +1004,14 @@ mod tests {
     /// over `slots` (`table_slots()`), a scan's chunk over
     /// the same slots and the partial tail chunk a `Values` leaf over
     /// `values` (`values_leaf()`) emits, each with the rows it stands for.
-    fn shapes<'t>(slots: &'t [Option<Row>], values: &'t [Row]) -> Vec<(Chunk<'t>, Vec<Row>)> {
+    fn shapes<'t>(
+        slots: &'t [Option<SharedRow>],
+        values: &'t [SharedRow],
+    ) -> Vec<(Chunk<'t>, Vec<SharedRow>)> {
         let rows = rows();
         let col = |c: usize| -> Vec<Value> { rows.iter().map(|r| r[c].clone()).collect() };
-        let pick = |at: &[usize]| -> Vec<Row> { at.iter().map(|&i| rows[i].clone()).collect() };
+        let pick =
+            |at: &[usize]| -> Vec<SharedRow> { at.iter().map(|&i| rows[i].clone()).collect() };
         let dense = Chunk {
             cols: vec![Col::Dense(col(0)), Col::Dense(col(1))],
             height: 5,
@@ -1025,12 +1088,19 @@ mod tests {
                 .map(|r| r.iter().any(|v| v.is_null()))
                 .collect();
             assert_eq!(nulls, any_null, "shape {n}");
-            // the chunk hands the same rows on, in the same order, each
-            // allocated at its width
+            // the chunk hands the same rows on, in the same order: the
+            // stored rows themselves where it reads them whole (a table's
+            // slots or a `Values` leaf), new rows where it computed or
+            // copied its columns
+            let reads_stored = chunk.stored_rows().is_some();
             let mut out = Vec::new();
             chunk.into_rows(&mut out);
             assert_eq!(out, rows, "shape {n}");
-            assert!(out.iter().all(|r| r.capacity() == 2), "shape {n}");
+            let mut stored = slots.iter().flatten().chain(&values);
+            let shared = |r: &SharedRow| stored.clone().any(|s| Arc::ptr_eq(s, r));
+            assert_eq!(reads_stored, n >= 3, "shape {n}");
+            assert!(out.iter().all(|r| shared(r) == reads_stored), "shape {n}");
+            assert!(stored.all(|s| s.len() == 2));
         }
     }
 
@@ -1061,7 +1131,7 @@ mod tests {
         // … so Int(3) joins Float(3.0), and both come out as they went in
         let side = |v: Value| {
             let schema = RelSchema::of(&[("k", SqlType::Float)]).shared();
-            Plan::Values(Relation::new(schema, vec![vec![v]]).into())
+            Plan::Values(Relation::new(schema, vec![[v].into()]).into())
         };
         let plan = side(Value::Int(3)).hash_join(side(Value::Float(3.0)), vec![0], vec![0]);
         let out = materialize_chunked(&plan, &Database::new("scratch")).unwrap();
@@ -1082,7 +1152,7 @@ mod tests {
                 1 => Value::Int(i % 40),
                 _ => Value::Float((i % 40) as f64),
             };
-            vec![k, Value::str(format!("s{}", i % 3))]
+            [k, Value::str(format!("s{}", i % 3))].into()
         };
         let values = Plan::Values(Relation::new(schema, (0..2500).map(row).collect()).into());
         let high = values.clone().filter(Expr::col(0).gt(Expr::lit(20)));

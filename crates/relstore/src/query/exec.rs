@@ -29,7 +29,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::expr::Expr;
 use crate::index::key_of;
 use crate::query::plan::{AggOp, Plan};
-use crate::row::{Relation, Row, View};
+use crate::row::{try_row, Relation, SharedRow, View};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -85,7 +85,7 @@ pub(crate) fn index_join_equivalent(
 pub(crate) fn checked_values(view: &View) -> StoreResult<&View> {
     let width = view.schema().len();
     let rows = &view.base.rows;
-    let wrong = |row: Option<&Row>| row.is_none_or(|r| r.len() != width);
+    let wrong = |row: Option<&SharedRow>| row.is_none_or(|r| r.len() != width);
     let bad = match &view.ids {
         None => rows.iter().position(|r| wrong(Some(r))),
         Some(ids) => ids.iter().position(|&id| wrong(rows.get(id as usize))),
@@ -139,7 +139,10 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                     Some(proj) => {
                         let mut rows = Vec::with_capacity(t.row_count());
                         t.for_each(|r| {
-                            rows.push(proj.iter().map(|&i| r[i].clone()).collect::<Row>());
+                            let row = proj
+                                .iter()
+                                .map(|&i| r.get(i).cloned().unwrap_or(Value::Null));
+                            rows.push(row.collect::<SharedRow>());
                             Ok::<(), StoreError>(())
                         })?;
                         Ok(Relation::new(t.schema.project(proj).shared(), rows))
@@ -164,8 +167,7 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
             let schema = plan.schema(db)?;
             let mut rows = Vec::with_capacity(rel.rows.len());
             for r in &rel.rows {
-                let row: StoreResult<Row> = exprs.iter().map(|p| p.expr.eval(r)).collect();
-                rows.push(row?);
+                rows.push(try_row(exprs.iter().map(|p| p.expr.eval(r)))?);
             }
             Ok(Relation::new(schema, rows))
         }
@@ -190,12 +192,12 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
         ),
         Plan::UnionDistinct { inputs, key } => {
             let schema = plan.schema(db)?;
-            let mut seen: HashSet<Row> = HashSet::new();
-            let mut rows: Vec<Row> = Vec::new();
+            let mut seen: HashSet<SharedRow> = HashSet::new();
+            let mut rows: Vec<SharedRow> = Vec::new();
             for i in inputs {
                 for r in oracle(i, db)?.rows {
                     let k = match key {
-                        Some(cols) => key_of(&r, cols),
+                        Some(cols) => key_of(&r, cols).into(),
                         None => r.clone(),
                     };
                     if seen.insert(k) {
@@ -246,9 +248,8 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 let Some(states) = groups.remove(&key) else {
                     continue;
                 };
-                let mut row = key;
-                row.extend(states.into_iter().zip(aggs).map(|(st, a)| st.finish(&a.op)));
-                rows.push(row);
+                let finished = states.into_iter().zip(aggs).map(|(st, a)| st.finish(&a.op));
+                rows.push(key.into_iter().chain(finished).collect::<SharedRow>());
             }
             Ok(Relation::new(schema, rows))
         }
@@ -284,7 +285,7 @@ fn hash_join(
         // a NULL probe key finds nothing: no NULL key was inserted
         for &s in table.get(&key_of(pr, probe_keys)).into_iter().flatten() {
             let br = &build.rows[s];
-            let row: Row = if probe_is_left {
+            let row: SharedRow = if probe_is_left {
                 pr.iter().chain(br.iter()).cloned().collect()
             } else {
                 br.iter().chain(pr.iter()).cloned().collect()

@@ -15,11 +15,16 @@ mod tests {
     use super::*;
     use crate::catalog::Database;
     use crate::expr::Expr;
-    use crate::row::Relation;
+    use crate::row::{Relation, SharedRow};
     use crate::schema::RelSchema;
     use crate::table::Table;
     use crate::value::{SqlType, Value};
     use std::sync::Arc;
+
+    /// Rows as plain value lists, to compare against literals.
+    fn vecs(rows: &[SharedRow]) -> Vec<Vec<Value>> {
+        rows.iter().map(|r| r.to_vec()).collect()
+    }
 
     /// A computed expression: `f` over the values of `args`.
     fn apply(args: Vec<Expr>, f: impl Fn(&[Value]) -> Value + Send + Sync + 'static) -> Expr {
@@ -107,7 +112,7 @@ mod tests {
         assert_eq!(rel.schema.len(), 5);
         // probe order; delta's citykey 99 has no match
         assert_eq!(
-            rel.rows,
+            vecs(&rel.rows),
             vec![
                 vec![
                     int(1),
@@ -151,7 +156,7 @@ mod tests {
         };
         let rel = run_vs_oracle(&plan, &db);
         assert_eq!(
-            rel.rows,
+            vecs(&rel.rows),
             vec![
                 vec![int(1), Value::str("alpha"), int(10)],
                 vec![int(2), Value::str("beta"), int(20)],
@@ -181,7 +186,7 @@ mod tests {
         let rel = run_vs_oracle(&plan, &db);
         // groups in first-seen order; citykey 10 twice
         assert_eq!(
-            rel.rows,
+            vecs(&rel.rows),
             vec![
                 vec![int(10), int(2), int(4)],
                 vec![int(20), int(1), int(2)],
@@ -197,7 +202,7 @@ mod tests {
             .filter(Expr::col(0).gt(Expr::lit(1000)))
             .aggregate(vec![], vec![AggExpr::count_star("n"), AggExpr::sum(0, "s")]);
         let rel = run_vs_oracle(&plan, &db);
-        assert_eq!(rel.rows, vec![vec![Value::Int(0), Value::Null]]);
+        assert_eq!(vecs(&rel.rows), vec![vec![Value::Int(0), Value::Null]]);
     }
 
     #[test]
@@ -226,7 +231,7 @@ mod tests {
         let big = 9_007_199_254_740_993i64; // 2^53 + 1, not representable in f64
         let rel = Relation::new(
             schema.clone(),
-            vec![vec![Value::Int(big)], vec![Value::Int(0)]],
+            vec![[Value::Int(big)].into(), [Value::Int(0)].into()],
         );
         let plan = Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(0, "s")]);
         let out = run_vs_oracle(&plan, &db);
@@ -237,7 +242,7 @@ mod tests {
         // overflow falls back to float instead of panicking/wrapping
         let rel = Relation::new(
             schema.clone(),
-            vec![vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MAX)]],
+            vec![[Value::Int(i64::MAX)].into(), [Value::Int(i64::MAX)].into()],
         );
         let plan = Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(0, "s")]);
         let out = run_vs_oracle(&plan, &db);
@@ -245,7 +250,10 @@ mod tests {
 
         // mixed int/float input widens to Float
         let mixed = RelSchema::of(&[("x", SqlType::Float)]).shared();
-        let rel = Relation::new(mixed, vec![vec![Value::Int(1)], vec![Value::Float(2.5)]]);
+        let rel = Relation::new(
+            mixed,
+            vec![[Value::Int(1)].into(), [Value::Float(2.5)].into()],
+        );
         let plan = Plan::Values(rel.into()).aggregate(vec![], vec![AggExpr::sum(0, "s")]);
         let out = run_vs_oracle(&plan, &db);
         assert_eq!(out.rows[0][0], Value::Float(3.5));
@@ -270,7 +278,7 @@ mod tests {
             [2, 1, 0],
         ];
         for p in perms {
-            let rows: Vec<Vec<Value>> = p.iter().map(|&i| vec![Value::Float(vals[i])]).collect();
+            let rows: Vec<SharedRow> = p.iter().map(|&i| [Value::Float(vals[i])].into()).collect();
             let plan = Plan::Values(Relation::new(schema.clone(), rows).into())
                 .aggregate(vec![], vec![AggExpr::sum(0, "s")]);
             for out in [
@@ -359,7 +367,7 @@ mod tests {
     fn values_plan() {
         let db = db();
         let schema = RelSchema::of(&[("x", SqlType::Int)]).shared();
-        let rel = Relation::new(schema, vec![vec![Value::Int(5)]]);
+        let rel = Relation::new(schema, vec![[Value::Int(5)].into()]);
         let plan = Plan::Values(rel.into()).project(vec![ProjExpr::new(
             apply(vec![Expr::col(0)], |a| {
                 Value::Int(a[0].to_int().unwrap() * 2)
@@ -536,7 +544,7 @@ mod tests {
         let rel = run_vs_oracle(&joined, &db);
         assert_eq!(rel.len(), 3022);
         assert_eq!(
-            rel.rows[..5],
+            vecs(&rel.rows[..5]),
             [
                 vec![int(1), boolean(false), a.clone(), int(1), Value::str("one")],
                 vec![int(1), boolean(false), a.clone(), int(1), Value::str("uno")],
@@ -574,7 +582,7 @@ mod tests {
         // of the key column widens its sum
         let rel = run_vs_oracle(&kept.clone().aggregate(vec![0], aggs.clone()), &db);
         assert_eq!(
-            rel.rows,
+            vecs(&rel.rows),
             vec![
                 vec![int(1), int(1402), int(1074), float(1402.0)],
                 vec![float(2.0), int(757), int(545), float(1514.0)],
@@ -582,7 +590,10 @@ mod tests {
             ]
         );
         let rel = run_vs_oracle(&kept.aggregate(vec![], aggs), &db);
-        assert_eq!(rel.rows, vec![vec![int(2914), int(2150), float(2916.0)]]);
+        assert_eq!(
+            vecs(&rel.rows),
+            vec![vec![int(2914), int(2150), float(2916.0)]]
+        );
 
         // UnionDistinct keeps first occurrences: whole rows, then per key
         let distinct = |key: Option<Vec<usize>>| Plan::UnionDistinct {
@@ -592,17 +603,20 @@ mod tests {
         let rel = run_vs_oracle(&distinct(None), &db);
         assert_eq!(rel.len(), 78);
         assert_eq!(
-            rel.rows[..3],
+            vecs(&rel.rows[..3]),
             [
                 vec![Value::Null, Value::Null, Value::Null],
                 vec![int(1), boolean(false), a.clone()],
                 vec![float(2.0), int(2), a.clone()],
             ]
         );
-        assert_eq!(rel.rows[77], vec![Value::Null, boolean(false), Value::Null]);
+        assert_eq!(
+            rel.rows[77],
+            [Value::Null, boolean(false), Value::Null].into()
+        );
         let rel = run_vs_oracle(&distinct(Some(vec![0])), &db);
         assert_eq!(
-            rel.rows,
+            vecs(&rel.rows),
             vec![
                 vec![Value::Null, Value::Null, Value::Null],
                 vec![int(1), boolean(false), a.clone()],
@@ -620,9 +634,9 @@ mod tests {
         ]);
         let rel = run_vs_oracle(&renamed, &db);
         assert_eq!(rel.len(), 6000);
-        assert_eq!(rel.rows[1], vec![int(1), a.clone()]);
-        assert_eq!(rel.rows[2499], vec![float(3.0), a]);
-        assert_eq!(rel.rows[2051], vec![int(3), b]);
+        assert_eq!(rel.rows[1], [int(1), a.clone()].into());
+        assert_eq!(rel.rows[2499], [float(3.0), a].into());
+        assert_eq!(rel.rows[2051], [int(3), b].into());
     }
 
     #[test]
@@ -684,7 +698,10 @@ mod tests {
         let db = db();
         let values = |rows: i64| {
             let schema = RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Int)]).shared();
-            let rows = (0..rows).map(|i| vec![int(i), int(i * 10)]).collect();
+            let rows = (0..rows)
+                .map(|i| vec![int(i), int(i * 10)])
+                .map(Into::into)
+                .collect();
             Plan::Values(Relation::new(schema, rows).into())
         };
         let plans = [
@@ -723,7 +740,10 @@ mod tests {
         let schema = RelSchema::of(&[("k", SqlType::Int), ("v", SqlType::Int)]).shared();
         db.create_table(Table::new("nothing", schema.clone()));
         let values = |rows: i64| {
-            let rows = (0..rows).map(|i| vec![int(i), int(i * 10)]).collect();
+            let rows = (0..rows)
+                .map(|i| vec![int(i), int(i * 10)])
+                .map(Into::into)
+                .collect();
             Plan::Values(Relation::new(schema.clone(), rows).into())
         };
         let five = || Expr::col(5).eq(Expr::lit(1));
@@ -794,7 +814,7 @@ mod tests {
         let db = db();
         let schema = RelSchema::of(&[("a", SqlType::Int), ("b", SqlType::Int)]).shared();
         let rows = (0..2500).map(|i| vec![int(i), int(i % 7)]);
-        let rel = Arc::new(Relation::new(schema, rows.collect()));
+        let rel = Arc::new(Relation::new(schema, rows.map(Into::into).collect()));
         let (sevens, high) = (
             Expr::col(1).eq(Expr::lit(3)),
             Expr::col(0).gt(Expr::lit(1000)),
@@ -978,8 +998,8 @@ mod tests {
         let tags = Relation::new(
             RelSchema::of(&[("x", SqlType::Int), ("tag", SqlType::Str)]).shared(),
             vec![
-                vec![int(2), Value::str("two")],
-                vec![int(8), Value::str("eight")],
+                [int(2), Value::str("two")].into(),
+                [int(8), Value::str("eight")].into(),
             ],
         );
         let hashed = f_d1().hash_join(Plan::Values(tags.into()), vec![5], vec![0]);

@@ -1,12 +1,51 @@
 //! Rows and materialized relations.
+//!
+//! A stored row is a [`SharedRow`]: its values in one immutable, shared
+//! allocation. A table slot, a relation, a source snapshot, a captured
+//! change and an undo record all hold the same row, so handing a row on
+//! (a scan, a snapshot replay, a full-width executor output) bumps a
+//! reference count, and dropping it (a wipe) decrements one. Nothing
+//! writes a stored row in place: an update builds a new one.
+//!
+//! [`Row`] is the owned form a caller builds from values and hands to
+//! [`crate::table::Table::insert`], which converts it once at the boundary.
+//! The crate's own builders make a [`SharedRow`] directly, in one
+//! allocation: collect an exact-size iterator of values (a `map` over a
+//! slice or a range, a `chain` of those), or call [`try_row`] when a value
+//! can fail.
 
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// A row is a plain vector of values, positionally matching a schema.
+/// A stored row: values positionally matching a schema, shared and
+/// immutable. Its `Debug` image is its values', as a list.
+pub type SharedRow = Arc<[Value]>;
+
+/// An owned row under construction, handed to an insert that converts it
+/// into a [`SharedRow`].
 pub type Row = Vec<Value>;
+
+/// The row of `values`, or their first error. Every value is computed
+/// even after an error (the evaluators are pure), so a row collected from
+/// an exact-size iterator (a `map` over a slice or a range) is built in one
+/// allocation, as an infallible collect is.
+pub fn try_row<E>(values: impl IntoIterator<Item = Result<Value, E>>) -> Result<SharedRow, E> {
+    let mut err = None;
+    let row: SharedRow = (values.into_iter())
+        .map(|v| {
+            v.unwrap_or_else(|e| {
+                err.get_or_insert(e);
+                Value::Null
+            })
+        })
+        .collect();
+    match err {
+        Some(e) => Err(e),
+        None => Ok(row),
+    }
+}
 
 /// A materialized relation: a schema plus a bag of rows. This is the unit
 /// exchanged between the query executor, the integration engines and the
@@ -14,11 +53,11 @@ pub type Row = Vec<Value>;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     pub schema: SchemaRef,
-    pub rows: Vec<Row>,
+    pub rows: Vec<SharedRow>,
 }
 
 impl Relation {
-    pub fn new(schema: SchemaRef, rows: Vec<Row>) -> Relation {
+    pub fn new(schema: SchemaRef, rows: Vec<SharedRow>) -> Relation {
         Relation { schema, rows }
     }
 
@@ -121,7 +160,7 @@ impl View {
 
     /// The rows, in order. An id outside `base` is skipped; a plan checks
     /// its leaf's ids before it reads a row.
-    pub fn rows(&self) -> impl Iterator<Item = &Row> {
+    pub fn rows(&self) -> impl Iterator<Item = &SharedRow> {
         (0..self.len()).filter_map(|k| {
             let id = match &self.ids {
                 Some(ids) => *ids.get(k)? as usize,
@@ -132,7 +171,7 @@ impl View {
     }
 
     /// The rows as an owned relation: moved out when this view is every
-    /// row of a relation nothing else shares, copied otherwise.
+    /// row of a relation nothing else shares, shared row by row otherwise.
     pub fn into_relation(self) -> Relation {
         match self.ids {
             None => Arc::try_unwrap(self.base).unwrap_or_else(|shared| Relation::clone(&shared)),
@@ -179,8 +218,8 @@ mod tests {
         let mut rel = Relation::new(
             schema,
             vec![
-                vec![Value::Int(2), Value::str("b")],
-                vec![Value::Int(1), Value::str("a")],
+                [Value::Int(2), Value::str("b")].into(),
+                [Value::Int(1), Value::str("a")].into(),
             ],
         );
         assert_eq!(rel.get(0, "name"), &Value::str("b"));
@@ -193,7 +232,7 @@ mod tests {
     #[test]
     fn render_truncates() {
         let schema = RelSchema::of(&[("x", SqlType::Int)]).shared();
-        let rel = Relation::new(schema, (0..5).map(|i| vec![Value::Int(i)]).collect());
+        let rel = Relation::new(schema, (0..5).map(|i| [Value::Int(i)].into()).collect());
         let s = rel.render(2);
         assert!(s.contains("… 3 more rows"));
     }

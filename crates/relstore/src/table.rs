@@ -1,9 +1,11 @@
 //! Heap tables with slot storage, primary/secondary indexes and change
 //! capture.
 //!
-//! A [`Table`] owns its rows in a slotted vector (`Vec<Option<Row>>`); a
-//! deleted row leaves a tombstone so slot numbers — which indexes reference —
-//! stay stable. Tables are internally synchronized with a `parking_lot`
+//! A [`Table`] holds its rows in a slotted vector (`Vec<Option<SharedRow>>`);
+//! a deleted row leaves a tombstone so slot numbers — which indexes
+//! reference — stay stable. A stored row is shared and never written in
+//! place ([`crate::row`]): a scan, a captured change and an undo record hold
+//! the same row as the slot, and an update or upsert stores a new one. Tables are internally synchronized with a `parking_lot`
 //! `RwLock`, so a shared `Arc<Table>` can be used from concurrent benchmark
 //! streams.
 //!
@@ -30,7 +32,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::expr::{CmpOp, Expr};
 use crate::hashkey::KeyIndex;
 use crate::index::{key_of, slot_id, Index};
-use crate::row::{Relation, Row};
+use crate::row::{try_row, Relation, SharedRow};
 use crate::schema::SchemaRef;
 use crate::tx::TxShared;
 use crate::value::Value;
@@ -43,8 +45,8 @@ use std::sync::{Arc, OnceLock, Weak};
 /// ([`Table::drain_changes`] — the `dip-ivm` engine's standing queries).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Change {
-    Insert(Row),
-    Delete(Row),
+    Insert(SharedRow),
+    Delete(SharedRow),
 }
 
 /// One physical undo step of an open transaction (see [`crate::tx`]).
@@ -54,13 +56,13 @@ enum UndoOp {
     /// Rows were appended contiguously at the tail.
     Appended { first_slot: usize, count: usize },
     /// A row was replaced in place (upsert hit, update).
-    Replaced { slot: usize, old: Row },
+    Replaced { slot: usize, old: SharedRow },
     /// A row was tombstoned (per-victim delete).
-    Deleted { slot: usize, old: Row },
+    Deleted { slot: usize, old: SharedRow },
     /// The whole slot vector was wiped (full-wipe delete or truncate);
     /// `restore_changes` carries the change log when the wipe cleared it.
     Wiped {
-        slots: Vec<Option<Row>>,
+        slots: Vec<Option<SharedRow>>,
         live: usize,
         restore_changes: Option<Vec<Change>>,
     },
@@ -78,7 +80,7 @@ struct UndoRecord {
 
 #[derive(Debug, Default)]
 struct TableInner {
-    slots: Vec<Option<Row>>,
+    slots: Vec<Option<SharedRow>>,
     live: usize,
     /// The one unique index: writers probe it before they register.
     primary: Option<Index>,
@@ -109,7 +111,7 @@ impl TableInner {
     }
 
     /// Tombstone `slot` and hand back its row; `Invalid` if it holds none.
-    fn take_row(&mut self, slot: usize) -> StoreResult<Row> {
+    fn take_row(&mut self, slot: usize) -> StoreResult<SharedRow> {
         self.slots
             .get_mut(slot)
             .and_then(Option::take)
@@ -129,7 +131,7 @@ impl TableInner {
     }
 
     /// Append a checked row whose primary-key hash the caller already has.
-    fn append(&mut self, row: Row, pk_hash: Option<u64>) -> StoreResult<()> {
+    fn append(&mut self, row: SharedRow, pk_hash: Option<u64>) -> StoreResult<()> {
         let slot = self.slots.len();
         if let (Some(pk), Some(h)) = (&mut self.primary, pk_hash) {
             pk.link(h, slot)?;
@@ -148,7 +150,7 @@ impl TableInner {
     /// Replace the live row at `slot` and hand back the old one. The row
     /// re-registers in every secondary index (moving to its chain's tail),
     /// and in the primary one only when `rekey` says its key may differ.
-    fn replace(&mut self, slot: usize, new: Row, rekey: bool) -> StoreResult<Row> {
+    fn replace(&mut self, slot: usize, new: SharedRow, rekey: bool) -> StoreResult<SharedRow> {
         let old = self.take_row(slot)?;
         let keyed = self.primary.iter_mut().filter(|_| rekey);
         for ix in keyed.chain(&mut self.secondary) {
@@ -171,14 +173,14 @@ impl TableInner {
 /// before it, so a batch is refused as a whole before any of it applies.
 struct Claims<'a> {
     pk: &'a Index,
-    slots: &'a [Option<Row>],
+    slots: &'a [Option<SharedRow>],
     /// Positions in `claimed`, chained by key hash.
     seen: KeyIndex,
     claimed: Vec<&'a [Value]>,
 }
 
 impl<'a> Claims<'a> {
-    fn new(pk: &'a Index, slots: &'a [Option<Row>], rows: usize) -> Claims<'a> {
+    fn new(pk: &'a Index, slots: &'a [Option<SharedRow>], rows: usize) -> Claims<'a> {
         Claims {
             pk,
             slots,
@@ -417,12 +419,15 @@ impl Table {
 
     /// Insert a batch of rows. All rows are validated and checked against
     /// the primary key *before* any row is applied, so a failed batch
-    /// leaves the table unchanged (statement-level atomicity).
-    pub fn insert(&self, rows: Vec<Row>) -> StoreResult<usize> {
+    /// leaves the table unchanged (statement-level atomicity). An owned
+    /// [`crate::row::Row`] is converted into a stored row here, once; a
+    /// [`SharedRow`] is stored as it is.
+    pub fn insert<R: Into<SharedRow>>(&self, rows: Vec<R>) -> StoreResult<usize> {
         if rows.is_empty() {
             return Ok(0);
         }
         let _span = dip_trace::span(Layer::Relstore, "insert");
+        let rows: Vec<SharedRow> = rows.into_iter().map(Into::into).collect();
         for r in &rows {
             self.schema.check_row(r)?;
         }
@@ -466,7 +471,7 @@ impl Table {
 
     /// Insert rows, silently skipping those whose primary key already
     /// exists — the "merge" flavour used by replication-style processes.
-    pub fn insert_ignore_duplicates(&self, rows: Vec<Row>) -> StoreResult<usize> {
+    pub fn insert_ignore_duplicates(&self, rows: Vec<SharedRow>) -> StoreResult<usize> {
         let _span = dip_trace::span(Layer::Relstore, "insert");
         let mut inner = self.inner.write();
         // This path validates per row *inside* the loop, so it can error
@@ -490,7 +495,11 @@ impl Table {
         result
     }
 
-    fn insert_ignore_inner(&self, inner: &mut TableInner, rows: Vec<Row>) -> StoreResult<usize> {
+    fn insert_ignore_inner(
+        &self,
+        inner: &mut TableInner,
+        rows: Vec<SharedRow>,
+    ) -> StoreResult<usize> {
         let mut inserted = 0;
         for r in rows {
             self.schema.check_row(&r)?;
@@ -504,7 +513,7 @@ impl Table {
     }
 
     /// Insert-or-replace by primary key (upsert). Requires a primary key.
-    pub fn upsert(&self, rows: Vec<Row>) -> StoreResult<usize> {
+    pub fn upsert(&self, rows: Vec<SharedRow>) -> StoreResult<usize> {
         let _span = dip_trace::span(Layer::Relstore, "upsert");
         let mut inner = self.inner.write();
         if inner.primary.is_none() {
@@ -615,21 +624,29 @@ impl Table {
     }
 
     /// Update matching rows: each assignment is `(column position, expr
-    /// evaluated over the old row)`. Returns the number updated. A
+    /// evaluated over the old row)`, the last one for a column winning.
+    /// Returns the number updated. Each updated row is stored as a new
+    /// row; the old one is left as it is to whoever shares it. A
     /// statement that assigns a primary-key column is checked like an
     /// insert batch — the new keys against the rows that stay as they are
     /// and against each other — and refused with the table unchanged.
     pub fn update_where(&self, pred: &Expr, assignments: &[(usize, Expr)]) -> StoreResult<usize> {
         let _span = dip_trace::span(Layer::Relstore, "update");
+        let width = self.schema.len();
+        if let Some((c, _)) = assignments.iter().find(|(c, _)| *c >= width) {
+            return Err(StoreError::Eval(format!("column index {c} out of range")));
+        }
         let mut inner = self.inner.write();
-        let mut updates: Vec<(usize, Row)> = Vec::new();
+        let mut updates: Vec<(usize, SharedRow)> = Vec::new();
         for (slot, r) in inner.slots.iter().enumerate() {
             if let Some(row) = r {
                 if pred.matches(row)? {
-                    let mut new = row.clone();
-                    for (col, e) in assignments {
-                        new[*col] = e.eval(row)?;
-                    }
+                    let new = try_row(row.iter().enumerate().map(|(c, old)| {
+                        match assignments.iter().rev().find(|(col, _)| *col == c) {
+                            Some((_, e)) => e.eval(row),
+                            None => Ok(old.clone()),
+                        }
+                    }))?;
                     self.schema.check_row(&new)?;
                     updates.push((slot, new));
                 }
@@ -671,10 +688,10 @@ impl Table {
         self.wipe(&mut inner, None, Some(changes));
     }
 
-    /// Materialize the whole table.
+    /// The whole table as a relation that shares its rows.
     pub fn scan(&self) -> Relation {
         let inner = self.inner.read();
-        let rows: Vec<Row> = inner.slots.iter().filter_map(|s| s.clone()).collect();
+        let rows: Vec<SharedRow> = inner.slots.iter().flatten().cloned().collect();
         Relation::new(self.schema.clone(), rows)
     }
 
@@ -690,7 +707,10 @@ impl Table {
         let mut rows = Vec::new();
         self.for_each_where(pred, |row| {
             rows.push(match projection {
-                Some(p) => p.iter().filter_map(|&i| row.get(i).cloned()).collect(),
+                Some(p) => p
+                    .iter()
+                    .map(|&i| row.get(i).cloned().unwrap_or(Value::Null))
+                    .collect(),
                 None => row.clone(),
             });
             Ok(())
@@ -706,7 +726,7 @@ impl Table {
     pub fn for_each_where(
         &self,
         pred: &Expr,
-        mut f: impl FnMut(&Row) -> StoreResult<()>,
+        mut f: impl FnMut(&SharedRow) -> StoreResult<()>,
     ) -> StoreResult<()> {
         let session = self.rows();
         let slots = session.slots();
@@ -755,19 +775,19 @@ impl Table {
         Some(TableProbe { rows, which, perm })
     }
 
-    /// Point lookup by primary key.
-    pub fn get_by_pk(&self, key: &[Value]) -> Option<Row> {
-        self.by_pk(key, Row::clone)
+    /// Point lookup by primary key: the stored row, shared.
+    pub fn get_by_pk(&self, key: &[Value]) -> Option<SharedRow> {
+        self.by_pk(key, SharedRow::clone)
     }
 
     /// Whether a live row has primary key `key`: [`Table::get_by_pk`]
-    /// without the copy.
+    /// without the row.
     pub fn contains_key(&self, key: &[Value]) -> bool {
         self.by_pk(key, |_| ()).is_some()
     }
 
     /// `read` of the live row with primary key `key`, under the read lock.
-    fn by_pk<T>(&self, key: &[Value], read: impl FnOnce(&Row) -> T) -> Option<T> {
+    fn by_pk<T>(&self, key: &[Value], read: impl FnOnce(&SharedRow) -> T) -> Option<T> {
         let inner = self.inner.read();
         let pk = inner.primary.as_ref()?;
         if key.len() != pk.columns.len() {
@@ -779,7 +799,7 @@ impl Table {
     }
 
     /// Visit every live row without materializing the table.
-    pub fn for_each<E>(&self, mut f: impl FnMut(&Row) -> Result<(), E>) -> Result<(), E> {
+    pub fn for_each<E>(&self, mut f: impl FnMut(&SharedRow) -> Result<(), E>) -> Result<(), E> {
         let inner = self.inner.read();
         for r in inner.slots.iter().flatten() {
             f(r)?;
@@ -808,7 +828,7 @@ impl Table {
 fn apply_undo(inner: &mut TableInner, rec: UndoRecord) {
     // Re-registering cannot fail here: every slot restored below was
     // registered before, so it fits a chain link.
-    let restore = |inner: &mut TableInner, slot: usize, old: Row| {
+    let restore = |inner: &mut TableInner, slot: usize, old: SharedRow| {
         let _ = inner.index_row(&old, slot);
         if let Some(s) = inner.slots.get_mut(slot) {
             *s = Some(old);
@@ -888,7 +908,7 @@ pub(crate) struct TableRows<'a> {
 impl TableRows<'_> {
     /// The table's row slots, unchanging while the session holds the read
     /// lock (tombstones are `None`).
-    pub(crate) fn slots(&self) -> &[Option<Row>] {
+    pub(crate) fn slots(&self) -> &[Option<SharedRow>] {
         &self.inner.slots
     }
 
@@ -907,7 +927,7 @@ impl TableRows<'_> {
         // handful of rows. After a full batch more is probably coming, so
         // the next one is pre-sized.
         let mut ids: Vec<u32> = Vec::new();
-        let mut keep = |slot: usize, row: &Row| -> StoreResult<()> {
+        let mut keep = |slot: usize, row: &SharedRow| -> StoreResult<()> {
             if pred.map_or(Ok(true), |p| p.matches(row))? {
                 ids.push(slot_id(slot)?);
                 if ids.len() >= max {
@@ -1043,8 +1063,12 @@ mod tests {
             .unwrap()
     }
 
-    fn row(k: i64, n: &str, c: &str) -> Row {
-        vec![Value::Int(k), Value::str(n), Value::str(c)]
+    fn shared(rows: Vec<Vec<Value>>) -> Vec<SharedRow> {
+        rows.into_iter().map(Into::into).collect()
+    }
+
+    fn row(k: i64, n: &str, c: &str) -> SharedRow {
+        [Value::Int(k), Value::str(n), Value::str(c)].into()
     }
 
     #[test]
@@ -1166,7 +1190,7 @@ mod tests {
             );
         }
         let rel = t.scan_where(&Expr::lit(true), Some(&[1])).unwrap();
-        assert_eq!(rel.rows, vec![vec![Value::Int(10)]]);
+        assert_eq!(rel.rows, shared(vec![vec![Value::Int(10)]]));
     }
 
     #[test]
@@ -1251,7 +1275,7 @@ mod tests {
         let t = Table::new("f", schema).with_primary_key(&["k"]).unwrap();
         t.insert(vec![vec![Value::Int(3), Value::str("int")]])
             .unwrap();
-        let float = || vec![Value::Float(3.0), Value::str("float")];
+        let float = || SharedRow::from([Value::Float(3.0), Value::str("float")]);
         let err = t.insert(vec![float()]).unwrap_err();
         assert!(matches!(err, StoreError::DuplicateKey { .. }));
         let err = t
@@ -1291,7 +1315,7 @@ mod tests {
             .with_index("by_city", &["city"])
             .unwrap();
         t.insert(vec![vec![Value::Int(1), Value::Null]]).unwrap();
-        let null_key = || vec![vec![Value::Null, Value::str("x")]];
+        let null_key = || shared(vec![vec![Value::Null, Value::str("x")]]);
         let refused = [
             t.insert(null_key()),
             t.insert_ignore_duplicates(null_key()),
@@ -1302,7 +1326,10 @@ mod tests {
             let err = StoreError::Constraint("NULL in primary key of n".into());
             assert_eq!(result, Err(err));
         }
-        assert_eq!(t.scan().rows, vec![vec![Value::Int(1), Value::Null]]);
+        assert_eq!(
+            t.scan().rows,
+            shared(vec![vec![Value::Int(1), Value::Null]])
+        );
         assert_eq!(t.pk_cardinality(), Some(1));
         let dump = t.state_dump();
         assert!(!dump.contains("[Null]"), "{dump}");
@@ -1362,6 +1389,64 @@ mod tests {
         assert!(t.probe_on(&[0]).is_none());
     }
 
+    /// A relation or a snapshot that shares a table's rows never sees the
+    /// table's writes: `update_where` and `upsert` store new rows,
+    /// `delete_where` and `truncate` drop the table's references, and a
+    /// rolled-back transaction puts back the very rows it took.
+    #[test]
+    fn writes_never_change_rows_a_relation_shares() {
+        let t = customers().with_change_capture().into_shared();
+        let city = |k: i64| if k % 2 == 0 { "even" } else { "odd" };
+        let snapshot: Vec<SharedRow> = (1..=6).map(|k| row(k, "n", city(k))).collect();
+        t.insert(snapshot.clone()).unwrap();
+        let scanned = t.scan();
+        let same = |a: &[SharedRow], b: &[SharedRow]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        assert!(same(&scanned.rows, &snapshot), "insert and scan share rows");
+        let captured: Vec<SharedRow> = (t.peek_changes().into_iter())
+            .map(|c| match c {
+                Change::Insert(r) | Change::Delete(r) => r,
+            })
+            .collect();
+        assert!(same(&captured, &snapshot), "the change log shares rows");
+        let values =
+            |rows: &[SharedRow]| -> Vec<Vec<Value>> { rows.iter().map(|r| r.to_vec()).collect() };
+        let copy = values(&snapshot);
+        let unchanged = |what: &str| {
+            assert_eq!(values(&snapshot), copy, "{what}");
+            assert_eq!(values(&scanned.rows), copy, "{what}");
+        };
+        let odd = Expr::col(2).eq(Expr::lit("odd"));
+        t.update_where(&odd, &[(1, Expr::lit("renamed"))]).unwrap();
+        unchanged("update_where");
+        t.upsert(vec![row(2, "upserted", "x"), row(9, "new", "y")])
+            .unwrap();
+        unchanged("upsert");
+        t.delete_where(&Expr::col(0).lt(Expr::lit(4))).unwrap();
+        unchanged("delete_where");
+
+        let before = t.scan();
+        let dump = t.state_dump();
+        let tx = crate::tx::begin();
+        t.update_where(&Expr::lit(true), &[(2, Expr::lit("moved"))])
+            .unwrap();
+        t.upsert(vec![row(4, "again", "z")]).unwrap();
+        t.delete_where(&Expr::col(0).eq(Expr::lit(5))).unwrap();
+        t.delete_where(&Expr::lit(true)).unwrap();
+        t.insert(vec![row(1, "back", "w")]).unwrap();
+        t.truncate();
+        tx.rollback();
+        unchanged("a rolled-back transaction");
+        assert_eq!(t.state_dump(), dump);
+        assert!(
+            same(&t.scan().rows, &before.rows),
+            "rollback restores the rows"
+        );
+        t.truncate();
+        unchanged("truncate");
+    }
+
     /// Every write flavour, under transactions that commit or roll back, on
     /// a table whose hashes fold into four chains (every chain mixes keys)
     /// must leave exactly the state, and answer probes in exactly the row
@@ -1380,7 +1465,7 @@ mod tests {
             (state % n) as i64
         };
         for step in 0..600 {
-            let batch: Vec<Row> = (0..1 + draw(6))
+            let batch: Vec<SharedRow> = (0..1 + draw(6))
                 .map(|_| row(draw(60), "n", cities[draw(3) as usize]))
                 .collect();
             let key = draw(60);

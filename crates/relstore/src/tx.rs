@@ -268,7 +268,8 @@ mod tests {
         t.delete_where(&Expr::col(0).le(Expr::lit(2))).unwrap();
         t.update_where(&Expr::col(0).eq(Expr::lit(3)), &[(1, Expr::lit("y"))])
             .unwrap();
-        t.upsert(vec![row(4, "z"), row(9, "new")]).unwrap();
+        t.upsert(vec![row(4, "z").into(), row(9, "new").into()])
+            .unwrap();
         drop(tx);
         assert_eq!(t.state_dump(), before);
     }
@@ -303,7 +304,7 @@ mod tests {
         let before = t.state_dump();
         let tx = begin();
         // second row violates NOT NULL via schema? use duplicate-free rows
-        t.insert_ignore_duplicates(vec![vec![Value::Int(1)], vec![Value::Int(2)]])
+        t.insert_ignore_duplicates(vec![[Value::Int(1)].into(), [Value::Int(2)].into()])
             .unwrap();
         drop(tx);
         assert_eq!(t.state_dump(), before);
@@ -397,8 +398,8 @@ mod tests {
                             }
                             let key = base + (r % 20) as i64;
                             match r % 3 {
-                                0 => drop(t.insert_ignore_duplicates(vec![row(key, "ins")])),
-                                1 => drop(t.upsert(vec![row(key, "ups")])),
+                                0 => drop(t.insert_ignore_duplicates(vec![row(key, "ins").into()])),
+                                1 => drop(t.upsert(vec![row(key, "ups").into()])),
                                 _ => drop(t.delete_where(&Expr::col(0).eq(Expr::lit(key)))),
                             }
                         }

@@ -300,7 +300,7 @@ proptest! {
             rel.sort_by_columns(&[0]);
             rel.rows
         };
-        let all: Vec<Row> = snapshot.clone();
+        let all: Vec<SharedRow> = snapshot.clone();
         t.upsert(all.clone()).unwrap();
         t.insert_ignore_duplicates(all).unwrap();
         let mut rel = t.scan();
@@ -405,7 +405,7 @@ proptest! {
                         batch
                             .iter()
                             .map(|(k, g, v)| vec![Value::Int(*k), Value::Int(*g), Value::Float(*v)])
-                            .collect(),
+                            .map(Into::into).collect(),
                     )
                     .unwrap();
                 }
@@ -414,7 +414,7 @@ proptest! {
                         batch
                             .iter()
                             .map(|(k, g, v)| vec![Value::Int(*k), Value::Int(*g), Value::Float(*v)])
-                            .collect(),
+                            .map(Into::into).collect(),
                     )
                     .unwrap();
                 }
@@ -447,12 +447,13 @@ proptest! {
 /// shape: every row sits under one of two keys), a payload.
 type FlagRow = (i64, Option<bool>, i64);
 
-fn flag_row((k, flag, v): &FlagRow) -> Row {
-    vec![
+fn flag_row((k, flag, v): &FlagRow) -> SharedRow {
+    [
         Value::Int(*k),
         flag.map_or(Value::Null, Value::Bool),
         Value::Int(*v),
     ]
+    .into()
 }
 
 /// One step of the write-path model test.
@@ -514,7 +515,7 @@ fn arb_write_op() -> impl Strategy<Value = WriteOp> {
 /// length of the slot vector.
 #[derive(Debug, Clone, Default)]
 struct Model {
-    rows: Vec<(usize, Row)>,
+    rows: Vec<(usize, SharedRow)>,
     slots: usize,
 }
 
@@ -523,12 +524,12 @@ impl Model {
         self.rows.iter().position(|(_, r)| &r[0] == k)
     }
 
-    fn append(&mut self, row: Row) {
+    fn append(&mut self, row: SharedRow) {
         self.rows.push((self.slots, row));
         self.slots += 1;
     }
 
-    fn replace(&mut self, at: usize, row: Row) {
+    fn replace(&mut self, at: usize, row: SharedRow) {
         let (slot, _) = self.rows.remove(at);
         self.rows.push((slot, row));
     }
@@ -540,8 +541,12 @@ impl Model {
 
     /// `update_where`: the matching rows, in slot order, each replaced by
     /// `f(row)`.
-    fn update(&mut self, matches: impl Fn(&Row) -> bool, f: impl Fn(&Row) -> Row) {
-        let mut hit: Vec<(usize, Row)> = (self.rows.iter())
+    fn update(
+        &mut self,
+        matches: impl Fn(&SharedRow) -> bool,
+        f: impl Fn(&SharedRow) -> SharedRow,
+    ) {
+        let mut hit: Vec<(usize, SharedRow)> = (self.rows.iter())
             .filter(|(_, r)| matches(r))
             .map(|(slot, r)| (*slot, f(r)))
             .collect();
@@ -550,14 +555,14 @@ impl Model {
         self.rows.extend(hit);
     }
 
-    fn under(&self, flag: bool) -> Vec<Row> {
+    fn under(&self, flag: bool) -> Vec<SharedRow> {
         (self.rows.iter())
             .filter(|(_, r)| r[1] == Value::Bool(flag))
             .map(|(_, r)| r.clone())
             .collect()
     }
 
-    fn in_slot_order(&self) -> Vec<Row> {
+    fn in_slot_order(&self) -> Vec<SharedRow> {
         let mut rows = self.rows.clone();
         rows.sort_by_key(|(slot, _)| *slot);
         rows.into_iter().map(|(_, r)| r).collect()
@@ -600,7 +605,7 @@ proptest! {
             .unwrap()
             .into_shared();
         let mut model = Model::default();
-        let seed: Vec<Row> = (0..seed_rows).map(|i| flag_row(&(1000 + i, Some(false), i))).collect();
+        let seed: Vec<SharedRow> = (0..seed_rows).map(|i| flag_row(&(1000 + i, Some(false), i))).collect();
         t.insert(seed.clone()).unwrap();
         seed.into_iter().for_each(|r| model.append(r));
 
@@ -616,7 +621,7 @@ proptest! {
             let mut touched: Vec<Value> = vec![Value::Int(0), Value::Int(1000), Value::Int(3499)];
             let refused = match op {
                 WriteOp::Insert(batch) => {
-                    let rows: Vec<Row> = batch.iter().map(flag_row).collect();
+                    let rows: Vec<SharedRow> = batch.iter().map(flag_row).collect();
                     touched.extend(rows.iter().map(|r| r[0].clone()));
                     let clash = rows.iter().enumerate().any(|(i, r)| {
                         model.position(&r[0]).is_some() || rows[..i].iter().any(|e| e[0] == r[0])
@@ -631,7 +636,7 @@ proptest! {
                     clash
                 }
                 WriteOp::InsertIgnore(batch) => {
-                    let rows: Vec<Row> = batch.iter().map(flag_row).collect();
+                    let rows: Vec<SharedRow> = batch.iter().map(flag_row).collect();
                     touched.extend(rows.iter().map(|r| r[0].clone()));
                     let mut fresh = 0;
                     for r in &rows {
@@ -644,7 +649,7 @@ proptest! {
                     false
                 }
                 WriteOp::Upsert(batch) => {
-                    let rows: Vec<Row> = batch.iter().map(flag_row).collect();
+                    let rows: Vec<SharedRow> = batch.iter().map(flag_row).collect();
                     touched.extend(rows.iter().map(|r| r[0].clone()));
                     for r in &rows {
                         match model.position(&r[0]) {
@@ -677,7 +682,7 @@ proptest! {
                     prop_assert_eq!(n, model.under(*flag).len());
                     model.update(
                         |r| r[1] == Value::Bool(*flag),
-                        |r| vec![r[0].clone(), Value::Bool(!*flag), r[2].clone()],
+                        |r| [r[0].clone(), Value::Bool(!*flag), r[2].clone()].into(),
                     );
                     false
                 }
@@ -686,19 +691,19 @@ proptest! {
                         .unwrap();
                     model.update(
                         |r| r[0] < Value::Int(*bound),
-                        |r| vec![r[0].clone(), r[1].clone(), Value::Int(*v)],
+                        |r| [r[0].clone(), r[1].clone(), Value::Int(*v)].into(),
                     );
                     false
                 }
                 WriteOp::Rekey { flag, mul, add } => {
-                    let moved = |r: &Row| {
+                    let moved = |r: &SharedRow| {
                         let k = r[0].to_int().unwrap() * mul + add;
-                        vec![Value::Int(k), r[1].clone(), r[2].clone()]
+                        [Value::Int(k), r[1].clone(), r[2].clone()].into()
                     };
-                    let (moving, staying): (Vec<&Row>, Vec<&Row>) = (model.rows.iter())
+                    let (moving, staying): (Vec<&SharedRow>, Vec<&SharedRow>) = (model.rows.iter())
                         .map(|(_, r)| r)
                         .partition(|r| r[1] == Value::Bool(*flag));
-                    let new: Vec<Row> = moving.iter().map(|r| moved(r)).collect();
+                    let new: Vec<SharedRow> = moving.iter().map(|r| moved(r)).collect();
                     touched.extend(new.iter().take(8).map(|r| r[0].clone()));
                     let clash = new.iter().enumerate().any(|(i, r)| {
                         staying.iter().any(|s| s[0] == r[0]) || new[..i].iter().any(|e| e[0] == r[0])
@@ -745,8 +750,8 @@ proptest! {
                     if let Some((tx, saved, dump)) = open.pop() {
                         tx.rollback();
                         prop_assert_eq!(t.state_dump(), dump, "step {}: rollback", step);
-                        let slot_of = |r: &Row| saved.rows[saved.position(&r[0]).unwrap()].0;
-                        let mut rows: Vec<(usize, Row)> = Vec::new();
+                        let slot_of = |r: &SharedRow| saved.rows[saved.position(&r[0]).unwrap()].0;
+                        let mut rows: Vec<(usize, SharedRow)> = Vec::new();
                         for flag in [false, true] {
                             let chain = t.scan_where(&by_flag(flag), None).unwrap().rows;
                             let (mut got, mut want) = (chain.clone(), saved.under(flag));
@@ -938,13 +943,14 @@ fn arb_gen_rows() -> impl Strategy<Value = Vec<GenRow>> {
     })
 }
 
-fn gen_row((k, g, v, s): &GenRow) -> Row {
-    vec![
+fn gen_row((k, g, v, s): &GenRow) -> SharedRow {
+    [
         Value::Int(*k),
         g.map_or(Value::Null, Value::Int),
         v.map_or(Value::Null, |q| Value::Float(q as f64 / 4.0)),
         s.as_deref().map_or(Value::Null, Value::str),
     ]
+    .into()
 }
 
 /// `t` and `u` share the `(k, g, v, s)` shape, keyed on `k`; `t` also
@@ -1261,13 +1267,13 @@ fn gen_plan(db: &Database, values: Plan, picks: Vec<usize>) -> (Plan, Vec<usize>
 
 /// The executor's and the oracle's rows of `plan`, each cut to `cols` and
 /// sorted.
-fn both_paths(plan: &Plan, cols: &[usize], db: &Database) -> (Vec<Row>, Vec<Row>) {
+fn both_paths(plan: &Plan, cols: &[usize], db: &Database) -> (Vec<SharedRow>, Vec<SharedRow>) {
     let canonical = |rel: Relation| {
-        let mut rows: Vec<Row> = (rel.rows.iter())
+        let mut rows: Vec<SharedRow> = (rel.rows.iter())
             .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
             .collect();
         rows.sort_by(|a, b| {
-            let mut cmp = a.iter().zip(b).map(|(x, y)| x.total_cmp(y));
+            let mut cmp = a.iter().zip(b.iter()).map(|(x, y)| x.total_cmp(y));
             cmp.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
         });
         rows
@@ -1318,7 +1324,7 @@ proptest! {
         let before = both_paths(&plan, &cols, &db);
         prop_assert_eq!(&before.0, &before.1, "{:?}", plan);
         let table = db.table("t").unwrap();
-        let rows = |shift: i64| -> Vec<Row> {
+        let rows = |shift: i64| -> Vec<SharedRow> {
             (batch.iter()).map(|(k, g, v, s)| gen_row(&(k + shift, *g, *v, s.clone()))).collect()
         };
         let scope = tx::begin();
@@ -1385,7 +1391,7 @@ fn note_reach(plan: &Plan, db: &Database, seen: &mut Reach) {
         } => {
             if group_by.is_empty() && execute(input, db).unwrap().rows.is_empty() {
                 let out = execute(plan, db).unwrap().rows;
-                for (a, v) in aggs.iter().zip(&out[0]) {
+                for (a, v) in aggs.iter().zip(out[0].iter()) {
                     match (&a.op, v) {
                         (AggOp::Sum(_), Value::Null) => seen.sum_over_no_rows = true,
                         (AggOp::CountStar, Value::Int(0)) => seen.count_over_no_rows = true,

@@ -256,13 +256,15 @@ impl ExternalWorld {
     }
 
     /// Insert rows into a remote table (through the remote database's
-    /// trigger machinery).
-    pub fn remote_insert(
+    /// trigger machinery). An owned [`Row`] is converted into a stored row
+    /// here, once; a [`SharedRow`] is sent as it is.
+    pub fn remote_insert<R: Into<SharedRow>>(
         &self,
         db_name: &str,
         table: &str,
-        rows: Vec<Row>,
+        rows: Vec<R>,
     ) -> StoreResult<Remote<usize>> {
+        let rows = rows.into_iter().map(Into::into).collect();
         self.remote_load(db_name, table, rows, LoadMode::Insert)
     }
 
@@ -274,7 +276,7 @@ impl ExternalWorld {
         &self,
         db_name: &str,
         table: &str,
-        rows: Vec<Row>,
+        rows: Vec<SharedRow>,
         mode: LoadMode,
     ) -> StoreResult<Remote<usize>> {
         let (endpoint, db) = self.db_entry(db_name)?;
@@ -405,7 +407,7 @@ mod tests {
     fn ws_roundtrip() {
         let w = world();
         let schema = RelSchema::of(&[("id", SqlType::Int)]).shared();
-        let rel = Relation::new(schema, vec![vec![Value::Int(7)]]);
+        let rel = Relation::new(schema, vec![[Value::Int(7)].into()]);
         let doc = crate::resultset::encode("x", "t", &rel);
         let up = w.ws_update("beijing", "t", &doc).unwrap();
         assert_eq!(up.value, 1);

@@ -175,10 +175,14 @@ pub fn decode(doc: &Document, schema: &SchemaRef) -> StoreResult<Relation> {
 /// every driver over a tree closes what it opened.
 pub struct RowSink {
     schema: SchemaRef,
-    rows: Vec<Row>,
+    rows: Vec<SharedRow>,
     shape: sax::OneRoot,
-    /// The row being built, while a `<row>` of the root is open.
-    row: Option<Row>,
+    /// The values of the row being built, while a `<row>` of the root is
+    /// open; one buffer for every row, each row stored from it in one
+    /// allocation when it closes.
+    row: Vec<Value>,
+    /// Whether a `<row>` of the root is open and not failed.
+    in_row: bool,
     /// The column of the open field, while a known field of `row` is open.
     field: Option<usize>,
     /// The open field's direct text.
@@ -193,7 +197,8 @@ impl RowSink {
             schema: schema.clone(),
             rows: Vec::new(),
             shape: sax::OneRoot::default(),
-            row: None,
+            row: Vec::new(),
+            in_row: false,
             field: None,
             text: String::new(),
             failed: None,
@@ -213,17 +218,17 @@ impl RowSink {
 
     /// Coerce the open field's text into its column of the open row.
     fn set_field(&mut self, idx: usize) {
-        let (Some(row), Some(col)) = (self.row.as_mut(), self.schema.columns().get(idx)) else {
+        let Some(col) = self.schema.columns().get(idx).filter(|_| self.in_row) else {
             return;
         };
-        match (coerce(&self.text, col.ty), row.get_mut(idx)) {
+        match (coerce(&self.text, col.ty), self.row.get_mut(idx)) {
             (Some(v), Some(slot)) => *slot = v,
             _ => {
                 self.failed = Some(StoreError::SchemaMismatch(format!(
                     "cannot read {:?} as {} for column {}",
                     self.text, col.ty, col.name
                 )));
-                self.row = None;
+                self.in_row = false;
             }
         }
     }
@@ -248,9 +253,11 @@ impl Handler for RowSink {
                 }
             }
             1 if self.failed.is_none() && name == "row" => {
-                self.row = Some(vec![Value::Null; self.schema.len()]);
+                self.row.clear();
+                self.row.resize(self.schema.len(), Value::Null);
+                self.in_row = true;
             }
-            2 if self.row.is_some() => {
+            2 if self.in_row => {
                 let mut columns = self.schema.columns().iter();
                 self.field = columns.position(|c| c.name.eq_ignore_ascii_case(name));
                 self.text.clear();
@@ -269,10 +276,9 @@ impl Handler for RowSink {
 
     fn end(&mut self, _name: &str) -> XmlResult<()> {
         match self.shape.close()? {
-            1 => {
-                if let Some(row) = self.row.take() {
-                    self.rows.push(row);
-                }
+            1 if self.in_row => {
+                self.in_row = false;
+                self.rows.push(self.row.drain(..).collect());
             }
             2 => {
                 if let Some(idx) = self.field.take() {
@@ -342,13 +348,14 @@ mod tests {
         Relation::new(
             schema(),
             vec![
-                vec![
+                [
                     Value::Int(1),
                     Value::Float(9.5),
                     Value::Date(days_from_civil(2008, 4, 7)),
                     Value::str("a<b"),
-                ],
-                vec![Value::Int(2), Value::Null, Value::Null, Value::Null],
+                ]
+                .into(),
+                [Value::Int(2), Value::Null, Value::Null, Value::Null].into(),
             ],
         )
     }

@@ -167,8 +167,8 @@ mod tests {
         let rel = Relation::new(
             schema,
             vec![
-                vec![Value::Int(1), Value::str("dup — skipped")],
-                vec![Value::Int(2), Value::str("nut")],
+                [Value::Int(1), Value::str("dup — skipped")].into(),
+                [Value::Int(2), Value::str("nut")].into(),
             ],
         );
         let doc = resultset::encode("x", "part", &rel);

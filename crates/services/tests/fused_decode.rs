@@ -209,12 +209,7 @@ fn fused_decode_equals_tree_decode_on_every_outcome() {
     // an encoded relation comes back as it went
     let rel = Relation::new(
         schema(),
-        vec![vec![
-            Value::Int(5),
-            Value::Null,
-            Value::Null,
-            Value::Float(0.5),
-        ]],
+        vec![[Value::Int(5), Value::Null, Value::Null, Value::Float(0.5)].into()],
     );
     assert_eq!(
         paths_agree(&identity, &encode("s", "t", &rel)),

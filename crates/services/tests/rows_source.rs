@@ -199,6 +199,7 @@ fn every_pooled_value_sizes_and_decodes_alike() {
                 .collect()
         })
         .chain([vec![Value::Null; COLUMNS.len()]])
+        .map(Into::into)
         .collect();
     let rs = ResultSet::new(LABELS[1], LABELS[2], Relation::new(schema(), rows));
     source_equals_tree(&rs, &[]);
@@ -211,9 +212,9 @@ fn every_pooled_value_sizes_and_decodes_alike() {
 
     // without the dates, every value reads back as itself
     let rows = (rs.rel.rows.iter()).map(|r| {
-        let mut r = r.clone();
+        let mut r = r.to_vec();
         r[3] = Value::Null;
-        r
+        SharedRow::from(r)
     });
     let rel = Relation::new(schema(), rows.collect());
     let no_dates = ResultSet::new("s", "t", rel.clone());
@@ -228,7 +229,7 @@ fn every_pooled_value_sizes_and_decodes_alike() {
                 v => v.clone(),
             })
             .collect();
-        assert_eq!(got, &want);
+        assert_eq!(got[..], want[..]);
     }
 
     // no rows: `<resultSet …/>`

@@ -4,6 +4,7 @@
 //! world the tests inspect.
 
 pub use dip_bench::EngineKind;
+use dip_relstore::row::SharedRow;
 use dipbench::prelude::*;
 
 /// A small, fast configuration for integration tests.
@@ -13,11 +14,7 @@ pub fn test_config() -> BenchConfig {
 
 /// Every row of a table, sorted on all columns — the order-free form the
 /// cross-engine and chaos tests compare.
-pub fn sorted_rows(
-    env: &BenchEnvironment,
-    db: &str,
-    table: &str,
-) -> Vec<Vec<dip_relstore::value::Value>> {
+pub fn sorted_rows(env: &BenchEnvironment, db: &str, table: &str) -> Vec<SharedRow> {
     let mut rel = env.db(db).table(table).expect("table exists").scan();
     let keys: Vec<usize> = (0..rel.schema.len()).collect();
     rel.sort_by_columns(&keys);

@@ -279,3 +279,46 @@ fn a_redeployed_system_runs_like_one_deployed_once() {
         diverged.join("\n")
     );
 }
+
+/// The sources a period writes share their rows with the cached snapshot
+/// the next period refills them from, so a write that reached a shared
+/// row would show in the refill. For every engine: after a full period
+/// (P02 upserts Europe's `cust`, P01 updates Seoul's customers), a wipe
+/// and a refill from the cache leave every table exactly as a fresh
+/// environment's first fill of that period does.
+#[test]
+fn a_cache_hit_refill_after_a_writing_period_matches_a_fresh_fill() {
+    let config = config().with_seed(7);
+    let fresh = BenchEnvironment::new(config).unwrap();
+    fresh.initialize_sources(0).unwrap();
+    let fresh = digest_tables(&fresh.world).unwrap();
+    for spec in &ENGINES {
+        let env = client::run(config, &spec.build).unwrap().env;
+        let written = digest_tables(&env.world).unwrap();
+        for table in ["berlin_paris.cust", "seoul_db.customers"] {
+            assert_ne!(
+                written[table], fresh[table],
+                "{}: no write to {table}",
+                spec.tag
+            );
+        }
+        env.uninitialize().unwrap();
+        env.initialize_sources(0).unwrap();
+        assert_eq!(
+            env.cached_periods(),
+            1,
+            "{}: the refill hit the cache",
+            spec.tag
+        );
+        let refilled = digest_tables(&env.world).unwrap();
+        let differs: Vec<&String> = (fresh.iter())
+            .filter(|(table, digest)| refilled.get(*table) != Some(digest))
+            .map(|(table, _)| table)
+            .collect();
+        assert!(
+            differs.is_empty(),
+            "{}: refilled tables differ: {differs:?}",
+            spec.tag
+        );
+    }
+}
