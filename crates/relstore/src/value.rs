@@ -1,7 +1,8 @@
 //! Typed scalar values and SQL-ish data types.
 //!
-//! `Value` is the unit of data everywhere in the store: rows are vectors of
-//! values, expressions evaluate to values, index keys are tuples of values.
+//! `Value` is the unit of data everywhere in the store: rows are shared
+//! slices of values, expressions evaluate to values, index keys are tuples
+//! of values.
 //! The type system is intentionally small — exactly what the DIPBench
 //! schemas need (integers, decimals stored as `f64`, strings, booleans and
 //! dates) — but total orderings and hashing are defined carefully so that
@@ -42,9 +43,10 @@ impl fmt::Display for SqlType {
 /// values can be sorted and used as B-tree keys: `Null` sorts first, then
 /// booleans, integers/floats (numerically, cross-type), strings and dates.
 ///
-/// Strings are shared (`Arc<str>`): cloning a value — and therefore a row,
-/// an index key tuple, a hash-join build entry or a captured change — bumps
-/// a reference count instead of copying the bytes. Equality, ordering and
+/// Strings are shared (`Arc<str>`): cloning a value — into a new row, an
+/// index key tuple or a hash-join build column — bumps a reference count
+/// instead of copying the bytes. A stored row is shared whole
+/// ([`crate::row::SharedRow`]), so handing one on clones no value at all. Equality, ordering and
 /// hashing all go through the underlying `str`, so the representation is
 /// invisible to join and index semantics.
 #[derive(Debug, Clone)]
