@@ -1096,11 +1096,10 @@ mod tests {
             let mut out = Vec::new();
             chunk.into_rows(&mut out);
             assert_eq!(out, rows, "shape {n}");
-            let mut stored = slots.iter().flatten().chain(&values);
+            let stored = slots.iter().flatten().chain(&values);
             let shared = |r: &SharedRow| stored.clone().any(|s| Arc::ptr_eq(s, r));
             assert_eq!(reads_stored, n >= 3, "shape {n}");
             assert!(out.iter().all(|r| shared(r) == reads_stored), "shape {n}");
-            assert!(stored.all(|s| s.len() == 2));
         }
     }
 

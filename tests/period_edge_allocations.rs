@@ -21,25 +21,27 @@ fn counted() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
-// SAFETY: every call is forwarded unchanged to the system allocator.
+// SAFETY: every call is forwarded unchanged to the system allocator, so
+// each method keeps the contract its caller relies on; counting touches
+// only a thread-local integer and neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         counted();
-        unsafe { System.alloc(layout) }
+        System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         counted();
-        unsafe { System.alloc_zeroed(layout) }
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         counted();
-        unsafe { System.realloc(ptr, layout, new_size) }
+        System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
+        System.dealloc(ptr, layout)
     }
 }
 
