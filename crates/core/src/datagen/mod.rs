@@ -673,6 +673,11 @@ impl SourceSnapshot {
         self.tables.iter().map(|(_, _, rows)| rows.len()).sum()
     }
 
+    /// The number of batches, one per source table per database name.
+    pub fn batches(&self) -> usize {
+        self.tables.len()
+    }
+
     /// Insert every batch into its source table. The sources are expected
     /// to be freshly wiped (the per-period *uninitialize* step); batches
     /// use the same merge-flavoured insert as direct initialization, so

@@ -62,7 +62,7 @@ impl BenchEnvironment {
         // transfers are accounted, never slept: delay is a model quantity
         let mut network =
             topology::dipbench_network(dip_netsim::TransferMode::Accounted, config.seed);
-        topology::apply_fault_plan(&mut network, config.faults);
+        network.set_plan(config.faults);
         let mut world = ExternalWorld::new(Arc::new(network), topology::IS);
         if config.faults.is_active() {
             // waits are accounted, like the transfers: a run never blocks

@@ -283,7 +283,21 @@ mod tests {
         let dat = fig8_dat(&[0.05, 0.1], &[0.5, 1.0, 2.0], 5, 4);
         assert!(dat.contains("d=0.05"));
         assert!(dat.contains("t=2"));
-        // m=4 at t=0.5 → 2*(3)/0.5 = 12 ms
-        assert!(dat.contains("4 12.00"));
+        // left: m decreases in k, larger d gives more instances
+        let (small, big) = (schedule::p01_count(0, 0.05), schedule::p01_count(0, 1.0));
+        assert!(big > small);
+        assert!(big > schedule::p01_count(99, 1.0));
+        let row = |k: u32| {
+            format!(
+                "\n{k} {} {}\n",
+                schedule::p01_count(k, 0.05),
+                schedule::p01_count(k, 0.1)
+            )
+        };
+        assert!(dat.contains(&row(0)) && dat.contains(&row(4)));
+        // right: the first instance starts at 0, and larger t compresses
+        // the schedule: m=4 at t=0.5 → 2*(3)/0.5 = 12 ms
+        assert!(dat.contains("\n1 0.00 0.00 0.00\n"));
+        assert!(dat.contains("\n4 12.00 6.00 3.00\n"));
     }
 }

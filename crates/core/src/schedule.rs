@@ -183,24 +183,6 @@ pub fn period_event_count(k: u32, d: f64) -> usize {
     period_streams(k, d).iter().map(|(_, e)| e.len()).sum()
 }
 
-// ---------------------------------------------------------------------
-// Figure 8 series
-// ---------------------------------------------------------------------
-
-/// Fig. 8 (left): number of executed P01 instances `m` per period `k` for
-/// a given datasize. Returns `(k, m)` pairs.
-pub fn fig8_left(d: f64, periods: u32) -> Vec<(u32, u32)> {
-    (0..periods).map(|k| (k, p01_count(k, d))).collect()
-}
-
-/// Fig. 8 (right): scheduled event time (in milliseconds) of the m-th P01
-/// instance under time scale factor `t`. Returns `(m, millis)` pairs.
-pub fn fig8_right(t: f64, instances: u32) -> Vec<(u32, f64)> {
-    (1..=instances)
-        .map(|m| (m, 2.0 * (m - 1) as f64 / t))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,19 +264,5 @@ mod tests {
         assert!((stream_c()[1].deadline_tu - 10.0).abs() < 1e-9);
         assert_eq!(stream_d()[0].process, "P14");
         assert_eq!(stream_d()[1].process, "P15");
-    }
-
-    #[test]
-    fn fig8_series_shapes() {
-        // left: m decreases in k, larger d gives more instances
-        let small = fig8_left(0.05, 100);
-        let big = fig8_left(1.0, 100);
-        assert!(big[0].1 > small[0].1);
-        assert!(big[0].1 > big[99].1);
-        // right: larger t compresses the schedule
-        let slow = fig8_right(0.5, 10);
-        let fast = fig8_right(2.0, 10);
-        assert!(slow[9].1 > fast[9].1);
-        assert_eq!(fast[0].1, 0.0);
     }
 }

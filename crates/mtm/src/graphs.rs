@@ -502,7 +502,7 @@ impl Picks<'_> {
 
 impl Picks<'_> {
     /// A SELECTION over a relation another step reads again, so that it
-    /// keeps ids over its input: its input then read by a PROJECTION, or
+    /// shares its input's rows: its input then read by a PROJECTION, or
     /// (P14's shape) FORK branches each selecting from one relation and
     /// handing their selection to a loader SUBPROCESS, or one such
     /// selection and loader with the input read again after them.
@@ -824,62 +824,92 @@ fn a_planted_early_custom_move_is_caught() {
     assert!(caught.contains("unbound process variable xml"), "{caught}");
 }
 
-/// The comparison catches ids bound over the wrong relation: a SELECTION
-/// over a relation the observer reads again keeps ids over it, and ids
-/// planted over another variable's relation bind other rows.
-#[test]
-fn a_planted_selection_over_another_relation_is_caught() {
-    let observed = Observed::default();
-    let mut steps = prologue(false);
-    steps.extend([
-        Step::Selection {
-            input: v("a"),
-            predicate: Expr::col(0).gt(Expr::lit(1)),
-            output: v("s"),
-        },
-        observer(vec![v("a"), v("s")], &observed),
-    ]);
-    let def = ProcessDef::new("PLANTED", "planted", 'D', EventType::Timed, steps);
-    validate(&def).unwrap();
-    let selection = &def.steps[def.steps.len() - 2];
-    let deployed = Deployment::of(&def);
-    assert!(!deployed.takes(selection, "a"), "read later: never taken");
-    runs_agree(&def, &deployed, &observed).unwrap();
-    let planted = Deployment::of(&def).rebasing(selection, "b");
-    let caught = runs_agree(&def, &planted, &observed).unwrap_err();
-    assert!(
-        !caught.contains("Err("),
-        "both runs end, with other rows: {caught}"
-    );
+/// Where a SELECTION over a shared input ran, and whether every row it
+/// bound is one of its input's rows, the same allocation.
+type Sharing = Arc<Mutex<Vec<(&'static str, bool)>>>;
+
+/// `steps` (a list at `at`) with a check after every SELECTION that no
+/// plan-wrapping step after it could fuse and that binds another name
+/// than it reads: the check reads the input again, so the selection
+/// runs over a shared input, and records into `sharing` whether the rows
+/// it bound are its input's own.
+fn sharing_checked(steps: &[Step], at: &'static str, sharing: &Sharing) -> Vec<Step> {
+    let fusible = |n: &Step| {
+        matches!(
+            n,
+            Step::Selection { .. } | Step::Projection { .. } | Step::UnionDistinct { .. }
+        )
+    };
+    let mut out = Vec::new();
+    for (k, step) in steps.iter().enumerate() {
+        let mut step = step.clone();
+        match &mut step {
+            Step::Switch { cases, default, .. } => {
+                for case in cases {
+                    case.steps = sharing_checked(&case.steps, "nested", sharing);
+                }
+                *default = sharing_checked(default, "nested", sharing);
+            }
+            Step::Fork { branches } => {
+                for branch in branches {
+                    *branch = sharing_checked(branch, "fork branch", sharing);
+                }
+            }
+            Step::Subprocess { process, .. } => {
+                let steps = sharing_checked(&process.steps, "nested", sharing);
+                let (id, name) = (&process.id, &process.name);
+                *process = Arc::new(ProcessDef::new(id, name, 'D', EventType::Timed, steps));
+            }
+            _ => {}
+        }
+        let next = steps.get(k + 1);
+        let check = match &step {
+            Step::Selection { input, output, .. }
+                if input != output && !next.is_some_and(fusible) =>
+            {
+                let handed =
+                    |n: &Step| matches!(n, Step::Subprocess { input: Some(i), .. } if i == output);
+                let at = if next.is_some_and(handed) {
+                    "subprocess input"
+                } else {
+                    at
+                };
+                let seen = sharing.clone();
+                Some(Step::Custom {
+                    name: v("check_sharing"),
+                    reads: vec![input.clone(), output.clone()],
+                    binds: vec![],
+                    f: Arc::new(move |inputs| {
+                        let (input, output) = (inputs[0].as_rel()?, inputs[1].as_rel()?);
+                        let own = |r: &SharedRow| input.rows.iter().any(|i| Arc::ptr_eq(i, r));
+                        if !output.is_empty() {
+                            seen.lock().unwrap().push((at, output.rows.iter().all(own)));
+                        }
+                        Ok(vec![])
+                    }),
+                })
+            }
+            _ => None,
+        };
+        out.push(step);
+        out.extend(check);
+    }
+    out
 }
 
 /// The generator reaches what it is for: in the first cases' graphs every
-/// fused pair kind and every move occurs, a SELECTION keeps ids over a
-/// shared relation at the top level, in a FORK branch and for a
-/// SUBPROCESS's input, and graphs validate.
+/// fused pair kind and every move occurs, and graphs validate. A SELECTION
+/// over a shared input at the top level, in a FORK branch and for a
+/// SUBPROCESS's input binds its input's own rows: no value copied.
 #[test]
 fn generated_graphs_fuse_every_pair_kind() {
     use crate::process::Nested;
-    /// Fused pairs by kind, whether a `CUSTOM` edit took its input, and
-    /// where a SELECTION kept ids over a relation it could not take.
-    type Seen = (
-        Vec<(&'static str, &'static str)>,
-        Vec<bool>,
-        Vec<&'static str>,
-    );
-    fn walk(steps: &[Step], table: &Deployment, seen: &mut Seen, at: &'static str) {
+    /// Fused pairs by kind, and whether a `CUSTOM` edit took its input.
+    type Seen = (Vec<(&'static str, &'static str)>, Vec<bool>);
+    fn walk(steps: &[Step], table: &Deployment, seen: &mut Seen) {
         for (step, next) in steps.iter().zip(steps.iter().skip(1)) {
             if table.fuses(step) {
                 seen.0.push((step.kind().0, next.kind().0));
-            }
-            if let Step::Selection { input, output, .. } = step {
-                let picks = !table.fuses(step) && !table.takes(step, input);
-                let handed = matches!(next, Step::Subprocess { input: Some(i), .. } if i == output);
-                match (picks, handed) {
-                    (true, true) => seen.2.push("subprocess input"),
-                    (true, false) => seen.2.push(at),
-                    _ => {}
-                }
             }
         }
         for step in steps {
@@ -889,22 +919,18 @@ fn generated_graphs_fuse_every_pair_kind() {
                 }
             }
             match step.facts().nested {
-                Some(Nested::Alternatives(lists)) => {
+                Some(Nested::Alternatives(lists) | Nested::Parallel(lists)) => {
                     for (_, list) in lists {
-                        walk(list, table, seen, "nested");
+                        walk(list, table, seen);
                     }
                 }
-                Some(Nested::Parallel(lists)) => {
-                    for (_, list) in lists {
-                        walk(list, table, seen, "fork branch");
-                    }
-                }
-                Some(Nested::Call(process)) => walk(&process.steps, table, seen, "nested"),
+                Some(Nested::Call(process)) => walk(&process.steps, table, seen),
                 None => {}
             }
         }
     }
     let mut seen = Seen::default();
+    let sharing = Sharing::default();
     let mut valid = 0;
     let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
     for _ in 0..256 {
@@ -919,13 +945,26 @@ fn generated_graphs_fuse_every_pair_kind() {
         let def = graph(&picks, &Observed::default());
         if validate(&def).is_ok() {
             valid += 1;
-            walk(&def.steps, &Deployment::of(&def), &mut seen, "top level");
+            walk(&def.steps, &Deployment::of(&def), &mut seen);
+            let steps = sharing_checked(&def.steps, "top level", &sharing);
+            let checked = ProcessDef::new("GEN", "checked", 'D', EventType::Timed, steps);
+            validate(&checked).unwrap();
+            run(&checked, &Deployment::of(&checked), &Observed::default());
         }
     }
     assert!(valid > 128, "{valid} of 256 graphs validate");
-    let (fused, edits, picked) = seen;
+    let (fused, edits) = seen;
+    let sharing = sharing.lock().unwrap();
     for at in ["top level", "fork branch", "subprocess input"] {
-        assert!(picked.contains(&at), "no selection kept ids at {at}");
+        let ran: Vec<bool> = (sharing.iter())
+            .filter(|(place, _)| *place == at)
+            .map(|(_, own)| *own)
+            .collect();
+        assert!(!ran.is_empty(), "no selection over a shared input at {at}");
+        assert!(
+            ran.iter().all(|own| *own),
+            "a selection at {at} copied rows"
+        );
     }
     assert!(edits.contains(&true), "no edit was moved its input");
     assert!(edits.contains(&false), "no edit shared its input");

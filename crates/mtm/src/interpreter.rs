@@ -46,14 +46,11 @@
 //! custom edit of a document nothing else reads — P04's enrichment —
 //! happens in place.
 //!
-//! A `SELECTION` that neither takes its input nor is fused shares its
-//! input's rows: it runs its filter on the executor and binds the ids of
-//! the rows that pass over the input's relation ([`MtmMessage::Picked`]).
-//! The steps after it read those rows in place through their `Values`
-//! leaves; P14's loaders project their narrow rows straight from the
-//! shared `sales` relation. Whoever needs owned rows copies the picked
-//! ones, once: a `DB_INSERT`, and a `RelToXml` or `CUSTOM` reading them
-//! through `as_rel`.
+//! Every relational step runs one way: a plan over `Values` leaves that
+//! hold its inputs' relations, taken or shared. A `SELECTION` binds the
+//! rows that pass as they are, the input's own shared rows, so one over
+//! a relation another binding still reads (P14's three FORK branches all
+//! select from `sales`) copies no value either.
 
 use crate::context::VarStore;
 use crate::cost::{run_branches, CostCategory, InstanceCosts};
@@ -150,7 +147,7 @@ impl<'a> Interpreter<'a> {
         owned.ok_or_else(|| MtmError::UnboundVariable(name.to_string()))
     }
 
-    /// The relation bound to `name`, unbound from the store when `step`
+    /// The message bound to `name`, unbound from the store when `step`
     /// reads it last and no other binding shares it; `None` leaves the
     /// store as it was (a FORK branch never unbinds what it inherited: the
     /// parent's binding shares it).
@@ -160,14 +157,10 @@ impl<'a> Interpreter<'a> {
         step: &Step,
         name: &str,
     ) -> Option<MtmMessage> {
-        Self::reads_unshared_last(vars, last, step, name)
+        let unshared = vars.get(name).is_some_and(MtmMessage::unshared);
+        (unshared && last.takes(step, name))
             .then(|| vars.take(name))
             .flatten()
-    }
-
-    /// Whether `step` reads `name` last and no other binding shares it.
-    fn reads_unshared_last(vars: &VarStore, last: &Deployment, step: &Step, name: &str) -> bool {
-        vars.get(name).is_some_and(MtmMessage::unshared) && last.takes(step, name)
     }
 
     /// The plan a relational step reads as `name`: the plan the step
@@ -188,11 +181,11 @@ impl<'a> Interpreter<'a> {
         {
             return Ok(plan);
         }
-        let view = match Self::take_last(vars, last, step, name) {
-            Some(taken) => taken.view()?,
-            None => Self::get(vars, name)?.view()?,
+        let rel = match Self::take_last(vars, last, step, name) {
+            Some(taken) => taken,
+            None => Self::get(vars, name)?.clone(),
         };
-        Ok(Plan::Values(view))
+        Ok(Plan::Values(rel.into_rel()?))
     }
 
     /// Finish a relational step: hand its plan to the next step when the
@@ -423,22 +416,9 @@ impl<'a> Interpreter<'a> {
                 predicate,
                 output,
             } => {
-                // over rows another binding still reads, keep the ids of
-                // the rows that pass instead of copying them
-                let planned = handoff.as_ref().is_some_and(|h| h.var == input)
-                    || last.fuses(step)
-                    || Self::reads_unshared_last(vars, last, step, input);
-                if planned {
-                    let input = Self::values(vars, last, step, input, &mut handoff)?;
-                    let plan = input.filter(predicate.clone());
-                    next = Self::bind_plan(vars, last, step, plan, output)?;
-                } else {
-                    let view = Self::get(vars, input)?.view()?;
-                    let picked = execute_selection(view, predicate.clone(), &NO_TABLES)?;
-                    #[cfg(test)]
-                    let picked = last.rebased(step, vars, picked);
-                    vars.set(output.clone(), MtmMessage::picked(picked));
-                }
+                let input = Self::values(vars, last, step, input, &mut handoff)?;
+                let plan = input.filter(predicate.clone());
+                next = Self::bind_plan(vars, last, step, plan, output)?;
                 charge(LOCAL);
             }
             Step::Projection {
@@ -588,7 +568,7 @@ impl<'a> Interpreter<'a> {
                     Err(_) => Value::str(text),
                 })
             }
-            MtmMessage::Rel(_) | MtmMessage::Picked(_) => Err(MtmError::Custom(
+            MtmMessage::Rel(_) => Err(MtmError::Custom(
                 "SWITCH input must be XML or scalar".into(),
             )),
         }
@@ -669,10 +649,6 @@ impl EventSource for XmlSource<'_> {
 pub(crate) struct Deployment {
     last: Vec<(usize, String)>,
     fused: Vec<usize>,
-    /// Planted by a test: SELECTIONs that bind their ids over another
-    /// variable's relation.
-    #[cfg(test)]
-    rebased: Vec<(usize, String)>,
 }
 
 impl Deployment {
@@ -702,27 +678,6 @@ impl Deployment {
         self.last.push((address(step), var.to_string()));
         self.last.sort_unstable();
         self
-    }
-
-    /// This table with `step`, a SELECTION over a shared input, binding
-    /// the ids it picked over the relation bound to `var`.
-    #[cfg(test)]
-    pub(crate) fn rebasing(mut self, step: &Step, var: &str) -> Deployment {
-        self.rebased.push((address(step), var.to_string()));
-        self
-    }
-
-    /// `picked` as `step` binds it: over the relation a test planted.
-    #[cfg(test)]
-    fn rebased(&self, step: &Step, vars: &VarStore, picked: View) -> View {
-        let planted = self.rebased.iter().find(|(at, _)| *at == address(step));
-        match planted.and_then(|(_, var)| vars.get(var)?.view().ok()) {
-            Some(other) => View {
-                base: other.base,
-                ..picked
-            },
-            None => picked,
-        }
     }
 
     pub(crate) fn takes(&self, step: &Step, var: &str) -> bool {

@@ -461,11 +461,7 @@ fn join_step_at_size_matches_the_oracle_and_shares_its_inputs() {
             output: "j".into(),
         },
     ]);
-    let plan = Plan::Values(left.clone().into()).hash_join(
-        Plan::Values(right.clone().into()),
-        vec![1],
-        vec![0],
-    );
+    let plan = Plan::Values(left.clone()).hash_join(Plan::Values(right.clone()), vec![1], vec![0]);
     let joined = vars.get("j").unwrap().as_rel().unwrap();
     assert_eq!(joined, &oracle(plan));
     assert_eq!(joined.len(), 15_834);

@@ -77,9 +77,10 @@ pub enum Verdict {
 /// link (IS ↔ external systems; local ES-internal links never fault — they
 /// model intra-machine traffic), scheduled from the run's seed, plus the
 /// instance-level failures of the crash gate. A run is its config: the
-/// plan travels inside it and [`crate::topology::apply_fault_plan`] hands
-/// it to that run's [`crate::Network`], so runs in one process never see
-/// each other's crash.
+/// plan travels inside it and [`crate::Network::set_plan`] hands it to
+/// that run's network, so runs in one process never see each other's
+/// crash. Only the legs between the integration system and an endpoint
+/// are ever judged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     pub model: FaultModel,

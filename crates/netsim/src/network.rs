@@ -50,21 +50,34 @@ pub struct NetStats {
     pub total_delay: Duration,
 }
 
+/// Per-link settings: `from` → `to` → setting, so a lookup borrows both
+/// names and builds no key.
+type PerLink<T> = HashMap<String, HashMap<String, T>>;
+
+fn set_per_link<T>(map: &mut PerLink<T>, from: &str, to: &str, value: T) {
+    let to_map = map.entry(from.to_string()).or_default();
+    to_map.insert(to.to_string(), value);
+}
+
+fn per_link<T: Copy>(map: &PerLink<T>, from: &str, to: &str) -> Option<T> {
+    map.get(from)?.get(to).copied()
+}
+
 /// The simulated network.
 pub struct Network {
-    links: HashMap<(String, String), LinkSpec>,
+    links: PerLink<LinkSpec>,
     default_link: LinkSpec,
     rng: Mutex<StdRng>,
     stats: Mutex<NetStats>,
-    /// Per-link fault models, overriding `default_fault`.
-    fault_links: HashMap<(String, String), FaultModel>,
-    default_fault: FaultModel,
+    /// Per-link fault models, overriding the plan's model.
+    fault_links: PerLink<FaultModel>,
     /// Seed component of every fault-identity hash. Kept separate from the
     /// latency RNG: fault evaluation never consumes latency randomness, so
     /// a fault-free plan leaves delay sequences byte-identical.
     fault_seed: u64,
-    /// What the run injects. The crash, the abort and the rollback-off
-    /// switch are read from here; the link model is installed above.
+    /// What the run injects: its model is every link's without an entry
+    /// in `fault_links`, and the crash, the abort and the rollback-off
+    /// switch are read from here.
     plan: FaultPlan,
     /// The only run-time state of crash injection: whether the planned
     /// crash has fired, and the high-water mark of step ordinals seen on
@@ -91,7 +104,6 @@ impl Network {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             stats: Mutex::new(NetStats::default()),
             fault_links: HashMap::new(),
-            default_fault: FaultModel::NONE,
             fault_seed: seed,
             plan: FaultPlan::NONE,
             crash_tripped: AtomicBool::new(false),
@@ -101,7 +113,7 @@ impl Network {
 
     /// Configure a directed link between two endpoints.
     pub fn set_link(&mut self, from: &str, to: &str, spec: LinkSpec) {
-        self.links.insert((from.to_string(), to.to_string()), spec);
+        set_per_link(&mut self.links, from, to, spec);
     }
 
     /// Configure the link in both directions.
@@ -111,33 +123,25 @@ impl Network {
     }
 
     fn link(&self, from: &str, to: &str) -> LinkSpec {
-        self.links
-            .get(&(from.to_string(), to.to_string()))
-            .copied()
-            .unwrap_or(self.default_link)
+        per_link(&self.links, from, to).unwrap_or(self.default_link)
     }
 
-    /// Set the fault model of a directed link, overriding the default.
+    /// Set the fault model of a directed link, overriding the plan's.
     pub fn set_fault_model(&mut self, from: &str, to: &str, model: FaultModel) {
-        self.fault_links
-            .insert((from.to_string(), to.to_string()), model);
-    }
-
-    /// Fault model applied to every link without an explicit entry.
-    pub fn set_default_fault_model(&mut self, model: FaultModel) {
-        self.default_fault = model;
+        set_per_link(&mut self.fault_links, from, to, model);
     }
 
     /// Whether any link of this network can fault. Callers use this to
     /// keep the happy path entirely outside the resilience machinery.
     pub fn has_faults(&self) -> bool {
-        self.default_fault.is_active() || self.fault_links.values().any(|m| m.is_active())
+        self.plan.model.is_active()
+            || (self.fault_links.values())
+                .flat_map(HashMap::values)
+                .any(|m| m.is_active())
     }
 
     fn fault_model(&self, from: &str, to: &str) -> FaultModel {
-        (self.fault_links.get(&(from.to_string(), to.to_string())))
-            .copied()
-            .unwrap_or(self.default_fault)
+        per_link(&self.fault_links, from, to).unwrap_or(self.plan.model)
     }
 
     /// Decide the fate of one transfer leg of one attempt of operation
@@ -160,8 +164,8 @@ impl Network {
         model.verdict(identity)
     }
 
-    /// Give the network its run's plan ([`crate::topology::apply_fault_plan`]
-    /// also installs the plan's link model).
+    /// Give the network its run's plan; its model becomes the fault model
+    /// of every link without one of its own.
     pub fn set_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
     }
@@ -294,8 +298,8 @@ mod tests {
     #[test]
     fn fault_verdicts_are_deterministic_per_link() {
         let mut n = net();
-        n.set_default_fault_model(FaultModel::drops(0.5));
-        n.set_fault_model("a", "c", FaultModel::drops(0.0)); // overrides the default
+        n.set_plan(FaultPlan::drops(0.5));
+        n.set_fault_model("a", "c", FaultModel::drops(0.0)); // overrides the plan's
         assert!(n.has_faults());
         let op = OpKey::synthetic(99);
         // a clean link never faults

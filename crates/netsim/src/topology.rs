@@ -6,7 +6,6 @@
 //! toolsuite) — connected over a *wireless* network. Endpoint names used
 //! throughout the workspace are defined here so every crate agrees on them.
 
-use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::network::{LinkSpec, Network, TransferMode};
 
@@ -69,15 +68,6 @@ pub fn dipbench_network(_mode: TransferMode, seed: u64) -> Network {
         }
     }
     net
-}
-
-/// Apply a run's fault plan to the benchmark network: the network keeps
-/// the plan (its crash, abort and rollback-off switch are read from there),
-/// and its link model becomes the default of every link. Only the legs
-/// between the integration system and an endpoint are ever judged.
-pub fn apply_fault_plan(net: &mut Network, plan: FaultPlan) {
-    net.set_plan(plan);
-    net.set_default_fault_model(plan.model);
 }
 
 #[cfg(test)]

@@ -14,8 +14,24 @@ use crate::row::{Relation, SharedRow};
 use crate::table::Table;
 use crate::value::Value;
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The case rule of every name a catalog (or a registry of endpoints)
+/// keys by: the name lowercased, borrowed as it is when lowercasing
+/// would not change it (ASCII without an uppercase letter), so a lookup
+/// allocates nothing for a name written in lowercase.
+pub fn folded(name: &str) -> Cow<'_, str> {
+    if name
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+    {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(name.to_lowercase())
+    }
+}
 
 /// An INSERT trigger body: receives the database and the just-inserted rows
 /// (the `inserted` logical table of the paper's Fig. 9a).
@@ -35,7 +51,7 @@ struct Trigger {
 pub struct Database {
     pub name: String,
     tables: RwLock<HashMap<String, Arc<Table>>>,
-    triggers: RwLock<HashMap<String, Vec<Trigger>>>,
+    triggers: RwLock<HashMap<String, Arc<Vec<Trigger>>>>,
     procs: RwLock<HashMap<String, Arc<ProcFn>>>,
     views: RwLock<HashMap<String, Arc<MatView>>>,
 }
@@ -66,24 +82,26 @@ impl Database {
         // `into_shared` arms the table's transaction machinery: catalog
         // tables always participate in undo-logged scopes.
         let t = table.into_shared();
-        self.tables.write().insert(t.name.to_lowercase(), t.clone());
+        self.tables
+            .write()
+            .insert(folded(&t.name).into(), t.clone());
         t
     }
 
     pub fn table(&self, name: &str) -> StoreResult<Arc<Table>> {
         self.tables
             .read()
-            .get(&name.to_lowercase())
+            .get(folded(name).as_ref())
             .cloned()
             .ok_or_else(|| StoreError::NoSuchTable(format!("{}.{}", self.name, name)))
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().contains_key(&name.to_lowercase())
+        self.tables.read().contains_key(folded(name).as_ref())
     }
 
     pub fn drop_table(&self, name: &str) -> bool {
-        self.tables.write().remove(&name.to_lowercase()).is_some()
+        self.tables.write().remove(folded(name).as_ref()).is_some()
     }
 
     pub fn table_names(&self) -> Vec<String> {
@@ -101,18 +119,13 @@ impl Database {
     /// stored, shared.
     pub fn insert_into(&self, table: &str, rows: Vec<SharedRow>) -> StoreResult<usize> {
         let t = self.table(table)?;
-        let triggers: Vec<Trigger> = self
-            .triggers
-            .read()
-            .get(&table.to_lowercase())
-            .cloned()
-            .unwrap_or_default();
-        if triggers.is_empty() {
+        let triggers = self.triggers.read().get(folded(table).as_ref()).cloned();
+        let Some(triggers) = triggers else {
             return t.insert(rows);
-        }
+        };
         let fired_rows = rows.clone();
         let n = t.insert(rows)?;
-        for tr in triggers {
+        for tr in triggers.iter() {
             (tr.body)(self, &fired_rows).map_err(|e| match e {
                 // transport faults stay typed across the trigger boundary so
                 // callers can still classify the failure as transient
@@ -141,7 +154,7 @@ impl Database {
             body,
         };
         let mut triggers = self.triggers.write();
-        let on_table = triggers.entry(table.to_lowercase()).or_default();
+        let on_table = Arc::make_mut(triggers.entry(folded(table).into()).or_default());
         match (on_table.iter_mut()).find(|t| t.name.eq_ignore_ascii_case(&trigger.name)) {
             Some(existing) => *existing = trigger,
             None => on_table.push(trigger),
@@ -151,7 +164,7 @@ impl Database {
 
     /// Register a stored procedure.
     pub fn create_procedure(&self, name: impl Into<String>, body: Arc<ProcFn>) {
-        self.procs.write().insert(name.into().to_lowercase(), body);
+        self.procs.write().insert(folded(&name.into()).into(), body);
     }
 
     /// Execute a stored procedure by name.
@@ -159,7 +172,7 @@ impl Database {
         let p = self
             .procs
             .read()
-            .get(&name.to_lowercase())
+            .get(folded(name).as_ref())
             .cloned()
             .ok_or_else(|| StoreError::NoSuchProcedure(name.to_string()))?;
         p(self, args)
@@ -168,14 +181,14 @@ impl Database {
     /// Register a materialized view (storage table must already exist).
     pub fn create_view(&self, view: MatView) -> Arc<MatView> {
         let v = Arc::new(view);
-        self.views.write().insert(v.name.to_lowercase(), v.clone());
+        self.views.write().insert(folded(&v.name).into(), v.clone());
         v
     }
 
     pub fn view(&self, name: &str) -> StoreResult<Arc<MatView>> {
         self.views
             .read()
-            .get(&name.to_lowercase())
+            .get(folded(name).as_ref())
             .cloned()
             .ok_or_else(|| StoreError::NoSuchView(name.to_string()))
     }

@@ -51,10 +51,8 @@ pub mod prelude {
     pub use crate::error::{StoreError, StoreResult, TransportFault, TransportKind};
     pub use crate::expr::{CmpOp, Expr};
     pub use crate::mview::MatView;
-    pub use crate::query::{
-        execute, execute_oracle, execute_selection, AggExpr, AggOp, Plan, ProjExpr,
-    };
-    pub use crate::row::{try_row, Relation, Row, SharedRow, View};
+    pub use crate::query::{execute, execute_oracle, AggExpr, AggOp, Plan, ProjExpr};
+    pub use crate::row::{try_row, Relation, Row, SharedRow};
     pub use crate::schema::{Column, RelSchema, SchemaRef};
     pub use crate::table::{Change, Table};
     pub use crate::tx;

@@ -352,21 +352,11 @@ impl RowAccess for EvalRow<'_, '_> {
 type ChunkSink<'s> = dyn for<'t> FnMut(Chunk<'t>) -> StoreResult<()> + 's;
 
 /// Hand `rows` on in chunks of at most [`CHUNK_ROWS`], read in place:
-/// every column of a chunk gathers through one index of row positions —
-/// `ids`, a chunk at a time, or all of `rows` in order.
-fn emit_rows(
-    rows: &[SharedRow],
-    ids: Option<&[u32]>,
-    width: usize,
-    sink: &mut ChunkSink,
-) -> StoreResult<()> {
-    let n = ids.map_or(rows.len(), <[u32]>::len);
-    for start in (0..n).step_by(CHUNK_ROWS) {
-        let end = n.min(start + CHUNK_ROWS);
-        let idx = Arc::new(match ids {
-            Some(ids) => ids.get(start..end).unwrap_or_default().to_vec(),
-            None => (start as u32..end as u32).collect(),
-        });
+/// every column of a chunk gathers through one index of row positions.
+fn emit_rows(rows: &[SharedRow], width: usize, sink: &mut ChunkSink) -> StoreResult<()> {
+    for start in (0..rows.len()).step_by(CHUNK_ROWS) {
+        let end = rows.len().min(start + CHUNK_ROWS);
+        let idx = Arc::new((start as u32..end as u32).collect::<Vec<_>>());
         let cols = (0..width).map(|col| Col::Gather {
             src: Src::Values { rows, col },
             idx: idx.clone(),
@@ -450,28 +440,6 @@ pub(crate) fn materialize_chunked(plan: &Plan, db: &Database) -> StoreResult<Rel
         Ok(())
     })?;
     Ok(Relation::new(schema, rows))
-}
-
-/// Run `Filter(Values(view))` as [`materialize_chunked`] runs a plan,
-/// collecting where each kept row sits in the view's relation instead of
-/// copying it: every column of a `Values` chunk gathers through those
-/// positions ([`emit_rows`]), and the filter passes the columns on. Rows
-/// without columns are all alike, so position 0 stands for each of them.
-pub(crate) fn selected_ids(plan: &Plan, db: &Database) -> StoreResult<Vec<u32>> {
-    plan.schema(db)?;
-    let mut ids: Vec<u32> = Vec::new();
-    drive(plan, db, &mut |c: Chunk| {
-        match c.cols.first() {
-            Some(Col::Gather {
-                src: Src::Values { .. },
-                idx,
-            }) => ids.extend((0..c.live()).filter_map(|k| idx.get(c.idx(k)).copied())),
-            Some(_) => return Err(StoreError::Invalid("not a selection over values".into())),
-            None => ids.extend(std::iter::repeat_n(0, c.live())),
-        }
-        Ok(())
-    })?;
-    Ok(ids)
 }
 
 /// Drive `input`'s chunks into `consume`, the chunk-consuming body of
@@ -592,10 +560,9 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                 })
             })
         }
-        Plan::Values(view) => {
-            let view = checked_values(view)?;
-            let width = view.schema().len();
-            emit_rows(&view.base.rows, view.ids.as_deref(), width, sink)
+        Plan::Values(rel) => {
+            let rel = checked_values(rel)?;
+            emit_rows(&rel.rows, rel.schema.len(), sink)
         }
         Plan::Filter { input, predicate } => feed(plan, input, db, &mut |c: Chunk| {
             let mut sel: Vec<u32> = Vec::with_capacity(c.live());
@@ -927,7 +894,7 @@ fn exec_chunks(plan: &Plan, db: &Database, sink: &mut ChunkSink) -> StoreResult<
                     key.into_iter().chain(finished).collect()
                 })
                 .collect();
-            emit_rows(&rows, None, group_by.len() + aggs.len(), sink)
+            emit_rows(&rows, group_by.len() + aggs.len(), sink)
         }
     }
 }

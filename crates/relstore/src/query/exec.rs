@@ -26,10 +26,9 @@
 
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
-use crate::expr::Expr;
 use crate::index::key_of;
 use crate::query::plan::{AggOp, Plan};
-use crate::row::{try_row, Relation, SharedRow, View};
+use crate::row::{try_row, Relation, SharedRow};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -79,37 +78,16 @@ pub(crate) fn index_join_equivalent(
         .hash_join(Plan::scan(table), probe_keys.to_vec(), inner_keys.to_vec())
 }
 
-/// A [`Plan::Values`] leaf's view, checked before either path reads a
-/// row: a row narrower or wider than the schema, or an id past the
-/// relation's rows, is [`StoreError::Invalid`].
-pub(crate) fn checked_values(view: &View) -> StoreResult<&View> {
-    let width = view.schema().len();
-    let rows = &view.base.rows;
-    let wrong = |row: Option<&SharedRow>| row.is_none_or(|r| r.len() != width);
-    let bad = match &view.ids {
-        None => rows.iter().position(|r| wrong(Some(r))),
-        Some(ids) => ids.iter().position(|&id| wrong(rows.get(id as usize))),
-    };
-    match bad {
+/// A [`Plan::Values`] leaf's relation, checked before either path reads a
+/// row: a row narrower or wider than the schema is [`StoreError::Invalid`].
+pub(crate) fn checked_values(rel: &Relation) -> StoreResult<&Relation> {
+    let width = rel.schema.len();
+    match rel.rows.iter().position(|r| r.len() != width) {
         Some(i) => Err(StoreError::Invalid(format!(
             "values row {i} is not {width} columns wide"
         ))),
-        None => Ok(view),
+        None => Ok(rel),
     }
-}
-
-/// Run `Filter(Values(view))` through the batch executor as [`execute`]
-/// runs it, keeping the filter's selection vector instead of copying the
-/// rows: the kept rows as a view over `view`'s relation.
-pub fn execute_selection(view: View, predicate: Expr, db: &Database) -> StoreResult<View> {
-    let base = view.base.clone();
-    let plan = Plan::Values(view).filter(predicate);
-    let optimized = crate::query::planner::optimize(plan, db)?;
-    let ids = super::batch::selected_ids(&optimized, db)?;
-    Ok(View {
-        base,
-        ids: Some(ids.into()),
-    })
 }
 
 /// Execute `plan` as written through the naive materializing interpreter —
@@ -151,7 +129,7 @@ fn oracle(plan: &Plan, db: &Database) -> StoreResult<Relation> {
                 },
             }
         }
-        Plan::Values(view) => Ok(checked_values(view)?.clone().into_relation()),
+        Plan::Values(rel) => Ok(checked_values(rel)?.clone()),
         Plan::Filter { input, predicate } => {
             let rel = oracle(input, db)?;
             let mut rows = Vec::new();

@@ -7,7 +7,7 @@ pub mod exec;
 pub mod plan;
 pub mod planner;
 
-pub use exec::{execute, execute_oracle, execute_selection};
+pub use exec::{execute, execute_oracle};
 pub use plan::{AggExpr, AggOp, Plan, ProjExpr};
 
 #[cfg(test)]
@@ -804,35 +804,22 @@ mod tests {
         }
     }
 
-    /// A selection over a view keeps the positions of the rows that pass
-    /// in the view's relation, across chunk boundaries and over positions
-    /// picked before: read back, they are the filter's output, and a plan
-    /// reads them as a `Values` leaf would read those rows. A position past
-    /// the relation is invalid on both paths.
+    /// A filter over a `Values` leaf hands on the leaf's own rows, across
+    /// chunk boundaries and through a second filter, and a plan reads
+    /// them as it reads the rows of the filtered plan.
     #[test]
-    fn a_selection_over_a_view_keeps_positions_in_its_relation() {
+    fn a_filter_over_values_shares_the_rows_it_keeps() {
         let db = db();
         let schema = RelSchema::of(&[("a", SqlType::Int), ("b", SqlType::Int)]).shared();
         let rows = (0..2500).map(|i| vec![int(i), int(i % 7)]);
         let rel = Arc::new(Relation::new(schema, rows.map(Into::into).collect()));
-        let (sevens, high) = (
-            Expr::col(1).eq(Expr::lit(3)),
-            Expr::col(0).gt(Expr::lit(1000)),
-        );
-        let filtered = |p: Plan| p.run(&db).unwrap().rows;
-        let first = execute_selection(rel.clone().into(), sevens.clone(), &db).unwrap();
-        assert!(Arc::ptr_eq(&first.base, &rel), "no copy of the relation");
-        let all = Plan::Values(rel.clone().into()).filter(sevens);
-        assert_eq!(
-            first.rows().cloned().collect::<Vec<_>>(),
-            filtered(all.clone())
-        );
-        let second = execute_selection(first, high.clone(), &db).unwrap();
-        let both = all.filter(high);
-        assert_eq!(
-            second.rows().cloned().collect::<Vec<_>>(),
-            filtered(both.clone())
-        );
+        let both = Plan::Values(rel.clone())
+            .filter(Expr::col(1).eq(Expr::lit(3)))
+            .filter(Expr::col(0).gt(Expr::lit(1000)));
+        let kept = both.run(&db).unwrap();
+        assert_eq!(kept.len(), 214);
+        let shared = |r: &SharedRow| rel.rows.iter().any(|s| Arc::ptr_eq(s, r));
+        assert!(kept.rows.iter().all(shared), "no row copied");
         let doubled = |input: Plan| {
             let twice = Expr::Apply(
                 Arc::new(|a: &[Value]| Ok(int(a[0].to_int().unwrap_or(0) * 2))),
@@ -840,19 +827,9 @@ mod tests {
             );
             input.project(vec![ProjExpr::new(twice, "a2", SqlType::Int)])
         };
-        let read = doubled(Plan::Values(second));
-        assert_eq!(filtered(read.clone()), filtered(doubled(both)));
+        let read = doubled(Plan::Values(kept.into()));
+        assert_eq!(read.run(&db).unwrap(), doubled(both).run(&db).unwrap());
         assert_eq!(read.run(&db), read.run_oracle(&db));
-        let past = Plan::Values(crate::row::View {
-            base: rel,
-            ids: Some(vec![0, 2500].into()),
-        });
-        let executed = execute(&past, &db);
-        assert!(
-            matches!(&executed, Err(crate::error::StoreError::Invalid(_))),
-            "{executed:?}"
-        );
-        assert_eq!(executed, execute_oracle(&past, &db));
     }
 
     /// Scans read their table's slots in place, chunk by chunk: over 2 500

@@ -9,9 +9,10 @@
 use crate::catalog::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::expr::Expr;
-use crate::row::View;
+use crate::row::Relation;
 use crate::schema::{Column, RelSchema, SchemaRef};
 use crate::value::SqlType;
+use std::sync::Arc;
 
 /// What an aggregate output computes.
 #[derive(Debug, Clone)]
@@ -100,10 +101,9 @@ pub enum Plan {
         predicate: Option<Expr>,
         projection: Option<Vec<usize>>,
     },
-    /// Literal input rows: a shared relation's, all of them or those at a
-    /// view's ids. Cloning the plan (as `execute` does to optimize it)
-    /// copies no row.
-    Values(View),
+    /// Literal input rows: a shared relation's. Cloning the plan (as
+    /// `execute` does to optimize it) copies no row.
+    Values(Arc<Relation>),
     Filter {
         input: Box<Plan>,
         predicate: Expr,
@@ -221,7 +221,7 @@ impl Plan {
                     None => t.schema.clone(),
                 })
             }
-            Plan::Values(view) => Ok(view.schema().clone()),
+            Plan::Values(rel) => Ok(rel.schema.clone()),
             Plan::Filter { input, predicate } => {
                 let schema = input.schema(db)?;
                 exprs_in_range([predicate], &schema)?;
@@ -310,7 +310,7 @@ impl Plan {
                     n
                 }
             }
-            Plan::Values(view) => view.len(),
+            Plan::Values(rel) => rel.len(),
             Plan::Filter { input, .. } => (input.estimate_rows(db) / 3).max(1),
             Plan::Project { input, .. } => input.estimate_rows(db),
             Plan::HashJoin { left, right, .. } => {

@@ -5,7 +5,10 @@
 //! change and an undo record all hold the same row, so handing a row on
 //! (a scan, a snapshot replay, a full-width executor output) bumps a
 //! reference count, and dropping it (a wipe) decrements one. Nothing
-//! writes a stored row in place: an update builds a new one.
+//! writes a stored row in place: an update builds a new one. A plan reads
+//! a [`Relation`] in place through a [`crate::query::Plan::Values`] leaf
+//! that shares it, and a filter over that leaf hands on the very rows it
+//! keeps.
 //!
 //! [`Row`] is the owned form a caller builds from values and hands to
 //! [`crate::table::Table::insert`], which converts it once at the boundary.
@@ -130,73 +133,6 @@ impl Relation {
             out.push_str(&format!("… {} more rows\n", self.rows.len() - max_rows));
         }
         out
-    }
-}
-
-/// Rows of a shared relation, read in place: all of `base`'s rows, or
-/// the rows at `ids`, in that order — what a selection over a relation
-/// it cannot take keeps (the executor's selection vector) instead of
-/// copying the rows. A [`crate::query::Plan::Values`] leaf reads one.
-/// Cloning shares both the relation and the ids.
-#[derive(Debug, Clone)]
-pub struct View {
-    pub base: Arc<Relation>,
-    /// Positions in `base.rows`; `None` is every row.
-    pub ids: Option<Arc<[u32]>>,
-}
-
-impl View {
-    pub fn schema(&self) -> &SchemaRef {
-        &self.base.schema
-    }
-
-    pub fn len(&self) -> usize {
-        self.ids.as_ref().map_or(self.base.len(), |ids| ids.len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The rows, in order. An id outside `base` is skipped; a plan checks
-    /// its leaf's ids before it reads a row.
-    pub fn rows(&self) -> impl Iterator<Item = &SharedRow> {
-        (0..self.len()).filter_map(|k| {
-            let id = match &self.ids {
-                Some(ids) => *ids.get(k)? as usize,
-                None => k,
-            };
-            self.base.rows.get(id)
-        })
-    }
-
-    /// The rows as an owned relation: moved out when this view is every
-    /// row of a relation nothing else shares, shared row by row otherwise.
-    pub fn into_relation(self) -> Relation {
-        match self.ids {
-            None => Arc::try_unwrap(self.base).unwrap_or_else(|shared| Relation::clone(&shared)),
-            Some(_) => Relation::new(self.base.schema.clone(), self.rows().cloned().collect()),
-        }
-    }
-}
-
-impl From<Arc<Relation>> for View {
-    fn from(base: Arc<Relation>) -> View {
-        View { base, ids: None }
-    }
-}
-
-impl From<Relation> for View {
-    fn from(rel: Relation) -> View {
-        Arc::new(rel).into()
-    }
-}
-
-/// Two views are equal when they hold the same rows under the same
-/// schema, whatever relation or ids they read them through.
-impl PartialEq for View {
-    fn eq(&self, other: &View) -> bool {
-        self.schema() == other.schema() && self.len() == other.len() && self.rows().eq(other.rows())
     }
 }
 

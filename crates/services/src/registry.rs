@@ -11,6 +11,7 @@ use crate::resilience::{self, Attempt};
 use crate::resultset::ResultSet;
 use crate::webservice::{ServiceError, ServiceResult, WebService};
 use dip_netsim::fault;
+use dip_relstore::catalog::folded;
 use dip_relstore::error::TransportFault;
 use dip_relstore::prelude::*;
 use dip_xmlkit::compact_len;
@@ -86,26 +87,23 @@ impl ExternalWorld {
     /// Register a database under a logical name at a network endpoint.
     pub fn add_database(&mut self, name: &str, endpoint: &str, db: Arc<Database>) {
         self.databases
-            .insert(name.to_lowercase(), (endpoint.to_string(), db));
+            .insert(folded(name).into(), (endpoint.to_string(), db));
     }
 
     /// Register a web service at a network endpoint.
     pub fn add_service(&mut self, endpoint: &str, ws: Arc<dyn WebService>) {
         self.services
-            .insert(ws.name().to_lowercase(), (endpoint.to_string(), ws));
+            .insert(folded(ws.name()).into(), (endpoint.to_string(), ws));
     }
 
     /// Direct handle to a database (for initialization/verification, which
     /// happen outside the measured phase and bypass the network model).
     pub fn database(&self, name: &str) -> StoreResult<Arc<Database>> {
-        self.databases
-            .get(&name.to_lowercase())
-            .map(|(_, db)| db.clone())
-            .ok_or_else(|| StoreError::Invalid(format!("unknown external database {name}")))
+        self.db_entry(name).map(|(_, db)| db.clone())
     }
 
     pub fn service(&self, name: &str) -> ServiceResult<Arc<dyn WebService>> {
-        self.service_entry(name).map(|(_, s)| s)
+        self.service_entry(name).map(|(_, s)| s.clone())
     }
 
     pub fn database_names(&self) -> Vec<String> {
@@ -120,17 +118,17 @@ impl ExternalWorld {
         v
     }
 
-    fn db_entry(&self, name: &str) -> StoreResult<(String, Arc<Database>)> {
+    /// A database's endpoint and handle, by reference.
+    fn db_entry(&self, name: &str) -> StoreResult<&(String, Arc<Database>)> {
         self.databases
-            .get(&name.to_lowercase())
-            .cloned()
+            .get(folded(name).as_ref())
             .ok_or_else(|| StoreError::Invalid(format!("unknown external database {name}")))
     }
 
-    fn service_entry(&self, name: &str) -> ServiceResult<(String, Arc<dyn WebService>)> {
+    /// A web service's endpoint and handle, by reference.
+    fn service_entry(&self, name: &str) -> ServiceResult<&(String, Arc<dyn WebService>)> {
         self.services
-            .get(&name.to_lowercase())
-            .cloned()
+            .get(folded(name).as_ref())
             .ok_or_else(|| ServiceError::UnknownOperation(format!("unknown service {name}")))
     }
 
@@ -221,7 +219,7 @@ impl ExternalWorld {
     /// fixed payload, the response is charged by result size.
     pub fn remote_query(&self, db_name: &str, plan: &Plan) -> StoreResult<Remote<Relation>> {
         let (endpoint, db) = self.db_entry(db_name)?;
-        self.round_trip(&endpoint, 256, || execute(plan, &db), Self::relation_bytes)
+        self.round_trip(endpoint, 256, || execute(plan, db), Self::relation_bytes)
     }
 
     /// Drain a remote table's change-capture log — the change-data-capture
@@ -238,7 +236,7 @@ impl ExternalWorld {
     ) -> StoreResult<Remote<Vec<Change>>> {
         let (endpoint, db) = self.db_entry(db_name)?;
         self.round_trip(
-            &endpoint,
+            endpoint,
             128,
             || Ok(db.table(table)?.drain_changes()),
             |changes: &Vec<Change>| {
@@ -285,7 +283,7 @@ impl ExternalWorld {
             .map(|r| r.iter().map(|v| v.rendered_len() + 1).sum::<usize>())
             .sum();
         self.round_trip(
-            &endpoint,
+            endpoint,
             bytes + 128,
             || match mode {
                 LoadMode::Insert => db.insert_into(table, rows),
@@ -305,7 +303,7 @@ impl ExternalWorld {
     ) -> StoreResult<Remote<usize>> {
         let (endpoint, db) = self.db_entry(db_name)?;
         self.round_trip(
-            &endpoint,
+            endpoint,
             128,
             || db.table(table)?.delete_where(predicate),
             |_| 64,
@@ -321,7 +319,7 @@ impl ExternalWorld {
     ) -> StoreResult<Remote<Option<Relation>>> {
         let (endpoint, db) = self.db_entry(db_name)?;
         self.round_trip(
-            &endpoint,
+            endpoint,
             128,
             || db.call_procedure(proc, args),
             |out| out.as_ref().map(Self::relation_bytes).unwrap_or(16) + 64,
@@ -337,7 +335,7 @@ impl ExternalWorld {
         operation: &str,
     ) -> ServiceResult<Remote<ResultSet>> {
         let (endpoint, ws) = self.service_entry(service)?;
-        self.round_trip(&endpoint, 256, || ws.query(operation), ResultSet::wire_len)
+        self.round_trip(endpoint, 256, || ws.query(operation), ResultSet::wire_len)
     }
 
     /// [`ExternalWorld::ws_result_set`] as a result-set document.
@@ -356,7 +354,7 @@ impl ExternalWorld {
     ) -> ServiceResult<Remote<usize>> {
         let (endpoint, ws) = self.service_entry(service)?;
         let bytes = compact_len(doc);
-        self.round_trip(&endpoint, bytes, || ws.update(operation, doc), |_| 64)
+        self.round_trip(endpoint, bytes, || ws.update(operation, doc), |_| 64)
     }
 }
 

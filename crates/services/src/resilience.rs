@@ -94,11 +94,11 @@ pub fn decide(network: &Network, from: &str, to: &str, op: &OpKey, max_attempts:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dip_netsim::{FaultModel, LatencyModel, LinkSpec};
+    use dip_netsim::{FaultPlan, LatencyModel, LinkSpec};
 
     fn network(drop_rate: f64) -> Network {
         let mut net = Network::new(LinkSpec::new(LatencyModel::Fixed { micros: 10 }, 0), 3);
-        net.set_default_fault_model(FaultModel::drops(drop_rate));
+        net.set_plan(FaultPlan::drops(drop_rate));
         net
     }
 
