@@ -50,18 +50,9 @@ pub struct NetStats {
     pub total_delay: Duration,
 }
 
-/// Per-link settings: `from` → `to` → setting, so a lookup borrows both
-/// names and builds no key.
+/// Per-link settings, `from` → `to` → setting, so that a lookup borrows
+/// both names and builds no key.
 type PerLink<T> = HashMap<String, HashMap<String, T>>;
-
-fn set_per_link<T>(map: &mut PerLink<T>, from: &str, to: &str, value: T) {
-    let to_map = map.entry(from.to_string()).or_default();
-    to_map.insert(to.to_string(), value);
-}
-
-fn per_link<T: Copy>(map: &PerLink<T>, from: &str, to: &str) -> Option<T> {
-    map.get(from)?.get(to).copied()
-}
 
 /// The simulated network.
 pub struct Network {
@@ -113,7 +104,8 @@ impl Network {
 
     /// Configure a directed link between two endpoints.
     pub fn set_link(&mut self, from: &str, to: &str, spec: LinkSpec) {
-        set_per_link(&mut self.links, from, to, spec);
+        let to_links = self.links.entry(from.to_string()).or_default();
+        to_links.insert(to.to_string(), spec);
     }
 
     /// Configure the link in both directions.
@@ -123,12 +115,14 @@ impl Network {
     }
 
     fn link(&self, from: &str, to: &str) -> LinkSpec {
-        per_link(&self.links, from, to).unwrap_or(self.default_link)
+        let spec = self.links.get(from).and_then(|to_links| to_links.get(to));
+        spec.copied().unwrap_or(self.default_link)
     }
 
     /// Set the fault model of a directed link, overriding the plan's.
     pub fn set_fault_model(&mut self, from: &str, to: &str, model: FaultModel) {
-        set_per_link(&mut self.fault_links, from, to, model);
+        let to_links = self.fault_links.entry(from.to_string()).or_default();
+        to_links.insert(to.to_string(), model);
     }
 
     /// Whether any link of this network can fault. Callers use this to
@@ -141,7 +135,11 @@ impl Network {
     }
 
     fn fault_model(&self, from: &str, to: &str) -> FaultModel {
-        per_link(&self.fault_links, from, to).unwrap_or(self.plan.model)
+        let model = self
+            .fault_links
+            .get(from)
+            .and_then(|to_links| to_links.get(to));
+        model.copied().unwrap_or(self.plan.model)
     }
 
     /// Decide the fate of one transfer leg of one attempt of operation

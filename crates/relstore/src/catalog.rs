@@ -340,5 +340,9 @@ mod tests {
         assert!(db.table("missing").is_err());
         assert!(db.drop_table("src"));
         assert!(db.table("src").is_err());
+        // a lowercase name is looked up as it is; any other is lowercased
+        assert!(matches!(folded("src_2"), Cow::Borrowed("src_2")));
+        assert_eq!(folded("Src"), "src");
+        assert_eq!(folded("ÉTÉ"), "été");
     }
 }
