@@ -858,7 +858,8 @@ fn sharing_checked(steps: &[Step], at: &'static str, sharing: &Sharing) -> Vec<S
             Step::Subprocess { process, .. } => {
                 let steps = sharing_checked(&process.steps, "nested", sharing);
                 let (id, name) = (&process.id, &process.name);
-                *process = Arc::new(ProcessDef::new(id, name, 'D', EventType::Timed, steps));
+                let def = ProcessDef::new(id, name, process.group, process.event, steps);
+                *process = Arc::new(def);
             }
             _ => {}
         }
